@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test test-race soak recovery-soak telemetry-smoke trace-smoke bench bench-micro bench-json bench-wire bench-consensus bench-consensus-mc bench-durable tables
+.PHONY: all build vet test bench-check test-race soak recovery-soak telemetry-smoke trace-smoke bench bench-micro bench-json bench-wire bench-consensus bench-consensus-mc bench-durable tables
 
 all: vet test
 
@@ -10,8 +10,15 @@ build:
 vet:
 	$(GO) vet ./...
 
-test:
+test: bench-check
 	$(GO) test ./...
+
+# The repository benchmark is a nested module (bench/go.mod), so ./...
+# does not descend into it: an API change under internal/ that breaks it
+# shows only here. -short leaves out the untraced half of its smoke run.
+bench-check:
+	$(GO) -C bench vet ./...
+	$(GO) -C bench test -short ./...
 
 # Race-check everything. Real concurrency lives in the live transports,
 # the fault injector, the sharded observer sink and telemetry collector
@@ -69,10 +76,13 @@ bench:
 	$(GO) test -run '^$$' -bench . -benchmem .
 
 # Just the per-message-path micro-benchmarks: observer sink recording and
-# wire encode/decode. The SinkRecordSend and Wire*Encode benches must stay
-# at 0 allocs/op.
+# wire encode/decode, then the per-command bookkeeping of the consensus
+# engine (decision recording, a pump that cannot propose, applying a
+# 16-command batch). The SinkRecordSend and Wire*Encode benches and all
+# three bookkeeping benches must stay at 0 allocs/op.
 bench-micro:
 	$(GO) test -run '^$$' -bench 'SinkRecordSend|StatsRecordSendLegacy|Wire' -benchmem .
+	$(GO) test -run '^$$' -bench 'RecorderRecord|BatcherPumpFull|ApplyBatch16' -benchmem ./internal/consensus ./internal/consensus/rsm
 
 # End-to-end tracing smoke (DESIGN.md §17): a traced consensus load run
 # and a traced chaossoak leader-crash run, then traceview over both sets

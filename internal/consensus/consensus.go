@@ -9,6 +9,7 @@ package consensus
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -51,25 +52,37 @@ type Decision struct {
 	Elapsed time.Duration
 }
 
-// decisionKey identifies one command slot: batching means an instance can
-// decide several commands, each recorded once.
-type decisionKey struct {
-	inst, cmd int
-}
+// recChunk is how many decisions one chunk of a Recorder's log holds, and
+// recMaxHole how many unrecorded instances its index will span to reach a
+// new one, so that a wild instance number cannot size the index.
+const (
+	recChunk   = 1024
+	recMaxHole = 1 << 16
+)
 
 // Recorder collects the decisions one process learns. It is safe for
 // concurrent use so live transports can observe it.
+//
+// The decisions sit in learning order in an append-only log of chunks, so
+// recording never copies what is already there. start[inst-base] is one
+// past the log position of command 0 of inst (base is the first instance
+// recorded; 0 means not indexed). A replicated log records instance by
+// instance with commands in order, so command k is at that position plus
+// k: a lookup is one probe that checks what it finds, with no hashing.
+// Anything recorded off that pattern is listed in strays, which lookups
+// scan after a failed probe: exact for any input, empty in practice.
 type Recorder struct {
-	mu        sync.Mutex
-	decisions map[decisionKey]Decision
-	order     []Decision
-	notify    func(d Decision)
+	mu     sync.Mutex
+	chunks [][]Decision
+	n      int
+	base   int
+	start  []int32
+	strays []int32
+	notify func(d Decision)
 }
 
 // NewRecorder returns an empty recorder.
-func NewRecorder() *Recorder {
-	return &Recorder{decisions: make(map[decisionKey]Decision)}
-}
+func NewRecorder() *Recorder { return &Recorder{} }
 
 // SetNotify installs a hook invoked after each first-time decision record
 // (the telemetry layer's feed for decision counting and latency). The hook
@@ -81,17 +94,60 @@ func (r *Recorder) SetNotify(fn func(d Decision)) {
 	r.notify = fn
 }
 
+func (r *Recorder) at(p int) *Decision { return &r.chunks[p/recChunk][p%recChunk] }
+
+// probe is the log position the index implies for a command slot, or -1.
+func (r *Recorder) probe(inst, cmd int) int {
+	if i := inst - r.base; i >= 0 && i < len(r.start) && r.start[i] != 0 && cmd >= 0 {
+		return int(r.start[i]) - 1 + cmd
+	}
+	return -1
+}
+
+// find returns the recorded decision for a command slot, or nil; the
+// caller holds the lock.
+func (r *Recorder) find(inst, cmd int) *Decision {
+	if p := r.probe(inst, cmd); p >= 0 && p < r.n {
+		if d := r.at(p); d.Instance == inst && d.Cmd == cmd {
+			return d
+		}
+	}
+	for _, p := range r.strays {
+		if d := r.at(int(p)); d.Instance == inst && d.Cmd == cmd {
+			return d
+		}
+	}
+	return nil
+}
+
 // Record stores the first decision for a command slot; later records for
 // the same (instance, cmd) are ignored (integrity is checked elsewhere).
 func (r *Recorder) Record(d Decision) {
-	key := decisionKey{d.Instance, d.Cmd}
 	r.mu.Lock()
-	if _, ok := r.decisions[key]; ok {
+	if r.find(d.Instance, d.Cmd) != nil {
 		r.mu.Unlock()
 		return
 	}
-	r.decisions[key] = d
-	r.order = append(r.order, d)
+	if r.n == 0 {
+		r.base = d.Instance
+	}
+	if i := d.Instance - r.base; d.Cmd == 0 && i >= 0 && i < len(r.start)+recMaxHole && r.probe(d.Instance, 0) < 0 {
+		for len(r.start) <= i {
+			r.start = append(r.start, 0)
+		}
+		r.start[i] = int32(r.n) + 1
+	}
+	if r.probe(d.Instance, d.Cmd) != r.n {
+		r.strays = append(r.strays, int32(r.n))
+	}
+	if r.n%recChunk == 0 {
+		// A whole chunk at a time, except the first, which grows from
+		// nothing: single-decree protocols record one decision.
+		r.chunks = append(r.chunks, make([]Decision, 0, min(r.n, recChunk)))
+	}
+	c := &r.chunks[r.n/recChunk]
+	*c = append(*c, d)
+	r.n++
 	notify := r.notify
 	r.mu.Unlock()
 	if notify != nil {
@@ -101,17 +157,17 @@ func (r *Recorder) Record(d Decision) {
 
 // Get returns the first command's decision for an instance, if learned —
 // the whole decision for unbatched values.
-func (r *Recorder) Get(instance int) (Decision, bool) {
-	return r.GetCmd(instance, 0)
-}
+func (r *Recorder) Get(instance int) (Decision, bool) { return r.GetCmd(instance, 0) }
 
 // GetCmd returns the decision for one command slot of an instance, if
 // learned.
 func (r *Recorder) GetCmd(instance, cmd int) (Decision, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	d, ok := r.decisions[decisionKey{instance, cmd}]
-	return d, ok
+	if d := r.find(instance, cmd); d != nil {
+		return *d, true
+	}
+	return Decision{}, false
 }
 
 // Count returns how many commands this process has decided (equals the
@@ -119,15 +175,17 @@ func (r *Recorder) GetCmd(instance, cmd int) (Decision, bool) {
 func (r *Recorder) Count() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return len(r.decisions)
+	return r.n
 }
 
 // All returns the decisions in learning order (copy).
 func (r *Recorder) All() []Decision {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]Decision, len(r.order))
-	copy(out, r.order)
+	out := make([]Decision, 0, r.n)
+	for _, c := range r.chunks {
+		out = append(out, c...)
+	}
 	return out
 }
 
@@ -224,56 +282,41 @@ func (r SafetyReport) Holds() bool { return r.Agreement && r.Validity }
 // the same batch envelope.
 func CheckSafety(in SafetyInput) SafetyReport {
 	rep := SafetyReport{Agreement: true, Validity: true}
-	chosen := make(map[decisionKey]Value)
-	seen := make(map[int]bool)
+	// chosen keeps the first decision seen for each command slot, whoever
+	// made it: a Recorder is the slot table, and instances counts them.
+	chosen := NewRecorder()
+	var instances []int
 	for id, r := range in.Recorders {
 		if r == nil {
 			continue
 		}
 		for _, d := range r.All() {
 			rep.TotalDecisions++
-			key := decisionKey{d.Instance, d.Cmd}
-			prev, ok := chosen[key]
-			if !ok {
-				chosen[key] = d.Value
-				seen[d.Instance] = true
-				continue
-			}
-			if prev != d.Value {
+			prev := chosen.find(d.Instance, d.Cmd)
+			if prev == nil {
+				chosen.Record(d)
+				instances = append(instances, d.Instance)
+			} else if prev.Value != d.Value {
 				rep.Agreement = false
 				rep.Violations = append(rep.Violations, fmt.Sprintf(
-					"instance %d cmd %d: p%d decided %q but %q was decided elsewhere", d.Instance, d.Cmd, id, d.Value, prev))
+					"instance %d cmd %d: p%d decided %q but %q was decided elsewhere", d.Instance, d.Cmd, id, d.Value, prev.Value))
 			}
 		}
 	}
-	var instances []int
-	for inst := range seen {
-		instances = append(instances, inst)
-	}
 	sort.Ints(instances)
-	rep.Instances = len(instances)
-	if in.Proposed != nil {
-		for key, v := range chosen {
-			if v == Noop {
-				continue // gap filler, proposed by the protocol itself
-			}
-			if !contains(in.Proposed[key.inst], v) {
-				rep.Validity = false
-				rep.Violations = append(rep.Violations, fmt.Sprintf(
-					"instance %d cmd %d: decided %q was never proposed", key.inst, key.cmd, v))
-			}
+	rep.Instances = len(slices.Compact(instances))
+	for p := 0; p < chosen.n && in.Proposed != nil; p++ {
+		d := chosen.at(p)
+		if d.Value == Noop {
+			continue // gap filler, proposed by the protocol itself
+		}
+		if !slices.Contains(in.Proposed[d.Instance], d.Value) {
+			rep.Validity = false
+			rep.Violations = append(rep.Violations, fmt.Sprintf(
+				"instance %d cmd %d: decided %q was never proposed", d.Instance, d.Cmd, d.Value))
 		}
 	}
 	return rep
-}
-
-func contains(vs []Value, v Value) bool {
-	for _, x := range vs {
-		if x == v {
-			return true
-		}
-	}
-	return false
 }
 
 // Leadership is the view a consensus engine has of its co-located Omega

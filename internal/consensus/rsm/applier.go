@@ -1,13 +1,10 @@
 package rsm
 
 import (
-	"sort"
 	"time"
 
 	"repro/internal/consensus"
 	"repro/internal/durable"
-	"repro/internal/sim"
-	"repro/internal/tracing"
 )
 
 // This file is the applier layer: it walks the contiguous decided prefix
@@ -16,31 +13,13 @@ import (
 // remembers when each command entered its queue and stamps the difference
 // at apply time; everywhere else Elapsed is zero ("unknown").
 
-// proposal remembers what the leader proposed in an instance and when
-// each command in it was enqueued.
-type proposal struct {
-	env consensus.Value
-	enq []sim.Time
-	// reqs are the per-command trace contexts (nil when no command in
-	// the batch is traced) and decidedAt the quorum-completion instant,
-	// so apply can record the final stage span under each trace.
-	reqs      []tracing.Context
-	decidedAt sim.Time
-}
-
-// applier tracks apply progress and decision fan-out.
+// applier tracks apply progress and decision fan-out. What the leader
+// proposed in an instance, and when each command in it was enqueued,
+// rides on the instance's flight (pipeline.go).
 type applier struct {
 	next    int // next instance to apply; always firstGap after apply()
 	count   int // commands applied, noops included
 	onApply func(inst, cmd int, v consensus.Value)
-	props   map[int]proposal
-}
-
-func newApplier() applier { return applier{props: make(map[int]proposal)} }
-
-// track remembers a proposal for latency stamping at apply time.
-func (a *applier) track(inst int, env consensus.Value, enq []sim.Time, reqs []tracing.Context) {
-	a.props[inst] = proposal{env: env, enq: enq, reqs: reqs}
 }
 
 // apply runs the applier over every newly contiguous decided instance:
@@ -49,33 +28,35 @@ func (a *applier) track(inst int, env consensus.Value, enq []sim.Time, reqs []tr
 func (r *Node) apply() {
 	now := r.env.Now()
 	for {
-		v, ok := r.log.get(r.app.next)
-		if !ok {
+		s := r.log.at(r.app.next)
+		if s == nil || !s.decided {
 			break
 		}
-		inst := r.app.next
+		// Copy out of the slot: the hooks below may grow the window.
+		inst, v, fl := r.app.next, s.v, s.fl
+		s.fl = nil
 		r.app.next++
-		prop, tracked := r.app.props[inst]
-		if tracked {
-			delete(r.app.props, inst)
-			if prop.env != v {
-				tracked = false // our proposal lost this instance
-			}
+		tracked := fl != nil && fl.tracked
+		if tracked && fl.v != v {
+			// Our proposal lost this instance to a competing ballot: its
+			// commands ride nowhere now, so hand them back to the queue.
+			tracked = false
+			r.bat.unassign()
 		}
-		for k, cmd := range decodeBatch(v) {
+		eachCmd(v, func(k int, cmd consensus.Value) {
 			var elapsed time.Duration
-			if tracked && k < len(prop.enq) {
-				elapsed = now.Sub(prop.enq[k])
+			if tracked && k < len(fl.enq) {
+				elapsed = now.Sub(fl.enq[k])
 			}
-			if tracked && k < len(prop.reqs) && prop.reqs[k].Valid() {
+			if tracked && k < len(fl.reqs) && fl.reqs[k].Valid() {
 				// Stage three, closing the trace: decide to apply. An
 				// instance decided without our own quorum (learned via
 				// DecideMsg) has no decidedAt; its apply span is a point.
-				start := prop.decidedAt
+				start := fl.decidedAt
 				if start == 0 {
 					start = now
 				}
-				r.cfg.Tracer.Record(start, now, prop.reqs[k], "apply", -1, "")
+				r.cfg.Tracer.Record(start, now, fl.reqs[k], "apply", -1, "")
 			}
 			r.rec.Record(consensus.Decision{
 				Instance: inst, Cmd: k, Value: cmd,
@@ -86,6 +67,9 @@ func (r *Node) apply() {
 			}
 			r.app.count++
 			r.bat.retire(cmd)
+		})
+		if fl != nil {
+			r.pipe.release(fl)
 		}
 	}
 	r.dones.observe(r.me, r.log.firstGap)
@@ -116,16 +100,13 @@ func (r *Node) maybeSnapshot() {
 	if r.cfg.SnapshotState != nil {
 		st.App = r.cfg.SnapshotState()
 	}
-	for inst, v := range r.log.entries {
-		if inst >= r.log.firstGap {
-			st.Decided = append(st.Decided, durable.DecidedRec{Inst: uint64(inst), V: string(v)})
+	for inst := r.log.firstGap; inst < r.log.end(); inst++ {
+		if s := r.log.at(inst); s.decided {
+			st.Decided = append(st.Decided, durable.DecidedRec{Inst: uint64(inst), V: string(s.v)})
+		} else if s.accB != consensus.NoBallot {
+			st.Accepted = append(st.Accepted, durable.AcceptedRec{Inst: uint64(inst), B: uint64(s.accB), V: string(s.v)})
 		}
 	}
-	sort.Slice(st.Decided, func(i, j int) bool { return st.Decided[i].Inst < st.Decided[j].Inst })
-	for inst, e := range r.acc.accepted {
-		st.Accepted = append(st.Accepted, durable.AcceptedRec{Inst: uint64(inst), B: uint64(e.b), V: string(e.v)})
-	}
-	sort.Slice(st.Accepted, func(i, j int) bool { return st.Accepted[i].Inst < st.Accepted[j].Inst })
 	if err := r.cfg.Store.Snapshot(st); err != nil {
 		// Nothing is lost on a failed checkpoint — the WAL keeps every
 		// record — it just cannot compact yet. Retry at the next batch.

@@ -2,6 +2,7 @@ package rsm
 
 import (
 	"encoding/binary"
+	"math/bits"
 	"strings"
 
 	"repro/internal/consensus"
@@ -10,8 +11,8 @@ import (
 	"repro/internal/tracing"
 )
 
-// This file is the batching layer: queued client commands and the
-// envelope codec that packs many commands into one proposable value. A
+// This file is the batching layer: the ring of queued client commands and
+// the envelope codec that packs many commands into one proposable value. A
 // batch of k commands costs the same phase-2 traffic as a single command
 // — 3(n−1) messages (2(n−1) piggybacked) — so throughput scales with
 // Config.BatchMax while per-instance cost stays flat.
@@ -28,45 +29,65 @@ func encodeBatch(cmds []consensus.Value) consensus.Value {
 	if len(cmds) == 1 && !strings.HasPrefix(string(cmds[0]), batchPrefix) {
 		return cmds[0]
 	}
-	size := len(batchPrefix) + binary.MaxVarintLen64
+	size := len(batchPrefix) + uvarintLen(len(cmds))
 	for _, c := range cmds {
-		size += binary.MaxVarintLen64 + len(c)
+		size += uvarintLen(len(c)) + len(c)
 	}
-	b := make([]byte, 0, size)
-	b = append(b, batchPrefix...)
-	b = binary.AppendUvarint(b, uint64(len(cmds)))
+	var sb strings.Builder // sized exactly: the value is built once, in place
+	sb.Grow(size)
+	sb.WriteString(batchPrefix)
+	var num [binary.MaxVarintLen64]byte
+	sb.Write(num[:binary.PutUvarint(num[:], uint64(len(cmds)))])
 	for _, c := range cmds {
-		b = binary.AppendUvarint(b, uint64(len(c)))
-		b = append(b, c...)
+		sb.Write(num[:binary.PutUvarint(num[:], uint64(len(c)))])
+		sb.WriteString(string(c))
 	}
-	return consensus.Value(b)
+	return consensus.Value(sb.String())
 }
 
-// decodeBatch unpacks an envelope into its commands. A value without the
-// marker is a single raw command. A malformed envelope (impossible from
-// encodeBatch) decodes as itself, so a corrupt value can at worst apply
-// as one odd command rather than derail the applier.
-func decodeBatch(v consensus.Value) []consensus.Value {
-	s := string(v)
-	if !strings.HasPrefix(s, batchPrefix) {
-		return []consensus.Value{v}
+// uvarintLen is how many bytes binary.PutUvarint spends on x.
+func uvarintLen(x int) int { return (bits.Len(uint(x)|1) + 6) / 7 }
+
+// uvarint is binary.Uvarint over a string (it never looks past
+// MaxVarintLen64 bytes, so that much on the stack is enough).
+func uvarint(s string) (uint64, int) {
+	var num [binary.MaxVarintLen64]byte
+	return binary.Uvarint(num[:copy(num[:], s)])
+}
+
+// cutCmd splits the first length-prefixed command off s.
+func cutCmd(s string) (cmd, rest string, ok bool) {
+	size, n := uvarint(s)
+	if n <= 0 || uint64(len(s)-n) < size {
+		return "", "", false
 	}
-	rest := s[len(batchPrefix):]
-	count, n := binary.Uvarint([]byte(rest))
-	if n <= 0 {
-		return []consensus.Value{v}
-	}
-	rest = rest[n:]
-	out := make([]consensus.Value, 0, count)
-	for i := uint64(0); i < count; i++ {
-		size, n := binary.Uvarint([]byte(rest))
-		if n <= 0 || uint64(len(rest)-n) < size {
-			return []consensus.Value{v}
+	return s[n : n+int(size)], s[n+int(size):], true
+}
+
+// eachCmd calls fn, in order, with every command packed in a proposed
+// value: substrings of v, nothing allocated. A value without the marker
+// is a single raw command, and so is a malformed envelope (impossible
+// from encodeBatch) — a corrupt value can at worst apply as one odd
+// command rather than derail the applier.
+func eachCmd(v consensus.Value, fn func(k int, cmd consensus.Value)) {
+	body, ok := strings.CutPrefix(string(v), batchPrefix)
+	count, n := uvarint(body)
+	if ok = ok && n > 0; ok {
+		body = body[n:]
+		// Validate before yielding anything: a command cannot be taken back.
+		for rest, i := body, uint64(0); ok && i < count; i++ {
+			_, rest, ok = cutCmd(rest)
 		}
-		out = append(out, consensus.Value(rest[n:n+int(size)]))
-		rest = rest[n+int(size):]
 	}
-	return out
+	if !ok {
+		fn(0, v)
+		return
+	}
+	for k := 0; uint64(k) < count; k++ {
+		var cmd string
+		cmd, body, _ = cutCmd(body)
+		fn(k, consensus.Value(cmd))
+	}
 }
 
 // pendingCmd is one locally submitted command not yet applied anywhere
@@ -83,62 +104,78 @@ type pendingCmd struct {
 	tctx tracing.Context
 }
 
-// batcher is the client-command queue. On a leader, commands wait here
-// until pump packs them into batches; on a follower they are forwarded
-// (and re-forwarded) to the believed leader until seen applied.
+// batcher is the client-command queue: a ring of pendingCmd values. On a
+// leader, commands wait here until pump packs them into batches; on a
+// follower they are forwarded (and re-forwarded) to the believed leader
+// until seen applied.
+//
+// head, next and tail count commands ever retired, assigned and added,
+// head ≤ next ≤ tail, and command i lives in ring[i&(len-1)]: [head,next)
+// ride in instances this leader proposed, [next,tail) wait for one, and
+// whether a batch can be formed is a subtraction, not a scan. A leader
+// that steps down or loses an instance to a competing ballot un-assigns
+// everything: proposed again, at-least-once as Submit documents.
 type batcher struct {
-	pending []*pendingCmd
+	ring             []pendingCmd // len is a power of two
+	head, next, tail int
+	cmds             []consensus.Value // take's scratch: the batch being encoded
 }
+
+func (b *batcher) at(i int) *pendingCmd { return &b.ring[i&(len(b.ring)-1)] }
 
 // add queues a command.
 func (b *batcher) add(v consensus.Value, now sim.Time, tctx tracing.Context) {
-	b.pending = append(b.pending, &pendingCmd{v: v, enq: now, lastSentTo: node.None, tctx: tctx})
+	if b.tail-b.head == len(b.ring) {
+		grown := batcher{ring: make([]pendingCmd, max(16, 2*len(b.ring)))}
+		for i := b.head; i < b.tail; i++ {
+			*grown.at(i) = *b.at(i)
+		}
+		b.ring = grown.ring
+	}
+	*b.at(b.tail) = pendingCmd{v: v, enq: now, lastSentTo: node.None, tctx: tctx}
+	b.tail++
 }
 
-// take collects up to max commands not yet assigned by leader me,
-// marking them assigned. A partial batch is only taken when allowPartial
-// — the caller allows it when the pipeline is empty (nothing to overlap
-// with, so waiting buys nothing) or on the drive tick (bounding queue
-// latency at one tick).
-func (b *batcher) take(me node.ID, max int, allowPartial bool, now sim.Time) ([]consensus.Value, []sim.Time, []tracing.Context) {
-	var picked []*pendingCmd
-	for _, p := range b.pending {
-		if p.lastSentTo == me {
-			continue // already riding in an instance
-		}
-		picked = append(picked, p)
-		if len(picked) == max {
-			break
-		}
+// take assigns the next k commands to leader me and returns their values
+// (valid until the next take), leaving their enqueue times and — when any
+// is traced — trace contexts in fl's buffers.
+func (b *batcher) take(k int, me node.ID, now sim.Time, fl *flight) []consensus.Value {
+	b.cmds, fl.enq, fl.reqs = b.cmds[:0], fl.enq[:0], fl.reqs[:0]
+	traced := false
+	for ; k > 0; k-- {
+		p := b.at(b.next)
+		b.next++
+		p.lastSentTo, p.lastSentAt = me, now
+		b.cmds = append(b.cmds, p.v)
+		fl.enq = append(fl.enq, p.enq)
+		fl.reqs = append(fl.reqs, p.tctx)
+		traced = traced || p.tctx.Valid()
 	}
-	if len(picked) == 0 || (len(picked) < max && !allowPartial) {
-		return nil, nil, nil
+	if !traced {
+		fl.reqs = fl.reqs[:0]
 	}
-	cmds := make([]consensus.Value, len(picked))
-	enqs := make([]sim.Time, len(picked))
-	var tctxs []tracing.Context // allocated only when a picked command is traced
-	for i, p := range picked {
-		p.lastSentTo = me
-		p.lastSentAt = now
-		cmds[i] = p.v
-		enqs[i] = p.enq
-		if p.tctx.Valid() {
-			if tctxs == nil {
-				tctxs = make([]tracing.Context, len(picked))
-			}
-			tctxs[i] = p.tctx
-		}
-	}
-	return cmds, enqs, tctxs
+	return b.cmds
 }
 
-// retire drops the first pending command matching an applied value.
+// unassign hands every assigned command back to the queue.
+func (b *batcher) unassign() { b.next = b.head }
+
+// retire drops the first pending command matching an applied value —
+// the head, when a leader applies what it proposed in order.
 func (b *batcher) retire(v consensus.Value) {
-	for i, p := range b.pending {
-		if p.v == v {
-			b.pending = append(b.pending[:i], b.pending[i+1:]...)
-			return
+	for i := b.head; i < b.tail; i++ {
+		if b.at(i).v != v {
+			continue
 		}
+		for j := i; j > b.head; j-- {
+			*b.at(j) = *b.at(j - 1) // close the hole from the head side
+		}
+		*b.at(b.head) = pendingCmd{}
+		b.head++
+		if i >= b.next {
+			b.next++ // the assigned prefix moved up by one
+		}
+		return
 	}
 }
 
@@ -153,19 +190,21 @@ func (r *Node) pumpBatches(force bool) {
 	if !r.prop.prepared {
 		return
 	}
-	for r.pipe.hasRoom(r.cfg.Window) {
-		allowPartial := force || len(r.pipe.inflights) == 0
-		now := r.env.Now()
-		cmds, enqs, tctxs := r.bat.take(r.me, r.cfg.BatchMax, allowPartial, now)
-		if len(cmds) == 0 {
-			return
+	for r.pipe.open < r.cfg.Window {
+		k := min(r.bat.tail-r.bat.next, r.cfg.BatchMax)
+		if k == 0 || (k < r.cfg.BatchMax && !force && r.pipe.open > 0) {
+			return // nothing queued, or a partial batch that can still fill
 		}
-		for i, ctx := range tctxs {
+		now := r.env.Now()
+		fl := r.pipe.alloc()
+		fl.tracked = true
+		cmds := r.bat.take(k, r.me, now, fl)
+		for i, ctx := range fl.reqs {
 			// Stage one of a traced command's life: the queue wait,
 			// enqueue to batch formation.
-			r.cfg.Tracer.Record(enqs[i], now, ctx, "queue", -1, "")
+			r.cfg.Tracer.Record(fl.enq[i], now, ctx, "queue", -1, "")
 		}
-		r.propose(encodeBatch(cmds), enqs, tctxs)
+		r.propose(encodeBatch(cmds), fl)
 	}
 }
 
@@ -175,7 +214,8 @@ func (r *Node) forwardPending(leader node.ID) {
 		return
 	}
 	now := r.env.Now()
-	for _, p := range r.bat.pending {
+	for i := r.bat.head; i < r.bat.tail; i++ {
+		p := r.bat.at(i)
 		if p.lastSentTo == leader && now.Sub(p.lastSentAt) <= r.cfg.RetryTimeout {
 			continue
 		}
@@ -189,7 +229,10 @@ func (r *Node) forwardPending(leader node.ID) {
 // the offline counterpart of the applier's fan-out, for tools replaying
 // recovered logs (cmd/chaossoak's replay-equivalence check). A value
 // without the batch marker is one raw command.
-func DecodeBatch(v consensus.Value) []consensus.Value { return decodeBatch(v) }
+func DecodeBatch(v consensus.Value) (cmds []consensus.Value) {
+	eachCmd(v, func(_ int, cmd consensus.Value) { cmds = append(cmds, cmd) })
+	return cmds
+}
 
 // BatchRequest packs several client commands into one request message;
 // the serving leader unpacks the envelope into individual pending
@@ -207,8 +250,6 @@ func (r *Node) onRequest(m RequestMsg) {
 	// A traced request (wrapped by the client or a forwarding replica)
 	// hands its context to every command it carries; the sampling
 	// decision stays with the trace originator.
-	for _, v := range decodeBatch(m.V) {
-		r.bat.add(v, now, r.curCtx)
-	}
+	eachCmd(m.V, func(_ int, v consensus.Value) { r.bat.add(v, now, r.curCtx) })
 	r.pump()
 }

@@ -38,7 +38,7 @@ func TestBatchCodecRoundTrip(t *testing.T) {
 	}
 	for _, cmds := range cases {
 		env := encodeBatch(cmds)
-		got := decodeBatch(env)
+		got := DecodeBatch(env)
 		if len(got) != len(cmds) {
 			t.Fatalf("round-trip of %q: %d commands, want %d", cmds, len(got), len(cmds))
 		}
@@ -57,19 +57,19 @@ func TestBatchCodecRoundTrip(t *testing.T) {
 		t.Fatal("marker-prefixed command leaked through unwrapped")
 	}
 	// Arbitrary non-envelope values decode as one command.
-	if got := decodeBatch("legacy"); len(got) != 1 || got[0] != "legacy" {
+	if got := DecodeBatch("legacy"); len(got) != 1 || got[0] != "legacy" {
 		t.Fatalf("raw value decoded as %v", got)
 	}
 }
 
 func TestLogbookForgetBelow(t *testing.T) {
-	l := newLogbook()
+	l := logbook{highestDecided: -1}
 	for i := 0; i < 10; i++ {
 		l.insert(i, consensus.Value(fmt.Sprintf("v%d", i)))
 	}
 	l.forgetBelow(5)
-	if l.retained() != 5 {
-		t.Fatalf("retained = %d, want 5", l.retained())
+	if l.decided != 5 {
+		t.Fatalf("retained = %d, want 5", l.decided)
 	}
 	if _, ok := l.get(3); ok {
 		t.Fatal("forgotten entry still readable")
@@ -89,8 +89,8 @@ func TestLogbookForgetBelow(t *testing.T) {
 		t.Fatalf("low regressed to %d", l.low)
 	}
 	l.forgetBelow(99)
-	if l.low != 10 || l.retained() != 0 {
-		t.Fatalf("low = %d retained = %d, want horizon capped at firstGap", l.low, l.retained())
+	if l.low != 10 || l.decided != 0 {
+		t.Fatalf("low = %d retained = %d, want horizon capped at firstGap", l.low, l.decided)
 	}
 }
 
@@ -304,8 +304,8 @@ func TestSnapshotRestartIgnoresAcceptsBelowIndex(t *testing.T) {
 	if got := r2.Applied(); got != baseApplied {
 		t.Fatalf("stale traffic re-applied commands: %d → %d", baseApplied, got)
 	}
-	if len(r2.acc.accepted) != 0 {
-		t.Fatalf("stale accept recorded a vote: %v", r2.acc.accepted)
+	if r2.log.voted != 0 {
+		t.Fatalf("stale accept recorded %d votes", r2.log.voted)
 	}
 
 	// Fresh traffic at/above the snapshot index still flows normally.

@@ -236,16 +236,19 @@ func (r *Node) leaseBlocks(b consensus.Ballot, now sim.Time) bool {
 }
 
 // abdicateLeader drops leader duties and every lease- and read-serving
-// right that came with them. Pending fallback reads are dropped (clients
-// retry against the new leader); the gauge clears before any competing
-// ballot gets our promise.
+// right that came with them; the next drive tick re-prepares if Omega
+// still nominates this process. Commands riding in this leader's
+// instances go back to the queue, to be forwarded or proposed again.
+// Pending fallback reads are dropped (clients retry against the new
+// leader); the gauge clears before any competing ballot gets our promise.
 func (r *Node) abdicateLeader() {
 	if r.prop.prepared || r.prop.preparing {
 		// Only an actual demotion is an election transition worth a span;
 		// the follower housekeeping path calls this every tick.
 		r.cfg.Tracer.Mark(r.env.Now(), "abdicate", -1)
 	}
-	r.prop.abdicate()
+	r.prop.prepared, r.prop.preparing = false, false
+	r.bat.unassign()
 	if r.lease.heldUntil.Load() != 0 {
 		r.lease.heldUntil.Store(0)
 	}

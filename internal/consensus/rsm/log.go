@@ -6,28 +6,76 @@ import (
 	"repro/internal/sim"
 )
 
-// This file is the storage layer: the decided log (learner state), the
-// acceptor's per-instance promises, and the Done-vector bookkeeping that
-// lets the cluster forget applied prefixes (Config.Forget).
+// This file is the storage layer: the instance window — one slot per log
+// instance holding the decided value, the acceptor's vote and the leader's
+// in-flight state — and the Done-vector bookkeeping that lets the cluster
+// forget applied prefixes (Config.Forget).
 
-// logbook is one replica's decided log. Entries live in a map so the log
-// tolerates holes; firstGap tracks the contiguous decided prefix and low
-// tracks the forgetting horizon — everything below low has been applied by
-// every process and pruned.
+// slot is what this replica holds about one log instance; zero is a hole.
+type slot struct {
+	// v is the decided value once decided; until then, the value this
+	// acceptor voted for at ballot accB (NoBallot: no vote, and so it is
+	// again once decided — the vote is dead weight for promises).
+	v       consensus.Value
+	accB    consensus.Ballot
+	decided bool
+	// fl is the leader-side state (pipeline.go) from the moment this
+	// replica proposes the instance until it applies it; nil otherwise.
+	fl *flight
+}
+
+// logbook is one replica's instance window: slots[i] is instance low+i,
+// so every per-instance lookup is an index, walks are in instance order,
+// and a hole costs one zero slot. low is the forgetting horizon —
+// everything below it has been applied by every process and pruned —
+// and firstGap bounds the contiguous decided prefix.
 type logbook struct {
-	entries        map[int]consensus.Value
+	slots          []slot
+	low            int
 	firstGap       int
 	highestDecided int
-	low            int
+	decided        int // decided slots held: the bounded-memory metric under Forget
+	voted          int // undecided slots holding a vote
 }
 
-func newLogbook() logbook {
-	return logbook{entries: make(map[int]consensus.Value), highestDecided: -1}
+// at returns the slot of inst, or nil outside the window. The pointer is
+// good until the window next grows or forgets.
+func (l *logbook) at(inst int) *slot {
+	if i := inst - l.low; i >= 0 && i < len(l.slots) {
+		return &l.slots[i]
+	}
+	return nil
 }
+
+// ensure returns the slot of inst ≥ low, growing the window over it.
+func (l *logbook) ensure(inst int) *slot {
+	for inst-l.low >= len(l.slots) {
+		l.slots = append(l.slots, slot{})
+	}
+	return &l.slots[inst-l.low]
+}
+
+// end is one past the highest instance the window has a slot for.
+func (l *logbook) end() int { return l.low + len(l.slots) }
 
 func (l *logbook) get(inst int) (consensus.Value, bool) {
-	v, ok := l.entries[inst]
-	return v, ok
+	if s := l.at(inst); s != nil && s.decided {
+		return s.v, true
+	}
+	return consensus.NoValue, false
+}
+
+// accept records a vote for v at ballot b in an instance ≥ low, unless it
+// is decided: the slot's value is the decision then, whatever the ballot.
+func (l *logbook) accept(inst int, b consensus.Ballot, v consensus.Value) {
+	s := l.ensure(inst)
+	if s.decided {
+		return
+	}
+	if s.accB == consensus.NoBallot {
+		l.voted++
+	}
+	s.accB, s.v = b, v
 }
 
 // insert stores a decision if the instance is new, advances the gap, and
@@ -36,17 +84,20 @@ func (l *logbook) insert(inst int, v consensus.Value) bool {
 	if inst < l.low {
 		return false // already forgotten: decided, applied and pruned
 	}
-	if _, ok := l.entries[inst]; ok {
+	s := l.ensure(inst)
+	if s.decided {
 		return false
 	}
-	l.entries[inst] = v
+	if s.accB != consensus.NoBallot {
+		s.accB = consensus.NoBallot
+		l.voted--
+	}
+	s.v, s.decided = v, true
+	l.decided++
 	if inst > l.highestDecided {
 		l.highestDecided = inst
 	}
-	for {
-		if _, ok := l.entries[l.firstGap]; !ok {
-			break
-		}
+	for s := l.at(l.firstGap); s != nil && s.decided; s = l.at(l.firstGap) {
 		l.firstGap++
 	}
 	return true
@@ -59,33 +110,24 @@ func (l *logbook) forgetBelow(min int) {
 	if min > l.firstGap {
 		min = l.firstGap
 	}
-	for inst := l.low; inst < min; inst++ {
-		delete(l.entries, inst)
+	if min <= l.low {
+		return
 	}
-	if min > l.low {
-		l.low = min
-	}
+	k := min - l.low
+	clear(l.slots[:k]) // the array outlives the reslice: drop the values now
+	l.slots = l.slots[k:]
+	l.decided -= k
+	l.low = min
 }
 
-// retained reports how many decided entries the log currently holds — the
-// bounded-memory metric the forgetting tests assert on.
-func (l *logbook) retained() int { return len(l.entries) }
-
-// acceptor is the synod acceptor state: the highest promised ballot and
-// the accepted-but-not-yet-decided entries. Accepted entries for decided
-// instances are dropped at learn time (dead weight for promises).
+// acceptor is the synod acceptor state that is not per instance: the
+// highest promised ballot. The votes themselves live in the window.
 type acceptor struct {
 	promised consensus.Ballot
-	accepted map[int]acceptedEntry
 	// lastAcceptAt is when this acceptor last took a phase-2 message;
 	// gap-fill asks are suppressed while accepts keep flowing (the next
 	// CommitUpTo will deliver the decisions more cheaply).
 	lastAcceptAt sim.Time
-}
-
-type acceptedEntry struct {
-	b consensus.Ballot
-	v consensus.Value
 }
 
 // doneVector tracks, per process, how far it is known to have applied the
@@ -126,7 +168,10 @@ func (r *Node) learn(inst int, v consensus.Value) {
 		return
 	}
 	r.cfg.Store.Decide(uint64(inst), string(v))
-	delete(r.acc.accepted, inst) // acceptor state for decided instances is dead weight
+	if fl := r.log.at(inst).fl; fl != nil && fl.open {
+		fl.open = false // decided, by our quorum or someone else's
+		r.pipe.open--
+	}
 	if r.pipe.nextInst <= inst {
 		r.pipe.nextInst = inst + 1
 	}

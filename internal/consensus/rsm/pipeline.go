@@ -11,87 +11,138 @@ import (
 
 // This file is the pipeline layer: windowed multi-instance phase 2. The
 // prepared leader drives up to Config.Window instances concurrently, each
-// carrying one value (a single command or a batch envelope). Every
-// instance costs (n−1) ACCEPT + (n−1) ACCEPTED + (n−1) DECIDE — or
-// 2(n−1) with piggybacked commits — whatever the batch size, which is
-// where batching's amortization comes from.
+// a flight on its window slot carrying one value (a single command or a
+// batch envelope). Every instance costs (n−1) ACCEPT + (n−1) ACCEPTED +
+// (n−1) DECIDE — or 2(n−1) with piggybacked commits — whatever the batch
+// size, which is where batching's amortization comes from.
 
 // maxRetryTimeout caps retry backoffs.
 const maxRetryTimeout = 5 * time.Second
 
-type inflight struct {
+// flight is the leader-side state of one instance, hung on its window
+// slot from propose (or reopen) until the applier has passed it. Flights
+// are recycled with their buffers, so a steady leader allocates none.
+type flight struct {
 	v       consensus.Value
-	acks    map[node.ID]bool
+	open    bool     // awaiting its quorum: counts against Config.Window
+	acks    []uint64 // bitset over process ids
+	acked   int      // bits set in acks
 	started sim.Time
 	timeout time.Duration // per-instance retry backoff
 	// tctx is the instance's open "quorum" span (zero when untraced):
 	// ACCEPTs broadcast under it, ACCEPTED arrivals are events on it,
 	// and the majority closes it.
 	tctx tracing.Context
+	// tracked marks a proposal of queued commands: enq holds when each
+	// command in v was enqueued, reqs their trace contexts (empty when
+	// none is traced) and decidedAt the quorum-completion instant, so
+	// apply can stamp latency and record the final stage span.
+	tracked   bool
+	enq       []sim.Time
+	reqs      []tracing.Context
+	decidedAt sim.Time
 }
 
-// pipeline is the leader-side phase-2 state.
+// ack records id's vote, once.
+func (f *flight) ack(id node.ID) {
+	w, bit := int(id)/64, uint64(1)<<(uint(id)%64)
+	for len(f.acks) <= w {
+		f.acks = append(f.acks, 0)
+	}
+	if f.acks[w]&bit == 0 {
+		f.acks[w] |= bit
+		f.acked++
+	}
+}
+
+// pipeline is the leader-side phase-2 state that is not per instance.
 type pipeline struct {
-	inflights map[int]*inflight
-	nextInst  int
+	nextInst int
+	open     int       // flights awaiting their quorum
+	free     []*flight // retired flights, buffers kept
 }
 
-// hasRoom reports whether a new instance may be opened under the window.
-func (p *pipeline) hasRoom(window int) bool { return len(p.inflights) < window }
-
-// open assigns the next free instance.
-func (p *pipeline) open(v consensus.Value, now sim.Time) int {
-	inst := p.nextInst
-	p.nextInst++
-	p.inflights[inst] = &inflight{v: v, acks: make(map[node.ID]bool, 4), started: now}
-	return inst
+// alloc returns a blank flight.
+func (p *pipeline) alloc() *flight {
+	if k := len(p.free) - 1; k >= 0 {
+		fl := p.free[k]
+		p.free = p.free[:k]
+		return fl
+	}
+	return &flight{}
 }
 
-// propose drives value v in a fresh instance of the pipeline. enqs, when
-// non-nil, are the enqueue times of the envelope's commands, registered
-// with the applier for latency stamping before any message can decide
-// the instance. tctxs, when non-nil, are the commands' trace contexts:
-// the instance opens a "quorum" span under the first traced command and
-// the applier later closes out every command's trace.
-func (r *Node) propose(v consensus.Value, enqs []sim.Time, tctxs []tracing.Context) int {
-	now := r.env.Now()
-	inst := r.pipe.open(v, now)
-	fl := r.pipe.inflights[inst]
-	fl.acks[r.me] = true
-	for _, ctx := range tctxs {
+// release recycles a flight the applier is done with.
+func (p *pipeline) release(fl *flight) {
+	*fl = flight{acks: fl.acks[:0], enq: fl.enq[:0], reqs: fl.reqs[:0]}
+	p.free = append(p.free, fl)
+}
+
+// launch (re)starts phase 2 for inst at the current ballot with this
+// node's own vote cast — durable before the ACCEPT broadcast shows it.
+func (r *Node) launch(inst int, v consensus.Value, fl *flight) {
+	r.log.ensure(inst).fl = fl
+	if !fl.open {
+		fl.open = true
+		r.pipe.open++
+	}
+	fl.v, fl.started, fl.timeout = v, r.env.Now(), 0
+	clear(fl.acks)
+	fl.acked = 0
+	fl.ack(r.me)
+	r.log.accept(inst, r.prop.ballot, v)
+	r.cfg.Store.Accept(uint64(inst), uint64(r.prop.ballot), string(v))
+	r.env.Broadcast(r.traced(fl.tctx, r.acceptMsg(inst, v)))
+}
+
+// propose drives value v in a fresh instance of the pipeline. fl, when
+// non-nil, is a tracked flight already holding the enqueue times and
+// trace contexts of the envelope's commands (batcher.take), in place
+// before any message can decide the instance: the instance opens a
+// "quorum" span under the first traced command and the applier later
+// closes out every command's trace.
+func (r *Node) propose(v consensus.Value, fl *flight) int {
+	inst := r.pipe.nextInst
+	r.pipe.nextInst++
+	if fl == nil {
+		fl = r.pipe.alloc()
+	}
+	for _, ctx := range fl.reqs {
 		if ctx.Valid() {
 			// Stage two: the quorum wait, open until a majority accepts.
 			// One span per instance — a batch shares its first traced
 			// command's trace.
-			fl.tctx = r.cfg.Tracer.Start(now, ctx, "quorum")
+			fl.tctx = r.cfg.Tracer.Start(r.env.Now(), ctx, "quorum")
 			break
 		}
 	}
-	if enqs != nil {
-		r.app.track(inst, v, enqs, tctxs)
-	}
-	r.acc.accepted[inst] = acceptedEntry{b: r.prop.ballot, v: v}
-	// The leader's self-accept is a vote like any other: durable before
-	// the ACCEPT broadcast makes it visible.
-	r.cfg.Store.Accept(uint64(inst), uint64(r.prop.ballot), string(v))
-	r.env.Broadcast(r.traced(fl.tctx, r.acceptMsg(inst, v)))
+	r.launch(inst, v, fl)
 	r.maybeDecide(inst)
 	return inst
 }
 
 // reopen re-drives an existing instance at the current ballot — the
 // leader-change path (re-proposals and no-op fillers). Bypasses the
-// window: these instances block the decided prefix.
+// window: these instances block the decided prefix. A flight this node
+// opened earlier is reused, tracked only while the value is still its own.
 func (r *Node) reopen(inst int, v consensus.Value) {
-	r.pipe.inflights[inst] = &inflight{v: v, acks: map[node.ID]bool{r.me: true}, started: r.env.Now()}
-	r.acc.accepted[inst] = acceptedEntry{b: r.prop.ballot, v: v}
-	r.cfg.Store.Accept(uint64(inst), uint64(r.prop.ballot), string(v))
-	r.env.Broadcast(r.acceptMsg(inst, v))
+	fl := r.log.ensure(inst).fl
+	if fl == nil {
+		fl = r.pipe.alloc()
+	}
+	fl.tracked = fl.tracked && fl.v == v
+	fl.tctx = tracing.Context{}
+	r.launch(inst, v, fl)
 }
 
-// redrive rebroadcasts stalled instances with per-instance backoff.
+// redrive rebroadcasts stalled instances, lowest first, with per-instance
+// backoff.
 func (r *Node) redrive(now sim.Time) {
-	for inst, fl := range r.pipe.inflights {
+	for inst := r.log.firstGap; inst < r.log.end(); inst++ {
+		fl := r.log.at(inst).fl
+		if fl == nil || !fl.open {
+			continue
+		}
 		if fl.timeout == 0 {
 			fl.timeout = r.cfg.RetryTimeout
 		}
@@ -117,7 +168,7 @@ func (r *Node) onAccept(from node.ID, m AcceptMsg) {
 	if m.B >= r.acc.promised {
 		now := r.env.Now()
 		r.acc.promised = m.B
-		r.acc.accepted[m.Inst] = acceptedEntry{b: m.B, v: m.V}
+		r.log.accept(m.Inst, m.B, m.V)
 		r.acc.lastAcceptAt = now
 		// Durable before visible: the vote must survive a crash once the
 		// ACCEPTED is out. The record also implies the promise at m.B, so
@@ -133,9 +184,9 @@ func (r *Node) onAccept(from node.ID, m AcceptMsg) {
 		// Piggybacked commit information: everything below CommitUpTo
 		// that we accepted at this very ballot carries the decided
 		// value (a ballot binds one value per instance).
-		for inst := r.log.firstGap; inst < m.CommitUpTo; inst++ {
-			if e, ok := r.acc.accepted[inst]; ok && e.b == m.B {
-				r.learn(inst, e.v)
+		for inst := r.log.firstGap; inst < m.CommitUpTo && inst < r.log.end(); inst++ {
+			if s := r.log.at(inst); s != nil && s.accB == m.B { // nil: learn let the window forget past inst
+				r.learn(inst, s.v)
 			}
 		}
 		r.maybeForget(m.MinDone)
@@ -150,37 +201,34 @@ func (r *Node) onAccepted(from node.ID, m AcceptedMsg) {
 		return
 	}
 	r.onLeaseAck(from, m.B, m.LeaseSeq)
-	fl, ok := r.pipe.inflights[m.Inst]
-	if !ok {
+	s := r.log.at(m.Inst)
+	if s == nil || s.fl == nil || !s.fl.open {
 		return
 	}
-	fl.acks[from] = true
-	r.cfg.Tracer.Event(r.env.Now(), fl.tctx, "accepted", int(from))
+	s.fl.ack(from)
+	r.cfg.Tracer.Event(r.env.Now(), s.fl.tctx, "accepted", int(from))
 	r.maybeDecide(m.Inst)
 }
 
 func (r *Node) maybeDecide(inst int) {
-	fl, ok := r.pipe.inflights[inst]
-	if !ok || len(fl.acks) < consensus.Majority(r.n) {
+	fl := r.log.at(inst).fl
+	if fl == nil || !fl.open || fl.acked < consensus.Majority(r.n) {
 		return
 	}
-	delete(r.pipe.inflights, inst)
+	v := fl.v // learn closes the flight, and may apply the instance and recycle it
 	if fl.tctx.Valid() {
 		now := r.env.Now()
 		r.cfg.Tracer.End(now, fl.tctx) // quorum complete
-		if p, ok := r.app.props[inst]; ok {
-			p.decidedAt = now // start of the apply stage for this batch
-			r.app.props[inst] = p
-		}
+		fl.decidedAt = now             // start of the apply stage for this batch
 	}
 	if inst == r.reads.barrier {
 		// Our own ack quorum at our own ballot decided the read barrier —
 		// the completion proof completeFallbackReads requires.
 		r.reads.barrierOwn = true
 	}
-	r.learn(inst, fl.v)
+	r.learn(inst, v)
 	if !r.cfg.PiggybackDecides {
-		r.env.Broadcast(DecideMsg{Inst: inst, V: fl.v})
+		r.env.Broadcast(DecideMsg{Inst: inst, V: v})
 	}
 	// A window slot freed up: pull in queued work.
 	r.pump()

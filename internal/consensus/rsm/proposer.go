@@ -24,13 +24,6 @@ type proposer struct {
 	promises    map[node.ID]PromiseMsg
 }
 
-// abdicate drops any leader role; the next drive tick re-prepares if
-// Omega still nominates this process.
-func (p *proposer) abdicate() {
-	p.prepared = false
-	p.preparing = false
-}
-
 // startPrepare opens (or re-opens) the stable ballot.
 func (r *Node) startPrepare() {
 	base := r.acc.promised
@@ -63,13 +56,11 @@ func (r *Node) startPrepare() {
 // not yet known decided.
 func (r *Node) undecidedAccepted() []PromEntry {
 	var out []PromEntry
-	for inst, e := range r.acc.accepted {
-		if _, decided := r.log.get(inst); decided {
-			continue
+	for inst := r.log.firstGap; inst < r.log.end(); inst++ {
+		if s := r.log.at(inst); s.accB != consensus.NoBallot {
+			out = append(out, PromEntry{Inst: inst, AccB: s.accB, AccV: s.v})
 		}
-		out = append(out, PromEntry{Inst: inst, AccB: e.b, AccV: e.v})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Inst < out[j].Inst })
 	return out
 }
 
@@ -115,11 +106,11 @@ func (r *Node) maybeFinishPrepare() {
 	}
 	r.prop.preparing = false
 	r.prop.prepared = true
-	best := make(map[int]acceptedEntry)
+	best := make(map[int]PromEntry)
 	for _, p := range r.prop.promises {
 		for _, e := range p.Entries {
-			if cur, ok := best[e.Inst]; !ok || e.AccB > cur.b {
-				best[e.Inst] = acceptedEntry{b: e.AccB, v: e.AccV}
+			if cur, ok := best[e.Inst]; !ok || e.AccB > cur.AccB {
+				best[e.Inst] = e
 			}
 		}
 	}
@@ -142,10 +133,10 @@ func (r *Node) maybeFinishPrepare() {
 	// pipelining window: they block the decided prefix, so they must be
 	// driven regardless of how much new work is in flight.
 	for _, inst := range insts {
-		if _, decided := r.log.get(inst); decided {
+		if _, decided := r.log.get(inst); decided || inst < r.log.low {
 			continue
 		}
-		r.reopen(inst, best[inst].v)
+		r.reopen(inst, best[inst].AccV)
 	}
 	// Close unconstrained gaps below nextInst with no-ops so the log's
 	// decided prefix can grow.
@@ -153,8 +144,8 @@ func (r *Node) maybeFinishPrepare() {
 		if _, decided := r.log.get(inst); decided {
 			continue
 		}
-		if _, driving := r.pipe.inflights[inst]; driving {
-			continue
+		if s := r.log.at(inst); s != nil && s.fl != nil && s.fl.open {
+			continue // already re-proposed above
 		}
 		r.reopen(inst, consensus.Noop)
 	}

@@ -117,7 +117,7 @@ func (r *Node) onReadReq(from node.ID, m ReadReqMsg) {
 func (r *Node) openBarrier() {
 	r.reads.barrierOwn = false
 	r.reads.barrier = r.pipe.nextInst
-	r.propose(consensus.Noop, nil, nil)
+	r.propose(consensus.Noop, nil)
 }
 
 // completeFallbackReads answers pending reads once the applier has

@@ -57,7 +57,7 @@ func (c *cluster) appliedSet(i int) map[consensus.Value]bool {
 	out := make(map[consensus.Value]bool)
 	for inst := 0; inst < c.nodes[i].FirstGap(); inst++ {
 		v, _ := c.nodes[i].Get(inst)
-		for _, cmd := range decodeBatch(v) {
+		for _, cmd := range DecodeBatch(v) {
 			out[cmd] = true
 		}
 	}

@@ -24,6 +24,7 @@ type fakeEnv struct {
 	now    sim.Time
 	outbox []sent
 	timers map[string]time.Duration
+	mute   bool // drop outbound messages: allocation tests and benchmarks
 }
 
 var _ node.Env = (*fakeEnv)(nil)
@@ -37,6 +38,9 @@ func (e *fakeEnv) N() int        { return e.n }
 func (e *fakeEnv) Now() sim.Time { return e.now }
 
 func (e *fakeEnv) Send(to node.ID, m node.Message) {
+	if e.mute {
+		return
+	}
 	e.outbox = append(e.outbox, sent{to: to, msg: m})
 }
 
@@ -73,7 +77,12 @@ func acceptsOf(msgs []sent) map[int]consensus.Value {
 // phase 1 with the given peer promise.
 func prepareLeader(t *testing.T, peerPromise *PromiseMsg) (*Node, *fakeEnv) {
 	t.Helper()
-	r := New(consensus.StaticLeader(0), Config{})
+	return prepareLeaderCfg(t, peerPromise, Config{})
+}
+
+func prepareLeaderCfg(t testing.TB, peerPromise *PromiseMsg, cfg Config) (*Node, *fakeEnv) {
+	t.Helper()
+	r := New(consensus.StaticLeader(0), cfg)
 	env := newFakeEnv(0, 3)
 	r.Start(env)
 	r.Tick(timerDrive) // starts the prepare
@@ -120,7 +129,7 @@ func TestNewLeaderPicksHighestBallotAmongConflicts(t *testing.T) {
 	r := New(consensus.StaticLeader(0), Config{})
 	env := newFakeEnv(0, 3)
 	r.Start(env)
-	r.acc.accepted[0] = acceptedEntry{b: consensus.MakeBallot(1, 0, 3), v: "mine"}
+	r.log.accept(0, consensus.MakeBallot(1, 0, 3), "mine")
 	r.Tick(timerDrive)
 	env.drain()
 	r.Deliver(1, PromiseMsg{
@@ -224,8 +233,60 @@ func TestFollowerDropsRequests(t *testing.T) {
 	env := newFakeEnv(0, 3)
 	r.Start(env)
 	r.Deliver(2, RequestMsg{V: "cmd"})
-	if len(r.pipe.inflights) != 0 {
+	if r.pipe.open != 0 {
 		t.Fatal("follower proposed a request")
+	}
+}
+
+func TestLostProposalCommandsAreReproposed(t *testing.T) {
+	// A leader's proposal loses its instance to a competing ballot while
+	// Omega keeps nominating this node: the commands it carried must not
+	// sit in the queue marked as riding in an instance forever.
+	r, env := prepareLeader(t, nil)
+	r.Submit("stranded?")
+	r.Submit("me too")
+	out := acceptsOf(env.drain())
+	if out[0] != "stranded?" || len(out) != 1 {
+		t.Fatalf("accepts after two submits = %v, want the first command alone in instance 0", out)
+	}
+	// A competing leader got instance 0 decided with its own value.
+	r.Deliver(1, DecideMsg{Inst: 0, V: "theirs"})
+	if got := r.bat.tail - r.bat.head; got != 2 {
+		t.Fatalf("%d commands pending after losing instance 0, want both kept", got)
+	}
+	// Re-proposed, together, in the next instance — at the latest on the
+	// drive tick.
+	r.Tick(timerDrive)
+	want := encodeBatch([]consensus.Value{"stranded?", "me too"})
+	if out = acceptsOf(env.drain()); out[1] != want {
+		t.Fatalf("accepts after the loss = %q, want both commands re-proposed in instance 1", out)
+	}
+	r.Deliver(1, AcceptedMsg{B: r.prop.ballot, Inst: 1})
+	for k, cmd := range []consensus.Value{"stranded?", "me too"} {
+		if d, ok := r.Recorder().GetCmd(1, k); !ok || d.Value != cmd {
+			t.Fatalf("command %d of instance 1 = %+v,%v, want %q decided", k, d, ok, cmd)
+		}
+	}
+	if r.bat.head != r.bat.tail || r.pipe.open != 0 {
+		t.Fatalf("pending holds %d commands with %d instances open, want drained", r.bat.tail-r.bat.head, r.pipe.open)
+	}
+
+	// The same through a step-down: nacked out of leadership, nominated
+	// again, and phase 1 finds the competitor's value in the instance.
+	r.Submit("across a step-down")
+	env.drain()
+	theirs := r.prop.ballot + 1
+	r.Deliver(1, NackMsg{B: r.prop.ballot, Promised: theirs})
+	r.Tick(timerDrive) // re-prepares: Omega still says us
+	r.Deliver(1, PromiseMsg{B: r.prop.ballot, Entries: []PromEntry{{Inst: 2, AccB: theirs, AccV: "theirs again"}}})
+	r.Tick(timerDrive) // flushes the partial batch behind the reopened instance
+	if out = acceptsOf(env.drain()); out[2] != "theirs again" || out[3] != "across a step-down" {
+		t.Fatalf("accepts after re-election = %q, want their value adopted in 2 and ours re-proposed in 3", out)
+	}
+	r.Deliver(2, AcceptedMsg{B: r.prop.ballot, Inst: 2})
+	r.Deliver(2, AcceptedMsg{B: r.prop.ballot, Inst: 3})
+	if d, ok := r.Recorder().Get(3); !ok || d.Value != "across a step-down" || r.bat.head != r.bat.tail {
+		t.Fatalf("instance 3 = %+v,%v with %d pending", d, ok, r.bat.tail-r.bat.head)
 	}
 }
 
