@@ -93,9 +93,9 @@ func BenchmarkE11FSourceBoundary(b *testing.B) {
 	}
 }
 
-func BenchmarkE12PiggybackAblation(b *testing.B) {
+func BenchmarkE12CommitIndex(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		experiments.E12PiggybackAblation(benchOpts)
+		experiments.E12CommitIndex(benchOpts)
 	}
 }
 

@@ -408,8 +408,9 @@ type soak struct {
 	walRoot   string
 	sync      durable.SyncPolicy
 	snapEvery int
-	stores    []*durable.WAL
-	recovered node.ID // the process killed and rebuilt from disk
+	stores    []*durable.WAL   // per process; unsharded runs
+	gstores   [][]*durable.WAL // [process][group]; sharded runs
+	recovered node.ID          // the process killed and rebuilt from disk
 }
 
 // crash crash-stops a process and tells the telemetry and tracing
@@ -529,6 +530,7 @@ func (s *soak) buildGroupReplicas(n int) ([]node.Automaton, error) {
 	s.engines = make([]*group.Engine, n)
 	s.gdets = make([][]*core.Detector, n)
 	s.glogs = make([][]*rsm.Node, n)
+	s.gstores = make([][]*durable.WAL, n)
 	for i := 0; i < n; i++ {
 		auto, err := s.buildGroupReplica(i)
 		if err != nil {
@@ -546,6 +548,7 @@ func (s *soak) buildGroupReplicas(n int) ([]node.Automaton, error) {
 func (s *soak) buildGroupReplica(i int) (node.Automaton, error) {
 	s.gdets[i] = make([]*core.Detector, s.groups)
 	s.glogs[i] = make([]*rsm.Node, s.groups)
+	s.gstores[i] = make([]*durable.WAL, s.groups)
 	var buildErr error
 	eng := group.New(group.Config{
 		Groups: s.groups,
@@ -558,6 +561,7 @@ func (s *soak) buildGroupReplica(i int) (node.Automaton, error) {
 			if w, err := durable.Open(s.groupWALPath(node.ID(i), g), opts); err != nil {
 				buildErr = err
 			} else {
+				s.gstores[i][g] = w
 				cfg.Store = w
 				cfg.SnapshotEvery = s.snapEvery
 				cfg.SnapshotState = al.snapshot
@@ -642,8 +646,41 @@ func (s *soak) waitFor(cond func() bool, what string) error {
 	return fmt.Errorf("timed out after %v waiting for %s", s.bound, what)
 }
 
+// maxCount is the most commands any replica in ps has recorded.
+func maxCount(logs []*rsm.Node, ps []int) int {
+	most := 0
+	for _, p := range ps {
+		most = max(most, logs[p].Recorder().Count())
+	}
+	return most
+}
+
+// outageBar is the highest instance among the decisions rec holds from
+// its from-th on — with from its Count() at the kill, the decisions the
+// survivors took while the victim was down — or -1 when there is none.
+func outageBar(rec *consensus.Recorder, from int) int {
+	bar := -1
+	for _, d := range rec.All()[from:] {
+		bar = max(bar, d.Instance)
+	}
+	return bar
+}
+
+// caughtUp reports whether a replica restarted over w holds instance bar:
+// recorded since the restart, or absorbed into the snapshot it restarted
+// from — its fresh Recorder starts at that horizon and can never Get
+// anything below it.
+func caughtUp(rec *consensus.Recorder, w *durable.WAL, bar int) bool {
+	if st := w.State(); st != nil && bar < int(st.SnapIndex) {
+		return true
+	}
+	_, ok := rec.Get(bar)
+	return ok
+}
+
 // pump keeps injecting client requests at the current leader until every
-// replica in correct has decided target instances.
+// replica in correct has recorded target commands (a restarted replica
+// counts from its restart).
 func (s *soak) pump(correct []int, prefix string, target int) error {
 	i := 0
 	return s.waitFor(func() bool {
@@ -829,17 +866,16 @@ func (s *soak) runRecovery() error {
 	}, "re-election after kill"); err != nil {
 		return err
 	}
-	if err := s.pump(survivors, "outage", 2*s.commands); err != nil {
+	// Progress during the outage is relative to where the survivors stood
+	// at the kill: the pre pump may have overshot any absolute target, and
+	// the outage must decide something for the catch-up to have a bar.
+	atKill := s.logs[survivors[0]].Recorder().Count()
+	if err := s.pump(survivors, "outage", maxCount(s.logs, survivors)+s.commands); err != nil {
 		return err
 	}
 	// The highest instance the survivors decided while the process was
 	// down: the bar its catch-up has to clear.
-	outageMax := 0
-	for _, d := range s.logs[survivors[0]].Recorder().All() {
-		if d.Instance > outageMax {
-			outageMax = d.Instance
-		}
-	}
+	outageMax := outageBar(s.logs[survivors[0]].Recorder(), atKill)
 
 	if err := s.restart(leader); err != nil {
 		return err
@@ -849,8 +885,7 @@ func (s *soak) runRecovery() error {
 		return err
 	}
 	if err := s.waitFor(func() bool {
-		_, ok := s.logs[leader].Recorder().Get(outageMax)
-		return ok
+		return caughtUp(s.logs[leader].Recorder(), s.stores[leader], outageMax)
 	}, "restarted replica catch-up"); err != nil {
 		return err
 	}
@@ -925,8 +960,8 @@ func (s *soak) allGroupsAgree(skip map[int]bool) []node.ID {
 }
 
 // groupPump keeps injecting client requests at every group's current
-// physical leader until each replica in correct has decided target
-// instances in every group.
+// physical leader until each replica in correct has recorded target
+// commands in every group.
 func (s *soak) groupPump(correct []int, prefix string, target int) error {
 	n := len(s.gdets)
 	skip := skipAllBut(n, correct)
@@ -1022,18 +1057,23 @@ func (s *soak) runGroupRecovery() error {
 	}, "live leader in every group after kill"); err != nil {
 		return err
 	}
-	if err := s.groupPump(survivors, "outage", 2*s.commands); err != nil {
+	// As in runRecovery, outage progress is relative to the kill: every
+	// group must get commands past the furthest any group stood then.
+	atKill, target := make([]int, s.groups), 0
+	for g := 0; g < s.groups; g++ {
+		atKill[g] = s.glogs[survivors[0]][g].Recorder().Count()
+		for _, p := range survivors {
+			target = max(target, s.glogs[p][g].Recorder().Count())
+		}
+	}
+	if err := s.groupPump(survivors, "outage", target+s.commands); err != nil {
 		return err
 	}
 	// Per group, the highest instance the survivors decided while the
 	// victim was down: the bar each of its G recoveries has to clear.
 	outageMax := make([]int, s.groups)
 	for g := 0; g < s.groups; g++ {
-		for _, d := range s.glogs[survivors[0]][g].Recorder().All() {
-			if d.Instance > outageMax[g] {
-				outageMax[g] = d.Instance
-			}
-		}
+		outageMax[g] = outageBar(s.glogs[survivors[0]][g].Recorder(), atKill[g])
 	}
 
 	if err := s.restartGroup(victim); err != nil {
@@ -1045,7 +1085,7 @@ func (s *soak) runGroupRecovery() error {
 	}
 	if err := s.waitFor(func() bool {
 		for g := 0; g < s.groups; g++ {
-			if _, ok := s.glogs[victim][g].Recorder().Get(outageMax[g]); !ok {
+			if !caughtUp(s.glogs[victim][g].Recorder(), s.gstores[victim][g], outageMax[g]) {
 				return false
 			}
 		}

@@ -14,8 +14,9 @@ import (
 // This file is the batching layer: the ring of queued client commands and
 // the envelope codec that packs many commands into one proposable value. A
 // batch of k commands costs the same phase-2 traffic as a single command
-// — 3(n−1) messages (2(n−1) piggybacked) — so throughput scales with
-// Config.BatchMax while per-instance cost stays flat.
+// — 2(n−1) messages plus the commit index, which rides the next ACCEPT or
+// costs (n−1) value-free ones — so throughput scales with Config.BatchMax
+// while per-instance cost stays flat.
 
 // batchPrefix marks an encoded batch envelope. Client commands are
 // opaque; one that happens to start with the marker is wrapped in a
@@ -243,9 +244,12 @@ func BatchRequest(cmds []consensus.Value) RequestMsg {
 }
 
 func (r *Node) onRequest(m RequestMsg) {
-	if !r.prop.prepared || r.omega.Leader() != r.me {
+	if r.omega.Leader() != r.me {
 		return // the client will re-forward to the real leader
 	}
+	// A leader-elect still in phase 1 queues too: the forwarder has
+	// stamped the command as sent and would sit on it for a RetryTimeout.
+	// maybeFinishPrepare pumps the queue the moment the ballot stands.
 	now := r.env.Now()
 	// A traced request (wrapped by the client or a forwarding replica)
 	// hands its context to every command it carries; the sampling

@@ -248,6 +248,7 @@ func (r *Node) abdicateLeader() {
 		r.cfg.Tracer.Mark(r.env.Now(), "abdicate", -1)
 	}
 	r.prop.prepared, r.prop.preparing = false, false
+	r.pipe.announced = 0
 	r.bat.unassign()
 	if r.lease.heldUntil.Load() != 0 {
 		r.lease.heldUntil.Store(0)

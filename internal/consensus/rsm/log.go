@@ -121,13 +121,56 @@ func (l *logbook) forgetBelow(min int) {
 }
 
 // acceptor is the synod acceptor state that is not per instance: the
-// highest promised ballot. The votes themselves live in the window.
+// highest promised ballot and the commit index. The votes themselves live
+// in the window.
 type acceptor struct {
 	promised consensus.Ballot
 	// lastAcceptAt is when this acceptor last took a phase-2 message;
-	// gap-fill asks are suppressed while accepts keep flowing (the next
-	// CommitUpTo will deliver the decisions more cheaply).
+	// votes that have gone quiet for a RetryTimeout make fillGaps ask (the
+	// commit that should have closed them was lost with its leader).
 	lastAcceptAt sim.Time
+	// commitB and commitUpTo are the highest commit index heard, on an
+	// ACCEPT or a value-free DECIDE: the leader of commitB had decided
+	// everything below commitUpTo. Every slot below it voted at commitB is
+	// decided — when the index arrives (onCommit) or when a late ACCEPT
+	// does (onAccept) — so reordering between the two is harmless. A
+	// higher ballot's index replaces the pair even when it is lower.
+	// Neither is durable: a restarted replica waits for the next one.
+	commitB    consensus.Ballot
+	commitUpTo int
+	// stuckGap and stuckSince debounce gap filling: the firstGap at which
+	// this replica was first seen behind (-1: it is not) and when. askedAt
+	// is when it last sent a LEARN.
+	stuckGap   int
+	stuckSince sim.Time
+	askedAt    sim.Time
+}
+
+// onCommit folds a commit index heard from the leader of ballot b into
+// the acceptor and decides, from this replica's own votes, what the index
+// newly covers. Soundness: a ballot binds one value per instance, and the
+// leader of b only announces a prefix in which every instance it proposed
+// at b was decided with that value (see learn), so a slot voted at b below
+// the index holds the decision. A slot voted at any other ballot proves
+// nothing and stays open until repaired by value.
+func (r *Node) onCommit(b consensus.Ballot, upTo int) {
+	from := r.log.firstGap
+	switch {
+	case b > r.acc.commitB:
+		r.acc.commitB = b
+	case b == r.acc.commitB && upTo > r.acc.commitUpTo:
+		from = max(from, r.acc.commitUpTo) // below it, already decided on arrival
+	default:
+		return // overtaken by a later index, or a deposed leader's
+	}
+	r.acc.commitUpTo = upTo
+	for inst := from; inst < upTo && inst < r.log.end(); inst++ {
+		// nil: learn let the window forget past inst. A decided slot
+		// holds no vote (accB is NoBallot), so this skips it too.
+		if s := r.log.at(inst); s != nil && s.accB == b {
+			r.learn(inst, s.v)
+		}
+	}
 }
 
 // doneVector tracks, per process, how far it is known to have applied the
@@ -171,6 +214,15 @@ func (r *Node) learn(inst int, v consensus.Value) {
 	if fl := r.log.at(inst).fl; fl != nil && fl.open {
 		fl.open = false // decided, by our quorum or someone else's
 		r.pipe.open--
+		if r.prop.prepared && fl.v != v {
+			// Someone else's, with another value than we proposed at our
+			// ballot: a higher ballot has completed phase 1, ours can win
+			// no further quorum, and a commit index at it covering inst
+			// would have our voters decide the losing value. Step down
+			// before anything else is announced; the next drive tick
+			// re-prepares if Omega still nominates us.
+			r.abdicateLeader()
+		}
 	}
 	if r.pipe.nextInst <= inst {
 		r.pipe.nextInst = inst + 1

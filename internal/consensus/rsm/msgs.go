@@ -19,7 +19,8 @@ const (
 	KindAccept = "RSM-ACCEPT"
 	// KindAccepted tags per-instance phase-2 acknowledgements.
 	KindAccepted = "RSM-ACCEPTED"
-	// KindDecide tags per-instance decision announcements.
+	// KindDecide tags decision announcements, both forms (see DecideMsg):
+	// the leader's value-free commit index and the by-value repair reply.
 	KindDecide = "RSM-DECIDE"
 	// KindLearn tags gap-fill requests from lagging followers.
 	KindLearn = "RSM-LEARN"
@@ -74,9 +75,10 @@ func (NackMsg) Kind() string { return KindNack }
 
 // AcceptMsg proposes value V for log instance Inst at ballot B.
 //
-// CommitUpTo piggybacks decision information (see
-// Config.PiggybackDecides): every instance below it that the receiver has
-// accepted at ballot B is decided with its accepted value.
+// CommitUpTo is the leader's decided prefix when the message left, set on
+// every ACCEPT: every instance below it that the receiver has accepted at
+// ballot B is decided with its accepted value (the commit index; see
+// DecideMsg for the form it takes when no ACCEPT is leaving).
 //
 // MinDone piggybacks the Done vector's cluster minimum (see
 // Config.Forget): every process has applied instances below it, so the
@@ -112,8 +114,20 @@ type AcceptedMsg struct {
 // Kind implements node.Message.
 func (AcceptedMsg) Kind() string { return KindAccepted }
 
-// DecideMsg announces instance Inst's decision.
+// DecideMsg announces decisions, in one of two forms.
+//
+// With B set it is the leader's commit index, by reference and value-free:
+// every instance below Inst that the receiver accepted at ballot B is
+// decided with the value it accepted (the same statement an ACCEPT's
+// CommitUpTo makes; V is empty). The leader of B broadcasts it whenever
+// its decided prefix advances and no ACCEPT leaves in the same turn to
+// carry the index.
+//
+// With B == NoBallot it is by value: instance Inst is decided with V. That
+// form is the repair path only — the reply to a LEARN, and to an ACCEPT
+// for an instance the acceptor already holds decided.
 type DecideMsg struct {
+	B    consensus.Ballot
 	Inst int
 	V    consensus.Value
 }

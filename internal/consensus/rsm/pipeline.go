@@ -12,9 +12,11 @@ import (
 // This file is the pipeline layer: windowed multi-instance phase 2. The
 // prepared leader drives up to Config.Window instances concurrently, each
 // a flight on its window slot carrying one value (a single command or a
-// batch envelope). Every instance costs (n−1) ACCEPT + (n−1) ACCEPTED +
-// (n−1) DECIDE — or 2(n−1) with piggybacked commits — whatever the batch
-// size, which is where batching's amortization comes from.
+// batch envelope). Every instance costs (n−1) ACCEPT + (n−1) ACCEPTED,
+// whatever the batch size, which is where batching's amortization comes
+// from, and the value crosses each link once: decisions are announced by
+// index (announceCommit), on the next ACCEPT when one leaves in the same
+// turn and as (n−1) value-free DECIDEs when none does.
 
 // maxRetryTimeout caps retry backoffs.
 const maxRetryTimeout = 5 * time.Second
@@ -60,6 +62,10 @@ type pipeline struct {
 	nextInst int
 	open     int       // flights awaiting their quorum
 	free     []*flight // retired flights, buffers kept
+	// announced is the commit index last put on the wire at the current
+	// ballot (0 after a new ballot or an abdication): the decided prefix
+	// is announced when it passes this, never per instance.
+	announced int
 }
 
 // alloc returns a blank flight.
@@ -181,13 +187,11 @@ func (r *Node) onAccept(from node.ID, m AcceptMsg) {
 		// in the trace tree. Untraced (or tracing off): plain send.
 		actx := r.cfg.Tracer.Record(now, now, r.curCtx, "accept", int(from), "")
 		r.env.Send(from, r.traced(actx, AcceptedMsg{B: m.B, Inst: m.Inst, Done: r.log.firstGap, LeaseSeq: ack}))
-		// Piggybacked commit information: everything below CommitUpTo
-		// that we accepted at this very ballot carries the decided
-		// value (a ballot binds one value per instance).
-		for inst := r.log.firstGap; inst < m.CommitUpTo && inst < r.log.end(); inst++ {
-			if s := r.log.at(inst); s != nil && s.accB == m.B { // nil: learn let the window forget past inst
-				r.learn(inst, s.v)
-			}
+		r.onCommit(m.B, m.CommitUpTo)
+		if m.B == r.acc.commitB && m.Inst < r.acc.commitUpTo {
+			// The links are not FIFO: this ACCEPT was overtaken by the
+			// commit index that covers it, so it decides on arrival.
+			r.learn(m.Inst, m.V)
 		}
 		r.maybeForget(m.MinDone)
 	} else {
@@ -227,20 +231,32 @@ func (r *Node) maybeDecide(inst int) {
 		r.reads.barrierOwn = true
 	}
 	r.learn(inst, v)
-	if !r.cfg.PiggybackDecides {
-		r.env.Broadcast(DecideMsg{Inst: inst, V: v})
-	}
-	// A window slot freed up: pull in queued work.
+	// A window slot freed up: pull in queued work. An ACCEPT leaving now
+	// carries the new commit index; otherwise it goes out on its own.
 	r.pump()
+	r.announceCommit()
 }
 
-// acceptMsg builds a phase-2 message carrying the current commit index,
-// forgetting horizon, and lease grant.
-func (r *Node) acceptMsg(inst int, v consensus.Value) AcceptMsg {
-	m := AcceptMsg{B: r.prop.ballot, Inst: inst, V: v}
-	if r.cfg.PiggybackDecides {
-		m.CommitUpTo = r.log.firstGap
+// announceCommit tells the followers how far the log is decided, once per
+// advance of the prefix: an instance decided out of order, which nobody
+// could apply anyway, waits for the ones below it and is covered by the
+// same announcement. ACCEPTs carry the index for free (acceptMsg), so the
+// value-free DECIDE broadcast here only fills in when none has left since
+// the prefix moved — the followers hear of a decision at the same instant
+// either way.
+func (r *Node) announceCommit() {
+	if !r.prop.prepared || r.log.firstGap <= r.pipe.announced {
+		return
 	}
+	r.pipe.announced = r.log.firstGap
+	r.env.Broadcast(DecideMsg{B: r.prop.ballot, Inst: r.log.firstGap})
+}
+
+// acceptMsg builds a phase-2 broadcast carrying the current commit index
+// (noted as announced), forgetting horizon, and lease grant.
+func (r *Node) acceptMsg(inst int, v consensus.Value) AcceptMsg {
+	m := AcceptMsg{B: r.prop.ballot, Inst: inst, V: v, CommitUpTo: r.log.firstGap}
+	r.pipe.announced = m.CommitUpTo // never below what was announced: firstGap only grows
 	if r.cfg.Forget {
 		m.MinDone = r.dones.min()
 	}

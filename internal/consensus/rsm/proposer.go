@@ -72,11 +72,16 @@ func (r *Node) onPrepare(from node.ID, m PrepareMsg) {
 		// local reads safe across leader changes.
 		return
 	}
-	if m.B > r.acc.promised {
-		r.acc.promised = m.B
-		// Durable before visible: once the PROMISE is out, this acceptor
-		// may never again vote below m.B — not even after kill -9.
-		r.cfg.Store.Promise(uint64(m.B))
+	// ≥, not >: the links are not FIFO, so an ACCEPT at m.B may have
+	// overtaken this PREPARE and raised the promise to m.B already (its
+	// record is durable and implies the promise). That is no rejection.
+	if m.B >= r.acc.promised {
+		if m.B > r.acc.promised {
+			r.acc.promised = m.B
+			// Durable before visible: once the PROMISE is out, this acceptor
+			// may never again vote below m.B — not even after kill -9.
+			r.cfg.Store.Promise(uint64(m.B))
+		}
 		if m.B > r.prop.ballot {
 			// A higher ballot exists: abdicate leader duties (and any
 			// read lease that came with them) before promising.
@@ -151,8 +156,10 @@ func (r *Node) maybeFinishPrepare() {
 	}
 	r.cfg.Tracer.Mark(r.env.Now(), "prepared", -1)
 	r.env.Logf("rsm: ballot %v prepared (%d constrained)", r.prop.ballot, len(insts))
-	// A freshly prepared ballot may find commands already queued.
+	// A freshly prepared ballot may find commands already queued; with or
+	// without them, the followers hear this ballot's commit index now.
 	r.pump()
+	r.announceCommit()
 }
 
 func (r *Node) onNack(m NackMsg) {

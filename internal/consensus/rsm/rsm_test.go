@@ -10,6 +10,7 @@ import (
 	"repro/internal/network"
 	"repro/internal/node"
 	"repro/internal/sim"
+	"repro/internal/sweep"
 )
 
 const ms = time.Millisecond
@@ -68,6 +69,14 @@ func (c *cluster) appliedSet(i int) map[consensus.Value]bool {
 // decided prefixes up to the shortest FirstGap.
 func (c *cluster) assertPrefixAgreement(t *testing.T) {
 	t.Helper()
+	if diff := c.prefixDisagreement(); diff != "" {
+		t.Fatal(diff)
+	}
+}
+
+// prefixDisagreement describes the first instance below the shortest
+// FirstGap on which two alive replicas differ; "" when there is none.
+func (c *cluster) prefixDisagreement() string {
 	minGap := -1
 	for i, s := range c.nodes {
 		if !c.world.Alive(node.ID(i)) {
@@ -86,16 +95,17 @@ func (c *cluster) assertPrefixAgreement(t *testing.T) {
 			}
 			v, ok := s.Get(inst)
 			if !ok {
-				t.Fatalf("p%d missing decided instance %d below its gap", i, inst)
+				return fmt.Sprintf("p%d missing decided instance %d below its gap", i, inst)
 			}
 			if first {
 				want = v
 				first = false
 			} else if v != want {
-				t.Fatalf("instance %d: p%d has %q, others %q", inst, i, v, want)
+				return fmt.Sprintf("instance %d: p%d has %q, others %q", inst, i, v, want)
 			}
 		}
 	}
+	return ""
 }
 
 func TestCommandsFromLeaderGetDecidedEverywhere(t *testing.T) {
@@ -169,6 +179,60 @@ func TestLeaderCrashMidStream(t *testing.T) {
 				t.Fatalf("p%d missing post-crash command %d", idx, i)
 			}
 		}
+	}
+}
+
+// TestFailoverWaitIsTheOutage: when the leader crashes under an open-loop
+// client at a follower, the longest any command waits is the outage itself
+// — crash until the successor's ballot stands — plus a drive tick and the
+// round trips, not the outage plus a RetryTimeout. Commands forwarded to
+// the successor while its phase 1 is in flight are queued there and
+// proposed the moment it completes.
+func TestFailoverWaitIsTheOutage(t *testing.T) {
+	const ingress = 2
+	for _, seed := range []int64{1, 2, 3, 4, 5} {
+		c := newClusterCfg(t, 5, seed, network.Timely(ms), Config{BatchMax: 16, Window: 8, DriveInterval: 5 * ms})
+		submitted := map[consensus.Value]sim.Time{}
+		var worst time.Duration
+		c.nodes[ingress].OnApply(func(_, _ int, v consensus.Value) {
+			if at, ok := submitted[v]; ok {
+				delete(submitted, v) // a re-proposed duplicate counts once
+				worst = max(worst, c.world.Kernel.Now().Sub(at))
+			}
+		})
+		c.world.Start()
+		c.world.RunFor(200 * ms)
+		var crashAt, preparedAt sim.Time
+		for tick := 0; tick < 600; tick++ {
+			if tick == 200 {
+				worst = 0 // only commands caught by the outage matter
+				crashAt = c.world.Kernel.Now()
+				c.world.Crash(0)
+			}
+			if crashAt != 0 && preparedAt == 0 {
+				for i := 1; i < len(c.nodes) && preparedAt == 0; i++ {
+					if c.nodes[i].IsLeader() {
+						preparedAt = c.world.Kernel.Now()
+					}
+				}
+			}
+			v := consensus.Value(fmt.Sprintf("f%d-%04d", seed, tick))
+			submitted[v] = c.world.Kernel.Now()
+			c.nodes[ingress].Submit(v)
+			c.world.RunFor(ms)
+		}
+		c.world.RunFor(time.Second)
+		if preparedAt == 0 || len(submitted) != 0 {
+			t.Fatalf("seed %d: successor prepared at %v, %d commands never applied at the ingress", seed, preparedAt, len(submitted))
+		}
+		outage := preparedAt.Sub(crashAt)
+		if worst > outage+10*ms {
+			t.Errorf("seed %d: a command waited %v across a %v outage, want at most the outage + 10ms", seed, worst, outage)
+		}
+		if rep := c.safety(); !rep.Holds() {
+			t.Fatalf("seed %d safety: %v", seed, rep.Violations)
+		}
+		t.Logf("seed %d: outage %v, longest wait %v", seed, outage, worst)
 	}
 }
 
@@ -256,6 +320,121 @@ func TestSteadyStateCostIsLinearPerBatch(t *testing.T) {
 	}
 }
 
+// deliveryTap is an automaton composed next to a replica to see the
+// messages delivered to it; the fabric's counters know kinds, not contents.
+type deliveryTap func(to, from node.ID, m node.Message)
+
+type tapAt struct {
+	id  node.ID
+	tap deliveryTap
+}
+
+func (tapAt) Start(node.Env)                         {}
+func (tapAt) Tick(string)                            {}
+func (t tapAt) Deliver(from node.ID, m node.Message) { t.tap(t.id, from, m) }
+
+// tap composes fn next to every replica; call before the world starts.
+func (c *cluster) tap(fn deliveryTap) {
+	for i := range c.nodes {
+		id := node.ID(i)
+		c.world.SetAutomaton(id, node.Compose(c.dets[i], c.nodes[i], tapAt{id, fn}))
+	}
+}
+
+// TestSteadyStateMessageBudget is the paper's "only the leader initiates
+// communication", for the replicated log, as an exact message budget: a
+// fault-free n=5 timely world under sustained open-loop load at a
+// follower. Per instance, n−1 ACCEPTs and n−1 ACCEPTEDs; the decided
+// prefix is announced at most once per follower per advance, by index
+// with no value bytes; and no follower ever asks for anything. The only
+// follower-initiated traffic is the client's own commands, forwarded
+// once each.
+func TestSteadyStateMessageBudget(t *testing.T) {
+	const n, ingress = 5, 2
+	c := newClusterCfg(t, n, 20040726, network.Timely(ms), Config{BatchMax: 16, Window: 8, DriveInterval: 5 * ms})
+	type announcement struct {
+		to   node.ID
+		upTo int
+	}
+	announcedTo := map[announcement]bool{}
+	c.tap(func(to, from node.ID, m node.Message) {
+		d, ok := m.(DecideMsg)
+		if !ok {
+			return
+		}
+		if d.B == consensus.NoBallot || d.V != consensus.NoValue {
+			t.Errorf("p%d→p%d sent a by-value DECIDE of instance %d (%d value bytes) on a fault-free run", from, to, d.Inst, len(d.V))
+		}
+		if a := (announcement{to, d.Inst}); announcedTo[a] {
+			t.Errorf("p%d heard commit index %d twice", to, d.Inst)
+		} else {
+			announcedTo[a] = true
+		}
+	})
+	c.world.Start()
+	// Warm-up: Omega settles on p0, phase 1 completes, one command through.
+	c.world.RunFor(200 * ms)
+	c.nodes[ingress].Submit("warm-up")
+	c.world.RunFor(100 * ms)
+	if !c.nodes[0].IsLeader() || c.nodes[ingress].Applied() == 0 {
+		t.Fatalf("warm-up: p0 leader=%v, ingress applied %d", c.nodes[0].IsLeader(), c.nodes[ingress].Applied())
+	}
+	kinds := []string{KindRequest, KindPrepare, KindPromise, KindNack, KindAccept, KindAccepted, KindDecide, KindLearn}
+	before := map[string]uint64{}
+	for _, k := range kinds {
+		before[k] = c.world.Stats.KindCount(k)
+	}
+	startGap := c.nodes[0].FirstGap()
+	clear(announcedTo)
+
+	// 20 commands per millisecond for a second — about one and a half
+	// instances per link delay, so quorums complete out of order and
+	// commit indexes overtake ACCEPTs all the time — then drain.
+	const cmds = 20000
+	for i := 0; i < cmds; i++ {
+		c.nodes[ingress].Submit(consensus.Value(fmt.Sprintf("w%05d", i)))
+		c.world.RunFor(50 * time.Microsecond)
+	}
+	c.world.RunFor(500 * ms)
+
+	sent := func(kind string) int { return int(c.world.Stats.KindCount(kind) - before[kind]) }
+	instances := c.nodes[0].FirstGap() - startGap
+	for i, s := range c.nodes {
+		if s.FirstGap() != startGap+instances || s.Applied() != c.nodes[0].Applied() {
+			t.Fatalf("p%d decided %d instances / applied %d, leader %d / %d", i, s.FirstGap(), s.Applied(), startGap+instances, c.nodes[0].Applied())
+		}
+	}
+	if instances < cmds/16 || instances > cmds/8 {
+		t.Fatalf("%d commands took %d instances: not the batched steady state this test is about", cmds, instances)
+	}
+	if got := sent(KindLearn); got != 0 {
+		t.Errorf("followers sent %d LEARNs on a fault-free run, want 0", got)
+	}
+	if a, ad := sent(KindAccept), sent(KindAccepted); a != (n-1)*instances || ad != (n-1)*instances {
+		t.Errorf("ACCEPT = %d, ACCEPTED = %d for %d instances, want (n-1) per instance = %d each", a, ad, instances, (n-1)*instances)
+	}
+	if got := sent(KindDecide); got != len(announcedTo) || got > (n-1)*instances {
+		t.Errorf("DECIDE-kind = %d (%d distinct announcements) for %d instances", got, len(announcedTo), instances)
+	}
+	if got := sent(KindDecide); got >= (n-1)*instances*3/4 {
+		t.Errorf("DECIDE-kind = %d for %d instances: under load most commit indexes should ride ACCEPTs", got, instances)
+	}
+	if got := sent(KindRequest); got != cmds {
+		t.Errorf("REQ = %d, want each of the %d commands forwarded once", got, cmds)
+	}
+	for _, k := range []string{KindPrepare, KindPromise, KindNack} {
+		if got := sent(k); got != 0 {
+			t.Errorf("%s = %d in steady state, want 0", k, got)
+		}
+	}
+	if rep := c.safety(); !rep.Holds() {
+		t.Fatalf("safety: %v", rep.Violations)
+	}
+	t.Logf("%d commands, %d instances: per command REQ %.3f ACCEPT %.3f ACCEPTED %.3f DECIDE %.3f LEARN %.3f",
+		cmds, instances, float64(sent(KindRequest))/cmds, float64(sent(KindAccept))/cmds,
+		float64(sent(KindAccepted))/cmds, float64(sent(KindDecide))/cmds, float64(sent(KindLearn))/cmds)
+}
+
 func TestNoPhase1PerCommandAfterStableLeader(t *testing.T) {
 	c := newCluster(t, 4, 5, network.Timely(2*ms))
 	c.world.Start()
@@ -283,6 +462,79 @@ func TestSafetyUnderChurnManySeeds(t *testing.T) {
 			t.Fatalf("seed %d: %v", seed, rep.Violations)
 		}
 		c.assertPrefixAgreement(t)
+	}
+}
+
+// TestCommitIndexPropertySweep runs 200 seeded schedules of the situation
+// the commit index has to survive: non-FIFO timely links (commit indexes
+// and ACCEPTs overtake each other), batching and pipelining on, commands
+// arriving at every replica, and the leader crashed mid-stream at a
+// seed-dependent instant so its successor's index meets votes cast at the
+// old ballot. Every run must be safe, agree on the common prefix, bring
+// every survivor to the same log, and lose no command submitted after
+// the crash.
+func TestCommitIndexPropertySweep(t *testing.T) {
+	const seeds, n = 200, 5
+	failures := sweep.Map(sweep.New(0), seeds, func(i int) string {
+		seed := int64(1000 + i)
+		delta := time.Duration(1+i%3) * ms
+		w, err := node.NewWorld(node.WorldConfig{N: n, Seed: seed, DefaultLink: network.Timely(delta)})
+		if err != nil {
+			return err.Error()
+		}
+		c := &cluster{world: w, dets: make([]*core.Detector, n), nodes: make([]*Node, n)}
+		for p := 0; p < n; p++ {
+			c.dets[p] = core.New(core.WithEta(10 * ms))
+			c.nodes[p] = New(c.dets[p], Config{BatchMax: 16, Window: 1 + i%8, DriveInterval: 5 * ms})
+			w.SetAutomaton(node.ID(p), node.Compose(c.dets[p], c.nodes[p]))
+		}
+		w.Start()
+		w.RunFor(200 * ms)
+		crashTick := 100 + (i*37)%200
+		var after []consensus.Value
+		for tick, seq := 0, 0; tick < 400; tick++ {
+			if tick == crashTick {
+				w.Crash(0)
+			}
+			for k := 0; k <= (tick+i)%5; k++ {
+				at := 1 + (tick+k)%(n-1) // a survivor
+				if tick < crashTick && (tick+k)%3 == 0 {
+					at = 0 // the leader's own fast path, while it lives
+				}
+				v := consensus.Value(fmt.Sprintf("s%d-%05d@p%d", seed, seq, at))
+				seq++
+				c.nodes[at].Submit(v)
+				if tick >= crashTick {
+					after = append(after, v)
+				}
+			}
+			w.RunFor(ms)
+		}
+		w.RunFor(3 * time.Second)
+		if rep := c.safety(); !rep.Holds() {
+			return fmt.Sprintf("safety: %v", rep.Violations)
+		}
+		if diff := c.prefixDisagreement(); diff != "" {
+			return diff
+		}
+		for p := 2; p < n; p++ {
+			if c.nodes[p].FirstGap() != c.nodes[1].FirstGap() || c.nodes[p].HighestDecided() != c.nodes[1].HighestDecided() {
+				return fmt.Sprintf("p%d settled at gap %d / highest %d, p1 at %d / %d", p,
+					c.nodes[p].FirstGap(), c.nodes[p].HighestDecided(), c.nodes[1].FirstGap(), c.nodes[1].HighestDecided())
+			}
+		}
+		applied := c.appliedSet(1)
+		for _, v := range after {
+			if !applied[v] {
+				return fmt.Sprintf("command %q, submitted after the crash, was never applied", v)
+			}
+		}
+		return ""
+	})
+	for i, f := range failures {
+		if f != "" {
+			t.Errorf("seed %d: %s", 1000+i, f)
+		}
 	}
 }
 

@@ -249,14 +249,29 @@ func TestLostProposalCommandsAreReproposed(t *testing.T) {
 	if out[0] != "stranded?" || len(out) != 1 {
 		t.Fatalf("accepts after two submits = %v, want the first command alone in instance 0", out)
 	}
-	// A competing leader got instance 0 decided with its own value.
+	// A competing leader got instance 0 decided with its own value. That
+	// proves a higher ballot completed phase 1: ours is dead, and a commit
+	// index at it would have our voters decide "stranded?" — step down.
+	lost := r.prop.ballot
 	r.Deliver(1, DecideMsg{Inst: 0, V: "theirs"})
 	if got := r.bat.tail - r.bat.head; got != 2 {
 		t.Fatalf("%d commands pending after losing instance 0, want both kept", got)
 	}
-	// Re-proposed, together, in the next instance — at the latest on the
-	// drive tick.
+	if r.prop.prepared {
+		t.Fatal("leader kept its ballot after losing an instance to another value")
+	}
+	for _, m := range env.drain() {
+		if d, ok := m.msg.(DecideMsg); ok {
+			t.Fatalf("deposed leader announced %+v", d)
+		}
+	}
+	// Omega still says us: the drive tick re-prepares, and the commands
+	// are re-proposed, together, in the next instance at the new ballot.
 	r.Tick(timerDrive)
+	r.Deliver(1, PromiseMsg{B: r.prop.ballot})
+	if !r.prop.prepared || r.prop.ballot <= lost {
+		t.Fatalf("ballot %v prepared=%v after the loss, want a fresh one above %v", r.prop.ballot, r.prop.prepared, lost)
+	}
 	want := encodeBatch([]consensus.Value{"stranded?", "me too"})
 	if out = acceptsOf(env.drain()); out[1] != want {
 		t.Fatalf("accepts after the loss = %q, want both commands re-proposed in instance 1", out)
@@ -305,5 +320,222 @@ func TestLearnAdvancesGapAcrossHoles(t *testing.T) {
 	r.learn(1, "b")
 	if r.FirstGap() != 3 {
 		t.Fatalf("FirstGap = %d after hole closed, want 3", r.FirstGap())
+	}
+}
+
+// commitStep is one move in a commit-index scenario: something happens to
+// the node under test, then its log and what it broadcast are checked.
+type commitStep struct {
+	// Exactly one of: a message delivered from a peer, a command
+	// submitted at the node, or a kill -9 and recovery from its WAL.
+	from    node.ID
+	msg     node.Message
+	submit  consensus.Value
+	restart bool
+	// decided is the node's log afterwards, by instance; "" is undecided.
+	decided []consensus.Value
+	// announced lists the commit indexes the node broadcast during the
+	// step, one entry per broadcast (n−1 identical value-free DECIDEs).
+	announced []int
+}
+
+// TestCommitIndex walks the commit path through its corner cases on a
+// hand-driven node: which votes an index decides, in which order it may
+// meet the ACCEPTs it covers, what survives a restart and a leader
+// change, and when the leader says anything at all.
+func TestCommitIndex(t *testing.T) {
+	const n = 3
+	b1 := consensus.MakeBallot(1, 1, n)  // the leader the followers below hear from
+	b0 := consensus.MakeBallot(0, 0, n)  // an older leader's ballot
+	b2 := consensus.MakeBallot(5, 0, n)  // a newer leader's
+	own := consensus.MakeBallot(0, 0, n) // what prepareLeaderCfg's p0 prepares
+	accept := func(b consensus.Ballot, inst int, v consensus.Value, commit int) node.Message {
+		return AcceptMsg{B: b, Inst: inst, V: v, CommitUpTo: commit}
+	}
+	commit := func(b consensus.Ballot, upTo int) node.Message { return DecideMsg{B: b, Inst: upTo} }
+	cases := []struct {
+		name   string
+		leader bool // the node under test is p0, prepared; otherwise follower p2 of leader p1
+		window int  // Config.Window (BatchMax is 1: one command per instance)
+		steps  []commitStep
+	}{
+		{name: "a slot voted at another ballot stays undecided", steps: []commitStep{
+			{from: 0, msg: accept(b0, 0, "old", 0), decided: []consensus.Value{""}},
+			{from: 1, msg: accept(b1, 1, "new", 0), decided: []consensus.Value{"", ""}},
+			{from: 1, msg: commit(b1, 2), decided: []consensus.Value{"", "new"}},
+			// Re-accepted at the committing ballot, it is covered.
+			{from: 1, msg: accept(b1, 0, "repaired", 0), decided: []consensus.Value{"repaired", "new"}},
+		}},
+		{name: "an ACCEPT overtaken by its commit decides on arrival", steps: []commitStep{
+			{from: 1, msg: commit(b1, 2), decided: []consensus.Value{}},
+			{from: 1, msg: accept(b1, 1, "b", 0), decided: []consensus.Value{"", "b"}},
+			{from: 1, msg: accept(b1, 0, "a", 0), decided: []consensus.Value{"a", "b"}},
+			// An older index arriving late changes nothing.
+			{from: 1, msg: commit(b1, 1), decided: []consensus.Value{"a", "b"}},
+			{from: 1, msg: accept(b1, 2, "c", 1), decided: []consensus.Value{"a", "b", ""}},
+		}},
+		{name: "recovered votes are decided by the next commit at their ballot", steps: []commitStep{
+			{from: 1, msg: accept(b1, 0, "a", 0), decided: []consensus.Value{""}},
+			{from: 1, msg: accept(b1, 1, "b", 0), decided: []consensus.Value{"", ""}},
+			{from: 1, msg: commit(b1, 1), decided: []consensus.Value{"a", ""}},
+			// The index itself is not durable; the votes and decisions are.
+			{restart: true, decided: []consensus.Value{"a", ""}},
+			{from: 1, msg: commit(b1, 2), decided: []consensus.Value{"a", "b"}},
+		}},
+		{name: "a new ballot's lower index un-decides nothing", steps: []commitStep{
+			{from: 1, msg: accept(b1, 0, "a", 0), decided: []consensus.Value{""}},
+			{from: 1, msg: accept(b1, 1, "b", 0), decided: []consensus.Value{"", ""}},
+			{from: 1, msg: accept(b1, 2, "c", 2), decided: []consensus.Value{"a", "b", ""}},
+			{from: 0, msg: commit(b2, 1), decided: []consensus.Value{"a", "b", ""}},
+			// The old leader's index is now the lower ballot: ignored.
+			{from: 1, msg: commit(b1, 3), decided: []consensus.Value{"a", "b", ""}},
+			{from: 0, msg: accept(b2, 2, "c", 2), decided: []consensus.Value{"a", "b", ""}},
+			{from: 0, msg: commit(b2, 3), decided: []consensus.Value{"a", "b", "c"}},
+		}},
+		{name: "an out-of-order quorum is announced with the prefix, once", leader: true, window: 2, steps: []commitStep{
+			{submit: "x", decided: []consensus.Value{""}},
+			{submit: "y", decided: []consensus.Value{"", ""}},
+			{from: 1, msg: AcceptedMsg{B: own, Inst: 1}, decided: []consensus.Value{"", "y"}},
+			{from: 1, msg: AcceptedMsg{B: own, Inst: 0}, decided: []consensus.Value{"x", "y"}, announced: []int{2}},
+			{from: 2, msg: AcceptedMsg{B: own, Inst: 0}, decided: []consensus.Value{"x", "y"}},
+		}},
+		{name: "a decision that frees the pipeline rides the next ACCEPT", leader: true, window: 1, steps: []commitStep{
+			{submit: "x", decided: []consensus.Value{""}},
+			{submit: "y", decided: []consensus.Value{""}}, // Window 1: queued
+			// The quorum for 0 launches 1, whose ACCEPT carries index 1.
+			{from: 1, msg: AcceptedMsg{B: own, Inst: 0}, decided: []consensus.Value{"x", ""}},
+			{from: 1, msg: AcceptedMsg{B: own, Inst: 1}, decided: []consensus.Value{"x", "y"}, announced: []int{2}},
+		}},
+	}
+	for _, tc := range cases {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			boot := func() (*Node, *fakeEnv) {
+				cfg := Config{Store: openWAL(t, dir), BatchMax: 1, Window: tc.window}
+				if tc.leader {
+					r, env := prepareLeaderCfg(t, nil, cfg)
+					if r.prop.ballot != own {
+						t.Fatalf("leader prepared %v, the script assumes %v", r.prop.ballot, own)
+					}
+					env.drain()
+					return r, env
+				}
+				r, env := New(consensus.StaticLeader(1), cfg), newFakeEnv(2, n)
+				r.Start(env)
+				return r, env
+			}
+			r, env := boot()
+			for i, st := range tc.steps {
+				switch {
+				case st.restart:
+					r.cfg.Store.Close()
+					r, env = boot()
+				case st.msg != nil:
+					r.Deliver(st.from, st.msg)
+				default:
+					r.Submit(st.submit)
+				}
+				got := make([]consensus.Value, r.log.end())
+				for inst := range got {
+					got[inst], _ = r.Get(inst)
+				}
+				if fmt.Sprint(got) != fmt.Sprint(st.decided) {
+					t.Fatalf("step %d: log = %q, want %q", i, got, st.decided)
+				}
+				var announced []int
+				carried := -1
+				for k, s := range env.drain() {
+					switch m := s.msg.(type) {
+					case DecideMsg:
+						if m.B != r.prop.ballot || m.V != consensus.NoValue {
+							t.Fatalf("step %d: sent %+v, want a value-free index at ballot %v", i, m, r.prop.ballot)
+						}
+						if k%(n-1) == 0 {
+							announced = append(announced, m.Inst)
+						}
+					case AcceptMsg:
+						carried = m.CommitUpTo
+					}
+				}
+				if fmt.Sprint(announced) != fmt.Sprint(st.announced) {
+					t.Fatalf("step %d: announced %v, want %v", i, announced, st.announced)
+				}
+				if carried >= 0 && carried != r.log.firstGap {
+					t.Fatalf("step %d: ACCEPT carried index %d with the prefix at %d", i, carried, r.log.firstGap)
+				}
+			}
+		})
+	}
+}
+
+// TestRequestDuringPrepareIsQueuedNotDropped: a forwarded command reaching
+// a leader-elect while its phase 1 is in flight is proposed the moment the
+// ballot stands, not left to the forwarder's 100 ms retry.
+func TestRequestDuringPrepareIsQueuedNotDropped(t *testing.T) {
+	r := New(consensus.StaticLeader(0), Config{})
+	env := newFakeEnv(0, 3)
+	r.Start(env)
+	r.Tick(timerDrive)
+	if !r.prop.preparing || r.prop.prepared {
+		t.Fatal("leader-elect is not in phase 1")
+	}
+	env.drain()
+	r.Deliver(2, RequestMsg{V: "forwarded"})
+	if got := r.bat.tail - r.bat.head; got != 1 {
+		t.Fatalf("%d commands queued during phase 1, want the forwarded one kept", got)
+	}
+	r.Deliver(1, PromiseMsg{B: r.prop.ballot})
+	if out := acceptsOf(env.drain()); out[0] != "forwarded" {
+		t.Fatalf("accepts once prepared = %q, want the forwarded command in instance 0", out)
+	}
+}
+
+// TestDeposedLeaderAnnouncesNothing: a leader that learns one of its open
+// instances was decided with another value must not announce a prefix
+// covering it — its followers hold votes for the losing value at its
+// ballot — and the same value coming back by value is passed on by index.
+func TestDeposedLeaderAnnouncesNothing(t *testing.T) {
+	r, env := prepareLeaderCfg(t, nil, Config{BatchMax: 1})
+	r.Submit("mine")
+	env.drain()
+	r.Deliver(1, DecideMsg{Inst: 0, V: "mine"})
+	out := env.drain()
+	if len(out) != 2 || out[0].msg != node.Message(DecideMsg{B: r.prop.ballot, Inst: 1}) {
+		t.Fatalf("after a by-value repair with our own value: sent %+v, want the index announced", out)
+	}
+	r.Submit("mine too")
+	env.drain()
+	r.Deliver(1, DecideMsg{Inst: 1, V: "theirs"})
+	if out := env.drain(); len(out) != 0 || r.prop.prepared {
+		t.Fatalf("after losing instance 1: sent %+v, prepared=%v; want silence and a step-down", out, r.prop.prepared)
+	}
+}
+
+// TestAcceptOvertakingItsPrepareIsNotANack: the links are not FIFO, and a
+// leader that finishes phase 1 with commands queued sends ACCEPTs while
+// its PREPARE to a slower acceptor is still in flight. The ACCEPT raises
+// that acceptor's promise to the ballot; the PREPARE arriving after it
+// must be promised, not refused — a NACK would depose a healthy leader.
+func TestAcceptOvertakingItsPrepareIsNotANack(t *testing.T) {
+	r := New(consensus.StaticLeader(1), Config{})
+	env := newFakeEnv(2, 3)
+	r.Start(env)
+	b := consensus.MakeBallot(0, 1, 3)
+	r.Deliver(1, AcceptMsg{B: b, Inst: 0, V: "early"})
+	env.drain()
+	r.Deliver(1, PrepareMsg{B: b})
+	out := env.drain()
+	if len(out) != 1 {
+		t.Fatalf("replies = %+v", out)
+	}
+	p, ok := out[0].msg.(PromiseMsg)
+	if !ok || p.B != b || len(p.Entries) != 1 || p.Entries[0].AccV != "early" {
+		t.Fatalf("reply = %+v, want a promise at %v reporting the vote already cast", out[0].msg, b)
+	}
+	// A genuinely lower ballot is still refused.
+	r.Deliver(0, PrepareMsg{B: b - 1})
+	if n, ok := env.drain()[0].msg.(NackMsg); !ok || n.Promised != b {
+		t.Fatalf("lower prepare not nacked at %v", b)
 	}
 }

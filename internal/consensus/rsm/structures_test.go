@@ -434,3 +434,29 @@ func BenchmarkApplyBatch16(b *testing.B) {
 		b.Fatalf("applied %d of %d", r.Applied(), 16*b.N)
 	}
 }
+
+// BenchmarkFollowerCommit is a follower's whole share of one instance:
+// the ACCEPT of a 16-command envelope (vote, reply), then the commit index
+// that covers it (decide from the vote, apply). The value arrives once;
+// deciding and applying it must add no allocation to what the vote costs.
+func BenchmarkFollowerCommit(b *testing.B) {
+	cmds := make([]consensus.Value, 16)
+	for i := range cmds {
+		cmds[i] = consensus.Value(fmt.Sprintf("command-%02d-with-a-64-byte-payload-like-the-benchmark-sends....", i))
+	}
+	v := encodeBatch(cmds)
+	ballot := consensus.MakeBallot(0, 1, 3)
+	r := New(consensus.StaticLeader(1), Config{})
+	env := newFakeEnv(2, 3)
+	env.mute = true
+	r.Start(env)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.onAccept(1, AcceptMsg{B: ballot, Inst: i, V: v, CommitUpTo: i})
+		r.onCommit(ballot, i+1)
+	}
+	if r.Applied() != 16*b.N {
+		b.Fatalf("applied %d of %d", r.Applied(), 16*b.N)
+	}
+}

@@ -56,21 +56,40 @@ func TestE4RecoveryLatencyBounded(t *testing.T) {
 	}
 }
 
-func TestE12PiggybackWinsOnlyStreaming(t *testing.T) {
-	tab := E12PiggybackAblation(Opts{Quick: true, Seeds: 1})
-	cells := map[string]float64{}
-	for _, row := range tab.Rows {
-		v, err := strconv.ParseFloat(row[2], 64)
+func TestE12CommitIndexShape(t *testing.T) {
+	tab := E12CommitIndex(Opts{Quick: true, Seeds: 1})
+	const n, cmds, cmdBytes = 5, 30, 32
+	cell := func(row []string, col int) float64 {
+		v, err := strconv.ParseFloat(row[col], 64)
 		if err != nil {
-			t.Fatalf("parse %q: %v", row[2], err)
+			t.Fatalf("parse %q: %v", row[col], err)
 		}
-		cells[row[0]+"/"+row[1]] = v
+		return v
 	}
-	if !(cells["streaming/piggyback"] < cells["streaming/plain"]) {
-		t.Fatalf("piggyback no cheaper under streaming: %v", cells)
+	byRegime := map[string][]string{}
+	for _, row := range tab.Rows {
+		byRegime[row[0]] = row
+		if learns := cell(row, 4); learns != 0 {
+			t.Fatalf("%s: %v LEARNs on a fault-free run: followers initiated traffic", row[0], learns)
+		}
+		// A command's bytes cross each link once, whatever the regime
+		// (plus the envelope framing of a burst's batches).
+		if vb := cell(row, 5); vb < (n-1)*cmdBytes || vb > (n-1)*(cmdBytes+2) {
+			t.Fatalf("%s: %v value bytes/cmd, want ≈ %d (once per link)", row[0], vb, (n-1)*cmdBytes)
+		}
 	}
-	if cells["streaming/piggyback"] > 10.5 {
-		t.Fatalf("streaming piggyback = %v msgs/cmd, want ≈ 8", cells["streaming/piggyback"])
+	if got := cell(byRegime["idle"], 2); got != 3*(n-1) {
+		t.Fatalf("idle stream = %v msgs/cmd, want 3(n-1) = %d", got, 3*(n-1))
+	}
+	// Back to back, every commit but the last rides the next ACCEPT.
+	if got := cell(byRegime["back-to-back"], 2); got > 2*(n-1)+0.5 {
+		t.Fatalf("back-to-back = %v msgs/cmd, want ≈ 2(n-1) = %d", got, 2*(n-1))
+	}
+	if got := cell(byRegime["back-to-back"], 3); got > n-1 {
+		t.Fatalf("back-to-back sent %v DECIDE-kind messages, want only the tail's %d", got, n-1)
+	}
+	if got := cell(byRegime["burst"], 1); got >= cmds/2 {
+		t.Fatalf("burst used %v instances for %d commands: not batched", got, cmds)
 	}
 }
 

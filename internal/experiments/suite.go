@@ -31,7 +31,7 @@ func Suite() []Item {
 		{"E9", "core-algorithm ablations", func(o Opts) Renderable { return E9Ablations(o) }},
 		{"E10", "relaying: timely paths suffice", func(o Opts) Renderable { return E10RelayedPaths(o) }},
 		{"E11", "◊-f-source boundary sweep", func(o Opts) Renderable { return E11FSourceBoundary(o) }},
-		{"E12", "replicated-log decide piggybacking", func(o Opts) Renderable { return E12PiggybackAblation(o) }},
+		{"E12", "replicated-log commit index", func(o Opts) Renderable { return E12CommitIndex(o) }},
 		{"E13", "lossy partition and heal", func(o Opts) Renderable { return E13PartitionHeal(o) }},
 		{"E14", "leader-lease local reads", func(o Opts) Renderable { return E14LeaseReads(o) }},
 	}

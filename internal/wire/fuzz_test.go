@@ -38,6 +38,8 @@ func FuzzEnvelopeRoundTrip(f *testing.F) {
 		{2, source.AliveMsg{Counters: []uint64{1, 1 << 40, 0}}},
 		{3, synod.PromiseMsg{B: 9, AccB: 2, AccV: "seed"}},
 		{4, rsm.AcceptMsg{B: 5, Inst: 7, V: "cmd", CommitUpTo: 6, LeaseSeq: 3}},
+		{0, rsm.DecideMsg{B: 5, Inst: 8}},
+		{1, rsm.DecideMsg{Inst: 7, V: "cmd"}},
 		{1, rsm.LeaseGrantMsg{B: 5, Seq: 8}},
 		{2, rsm.LeaseAckMsg{B: 5, Seq: 8}},
 		{3, rsm.ReadReqMsg{Seq: 41, Count: 16, Origin: 3}},

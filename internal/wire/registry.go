@@ -558,18 +558,34 @@ func registerRSM(c *Codec) {
 			return rsm.AcceptedMsg{B: consensus.Ballot(b), Inst: inst, Done: done, LeaseSeq: lease}, err
 		})
 
+	// DECIDE has two forms under one code, told apart by the leading
+	// ballot (PR 13, not negotiated — like LeaseSeq, clusters upgrade
+	// atomically across it; DESIGN.md "commit index"): a non-zero ballot
+	// is the value-free commit index and ends after Inst; NoBallot is the
+	// by-value repair reply and carries the value.
 	reg(c, codeRSMDecide, rsm.KindDecide,
 		func(e *Encoder, m rsm.DecideMsg) error {
+			e.U64(uint64(m.B))
 			if err := e.Int(m.Inst); err != nil {
 				return err
+			}
+			if m.B != consensus.NoBallot {
+				if m.V != consensus.NoValue {
+					return fmt.Errorf("wire: %s commit index at ballot %v carries a value", rsm.KindDecide, m.B)
+				}
+				return nil
 			}
 			e.Str(string(m.V))
 			return nil
 		},
 		func(d *Decoder) (rsm.DecideMsg, error) {
-			inst, err := d.Int()
+			b, err := d.U64()
 			if err != nil {
 				return rsm.DecideMsg{}, err
+			}
+			inst, err := d.Int()
+			if err != nil || b != 0 {
+				return rsm.DecideMsg{B: consensus.Ballot(b), Inst: inst}, err
 			}
 			v, err := d.Str()
 			return rsm.DecideMsg{Inst: inst, V: consensus.Value(v)}, err

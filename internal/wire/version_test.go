@@ -155,6 +155,67 @@ func TestFixedWireFormatFrozen(t *testing.T) {
 	}
 }
 
+// TestRSMDecideWireFrozen pins both forms of RSM-DECIDE in both versions.
+// The leading ballot tells them apart: non-zero is the commit index and
+// the frame ends after the instance — no value, not even a length — and
+// zero is the by-value repair reply. The ballot was prepended in PR 13, a
+// deliberate, un-negotiated break with the (Inst, V) layout before it.
+func TestRSMDecideWireFrozen(t *testing.T) {
+	fixed := NewCodec()
+	fixed.SetEncodeVersion(VersionFixed)
+	for _, tc := range []struct {
+		name  string
+		c     *Codec
+		m     rsm.DecideMsg
+		frame []byte
+	}{
+		{"fixed commit", fixed, rsm.DecideMsg{B: 6, Inst: 0x0102}, []byte{
+			0, 0, 0, 7, // sender id, big-endian u32
+			codeRSMDecide,
+			0, 0, 0, 0, 0, 0, 0, 6, // ballot, big-endian u64
+			0, 0, 0, 0, 0, 0, 1, 2, // commit index, big-endian u64
+		}},
+		{"fixed value", fixed, rsm.DecideMsg{Inst: 3, V: "ab"}, []byte{
+			0, 0, 0, 7,
+			codeRSMDecide,
+			0, 0, 0, 0, 0, 0, 0, 0, // NoBallot: by value
+			0, 0, 0, 0, 0, 0, 0, 3, // instance
+			0, 0, 0, 2, 'a', 'b', // value, length-prefixed
+		}},
+		{"varint commit", NewCodec(), rsm.DecideMsg{B: 6, Inst: 300}, []byte{
+			verVarintByte,
+			7, // sender id, uvarint
+			codeRSMDecide,
+			6,          // ballot
+			0xAC, 0x02, // commit index 300
+		}},
+		{"varint value", NewCodec(), rsm.DecideMsg{Inst: 3, V: "ab"}, []byte{
+			verVarintByte,
+			7,
+			codeRSMDecide,
+			0, // NoBallot: by value
+			3, // instance
+			2, 'a', 'b',
+		}},
+	} {
+		b, err := tc.c.MarshalEnvelope(7, tc.m)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if !reflect.DeepEqual(b, tc.frame) {
+			t.Fatalf("%s envelope = % x, want % x", tc.name, b, tc.frame)
+		}
+		env, err := tc.c.UnmarshalEnvelope(tc.frame)
+		if err != nil || env.Msg != node.Message(tc.m) {
+			t.Fatalf("%s decoded %+v, %v", tc.name, env.Msg, err)
+		}
+	}
+	// A commit index is value-free by construction, not by convention.
+	if _, err := NewCodec().Marshal(rsm.DecideMsg{B: 6, Inst: 3, V: "ab"}); err == nil {
+		t.Fatal("a commit index carrying a value was encoded")
+	}
+}
+
 // TestSteadyStateEncodeAllocs pins the allocation-free encode path: with a
 // reused destination buffer, marshaling a heartbeat envelope performs no
 // allocations in either version.

@@ -59,7 +59,9 @@ func TestRoundTripAllMessageTypes(t *testing.T) {
 		rsm.NackMsg{B: 9, Promised: 12},
 		rsm.AcceptMsg{B: 9, Inst: 4, V: "x", CommitUpTo: 3, MinDone: 2, LeaseSeq: 6},
 		rsm.AcceptedMsg{B: 9, Inst: 4, Done: 11, LeaseSeq: 6},
-		rsm.DecideMsg{Inst: 4, V: "x"},
+		rsm.DecideMsg{Inst: 4, V: "x"}, // by value: the repair reply
+		rsm.DecideMsg{Inst: 4},         // by value, the empty value
+		rsm.DecideMsg{B: 9, Inst: 5},   // by index: the commit announcement
 		rsm.LearnMsg{FirstGap: 11},
 		rsm.LeaseGrantMsg{B: 9, Seq: 7},
 		rsm.LeaseAckMsg{B: 9, Seq: 7},
