@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test bench-check test-race soak recovery-soak telemetry-smoke trace-smoke bench bench-micro bench-json bench-wire bench-consensus bench-consensus-mc bench-durable tables
+.PHONY: all build vet test bench-check bench-pairs test-race soak recovery-soak telemetry-smoke trace-smoke bench bench-micro bench-json bench-wire bench-consensus bench-consensus-mc bench-durable tables
 
 all: vet test
 
@@ -19,6 +19,16 @@ test: bench-check
 bench-check:
 	$(GO) -C bench vet ./...
 	$(GO) -C bench test -short ./...
+
+# Ten alternating parent/change pairs of one benchmark workload, with
+# medians, quartiles and wins per end-to-end metric: what a claim of a gain
+# rests on (make bench-pairs W=tcp_wal N=10). The parent is BASE (default
+# HEAD when the tree is dirty, else HEAD~1) in a git worktree under
+# .bench_build/; see the script's header.
+W ?= tcp_write
+N ?= 10
+bench-pairs:
+	bash scripts/bench-pairs.sh $(W) $(N)
 
 # Race-check everything. Real concurrency lives in the live transports,
 # the fault injector, the sharded observer sink and telemetry collector
@@ -87,10 +97,15 @@ bench:
 # vote, decide from the vote, apply). The SinkRecordSend and Wire*Encode
 # benches and the three bookkeeping benches must stay at 0 allocs/op;
 # FollowerCommit at 1, the ACCEPTED it sends — what the vote alone cost
-# before decisions were committed by index.
+# before decisions were committed by index. Then the turn: StationTurn is
+# one steady-state turn of a leader's node loop (ten requests and a vote
+# in, one ACCEPT broadcast out; ns and allocs per ten commands), WALTurn
+# sixteen votes flushed once against sixteen flushed one by one, and
+# SubmitWithBacklog a follower's Submit behind forty outstanding commands.
 bench-micro:
 	$(GO) test -run '^$$' -bench 'SinkRecordSend|StatsRecordSendLegacy|Wire' -benchmem .
-	$(GO) test -run '^$$' -bench 'RecorderRecord|BatcherPumpFull|ApplyBatch16|FollowerCommit' -benchmem ./internal/consensus ./internal/consensus/rsm
+	$(GO) test -run '^$$' -bench 'RecorderRecord|BatcherPumpFull|ApplyBatch16|FollowerCommit|SubmitWithBacklog' -benchmem ./internal/consensus ./internal/consensus/rsm
+	$(GO) test -run '^$$' -bench 'StationTurn|WALTurn' -benchmem ./internal/transport ./internal/durable
 
 # End-to-end tracing smoke (DESIGN.md §17): a traced consensus load run
 # and a traced chaossoak leader-crash run, then traceview over both sets

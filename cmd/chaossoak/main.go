@@ -1011,7 +1011,12 @@ func (s *soak) runGroupRecovery() error {
 		return err
 	}
 
-	l0, _ := s.groupAgreement(0, nil)
+	// The pump may have left group 0 in dispute for an instant: the
+	// victim is whoever it next agrees on.
+	var l0 node.ID
+	if err := s.waitFor(func() (ok bool) { l0, ok = s.groupAgreement(0, nil); return ok }, "group 0 leader to kill"); err != nil {
+		return err
+	}
 	victim := group.Physical(l0, 0, n)
 	s.recovered = victim
 	led := 0

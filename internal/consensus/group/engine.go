@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/loop"
 	"repro/internal/node"
 	"repro/internal/sim"
 )
@@ -58,14 +59,9 @@ func New(cfg Config) *Engine {
 	}
 	e := &Engine{cfg: cfg, workers: make([]*worker, cfg.Groups)}
 	for g := range e.workers {
-		e.workers[g] = &worker{
-			eng:    e,
-			g:      g,
-			auto:   cfg.Build(g),
-			mbox:   newGMailbox(),
-			timers: make(map[string]uint64),
-			done:   make(chan struct{}),
-		}
+		w := &worker{eng: e, g: g, auto: cfg.Build(g), mbox: loop.NewMailbox[gevent]()}
+		w.timers = loop.NewTimers(func(key string) { w.mbox.Push(gevent{timerKey: key}) })
+		e.workers[g] = w
 	}
 	return e
 }
@@ -117,7 +113,7 @@ func (e *Engine) route(from node.ID, m node.Message) bool {
 	// at dispatch time, on the group loop: pushes may race boot (the
 	// transport fast path can deliver before Start records the cluster
 	// size), but the loop goroutines only exist after Start.
-	e.workers[gm.Group].mbox.push(gevent{from: from, msg: gm.Inner})
+	e.workers[gm.Group].mbox.Push(gevent{from: from, msg: gm.Inner})
 	return true
 }
 
@@ -141,7 +137,7 @@ func (e *Engine) Halt() {
 		return
 	}
 	for _, w := range e.workers {
-		w.mbox.close()
+		w.mbox.Close()
 	}
 	if e.started.Load() {
 		e.wg.Wait()
@@ -149,64 +145,66 @@ func (e *Engine) Halt() {
 }
 
 // gevent is one unit of work for a group loop: a delivery (from is the
-// physical sender id, translated at dispatch) or a timer firing.
+// physical sender id, translated at dispatch) or a timer expiry.
 type gevent struct {
 	from     node.ID
 	msg      node.Message
 	timerKey string
-	timerGen uint64
+}
+
+// gheld is one message the group automaton sent during the current turn,
+// already addressed and wrapped for the shared Env.
+type gheld struct {
+	to node.ID
+	m  Msg
 }
 
 // worker runs one group: a single goroutine consumes the mailbox and
 // invokes the group automaton, so the node.Env single-threading contract
 // holds per group. worker itself is the automaton's Env, translating ids
-// and wrapping sends.
+// and wrapping sends, and its loop works in turns exactly as the
+// transport station's does (node.TurnEnd): the station passes an engine's
+// sends straight through, so the turn is kept here.
 type worker struct {
 	eng  *Engine
 	g    int
 	auto node.Automaton
-	mbox *gmailbox
-	done chan struct{}
+	mbox *loop.Mailbox[gevent]
 
-	// timers maps key → latest generation, exactly as the transport
-	// station does; accessed only from the group loop.
-	timers map[string]uint64
+	// timers and outbox are touched only from the group loop.
+	timers *loop.Timers
+	outbox []gheld
 }
 
 var _ node.Env = (*worker)(nil)
 
 func (w *worker) run(wg *sync.WaitGroup) {
 	defer wg.Done()
-	defer close(w.done)
 	w.auto.Start(w)
-	var batch []gevent
-	for range w.mbox.C {
-		for {
-			batch = w.mbox.drain(batch[:0])
-			if len(batch) == 0 {
-				break
-			}
-			for i := range batch {
-				w.dispatch(batch[i])
-				batch[i] = gevent{} // do not retain messages until the next batch
-			}
-		}
-		if w.mbox.isClosed() {
-			return
-		}
-	}
+	w.endTurn()
+	loop.Run(w.mbox, w.dispatch, w.endTurn)
 }
 
 func (w *worker) dispatch(e gevent) {
-	if e.timerKey != "" {
-		if w.timers[e.timerKey] != e.timerGen {
-			return // superseded or stopped
-		}
-		delete(w.timers, e.timerKey)
+	if e.timerKey == "" {
+		w.auto.Deliver(Logical(e.from, w.g, w.eng.n), e.msg)
+	} else if w.timers.Fired(e.timerKey) {
 		w.auto.Tick(e.timerKey)
-		return
 	}
-	w.auto.Deliver(Logical(e.from, w.g, w.eng.n), e.msg)
+}
+
+// endTurn gives the group automaton the end-of-turn signal, then hands
+// what it sent during the turn to the shared Env. A halted engine drops
+// them: Halt is the last instant of a killed process.
+func (w *worker) endTurn() {
+	w.auto.Tick(node.TurnEnd)
+	for i, h := range w.outbox {
+		if !w.eng.halted.Load() {
+			w.eng.env.Send(h.to, h.m)
+		}
+		w.outbox[i] = gheld{}
+	}
+	w.outbox = w.outbox[:0]
 }
 
 // --- node.Env (logical id space) ----------------------------------------
@@ -222,14 +220,11 @@ func (w *worker) N() int { return w.eng.n }
 func (w *worker) Now() sim.Time { return w.eng.env.Now() }
 
 // Send implements node.Env: the logical address is rotated to its
-// physical process and the message is wrapped with the group tag. The
-// shared Env's send path carries it over the same per-peer link every
-// other group uses.
+// physical process and the message is wrapped with the group tag; at the
+// end of the turn the shared Env's send path carries it over the same
+// per-peer link every other group uses.
 func (w *worker) Send(to node.ID, m node.Message) {
-	if w.eng.halted.Load() {
-		return
-	}
-	w.eng.env.Send(Physical(to, w.g, w.eng.n), Msg{Group: w.g, Inner: m})
+	w.outbox = append(w.outbox, gheld{Physical(to, w.g, w.eng.n), Msg{Group: w.g, Inner: m}})
 }
 
 // Broadcast implements node.Env, in ascending logical id order.
@@ -246,22 +241,13 @@ func (w *worker) Broadcast(m node.Message) {
 // automaton's callbacks), which is the node.Env contract; the expiry
 // callback pushes into this group's mailbox, never the station's.
 func (w *worker) SetTimer(key string, d time.Duration) {
-	if w.eng.halted.Load() {
-		return
+	if !w.eng.halted.Load() {
+		w.timers.Set(key, d)
 	}
-	gen := w.timers[key] + 1
-	w.timers[key] = gen
-	time.AfterFunc(d, func() {
-		w.mbox.push(gevent{timerKey: key, timerGen: gen})
-	})
 }
 
 // StopTimer implements node.Env.
-func (w *worker) StopTimer(key string) {
-	if _, ok := w.timers[key]; ok {
-		w.timers[key]++
-	}
-}
+func (w *worker) StopTimer(key string) { w.timers.Stop(key) }
 
 // Logf implements node.Env, prefixing the group id.
 func (w *worker) Logf(format string, args ...any) {

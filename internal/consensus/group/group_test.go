@@ -318,7 +318,9 @@ func (a *tickAuto) Start(env node.Env) {
 }
 func (a *tickAuto) Deliver(node.ID, node.Message) {}
 func (a *tickAuto) Tick(key string) {
-	a.fired <- "g" + fmt.Sprint(a.g) + "-" + key[3:]
+	if key != node.TurnEnd {
+		a.fired <- "g" + fmt.Sprint(a.g) + "-" + key[3:]
+	}
 }
 
 // TestEngineHalt checks Halt quiesces every loop, is idempotent, and that

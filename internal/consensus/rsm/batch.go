@@ -116,10 +116,22 @@ type pendingCmd struct {
 // whether a batch can be formed is a subtraction, not a scan. A leader
 // that steps down or loses an instance to a competing ballot un-assigns
 // everything: proposed again, at-least-once as Submit documents.
+//
+// On a follower, [head,fwd) are stamped as forwarded to fwdTo, none of
+// them before fwdOldest: while that leader stands and that instant is
+// inside the retry timeout, forwarding has nothing to do below fwd and a
+// Submit costs its own command, not a walk over everything outstanding.
+// It is a summary of the per-command stamps, never consulted in their
+// place: whatever else writes a stamp (take) voids it, and the next
+// forward walks the whole ring again.
 type batcher struct {
 	ring             []pendingCmd // len is a power of two
 	head, next, tail int
 	cmds             []consensus.Value // take's scratch: the batch being encoded
+
+	fwd       int
+	fwdTo     node.ID
+	fwdOldest sim.Time
 }
 
 func (b *batcher) at(i int) *pendingCmd { return &b.ring[i&(len(b.ring)-1)] }
@@ -142,6 +154,7 @@ func (b *batcher) add(v consensus.Value, now sim.Time, tctx tracing.Context) {
 // is traced — trace contexts in fl's buffers.
 func (b *batcher) take(k int, me node.ID, now sim.Time, fl *flight) []consensus.Value {
 	b.cmds, fl.enq, fl.reqs = b.cmds[:0], fl.enq[:0], fl.reqs[:0]
+	b.fwdTo = node.None // the stamps below are not forwards
 	traced := false
 	for ; k > 0; k-- {
 		p := b.at(b.next)
@@ -176,6 +189,9 @@ func (b *batcher) retire(v consensus.Value) {
 		if i >= b.next {
 			b.next++ // the assigned prefix moved up by one
 		}
+		if i >= b.fwd {
+			b.fwd++ // and so did the forwarded one
+		}
 		return
 	}
 }
@@ -184,7 +200,8 @@ func (b *batcher) retire(v consensus.Value) {
 // the window has room. Policy: a full batch goes immediately; a partial
 // batch goes only when nothing is in flight (force=false) or on the
 // drive tick (force=true), so bursts coalesce but queue latency stays
-// bounded by one DriveInterval.
+// bounded by one DriveInterval. Handlers do not call it: they set
+// pumpDue and the end of the turn pumps once (turn.go).
 func (r *Node) pump() { r.pumpBatches(false) }
 
 func (r *Node) pumpBatches(force bool) {
@@ -209,21 +226,29 @@ func (r *Node) pumpBatches(force bool) {
 	}
 }
 
-// forwardPending sends unserved local commands to the believed leader.
+// forwardPending sends unserved local commands to the believed leader:
+// every one not yet sent to it, or sent a RetryTimeout ago, in queue
+// order.
 func (r *Node) forwardPending(leader node.ID) {
 	if leader == node.None || leader == r.me {
 		return
 	}
-	now := r.env.Now()
-	for i := r.bat.head; i < r.bat.tail; i++ {
-		p := r.bat.at(i)
+	b, now := &r.bat, r.env.Now()
+	from := b.fwd
+	if b.fwdTo != leader || now.Sub(b.fwdOldest) > r.cfg.RetryTimeout {
+		from, b.fwdOldest = b.head, now // the summary says nothing: walk it all
+	}
+	for i := from; i < b.tail; i++ {
+		p := b.at(i)
 		if p.lastSentTo == leader && now.Sub(p.lastSentAt) <= r.cfg.RetryTimeout {
+			b.fwdOldest = min(b.fwdOldest, p.lastSentAt)
 			continue
 		}
 		p.lastSentTo = leader
 		p.lastSentAt = now
 		r.env.Send(leader, r.traced(p.tctx, RequestMsg{V: p.v}))
 	}
+	b.fwd, b.fwdTo = b.tail, leader
 }
 
 // DecodeBatch unpacks a decided value into its constituent commands —
@@ -255,5 +280,5 @@ func (r *Node) onRequest(m RequestMsg) {
 	// hands its context to every command it carries; the sampling
 	// decision stays with the trace originator.
 	eachCmd(m.V, func(_ int, v consensus.Value) { r.bat.add(v, now, r.curCtx) })
-	r.pump()
+	r.pumpDue = true
 }

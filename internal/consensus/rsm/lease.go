@@ -1,7 +1,6 @@
 package rsm
 
 import (
-	"sort"
 	"sync/atomic"
 	"time"
 
@@ -171,17 +170,31 @@ func (r *Node) onLeaseAck(from node.ID, b consensus.Ballot, seq uint64) {
 		r.lease.heldUntil.Store(int64(until))
 		return
 	}
-	exp := make([]sim.Time, 0, r.n-1)
+	if exp, ok := r.nthGrant(need); ok {
+		r.lease.heldUntil.Store(int64(exp))
+	}
+}
+
+// nthGrant picks the need-th largest of the followers' grant expiries in
+// place — this runs on every lease-carrying ACCEPTED, and n is a handful,
+// so a rank count beats sorting a copy. A grant's rank is how many others
+// outlast it, ties broken by id so that ranks are distinct.
+func (r *Node) nthGrant(need int) (sim.Time, bool) {
 	for f, t := range r.lease.granted {
-		if node.ID(f) != r.me && t > 0 {
-			exp = append(exp, t)
+		if node.ID(f) == r.me || t == 0 {
+			continue
+		}
+		rank := 0
+		for g, u := range r.lease.granted {
+			if node.ID(g) != r.me && (u > t || (u == t && g < f)) {
+				rank++
+			}
+		}
+		if rank == need-1 {
+			return t, true
 		}
 	}
-	if len(exp) < need {
-		return
-	}
-	sort.Slice(exp, func(i, j int) bool { return exp[i] > exp[j] })
-	r.lease.heldUntil.Store(int64(exp[need-1]))
+	return 0, false // fewer than need followers have granted
 }
 
 // holdsLease reports whether local reads are safe right now: prepared,

@@ -15,8 +15,8 @@ import (
 // batch envelope). Every instance costs (n−1) ACCEPT + (n−1) ACCEPTED,
 // whatever the batch size, which is where batching's amortization comes
 // from, and the value crosses each link once: decisions are announced by
-// index (announceCommit), on the next ACCEPT when one leaves in the same
-// turn and as (n−1) value-free DECIDEs when none does.
+// index (announceCommit), on the ACCEPT that leaves at the end of the same
+// turn when one does and as (n−1) value-free DECIDEs when none does.
 
 // maxRetryTimeout caps retry backoffs.
 const maxRetryTimeout = 5 * time.Second
@@ -98,6 +98,7 @@ func (r *Node) launch(inst int, v consensus.Value, fl *flight) {
 	fl.ack(r.me)
 	r.log.accept(inst, r.prop.ballot, v)
 	r.cfg.Store.Accept(uint64(inst), uint64(r.prop.ballot), string(v))
+	r.persisted()
 	r.env.Broadcast(r.traced(fl.tctx, r.acceptMsg(inst, v)))
 }
 
@@ -180,6 +181,7 @@ func (r *Node) onAccept(from node.ID, m AcceptMsg) {
 		// ACCEPTED is out. The record also implies the promise at m.B, so
 		// no separate promise record is written here.
 		r.cfg.Store.Accept(uint64(m.Inst), uint64(m.B), string(m.V))
+		r.persisted()
 		// The ACCEPTED doubles as the lease ack for a piggybacked grant.
 		ack := r.noteGrant(m.B, m.LeaseSeq, now)
 		// A traced ACCEPT earns a synchronous "accept" span here and the
@@ -231,10 +233,10 @@ func (r *Node) maybeDecide(inst int) {
 		r.reads.barrierOwn = true
 	}
 	r.learn(inst, v)
-	// A window slot freed up: pull in queued work. An ACCEPT leaving now
-	// carries the new commit index; otherwise it goes out on its own.
-	r.pump()
-	r.announceCommit()
+	// A window slot freed up: the end of the turn pulls in queued work. An
+	// ACCEPT leaving then carries the new commit index; otherwise it goes
+	// out on its own.
+	r.pumpDue, r.commitDue = true, true
 }
 
 // announceCommit tells the followers how far the log is decided, once per

@@ -45,6 +45,7 @@ func (r *Node) startPrepare() {
 	// store before the PREPARE leaves this node.
 	r.cfg.Store.Ballot(uint64(r.prop.ballot))
 	r.cfg.Store.Promise(uint64(r.prop.ballot))
+	r.persisted()
 	r.prop.promises[r.me] = PromiseMsg{B: r.prop.ballot, Entries: r.undecidedAccepted()}
 	r.cfg.Tracer.Mark(r.prop.prepStarted, "prepare", -1)
 	r.env.Logf("rsm: preparing ballot %v", r.prop.ballot)
@@ -81,6 +82,7 @@ func (r *Node) onPrepare(from node.ID, m PrepareMsg) {
 			// Durable before visible: once the PROMISE is out, this acceptor
 			// may never again vote below m.B — not even after kill -9.
 			r.cfg.Store.Promise(uint64(m.B))
+			r.persisted()
 		}
 		if m.B > r.prop.ballot {
 			// A higher ballot exists: abdicate leader duties (and any
@@ -157,9 +159,9 @@ func (r *Node) maybeFinishPrepare() {
 	r.cfg.Tracer.Mark(r.env.Now(), "prepared", -1)
 	r.env.Logf("rsm: ballot %v prepared (%d constrained)", r.prop.ballot, len(insts))
 	// A freshly prepared ballot may find commands already queued; with or
-	// without them, the followers hear this ballot's commit index now.
-	r.pump()
-	r.announceCommit()
+	// without them, the followers hear this ballot's commit index at the
+	// end of the turn.
+	r.pumpDue, r.commitDue = true, true
 }
 
 func (r *Node) onNack(m NackMsg) {

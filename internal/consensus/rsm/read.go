@@ -65,6 +65,7 @@ func (r *Node) Read(seq uint64, count int) {
 		count = 1
 	}
 	r.onReadReq(r.me, ReadReqMsg{Seq: seq, Count: uint32(count), Origin: r.me})
+	r.settle()
 }
 
 // OnReadReply installs the read-reply hook, invoked once per served

@@ -117,7 +117,9 @@ type Config struct {
 	// Store persists the acceptor's promise and vote, the proposer's
 	// ballot, and the decision, so a restarted process re-enters the
 	// protocol bound by its pre-crash past. Nil selects durable.Nop.
-	// Single-decree consensus uses instance number 0 for every record.
+	// Single-decree consensus uses instance number 0 for every record,
+	// and flushes each one on the spot: a handful per decision, with
+	// nothing to batch them with.
 	Store durable.Store
 }
 
@@ -283,6 +285,7 @@ func (s *Node) startBallot() {
 	s.promised = s.cur
 	s.cfg.Store.Ballot(uint64(s.cur))
 	s.cfg.Store.Promise(uint64(s.cur))
+	s.cfg.Store.Flush()
 	s.promises[s.me] = PromiseMsg{B: s.cur, AccB: s.accB, AccV: s.accV}
 	s.env.Logf("synod: ballot %v opened", s.cur)
 	s.env.Broadcast(PrepareMsg{B: s.cur})
@@ -322,6 +325,7 @@ func (s *Node) onPrepare(from node.ID, m PrepareMsg) {
 		s.promised = m.B
 		// Durable before visible: the promise binds even across kill -9.
 		s.cfg.Store.Promise(uint64(m.B))
+		s.cfg.Store.Flush()
 		s.env.Send(from, PromiseMsg{B: m.B, AccB: s.accB, AccV: s.accV})
 	} else {
 		s.env.Send(from, NackMsg{B: m.B, Promised: s.promised})
@@ -365,6 +369,7 @@ func (s *Node) maybeFinishPrepare() {
 	s.accB = s.cur
 	s.accV = value
 	s.cfg.Store.Accept(0, uint64(s.cur), string(value))
+	s.cfg.Store.Flush()
 	s.env.Broadcast(AcceptMsg{B: s.cur, V: value})
 	s.maybeFinishAccept()
 }
@@ -392,6 +397,7 @@ func (s *Node) onAccept(from node.ID, m AcceptMsg) {
 		s.accV = m.V
 		// Durable before visible; the record also implies the promise.
 		s.cfg.Store.Accept(0, uint64(m.B), string(m.V))
+		s.cfg.Store.Flush()
 		s.env.Send(from, AcceptedMsg{B: m.B})
 	} else {
 		s.env.Send(from, NackMsg{B: m.B, Promised: s.promised})
@@ -423,6 +429,7 @@ func (s *Node) decide(v consensus.Value) {
 	s.decision = v
 	s.phase = phaseIdle
 	s.cfg.Store.Decide(0, string(v))
+	s.cfg.Store.Flush()
 	s.rec.Record(consensus.Decision{Instance: 0, Value: v, At: s.env.Now(), By: s.me})
 	s.env.Logf("synod: decided %q", string(v))
 	s.env.StopTimer(timerDrive)

@@ -5,9 +5,9 @@ import (
 	"testing"
 )
 
-// BenchmarkWALAppend measures the framed append path per fsync policy —
-// the per-vote cost a durable replica pays on top of the in-memory
-// protocol. SyncOff is the kill-9-durable mode; SyncAlways pays a real
+// BenchmarkWALAppend measures a flushed append per fsync policy — the
+// per-vote cost a durable replica pays on top of the in-memory protocol
+// when the vote is alone in its turn. SyncOff is the kill-9-durable mode; SyncAlways pays a real
 // fsync per record.
 func BenchmarkWALAppend(b *testing.B) {
 	policies := []struct {
@@ -29,8 +29,44 @@ func BenchmarkWALAppend(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				w.Accept(uint64(i), 7, "0123456789abcdef0123456789abcdef")
+				w.Flush()
 			}
 		})
+	}
+}
+
+// BenchmarkWALTurn is what buffering buys: one op is 16 votes, made
+// durable by one Flush at the end (a turn of the node loop) or by a Flush
+// after each (what every record cost before turns).
+func BenchmarkWALTurn(b *testing.B) {
+	for _, sync := range []struct {
+		name   string
+		policy SyncPolicy
+	}{{"off", SyncOff}, {"always", SyncAlways}} {
+		for _, perRecord := range []bool{false, true} {
+			name := sync.name + "/flush-per-turn"
+			if perRecord {
+				name = sync.name + "/flush-per-record"
+			}
+			b.Run(name, func(b *testing.B) {
+				w, err := Open(b.TempDir(), Options{Sync: sync.policy})
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer w.Close()
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					for k := 0; k < 16; k++ {
+						w.Accept(uint64(16*i+k), 7, "0123456789abcdef0123456789abcdef")
+						if perRecord {
+							w.Flush()
+						}
+					}
+					w.Flush()
+				}
+			})
+		}
 	}
 }
 

@@ -5,8 +5,9 @@
 // classic write-ahead log + snapshot pair:
 //
 //   - every state change that must survive a crash is appended to a
-//     segmented WAL as a length-prefixed, CRC-framed varint record
-//     before the message that reveals it leaves the node;
+//     segmented WAL as a length-prefixed, CRC-framed varint record, and
+//     the records of one turn of the node loop are written out together
+//     (Flush) before any message that reveals them leaves the node;
 //   - a snapshot absorbs the applied prefix (plus an opaque application
 //     payload) into a single checkpoint file, after which older WAL
 //     segments are deleted;
@@ -27,9 +28,11 @@ package durable
 // Store is the persistence hook set for a consensus automaton. The three
 // safety-critical points are Promise/Accept (acceptor votes) and Decide
 // (learned log entries); Ballot keeps the proposer from reusing a ballot
-// number it already attached a value to before the crash. Implementations
-// must make each call durable before returning — the caller sends the
-// corresponding protocol message immediately after.
+// number it already attached a value to before the crash. The four
+// record calls may buffer; what they recorded is durable by the time the
+// next Flush returns, so the caller flushes before it lets the
+// corresponding protocol messages out — once per turn on a runtime that
+// holds a turn's sends back (node.TurnEnd), after each record elsewhere.
 //
 // Methods take scalars and strings so the no-op implementation costs
 // nothing on the hot path (no []byte conversions, no boxing).
@@ -45,6 +48,9 @@ type Store interface {
 	Accept(inst, b uint64, v string)
 	// Decide records that instance inst decided value v.
 	Decide(inst uint64, v string)
+	// Flush makes every record so far durable: one write for all of
+	// them, one sync where the store's policy asks for it.
+	Flush()
 	// Snapshot absorbs a full checkpoint of the caller's state; on
 	// success the store may discard all records the checkpoint covers.
 	Snapshot(st *State) error
@@ -103,6 +109,7 @@ func (nopStore) Promise(uint64)               {}
 func (nopStore) Ballot(uint64)                {}
 func (nopStore) Accept(uint64, uint64, string) {}
 func (nopStore) Decide(uint64, string)        {}
+func (nopStore) Flush()                       {}
 func (nopStore) Snapshot(*State) error        { return nil }
 func (nopStore) State() *State                { return nil }
 func (nopStore) Close() error                 { return nil }

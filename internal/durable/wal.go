@@ -15,13 +15,15 @@ import (
 type SyncPolicy int
 
 const (
-	// SyncAlways fsyncs after every appended record: no acknowledged
-	// vote is ever lost, even to power failure. The slowest policy.
+	// SyncAlways fsyncs on every Flush, once for all the records it
+	// writes (a group commit the size of the caller's turn): no
+	// acknowledged vote is ever lost, even to power failure. The slowest
+	// policy.
 	SyncAlways SyncPolicy = iota
-	// SyncGroup fsyncs once per Options.GroupBytes of appended records
-	// (group commit): bounded loss on power failure, none on kill -9.
+	// SyncGroup fsyncs once per Options.GroupBytes of flushed records:
+	// bounded loss on power failure, none on kill -9.
 	SyncGroup
-	// SyncOff never fsyncs. Records still survive kill -9 — Append
+	// SyncOff never fsyncs. Records still survive kill -9 — Flush
 	// write()s them into the page cache before returning, and the
 	// kernel outlives the process — but not machine or power failure.
 	// The right mode for sims, soaks, and benchmarks.
@@ -56,11 +58,13 @@ func (o *Options) fill() {
 }
 
 // WAL is a disk-backed Store: a directory of numbered log segments plus
-// at most one checkpoint file. Concurrency: the consensus automaton is
+// at most one checkpoint file. Records are framed into a memory buffer
+// as they are appended and reach the segment when Flush writes the whole
+// buffer at once. Concurrency: the consensus automaton is
 // single-threaded, but a mutex guards against Close/Snapshot racing an
 // append from another goroutine; the lock is uncontended in practice.
 //
-// Append errors panic. Automaton callbacks cannot return errors, and a
+// Write errors panic. Automaton callbacks cannot return errors, and a
 // replica that cannot persist a vote must crash-stop rather than send
 // the message and later deny the vote — panicking is the safe response.
 type WAL struct {
@@ -68,16 +72,24 @@ type WAL struct {
 	opts Options
 
 	mu      sync.Mutex
-	f       *os.File // active segment
-	seq     uint64   // active segment number
-	size    int64    // bytes in the active segment
-	dirty   int      // bytes appended since the last fsync (SyncGroup)
-	payload []byte   // reused encode buffers
-	frame   []byte
-	st      *State // state recovered at Open; nil for a fresh dir
+	f       segFile // active segment
+	seq     uint64  // active segment number
+	size    int64   // bytes in the active segment
+	dirty   int     // bytes written since the last fsync (SyncGroup)
+	payload []byte  // reused encode buffer
+	buf     []byte  // framed records appended since the last Flush
+	st      *State  // state recovered at Open; nil for a fresh dir
 }
 
 var _ Store = (*WAL)(nil)
+
+// segFile is what the WAL asks of its active segment; an *os.File, except
+// where a test counts the calls.
+type segFile interface {
+	Write(p []byte) (int, error)
+	Sync() error
+	Close() error
+}
 
 func segName(seq uint64) string  { return fmt.Sprintf("wal-%016x.seg", seq) }
 func snapName(seq uint64) string { return fmt.Sprintf("snap-%016x.ckpt", seq) }
@@ -237,28 +249,41 @@ func (w *WAL) append(rec record) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.payload = appendRecordPayload(w.payload[:0], rec)
-	w.frame = appendFrame(w.frame[:0], w.payload)
-	if _, err := w.f.Write(w.frame); err != nil {
-		panic("durable: wal append: " + err.Error())
-	}
-	n := len(w.frame)
-	w.size += int64(n)
+	before := len(w.buf)
+	w.buf = appendFrame(w.buf, w.payload)
 	if w.opts.OnAppend != nil {
-		w.opts.OnAppend(n)
+		w.opts.OnAppend(len(w.buf) - before)
 	}
-	switch w.opts.Sync {
-	case SyncAlways:
-		w.fsync()
-	case SyncGroup:
-		w.dirty += n
-		if w.dirty >= w.opts.GroupBytes {
-			w.fsync()
-		}
-	}
+}
+
+// Flush writes every record appended since the last one with a single
+// write() and syncs as the policy says: the point at which they are
+// durable. Nothing appended, nothing done.
+func (w *WAL) Flush() {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.flush()
 	if w.size >= int64(w.opts.SegmentBytes) {
 		if err := w.rotate(); err != nil {
 			panic("durable: wal rotate: " + err.Error())
 		}
+	}
+}
+
+// flush is Flush less the rotation. Callers hold w.mu.
+func (w *WAL) flush() {
+	n := len(w.buf)
+	if n == 0 {
+		return
+	}
+	if _, err := w.f.Write(w.buf); err != nil {
+		panic("durable: wal write: " + err.Error())
+	}
+	w.buf = w.buf[:0]
+	w.size += int64(n)
+	w.dirty += n
+	if w.opts.Sync == SyncAlways || (w.opts.Sync == SyncGroup && w.dirty >= w.opts.GroupBytes) {
+		w.fsync()
 	}
 }
 
@@ -273,10 +298,11 @@ func (w *WAL) fsync() {
 	}
 }
 
-// rotate seals the active segment and starts the next one. Callers hold
-// w.mu.
+// rotate seals the active segment, buffered records included, and starts
+// the next one. Callers hold w.mu.
 func (w *WAL) rotate() error {
-	if w.opts.Sync != SyncOff && (w.dirty > 0 || w.opts.Sync == SyncAlways) {
+	w.flush()
+	if w.opts.Sync != SyncOff && w.dirty > 0 {
 		w.fsync()
 	}
 	if err := w.f.Close(); err != nil {
@@ -299,13 +325,13 @@ func (w *WAL) Snapshot(st *State) error {
 		return fmt.Errorf("durable: snapshot: %w", err)
 	}
 	w.payload = appendStatePayload(w.payload[:0], st)
-	w.frame = appendFrame(w.frame[:0], w.payload)
+	frame := appendFrame(nil, w.payload)
 	tmp := filepath.Join(w.dir, snapName(w.seq)+".tmp")
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return fmt.Errorf("durable: snapshot: %w", err)
 	}
-	if _, err := f.Write(w.frame); err == nil && w.opts.Sync != SyncOff {
+	if _, err := f.Write(frame); err == nil && w.opts.Sync != SyncOff {
 		err = f.Sync()
 	}
 	if err != nil {
@@ -347,6 +373,7 @@ func (w *WAL) Close() error {
 	if w.f == nil {
 		return nil
 	}
+	w.flush()
 	if w.opts.Sync != SyncOff && w.dirty > 0 {
 		w.fsync()
 	}

@@ -135,6 +135,7 @@ func TestCorruptMiddleSegmentFailsOpen(t *testing.T) {
 	w := openT(t, dir, Options{Sync: SyncOff, SegmentBytes: 64})
 	for i := 0; i < 50; i++ {
 		w.Decide(uint64(i), "0123456789abcdef")
+		w.Flush() // segments rotate as records are written, not as they are buffered
 	}
 	w.Close()
 	// Flip a byte in the first (non-newest) segment.
@@ -227,8 +228,14 @@ func TestGroupCommitAndRotationSurviveReopen(t *testing.T) {
 	})
 	for i := 0; i < 100; i++ {
 		w.Decide(uint64(i), "0123456789abcdef")
+		if i%3 == 2 {
+			w.Flush() // turns of three records: several per fsync group and per segment
+		}
 	}
 	w.Close()
+	if segs, _ := filepath.Glob(filepath.Join(dir, "wal-*.seg")); len(segs) < 5 {
+		t.Fatalf("%d segments after 100 records at 256 bytes each, want rotation", len(segs))
+	}
 	if fsyncs == 0 {
 		t.Fatal("group commit never fsynced")
 	}
@@ -246,5 +253,79 @@ func TestGroupCommitAndRotationSurviveReopen(t *testing.T) {
 	}
 	if recovered <= 0 {
 		t.Fatal("OnRecover never fired")
+	}
+}
+
+// countingFile is the counting seam: the active segment with its calls
+// tallied.
+type countingFile struct {
+	segFile
+	writes, syncs int
+}
+
+func (f *countingFile) Write(p []byte) (int, error) { f.writes++; return f.segFile.Write(p) }
+func (f *countingFile) Sync() error                 { f.syncs++; return f.segFile.Sync() }
+
+// TestFlushIsOneWriteOneSync: a turn's records cost one write() and, under
+// SyncAlways, one fsync — a group commit — however many there are; a
+// Flush with nothing appended costs neither.
+func TestFlushIsOneWriteOneSync(t *testing.T) {
+	dir := t.TempDir()
+	w := openT(t, dir, Options{Sync: SyncAlways})
+	cf := &countingFile{segFile: w.f}
+	w.f = cf
+	for i := 0; i < 16; i++ {
+		w.Accept(uint64(i), 7, "0123456789abcdef")
+	}
+	if cf.writes != 0 || cf.syncs != 0 {
+		t.Fatalf("appends alone made %d writes and %d fsyncs, want none before Flush", cf.writes, cf.syncs)
+	}
+	w.Flush()
+	w.Flush()
+	if cf.writes != 1 || cf.syncs != 1 {
+		t.Fatalf("16 appends + Flush made %d writes and %d fsyncs, want 1 and 1", cf.writes, cf.syncs)
+	}
+	// kill -9: the WAL is abandoned, not closed. What was flushed is there.
+	w2 := openT(t, dir, Options{Sync: SyncOff})
+	defer w2.Close()
+	if got := len(w2.State().Accepted); got != 16 {
+		t.Fatalf("recovered %d votes after Flush without Close, want 16", got)
+	}
+}
+
+// TestUnflushedRecordsDieWithTheProcess is the other half of the crash
+// argument: a record still in the buffer at kill -9 was never on disk —
+// which is why nothing that reveals it may leave before Flush.
+func TestUnflushedRecordsDieWithTheProcess(t *testing.T) {
+	dir := t.TempDir()
+	w := openT(t, dir, Options{Sync: SyncOff})
+	w.Accept(0, 7, "flushed")
+	w.Flush()
+	w.Accept(1, 7, "buffered")
+	// Abandoned here.
+	w2 := openT(t, dir, Options{Sync: SyncOff})
+	defer w2.Close()
+	st := w2.State()
+	if len(st.Accepted) != 1 || st.Accepted[0].V != "flushed" {
+		t.Fatalf("recovered %+v, want only the flushed vote", st.Accepted)
+	}
+}
+
+// TestSnapshotKeepsBufferedRecordsBelowIt: records buffered when a
+// checkpoint is taken land in the segment the checkpoint seals, not after
+// it — a stale vote replayed over the checkpoint would resurrect state it
+// had absorbed.
+func TestSnapshotKeepsBufferedRecordsBelowIt(t *testing.T) {
+	dir := t.TempDir()
+	w := openT(t, dir, Options{Sync: SyncOff})
+	w.Accept(5, 7, "old") // above the index: replayed if it lands after the checkpoint
+	if err := w.Snapshot(&State{Promised: 9, SnapIndex: 1, SnapCount: 1}); err != nil {
+		t.Fatal(err)
+	}
+	w.Close()
+	w2 := openT(t, dir, Options{Sync: SyncOff})
+	defer w2.Close()
+	if st := w2.State(); len(st.Accepted) != 0 || st.Promised != 9 {
+		t.Fatalf("recovered %+v, want the checkpoint alone", st)
 	}
 }

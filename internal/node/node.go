@@ -78,6 +78,21 @@ type Env interface {
 	Logf(format string, args ...any)
 }
 
+// TurnEnd is a reserved timer key: the end-of-turn signal of a runtime
+// that handles events in turns. A live node loop wakes to whatever has
+// queued up since it last looked; it delivers all of it (bounded), then
+// calls Tick(TurnEnd) once, and only when that returns puts the messages
+// sent during the turn — the signal's own included — on the network. An
+// automaton that can do once per turn what it would otherwise do once per
+// event (form one batch, write its log once) defers that work to the
+// signal; every other automaton ignores the key like any key it does not
+// own. It travels as a Tick so that Compose and every wrapper that
+// forwards Start/Deliver/Tick carries it without knowing. The first one
+// follows Start, so an automaton that has never seen it is on a runtime
+// without turns (World, a hand-driven test Env), where each event is a
+// turn of one and nothing may be deferred. No runtime arms it as a timer.
+const TurnEnd = "node/turn-end"
+
 // Automaton is a protocol state machine. Implementations must be fully
 // event-driven: all state changes happen inside these callbacks.
 type Automaton interface {

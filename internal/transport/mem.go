@@ -237,7 +237,7 @@ func (c *Cluster) Stop() {
 	}
 	c.mu.Unlock()
 	for _, s := range c.stations {
-		s.mbox.close()
+		s.mbox.Close()
 	}
 	c.wg.Wait()
 }

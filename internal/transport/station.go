@@ -1,3 +1,10 @@
+// Package transport runs the protocol automatons on real time and real
+// concurrency instead of the deterministic simulator: one goroutine per
+// process, wall-clock timers, and either an in-memory network with
+// injected delay/loss or real UDP/TCP sockets on the loopback interface.
+// Messages cross process boundaries through the binary codec
+// (internal/wire), so live runs exercise serialization exactly as a
+// deployment would. The examples/livecluster program demonstrates it.
 package transport
 
 import (
@@ -7,18 +14,24 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/loop"
 	"repro/internal/node"
 	"repro/internal/sim"
 )
 
-// event is one unit of work for a node loop: a delivery, a timer firing,
+// event is one unit of work for a node loop: a delivery, a timer expiry,
 // or a reboot carrying the next incarnation's automaton.
 type event struct {
 	from     node.ID
 	msg      node.Message
 	timerKey string
-	timerGen uint64
 	reboot   node.Automaton
+}
+
+// held is one message an automaton sent during the current turn.
+type held struct {
+	to node.ID
+	m  node.Message
 }
 
 // sender is how a station hands an outbound message to the network layer.
@@ -34,7 +47,9 @@ type sender interface {
 // loops, UDP receive loops, mem delivery timers), skipping the station
 // loop's serialization point entirely. DeliverConcurrent reports whether
 // the message was consumed; on false the message takes the ordinary
-// station-loop path.
+// station-loop path. Such an automaton also sends from goroutines of its
+// own, which the station's turns know nothing of: its sends go straight
+// to the network, and holding them for a turn's end is its own loops' job.
 type ConcurrentDeliverer interface {
 	DeliverConcurrent(from node.ID, m node.Message) bool
 }
@@ -50,18 +65,20 @@ func boxOf(a node.Automaton) fastBox {
 
 // station runs one process: a single goroutine consumes the mailbox and
 // invokes the automaton, so the node.Env single-threading contract holds.
+// It works in turns (see node.TurnEnd and DESIGN.md "Turns").
 type station struct {
 	id        node.ID
 	n         int
 	automaton node.Automaton
-	mbox      *mailbox
+	mbox      *loop.Mailbox[event]
 	net       sender
 	start     time.Time
 	logf      func(format string, args ...any)
 
-	// timers maps key → latest generation; a timer event fires only if
-	// its generation is still current. Accessed only from the node loop.
-	timers map[string]uint64
+	// timers and outbox — what the automaton sent this turn, in order,
+	// not yet on the network — are touched only from the node loop.
+	timers *loop.Timers
+	outbox []held
 
 	crashed atomic.Bool
 	done    chan struct{}
@@ -84,62 +101,61 @@ func newStation(id node.ID, n int, a node.Automaton, net sender, start time.Time
 		id:        id,
 		n:         n,
 		automaton: a,
-		mbox:      newMailbox(),
+		mbox:      loop.NewMailbox[event](),
 		net:       net,
 		start:     start,
 		logf:      logf,
-		timers:    make(map[string]uint64),
 		done:      make(chan struct{}),
 	}
+	s.timers = loop.NewTimers(func(key string) { s.mbox.Push(event{timerKey: key}) })
 	s.fast.Store(boxOf(a))
 	return s
 }
 
-// run is the node loop; it returns when the mailbox closes. Each wake-up
-// drains the whole mailbox in one batch, so the per-event cost is a slice
-// read, not a lock acquisition.
+// run is the node loop; it returns when the mailbox closes. Booting is
+// the first turn.
 func (s *station) run(wg *sync.WaitGroup) {
 	defer wg.Done()
 	defer close(s.done)
 	s.automaton.Start(s)
-	var batch []event
-	for range s.mbox.C {
-		for {
-			batch = s.mbox.drain(batch[:0])
-			if len(batch) == 0 {
-				break
-			}
-			for i := range batch {
-				s.dispatch(batch[i])
-				batch[i] = event{} // do not retain messages until the next batch
-			}
-		}
-		if s.mbox.isClosed() {
-			return
-		}
-	}
+	s.endTurn()
+	loop.Run(s.mbox, s.dispatch, s.endTurn)
 }
 
 func (s *station) dispatch(e event) {
-	if e.reboot != nil {
+	switch {
+	case e.reboot != nil:
 		// Handled before the crashed check: the whole point is waking a
 		// crashed process. Runs on the node loop, so the new automaton's
 		// Start sees the same single-threaded Env as a boot-time Start.
 		s.rebootNow(e.reboot)
-		return
-	}
-	if s.crashed.Load() {
-		return
-	}
-	if e.timerKey != "" {
-		if s.timers[e.timerKey] != e.timerGen {
-			return // superseded or stopped
+	case e.timerKey != "":
+		// Fired first: an expiry a crashed process drops still comes off
+		// the timer table's books.
+		if s.timers.Fired(e.timerKey) && !s.crashed.Load() {
+			s.automaton.Tick(e.timerKey)
 		}
-		delete(s.timers, e.timerKey)
-		s.automaton.Tick(e.timerKey)
-		return
+	case !s.crashed.Load():
+		s.automaton.Deliver(e.from, e.msg)
 	}
-	s.automaton.Deliver(e.from, e.msg)
+}
+
+// endTurn gives the automaton the end-of-turn signal and then releases
+// what it sent during the turn. A crash in mid-turn drops whatever has not
+// reached the network by then, like the RAM it was in: had the signal
+// made those sends' records durable they are merely unseen, and where it
+// never ran the records were never written either (DESIGN.md "Turns").
+func (s *station) endTurn() {
+	if !s.crashed.Load() {
+		s.automaton.Tick(node.TurnEnd)
+	}
+	for i, h := range s.outbox {
+		if !s.crashed.Load() {
+			s.net.send(s.id, h.to, h.m)
+		}
+		s.outbox[i] = held{}
+	}
+	s.outbox = s.outbox[:0]
 }
 
 // deliver enqueues an inbound message. When the automaton supports
@@ -157,7 +173,7 @@ func (s *station) deliver(from node.ID, m node.Message) {
 			return
 		}
 	}
-	s.mbox.push(event{from: from, msg: m})
+	s.mbox.Push(event{from: from, msg: m})
 }
 
 // crash makes the station inert (crash-stop).
@@ -169,17 +185,18 @@ func (s *station) crash() {
 // typically one rebuilt from the process's durable store. Safe from any
 // goroutine; the swap itself happens on the node loop.
 func (s *station) reboot(a node.Automaton) {
-	s.mbox.push(event{reboot: a})
+	s.mbox.Push(event{reboot: a})
 }
 
-// rebootNow performs the restart on the node loop: every timer of the
-// previous incarnation is invalidated (its RAM died with it; pending
-// AfterFuncs fire into stale generations), the automaton is swapped, and
-// the new incarnation boots exactly like a fresh process.
+// rebootNow performs the restart on the node loop: every timer and every
+// unreleased send of the previous incarnation is dropped (its RAM died
+// with it), the automaton is swapped, and the new incarnation boots
+// exactly like a fresh process — within the current turn, whose end
+// releases what its Start sent.
 func (s *station) rebootNow(a node.Automaton) {
-	for k := range s.timers {
-		s.timers[k]++
-	}
+	s.timers.StopAll()
+	clear(s.outbox)
+	s.outbox = s.outbox[:0]
 	s.automaton = a
 	s.fast.Store(boxOf(a)) // receive goroutines route to the new incarnation
 	s.crashed.Store(false)
@@ -188,7 +205,7 @@ func (s *station) rebootNow(a node.Automaton) {
 
 // stop terminates the node loop.
 func (s *station) stop() {
-	s.mbox.close()
+	s.mbox.Close()
 	<-s.done
 }
 
@@ -203,7 +220,7 @@ func (s *station) N() int { return s.n }
 // Now implements node.Env: wall-clock time since the cluster started.
 func (s *station) Now() sim.Time { return sim.Time(time.Since(s.start).Nanoseconds()) }
 
-// Send implements node.Env.
+// Send implements node.Env: m waits in the outbox for the end of the turn.
 func (s *station) Send(to node.ID, m node.Message) {
 	if s.crashed.Load() {
 		return
@@ -211,7 +228,11 @@ func (s *station) Send(to node.ID, m node.Message) {
 	if to == s.id {
 		panic(fmt.Sprintf("transport: process %d sending to itself", s.id))
 	}
-	s.net.send(s.id, to, m)
+	if s.fast.Load().(fastBox).d != nil {
+		s.net.send(s.id, to, m) // not from the node loop (see ConcurrentDeliverer)
+		return
+	}
+	s.outbox = append(s.outbox, held{to, m})
 }
 
 // Broadcast implements node.Env.
@@ -229,20 +250,11 @@ func (s *station) SetTimer(key string, d time.Duration) {
 	if s.crashed.Load() {
 		return
 	}
-	gen := s.timers[key] + 1
-	s.timers[key] = gen
-	time.AfterFunc(d, func() {
-		s.mbox.push(event{timerKey: key, timerGen: gen})
-	})
+	s.timers.Set(key, d)
 }
 
 // StopTimer implements node.Env.
-func (s *station) StopTimer(key string) {
-	// Bumping the generation invalidates the pending AfterFunc event.
-	if _, ok := s.timers[key]; ok {
-		s.timers[key]++
-	}
-}
+func (s *station) StopTimer(key string) { s.timers.Stop(key) }
 
 // Logf implements node.Env.
 func (s *station) Logf(format string, args ...any) {

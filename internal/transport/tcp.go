@@ -295,7 +295,7 @@ func (c *TCPCluster) Stop() {
 	close(c.stopCh)
 	c.closeAll()
 	for _, s := range c.stations {
-		s.mbox.close()
+		s.mbox.Close()
 	}
 	c.wg.Wait()
 	// The senders have exited and nothing enqueues after stopCh closes;

@@ -1,0 +1,307 @@
+package transport
+
+import (
+	"fmt"
+	"path/filepath"
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/consensus"
+	"repro/internal/consensus/rsm"
+	"repro/internal/core"
+	"repro/internal/durable"
+	"repro/internal/loop"
+	"repro/internal/node"
+)
+
+// wireTap is a sender that records what reached the network, in order.
+type wireTap struct {
+	mu   sync.Mutex
+	sent []held
+}
+
+func (w *wireTap) send(_, to node.ID, m node.Message) {
+	w.mu.Lock()
+	w.sent = append(w.sent, held{to, m})
+	w.mu.Unlock()
+}
+
+func (w *wireTap) count() int {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return len(w.sent)
+}
+
+// echo answers every delivery with one message and every end-of-turn
+// signal with one more, noting at each signal how many deliveries the turn
+// had and how much was on the wire when it came.
+type echo struct {
+	env       node.Env
+	w         *wireTap
+	open      int // deliveries since the last signal
+	turns     []int
+	onWire    []int
+	crashAt   int // crash the station inside this delivery (0: never)
+	delivered int
+	crash     func()
+}
+
+func (e *echo) Start(env node.Env) { e.env = env }
+
+func (e *echo) Deliver(_ node.ID, m node.Message) {
+	e.open++
+	if e.delivered++; e.delivered == e.crashAt {
+		e.crash()
+	}
+	e.env.Send(1, m)
+}
+
+func (e *echo) Tick(key string) {
+	if key != node.TurnEnd {
+		return
+	}
+	e.turns = append(e.turns, e.open)
+	e.onWire = append(e.onWire, e.w.count())
+	e.open = 0
+	e.env.Send(1, pingMsg())
+}
+
+func TestQueuedMessagesAreOneTurn(t *testing.T) {
+	const k = 10
+	w := &wireTap{}
+	a := &echo{w: w}
+	s := newStation(0, 2, a, w, time.Now(), func(string, ...any) {})
+	for i := 0; i < k; i++ {
+		s.deliver(1, core.LeaderMsg{Epoch: uint64(i)})
+	}
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go s.run(&wg)
+	waitFor(t, 5*time.Second, func() bool { return w.count() == 1+k+1 }, "the turn's sends")
+	s.stop()
+	// Boot is a turn of no deliveries; then the k queued messages are one.
+	if fmt.Sprint(a.turns) != fmt.Sprint([]int{0, k}) {
+		t.Fatalf("turns saw %v deliveries, want [0 %d]: one signal for everything queued", a.turns, k)
+	}
+	// Nothing of a turn is on the wire when its signal comes — only the
+	// boot turn's one message, released before the second turn began.
+	if fmt.Sprint(a.onWire) != fmt.Sprint([]int{0, 1}) {
+		t.Fatalf("wire held %v messages at the signals, want [0 1]", a.onWire)
+	}
+	// Released in the order sent, the signal's own message last.
+	for i := 0; i < k; i++ {
+		if got := w.sent[1+i].m.(core.LeaderMsg).Epoch; got != uint64(i) {
+			t.Fatalf("wire message %d is epoch %d: sends reordered", i, got)
+		}
+	}
+	if w.sent[k+1].m != pingMsg() {
+		t.Fatalf("last on the wire is %+v, want the signal's own send", w.sent[k+1].m)
+	}
+}
+
+func TestLongBacklogIsSplitIntoTurns(t *testing.T) {
+	const k = 2*loop.MaxTurn + 7
+	w := &wireTap{}
+	a := &echo{w: w}
+	s := newStation(0, 2, a, w, time.Now(), func(string, ...any) {})
+	for i := 0; i < k; i++ {
+		s.deliver(1, core.LeaderMsg{Epoch: uint64(i)})
+	}
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go s.run(&wg)
+	waitFor(t, 5*time.Second, func() bool { return w.count() == k+4 }, "the backlog's sends")
+	s.stop()
+	if fmt.Sprint(a.turns) != fmt.Sprint([]int{0, loop.MaxTurn, loop.MaxTurn, 7}) {
+		t.Fatalf("turns saw %v deliveries, want the backlog cut at %d", a.turns, loop.MaxTurn)
+	}
+	// Each turn's sends were out before the next turn's signal.
+	if want := []int{0, 1, loop.MaxTurn + 2, 2*loop.MaxTurn + 3}; fmt.Sprint(a.onWire) != fmt.Sprint(want) {
+		t.Fatalf("wire held %v messages at the signals, want %v", a.onWire, want)
+	}
+}
+
+func TestCrashInMidTurnDropsTheOutbox(t *testing.T) {
+	const k, crashAt = 10, 4
+	w := &wireTap{}
+	a := &echo{w: w, crashAt: crashAt}
+	s := newStation(0, 2, a, w, time.Now(), func(string, ...any) {})
+	a.crash = s.crash
+	for i := 0; i < k; i++ {
+		s.deliver(1, core.LeaderMsg{Epoch: uint64(i)})
+	}
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go s.run(&wg)
+	waitFor(t, 5*time.Second, func() bool { return s.crashed.Load() }, "the crash")
+	s.stop() // returns once the loop has finished the turn
+	if a.delivered != crashAt {
+		t.Fatalf("%d deliveries, want none after the crash in delivery %d", a.delivered, crashAt)
+	}
+	if len(a.turns) != 1 {
+		t.Fatalf("signals %v: the crashed turn must not be signalled", a.turns)
+	}
+	if n := w.count(); n != 1 {
+		t.Fatalf("%d messages on the wire, want the boot turn's alone: the crashed turn's %d sends die with it", n, crashAt-1)
+	}
+}
+
+// acceptedTap notes every vote one follower's ACCEPTEDs told the leader of.
+type acceptedTap struct {
+	from node.ID
+	mu   sync.Mutex
+	seen map[int]consensus.Ballot // instance → highest ballot acknowledged
+}
+
+func (a *acceptedTap) Start(node.Env) {}
+func (a *acceptedTap) Tick(string)    {}
+func (a *acceptedTap) Deliver(from node.ID, m node.Message) {
+	if acc, ok := m.(rsm.AcceptedMsg); ok && from == a.from {
+		a.mu.Lock()
+		a.seen[acc.Inst] = max(a.seen[acc.Inst], acc.B)
+		a.mu.Unlock()
+	}
+}
+
+// TestSentVoteIsRecovered is the crash argument for buffered appends,
+// end to end on the mem transport with real WALs: a follower is killed
+// (its WAL abandoned, never closed) at arbitrary points under a stream of
+// writes, and every vote the leader ever heard from it must be in what
+// its WAL directory recovers — the ACCEPTED left only after the turn's
+// flush. Then it is restarted from that directory and the drill repeats.
+func TestSentVoteIsRecovered(t *testing.T) {
+	const n, victim = 3, 2
+	base := t.TempDir()
+	dir := func(i int) string { return filepath.Join(base, fmt.Sprint("p", i)) }
+	openStore := func(i int) *durable.WAL {
+		w, err := durable.Open(dir(i), durable.Options{Sync: durable.SyncOff})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return w
+	}
+	tap := &acceptedTap{from: victim, seen: map[int]consensus.Ballot{}}
+	dets := make([]*core.Detector, n)
+	logs := make([]*rsm.Node, n)
+	build := func(i int) node.Automaton {
+		dets[i] = core.New(core.WithEta(5*time.Millisecond), core.WithRebuff())
+		logs[i] = rsm.New(dets[i], rsm.Config{DriveInterval: 5 * time.Millisecond, Store: openStore(i)})
+		if i == 0 {
+			return node.Compose(dets[i], logs[i], tap)
+		}
+		return node.Compose(dets[i], logs[i])
+	}
+	autos := make([]node.Automaton, n)
+	for i := range autos {
+		autos[i] = build(i)
+	}
+	c, err := NewCluster(Config{N: n, Seed: 17, Quiet: true, MaxDelay: 200 * time.Microsecond}, autos)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Start()
+	defer c.Stop()
+	waitFor(t, 20*time.Second, func() bool {
+		l, ok := agreement(dets, nil)
+		return ok && l == 0
+	}, "initial agreement on p0")
+
+	stop := make(chan struct{})
+	var clients sync.WaitGroup
+	clients.Add(1)
+	go func() { // a client at p1 sending bursts to the leader
+		defer clients.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			for k := 0; k < 5; k++ {
+				c.Inject(1, 0, rsm.RequestMsg{V: consensus.Value(fmt.Sprint("cmd-", i, "-", k))})
+			}
+			time.Sleep(300 * time.Microsecond)
+		}
+	}()
+	defer func() { close(stop); clients.Wait() }()
+
+	checked := 0
+	for round := 0; round < 4; round++ {
+		heard := func() int { tap.mu.Lock(); defer tap.mu.Unlock(); return len(tap.seen) }
+		before := heard()
+		waitFor(t, 20*time.Second, func() bool { return heard() >= before+50 }, "votes from the victim")
+		time.Sleep(time.Duration(round) * 137 * time.Microsecond) // land the kill at different points of a turn
+		c.Crash(victim)
+		time.Sleep(20 * time.Millisecond) // what it sent before dying has arrived; its loop has wound down
+
+		w := openStore(victim) // the dead incarnation's handle is abandoned, as kill -9 would
+		st := w.State()
+		voted := map[int]consensus.Ballot{}
+		for _, a := range st.Accepted {
+			voted[int(a.Inst)] = consensus.Ballot(a.B)
+		}
+		for _, d := range st.Decided {
+			voted[int(d.Inst)] = ^consensus.Ballot(0) // decided: beyond any vote
+		}
+		tap.mu.Lock()
+		for inst, b := range tap.seen {
+			if got, ok := voted[inst]; inst >= int(st.SnapIndex) && (!ok || got < b) {
+				t.Errorf("round %d: the leader heard p%d vote for instance %d at ballot %v; its WAL recovers %v (found %v)", round, victim, inst, b, got, ok)
+			}
+		}
+		checked += len(tap.seen)
+		tap.mu.Unlock()
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		c.Restart(victim, build(victim))
+	}
+	if checked < 200 {
+		t.Fatalf("only %d votes checked", checked)
+	}
+}
+
+// BenchmarkStationTurn is one steady-state turn of a leader's node loop:
+// ten client requests and the vote that completes the previous instance,
+// then the end of the turn — one pump, one ACCEPT broadcast carrying the
+// commit index, one release. ns/op and allocs/op are per turn of ten
+// commands.
+func BenchmarkStationTurn(b *testing.B) {
+	const burst = 10
+	leader := rsm.New(consensus.StaticLeader(0), rsm.Config{BatchMax: 16, Window: 8})
+	s := newStation(0, 3, leader, discard{}, time.Now(), func(string, ...any) {})
+	leader.Start(s)
+	leader.Tick("rsm/drive") // opens the ballot
+	ballot := s.outbox[0].m.(rsm.PrepareMsg).B
+	s.endTurn()
+	s.dispatch(event{from: 1, msg: rsm.PromiseMsg{B: ballot}})
+	s.endTurn()
+	if !leader.IsLeader() {
+		b.Fatal("leader not prepared")
+	}
+	reqs := make([]node.Message, burst)
+	for i := range reqs {
+		reqs[i] = rsm.RequestMsg{V: consensus.Value(fmt.Sprintf("command-%02d-with-a-64-byte-payload-like-the-benchmark-sends....", i))}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i > 0 {
+			s.dispatch(event{from: 1, msg: rsm.AcceptedMsg{B: ballot, Inst: i - 1}})
+		}
+		for _, m := range reqs {
+			s.dispatch(event{from: 2, msg: m})
+		}
+		s.endTurn()
+	}
+	b.StopTimer()
+	if got := leader.FirstGap(); got != b.N-1 {
+		b.Fatalf("decided %d instances in %d turns", got, b.N)
+	}
+}
+
+// discard is a network that drops everything.
+type discard struct{}
+
+func (discard) send(_, _ node.ID, _ node.Message) {}

@@ -170,7 +170,7 @@ func (c *UDPCluster) Stop() {
 	c.mu.Unlock()
 	c.closeConns()
 	for _, s := range c.stations {
-		s.mbox.close()
+		s.mbox.Close()
 	}
 	c.wg.Wait()
 }
