@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test bench-check bench-pairs test-race soak recovery-soak telemetry-smoke trace-smoke bench bench-micro bench-json bench-wire bench-consensus bench-consensus-mc bench-durable tables
+.PHONY: all build vet test loc bench-check bench-pairs test-race soak recovery-soak telemetry-smoke trace-smoke bench bench-micro bench-json bench-wire bench-consensus bench-consensus-mc bench-durable tables
 
 all: vet test
 
@@ -12,6 +12,13 @@ vet:
 
 test: bench-check
 	$(GO) test ./...
+
+# Non-test Go lines per package, with the total for the observability set
+# (obs, metrics, tracing, telemetry, traceview) and for cmd/: the unit
+# ROADMAP items 2 and 4 are accepted in. scripts/loc.sh DIR counts another
+# checkout, e.g. the parent commit's.
+loc:
+	bash scripts/loc.sh
 
 # The repository benchmark is a nested module (bench/go.mod), so ./...
 # does not descend into it: an API change under internal/ that breaks it
@@ -56,7 +63,7 @@ soak:
 	$(GO) test -race -count=1 ./cmd/chaossoak/
 endif
 
-# Kill -9 recovery soak under the race detector (DESIGN.md §15): the
+# Kill -9 recovery soak under the race detector (DESIGN.md §14): the
 # leader dies mid-batch, restarts from its write-ahead log, and must
 # rejoin, catch up, and regain proposer eligibility; afterwards every
 # WAL is reopened twice to check deterministic recovery and
@@ -76,7 +83,11 @@ recovery-soak:
 # Boot wireload with the telemetry endpoint, scrape /healthz and /metrics
 # mid-run with curl, and let the run finish. /healthz reads 503 here by
 # design: wireload's stations run no detector, so no leader agreement ever
-# forms — the scrape proves the endpoint, not the election.
+# forms — the scrape proves the endpoint, not the election. The omegasim
+# line proves the election: a simulated leader crash reaches the collector
+# through the world's own obs.Down, so the finished run's /healthz must
+# answer 200 with the survivors' leader (curl -f fails on the 503 it
+# answered before the runtimes reported crashes themselves).
 telemetry-smoke:
 	$(GO) build -o /tmp/wireload-smoke ./cmd/wireload
 	/tmp/wireload-smoke -transport tcp -dur 4s -metrics-addr 127.0.0.1:9109 & \
@@ -84,6 +95,11 @@ telemetry-smoke:
 	curl -sS http://127.0.0.1:9109/healthz; \
 	curl -fsS http://127.0.0.1:9109/metrics | grep -E 'omega_(sent_total|active_links|leader) ' ; \
 	wait $$pid
+	$(GO) build -o /tmp/omegasim-smoke ./cmd/omegasim
+	/tmp/omegasim-smoke -crash 0@300ms -metrics-addr 127.0.0.1:9110 & \
+	pid=$$!; sleep 2; \
+	curl -fsS http://127.0.0.1:9110/healthz | grep '"leader": 1'; rc=$$?; \
+	kill -INT $$pid; wait $$pid; exit $$rc
 
 # Full benchmark suite (experiment regeneration + substrate micro-benches).
 bench:
@@ -103,11 +119,11 @@ bench:
 # sixteen votes flushed once against sixteen flushed one by one, and
 # SubmitWithBacklog a follower's Submit behind forty outstanding commands.
 bench-micro:
-	$(GO) test -run '^$$' -bench 'SinkRecordSend|StatsRecordSendLegacy|Wire' -benchmem .
+	$(GO) test -run '^$$' -bench 'SinkRecordSend|Wire' -benchmem .
 	$(GO) test -run '^$$' -bench 'RecorderRecord|BatcherPumpFull|ApplyBatch16|FollowerCommit|SubmitWithBacklog' -benchmem ./internal/consensus ./internal/consensus/rsm
 	$(GO) test -run '^$$' -bench 'StationTurn|WALTurn' -benchmem ./internal/transport ./internal/durable
 
-# End-to-end tracing smoke (DESIGN.md §17): a traced consensus load run
+# End-to-end tracing smoke (DESIGN.md §8): a traced consensus load run
 # and a traced chaossoak leader-crash run, then traceview over both sets
 # of flight-recorder dumps. -require-request gates on at least one
 # complete request→queue→quorum→apply chain; -require-election gates on

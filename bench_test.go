@@ -210,22 +210,6 @@ func BenchmarkSinkRecordSendParallel(b *testing.B) {
 	})
 }
 
-// BenchmarkStatsRecordSendLegacy measures the string-kind compatibility
-// wrapper (interner lookup included) for comparison with the pre-interned
-// sink path.
-func BenchmarkStatsRecordSendLegacy(b *testing.B) {
-	const n, window = 8, 1024
-	stats := metrics.NewMessageStatsWindow(n, window)
-	for i := 0; i < n*window+1; i++ {
-		stats.RecordSend(sim.Time(i), i%n, (i+1)%n, "LEADER")
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		stats.RecordSend(sim.Time(i), i%n, (i+1)%n, "LEADER")
-	}
-}
-
 // BenchmarkWireHeartbeatEncode measures encoding the steady-state leader
 // heartbeat into a reused buffer; with the pooled append-style path this
 // must stay allocation-free.

@@ -51,7 +51,6 @@ import (
 	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
-	"repro/internal/trace"
 	"repro/internal/tracing"
 	"repro/internal/transport"
 )
@@ -183,7 +182,10 @@ func run(args []string) (err error) {
 		return fmt.Errorf("unknown plan %q (want crash, partition, chaos, full)", *planName)
 	}
 
-	tel := telemetry.New(*n, telemetry.WithHeartbeatKinds(core.KindLeader))
+	// The observer: the collector, the flight recorder and the event-log
+	// tail are three subscribers of the one sink the cluster, the WALs and
+	// every replica's History and Recorder report into.
+	tel := telemetry.New(*n)
 	s.tel = tel
 	if *traceDir != "" {
 		// The flight recorder: spans from every layer land in per-process
@@ -191,6 +193,11 @@ func run(args []string) (err error) {
 		// fsyncs, drops) snapshot them into trace-*.json dumps.
 		s.tset = tracing.New(tracing.Config{Procs: *n, Dir: *traceDir, SampleEvery: *traceSample})
 	}
+	var tail *tracing.Set
+	if *traceTail > 0 {
+		tail = tracing.New(tracing.Config{Procs: *n, Limit: *traceTail})
+	}
+	s.observer = obs.Tee(tel, s.tset.Sink(), tail.MessageSink())
 	var autos []node.Automaton
 	if s.groups > 0 {
 		autos, err = s.buildGroupReplicas(*n)
@@ -200,24 +207,10 @@ func run(args []string) (err error) {
 	if err != nil {
 		return err
 	}
-	var ring *trace.Log
-	sinks := []obs.Sink{tel}
-	if *traceTail > 0 {
-		ring = trace.NewRing(*traceTail)
-		ring.SetWallStart(time.Now())
-		sinks = append(sinks, ring.MessageSink())
-	}
-	if s.tset != nil {
-		sinks = append(sinks, s.tset.Sink())
-	}
-	observer := obs.Sink(tel)
-	if len(sinks) > 1 {
-		observer = obs.Tee(sinks...)
-	}
 	cfg := transport.Config{
 		N: *n, Seed: *seed, Quiet: true, Fault: s.inj,
-		WriteTimeout: 200 * time.Millisecond, Observer: observer,
-		OnFlush: tel.RecordFlush,
+		WriteTimeout: 200 * time.Millisecond, Observer: s.observer,
+		OnFlush: telemetry.FlushHook(s.observer),
 	}
 	var c cluster
 	switch *transportName {
@@ -241,26 +234,16 @@ func run(args []string) (err error) {
 	// construction just above) so span offsets and telemetry wall times
 	// merge on the same axis.
 	s.tset.SetWallStart(time.Now())
+	tail.SetWallStart(time.Now())
 	tel.AttachStats(c.Stats())
 	// Omega watching stays unsharded-only: each group's detectors speak a
 	// rotated logical id space, so the cluster-wide leader gauge would read
 	// garbage. Sharded runs get per-group labeled series instead.
-	// Tracing subscribes after telemetry: WatchOmega installs via
-	// SetNotify, which replaces every hook installed before it.
-	for i, d := range s.dets {
-		tel.WatchOmega(node.ID(i), d.History())
-		d.History().AddNotify(s.tset.WatchLeader(i))
-	}
-	for i, l := range s.logs {
-		tel.WatchRecorder(node.ID(i), l.Recorder())
-		tel.WatchLease(func() (bool, uint64, uint64) {
-			return l.LeaseHeld(), l.LocalReads(), l.FallbackReads()
-		})
+	for i := range s.logs {
+		s.attach(node.ID(i))
 	}
 	for i := range s.glogs {
-		for g := 0; g < s.groups; g++ {
-			tel.WatchGroupRecorder(g, node.ID(i), s.glogs[i][g].Recorder())
-		}
+		s.attachGroups(node.ID(i))
 	}
 	if *metricsAddr != "" {
 		var opts []telemetry.ServeOption
@@ -325,20 +308,19 @@ func run(args []string) (err error) {
 	}
 	st := c.Stats()
 	fmt.Printf("traffic:   sent=%d delivered=%d dropped=%d\n", st.TotalSent(), st.Delivered(), st.Dropped())
-	if down := tel.ElectionDowntime(); down.Count > 0 {
+	if down := tel.Hist(telemetry.ElectionDowntime); down.Count > 0 {
 		fmt.Printf("telemetry: elections=%d downtime p50=%v max=%v decide p99=%v hb-gap p99=%v\n",
 			tel.Elections(), down.Quantile(0.5), down.Max,
-			tel.DecisionLatency().Quantile(0.99), tel.HeartbeatJitter().Quantile(0.99))
+			tel.Hist(telemetry.DecisionLatency).Quantile(0.99), tel.Hist(telemetry.HeartbeatInterarrival).Quantile(0.99))
 	}
-	if appends := tel.WALAppendBytes(); appends.Count > 0 {
-		fsync := tel.FsyncLatency()
+	if appends := tel.Hist(telemetry.WALAppendBytes); appends.Count > 0 {
+		fsync := tel.Hist(telemetry.WALFsync)
 		fmt.Printf("durability: wal appends=%d bytes=%d fsyncs=%d fsync p99=%v recovery max=%v\n",
-			appends.Count, int64(appends.Sum), fsync.Count, fsync.Quantile(0.99), tel.RecoveryTime().Max)
+			appends.Count, int64(appends.Sum), fsync.Count, fsync.Quantile(0.99), tel.Hist(telemetry.WALRecovery).Max)
 	}
-	if ring != nil {
-		fmt.Printf("trace:     last %d of %d message events (%d evicted)\n",
-			len(ring.Tail(*traceTail)), ring.Len(), ring.Dropped())
-		if _, err := ring.WriteTail(os.Stdout, *traceTail); err != nil {
+	if tail != nil {
+		fmt.Printf("trace:     the event log's tail (-trace-tail %d)\n", *traceTail)
+		if err := tail.WriteText(os.Stdout, *traceTail, true); err != nil {
 			return err
 		}
 		if *traceTailOut != "" {
@@ -351,7 +333,7 @@ func run(args []string) (err error) {
 			if err != nil {
 				return fmt.Errorf("write -trace-tail-out %s: %w", *traceTailOut, err)
 			}
-			_, werr := ring.WriteTail(f, *traceTail)
+			werr := tail.WriteText(f, *traceTail, true)
 			if cerr := f.Close(); werr == nil {
 				werr = cerr
 			}
@@ -394,6 +376,7 @@ type soak struct {
 	memc     *transport.Cluster // recovery plan only: restart needs the mem cluster
 	tel      *telemetry.Collector
 	tset     *tracing.Set // nil without -trace-dir; every method no-ops then
+	observer obs.Sink     // what the cluster reports into: tel, tset, the -trace-tail ring
 	dets     []*core.Detector
 	logs     []*rsm.Node
 
@@ -413,13 +396,28 @@ type soak struct {
 	recovered node.ID          // the process killed and rebuilt from disk
 }
 
-// crash crash-stops a process and tells the telemetry and tracing
-// layers, so the dead process's frozen leader output doesn't wedge
-// agreement tracking (in either layer's reconstruction).
-func (s *soak) crash(id node.ID) {
-	s.c.Crash(id)
-	s.tel.MarkDown(id)
-	s.tset.MarkDown(int(id))
+// attach subscribes the observer to replica id's current incarnation: its
+// detector's output, its log's decisions, its read path.
+func (s *soak) attach(id node.ID) {
+	l := s.logs[id]
+	telemetry.Attach(s.observer, s.tel, obs.NoGroup, telemetry.Process{
+		ID: id, History: s.dets[id].History(), Recorder: l.Recorder(),
+		Lease: func() (bool, uint64, uint64) { return l.LeaseHeld(), l.LocalReads(), l.FallbackReads() },
+	})
+}
+
+// attachGroups does the same for each group of sharded replica id.
+func (s *soak) attachGroups(id node.ID) {
+	for g, l := range s.glogs[id] {
+		telemetry.Attach(s.observer, s.tel, g, telemetry.Process{ID: id, Recorder: l.Recorder()})
+	}
+}
+
+// walOptions are the durable.Options of one of replica i's logs.
+func (s *soak) walOptions(i int) durable.Options {
+	opts := durable.Options{Sync: s.sync}
+	opts.OnAppend, opts.OnFsync, opts.OnRecover = telemetry.WALHooks(s.observer, node.ID(i), s.tset.Stamp)
+	return opts
 }
 
 // buildReplicas composes one rebuff-hardened detector plus a replicated
@@ -451,10 +449,7 @@ func (s *soak) buildReplica(i int) (node.Automaton, error) {
 	cfg := rsm.Config{DriveInterval: 2 * s.eta, Lease: s.lease, Tracer: s.tset.Tracer(i)}
 	var al *appliedLog
 	if s.stores != nil {
-		opts := durable.Options{Sync: s.sync}
-		opts.OnAppend, opts.OnFsync, opts.OnRecover = s.tel.DurableHooks(node.ID(i))
-		opts.OnFsync = chainFsync(opts.OnFsync, s.tset.FsyncThreshold(i, traceFsyncThreshold))
-		w, err := durable.Open(s.walPath(node.ID(i)), opts)
+		w, err := durable.Open(s.walPath(node.ID(i)), s.walOptions(i))
 		if err != nil {
 			return nil, err
 		}
@@ -474,26 +469,6 @@ func (s *soak) buildReplica(i int) (node.Automaton, error) {
 		s.logs[i].OnApply(func(inst, cmd int, v consensus.Value) { al.cmds = append(al.cmds, string(v)) })
 	}
 	return node.Compose(s.dets[i], s.logs[i]), nil
-}
-
-// traceFsyncThreshold is the WAL fsync duration past which the flight
-// recorder fires (reason "fsync-slow"): an order of magnitude above a
-// healthy loopback fsync, low enough to catch a stalling disk mid-soak.
-const traceFsyncThreshold = 25 * time.Millisecond
-
-// chainFsync runs the telemetry fsync hook and the tracing threshold
-// watcher off one durable.Options.OnFsync slot. Either side may be nil.
-func chainFsync(tel func(time.Duration), tr func(time.Duration)) func(time.Duration) {
-	if tr == nil {
-		return tel
-	}
-	if tel == nil {
-		return tr
-	}
-	return func(d time.Duration) {
-		tel(d)
-		tr(d)
-	}
 }
 
 // appliedLog is one incarnation's applied command sequence; all methods
@@ -554,11 +529,8 @@ func (s *soak) buildGroupReplica(i int) (node.Automaton, error) {
 		Groups: s.groups,
 		Build: func(g int) node.Automaton {
 			cfg := rsm.Config{DriveInterval: 2 * s.eta, Group: g, Tracer: s.tset.Tracer(i)}
-			opts := durable.Options{Sync: s.sync}
-			opts.OnAppend, opts.OnFsync, opts.OnRecover = s.tel.DurableHooks(node.ID(i))
-			opts.OnFsync = chainFsync(opts.OnFsync, s.tset.FsyncThreshold(i, traceFsyncThreshold))
 			al := &appliedLog{}
-			if w, err := durable.Open(s.groupWALPath(node.ID(i), g), opts); err != nil {
+			if w, err := durable.Open(s.groupWALPath(node.ID(i), g), s.walOptions(i)); err != nil {
 				buildErr = err
 			} else {
 				s.gstores[i][g] = w
@@ -590,11 +562,7 @@ func (s *soak) restartGroup(id node.ID) error {
 	if err != nil {
 		return err
 	}
-	for g := 0; g < s.groups; g++ {
-		s.tel.WatchGroupRecorder(g, id, s.glogs[id][g].Recorder())
-	}
-	s.tel.MarkUp(id)
-	s.tset.MarkUp(int(id))
+	s.attachGroups(id)
 	s.memc.Restart(id, auto)
 	return nil
 }
@@ -607,11 +575,7 @@ func (s *soak) restart(id node.ID) error {
 	if err != nil {
 		return err
 	}
-	s.tel.WatchOmega(id, s.dets[id].History())
-	s.dets[id].History().AddNotify(s.tset.WatchLeader(int(id)))
-	s.tel.WatchRecorder(id, s.logs[id].Recorder())
-	s.tel.MarkUp(id)
-	s.tset.MarkUp(int(id))
+	s.attach(id)
 	s.memc.Restart(id, auto)
 	return nil
 }
@@ -737,7 +701,7 @@ func (s *soak) runCrash() error {
 		return err
 	}
 	leader, _ := s.agreement(nil)
-	s.crash(leader)
+	s.c.Crash(leader)
 	fmt.Printf("fault:     crashed leader p%v\n", leader)
 	skip := map[int]bool{int(leader): true}
 	survivors := make([]int, 0, n-1)
@@ -768,7 +732,7 @@ func (s *soak) runPartition(crashFirst bool) error {
 	skip := map[int]bool{}
 	correct := ints(0, n)
 	if crashFirst {
-		s.crash(0)
+		s.c.Crash(0)
 		fmt.Println("fault:     crashed p0")
 		skip[0] = true
 		correct = ints(1, n)
@@ -851,7 +815,7 @@ func (s *soak) runRecovery() error {
 	for i := 0; i < s.commands; i++ {
 		s.c.Inject(from, leader, rsm.RequestMsg{V: consensus.Value(fmt.Sprintf("burst-%d", i))})
 	}
-	s.crash(leader)
+	s.c.Crash(leader)
 	fmt.Printf("fault:     killed leader p%v mid-batch\n", leader)
 
 	survivors := make([]int, 0, n-1)
@@ -909,7 +873,7 @@ func (s *soak) runRecovery() error {
 	}
 	correct := all
 	if second != leader {
-		s.crash(second)
+		s.c.Crash(second)
 		fmt.Printf("fault:     crashed second leader p%v\n", second)
 		correct = make([]int, 0, n-1)
 		for i := 0; i < n; i++ {
@@ -1034,7 +998,7 @@ func (s *soak) runGroupRecovery() error {
 		}
 		led++
 	}
-	s.crash(victim)
+	s.c.Crash(victim)
 	// The cluster stops delivering to the victim, but its group loops run
 	// their own timers — halt them so the dead incarnation truly stops
 	// appending before its WAL directories are reopened.

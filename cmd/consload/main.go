@@ -44,6 +44,7 @@ import (
 	"repro/internal/consensus/rsm"
 	"repro/internal/core"
 	"repro/internal/node"
+	"repro/internal/obs"
 	"repro/internal/telemetry"
 	"repro/internal/tracing"
 	"repro/internal/transport"
@@ -323,7 +324,7 @@ type readLoop struct {
 const chunkTimeout = time.Second
 
 func newReadLoop() *readLoop {
-	return &readLoop{sent: make(map[uint64]time.Time), nextSeq: 1, lat: telemetry.NewHistogram("read_latency", 1)}
+	return &readLoop{sent: make(map[uint64]time.Time), nextSeq: 1, lat: telemetry.NewHistogram(1)}
 }
 
 // onReply is the OnReadReply hook body.
@@ -451,7 +452,7 @@ func runOne(name string, n int, seed int64, batchMax, window, inflight int, dur,
 			Tracer:        tset.Tracer(i),
 		})
 		autos[i] = node.Compose(dets[i], logs[i])
-		dets[i].History().AddNotify(tset.WatchLeader(i))
+		telemetry.Attach(tset.Sink(), nil, obs.NoGroup, telemetry.Process{ID: node.ID(i), History: dets[i].History()})
 	}
 	var reads *readLoop
 	if readFrac > 0 {

@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"repro/internal/node"
+	"repro/internal/obs"
 	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/sweep"
@@ -84,39 +85,34 @@ func run(args []string) error {
 		Crashes:     plan,
 		EnableTrace: *trace,
 	}
+	var sys *scenario.System
 	var tel *telemetry.Collector
 	if *metrics != "" {
-		tel = telemetry.New(*n)
-		cfg.Observer = tel
+		// The collector reads the simulator's virtual clock; after the
+		// run it freezes at the horizon, so scraped gauges describe the
+		// run's final instant.
+		tel = telemetry.New(*n, telemetry.WithClock(func() sim.Time { return sys.World.Kernel.Now() }))
 	}
-	sys, err := scenario.Build(cfg)
+	var tset *tracing.Set
+	if *traceDir != "" {
+		// Leader changes and the plan's crashes become marks stamped with
+		// virtual time, which is what traceview replays the elections from.
+		tset = tracing.New(tracing.Config{Procs: *n, Dir: *traceDir})
+	}
+	if tel != nil {
+		cfg.Observer = obs.Tee(tel, tset.Sink())
+	} else {
+		cfg.Observer = tset.Sink()
+	}
+	sys, err = scenario.Build(cfg)
 	if err != nil {
 		return err
 	}
 	if tel != nil {
-		// The collector reads the simulator's virtual clock; after the
-		// run it freezes at the horizon, so scraped gauges describe the
-		// run's final instant.
 		tel.AttachStats(sys.World.Stats)
-		tel.SetClock(sys.World.Kernel.Now)
-		for i, om := range sys.Omegas {
-			tel.WatchOmega(node.ID(i), om.History())
-		}
 	}
-	var tset *tracing.Set
-	if *traceDir != "" {
-		// Leader-output transitions become "leader-change" marks stamped
-		// with virtual time; crashes from the plan are marked at their
-		// scheduled instants so traceview's agreement replay can exclude
-		// dead processes. AddNotify rides alongside telemetry's hook
-		// (WatchOmega's SetNotify replaces, so it must come first).
-		tset = tracing.New(tracing.Config{Procs: *n, Dir: *traceDir})
-		for i, om := range sys.Omegas {
-			om.History().AddNotify(tset.WatchLeader(i))
-		}
-		for _, cr := range plan {
-			tset.Tracer(int(cr.ID)).Mark(cr.At, "down", -1)
-		}
+	for i, om := range sys.Omegas {
+		telemetry.Attach(cfg.Observer, tel, obs.NoGroup, telemetry.Process{ID: node.ID(i), History: om.History()})
 	}
 	sys.Run(*runFor)
 
@@ -151,7 +147,7 @@ func run(args []string) error {
 
 	if *trace {
 		fmt.Println("\ntrace:")
-		if _, err := sys.World.Trace.WriteTo(os.Stdout); err != nil {
+		if err := sys.Trace.WriteText(os.Stdout, 0, false); err != nil {
 			return err
 		}
 	}

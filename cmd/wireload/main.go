@@ -203,7 +203,7 @@ func run(args []string, out *os.File) error {
 		allocs := memAfter.Mallocs - memBefore.Mallocs
 		report("  allocs    %10d  (%.2f allocs/msg end to end)", allocs, float64(allocs)/float64(sent))
 	}
-	if hb := tel.HeartbeatJitter(); hb.Count > 0 {
+	if hb := tel.Hist(telemetry.HeartbeatInterarrival); hb.Count > 0 {
 		report("  hb-gap    p50=%v p99=%v max=%v (per-link inter-arrival)",
 			hb.Quantile(0.5), hb.Quantile(0.99), hb.Max)
 	}

@@ -54,7 +54,7 @@ func run() error {
 		// Steady-state rate over the last 500ms of the reign.
 		now := sys.World.Kernel.Now()
 		window := now.Add(-500 * time.Millisecond)
-		perEta := float64(sys.World.Stats.MessagesInWindow(window, now)) / 50.0
+		perEta := float64(sys.World.Stats.Snapshot().MessagesInWindow(window, now)) / 50.0
 
 		// Re-election latency: last leader change minus the previous
 		// crash (reign 0 has no crash; report the boot convergence).

@@ -11,7 +11,7 @@
 // through a leader crash in the middle of the write stream.
 //
 // Each replica also writes through a real write-ahead log
-// (internal/durable, DESIGN.md §15): acceptor promises and votes are on
+// (internal/durable, DESIGN.md §14): acceptor promises and votes are on
 // disk before they are on the wire, and a checkpoint every few applied
 // commands keeps the log short. After the run, the example reopens one
 // replica's WAL directory offline — exactly what a kill -9'd process

@@ -7,6 +7,7 @@ import (
 	"repro/internal/detector"
 	"repro/internal/metrics"
 	"repro/internal/node"
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -117,11 +118,11 @@ func TestOmegaNoCorrectProcess(t *testing.T) {
 func TestCommEffEfficientRun(t *testing.T) {
 	s := metrics.NewMessageStats(3)
 	// Noise from everyone early, then only p1.
-	s.RecordSend(at(5), 0, 1, "X")
-	s.RecordSend(at(8), 2, 1, "X")
+	s.OnSend(at(5), 0, 1, obs.Intern("X"))
+	s.OnSend(at(8), 2, 1, obs.Intern("X"))
 	for msec := 100; msec < 200; msec += 10 {
-		s.RecordSend(at(msec), 1, 0, "L")
-		s.RecordSend(at(msec), 1, 2, "L")
+		s.OnSend(at(msec), 1, 0, obs.Intern("L"))
+		s.OnSend(at(msec), 1, 2, obs.Intern("L"))
 	}
 	rep := CommEff(s.Snapshot(), 1, at(50), at(200), 10*ms)
 	if !rep.Efficient {
@@ -143,7 +144,7 @@ func TestCommEffInefficientRun(t *testing.T) {
 	s := metrics.NewMessageStats(3)
 	for msec := 0; msec < 200; msec += 10 {
 		for from := 0; from < 3; from++ {
-			s.RecordSend(at(msec), from, (from+1)%3, "A")
+			s.OnSend(at(msec), from, (from+1)%3, obs.Intern("A"))
 		}
 	}
 	rep := CommEff(s.Snapshot(), 0, at(100), at(200), 10*ms)

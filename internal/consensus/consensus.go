@@ -78,20 +78,23 @@ type Recorder struct {
 	base   int
 	start  []int32
 	strays []int32
-	notify func(d Decision)
+	notify []func(d Decision)
 }
 
 // NewRecorder returns an empty recorder.
 func NewRecorder() *Recorder { return &Recorder{} }
 
-// SetNotify installs a hook invoked after each first-time decision record
-// (the telemetry layer's feed for decision counting and latency). The hook
-// runs on the recording goroutine, outside the recorder's lock; it must
-// not block and must be safe for concurrent use if shared.
-func (r *Recorder) SetNotify(fn func(d Decision)) {
+// AddNotify appends a hook invoked after each first-time decision record;
+// the list only grows, like detector.History's. A hook runs on the
+// recording goroutine, outside the recorder's lock; it must not block and
+// must be safe for concurrent use if shared.
+func (r *Recorder) AddNotify(fn func(d Decision)) {
+	if fn == nil {
+		return
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.notify = fn
+	r.notify = append(r.notify, fn)
 }
 
 func (r *Recorder) at(p int) *Decision { return &r.chunks[p/recChunk][p%recChunk] }
@@ -148,10 +151,10 @@ func (r *Recorder) Record(d Decision) {
 	c := &r.chunks[r.n/recChunk]
 	*c = append(*c, d)
 	r.n++
-	notify := r.notify
+	notify := r.notify[:len(r.notify):len(r.notify)]
 	r.mu.Unlock()
-	if notify != nil {
-		notify(d)
+	for _, fn := range notify {
+		fn(d)
 	}
 }
 

@@ -87,7 +87,7 @@ func TestRecorderMatchesMapModel(t *testing.T) {
 			r := NewRecorder()
 			m := &refRecorder{decisions: make(map[decisionKey]Decision)}
 			notified := 0
-			r.SetNotify(func(Decision) { notified++ })
+			r.AddNotify(func(Decision) { notified++ })
 			lo, hi := 1<<62, -1<<62
 			var seen []decisionKey
 			feed := func(inst, cmd, i int) {

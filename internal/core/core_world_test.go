@@ -66,11 +66,11 @@ func TestConvergesWithTimelyLinks(t *testing.T) {
 		t.Fatalf("leader = p%v, want p0 with all links timely", got)
 	}
 	// Communication efficiency: after stabilization only p0 sends.
-	quiet := w.Stats.QuietSince(0)
+	quiet := w.Stats.Snapshot().QuietSince(0)
 	if quiet > sim.At(500*ms) {
 		t.Fatalf("not quiet until %v; someone besides the leader keeps sending", quiet)
 	}
-	senders := w.Stats.SendersSince(sim.At(500 * ms))
+	senders := w.Stats.Snapshot().SendersSince(sim.At(500 * ms))
 	if len(senders) != 1 || senders[0] != 0 {
 		t.Fatalf("senders after stabilization = %v, want [0]", senders)
 	}
@@ -88,7 +88,7 @@ func TestLeaderCrashTriggersReelection(t *testing.T) {
 	if leader != 1 {
 		t.Fatalf("leader = p%v, want p1 (next lowest id)", leader)
 	}
-	senders := w.Stats.SendersSince(sim.At(800 * ms))
+	senders := w.Stats.Snapshot().SendersSince(sim.At(800 * ms))
 	if len(senders) != 1 || senders[0] != int(leader) {
 		t.Fatalf("senders after re-election = %v, want [%d]", senders, leader)
 	}
@@ -119,7 +119,7 @@ func TestConvergesAfterGST(t *testing.T) {
 	assertAgreement(t, w, ds)
 	// After GST plus slack, only the leader should be talking.
 	leader := ds[0].Leader()
-	quiet := w.Stats.QuietSince(int(leader))
+	quiet := w.Stats.Snapshot().QuietSince(int(leader))
 	if quiet > sim.At(2500*ms) {
 		t.Fatalf("no communication quiescence by %v", quiet)
 	}
@@ -140,7 +140,7 @@ func TestSourceOnlyTopologyStillElects(t *testing.T) {
 	// Any correct stable leader satisfies Omega; with growing timeouts a
 	// reliable-link process may stabilize too. What must hold is
 	// communication efficiency from some point on.
-	senders := w.Stats.SendersSince(sim.At(19 * time.Second))
+	senders := w.Stats.Snapshot().SendersSince(sim.At(19 * time.Second))
 	if len(senders) != 1 || senders[0] != int(leader) {
 		t.Fatalf("senders in final second = %v, leader = p%v", senders, leader)
 	}
@@ -162,7 +162,7 @@ func TestSourceTopologyWithCrashes(t *testing.T) {
 	if leader == 0 || leader == 1 {
 		t.Fatalf("crashed process p%v trusted", leader)
 	}
-	senders := w.Stats.SendersSince(sim.At(19 * time.Second))
+	senders := w.Stats.Snapshot().SendersSince(sim.At(19 * time.Second))
 	if len(senders) != 1 || senders[0] != int(leader) {
 		t.Fatalf("senders in final second = %v, leader = p%v", senders, leader)
 	}
@@ -185,7 +185,7 @@ func TestSteadyStateMessageRate(t *testing.T) {
 	w.RunFor(2 * time.Second)
 	assertAgreement(t, w, ds)
 	// In one η window the leader broadcasts once: n-1 messages.
-	got := w.Stats.MessagesInWindow(sim.At(1800*ms), sim.At(1800*ms+eta))
+	got := w.Stats.Snapshot().MessagesInWindow(sim.At(1800*ms), sim.At(1800*ms+eta))
 	if got != 9 {
 		t.Fatalf("steady-state messages per η = %d, want 9", got)
 	}
@@ -232,7 +232,7 @@ func TestAsymmetricDelaysNoSplitBrain(t *testing.T) {
 	w.Start()
 	w.RunFor(30 * time.Second)
 	assertAgreement(t, w, ds)
-	senders := w.Stats.SendersSince(sim.At(29 * time.Second))
+	senders := w.Stats.Snapshot().SendersSince(sim.At(29 * time.Second))
 	if len(senders) != 1 {
 		t.Fatalf("multiple senders in steady state: %v", senders)
 	}
@@ -290,7 +290,7 @@ func TestAblationNoAccuseMessagesSplitBrain(t *testing.T) {
 	if ds[2].Leader() != 0 {
 		t.Fatalf("p2 leader = p%v, want p0", ds[2].Leader())
 	}
-	senders := w.Stats.SendersSince(sim.At(4 * time.Second))
+	senders := w.Stats.Snapshot().SendersSince(sim.At(4 * time.Second))
 	if len(senders) != 2 {
 		t.Fatalf("senders = %v, want the two split leaders", senders)
 	}
@@ -304,7 +304,7 @@ func TestAblationNoAccuseMessagesSplitBrain(t *testing.T) {
 	}
 	w2.Start()
 	w2.RunFor(30 * time.Second)
-	senders2 := w2.Stats.SendersSince(sim.At(29 * time.Second))
+	senders2 := w2.Stats.Snapshot().SendersSince(sim.At(29 * time.Second))
 	if len(senders2) != 1 {
 		t.Fatalf("control run kept %v senders", senders2)
 	}

@@ -33,7 +33,7 @@ func Example() {
 		fmt.Printf("p%d trusts p%v\n", i, d.Leader())
 	}
 	// After stabilization only the leader sends: n-1 = 2 messages per η.
-	fmt.Println("steady-state senders:", len(world.Stats.SendersSince(world.Kernel.Now().Add(-100*time.Millisecond))))
+	fmt.Println("steady-state senders:", len(world.Stats.Snapshot().SendersSince(world.Kernel.Now().Add(-100*time.Millisecond))))
 	// Output:
 	// p0 trusts p0
 	// p1 trusts p0

@@ -58,7 +58,7 @@ func TestEveryProcessKeepsSending(t *testing.T) {
 	w, _ := buildWorld(t, 6, 3, network.Timely(2*ms), 0)
 	w.Start()
 	w.RunFor(time.Second)
-	senders := w.Stats.SendersSince(sim.At(900 * ms))
+	senders := w.Stats.Snapshot().SendersSince(sim.At(900 * ms))
 	if len(senders) != 6 {
 		t.Fatalf("steady-state senders = %v, want all 6 (all-to-all is not communication-efficient)", senders)
 	}
@@ -72,7 +72,7 @@ func TestSteadyStateQuadraticMessageRate(t *testing.T) {
 	w, _ := buildWorld(t, 5, 4, network.Timely(2*ms), 0)
 	w.Start()
 	w.RunFor(time.Second)
-	got := w.Stats.MessagesInWindow(sim.At(500*ms), sim.At(500*ms+eta))
+	got := w.Stats.Snapshot().MessagesInWindow(sim.At(500*ms), sim.At(500*ms+eta))
 	if got != 20 {
 		t.Fatalf("messages per η = %d, want n(n-1)=20", got)
 	}

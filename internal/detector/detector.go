@@ -45,23 +45,11 @@ type History struct {
 // NewHistory returns an empty history.
 func NewHistory() *History { return &History{} }
 
-// SetNotify installs a hook invoked after every recorded transition (the
-// telemetry layer's feed for election tracking), replacing any hooks
-// already installed. The hook runs on the recording goroutine, outside
-// the history's lock; it must not block and must be safe for concurrent
-// use if several histories share it.
-func (h *History) SetNotify(fn func(t sim.Time, leader node.ID)) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.notify = h.notify[:0]
-	if fn != nil {
-		h.notify = append(h.notify, fn)
-	}
-}
-
-// AddNotify appends a transition hook without disturbing those already
-// installed — so the tracing layer can watch elections alongside
-// telemetry. Same contract as SetNotify.
+// AddNotify appends a hook invoked after every recorded transition; the
+// list only grows, so subscribers do not depend on the order they arrive
+// in (telemetry.Attach turns one into the obs event stream). A hook runs
+// on the recording goroutine, outside the history's lock; it must not
+// block and must be safe for concurrent use if several histories share it.
 func (h *History) AddNotify(fn func(t sim.Time, leader node.ID)) {
 	if fn == nil {
 		return

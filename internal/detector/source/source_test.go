@@ -95,7 +95,7 @@ func TestNotCommunicationEfficient(t *testing.T) {
 	w, _ := buildWorld(t, 5, 4, network.Timely(2*ms), 0)
 	w.Start()
 	w.RunFor(time.Second)
-	senders := w.Stats.SendersSince(sim.At(900 * ms))
+	senders := w.Stats.Snapshot().SendersSince(sim.At(900 * ms))
 	if len(senders) != 5 {
 		t.Fatalf("steady-state senders = %v, want all 5", senders)
 	}

@@ -9,18 +9,21 @@
 // (internal/experiments) can compute "who sent after time t", "how many
 // messages per period", and "how many links carried traffic after t".
 //
-// MessageStats is an obs.Sink. The record path is contention-free: all
-// counters are per-process sharded atomics, and the send log is a bounded
-// ring per sender guarded only by that sender's own mutex (a single writer
-// in every runtime, so the lock is uncontended). Queries over the send log
-// go through an immutable Snapshot.
+// MessageStats is a subscriber of the obs pipeline (DESIGN.md §8): it
+// takes the message events — send, deliver, drop, and wire bytes from the
+// transports that serialize — and none of the protocol events, which are
+// not messages. Every runtime tees one in (node.World.Stats, the clusters'
+// Stats()). The record path is contention-free: all counters are
+// per-process sharded atomics, and the send log is a bounded ring per
+// sender guarded only by that sender's own mutex (a single writer in every
+// runtime, so the lock is uncontended). Queries over the send log go
+// through an immutable Snapshot.
 package metrics
 
 import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/obs"
 	"repro/internal/sim"
@@ -55,7 +58,6 @@ type shard struct {
 	kindSent      [obs.MaxKinds]atomic.Uint64
 	kindDelivered [obs.MaxKinds]atomic.Uint64
 	kindDropped   [obs.MaxKinds]atomic.Uint64
-	kindBytes     [obs.MaxKinds]atomic.Uint64
 
 	// The send ring: oldest record at head, newest at (head+count-1) mod
 	// len(ring). ring grows by doubling until window, then wraps, evicting
@@ -72,22 +74,17 @@ type shard struct {
 
 func (sh *shard) appendRecord(rec SendRecord) {
 	sh.mu.Lock()
-	if sh.count == len(sh.ring) {
-		if sh.count < sh.window {
-			sh.grow()
-		} else {
-			// Full: evict the oldest in place.
-			sh.ring[sh.head] = rec
-			sh.head = (sh.head + 1) % len(sh.ring)
-			if rec.At > sh.lastAt {
-				sh.lastAt = rec.At
-			}
-			sh.mu.Unlock()
-			return
-		}
+	if sh.count == len(sh.ring) && sh.count < sh.window {
+		sh.grow()
 	}
-	sh.ring[(sh.head+sh.count)%len(sh.ring)] = rec
-	sh.count++
+	if sh.count == len(sh.ring) {
+		// Full: evict the oldest in place.
+		sh.ring[sh.head] = rec
+		sh.head = (sh.head + 1) % len(sh.ring)
+	} else {
+		sh.ring[(sh.head+sh.count)%len(sh.ring)] = rec
+		sh.count++
+	}
 	if rec.At > sh.lastAt {
 		sh.lastAt = rec.At
 	}
@@ -163,9 +160,6 @@ func NewMessageStatsWindow(n, window int) *MessageStats {
 // N returns the number of processes the stats were created for.
 func (s *MessageStats) N() int { return s.n }
 
-// Window returns the per-sender send-log bound.
-func (s *MessageStats) Window() int { return s.window }
-
 func (s *MessageStats) noteKind(kind obs.Kind) {
 	if s.seen[kind].Load() {
 		return
@@ -209,52 +203,23 @@ func (s *MessageStats) OnDrop(t sim.Time, from, to int, kind obs.Kind) {
 func (s *MessageStats) OnWireBytes(t sim.Time, from, to int, kind obs.Kind, n int) {
 	sh := s.shards[from]
 	sh.bytesOut.Add(uint64(n))
-	sh.kindBytes[kind].Add(uint64(n))
-}
-
-// RecordSend notes that from sent a message of the given kind to to at t.
-// It interns the kind name; hot paths should pre-intern and call OnSend.
-func (s *MessageStats) RecordSend(t sim.Time, from, to int, kind string) {
-	s.OnSend(t, from, to, obs.Intern(kind))
-}
-
-// RecordDeliver notes a successful delivery.
-func (s *MessageStats) RecordDeliver(t sim.Time, from, to int, kind string) {
-	s.OnDeliver(t, from, to, obs.Intern(kind))
-}
-
-// RecordDrop notes a message lost by its link.
-func (s *MessageStats) RecordDrop(t sim.Time, from, to int, kind string) {
-	s.OnDrop(t, from, to, obs.Intern(kind))
 }
 
 // --- counter queries (exact, never windowed) -----------------------------
 
 // TotalSent returns the total number of messages sent.
 func (s *MessageStats) TotalSent() uint64 {
-	var total uint64
-	for _, sh := range s.shards {
-		total += sh.sentBy.Load()
-	}
-	return total
+	return s.sum(func(sh *shard) *atomic.Uint64 { return &sh.sentBy })
 }
 
 // Delivered returns the total number of messages delivered.
 func (s *MessageStats) Delivered() uint64 {
-	var total uint64
-	for _, sh := range s.shards {
-		total += sh.delivered.Load()
-	}
-	return total
+	return s.sum(func(sh *shard) *atomic.Uint64 { return &sh.delivered })
 }
 
 // Dropped returns the total number of messages lost in transit.
 func (s *MessageStats) Dropped() uint64 {
-	var total uint64
-	for _, sh := range s.shards {
-		total += sh.dropped.Load()
-	}
-	return total
+	return s.sum(func(sh *shard) *atomic.Uint64 { return &sh.dropped })
 }
 
 // SentBy returns how many messages process id has sent.
@@ -273,30 +238,14 @@ func (s *MessageStats) SentByKind(id int, kind string) uint64 {
 // WireBytes returns the total encoded bytes handed to the links. Zero on
 // runs whose transport never serializes (the simulator).
 func (s *MessageStats) WireBytes() uint64 {
-	var total uint64
-	for _, sh := range s.shards {
-		total += sh.bytesOut.Load()
-	}
-	return total
-}
-
-// WireBytesBy returns the encoded bytes process id handed to its
-// out-links.
-func (s *MessageStats) WireBytesBy(id int) uint64 { return s.shards[id].bytesOut.Load() }
-
-// WireBytesByKind returns the encoded bytes sent for the given kind.
-func (s *MessageStats) WireBytesByKind(kind string) uint64 {
-	id, ok := obs.Lookup(kind)
-	if !ok {
-		return 0
-	}
-	return s.sumKind(func(sh *shard) *atomic.Uint64 { return &sh.kindBytes[id] })
+	return s.sum(func(sh *shard) *atomic.Uint64 { return &sh.bytesOut })
 }
 
 // LinkCount returns how many messages were sent on the from→to link.
 func (s *MessageStats) LinkCount(from, to int) uint64 { return s.shards[from].link[to].Load() }
 
-func (s *MessageStats) sumKind(counter func(*shard) *atomic.Uint64) uint64 {
+// sum adds one counter up over the shards.
+func (s *MessageStats) sum(counter func(*shard) *atomic.Uint64) uint64 {
 	var total uint64
 	for _, sh := range s.shards {
 		total += counter(sh).Load()
@@ -304,32 +253,30 @@ func (s *MessageStats) sumKind(counter func(*shard) *atomic.Uint64) uint64 {
 	return total
 }
 
-// KindCount returns how many messages of the given kind were sent.
-func (s *MessageStats) KindCount(kind string) uint64 {
+// sumKind adds one per-kind counter up over the shards; zero for a kind
+// never interned.
+func (s *MessageStats) sumKind(kind string, counters func(*shard) *[obs.MaxKinds]atomic.Uint64) uint64 {
 	id, ok := obs.Lookup(kind)
 	if !ok {
 		return 0
 	}
-	return s.sumKind(func(sh *shard) *atomic.Uint64 { return &sh.kindSent[id] })
+	return s.sum(func(sh *shard) *atomic.Uint64 { return &counters(sh)[id] })
+}
+
+// KindCount returns how many messages of the given kind were sent.
+func (s *MessageStats) KindCount(kind string) uint64 {
+	return s.sumKind(kind, func(sh *shard) *[obs.MaxKinds]atomic.Uint64 { return &sh.kindSent })
 }
 
 // DeliveredByKind returns how many messages of the given kind were
 // delivered.
 func (s *MessageStats) DeliveredByKind(kind string) uint64 {
-	id, ok := obs.Lookup(kind)
-	if !ok {
-		return 0
-	}
-	return s.sumKind(func(sh *shard) *atomic.Uint64 { return &sh.kindDelivered[id] })
+	return s.sumKind(kind, func(sh *shard) *[obs.MaxKinds]atomic.Uint64 { return &sh.kindDelivered })
 }
 
 // DroppedByKind returns how many messages of the given kind were lost.
 func (s *MessageStats) DroppedByKind(kind string) uint64 {
-	id, ok := obs.Lookup(kind)
-	if !ok {
-		return 0
-	}
-	return s.sumKind(func(sh *shard) *atomic.Uint64 { return &sh.kindDropped[id] })
+	return s.sumKind(kind, func(sh *shard) *[obs.MaxKinds]atomic.Uint64 { return &sh.kindDropped })
 }
 
 // Kinds returns the observed sent-message kinds in first-seen order.
@@ -354,41 +301,11 @@ func (s *MessageStats) Summary() string {
 		s.TotalSent(), s.Delivered(), s.Dropped(), kinds)
 }
 
-// --- send-log queries (windowed, via Snapshot) ---------------------------
-
-// SendersSince returns the sorted set of processes that sent at least one
-// message at or after t.
-func (s *MessageStats) SendersSince(t sim.Time) []int { return s.Snapshot().SendersSince(t) }
+// --- send-log queries (windowed) -----------------------------------------
 
 // LinksUsedSince returns how many distinct directed links carried at least
-// one message at or after t.
+// one message at or after t: Snapshot().LinksUsedSince(t), for the gauges
+// that poll it. The other send-log queries — who sent since t, messages
+// per window, when everyone but the leader fell quiet — are asked of a
+// Snapshot directly, so that one verdict's questions see one instant.
 func (s *MessageStats) LinksUsedSince(t sim.Time) int { return s.Snapshot().LinksUsedSince(t) }
-
-// MessagesInWindow counts messages sent in the half-open window [from, to).
-func (s *MessageStats) MessagesInWindow(from, to sim.Time) uint64 {
-	return s.Snapshot().MessagesInWindow(from, to)
-}
-
-// QuietSince returns the earliest instant q such that every message sent
-// at or after q was sent by the given process. If nobody else ever sent,
-// that instant is 0.
-//
-// This is the machine check for Definition "communication-efficient": pick
-// the leader as the process and QuietSince is the stabilization point
-// after which only the leader sends.
-func (s *MessageStats) QuietSince(process int) sim.Time { return s.Snapshot().QuietSince(process) }
-
-// LastSendBy returns the time of the last message sent by id, and whether
-// id sent anything at all.
-func (s *MessageStats) LastSendBy(id int) (sim.Time, bool) { return s.Snapshot().LastSendBy(id) }
-
-// Series buckets the send log into fixed windows of width bucket, from
-// time zero to horizon, and returns the per-bucket message counts.
-func (s *MessageStats) Series(bucket time.Duration, horizon sim.Time) []uint64 {
-	return s.Snapshot().Series(bucket, horizon)
-}
-
-// SeriesBySender buckets the send log per sender.
-func (s *MessageStats) SeriesBySender(bucket time.Duration, horizon sim.Time) [][]uint64 {
-	return s.Snapshot().SeriesBySender(bucket, horizon)
-}

@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -27,11 +28,11 @@ func TestSeriesPartitionsTheLog(t *testing.T) {
 			at = at.Add(time.Duration(offsetsMs[i]%50) * time.Millisecond)
 			from := int(senders[i]) % n
 			to := (from + 1) % n
-			s.RecordSend(at, from, to, "X")
+			s.OnSend(at, from, to, obs.Intern("X"))
 			total++
 		}
 		horizon := at.Add(time.Millisecond)
-		series := s.Series(10*time.Millisecond, horizon)
+		series := s.Snapshot().Series(10*time.Millisecond, horizon)
 		var sum uint64
 		for _, c := range series {
 			sum += c
@@ -39,7 +40,7 @@ func TestSeriesPartitionsTheLog(t *testing.T) {
 		if sum != uint64(total) {
 			return false
 		}
-		perSender := s.SeriesBySender(10*time.Millisecond, horizon)
+		perSender := s.Snapshot().SeriesBySender(10*time.Millisecond, horizon)
 		for id := 0; id < n; id++ {
 			var got uint64
 			for _, c := range perSender[id] {
@@ -63,16 +64,16 @@ func TestWindowAdditivity(t *testing.T) {
 		at := sim.TimeZero
 		for _, off := range offsetsMs {
 			at = at.Add(time.Duration(off%50) * time.Millisecond)
-			s.RecordSend(at, 0, 1, "X")
+			s.OnSend(at, 0, 1, obs.Intern("X"))
 		}
 		end := at.Add(time.Millisecond)
 		mid := sim.At(time.Duration(splitMs) * time.Millisecond)
 		if mid > end {
 			mid = end
 		}
-		left := s.MessagesInWindow(0, mid)
-		right := s.MessagesInWindow(mid, end)
-		return left+right == s.MessagesInWindow(0, end)
+		left := s.Snapshot().MessagesInWindow(0, mid)
+		right := s.Snapshot().MessagesInWindow(mid, end)
+		return left+right == s.Snapshot().MessagesInWindow(0, end)
 	}
 	if err := quick.Check(property, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -11,11 +12,11 @@ func at(ms int) sim.Time { return sim.At(time.Duration(ms) * time.Millisecond) }
 
 func TestCountsAndKinds(t *testing.T) {
 	s := NewMessageStats(3)
-	s.RecordSend(at(1), 0, 1, "LEADER")
-	s.RecordSend(at(2), 0, 2, "LEADER")
-	s.RecordSend(at(3), 1, 0, "ACCUSE")
-	s.RecordDeliver(at(4), 0, 1, "LEADER")
-	s.RecordDrop(at(4), 0, 2, "LEADER")
+	s.OnSend(at(1), 0, 1, obs.Intern("LEADER"))
+	s.OnSend(at(2), 0, 2, obs.Intern("LEADER"))
+	s.OnSend(at(3), 1, 0, obs.Intern("ACCUSE"))
+	s.OnDeliver(at(4), 0, 1, obs.Intern("LEADER"))
+	s.OnDrop(at(4), 0, 2, obs.Intern("LEADER"))
 
 	if got := s.TotalSent(); got != 3 {
 		t.Fatalf("TotalSent = %d, want 3", got)
@@ -49,31 +50,31 @@ func TestCountsAndKinds(t *testing.T) {
 
 func TestSendersSince(t *testing.T) {
 	s := NewMessageStats(4)
-	s.RecordSend(at(1), 3, 0, "A")
-	s.RecordSend(at(5), 1, 0, "A")
-	s.RecordSend(at(10), 2, 0, "A")
-	s.RecordSend(at(15), 2, 1, "A")
+	s.OnSend(at(1), 3, 0, obs.Intern("A"))
+	s.OnSend(at(5), 1, 0, obs.Intern("A"))
+	s.OnSend(at(10), 2, 0, obs.Intern("A"))
+	s.OnSend(at(15), 2, 1, obs.Intern("A"))
 
-	if got := s.SendersSince(at(6)); len(got) != 1 || got[0] != 2 {
+	if got := s.Snapshot().SendersSince(at(6)); len(got) != 1 || got[0] != 2 {
 		t.Fatalf("SendersSince(6ms) = %v, want [2]", got)
 	}
-	if got := s.SendersSince(at(5)); len(got) != 2 || got[0] != 1 || got[1] != 2 {
+	if got := s.Snapshot().SendersSince(at(5)); len(got) != 2 || got[0] != 1 || got[1] != 2 {
 		t.Fatalf("SendersSince(5ms) = %v, want [1 2]", got)
 	}
-	if got := s.SendersSince(at(100)); len(got) != 0 {
+	if got := s.Snapshot().SendersSince(at(100)); len(got) != 0 {
 		t.Fatalf("SendersSince(100ms) = %v, want empty", got)
 	}
-	if got := s.SendersSince(0); len(got) != 3 {
+	if got := s.Snapshot().SendersSince(0); len(got) != 3 {
 		t.Fatalf("SendersSince(0) = %v, want 3 senders", got)
 	}
 }
 
 func TestLinksUsedSince(t *testing.T) {
 	s := NewMessageStats(3)
-	s.RecordSend(at(1), 0, 1, "A")
-	s.RecordSend(at(2), 0, 1, "A") // same link, must not double-count
-	s.RecordSend(at(3), 0, 2, "A")
-	s.RecordSend(at(4), 1, 2, "A")
+	s.OnSend(at(1), 0, 1, obs.Intern("A"))
+	s.OnSend(at(2), 0, 1, obs.Intern("A")) // same link, must not double-count
+	s.OnSend(at(3), 0, 2, obs.Intern("A"))
+	s.OnSend(at(4), 1, 2, obs.Intern("A"))
 	if got := s.LinksUsedSince(0); got != 3 {
 		t.Fatalf("LinksUsedSince(0) = %d, want 3", got)
 	}
@@ -84,25 +85,25 @@ func TestLinksUsedSince(t *testing.T) {
 
 func TestQuietSince(t *testing.T) {
 	s := NewMessageStats(3)
-	s.RecordSend(at(1), 1, 0, "A")
-	s.RecordSend(at(2), 0, 1, "A")
-	s.RecordSend(at(7), 2, 1, "A")
-	s.RecordSend(at(9), 0, 1, "A")
-	s.RecordSend(at(11), 0, 2, "A")
-	if got := s.QuietSince(0); got != at(7)+1 {
+	s.OnSend(at(1), 1, 0, obs.Intern("A"))
+	s.OnSend(at(2), 0, 1, obs.Intern("A"))
+	s.OnSend(at(7), 2, 1, obs.Intern("A"))
+	s.OnSend(at(9), 0, 1, obs.Intern("A"))
+	s.OnSend(at(11), 0, 2, obs.Intern("A"))
+	if got := s.Snapshot().QuietSince(0); got != at(7)+1 {
 		t.Fatalf("QuietSince(0) = %v, want just after 7ms", got)
 	}
 	// Process 2 is not quiet: 0 sends after it.
-	if got := s.QuietSince(2); got != at(11)+1 {
+	if got := s.Snapshot().QuietSince(2); got != at(11)+1 {
 		t.Fatalf("QuietSince(2) = %v, want just after 11ms", got)
 	}
 }
 
 func TestQuietSinceNoForeignSends(t *testing.T) {
 	s := NewMessageStats(2)
-	s.RecordSend(at(1), 0, 1, "A")
-	s.RecordSend(at(2), 0, 1, "A")
-	if got := s.QuietSince(0); got != 0 {
+	s.OnSend(at(1), 0, 1, obs.Intern("A"))
+	s.OnSend(at(2), 0, 1, obs.Intern("A"))
+	if got := s.Snapshot().QuietSince(0); got != 0 {
 		t.Fatalf("QuietSince = %v, want 0", got)
 	}
 }
@@ -110,25 +111,25 @@ func TestQuietSinceNoForeignSends(t *testing.T) {
 func TestMessagesInWindow(t *testing.T) {
 	s := NewMessageStats(2)
 	for ms := 0; ms < 10; ms++ {
-		s.RecordSend(at(ms), 0, 1, "A")
+		s.OnSend(at(ms), 0, 1, obs.Intern("A"))
 	}
-	if got := s.MessagesInWindow(at(3), at(7)); got != 4 {
+	if got := s.Snapshot().MessagesInWindow(at(3), at(7)); got != 4 {
 		t.Fatalf("MessagesInWindow = %d, want 4", got)
 	}
-	if got := s.MessagesInWindow(0, at(100)); got != 10 {
+	if got := s.Snapshot().MessagesInWindow(0, at(100)); got != 10 {
 		t.Fatalf("MessagesInWindow(all) = %d, want 10", got)
 	}
-	if got := s.MessagesInWindow(at(50), at(60)); got != 0 {
+	if got := s.Snapshot().MessagesInWindow(at(50), at(60)); got != 0 {
 		t.Fatalf("MessagesInWindow(empty) = %d, want 0", got)
 	}
 }
 
 func TestSeries(t *testing.T) {
 	s := NewMessageStats(2)
-	s.RecordSend(at(0), 0, 1, "A")
-	s.RecordSend(at(1), 0, 1, "A")
-	s.RecordSend(at(12), 1, 0, "A")
-	series := s.Series(10*time.Millisecond, at(29))
+	s.OnSend(at(0), 0, 1, obs.Intern("A"))
+	s.OnSend(at(1), 0, 1, obs.Intern("A"))
+	s.OnSend(at(12), 1, 0, obs.Intern("A"))
+	series := s.Snapshot().Series(10*time.Millisecond, at(29))
 	if len(series) != 3 {
 		t.Fatalf("len(series) = %d, want 3", len(series))
 	}
@@ -139,10 +140,10 @@ func TestSeries(t *testing.T) {
 
 func TestSeriesBySender(t *testing.T) {
 	s := NewMessageStats(2)
-	s.RecordSend(at(0), 0, 1, "A")
-	s.RecordSend(at(12), 1, 0, "A")
-	s.RecordSend(at(13), 1, 0, "A")
-	per := s.SeriesBySender(10*time.Millisecond, at(19))
+	s.OnSend(at(0), 0, 1, obs.Intern("A"))
+	s.OnSend(at(12), 1, 0, obs.Intern("A"))
+	s.OnSend(at(13), 1, 0, obs.Intern("A"))
+	per := s.Snapshot().SeriesBySender(10*time.Millisecond, at(19))
 	if len(per) != 2 {
 		t.Fatalf("len = %d", len(per))
 	}
@@ -153,16 +154,16 @@ func TestSeriesBySender(t *testing.T) {
 
 func TestLastSendBy(t *testing.T) {
 	s := NewMessageStats(2)
-	if _, ok := s.LastSendBy(0); ok {
+	if _, ok := s.Snapshot().LastSendBy(0); ok {
 		t.Fatal("LastSendBy on empty stats reported ok")
 	}
-	s.RecordSend(at(3), 0, 1, "A")
-	s.RecordSend(at(8), 0, 1, "A")
-	got, ok := s.LastSendBy(0)
+	s.OnSend(at(3), 0, 1, obs.Intern("A"))
+	s.OnSend(at(8), 0, 1, obs.Intern("A"))
+	got, ok := s.Snapshot().LastSendBy(0)
 	if !ok || got != at(8) {
 		t.Fatalf("LastSendBy = %v,%v want 8ms,true", got, ok)
 	}
-	if _, ok := s.LastSendBy(1); ok {
+	if _, ok := s.Snapshot().LastSendBy(1); ok {
 		t.Fatal("LastSendBy(1) reported ok for silent process")
 	}
 }
@@ -174,12 +175,12 @@ func TestSeriesPanicsOnBadBucket(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	s.Series(0, at(10))
+	s.Snapshot().Series(0, at(10))
 }
 
 func TestSummary(t *testing.T) {
 	s := NewMessageStats(2)
-	s.RecordSend(at(1), 0, 1, "A")
+	s.OnSend(at(1), 0, 1, obs.Intern("A"))
 	if got := s.Summary(); got == "" {
 		t.Fatal("empty summary")
 	}

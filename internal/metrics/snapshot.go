@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"fmt"
 	"sort"
 	"time"
 
@@ -9,8 +8,10 @@ import (
 	"repro/internal/sim"
 )
 
-// Snapshot is an immutable view of a MessageStats at one instant: counter
-// values plus the retained send-log window, copied out per sender. All
+// Snapshot is an immutable view of a MessageStats at one instant: the
+// retained send-log window, copied out per sender, plus the counters the
+// log's queries and a run's per-kind digest need (every counter is exact
+// and lock-free to read on the MessageStats itself). All
 // checker and experiment queries run against snapshots, so a live cluster
 // can keep recording while a verdict is computed.
 //
@@ -23,28 +24,20 @@ type Snapshot struct {
 	perFrom [][]SendRecord // indexed by sender, oldest first
 	lastAt  []sim.Time     // max send time per sender, survives eviction
 
-	sentBy        []uint64
-	link          []uint64 // n*n flattened [from*n+to]
-	delivered     uint64
-	dropped       uint64
-	kindSent      []uint64 // indexed by obs.Kind
-	kindDelivered []uint64
-	kindDropped   []uint64
-	kinds         []obs.Kind // run-local first-seen order
+	sentBy   []uint64
+	kindSent []uint64   // indexed by obs.Kind
+	kinds    []obs.Kind // run-local first-seen order
 }
 
 // Snapshot captures the current counters and retained send log.
 func (s *MessageStats) Snapshot() *Snapshot {
 	nk := obs.NumKinds()
 	snap := &Snapshot{
-		n:             s.n,
-		perFrom:       make([][]SendRecord, s.n),
-		lastAt:        make([]sim.Time, s.n),
-		sentBy:        make([]uint64, s.n),
-		link:          make([]uint64, s.n*s.n),
-		kindSent:      make([]uint64, nk),
-		kindDelivered: make([]uint64, nk),
-		kindDropped:   make([]uint64, nk),
+		n:        s.n,
+		perFrom:  make([][]SendRecord, s.n),
+		lastAt:   make([]sim.Time, s.n),
+		sentBy:   make([]uint64, s.n),
+		kindSent: make([]uint64, nk),
 	}
 	for from, sh := range s.shards {
 		snap.perFrom[from] = sh.records()
@@ -52,15 +45,8 @@ func (s *MessageStats) Snapshot() *Snapshot {
 		snap.lastAt[from] = sh.lastAt
 		sh.mu.Unlock()
 		snap.sentBy[from] = sh.sentBy.Load()
-		snap.delivered += sh.delivered.Load()
-		snap.dropped += sh.dropped.Load()
-		for to := range sh.link {
-			snap.link[from*s.n+to] = sh.link[to].Load()
-		}
 		for k := 0; k < nk; k++ {
 			snap.kindSent[k] += sh.kindSent[k].Load()
-			snap.kindDelivered[k] += sh.kindDelivered[k].Load()
-			snap.kindDropped[k] += sh.kindDropped[k].Load()
 		}
 	}
 	s.obsMu.Lock()
@@ -69,49 +55,14 @@ func (s *MessageStats) Snapshot() *Snapshot {
 	return snap
 }
 
-// N returns the number of processes.
-func (sn *Snapshot) N() int { return sn.n }
-
-// TotalSent returns the total number of messages sent.
-func (sn *Snapshot) TotalSent() uint64 {
-	var total uint64
-	for _, c := range sn.sentBy {
-		total += c
-	}
-	return total
-}
-
-// Delivered returns the total number of messages delivered.
-func (sn *Snapshot) Delivered() uint64 { return sn.delivered }
-
-// Dropped returns the total number of messages lost in transit.
-func (sn *Snapshot) Dropped() uint64 { return sn.dropped }
-
-// SentBy returns how many messages process id has sent.
-func (sn *Snapshot) SentBy(id int) uint64 { return sn.sentBy[id] }
-
-// LinkCount returns how many messages were sent on the from→to link.
-func (sn *Snapshot) LinkCount(from, to int) uint64 { return sn.link[from*sn.n+to] }
-
-func (sn *Snapshot) kindCount(counts []uint64, kind string) uint64 {
+// KindCount returns how many messages of the given kind were sent.
+func (sn *Snapshot) KindCount(kind string) uint64 {
 	id, ok := obs.Lookup(kind)
-	if !ok || int(id) >= len(counts) {
+	if !ok || int(id) >= len(sn.kindSent) {
 		return 0
 	}
-	return counts[id]
+	return sn.kindSent[id]
 }
-
-// KindCount returns how many messages of the given kind were sent.
-func (sn *Snapshot) KindCount(kind string) uint64 { return sn.kindCount(sn.kindSent, kind) }
-
-// DeliveredByKind returns how many messages of the given kind were
-// delivered.
-func (sn *Snapshot) DeliveredByKind(kind string) uint64 {
-	return sn.kindCount(sn.kindDelivered, kind)
-}
-
-// DroppedByKind returns how many messages of the given kind were lost.
-func (sn *Snapshot) DroppedByKind(kind string) uint64 { return sn.kindCount(sn.kindDropped, kind) }
 
 // Kinds returns the observed sent-message kinds in first-seen order.
 func (sn *Snapshot) Kinds() []string {
@@ -197,17 +148,11 @@ func (sn *Snapshot) LastSendBy(id int) (sim.Time, bool) {
 // Series buckets the retained send log into fixed windows of width bucket,
 // from time zero to horizon, and returns the per-bucket message counts.
 func (sn *Snapshot) Series(bucket time.Duration, horizon sim.Time) []uint64 {
-	if bucket <= 0 {
-		panic("metrics: Series with non-positive bucket")
-	}
-	nb := int(int64(horizon)/bucket.Nanoseconds()) + 1
-	out := make([]uint64, nb)
-	for _, recs := range sn.perFrom {
-		for _, rec := range recs {
-			if rec.At > horizon {
-				break
-			}
-			out[int64(rec.At)/bucket.Nanoseconds()]++
+	per := sn.SeriesBySender(bucket, horizon)
+	out := per[0]
+	for _, counts := range per[1:] {
+		for b, c := range counts {
+			out[b] += c
 		}
 	}
 	return out
@@ -230,10 +175,4 @@ func (sn *Snapshot) SeriesBySender(bucket time.Duration, horizon sim.Time) [][]u
 		}
 	}
 	return out
-}
-
-// Summary returns a one-line human-readable digest.
-func (sn *Snapshot) Summary() string {
-	return fmt.Sprintf("sent=%d delivered=%d dropped=%d kinds=%d",
-		sn.TotalSent(), sn.delivered, sn.dropped, len(sn.kinds))
 }

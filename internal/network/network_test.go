@@ -7,7 +7,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 const ms = time.Millisecond
@@ -22,7 +21,7 @@ func newTestFabric(t *testing.T, n int, def Profile, gst sim.Time) (*sim.Kernel,
 	t.Helper()
 	k := sim.NewKernel(1)
 	stats := metrics.NewMessageStats(n)
-	f, err := NewFabric(k, n, def, obs.Tee(stats, trace.NewLog().MessageSink()))
+	f, err := NewFabric(k, n, def, obs.Tee(stats, obs.Nop{}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,6 @@ import (
 	"repro/internal/network"
 	"repro/internal/obs"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // WorldConfig configures a simulated system.
@@ -22,8 +21,10 @@ type WorldConfig struct {
 	// DefaultLink is applied to every link; individual links can be
 	// overridden through World.Fabric afterwards.
 	DefaultLink network.Profile
-	// EnableTrace turns on the structured event log (off by default:
-	// long benchmark runs record millions of events).
+	// EnableTrace makes Env.Logf report its text to Observer as obs.Note
+	// events (off by default, and then Logf returns before it formats
+	// anything). The events land where Observer puts them — scenario.Build
+	// hands them, with the message events, to a span ring.
 	EnableTrace bool
 	// ClockRates optionally skews each process's timer durations by a
 	// multiplicative factor (1.0 = nominal). Length must be N if set.
@@ -33,8 +34,9 @@ type WorldConfig struct {
 	// (the process "does not exist yet"), which is how real deployments
 	// behave during rollout.
 	StartAt []sim.Time
-	// Observer is an optional extra obs.Sink teed with the world's stats
-	// and trace; it sees every send/deliver/drop.
+	// Observer is an optional extra obs.Sink teed with the world's stats;
+	// it sees every send/deliver/drop and, when it is an obs.EventSink,
+	// every crash (obs.Down) and note.
 	Observer obs.Sink
 	// RecordWindow bounds the per-sender send log retained for checker
 	// queries (0 = metrics.DefaultWindow). Counters are never windowed.
@@ -47,7 +49,11 @@ type World struct {
 	Kernel *sim.Kernel
 	Fabric *network.Fabric
 	Stats  *metrics.MessageStats
-	Trace  *trace.Log
+
+	// events is the observer's event extension, nil when it has none;
+	// notes says whether Logf reports to it.
+	events obs.EventSink
+	notes  bool
 
 	nodes     []*proc
 	started   bool
@@ -101,10 +107,7 @@ func NewWorld(cfg WorldConfig) (*World, error) {
 	}
 	k := sim.NewKernel(cfg.Seed)
 	stats := metrics.NewMessageStatsWindow(cfg.N, cfg.RecordWindow)
-	log := trace.NewLog()
-	log.SetEnabled(cfg.EnableTrace)
-	fabric, err := network.NewFabric(k, cfg.N, cfg.DefaultLink,
-		obs.Tee(stats, log.MessageSink(), cfg.Observer))
+	fabric, err := network.NewFabric(k, cfg.N, cfg.DefaultLink, obs.Tee(stats, cfg.Observer))
 	if err != nil {
 		return nil, err
 	}
@@ -113,7 +116,6 @@ func NewWorld(cfg WorldConfig) (*World, error) {
 		Kernel:    k,
 		Fabric:    fabric,
 		Stats:     stats,
-		Trace:     log,
 		startAt:   cfg.StartAt,
 		crashedAt: make(map[ID]sim.Time),
 	}
@@ -131,6 +133,8 @@ func NewWorld(cfg WorldConfig) (*World, error) {
 			timers: make(map[string]*timerRec),
 		}
 	}
+	w.events, _ = cfg.Observer.(obs.EventSink)
+	w.notes = cfg.EnableTrace && w.events != nil
 	fabric.SetDeliver(w.deliverPayload)
 	return w, nil
 }
@@ -188,7 +192,8 @@ func (p *proc) boot() {
 func (w *World) Started(id ID) bool { return w.nodes[id].started }
 
 // Crash kills process id immediately: its timers are cancelled and it
-// neither sends nor receives from now on (crash-stop, no recovery).
+// neither sends nor receives from now on (crash-stop, no recovery). This
+// is where the observer learns of it: one obs.Down.
 func (w *World) Crash(id ID) {
 	p := w.nodes[id]
 	if !p.alive {
@@ -200,7 +205,9 @@ func (w *World) Crash(id ID) {
 	}
 	p.timers = make(map[string]*timerRec)
 	w.crashedAt[id] = w.Kernel.Now()
-	w.Trace.Add(trace.Entry{T: w.Kernel.Now(), Kind: trace.KindCrash, Node: int(id), Peer: -1})
+	if w.events != nil {
+		w.events.OnEvent(obs.Event{T: w.Kernel.Now(), What: obs.Down, Proc: int(id), Peer: -1})
+	}
 }
 
 // CrashAt schedules a crash of id at virtual instant t.
@@ -305,5 +312,9 @@ func (p *proc) StopTimer(key string) {
 }
 
 func (p *proc) Logf(format string, args ...any) {
-	p.world.Trace.Addf(p.world.Kernel.Now(), int(p.id), format, args...)
+	w := p.world
+	if !w.notes {
+		return
+	}
+	w.events.OnEvent(obs.Event{T: w.Kernel.Now(), What: obs.Note, Proc: int(p.id), Peer: -1, Text: fmt.Sprintf(format, args...)})
 }

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/network"
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -263,4 +264,49 @@ func TestEnvIdentity(t *testing.T) {
 		t.Fatalf("env ID/N = %v/%v", env.ID(), env.N())
 	}
 	env.Logf("note %d", 1) // must not panic
+}
+
+// noteSink records the events a world reports to its observer.
+type noteSink struct {
+	obs.Nop
+	events []obs.Event
+}
+
+func (s *noteSink) OnEvent(e obs.Event) { s.events = append(s.events, e) }
+
+// TestLogfCostsNothingWithTraceOff: a world that was not asked to trace
+// returns from Logf before formatting — protocols call it on every leader
+// change and every ballot — while one that was reports the text, and a
+// crash reaches the observer either way.
+func TestLogfCostsNothingWithTraceOff(t *testing.T) {
+	build := func(trace bool, sink obs.Sink) *World {
+		w, err := NewWorld(WorldConfig{N: 2, Seed: 1, DefaultLink: network.Timely(ms), EnableTrace: trace, Observer: sink})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return w
+	}
+	off := &noteSink{}
+	for _, w := range []*World{build(false, nil), build(false, off), build(true, nil)} {
+		env, counter := w.Env(0), 7
+		if allocs := testing.AllocsPerRun(100, func() { env.Logf("leader → p%d (counter=%d)", 1, counter) }); allocs != 0 {
+			t.Fatalf("Logf with tracing off allocates %.1f objects per call, want 0", allocs)
+		}
+	}
+	if len(off.events) != 0 {
+		t.Fatalf("tracing off, yet the observer got %v", off.events)
+	}
+
+	on := &noteSink{}
+	w := build(true, on)
+	w.Env(1).Logf("ballot %d", 3)
+	w.Crash(0)
+	w.Crash(0) // a second crash of a dead process is not an event
+	want := []obs.Event{
+		{What: obs.Note, Proc: 1, Peer: -1, Text: "ballot 3"},
+		{What: obs.Down, Proc: 0, Peer: -1},
+	}
+	if len(on.events) != 2 || on.events[0] != want[0] || on.events[1] != want[1] {
+		t.Fatalf("observer got %v, want %v", on.events, want)
+	}
 }

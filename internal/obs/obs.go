@@ -1,14 +1,18 @@
-// Package obs defines the observer pipeline shared by the deterministic
-// simulator and the live transports: a single Sink interface through which
-// every message event (send, deliver, drop) is reported, with message
-// kinds pre-interned to small integer IDs so the hot path never hashes
-// strings or takes a global lock.
+// Package obs is the one path by which what happens in a run reaches
+// whoever watches it, shared by the deterministic simulator and the live
+// transports. Message events (send, deliver, drop) go through the Sink
+// interface, with message kinds pre-interned to small integer IDs so the
+// hot path never hashes strings or takes a global lock; the rare
+// protocol-level events (leader changes, crashes and rejoins, decisions,
+// flushes, WAL activity, notes) are Event values delivered through the
+// EventSink extension of the same sink (event.go).
 //
-// The simulator's network.Fabric and the live clusters in
-// internal/transport all report through a Sink; metrics.MessageStats and
-// the trace log are Sink implementations, and Tee composes several
-// observers into one. This is what lets sim and live runs share one
-// instrumentation stack.
+// The simulator's network.Fabric and node.World and the live clusters in
+// internal/transport report into the Sink they were built with;
+// metrics.MessageStats, telemetry.Collector and the tracing span ring are
+// plain subscribers, and Tee composes several into one. obs subscribes to
+// nothing itself: it holds the vocabulary and Agreement, the election
+// tracker two of those subscribers share.
 package obs
 
 import (

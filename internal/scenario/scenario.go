@@ -19,6 +19,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/relay"
 	"repro/internal/sim"
+	"repro/internal/tracing"
 )
 
 // Algorithm names an Omega implementation.
@@ -134,11 +135,12 @@ type Config struct {
 	// Build returns an error when set (the simulator cannot rebuild an
 	// automaton from durable state), LiveFaultPlan translates them.
 	Restarts []Restart
-	// EnableTrace turns on the structured event log.
+	// EnableTrace turns on the event log: System.Trace, a span ring that
+	// keeps every message, crash and Logf note of the run.
 	EnableTrace bool
 	// Observer is an optional extra obs.Sink teed with the world's stats
-	// and trace; the telemetry layer hooks in here so sim runs feed the
-	// same collector live clusters do.
+	// (and the trace); the telemetry layer hooks in here so sim runs feed
+	// the same collector live clusters do, by the same path.
 	Observer obs.Sink
 }
 
@@ -186,11 +188,19 @@ func (c *Config) fill() error {
 	return nil
 }
 
+// traceLimit bounds the event log per process. A traced run is one a
+// person means to read; this is room for minutes of heartbeats, and the
+// ring only grows as it fills.
+const traceLimit = 1 << 20
+
 // System is a built, runnable scenario.
 type System struct {
 	Config Config
 	World  *node.World
 	Omegas []detector.Omega
+	// Trace is the run's event log (tracing.Set.WriteText prints it), nil
+	// without Config.EnableTrace.
+	Trace *tracing.Set
 
 	booted bool
 }
@@ -205,13 +215,19 @@ func Build(cfg Config) (*System, error) {
 	if len(cfg.Restarts) > 0 {
 		return nil, fmt.Errorf("scenario: restarts are live-cluster only (use LiveFaultPlan); the simulator cannot rebuild an automaton from durable state")
 	}
+	var trace *tracing.Set
+	observer := cfg.Observer
+	if cfg.EnableTrace {
+		trace = tracing.New(tracing.Config{Procs: cfg.N, Limit: traceLimit})
+		observer = obs.Tee(observer, trace.MessageSink())
+	}
 	w, err := node.NewWorld(node.WorldConfig{
 		N:           cfg.N,
 		Seed:        cfg.Seed,
 		GST:         cfg.GST,
 		DefaultLink: network.Timely(cfg.Delta), // replaced below
 		EnableTrace: cfg.EnableTrace,
-		Observer:    cfg.Observer,
+		Observer:    observer, // nil with neither: the fabric then reports to the stats alone
 	})
 	if err != nil {
 		return nil, err
@@ -219,7 +235,7 @@ func Build(cfg Config) (*System, error) {
 	if err := applyRegime(w.Fabric, cfg); err != nil {
 		return nil, err
 	}
-	s := &System{Config: cfg, World: w, Omegas: make([]detector.Omega, cfg.N)}
+	s := &System{Config: cfg, World: w, Omegas: make([]detector.Omega, cfg.N), Trace: trace}
 	for i := 0; i < cfg.N; i++ {
 		auto, om, err := buildDetector(cfg)
 		if err != nil {

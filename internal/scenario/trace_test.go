@@ -6,8 +6,19 @@ import (
 	"time"
 
 	"repro/internal/sim"
-	"repro/internal/trace"
+	"repro/internal/tracing"
 )
+
+// named returns the marks of the log with the given name.
+func named(marks []tracing.SpanJSON, name string) []tracing.SpanJSON {
+	var out []tracing.SpanJSON
+	for _, m := range marks {
+		if m.Name == name {
+			out = append(out, m)
+		}
+	}
+	return out
+}
 
 // TestTraceCapturesTheRunStory: with tracing on, a scenario's event log
 // contains sends, deliveries, the crash, and the leader-change notes —
@@ -22,19 +33,19 @@ func TestTraceCapturesTheRunStory(t *testing.T) {
 	}
 	s.Run(time.Second)
 
-	log := s.World.Trace
-	if len(log.Filter(trace.KindSend)) == 0 {
+	entries := s.Trace.Marks()
+	if len(named(entries, "SEND")) == 0 {
 		t.Fatal("no SEND entries")
 	}
-	if len(log.Filter(trace.KindDeliver)) == 0 {
+	if len(named(entries, "DELIVER")) == 0 {
 		t.Fatal("no DELIVER entries")
 	}
-	crashes := log.Filter(trace.KindCrash)
-	if len(crashes) != 1 || crashes[0].Node != 0 {
+	crashes := named(entries, "down")
+	if len(crashes) != 1 || crashes[0].Proc != 0 {
 		t.Fatalf("crash entries = %v", crashes)
 	}
 	var sawLeaderNote bool
-	for _, e := range log.Filter(trace.KindNote) {
+	for _, e := range named(entries, "note") {
 		if strings.Contains(e.Note, "leader") {
 			sawLeaderNote = true
 			break
@@ -44,9 +55,8 @@ func TestTraceCapturesTheRunStory(t *testing.T) {
 		t.Fatal("no leader-change notes in trace")
 	}
 	// Entries are time-ordered.
-	entries := log.Entries()
 	for i := 1; i < len(entries); i++ {
-		if entries[i].T < entries[i-1].T {
+		if entries[i].StartNS < entries[i-1].StartNS {
 			t.Fatalf("trace out of order at %d", i)
 		}
 	}
@@ -59,7 +69,7 @@ func TestTraceOffByDefault(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Run(200 * time.Millisecond)
-	if got := s.World.Trace.Len(); got != 0 {
-		t.Fatalf("trace recorded %d entries with tracing off", got)
+	if s.Trace != nil {
+		t.Fatalf("trace recorded %d entries with tracing off", len(s.Trace.Marks()))
 	}
 }

@@ -1,12 +1,11 @@
 package telemetry
 
 import (
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/consensus"
-	"repro/internal/detector"
 	"repro/internal/metrics"
 	"repro/internal/node"
 	"repro/internal/obs"
@@ -20,16 +19,70 @@ import (
 // up within a couple of scrapes.
 const DefaultQuiescenceWindow = time.Second
 
+// Series names one of the collector's histograms (see seriesTable).
+type Series int
+
+// The histograms, in the order /metrics lists them.
+const (
+	ElectionDowntime      Series = iota // leader change → next stable leader
+	DecisionLatency                     // proposer-side consensus decision latency
+	HeartbeatInterarrival               // per-link heartbeat inter-arrival
+	FlushFrames                         // frames per vectored write
+	FlushBytes                          // payload bytes per vectored write
+	WALFsync                            // WAL fsync latency
+	WALAppendBytes                      // framed bytes per WAL append
+	WALRecovery                         // snapshot-load + replay time per recovery
+	numSeries
+)
+
+// unit says what a histogram's values are. Histograms are duration-typed;
+// a count series records one "nanosecond" per frame or byte — power-of-two
+// buckets make that exact — and its exports never rescale to seconds.
+type unit uint8
+
+const (
+	seconds unit = iota
+	count
+)
+
+// seriesTable is the one registration of each histogram: name keys it in
+// the -snapshot-json dump, prom is its /metrics family. WritePrometheus,
+// Dump and Hist all walk this table.
+var seriesTable = [numSeries]struct {
+	name, prom string
+	unit       unit
+}{
+	ElectionDowntime:      {"election_downtime", "omega_election_downtime_seconds", seconds},
+	DecisionLatency:       {"decision_latency", "omega_decision_latency_seconds", seconds},
+	HeartbeatInterarrival: {"heartbeat_interarrival", "omega_heartbeat_interarrival_seconds", seconds},
+	FlushFrames:           {"flush_frames", "link_flush_frames", count},
+	FlushBytes:            {"flush_bytes", "link_flush_bytes", count},
+	WALFsync:              {"wal_fsync", "wal_fsync_seconds", seconds},
+	WALAppendBytes:        {"wal_append_bytes", "wal_append_bytes", count},
+	WALRecovery:           {"wal_recovery", "wal_recovery_seconds", seconds},
+}
+
+// LeaseProbe reports one process's read-path state: whether it currently
+// holds the leader lease, and its monotone local/fallback read counters.
+// The lease gauges are polled state, not events — nothing happens when a
+// lease quietly runs out — so they stay probes, polled at scrape time and
+// never on a hot path; an implementation backed by atomics
+// (rsm.Node.LeaseHeld, LocalReads, FallbackReads) is plenty.
+type LeaseProbe func() (held bool, local, fallback uint64)
+
 // Collector aggregates live telemetry for one cluster (or one simulator
-// world): latency histograms fed from the observer pipeline and the
-// leader/decision hooks, plus the steady-state quiescence gauges that
-// assert the paper's n−1-links property at runtime.
+// world): latency histograms and election tracking fed from the obs
+// stream, plus the steady-state quiescence gauges that assert the paper's
+// n−1-links property at runtime.
 //
-// A Collector is an obs.Sink; tee it into a transport.Config.Observer (or
-// a scenario/world observer) so it sees every message event. Leader
-// transitions arrive via WatchOmega, decisions via WatchRecorder. All
-// methods are safe for concurrent use; the per-message path is lock-free.
+// A Collector is an obs.Sink and an obs.EventSink; tee it into a
+// transport.Config.Observer (or a scenario/world observer) so it sees
+// every message and every event the runtime emits, and Attach each
+// process's History and Recorder so it sees theirs. All methods are safe
+// for concurrent use; the per-message path is lock-free.
 type Collector struct {
+	obs.Nop // sends and drops: message counting lives in metrics.MessageStats
+
 	n     int
 	clock func() sim.Time
 	stats *metrics.MessageStats
@@ -41,31 +94,18 @@ type Collector struct {
 	hbKind [obs.MaxKinds]bool
 	lastHB []atomic.Int64
 
-	hbJitter    *Histogram // per-link heartbeat inter-arrival
-	downtime    *Histogram // election downtime: leader change → next stable leader
-	decision    *Histogram // proposer-side consensus decision latency
-	flushFrames *Histogram // frames per vectored write (count-unit, see lease.go)
-	flushBytes  *Histogram // payload bytes per vectored write (count-unit)
-	walFsync    *Histogram // WAL fsync latency (see wal.go)
-	walAppend   *Histogram // framed bytes per WAL append (count-unit)
-	walRecovery *Histogram // snapshot-load + replay time per recovery
+	hists [numSeries]*Histogram
+	// groups holds each consensus group's own decision-latency histogram
+	// in sharded clusters, by group id: written when a group first
+	// appears, read without a lock by every decision after.
+	groups sync.Map // int → *Histogram
 
-	// leaseProbes feed the read-path gauges (registered via WatchLease,
-	// polled at scrape time under mu).
-	leaseProbes []LeaseProbe
-
-	// groups holds per-consensus-group series in sharded clusters,
-	// registered via WatchGroupRecorder/WatchGroupLease (see group.go);
-	// nil until the first registration. Guarded by mu.
-	groups map[int]*groupSeries
-
-	// Election tracker. Leader changes are rare (finitely many, after
-	// GST), so a mutex is fine here; the message path never touches it.
-	mu         sync.Mutex
-	leaders    []node.ID
-	down       []bool
-	inDowntime bool
-	downSince  sim.Time
+	// mu guards the election tracker and the probe lists. Leader changes
+	// are rare (finitely many, after GST) and probes are polled at scrape
+	// time; the message path never touches it.
+	mu     sync.Mutex
+	agree  *obs.Agreement
+	probes map[int][]LeaseProbe // by group; obs.NoGroup: cluster-wide
 
 	stableLeader  atomic.Int64 // current cluster-wide agreed leader, -1 while disputed
 	lastElection  atomic.Int64 // sim.Time the current agreement formed, -1 before the first
@@ -75,35 +115,17 @@ type Collector struct {
 }
 
 var _ obs.Sink = (*Collector)(nil)
+var _ obs.EventSink = (*Collector)(nil)
 
 // Option customizes a Collector.
 type Option func(*Collector)
 
-// WithStats attaches the cluster's message accounting; the quiescence
-// gauges (active links, non-leader sends) are derived from it at read
-// time. Without it those gauges read zero.
-func WithStats(s *metrics.MessageStats) Option {
-	return func(c *Collector) { c.stats = s }
-}
-
-// WithClock overrides the collector's notion of "now", which must be on
-// the same clock as the timestamps reported through the sink. The default
+// WithClock sets the collector's notion of "now", which must be on the
+// same clock as the timestamps reported through the sink. The default
 // is wall time since New, matching the live transports' cluster clock; a
-// simulator world should pass its kernel clock.
+// simulator world passes its kernel clock.
 func WithClock(fn func() sim.Time) Option {
 	return func(c *Collector) { c.clock = fn }
-}
-
-// WithHeartbeatKinds replaces the set of message kinds whose deliveries
-// feed the inter-arrival histogram. The default covers the repository's
-// heartbeat kinds: LEADER (core), ALIVE (alltoall), ALIVE-V (source).
-func WithHeartbeatKinds(names ...string) Option {
-	return func(c *Collector) {
-		c.hbKind = [obs.MaxKinds]bool{}
-		for _, name := range names {
-			c.hbKind[obs.Intern(name)] = true
-		}
-	}
 }
 
 // WithQuiescenceWindow sets the sliding window for the active-links gauge
@@ -116,26 +138,19 @@ func WithQuiescenceWindow(d time.Duration) Option {
 	}
 }
 
-// New returns a collector for an n-process system.
+// New returns a collector for an n-process system. Deliveries of the
+// repository's heartbeat kinds — LEADER (core), ALIVE (alltoall), ALIVE-V
+// (source) — feed the inter-arrival histogram.
 func New(n int, opts ...Option) *Collector {
 	c := &Collector{
-		n:           n,
-		win:         DefaultQuiescenceWindow,
-		lastHB:      make([]atomic.Int64, n*n),
-		hbJitter:    NewHistogram("heartbeat_interarrival", n),
-		downtime:    NewHistogram("election_downtime", 1),
-		decision:    NewHistogram("decision_latency", n),
-		flushFrames: NewHistogram("flush_frames", n),
-		flushBytes:  NewHistogram("flush_bytes", n),
-		walFsync:    NewHistogram("wal_fsync", n),
-		walAppend:   NewHistogram("wal_append_bytes", n),
-		walRecovery: NewHistogram("wal_recovery", n),
-		leaders:     make([]node.ID, n),
-		down:        make([]bool, n),
-		inDowntime:  true, // the initial election counts, from time zero
+		n:      n,
+		win:    DefaultQuiescenceWindow,
+		lastHB: make([]atomic.Int64, n*n),
+		agree:  obs.NewAgreement(n),
+		probes: make(map[int][]LeaseProbe),
 	}
-	for i := range c.leaders {
-		c.leaders[i] = node.None
+	for s := range c.hists {
+		c.hists[s] = NewHistogram(n)
 	}
 	for i := range c.lastHB {
 		c.lastHB[i].Store(-1)
@@ -153,31 +168,26 @@ func New(n int, opts ...Option) *Collector {
 	return c
 }
 
-// AttachStats attaches the cluster's message accounting after
-// construction — for wiring orders where the stats object is created by
-// the cluster the collector observes. Call during setup, before Serve and
-// before the cluster starts.
+// AttachStats attaches the cluster's message accounting, which the cluster
+// the collector observes creates; the quiescence gauges (active links,
+// non-leader sends) are derived from it at read time and read zero
+// without it. Call during setup, before Serve and before the cluster
+// starts.
 func (c *Collector) AttachStats(s *metrics.MessageStats) { c.stats = s }
 
-// SetClock replaces the collector's clock after construction (see
-// WithClock) — the simulator wires its kernel clock here, which exists
-// only after the world is built. Call during setup, before Serve.
-func (c *Collector) SetClock(fn func() sim.Time) { c.clock = fn }
-
-// N returns the process count the collector was built for.
-func (c *Collector) N() int { return c.n }
-
-// Now returns the collector's current time on the cluster clock.
-func (c *Collector) Now() sim.Time { return c.clock() }
-
-// QuiescenceWindow returns the sliding window used by ActiveLinks.
-func (c *Collector) QuiescenceWindow() time.Duration { return c.win }
+// Probe registers a read-path probe: one process's, cluster-wide under
+// obs.NoGroup, or one process's share of a consensus group's, exported
+// under that group's label. Call during setup, before Serve.
+func (c *Collector) Probe(group int, p LeaseProbe) {
+	if group != obs.NoGroup {
+		c.groupHist(group) // a probed group is listed before its first decision
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.probes[group] = append(c.probes[group], p)
+}
 
 // --- obs.Sink -----------------------------------------------------------
-
-// OnSend implements obs.Sink. Message counting lives in
-// metrics.MessageStats; the collector only derives from it.
-func (c *Collector) OnSend(t sim.Time, from, to int, kind obs.Kind) {}
 
 // OnDeliver implements obs.Sink: deliveries of heartbeat kinds feed the
 // per-link inter-arrival histogram. The path is lock-free and performs no
@@ -188,128 +198,58 @@ func (c *Collector) OnDeliver(t sim.Time, from, to int, kind obs.Kind) {
 	}
 	prev := c.lastHB[from*c.n+to].Swap(int64(t))
 	if prev >= 0 && int64(t) >= prev {
-		c.hbJitter.Record(to, time.Duration(int64(t)-prev))
+		c.hists[HeartbeatInterarrival].Record(to, time.Duration(int64(t)-prev))
 	}
 }
 
-// OnDrop implements obs.Sink.
-func (c *Collector) OnDrop(t sim.Time, from, to int, kind obs.Kind) {}
-
-// --- leader/decision feeds ----------------------------------------------
-
-// WatchOmega subscribes the collector to process id's leader-change
-// stream. Call before the detector starts.
-func (c *Collector) WatchOmega(id node.ID, h *detector.History) {
-	c.LeaderChanged(0, id, h.Current())
-	h.SetNotify(func(t sim.Time, leader node.ID) { c.LeaderChanged(t, id, leader) })
-}
-
-// WatchRecorder subscribes the collector to process id's decision stream.
-// Call before the consensus automaton starts.
-func (c *Collector) WatchRecorder(id node.ID, r *consensus.Recorder) {
-	r.SetNotify(func(d consensus.Decision) { c.Decided(d) })
-}
-
-// LeaderChanged reports that process id's Omega output became leader at t.
-// Downtime bookkeeping: the span from the instant cluster-wide agreement
-// broke (or time zero, for the initial election) to the instant every
-// live process outputs the same live leader again is one election's
-// downtime.
-func (c *Collector) LeaderChanged(t sim.Time, id node.ID, leader node.ID) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.leaders[id] == leader {
-		return
-	}
-	if leader != node.None {
-		c.leaderChanges.Add(1)
-	}
-	c.leaders[id] = leader
-	c.recomputeLocked(t)
-}
-
-// MarkDown excludes a crashed process from agreement tracking: its frozen
-// leader output no longer blocks (or fakes) cluster-wide agreement, and a
-// crashed leader immediately opens a downtime span — the paper's
-// "leader-change → next stable leader" clock starts at the crash.
-func (c *Collector) MarkDown(id node.ID) {
-	t := c.Now()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.down[id] {
-		return
-	}
-	c.down[id] = true
-	c.recomputeLocked(t)
-}
-
-// MarkUp returns a restarted process to agreement tracking. Its leader
-// output restarts from "no output yet", so cluster-wide agreement is
-// withheld until the rejoined process converges on the survivors' leader
-// — the recovery-to-agreement span lands in the downtime histogram.
-func (c *Collector) MarkUp(id node.ID) {
-	t := c.Now()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if !c.down[id] {
-		return
-	}
-	c.down[id] = false
-	c.leaders[id] = node.None
-	c.recomputeLocked(t)
-}
-
-// recomputeLocked re-derives cluster-wide agreement — every live process
-// outputs the same live leader — and drives the downtime state machine.
-// Callers hold c.mu.
-func (c *Collector) recomputeLocked(t sim.Time) {
-	leader := node.None
-	agreed := true
-	for id, l := range c.leaders {
-		if c.down[id] {
-			continue
+// OnEvent implements obs.EventSink: the one place events become series.
+// An election's downtime — from the instant cluster-wide agreement broke
+// (or time zero, or the crash of the leader) to the instant every live
+// process outputs the same live leader again — is obs.Agreement's to
+// work out; a decision's latency is known only at the proposing leader
+// and zero ("unknown") everywhere else.
+func (c *Collector) OnEvent(e obs.Event) {
+	switch e.What {
+	case obs.LeaderChange, obs.Down, obs.Up:
+		c.mu.Lock()
+		if downtime, formed := c.agree.Feed(e); formed {
+			c.hists[ElectionDowntime].Record(0, downtime)
+			c.elections.Add(1)
+			c.lastElection.Store(int64(e.T))
 		}
-		if l == node.None {
-			agreed = false
-			break
+		c.leaderChanges.Store(uint64(c.agree.Changes))
+		c.stableLeader.Store(int64(c.agree.Leader()))
+		c.mu.Unlock()
+	case obs.Decide:
+		c.decides.Add(1)
+		if e.Dur > 0 {
+			c.hists[DecisionLatency].Record(e.Proc, e.Dur)
 		}
-		if leader == node.None {
-			leader = l
-		} else if l != leader {
-			agreed = false
-			break
+		if e.N != obs.NoGroup {
+			if h := c.groupHist(e.N); e.Dur > 0 {
+				h.Record(e.Proc, e.Dur)
+			}
 		}
-	}
-	if leader == node.None || int(leader) < len(c.down) && c.down[leader] {
-		agreed = false
-	}
-	switch {
-	case agreed && c.inDowntime:
-		c.inDowntime = false
-		c.downtime.Record(0, t.Sub(c.downSince))
-		c.elections.Add(1)
-		c.lastElection.Store(int64(t))
-		c.stableLeader.Store(int64(leader))
-	case agreed && c.stableLeader.Load() != int64(leader):
-		// Every live process moved in lockstep: a zero-downtime election.
-		c.downtime.Record(0, 0)
-		c.elections.Add(1)
-		c.lastElection.Store(int64(t))
-		c.stableLeader.Store(int64(leader))
-	case !agreed && !c.inDowntime:
-		c.inDowntime = true
-		c.downSince = t
-		c.stableLeader.Store(-1)
+	case obs.Flush:
+		c.hists[FlushFrames].Record(e.Proc, time.Duration(e.N))
+		c.hists[FlushBytes].Record(e.Proc, time.Duration(e.Bytes))
+	case obs.WALAppend:
+		c.hists[WALAppendBytes].Record(e.Proc, time.Duration(e.Bytes))
+	case obs.WALFsync:
+		c.hists[WALFsync].Record(e.Proc, e.Dur)
+	case obs.WALRecover:
+		c.hists[WALRecovery].Record(e.Proc, e.Dur)
 	}
 }
 
-// Decided reports one learned consensus decision; proposer-side latency
-// (Decision.Elapsed, when known) feeds the decision histogram.
-func (c *Collector) Decided(d consensus.Decision) {
-	c.decides.Add(1)
-	if d.Elapsed > 0 {
-		c.decision.Record(int(d.By), d.Elapsed)
+// groupHist returns group g's decision-latency histogram, adding the
+// group on first sight.
+func (c *Collector) groupHist(g int) *Histogram {
+	h, ok := c.groups.Load(g)
+	if !ok {
+		h, _ = c.groups.LoadOrStore(g, NewHistogram(c.n))
 	}
+	return h.(*Histogram)
 }
 
 // --- gauges ---------------------------------------------------------------
@@ -331,7 +271,7 @@ func (c *Collector) Elections() uint64 { return c.elections.Load() }
 // LeaderChanges returns the total per-process leader-output transitions.
 func (c *Collector) LeaderChanges() uint64 { return c.leaderChanges.Load() }
 
-// Decides returns the total decisions observed across watched recorders.
+// Decides returns the total decisions observed across attached recorders.
 func (c *Collector) Decides() uint64 { return c.decides.Load() }
 
 // TimeSinceLastElection returns how long the current agreement has held,
@@ -344,17 +284,17 @@ func (c *Collector) TimeSinceLastElection() (time.Duration, bool) {
 	if _, ok := c.Leader(); !ok {
 		return 0, false // mid-election: the previous reign is over
 	}
-	return c.Now().Sub(sim.Time(at)), true
+	return c.clock().Sub(sim.Time(at)), true
 }
 
 // ActiveLinks returns how many distinct directed links carried at least
 // one message within the quiescence window — the paper's steady-state
-// claim is that this converges to exactly n−1. Zero without WithStats.
+// claim is that this converges to exactly n−1. Zero without AttachStats.
 func (c *Collector) ActiveLinks() int {
 	if c.stats == nil {
 		return 0
 	}
-	since := c.Now() - sim.Time(c.win)
+	since := c.clock() - sim.Time(c.win)
 	if since < 0 {
 		since = 0
 	}
@@ -364,7 +304,7 @@ func (c *Collector) ActiveLinks() int {
 // NonLeaderSends returns the total messages sent by every process other
 // than the current stable leader, excluding the given kinds (pass
 // core.KindAccuse to discount accusation traffic). While no stable leader
-// exists, every process counts. Zero without WithStats.
+// exists, every process counts. Zero without AttachStats.
 //
 // After stabilization this gauge must stop moving: only the leader sends.
 func (c *Collector) NonLeaderSends(excludeKinds ...string) uint64 {
@@ -385,14 +325,45 @@ func (c *Collector) NonLeaderSends(excludeKinds ...string) uint64 {
 	return total
 }
 
-// HeartbeatJitter returns the merged heartbeat inter-arrival snapshot.
-func (c *Collector) HeartbeatJitter() HistSnapshot { return c.hbJitter.Snapshot() }
+// Hist returns the merged snapshot of one series.
+func (c *Collector) Hist(s Series) HistSnapshot { return c.hists[s].Snapshot() }
 
-// ElectionDowntime returns the merged election-downtime snapshot.
-func (c *Collector) ElectionDowntime() HistSnapshot { return c.downtime.Snapshot() }
+// GroupIDs returns, in ascending order, the consensus groups seen so far —
+// by a decision or a probe; empty in unsharded clusters.
+func (c *Collector) GroupIDs() []int {
+	var ids []int
+	c.groups.Range(func(g, _ any) bool {
+		ids = append(ids, g.(int))
+		return true
+	})
+	sort.Ints(ids)
+	return ids
+}
 
-// DecisionLatency returns the merged decision-latency snapshot.
-func (c *Collector) DecisionLatency() HistSnapshot { return c.decision.Snapshot() }
+// GroupHist returns group g's merged decision-latency snapshot.
+func (c *Collector) GroupHist(g int) HistSnapshot {
+	if h, ok := c.groups.Load(g); ok {
+		return h.(*Histogram).Snapshot()
+	}
+	return HistSnapshot{}
+}
 
-// Stats returns the attached message accounting (nil without WithStats).
-func (c *Collector) Stats() *metrics.MessageStats { return c.stats }
+// Lease polls one group's probes (obs.NoGroup: the cluster-wide ones)
+// once: how many processes believe they hold the leader lease — 0 or 1
+// when healthy, a sustained 2+ would falsify the lease safety argument —
+// and the total reads served locally under a lease, with zero consensus
+// messages, and through the phase-2 no-op barrier.
+func (c *Collector) Lease(group int) (held int, local, fallback uint64) {
+	c.mu.Lock()
+	probes := c.probes[group]
+	c.mu.Unlock()
+	for _, p := range probes {
+		h, l, f := p()
+		if h {
+			held++
+		}
+		local += l
+		fallback += f
+	}
+	return held, local, fallback
+}

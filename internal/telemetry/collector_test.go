@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/consensus"
 	"repro/internal/metrics"
-	"repro/internal/node"
 	"repro/internal/obs"
 	"repro/internal/sim"
 )
@@ -19,7 +18,27 @@ type fakeClock struct{ t sim.Time }
 func (f *fakeClock) now() sim.Time       { return f.t }
 func (f *fakeClock) set(d time.Duration) { f.t = sim.At(d) }
 
-func TestDowntimeStateMachine(t *testing.T) {
+// The three events the election tracker consumes, as a runtime and the
+// Attach adapters emit them.
+func leaderChange(c *Collector, t sim.Time, proc, leader int) {
+	c.OnEvent(obs.Event{T: t, What: obs.LeaderChange, Proc: proc, Peer: leader})
+}
+func down(c *Collector, t sim.Time, proc int) {
+	c.OnEvent(obs.Event{T: t, What: obs.Down, Proc: proc, Peer: -1})
+}
+func up(c *Collector, t sim.Time, proc int) {
+	c.OnEvent(obs.Event{T: t, What: obs.Up, Proc: proc, Peer: -1})
+}
+func decided(c *Collector, proc int, elapsed time.Duration) {
+	c.OnEvent(obs.Event{What: obs.Decide, Proc: proc, Peer: -1, Dur: elapsed, N: obs.NoGroup})
+}
+
+// TestElectionEventsBecomeGauges: the agreement rule itself is
+// obs.Agreement's (and tested there); this pins what the collector makes
+// of its verdicts — the leader gauge, the reign counter, the downtime
+// histogram, the time since the last election — through a leader crash
+// and a rejoin.
+func TestElectionEventsBecomeGauges(t *testing.T) {
 	clk := &fakeClock{}
 	c := New(3, WithClock(clk.now))
 
@@ -32,20 +51,19 @@ func TestDowntimeStateMachine(t *testing.T) {
 
 	// Initial election: processes converge on 0 one by one; the downtime
 	// span runs from time zero to the last report.
-	c.LeaderChanged(sim.At(10*time.Millisecond), 0, 0)
-	c.LeaderChanged(sim.At(20*time.Millisecond), 1, 0)
+	leaderChange(c, sim.At(10*time.Millisecond), 0, 0)
+	leaderChange(c, sim.At(20*time.Millisecond), 1, 0)
 	if _, ok := c.Leader(); ok {
 		t.Fatal("agreement with one process still undecided")
 	}
-	c.LeaderChanged(sim.At(30*time.Millisecond), 2, 0)
-
+	leaderChange(c, sim.At(30*time.Millisecond), 2, 0)
 	if l, ok := c.Leader(); !ok || l != 0 {
 		t.Fatalf("leader = %v/%v, want 0/true", l, ok)
 	}
 	if c.Elections() != 1 {
 		t.Fatalf("elections = %d, want 1", c.Elections())
 	}
-	dt := c.ElectionDowntime()
+	dt := c.Hist(ElectionDowntime)
 	if dt.Count != 1 || dt.Max != 30*time.Millisecond {
 		t.Fatalf("downtime snapshot = count %d max %v, want 1/30ms", dt.Count, dt.Max)
 	}
@@ -54,85 +72,51 @@ func TestDowntimeStateMachine(t *testing.T) {
 		t.Fatalf("TimeSinceLastElection = %v/%v, want 20ms", since, ok)
 	}
 
-	// Re-election: agreement breaks at 100ms, reforms on 2 at 160ms.
-	c.LeaderChanged(sim.At(100*time.Millisecond), 0, 2)
+	// The leader crashes at 1s: the downtime clock starts at the crash even
+	// though the survivors' outputs have not moved yet.
+	down(c, sim.At(time.Second), 0)
 	if _, ok := c.Leader(); ok {
-		t.Fatal("leader still agreed mid-election")
+		t.Fatal("crashed leader still counted as agreed")
 	}
 	if _, ok := c.TimeSinceLastElection(); ok {
 		t.Fatal("TimeSinceLastElection during dispute")
 	}
-	c.LeaderChanged(sim.At(120*time.Millisecond), 1, 2)
-	c.LeaderChanged(sim.At(160*time.Millisecond), 2, 2)
-	if l, ok := c.Leader(); !ok || l != 2 {
-		t.Fatalf("leader = %v/%v, want 2/true", l, ok)
+	leaderChange(c, sim.At(1300*time.Millisecond), 1, 1)
+	leaderChange(c, sim.At(1500*time.Millisecond), 2, 1)
+	if l, ok := c.Leader(); !ok || l != 1 {
+		t.Fatalf("leader = %v/%v, want 1/true", l, ok)
 	}
-	if c.Elections() != 2 {
-		t.Fatalf("elections = %d, want 2", c.Elections())
+	dt = c.Hist(ElectionDowntime)
+	if dt.Count != 2 || dt.Max != 500*time.Millisecond {
+		t.Fatalf("downtime = count %d max %v, want 2/500ms (crash → reform)", dt.Count, dt.Max)
 	}
-	dt = c.ElectionDowntime()
-	if dt.Count != 2 || dt.Max != 60*time.Millisecond {
-		t.Fatalf("downtime snapshot = count %d max %v, want 2/60ms", dt.Count, dt.Max)
+
+	// It rejoins at 2s with no output: agreement is withheld until it
+	// converges, and that span is an election's downtime too.
+	up(c, sim.At(2*time.Second), 0)
+	if _, ok := c.Leader(); ok {
+		t.Fatal("agreement held while the rejoined process has no leader output")
+	}
+	leaderChange(c, sim.At(2015*time.Millisecond), 0, 1)
+	if l, ok := c.Leader(); !ok || l != 1 {
+		t.Fatalf("leader after rejoin = %v/%v, want 1/true", l, ok)
+	}
+	if dt = c.Hist(ElectionDowntime); dt.Count != 3 || c.Elections() != 3 {
+		t.Fatalf("downtime count %d, elections %d, want 3/3", dt.Count, c.Elections())
 	}
 	if c.LeaderChanges() != 6 {
 		t.Fatalf("leaderChanges = %d, want 6", c.LeaderChanges())
 	}
 
 	// Duplicate reports are ignored.
-	c.LeaderChanged(sim.At(200*time.Millisecond), 0, 2)
-	if c.LeaderChanges() != 6 || c.Elections() != 2 {
-		t.Fatal("duplicate leader report changed state")
+	leaderChange(c, sim.At(3*time.Second), 0, 1)
+	down(c, sim.At(3*time.Second), 2)
+	down(c, sim.At(3*time.Second), 2)
+	if c.LeaderChanges() != 6 || c.Elections() != 3 {
+		t.Fatal("duplicate reports changed state")
 	}
-}
-
-func TestMarkDownLeaderOpensDowntime(t *testing.T) {
-	clk := &fakeClock{}
-	c := New(3, WithClock(clk.now))
-	c.LeaderChanged(0, 0, 0)
-	c.LeaderChanged(0, 1, 0)
-	c.LeaderChanged(0, 2, 0)
-	if l, ok := c.Leader(); !ok || l != 0 {
-		t.Fatalf("leader = %v/%v, want 0/true", l, ok)
-	}
-
-	// Leader crashes at 1s: the downtime clock starts at the crash even
-	// though the survivors' outputs have not moved yet.
-	clk.set(time.Second)
-	c.MarkDown(0)
-	if _, ok := c.Leader(); ok {
-		t.Fatal("crashed leader still counted as agreed")
-	}
-
-	// Survivors elect 1; the crashed process's frozen output (0) must not
-	// block agreement.
-	c.LeaderChanged(sim.At(1300*time.Millisecond), 1, 1)
-	c.LeaderChanged(sim.At(1500*time.Millisecond), 2, 1)
-	if l, ok := c.Leader(); !ok || l != 1 {
-		t.Fatalf("leader = %v/%v, want 1/true", l, ok)
-	}
-	dt := c.ElectionDowntime()
-	if dt.Count != 2 || dt.Max != 500*time.Millisecond {
-		t.Fatalf("downtime = count %d max %v, want 2/500ms (crash → reform)", dt.Count, dt.Max)
-	}
-
-	// MarkDown is idempotent.
-	c.MarkDown(0)
-	if c.Elections() != 2 {
-		t.Fatalf("elections = %d after duplicate MarkDown, want 2", c.Elections())
-	}
-}
-
-func TestMarkDownNonLeaderKeepsAgreement(t *testing.T) {
-	c := New(3, WithClock(func() sim.Time { return 0 }))
-	for id := 0; id < 3; id++ {
-		c.LeaderChanged(0, node.ID(id), 0)
-	}
-	c.MarkDown(2)
-	if l, ok := c.Leader(); !ok || l != 0 {
-		t.Fatalf("leader = %v/%v after non-leader crash, want 0/true", l, ok)
-	}
-	if c.Elections() != 1 {
-		t.Fatalf("elections = %d, want 1", c.Elections())
+	if h := c.Health(); !h.Agreed || h.Leader != 1 || h.Epoch != 3 {
+		t.Fatalf("health = %+v, want agreed on 1 in epoch 3", h)
 	}
 }
 
@@ -145,7 +129,7 @@ func TestHeartbeatJitter(t *testing.T) {
 	c.OnDeliver(sim.At(5*time.Millisecond), 0, 1, hb)
 	c.OnDeliver(sim.At(11*time.Millisecond), 0, 1, hb)
 	c.OnDeliver(sim.At(12*time.Millisecond), 0, 1, other) // not a heartbeat
-	s := c.HeartbeatJitter()
+	s := c.Hist(HeartbeatInterarrival)
 	if s.Count != 2 {
 		t.Fatalf("jitter count = %d, want 2", s.Count)
 	}
@@ -155,29 +139,16 @@ func TestHeartbeatJitter(t *testing.T) {
 
 	// Per-link tracking: the 1→0 direction is independent.
 	c.OnDeliver(sim.At(100*time.Millisecond), 1, 0, hb)
-	if c.HeartbeatJitter().Count != 2 {
+	if c.Hist(HeartbeatInterarrival).Count != 2 {
 		t.Fatal("first delivery on a fresh link recorded an interval")
-	}
-}
-
-func TestWithHeartbeatKindsReplacesDefaults(t *testing.T) {
-	c := New(2, WithHeartbeatKinds("CUSTOM"))
-	c.OnDeliver(sim.At(0), 0, 1, obs.Intern("LEADER"))
-	c.OnDeliver(sim.At(time.Millisecond), 0, 1, obs.Intern("LEADER"))
-	if c.HeartbeatJitter().Count != 0 {
-		t.Fatal("default kind still tracked after WithHeartbeatKinds")
-	}
-	c.OnDeliver(sim.At(0), 0, 1, obs.Intern("CUSTOM"))
-	c.OnDeliver(sim.At(time.Millisecond), 0, 1, obs.Intern("CUSTOM"))
-	if c.HeartbeatJitter().Count != 1 {
-		t.Fatal("custom kind not tracked")
 	}
 }
 
 func TestQuiescenceGauges(t *testing.T) {
 	clk := &fakeClock{}
 	stats := metrics.NewMessageStats(3)
-	c := New(3, WithClock(clk.now), WithStats(stats), WithQuiescenceWindow(100*time.Millisecond))
+	c := New(3, WithClock(clk.now), WithQuiescenceWindow(100*time.Millisecond))
+	c.AttachStats(stats)
 
 	leaderKind := obs.Intern("LEADER")
 	accuse := obs.Intern("ACCUSE")
@@ -200,7 +171,7 @@ func TestQuiescenceGauges(t *testing.T) {
 	// Leader 0 agreed: only processes 1 and 2 count, and excluding
 	// accusations discounts process 2's message.
 	for id := 0; id < 3; id++ {
-		c.LeaderChanged(sim.At(3*time.Millisecond), node.ID(id), 0)
+		leaderChange(c, sim.At(3*time.Millisecond), id, 0)
 	}
 	if got := c.NonLeaderSends(); got != 2 {
 		t.Fatalf("non-leader sends = %d, want 2", got)
@@ -227,19 +198,16 @@ func TestCollectorWithoutStats(t *testing.T) {
 	if c.ActiveLinks() != 0 || c.NonLeaderSends() != 0 {
 		t.Fatal("gauges without stats should read zero")
 	}
-	if c.Stats() != nil {
-		t.Fatal("Stats() should be nil without WithStats")
-	}
 }
 
 func TestDecided(t *testing.T) {
 	c := New(3)
-	c.Decided(consensus.Decision{By: 1, Elapsed: 4 * time.Millisecond})
-	c.Decided(consensus.Decision{By: 2}) // follower learn: latency unknown
+	decided(c, 1, 4*time.Millisecond)
+	decided(c, 2, 0) // follower learn: latency unknown
 	if c.Decides() != 2 {
 		t.Fatalf("decides = %d, want 2", c.Decides())
 	}
-	s := c.DecisionLatency()
+	s := c.Hist(DecisionLatency)
 	if s.Count != 1 || s.Max != 4*time.Millisecond {
 		t.Fatalf("decision latency = count %d max %v, want 1/4ms", s.Count, s.Max)
 	}
@@ -251,7 +219,7 @@ func TestDecidedPerCommandLatency(t *testing.T) {
 	// every command, not just the instance.
 	c := New(3)
 	rec := consensus.NewRecorder()
-	c.WatchRecorder(0, rec)
+	Attach(c, c, obs.NoGroup, Process{ID: 0, Recorder: rec})
 	for cmd, lat := range []time.Duration{3 * time.Millisecond, 5 * time.Millisecond, 9 * time.Millisecond} {
 		rec.Record(consensus.Decision{Instance: 7, Cmd: cmd, Value: "v", By: 0, Elapsed: lat})
 	}
@@ -259,7 +227,7 @@ func TestDecidedPerCommandLatency(t *testing.T) {
 	if c.Decides() != 3 {
 		t.Fatalf("decides = %d, want one per command", c.Decides())
 	}
-	s := c.DecisionLatency()
+	s := c.Hist(DecisionLatency)
 	if s.Count != 3 || s.Max < 9*time.Millisecond || s.Max >= 18*time.Millisecond {
 		t.Fatalf("decision latency = count %d max %v, want 3 commands / ~9ms max", s.Count, s.Max)
 	}
@@ -270,7 +238,8 @@ func TestDecidedPerCommandLatency(t *testing.T) {
 func TestCollectorRaceStress(t *testing.T) {
 	const n = 4
 	stats := metrics.NewMessageStats(n)
-	c := New(n, WithStats(stats))
+	c := New(n)
+	c.AttachStats(stats)
 	hb := obs.Intern("LEADER")
 
 	const iters = 3000
@@ -291,10 +260,14 @@ func TestCollectorRaceStress(t *testing.T) {
 		c.OnDeliver(ts, from, to, hb)
 	})
 	worker(func(i int) {
-		c.LeaderChanged(sim.At(time.Duration(i)*time.Microsecond), node.ID(i%n), node.ID(i%2))
+		leaderChange(c, sim.At(time.Duration(i)*time.Microsecond), i%n, i%2)
+		if i%50 == 0 {
+			down(c, sim.At(time.Duration(i)*time.Microsecond), i%n)
+			up(c, sim.At(time.Duration(i)*time.Microsecond), i%n)
+		}
 	})
 	worker(func(i int) {
-		c.Decided(consensus.Decision{By: node.ID(i % n), Elapsed: time.Duration(i%100) * time.Microsecond})
+		c.OnEvent(obs.Event{What: obs.Decide, Proc: i % n, Peer: -1, Dur: time.Duration(i%100) * time.Microsecond, N: i%3 - 1})
 	})
 	worker(func(i int) {
 		if i%100 != 0 { // readers are heavier; sample
@@ -306,14 +279,14 @@ func TestCollectorRaceStress(t *testing.T) {
 		_, _ = c.Leader()
 		_ = c.ActiveLinks()
 		_ = c.NonLeaderSends("ACCUSE")
-		_ = c.HeartbeatJitter()
+		_ = c.Hist(HeartbeatInterarrival)
 	})
 	wg.Wait()
 
 	if c.Decides() != iters {
 		t.Fatalf("decides = %d, want %d", c.Decides(), iters)
 	}
-	if c.HeartbeatJitter().Count == 0 {
+	if c.Hist(HeartbeatInterarrival).Count == 0 {
 		t.Fatal("no heartbeat intervals recorded under stress")
 	}
 }

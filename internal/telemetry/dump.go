@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"os"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // HistJSON is one histogram snapshot in the offline-diffable dump format.
@@ -72,20 +74,13 @@ func (c *Collector) Dump() Dump {
 		NonLeaderSends: c.NonLeaderSends(),
 		WindowNS:       int64(c.win / time.Nanosecond),
 		SentByKind:     map[string]uint64{},
-		Histograms: map[string]HistJSON{
-			"election_downtime":      histJSON(c.ElectionDowntime()),
-			"decision_latency":       histJSON(c.DecisionLatency()),
-			"heartbeat_interarrival": histJSON(c.HeartbeatJitter()),
-			// Count-unit: "ns" fields hold frame/byte counts per flush.
-			"flush_frames": histJSON(c.FlushFrames()),
-			"flush_bytes":  histJSON(c.FlushBytes()),
-			"wal_fsync":    histJSON(c.FsyncLatency()),
-			// Count-unit: framed bytes per appended record.
-			"wal_append_bytes": histJSON(c.WALAppendBytes()),
-			"wal_recovery":     histJSON(c.RecoveryTime()),
-		},
+		Histograms:     make(map[string]HistJSON, numSeries),
 	}
-	d.LeaseHolders, d.LocalReads, d.FallbackReads = c.leaseSnapshot()
+	for s, row := range seriesTable {
+		// For a count series the "ns" fields hold frames or bytes.
+		d.Histograms[row.name] = histJSON(c.Hist(Series(s)))
+	}
+	d.LeaseHolders, d.LocalReads, d.FallbackReads = c.Lease(obs.NoGroup)
 	if leader, ok := c.Leader(); ok {
 		d.Leader = int(leader)
 	}

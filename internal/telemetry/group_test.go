@@ -14,11 +14,13 @@ import (
 func TestGroupSeries(t *testing.T) {
 	c := New(3)
 	recs := []*consensus.Recorder{consensus.NewRecorder(), consensus.NewRecorder()}
-	for g, r := range recs {
-		c.WatchGroupRecorder(g, 0, r)
+	leases := []LeaseProbe{
+		func() (bool, uint64, uint64) { return true, 7, 1 },
+		func() (bool, uint64, uint64) { return false, 2, 0 },
 	}
-	c.WatchGroupLease(0, func() (bool, uint64, uint64) { return true, 7, 1 })
-	c.WatchGroupLease(1, func() (bool, uint64, uint64) { return false, 2, 0 })
+	for g, r := range recs {
+		Attach(c, c, g, Process{ID: 0, Recorder: r, Lease: leases[g]})
+	}
 
 	recs[0].Record(consensus.Decision{Instance: 0, Value: "a", By: 0, Elapsed: time.Millisecond})
 	recs[1].Record(consensus.Decision{Instance: 0, Value: "b", By: 1, Elapsed: 2 * time.Millisecond})
@@ -30,19 +32,19 @@ func TestGroupSeries(t *testing.T) {
 	if ids := c.GroupIDs(); len(ids) != 2 || ids[0] != 0 || ids[1] != 1 {
 		t.Fatalf("GroupIDs = %v", ids)
 	}
-	if s := c.GroupDecisionLatency(0); s.Count != 1 {
+	if s := c.GroupHist(0); s.Count != 1 {
 		t.Fatalf("group 0 decision count = %d, want 1", s.Count)
 	}
-	if s := c.GroupDecisionLatency(1); s.Count != 2 {
+	if s := c.GroupHist(1); s.Count != 2 {
 		t.Fatalf("group 1 decision count = %d, want 2", s.Count)
 	}
-	if s := c.GroupDecisionLatency(9); s.Count != 0 {
+	if s := c.GroupHist(9); s.Count != 0 {
 		t.Fatalf("unknown group decision count = %d, want 0", s.Count)
 	}
-	if got := c.GroupLeaseHolders(0); got != 1 {
+	if got, _, _ := c.Lease(0); got != 1 {
 		t.Fatalf("group 0 lease holders = %d, want 1", got)
 	}
-	if got := c.GroupLeaseHolders(1); got != 0 {
+	if got, _, _ := c.Lease(1); got != 0 {
 		t.Fatalf("group 1 lease holders = %d, want 0", got)
 	}
 

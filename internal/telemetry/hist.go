@@ -1,7 +1,8 @@
-// Package telemetry is the live operational surface of the repository: it
-// turns the raw event streams the rest of the system already produces —
-// obs.Sink message events, detector.History leader transitions,
-// consensus.Recorder decisions, metrics.MessageStats counters — into
+// Package telemetry is the live operational surface of the repository: a
+// subscriber of the obs pipeline (DESIGN.md §8) that turns the stream —
+// heartbeat deliveries among the message events, and every protocol event:
+// leader changes, crashes and rejoins, decisions, flushes, WAL activity —
+// plus the counters of the cluster's metrics.MessageStats into
 // distributions and gauges that can be scraped off a running cluster.
 //
 // The package answers the two questions the reproduced paper makes
@@ -14,13 +15,14 @@
 //     n−1 directed links carry traffic and non-leaders stop sending)
 //
 // Histogram is the recording primitive: fixed arrays of atomics, sharded
-// per process, zero allocations on the record path, mergeable immutable
-// snapshots. Collector wires histograms to the event sources. Serve
-// exposes everything over HTTP as Prometheus text plus pprof.
+// per process, zero allocations on the record path, immutable snapshots.
+// Collector is the subscriber: one switch over the events, one table of
+// series. Attach (with FlushHook and WALHooks) is the assembly call that
+// turns a process's hooks into events for every subscriber, not only this
+// one. Serve exposes everything over HTTP as Prometheus text plus pprof.
 package telemetry
 
 import (
-	"fmt"
 	"math/bits"
 	"sync/atomic"
 	"time"
@@ -48,26 +50,21 @@ type histShard struct {
 // concurrently (a snapshot taken mid-record is approximate by at most the
 // in-flight records).
 type Histogram struct {
-	name   string
 	shards []*histShard
 }
 
 // NewHistogram returns a histogram with one shard per expected concurrent
 // recorder (typically the process count). shards < 1 is treated as 1.
-// name labels the histogram in exports.
-func NewHistogram(name string, shards int) *Histogram {
+func NewHistogram(shards int) *Histogram {
 	if shards < 1 {
 		shards = 1
 	}
-	h := &Histogram{name: name, shards: make([]*histShard, shards)}
+	h := &Histogram{shards: make([]*histShard, shards)}
 	for i := range h.shards {
 		h.shards[i] = &histShard{}
 	}
 	return h
 }
-
-// Name returns the histogram's export label.
-func (h *Histogram) Name() string { return h.name }
 
 // bucketOf maps a duration to its power-of-two bucket.
 func bucketOf(d time.Duration) int {
@@ -99,7 +96,6 @@ func (h *Histogram) Record(shard int, d time.Duration) {
 
 // HistSnapshot is an immutable merged view of a histogram at one instant.
 type HistSnapshot struct {
-	Name    string
 	Count   uint64
 	Sum     time.Duration
 	Max     time.Duration
@@ -108,7 +104,7 @@ type HistSnapshot struct {
 
 // Snapshot merges all shards into an immutable snapshot.
 func (h *Histogram) Snapshot() HistSnapshot {
-	snap := HistSnapshot{Name: h.name}
+	var snap HistSnapshot
 	for _, sh := range h.shards {
 		for b := range sh.buckets {
 			snap.Buckets[b] += sh.buckets[b].Load()
@@ -120,21 +116,6 @@ func (h *Histogram) Snapshot() HistSnapshot {
 		}
 	}
 	return snap
-}
-
-// Merge combines two snapshots (e.g. the same histogram from several
-// clusters) into one.
-func (s HistSnapshot) Merge(o HistSnapshot) HistSnapshot {
-	out := s
-	for b := range o.Buckets {
-		out.Buckets[b] += o.Buckets[b]
-	}
-	out.Count += o.Count
-	out.Sum += o.Sum
-	if o.Max > out.Max {
-		out.Max = o.Max
-	}
-	return out
 }
 
 // bucketUpper returns the inclusive upper bound of bucket b in
@@ -176,19 +157,4 @@ func (s HistSnapshot) Quantile(q float64) time.Duration {
 		}
 	}
 	return s.Max
-}
-
-// Mean returns the arithmetic mean of the recorded durations, 0 when
-// empty.
-func (s HistSnapshot) Mean() time.Duration {
-	if s.Count == 0 {
-		return 0
-	}
-	return s.Sum / time.Duration(s.Count)
-}
-
-// String formats the snapshot's headline stats.
-func (s HistSnapshot) String() string {
-	return fmt.Sprintf("%s: count=%d p50=%v p90=%v p99=%v max=%v",
-		s.Name, s.Count, s.Quantile(0.50), s.Quantile(0.90), s.Quantile(0.99), s.Max)
 }

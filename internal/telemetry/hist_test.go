@@ -6,7 +6,7 @@ import (
 )
 
 func TestHistogramBuckets(t *testing.T) {
-	h := NewHistogram("t", 2)
+	h := NewHistogram(2)
 	h.Record(0, 0)
 	h.Record(0, 1)              // bucket 1: [1,2)
 	h.Record(1, 3)              // bucket 2: [2,4)
@@ -29,7 +29,7 @@ func TestHistogramBuckets(t *testing.T) {
 }
 
 func TestHistogramQuantile(t *testing.T) {
-	h := NewHistogram("t", 1)
+	h := NewHistogram(1)
 	for i := 0; i < 90; i++ {
 		h.Record(0, time.Millisecond) // bucket 20 (2^20ns ≈ 1.05ms upper)
 	}
@@ -53,23 +53,10 @@ func TestHistogramQuantile(t *testing.T) {
 	}
 }
 
-func TestHistogramMerge(t *testing.T) {
-	a, b := NewHistogram("a", 1), NewHistogram("b", 1)
-	a.Record(0, time.Millisecond)
-	b.Record(0, time.Second)
-	m := a.Snapshot().Merge(b.Snapshot())
-	if m.Count != 2 || m.Max != time.Second {
-		t.Fatalf("merge: count=%d max=%v", m.Count, m.Max)
-	}
-	if m.Sum != time.Second+time.Millisecond {
-		t.Fatalf("merge sum = %v", m.Sum)
-	}
-}
-
 // TestHistogramRecordZeroAlloc is the allocation contract the telemetry
 // layer promises: recording costs no heap allocation, ever.
 func TestHistogramRecordZeroAlloc(t *testing.T) {
-	h := NewHistogram("t", 4)
+	h := NewHistogram(4)
 	if allocs := testing.AllocsPerRun(1000, func() {
 		h.Record(2, 137*time.Microsecond)
 	}); allocs != 0 {
@@ -78,7 +65,7 @@ func TestHistogramRecordZeroAlloc(t *testing.T) {
 }
 
 func BenchmarkHistogramRecord(b *testing.B) {
-	h := NewHistogram("bench", 8)
+	h := NewHistogram(8)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		h.Record(0, time.Duration(i))
@@ -86,7 +73,7 @@ func BenchmarkHistogramRecord(b *testing.B) {
 }
 
 func BenchmarkHistogramRecordParallel(b *testing.B) {
-	h := NewHistogram("bench", 8)
+	h := NewHistogram(8)
 	b.ReportAllocs()
 	var shard int64
 	b.RunParallel(func(pb *testing.PB) {

@@ -3,37 +3,41 @@ package telemetry
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/obs"
 )
 
-func TestWatchLeaseGauges(t *testing.T) {
+func TestLeaseProbeGauges(t *testing.T) {
 	c := New(3)
 	held := []bool{false, true, false}
 	local := []uint64{0, 120, 0}
 	fallback := []uint64{2, 3, 1}
 	for i := 0; i < 3; i++ {
 		i := i
-		c.WatchLease(func() (bool, uint64, uint64) { return held[i], local[i], fallback[i] })
+		c.Probe(obs.NoGroup, func() (bool, uint64, uint64) { return held[i], local[i], fallback[i] })
 	}
-	if got := c.LeaseHolders(); got != 1 {
-		t.Fatalf("LeaseHolders = %d, want 1", got)
+	holders, localReads, fallbackReads := c.Lease(obs.NoGroup)
+	if holders != 1 {
+		t.Fatalf("lease holders = %d, want 1", holders)
 	}
-	if got := c.LocalReads(); got != 120 {
-		t.Fatalf("LocalReads = %d, want 120", got)
+	if localReads != 120 {
+		t.Fatalf("local reads = %d, want 120", localReads)
 	}
-	if got := c.FallbackReads(); got != 6 {
-		t.Fatalf("FallbackReads = %d, want 6", got)
+	if fallbackReads != 6 {
+		t.Fatalf("fallback reads = %d, want 6", fallbackReads)
 	}
 	held[1] = false
-	if got := c.LeaseHolders(); got != 0 {
-		t.Fatalf("LeaseHolders after release = %d, want 0", got)
+	if got, _, _ := c.Lease(obs.NoGroup); got != 0 {
+		t.Fatalf("lease holders after release = %d, want 0", got)
 	}
 }
 
-func TestRecordFlushHistograms(t *testing.T) {
+func TestFlushHookHistograms(t *testing.T) {
 	c := New(2)
-	c.RecordFlush(0, 1, 8, 1024)
-	c.RecordFlush(1, 0, 32, 4096)
-	frames := c.FlushFrames()
+	flush := FlushHook(c)
+	flush(0, 1, 8, 1024)
+	flush(1, 0, 32, 4096)
+	frames := c.Hist(FlushFrames)
 	if frames.Count != 2 {
 		t.Fatalf("flush frames count = %d, want 2", frames.Count)
 	}
@@ -43,7 +47,7 @@ func TestRecordFlushHistograms(t *testing.T) {
 	if got := int64(frames.Max); got != 32 {
 		t.Fatalf("flush frames max = %d, want 32", got)
 	}
-	bytes := c.FlushBytes()
+	bytes := c.Hist(FlushBytes)
 	if got := int64(bytes.Sum); got != 5120 {
 		t.Fatalf("flush bytes sum = %d, want 5120", got)
 	}
@@ -51,8 +55,8 @@ func TestRecordFlushHistograms(t *testing.T) {
 
 func TestPrometheusExportsLeaseAndFlush(t *testing.T) {
 	c := New(2)
-	c.WatchLease(func() (bool, uint64, uint64) { return true, 7, 1 })
-	c.RecordFlush(0, 1, 8, 1024)
+	c.Probe(obs.NoGroup, func() (bool, uint64, uint64) { return true, 7, 1 })
+	FlushHook(c)(0, 1, 8, 1024)
 	var b strings.Builder
 	c.WritePrometheus(&b)
 	out := b.String()
@@ -75,8 +79,8 @@ func TestPrometheusExportsLeaseAndFlush(t *testing.T) {
 
 func TestDumpIncludesLeaseAndFlush(t *testing.T) {
 	c := New(2)
-	c.WatchLease(func() (bool, uint64, uint64) { return true, 9, 2 })
-	c.RecordFlush(0, 1, 16, 2048)
+	c.Probe(obs.NoGroup, func() (bool, uint64, uint64) { return true, 9, 2 })
+	FlushHook(c)(0, 1, 16, 2048)
 	d := c.Dump()
 	if d.LeaseHolders != 1 || d.LocalReads != 9 || d.FallbackReads != 2 {
 		t.Fatalf("dump lease fields = %d/%d/%d, want 1/9/2",

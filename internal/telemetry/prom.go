@@ -3,22 +3,24 @@ package telemetry
 import (
 	"fmt"
 	"io"
+
+	"repro/internal/obs"
 )
 
-// promHist writes one histogram in Prometheus exposition format, with
-// cumulative le buckets in seconds. Power-of-two buckets export exactly:
-// every observation in bucket b is < 2^b ns, so the cumulative count at
-// le = 2^b ns is precise.
-func promHist(w io.Writer, name string, s HistSnapshot) {
-	fmt.Fprintf(w, "# TYPE %s histogram\n", name)
-	promHistSeries(w, name, "", s)
-}
-
-// promHistSeries writes one labeled histogram series (buckets, sum, count)
-// without the TYPE header, so several label sets — one per consensus group
-// — share a single metric family. labels is either empty or a
-// comma-terminated prefix like `group="2",`.
-func promHistSeries(w io.Writer, name, labels string, s HistSnapshot) {
+// promHist writes one histogram series (cumulative le buckets, sum, count)
+// in Prometheus exposition format, without the TYPE header, so several
+// label sets — one per consensus group — share a single metric family.
+// labels is either empty or a comma-terminated prefix like `group="2",`.
+// A seconds series scales its nanoseconds to seconds, a count series
+// exports raw. Power-of-two buckets export exactly: every observation in
+// bucket b is < 2^b, so the cumulative count at le = 2^b is precise.
+func promHist(w io.Writer, name, labels string, u unit, s HistSnapshot) {
+	edge := func(b int) string { return fmt.Sprintf("%g", float64(uint64(1)<<uint(b))/1e9) }
+	sum := fmt.Sprintf("%g", s.Sum.Seconds())
+	if u == count {
+		edge = func(b int) string { return fmt.Sprintf("%d", uint64(1)<<uint(b)) }
+		sum = fmt.Sprintf("%d", int64(s.Sum))
+	}
 	var cum uint64
 	top := 0
 	for b, c := range s.Buckets {
@@ -28,44 +30,20 @@ func promHistSeries(w io.Writer, name, labels string, s HistSnapshot) {
 	}
 	for b := 0; b <= top; b++ {
 		cum += s.Buckets[b]
-		le := float64(uint64(1)<<uint(b)) / 1e9
-		fmt.Fprintf(w, "%s_bucket{%sle=\"%g\"} %d\n", name, labels, le, cum)
+		fmt.Fprintf(w, "%s_bucket{%sle=\"%s\"} %d\n", name, labels, edge(b), cum)
 	}
 	fmt.Fprintf(w, "%s_bucket{%sle=\"+Inf\"} %d\n", name, labels, s.Count)
-	if labels == "" {
-		fmt.Fprintf(w, "%s_sum %g\n", name, s.Sum.Seconds())
-		fmt.Fprintf(w, "%s_count %d\n", name, s.Count)
-		return
+	if labels != "" {
+		labels = "{" + labels[:len(labels)-1] + "}" // drop the trailing comma
 	}
-	trimmed := labels[:len(labels)-1] // drop the trailing comma
-	fmt.Fprintf(w, "%s_sum{%s} %g\n", name, trimmed, s.Sum.Seconds())
-	fmt.Fprintf(w, "%s_count{%s} %d\n", name, trimmed, s.Count)
-}
-
-// promCountHist writes one count-unit histogram (frames, bytes — values
-// recorded as raw counts, not nanoseconds) in Prometheus exposition
-// format, with cumulative le buckets in the native unit.
-func promCountHist(w io.Writer, name string, s HistSnapshot) {
-	fmt.Fprintf(w, "# TYPE %s histogram\n", name)
-	var cum uint64
-	top := 0
-	for b, c := range s.Buckets {
-		if c > 0 {
-			top = b
-		}
-	}
-	for b := 0; b <= top; b++ {
-		cum += s.Buckets[b]
-		fmt.Fprintf(w, "%s_bucket{le=\"%d\"} %d\n", name, uint64(1)<<uint(b), cum)
-	}
-	fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", name, s.Count)
-	fmt.Fprintf(w, "%s_sum %d\n", name, int64(s.Sum))
-	fmt.Fprintf(w, "%s_count %d\n", name, s.Count)
+	fmt.Fprintf(w, "%s_sum%s %s\n", name, labels, sum)
+	fmt.Fprintf(w, "%s_count%s %d\n", name, labels, s.Count)
 }
 
 // WritePrometheus writes the collector's full state in Prometheus text
 // exposition format: message counters (from the attached MessageStats),
-// the quiescence gauges, and the three latency histograms.
+// the quiescence and election gauges, the read-path probes, every row of
+// the series table, and the per-group families of a sharded cluster.
 func (c *Collector) WritePrometheus(w io.Writer) {
 	counter := func(name, help string, v uint64) {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
@@ -119,8 +97,8 @@ func (c *Collector) WritePrometheus(w io.Writer) {
 
 	// Read path: lease occupancy and the local/fallback split. Local reads
 	// cost zero consensus messages; their ratio against fallbacks is the
-	// tentpole's headline number.
-	held, local, fallback := c.leaseSnapshot()
+	// lease's headline number.
+	held, local, fallback := c.Lease(obs.NoGroup)
 	gauge("rsm_lease_held",
 		"Watched processes currently holding the leader lease (0 or 1 when healthy).",
 		float64(held))
@@ -129,34 +107,26 @@ func (c *Collector) WritePrometheus(w io.Writer) {
 	counter("rsm_reads_fallback_total",
 		"Reads that took the phase-2 no-op barrier.", fallback)
 
-	promHist(w, "omega_election_downtime_seconds", c.ElectionDowntime())
-	promHist(w, "omega_decision_latency_seconds", c.DecisionLatency())
-	promHist(w, "omega_heartbeat_interarrival_seconds", c.HeartbeatJitter())
-	promCountHist(w, "link_flush_frames", c.FlushFrames())
-	promCountHist(w, "link_flush_bytes", c.FlushBytes())
-
-	// Durability: WAL write amplification and the price of surviving
-	// kill -9 — fsync latency on the commit path, recovery time on boot.
-	promHist(w, "wal_fsync_seconds", c.FsyncLatency())
-	promCountHist(w, "wal_append_bytes", c.WALAppendBytes())
-	promHist(w, "wal_recovery_seconds", c.RecoveryTime())
+	for s, row := range seriesTable {
+		fmt.Fprintf(w, "# TYPE %s histogram\n", row.prom)
+		promHist(w, row.prom, "", row.unit, c.Hist(Series(s)))
+	}
 
 	// Sharded clusters: per-group decision latency and lease occupancy,
 	// labeled by group so one slow or lease-less shard stays visible.
 	if ids := c.GroupIDs(); len(ids) > 0 {
 		fmt.Fprintf(w, "# TYPE rsm_group_decision_latency_seconds histogram\n")
 		for _, g := range ids {
-			promHistSeries(w, "rsm_group_decision_latency_seconds",
-				fmt.Sprintf("group=\"%d\",", g), c.GroupDecisionLatency(g))
+			promHist(w, "rsm_group_decision_latency_seconds", fmt.Sprintf("group=\"%d\",", g), seconds, c.GroupHist(g))
 		}
 		fmt.Fprintf(w, "# HELP rsm_group_lease_held Processes holding each group's lease (0 or 1 per group when healthy).\n# TYPE rsm_group_lease_held gauge\n")
 		for _, g := range ids {
-			held, _, _ := c.groupLeaseSnapshot(g)
+			held, _, _ := c.Lease(g)
 			fmt.Fprintf(w, "rsm_group_lease_held{group=\"%d\"} %d\n", g, held)
 		}
 		fmt.Fprintf(w, "# TYPE rsm_group_reads_local_total counter\n# TYPE rsm_group_reads_fallback_total counter\n")
 		for _, g := range ids {
-			_, local, fallback := c.groupLeaseSnapshot(g)
+			_, local, fallback := c.Lease(g)
 			fmt.Fprintf(w, "rsm_group_reads_local_total{group=\"%d\"} %d\n", g, local)
 			fmt.Fprintf(w, "rsm_group_reads_fallback_total{group=\"%d\"} %d\n", g, fallback)
 		}

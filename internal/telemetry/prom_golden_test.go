@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/consensus"
 	"repro/internal/metrics"
-	"repro/internal/node"
 	"repro/internal/obs"
 	"repro/internal/sim"
 )
@@ -26,15 +25,15 @@ func TestPrometheusExpositionGolden(t *testing.T) {
 
 	st := metrics.NewMessageStats(2)
 	c := New(2,
-		WithStats(st),
 		WithClock(func() sim.Time { return ms(2000) }),
 		WithQuiescenceWindow(time.Second),
 	)
+	c.AttachStats(st)
 
 	// Both processes converge on leader 1 at 200ms: one election, two
 	// per-process transitions, 200ms of initial-election downtime.
-	c.LeaderChanged(ms(100), 0, 1)
-	c.LeaderChanged(ms(200), 1, 1)
+	leaderChange(c, ms(100), 0, 1)
+	leaderChange(c, ms(200), 1, 1)
 
 	// Wire traffic inside the 1s quiescence window ending at the 2s scrape
 	// instant: two LEADER heartbeats on 0→1 and one dropped ACCEPT on 1→0,
@@ -54,26 +53,28 @@ func TestPrometheusExpositionGolden(t *testing.T) {
 	c.OnDeliver(ms(1750), 0, 1, leaderK)
 
 	// Two decisions at 1ms and 3ms proposer-side latency.
-	c.Decided(consensus.Decision{By: 0, Elapsed: 1 * time.Millisecond})
-	c.Decided(consensus.Decision{By: 1, Elapsed: 3 * time.Millisecond})
+	decided(c, 0, 1*time.Millisecond)
+	decided(c, 1, 3*time.Millisecond)
 
 	// Read path: p0 holds the lease and has served 10 local + 2 fallback
 	// reads; p1 has 5 local + 1 fallback from an earlier reign.
-	c.WatchLease(func() (bool, uint64, uint64) { return true, 10, 2 })
-	c.WatchLease(func() (bool, uint64, uint64) { return false, 5, 1 })
+	c.Probe(obs.NoGroup, func() (bool, uint64, uint64) { return true, 10, 2 })
+	c.Probe(obs.NoGroup, func() (bool, uint64, uint64) { return false, 5, 1 })
 
 	// One vectored flush of 3 frames / 200 bytes, and the durability view:
 	// a 500µs fsync, a 48-byte append, a 20ms recovery.
-	c.RecordFlush(0, 1, 3, 200)
-	c.RecordFsync(0, 500*time.Microsecond)
-	c.RecordWALAppend(0, 48)
-	c.RecordRecovery(1, 20*time.Millisecond)
+	FlushHook(c)(0, 1, 3, 200)
+	now := func() sim.Time { return ms(1900) }
+	onAppend, onFsync, _ := WALHooks(c, 0, now)
+	onFsync(500 * time.Microsecond)
+	onAppend(48)
+	_, _, onRecover := WALHooks(c, 1, now)
+	onRecover(20 * time.Millisecond)
 
 	// One sharded group with its own decision stream and lease probe.
 	rec := consensus.NewRecorder()
-	c.WatchGroupRecorder(2, node.ID(0), rec)
+	Attach(c, c, 2, Process{ID: 0, Recorder: rec, Lease: func() (bool, uint64, uint64) { return true, 7, 0 }})
 	rec.Record(consensus.Decision{Instance: 0, By: 0, Elapsed: 1 * time.Millisecond})
-	c.WatchGroupLease(2, func() (bool, uint64, uint64) { return true, 7, 0 })
 
 	var buf bytes.Buffer
 	c.WritePrometheus(&buf)

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/node"
+	"repro/internal/obs"
 	"repro/internal/telemetry"
 	"repro/internal/transport"
 )
@@ -26,9 +27,7 @@ func TestQuiescenceEndToEnd(t *testing.T) {
 		eta    = 4 * time.Millisecond
 		window = 300 * time.Millisecond
 	)
-	tel := telemetry.New(n,
-		telemetry.WithQuiescenceWindow(window),
-		telemetry.WithHeartbeatKinds(core.KindLeader))
+	tel := telemetry.New(n, telemetry.WithQuiescenceWindow(window))
 
 	// A generous timeout keeps goroutine-scheduling jitter on loaded CI
 	// machines from triggering spurious accusations mid-test.
@@ -44,7 +43,7 @@ func TestQuiescenceEndToEnd(t *testing.T) {
 	}
 	tel.AttachStats(c.Stats())
 	for i, d := range dets {
-		tel.WatchOmega(node.ID(i), d.History())
+		telemetry.Attach(tel, tel, obs.NoGroup, telemetry.Process{ID: node.ID(i), History: d.History()})
 	}
 	c.Start()
 	defer c.Stop()
@@ -82,10 +81,10 @@ func TestQuiescenceEndToEnd(t *testing.T) {
 	if !h.Agreed || h.Leader != int(leader) || h.Epoch == 0 {
 		t.Errorf("health = %+v, want agreement on %d", h, leader)
 	}
-	if tel.ElectionDowntime().Count == 0 {
+	if tel.Hist(telemetry.ElectionDowntime).Count == 0 {
 		t.Error("no election downtime recorded for the initial election")
 	}
-	hb := tel.HeartbeatJitter()
+	hb := tel.Hist(telemetry.HeartbeatInterarrival)
 	if hb.Count == 0 {
 		t.Error("no heartbeat inter-arrivals recorded")
 	}
@@ -117,9 +116,7 @@ func TestQuiescenceLiveTCPMetricsEndpoint(t *testing.T) {
 		n      = 5
 		window = 300 * time.Millisecond
 	)
-	tel := telemetry.New(n,
-		telemetry.WithQuiescenceWindow(window),
-		telemetry.WithHeartbeatKinds(core.KindLeader))
+	tel := telemetry.New(n, telemetry.WithQuiescenceWindow(window))
 	dets := make([]*core.Detector, n)
 	autos := make([]node.Automaton, n)
 	for i := range autos {
@@ -132,7 +129,7 @@ func TestQuiescenceLiveTCPMetricsEndpoint(t *testing.T) {
 	}
 	tel.AttachStats(c.Stats())
 	for i, d := range dets {
-		tel.WatchOmega(node.ID(i), d.History())
+		telemetry.Attach(tel, tel, obs.NoGroup, telemetry.Process{ID: node.ID(i), History: d.History()})
 	}
 	c.Start()
 	defer c.Stop()

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/metrics"
-	"repro/internal/node"
 	"repro/internal/obs"
 	"repro/internal/sim"
 )
@@ -31,7 +30,8 @@ func get(t *testing.T, url string) (int, string) {
 func TestServeEndpoints(t *testing.T) {
 	clk := &fakeClock{}
 	stats := metrics.NewMessageStats(3)
-	c := New(3, WithClock(clk.now), WithStats(stats))
+	c := New(3, WithClock(clk.now))
+	c.AttachStats(stats)
 
 	srv, err := Serve("127.0.0.1:0", c)
 	if err != nil {
@@ -56,7 +56,7 @@ func TestServeEndpoints(t *testing.T) {
 	// Feed some state and scrape.
 	stats.OnSend(sim.At(time.Millisecond), 0, 1, obs.Intern("LEADER"))
 	for id := 0; id < 3; id++ {
-		c.LeaderChanged(sim.At(2*time.Millisecond), node.ID(id), 0)
+		leaderChange(c, sim.At(2*time.Millisecond), id, 0)
 	}
 	clk.set(10 * time.Millisecond)
 

@@ -5,27 +5,28 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/node"
 	"repro/internal/sim"
 )
 
-func TestDurableHooksFeedHistograms(t *testing.T) {
+func TestWALHooksFeedHistograms(t *testing.T) {
 	c := New(3)
-	onAppend, onFsync, onRecover := c.DurableHooks(1)
+	now := func() sim.Time { return 5 }
+	onAppend, onFsync, onRecover := WALHooks(c, 1, now)
 
 	onAppend(17)
 	onAppend(40)
 	onFsync(3 * time.Millisecond)
 	onRecover(8 * time.Millisecond)
-	c.RecordWALAppend(2, 9) // another process shares the merged view
+	other, _, _ := WALHooks(c, 2, now)
+	other(9) // another process shares the merged view
 
-	if ap := c.WALAppendBytes(); ap.Count != 3 || ap.Sum != time.Duration(17+40+9) {
+	if ap := c.Hist(WALAppendBytes); ap.Count != 3 || ap.Sum != time.Duration(17+40+9) {
 		t.Fatalf("append snapshot = count %d sum %v", ap.Count, ap.Sum)
 	}
-	if fs := c.FsyncLatency(); fs.Count != 1 || fs.Max != 3*time.Millisecond {
+	if fs := c.Hist(WALFsync); fs.Count != 1 || fs.Max != 3*time.Millisecond {
 		t.Fatalf("fsync snapshot = count %d max %v", fs.Count, fs.Max)
 	}
-	if rc := c.RecoveryTime(); rc.Count != 1 || rc.Max != 8*time.Millisecond {
+	if rc := c.Hist(WALRecovery); rc.Count != 1 || rc.Max != 8*time.Millisecond {
 		t.Fatalf("recovery snapshot = count %d max %v", rc.Count, rc.Max)
 	}
 
@@ -41,46 +42,5 @@ func TestDurableHooksFeedHistograms(t *testing.T) {
 		if _, ok := d.Histograms[h]; !ok {
 			t.Fatalf("dump missing histogram %s", h)
 		}
-	}
-}
-
-// TestMarkUpReopensAgreement checks the rejoin half of the downtime state
-// machine: a restarted process re-enters agreement tracking with no
-// leader output, so cluster-wide agreement is withheld (and the downtime
-// span runs) until the rejoined process converges.
-func TestMarkUpReopensAgreement(t *testing.T) {
-	clk := &fakeClock{}
-	c := New(3, WithClock(clk.now))
-	for p := 0; p < 3; p++ {
-		c.LeaderChanged(sim.At(10*time.Millisecond), node.ID(p), 0)
-	}
-	if l, ok := c.Leader(); !ok || l != 0 {
-		t.Fatalf("leader = %v/%v, want 0/true", l, ok)
-	}
-
-	clk.set(20 * time.Millisecond)
-	c.MarkDown(2)
-	if _, ok := c.Leader(); !ok {
-		t.Fatal("survivors' agreement should hold with p2 marked down")
-	}
-
-	clk.set(30 * time.Millisecond)
-	c.MarkUp(2)
-	if _, ok := c.Leader(); ok {
-		t.Fatal("agreement held while rejoined p2 has no leader output")
-	}
-	c.MarkUp(2) // idempotent: a second MarkUp is a no-op
-	if _, ok := c.Leader(); ok {
-		t.Fatal("agreement held after duplicate MarkUp")
-	}
-
-	c.LeaderChanged(sim.At(45*time.Millisecond), 2, 0)
-	if l, ok := c.Leader(); !ok || l != 0 {
-		t.Fatalf("leader after rejoin = %v/%v, want 0/true", l, ok)
-	}
-	// The rejoin-to-agreement span (30ms → 45ms) lands in the downtime
-	// histogram alongside the initial 10ms election.
-	if dt := c.ElectionDowntime(); dt.Count != 2 || dt.Max != 15*time.Millisecond {
-		t.Fatalf("downtime snapshot = count %d max %v, want 2/15ms", dt.Count, dt.Max)
 	}
 }

@@ -18,10 +18,11 @@
 //     zero offsets.
 //   - Requests reconstructs request→queue→quorum→send/accept→apply
 //     chains and their per-stage latency breakdown; Elections replays
-//     leader-change/down/up marks through the same agreement state
-//     machine telemetry.Collector uses, so the reconstructed downtime
-//     intervals land in the same histogram buckets the live /metrics
-//     endpoint reports.
+//     leader-change/down/up marks through obs.Agreement, the election
+//     tracker telemetry.Collector runs live, so the reconstructed downtime
+//     intervals are the ones the /metrics endpoint put in its histogram.
+//
+// The package subscribes to nothing: it reads what the span ring dumped.
 package traceview
 
 import (
@@ -33,6 +34,8 @@ import (
 	"sort"
 	"time"
 
+	"repro/internal/obs"
+	"repro/internal/sim"
 	"repro/internal/tracing"
 )
 
@@ -181,14 +184,7 @@ func (m *Merged) correctSkew() {
 		if !ok || par.Proc == sp.Proc {
 			continue
 		}
-		procs, ok := recv[sp.Parent]
-		if !ok {
-			procs = make(map[int]int64)
-			recv[sp.Parent] = procs
-		}
-		if cur, ok := procs[sp.Proc]; !ok || sp.StartNS < cur {
-			procs[sp.Proc] = sp.StartNS
-		}
+		noteEarliest(recv, sp)
 	}
 	for i := range m.Spans {
 		sp := &m.Spans[i]
@@ -239,6 +235,19 @@ func (m *Merged) correctSkew() {
 		for j := range sp.Events {
 			sp.Events[j].TNS += off
 		}
+	}
+}
+
+// noteEarliest keeps, per parent span and process, the start of the
+// earliest span that process recorded under that parent.
+func noteEarliest(recv map[uint64]map[int]int64, sp *tracing.SpanJSON) {
+	procs, ok := recv[sp.Parent]
+	if !ok {
+		procs = make(map[int]int64)
+		recv[sp.Parent] = procs
+	}
+	if cur, ok := procs[sp.Proc]; !ok || sp.StartNS < cur {
+		procs[sp.Proc] = sp.StartNS
 	}
 }
 
@@ -352,14 +361,7 @@ func Requests(traces []Trace) []Request {
 			default:
 			}
 			if sp.Parent != 0 && sp.Name != "send" {
-				procs, ok := recvs[sp.Parent]
-				if !ok {
-					procs = map[int]int64{}
-					recvs[sp.Parent] = procs
-				}
-				if cur, ok := procs[sp.Proc]; !ok || sp.StartNS < cur {
-					procs[sp.Proc] = sp.StartNS
-				}
+				noteEarliest(recvs, &sp)
 			}
 		}
 		if qFirst >= 0 && qLast > qFirst {
@@ -401,21 +403,14 @@ type Interval struct {
 	Leader     int // agreed leader once re-formed, -1 while open
 }
 
-// Duration returns the interval's length; open intervals measure to the
-// given horizon.
-func (iv Interval) Duration(horizon int64) time.Duration {
-	if iv.End < 0 {
-		return time.Duration(horizon - iv.Start)
-	}
-	return time.Duration(iv.End - iv.Start)
-}
+// Duration returns a closed interval's length.
+func (iv Interval) Duration() time.Duration { return time.Duration(iv.End - iv.Start) }
 
 // Election is the reconstructed leader-election history.
 type Election struct {
-	Changes   int        // leader-change marks seen
+	Changes   int        // transitions of a process's output to a leader
 	Elections int        // agreement formations (telemetry's elections counter)
 	Intervals []Interval // downtime intervals, in time order
-	Horizon   int64      // last mark's time, ns since Base
 }
 
 // Downtimes lists the interval durations — the values telemetry records
@@ -424,106 +419,49 @@ func (e Election) Downtimes() []time.Duration {
 	out := make([]time.Duration, 0, len(e.Intervals))
 	for _, iv := range e.Intervals {
 		if iv.End >= 0 {
-			out = append(out, iv.Duration(e.Horizon))
+			out = append(out, iv.Duration())
 		}
 	}
 	return out
 }
 
-// Elections replays the leader-change, down, and up marks through the
-// agreement state machine telemetry.Collector.recomputeLocked implements:
-// cluster-wide agreement holds when every live process outputs the same
-// live leader; the run starts in downtime (the initial election counts,
-// from time zero); a downtime interval runs from the instant agreement
-// breaks to the instant it re-forms; an agreement that moves atomically
-// between leaders is a zero-downtime election.
+// Elections replays the leader-change, down, and up marks, in time order,
+// through obs.Agreement (which documents the rule); each agreement it
+// forms closes one downtime interval.
 func Elections(m *Merged) Election {
-	type mark struct {
-		t    int64
-		proc int
-		name string
-		peer int
-	}
-	var marks []mark
+	var marks []obs.Event
 	for _, sp := range m.Spans {
+		e := obs.Event{T: sim.Time(sp.StartNS), Proc: sp.Proc, Peer: sp.Peer}
 		switch sp.Name {
-		case "leader-change", "down", "up":
-			marks = append(marks, mark{sp.StartNS, sp.Proc, sp.Name, sp.Peer})
+		case obs.LeaderChange.String():
+			e.What = obs.LeaderChange
+		case obs.Down.String():
+			e.What = obs.Down
+		case obs.Up.String():
+			e.What = obs.Up
+		default:
+			continue
 		}
+		marks = append(marks, e)
 	}
-	sort.Slice(marks, func(i, j int) bool {
-		if marks[i].t != marks[j].t {
-			return marks[i].t < marks[j].t
+	sort.SliceStable(marks, func(i, j int) bool {
+		if marks[i].T != marks[j].T {
+			return marks[i].T < marks[j].T
 		}
-		return marks[i].proc < marks[j].proc
+		return marks[i].Proc < marks[j].Proc
 	})
 
 	el := Election{}
-	leaders := make([]int, m.Procs)
-	down := make([]bool, m.Procs)
-	for i := range leaders {
-		leaders[i] = -1
-	}
-	inDowntime := true
-	var downSince int64
-	stable := -1
-	recompute := func(t int64) {
-		leader, agreed := -1, true
-		for p := 0; p < m.Procs; p++ {
-			if down[p] {
-				continue
-			}
-			if leaders[p] < 0 {
-				agreed = false
-				break
-			}
-			if leader < 0 {
-				leader = leaders[p]
-			} else if leaders[p] != leader {
-				agreed = false
-				break
-			}
-		}
-		if leader < 0 || leader < m.Procs && down[leader] {
-			agreed = false
-		}
-		switch {
-		case agreed && inDowntime:
-			inDowntime = false
-			el.Intervals = append(el.Intervals, Interval{Start: downSince, End: t, Leader: leader})
+	agree := obs.NewAgreement(m.Procs)
+	for _, e := range marks {
+		if downtime, formed := agree.Feed(e); formed {
+			el.Intervals = append(el.Intervals, Interval{Start: int64(e.T) - int64(downtime), End: int64(e.T), Leader: agree.Leader()})
 			el.Elections++
-			stable = leader
-		case agreed && stable != leader:
-			el.Intervals = append(el.Intervals, Interval{Start: t, End: t, Leader: leader})
-			el.Elections++
-			stable = leader
-		case !agreed && !inDowntime:
-			inDowntime = true
-			downSince = t
-			stable = -1
 		}
 	}
-	for _, mk := range marks {
-		if mk.proc < 0 || mk.proc >= m.Procs {
-			continue
-		}
-		switch mk.name {
-		case "leader-change":
-			el.Changes++
-			leaders[mk.proc] = mk.peer
-		case "down":
-			down[mk.proc] = true
-		case "up":
-			down[mk.proc] = false
-			leaders[mk.proc] = -1
-		}
-		recompute(mk.t)
-		if mk.t > el.Horizon {
-			el.Horizon = mk.t
-		}
-	}
-	if inDowntime {
-		el.Intervals = append(el.Intervals, Interval{Start: downSince, End: -1, Leader: -1})
+	el.Changes = agree.Changes
+	if since, open := agree.Open(); open {
+		el.Intervals = append(el.Intervals, Interval{Start: int64(since), End: -1, Leader: -1})
 	}
 	return el
 }
@@ -597,7 +535,7 @@ func WriteSummary(w io.Writer, m *Merged, traces []Trace, reqs []Request, el Ele
 			continue
 		}
 		fmt.Fprintf(w, "downtime:  [%v, %v] %v → leader p%d\n",
-			time.Duration(iv.Start), time.Duration(iv.End), iv.Duration(el.Horizon), iv.Leader)
+			time.Duration(iv.Start), time.Duration(iv.End), iv.Duration(), iv.Leader)
 	}
 }
 

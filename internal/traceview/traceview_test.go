@@ -2,16 +2,14 @@ package traceview
 
 import (
 	"bytes"
-	"math/bits"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
-	"repro/internal/detector"
-	"repro/internal/node"
+	"repro/internal/obs"
 	"repro/internal/sim"
-	"repro/internal/telemetry"
 	"repro/internal/tracing"
 )
 
@@ -127,65 +125,33 @@ func TestSkewCorrectionOrdersSendBeforeReceive(t *testing.T) {
 	}
 }
 
-// leaderEvent is one synthetic cluster transition fed identically to
-// telemetry and tracing.
-type leaderEvent struct {
-	t      sim.Time
-	proc   int
-	kind   string // "leader", "down", "up"
-	leader node.ID
-}
-
-// TestElectionsMatchTelemetryWithinOneBucket is the acceptance check:
-// the same leader-crash event stream feeds telemetry.Collector (via
-// detector.History and MarkDown/MarkUp, exactly as chaossoak wires it)
-// and the tracing flight recorder; traceview's reconstructed downtime
-// intervals must land within one power-of-two bucket of telemetry's
-// election_downtime histogram.
-func TestElectionsMatchTelemetryWithinOneBucket(t *testing.T) {
+// TestElectionsFromDumpedMarks: the events a cluster's observer receives,
+// kept as marks by the span ring, dumped and loaded again, replay to the
+// election history the live collector reported. The rule itself is
+// obs.Agreement's and is tested there on this same script; this pins the
+// round trip through the dump — the mark names, the new leader riding as
+// the peer, the intervals' ends.
+func TestElectionsFromDumpedMarks(t *testing.T) {
 	const n = 3
 	dir := t.TempDir()
-
-	var clock sim.Time
-	tel := telemetry.New(n)
-	tel.SetClock(func() sim.Time { return clock })
 	set := tracing.New(tracing.Config{Procs: n, Dir: dir})
-	hists := make([]*detector.History, n)
-	for i := 0; i < n; i++ {
-		hists[i] = detector.NewHistory()
-		tel.WatchOmega(node.ID(i), hists[i])
-		hists[i].AddNotify(set.WatchLeader(i)) // after WatchOmega: SetNotify replaces
-	}
+	ev := set.Sink().(obs.EventSink)
 
 	ms := func(d int) sim.Time { return sim.Time(d) * sim.Time(time.Millisecond) }
-	events := []leaderEvent{
+	for _, e := range []obs.Event{
 		// Initial election: everyone converges on p2 by 30ms.
-		{ms(10), 0, "leader", 2},
-		{ms(20), 1, "leader", 2},
-		{ms(30), 2, "leader", 2},
+		{T: ms(10), What: obs.LeaderChange, Proc: 0, Peer: 2},
+		{T: ms(20), What: obs.LeaderChange, Proc: 1, Peer: 2},
+		{T: ms(30), What: obs.LeaderChange, Proc: 2, Peer: 2},
 		// Leader p2 crashes at 100ms; survivors re-elect p0 by 147ms.
-		{ms(100), 2, "down", 0},
-		{ms(120), 0, "leader", 0},
-		{ms(147), 1, "leader", 0},
+		{T: ms(100), What: obs.Down, Proc: 2, Peer: -1},
+		{T: ms(120), What: obs.LeaderChange, Proc: 0, Peer: 0},
+		{T: ms(147), What: obs.LeaderChange, Proc: 1, Peer: 0},
 		// p2 restarts at 200ms and converges at 260ms.
-		{ms(200), 2, "up", 0},
-		{ms(260), 2, "leader", 0},
-	}
-	for _, e := range events {
-		clock = e.t
-		switch e.kind {
-		case "leader":
-			hists[e.proc].Record(e.t, e.leader)
-		case "down":
-			tel.MarkDown(node.ID(e.proc))
-			// Set.MarkDown stamps wall time; this synthetic run drives a
-			// virtual clock, so record the mark with an explicit stamp
-			// (the same span MarkDown writes).
-			set.Tracer(e.proc).Mark(e.t, "down", -1)
-		case "up":
-			tel.MarkUp(node.ID(e.proc))
-			set.Tracer(e.proc).Mark(e.t, "up", -1)
-		}
+		{T: ms(200), What: obs.Up, Proc: 2, Peer: -1},
+		{T: ms(260), What: obs.LeaderChange, Proc: 2, Peer: 0},
+	} {
+		ev.OnEvent(e)
 	}
 	if _, err := set.Final(); err != nil {
 		t.Fatal(err)
@@ -196,50 +162,16 @@ func TestElectionsMatchTelemetryWithinOneBucket(t *testing.T) {
 		t.Fatal(err)
 	}
 	el := Elections(m)
-	down := el.Downtimes()
-	// Expected: initial [0,30ms], crash [100,147ms], re-join [200,260ms].
-	if el.Elections != 3 || len(down) != 3 {
-		t.Fatalf("elections = %d, downtimes = %v", el.Elections, down)
+	want := []Interval{
+		{Start: 0, End: int64(ms(30)), Leader: 2},
+		{Start: int64(ms(100)), End: int64(ms(147)), Leader: 0},
+		{Start: int64(ms(200)), End: int64(ms(260)), Leader: 0},
 	}
-
-	snap := tel.ElectionDowntime()
-	if snap.Count != uint64(len(down)) {
-		t.Fatalf("telemetry count %d, traceview %d", snap.Count, len(down))
+	if el.Elections != 3 || el.Changes != 6 || !reflect.DeepEqual(el.Intervals, want) {
+		t.Fatalf("election = %+v, want 3 elections over %v", el, want)
 	}
-	bucketOf := func(d time.Duration) int {
-		if d <= 0 {
-			return 0
-		}
-		return bits.Len64(uint64(d))
-	}
-	var got [telemetry.HistBuckets]uint64
-	for _, d := range down {
-		got[bucketOf(d)]++
-	}
-	for b := 0; b < telemetry.HistBuckets; b++ {
-		lo, hi := b-1, b+1
-		if lo < 0 {
-			lo = 0
-		}
-		if hi >= telemetry.HistBuckets {
-			hi = telemetry.HistBuckets - 1
-		}
-		var want uint64
-		for k := lo; k <= hi; k++ {
-			want += snap.Buckets[k]
-		}
-		if got[b] > 0 && want == 0 {
-			t.Fatalf("traceview downtime in bucket %d; telemetry has none within one bucket (telemetry %v, traceview %v)",
-				b, snap.Buckets[:40], got[:40])
-		}
-	}
-	// And the totals agree to the nanosecond here: one shared clock.
-	var total time.Duration
-	for _, d := range down {
-		total += d
-	}
-	if total != snap.Sum {
-		t.Fatalf("downtime sum: traceview %v, telemetry %v", total, snap.Sum)
+	if down := el.Downtimes(); len(down) != 3 || down[1] != 47*time.Millisecond {
+		t.Fatalf("downtimes = %v", down)
 	}
 }
 

@@ -50,3 +50,19 @@ func BenchmarkTracingOn(b *testing.B) {
 		tr.Record(sim.Time(i), sim.Time(i+1), ctx, "queue", -1, "")
 	}
 }
+
+// BenchmarkTriggerCapped measures a trigger past its reason's cap — what
+// every dropped frame costs while a queue sheds load, from every link
+// sender at once. It must stay at 0 allocs/op and take no lock.
+func BenchmarkTriggerCapped(b *testing.B) {
+	s := New(Config{Procs: 1, Dir: b.TempDir(), MaxDumps: 1})
+	sink := s.Sink()
+	sink.OnDrop(0, 0, 0, 0) // the one dump the cap allows
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		for i := 0; pb.Next(); i++ {
+			sink.OnDrop(sim.Time(i), 0, 0, 0)
+		}
+	})
+}

@@ -6,11 +6,11 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/node"
 	"repro/internal/obs"
 	"repro/internal/sim"
 )
@@ -52,14 +52,16 @@ type Set struct {
 	cfg     Config
 	tracers []*Tracer
 
-	wallMu    sync.Mutex
-	wallStart time.Time
+	wallStart atomic.Pointer[time.Time]
 
 	sampleCtr atomic.Uint64
 
-	dumpMu    sync.Mutex
-	dumpSeq   int
-	dumpsBy   map[string]int
+	// dumps counts triggers per reason. Reasons are a handful of constant
+	// strings, so the table is copied (under reasonMu) the first time each
+	// is seen and read with one atomic load ever after.
+	reasonMu  sync.Mutex
+	dumps     atomic.Pointer[map[string]*atomic.Int64]
+	dumpSeq   atomic.Int64
 	triggered atomic.Uint64 // total triggers accepted (capped ones excluded)
 }
 
@@ -73,10 +75,12 @@ var Nop *Set
 // at the current wall instant (see SetWallStart).
 func New(cfg Config) *Set {
 	cfg.fill()
-	s := &Set{cfg: cfg, dumpsBy: make(map[string]int), wallStart: time.Now()}
+	s := &Set{cfg: cfg}
+	s.SetWallStart(time.Now())
+	s.dumps.Store(&map[string]*atomic.Int64{})
 	s.tracers = make([]*Tracer, cfg.Procs)
 	for i := range s.tracers {
-		s.tracers[i] = &Tracer{set: s, proc: i}
+		s.tracers[i] = &Tracer{set: s, proc: i, open: make(map[SpanID]*SpanJSON)}
 	}
 	return s
 }
@@ -90,18 +94,15 @@ func (s *Set) Tracer(proc int) *Tracer {
 	return s.tracers[proc]
 }
 
-// SetWallStart re-anchors span times to an absolute wall instant — the
-// same contract as trace.Log.SetWallStart. Live clusters pass their
-// start time so dumps from separate runs (or separate OS processes)
-// merge on real timestamps; simulator harnesses leave the New anchor,
-// where virtual time zero maps to the moment the set was built.
+// SetWallStart re-anchors span times to an absolute wall instant: a span
+// at T happened at start.Add(T). Live clusters pass their start time so
+// dumps from separate runs (or separate OS processes) merge on real
+// timestamps; simulator harnesses leave the New anchor, where virtual
+// time zero maps to the moment the set was built.
 func (s *Set) SetWallStart(start time.Time) {
-	if s == nil {
-		return
+	if s != nil {
+		s.wallStart.Store(&start)
 	}
-	s.wallMu.Lock()
-	s.wallStart = start
-	s.wallMu.Unlock()
 }
 
 // Stamp returns the current trace timestamp — wall time since the
@@ -111,10 +112,7 @@ func (s *Set) Stamp() sim.Time {
 	if s == nil {
 		return 0
 	}
-	s.wallMu.Lock()
-	start := s.wallStart
-	s.wallMu.Unlock()
-	return sim.Time(time.Since(start).Nanoseconds())
+	return sim.Time(time.Since(*s.wallStart.Load()).Nanoseconds())
 }
 
 // sample makes one sampling decision.
@@ -126,55 +124,6 @@ func (s *Set) sample() bool {
 		return true
 	}
 	return s.sampleCtr.Add(1)%uint64(s.cfg.SampleEvery) == 1
-}
-
-// WatchLeader returns a notify hook for process proc's detector.History:
-// every leader-output transition is recorded as a "leader-change" mark
-// (Peer = new leader) and fires the flight recorder. Install with
-// History.AddNotify so telemetry's own subscription is undisturbed.
-func (s *Set) WatchLeader(proc int) func(t sim.Time, leader node.ID) {
-	tr := s.Tracer(proc)
-	return func(t sim.Time, leader node.ID) {
-		tr.Mark(t, "leader-change", int(leader))
-		tr.Trigger(t, "leader-change")
-	}
-}
-
-// MarkDown records process proc crashing at the set's current stamp —
-// traceview excludes a down process from election agreement, exactly as
-// telemetry.Collector.MarkDown does.
-func (s *Set) MarkDown(proc int) {
-	if s == nil {
-		return
-	}
-	now := s.Stamp()
-	s.Tracer(proc).Mark(now, "down", -1)
-	s.Tracer(proc).Trigger(now, "crash")
-}
-
-// MarkUp records process proc rejoining at the set's current stamp.
-func (s *Set) MarkUp(proc int) {
-	if s == nil {
-		return
-	}
-	s.Tracer(proc).Mark(s.Stamp(), "up", -1)
-}
-
-// FsyncThreshold returns an observer for WAL fsync durations that fires
-// the flight recorder when one exceeds the threshold. Chain it with the
-// telemetry hook on durable.Options.OnFsync.
-func (s *Set) FsyncThreshold(proc int, threshold time.Duration) func(d time.Duration) {
-	if s == nil || threshold <= 0 {
-		return nil
-	}
-	tr := s.Tracer(proc)
-	return func(d time.Duration) {
-		if d >= threshold {
-			now := s.Stamp()
-			tr.Mark(now, "fsync-slow", -1)
-			tr.Trigger(now, "fsync-slow")
-		}
-	}
 }
 
 // Triggered returns how many flight-recorder dumps have been accepted.
@@ -190,24 +139,42 @@ func (s *Set) Triggered() uint64 {
 // trace-<seq>-<reason>.json. Recording continues afterwards — the ring
 // is snapshotted, not frozen — so the anomaly's aftermath lands in the
 // next dump or the final one. Dumps are capped per reason; a capped
-// trigger (or a dirless set) returns immediately.
+// trigger (or a dirless set) returns at once without a lock — the sink
+// calls this per dropped frame from every link sender, which is to say
+// exactly while a queue is shedding.
 func (s *Set) Trigger(now sim.Time, proc int, reason string) {
 	if s == nil || s.cfg.Dir == "" {
 		return
 	}
-	s.dumpMu.Lock()
-	if s.dumpsBy[reason] >= s.cfg.MaxDumps {
-		s.dumpMu.Unlock()
+	max := int64(s.cfg.MaxDumps)
+	if n := s.dumpCount(reason); n.Load() >= max || n.Add(1) > max {
 		return
 	}
-	s.dumpsBy[reason]++
-	s.dumpSeq++
-	seq := s.dumpSeq
-	s.dumpMu.Unlock()
 	s.triggered.Add(1)
-	if err := s.dumpFile(seq, reason, now, proc); err != nil {
+	if err := s.writeDump(s.dumpPath(reason), reason, now, proc); err != nil {
 		fmt.Fprintf(os.Stderr, "tracing: flight dump %q: %v\n", reason, err)
 	}
+}
+
+// dumpCount returns reason's trigger count.
+func (s *Set) dumpCount(reason string) *atomic.Int64 {
+	if n := (*s.dumps.Load())[reason]; n != nil {
+		return n
+	}
+	s.reasonMu.Lock()
+	defer s.reasonMu.Unlock()
+	old := *s.dumps.Load()
+	if n := old[reason]; n != nil {
+		return n
+	}
+	next := make(map[string]*atomic.Int64, len(old)+1)
+	for r, n := range old {
+		next[r] = n
+	}
+	n := new(atomic.Int64)
+	next[reason] = n
+	s.dumps.Store(&next)
+	return n
 }
 
 // Final writes the end-of-run dump (reason "final", exempt from the
@@ -218,20 +185,13 @@ func (s *Set) Final() (string, error) {
 	if s == nil || s.cfg.Dir == "" {
 		return "", nil
 	}
-	s.dumpMu.Lock()
-	s.dumpSeq++
-	seq := s.dumpSeq
-	s.dumpMu.Unlock()
-	path := s.dumpPath(seq, "final")
+	path := s.dumpPath("final")
 	return path, s.writeDump(path, "final", s.Stamp(), -1)
 }
 
-func (s *Set) dumpPath(seq int, reason string) string {
-	return filepath.Join(s.cfg.Dir, fmt.Sprintf("trace-%03d-%s.json", seq, reason))
-}
-
-func (s *Set) dumpFile(seq int, reason string, now sim.Time, proc int) error {
-	return s.writeDump(s.dumpPath(seq, reason), reason, now, proc)
+// dumpPath names the next dump file.
+func (s *Set) dumpPath(reason string) string {
+	return filepath.Join(s.cfg.Dir, fmt.Sprintf("trace-%03d-%s.json", s.dumpSeq.Add(1), reason))
 }
 
 func (s *Set) writeDump(path, reason string, now sim.Time, proc int) error {
@@ -279,7 +239,13 @@ type ProcDump struct {
 	Spans   []SpanJSON `json:"spans"`
 }
 
-// SpanJSON is the serialized span record.
+// SpanJSON is one recorded operation, in memory as it is dumped: a named
+// interval on one process, attached under a parent span (possibly on
+// another process). Peer is the directed-link partner for wire-level
+// child spans and the subject of a mark, -1 otherwise. Note carries an
+// optional short annotation (the message kind for wire sends, the text of
+// a note); the record path never formats one. Times are nanoseconds since
+// the set's wall anchor.
 type SpanJSON struct {
 	Trace   uint64      `json:"trace"`
 	ID      uint64      `json:"id"`
@@ -294,7 +260,8 @@ type SpanJSON struct {
 	Events  []EventJSON `json:"events,omitempty"`
 }
 
-// EventJSON is the serialized span event.
+// EventJSON is a point-in-time annotation on a span (an ACCEPTED arriving
+// from one peer, a decide). Peer is -1 when not applicable.
 type EventJSON struct {
 	TNS  int64  `json:"t_ns"`
 	Name string `json:"name"`
@@ -302,85 +269,151 @@ type EventJSON struct {
 }
 
 func (s *Set) encodeDump(w io.Writer, reason string, now sim.Time, proc int) error {
-	s.wallMu.Lock()
-	wall := s.wallStart
-	s.wallMu.Unlock()
 	d := Dump{
 		Reason:    reason,
-		WallStart: wall.UTC().Format(time.RFC3339Nano),
+		WallStart: s.wallStart.Load().UTC().Format(time.RFC3339Nano),
 		AtNS:      int64(now),
 		Proc:      proc,
 		Procs:     make([]ProcDump, 0, len(s.tracers)),
 	}
 	for _, t := range s.tracers {
 		t.mu.Lock()
-		spans := t.snapshotLocked()
-		dropped := t.dropped
+		d.Procs = append(d.Procs, ProcDump{Proc: t.proc, Dropped: t.dropped, Spans: t.snapshotLocked()})
 		t.mu.Unlock()
-		pd := ProcDump{Proc: t.proc, Dropped: dropped, Spans: make([]SpanJSON, len(spans))}
-		for i := range spans {
-			pd.Spans[i] = spanToJSON(&spans[i])
-		}
-		d.Procs = append(d.Procs, pd)
 	}
 	enc := json.NewEncoder(w)
 	return enc.Encode(&d)
 }
 
-func spanToJSON(sp *Span) SpanJSON {
-	j := SpanJSON{
-		Trace:   uint64(sp.Trace),
-		ID:      uint64(sp.ID),
-		Parent:  uint64(sp.Parent),
-		Name:    sp.Name,
-		Proc:    sp.Proc,
-		Peer:    sp.Peer,
-		StartNS: int64(sp.Start),
-		EndNS:   int64(sp.End),
-		Note:    sp.Note,
-		Open:    sp.Open,
-	}
-	if len(sp.Events) > 0 {
-		j.Events = make([]EventJSON, len(sp.Events))
-		for i, e := range sp.Events {
-			j.Events[i] = EventJSON{TNS: int64(e.T), Name: e.Name, Peer: e.Peer}
-		}
-	}
-	return j
-}
+// SlowFsync is the WAL fsync duration from which the flight recorder
+// fires (reason "fsync-slow"): an order of magnitude above a healthy
+// loopback fsync, low enough to catch a stalling disk mid-soak.
+const SlowFsync = 25 * time.Millisecond
 
-// Sink adapts the set to the observer pipeline. Wire-level send events
-// for traced messages arrive through the OnSendCtx extension (the
+// Sink subscribes the set to the observer pipeline. Wire-level send
+// events for traced messages arrive through the OnSendCtx extension (the
 // transports read the context off node.Traced messages); each becomes a
 // completed zero-length "send" span under the carried parent — the
-// per-directed-link children of a quorum span. Message drops fire the
-// flight recorder (reason "message-drop", capped like any trigger).
-func (s *Set) Sink() obs.Sink {
+// per-directed-link children of a quorum span. Of the events (OnEvent),
+// leader changes, crashes, rejoins and notes are kept as marks, which is
+// what traceview replays elections from. Leader changes, crashes, message
+// drops and slow fsyncs fire the flight recorder (capped like any
+// trigger). A nil set yields a nil Sink, which obs.Tee skips.
+func (s *Set) Sink() obs.Sink { return s.sink(false) }
+
+// MessageSink is Sink keeping every message event as a mark as well: SEND
+// and DROP at the sender, DELIVER at the receiver, the message kind as the
+// note. WriteText prints such a ring as the run's event log; Config.Limit
+// bounds it per process.
+func (s *Set) MessageSink() obs.Sink { return s.sink(true) }
+
+func (s *Set) sink(msgs bool) obs.Sink {
 	if s == nil {
 		return nil
 	}
-	return setSink{s}
+	return setSink{s, msgs}
 }
 
-type setSink struct{ s *Set }
+type setSink struct {
+	s    *Set
+	msgs bool
+}
 
-var _ obs.Sink = setSink{}
 var _ obs.CtxSink = setSink{}
+var _ obs.EventSink = setSink{}
 
-func (k setSink) OnSend(t sim.Time, from, to int, kind obs.Kind) {}
+func (k setSink) OnSend(t sim.Time, from, to int, kind obs.Kind) {
+	if k.msgs {
+		k.s.Tracer(from).mark(t, "SEND", to, obs.KindName(kind))
+	}
+}
 
-func (k setSink) OnDeliver(t sim.Time, from, to int, kind obs.Kind) {}
+func (k setSink) OnDeliver(t sim.Time, from, to int, kind obs.Kind) {
+	if k.msgs {
+		k.s.Tracer(to).mark(t, "DELIVER", from, obs.KindName(kind))
+	}
+}
 
 func (k setSink) OnDrop(t sim.Time, from, to int, kind obs.Kind) {
+	if k.msgs {
+		k.s.Tracer(from).mark(t, "DROP", to, obs.KindName(kind))
+	}
 	k.s.Trigger(t, from, "message-drop")
 }
 
-// OnSendCtx implements obs.CtxSink.
+// OnSendCtx implements obs.CtxSink. An event log has the send already.
 func (k setSink) OnSendCtx(t sim.Time, from, to int, kind obs.Kind, trace, span uint64) {
-	tr := k.s.Tracer(from)
-	if tr == nil {
+	if k.msgs {
 		return
 	}
 	parent := Context{Trace: TraceID(trace), Span: SpanID(span)}
-	tr.Record(t, t, parent, "send", to, obs.KindName(kind))
+	k.s.Tracer(from).Record(t, t, parent, "send", to, obs.KindName(kind))
+}
+
+// OnEvent implements obs.EventSink. Marks carry the event's own name
+// (obs.What.String), the new leader as the peer of a leader-change.
+func (k setSink) OnEvent(e obs.Event) {
+	tr := k.s.Tracer(e.Proc)
+	switch e.What {
+	case obs.LeaderChange:
+		tr.mark(e.T, e.What.String(), e.Peer, "")
+		tr.Trigger(e.T, "leader-change")
+	case obs.Down:
+		tr.mark(e.T, e.What.String(), -1, "")
+		tr.Trigger(e.T, "crash")
+	case obs.Up, obs.Note:
+		tr.mark(e.T, e.What.String(), -1, e.Text)
+	case obs.WALFsync:
+		if e.Dur >= SlowFsync {
+			tr.mark(e.T, "fsync-slow", -1, "")
+			tr.Trigger(e.T, "fsync-slow")
+		}
+	}
+}
+
+// Marks returns every process's retained spans merged in time order
+// (equal times: by process, then in recording order) — of a MessageSink
+// set, the event log.
+func (s *Set) Marks() []SpanJSON {
+	var all []SpanJSON
+	for _, t := range s.tracers {
+		t.mu.Lock()
+		all = append(all, t.snapshotLocked()...)
+		t.mu.Unlock()
+	}
+	sort.Slice(all, func(i, j int) bool {
+		if all[i].StartNS != all[j].StartNS {
+			return all[i].StartNS < all[j].StartNS
+		}
+		return all[i].ID < all[j].ID // ids lead with the process
+	})
+	return all
+}
+
+// WriteText writes the last n of Marks (all of them when n <= 0), one per
+// line: offset, name, process, →peer and note where there are any. With
+// wall set each line leads with the wall-clock time the offset stands for
+// (see SetWallStart), which lines a live run up with outside logs.
+func (s *Set) WriteText(w io.Writer, n int, wall bool) error {
+	marks := s.Marks()
+	if n > 0 && n < len(marks) {
+		marks = marks[len(marks)-n:]
+	}
+	start := *s.wallStart.Load()
+	for _, m := range marks {
+		line := fmt.Sprintf("%12v %-7s p%d", sim.Time(m.StartNS), m.Name, m.Proc)
+		if m.Peer >= 0 {
+			line += fmt.Sprintf("→p%d", m.Peer)
+		}
+		if m.Note != "" {
+			line += " " + m.Note
+		}
+		if wall {
+			line = start.Add(time.Duration(m.StartNS)).Format("15:04:05.000000") + " " + line
+		}
+		if _, err := fmt.Fprintln(w, line); err != nil {
+			return err
+		}
+	}
+	return nil
 }

@@ -1,17 +1,24 @@
-// Package tracing is the causal tracing layer: compact trace contexts
-// propagated on the wire, per-process span recorders, and an anomaly
-// flight recorder that dumps the recent span history when something goes
-// wrong (a leader change, a fallback read, a slow fsync, a dropped
+// Package tracing is the span ring: compact trace contexts propagated on
+// the wire, one bounded ring of spans per process, and an anomaly flight
+// recorder that dumps the recent span history when something goes wrong
+// (a leader change, a crash, a fallback read, a slow fsync, a dropped
 // message).
 //
-// Where internal/trace answers "what happened, in order" for one process
-// and internal/telemetry answers "how many / how long" in aggregate,
+// Where internal/telemetry answers "how many / how long" in aggregate,
 // tracing answers "what happened to *this* command (or *this* election),
 // across every process it touched". A sampled request carries a
 // Context — trace id plus parent span id — on the wire inside a Wrap
 // envelope (wire kind TRACE, see internal/wire); each layer it crosses
 // records spans under that context, and cmd/traceview stitches the
 // per-process dumps back into one causally ordered timeline.
+//
+// The ring is a subscriber of the obs stream (Set.Sink): traced sends
+// arrive through obs.CtxSink, and of the events it keeps leader changes,
+// crashes, rejoins and notes as marks, firing the flight recorder on the
+// first two, on a dropped message and on an fsync slower than SlowFsync.
+// Set.MessageSink keeps every message event as a mark too — the
+// line-by-line log omegasim -trace and chaossoak -trace-tail print with
+// WriteText; it is the only event log the repository has.
 //
 // Tracing off is the zero value: a nil *Set (tracing.Nop) hands out nil
 // *Tracers, and every method on a nil receiver is a cheap no-op — no
@@ -78,41 +85,13 @@ func (w Wrap) TraceContext() (trace, span uint64) {
 	return uint64(w.Ctx.Trace), uint64(w.Ctx.Span)
 }
 
-// Event is a point-in-time annotation on a span (an ACCEPTED arriving
-// from one peer, a decide). Peer is -1 when not applicable.
-type Event struct {
-	T    sim.Time
-	Name string
-	Peer int
-}
-
-// Span is one recorded operation: a named interval on one process,
-// attached under a parent span (possibly on another process). Peer is
-// the directed-link partner for wire-level child spans, -1 otherwise.
-// Note carries an optional short annotation (the message kind for wire
-// sends); it must be an interned or constant string — the record path
-// never formats.
-type Span struct {
-	Trace  TraceID
-	ID     SpanID
-	Parent SpanID
-	Name   string
-	Proc   int
-	Peer   int
-	Start  sim.Time
-	End    sim.Time
-	Note   string
-	Open   bool // still open when the dump was taken
-	Events []Event
-}
-
 // spanPool recycles span records so steady-state tracing allocates only
 // when a span outgrows its event slice.
-var spanPool = sync.Pool{New: func() any { return new(Span) }}
+var spanPool = sync.Pool{New: func() any { return new(SpanJSON) }}
 
-func newSpan() *Span {
-	s := spanPool.Get().(*Span)
-	*s = Span{Events: s.Events[:0], Peer: -1}
+func newSpan() *SpanJSON {
+	s := spanPool.Get().(*SpanJSON)
+	*s = SpanJSON{Events: s.Events[:0], Peer: -1}
 	return s
 }
 
@@ -131,18 +110,10 @@ type Tracer struct {
 
 	mu      sync.Mutex
 	nextID  uint64
-	open    map[SpanID]*Span
-	ring    []*Span // completed spans, bounded at set.cfg.Limit
-	head    int     // oldest entry once the ring wrapped
+	open    map[SpanID]*SpanJSON
+	ring    []*SpanJSON // completed spans, bounded at set.cfg.Limit
+	head    int         // oldest entry once the ring wrapped
 	dropped uint64
-}
-
-// Proc returns the process id this tracer records for (-1 on nil).
-func (t *Tracer) Proc() int {
-	if t == nil {
-		return -1
-	}
-	return t.proc
 }
 
 func (t *Tracer) newID() SpanID {
@@ -160,15 +131,7 @@ func (t *Tracer) StartTrace(now sim.Time, name string) Context {
 	if t == nil || !t.set.sample() {
 		return Context{}
 	}
-	t.mu.Lock()
-	id := t.newID()
-	tr := TraceID(id)
-	sp := newSpan()
-	sp.Trace, sp.ID, sp.Name, sp.Proc = tr, id, name, t.proc
-	sp.Start, sp.End = now, now
-	t.pushLocked(sp)
-	t.mu.Unlock()
-	return Context{Trace: tr, Span: id}
+	return t.push(Context{}, name, -1, now, now, "")
 }
 
 // Start opens a child span under parent and returns its context. The
@@ -178,9 +141,6 @@ func (t *Tracer) Start(now sim.Time, parent Context, name string) Context {
 		return Context{}
 	}
 	t.mu.Lock()
-	if t.open == nil {
-		t.open = make(map[SpanID]*Span, 64)
-	}
 	if len(t.open) >= maxOpenSpans {
 		t.dropped++
 		t.mu.Unlock()
@@ -188,8 +148,8 @@ func (t *Tracer) Start(now sim.Time, parent Context, name string) Context {
 	}
 	id := t.newID()
 	sp := newSpan()
-	sp.Trace, sp.ID, sp.Parent = parent.Trace, id, parent.Span
-	sp.Name, sp.Proc, sp.Start = name, t.proc, now
+	sp.Trace, sp.ID, sp.Parent = uint64(parent.Trace), uint64(id), uint64(parent.Span)
+	sp.Name, sp.Proc, sp.StartNS = name, t.proc, int64(now)
 	t.open[id] = sp
 	t.mu.Unlock()
 	return Context{Trace: parent.Trace, Span: id}
@@ -204,7 +164,7 @@ func (t *Tracer) End(now sim.Time, ctx Context) {
 	t.mu.Lock()
 	if sp, ok := t.open[ctx.Span]; ok {
 		delete(t.open, ctx.Span)
-		sp.End = now
+		sp.EndNS = int64(now)
 		t.pushLocked(sp)
 	}
 	t.mu.Unlock()
@@ -218,12 +178,21 @@ func (t *Tracer) Record(start, end sim.Time, parent Context, name string, peer i
 	if t == nil || !parent.Valid() {
 		return Context{}
 	}
+	return t.push(parent, name, peer, start, end, note)
+}
+
+// push records a completed span [start, end] under parent; the zero
+// parent roots a new trace at the span itself.
+func (t *Tracer) push(parent Context, name string, peer int, start, end sim.Time, note string) Context {
 	t.mu.Lock()
 	id := t.newID()
+	if !parent.Valid() {
+		parent.Trace = TraceID(id)
+	}
 	sp := newSpan()
-	sp.Trace, sp.ID, sp.Parent = parent.Trace, id, parent.Span
+	sp.Trace, sp.ID, sp.Parent = uint64(parent.Trace), uint64(id), uint64(parent.Span)
 	sp.Name, sp.Proc, sp.Peer = name, t.proc, peer
-	sp.Start, sp.End, sp.Note = start, end, note
+	sp.StartNS, sp.EndNS, sp.Note = int64(start), int64(end), note
 	t.pushLocked(sp)
 	t.mu.Unlock()
 	return Context{Trace: parent.Trace, Span: id}
@@ -237,7 +206,7 @@ func (t *Tracer) Event(now sim.Time, ctx Context, name string, peer int) {
 	}
 	t.mu.Lock()
 	if sp, ok := t.open[ctx.Span]; ok {
-		sp.Events = append(sp.Events, Event{T: now, Name: name, Peer: peer})
+		sp.Events = append(sp.Events, EventJSON{TNS: int64(now), Name: name, Peer: peer})
 	}
 	t.mu.Unlock()
 }
@@ -247,23 +216,19 @@ func (t *Tracer) Event(now sim.Time, ctx Context, name string, peer int) {
 // crashes) and that traceview correlates by time rather than by trace
 // id. Peer is -1 when not applicable.
 func (t *Tracer) Mark(now sim.Time, name string, peer int) {
-	if t == nil {
-		return
+	t.mark(now, name, peer, "")
+}
+
+func (t *Tracer) mark(now sim.Time, name string, peer int, note string) {
+	if t != nil {
+		t.push(Context{}, name, peer, now, now, note)
 	}
-	t.mu.Lock()
-	id := t.newID()
-	sp := newSpan()
-	sp.Trace, sp.ID = TraceID(id), id
-	sp.Name, sp.Proc, sp.Peer = name, t.proc, peer
-	sp.Start, sp.End = now, now
-	t.pushLocked(sp)
-	t.mu.Unlock()
 }
 
 // Trigger asks the flight recorder for a dump on this process's behalf.
 // Reason must be a constant string; dumps are capped per reason (see
-// Config.MaxDumps), and a capped or dirless trigger costs one atomic
-// load.
+// Config.MaxDumps), and a capped or dirless trigger takes no lock: it
+// costs the two atomic loads that find the reason's count.
 func (t *Tracer) Trigger(now sim.Time, reason string) {
 	if t == nil {
 		return
@@ -284,7 +249,7 @@ func (t *Tracer) Dropped() uint64 {
 
 // pushLocked appends a completed span to the ring, evicting (and
 // recycling) the oldest when full. Callers hold t.mu.
-func (t *Tracer) pushLocked(sp *Span) {
+func (t *Tracer) pushLocked(sp *SpanJSON) {
 	limit := t.set.cfg.Limit
 	if len(t.ring) < limit {
 		t.ring = append(t.ring, sp)
@@ -300,11 +265,10 @@ func (t *Tracer) pushLocked(sp *Span) {
 // snapshotLocked copies the retained spans oldest-first, then the open
 // spans (flagged Open). Callers hold t.mu; the copies do not alias the
 // pooled records.
-func (t *Tracer) snapshotLocked() []Span {
-	out := make([]Span, 0, len(t.ring)+len(t.open))
+func (t *Tracer) snapshotLocked() []SpanJSON {
+	out := make([]SpanJSON, 0, len(t.ring)+len(t.open))
 	for i := range t.ring {
-		sp := t.ring[(t.head+i)%len(t.ring)]
-		out = append(out, copySpan(sp, false))
+		out = append(out, copySpan(t.ring[(t.head+i)%len(t.ring)], false))
 	}
 	for _, sp := range t.open {
 		out = append(out, copySpan(sp, true))
@@ -312,13 +276,9 @@ func (t *Tracer) snapshotLocked() []Span {
 	return out
 }
 
-func copySpan(sp *Span, open bool) Span {
+func copySpan(sp *SpanJSON, open bool) SpanJSON {
 	c := *sp
 	c.Open = open
-	if len(sp.Events) > 0 {
-		c.Events = append([]Event(nil), sp.Events...)
-	} else {
-		c.Events = nil
-	}
+	c.Events = append([]EventJSON(nil), sp.Events...) // nil when there are none
 	return c
 }

@@ -3,8 +3,11 @@ package tracing
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -245,25 +248,18 @@ func TestNilSetIsNoOp(t *testing.T) {
 	tr.End(2, Context{Trace: 1, Span: 1})
 	tr.Mark(1, "leader-change", 0)
 	tr.Trigger(1, "crash")
-	Nop.MarkDown(0)
-	Nop.MarkUp(0)
 	Nop.Trigger(0, 0, "crash")
 	Nop.SetWallStart(time.Now())
-	if Nop.Stamp() != 0 || Nop.Triggered() != 0 || tr.Dropped() != 0 || tr.Proc() != -1 {
+	if Nop.Stamp() != 0 || Nop.Triggered() != 0 || tr.Dropped() != 0 {
 		t.Fatal("nil set accessors must return zero values")
 	}
-	if Nop.Sink() != nil {
-		t.Fatal("nil set must expose a nil sink")
-	}
-	if hook := Nop.FsyncThreshold(0, time.Millisecond); hook != nil {
-		t.Fatal("nil set must return a nil fsync hook")
+	if Nop.Sink() != nil || Nop.MessageSink() != nil {
+		t.Fatal("nil set must expose nil sinks")
 	}
 	var buf bytes.Buffer
 	if err := Nop.WriteJSON(&buf); err != nil || buf.String() != "{}\n" {
 		t.Fatalf("nil WriteJSON = %q, %v", buf.String(), err)
 	}
-	// WatchLeader's closure must also tolerate the nil tracer inside.
-	Nop.WatchLeader(0)(1, 2)
 	if path, err := Nop.Final(); path != "" || err != nil {
 		t.Fatalf("nil Final = %q, %v", path, err)
 	}
@@ -360,29 +356,49 @@ func TestFlightRecorderDumps(t *testing.T) {
 	}
 }
 
-func TestHarnessHooks(t *testing.T) {
+// TestSinkKeepsEventsAsMarks: the subscriber half of the obs stream. The
+// events traceview replays become marks named after the event, the
+// anomalies among them fire the recorder, and the rest leave no trace.
+func TestSinkKeepsEventsAsMarks(t *testing.T) {
 	dir := t.TempDir()
 	s := New(Config{Procs: 2, Dir: dir})
 	s.SetWallStart(time.Now().Add(-time.Second))
+	ev, ok := obs.Tee(obs.Nop{}, s.Sink()).(obs.EventSink) // as a cluster sees it: teed
+	if !ok {
+		t.Fatal("set sink must implement obs.EventSink")
+	}
 
-	s.WatchLeader(1)(42, node.ID(0))
-	s.MarkDown(0)
-	s.MarkUp(0)
-	slow := s.FsyncThreshold(1, 10*time.Millisecond)
-	slow(5 * time.Millisecond) // below threshold: no mark
-	slow(20 * time.Millisecond)
+	ev.OnEvent(obs.Event{T: 42, What: obs.LeaderChange, Proc: 1, Peer: 0})
+	ev.OnEvent(obs.Event{T: 50, What: obs.Down, Proc: 0, Peer: -1})
+	ev.OnEvent(obs.Event{T: 60, What: obs.Up, Proc: 0, Peer: -1})
+	ev.OnEvent(obs.Event{T: 61, What: obs.Note, Proc: 0, Peer: -1, Text: "ballot 7 prepared"})
+	ev.OnEvent(obs.Event{T: 70, What: obs.WALFsync, Proc: 1, Peer: -1, Dur: SlowFsync / 2}) // healthy: no mark
+	ev.OnEvent(obs.Event{T: 71, What: obs.WALFsync, Proc: 1, Peer: -1, Dur: SlowFsync})
+	ev.OnEvent(obs.Event{T: 72, What: obs.Decide, Proc: 1, Peer: -1, Dur: time.Millisecond, N: obs.NoGroup})
+	ev.OnEvent(obs.Event{T: 73, What: obs.Flush, Proc: 1, Peer: 0, N: 3, Bytes: 200})
+	ev.OnEvent(obs.Event{T: 74, What: obs.Down, Proc: 9, Peer: -1}) // out of range: dropped, not a panic
 
 	d := snapshot(t, s)
 	lc := spansNamed(d, "leader-change")
 	if len(lc) != 1 || lc[0].Proc != 1 || lc[0].Peer != 0 || lc[0].StartNS != 42 {
 		t.Fatalf("leader-change = %+v", lc)
 	}
-	if len(spansNamed(d, "down")) != 1 || len(spansNamed(d, "up")) != 1 {
-		t.Fatalf("down/up marks missing: %+v", d.Procs)
+	if dn, up := spansNamed(d, "down"), spansNamed(d, "up"); len(dn) != 1 || dn[0].StartNS != 50 || len(up) != 1 {
+		t.Fatalf("down/up marks: %+v", d.Procs)
+	}
+	if nt := spansNamed(d, "note"); len(nt) != 1 || nt[0].Note != "ballot 7 prepared" {
+		t.Fatalf("note = %+v", nt)
 	}
 	fs := spansNamed(d, "fsync-slow")
-	if len(fs) != 1 || fs[0].Proc != 1 {
+	if len(fs) != 1 || fs[0].Proc != 1 || fs[0].StartNS != 71 {
 		t.Fatalf("fsync-slow = %+v", fs)
+	}
+	total := 0
+	for _, p := range d.Procs {
+		total += len(p.Spans)
+	}
+	if total != 5 {
+		t.Fatalf("%d spans recorded, want the 5 marks only (decide and flush are not the ring's)", total)
 	}
 	// leader-change + crash + fsync-slow triggers all dumped.
 	if got := s.Triggered(); got != 3 {
@@ -391,6 +407,130 @@ func TestHarnessHooks(t *testing.T) {
 	// Stamp is wall time since the anchor: about a second here.
 	if st := s.Stamp(); st < sim.Time(500*time.Millisecond) || st > sim.Time(5*time.Second) {
 		t.Fatalf("Stamp = %v, want ~1s", st)
+	}
+}
+
+// TestMaxDumpsExactUnderContention: the cap is checked without a lock
+// (the sink triggers per dropped frame from every link sender), and it
+// must still let exactly MaxDumps through per reason. Run with -race.
+func TestMaxDumpsExactUnderContention(t *testing.T) {
+	dir := t.TempDir()
+	s := New(Config{Procs: 4, Dir: dir, MaxDumps: 3})
+	reasons := []string{"message-drop", "leader-change", "crash"}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				s.Tracer(g%4).Trigger(sim.Time(i), reasons[(g+i)%len(reasons)])
+			}
+		}(g)
+	}
+	wg.Wait()
+	if got := s.Triggered(); got != 9 {
+		t.Fatalf("Triggered = %d, want 3 reasons x MaxDumps 3", got)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil || len(entries) != 9 {
+		t.Fatalf("%d dump files (err %v), want 9 with distinct sequence numbers", len(entries), err)
+	}
+	per := map[string]int{}
+	for _, e := range entries {
+		for _, r := range reasons {
+			if strings.HasSuffix(e.Name(), "-"+r+".json") {
+				per[r]++
+			}
+		}
+	}
+	for _, r := range reasons {
+		if per[r] != 3 {
+			t.Fatalf("dumps per reason = %v, want 3 each", per)
+		}
+	}
+}
+
+// TestMessageSinkIsTheEventLog: a MessageSink ring holds what
+// omegasim -trace and chaossoak -trace-tail print — every message event as
+// a mark at the process it happened at, the crash among them, merged in
+// time order — and WriteText prints its tail, with wall times on request.
+func TestMessageSinkIsTheEventLog(t *testing.T) {
+	s := New(Config{Procs: 3, Limit: 4})
+	s.SetWallStart(time.Date(2026, 8, 5, 12, 0, 0, 0, time.UTC))
+	sink := s.MessageSink()
+	leader, accuse := obs.Intern("LEADER"), obs.Intern("ACCUSE")
+	at := func(ms int) sim.Time { return sim.At(time.Duration(ms) * time.Millisecond) }
+
+	sink.OnSend(at(1), 0, 1, leader)
+	sink.OnSend(at(1), 0, 2, leader)
+	sink.OnDeliver(at(2), 0, 1, leader)
+	sink.OnDrop(at(2), 0, 2, leader)
+	sink.(obs.EventSink).OnEvent(obs.Event{T: at(3), What: obs.Down, Proc: 0, Peer: -1})
+	sink.(obs.EventSink).OnEvent(obs.Event{T: at(4), What: obs.Note, Proc: 2, Peer: -1, Text: "leader is now p1"})
+	sink.OnSend(at(1500), 2, 1, accuse)
+
+	marks := s.Marks()
+	var got []string
+	for i, m := range marks {
+		got = append(got, fmt.Sprintf("%s p%d→%d %s", m.Name, m.Proc, m.Peer, m.Note))
+		if i > 0 && m.StartNS < marks[i-1].StartNS {
+			t.Fatalf("marks out of time order at %d: %v", i, got)
+		}
+	}
+	want := []string{
+		"SEND p0→1 LEADER", "SEND p0→2 LEADER", // same instant, same process: recording order
+		"DROP p0→2 LEADER", "DELIVER p1→0 LEADER", // same instant: by process
+		"down p0→-1 ", "note p2→-1 leader is now p1", "SEND p2→1 ACCUSE",
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("marks =\n %q\nwant\n %q", got, want)
+	}
+	marks[0].Proc = 99 // a copy: the ring is not aliased
+	if s.Marks()[0].Proc == 99 {
+		t.Fatal("Marks returned aliased storage")
+	}
+
+	var b strings.Builder
+	if err := s.WriteText(&b, 0, false); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(b.String()), "\n")
+	if len(lines) != len(want) {
+		t.Fatalf("WriteText wrote %d lines, want %d:\n%s", len(lines), len(want), b.String())
+	}
+	for _, frag := range []string{"SEND", "p0→p2", "LEADER", "1ms"} {
+		if !strings.Contains(lines[1], frag) {
+			t.Fatalf("line %q missing %q", lines[1], frag)
+		}
+	}
+	if strings.Contains(lines[4], "→") || !strings.Contains(lines[4], "down") {
+		t.Fatalf("peerless mark rendered as %q", lines[4])
+	}
+	if !strings.HasSuffix(lines[5], "leader is now p1") {
+		t.Fatalf("note line = %q", lines[5])
+	}
+
+	b.Reset()
+	if err := s.WriteText(&b, 2, true); err != nil {
+		t.Fatal(err)
+	}
+	tail := strings.Split(strings.TrimSpace(b.String()), "\n")
+	if len(tail) != 2 || !strings.Contains(tail[0], "note") ||
+		!strings.HasPrefix(tail[1], "12:00:01.500000 ") || !strings.Contains(tail[1], "ACCUSE") {
+		t.Fatalf("wall-anchored tail = %q", tail)
+	}
+
+	// The ring bound is per process: p0 keeps its newest Limit marks and
+	// counts the rest, and the log stays in time order across the wrap.
+	for i := 0; i < 6; i++ {
+		sink.OnSend(at(2000+i), 0, 1, leader)
+	}
+	if d := s.Tracer(0).Dropped(); d != 6 {
+		t.Fatalf("p0 evicted %d marks, want 6 (its ring of 4 was full)", d)
+	}
+	marks = s.Marks()
+	if len(marks) != 4+1+2 || marks[len(marks)-1].StartNS != int64(at(2005)) {
+		t.Fatalf("after wrap: %d marks, last at %v", len(marks), sim.Time(marks[len(marks)-1].StartNS))
 	}
 }
 

@@ -31,8 +31,9 @@ type Config struct {
 	// Quiet suppresses per-process logging.
 	Quiet bool
 	// Observer is an optional extra obs.Sink teed with the cluster's
-	// stats; it sees every send/deliver/drop. Implementations must be
-	// safe for concurrent use.
+	// stats; it sees every send/deliver/drop and, when it is an
+	// obs.EventSink, every process going down (obs.Down) and coming back
+	// (obs.Up). Implementations must be safe for concurrent use.
 	Observer obs.Sink
 	// RecordWindow bounds the per-sender send log retained for queries
 	// (0 = metrics.DefaultWindow). Counters are never windowed.
@@ -80,9 +81,9 @@ type Config struct {
 	// BatchWaitMax). BatchWait seeds the initial value.
 	BatchWaitMax time.Duration
 	// OnFlush, when set, observes every successful TCP vectored write
-	// with its coalesced frame and payload counts — the flush-size
-	// signal for telemetry. Runs on sender goroutines; must be safe for
-	// concurrent use and cheap.
+	// with its coalesced frame and payload counts (telemetry.FlushHook
+	// turns it into obs.Flush events). Runs on sender goroutines; must be
+	// safe for concurrent use and cheap.
 	OnFlush func(from, to node.ID, frames, bytes int)
 }
 
@@ -173,6 +174,7 @@ func NewCluster(cfg Config, automatons []node.Automaton) (*Cluster, error) {
 			nodeLogf = logf
 		}
 		c.stations[i] = newStation(node.ID(i), cfg.N, automatons[i], (*memNet)(c), c.start, nodeLogf)
+		c.stations[i].events, _ = cfg.Observer.(obs.EventSink)
 	}
 	return c, nil
 }

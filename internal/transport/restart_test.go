@@ -2,6 +2,8 @@ package transport
 
 import (
 	"path/filepath"
+	"reflect"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -12,6 +14,7 @@ import (
 	"repro/internal/durable"
 	"repro/internal/faultline"
 	"repro/internal/node"
+	"repro/internal/obs"
 )
 
 // bootMark counts incarnations and deliveries: enough to verify the
@@ -29,12 +32,27 @@ func (b bootMark) Deliver(node.ID, node.Message) {
 }
 func (b bootMark) Tick(string) {}
 
+// upDowns keeps the obs.Down and obs.Up events a cluster reports.
+type upDowns struct {
+	obs.Nop
+	mu     sync.Mutex
+	events []obs.Event
+}
+
+func (u *upDowns) OnEvent(e obs.Event) {
+	u.mu.Lock()
+	u.events = append(u.events, obs.Event{What: e.What, Proc: e.Proc, Peer: e.Peer})
+	u.mu.Unlock()
+}
+
 // TestScheduledRestartPlanReboots drives the faultline.Restart plan end
 // to end on the mem cluster: the process crashes at After, stays inert
 // for Downtime, then reboots with the automaton from Config.Rebuild and
-// receives messages again.
+// receives messages again — and the observer is told of both by the
+// stations themselves, a crash nobody called Crash for included.
 func TestScheduledRestartPlanReboots(t *testing.T) {
 	var boots, deliveries atomic.Int32
+	seen := &upDowns{}
 	inj := mustInjector(t, 2, 11, faultline.Plan{
 		Restarts: []faultline.Restart{{ID: 0, After: 20 * time.Millisecond, Downtime: 30 * time.Millisecond}},
 	})
@@ -43,7 +61,7 @@ func TestScheduledRestartPlanReboots(t *testing.T) {
 		idleAutomaton{},
 	}
 	c, err := NewCluster(Config{
-		N: 2, Seed: 11, Quiet: true, Fault: inj,
+		N: 2, Seed: 11, Quiet: true, Fault: inj, Observer: seen,
 		Rebuild: func(id node.ID) node.Automaton {
 			if id != 0 {
 				t.Errorf("rebuild called for %d", id)
@@ -67,6 +85,15 @@ func TestScheduledRestartPlanReboots(t *testing.T) {
 		c.Inject(1, 0, pingMsg())
 		return deliveries.Load() > before
 	}, "post-reboot delivery")
+
+	c.Crash(1)
+	c.Crash(1) // crashing the dead is not an event
+	seen.mu.Lock()
+	defer seen.mu.Unlock()
+	want := []obs.Event{{What: obs.Down, Proc: 0, Peer: -1}, {What: obs.Up, Proc: 0, Peer: -1}, {What: obs.Down, Proc: 1, Peer: -1}}
+	if !reflect.DeepEqual(seen.events, want) {
+		t.Fatalf("observer saw %v, want %v", seen.events, want)
+	}
 }
 
 // TestRebuildRequiredForRestartPlan: a restart plan without a Rebuild

@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/loop"
 	"repro/internal/node"
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -74,6 +75,10 @@ type station struct {
 	net       sender
 	start     time.Time
 	logf      func(format string, args ...any)
+	// events is the cluster observer's event extension (nil when it has
+	// none), set by the cluster before run: the station reports its own
+	// going down and coming up.
+	events obs.EventSink
 
 	// timers and outbox — what the automaton sent this turn, in order,
 	// not yet on the network — are touched only from the node loop.
@@ -176,9 +181,19 @@ func (s *station) deliver(from node.ID, m node.Message) {
 	s.mbox.Push(event{from: from, msg: m})
 }
 
-// crash makes the station inert (crash-stop).
+// crash makes the station inert (crash-stop). Every way a process goes
+// down — Cluster.Crash, a faultline-scheduled crash or restart — ends
+// here, so this is where the observer learns of it, once per crash.
 func (s *station) crash() {
-	s.crashed.Store(true)
+	if !s.crashed.Swap(true) {
+		s.emit(obs.Down)
+	}
+}
+
+func (s *station) emit(what obs.What) {
+	if s.events != nil {
+		s.events.OnEvent(obs.Event{T: s.Now(), What: what, Proc: int(s.id), Peer: -1})
+	}
 }
 
 // reboot schedules a restart of the station with a fresh automaton —
@@ -200,6 +215,7 @@ func (s *station) rebootNow(a node.Automaton) {
 	s.automaton = a
 	s.fast.Store(boxOf(a)) // receive goroutines route to the new incarnation
 	s.crashed.Store(false)
+	s.emit(obs.Up) // before Start: the new incarnation's events follow it
 	s.automaton.Start(s)
 }
 

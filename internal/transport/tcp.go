@@ -129,6 +129,7 @@ func NewTCPCluster(cfg Config, automatons []nodepkg.Automaton) (*TCPCluster, err
 			logf = quiet
 		}
 		c.stations[i] = newStation(nodepkg.ID(i), cfg.N, automatons[i], &tcpNet{cluster: c}, c.start, logf)
+		c.stations[i].events, _ = cfg.Observer.(obs.EventSink)
 	}
 	return c, nil
 }

@@ -113,7 +113,7 @@ func expectSteadySender(t *testing.T, clock *station, stats *metrics.MessageStat
 	for {
 		mark := clock.Now()
 		time.Sleep(300 * time.Millisecond)
-		senders := stats.SendersSince(mark)
+		senders := stats.Snapshot().SendersSince(mark)
 		if len(senders) == 1 && senders[0] == leader {
 			return
 		}

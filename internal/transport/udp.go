@@ -77,6 +77,7 @@ func NewUDPCluster(cfg Config, automatons []nodepkg.Automaton) (*UDPCluster, err
 			logf = quiet
 		}
 		c.stations[i] = newStation(nodepkg.ID(i), cfg.N, automatons[i], &udpNet{cluster: c}, c.start, logf)
+		c.stations[i].events, _ = cfg.Observer.(obs.EventSink)
 	}
 	return c, nil
 }

@@ -123,7 +123,7 @@ func NewCodec() *Codec {
 }
 
 // registerGroup registers the group-routing wrapper (multi-group sharded
-// consensus, DESIGN.md §16): a varint GroupID followed by the inner
+// consensus, DESIGN.md §15): a varint GroupID followed by the inner
 // message's own encoding — type code and fields — in the same frame
 // version, nested in place with no intermediate buffer. Wrappers do not
 // nest: a GROUP code inside a GROUP body is a decode error, which also
@@ -183,7 +183,7 @@ func registerGroup(c *Codec) {
 }
 
 // registerTrace registers the trace-context wrapper (causal tracing,
-// DESIGN.md §17): the trace id and parent span id as varint/fixed u64
+// DESIGN.md §8): the trace id and parent span id as varint/fixed u64
 // fields, followed by the inner message's own encoding — type code and
 // fields — nested in place, exactly the group wrapper's shape. A TRACE
 // wrapper may not nest itself, and may not carry a GROUP wrapper: the
@@ -487,7 +487,7 @@ func registerRSM(c *Codec) {
 	// The trailing LeaseSeq on ACCEPT/ACCEPTED (PR 7) is not negotiated:
 	// strict decoding makes pre-lease and post-lease frames mutually
 	// unreadable, so clusters upgrade atomically across that boundary
-	// (DESIGN.md §14).
+	// (DESIGN.md §13).
 	reg(c, codeRSMAccept, rsm.KindAccept,
 		func(e *Encoder, m rsm.AcceptMsg) error {
 			e.U64(uint64(m.B))
