@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test loc bench-check bench-pairs test-race soak recovery-soak telemetry-smoke trace-smoke bench bench-micro bench-json bench-wire bench-consensus bench-consensus-mc bench-durable tables
+.PHONY: all build vet test loc bench-check bench-pairs test-race fuzz-smoke soak recovery-soak telemetry-smoke trace-smoke bench bench-micro bench-json bench-wire bench-consensus bench-consensus-mc bench-durable tables
 
 all: vet test
 
@@ -45,6 +45,15 @@ bench-pairs:
 # soaks' wall-clock GST.
 test-race:
 	$(GO) test -race -short ./...
+
+# Twenty seconds of the wire fuzzer: strict decoding, the encode/decode
+# fixpoint in both versions, and a connection decoder that agrees with the
+# shared path and never aliases its input (DESIGN.md §11, §16). CI's
+# build-test job runs it. -fuzzminimizetime: left at its 60 s default, the
+# first input that reaches new coverage is minimized for the rest of the
+# run (execs stand still after ~20k; with the cap, ~800k in the 20 s).
+fuzz-smoke:
+	$(GO) test -run='^$$' -fuzz=FuzzEnvelopeRoundTrip -fuzztime=20s -fuzzminimizetime=1s ./internal/wire
 
 # Full chaos soak under the race detector: live UDP and TCP clusters
 # through leader crash, asymmetric partition + heal, and pre-GST link
@@ -118,8 +127,12 @@ bench:
 # in, one ACCEPT broadcast out; ns and allocs per ten commands), WALTurn
 # sixteen votes flushed once against sixteen flushed one by one, and
 # SubmitWithBacklog a follower's Submit behind forty outstanding commands.
+# ConnDecode is what a socket's read loop pays to decode a frame that
+# carries a value — a 64-byte REQ, a 700-byte ACCEPT — through its own
+# decoder (1 alloc/op, the message's box) and through the shared path (2).
 bench-micro:
 	$(GO) test -run '^$$' -bench 'SinkRecordSend|Wire' -benchmem .
+	$(GO) test -run '^$$' -bench 'ConnDecode' -benchmem ./internal/wire
 	$(GO) test -run '^$$' -bench 'RecorderRecord|BatcherPumpFull|ApplyBatch16|FollowerCommit|SubmitWithBacklog' -benchmem ./internal/consensus ./internal/consensus/rsm
 	$(GO) test -run '^$$' -bench 'StationTurn|WALTurn' -benchmem ./internal/transport ./internal/durable
 

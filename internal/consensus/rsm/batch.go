@@ -222,7 +222,16 @@ func (r *Node) pumpBatches(force bool) {
 			// enqueue to batch formation.
 			r.cfg.Tracer.Record(fl.enq[i], now, ctx, "queue", -1, "")
 		}
-		r.propose(encodeBatch(cmds), fl)
+		v := encodeBatch(cmds)
+		if k == 1 {
+			// The log keeps what it proposes, and a lone command is
+			// proposed as it came — over a socket, as a substring of the
+			// chunk its connection's decoder cut it from (wire.ConnDecoder),
+			// which one kept command would pin whole. A batch is a copy
+			// already.
+			v = consensus.Value(strings.Clone(string(v)))
+		}
+		r.propose(v, fl)
 	}
 }
 

@@ -46,13 +46,38 @@ func (m *Mailbox[T]) Push(e T) {
 		m.mu.Unlock()
 		return
 	}
+	m.put(e)
+	m.mu.Unlock()
+	m.wake()
+}
+
+// PushAll appends events in order under one lock acquisition and wakes the
+// consumer once, so a consumer that was asleep finds them all in one drain:
+// what a socket read decoded together is handled as one turn (or, past
+// MaxTurn, as consecutive ones). The slice stays the caller's.
+func (m *Mailbox[T]) PushAll(es []T) {
+	if len(es) == 0 {
+		return
+	}
+	m.mu.Lock()
+	if m.closed {
+		m.mu.Unlock()
+		return
+	}
+	for _, e := range es {
+		m.put(e)
+	}
+	m.mu.Unlock()
+	m.wake()
+}
+
+// put appends one event; the caller holds the lock.
+func (m *Mailbox[T]) put(e T) {
 	if m.count == len(m.ring) {
 		m.grow()
 	}
 	m.ring[(m.head+m.count)%len(m.ring)] = e
 	m.count++
-	m.mu.Unlock()
-	m.wake()
 }
 
 func (m *Mailbox[T]) wake() {

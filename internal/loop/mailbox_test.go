@@ -103,6 +103,70 @@ func TestMailboxPushAfterCloseIsDropped(t *testing.T) {
 	}
 }
 
+// TestMailboxPushAllFIFO: batches and single pushes interleave in order,
+// across the ring wrapping (drains between them move head off zero) and
+// growing (a batch larger than what is free).
+func TestMailboxPushAllFIFO(t *testing.T) {
+	m := NewMailbox[ev]()
+	next, seen := 0, 0
+	batch := func(n int) []ev {
+		out := make([]ev, n)
+		for i := range out {
+			out[i] = ev{id: next}
+			next++
+		}
+		return out
+	}
+	check := func(got []ev) {
+		t.Helper()
+		for _, e := range got {
+			if e.id != seen {
+				t.Fatalf("got event %d, want %d (FIFO order broken)", e.id, seen)
+			}
+			seen++
+		}
+	}
+	m.PushAll(batch(9))
+	for round := 0; round < 10; round++ { // 7 in, 7 out, 9 left over: head walks round the ring
+		m.PushAll(batch(6))
+		m.Push(batch(1)[0])
+		check(m.drain(nil, 7))
+	}
+	if len(m.ring) != 16 || m.head == 0 {
+		t.Fatalf("ring %d, head %d: the test no longer wraps", len(m.ring), m.head)
+	}
+	m.PushAll(batch(5 * len(m.ring))) // several doublings inside one call, from a wrapped ring
+	m.PushAll(nil)
+	check(m.drain(nil, next))
+	if seen != next {
+		t.Fatalf("drained %d events, pushed %d", seen, next)
+	}
+}
+
+// TestMailboxPushAllWakesOnce: a batch is one token on C however long it
+// is, an empty one none, and one pushed after Close is dropped.
+func TestMailboxPushAllWakesOnce(t *testing.T) {
+	m := NewMailbox[ev]()
+	m.PushAll(nil)
+	if len(m.C) != 0 {
+		t.Fatal("an empty batch woke the consumer")
+	}
+	m.PushAll([]ev{{id: 1}, {id: 2}, {id: 3}})
+	if len(m.C) != 1 {
+		t.Fatalf("%d tokens on C after one batch, want 1", len(m.C))
+	}
+	<-m.C
+	if got := m.drain(nil, 10); len(got) != 3 {
+		t.Fatalf("drained %d events, want the batch of 3", len(got))
+	}
+	m.Close()
+	<-m.C
+	m.PushAll([]ev{{id: 4}})
+	if got := m.drain(nil, 10); len(got) != 0 || len(m.C) != 0 {
+		t.Fatalf("closed mailbox took %d events of a batch and holds %d tokens", len(got), len(m.C))
+	}
+}
+
 // TestRunCutsTurns: everything queued before the loop wakes is one turn
 // with one end-of-turn call after the last event, and a backlog longer
 // than MaxTurn is split, in order, into turns of at most MaxTurn.

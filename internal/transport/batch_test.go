@@ -128,11 +128,13 @@ func TestTCPBufferLifecycleExactOnce(t *testing.T) {
 }
 
 // TestUDPSteadyStateReceiveAllocs pins the allocation-free UDP receive
-// loop: one reusable read buffer, an address returned by value, and a
-// pooled decoder make the steady-state datagram → message path cost zero
-// allocations per op.
+// loop: one reusable read buffer, an address returned by value, and the
+// socket's own decoder make the steady-state datagram → message path cost
+// zero allocations per op for a heartbeat (a message that carries a value
+// costs its box: wire's TestConnDecoderValueAllocs).
 func TestUDPSteadyStateReceiveAllocs(t *testing.T) {
 	codec := wire.NewCodec()
+	dec := codec.NewConnDecoder()
 	recv, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 0})
 	if err != nil {
 		t.Fatal(err)
@@ -159,13 +161,13 @@ func TestUDPSteadyStateReceiveAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		env, err := codec.UnmarshalEnvelope(buf[:n])
+		env, err := dec.UnmarshalEnvelope(buf[:n])
 		if err != nil || env.From != 1 {
 			t.Fatal("bad datagram")
 		}
 	}
 	for i := 0; i < 16; i++ {
-		loop() // warm the socket path and the decoder pool
+		loop() // warm the socket path
 	}
 	if allocs := testing.AllocsPerRun(200, loop); allocs != 0 {
 		t.Errorf("UDP receive steady state: %v allocs/op, want 0", allocs)

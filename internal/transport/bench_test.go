@@ -81,10 +81,11 @@ func BenchmarkTCPSendPerFrame(b *testing.B) { benchTCPSend(b, 1) }
 // BenchmarkUDPReceiveSteadyState times the full datagram receive path —
 // kernel read, envelope decode — over real loopback sockets. It must run
 // at 0 allocs/op: one reusable read buffer, an address returned by value,
-// and the pooled decoder (TestUDPSteadyStateReceiveAllocs pins the same
-// invariant as a test; this feeds BENCH_wire.json).
+// and the socket's own decoder (TestUDPSteadyStateReceiveAllocs pins the
+// same invariant as a test; this feeds BENCH_wire.json).
 func BenchmarkUDPReceiveSteadyState(b *testing.B) {
 	codec := wire.NewCodec()
+	dec := codec.NewConnDecoder()
 	recv, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 0})
 	if err != nil {
 		b.Fatal(err)
@@ -113,7 +114,7 @@ func BenchmarkUDPReceiveSteadyState(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		env, err := codec.UnmarshalEnvelope(buf[:n])
+		env, err := dec.UnmarshalEnvelope(buf[:n])
 		if err != nil || env.From != 1 {
 			b.Fatal("bad datagram")
 		}

@@ -181,6 +181,22 @@ func (s *station) deliver(from node.ID, m node.Message) {
 	s.mbox.Push(event{from: from, msg: m})
 }
 
+// deliverAll enqueues, in order, the messages one socket read decoded:
+// one mailbox push, so what a peer flushed with one write is one turn here
+// rather than whatever prefix of it the node loop happened to wake up on.
+// A concurrent-delivery automaton keeps its per-message path. The batch is
+// zeroed for the caller to reuse without retaining the messages.
+func (s *station) deliverAll(batch []event) {
+	if s.fast.Load().(fastBox).d != nil {
+		for _, e := range batch {
+			s.deliver(e.from, e.msg)
+		}
+	} else {
+		s.mbox.PushAll(batch)
+	}
+	clear(batch)
+}
+
 // crash makes the station inert (crash-stop). Every way a process goes
 // down — Cluster.Crash, a faultline-scheduled crash or restart — ends
 // here, so this is where the observer learns of it, once per crash.

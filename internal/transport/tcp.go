@@ -3,15 +3,18 @@ package transport
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/faultline"
 	"repro/internal/link"
+	"repro/internal/loop"
 	"repro/internal/metrics"
 	nodepkg "repro/internal/node"
 	"repro/internal/obs"
@@ -228,46 +231,114 @@ func (c *TCPCluster) acceptLoop(i int) {
 	}
 }
 
-// readLoop decodes length-prefixed envelopes from one connection. Reads
-// go through a buffered reader sized to the sender's batch cap, so a
-// coalesced vectored write arriving as one TCP segment costs one read
-// syscall for the whole batch, not two per frame. The body buffer is
-// per-connection and reused across frames (the codec copies anything it
-// keeps), so a steady-state receive performs no allocations. Any sign of
-// a corrupt stream — an oversized length prefix or an envelope that fails
-// to decode — closes the connection: framing cannot be trusted past the
-// first bad byte, and the peer's sender re-establishes the link. The
-// station itself is never affected.
+// readLoop is the receive half of a turn (DESIGN.md "Turns"): one read
+// from the socket, one decode pass over every complete frame it brought —
+// in place, in a read buffer sized to the sender's batch cap — and one push
+// of what they decoded to the station's mailbox. What the peer's sender
+// flushed with one vectored write is therefore one read syscall, one
+// mailbox lock and one wake-up here, and one turn of the automaton. The
+// messages share nothing with the read buffer: the connection's decoder
+// copies their strings into its own chunks (wire.ConnDecoder), one
+// allocation per ~64 KiB of them.
+//
+// Any sign of a corrupt stream — a length prefix out of range or an
+// envelope that fails to decode — ends the loop, as do EOF and a read
+// error; the connection is closed on every exit. Framing cannot be trusted
+// past the first bad byte, and the peer's sender re-establishes the link.
+// The station itself is never affected.
 func (c *TCPCluster) readLoop(i int, conn net.Conn) {
 	defer c.wg.Done()
-	defer c.conns.Add(-1)
-	var header [4]byte
-	body := make([]byte, 4096)
-	br := bufio.NewReaderSize(conn, c.cfg.BatchBytes)
+	defer c.release(conn)
+	st := c.stations[i]
+	in := frames{br: bufio.NewReaderSize(conn, c.cfg.BatchBytes)}
+	dec := c.cfg.Codec.NewConnDecoder()
+	var batch []event
 	for {
-		if _, err := io.ReadFull(br, header[:]); err != nil {
+		// batch is empty here: the loop never blocks in a read while it
+		// holds decoded, undelivered messages.
+		frame, err := in.next(true)
+		now := st.Now()
+		for err == nil && frame != nil {
+			env, derr := dec.UnmarshalEnvelope(frame)
+			if derr != nil || env.From < 0 || int(env.From) >= c.cfg.N {
+				err = errCorrupt
+				break
+			}
+			c.sink.OnDeliver(now, int(env.From), i, nodepkg.MessageKind(env.Msg))
+			batch = append(batch, event{from: env.From, msg: env.Msg})
+			if len(batch) == loop.MaxTurn {
+				// A turn takes no more; handing it over here bounds batch.
+				st.deliverAll(batch)
+				batch = batch[:0]
+			}
+			frame, err = in.next(false)
+		}
+		st.deliverAll(batch)
+		batch = batch[:0]
+		if err != nil {
 			return
 		}
-		size := binary.BigEndian.Uint32(header[:])
-		if size == 0 || size > maxFrame {
-			_ = conn.Close()
-			return
-		}
-		if int(size) > cap(body) {
-			body = make([]byte, size)
-		}
-		body = body[:size]
-		if _, err := io.ReadFull(br, body); err != nil {
-			return
-		}
-		env, err := c.cfg.Codec.UnmarshalEnvelope(body)
-		if err != nil || env.From < 0 || int(env.From) >= c.cfg.N {
-			_ = conn.Close()
-			return
-		}
-		c.sink.OnDeliver(c.stations[i].Now(), int(env.From), i, nodepkg.MessageKind(env.Msg))
-		c.stations[i].deliver(env.From, env.Msg)
 	}
+}
+
+// release closes an inbound connection whose read loop has ended and takes
+// it off the books, so a link that is redialed any number of times holds
+// one socket and one slot.
+func (c *TCPCluster) release(conn net.Conn) {
+	_ = conn.Close() // only ever read from
+	c.mu.Lock()
+	if k := slices.Index(c.accepted, conn); k >= 0 {
+		c.accepted = slices.Delete(c.accepted, k, k+1)
+	}
+	c.mu.Unlock()
+	c.conns.Add(-1)
+}
+
+// errCorrupt ends a read loop whose stream can no longer be framed.
+var errCorrupt = errors.New("transport: corrupt stream")
+
+// frames cuts a connection's byte stream into length-prefixed frames where
+// they lie in the read buffer: no copy, and no buffer besides it except
+// for the one frame too large for it.
+type frames struct {
+	br   *bufio.Reader
+	used int // bytes of br under the frame returned last; the next call discards them
+}
+
+// next returns the envelope bytes of the next frame, valid until the next
+// call. With wait false it never reads from the connection: it returns nil
+// when the buffer holds no further complete frame.
+func (f *frames) next(wait bool) ([]byte, error) {
+	_, _ = f.br.Discard(f.used) // buffered bytes: cannot fail
+	f.used = 0
+	if !wait && f.br.Buffered() < 4 {
+		return nil, nil
+	}
+	header, err := f.br.Peek(4)
+	if err != nil {
+		return nil, err
+	}
+	size := int(binary.BigEndian.Uint32(header))
+	if size == 0 || size > maxFrame {
+		return nil, errCorrupt
+	}
+	if !wait && f.br.Buffered() < 4+size {
+		return nil, nil
+	}
+	if 4+size > f.br.Size() {
+		big := make([]byte, size)
+		_, _ = f.br.Discard(4)
+		if _, err := io.ReadFull(f.br, big); err != nil {
+			return nil, err
+		}
+		return big, nil
+	}
+	frame, err := f.br.Peek(4 + size)
+	if err != nil {
+		return nil, err
+	}
+	f.used = 4 + size
+	return frame[4:], nil
 }
 
 // Crash makes process id inert (crash-stop).

@@ -192,6 +192,51 @@ func TestTCPReconnectRecoversDelivery(t *testing.T) {
 	}, "delivery recovery after connection reset")
 }
 
+// TestTCPRedialedLinkHoldsOneSocket: an inbound connection whose read loop
+// ends — here severed five times, each followed by the sender's redial, and
+// a stranger that dials and hangs up — is closed and taken off the books.
+// Before, the loop returned without closing (the socket sat in CLOSE_WAIT)
+// and c.accepted only ever grew, until Stop.
+func TestTCPRedialedLinkHoldsOneSocket(t *testing.T) {
+	const n = 3
+	autos := make([]node.Automaton, n)
+	for i := range autos {
+		autos[i] = &countingAutomaton{}
+	}
+	c, err := NewTCPCluster(Config{N: n, Seed: 19, Quiet: true, WriteTimeout: 200 * time.Millisecond}, autos)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Start()
+	defer c.Stop()
+	traffic := func() { // every directed link carries something, so a cut one is noticed and redialed
+		for from := 0; from < n; from++ {
+			for to := 0; to < n; to++ {
+				if from != to {
+					c.Inject(node.ID(from), node.ID(to), core.LeaderMsg{Epoch: 1})
+				}
+			}
+		}
+	}
+	accepted := func() int { c.mu.Lock(); defer c.mu.Unlock(); return len(c.accepted) }
+	settled := func() bool { traffic(); return c.OpenConns() == n*(n-1) && accepted() == n*(n-1) }
+	waitFor(t, 10*time.Second, settled, "the full mesh")
+
+	for k := 0; k < 5; k++ {
+		dials := c.Dials()
+		c.mu.Lock()
+		_ = c.accepted[0].Close()
+		c.mu.Unlock()
+		waitFor(t, 10*time.Second, func() bool { traffic(); return c.Dials() > dials }, "the redial")
+		waitFor(t, 10*time.Second, settled, "one socket and one slot per link after a redial")
+	}
+
+	stranger := hostileConn(t, c, 0)
+	waitFor(t, 10*time.Second, func() bool { return c.OpenConns() == n*(n-1)+1 }, "the stranger's connection")
+	_ = stranger.Close()
+	waitFor(t, 10*time.Second, settled, "the stranger's slot to be given back")
+}
+
 func TestTCPSendAfterStopDropsQuietly(t *testing.T) {
 	dets := []*core.Detector{core.New(core.WithEta(5 * time.Millisecond)), core.New(core.WithEta(5 * time.Millisecond))}
 	autos := []node.Automaton{dets[0], dets[1]}

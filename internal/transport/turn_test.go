@@ -1,8 +1,10 @@
 package transport
 
 import (
+	"encoding/binary"
 	"fmt"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -144,6 +146,125 @@ func TestCrashInMidTurnDropsTheOutbox(t *testing.T) {
 	}
 	if n := w.count(); n != 1 {
 		t.Fatalf("%d messages on the wire, want the boot turn's alone: the crashed turn's %d sends die with it", n, crashAt-1)
+	}
+}
+
+// turnLog is a silent automaton that notes every message it is delivered
+// and, at each end-of-turn signal, how many deliveries the turn had.
+type turnLog struct {
+	mu    sync.Mutex
+	open  int
+	turns []int
+	msgs  []node.Message
+}
+
+func (l *turnLog) Start(node.Env) {}
+
+func (l *turnLog) Deliver(_ node.ID, m node.Message) {
+	l.mu.Lock()
+	l.open++
+	l.msgs = append(l.msgs, m)
+	l.mu.Unlock()
+}
+
+func (l *turnLog) Tick(key string) {
+	if key == node.TurnEnd {
+		l.mu.Lock()
+		l.turns = append(l.turns, l.open)
+		l.open = 0
+		l.mu.Unlock()
+	}
+}
+
+func (l *turnLog) snapshot() (turns []int, msgs []node.Message) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return append([]int(nil), l.turns...), append([]node.Message(nil), l.msgs...)
+}
+
+// leaderFrames returns the TCP frames of LeaderMsgs with epochs first to
+// last from process 0, back to back as a sender's vectored write lays them
+// out.
+func leaderFrames(t *testing.T, c *TCPCluster, first, last uint64) []byte {
+	t.Helper()
+	var out []byte
+	for e := first; e <= last; e++ {
+		env, err := c.cfg.Codec.MarshalEnvelope(0, core.LeaderMsg{Epoch: e})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = binary.BigEndian.AppendUint32(out, uint32(len(env)))
+		out = append(out, env...)
+	}
+	return out
+}
+
+// TestOneWriteIsOneTurn: what a peer wrote with one write is read with one
+// read, decoded in one pass and pushed to the mailbox once, so the
+// automaton has it as one turn — not as however many prefixes the node
+// loop woke up on while a frame-by-frame reader was still pushing. And a
+// frame only half arrived holds back nothing that came before it: the loop
+// never waits in a read with decoded messages in hand. The half frame is
+// delivered once, whole, after them, when its rest arrives.
+func TestOneWriteIsOneTurn(t *testing.T) {
+	const k = 100 // under loop.MaxTurn, which would cut the turn
+	rec := &turnLog{}
+	c, err := NewTCPCluster(Config{N: 2, Seed: 41, Quiet: true}, []node.Automaton{&turnLog{}, rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Start()
+	defer c.Stop()
+	conn := hostileConn(t, c, 1)
+	defer conn.Close()
+
+	split := leaderFrames(t, c, k+1, k+1)
+	cut := len(split) - 2
+	if _, err := conn.Write(append(leaderFrames(t, c, 1, k), split[:cut]...)); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 5*time.Second, func() bool { _, msgs := rec.snapshot(); return len(msgs) >= k }, "the frames before the split one")
+	time.Sleep(20 * time.Millisecond) // were the half frame wrongly delivered, it would be by now
+	if turns, msgs := rec.snapshot(); fmt.Sprint(turns) != fmt.Sprint([]int{0, k}) || len(msgs) != k {
+		t.Fatalf("turns %v with %d deliveries, want [0 %d]: boot, then the whole write as one turn", turns, len(msgs), k)
+	}
+
+	if _, err := conn.Write(split[cut:]); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 5*time.Second, func() bool { turns, _ := rec.snapshot(); return len(turns) == 3 }, "the split frame")
+	turns, msgs := rec.snapshot()
+	if fmt.Sprint(turns) != fmt.Sprint([]int{0, k, 1}) {
+		t.Fatalf("turns %v, want [0 %d 1]", turns, k)
+	}
+	for i, m := range msgs {
+		if m != (core.LeaderMsg{Epoch: uint64(i + 1)}) {
+			t.Fatalf("delivery %d is %+v: lost, repeated or reordered around the split frame", i, m)
+		}
+	}
+}
+
+// TestFrameLargerThanReadBuffer: a frame the read buffer cannot hold takes
+// the copying path and comes out whole, in order with its neighbours.
+func TestFrameLargerThanReadBuffer(t *testing.T) {
+	rec := &turnLog{}
+	c, err := NewTCPCluster(Config{N: 2, Seed: 42, Quiet: true}, []node.Automaton{&turnLog{}, rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Start()
+	defer c.Stop()
+	big := rsm.RequestMsg{V: consensus.Value(strings.Repeat("0123456789", c.cfg.BatchBytes/5))} // two buffers' worth
+	want := []node.Message{core.LeaderMsg{Epoch: 1}, big, core.LeaderMsg{Epoch: 2}}
+	for _, m := range want {
+		c.Inject(0, 1, m)
+	}
+	waitFor(t, 5*time.Second, func() bool { _, msgs := rec.snapshot(); return len(msgs) == len(want) }, "the three frames")
+	_, got := rec.snapshot()
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("delivery %d is a %T, want the %T sent: the oversized frame was cut short or reordered", i, got[i], want[i])
+		}
 	}
 }
 

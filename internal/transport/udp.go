@@ -118,13 +118,15 @@ func (c *UDPCluster) Start() {
 // ICMP-induced errors) are logged and survived, so a live endpoint is
 // never silently killed.
 //
-// The loop is allocation-free in steady state: one reusable read buffer,
-// ReadFromUDPAddrPort (which returns the source address by value instead
-// of allocating a *net.UDPAddr per datagram), and a pooled decoder inside
-// UnmarshalEnvelope that copies only what the message keeps.
+// The loop itself allocates nothing per datagram: one reusable read
+// buffer, ReadFromUDPAddrPort (which returns the source address by value
+// instead of allocating a *net.UDPAddr per datagram), and the socket's own
+// decoder, which copies the strings a message keeps out of the buffer into
+// chunks they share (wire.ConnDecoder). What remains is the message's box.
 func (c *UDPCluster) readLoop(i int) {
 	defer c.wg.Done()
 	buf := make([]byte, 64*1024)
+	dec := c.cfg.Codec.NewConnDecoder()
 	for {
 		n, _, err := c.conns[i].ReadFromUDPAddrPort(buf)
 		if err != nil {
@@ -134,7 +136,7 @@ func (c *UDPCluster) readLoop(i int) {
 			c.stations[i].logf("udp read: %v (continuing)", err)
 			continue
 		}
-		env, err := c.cfg.Codec.UnmarshalEnvelope(buf[:n])
+		env, err := dec.UnmarshalEnvelope(buf[:n])
 		if err != nil {
 			continue // a corrupt datagram must not kill the endpoint
 		}

@@ -16,7 +16,7 @@ import (
 // FuzzEnvelopeRoundTrip drives arbitrary bytes through UnmarshalEnvelope
 // and, whenever a frame decodes, re-marshals the message under both
 // versions and demands a byte-stable fixpoint and strict decoding of the
-// canonical frames. The fuzzer therefore explores three invariants at
+// canonical frames. The fuzzer therefore explores four invariants at
 // once:
 //
 //  1. no input panics or over-allocates (the decoder range-checks every
@@ -24,7 +24,10 @@ import (
 //  2. decode∘encode is the identity on every decodable value, in both
 //     versions and across versions;
 //  3. canonical frames are strict — truncating one byte yields an error,
-//     and so does appending one.
+//     and so does appending one;
+//  4. a connection decoder agrees with the shared path on every input,
+//     twice, and its messages survive the input being overwritten
+//     (checkConnDecode).
 func FuzzEnvelopeRoundTrip(f *testing.F) {
 	seed := NewCodec()
 	seedFixed := NewCodec()
@@ -71,6 +74,9 @@ func FuzzEnvelopeRoundTrip(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, b []byte) {
 		env, err := varint.UnmarshalEnvelope(b)
+		// A decoder per input: one shared between inputs would make the
+		// coverage an input reaches depend on how full its chunk is.
+		checkConnDecode(t, varint.NewConnDecoder(), b, env, err)
 		if err != nil {
 			if env.Msg != nil {
 				t.Fatal("error with non-nil message")

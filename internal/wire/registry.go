@@ -440,12 +440,11 @@ func registerRSM(c *Codec) {
 			if err != nil {
 				return rsm.PromiseMsg{}, err
 			}
-			n, err := d.U32()
+			// An entry is an instance, a ballot and a string's length prefix
+			// at the least.
+			n, err := d.Len(3, 8+8+4)
 			if err != nil {
 				return rsm.PromiseMsg{}, err
-			}
-			if n > maxElems {
-				return rsm.PromiseMsg{}, ErrTooLarge
 			}
 			entries := make([]rsm.PromEntry, n)
 			for i := range entries {
