@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test loc bench-check bench-pairs test-race fuzz-smoke soak recovery-soak telemetry-smoke trace-smoke bench bench-micro bench-json bench-wire bench-consensus bench-consensus-mc bench-durable tables
+.PHONY: all build vet test loc bench-check bench-pairs sim-gate test-race fuzz-smoke soak recovery-soak telemetry-smoke trace-smoke bench bench-micro bench-json bench-wire bench-consensus bench-consensus-mc bench-durable tables
 
 all: vet test
 
@@ -37,6 +37,14 @@ N ?= 10
 bench-pairs:
 	bash scripts/bench-pairs.sh $(W) $(N)
 
+# The regression gate a noisy host cannot defeat: sim_steady and
+# sim_failover at seed 1 on the parent commit and on this checkout, and
+# bench compare at bound 0 on what a seed fixes (simulated-time p50 and
+# tail, messages per command). About a minute; CI's sim-gate job runs it.
+# The parent is chosen as for bench-pairs (BASE, or PARENT=<dir>).
+sim-gate:
+	bash scripts/sim-gate.sh
+
 # Race-check everything. Real concurrency lives in the live transports,
 # the fault injector, the sharded observer sink and telemetry collector
 # they record into, the parallel sweep pool, and the wireload harness —
@@ -46,7 +54,10 @@ bench-pairs:
 test-race:
 	$(GO) test -race -short ./...
 
-# Twenty seconds of the wire fuzzer: strict decoding, the encode/decode
+# Twenty seconds of the wire fuzzer, then five of the one thing a frame
+# carries that rsm unpacks itself, a shared READ-REPLY's tail (unpacking
+# never panics, yields nothing from a malformed tail, and inverts
+# packing). The wire fuzzer: strict decoding, the encode/decode
 # fixpoint in both versions, and a connection decoder that agrees with the
 # shared path and never aliases its input (DESIGN.md §11, §16). CI's
 # build-test job runs it. -fuzzminimizetime: left at its 60 s default, the
@@ -54,6 +65,7 @@ test-race:
 # run (execs stand still after ~20k; with the cap, ~800k in the 20 s).
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzEnvelopeRoundTrip -fuzztime=20s -fuzzminimizetime=1s ./internal/wire
+	$(GO) test -run='^$$' -fuzz=FuzzReadSpans -fuzztime=5s -fuzzminimizetime=1s ./internal/consensus/rsm
 
 # Full chaos soak under the race detector: live UDP and TCP clusters
 # through leader crash, asymmetric partition + heal, and pre-GST link
@@ -125,15 +137,17 @@ bench:
 # before decisions were committed by index. Then the turn: StationTurn is
 # one steady-state turn of a leader's node loop (ten requests and a vote
 # in, one ACCEPT broadcast out; ns and allocs per ten commands), WALTurn
-# sixteen votes flushed once against sixteen flushed one by one, and
-# SubmitWithBacklog a follower's Submit behind forty outstanding commands.
+# sixteen votes flushed once against sixteen flushed one by one,
+# SubmitWithBacklog a follower's Submit behind forty outstanding commands,
+# and LeaseReadTurn a turn of sixteen reads at a lease-holding leader (2
+# allocs per turn, the one reply's tail and box — not 16).
 # ConnDecode is what a socket's read loop pays to decode a frame that
 # carries a value — a 64-byte REQ, a 700-byte ACCEPT — through its own
 # decoder (1 alloc/op, the message's box) and through the shared path (2).
 bench-micro:
 	$(GO) test -run '^$$' -bench 'SinkRecordSend|Wire' -benchmem .
 	$(GO) test -run '^$$' -bench 'ConnDecode' -benchmem ./internal/wire
-	$(GO) test -run '^$$' -bench 'RecorderRecord|BatcherPumpFull|ApplyBatch16|FollowerCommit|SubmitWithBacklog' -benchmem ./internal/consensus ./internal/consensus/rsm
+	$(GO) test -run '^$$' -bench 'RecorderRecord|BatcherPumpFull|ApplyBatch16|FollowerCommit|SubmitWithBacklog|LeaseReadTurn' -benchmem ./internal/consensus ./internal/consensus/rsm
 	$(GO) test -run '^$$' -bench 'StationTurn|WALTurn' -benchmem ./internal/transport ./internal/durable
 
 # End-to-end tracing smoke (DESIGN.md §8): a traced consensus load run

@@ -252,8 +252,9 @@ func (r *Node) leaseBlocks(b consensus.Ballot, now sim.Time) bool {
 // right that came with them; the next drive tick re-prepares if Omega
 // still nominates this process. Commands riding in this leader's
 // instances go back to the queue, to be forwarded or proposed again.
-// Pending fallback reads are dropped (clients retry against the new
-// leader); the gauge clears before any competing ballot gets our promise.
+// Reads are dropped, those waiting on the barrier and those the open turn
+// has noted but not yet served (clients retry against the new leader);
+// the gauge clears before any competing ballot gets our promise.
 func (r *Node) abdicateLeader() {
 	if r.prop.prepared || r.prop.preparing {
 		// Only an actual demotion is an election transition worth a span;
@@ -275,6 +276,7 @@ func (r *Node) abdicateLeader() {
 	if len(r.lease.issued) > 0 {
 		clear(r.lease.issued)
 	}
+	r.reads.noted = r.reads.noted[:0]
 	r.failPendingReads()
 }
 

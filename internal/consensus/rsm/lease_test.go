@@ -7,6 +7,8 @@ import (
 
 	"repro/internal/consensus"
 	"repro/internal/network"
+	"repro/internal/node"
+	"repro/internal/sim"
 )
 
 // TestLeaseAcquiredWhileIdle: a prepared leader with no client traffic
@@ -250,5 +252,68 @@ func TestLeaseSkewDefault(t *testing.T) {
 	cfg.fill()
 	if cfg.LeaseSkew != 100*ms {
 		t.Fatalf("default LeaseSkew = %v, want %v", cfg.LeaseSkew, 100*ms)
+	}
+}
+
+// TestReadsDuringFailoverAreAnsweredWhenTheBallotStands: five seeded
+// failovers with a client that keeps reading at whichever survivor believes
+// it leads. A read that reaches a leader-elect waits for its phase 1 and one
+// barrier round, not for a client timeout, and no answer is ever below the
+// writes completed before the crash.
+func TestReadsDuringFailoverAreAnsweredWhenTheBallotStands(t *testing.T) {
+	const round = 5 * ms // ACCEPT + ACCEPTED on 2 ms links, with slack
+	for seed := int64(1); seed <= 5; seed++ {
+		c := newClusterCfg(t, 3, seed, network.Timely(2*ms), Config{Lease: 200 * ms})
+		answered := map[uint64]sim.Time{}
+		completed := 0
+		for i := 1; i < 3; i++ {
+			c.nodes[i].OnReadReply(func(m ReadReplyMsg) {
+				if m.Index < completed {
+					t.Errorf("seed %d: read %d answered at index %d, below the %d writes completed before it", seed, m.Seq, m.Index, completed)
+				}
+				answered[m.Seq] = c.world.Kernel.Now()
+			})
+		}
+		c.world.Start()
+		c.world.RunFor(500 * ms)
+		for i := 0; i < 8; i++ {
+			c.nodes[0].Submit(consensus.Value(fmt.Sprint("pre-", i)))
+		}
+		c.world.RunFor(100 * ms)
+		if completed = c.nodes[1].Applied(); completed < 8 || c.nodes[2].Applied() != completed {
+			t.Fatalf("seed %d: setup applied %d and %d", seed, completed, c.nodes[2].Applied())
+		}
+		c.world.Crash(0)
+
+		// One read a millisecond at every leader-elect, until one leads.
+		var seq, last uint64
+		var elect *Node
+		var stood sim.Time
+		for step := 0; step < 2000 && stood == 0; step++ {
+			for i := 1; i < 3 && stood == 0; i++ {
+				switch s := c.nodes[i]; {
+				case s.IsLeader():
+					elect, stood = s, c.world.Kernel.Now()
+				case c.dets[i].Leader() == node.ID(i):
+					seq++
+					s.Read(seq, 1)
+					if s.prop.preparing {
+						last = seq // phase 1 is running: nothing can drop this one but a NACK
+					}
+				}
+			}
+			c.world.RunFor(ms)
+		}
+		if elect == nil || last == 0 {
+			t.Fatalf("seed %d: no survivor took over with a read in its phase 1 (%d issued)", seed, seq)
+		}
+		c.world.RunFor(round)
+		at, ok := answered[last]
+		if !ok || at.Sub(stood) > round {
+			t.Fatalf("seed %d: read %d, issued during phase 1, answered at %v (%v); the ballot stood at %v", seed, last, at, ok, stood)
+		}
+		if elect.FallbackReads() == 0 {
+			t.Fatalf("seed %d: the reads of the outage were not served through the barrier", seed)
+		}
 	}
 }

@@ -181,11 +181,19 @@ func (ReadReqMsg) Kind() string { return KindReadReq }
 // Index commands reflects every write that completed before the reads
 // were served. Local reports whether the leader served from its lease
 // (zero consensus messages) or fell back to a phase-2 no-op barrier.
+//
+// More, on the wire only, carries every further request of the same
+// origin that the leader answered at the same instant with the same Index
+// (read.go: appendSpan packs them, eachRead unpacks). It is a string so
+// that the message stays a comparable value, empty in a reply to one
+// request and in what the OnReadReply hook sees: the hook is called once
+// per request, each time with that request's own Seq and Count.
 type ReadReplyMsg struct {
 	Seq   uint64
 	Count uint32
 	Index int
 	Local bool
+	More  string
 }
 
 // Kind implements node.Message.

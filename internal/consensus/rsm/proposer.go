@@ -162,6 +162,7 @@ func (r *Node) maybeFinishPrepare() {
 	// without them, the followers hear this ballot's commit index at the
 	// end of the turn.
 	r.pumpDue, r.commitDue = true, true
+	r.openBarrier() // for the reads that arrived during phase 1
 }
 
 func (r *Node) onNack(m NackMsg) {

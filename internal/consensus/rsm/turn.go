@@ -9,8 +9,9 @@ package rsm
 // does it once: one pump, which puts the whole burst into one instance
 // whose ACCEPT also carries the commit index of a quorum completed in the
 // same turn; one DECIDE broadcast if no ACCEPT took the index along; one
-// write of every record the turn appended to the store, before any
-// message that reveals them is released.
+// answer to the reads the turn brought (read.go), at the index all of
+// that left applied; one write of every record the turn appended to the
+// store, before any message that reveals them is released.
 //
 // On a runtime without turns — node.World, a hand-driven test Env, a
 // Submit or Read from outside the loop — nothing holds a send back and
@@ -20,7 +21,8 @@ package rsm
 // the message, by the same code.
 
 // endTurn does what the turn's events left due. The pump comes first: an
-// ACCEPT that leaves now announces the commit index for free.
+// ACCEPT that leaves now announces the commit index for free. The reads
+// come after both, and before the flush that covers a barrier they open.
 func (r *Node) endTurn() {
 	for r.pumpDue { // a one-process quorum decides inside pump and asks again
 		r.pumpDue = false
@@ -29,6 +31,9 @@ func (r *Node) endTurn() {
 	if r.commitDue {
 		r.commitDue = false
 		r.announceCommit()
+	}
+	if len(r.reads.noted) > 0 {
+		r.serveReads()
 	}
 	r.cfg.Store.Flush()
 }

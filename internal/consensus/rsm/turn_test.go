@@ -170,6 +170,312 @@ func TestSubmitOutsideATurnActsAtOnce(t *testing.T) {
 	}
 }
 
+// leaseLeader returns a prepared leader of three on a runtime with turns,
+// holding a 300 ms lease granted at the fake clock's instant zero, with k
+// commands applied; its outbox is empty.
+func leaseLeader(t testing.TB, k int) (*Node, *fakeEnv) {
+	t.Helper()
+	r, env := prepareLeaderCfg(t, nil, Config{Lease: 300 * time.Millisecond})
+	for i := 0; i < max(k, 1); i++ {
+		r.Submit(consensus.Value(fmt.Sprint("w", i)))
+		r.Deliver(1, AcceptedMsg{B: r.prop.ballot, Inst: i, LeaseSeq: 1})
+	}
+	if !r.holdsLease(env.now) || r.app.count != max(k, 1) {
+		t.Fatalf("setup: lease held %v, applied %d", r.holdsLease(env.now), r.app.count)
+	}
+	withTurns(r)
+	env.drain()
+	return r, env
+}
+
+// readRequests returns k single reads numbered from seq upwards, all of
+// one origin.
+func readRequests(origin node.ID, seq uint64, k int) []node.Message {
+	out := make([]node.Message, k)
+	for i := range out {
+		out[i] = ReadReqMsg{Seq: seq + uint64(i), Count: 1, Origin: origin}
+	}
+	return out
+}
+
+// repliesOf returns the READ-REPLYs in an outbox, keyed by where they went.
+func repliesOf(msgs []sent) map[node.ID][]ReadReplyMsg {
+	out := map[node.ID][]ReadReplyMsg{}
+	for _, s := range msgs {
+		if m, ok := s.msg.(ReadReplyMsg); ok {
+			out[s.to] = append(out[s.to], m)
+		}
+	}
+	return out
+}
+
+// answersAt delivers a reply to a fresh replica with the given id and
+// returns what its OnReadReply hook was called with.
+func answersAt(id node.ID, m ReadReplyMsg) (got []ReadReplyMsg) {
+	o := New(consensus.StaticLeader(0), Config{})
+	o.OnReadReply(func(a ReadReplyMsg) { got = append(got, a) })
+	o.Start(newFakeEnv(id, 3))
+	o.Deliver(0, m)
+	return got
+}
+
+func TestReadsOfATurnShareOneReplyPerOrigin(t *testing.T) {
+	const k = 21
+	r, env := leaseLeader(t, 3)
+	for _, m := range readRequests(1, 100, k) {
+		r.Deliver(1, m)
+	}
+	r.Deliver(1, ReadReqMsg{Seq: 7, Count: 64, Origin: 2}) // forwarded by 1 for 2: a chunked client
+	r.Deliver(2, ReadReqMsg{Seq: 5, Count: 0, Origin: 2})  // numbered downwards, and a zero count means one
+	if got := env.drain(); len(got) != 0 {
+		t.Fatalf("%d messages left before the end of the turn: %+v", len(got), got)
+	}
+	r.Tick(node.TurnEnd)
+	out := env.drain()
+	replies := repliesOf(out)
+	if len(out) != 2 || len(replies[1]) != 1 || len(replies[2]) != 1 {
+		t.Fatalf("the turn sent %+v, want exactly one reply for each of the two origins", out)
+	}
+	if got := r.LocalReads(); got != k+64+1 {
+		t.Fatalf("local reads = %d, want %d", got, k+64+1)
+	}
+	answers := answersAt(1, replies[1][0])
+	if len(answers) != k {
+		t.Fatalf("origin 1's hook fired %d times, want once for each of its %d requests", len(answers), k)
+	}
+	for i, a := range answers {
+		if want := (ReadReplyMsg{Seq: 100 + uint64(i), Count: 1, Index: 3, Local: true}); a != want {
+			t.Fatalf("answer %d = %+v, want %+v", i, a, want)
+		}
+	}
+	want := []ReadReplyMsg{{Seq: 7, Count: 64, Index: 3, Local: true}, {Seq: 5, Count: 1, Index: 3, Local: true}}
+	if got := answersAt(2, replies[2][0]); !slices.Equal(got, want) {
+		t.Fatalf("origin 2 was answered %+v, want %+v", got, want)
+	}
+
+	// The next turn starts from nothing: one request, one reply, no tail.
+	turn(r, 1, ReadReqMsg{Seq: 900, Count: 2, Origin: 1})
+	if got := env.drain(); len(got) != 1 || got[0] != (sent{1, ReadReplyMsg{Seq: 900, Count: 2, Index: 3, Local: true}}) {
+		t.Fatalf("the turn after sent %+v, want the one request answered alone", got)
+	}
+}
+
+// TestReadsSeeTheTurnsWrites: the index is sampled at the end of the turn,
+// after a quorum that completed anywhere in it has applied — here behind
+// the reads.
+func TestReadsSeeTheTurnsWrites(t *testing.T) {
+	r, env := leaseLeader(t, 2)
+	r.Submit("in flight")
+	env.drain()
+	msgs := append(readRequests(2, 1, 4), AcceptedMsg{B: r.prop.ballot, Inst: 2})
+	turn(r, 2, msgs...)
+	reply := repliesOf(env.drain())[2]
+	if len(reply) != 1 || reply[0].Index != 3 || !reply[0].Local {
+		t.Fatalf("replies %+v, want one at index 3: the write applied in the same turn", reply)
+	}
+}
+
+// TestLeaseLapsingInATurnSendsItsReadsThroughTheBarrier: what decides is
+// the lease at the end of the turn, and reads it no longer covers share
+// one barrier and then one reply, as reads without a lease always have.
+func TestLeaseLapsingInATurnSendsItsReadsThroughTheBarrier(t *testing.T) {
+	const k = 5
+	r, env := leaseLeader(t, 1)
+	for _, m := range readRequests(1, 40, k) {
+		r.Deliver(1, m)
+	}
+	env.now = env.now.Add(time.Second) // past the lease, before the turn ends
+	r.Tick(node.TurnEnd)
+	out := env.drain()
+	barrier := broadcastsOf[AcceptMsg](t, out)
+	if len(barrier) != 1 || barrier[0].V != consensus.Noop || len(out) != 2 {
+		t.Fatalf("the turn sent %+v, want one no-op barrier and no reply", out)
+	}
+	if len(r.reads.pending) != k || r.LocalReads() != 0 {
+		t.Fatalf("%d reads pending, %d served locally; want all %d on the barrier", len(r.reads.pending), r.LocalReads(), k)
+	}
+	turn(r, 1, AcceptedMsg{B: r.prop.ballot, Inst: barrier[0].Inst})
+	replies := repliesOf(env.drain())[1]
+	if len(replies) != 1 || replies[0].Local || replies[0].Index != r.app.count {
+		t.Fatalf("replies %+v, want one fallback answer at index %d", replies, r.app.count)
+	}
+	if got := answersAt(1, replies[0]); len(got) != k || got[k-1].Seq != 40+k-1 || r.FallbackReads() != k {
+		t.Fatalf("the barrier answered %+v (%d counted), want all %d requests", got, r.FallbackReads(), k)
+	}
+}
+
+// TestAbdicationInATurnDropsItsReads: reads wait for the end of the turn,
+// and a NACK behind them in the same turn ends this leadership first —
+// they must not be answered from a lease this node no longer stands
+// behind, not even later.
+func TestAbdicationInATurnDropsItsReads(t *testing.T) {
+	r, env := leaseLeader(t, 1)
+	msgs := append(readRequests(1, 1, 6), NackMsg{B: r.prop.ballot, Promised: r.prop.ballot + 1})
+	turn(r, 1, msgs...)
+	if got := env.drain(); len(got) != 0 {
+		t.Fatalf("a deposed leader sent %+v", got)
+	}
+	if len(r.reads.noted)+len(r.reads.pending) != 0 || r.LocalReads() != 0 {
+		t.Fatalf("reads kept across an abdication: %d noted, %d pending, %d served", len(r.reads.noted), len(r.reads.pending), r.LocalReads())
+	}
+}
+
+// TestReadOutsideATurnIsAnsweredAlone: on a runtime without turns every
+// request is answered at once by a reply with no tail — the message, and
+// so the bytes (wire.TestRSMReadReplyWireFrozen), of before reads had
+// turns.
+func TestReadOutsideATurnIsAnsweredAlone(t *testing.T) {
+	r, env := leaseLeader(t, 2)
+	r.turns = false // the bare fakeEnv again: node.World's view
+	for i, m := range readRequests(1, 10, 3) {
+		r.Deliver(1, m)
+		want := sent{1, ReadReplyMsg{Seq: 10 + uint64(i), Count: 1, Index: 2, Local: true}}
+		if got := env.drain(); len(got) != 1 || got[0] != want {
+			t.Fatalf("request %d was answered %+v, want %+v at once", i, got, want)
+		}
+	}
+	// Its own reads never touch the network, with or without turns.
+	var own []ReadReplyMsg
+	r.OnReadReply(func(m ReadReplyMsg) { own = append(own, m) })
+	r.Read(77, 5)
+	if want := []ReadReplyMsg{{Seq: 77, Count: 5, Index: 2, Local: true}}; !slices.Equal(own, want) || len(env.drain()) != 0 {
+		t.Fatalf("own read answered %+v, want %+v and nothing sent", own, want)
+	}
+}
+
+// TestReadReqWithForeignOriginIsDropped: Origin comes off the wire and the
+// reply is addressed to it; an id outside the cluster indexed the live
+// networks' tables and killed the process.
+func TestReadReqWithForeignOriginIsDropped(t *testing.T) {
+	r, env := leaseLeader(t, 1)
+	turn(r, 1, ReadReqMsg{Seq: 1, Count: 1, Origin: 7}, ReadReqMsg{Seq: 2, Count: 1, Origin: -1}, ReadReqMsg{Seq: 3, Count: 1, Origin: 3})
+	if got := env.drain(); len(got) != 0 || r.LocalReads() != 0 {
+		t.Fatalf("requests from outside the cluster were answered: %+v", got)
+	}
+	f := New(consensus.StaticLeader(1), Config{})
+	fenv := newFakeEnv(0, 3)
+	f.Start(fenv)
+	f.Deliver(7, ReadReqMsg{Seq: 1, Count: 1, Origin: 7})
+	if got := fenv.drain(); len(got) != 0 {
+		t.Fatalf("a follower forwarded %+v", got)
+	}
+}
+
+// TestReadDuringPrepareIsQueuedNotDropped: a read reaching a leader-elect
+// while its phase 1 is in flight rides the barrier the moment the ballot
+// stands instead of costing its client a timeout.
+func TestReadDuringPrepareIsQueuedNotDropped(t *testing.T) {
+	r := New(consensus.StaticLeader(0), Config{})
+	env := newFakeEnv(0, 3)
+	r.Start(env)
+	r.Tick(timerDrive)
+	if !r.prop.preparing || r.prop.prepared {
+		t.Fatal("leader-elect is not in phase 1")
+	}
+	env.drain()
+	r.Deliver(2, ReadReqMsg{Seq: 9, Count: 4, Origin: 2})
+	if len(r.reads.pending) != 1 || r.reads.barrier >= 0 || len(env.drain()) != 0 {
+		t.Fatalf("%d reads queued during phase 1 (barrier %d), want the one kept and nothing proposed yet", len(r.reads.pending), r.reads.barrier)
+	}
+	r.Deliver(1, PromiseMsg{B: r.prop.ballot})
+	if out := acceptsOf(env.drain()); out[r.reads.barrier] != consensus.Noop || len(out) != 1 {
+		t.Fatalf("accepts once prepared = %q, want the read barrier", out)
+	}
+	r.Deliver(1, AcceptedMsg{B: r.prop.ballot, Inst: r.reads.barrier})
+	replies := repliesOf(env.drain())[2]
+	if want := (ReadReplyMsg{Seq: 9, Count: 4, Index: 1}); len(replies) != 1 || replies[0] != want {
+		t.Fatalf("replies %+v, want %+v", replies, want)
+	}
+}
+
+// TestReadFromItsOwnReplyHook: a closed-loop client on the leader issues
+// its next read from the hook, in the middle of the serve.
+func TestReadFromItsOwnReplyHook(t *testing.T) {
+	r, _ := leaseLeader(t, 1)
+	var seen []uint64
+	r.OnReadReply(func(m ReadReplyMsg) {
+		seen = append(seen, m.Seq)
+		if m.Seq < 5 {
+			r.Read(m.Seq+1, 1)
+		}
+	})
+	r.Deliver(1, LearnMsg{}) // any event: a turn is open
+	r.Read(1, 1)
+	r.Read(100, 1)
+	r.Tick(node.TurnEnd)
+	if want := []uint64{1, 2, 3, 4, 5, 100}; !slices.Equal(seen, want) {
+		t.Fatalf("answered %v, want %v", seen, want)
+	}
+}
+
+// TestLeaseReadTurnAllocatesPerReplyNotPerRead: sixteen reads of one
+// origin cost what their one reply costs — its tail and its box.
+func TestLeaseReadTurnAllocatesPerReplyNotPerRead(t *testing.T) {
+	r, env := leaseLeader(t, 1)
+	env.mute = true
+	reqs := readRequests(1, 1000, 16)
+	if got := testing.AllocsPerRun(200, func() { turn(r, 1, reqs...) }); got > 2 {
+		t.Fatalf("a turn of 16 lease reads allocates %.0f objects, want at most 2", got)
+	}
+	if r.LocalReads() < 16*200 {
+		t.Fatalf("only %d reads served", r.LocalReads())
+	}
+}
+
+// BenchmarkLeaseReadTurn is one turn of 16 single reads at a lease-holding
+// leader: ns and allocs per turn, a sixteenth of each per read.
+func BenchmarkLeaseReadTurn(b *testing.B) {
+	r, env := leaseLeader(b, 1)
+	env.mute = true
+	reqs := readRequests(1, 1000, 16)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		turn(r, 1, reqs...)
+	}
+}
+
+// FuzzReadSpans: a reply's tail is off the wire. Unpacking never panics and
+// yields nothing unless the whole tail unpacks; packing what was unpacked
+// and unpacking again is the identity, wherever the numbers go.
+func FuzzReadSpans(f *testing.F) {
+	f.Add(uint64(41), uint32(16), "")
+	f.Add(uint64(41), uint32(1), "\x01\x01\x01\x01")
+	f.Add(^uint64(0), uint32(1), "\x02\x03")                                    // wraps past zero
+	f.Add(uint64(5), uint32(1), "\xfe\xff\xff\xff\xff\xff\xff\xff\xff\x01\x01") // downwards by two
+	f.Add(uint64(5), uint32(1), "\x01")                                         // no count
+	f.Add(uint64(5), uint32(1), "\x01\x80\x80\x80\x80\x10")                     // count past 32 bits
+	f.Add(uint64(5), uint32(1), "\x01\x01\x80")                                 // torn varint
+	f.Fuzz(func(t *testing.T, seq uint64, count uint32, more string) {
+		m := ReadReplyMsg{Seq: seq, Count: count, Index: 3, Local: true, More: more}
+		var reqs []ReadReqMsg
+		ok := m.eachRead(func(seq uint64, count uint32) { reqs = append(reqs, ReadReqMsg{Seq: seq, Count: count}) })
+		if !ok {
+			if len(reqs) != 0 {
+				t.Fatalf("a malformed tail %q yielded %+v", more, reqs)
+			}
+			return
+		}
+		if reqs[0] != (ReadReqMsg{Seq: seq, Count: count}) {
+			t.Fatalf("first request %+v, want the reply's own fields", reqs[0])
+		}
+		var packed []byte
+		for i, q := range reqs[1:] {
+			packed = appendSpan(packed, reqs[i].Seq, q)
+		}
+		m.More = string(packed)
+		i := 0
+		if !m.eachRead(func(seq uint64, count uint32) {
+			if i >= len(reqs) || reqs[i] != (ReadReqMsg{Seq: seq, Count: count}) {
+				t.Fatalf("request %d came back as (%d, %d), want %+v", i, seq, count, reqs)
+			}
+			i++
+		}) || i != len(reqs) {
+			t.Fatalf("repacked tail % x of %+v did not unpack", packed, reqs)
+		}
+	})
+}
+
 // votesOnDisk reopens dir beside the live WAL and counts recovered votes:
 // what a kill -9 at this instant would leave.
 func votesOnDisk(t *testing.T, dir string) int {

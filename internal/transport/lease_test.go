@@ -2,6 +2,7 @@ package transport
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -158,4 +159,136 @@ func TestTCPLeaseCrashSafety(t *testing.T) {
 		}
 		return c, c.stations
 	})
+}
+
+// leaseTCP boots three processes on TCP with a read lease and returns once
+// process 0 leads, holds the lease and has a first write applied at the
+// ingress, process 1 — whose apply and read-reply hooks the caller supplies
+// before anything runs.
+func leaseTCP(t *testing.T, onApply func(), onReply func(rsm.ReadReplyMsg)) *TCPCluster {
+	t.Helper()
+	const n = 3
+	autos := make([]node.Automaton, n)
+	dets := make([]*core.Detector, n)
+	logs := make([]*rsm.Node, n)
+	for i := range autos {
+		dets[i] = core.New(core.WithEta(5 * time.Millisecond))
+		logs[i] = rsm.New(dets[i], rsm.Config{DriveInterval: 10 * time.Millisecond, Lease: 400 * time.Millisecond})
+		autos[i] = node.Compose(dets[i], logs[i])
+	}
+	var applied atomic.Int64
+	logs[1].OnApply(func(int, int, consensus.Value) { applied.Add(1); onApply() })
+	logs[1].OnReadReply(onReply)
+	c, err := NewTCPCluster(Config{N: n, Seed: 7, Quiet: true}, autos)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Start()
+	t.Cleanup(c.Stop)
+	waitFor(t, 10*time.Second, func() bool {
+		for _, d := range dets {
+			if d.History().Current() != 0 {
+				return false
+			}
+		}
+		if applied.Load() == 0 {
+			c.Inject(1, 0, rsm.RequestMsg{V: "boot"})
+		}
+		return applied.Load() > 0 && logs[0].LeaseHeld()
+	}, "leader 0 with a lease and a write applied at the ingress")
+	return c
+}
+
+// TestTCPReadReqWithForeignOriginIsDropped: the frame that used to kill the
+// process — the reply to an origin outside the cluster indexed the
+// network's per-process tables — is dropped, and the leader goes on
+// serving.
+func TestTCPReadReqWithForeignOriginIsDropped(t *testing.T) {
+	var answered atomic.Int64
+	c := leaseTCP(t, func() {}, func(m rsm.ReadReplyMsg) {
+		if m.Seq == 2 && m.Local {
+			answered.Add(1)
+		}
+	})
+	c.Inject(1, 0, rsm.ReadReqMsg{Seq: 1, Count: 1, Origin: 7})
+	waitFor(t, 10*time.Second, func() bool {
+		c.Inject(1, 0, rsm.ReadReqMsg{Seq: 2, Count: 1, Origin: 1})
+		return answered.Load() > 0
+	}, "a read after the hostile one")
+}
+
+// TestTCPSharedRepliesNeverGoBack is the rule bench/check.go gates the
+// benchmark on, on the path that now shares replies: readers each wait for
+// their answer before asking again, in bursts that reach the leader several
+// to a turn, while a writer keeps the log moving; a read's Index is never
+// below the applied count its client had seen acknowledged when it asked.
+func TestTCPSharedRepliesNeverGoBack(t *testing.T) {
+	const readers, perReader, burst = 4, 50, 8
+	var acked atomic.Int64
+	var need [readers * perReader * burst]atomic.Int64
+	var stale atomic.Int64
+	done := make([]chan struct{}, readers)
+	var left [readers]atomic.Int64
+	for i := range done {
+		done[i] = make(chan struct{}, 1)
+	}
+	c := leaseTCP(t, func() { acked.Add(1) }, func(m rsm.ReadReplyMsg) {
+		if !m.Local || m.Seq >= uint64(len(need)) {
+			return
+		}
+		want := need[m.Seq].Swap(-1)
+		if want < 0 {
+			return // answered twice: a retry
+		}
+		if int64(m.Index) < want {
+			stale.Add(1)
+		}
+		if who := int(m.Seq) / (perReader * burst); left[who].Add(-1) == 0 {
+			done[who] <- struct{}{}
+		}
+	})
+	stop, stopped := make(chan struct{}), make(chan struct{})
+	go func() { // the writer
+		defer close(stopped)
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			case <-time.After(200 * time.Microsecond):
+				c.Inject(1, 0, rsm.RequestMsg{V: consensus.Value(fmt.Sprint("w", i))})
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for who := 0; who < readers; who++ {
+		wg.Add(1)
+		go func(who int) {
+			defer wg.Done()
+			for round := 0; round < perReader; round++ {
+				first := (who*perReader + round) * burst
+				left[who].Store(burst)
+				for seq := first; seq < first+burst; seq++ {
+					need[seq].Store(acked.Load())
+					c.Inject(1, 0, rsm.ReadReqMsg{Seq: uint64(seq), Count: 1, Origin: 1})
+				}
+				select {
+				case <-done[who]:
+				case <-time.After(10 * time.Second):
+					t.Errorf("reader %d: burst %d not answered", who, round)
+					return
+				}
+			}
+		}(who)
+	}
+	wg.Wait()
+	close(stop)
+	<-stopped
+	if stale.Load() != 0 {
+		t.Fatalf("%d reads answered below the applied count acknowledged before they were issued", stale.Load())
+	}
+	reads, replies := uint64(len(need)), c.Stats().KindCount(rsm.KindReadReply)
+	if replies >= reads {
+		t.Fatalf("%d replies for %d reads sent in bursts of %d: none shared a turn", replies, reads, burst)
+	}
+	t.Logf("%d reads, %d replies, %d writes applied at the ingress", reads, replies, acked.Load())
 }

@@ -47,6 +47,9 @@ func FuzzEnvelopeRoundTrip(f *testing.F) {
 		{2, rsm.LeaseAckMsg{B: 5, Seq: 8}},
 		{3, rsm.ReadReqMsg{Seq: 41, Count: 16, Origin: 3}},
 		{4, rsm.ReadReplyMsg{Seq: 41, Count: 16, Index: 99, Local: true}},
+		{0, readReply(21)},
+		{0, readReply(128)},
+		{1, rsm.ReadReqMsg{Seq: 1, Count: 1, Origin: 7}}, // an origin outside a cluster of 3: decodes, and rsm drops it
 		{0, group.Msg{Group: 0, Inner: rsm.RequestMsg{V: "k=v"}}},
 		{2, group.Msg{Group: 3, Inner: rsm.AcceptMsg{B: 5, Inst: 7, V: "cmd", CommitUpTo: 6, LeaseSeq: 3}}},
 		{1, group.Msg{Group: 1, Inner: core.LeaderMsg{Epoch: 9}}},

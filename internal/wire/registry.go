@@ -646,6 +646,12 @@ func registerRSM(c *Codec) {
 			return rsm.ReadReqMsg{Seq: seq, Count: count, Origin: node.ID(origin)}, err
 		})
 
+	// A reply to several requests (rsm/read.go) carries all but the first
+	// in a trailing string packed by rsm itself, which ends the frame; a
+	// reply to one request ends after Local, as every reply did before
+	// replies were shared. An empty string is never written, so it is not
+	// read either: the one canonical frame per message strict decoding
+	// rests on.
 	reg(c, codeRSMReadReply, rsm.KindReadReply,
 		func(e *Encoder, m rsm.ReadReplyMsg) error {
 			e.U64(m.Seq)
@@ -658,6 +664,9 @@ func registerRSM(c *Codec) {
 				local = 1
 			}
 			e.U32(local)
+			if m.More != "" {
+				e.Str(m.More)
+			}
 			return nil
 		},
 		func(d *Decoder) (rsm.ReadReplyMsg, error) {
@@ -674,6 +683,13 @@ func registerRSM(c *Codec) {
 				return rsm.ReadReplyMsg{}, err
 			}
 			local, err := d.U32()
-			return rsm.ReadReplyMsg{Seq: seq, Count: count, Index: index, Local: local != 0}, err
+			m := rsm.ReadReplyMsg{Seq: seq, Count: count, Index: index, Local: local != 0}
+			if err != nil || len(d.buf) == 0 {
+				return m, err
+			}
+			if m.More, err = d.Str(); err == nil && m.More == "" {
+				err = fmt.Errorf("wire: %s with an empty list of further requests", rsm.KindReadReply)
+			}
+			return m, err
 		})
 }

@@ -257,3 +257,71 @@ func TestSteadyStateDecodeAllocs(t *testing.T) {
 		t.Errorf("%v allocs/op decoding a heartbeat envelope, want 0", allocs)
 	}
 }
+
+// TestRSMReadReplyWireFrozen pins RSM-READR in both versions. A reply to
+// one request is byte for byte what it was before a reply could answer
+// several: the frame ends after Local. Further requests travel behind it in
+// one length-prefixed string that rsm packs; an empty one is not a frame.
+func TestRSMReadReplyWireFrozen(t *testing.T) {
+	fixed := NewCodec()
+	fixed.SetEncodeVersion(VersionFixed)
+	one := rsm.ReadReplyMsg{Seq: 41, Count: 16, Index: 99, Local: true}
+	three := rsm.ReadReplyMsg{Seq: 41, Count: 16, Index: 99, Local: true, More: "\x10\x01\x01\x02"}
+	for _, tc := range []struct {
+		name  string
+		c     *Codec
+		m     rsm.ReadReplyMsg
+		frame []byte
+	}{
+		{"fixed, one request", fixed, one, []byte{
+			0, 0, 0, 7, // sender id, big-endian u32
+			codeRSMReadReply,
+			0, 0, 0, 0, 0, 0, 0, 41, // seq
+			0, 0, 0, 16, // count
+			0, 0, 0, 0, 0, 0, 0, 99, // index
+			0, 0, 0, 1, // local
+		}},
+		{"varint, one request", NewCodec(), one, []byte{
+			verVarintByte,
+			7, // sender id, uvarint
+			codeRSMReadReply,
+			41, 16, 99, 1,
+		}},
+		{"fixed, three requests", fixed, three, []byte{
+			0, 0, 0, 7,
+			codeRSMReadReply,
+			0, 0, 0, 0, 0, 0, 0, 41,
+			0, 0, 0, 16,
+			0, 0, 0, 0, 0, 0, 0, 99,
+			0, 0, 0, 1,
+			0, 0, 0, 4, 16, 1, 1, 2, // More: (+16, 1), (+1, 2)
+		}},
+		{"varint, three requests", NewCodec(), three, []byte{
+			verVarintByte,
+			7,
+			codeRSMReadReply,
+			41, 16, 99, 1,
+			4, 16, 1, 1, 2,
+		}},
+	} {
+		b, err := tc.c.MarshalEnvelope(7, tc.m)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if !reflect.DeepEqual(b, tc.frame) {
+			t.Fatalf("%s envelope = % x, want % x", tc.name, b, tc.frame)
+		}
+		env, err := tc.c.UnmarshalEnvelope(tc.frame)
+		if err != nil || env.Msg != node.Message(tc.m) {
+			t.Fatalf("%s decoded %+v, %v", tc.name, env.Msg, err)
+		}
+	}
+	for _, frame := range [][]byte{
+		{verVarintByte, 7, codeRSMReadReply, 41, 16, 99, 1, 0},
+		{0, 0, 0, 7, codeRSMReadReply, 0, 0, 0, 0, 0, 0, 0, 41, 0, 0, 0, 16, 0, 0, 0, 0, 0, 0, 0, 99, 0, 0, 0, 1, 0, 0, 0, 0},
+	} {
+		if env, err := NewCodec().UnmarshalEnvelope(frame); err == nil {
+			t.Fatalf("a reply with an empty tail decoded as %+v: two frames for one message", env.Msg)
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -16,6 +17,17 @@ import (
 	"repro/internal/detector/source"
 	"repro/internal/node"
 )
+
+// readReply returns a READ-REPLY answering k single reads numbered from 100
+// upwards: all but the first packed into More the way rsm packs them, as
+// uvarint (distance from the previous number, count) pairs.
+func readReply(k int) rsm.ReadReplyMsg {
+	var more []byte
+	for i := 1; i < k; i++ {
+		more = binary.AppendUvarint(binary.AppendUvarint(more, 1), 1)
+	}
+	return rsm.ReadReplyMsg{Seq: 100, Count: 1, Index: 4242, Local: true, More: string(more)}
+}
 
 // roundTrip marshals and unmarshals m, failing on any error.
 func roundTrip(t *testing.T, c *Codec, m node.Message) node.Message {
@@ -67,6 +79,8 @@ func TestRoundTripAllMessageTypes(t *testing.T) {
 		rsm.LeaseAckMsg{B: 9, Seq: 7},
 		rsm.ReadReqMsg{Seq: 100, Count: 64, Origin: 2},
 		rsm.ReadReplyMsg{Seq: 100, Count: 64, Index: 4242, Local: true},
+		readReply(21),  // what a turn of the benchmark's leader answers at once
+		readReply(128), // a whole turn (loop.MaxTurn) of reads from one origin
 		group.Msg{Group: 3, Inner: rsm.AcceptMsg{B: 9, Inst: 4, V: "x", CommitUpTo: 3, MinDone: 2, LeaseSeq: 6}},
 	}
 	for _, m := range msgs {

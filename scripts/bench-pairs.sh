@@ -10,23 +10,12 @@
 # interquartile range, and on how many seeds the change was lower (every
 # end-to-end metric is lower-is-better).
 #
-# The change is this checkout as it stands, uncommitted edits included.
-# The parent is BASE (default: HEAD when the tree has uncommitted changes,
-# else HEAD~1), checked out as a git worktree under .bench_build/ and
-# removed afterwards; PARENT=<dir> uses an existing checkout instead.
+# The change is this checkout as it stands, uncommitted edits included; the
+# parent is what scripts/parent.sh checks out (BASE, or PARENT=<dir>).
 set -euo pipefail
 w=${1:?usage: bench-pairs.sh WORKLOAD [N]}
 n=${2:-10}
-root=$(git rev-parse --show-toplevel)
-parent=${PARENT:-}
-if [ -z "$parent" ]; then
-	base=${BASE:-$(git -C "$root" diff --quiet HEAD -- && echo HEAD~1 || echo HEAD)}
-	parent="$root/.bench_build/pairs-parent"
-	mkdir -p "$root/.bench_build"
-	git -C "$root" worktree remove --force "$parent" 2>/dev/null || true
-	git -C "$root" worktree add --detach "$parent" "$base" >&2
-	trap 'git -C "$root" worktree remove --force "$parent"' EXIT
-fi
+. "$(dirname "${BASH_SOURCE[0]}")/parent.sh"
 runs=$(mktemp)
 
 # run SIDE DIR SEED appends "SIDE SEED METRIC VALUE" lines from the
