@@ -20,14 +20,13 @@
 // Usage examples:
 //
 //	consload                          # baseline vs batched, 3s each
-//	consload -n 5 -dur 5s -json BENCH_consensus.json
+//	consload -n 5 -dur 5s -reps 3    # best of three per arm
 //	consload -batch 4 -window 2      # tune the batched arm
 //	consload -groups 4               # add the sharded arm, 4 groups
 //	consload -cpuprofile cpu.pprof   # per-arm cpu-<arm>.pprof over the load window
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -69,59 +68,40 @@ var rsmKinds = []string{
 // amortized over readChunk reads.
 const readChunk = 64
 
-// result is one run's measurement, marshalled into BENCH_consensus.json.
+// result is one run's measurement.
 // For the reads arm PeakPerSec covers total served operations (applied
 // writes + answered reads) and the read-specific fields are populated.
 type result struct {
-	Name          string  `json:"name"`
-	BatchMax      int     `json:"batch_max"`
-	Window        int     `json:"window"`
-	Submitted     int     `json:"submitted"`
-	Applied       int     `json:"applied"`
-	ElapsedSec    float64 `json:"elapsed_sec"`
-	AppliedPerSec float64 `json:"applied_per_sec"`
-	PeakPerSec    float64 `json:"peak_applied_per_sec"`
-	Msgs          uint64  `json:"consensus_msgs"`
-	MsgsPerCmd    float64 `json:"msgs_per_cmd"`
-	BytesPerCmd   float64 `json:"wire_bytes_per_cmd"`
-	Dropped       uint64  `json:"dropped_frames"`
+	Name          string
+	BatchMax      int
+	Window        int
+	Applied       int
+	ElapsedSec    float64
+	AppliedPerSec float64
+	PeakPerSec    float64
+	MsgsPerCmd    float64
+	BytesPerCmd   float64
+	Dropped       uint64
 
-	LeaseSec      float64 `json:"lease_sec,omitempty"`
-	Reads         int64   `json:"reads,omitempty"`
-	ReadsPerSec   float64 `json:"reads_per_sec,omitempty"`
-	LocalReads    uint64  `json:"reads_local,omitempty"`
-	FallbackReads uint64  `json:"reads_fallback,omitempty"`
+	ReadsPerSec   float64
+	LocalReads    uint64
+	FallbackReads uint64
 	// MsgsPerRead is measured over a trailing pure-read window: consensus
 	// messages (including lease refreshes and the read req/reply hops)
 	// divided by reads answered, with no writes in flight.
-	MsgsPerRead float64 `json:"msgs_per_read,omitempty"`
-	ReadP50NS   int64   `json:"read_latency_p50_ns,omitempty"`
-	ReadP99NS   int64   `json:"read_latency_p99_ns,omitempty"`
+	MsgsPerRead float64
+	ReadP50NS   int64
+	ReadP99NS   int64
 
 	// Sharded-arm fields: group count, per-group applied counts, and the
 	// shared-socket evidence (receiver-side open TCP connections, lifetime
 	// sender dials, distinct directed links used) — each must equal
 	// n*(n-1) no matter how many groups multiplexed over the mesh.
-	Groups          int    `json:"groups,omitempty"`
-	AppliedPerGroup []int  `json:"applied_per_group,omitempty"`
-	OpenConns       int    `json:"open_conns,omitempty"`
-	Dials           uint64 `json:"dials,omitempty"`
-	ActiveLinks     int    `json:"active_links,omitempty"`
-}
-
-type report struct {
-	Harness    string   `json:"harness"`
-	N          int      `json:"n"`
-	DurSec     float64  `json:"dur_sec"`
-	Reps       int      `json:"reps"`
-	GOMAXPROCS int      `json:"gomaxprocs"`
-	NumCPU     int      `json:"num_cpu"`
-	Runs       []result `json:"runs"`
-	// Speedup is the legacy batched/baseline ratio; Speedups names every
-	// pairwise ratio so consumers key by name instead of grepping
-	// positional fields.
-	Speedup  float64            `json:"speedup"`
-	Speedups map[string]float64 `json:"speedups,omitempty"`
+	Groups          int
+	AppliedPerGroup []int
+	OpenConns       int
+	Dials           uint64
+	ActiveLinks     int
 }
 
 func main() {
@@ -142,7 +122,6 @@ func run(args []string, out *os.File) error {
 		inflight = fs.Int("inflight", 1024, "closed-loop cap on outstanding commands")
 		drive    = fs.Duration("drive", 5*time.Millisecond, "engine drive tick (partial-batch flush bound)")
 		reps     = fs.Int("reps", 1, "runs per arm; the best run is reported (damps single-core scheduler noise)")
-		jsonPath = fs.String("json", "", "write the machine-readable report to this path")
 		profile  = fs.String("cpuprofile", "", "write per-arm CPU profiles (suffixed <base>-<arm>.pprof) covering only the sustained load window")
 		memprof  = fs.String("memprofile", "", "write per-arm heap profiles (suffixed <base>-<arm>.pprof) at the end of the load window")
 		reads    = fs.Float64("reads", 0, "run a third arm with this fraction of operations as reads (e.g. 0.9); 0 disables it")
@@ -169,10 +148,7 @@ func run(args []string, out *os.File) error {
 		return fmt.Errorf("consload: -mingroupspeedup requires -groups")
 	}
 
-	rep := report{
-		Harness: "consload", N: *n, DurSec: dur.Seconds(), Reps: *reps,
-		GOMAXPROCS: runtime.GOMAXPROCS(0), NumCPU: runtime.NumCPU(),
-	}
+	var runs []result
 	type loadArm struct {
 		name          string
 		batch, window int
@@ -221,7 +197,7 @@ func run(args []string, out *os.File) error {
 				best = r
 			}
 		}
-		rep.Runs = append(rep.Runs, best)
+		runs = append(runs, best)
 		fmt.Fprintf(out, "consload: %-8s batch=%-3d window=%-2d  %8.0f ops/sec (peak %.0f)  %6.2f msgs/cmd  %7.1f B/cmd  (%d applied in %.2fs, %d dropped)\n",
 			best.Name, best.BatchMax, best.Window, best.AppliedPerSec, best.PeakPerSec, best.MsgsPerCmd, best.BytesPerCmd, best.Applied, best.ElapsedSec, best.Dropped)
 		if arm.readFrac > 0 {
@@ -235,53 +211,29 @@ func run(args []string, out *os.File) error {
 		}
 	}
 
-	// Named speedups: every pairwise ratio keyed by name, so nothing
-	// downstream greps positional fields.
-	peaks := make(map[string]float64, len(rep.Runs))
-	for _, r := range rep.Runs {
-		peaks[r.Name] = r.PeakPerSec
-	}
-	rep.Speedups = make(map[string]float64)
-	if base := peaks["baseline"]; base > 0 {
-		rep.Speedups["batched/baseline"] = peaks["batched"] / base
-	}
-	if base := peaks["batched"]; base > 0 {
-		if v, ok := peaks["reads"]; ok {
-			rep.Speedups["reads/batched"] = v / base
-		}
-		if v, ok := peaks["sharded"]; ok {
-			rep.Speedups["sharded/batched"] = v / base
-		}
-	}
-	rep.Speedup = rep.Speedups["batched/baseline"]
-	for _, k := range []string{"batched/baseline", "sharded/batched", "reads/batched"} {
-		if v, ok := rep.Speedups[k]; ok {
-			fmt.Fprintf(out, "consload: speedup %-16s %.1fx\n", k, v)
-		}
-	}
-	if *jsonPath != "" {
-		data, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(*jsonPath, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "consload: wrote %s\n", *jsonPath)
-	}
-	for _, r := range rep.Runs {
+	peaks := make(map[string]float64, len(runs))
+	for _, r := range runs {
 		if r.Applied == 0 {
 			return fmt.Errorf("consload: run %q applied nothing — engine or transport broken", r.Name)
 		}
+		peaks[r.Name] = r.PeakPerSec
 	}
-	if *minspeed > 0 && rep.Speedup < *minspeed {
-		return fmt.Errorf("consload: batched/baseline speedup %.2fx below required %.2fx", rep.Speedup, *minspeed)
+	speedups := make(map[string]float64)
+	for _, k := range [][2]string{{"batched", "baseline"}, {"sharded", "batched"}, {"reads", "batched"}} {
+		if v, ok := peaks[k[0]]; ok && peaks[k[1]] > 0 {
+			name := k[0] + "/" + k[1]
+			speedups[name] = v / peaks[k[1]]
+			fmt.Fprintf(out, "consload: speedup %-16s %.1fx\n", name, speedups[name])
+		}
+	}
+	if v := speedups["batched/baseline"]; *minspeed > 0 && v < *minspeed {
+		return fmt.Errorf("consload: batched/baseline speedup %.2fx below required %.2fx", v, *minspeed)
 	}
 	if *mingroup > 0 {
 		if runtime.NumCPU() < 4 {
-			fmt.Fprintf(out, "consload: WARNING: %d CPUs — skipping the -mingroupspeedup %.1fx gate; the sharded engine needs >= 4 cores to show scaling (run make bench-consensus-mc on a multi-core box)\n",
+			fmt.Fprintf(out, "consload: WARNING: %d CPUs — skipping the -mingroupspeedup %.1fx gate; the sharded engine needs >= 4 cores to show scaling (rerun on a multi-core box)\n",
 				runtime.NumCPU(), *mingroup)
-		} else if v := rep.Speedups["sharded/batched"]; v < *mingroup {
+		} else if v := speedups["sharded/batched"]; v < *mingroup {
 			return fmt.Errorf("consload: sharded/batched speedup %.2fx below required %.2fx", v, *mingroup)
 		}
 	}
@@ -642,10 +594,8 @@ func runOne(name string, n int, seed int64, batchMax, window, inflight int, dur,
 		Name:       name,
 		BatchMax:   logs[0].Config().BatchMax,
 		Window:     logs[0].Config().Window,
-		Submitted:  submitted,
 		Applied:    applied,
 		ElapsedSec: elapsed.Seconds(),
-		Msgs:       msgs,
 		Dropped:    c.Stats().Dropped() - droppedBefore,
 		PeakPerSec: peak,
 	}
@@ -661,8 +611,6 @@ func runOne(name string, n int, seed int64, batchMax, window, inflight int, dur,
 	}
 	if reads != nil {
 		answeredMixed := int64(served - applied)
-		r.LeaseSec = lease.Seconds()
-		r.Reads = reads.answered.Load()
 		// Sum over replicas: leadership (and with it the lease) can move
 		// mid-run when the serving core starves heartbeats, and the new
 		// leaseholder keeps serving forwarded reads locally.
@@ -884,10 +832,8 @@ func runSharded(name string, n, groups int, seed int64, batchMax, window, inflig
 		Groups:      groups,
 		BatchMax:    logs[0][0].Config().BatchMax,
 		Window:      logs[0][0].Config().Window,
-		Submitted:   totalSubmitted,
 		Applied:     last,
 		ElapsedSec:  elapsed.Seconds(),
-		Msgs:        msgs,
 		Dropped:     c.Stats().Dropped() - droppedBefore,
 		PeakPerSec:  peakRate(samples),
 		OpenConns:   c.OpenConns(),

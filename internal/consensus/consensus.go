@@ -10,7 +10,6 @@ package consensus
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 	"time"
 
@@ -60,11 +59,24 @@ const (
 	recMaxHole = 1 << 16
 )
 
+// row is a Decision as a Recorder keeps it, in 32 bytes for its 56: the
+// instance is relative to the recorder's base, By is kept once per
+// recorder and Elapsed beside the log. cmd < 0 marks a decision that does
+// not fit (an instance or command index no int32 holds, a negative index,
+// a second By) and is kept whole, at whole[^cmd].
+type row struct {
+	v         Value
+	at        sim.Time
+	inst, cmd int32
+}
+
 // Recorder collects the decisions one process learns. It is safe for
 // concurrent use so live transports can observe it.
 //
-// The decisions sit in learning order in an append-only log of chunks, so
-// recording never copies what is already there. start[inst-base] is one
+// The decisions sit in learning order in an append-only log of chunks of
+// rows, so recording never copies what is already there; elapsed runs
+// beside it, with a chunk only where a decision that has an Elapsed landed
+// (at the leader that proposed it). start[inst-base] is one
 // past the log position of command 0 of inst (base is the first instance
 // recorded; 0 means not indexed). A replicated log records instance by
 // instance with commands in order, so command k is at that position plus
@@ -72,13 +84,16 @@ const (
 // Anything recorded off that pattern is listed in strays, which lookups
 // scan after a failed probe: exact for any input, empty in practice.
 type Recorder struct {
-	mu     sync.Mutex
-	chunks [][]Decision
-	n      int
-	base   int
-	start  []int32
-	strays []int32
-	notify []func(d Decision)
+	mu      sync.Mutex
+	chunks  [][]row
+	elapsed []*[recChunk]time.Duration
+	whole   []Decision
+	n       int
+	base    int
+	by      node.ID
+	start   []int32
+	strays  []int32
+	notify  []func(d Decision)
 }
 
 // NewRecorder returns an empty recorder.
@@ -97,7 +112,29 @@ func (r *Recorder) AddNotify(fn func(d Decision)) {
 	r.notify = append(r.notify, fn)
 }
 
-func (r *Recorder) at(p int) *Decision { return &r.chunks[p/recChunk][p%recChunk] }
+func (r *Recorder) at(p int) *row { return &r.chunks[p/recChunk][p%recChunk] }
+
+// holds reports whether log position p is the given command slot.
+func (r *Recorder) holds(p, inst, cmd int) bool {
+	w := r.at(p)
+	if w.cmd < 0 {
+		return r.whole[^w.cmd].Instance == inst && r.whole[^w.cmd].Cmd == cmd
+	}
+	return r.base+int(w.inst) == inst && int(w.cmd) == cmd
+}
+
+// decision unpacks log position p.
+func (r *Recorder) decision(p int) Decision {
+	w := r.at(p)
+	if w.cmd < 0 {
+		return r.whole[^w.cmd]
+	}
+	d := Decision{Instance: r.base + int(w.inst), Cmd: int(w.cmd), Value: w.v, At: w.at, By: r.by}
+	if e := r.elapsed[p/recChunk]; e != nil {
+		d.Elapsed = e[p%recChunk]
+	}
+	return d
+}
 
 // probe is the log position the index implies for a command slot, or -1.
 func (r *Recorder) probe(inst, cmd int) int {
@@ -107,34 +144,33 @@ func (r *Recorder) probe(inst, cmd int) int {
 	return -1
 }
 
-// find returns the recorded decision for a command slot, or nil; the
+// find returns the log position of a command slot's decision, or -1; the
 // caller holds the lock.
-func (r *Recorder) find(inst, cmd int) *Decision {
-	if p := r.probe(inst, cmd); p >= 0 && p < r.n {
-		if d := r.at(p); d.Instance == inst && d.Cmd == cmd {
-			return d
-		}
+func (r *Recorder) find(inst, cmd int) int {
+	if p := r.probe(inst, cmd); p >= 0 && p < r.n && r.holds(p, inst, cmd) {
+		return p
 	}
 	for _, p := range r.strays {
-		if d := r.at(int(p)); d.Instance == inst && d.Cmd == cmd {
-			return d
+		if r.holds(int(p), inst, cmd) {
+			return int(p)
 		}
 	}
-	return nil
+	return -1
 }
 
 // Record stores the first decision for a command slot; later records for
 // the same (instance, cmd) are ignored (integrity is checked elsewhere).
 func (r *Recorder) Record(d Decision) {
 	r.mu.Lock()
-	if r.find(d.Instance, d.Cmd) != nil {
+	if r.find(d.Instance, d.Cmd) >= 0 {
 		r.mu.Unlock()
 		return
 	}
 	if r.n == 0 {
-		r.base = d.Instance
+		r.base, r.by = d.Instance, d.By
 	}
-	if i := d.Instance - r.base; d.Cmd == 0 && i >= 0 && i < len(r.start)+recMaxHole && r.probe(d.Instance, 0) < 0 {
+	i := d.Instance - r.base
+	if d.Cmd == 0 && i >= 0 && i < len(r.start)+recMaxHole && r.probe(d.Instance, 0) < 0 {
 		for len(r.start) <= i {
 			r.start = append(r.start, 0)
 		}
@@ -146,10 +182,22 @@ func (r *Recorder) Record(d Decision) {
 	if r.n%recChunk == 0 {
 		// A whole chunk at a time, except the first, which grows from
 		// nothing: single-decree protocols record one decision.
-		r.chunks = append(r.chunks, make([]Decision, 0, min(r.n, recChunk)))
+		r.chunks = append(r.chunks, make([]row, 0, min(r.n, recChunk)))
+		r.elapsed = append(r.elapsed, nil)
+	}
+	w := row{v: d.Value, at: d.At, inst: int32(i), cmd: int32(d.Cmd)}
+	if int(w.inst) != i || int(w.cmd) != d.Cmd || d.Cmd < 0 || d.By != r.by {
+		w = row{cmd: ^int32(len(r.whole))}
+		r.whole = append(r.whole, d)
+	} else if d.Elapsed != 0 {
+		e := &r.elapsed[r.n/recChunk]
+		if *e == nil {
+			*e = new([recChunk]time.Duration)
+		}
+		(*e)[r.n%recChunk] = d.Elapsed
 	}
 	c := &r.chunks[r.n/recChunk]
-	*c = append(*c, d)
+	*c = append(*c, w)
 	r.n++
 	notify := r.notify[:len(r.notify):len(r.notify)]
 	r.mu.Unlock()
@@ -167,8 +215,8 @@ func (r *Recorder) Get(instance int) (Decision, bool) { return r.GetCmd(instance
 func (r *Recorder) GetCmd(instance, cmd int) (Decision, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if d := r.find(instance, cmd); d != nil {
-		return *d, true
+	if p := r.find(instance, cmd); p >= 0 {
+		return r.decision(p), true
 	}
 	return Decision{}, false
 }
@@ -185,11 +233,22 @@ func (r *Recorder) Count() int {
 func (r *Recorder) All() []Decision {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]Decision, 0, r.n)
-	for _, c := range r.chunks {
-		out = append(out, c...)
+	out := make([]Decision, r.n)
+	for p := range out {
+		out[p] = r.decision(p)
 	}
 	return out
+}
+
+// Each calls fn with every decision held when it is called, in learning
+// order, without copying the log. fn runs outside the recorder's lock.
+func (r *Recorder) Each(fn func(d Decision)) {
+	for p, n := 0, r.Count(); p < n; p++ {
+		r.mu.Lock()
+		d := r.decision(p)
+		r.mu.Unlock()
+		fn(d)
+	}
 }
 
 // Ballot is a totally ordered proposal number with an owner. Ballot 0 means
@@ -286,39 +345,38 @@ func (r SafetyReport) Holds() bool { return r.Agreement && r.Validity }
 func CheckSafety(in SafetyInput) SafetyReport {
 	rep := SafetyReport{Agreement: true, Validity: true}
 	// chosen keeps the first decision seen for each command slot, whoever
-	// made it: a Recorder is the slot table, and instances counts them.
+	// made it (By is not recorded, so every row packs): a Recorder is the
+	// slot table, and instances counts them.
 	chosen := NewRecorder()
 	var instances []int
 	for id, r := range in.Recorders {
 		if r == nil {
 			continue
 		}
-		for _, d := range r.All() {
+		r.Each(func(d Decision) {
 			rep.TotalDecisions++
-			prev := chosen.find(d.Instance, d.Cmd)
-			if prev == nil {
-				chosen.Record(d)
-				instances = append(instances, d.Instance)
-			} else if prev.Value != d.Value {
-				rep.Agreement = false
-				rep.Violations = append(rep.Violations, fmt.Sprintf(
-					"instance %d cmd %d: p%d decided %q but %q was decided elsewhere", d.Instance, d.Cmd, id, d.Value, prev.Value))
+			if p := chosen.find(d.Instance, d.Cmd); p >= 0 {
+				if prev := chosen.at(p).v; prev != d.Value {
+					rep.Agreement = false
+					rep.Violations = append(rep.Violations, fmt.Sprintf(
+						"instance %d cmd %d: p%d decided %q but %q was decided elsewhere", d.Instance, d.Cmd, id, d.Value, prev))
+				}
+				return
 			}
-		}
+			chosen.Record(Decision{Instance: d.Instance, Cmd: d.Cmd, Value: d.Value})
+			if k := len(instances); k == 0 || instances[k-1] != d.Instance {
+				instances = append(instances, d.Instance) // once per run of an instance's commands
+			}
+			// Noop is the gap filler, proposed by the protocol itself.
+			if in.Proposed != nil && d.Value != Noop && !slices.Contains(in.Proposed[d.Instance], d.Value) {
+				rep.Validity = false
+				rep.Violations = append(rep.Violations, fmt.Sprintf(
+					"instance %d cmd %d: decided %q was never proposed", d.Instance, d.Cmd, d.Value))
+			}
+		})
 	}
-	sort.Ints(instances)
+	slices.Sort(instances)
 	rep.Instances = len(slices.Compact(instances))
-	for p := 0; p < chosen.n && in.Proposed != nil; p++ {
-		d := chosen.at(p)
-		if d.Value == Noop {
-			continue // gap filler, proposed by the protocol itself
-		}
-		if !slices.Contains(in.Proposed[d.Instance], d.Value) {
-			rep.Validity = false
-			rep.Violations = append(rep.Violations, fmt.Sprintf(
-				"instance %d cmd %d: decided %q was never proposed", d.Instance, d.Cmd, d.Value))
-		}
-	}
 	return rep
 }
 

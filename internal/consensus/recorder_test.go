@@ -2,9 +2,13 @@ package consensus
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
+	"time"
+	"unsafe"
 )
 
 // decisionKey identifies one command slot: batching means an instance can
@@ -171,34 +175,134 @@ func TestRecorderConcurrentRecordAndAll(t *testing.T) {
 	}
 }
 
-func TestRecorderRecordAllocatesOnlyAtChunkBoundaries(t *testing.T) {
+// TestRecorderKeepsWholeWhatDoesNotPack: a row holds an instance within an
+// int32 of the first one recorded, a command index an int32 holds, and the
+// recorder's one By. Anything else is kept as the Decision it came as, and
+// every query answers as the model does.
+func TestRecorderKeepsWholeWhatDoesNotPack(t *testing.T) {
+	if got := unsafe.Sizeof(row{}); got > 32 {
+		t.Fatalf("a row is %d bytes, want at most 32", got)
+	}
+	const base = 1000
 	r := NewRecorder()
-	inst := 0
-	record := func() {
-		for cmd := 0; cmd < 4; cmd++ {
-			r.Record(Decision{Instance: inst, Cmd: cmd, Value: "v", By: 1})
+	m := &refRecorder{decisions: make(map[decisionKey]Decision)}
+	for _, c := range []struct {
+		d     Decision
+		whole int // decisions kept whole once d is recorded
+	}{
+		{Decision{Instance: base, Value: "first", By: 3, At: 5}, 0},
+		{Decision{Instance: base, Cmd: 1, Value: "another learner", By: 4, Elapsed: time.Second}, 1},
+		{Decision{Instance: base + 1, Value: "packs", By: 3, At: 7, Elapsed: time.Millisecond}, 1},
+		{Decision{Instance: base + math.MaxInt32 + 1, Value: "an int32 too far", By: 3}, 2},
+		{Decision{Instance: base + math.MinInt32, Value: "the lowest that packs", By: 3}, 2},
+		{Decision{Instance: base + math.MinInt32 - 1, Value: "an int32 too low", By: 3}, 3},
+		{Decision{Instance: math.MinInt64 + 7, Cmd: 2, Value: "far below", By: 3, Elapsed: time.Minute}, 4},
+		{Decision{Instance: base + 1, Cmd: math.MaxInt32 + 1, Value: "wide command index", By: 3}, 5},
+		{Decision{Instance: base + 1, Cmd: -1, Value: "negative command index", By: 3}, 6},
+		{Decision{Instance: base + math.MaxInt32 + 1, Value: "a duplicate of a whole one", By: 3}, 6},
+	} {
+		r.Record(c.d)
+		m.record(c.d)
+		if len(r.whole) != c.whole {
+			t.Fatalf("after %q: %d decisions kept whole, want %d", c.d.Value, len(r.whole), c.whole)
 		}
-		inst++
 	}
-	for r.Count() < recChunk+8 { // past the first chunk, which grows by doubling
-		record()
+	checkAgainst(t, r, m, base, base+2, 3)
+	for _, d := range m.order {
+		if got, ok := r.GetCmd(d.Instance, d.Cmd); !ok || got != d {
+			t.Fatalf("GetCmd(%d,%d) = %+v,%v, want %+v", d.Instance, d.Cmd, got, ok, d)
+		}
 	}
-	// The index grows by amortised doubling, 4 bytes an instance; size it
-	// up front so that the runs measure the log alone.
-	r.start = append(make([]int32, 0, 4*recChunk), r.start...)
-	// 100 runs of 4 decisions stay inside the second chunk.
-	if got := testing.AllocsPerRun(100, record); got != 0 {
-		t.Fatalf("Record allocates %.2f times per 4 decisions inside a chunk, want 0", got)
+}
+
+// TestRecorderElapsedOnlyWhereOneLands: the proposing leader's decisions
+// carry an Elapsed and get it back from every query; a follower's carry
+// none, and it never pays for the column.
+func TestRecorderElapsedOnlyWhereOneLands(t *testing.T) {
+	leader, follower := NewRecorder(), NewRecorder()
+	const n = 2*recChunk + 10
+	for i := 0; i < n; i++ {
+		d := Decision{Instance: i / 4, Cmd: i % 4, Value: "v", At: 9, By: 1}
+		follower.Record(d)
+		if i < recChunk || i >= 2*recChunk { // the middle chunk was led by someone else
+			d.Elapsed = time.Duration(i+1) * time.Microsecond
+		}
+		leader.Record(d)
 	}
-	if r.Count() >= 2*recChunk {
-		t.Fatal("the measured runs crossed a chunk boundary")
+	if slices.ContainsFunc(follower.elapsed, func(e *[recChunk]time.Duration) bool { return e != nil }) {
+		t.Fatal("a follower allocated an Elapsed chunk")
+	}
+	if len(leader.elapsed) != 3 || leader.elapsed[0] == nil || leader.elapsed[1] != nil || leader.elapsed[2] == nil {
+		t.Fatalf("leader's Elapsed chunks %v, want one beside the first and third log chunks only", leader.elapsed)
+	}
+	all := leader.All()
+	var each []Decision
+	leader.Each(func(d Decision) { each = append(each, d) })
+	if !slices.Equal(all, each) {
+		t.Fatal("Each and All disagree")
+	}
+	for i, d := range all {
+		want := time.Duration(0)
+		if i < recChunk || i >= 2*recChunk {
+			want = time.Duration(i+1) * time.Microsecond
+		}
+		if got, _ := leader.GetCmd(i/4, i%4); d.Elapsed != want || got != d {
+			t.Fatalf("decision %d: All %+v, GetCmd %+v, want Elapsed %v", i, d, got, want)
+		}
+	}
+}
+
+// TestRecorderEachRunsOutsideTheLock: fn may use the recorder, and the walk
+// covers what was held when it began.
+func TestRecorderEachRunsOutsideTheLock(t *testing.T) {
+	r := NewRecorder()
+	for i := 0; i < 3; i++ {
+		r.Record(Decision{Instance: i, Value: "v"})
+	}
+	seen := 0
+	r.Each(func(d Decision) {
+		seen++
+		r.Record(Decision{Instance: d.Instance + 3, Value: "later"})
+	})
+	if seen != 3 || r.Count() != 6 {
+		t.Fatalf("walked %d decisions and holds %d, want 3 and 6", seen, r.Count())
+	}
+}
+
+func TestRecorderRecordAllocatesOnlyAtChunkBoundaries(t *testing.T) {
+	// A follower's log, then a leader's: its Elapsed column comes a chunk at
+	// a time too, with the log chunk it runs beside.
+	for _, elapsed := range []time.Duration{0, time.Millisecond} {
+		r := NewRecorder()
+		inst := 0
+		record := func() {
+			for cmd := 0; cmd < 4; cmd++ {
+				r.Record(Decision{Instance: inst, Cmd: cmd, Value: "v", By: 1, Elapsed: elapsed})
+			}
+			inst++
+		}
+		for r.Count() < recChunk+8 { // past the first chunk, which grows by doubling
+			record()
+		}
+		// The index grows by amortised doubling, 4 bytes an instance; size it
+		// up front so that the runs measure the log alone.
+		r.start = append(make([]int32, 0, 4*recChunk), r.start...)
+		// 100 runs of 4 decisions stay inside the second chunk.
+		if got := testing.AllocsPerRun(100, record); got != 0 {
+			t.Fatalf("Elapsed %v: Record allocates %.2f times per 4 decisions inside a chunk, want 0", elapsed, got)
+		}
+		if r.Count() >= 2*recChunk {
+			t.Fatal("the measured runs crossed a chunk boundary")
+		}
 	}
 }
 
 var benchDecision Decision
 
 func BenchmarkRecorderRecord(b *testing.B) {
-	// The rsm applier's pattern: instances in order, 4 commands each.
+	// The rsm applier's pattern at a follower: instances in order, 4
+	// commands each. B/op is what a decision costs to keep: a 32-byte row
+	// and its instance's share of the 4-byte index, doubling slack included.
 	b.ReportAllocs()
 	r := NewRecorder()
 	for i := 0; i < b.N; i++ {

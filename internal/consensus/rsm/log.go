@@ -47,6 +47,14 @@ func (l *logbook) at(inst int) *slot {
 	return nil
 }
 
+// maxHole is how far past its first gap the window will hold a slot:
+// instance numbers come off the wire, and a wild one must not size it.
+const maxHole = 1 << 16
+
+// reaches reports whether the window may grow to hold inst; what it does
+// not reach casts no vote here and installs nothing.
+func (l *logbook) reaches(inst int) bool { return inst-l.firstGap < maxHole }
+
 // ensure returns the slot of inst ≥ low, growing the window over it.
 func (l *logbook) ensure(inst int) *slot {
 	for inst-l.low >= len(l.slots) {
@@ -81,8 +89,8 @@ func (l *logbook) accept(inst int, b consensus.Ballot, v consensus.Value) {
 // insert stores a decision if the instance is new, advances the gap, and
 // reports whether anything was installed.
 func (l *logbook) insert(inst int, v consensus.Value) bool {
-	if inst < l.low {
-		return false // already forgotten: decided, applied and pruned
+	if inst < l.low || !l.reaches(inst) {
+		return false // forgotten (decided, applied and pruned), or wild
 	}
 	s := l.ensure(inst)
 	if s.decided {

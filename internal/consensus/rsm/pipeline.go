@@ -173,6 +173,11 @@ func (r *Node) onAccept(from node.ID, m AcceptMsg) {
 		return // forgotten: decided and applied cluster-wide long ago
 	}
 	if m.B >= r.acc.promised {
+		if !r.log.reaches(m.Inst) {
+			// No vote; a replica really this far behind hears so, and asks.
+			r.onCommit(m.B, m.CommitUpTo)
+			return
+		}
 		now := r.env.Now()
 		r.acc.promised = m.B
 		r.log.accept(m.Inst, m.B, m.V)

@@ -99,6 +99,14 @@ func (r *Node) onPromise(from node.ID, m PromiseMsg) {
 	if !r.prop.preparing || m.B != r.prop.ballot {
 		return
 	}
+	for _, e := range m.Entries {
+		if !r.log.reaches(e.Inst) {
+			// A vote this ballot can neither re-propose nor ignore: the promise
+			// does not count. The promiser's decisions bring up a laggard.
+			r.env.Send(from, LearnMsg{FirstGap: r.log.firstGap})
+			return
+		}
+	}
 	r.prop.promises[from] = m
 	r.maybeFinishPrepare()
 }

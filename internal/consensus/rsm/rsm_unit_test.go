@@ -539,3 +539,57 @@ func TestAcceptOvertakingItsPrepareIsNotANack(t *testing.T) {
 		t.Fatalf("lower prepare not nacked at %v", b)
 	}
 }
+
+// TestWildInstanceNumbersAreDropped: an instance number comes off the wire
+// and sized the window — one ACCEPT, by-value DECIDE or PROMISE entry at
+// 1<<28 appended 2²⁸ forty-byte slots and the process was OOM-killed. What
+// the window does not reach casts no vote and installs nothing; a commit
+// index riding on it still counts, so a replica that really is that far
+// behind asks for the decisions in order.
+func TestWildInstanceNumbersAreDropped(t *testing.T) {
+	const wild = 1 << 28
+	b := consensus.MakeBallot(0, 1, 3)
+	f := New(consensus.StaticLeader(1), Config{})
+	env := newFakeEnv(0, 3)
+	f.Start(env)
+	f.Deliver(1, AcceptMsg{B: b, Inst: 0, V: "v0"})
+	f.Deliver(1, AcceptMsg{B: b, Inst: maxHole - 1, V: "edge"}) // the farthest the window reaches
+	if got := env.drain(); len(got) != 2 || len(f.log.slots) != maxHole {
+		t.Fatalf("%d replies and %d slots after two votes within reach", len(got), len(f.log.slots))
+	}
+	f.Deliver(1, AcceptMsg{B: b, Inst: maxHole, V: "far", CommitUpTo: 1})
+	f.Deliver(1, AcceptMsg{B: b + 3, Inst: wild, V: "far"})
+	f.Deliver(1, DecideMsg{Inst: wild, V: "far"})
+	if got := env.drain(); len(got) != 0 || len(f.log.slots) != maxHole || f.log.voted != 1 || f.acc.promised != b {
+		t.Fatalf("wild instances: sent %+v, %d slots, %d votes, promised %v", got, len(f.log.slots), f.log.voted, f.acc.promised)
+	}
+	if f.FirstGap() != 1 || f.HighestDecided() != 0 {
+		t.Fatalf("gap %d highest %d: the index on the dropped ACCEPT decides instance 0 and nothing else", f.FirstGap(), f.HighestDecided())
+	}
+	// An index far past the log: this replica is behind, and says so.
+	f.Deliver(1, AcceptMsg{B: b + 3, Inst: wild, V: "far", CommitUpTo: wild - 7})
+	for i := 0; i < 2; i++ {
+		env.now = env.now.Add(f.cfg.DriveInterval)
+		f.Tick(timerDrive)
+	}
+	if got := env.drain(); len(got) != 1 || got[0] != (sent{1, LearnMsg{FirstGap: 1}}) {
+		t.Fatalf("behind a commit index of %d: sent %+v, want one LEARN from the first gap", wild-7, got)
+	}
+
+	// A preparer cannot re-propose a vote it cannot reach, and may not
+	// ignore it: the promise does not count, and the promiser is asked.
+	l := New(consensus.StaticLeader(0), Config{})
+	lenv := newFakeEnv(0, 3)
+	l.Start(lenv)
+	l.Tick(timerDrive)
+	lenv.drain()
+	l.Deliver(1, PromiseMsg{B: l.prop.ballot, Entries: []PromEntry{{Inst: 2, AccB: b, AccV: "near"}, {Inst: wild, AccB: b, AccV: "far"}}})
+	if got := lenv.drain(); l.prop.prepared || len(l.log.slots) != 0 || l.pipe.nextInst != 0 ||
+		len(got) != 1 || got[0] != (sent{1, LearnMsg{FirstGap: 0}}) {
+		t.Fatalf("wild promise: prepared=%v, %d slots, next instance %d, sent %+v", l.prop.prepared, len(l.log.slots), l.pipe.nextInst, got)
+	}
+	l.Deliver(2, PromiseMsg{B: l.prop.ballot})
+	if !l.prop.prepared || len(acceptsOf(lenv.drain())) != 0 {
+		t.Fatal("a sound promise after the wild one did not finish phase 1 with nothing to re-propose")
+	}
+}

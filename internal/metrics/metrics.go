@@ -3,9 +3,9 @@
 //
 // The reproduced paper's headline property is about message counts: a
 // communication-efficient Omega implementation eventually has exactly one
-// sender and uses exactly n-1 links forever. This package records every
-// send/delivery/drop with its virtual timestamp so that the property
-// checkers (internal/check) and the experiment harness
+// sender and uses exactly n-1 links forever. This package counts every
+// send, delivery and drop and logs each send with its virtual timestamp,
+// so that the property checkers (internal/check) and the experiment harness
 // (internal/experiments) can compute "who sent after time t", "how many
 // messages per period", and "how many links carried traffic after t".
 //
@@ -29,10 +29,9 @@ import (
 	"repro/internal/sim"
 )
 
-// SendRecord is one recorded message transmission.
+// SendRecord is one recorded transmission, in its sender's ring: 16 bytes.
 type SendRecord struct {
 	At   sim.Time
-	From int32
 	To   int32
 	Kind obs.Kind
 }
@@ -180,7 +179,7 @@ func (s *MessageStats) OnSend(t sim.Time, from, to int, kind obs.Kind) {
 	sh.link[to].Add(1)
 	sh.kindSent[kind].Add(1)
 	s.noteKind(kind)
-	sh.appendRecord(SendRecord{At: t, From: int32(from), To: int32(to), Kind: kind})
+	sh.appendRecord(SendRecord{At: t, To: int32(to), Kind: kind})
 }
 
 // OnDeliver implements obs.Sink: a message of the given kind reached to.

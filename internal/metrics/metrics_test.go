@@ -3,6 +3,7 @@ package metrics
 import (
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/obs"
 	"repro/internal/sim"
@@ -183,5 +184,14 @@ func TestSummary(t *testing.T) {
 	s.OnSend(at(1), 0, 1, obs.Intern("A"))
 	if got := s.Summary(); got == "" {
 		t.Fatal("empty summary")
+	}
+}
+
+// TestSendRecordIs16Bytes: the send log keeps one per message sent for the
+// life of a run (up to DefaultWindow per sender); a field added here is
+// paid for on every one.
+func TestSendRecordIs16Bytes(t *testing.T) {
+	if got := unsafe.Sizeof(SendRecord{}); got != 16 {
+		t.Fatalf("SendRecord is %d bytes, want 16", got)
 	}
 }

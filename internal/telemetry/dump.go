@@ -38,9 +38,9 @@ func histJSON(s HistSnapshot) HistJSON {
 }
 
 // Dump is the merged metrics+histogram snapshot cmd/chaossoak and
-// cmd/wireload write with -snapshot-json, shaped for diffing against the
-// BENCH_*.json baselines: stable field order, counts and nanoseconds only
-// (no wall-clock timestamps).
+// cmd/wireload write with -snapshot-json, shaped for diffing one run
+// against another: stable field order, counts and nanoseconds only (no
+// wall-clock timestamps).
 type Dump struct {
 	N              int                 `json:"n"`
 	Sent           uint64              `json:"sent"`

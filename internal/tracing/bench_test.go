@@ -10,8 +10,7 @@ import (
 // hot path: the nil-tracer call shape Submit/pumpBatches/propose/apply
 // make per command. It must stay at 0 allocs/op — tracing off is the
 // default for every sim and bench run, so any regression here lands
-// directly in the engine's steady-state numbers (compare FabricSendSteadyState
-// and the consensus pipeline benches in BENCH_sweep.json across PRs).
+// directly in the engine's steady-state numbers.
 func BenchmarkTracingOff(b *testing.B) {
 	tr := Nop.Tracer(0)
 	b.ReportAllocs()

@@ -82,7 +82,7 @@ func BenchmarkTCPSendPerFrame(b *testing.B) { benchTCPSend(b, 1) }
 // kernel read, envelope decode — over real loopback sockets. It must run
 // at 0 allocs/op: one reusable read buffer, an address returned by value,
 // and the socket's own decoder (TestUDPSteadyStateReceiveAllocs pins the
-// same invariant as a test; this feeds BENCH_wire.json).
+// same invariant as a test).
 func BenchmarkUDPReceiveSteadyState(b *testing.B) {
 	codec := wire.NewCodec()
 	dec := codec.NewConnDecoder()

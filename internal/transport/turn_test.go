@@ -383,6 +383,51 @@ func TestSentVoteIsRecovered(t *testing.T) {
 	}
 }
 
+// TestTCPWildInstanceIsDropped: the frames that used to kill a follower —
+// an ACCEPT at the leader's own ballot, and a by-value DECIDE, for an
+// instance 2²⁸ past its log made it append 2²⁸ slots (10 GB) — cost it
+// nothing: no vote, nothing installed, and the log goes on.
+func TestTCPWildInstanceIsDropped(t *testing.T) {
+	const n, wild = 3, 1 << 28
+	tap := &acceptedTap{from: 1, seen: map[int]consensus.Ballot{}}
+	logs := make([]*rsm.Node, n)
+	autos := make([]node.Automaton, n)
+	for i := range autos {
+		logs[i] = rsm.New(consensus.StaticLeader(0), rsm.Config{DriveInterval: 5 * time.Millisecond})
+		autos[i] = logs[i]
+	}
+	autos[0] = node.Compose(logs[0], tap)
+	c, err := NewTCPCluster(Config{N: n, Seed: 7, Quiet: true}, autos)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Start()
+	t.Cleanup(c.Stop)
+	write := func(v consensus.Value) {
+		t.Helper()
+		want := logs[1].Recorder().Count() + 1
+		waitFor(t, 10*time.Second, func() bool {
+			c.Inject(2, 0, rsm.RequestMsg{V: v})
+			return logs[1].Recorder().Count() >= want
+		}, fmt.Sprintf("%q applied at the follower", v))
+	}
+	write("before")
+	var b consensus.Ballot
+	waitFor(t, 10*time.Second, func() bool {
+		tap.mu.Lock()
+		defer tap.mu.Unlock()
+		b = tap.seen[0]
+		return b != consensus.NoBallot
+	}, "the follower's first vote at the leader")
+	c.Inject(0, 1, rsm.AcceptMsg{B: b, Inst: wild, V: "far"})
+	c.Inject(0, 1, rsm.DecideMsg{Inst: wild, V: "far"})
+	write("after")
+	c.Stop()
+	if _, voted := tap.seen[wild]; voted || logs[1].HighestDecided() >= wild {
+		t.Fatalf("voted across the hole: %v; highest decided %d", voted, logs[1].HighestDecided())
+	}
+}
+
 // BenchmarkStationTurn is one steady-state turn of a leader's node loop:
 // ten client requests and the vote that completes the previous instance,
 // then the end of the turn — one pump, one ACCEPT broadcast carrying the

@@ -12,8 +12,8 @@ import (
 // encode (MarshalEnvelopeAppend into a reused buffer) and decode
 // (UnmarshalEnvelope with the pooled decoder). Both halves must stay at
 // 0 allocs/op — the live receive loops run them per message — and the
-// reported wire-bytes/op metric is what BENCH_wire.json uses to show the
-// varint envelope strictly smaller than the fixed one.
+// reported wire-bytes/op metric shows the varint envelope strictly smaller
+// than the fixed one.
 func benchEnvelope(b *testing.B, v Version, msg node.Message) {
 	c := NewCodec()
 	c.SetEncodeVersion(v)

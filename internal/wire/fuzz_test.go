@@ -50,6 +50,11 @@ func FuzzEnvelopeRoundTrip(f *testing.F) {
 		{0, readReply(21)},
 		{0, readReply(128)},
 		{1, rsm.ReadReqMsg{Seq: 1, Count: 1, Origin: 7}}, // an origin outside a cluster of 3: decodes, and rsm drops it
+		// Instance numbers no log reaches: they decode, and rsm neither votes
+		// across the hole nor sizes its window by them.
+		{1, rsm.AcceptMsg{B: 5, Inst: 1 << 28, V: "far", CommitUpTo: 6}},
+		{1, rsm.DecideMsg{Inst: 1 << 28, V: "far"}},
+		{2, rsm.PromiseMsg{B: 5, Entries: []rsm.PromEntry{{Inst: 1 << 28, AccB: 4, AccV: "far"}}}},
 		{0, group.Msg{Group: 0, Inner: rsm.RequestMsg{V: "k=v"}}},
 		{2, group.Msg{Group: 3, Inner: rsm.AcceptMsg{B: 5, Inst: 7, V: "cmd", CommitUpTo: 6, LeaseSeq: 3}}},
 		{1, group.Msg{Group: 1, Inner: core.LeaderMsg{Epoch: 9}}},
