@@ -3,6 +3,7 @@ package rsm
 import (
 	"encoding/binary"
 	"math/bits"
+	"slices"
 	"strings"
 
 	"repro/internal/consensus"
@@ -279,15 +280,69 @@ func BatchRequest(cmds []consensus.Value) RequestMsg {
 
 func (r *Node) onRequest(m RequestMsg) {
 	if r.omega.Leader() != r.me {
-		return // the client will re-forward to the real leader
+		r.hold(heldReq{v: m.V, tctx: r.curCtx})
+		return
 	}
 	// A leader-elect still in phase 1 queues too: the forwarder has
 	// stamped the command as sent and would sit on it for a RetryTimeout.
 	// maybeFinishPrepare pumps the queue the moment the ballot stands.
-	now := r.env.Now()
-	// A traced request (wrapped by the client or a forwarding replica)
-	// hands its context to every command it carries; the sampling
-	// decision stays with the trace originator.
-	eachCmd(m.V, func(_ int, v consensus.Value) { r.bat.add(v, now, r.curCtx) })
+	r.enqueue(m.V, r.env.Now(), r.curCtx)
+}
+
+// enqueue puts every command of a request on the pending queue. A traced
+// request (wrapped by the client or a forwarding replica) hands its context
+// to each; the sampling decision stays with the trace originator.
+func (r *Node) enqueue(v consensus.Value, at sim.Time, tctx tracing.Context) {
+	eachCmd(v, func(_ int, cmd consensus.Value) { r.bat.add(cmd, at, tctx) })
 	r.pumpDue = true
+}
+
+// maxHeld caps the hand-over buffer: past it a request is shed, as a read
+// past maxPendingReads is, and its sender retries.
+const maxHeld = maxPendingReads
+
+// heldReq is one held request: a REQ's value and trace context, or a
+// READ-REQ (read.Count > 0), and when it arrived.
+type heldReq struct {
+	at   sim.Time
+	v    consensus.Value
+	tctx tracing.Context
+	read ReadReqMsg
+}
+
+// hold keeps a request that reached this replica while its Omega names
+// another: a forwarder's view moves a fraction of a link delay before the
+// successor's own, and a request dropped in that window costs its sender
+// a RetryTimeout. It waits for the edge that names this replica (adoptHeld)
+// or for RetryTimeout (expireHeld), when the sender's re-forward takes over,
+// and is never forwarded onward: two replicas naming each other would
+// bounce it at link speed while they disagree.
+func (r *Node) hold(h heldReq) {
+	if len(r.held) < maxHeld {
+		h.at = r.env.Now()
+		r.held = append(r.held, h)
+	}
+}
+
+// expireHeld drops what has been held for longer than RetryTimeout.
+func (r *Node) expireHeld(now sim.Time) {
+	i := 0
+	for i < len(r.held) && now.Sub(r.held[i].at) > r.cfg.RetryTimeout {
+		i++
+	}
+	r.held = slices.Delete(r.held, 0, i) // in place, the freed tail zeroed
+}
+
+// adoptHeld hands what is held to the leadership Omega has just given
+// this replica: writes onto the pending queue, queued since they arrived
+// and proposed when the ballot stands, reads among this turn's reads.
+func (r *Node) adoptHeld() {
+	for i := range r.held {
+		if h := &r.held[i]; h.read.Count > 0 {
+			r.reads.noted = append(r.reads.noted, h.read)
+		} else {
+			r.enqueue(h.v, h.at, h.tctx)
+		}
+	}
+	r.held = nil // a leader holds nothing: the buffer goes back
 }

@@ -79,16 +79,18 @@ func goldenRun(t *testing.T, cfg Config) (fingerprint, counts string) {
 // that claims to touch only where state is stored must leave the
 // fingerprints alone; a change to batching policy, message schedule or
 // decision order moves them and must say why (a mismatch prints the
-// per-kind counts to quote). They were last regenerated, once, for PR 13
-// — commit by index (no by-value DECIDE broadcast, LEARN debounced and
-// rate-limited, a leader-elect queues forwarded commands during phase 1)
-// — from the PR 11 map-based engine's values that PR 12 had held:
+// per-kind counts to quote). They were last regenerated, once, for PR 22
+// — the hand-over (Omega followed on the edge: phase 1 starts in the event
+// that names the successor and at boot in Start; a request that reaches
+// the successor first is held, not dropped) — from PR 13's values, which
+// commit by index had set:
 //
-//	default       DECIDE 2741→388, LEARN 29→0, ACCEPT 2636→2564, ACCEPTED 2304→2277, REQ 2868→2729
-//	forget+lease  (was piggyback+forget+lease) DECIDE 13→352, LEARN 928→123, ACCEPT 2300→2988, ACCEPTED 2099→2614, REQ 5179→4326
-//	unbatched     DECIDE 14595→0, LEARN 14→0, ACCEPT 14468→14352, ACCEPTED 11096→11105, REQ 29251→32376
+//	default       ACCEPT 2564→2588, ACCEPTED 2277→2295
+//	forget+lease  ACCEPT 2988→2956, ACCEPTED 2614→2590, LEARN 123→120, REQ 4326→4264
+//	unbatched     ACCEPT 14352→14336, ACCEPTED 11105→11091, REQ 32376→32365
 //
-// with LEADER, ACCUSE, PREPARE, PROMISE, LEASE and LEASEACK unchanged.
+// with LEADER, ACCUSE (the detector is untouched), PREPARE, PROMISE,
+// DECIDE, LEASE and LEASEACK unchanged.
 func TestGoldenSchedule(t *testing.T) {
 	cases := []struct {
 		name string
@@ -96,12 +98,12 @@ func TestGoldenSchedule(t *testing.T) {
 		want string
 	}{
 		{"default", Config{BatchMax: 16, Window: 8, DriveInterval: 5 * ms},
-			"0ef277c7fa0f77cb14473f8bf0b88e112fe279a3bd1e1e15f7f96295ee12e294"},
+			"78a01551c54e7b61ea9c9d6accaf6d0888abb294a6bc3ef5cf8500caf17cf1f2"},
 		{"forget+lease", Config{BatchMax: 8, Window: 4, DriveInterval: 5 * ms,
 			Forget: true, Lease: 300 * ms},
-			"58562ffda94f9ff855539864f7b92afa8be3feb58857275b8b01bfc7d789216d"},
+			"d786f63458fa9c02ec3914f2e217dbe5b4026f434e576a835dca678446761fc3"},
 		{"unbatched", Config{BatchMax: 1, Window: 1},
-			"5e735c75b518fd7d96304536f7d26d7f818851fe3c2b24d48f2df5a0b22e3524"},
+			"f1e13c8225d43a1cfa56f4dc7084bac66ff4a805a422d60f1803bcabf0a5f97a"},
 	}
 	for _, tc := range cases {
 		tc := tc

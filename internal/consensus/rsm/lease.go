@@ -21,9 +21,9 @@ import (
 // A follower that honors grant seq at ballot b promises: "until
 // Config.Lease after I received this grant (my clock), I will not
 // promise any ballot owned by a process other than b's owner". It
-// enforces the promise by deferring — silently ignoring — PREPAREs from
-// other would-be leaders (they retry on their usual backoff), and by
-// holding off its own phase 1 while a foreign grant is unexpired.
+// enforces the promise by deferring PREPAREs from other would-be leaders
+// — no answer while the grant stands, the highest one answered when it
+// has run out — and by holding off its own phase 1 until that instant.
 //
 // The leader counts grant seq acked by follower f as valid until
 // issued(seq) + Config.Lease − Config.LeaseSkew on its own clock, where
@@ -56,8 +56,9 @@ type leaseState struct {
 	lastSent sim.Time            // when a grant last rode out (any carrier)
 
 	// Follower side.
-	holder     node.ID  // owner of the last honored grant
-	blockUntil sim.Time // defer foreign prepares until then
+	holder     node.ID          // owner of the last honored grant
+	blockUntil sim.Time         // defer foreign prepares until then
+	deferred   consensus.Ballot // the highest PREPARE deferred, answered then
 
 	// restartHold covers the blind spot after crash-recovery: grant
 	// state lived only in RAM, so a restarted replica cannot know
@@ -206,46 +207,41 @@ func (r *Node) holdsLease(now sim.Time) bool {
 		sim.Time(r.lease.heldUntil.Load()).After(now)
 }
 
-// leaseDefersOwnPrepare reports whether this process, freshly nominated
-// by Omega, must wait out a standing grant to the previous leader before
-// opening its own ballot.
-func (r *Node) leaseDefersOwnPrepare(now sim.Time) bool {
+// leaseWait reports how long a standing grant still forbids this replica
+// to act for a ballot of owner's — to promise it or, owner being this
+// replica, to open it; zero when nothing stands in the way.
+func (r *Node) leaseWait(owner node.ID, now sim.Time) time.Duration {
 	if r.cfg.Lease <= 0 {
-		return false
+		return 0
 	}
-	if r.lease.restartHold.After(now) {
-		return true // pre-crash grants are unknown: wait out a full Lease
+	if hold := r.lease.restartHold.Sub(now); hold > 0 {
+		return hold // pre-crash grants are unknown: wait out a full Lease
 	}
-	if r.lease.holder == node.None || r.lease.holder == r.me {
-		return false
+	if r.lease.holder == node.None || r.lease.holder == owner {
+		return 0
 	}
-	if !r.lease.blockUntil.After(now) {
-		r.lease.holder = node.None // expired
-		return false
+	if wait := r.lease.blockUntil.Sub(now); wait > 0 {
+		return wait
 	}
-	return true
+	r.lease.holder = node.None // expired
+	return 0
 }
 
-// leaseBlocks reports whether this acceptor's grant to another leader
-// forbids promising ballot b right now.
-func (r *Node) leaseBlocks(b consensus.Ballot, now sim.Time) bool {
-	if r.cfg.Lease <= 0 {
-		return false
+// driveIn brings the next drive forward to the instant a grant runs out,
+// when that is nearer than a tick.
+func (r *Node) driveIn(wait time.Duration) {
+	if wait < r.cfg.DriveInterval {
+		r.env.SetTimer(timerDrive, wait)
 	}
-	if r.lease.restartHold.After(now) {
-		// Whoever held a lease before the crash, promising any ballot
-		// now could break it. Defer all prepares until it must have
-		// expired; preparers retry on their backoff.
-		return true
+}
+
+// answerDeferred hands onPrepare the PREPARE it made this acceptor sit on:
+// promised if the grant has run out, deferred again if it still stands.
+func (r *Node) answerDeferred() {
+	if b := r.lease.deferred; b != consensus.NoBallot {
+		r.lease.deferred = consensus.NoBallot
+		r.onPrepare(b.Owner(r.n), PrepareMsg{B: b})
 	}
-	if r.lease.holder == node.None {
-		return false
-	}
-	if !r.lease.blockUntil.After(now) {
-		r.lease.holder = node.None // expired
-		return false
-	}
-	return b.Owner(r.n) != r.lease.holder
 }
 
 // abdicateLeader drops leader duties and every lease- and read-serving

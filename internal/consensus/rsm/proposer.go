@@ -20,7 +20,10 @@ type proposer struct {
 	prepared    bool
 	preparing   bool
 	prepStarted sim.Time
-	prepTimeout time.Duration // exponential backoff on stalled prepares
+	// prepTimeout is how long the open PREPARE may go unanswered:
+	// RetryTimeout, doubling across consecutive failures of one candidacy
+	// only — a ballot that stood, or an abdication, ends it.
+	prepTimeout time.Duration
 	promises    map[node.ID]PromiseMsg
 }
 
@@ -31,13 +34,13 @@ func (r *Node) startPrepare() {
 		base = r.prop.ballot
 	}
 	r.prop.ballot = base.Next(r.me, r.n)
-	r.prop.preparing = true
-	r.prop.prepStarted = r.env.Now()
-	if r.prop.prepTimeout == 0 {
+	if !r.prop.preparing {
 		r.prop.prepTimeout = r.cfg.RetryTimeout
 	} else if r.prop.prepTimeout < maxRetryTimeout {
 		r.prop.prepTimeout *= 2
 	}
+	r.prop.preparing = true
+	r.prop.prepStarted = r.env.Now()
 	r.prop.promises = make(map[node.ID]PromiseMsg, r.n)
 	r.acc.promised = r.prop.ballot
 	// Durable before visible: the ballot (so a restart outbids it, never
@@ -66,11 +69,14 @@ func (r *Node) undecidedAccepted() []PromEntry {
 }
 
 func (r *Node) onPrepare(from node.ID, m PrepareMsg) {
-	if r.leaseBlocks(m.B, r.env.Now()) {
-		// A standing lease grant forbids promising this ballot: defer
-		// silently. The preparer retries on its backoff; by then the
-		// grant has expired — this is what makes the lease holder's
-		// local reads safe across leader changes.
+	if wait := r.leaseWait(m.B.Owner(r.n), r.env.Now()); wait > 0 {
+		// A standing lease grant forbids promising this ballot — this is
+		// what makes the lease holder's local reads safe across leader
+		// changes. The PREPARE waits for the grant to run out (drive,
+		// answerDeferred): grants end a link delay apart, and a successor
+		// that prepares as its own ends would otherwise sit out a retry.
+		r.lease.deferred = max(r.lease.deferred, m.B)
+		r.driveIn(wait)
 		return
 	}
 	// ≥, not >: the links are not FIFO, so an ACCEPT at m.B may have

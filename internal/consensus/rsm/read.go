@@ -90,7 +90,7 @@ func (r *Node) Read(seq uint64, count int) {
 // the hook runs on the node's event loop.
 func (r *Node) OnReadReply(fn func(ReadReplyMsg)) { r.reads.onReply = fn }
 
-// onReadReq notes, forwards, or drops one read request.
+// onReadReq notes, forwards, or holds one read request.
 func (r *Node) onReadReq(from node.ID, m ReadReqMsg) {
 	if m.Origin < 0 || int(m.Origin) >= r.n {
 		return // off the wire unchecked, and the reply is sent to it
@@ -100,9 +100,12 @@ func (r *Node) onReadReq(from node.ID, m ReadReqMsg) {
 	}
 	leader := r.omega.Leader()
 	if leader != r.me {
-		// Forward toward the believed leader, Origin preserved. No
-		// leader to believe in → drop; the client retries.
-		if leader != node.None && from == m.Origin {
+		// This replica's own read goes to the believed leader (none to
+		// believe in → drop; the client retries). One that was sent here is
+		// held for the edge that names this replica, as a REQ is (hold).
+		if from != r.me {
+			r.hold(heldReq{read: m})
+		} else if leader != node.None {
 			r.env.Send(leader, m)
 		}
 		return
