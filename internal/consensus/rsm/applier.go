@@ -68,6 +68,9 @@ func (r *Node) apply() {
 			r.app.count++
 			r.bat.retire(cmd)
 		})
+		if r.prop.prepared {
+			r.owe(tracked, fl)
+		}
 		if fl != nil {
 			r.pipe.release(fl)
 		}

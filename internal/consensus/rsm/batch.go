@@ -16,8 +16,8 @@ import (
 // the envelope codec that packs many commands into one proposable value. A
 // batch of k commands costs the same phase-2 traffic as a single command
 // — 2(n−1) messages plus the commit index, which rides the next ACCEPT or
-// costs (n−1) value-free ones — so throughput scales with Config.BatchMax
-// while per-instance cost stays flat.
+// costs one value-free DECIDE per replica the batch came from — so throughput
+// scales with Config.BatchMax while per-instance cost stays flat.
 
 // batchPrefix marks an encoded batch envelope. Client commands are
 // opaque; one that happens to start with the marker is wrapped in a
@@ -104,6 +104,9 @@ type pendingCmd struct {
 	// tctx is the command's trace context (zero when unsampled), carried
 	// from ingress through forwarding, batching and apply.
 	tctx tracing.Context
+	// from is the replica a leader got the command from — the sender of
+	// its REQ, itself for Submit: who waits to hear it decided (owe).
+	from node.ID
 }
 
 // batcher is the client-command queue: a ring of pendingCmd values. On a
@@ -138,7 +141,7 @@ type batcher struct {
 func (b *batcher) at(i int) *pendingCmd { return &b.ring[i&(len(b.ring)-1)] }
 
 // add queues a command.
-func (b *batcher) add(v consensus.Value, now sim.Time, tctx tracing.Context) {
+func (b *batcher) add(v consensus.Value, now sim.Time, tctx tracing.Context, from node.ID) {
 	if b.tail-b.head == len(b.ring) {
 		grown := batcher{ring: make([]pendingCmd, max(16, 2*len(b.ring)))}
 		for i := b.head; i < b.tail; i++ {
@@ -146,15 +149,15 @@ func (b *batcher) add(v consensus.Value, now sim.Time, tctx tracing.Context) {
 		}
 		b.ring = grown.ring
 	}
-	*b.at(b.tail) = pendingCmd{v: v, enq: now, lastSentTo: node.None, tctx: tctx}
+	*b.at(b.tail) = pendingCmd{v: v, enq: now, lastSentTo: node.None, tctx: tctx, from: from}
 	b.tail++
 }
 
 // take assigns the next k commands to leader me and returns their values
-// (valid until the next take), leaving their enqueue times and — when any
-// is traced — trace contexts in fl's buffers.
+// (valid until the next take), leaving their enqueue times, origins and —
+// when any is traced — trace contexts in fl's buffers.
 func (b *batcher) take(k int, me node.ID, now sim.Time, fl *flight) []consensus.Value {
-	b.cmds, fl.enq, fl.reqs = b.cmds[:0], fl.enq[:0], fl.reqs[:0]
+	b.cmds, fl.enq, fl.reqs, fl.from = b.cmds[:0], fl.enq[:0], fl.reqs[:0], slices.Grow(fl.from[:0], k)
 	b.fwdTo = node.None // the stamps below are not forwards
 	traced := false
 	for ; k > 0; k-- {
@@ -164,6 +167,7 @@ func (b *batcher) take(k int, me node.ID, now sim.Time, fl *flight) []consensus.
 		b.cmds = append(b.cmds, p.v)
 		fl.enq = append(fl.enq, p.enq)
 		fl.reqs = append(fl.reqs, p.tctx)
+		fl.from = append(fl.from, p.from)
 		traced = traced || p.tctx.Valid()
 	}
 	if !traced {
@@ -278,22 +282,22 @@ func BatchRequest(cmds []consensus.Value) RequestMsg {
 	return RequestMsg{V: encodeBatch(cmds)}
 }
 
-func (r *Node) onRequest(m RequestMsg) {
+func (r *Node) onRequest(from node.ID, m RequestMsg) {
 	if r.omega.Leader() != r.me {
-		r.hold(heldReq{v: m.V, tctx: r.curCtx})
+		r.hold(heldReq{v: m.V, tctx: r.curCtx, from: from})
 		return
 	}
 	// A leader-elect still in phase 1 queues too: the forwarder has
 	// stamped the command as sent and would sit on it for a RetryTimeout.
 	// maybeFinishPrepare pumps the queue the moment the ballot stands.
-	r.enqueue(m.V, r.env.Now(), r.curCtx)
+	r.enqueue(m.V, r.env.Now(), r.curCtx, from)
 }
 
 // enqueue puts every command of a request on the pending queue. A traced
 // request (wrapped by the client or a forwarding replica) hands its context
 // to each; the sampling decision stays with the trace originator.
-func (r *Node) enqueue(v consensus.Value, at sim.Time, tctx tracing.Context) {
-	eachCmd(v, func(_ int, cmd consensus.Value) { r.bat.add(cmd, at, tctx) })
+func (r *Node) enqueue(v consensus.Value, at sim.Time, tctx tracing.Context, from node.ID) {
+	eachCmd(v, func(_ int, cmd consensus.Value) { r.bat.add(cmd, at, tctx, from) })
 	r.pumpDue = true
 }
 
@@ -301,12 +305,13 @@ func (r *Node) enqueue(v consensus.Value, at sim.Time, tctx tracing.Context) {
 // past maxPendingReads is, and its sender retries.
 const maxHeld = maxPendingReads
 
-// heldReq is one held request: a REQ's value and trace context, or a
-// READ-REQ (read.Count > 0), and when it arrived.
+// heldReq is one held request: a REQ's value, trace context and sender, or
+// a READ-REQ (read.Count > 0), and when it arrived.
 type heldReq struct {
 	at   sim.Time
 	v    consensus.Value
 	tctx tracing.Context
+	from node.ID
 	read ReadReqMsg
 }
 
@@ -341,7 +346,7 @@ func (r *Node) adoptHeld() {
 		if h := &r.held[i]; h.read.Count > 0 {
 			r.reads.noted = append(r.reads.noted, h.read)
 		} else {
-			r.enqueue(h.v, h.at, h.tctx)
+			r.enqueue(h.v, h.at, h.tctx, h.from)
 		}
 	}
 	r.held = nil // a leader holds nothing: the buffer goes back

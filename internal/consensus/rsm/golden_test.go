@@ -79,18 +79,20 @@ func goldenRun(t *testing.T, cfg Config) (fingerprint, counts string) {
 // that claims to touch only where state is stored must leave the
 // fingerprints alone; a change to batching policy, message schedule or
 // decision order moves them and must say why (a mismatch prints the
-// per-kind counts to quote). They were last regenerated, once, for PR 22
-// — the hand-over (Omega followed on the edge: phase 1 starts in the event
-// that names the successor and at boot in Start; a request that reaches
-// the successor first is held, not dropped) — from PR 13's values, which
-// commit by index had set:
+// per-kind counts to quote). They were last regenerated, once, for PR 24 —
+// the addressed commit announcement (a value-free DECIDE goes to the
+// replicas whose commands were decided, the others hear on the next ACCEPT
+// or from the catch-up; pipeline.go) — from PR 22's values, which the
+// hand-over had set:
 //
-//	default       ACCEPT 2564→2588, ACCEPTED 2277→2295
-//	forget+lease  ACCEPT 2988→2956, ACCEPTED 2614→2590, LEARN 123→120, REQ 4326→4264
-//	unbatched     ACCEPT 14352→14336, ACCEPTED 11105→11091, REQ 32376→32365
+//	default       DECIDE 388→100, ACCEPTED 2295→2296, REQ 2729→2725
+//	forget+lease  DECIDE 352→123, ACCEPT 2956→2948, ACCEPTED 2590→2582, REQ 4264→4259
+//	unbatched     did not move (no DECIDE in it: every decision frees the
+//	              window of 1 and rides the next ACCEPT)
 //
-// with LEADER, ACCUSE (the detector is untouched), PREPARE, PROMISE,
-// DECIDE, LEASE and LEASEACK unchanged.
+// with LEADER, ACCUSE (the detector is untouched), PREPARE, PROMISE, LEARN
+// (120), LEASE and LEASEACK unchanged; ACCEPT, ACCEPTED and REQ move with
+// the seeded delays, which fewer sends draw in another order.
 func TestGoldenSchedule(t *testing.T) {
 	cases := []struct {
 		name string
@@ -98,10 +100,10 @@ func TestGoldenSchedule(t *testing.T) {
 		want string
 	}{
 		{"default", Config{BatchMax: 16, Window: 8, DriveInterval: 5 * ms},
-			"78a01551c54e7b61ea9c9d6accaf6d0888abb294a6bc3ef5cf8500caf17cf1f2"},
+			"e406d4fa0b14d81c1f65102536d88917f98ccf5ff449928102f95f4956d612f1"},
 		{"forget+lease", Config{BatchMax: 8, Window: 4, DriveInterval: 5 * ms,
 			Forget: true, Lease: 300 * ms},
-			"d786f63458fa9c02ec3914f2e217dbe5b4026f434e576a835dca678446761fc3"},
+			"ff402da0d3a491866e6fa54f326a62e4bd6dbff2435360622b3aa57bbed0ce1e"},
 		{"unbatched", Config{BatchMax: 1, Window: 1},
 			"f1e13c8225d43a1cfa56f4dc7084bac66ff4a805a422d60f1803bcabf0a5f97a"},
 	}

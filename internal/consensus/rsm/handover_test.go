@@ -58,7 +58,7 @@ func runHandoverWorld(seed int64) (*handoverWorld, error) {
 		w.SetAutomaton(node.ID(i), node.Compose(det, log))
 	}
 	k, in := w.Kernel, nodes[handoverIngress]
-	probed, lastApply := false, sim.Time(0)
+	probed, lastApply, undone := false, sim.Time(0), 0
 	in.OnApply(func(_, _ int, v consensus.Value) {
 		if v == "probe" {
 			probed = true
@@ -70,6 +70,7 @@ func runHandoverWorld(seed int64) (*handoverWorld, error) {
 		now := k.Now()
 		if h.applies[seq]++; h.done[seq] == 0 {
 			h.done[seq] = now
+			undone--
 		}
 		if now >= h.crashAt {
 			h.gap = max(h.gap, now.Sub(max(lastApply, h.crashAt)))
@@ -86,6 +87,7 @@ func runHandoverWorld(seed int64) (*handoverWorld, error) {
 
 	start, end := k.Now().Add(ms), sim.At(6*time.Second)
 	total := int(end.Sub(start) / handoverPeriod)
+	undone = total
 	h.due, h.done = make([]sim.Time, total), make([]sim.Time, total)
 	h.submits, h.applies = make([]int, total), make([]int, total)
 	var submit func(seq int)
@@ -103,7 +105,11 @@ func runHandoverWorld(seed int64) (*handoverWorld, error) {
 		k.ScheduleAt(h.due[seq], func() { submit(seq) })
 	}
 	w.CrashAt(0, h.crashAt)
-	w.RunUntil(end.Add(time.Second), func() bool { return k.Now() >= end && h.done[total-1] != 0 })
+	// Until every command is done, not until the last one is: the links are
+	// not FIFO, and a REQ due a millisecond earlier can reach the leader
+	// after the last and ride a later instance. A second past the end of the
+	// schedule is the failure ("never applied").
+	w.RunUntil(end.Add(time.Second), func() bool { return k.Now() >= end && undone == 0 })
 	for i, d := range dets {
 		if cs := d.History().Changes(); w.Alive(node.ID(i)) && len(cs) > 0 {
 			h.lastFlip = max(h.lastFlip, cs[len(cs)-1].At)
@@ -356,6 +362,7 @@ func TestDeferredPrepareIsAnsweredAtGrantExpiry(t *testing.T) {
 	a.Deliver(1, PrepareMsg{B: b})
 	a.Deliver(1, LeaseGrantMsg{B: b, Seq: 1}) // granted until 300 ms
 	env.now = env.now.Add(299 * ms)
+	a.Tick(timerDrive) // the drive has been ticking: the next is a whole interval off
 	env.drain()
 	a.Deliver(2, PrepareMsg{B: b.Next(2, 3)})
 	if out := env.drain(); len(out) != 0 || env.timers[timerDrive] != ms {

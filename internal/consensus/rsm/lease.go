@@ -227,12 +227,20 @@ func (r *Node) leaseWait(owner node.ID, now sim.Time) time.Duration {
 	return 0
 }
 
-// driveIn brings the next drive forward to the instant a grant runs out,
-// when that is nearer than a tick.
-func (r *Node) driveIn(wait time.Duration) {
-	if wait < r.cfg.DriveInterval {
-		r.env.SetTimer(timerDrive, wait)
+// driveIn brings the next drive forward to wait from now — the instant a
+// grant runs out, or the stream counts as idle (catchUp) — when the drive
+// pending is later than that. It never puts one off: under load every
+// ACCEPT asks, and a drive that each of them pushed back would never run.
+func (r *Node) driveIn(now sim.Time, wait time.Duration) {
+	if now.Add(wait).Before(r.driveAt) {
+		r.armDrive(now, wait)
 	}
+}
+
+// armDrive sets the one drive timer, replacing the drive pending.
+func (r *Node) armDrive(now sim.Time, wait time.Duration) {
+	r.driveAt = now.Add(wait)
+	r.env.SetTimer(timerDrive, wait)
 }
 
 // answerDeferred hands onPrepare the PREPARE it made this acceptor sit on:
@@ -258,7 +266,8 @@ func (r *Node) abdicateLeader() {
 		r.cfg.Tracer.Mark(r.env.Now(), "abdicate", -1)
 	}
 	r.prop.prepared, r.prop.preparing = false, false
-	r.pipe.announced = 0
+	clear(r.pipe.told)
+	clear(r.pipe.owed)
 	r.bat.unassign()
 	if r.lease.heldUntil.Load() != 0 {
 		r.lease.heldUntil.Store(0)

@@ -119,9 +119,9 @@ func (AcceptedMsg) Kind() string { return KindAccepted }
 // With B set it is the leader's commit index, by reference and value-free:
 // every instance below Inst that the receiver accepted at ballot B is
 // decided with the value it accepted (the same statement an ACCEPT's
-// CommitUpTo makes; V is empty). The leader of B broadcasts it whenever
-// its decided prefix advances and no ACCEPT leaves in the same turn to
-// carry the index.
+// CommitUpTo makes; V is empty). When its decided prefix advances and no
+// ACCEPT leaves in the same turn, the leader of B sends it to the replicas
+// whose commands were decided; to the others only if no ACCEPT follows.
 //
 // With B == NoBallot it is by value: instance Inst is decided with V. That
 // form is the repair path only — the reply to a LEARN, and to an ACCEPT

@@ -1,6 +1,7 @@
 package rsm
 
 import (
+	"slices"
 	"time"
 
 	"repro/internal/consensus"
@@ -16,7 +17,8 @@ import (
 // whatever the batch size, which is where batching's amortization comes
 // from, and the value crosses each link once: decisions are announced by
 // index (announceCommit), on the ACCEPT that leaves at the end of the same
-// turn when one does and as (n−1) value-free DECIDEs when none does.
+// turn when one does, else by a value-free DECIDE to the replicas whose
+// commands were decided — the rest hear on the next ACCEPT or from catchUp.
 
 // maxRetryTimeout caps retry backoffs.
 const maxRetryTimeout = 5 * time.Second
@@ -36,11 +38,13 @@ type flight struct {
 	// and the majority closes it.
 	tctx tracing.Context
 	// tracked marks a proposal of queued commands: enq holds when each
-	// command in v was enqueued, reqs their trace contexts (empty when
-	// none is traced) and decidedAt the quorum-completion instant, so
-	// apply can stamp latency and record the final stage span.
+	// command in v was enqueued, from which replica sent it, reqs their
+	// trace contexts (empty when none is traced) and decidedAt the
+	// quorum-completion instant, so apply can stamp latency, record the
+	// final stage span and note who is owed the news.
 	tracked   bool
 	enq       []sim.Time
+	from      []node.ID
 	reqs      []tracing.Context
 	decidedAt sim.Time
 }
@@ -62,10 +66,13 @@ type pipeline struct {
 	nextInst int
 	open     int       // flights awaiting their quorum
 	free     []*flight // retired flights, buffers kept
-	// announced is the commit index last put on the wire at the current
-	// ballot (0 after a new ballot or an abdication): the decided prefix
-	// is announced when it passes this, never per instance.
-	announced int
+	// told[f] is the commit index last sent to follower f at this ballot,
+	// on an ACCEPT or a DECIDE (0 after an abdication): nobody is sent one
+	// index twice. owed[f]: the applier has passed a command f waits on, and
+	// the end of the turn tells it. acceptAt: when an ACCEPT last left.
+	told     []int
+	owed     []bool
+	acceptAt sim.Time
 }
 
 // alloc returns a blank flight.
@@ -80,7 +87,7 @@ func (p *pipeline) alloc() *flight {
 
 // release recycles a flight the applier is done with.
 func (p *pipeline) release(fl *flight) {
-	*fl = flight{acks: fl.acks[:0], enq: fl.enq[:0], reqs: fl.reqs[:0]}
+	*fl = flight{acks: fl.acks[:0], enq: fl.enq[:0], from: fl.from[:0], reqs: fl.reqs[:0]}
 	p.free = append(p.free, fl)
 }
 
@@ -131,13 +138,14 @@ func (r *Node) propose(v consensus.Value, fl *flight) int {
 // reopen re-drives an existing instance at the current ballot — the
 // leader-change path (re-proposals and no-op fillers). Bypasses the
 // window: these instances block the decided prefix. A flight this node
-// opened earlier is reused, tracked only while the value is still its own.
+// opened earlier is reused, tracked only while the value is still its own —
+// and owing everyone (owe): a leader change is not the steady state.
 func (r *Node) reopen(inst int, v consensus.Value) {
 	fl := r.log.ensure(inst).fl
 	if fl == nil {
 		fl = r.pipe.alloc()
 	}
-	fl.tracked = fl.tracked && fl.v == v
+	fl.tracked, fl.from = fl.tracked && fl.v == v, fl.from[:0]
 	fl.tctx = tracing.Context{}
 	r.launch(inst, v, fl)
 }
@@ -239,34 +247,86 @@ func (r *Node) maybeDecide(inst int) {
 	}
 	r.learn(inst, v)
 	// A window slot freed up: the end of the turn pulls in queued work. An
-	// ACCEPT leaving then carries the new commit index; otherwise it goes
-	// out on its own.
+	// ACCEPT leaving then carries the new commit index to everyone; otherwise
+	// it goes to whoever waits on it.
 	r.pumpDue, r.commitDue = true, true
 }
 
-// announceCommit tells the followers how far the log is decided, once per
-// advance of the prefix: an instance decided out of order, which nobody
-// could apply anyway, waits for the ones below it and is covered by the
-// same announcement. ACCEPTs carry the index for free (acceptMsg), so the
-// value-free DECIDE broadcast here only fills in when none has left since
-// the prefix moved — the followers hear of a decision at the same instant
-// either way.
+// owe notes who waits on the instance the applier has just passed at a
+// prepared leader: the replicas whose commands this leader batched into it.
+// One it did not batch, or reopened at a new ballot — a re-proposal, a gap
+// filler, a read barrier — owes everyone: a leader change is not the steady
+// state, and its clients may be anywhere.
+func (r *Node) owe(batched bool, fl *flight) {
+	for f := range r.pipe.owed { // a sender id outside [0, n) matches nobody
+		if !batched || len(fl.from) == 0 || slices.Contains(fl.from, node.ID(f)) {
+			r.pipe.owed[f] = true
+		}
+	}
+}
+
+// tell sends follower f the commit index, unless it has been sent it.
+func (r *Node) tell(f node.ID) {
+	if f != r.me && r.pipe.told[f] < r.log.firstGap {
+		r.pipe.told[f] = r.log.firstGap
+		r.env.Send(f, DecideMsg{B: r.prop.ballot, Inst: r.log.firstGap})
+	}
+}
+
+// announceCommit tells the replicas that are owed it how far the log is
+// decided, once per advance of the prefix: an instance decided out of
+// order, which nobody could apply anyway, waits for the ones below it and
+// is covered by the same announcement. ACCEPTs carry the index to everyone
+// for free (acceptMsg), so a value-free DECIDE goes only to a replica whose
+// client waits and that no ACCEPT has told since the prefix moved: it hears
+// in the event the quorum completes, as it always has. The others hear on
+// the next ACCEPT, or from catchUp when none comes. That is safe: a learner
+// that decides late violates nothing, reads are positioned by the leader,
+// and a successor re-proposes from votes, not from what anyone had heard.
 func (r *Node) announceCommit() {
-	if !r.prop.prepared || r.log.firstGap <= r.pipe.announced {
+	if !r.prop.prepared {
+		return // abdicated since the quorum: nothing is owed (abdicateLeader)
+	}
+	for f, owed := range r.pipe.owed {
+		if owed {
+			r.pipe.owed[f] = false
+			r.tell(node.ID(f))
+		}
+	}
+}
+
+// quiet is how long after its last ACCEPT a stream counts as idle: half the
+// time a follower's votes take to go stale (fillGaps), or a tick if less.
+func (r *Node) quiet() time.Duration { return min(r.cfg.DriveInterval, r.cfg.RetryTimeout/2) }
+
+// catchUp runs on the leader's drive. On an idle stream it sends every
+// follower the index it has not been sent, so the end of a burst is decided
+// everywhere with no follower asking; while ACCEPTs flow it sends nothing
+// and brings the next drive forward to the instant they would have gone
+// quiet — as every ACCEPT does (acceptMsg), for a tick longer than that.
+func (r *Node) catchUp(now sim.Time) {
+	if wait := r.quiet() - now.Sub(r.pipe.acceptAt); wait > 0 {
+		r.driveIn(now, wait)
 		return
 	}
-	r.pipe.announced = r.log.firstGap
-	r.env.Broadcast(DecideMsg{B: r.prop.ballot, Inst: r.log.firstGap})
+	for f := range r.pipe.told {
+		r.tell(node.ID(f))
+	}
 }
 
 // acceptMsg builds a phase-2 broadcast carrying the current commit index
-// (noted as announced), forgetting horizon, and lease grant.
+// (noted as told to everyone), forgetting horizon, and lease grant.
 func (r *Node) acceptMsg(inst int, v consensus.Value) AcceptMsg {
 	m := AcceptMsg{B: r.prop.ballot, Inst: inst, V: v, CommitUpTo: r.log.firstGap}
-	r.pipe.announced = m.CommitUpTo // never below what was announced: firstGap only grows
+	for f := range r.pipe.told {
+		r.pipe.told[f] = m.CommitUpTo // never below what f was told: firstGap only grows
+	}
+	now := r.env.Now()
+	r.pipe.acceptAt = now
+	r.driveIn(now, r.quiet()) // catchUp is due then, should no ACCEPT follow
 	if r.cfg.Forget {
 		m.MinDone = r.dones.min()
 	}
-	m.LeaseSeq = r.grantSeq(r.env.Now())
+	m.LeaseSeq = r.grantSeq(now)
 	return m
 }

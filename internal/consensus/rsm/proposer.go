@@ -69,14 +69,15 @@ func (r *Node) undecidedAccepted() []PromEntry {
 }
 
 func (r *Node) onPrepare(from node.ID, m PrepareMsg) {
-	if wait := r.leaseWait(m.B.Owner(r.n), r.env.Now()); wait > 0 {
+	now := r.env.Now()
+	if wait := r.leaseWait(m.B.Owner(r.n), now); wait > 0 {
 		// A standing lease grant forbids promising this ballot — this is
 		// what makes the lease holder's local reads safe across leader
 		// changes. The PREPARE waits for the grant to run out (drive,
 		// answerDeferred): grants end a link delay apart, and a successor
 		// that prepares as its own ends would otherwise sit out a retry.
 		r.lease.deferred = max(r.lease.deferred, m.B)
-		r.driveIn(wait)
+		r.driveIn(now, wait)
 		return
 	}
 	// ≥, not >: the links are not FIFO, so an ACCEPT at m.B may have
@@ -173,8 +174,8 @@ func (r *Node) maybeFinishPrepare() {
 	r.cfg.Tracer.Mark(r.env.Now(), "prepared", -1)
 	r.env.Logf("rsm: ballot %v prepared (%d constrained)", r.prop.ballot, len(insts))
 	// A freshly prepared ballot may find commands already queued; with or
-	// without them, the followers hear this ballot's commit index at the
-	// end of the turn.
+	// without them, every follower is owed this ballot's commit index.
+	r.owe(false, nil)
 	r.pumpDue, r.commitDue = true, true
 	r.openBarrier() // for the reads that arrived during phase 1
 }

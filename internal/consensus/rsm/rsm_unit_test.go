@@ -327,16 +327,26 @@ func TestLearnAdvancesGapAcrossHoles(t *testing.T) {
 // the node under test, then its log and what it broadcast are checked.
 type commitStep struct {
 	// Exactly one of: a message delivered from a peer, a command
-	// submitted at the node, or a kill -9 and recovery from its WAL.
+	// submitted at the node, a kill -9 and recovery from its WAL, or a
+	// drive tick one DriveInterval on.
 	from    node.ID
 	msg     node.Message
 	submit  consensus.Value
 	restart bool
+	tick    bool
 	// decided is the node's log afterwards, by instance; "" is undecided.
 	decided []consensus.Value
-	// announced lists the commit indexes the node broadcast during the
-	// step, one entry per broadcast (n−1 identical value-free DECIDEs).
-	announced []int
+	// announced lists the value-free DECIDEs the node sent during the step:
+	// who was told which commit index. Re-budgeted with the addressed
+	// announcement — the parent sent each index to all n−1 at once; now the
+	// replica a decided command came from is told at once, alone, and the
+	// others by the next ACCEPT or the catch-up on the drive tick.
+	announced []told
+}
+
+type told struct {
+	to   node.ID
+	upTo int
 }
 
 // TestCommitIndex walks the commit path through its corner cases on a
@@ -392,19 +402,33 @@ func TestCommitIndex(t *testing.T) {
 			{from: 0, msg: accept(b2, 2, "c", 2), decided: []consensus.Value{"a", "b", ""}},
 			{from: 0, msg: commit(b2, 3), decided: []consensus.Value{"a", "b", "c"}},
 		}},
-		{name: "an out-of-order quorum is announced with the prefix, once", leader: true, window: 2, steps: []commitStep{
-			{submit: "x", decided: []consensus.Value{""}},
-			{submit: "y", decided: []consensus.Value{"", ""}},
+		{name: "an out-of-order quorum is announced with the prefix, once, to its origin", leader: true, window: 2, steps: []commitStep{
+			{from: 2, msg: RequestMsg{V: "x"}, decided: []consensus.Value{""}},
+			{from: 2, msg: RequestMsg{V: "y"}, decided: []consensus.Value{"", ""}},
 			{from: 1, msg: AcceptedMsg{B: own, Inst: 1}, decided: []consensus.Value{"", "y"}},
-			{from: 1, msg: AcceptedMsg{B: own, Inst: 0}, decided: []consensus.Value{"x", "y"}, announced: []int{2}},
+			{from: 1, msg: AcceptedMsg{B: own, Inst: 0}, decided: []consensus.Value{"x", "y"}, announced: []told{{2, 2}}},
 			{from: 2, msg: AcceptedMsg{B: own, Inst: 0}, decided: []consensus.Value{"x", "y"}},
+			// The stream has gone quiet: p1, who forwarded nothing, catches up;
+			// p2 is not told the same index again, and a later tick tells nobody.
+			{tick: true, decided: []consensus.Value{"x", "y"}, announced: []told{{1, 2}}},
+			{tick: true, decided: []consensus.Value{"x", "y"}},
 		}},
 		{name: "a decision that frees the pipeline rides the next ACCEPT", leader: true, window: 1, steps: []commitStep{
-			{submit: "x", decided: []consensus.Value{""}},
-			{submit: "y", decided: []consensus.Value{""}}, // Window 1: queued
-			// The quorum for 0 launches 1, whose ACCEPT carries index 1.
+			{from: 2, msg: RequestMsg{V: "x"}, decided: []consensus.Value{""}},
+			{from: 1, msg: RequestMsg{V: "y"}, decided: []consensus.Value{""}}, // Window 1: queued
+			// The quorum for 0 launches 1, whose ACCEPT carries index 1 to all.
 			{from: 1, msg: AcceptedMsg{B: own, Inst: 0}, decided: []consensus.Value{"x", ""}},
-			{from: 1, msg: AcceptedMsg{B: own, Inst: 1}, decided: []consensus.Value{"x", "y"}, announced: []int{2}},
+			{from: 2, msg: AcceptedMsg{B: own, Inst: 1}, decided: []consensus.Value{"x", "y"}, announced: []told{{1, 2}}},
+			{tick: true, decided: []consensus.Value{"x", "y"}, announced: []told{{2, 2}}},
+		}},
+		{name: "a command submitted at the leader owes nobody", leader: true, window: 2, steps: []commitStep{
+			{submit: "x", decided: []consensus.Value{""}},
+			{from: 1, msg: AcceptedMsg{B: own, Inst: 0}, decided: []consensus.Value{"x"}},
+			// Nothing until the next ACCEPT, which tells everyone for free...
+			{submit: "y", decided: []consensus.Value{"x", ""}},
+			{from: 2, msg: AcceptedMsg{B: own, Inst: 1}, decided: []consensus.Value{"x", "y"}},
+			// ...or, none coming, the catch-up.
+			{tick: true, decided: []consensus.Value{"x", "y"}, announced: []told{{1, 2}, {2, 2}}},
 		}},
 	}
 	for _, tc := range cases {
@@ -433,6 +457,9 @@ func TestCommitIndex(t *testing.T) {
 					r, env = boot()
 				case st.msg != nil:
 					r.Deliver(st.from, st.msg)
+				case st.tick:
+					env.now = env.now.Add(r.cfg.DriveInterval)
+					r.Tick(timerDrive)
 				default:
 					r.Submit(st.submit)
 				}
@@ -443,17 +470,15 @@ func TestCommitIndex(t *testing.T) {
 				if fmt.Sprint(got) != fmt.Sprint(st.decided) {
 					t.Fatalf("step %d: log = %q, want %q", i, got, st.decided)
 				}
-				var announced []int
+				var announced []told
 				carried := -1
-				for k, s := range env.drain() {
+				for _, s := range env.drain() {
 					switch m := s.msg.(type) {
 					case DecideMsg:
 						if m.B != r.prop.ballot || m.V != consensus.NoValue {
 							t.Fatalf("step %d: sent %+v, want a value-free index at ballot %v", i, m, r.prop.ballot)
 						}
-						if k%(n-1) == 0 {
-							announced = append(announced, m.Inst)
-						}
+						announced = append(announced, told{s.to, m.Inst})
 					case AcceptMsg:
 						carried = m.CommitUpTo
 					}
@@ -497,14 +522,15 @@ func TestRequestDuringPrepareIsQueuedNotDropped(t *testing.T) {
 // ballot — and the same value coming back by value is passed on by index.
 func TestDeposedLeaderAnnouncesNothing(t *testing.T) {
 	r, env := prepareLeaderCfg(t, nil, Config{BatchMax: 1})
-	r.Submit("mine")
+	r.Deliver(2, RequestMsg{V: "mine"})
 	env.drain()
 	r.Deliver(1, DecideMsg{Inst: 0, V: "mine"})
-	out := env.drain()
-	if len(out) != 2 || out[0].msg != node.Message(DecideMsg{B: r.prop.ballot, Inst: 1}) {
-		t.Fatalf("after a by-value repair with our own value: sent %+v, want the index announced", out)
+	// Re-budgeted with the addressed announcement: the index goes to p2,
+	// where the command came from, not to both followers.
+	if out := env.drain(); len(out) != 1 || out[0] != (sent{2, DecideMsg{B: r.prop.ballot, Inst: 1}}) {
+		t.Fatalf("after a by-value repair with our own value: sent %+v, want the index announced to the origin", out)
 	}
-	r.Submit("mine too")
+	r.Deliver(2, RequestMsg{V: "mine too"})
 	env.drain()
 	r.Deliver(1, DecideMsg{Inst: 1, V: "theirs"})
 	if out := env.drain(); len(out) != 0 || r.prop.prepared {

@@ -163,7 +163,7 @@ func TestBatcherRingMatchesSliceModel(t *testing.T) {
 				if next++; rng.Intn(8) == 0 && len(ref.pending) > 0 {
 					v = ref.pending[rng.Intn(len(ref.pending))].v
 				}
-				ring.add(v, sim.Time(step), tracing.Context{})
+				ring.add(v, sim.Time(step), tracing.Context{}, node.None)
 				ref.pending = append(ref.pending, &pendingCmd{v: v, enq: sim.Time(step), lastSentTo: node.None})
 			case op < 6: // take
 				max, partial := 1+rng.Intn(6), rng.Intn(2) == 0

@@ -8,7 +8,8 @@ package rsm
 // returns. So the handlers only note what is due, and the end of the turn
 // does it once: one pump, which puts the whole burst into one instance
 // whose ACCEPT also carries the commit index of a quorum completed in the
-// same turn; one DECIDE broadcast if no ACCEPT took the index along; one
+// same turn; if no ACCEPT took the index along, one DECIDE to each replica
+// whose commands the turn decided (pipeline.go, announceCommit); one
 // answer to the reads the turn brought (read.go), at the index all of
 // that left applied; one write of every record the turn appended to the
 // store, before any message that reveals them is released.
@@ -21,8 +22,8 @@ package rsm
 // the message, by the same code.
 
 // endTurn does what the turn's events left due. The pump comes first: an
-// ACCEPT that leaves now announces the commit index for free. The reads
-// come after both, and before the flush that covers a barrier they open.
+// ACCEPT that leaves now announces the commit index to everyone for free. The
+// reads come after both, and before the flush that covers a barrier they open.
 func (r *Node) endTurn() {
 	for r.pumpDue { // a one-process quorum decides inside pump and asks again
 		r.pumpDue = false

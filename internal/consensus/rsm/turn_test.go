@@ -62,6 +62,18 @@ func broadcastsOf[M node.Message](t *testing.T, msgs []sent) []M {
 	return out
 }
 
+// decidesOf returns the DECIDEs in an outbox, each with its addressee: since
+// the announcement is addressed (pipeline.go, announceCommit) a DECIDE goes
+// to the replica whose command was decided, not to everyone.
+func decidesOf(msgs []sent) (out []sent) {
+	for _, s := range msgs {
+		if _, ok := s.msg.(DecideMsg); ok {
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
 func TestBurstOfRequestsIsOneInstance(t *testing.T) {
 	const k = 10
 	r, env := prepareLeader(t, nil)
@@ -117,29 +129,32 @@ func TestQuorumAndRequestsInOneTurnNeedNoDecide(t *testing.T) {
 	if len(accepts) != 1 || len(DecodeBatch(accepts[0].V)) != 3 || accepts[0].CommitUpTo != first.Inst+1 {
 		t.Fatalf("proposed %+v, want one instance of 3 commands carrying commit index %d", accepts, first.Inst+1)
 	}
-	if d := broadcastsOf[DecideMsg](t, out); len(d) != 0 {
-		t.Fatalf("%d DECIDE broadcasts left although an ACCEPT carried the index: %+v", len(d), d)
+	if d := decidesOf(out); len(d) != 0 {
+		t.Fatalf("%d DECIDEs left although an ACCEPT carried the index: %+v", len(d), d)
 	}
 
-	// A quorum alone in its turn still announces, by DECIDE, once.
+	// A quorum alone in its turn still announces, by DECIDE, once — to p1,
+	// whose command it decided. p2 forwarded nothing and has nothing waiting:
+	// it hears on the next ACCEPT (re-budgeted with the addressed
+	// announcement; the parent broadcast this DECIDE to 1 and 2).
 	r, env, first = inFlight()
 	withTurns(r)
 	turn(r, 1, AcceptedMsg{B: r.prop.ballot, Inst: first.Inst})
-	out = env.drain()
-	if d := broadcastsOf[DecideMsg](t, out); len(d) != 1 || d[0].Inst != first.Inst+1 || d[0].B != r.prop.ballot {
-		t.Fatalf("DECIDEs %+v, want one for commit index %d", d, first.Inst+1)
+	want := sent{1, DecideMsg{B: r.prop.ballot, Inst: first.Inst + 1}}
+	if d := decidesOf(env.drain()); len(d) != 1 || d[0] != want {
+		t.Fatalf("DECIDEs %+v, want %+v alone", d, want)
 	}
 
 	// Turns of one: the quorum announces before the requests arrive, and
-	// the ACCEPT that follows carries the same index again.
+	// the ACCEPT that follows carries the same index again, to everyone.
 	r, env, first = inFlight()
 	r.Deliver(1, AcceptedMsg{B: r.prop.ballot, Inst: first.Inst})
 	for _, m := range requests(3, "next-") {
 		r.Deliver(1, m)
 	}
 	out = env.drain()
-	if d := broadcastsOf[DecideMsg](t, out); len(d) != 1 {
-		t.Fatalf("turns of one sent %d DECIDE broadcasts, want 1", len(d))
+	if d := decidesOf(out); len(d) != 1 || d[0].to != 1 {
+		t.Fatalf("turns of one sent DECIDEs %+v, want one, to the origin", d)
 	}
 	if a := broadcastsOf[AcceptMsg](t, out); len(a) != 1 || len(DecodeBatch(a[0].V)) != 1 {
 		t.Fatalf("turns of one proposed %+v, want the next request alone", a)
@@ -583,7 +598,7 @@ func TestForwardPendingMatchesFullScan(t *testing.T) {
 	for step := 0; step < 6000; step++ {
 		switch op := rng.Intn(10); {
 		case op < 3:
-			r.bat.add(consensus.Value(fmt.Sprint("c", next)), env.now, r.curCtx)
+			r.bat.add(consensus.Value(fmt.Sprint("c", next)), env.now, r.curCtx, node.None)
 			next++
 		case op < 6 && r.bat.tail-r.bat.head > rng.Intn(8): // applied somewhere: any queued command, mostly the head
 			i := r.bat.head

@@ -78,8 +78,18 @@ func TestE12CommitIndexShape(t *testing.T) {
 			t.Fatalf("%s: %v value bytes/cmd, want ≈ %d (once per link)", row[0], vb, (n-1)*cmdBytes)
 		}
 	}
+	// Re-budgeted with the addressed announcement: idle is still 3(n−1) —
+	// commands at the leader owe nobody, and the catch-up tells all n−1 a
+	// drive interval later — and spaced is new: one DECIDE per instance, to
+	// the follower the command came from, and n−2 in the catch-up at the end.
 	if got := cell(byRegime["idle"], 2); got != 3*(n-1) {
 		t.Fatalf("idle stream = %v msgs/cmd, want 3(n-1) = %d", got, 3*(n-1))
+	}
+	if got := cell(byRegime["spaced"], 3); got != cmds+n-2 {
+		t.Fatalf("spaced sent %v DECIDE-kind messages, want one per instance and %d in the catch-up = %d", got, n-2, cmds+n-2)
+	}
+	if got := cell(byRegime["spaced"], 2); got < 2*(n-1)+1 || got > 2*(n-1)+1.2 {
+		t.Fatalf("spaced = %v msgs/cmd, want ≈ 2(n-1)+1 = %d", got, 2*(n-1)+1)
 	}
 	// Back to back, every commit but the last rides the next ACCEPT.
 	if got := cell(byRegime["back-to-back"], 2); got > 2*(n-1)+0.5 {

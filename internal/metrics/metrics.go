@@ -54,6 +54,7 @@ type shard struct {
 	bytesOut  atomic.Uint64 // wire bytes handed to this process's out-links
 
 	link          []atomic.Uint64 // out-link counts, indexed by destination
+	linkAt        []atomic.Int64  // per out-link: its last send instant + 1, 0 never; survives eviction
 	kindSent      [obs.MaxKinds]atomic.Uint64
 	kindDelivered [obs.MaxKinds]atomic.Uint64
 	kindDropped   [obs.MaxKinds]atomic.Uint64
@@ -151,7 +152,7 @@ func NewMessageStatsWindow(n, window int) *MessageStats {
 	}
 	s := &MessageStats{n: n, window: window, shards: make([]*shard, n)}
 	for i := range s.shards {
-		s.shards[i] = &shard{link: make([]atomic.Uint64, n), window: window}
+		s.shards[i] = &shard{link: make([]atomic.Uint64, n), linkAt: make([]atomic.Int64, n), window: window}
 	}
 	return s
 }
@@ -177,6 +178,9 @@ func (s *MessageStats) OnSend(t sim.Time, from, to int, kind obs.Kind) {
 	sh := s.shards[from]
 	sh.sentBy.Add(1)
 	sh.link[to].Add(1)
+	if at := &sh.linkAt[to]; int64(t) >= at.Load() { // one writer per sender
+		at.Store(int64(t) + 1)
+	}
 	sh.kindSent[kind].Add(1)
 	s.noteKind(kind)
 	sh.appendRecord(SendRecord{At: t, To: int32(to), Kind: kind})
@@ -303,8 +307,18 @@ func (s *MessageStats) Summary() string {
 // --- send-log queries (windowed) -----------------------------------------
 
 // LinksUsedSince returns how many distinct directed links carried at least
-// one message at or after t: Snapshot().LinksUsedSince(t), for the gauges
-// that poll it. The other send-log queries — who sent since t, messages
-// per window, when everyone but the leader fell quiet — are asked of a
-// Snapshot directly, so that one verdict's questions see one instant.
-func (s *MessageStats) LinksUsedSince(t sim.Time) int { return s.Snapshot().LinksUsedSince(t) }
+// one message at or after t, from the per-link last-send instants: exact
+// after eviction, lock-free and O(n²), for the gauges that poll it — a
+// scrape copies no send log. The other send-log queries — who sent since t,
+// messages per window, when everyone but the leader fell quiet — are asked
+// of a Snapshot, so that one verdict's questions see one instant.
+func (s *MessageStats) LinksUsedSince(t sim.Time) (used int) {
+	for _, sh := range s.shards {
+		for to := range sh.linkAt {
+			if sh.linkAt[to].Load() > int64(t) {
+				used++
+			}
+		}
+	}
+	return used
+}

@@ -84,6 +84,49 @@ func TestLinksUsedSince(t *testing.T) {
 	}
 }
 
+// TestLinksUsedSinceSurvivesEviction: the answer comes from the per-link
+// last-send instants, not from the retained ring, so a window of 64 that
+// has evicted all but the last 64 of 10,000 sends still knows every link —
+// on the stats and on a snapshot alike. (Answered from the ring, as it was,
+// link 0→1 is forgotten once 64 later sends to 2 have pushed it out.)
+func TestLinksUsedSinceSurvivesEviction(t *testing.T) {
+	s := NewMessageStatsWindow(3, 64)
+	k := obs.Intern("A")
+	s.OnSend(at(0), 1, 0, k) // a send at instant zero is a send
+	s.OnSend(at(1), 0, 1, k)
+	for i := 2; i < 10000; i++ {
+		s.OnSend(at(i), 0, 2, k)
+	}
+	for _, tc := range []struct {
+		since sim.Time
+		want  int
+	}{{0, 3}, {at(1), 2}, {at(2), 1}, {at(9999), 1}, {at(10000), 0}} {
+		if got, snap := s.LinksUsedSince(tc.since), s.Snapshot().LinksUsedSince(tc.since); got != tc.want || snap != tc.want {
+			t.Errorf("LinksUsedSince(%v) = %d on the stats, %d on a snapshot, want %d", tc.since, got, snap, tc.want)
+		}
+	}
+}
+
+// BenchmarkLinksUsedSince is what a /metrics scrape pays for its
+// active-links gauge with a full default window behind it: a walk over n²
+// atomics, no lock, no copy of the send log (0 allocs/op; through
+// Snapshot(), as it was, 16 MB a sender).
+func BenchmarkLinksUsedSince(b *testing.B) {
+	const n = 5
+	s := NewMessageStats(n)
+	k := obs.Intern("A")
+	for i := 0; i < DefaultWindow; i++ {
+		s.OnSend(sim.Time(i), 0, 1+i%(n-1), k)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if s.LinksUsedSince(sim.Time(DefaultWindow/2)) != n-1 {
+			b.Fatal("wrong answer")
+		}
+	}
+}
+
 func TestQuietSince(t *testing.T) {
 	s := NewMessageStats(3)
 	s.OnSend(at(1), 1, 0, obs.Intern("A"))

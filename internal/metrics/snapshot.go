@@ -23,6 +23,7 @@ type Snapshot struct {
 	n       int
 	perFrom [][]SendRecord // indexed by sender, oldest first
 	lastAt  []sim.Time     // max send time per sender, survives eviction
+	linkAt  []int64        // per link, as shard.linkAt: last send instant + 1
 
 	sentBy   []uint64
 	kindSent []uint64   // indexed by obs.Kind
@@ -45,6 +46,9 @@ func (s *MessageStats) Snapshot() *Snapshot {
 		snap.lastAt[from] = sh.lastAt
 		sh.mu.Unlock()
 		snap.sentBy[from] = sh.sentBy.Load()
+		for to := range sh.linkAt {
+			snap.linkAt = append(snap.linkAt, sh.linkAt[to].Load())
+		}
 		for k := 0; k < nk; k++ {
 			snap.kindSent[k] += sh.kindSent[k].Load()
 		}
@@ -91,19 +95,11 @@ func (sn *Snapshot) SendersSince(t sim.Time) []int {
 }
 
 // LinksUsedSince returns how many distinct directed links carried at least
-// one message at or after t.
-func (sn *Snapshot) LinksUsedSince(t sim.Time) int {
-	used := 0
-	seen := make([]bool, sn.n)
-	for _, recs := range sn.perFrom {
-		for i := range seen {
-			seen[i] = false
-		}
-		for _, rec := range recs[search(recs, t):] {
-			if !seen[rec.To] {
-				seen[rec.To] = true
-				used++
-			}
+// one message at or after t. Exact even after window eviction.
+func (sn *Snapshot) LinksUsedSince(t sim.Time) (used int) {
+	for _, at := range sn.linkAt {
+		if at > int64(t) {
+			used++
 		}
 	}
 	return used
