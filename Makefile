@@ -39,12 +39,15 @@ bench-pairs:
 
 # The regression gate a noisy host cannot defeat: sim_steady and
 # sim_failover at seeds 1..SEEDS (default 1; CI passes 5) on the parent
-# commit and on this checkout. Per seed, bench compare at bound 0 on
-# messages per command and at BENCHMARK.json's bounds on what the program
-# fixes within a percent (allocations per operation, resident memory);
-# over the seeds, simulated-time p50 and tail are a regression when worse
-# on every seed or by more than 0.5 % in the median — a change of message
-# count reorders the seeded delays and moves them ±0.2 % either way.
+# commit and on this checkout. Per seed, messages per command are held to
+# a bound of 0 on sim_steady and may be worse by a thousandth on
+# sim_failover (one message an instance is a hundredth; the script's header
+# has the reason), and bench compare holds what the program fixes within a
+# percent (allocations per operation, resident memory) to BENCHMARK.json's
+# bounds; over the seeds,
+# simulated-time p50 and tail are a regression when worse on every seed or
+# by more than 0.5 % in the median — a change of message count reorders the
+# seeded delays and moves them ±0.2 % either way.
 # About a minute a seed; CI's sim-gate job runs it.
 # The parent is chosen as for bench-pairs (BASE, or PARENT=<dir>).
 SEEDS ?= 1
@@ -95,7 +98,11 @@ endif
 # rejoin, catch up, and regain proposer eligibility; afterwards every
 # WAL is reopened twice to check deterministic recovery and
 # prefix-consistent applied sequences. The restart/rejoin transport
-# tests ride along. The -groups run repeats the drill sharded: the killed
+# tests ride along, three hundred times over: a run is 50 ms, and the
+# agreement violation they caught (a leader behind a member of its own
+# phase-1 quorum filling a decided slot, DESIGN.md §14) showed in one run
+# in a hundred — it stayed a flake for eleven PRs because CI looked once.
+# The -groups run repeats the drill sharded: the killed
 # replica hosts 4 groups, so 4 WAL directories must recover at once and
 # the replay check runs per group. The two TestRunRecoveryPlan* drills run
 # five times over: their catch-up bar is taken from what the survivors
@@ -103,7 +110,7 @@ endif
 # warm-up happened to overshoot, and a flake here is a bug.
 recovery-soak:
 	$(GO) test -race -count=5 -run 'TestRunRecoveryPlan' -v ./cmd/chaossoak/
-	$(GO) test -race -count=1 -run 'Restart' -v ./internal/transport/
+	$(GO) test -race -count=300 -run 'Restart' ./internal/transport/
 	$(GO) run ./cmd/chaossoak -transport mem -plan recovery -n 5 -fsync always
 	$(GO) run ./cmd/chaossoak -transport mem -plan recovery -n 3 -groups 4
 

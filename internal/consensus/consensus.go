@@ -9,7 +9,9 @@ package consensus
 
 import (
 	"fmt"
+	"math"
 	"slices"
+	"sort"
 	"sync"
 	"time"
 
@@ -51,58 +53,49 @@ type Decision struct {
 	Elapsed time.Duration
 }
 
-// recChunk is how many decisions one chunk of a Recorder's log holds, and
-// recMaxHole how many unrecorded instances its index will span to reach a
-// new one, so that a wild instance number cannot size the index.
-const (
-	recChunk   = 1024
-	recMaxHole = 1 << 16
-)
-
-// row is a Decision as a Recorder keeps it, in 32 bytes for its 56: the
-// instance is relative to the recorder's base, By is kept once per
-// recorder and Elapsed beside the log. cmd < 0 marks a decision that does
-// not fit (an instance or command index no int32 holds, a negative index,
-// a second By) and is kept whole, at whole[^cmd].
+// row is what a Recorder keeps of one decided instance: the value as it was
+// proposed, its n commands cut apart only when read. Record's row is the
+// one-command case: v is the command, cmd its index. el, when not 0, is one
+// past where the row's Elapsed begin. 48 bytes: a command index, a process
+// id and a place among the Elapsed each fit an int32.
 type row struct {
-	v         Value
-	at        sim.Time
-	inst, cmd int32
+	v              Value
+	at             sim.Time
+	inst           int
+	cmd, el, n, by int32
 }
 
 // Recorder collects the decisions one process learns. It is safe for
 // concurrent use so live transports can observe it.
 //
-// The decisions sit in learning order in an append-only log of chunks of
-// rows, so recording never copies what is already there; elapsed runs
-// beside it, with a chunk only where a decision that has an Elapsed landed
-// (at the leader that proposed it). start[inst-base] is one
-// past the log position of command 0 of inst (base is the first instance
-// recorded; 0 means not indexed). A replicated log records instance by
-// instance with commands in order, so command k is at that position plus
-// k: a lookup is one probe that checks what it finds, with no hashing.
-// Anything recorded off that pattern is listed in strays, which lookups
-// scan after a failed probe: exact for any input, empty in practice.
+// The commands batched into an instance share its number, its learning time
+// and its bytes, so there is one row per instance (RecordInstance), in
+// learning order, cut into a Decision per command on read. sorted lists the
+// rows by (instance, first command) — the same order, for a log learned in
+// order — and a lookup is a binary search of it: exact for any input, sized
+// by nothing but the rows. Elapsed, which only the proposing leader knows,
+// is kept beside the log for the rows that have one.
 type Recorder struct {
+	// Split, set before anything is recorded, appends the commands in an
+	// instance's value to cmds, in order; without it a value is one command.
+	Split   func(cmds []Value, v Value) []Value
 	mu      sync.Mutex
-	chunks  [][]row
-	elapsed []*[recChunk]time.Duration
-	whole   []Decision
-	n       int
-	base    int
-	by      node.ID
-	start   []int32
-	strays  []int32
+	log     []row
+	sorted  []int32
+	n       int // decisions in log
+	elapsed []time.Duration
 	notify  []func(d Decision)
+	cmds    []Value    // cut's scratch
+	buf     []Decision // what cut returns
 }
 
 // NewRecorder returns an empty recorder.
 func NewRecorder() *Recorder { return &Recorder{} }
 
-// AddNotify appends a hook invoked after each first-time decision record;
-// the list only grows, like detector.History's. A hook runs on the
-// recording goroutine, outside the recorder's lock; it must not block and
-// must be safe for concurrent use if shared.
+// AddNotify appends a hook invoked once per command after each first-time
+// record, in log order; the list only grows, like detector.History's. A
+// hook runs on the recording goroutine, outside the recorder's lock; it
+// must not block and must be safe for concurrent use if shared.
 func (r *Recorder) AddNotify(fn func(d Decision)) {
 	if fn == nil {
 		return
@@ -112,97 +105,96 @@ func (r *Recorder) AddNotify(fn func(d Decision)) {
 	r.notify = append(r.notify, fn)
 }
 
-func (r *Recorder) at(p int) *row { return &r.chunks[p/recChunk][p%recChunk] }
-
-// holds reports whether log position p is the given command slot.
-func (r *Recorder) holds(p, inst, cmd int) bool {
-	w := r.at(p)
-	if w.cmd < 0 {
-		return r.whole[^w.cmd].Instance == inst && r.whole[^w.cmd].Cmd == cmd
+// cut returns w's decisions, good until the next cut; the caller holds the
+// lock. A row not yet added (n == 0) is cut to find out what it holds.
+func (r *Recorder) cut(w *row) []Decision {
+	r.cmds, r.buf = append(r.cmds[:0], w.v), r.buf[:0]
+	if w.n != 1 && r.Split != nil {
+		r.cmds = r.Split(r.cmds[:0], w.v)
 	}
-	return r.base+int(w.inst) == inst && int(w.cmd) == cmd
+	for k, cmd := range r.cmds {
+		d := Decision{Instance: w.inst, Cmd: int(w.cmd) + k, Value: cmd, At: w.at, By: node.ID(w.by)}
+		if w.el > 0 {
+			d.Elapsed = r.elapsed[int(w.el)-1+k]
+		}
+		r.buf = append(r.buf, d)
+	}
+	return r.buf
 }
 
-// decision unpacks log position p.
-func (r *Recorder) decision(p int) Decision {
-	w := r.at(p)
-	if w.cmd < 0 {
-		return r.whole[^w.cmd]
-	}
-	d := Decision{Instance: r.base + int(w.inst), Cmd: int(w.cmd), Value: w.v, At: w.at, By: r.by}
-	if e := r.elapsed[p/recChunk]; e != nil {
-		d.Elapsed = e[p%recChunk]
-	}
-	return d
-}
-
-// probe is the log position the index implies for a command slot, or -1.
-func (r *Recorder) probe(inst, cmd int) int {
-	if i := inst - r.base; i >= 0 && i < len(r.start) && r.start[i] != 0 && cmd >= 0 {
-		return int(r.start[i]) - 1 + cmd
-	}
-	return -1
-}
-
-// find returns the log position of a command slot's decision, or -1; the
-// caller holds the lock.
-func (r *Recorder) find(inst, cmd int) int {
-	if p := r.probe(inst, cmd); p >= 0 && p < r.n && r.holds(p, inst, cmd) {
-		return p
-	}
-	for _, p := range r.strays {
-		if r.holds(int(p), inst, cmd) {
-			return int(p)
+// find returns the row that holds a command slot's decision, or nil, and how
+// many rows sort at or before the slot: the last of them is the only one that
+// can hold it, and a row for it goes after them. The caller holds the lock.
+func (r *Recorder) find(inst, cmd int) (*row, int) {
+	i := sort.Search(len(r.sorted), func(i int) bool {
+		w := &r.log[r.sorted[i]]
+		return w.inst > inst || w.inst == inst && int(w.cmd) > cmd
+	})
+	if i > 0 {
+		if w := &r.log[r.sorted[i-1]]; w.inst == inst && uint(cmd-int(w.cmd)) < uint(w.n) {
+			return w, i
 		}
 	}
-	return -1
+	return nil, i
+}
+
+// add appends w, whose decisions are ds, as the i-th row of sorted (lock held).
+func (r *Recorder) add(w row, i int, ds []Decision) {
+	if slices.ContainsFunc(ds, func(d Decision) bool { return d.Elapsed != 0 }) {
+		w.el = int32(len(r.elapsed)) + 1
+		for _, d := range ds {
+			r.elapsed = append(r.elapsed, d.Elapsed)
+		}
+	}
+	r.sorted = slices.Insert(r.sorted, i, int32(len(r.log)))
+	r.log = append(r.log, w)
+	r.n += int(w.n)
 }
 
 // Record stores the first decision for a command slot; later records for
 // the same (instance, cmd) are ignored (integrity is checked elsewhere).
 func (r *Recorder) Record(d Decision) {
 	r.mu.Lock()
-	if r.find(d.Instance, d.Cmd) >= 0 {
-		r.mu.Unlock()
-		return
+	var notify []func(Decision)
+	if w, i := r.find(d.Instance, d.Cmd); w == nil {
+		r.buf = append(r.buf[:0], d)
+		r.add(row{v: d.Value, at: d.At, inst: d.Instance, cmd: int32(d.Cmd), n: 1, by: int32(d.By)}, i, r.buf)
+		notify = r.notify[:len(r.notify):len(r.notify)]
 	}
-	if r.n == 0 {
-		r.base, r.by = d.Instance, d.By
-	}
-	i := d.Instance - r.base
-	if d.Cmd == 0 && i >= 0 && i < len(r.start)+recMaxHole && r.probe(d.Instance, 0) < 0 {
-		for len(r.start) <= i {
-			r.start = append(r.start, 0)
-		}
-		r.start[i] = int32(r.n) + 1
-	}
-	if r.probe(d.Instance, d.Cmd) != r.n {
-		r.strays = append(r.strays, int32(r.n))
-	}
-	if r.n%recChunk == 0 {
-		// A whole chunk at a time, except the first, which grows from
-		// nothing: single-decree protocols record one decision.
-		r.chunks = append(r.chunks, make([]row, 0, min(r.n, recChunk)))
-		r.elapsed = append(r.elapsed, nil)
-	}
-	w := row{v: d.Value, at: d.At, inst: int32(i), cmd: int32(d.Cmd)}
-	if int(w.inst) != i || int(w.cmd) != d.Cmd || d.Cmd < 0 || d.By != r.by {
-		w = row{cmd: ^int32(len(r.whole))}
-		r.whole = append(r.whole, d)
-	} else if d.Elapsed != 0 {
-		e := &r.elapsed[r.n/recChunk]
-		if *e == nil {
-			*e = new([recChunk]time.Duration)
-		}
-		(*e)[r.n%recChunk] = d.Elapsed
-	}
-	c := &r.chunks[r.n/recChunk]
-	*c = append(*c, w)
-	r.n++
-	notify := r.notify[:len(r.notify):len(r.notify)]
 	r.mu.Unlock()
 	for _, fn := range notify {
 		fn(d)
+	}
+}
+
+// RecordInstance stores, in one row, the decision of every command in an
+// instance's decided value v, learned at at by process by. enq, where the
+// proposing leader has it, is when each command was queued: its Elapsed is
+// the time from then to at. Command slots recorded already are ignored.
+func (r *Recorder) RecordInstance(inst int, v Value, at sim.Time, by node.ID, enq []sim.Time) {
+	r.mu.Lock()
+	w := row{v: v, at: at, inst: inst, by: int32(by)}
+	ds := r.cut(&w)
+	for k := range ds[:min(len(ds), len(enq))] {
+		ds[k].Elapsed = at.Sub(enq[k])
+	}
+	if w.n = int32(len(ds)); w.n == 1 {
+		w.v = ds[0].Value // a lone command, out of its envelope if it came in one
+	}
+	tell := r.notify[:len(r.notify):len(r.notify)]
+	if _, i := r.find(inst, math.MaxInt); i == 0 || r.log[r.sorted[i-1]].inst != inst {
+		r.add(w, i, ds)
+	} else {
+		tell = []func(Decision){r.Record} // the instance has rows: slot by slot
+	}
+	if ds = nil; len(tell) > 0 {
+		ds = slices.Clone(r.buf) // buf is the next cut's
+	}
+	r.mu.Unlock()
+	for _, d := range ds {
+		for _, fn := range tell {
+			fn(d)
+		}
 	}
 }
 
@@ -210,13 +202,12 @@ func (r *Recorder) Record(d Decision) {
 // the whole decision for unbatched values.
 func (r *Recorder) Get(instance int) (Decision, bool) { return r.GetCmd(instance, 0) }
 
-// GetCmd returns the decision for one command slot of an instance, if
-// learned.
+// GetCmd returns the decision for one command slot of an instance, if learned.
 func (r *Recorder) GetCmd(instance, cmd int) (Decision, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if p := r.find(instance, cmd); p >= 0 {
-		return r.decision(p), true
+	if w, _ := r.find(instance, cmd); w != nil {
+		return r.cut(w)[cmd-int(w.cmd)], true
 	}
 	return Decision{}, false
 }
@@ -231,23 +222,25 @@ func (r *Recorder) Count() int {
 
 // All returns the decisions in learning order (copy).
 func (r *Recorder) All() []Decision {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]Decision, r.n)
-	for p := range out {
-		out[p] = r.decision(p)
-	}
+	out := make([]Decision, 0, r.Count())
+	r.Each(func(d Decision) { out = append(out, d) })
 	return out
 }
 
 // Each calls fn with every decision held when it is called, in learning
 // order, without copying the log. fn runs outside the recorder's lock.
 func (r *Recorder) Each(fn func(d Decision)) {
-	for p, n := 0, r.Count(); p < n; p++ {
+	r.mu.Lock()
+	log := r.log // a row never changes once it is there
+	r.mu.Unlock()
+	var ds []Decision
+	for p := range log {
 		r.mu.Lock()
-		d := r.decision(p)
+		ds = append(ds[:0], r.cut(&log[p])...)
 		r.mu.Unlock()
-		fn(d)
+		for _, d := range ds {
+			fn(d)
+		}
 	}
 }
 
@@ -345,8 +338,8 @@ func (r SafetyReport) Holds() bool { return r.Agreement && r.Validity }
 func CheckSafety(in SafetyInput) SafetyReport {
 	rep := SafetyReport{Agreement: true, Validity: true}
 	// chosen keeps the first decision seen for each command slot, whoever
-	// made it (By is not recorded, so every row packs): a Recorder is the
-	// slot table, and instances counts them.
+	// made it, one row a slot: a Recorder is the slot table, and instances
+	// counts them.
 	chosen := NewRecorder()
 	var instances []int
 	for id, r := range in.Recorders {
@@ -355,8 +348,8 @@ func CheckSafety(in SafetyInput) SafetyReport {
 		}
 		r.Each(func(d Decision) {
 			rep.TotalDecisions++
-			if p := chosen.find(d.Instance, d.Cmd); p >= 0 {
-				if prev := chosen.at(p).v; prev != d.Value {
+			if c, _ := chosen.find(d.Instance, d.Cmd); c != nil {
+				if prev := c.v; prev != d.Value {
 					rep.Agreement = false
 					rep.Violations = append(rep.Violations, fmt.Sprintf(
 						"instance %d cmd %d: p%d decided %q but %q was decided elsewhere", d.Instance, d.Cmd, id, d.Value, prev))

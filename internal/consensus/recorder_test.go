@@ -2,13 +2,16 @@ package consensus
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 	"unsafe"
+
+	"repro/internal/node"
+	"repro/internal/sim"
 )
 
 // decisionKey identifies one command slot: batching means an instance can
@@ -17,22 +20,68 @@ type decisionKey struct {
 	inst, cmd int
 }
 
-// refRecorder is the map-and-slice Recorder this package had before the
-// chunked log: the model the differential test holds the new one to.
+// refRecorder is the map-and-slice Recorder this package began with: one
+// Decision per command slot, first record wins, arrival order kept. It is
+// the model every layout since is held to.
 type refRecorder struct {
 	decisions map[decisionKey]Decision
 	order     []Decision
 }
 
-func (m *refRecorder) record(d Decision) bool {
+func newRef() *refRecorder { return &refRecorder{decisions: make(map[decisionKey]Decision)} }
+
+func (m *refRecorder) record(d Decision) {
 	key := decisionKey{d.Instance, d.Cmd}
-	if _, ok := m.decisions[key]; ok {
-		return false
+	if _, ok := m.decisions[key]; !ok {
+		m.decisions[key] = d
+		m.order = append(m.order, d)
 	}
-	m.decisions[key] = d
-	m.order = append(m.order, d)
-	return true
 }
+
+// recordInstance is RecordInstance by its definition: every command of the
+// value, slot by slot.
+func (m *refRecorder) recordInstance(inst int, v Value, at sim.Time, by node.ID, enq []sim.Time) {
+	for k, cmd := range testSplit(nil, v) {
+		d := Decision{Instance: inst, Cmd: k, Value: cmd, At: at, By: by}
+		if k < len(enq) {
+			d.Elapsed = at.Sub(enq[k])
+		}
+		m.record(d)
+	}
+}
+
+// testMark begins an envelope in the tests' own batch format (rsm's is its
+// own business): the marker, then each command behind a one-byte length. As
+// in rsm, anything else — a malformed envelope too — is one raw command.
+const testMark = "\x00b"
+
+func testPack(cmds ...Value) Value {
+	var sb strings.Builder
+	sb.WriteString(testMark)
+	for _, c := range cmds {
+		sb.WriteByte(byte(len(c)))
+		sb.WriteString(string(c))
+	}
+	return Value(sb.String())
+}
+
+func testSplit(cmds []Value, v Value) []Value {
+	body, ok := strings.CutPrefix(string(v), testMark)
+	if !ok {
+		return append(cmds, v)
+	}
+	base := len(cmds)
+	for body != "" {
+		n := int(body[0])
+		if len(body) < 1+n {
+			return append(cmds[:base], v)
+		}
+		cmds, body = append(cmds, Value(body[1:1+n])), body[1+n:]
+	}
+	return cmds
+}
+
+func newSplitRecorder() *Recorder { return &Recorder{Split: testSplit} }
 
 // checkAgainst compares every observable of r with the model, probing
 // all slots in a box around what was recorded so misses are checked too.
@@ -42,10 +91,15 @@ func checkAgainst(t *testing.T, r *Recorder, m *refRecorder, lo, hi, cmds int) {
 		t.Fatalf("Count = %d, model %d", r.Count(), len(m.order))
 	}
 	all := r.All()
-	for i, d := range m.order {
-		if all[i] != d {
-			t.Fatalf("All[%d] = %+v, model %+v", i, all[i], d)
+	var each []Decision
+	r.Each(func(d Decision) { each = append(each, d) })
+	if !slices.Equal(all, m.order) || !slices.Equal(each, m.order) {
+		for i, d := range m.order {
+			if i >= len(all) || all[i] != d || i >= len(each) || each[i] != d {
+				t.Fatalf("decision %d: model %+v, All and Each have %d and %d and differ there", i, d, len(all), len(each))
+			}
 		}
+		t.Fatalf("All has %d decisions and Each %d, model %d", len(all), len(each), len(m.order))
 	}
 	for inst := lo - 2; inst < hi+2; inst++ {
 		for cmd := -1; cmd < cmds+1; cmd++ {
@@ -63,65 +117,121 @@ func checkAgainst(t *testing.T, r *Recorder, m *refRecorder, lo, hi, cmds int) {
 	}
 }
 
+// TestRecorderMatchesMapModel: whatever mix of Record and RecordInstance
+// arrives, in whatever order, every query answers as one Decision per
+// command slot in arrival order would, Elapsed included, and the hooks see
+// each first-time decision once, in that order.
 func TestRecorderMatchesMapModel(t *testing.T) {
-	// Each shape is a stream of (instance, cmd) slots; every one is fed
-	// with duplicates mixed in, to both recorders, values distinct per
-	// attempt so that first-record-wins is visible.
 	const cmds = 5
-	shapes := map[string]func(rng *rand.Rand, i int) (inst, cmd int){
-		// What rsm does: instances in order, commands in order.
-		"in-order": func(_ *rand.Rand, i int) (int, int) { return i / cmds, i % cmds },
+	// Each shape is a stream of instance numbers.
+	shapes := map[string]func(rng *rand.Rand, i int) int{
+		// What rsm does: instances in order.
+		"in-order": func(_ *rand.Rand, i int) int { return i },
 		// The same after a restore at a large snapshot index.
-		"restored": func(_ *rand.Rand, i int) (int, int) { return 1<<40 + i/cmds, i % cmds },
+		"restored": func(_ *rand.Rand, i int) int { return 1<<40 + i },
 		// Anything at all in a small box: out of order, sparse, repeated.
-		"random": func(rng *rand.Rand, _ int) (int, int) { return 100 + rng.Intn(40), rng.Intn(cmds) },
+		"random": func(rng *rand.Rand, _ int) int { return 100 + rng.Intn(60) },
 		// Instances descending: every one lands below the first.
-		"descending": func(_ *rand.Rand, i int) (int, int) { return 500 - i/cmds, i % cmds },
-		// Commands in reverse inside each instance.
-		"cmds-reversed": func(_ *rand.Rand, i int) (int, int) { return i / cmds, cmds - 1 - i%cmds },
-		// Holes, some wider than the index will span.
-		"sparse": func(rng *rand.Rand, i int) (int, int) {
-			return 7 + (i/cmds)*(1+rng.Intn(3)*recMaxHole), i % cmds
-		},
+		"descending": func(_ *rand.Rand, i int) int { return 5000 - i },
+		// Holes no index could span: nothing may be sized by an instance number.
+		"sparse": func(rng *rand.Rand, i int) int { return 7 + i*(1+rng.Intn(3)<<40) },
 	}
 	for name, shape := range shapes {
-		name, shape := name, shape
 		t.Run(name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(20040725))
-			r := NewRecorder()
-			m := &refRecorder{decisions: make(map[decisionKey]Decision)}
-			notified := 0
-			r.AddNotify(func(Decision) { notified++ })
+			r, m := newSplitRecorder(), newRef()
+			var told []Decision
+			r.AddNotify(func(d Decision) { told = append(told, d) })
 			lo, hi := 1<<62, -1<<62
-			var seen []decisionKey
-			feed := func(inst, cmd, i int) {
-				d := Decision{Instance: inst, Cmd: cmd, Value: Value(fmt.Sprint("v", i)), By: 3}
-				r.Record(d)
-				m.record(d)
+			var seen []int
+			feed := func(inst, i int) {
+				at, by := sim.Time(1000+i), node.ID(3)
+				val := func(k int) Value { return Value(fmt.Sprint("v", i, ".", k)) }
+				switch op := rng.Intn(10); {
+				case op < 3: // one command slot, k > 0 included, as single-decree protocols and old callers record
+					d := Decision{Instance: inst, Cmd: rng.Intn(cmds), Value: val(0), At: at, By: by}
+					if rng.Intn(2) == 0 {
+						d.Elapsed = time.Duration(1+rng.Intn(50)) * time.Microsecond
+					}
+					r.Record(d)
+					m.record(d)
+					return
+				case op < 8: // an instance of 0..cmds commands in an envelope
+					vs := make([]Value, rng.Intn(cmds+1))
+					for k := range vs {
+						vs[k] = val(k)
+					}
+					var enq []sim.Time // the proposing leader's, sometimes short
+					for k := rng.Intn(len(vs) + 1); rng.Intn(2) == 0 && len(enq) < k; {
+						enq = append(enq, at-sim.Time(1+rng.Intn(900)))
+					}
+					r.RecordInstance(inst, testPack(vs...), at, by, enq)
+					m.recordInstance(inst, testPack(vs...), at, by, enq)
+				case op == 8: // a lone raw command
+					r.RecordInstance(inst, val(0), at, by, []sim.Time{at - 5})
+					m.recordInstance(inst, val(0), at, by, []sim.Time{at - 5})
+				default: // a lone command that itself starts with the marker, so wrapped
+					v := testPack(testMark + val(0))
+					r.RecordInstance(inst, v, at, by, nil)
+					m.recordInstance(inst, v, at, by, nil)
+				}
 			}
-			for i := 0; i < 3*recChunk; i++ { // crosses chunk boundaries
-				inst, cmd := shape(rng, i)
-				feed(inst, cmd, i)
-				seen = append(seen, decisionKey{inst, cmd})
+			for i := 0; i < 3000; i++ {
+				inst := shape(rng, i)
+				feed(inst, i)
+				seen = append(seen, inst)
 				lo, hi = min(lo, inst), max(hi, inst)
 				if rng.Intn(4) == 0 {
-					k := seen[rng.Intn(len(seen))] // a late duplicate, with another value
-					feed(k.inst, k.cmd, -i)
+					feed(seen[rng.Intn(len(seen))], -i) // a late duplicate, with other values
 				}
 				if i%997 == 0 {
 					checkAgainst(t, r, m, lo, min(hi, lo+300), cmds)
 				}
 			}
 			checkAgainst(t, r, m, lo, min(hi, lo+700), cmds)
-			if notified != len(m.order) {
-				t.Fatalf("notify ran %d times for %d first-time records", notified, len(m.order))
+			if !slices.Equal(told, m.order) {
+				t.Fatalf("the hook saw %d decisions, not the model's %d in its order", len(told), len(m.order))
 			}
-			if name == "in-order" || name == "restored" {
-				if len(r.strays) != 0 {
-					t.Fatalf("%d strays on the replicated-log pattern: lookups would scan", len(r.strays))
-				}
+			if len(r.sorted) != len(r.log) || cap(r.sorted) > 2*len(r.log)+64 {
+				t.Fatalf("index of %d (cap %d) for %d rows: sized by something else than the rows", len(r.sorted), cap(r.sorted), len(r.log))
 			}
 		})
+	}
+}
+
+// TestRecorderKeepsAnInstanceInOneRow: what the layout is for. A batched
+// instance costs one row whatever it carries, a follower keeps no Elapsed,
+// and a leader's are kept only for the instances it led.
+func TestRecorderKeepsAnInstanceInOneRow(t *testing.T) {
+	if got := unsafe.Sizeof(row{}); got > 48 {
+		t.Fatalf("a row is %d bytes, want at most 48", got)
+	}
+	leader, follower := newSplitRecorder(), newSplitRecorder()
+	const n, k = 300, 4
+	led := func(i int) bool { return i < 100 || i >= 200 } // the middle third was led by someone else
+	for i := 0; i < n; i++ {
+		v, at := testPack("a", "b", "c", "d"), sim.Time(10*i+9)
+		follower.RecordInstance(i, v, at, 1, nil)
+		var enq []sim.Time
+		if led(i) {
+			enq = []sim.Time{at - 1, at - 2, at - 3, at - 4}
+		}
+		leader.RecordInstance(i, v, at, 0, enq)
+	}
+	if len(follower.log) != n || follower.Count() != n*k || len(follower.elapsed) != 0 {
+		t.Fatalf("follower: %d rows, %d decisions, %d Elapsed; want %d, %d, 0", len(follower.log), follower.Count(), len(follower.elapsed), n, n*k)
+	}
+	if len(leader.log) != n || len(leader.elapsed) != 200*k {
+		t.Fatalf("leader: %d rows and %d Elapsed, want %d and %d", len(leader.log), len(leader.elapsed), n, 200*k)
+	}
+	for p, d := range leader.All() {
+		want := time.Duration(0)
+		if led(p / k) {
+			want = time.Duration(1 + p%k)
+		}
+		if got, _ := leader.GetCmd(p/k, p%k); d.Elapsed != want || got != d || d.Instance != p/k || d.Cmd != p%k {
+			t.Fatalf("decision %d: All %+v, GetCmd %+v, want Elapsed %v", p, d, got, want)
+		}
 	}
 }
 
@@ -130,7 +240,7 @@ func TestRecorderConcurrentRecordAndAll(t *testing.T) {
 	// event loop records: run under -race. Every snapshot must be a
 	// prefix of the final log.
 	r := NewRecorder()
-	const writers, per = 4, 2 * recChunk
+	const writers, per = 4, 2048
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
@@ -141,7 +251,7 @@ func TestRecorderConcurrentRecordAndAll(t *testing.T) {
 			}
 		}(w)
 	}
-	snaps := make(chan []Decision, 64)
+	snaps := make(chan []Decision, 64) // every snapshot taken: the reader never waits for the checker
 	go func() {
 		defer close(snaps)
 		for i := 0; i < 64; i++ {
@@ -175,80 +285,49 @@ func TestRecorderConcurrentRecordAndAll(t *testing.T) {
 	}
 }
 
-// TestRecorderKeepsWholeWhatDoesNotPack: a row holds an instance within an
-// int32 of the first one recorded, a command index an int32 holds, and the
-// recorder's one By. Anything else is kept as the Decision it came as, and
-// every query answers as the model does.
-func TestRecorderKeepsWholeWhatDoesNotPack(t *testing.T) {
-	if got := unsafe.Sizeof(row{}); got > 32 {
-		t.Fatalf("a row is %d bytes, want at most 32", got)
+// TestRecorderConcurrentEachAndRecordInstance: the applier records instances
+// while a checker or a scrape walks the log (run under -race). A walk sees
+// whole instances only, in order, and what it sees is a prefix of the log.
+func TestRecorderConcurrentEachAndRecordInstance(t *testing.T) {
+	r := newSplitRecorder()
+	const n = 4000
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < n; i++ {
+			r.RecordInstance(i, testPack("x", Value(fmt.Sprint(i)), "z"), sim.Time(i), 2, []sim.Time{0, 0, 0})
+		}
+	}()
+	walk := func() int {
+		seen := 0
+		r.Each(func(d Decision) {
+			want := Decision{Instance: seen / 3, Cmd: seen % 3, Value: "x", At: sim.Time(seen / 3), By: 2, Elapsed: time.Duration(seen / 3)}
+			switch seen % 3 {
+			case 1:
+				want.Value = Value(fmt.Sprint(seen / 3))
+			case 2:
+				want.Value = "z"
+			}
+			if d != want {
+				t.Errorf("decision %d of a walk: %+v, want %+v", seen, d, want)
+			}
+			seen++
+		})
+		if seen%3 != 0 {
+			t.Errorf("a walk ended inside an instance, after %d decisions", seen)
+		}
+		return seen
 	}
-	const base = 1000
-	r := NewRecorder()
-	m := &refRecorder{decisions: make(map[decisionKey]Decision)}
-	for _, c := range []struct {
-		d     Decision
-		whole int // decisions kept whole once d is recorded
-	}{
-		{Decision{Instance: base, Value: "first", By: 3, At: 5}, 0},
-		{Decision{Instance: base, Cmd: 1, Value: "another learner", By: 4, Elapsed: time.Second}, 1},
-		{Decision{Instance: base + 1, Value: "packs", By: 3, At: 7, Elapsed: time.Millisecond}, 1},
-		{Decision{Instance: base + math.MaxInt32 + 1, Value: "an int32 too far", By: 3}, 2},
-		{Decision{Instance: base + math.MinInt32, Value: "the lowest that packs", By: 3}, 2},
-		{Decision{Instance: base + math.MinInt32 - 1, Value: "an int32 too low", By: 3}, 3},
-		{Decision{Instance: math.MinInt64 + 7, Cmd: 2, Value: "far below", By: 3, Elapsed: time.Minute}, 4},
-		{Decision{Instance: base + 1, Cmd: math.MaxInt32 + 1, Value: "wide command index", By: 3}, 5},
-		{Decision{Instance: base + 1, Cmd: -1, Value: "negative command index", By: 3}, 6},
-		{Decision{Instance: base + math.MaxInt32 + 1, Value: "a duplicate of a whole one", By: 3}, 6},
-	} {
-		r.Record(c.d)
-		m.record(c.d)
-		if len(r.whole) != c.whole {
-			t.Fatalf("after %q: %d decisions kept whole, want %d", c.d.Value, len(r.whole), c.whole)
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+			walk()
 		}
 	}
-	checkAgainst(t, r, m, base, base+2, 3)
-	for _, d := range m.order {
-		if got, ok := r.GetCmd(d.Instance, d.Cmd); !ok || got != d {
-			t.Fatalf("GetCmd(%d,%d) = %+v,%v, want %+v", d.Instance, d.Cmd, got, ok, d)
-		}
-	}
-}
-
-// TestRecorderElapsedOnlyWhereOneLands: the proposing leader's decisions
-// carry an Elapsed and get it back from every query; a follower's carry
-// none, and it never pays for the column.
-func TestRecorderElapsedOnlyWhereOneLands(t *testing.T) {
-	leader, follower := NewRecorder(), NewRecorder()
-	const n = 2*recChunk + 10
-	for i := 0; i < n; i++ {
-		d := Decision{Instance: i / 4, Cmd: i % 4, Value: "v", At: 9, By: 1}
-		follower.Record(d)
-		if i < recChunk || i >= 2*recChunk { // the middle chunk was led by someone else
-			d.Elapsed = time.Duration(i+1) * time.Microsecond
-		}
-		leader.Record(d)
-	}
-	if slices.ContainsFunc(follower.elapsed, func(e *[recChunk]time.Duration) bool { return e != nil }) {
-		t.Fatal("a follower allocated an Elapsed chunk")
-	}
-	if len(leader.elapsed) != 3 || leader.elapsed[0] == nil || leader.elapsed[1] != nil || leader.elapsed[2] == nil {
-		t.Fatalf("leader's Elapsed chunks %v, want one beside the first and third log chunks only", leader.elapsed)
-	}
-	all := leader.All()
-	var each []Decision
-	leader.Each(func(d Decision) { each = append(each, d) })
-	if !slices.Equal(all, each) {
-		t.Fatal("Each and All disagree")
-	}
-	for i, d := range all {
-		want := time.Duration(0)
-		if i < recChunk || i >= 2*recChunk {
-			want = time.Duration(i+1) * time.Microsecond
-		}
-		if got, _ := leader.GetCmd(i/4, i%4); d.Elapsed != want || got != d {
-			t.Fatalf("decision %d: All %+v, GetCmd %+v, want Elapsed %v", i, d, got, want)
-		}
+	if got := walk(); got != 3*n || r.Count() != 3*n {
+		t.Fatalf("the last walk saw %d decisions of %d (Count %d)", got, 3*n, r.Count())
 	}
 }
 
@@ -269,30 +348,24 @@ func TestRecorderEachRunsOutsideTheLock(t *testing.T) {
 	}
 }
 
-func TestRecorderRecordAllocatesOnlyAtChunkBoundaries(t *testing.T) {
-	// A follower's log, then a leader's: its Elapsed column comes a chunk at
-	// a time too, with the log chunk it runs beside.
-	for _, elapsed := range []time.Duration{0, time.Millisecond} {
-		r := NewRecorder()
+func TestRecorderRecordAllocatesOnlyToGrow(t *testing.T) {
+	// A follower's log, then a leader's. With room in the log, the index and
+	// the Elapsed column — they grow by amortised doubling — recording an
+	// instance allocates nothing: no closure for the splitter, no slice for
+	// the commands, whatever the batch holds.
+	v := testPack("a", "b", "c", "d")
+	for _, enq := range [][]sim.Time{nil, {1, 2, 3, 4}} {
+		r := newSplitRecorder()
 		inst := 0
 		record := func() {
-			for cmd := 0; cmd < 4; cmd++ {
-				r.Record(Decision{Instance: inst, Cmd: cmd, Value: "v", By: 1, Elapsed: elapsed})
-			}
+			r.RecordInstance(inst, v, 9, 1, enq)
+			r.Record(Decision{Instance: inst, Cmd: 7, Value: "v", By: 1}) // and the one-command row
 			inst++
 		}
-		for r.Count() < recChunk+8 { // past the first chunk, which grows by doubling
-			record()
-		}
-		// The index grows by amortised doubling, 4 bytes an instance; size it
-		// up front so that the runs measure the log alone.
-		r.start = append(make([]int32, 0, 4*recChunk), r.start...)
-		// 100 runs of 4 decisions stay inside the second chunk.
-		if got := testing.AllocsPerRun(100, record); got != 0 {
-			t.Fatalf("Elapsed %v: Record allocates %.2f times per 4 decisions inside a chunk, want 0", elapsed, got)
-		}
-		if r.Count() >= 2*recChunk {
-			t.Fatal("the measured runs crossed a chunk boundary")
+		record()
+		r.log, r.sorted, r.elapsed = slices.Grow(r.log, 512), slices.Grow(r.sorted, 512), slices.Grow(r.elapsed, 2048)
+		if got := testing.AllocsPerRun(200, record); got != 0 {
+			t.Fatalf("enq %v: recording allocates %.2f times an instance with room to spare, want 0", enq, got)
 		}
 	}
 }
@@ -301,12 +374,14 @@ var benchDecision Decision
 
 func BenchmarkRecorderRecord(b *testing.B) {
 	// The rsm applier's pattern at a follower: instances in order, 4
-	// commands each. B/op is what a decision costs to keep: a 32-byte row
-	// and its instance's share of the 4-byte index, doubling slack included.
+	// commands each, one op a command. B/op is what a decision costs to
+	// keep: its quarter of a 48-byte row and of the 4-byte index, growth
+	// slack included.
 	b.ReportAllocs()
-	r := NewRecorder()
-	for i := 0; i < b.N; i++ {
-		r.Record(Decision{Instance: i / 4, Cmd: i % 4, Value: "v", By: 1})
+	r := newSplitRecorder()
+	v := testPack("a", "b", "c", "d")
+	for i := 0; i < b.N; i += 4 {
+		r.RecordInstance(i/4, v, 9, 1, nil)
 	}
 	benchDecision, _ = r.GetCmd((b.N-1)/4, (b.N-1)%4)
 }

@@ -1,17 +1,17 @@
 package rsm
 
 import (
-	"time"
-
 	"repro/internal/consensus"
 	"repro/internal/durable"
+	"repro/internal/sim"
 )
 
 // This file is the applier layer: it walks the contiguous decided prefix
-// in order, unpacks batch envelopes, and fans out one Decision per
-// command. Latency is per command, enqueue-to-apply: the proposing leader
-// remembers when each command entered its queue and stamps the difference
-// at apply time; everywhere else Elapsed is zero ("unknown").
+// in order, records each instance once — the Recorder cuts it into one
+// Decision per command when read — and runs the hooks per command. Latency
+// is per command, enqueue-to-apply: the proposing leader remembers when
+// each command entered its queue and the record stamps the difference at
+// apply time; everywhere else Elapsed is zero ("unknown").
 
 // applier tracks apply progress and decision fan-out. What the leader
 // proposed in an instance, and when each command in it was enqueued,
@@ -23,8 +23,8 @@ type applier struct {
 }
 
 // apply runs the applier over every newly contiguous decided instance:
-// decode, fan out per-command Decisions, retire matching pending
-// commands, and advance the Done vector's own entry.
+// record it, decode, run the hook and retire the matching pending command
+// for each of its commands, and advance the Done vector's own entry.
 func (r *Node) apply() {
 	now := r.env.Now()
 	for {
@@ -43,11 +43,13 @@ func (r *Node) apply() {
 			tracked = false
 			r.bat.unassign()
 		}
+		var enq []sim.Time
+		if tracked {
+			enq = fl.enq
+		}
+		// Before the first hook: GetCmd(inst, k) answers inside it.
+		r.rec.RecordInstance(inst, v, now, r.me, enq)
 		eachCmd(v, func(k int, cmd consensus.Value) {
-			var elapsed time.Duration
-			if tracked && k < len(fl.enq) {
-				elapsed = now.Sub(fl.enq[k])
-			}
 			if tracked && k < len(fl.reqs) && fl.reqs[k].Valid() {
 				// Stage three, closing the trace: decide to apply. An
 				// instance decided without our own quorum (learned via
@@ -58,10 +60,6 @@ func (r *Node) apply() {
 				}
 				r.cfg.Tracer.Record(start, now, fl.reqs[k], "apply", -1, "")
 			}
-			r.rec.Record(consensus.Decision{
-				Instance: inst, Cmd: k, Value: cmd,
-				At: now, By: r.me, Elapsed: elapsed,
-			})
 			if r.app.onApply != nil {
 				r.app.onApply(inst, k, cmd)
 			}

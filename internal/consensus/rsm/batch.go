@@ -269,7 +269,10 @@ func (r *Node) forwardPending(leader node.ID) {
 // the offline counterpart of the applier's fan-out, for tools replaying
 // recovered logs (cmd/chaossoak's replay-equivalence check). A value
 // without the batch marker is one raw command.
-func DecodeBatch(v consensus.Value) (cmds []consensus.Value) {
+func DecodeBatch(v consensus.Value) []consensus.Value { return appendCmds(nil, v) }
+
+// appendCmds appends v's commands to cmds: the Recorder's splitter.
+func appendCmds(cmds []consensus.Value, v consensus.Value) []consensus.Value {
 	eachCmd(v, func(_ int, cmd consensus.Value) { cmds = append(cmds, cmd) })
 	return cmds
 }

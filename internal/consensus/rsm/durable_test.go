@@ -2,6 +2,7 @@ package rsm
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -75,8 +76,8 @@ func TestRestartKeepsAcceptedVote(t *testing.T) {
 		t.Fatalf("replies = %v", out)
 	}
 	p, ok := out[0].msg.(PromiseMsg)
-	if !ok || len(p.Entries) != 1 || p.Entries[0].Inst != 0 || p.Entries[0].AccV != "voted" || p.Entries[0].AccB != b {
-		t.Fatalf("promise = %+v, want the pre-crash vote reported", out[0].msg)
+	if !ok || !slices.Equal(p.Entries, []PromEntry{{Inst: 0}, {Inst: 0, AccB: b, AccV: "voted"}}) {
+		t.Fatalf("promise = %+v, want an empty decided prefix and the pre-crash vote reported", out[0].msg)
 	}
 }
 

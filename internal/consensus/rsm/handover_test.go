@@ -370,7 +370,7 @@ func TestDeferredPrepareIsAnsweredAtGrantExpiry(t *testing.T) {
 	}
 	env.now = env.now.Add(ms)
 	a.Tick(timerDrive)
-	want := sent{to: 2, msg: PromiseMsg{B: b.Next(2, 3)}}
+	want := sent{to: 2, msg: PromiseMsg{B: b.Next(2, 3), Entries: []PromEntry{{Inst: 0}}}} // its decided prefix: empty
 	if out := env.drain(); len(out) != 1 || fmt.Sprint(out[0]) != fmt.Sprint(want) || r.lease.deferred != consensus.NoBallot {
 		t.Fatalf("at the grant's expiry: sent %v, want the deferred PREPARE promised: %v", out, want)
 	}

@@ -199,10 +199,11 @@ func (r *Node) nthGrant(need int) (sim.Time, bool) {
 }
 
 // holdsLease reports whether local reads are safe right now: prepared,
-// still nominated by Omega, a quorum of grants unexpired, and no
-// post-restart blind spot in effect.
+// still nominated by Omega, a quorum of grants unexpired, nothing left to
+// learn below the floor, and no post-restart blind spot in effect.
 func (r *Node) holdsLease(now sim.Time) bool {
 	return r.cfg.Lease > 0 && r.prop.prepared && r.omega.Leader() == r.me &&
+		r.log.firstGap >= r.prop.floor &&
 		!r.lease.restartHold.After(now) &&
 		sim.Time(r.lease.heldUntil.Load()).After(now)
 }

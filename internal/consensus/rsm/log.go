@@ -213,10 +213,10 @@ func (d *doneVector) min() int {
 }
 
 // learn installs a decision locally and lets the applier run the newly
-// contiguous prefix.
-func (r *Node) learn(inst int, v consensus.Value) {
+// contiguous prefix; it reports whether the decision was news.
+func (r *Node) learn(inst int, v consensus.Value) bool {
 	if !r.log.insert(inst, v) {
-		return
+		return false
 	}
 	r.cfg.Store.Decide(uint64(inst), string(v))
 	if fl := r.log.at(inst).fl; fl != nil && fl.open {
@@ -236,6 +236,7 @@ func (r *Node) learn(inst int, v consensus.Value) {
 		r.pipe.nextInst = inst + 1
 	}
 	r.apply()
+	return true
 }
 
 // onLearn serves a lagging follower's gap-fill request and folds its

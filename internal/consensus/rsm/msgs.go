@@ -48,14 +48,18 @@ type PrepareMsg struct{ B consensus.Ballot }
 // Kind implements node.Message.
 func (PrepareMsg) Kind() string { return KindPrepare }
 
-// PromEntry reports one accepted-but-not-decided instance in a promise.
+// PromEntry reports one instance in a promise. With AccB set it is the
+// promiser's vote there. Under NoBallot it is a decision: a promise's first
+// entry says that everything below Inst is decided at the promiser (its
+// decided prefix; AccV is empty), any later one that Inst is, with AccV.
 type PromEntry struct {
 	Inst int
 	AccB consensus.Ballot
 	AccV consensus.Value
 }
 
-// PromiseMsg acknowledges a stable ballot and reports accepted entries.
+// PromiseMsg acknowledges a stable ballot and reports, for every instance
+// the preparer may propose in, what the promiser has voted or decided.
 type PromiseMsg struct {
 	B       consensus.Ballot
 	Entries []PromEntry

@@ -151,9 +151,9 @@ func (r *Node) reopen(inst int, v consensus.Value) {
 }
 
 // redrive rebroadcasts stalled instances, lowest first, with per-instance
-// backoff.
+// backoff: from the floor up, as nothing below it was proposed at this ballot.
 func (r *Node) redrive(now sim.Time) {
-	for inst := r.log.firstGap; inst < r.log.end(); inst++ {
+	for inst := max(r.log.firstGap, r.prop.floor); inst < r.log.end(); inst++ {
 		fl := r.log.at(inst).fl
 		if fl == nil || !fl.open {
 			continue

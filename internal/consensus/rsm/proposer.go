@@ -25,6 +25,11 @@ type proposer struct {
 	// only — a ballot that stood, or an abdication, ends it.
 	prepTimeout time.Duration
 	promises    map[node.ID]PromiseMsg
+	// floor is the highest decided prefix a promiser has reported, floorAt
+	// who to ask for it: below it everything is decided somewhere, so this
+	// replica proposes nothing there, ever, and learns by value (learnFloor).
+	floor   int
+	floorAt node.ID
 }
 
 // startPrepare opens (or re-opens) the stable ballot.
@@ -49,19 +54,20 @@ func (r *Node) startPrepare() {
 	r.cfg.Store.Ballot(uint64(r.prop.ballot))
 	r.cfg.Store.Promise(uint64(r.prop.ballot))
 	r.persisted()
-	r.prop.promises[r.me] = PromiseMsg{B: r.prop.ballot, Entries: r.undecidedAccepted()}
+	r.prop.promises[r.me] = PromiseMsg{B: r.prop.ballot, Entries: r.promiseEntries()}
 	r.cfg.Tracer.Mark(r.prop.prepStarted, "prepare", -1)
 	r.env.Logf("rsm: preparing ballot %v", r.prop.ballot)
 	r.env.Broadcast(PrepareMsg{B: r.prop.ballot})
 	r.maybeFinishPrepare()
 }
 
-// undecidedAccepted lists this acceptor's accepted entries for instances
-// not yet known decided.
-func (r *Node) undecidedAccepted() []PromEntry {
-	var out []PromEntry
+// promiseEntries is what this acceptor reports of every instance a preparer
+// may propose in: its decided prefix, and above it each instance it has
+// voted in or — a decided slot keeps no ballot — decided.
+func (r *Node) promiseEntries() []PromEntry {
+	out := []PromEntry{{Inst: r.log.firstGap}}
 	for inst := r.log.firstGap; inst < r.log.end(); inst++ {
-		if s := r.log.at(inst); s.accB != consensus.NoBallot {
+		if s := r.log.at(inst); s.decided || s.accB != consensus.NoBallot {
 			out = append(out, PromEntry{Inst: inst, AccB: s.accB, AccV: s.v})
 		}
 	}
@@ -96,32 +102,52 @@ func (r *Node) onPrepare(from node.ID, m PrepareMsg) {
 			// read lease that came with them) before promising.
 			r.abdicateLeader()
 		}
-		r.env.Send(from, PromiseMsg{B: m.B, Entries: r.undecidedAccepted()})
+		r.env.Send(from, PromiseMsg{B: m.B, Entries: r.promiseEntries()})
 	} else {
 		r.env.Send(from, NackMsg{B: m.B, Promised: r.acc.promised})
 	}
 }
 
 func (r *Node) onPromise(from node.ID, m PromiseMsg) {
-	if !r.prop.preparing || m.B != r.prop.ballot {
-		return
+	if m.B != r.prop.ballot || !(r.prop.preparing || r.prop.prepared) {
+		return // not this ballot's, or abdicated since
 	}
 	for _, e := range m.Entries {
 		if !r.log.reaches(e.Inst) {
-			// A vote this ballot can neither re-propose nor ignore: the promise
-			// does not count. The promiser's decisions bring up a laggard.
+			// A vote this ballot can neither re-propose nor ignore, or a decided
+			// prefix its window cannot reach: the promise does not count, and
+			// nothing is sized by it. The promiser's decisions bring up a laggard.
 			r.env.Send(from, LearnMsg{FirstGap: r.log.firstGap})
 			return
 		}
 	}
-	r.prop.promises[from] = m
-	r.maybeFinishPrepare()
+	for i, e := range m.Entries {
+		if e.AccB != consensus.NoBallot {
+			continue // a vote, weighed when the quorum is in
+		}
+		if i > 0 {
+			r.learn(e.Inst, e.AccV)
+			continue
+		}
+		r.dones.observe(from, e.Inst)
+		if e.Inst > r.prop.floor {
+			r.prop.floor, r.prop.floorAt, r.acc.stuckGap = e.Inst, from, -1
+		}
+	}
+	if r.prop.preparing { // one that comes after the quorum still says how far its sender is
+		r.prop.promises[from] = m
+		r.maybeFinishPrepare()
+	}
 }
 
 // maybeFinishPrepare completes phase 1 once a majority has promised:
 // adopt the highest accepted value per instance across the quorum,
 // re-propose those instances at the new ballot, and close unconstrained
-// gaps with no-ops so the decided prefix can grow.
+// gaps with no-ops so the decided prefix can grow — all of it from the
+// floor up. A promiser that has decided an instance reports no vote in it,
+// and it may be the only member of the quorum that cast one: below the
+// floor "nothing reported" does not mean free, and a lower-ballot vote
+// somebody else reports there is not the decision. Those are asked for.
 func (r *Node) maybeFinishPrepare() {
 	if !r.prop.preparing || len(r.prop.promises) < consensus.Majority(r.n) {
 		return
@@ -131,12 +157,13 @@ func (r *Node) maybeFinishPrepare() {
 	best := make(map[int]PromEntry)
 	for _, p := range r.prop.promises {
 		for _, e := range p.Entries {
-			if cur, ok := best[e.Inst]; !ok || e.AccB > cur.AccB {
+			if cur, ok := best[e.Inst]; e.AccB != consensus.NoBallot && (!ok || e.AccB > cur.AccB) {
 				best[e.Inst] = e
 			}
 		}
 	}
-	maxInst := r.log.highestDecided
+	floor := max(r.log.firstGap, r.prop.floor)
+	maxInst := max(r.log.highestDecided, floor-1)
 	insts := make([]int, 0, len(best))
 	for inst := range best {
 		insts = append(insts, inst)
@@ -148,21 +175,18 @@ func (r *Node) maybeFinishPrepare() {
 	if r.pipe.nextInst <= maxInst {
 		r.pipe.nextInst = maxInst + 1
 	}
-	if r.pipe.nextInst < r.log.firstGap {
-		r.pipe.nextInst = r.log.firstGap
-	}
 	// Re-propose constrained instances at the new ballot. These bypass the
 	// pipelining window: they block the decided prefix, so they must be
 	// driven regardless of how much new work is in flight.
 	for _, inst := range insts {
-		if _, decided := r.log.get(inst); decided || inst < r.log.low {
+		if _, decided := r.log.get(inst); decided || inst < floor {
 			continue
 		}
 		r.reopen(inst, best[inst].AccV)
 	}
 	// Close unconstrained gaps below nextInst with no-ops so the log's
 	// decided prefix can grow.
-	for inst := r.log.firstGap; inst < r.pipe.nextInst; inst++ {
+	for inst := floor; inst < r.pipe.nextInst; inst++ {
 		if _, decided := r.log.get(inst); decided {
 			continue
 		}
@@ -178,6 +202,36 @@ func (r *Node) maybeFinishPrepare() {
 	r.owe(false, nil)
 	r.pumpDue, r.commitDue = true, true
 	r.openBarrier() // for the reads that arrived during phase 1
+	r.learnFloor(r.env.Now(), 0)
+}
+
+// passOn sends a decision this leader had to learn by value, below its floor,
+// to the followers not known to hold it: no ACCEPT of this ballot carries it,
+// and this ballot's commit index does not decide a vote cast at an older one.
+func (r *Node) passOn(from node.ID, m DecideMsg) {
+	for f, done := range r.dones.done {
+		if id := node.ID(f); id != r.me && id != from && done <= m.Inst {
+			r.env.Send(id, m)
+		}
+	}
+}
+
+// learnFloor asks for the decisions below the floor by value, while any are
+// missing and the last ask is at least wait old (drive: once an interval):
+// whoever reported the floor first, then — each time an ask has left the
+// first gap where it was — the next peer.
+func (r *Node) learnFloor(now sim.Time, wait time.Duration) {
+	gap := r.log.firstGap
+	if gap >= r.prop.floor || now.Sub(r.acc.askedAt) < wait {
+		return
+	}
+	if gap == r.acc.stuckGap {
+		if r.prop.floorAt = (r.prop.floorAt + 1) % node.ID(r.n); r.prop.floorAt == r.me {
+			r.prop.floorAt = (r.me + 1) % node.ID(r.n)
+		}
+	}
+	r.acc.stuckGap, r.acc.askedAt = gap, now
+	r.env.Send(r.prop.floorAt, LearnMsg{FirstGap: gap})
 }
 
 func (r *Node) onNack(m NackMsg) {

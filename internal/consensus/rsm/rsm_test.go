@@ -654,10 +654,11 @@ func TestHighestDecidedAndGetters(t *testing.T) {
 // The simulator has no codec, so the replicas share one copy of each
 // envelope's bytes; a live cluster holds one per replica on top of this.
 func TestRetainedBytesPerCommand(t *testing.T) {
-	// Measured 309.8 bytes per command, and 442.1 at the parent of this
-	// test (a 56-byte Decision per Recorder row, a 24-byte SendRecord); the
-	// wider row alone is 120 bytes a command, which the budget refuses.
-	const commands, budget = 20000, 340
+	// Measured 156.0 bytes per command with one Recorder row per decided
+	// instance; 309.8 with a packed 32-byte row per command on each of the
+	// five replicas (PR 21), which alone is 160 bytes a command and which
+	// the budget refuses; 442.1 before that.
+	const commands, budget = 20000, 180
 	c := newClusterCfg(t, 5, 1, network.Timely(ms), Config{BatchMax: 16, Window: 8, DriveInterval: 5 * ms})
 	w, nodes := c.world, c.nodes
 	w.Start()

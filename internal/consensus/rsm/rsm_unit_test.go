@@ -556,8 +556,8 @@ func TestAcceptOvertakingItsPrepareIsNotANack(t *testing.T) {
 		t.Fatalf("replies = %+v", out)
 	}
 	p, ok := out[0].msg.(PromiseMsg)
-	if !ok || p.B != b || len(p.Entries) != 1 || p.Entries[0].AccV != "early" {
-		t.Fatalf("reply = %+v, want a promise at %v reporting the vote already cast", out[0].msg, b)
+	if !ok || p.B != b || len(p.Entries) != 2 || p.Entries[0] != (PromEntry{}) || p.Entries[1].AccV != "early" {
+		t.Fatalf("reply = %+v, want a promise at %v reporting an empty decided prefix and the vote already cast", out[0].msg, b)
 	}
 	// A genuinely lower ballot is still refused.
 	r.Deliver(0, PrepareMsg{B: b - 1})
@@ -603,19 +603,121 @@ func TestWildInstanceNumbersAreDropped(t *testing.T) {
 	}
 
 	// A preparer cannot re-propose a vote it cannot reach, and may not
-	// ignore it: the promise does not count, and the promiser is asked.
-	l := New(consensus.StaticLeader(0), Config{})
-	lenv := newFakeEnv(0, 3)
-	l.Start(lenv)
-	l.Tick(timerDrive)
-	lenv.drain()
-	l.Deliver(1, PromiseMsg{B: l.prop.ballot, Entries: []PromEntry{{Inst: 2, AccB: b, AccV: "near"}, {Inst: wild, AccB: b, AccV: "far"}}})
-	if got := lenv.drain(); l.prop.prepared || len(l.log.slots) != 0 || l.pipe.nextInst != 0 ||
-		len(got) != 1 || got[0] != (sent{1, LearnMsg{FirstGap: 0}}) {
-		t.Fatalf("wild promise: prepared=%v, %d slots, next instance %d, sent %+v", l.prop.prepared, len(l.log.slots), l.pipe.nextInst, got)
+	// ignore it; nor can it hold a decided prefix, or a decision above one,
+	// that far ahead: the promise does not count, the promiser is asked, and
+	// nothing is sized, or moved, or allocated by the number.
+	for what, entries := range map[string][]PromEntry{
+		"a vote":           {{Inst: 2, AccB: b, AccV: "near"}, {Inst: wild, AccB: b, AccV: "far"}},
+		"a decided prefix": {{Inst: 1 << 40}, {Inst: 1<<40 + 1, AccB: b, AccV: "far"}},
+		"a decision":       {{Inst: 0}, {Inst: 1 << 40, AccV: "far"}},
+	} {
+		l := New(consensus.StaticLeader(0), Config{})
+		lenv := newFakeEnv(0, 3)
+		l.Start(lenv)
+		l.Tick(timerDrive)
+		lenv.drain()
+		m := PromiseMsg{B: l.prop.ballot, Entries: entries}
+		l.Deliver(1, m)
+		if got := lenv.drain(); l.prop.prepared || len(l.log.slots) != 0 || l.pipe.nextInst != 0 || l.prop.floor != 0 || l.FirstGap() != 0 ||
+			len(got) != 1 || got[0] != (sent{1, LearnMsg{FirstGap: 0}}) {
+			t.Fatalf("%s out of reach: prepared=%v, %d slots, next instance %d, floor %d, sent %+v", what, l.prop.prepared, len(l.log.slots), l.pipe.nextInst, l.prop.floor, got)
+		}
+		lenv.mute = true
+		var boxed node.Message = m
+		if allocs := testing.AllocsPerRun(100, func() { l.Deliver(1, boxed) }); allocs != 0 {
+			t.Fatalf("%s out of reach allocates %.1f objects a PROMISE", what, allocs)
+		}
+		lenv.mute = false
+		l.Deliver(2, PromiseMsg{B: l.prop.ballot})
+		if !l.prop.prepared || len(acceptsOf(lenv.drain())) != 0 {
+			t.Fatalf("a sound promise after %s out of reach did not finish phase 1 with nothing to re-propose", what)
+		}
 	}
-	l.Deliver(2, PromiseMsg{B: l.prop.ballot})
-	if !l.prop.prepared || len(acceptsOf(lenv.drain())) != 0 {
-		t.Fatal("a sound promise after the wild one did not finish phase 1 with nothing to re-propose")
+}
+
+// TestLaggingPreparerNeverFillsADecidedSlot is ROADMAP item 0's schedule by
+// hand, without the restart and the WAL it was first seen behind: a leader
+// that is behind a member of its own phase-1 quorum. p1 leads and decides
+// instance 0 on p2's vote; the commit index never reaches p2, and p1 has
+// proposed instance 1 to nobody yet. Omega moves to p0, which has heard none
+// of it. p1, which has decided 0, has no vote to report there, and its
+// PROMISE completes p0's quorum before p2's — the one that carries the vote.
+// A preparer that reads "nothing reported" as "free" fills 0 with a no-op,
+// p2 (0 undecided, the ballot high enough) votes for it, and two values are
+// decided in one slot. Below the decided prefix a promiser reports, p0 must
+// propose nothing and ask for the decisions by value.
+func TestLaggingPreparerNeverFillsADecidedSlot(t *testing.T) {
+	const n = 3
+	omega := &fakeOmega{leader: 1}
+	var nodes [n]*Node
+	var envs [n]*fakeEnv
+	for i := range nodes {
+		nodes[i], envs[i] = New(omega, Config{}), newFakeEnv(node.ID(i), n)
+		nodes[i].Start(envs[i])
+	}
+	// deliver hands p's outbox to those of its addressees that keep lets
+	// through, in sending order, and returns what it held back.
+	deliver := func(p node.ID, keep func(s sent) bool) (held []sent) {
+		for _, s := range envs[p].drain() {
+			if keep(s) {
+				nodes[s.to].Deliver(p, s.msg)
+			} else {
+				held = append(held, s)
+			}
+		}
+		return held
+	}
+	all := func(sent) bool { return true }
+	to := func(q node.ID) func(sent) bool { return func(s sent) bool { return s.to == q } }
+
+	deliver(1, all) // p1's PREPARE, sent at boot
+	deliver(0, all)
+	deliver(2, all) // the PROMISEs: p1 stands
+	nodes[1].Submit("a")
+	deliver(1, to(2)) // ACCEPT 0 reaches p2 alone
+	deliver(2, all)   // ACCEPTED: p1 decides instance 0
+	nodes[1].Submit("b")
+	envs[1].drain() // ACCEPT 1 and the commit index of 0 are in flight for good
+	if v, ok := nodes[1].Get(0); !ok || v != "a" || nodes[2].FirstGap() != 0 || nodes[2].log.voted != 1 || nodes[0].log.end() != 0 {
+		t.Fatalf("setup: p1 decided %q,%v in 0; p2 first gap %d with %d votes; p0 holds %d slots", v, ok, nodes[2].FirstGap(), nodes[2].log.voted, nodes[0].log.end())
+	}
+
+	omega.leader = 0
+	nodes[0].Tick(timerDrive) // PREPARE
+	deliver(0, all)
+	late := deliver(2, func(sent) bool { return false }) // p2's PROMISE, with its vote in 0, is the slower one
+	deliver(1, all)                                      // p1's completes the quorum
+	if !nodes[0].prop.prepared {
+		t.Fatal("p0 and p1 are a majority: phase 1 should stand")
+	}
+	held := deliver(0, to(2)) // what p0 sends reaches p2 first
+	deliver(2, all)           // and its votes come straight back
+	for _, s := range append(held, late...) {
+		from := node.ID(0)
+		if s.to == 0 {
+			from = 2
+		}
+		nodes[s.to].Deliver(from, s.msg)
+	}
+	for p := node.ID(0); p < n; p++ { // whatever is still owed: LEARN, the decisions by value
+		for q := node.ID(0); q < n; q++ {
+			deliver(q, all)
+		}
+	}
+
+	recs := make([]*consensus.Recorder, n)
+	for i, r := range nodes {
+		recs[i] = r.Recorder()
+	}
+	if rep := consensus.CheckSafety(consensus.SafetyInput{Recorders: recs}); !rep.Holds() {
+		t.Fatalf("safety: %v", rep.Violations)
+	}
+	if v, ok := nodes[0].Get(0); !ok || v != "a" || nodes[0].FirstGap() < 1 {
+		t.Fatalf("p0 has %q,%v in instance 0 and first gap %d: it should have learned p1's decision by value", v, ok, nodes[0].FirstGap())
+	}
+	// p2's vote in 0 is at p1's ballot, which p0's commit index does not
+	// decide: p0 passes on what it learned, and p2 never has to ask.
+	if v, ok := nodes[2].Get(0); !ok || v != "a" || nodes[2].acc.askedAt != 0 {
+		t.Fatalf("p2 has %q,%v in instance 0, asked at %v: p0 should have passed the decision on", v, ok, nodes[2].acc.askedAt)
 	}
 }

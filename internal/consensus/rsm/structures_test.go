@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -306,11 +307,12 @@ func TestRestoreAtLargeSnapIndexKeepsWindowSmall(t *testing.T) {
 	if d, ok := r.Recorder().Get(base + 1); !ok || d.Value != "d1" || r.Recorder().Count() != 2 {
 		t.Fatalf("recorder after replay: %+v,%v of %d", d, ok, r.Recorder().Count())
 	}
-	// The surviving vote is what a preparer hears about, in instance order.
+	// What a preparer hears about, in instance order: the decided prefix,
+	// the surviving vote, and the island decided above it.
 	r.Deliver(1, PrepareMsg{B: b + 3})
 	out := env.drain()
 	p, ok := out[len(out)-1].msg.(PromiseMsg)
-	if !ok || len(p.Entries) != 1 || p.Entries[0] != (PromEntry{Inst: base + 2, AccB: b, AccV: "voted"}) {
+	if !ok || !slices.Equal(p.Entries, []PromEntry{{Inst: base + 2}, {Inst: base + 2, AccB: b, AccV: "voted"}, {Inst: base + 4, AccV: "island"}}) {
 		t.Fatalf("promise after restore = %+v", out)
 	}
 	// Filling the gap applies through the island and the horizon follows.

@@ -55,6 +55,8 @@ func FuzzEnvelopeRoundTrip(f *testing.F) {
 		{1, rsm.AcceptMsg{B: 5, Inst: 1 << 28, V: "far", CommitUpTo: 6}},
 		{1, rsm.DecideMsg{Inst: 1 << 28, V: "far"}},
 		{2, rsm.PromiseMsg{B: 5, Entries: []rsm.PromEntry{{Inst: 1 << 28, AccB: 4, AccV: "far"}}}},
+		// A promise reporting decisions under NoBallot, a prefix no log reaches among them.
+		{2, rsm.PromiseMsg{B: 5, Entries: []rsm.PromEntry{{Inst: 1 << 40}, {Inst: 1<<40 + 2, AccB: 4, AccV: "vote"}, {Inst: 1<<40 + 3, AccV: "decided"}}}},
 		{0, group.Msg{Group: 0, Inner: rsm.RequestMsg{V: "k=v"}}},
 		{2, group.Msg{Group: 3, Inner: rsm.AcceptMsg{B: 5, Inst: 7, V: "cmd", CommitUpTo: 6, LeaseSeq: 3}}},
 		{1, group.Msg{Group: 1, Inner: core.LeaderMsg{Epoch: 9}}},

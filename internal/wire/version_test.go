@@ -216,6 +216,65 @@ func TestRSMDecideWireFrozen(t *testing.T) {
 	}
 }
 
+// TestRSMPromiseWireFrozen pins RSM-PROMISE in both versions. The layout is
+// what it has always been, a ballot and a counted list of (instance, ballot,
+// value): a promise of votes alone is byte for byte the frame older builds
+// sent and still decodes. What a promiser has decided — its prefix first,
+// then any instance above it — rides in the same entries under NoBallot, so
+// a frame that reports them is one any build decodes.
+func TestRSMPromiseWireFrozen(t *testing.T) {
+	fixed := NewCodec()
+	fixed.SetEncodeVersion(VersionFixed)
+	votes := rsm.PromiseMsg{B: 9, Entries: []rsm.PromEntry{{Inst: 5, AccB: 2, AccV: "ab"}}}
+	decided := rsm.PromiseMsg{B: 9, Entries: []rsm.PromEntry{{Inst: 300}, {Inst: 300, AccB: 2, AccV: "ab"}, {Inst: 302, AccV: "c"}}}
+	for _, tc := range []struct {
+		name  string
+		c     *Codec
+		m     rsm.PromiseMsg
+		frame []byte
+	}{
+		{"fixed votes", fixed, votes, []byte{
+			0, 0, 0, 7, // sender id, big-endian u32
+			codeRSMPromise,
+			0, 0, 0, 0, 0, 0, 0, 9, // ballot, big-endian u64
+			0, 0, 0, 1, // entries
+			0, 0, 0, 0, 0, 0, 0, 5, // instance
+			0, 0, 0, 0, 0, 0, 0, 2, // the ballot voted at
+			0, 0, 0, 2, 'a', 'b', // value, length-prefixed
+		}},
+		{"varint votes", NewCodec(), votes, []byte{
+			verVarintByte,
+			7, // sender id, uvarint
+			codeRSMPromise,
+			9, // ballot
+			1, // entries
+			5, 2, 2, 'a', 'b',
+		}},
+		{"varint decided", NewCodec(), decided, []byte{
+			verVarintByte,
+			7,
+			codeRSMPromise,
+			9,
+			3,
+			0xAC, 0x02, 0, 0, // NoBallot first: everything below 300 is decided here
+			0xAC, 0x02, 2, 2, 'a', 'b', // a vote in 300
+			0xAE, 0x02, 0, 1, 'c', // NoBallot again: 302 is decided, with "c"
+		}},
+	} {
+		b, err := tc.c.MarshalEnvelope(7, tc.m)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if !reflect.DeepEqual(b, tc.frame) {
+			t.Fatalf("%s envelope = % x, want % x", tc.name, b, tc.frame)
+		}
+		env, err := tc.c.UnmarshalEnvelope(tc.frame)
+		if err != nil || !reflect.DeepEqual(env.Msg, node.Message(tc.m)) {
+			t.Fatalf("%s decoded %+v, %v", tc.name, env.Msg, err)
+		}
+	}
+}
+
 // TestSteadyStateEncodeAllocs pins the allocation-free encode path: with a
 // reused destination buffer, marshaling a heartbeat envelope performs no
 // allocations in either version.

@@ -12,6 +12,8 @@
 #
 # The change is this checkout as it stands, uncommitted edits included; the
 # parent is what scripts/parent.sh checks out (BASE, or PARENT=<dir>).
+# KEEP=<file> keeps every run's values, one "SIDE SEED METRIC VALUE" a line:
+# the per-seed numbers a CHANGES.md entry quotes.
 set -euo pipefail
 w=${1:?usage: bench-pairs.sh WORKLOAD [N]}
 n=${2:-10}
@@ -73,4 +75,5 @@ END {
 		printf "\n"
 	}
 }' "$runs"
+[ -z "${KEEP:-}" ] || cp "$runs" "$KEEP"
 rm -f "$runs"
