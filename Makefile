@@ -7,8 +7,11 @@ all: vet test
 build:
 	$(GO) build ./...
 
+# gofmt -l lists what it would rewrite and exits 0 all the same: a
+# non-empty list fails here.
 vet:
 	$(GO) vet ./...
+	@fmt=$$(gofmt -l .); [ -z "$$fmt" ] || { echo "gofmt -l . lists:"; echo "$$fmt"; exit 1; }
 
 test: bench-check
 	$(GO) test ./...

@@ -167,15 +167,15 @@ func BenchmarkWireVectorRoundTrip(b *testing.B) {
 }
 
 // BenchmarkSinkRecordSend measures the steady-state observer record path:
-// one pre-interned OnSend into a wrapped (full) send-log ring. This is the
+// one pre-interned OnSend into a send log at its window. This is the
 // per-message instrumentation cost every simulated or live send pays; it
-// must stay allocation-free.
+// must stay at 0 allocs/op (a 2 KiB chunk per two thousand of these sends).
 func BenchmarkSinkRecordSend(b *testing.B) {
 	const n, window = 8, 1024
 	stats := metrics.NewMessageStatsWindow(n, window)
 	kind := obs.Intern("LEADER")
-	// Fill past the window so the ring is wrapped (steady state: evict in
-	// place, never grow) before measurement starts.
+	// Fill past the window (steady state: every send evicts one) before
+	// measurement starts.
 	for i := 0; i < n*window+1; i++ {
 		stats.OnSend(sim.Time(i), i%n, (i+1)%n, kind)
 	}

@@ -528,7 +528,7 @@ func (s *soak) buildGroupReplica(i int) (node.Automaton, error) {
 	eng := group.New(group.Config{
 		Groups: s.groups,
 		Build: func(g int) node.Automaton {
-			cfg := rsm.Config{DriveInterval: 2 * s.eta, Group: g, Tracer: s.tset.Tracer(i)}
+			cfg := rsm.Config{DriveInterval: 2 * s.eta, Tracer: s.tset.Tracer(i)}
 			al := &appliedLog{}
 			if w, err := durable.Open(s.groupWALPath(node.ID(i), g), s.walOptions(i)); err != nil {
 				buildErr = err

@@ -668,7 +668,6 @@ func runSharded(name string, n, groups int, seed int64, batchMax, window, inflig
 					DriveInterval: driveInterval,
 					BatchMax:      batchMax,
 					Window:        window,
-					Group:         g,
 				})
 				return node.Compose(dets[i][g], logs[i][g])
 			},

@@ -200,10 +200,12 @@ func (r *Node) nthGrant(need int) (sim.Time, bool) {
 
 // holdsLease reports whether local reads are safe right now: prepared,
 // still nominated by Omega, a quorum of grants unexpired, nothing left to
-// learn below the floor, and no post-restart blind spot in effect.
+// learn below the floor or to decide of what phase 1 re-proposed (the
+// grants ride those very ACCEPTs, and the links are not FIFO), and no
+// post-restart blind spot in effect.
 func (r *Node) holdsLease(now sim.Time) bool {
 	return r.cfg.Lease > 0 && r.prop.prepared && r.omega.Leader() == r.me &&
-		r.log.firstGap >= r.prop.floor &&
+		r.log.firstGap >= max(r.prop.floor, r.prop.reopenedEnd) &&
 		!r.lease.restartHold.After(now) &&
 		sim.Time(r.lease.heldUntil.Load()).After(now)
 }

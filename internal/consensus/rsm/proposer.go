@@ -30,6 +30,9 @@ type proposer struct {
 	// replica proposes nothing there, ever, and learns by value (learnFloor).
 	floor   int
 	floorAt node.ID
+	// reopenedEnd is one past what this ballot re-proposed or filled when it
+	// stood: undecided here, any of it may be decided and acknowledged elsewhere.
+	reopenedEnd int
 }
 
 // startPrepare opens (or re-opens) the stable ballot.
@@ -195,6 +198,7 @@ func (r *Node) maybeFinishPrepare() {
 		}
 		r.reopen(inst, consensus.Noop)
 	}
+	r.prop.reopenedEnd = r.pipe.nextInst
 	r.cfg.Tracer.Mark(r.env.Now(), "prepared", -1)
 	r.env.Logf("rsm: ballot %v prepared (%d constrained)", r.prop.ballot, len(insts))
 	// A freshly prepared ballot may find commands already queued; with or

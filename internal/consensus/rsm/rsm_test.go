@@ -650,15 +650,15 @@ func TestHighestDecidedAndGetters(t *testing.T) {
 // decided command for as long as it runs (ROADMAP item 2): five replicas
 // on the simulator with the benchmark's engine settings, 64-byte writes
 // submitted at a follower at sim_steady's rate, and the live heap they
-// leave behind, all five replicas' share and the stats ring's together.
+// leave behind, all five replicas' share and the send log's together.
 // The simulator has no codec, so the replicas share one copy of each
 // envelope's bytes; a live cluster holds one per replica on top of this.
 func TestRetainedBytesPerCommand(t *testing.T) {
-	// Measured 156.0 bytes per command with one Recorder row per decided
-	// instance; 309.8 with a packed 32-byte row per command on each of the
-	// five replicas (PR 21), which alone is 160 bytes a command and which
-	// the budget refuses; 442.1 before that.
-	const commands, budget = 20000, 180
+	// Measured 122.9 bytes per command with the send log as varint chunks
+	// (PR 30); 156.0 with a 16-byte record per send in a doubling ring,
+	// which the budget refuses; 309.8 with a packed 32-byte Recorder row per
+	// command on each of the five replicas (PR 21); 442.1 before that.
+	const commands, budget = 20000, 140
 	c := newClusterCfg(t, 5, 1, network.Timely(ms), Config{BatchMax: 16, Window: 8, DriveInterval: 5 * ms})
 	w, nodes := c.world, c.nodes
 	w.Start()

@@ -635,6 +635,22 @@ func TestWildInstanceNumbersAreDropped(t *testing.T) {
 	}
 }
 
+// handDeliver is how a test moves messages between replicas on fake envs by
+// hand: the function returned hands p's outbox to those of its addressees
+// that keep lets through, in sending order, and returns what it held back.
+func handDeliver(nodes []*Node, envs []*fakeEnv) func(p node.ID, keep func(sent) bool) []sent {
+	return func(p node.ID, keep func(sent) bool) (held []sent) {
+		for _, s := range envs[p].drain() {
+			if keep(s) {
+				nodes[s.to].Deliver(p, s.msg)
+			} else {
+				held = append(held, s)
+			}
+		}
+		return held
+	}
+}
+
 // TestLaggingPreparerNeverFillsADecidedSlot is ROADMAP item 0's schedule by
 // hand, without the restart and the WAL it was first seen behind: a leader
 // that is behind a member of its own phase-1 quorum. p1 leads and decides
@@ -655,18 +671,7 @@ func TestLaggingPreparerNeverFillsADecidedSlot(t *testing.T) {
 		nodes[i], envs[i] = New(omega, Config{}), newFakeEnv(node.ID(i), n)
 		nodes[i].Start(envs[i])
 	}
-	// deliver hands p's outbox to those of its addressees that keep lets
-	// through, in sending order, and returns what it held back.
-	deliver := func(p node.ID, keep func(s sent) bool) (held []sent) {
-		for _, s := range envs[p].drain() {
-			if keep(s) {
-				nodes[s.to].Deliver(p, s.msg)
-			} else {
-				held = append(held, s)
-			}
-		}
-		return held
-	}
+	deliver := handDeliver(nodes[:], envs[:])
 	all := func(sent) bool { return true }
 	to := func(q node.ID) func(sent) bool { return func(s sent) bool { return s.to == q } }
 
@@ -719,5 +724,74 @@ func TestLaggingPreparerNeverFillsADecidedSlot(t *testing.T) {
 	// decide: p0 passes on what it learned, and p2 never has to ask.
 	if v, ok := nodes[2].Get(0); !ok || v != "a" || nodes[2].acc.askedAt != 0 {
 		t.Fatalf("p2 has %q,%v in instance 0, asked at %v: p0 should have passed the decision on", v, ok, nodes[2].acc.askedAt)
+	}
+}
+
+// TestNewLeaderServesNoLocalReadBeforeItsReproposalsDecide: p1 led, proposed
+// instances 0 and 1 together, decided 0 on p2's vote and applied it — its
+// client has the answer — and is gone. p0 and p2 voted in both and heard of
+// neither decision. p0 succeeds it and re-proposes both; each ACCEPT carries
+// a lease grant, the links are not FIFO, and p2's vote for 1 is the first
+// thing p0 hears: its lease now stands while 0, which it has not decided and
+// so not applied, is acknowledged elsewhere. A read at that instant must
+// not be answered from the lease at p0's applied index; it waits for the
+// barrier, which is open behind the re-proposals.
+func TestNewLeaderServesNoLocalReadBeforeItsReproposalsDecide(t *testing.T) {
+	const n = 3
+	omega := &fakeOmega{leader: 1}
+	var nodes [n]*Node
+	var envs [n]*fakeEnv
+	var replies []ReadReplyMsg
+	for i := range nodes {
+		nodes[i], envs[i] = New(omega, Config{Lease: 300 * time.Millisecond}), newFakeEnv(node.ID(i), n)
+		nodes[i].OnReadReply(func(m ReadReplyMsg) { replies = append(replies, m) })
+		nodes[i].Start(envs[i])
+	}
+	deliver := handDeliver(nodes[:], envs[:])
+	all := func(sent) bool { return true }
+	up := func(s sent) bool { return s.to != 1 } // once p1 is down
+
+	deliver(1, all) // p1's PREPARE, sent at boot
+	deliver(0, all)
+	deliver(2, all) // the PROMISEs: p1 stands
+	nodes[1].Submit("a")
+	nodes[1].Submit("b")
+	nodes[1].Tick(timerDrive) // "b" does not wait for 0 to decide
+	deliver(1, all)           // ACCEPT 0 and 1, each granting p1 the lease
+	envs[0].drain()           // p0's votes are lost, and p2's for 1
+	deliver(2, func(s sent) bool { a, ok := s.msg.(AcceptedMsg); return !ok || a.Inst == 0 })
+	envs[1].drain() // the commit index of 0 dies with p1
+	if nodes[1].Applied() != 1 || nodes[0].log.voted != 2 || nodes[2].log.voted != 2 || nodes[0].FirstGap() != 0 || nodes[2].FirstGap() != 0 {
+		t.Fatalf("setup: p1 applied %d; p0 and p2 hold %d and %d votes with first gaps %d and %d",
+			nodes[1].Applied(), nodes[0].log.voted, nodes[2].log.voted, nodes[0].FirstGap(), nodes[2].FirstGap())
+	}
+
+	omega.leader = 0
+	for _, e := range envs {
+		e.now = sim.At(400 * time.Millisecond) // p1's grants have run out
+	}
+	nodes[0].Tick(timerDrive) // PREPARE
+	deliver(0, up)
+	deliver(2, all) // p2's PROMISE: both votes, a quorum with p0's own
+	late := deliver(0, func(s sent) bool { a, ok := s.msg.(AcceptMsg); return up(s) && !(ok && a.Inst == 0) })
+	deliver(2, all) // p2's vote for 1, and with it the lease
+	if !nodes[0].prop.prepared || !nodes[0].LeaseHeld() || nodes[0].FirstGap() != 0 {
+		t.Fatalf("setup: p0 prepared %v, lease held %v, first gap %d", nodes[0].prop.prepared, nodes[0].LeaseHeld(), nodes[0].FirstGap())
+	}
+	nodes[0].Read(7, 1)
+	if len(replies) != 0 {
+		t.Fatalf("p0 answered a read %+v with instance 0 undecided: p1 applied %d commands and has acknowledged them", replies[0], nodes[1].Applied())
+	}
+	for _, s := range late {
+		if up(s) {
+			nodes[s.to].Deliver(0, s.msg)
+		}
+	}
+	for i := 0; i < 3; i++ { // the vote for 0, the barrier and its votes
+		deliver(2, all)
+		deliver(0, up)
+	}
+	if len(replies) != 1 || replies[0].Local || replies[0].Seq != 7 || replies[0].Index < nodes[1].Applied() {
+		t.Fatalf("replies %+v: want read 7 answered once, through the barrier, at an index covering the %d commands p1 applied", replies, nodes[1].Applied())
 	}
 }

@@ -105,11 +105,11 @@ var Nop Store = nopStore{}
 
 type nopStore struct{}
 
-func (nopStore) Promise(uint64)               {}
-func (nopStore) Ballot(uint64)                {}
+func (nopStore) Promise(uint64)                {}
+func (nopStore) Ballot(uint64)                 {}
 func (nopStore) Accept(uint64, uint64, string) {}
-func (nopStore) Decide(uint64, string)        {}
-func (nopStore) Flush()                       {}
-func (nopStore) Snapshot(*State) error        { return nil }
-func (nopStore) State() *State                { return nil }
-func (nopStore) Close() error                 { return nil }
+func (nopStore) Decide(uint64, string)         {}
+func (nopStore) Flush()                        {}
+func (nopStore) Snapshot(*State) error         { return nil }
+func (nopStore) State() *State                 { return nil }
+func (nopStore) Close() error                  { return nil }

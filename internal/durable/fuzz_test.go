@@ -37,9 +37,9 @@ func FuzzWALRecordRoundTrip(f *testing.F) {
 		f.Add(bad)
 	}
 	f.Add([]byte{})
-	f.Add([]byte{0x00})                         // zero-length record
-	f.Add(appendFrame(nil, []byte{}))           // framed zero-length payload
-	f.Add(appendFrame(nil, []byte{0x7F, 0x01})) // unknown record type
+	f.Add([]byte{0x00})                                                             // zero-length record
+	f.Add(appendFrame(nil, []byte{}))                                               // framed zero-length payload
+	f.Add(appendFrame(nil, []byte{0x7F, 0x01}))                                     // unknown record type
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01}) // uvarint overflow
 
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -240,10 +240,12 @@ func (w *WAL) State() *State { return w.st }
 // Dir returns the WAL's directory.
 func (w *WAL) Dir() string { return w.dir }
 
-func (w *WAL) Promise(b uint64)               { w.append(record{typ: recPromise, b: b}) }
-func (w *WAL) Ballot(b uint64)                { w.append(record{typ: recBallot, b: b}) }
-func (w *WAL) Accept(inst, b uint64, v string) { w.append(record{typ: recAccept, inst: inst, b: b, v: v}) }
-func (w *WAL) Decide(inst uint64, v string)   { w.append(record{typ: recDecide, inst: inst, v: v}) }
+func (w *WAL) Promise(b uint64) { w.append(record{typ: recPromise, b: b}) }
+func (w *WAL) Ballot(b uint64)  { w.append(record{typ: recBallot, b: b}) }
+func (w *WAL) Accept(inst, b uint64, v string) {
+	w.append(record{typ: recAccept, inst: inst, b: b, v: v})
+}
+func (w *WAL) Decide(inst uint64, v string) { w.append(record{typ: recDecide, inst: inst, v: v}) }
 
 func (w *WAL) append(rec record) {
 	w.mu.Lock()

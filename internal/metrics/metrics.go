@@ -14,10 +14,15 @@
 // transports that serialize — and none of the protocol events, which are
 // not messages. Every runtime tees one in (node.World.Stats, the clusters'
 // Stats()). The record path is contention-free: all counters are
-// per-process sharded atomics, and the send log is a bounded ring per
-// sender guarded only by that sender's own mutex (a single writer in every
-// runtime, so the lock is uncontended). Queries over the send log go
-// through an immutable Snapshot.
+// per-process sharded atomics, and the send log is per sender, guarded only
+// by that sender's own mutex (a single writer in every runtime, so the lock
+// is uncontended). Queries over the send log go through an immutable
+// Snapshot.
+//
+// The log keeps when each of a sender's last window sends left and nothing
+// else about it — to whom and of what kind are counted per link and per
+// kind, exactly and for ever: 2 KiB chunks of varint differences between
+// consecutive instants (sendlog.go), about three bytes a send.
 package metrics
 
 import (
@@ -29,23 +34,16 @@ import (
 	"repro/internal/sim"
 )
 
-// SendRecord is one recorded transmission, in its sender's ring: 16 bytes.
-type SendRecord struct {
-	At   sim.Time
-	To   int32
-	Kind obs.Kind
-}
-
-// DefaultWindow is the default per-sender send-log bound. It is generous —
-// far beyond what any experiment in the suite produces per sender — so
-// that by default the log behaves as unbounded while still giving long
-// live runs a hard memory ceiling. See DESIGN.md ("Instrumentation
-// pipeline") for sizing guidance.
+// DefaultWindow is the default per-sender send-log bound, in sends. It is
+// generous — far beyond what any experiment in the suite produces per
+// sender — so that by default the log behaves as unbounded while still
+// giving long live runs a hard memory ceiling, about 3 MB a sender. See
+// DESIGN.md ("Instrumentation pipeline") for sizing guidance.
 const DefaultWindow = 1 << 20
 
 // shard holds one process's slice of the accounting: counters it bumps as
 // a sender (sends, out-links, drops) or as a receiver (deliveries), plus
-// the bounded ring of its own send records. Shards are separately
+// the bounded log of its own send instants. Shards are separately
 // heap-allocated so different processes never share cache lines.
 type shard struct {
 	sentBy    atomic.Uint64
@@ -59,64 +57,8 @@ type shard struct {
 	kindDelivered [obs.MaxKinds]atomic.Uint64
 	kindDropped   [obs.MaxKinds]atomic.Uint64
 
-	// The send ring: oldest record at head, newest at (head+count-1) mod
-	// len(ring). ring grows by doubling until window, then wraps, evicting
-	// the oldest record. lastAt is the max timestamp ever recorded, which
-	// survives eviction (QuietSince and SendersSince need the most recent
-	// send even after the ring wraps).
-	mu     sync.Mutex
-	ring   []SendRecord
-	head   int
-	count  int
-	window int
-	lastAt sim.Time
-}
-
-func (sh *shard) appendRecord(rec SendRecord) {
-	sh.mu.Lock()
-	if sh.count == len(sh.ring) && sh.count < sh.window {
-		sh.grow()
-	}
-	if sh.count == len(sh.ring) {
-		// Full: evict the oldest in place.
-		sh.ring[sh.head] = rec
-		sh.head = (sh.head + 1) % len(sh.ring)
-	} else {
-		sh.ring[(sh.head+sh.count)%len(sh.ring)] = rec
-		sh.count++
-	}
-	if rec.At > sh.lastAt {
-		sh.lastAt = rec.At
-	}
-	sh.mu.Unlock()
-}
-
-// grow doubles the ring (unwrapping it) up to the window bound.
-func (sh *shard) grow() {
-	newCap := 2 * len(sh.ring)
-	if newCap == 0 {
-		newCap = 64
-	}
-	if newCap > sh.window {
-		newCap = sh.window
-	}
-	next := make([]SendRecord, newCap)
-	for i := 0; i < sh.count; i++ {
-		next[i] = sh.ring[(sh.head+i)%len(sh.ring)]
-	}
-	sh.ring = next
-	sh.head = 0
-}
-
-// records returns the shard's retained records oldest-first.
-func (sh *shard) records() []SendRecord {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	out := make([]SendRecord, sh.count)
-	for i := 0; i < sh.count; i++ {
-		out[i] = sh.ring[(sh.head+i)%len(sh.ring)]
-	}
-	return out
+	mu  sync.Mutex
+	log sendLog
 }
 
 // MessageStats accumulates per-run message accounting. It is safe for
@@ -125,7 +67,6 @@ func (sh *shard) records() []SendRecord {
 // lock.
 type MessageStats struct {
 	n      int
-	window int
 	shards []*shard
 
 	// observed is the run-local first-seen order of sent kinds; seen gates
@@ -150,9 +91,9 @@ func NewMessageStatsWindow(n, window int) *MessageStats {
 	if window <= 0 {
 		window = DefaultWindow
 	}
-	s := &MessageStats{n: n, window: window, shards: make([]*shard, n)}
+	s := &MessageStats{n: n, shards: make([]*shard, n)}
 	for i := range s.shards {
-		s.shards[i] = &shard{link: make([]atomic.Uint64, n), linkAt: make([]atomic.Int64, n), window: window}
+		s.shards[i] = &shard{link: make([]atomic.Uint64, n), linkAt: make([]atomic.Int64, n), log: sendLog{window: window}}
 	}
 	return s
 }
@@ -183,7 +124,9 @@ func (s *MessageStats) OnSend(t sim.Time, from, to int, kind obs.Kind) {
 	}
 	sh.kindSent[kind].Add(1)
 	s.noteKind(kind)
-	sh.appendRecord(SendRecord{At: t, To: int32(to), Kind: kind})
+	sh.mu.Lock()
+	sh.log.add(t)
+	sh.mu.Unlock()
 }
 
 // OnDeliver implements obs.Sink: a message of the given kind reached to.
@@ -297,11 +240,8 @@ func (s *MessageStats) Kinds() []string {
 
 // Summary returns a one-line human-readable digest.
 func (s *MessageStats) Summary() string {
-	s.obsMu.Lock()
-	kinds := len(s.observed)
-	s.obsMu.Unlock()
 	return fmt.Sprintf("sent=%d delivered=%d dropped=%d kinds=%d",
-		s.TotalSent(), s.Delivered(), s.Dropped(), kinds)
+		s.TotalSent(), s.Delivered(), s.Dropped(), len(s.Kinds()))
 }
 
 // --- send-log queries (windowed) -----------------------------------------

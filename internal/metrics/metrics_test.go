@@ -3,7 +3,6 @@ package metrics
 import (
 	"testing"
 	"time"
-	"unsafe"
 
 	"repro/internal/obs"
 	"repro/internal/sim"
@@ -85,9 +84,9 @@ func TestLinksUsedSince(t *testing.T) {
 }
 
 // TestLinksUsedSinceSurvivesEviction: the answer comes from the per-link
-// last-send instants, not from the retained ring, so a window of 64 that
+// last-send instants, not from the retained log, so a window of 64 that
 // has evicted all but the last 64 of 10,000 sends still knows every link —
-// on the stats and on a snapshot alike. (Answered from the ring, as it was,
+// on the stats and on a snapshot alike. (Answered from the log, as it was,
 // link 0→1 is forgotten once 64 later sends to 2 have pushed it out.)
 func TestLinksUsedSinceSurvivesEviction(t *testing.T) {
 	s := NewMessageStatsWindow(3, 64)
@@ -227,14 +226,5 @@ func TestSummary(t *testing.T) {
 	s.OnSend(at(1), 0, 1, obs.Intern("A"))
 	if got := s.Summary(); got == "" {
 		t.Fatal("empty summary")
-	}
-}
-
-// TestSendRecordIs16Bytes: the send log keeps one per message sent for the
-// life of a run (up to DefaultWindow per sender); a field added here is
-// paid for on every one.
-func TestSendRecordIs16Bytes(t *testing.T) {
-	if got := unsafe.Sizeof(SendRecord{}); got != 16 {
-		t.Fatalf("SendRecord is %d bytes, want 16", got)
 	}
 }

@@ -1,8 +1,11 @@
 package metrics
 
 import (
+	"reflect"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/obs"
 	"repro/internal/sim"
@@ -207,5 +210,70 @@ func TestConcurrentRecordingSmallWindow(t *testing.T) {
 	// The retained window holds exactly window records per sender.
 	if got, want := snap.MessagesInWindow(0, sim.Time(perOp*n+n)), uint64(n*window); got != want {
 		t.Errorf("MessagesInWindow over everything = %d, want %d (window bound)", got, want)
+	}
+}
+
+// TestSnapshotSharesSealedChunks: a snapshot of a sender with a million
+// sends behind it copies the chunk being written and the list of the others
+// (it was 16 MB), and what it shares with the recording side is never
+// written again — its answers stand while the sender records another
+// window's worth and evicts everything the snapshot holds. Run under -race
+// this is the data-race check for the sharing.
+func TestSnapshotSharesSealedChunks(t *testing.T) {
+	const sends = 1_000_000
+	k := obs.Intern("stress-shared-HB")
+	s := NewMessageStatsWindow(2, sends)
+	at := sim.Time(0)
+	send := func() {
+		for i := 0; i < sends; i++ {
+			if i%4 == 0 { // a broadcast of four every 200 µs
+				at += 200_000
+			}
+			s.OnSend(at, 0, 1, k)
+		}
+	}
+	send()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	before := m.TotalAlloc
+	snap := s.Snapshot()
+	runtime.ReadMemStats(&m)
+	if got := m.TotalAlloc - before; got >= 16<<10 {
+		t.Errorf("a snapshot of %d sends allocated %d bytes, want under 16 KiB", sends, got)
+	}
+
+	horizon := at
+	type answers struct {
+		total, half uint64
+		series      []uint64
+	}
+	ask := func() answers {
+		return answers{
+			total:  snap.MessagesInWindow(0, horizon+1),
+			half:   snap.MessagesInWindow(horizon/2, horizon+1),
+			series: snap.Series(time.Duration(horizon/10), horizon),
+		}
+	}
+	want := ask()
+	if want.total != sends || want.half != sends/2+4 {
+		t.Fatalf("before the sender goes on: %d sends retained, %d in the later half", want.total, want.half)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		send()
+	}()
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		if got := ask(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("the snapshot's answers moved while the sender recorded: %+v, want %+v", got, want)
+		}
+	}
+	if got := s.Snapshot().MessagesInWindow(0, horizon+1); got != 0 {
+		t.Errorf("the sender still retains %d sends of the first million", got)
 	}
 }

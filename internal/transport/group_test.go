@@ -37,7 +37,7 @@ func buildGroupFleet(n, groups int, eta time.Duration) (autos []node.Automaton, 
 			Groups: groups,
 			Build: func(g int) node.Automaton {
 				dets[i][g] = core.New(core.WithEta(eta))
-				logs[i][g] = rsm.New(dets[i][g], rsm.Config{DriveInterval: 10 * time.Millisecond, Group: g})
+				logs[i][g] = rsm.New(dets[i][g], rsm.Config{DriveInterval: 10 * time.Millisecond})
 				return node.Compose(dets[i][g], logs[i][g])
 			},
 		})
