@@ -18,8 +18,12 @@ test: bench-check
 
 # Non-test Go lines per package, with the total for the observability set
 # (obs, metrics, tracing, telemetry, traceview) and for cmd/: the unit
-# ROADMAP items 2 and 4 are accepted in. scripts/loc.sh DIR counts another
-# checkout, e.g. the parent commit's.
+# ROADMAP items 5 and 6 are accepted in. Given a parent, chosen as for
+# bench-pairs (make loc BASE=HEAD~1, or PARENT=<dir>), it also prints
+# before, after and delta for rsm, the observability set, cmd/ and the
+# module, and fails when rsm or the observability set has grown: a change
+# lands each no larger than it found it. scripts/loc.sh DIR counts another
+# checkout alone.
 loc:
 	bash scripts/loc.sh
 

@@ -5,10 +5,9 @@
 // Commands are "SET key value" strings decided into a shared log; every
 // replica applies the log in order via the engine's OnApply hook — the
 // engine batches bursts of commands into shared instances and unpacks
-// them again at apply time, so the store never sees batch envelopes. With
-// Forget on, applied log prefixes are pruned cluster-wide, keeping each
-// replica's memory bounded. All stores converge to the same state —
-// through a leader crash in the middle of the write stream.
+// them again at apply time, so the store never sees batch envelopes. All
+// stores converge to the same state — through a leader crash in the
+// middle of the write stream.
 //
 // Each replica also writes through a real write-ahead log
 // (internal/durable, DESIGN.md §14): acceptor promises and votes are on
@@ -117,7 +116,6 @@ func run() error {
 		stores[i] = newStore()
 		st := stores[i]
 		logs[i] = rsm.New(det, rsm.Config{
-			Forget:        true,
 			Store:         wal,
 			SnapshotEvery: 5,
 			SnapshotState: func() []byte { return []byte(st.fingerprint()) },

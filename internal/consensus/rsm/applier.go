@@ -74,8 +74,8 @@ func (r *Node) apply() {
 		}
 	}
 	r.dones.observe(r.me, r.log.firstGap)
-	if r.cfg.Forget && r.prop.prepared {
-		r.maybeForget(r.dones.min())
+	if r.prop.prepared {
+		r.log.forgetBelow(r.dones.min())
 	}
 	r.completeFallbackReads()
 	r.maybeSnapshot()

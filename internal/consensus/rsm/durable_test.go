@@ -223,8 +223,8 @@ func TestRecoveryIsIdempotentAcrossRestarts(t *testing.T) {
 		if r2.Applied() != 7 {
 			t.Fatalf("round %d: Applied() = %d, want 7", round, r2.Applied())
 		}
-		if got, _ := r2.Get(6); got != "c6" {
-			t.Fatalf("round %d: Get(6) = %q, want c6", round, got)
+		if got, _ := r2.log.get(6); got != "c6" {
+			t.Fatalf("round %d: log.get(6) = %q, want c6", round, got)
 		}
 		w2.Close()
 	}

@@ -39,10 +39,9 @@ func Example() {
 	logs[2].Submit("gamma")
 	world.RunFor(2 * time.Second)
 
-	// Every replica holds the same decided prefix.
-	for inst := 0; inst < logs[4].FirstGap(); inst++ {
-		v, _ := logs[4].Get(inst)
-		fmt.Printf("instance %d: %s\n", inst, v)
+	// Every replica applies the same decisions in the same order.
+	for _, d := range logs[4].Recorder().All() {
+		fmt.Printf("instance %d: %s\n", d.Instance, d.Value)
 	}
 	// The leader's own command wins instance 0 (forwarded ones take one
 	// extra hop); the run is deterministic for a fixed seed.

@@ -66,6 +66,9 @@ func laggingLeaderWorld(n int, seed int64) (violations []string, summary string)
 	if rep := consensus.CheckSafety(consensus.SafetyInput{Recorders: recs}); !rep.Agreement {
 		violations = append(violations, rep.Violations...)
 	}
+	if s := stranded(w, nodes); s != "" {
+		violations = append(violations, s)
+	}
 	if behind < floorGap {
 		violations = append(violations, fmt.Sprintf("p0 was only %d instances behind at the heal: the world does not exercise the rule", behind))
 	}

@@ -35,6 +35,7 @@ type handoverWorld struct {
 	applies  []int      // how often the ingress applied it
 	lastFlip sim.Time   // the last Omega output change at a survivor
 	gap      time.Duration
+	stranded string // at the end: a survivor below a forgetting horizon
 }
 
 const (
@@ -115,6 +116,7 @@ func runHandoverWorld(seed int64) (*handoverWorld, error) {
 			h.lastFlip = max(h.lastFlip, cs[len(cs)-1].At)
 		}
 	}
+	h.stranded = stranded(w, nodes)
 	return h, nil
 }
 
@@ -150,6 +152,9 @@ func (h *handoverWorld) check() (violations []string, summary string) {
 		if h.applies[seq] > allowed {
 			violations = append(violations, fmt.Sprintf("(c) cmd-%d applied %d times, submitted %d times", seq, h.applies[seq], h.submits[seq]))
 		}
+	}
+	if h.stranded != "" {
+		violations = append(violations, h.stranded)
 	}
 	if late > 0 {
 		violations = append(violations, fmt.Sprintf("(a) %d commands due after the crash completed more than 10ms past max(due, last flip), the worst by %v", late, worst))

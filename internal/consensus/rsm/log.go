@@ -8,8 +8,8 @@ import (
 
 // This file is the storage layer: the instance window — one slot per log
 // instance holding the decided value, the acceptor's vote and the leader's
-// in-flight state — and the Done-vector bookkeeping that lets the cluster
-// forget applied prefixes (Config.Forget).
+// in-flight state — and the Done-vector bookkeeping by which every replica
+// forgets the prefix every replica has applied.
 
 // slot is what this replica holds about one log instance; zero is a hole.
 type slot struct {
@@ -24,25 +24,26 @@ type slot struct {
 	fl *flight
 }
 
-// logbook is one replica's instance window: slots[i] is instance low+i,
+// logbook is one replica's instance window: slots[i] is instance base+i,
 // so every per-instance lookup is an index, walks are in instance order,
-// and a hole costs one zero slot. low is the forgetting horizon —
-// everything below it has been applied by every process and pruned —
-// and firstGap bounds the contiguous decided prefix.
+// and a hole costs one zero slot. low ≥ base is the forgetting horizon —
+// everything below it has been applied by every process and pruned, its
+// slots zero until the window slides over them — and firstGap bounds the
+// contiguous decided prefix.
 type logbook struct {
 	slots          []slot
-	low            int
+	base, low      int
 	firstGap       int
 	highestDecided int
-	decided        int // decided slots held: the bounded-memory metric under Forget
+	decided        int // decided slots held: the bounded-memory metric
 	voted          int // undecided slots holding a vote
 }
 
 // at returns the slot of inst, or nil outside the window. The pointer is
 // good until the window next grows or forgets.
 func (l *logbook) at(inst int) *slot {
-	if i := inst - l.low; i >= 0 && i < len(l.slots) {
-		return &l.slots[i]
+	if inst >= l.low && inst < l.end() {
+		return &l.slots[inst-l.base]
 	}
 	return nil
 }
@@ -57,14 +58,14 @@ func (l *logbook) reaches(inst int) bool { return inst-l.firstGap < maxHole }
 
 // ensure returns the slot of inst ≥ low, growing the window over it.
 func (l *logbook) ensure(inst int) *slot {
-	for inst-l.low >= len(l.slots) {
+	for inst >= l.end() {
 		l.slots = append(l.slots, slot{})
 	}
-	return &l.slots[inst-l.low]
+	return &l.slots[inst-l.base]
 }
 
 // end is one past the highest instance the window has a slot for.
-func (l *logbook) end() int { return l.low + len(l.slots) }
+func (l *logbook) end() int { return l.base + len(l.slots) }
 
 func (l *logbook) get(inst int) (consensus.Value, bool) {
 	if s := l.at(inst); s != nil && s.decided {
@@ -111,9 +112,12 @@ func (l *logbook) insert(inst int, v consensus.Value) bool {
 	return true
 }
 
-// forgetBelow prunes every entry below min. Only the applied prefix may
-// go: the caller guarantees min ≤ firstGap (the Done vector's minimum
-// includes this process's own applied count).
+// forgetBelow prunes every entry below min, capped at firstGap: only the
+// decided prefix may go. The pruned slots are cleared, dropping their
+// values, and once they are as many as the live ones the live window
+// slides to the front of the array: the array is reused, never regrown for
+// room its front already has, and a slot is copied at most once for each
+// one forgotten, however far behind a rejoining replica pinned the horizon.
 func (l *logbook) forgetBelow(min int) {
 	if min > l.firstGap {
 		min = l.firstGap
@@ -121,11 +125,14 @@ func (l *logbook) forgetBelow(min int) {
 	if min <= l.low {
 		return
 	}
-	k := min - l.low
-	clear(l.slots[:k]) // the array outlives the reslice: drop the values now
-	l.slots = l.slots[k:]
-	l.decided -= k
+	clear(l.slots[l.low-l.base : min-l.base])
+	l.decided -= min - l.low
 	l.low = min
+	if dead := l.low - l.base; 2*dead >= len(l.slots) {
+		n := copy(l.slots, l.slots[dead:])
+		clear(l.slots[n:])
+		l.slots, l.base = l.slots[:n], l.low
+	}
 }
 
 // acceptor is the synod acceptor state that is not per instance: the
@@ -184,7 +191,10 @@ func (r *Node) onCommit(b consensus.Ballot, upTo int) {
 // doneVector tracks, per process, how far it is known to have applied the
 // log (its advertised first gap). The cluster minimum is the forgetting
 // horizon: below it, every process has applied, so nothing will ever be
-// re-read or re-proposed.
+// re-read or re-proposed. The leader forgets below it as it advances and
+// sends it on every ACCEPT (MinDone), and a follower forgets below that. A
+// replica that is down or slow pins it, so nothing it may still ask for
+// by value is gone.
 type doneVector struct {
 	done []int
 }
@@ -254,14 +264,4 @@ func (r *Node) onLearn(from node.ID, m LearnMsg) {
 			sent++
 		}
 	}
-}
-
-// maybeForget prunes the log below the Done vector's minimum. Leaders call
-// it as the vector advances; followers call it with the MinDone horizon
-// piggybacked on accepts.
-func (r *Node) maybeForget(min int) {
-	if !r.cfg.Forget || min <= r.log.low {
-		return
-	}
-	r.log.forgetBelow(min)
 }

@@ -84,9 +84,9 @@ func (NackMsg) Kind() string { return KindNack }
 // ballot B is decided with its accepted value (the commit index; see
 // DecideMsg for the form it takes when no ACCEPT is leaving).
 //
-// MinDone piggybacks the Done vector's cluster minimum (see
-// Config.Forget): every process has applied instances below it, so the
-// receiver may forget them. Zero means "no forgetting".
+// MinDone piggybacks the Done vector's cluster minimum (log.go): every
+// process has applied the instances below it, so the receiver forgets
+// them. Zero forgets nothing.
 //
 // LeaseSeq, when non-zero, piggybacks a read-lease grant (see lease.go):
 // the receiver promises not to promise a ballot owned by anyone else for
@@ -105,7 +105,7 @@ func (AcceptMsg) Kind() string { return KindAccept }
 
 // AcceptedMsg acknowledges acceptance of instance Inst at ballot B. Done
 // advertises the sender's applied-through count (its first gap) — the
-// sender's entry in the leader's Done vector (see Config.Forget).
+// sender's entry in the leader's Done vector (log.go).
 // LeaseSeq, when non-zero, acknowledges the lease grant of that sequence
 // number (see lease.go).
 type AcceptedMsg struct {

@@ -208,7 +208,7 @@ func (r *Node) onAccept(from node.ID, m AcceptMsg) {
 			// commit index that covers it, so it decides on arrival.
 			r.learn(m.Inst, m.V)
 		}
-		r.maybeForget(m.MinDone)
+		r.log.forgetBelow(m.MinDone)
 	} else {
 		r.env.Send(from, NackMsg{B: m.B, Promised: r.acc.promised})
 	}
@@ -317,16 +317,13 @@ func (r *Node) catchUp(now sim.Time) {
 // acceptMsg builds a phase-2 broadcast carrying the current commit index
 // (noted as told to everyone), forgetting horizon, and lease grant.
 func (r *Node) acceptMsg(inst int, v consensus.Value) AcceptMsg {
-	m := AcceptMsg{B: r.prop.ballot, Inst: inst, V: v, CommitUpTo: r.log.firstGap}
+	m := AcceptMsg{B: r.prop.ballot, Inst: inst, V: v, CommitUpTo: r.log.firstGap, MinDone: r.dones.min()}
 	for f := range r.pipe.told {
 		r.pipe.told[f] = m.CommitUpTo // never below what f was told: firstGap only grows
 	}
 	now := r.env.Now()
 	r.pipe.acceptAt = now
 	r.driveIn(now, r.quiet()) // catchUp is due then, should no ACCEPT follow
-	if r.cfg.Forget {
-		m.MinDone = r.dones.min()
-	}
 	m.LeaseSeq = r.grantSeq(now)
 	return m
 }

@@ -3,6 +3,7 @@ package rsm
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -53,21 +54,30 @@ func (c *cluster) safety() consensus.SafetyReport {
 	return consensus.CheckSafety(consensus.SafetyInput{Recorders: recs})
 }
 
-// appliedSet returns the individual commands decided at node i, decoded
-// out of their batch envelopes.
+// appliedSet returns the individual commands applied at node i.
 func (c *cluster) appliedSet(i int) map[consensus.Value]bool {
 	out := make(map[consensus.Value]bool)
-	for inst := 0; inst < c.nodes[i].FirstGap(); inst++ {
-		v, _ := c.nodes[i].Get(inst)
-		for _, cmd := range DecodeBatch(v) {
-			out[cmd] = true
-		}
-	}
+	c.nodes[i].Recorder().Each(func(d consensus.Decision) { out[d.Value] = true })
 	return out
 }
 
-// assertPrefixAgreement verifies that all alive replicas have identical
-// decided prefixes up to the shortest FirstGap.
+// decidedLog returns node i's applied log, instance by instance, as the
+// commands each carried — from its Recorder, which keeps what the log
+// forgets. An instance it holds no decision for is empty.
+func (c *cluster) decidedLog(i int) [][]consensus.Value {
+	var log [][]consensus.Value
+	c.nodes[i].Recorder().Each(func(d consensus.Decision) {
+		for len(log) <= d.Instance {
+			log = append(log, nil)
+		}
+		log[d.Instance] = append(log[d.Instance], d.Value)
+	})
+	return log
+}
+
+// assertPrefixAgreement verifies that every alive replica holds a decision
+// for each instance below its FirstGap — no holes: every lost instance was
+// re-proposed or no-op filled — and that they agree up to the shortest.
 func (c *cluster) assertPrefixAgreement(t *testing.T) {
 	t.Helper()
 	if diff := c.prefixDisagreement(); diff != "" {
@@ -75,10 +85,12 @@ func (c *cluster) assertPrefixAgreement(t *testing.T) {
 	}
 }
 
-// prefixDisagreement describes the first instance below the shortest
-// FirstGap on which two alive replicas differ; "" when there is none.
+// prefixDisagreement describes the first hole below an alive replica's
+// FirstGap, or the first instance below the shortest on which two alive
+// replicas differ; "" when there is neither.
 func (c *cluster) prefixDisagreement() string {
 	minGap := -1
+	logs := make([][][]consensus.Value, len(c.nodes))
 	for i, s := range c.nodes {
 		if !c.world.Alive(node.ID(i)) {
 			continue
@@ -86,23 +98,37 @@ func (c *cluster) prefixDisagreement() string {
 		if minGap == -1 || s.FirstGap() < minGap {
 			minGap = s.FirstGap()
 		}
+		logs[i] = c.decidedLog(i)
+		for inst := 0; inst < s.FirstGap(); inst++ {
+			if inst >= len(logs[i]) || len(logs[i][inst]) == 0 {
+				return fmt.Sprintf("p%d missing decided instance %d below its gap", i, inst)
+			}
+		}
 	}
 	for inst := 0; inst < minGap; inst++ {
-		var want consensus.Value
-		first := true
-		for i, s := range c.nodes {
+		var want []consensus.Value
+		for i := range c.nodes {
 			if !c.world.Alive(node.ID(i)) {
 				continue
 			}
-			v, ok := s.Get(inst)
-			if !ok {
-				return fmt.Sprintf("p%d missing decided instance %d below its gap", i, inst)
-			}
-			if first {
+			if v := logs[i][inst]; want == nil {
 				want = v
-				first = false
-			} else if v != want {
+			} else if !slices.Equal(v, want) {
 				return fmt.Sprintf("instance %d: p%d has %q, others %q", inst, i, v, want)
+			}
+		}
+	}
+	return ""
+}
+
+// stranded describes a live replica whose first gap is below some replica's
+// forgetting horizon — decisions it lacks that a peer may no longer hold to
+// send it; "" when there is none.
+func stranded(w *node.World, nodes []*Node) string {
+	for i, r := range nodes {
+		for j, q := range nodes {
+			if w.Alive(node.ID(i)) && q.MinDone() > r.FirstGap() {
+				return fmt.Sprintf("p%d's first gap %d is below p%d's forgetting horizon %d", i, r.FirstGap(), j, q.MinDone())
 			}
 		}
 	}
@@ -602,15 +628,7 @@ func TestNoopFillerOnLeaderChange(t *testing.T) {
 	c.world.Crash(0)
 	c.nodes[1].Submit("after")
 	c.world.RunFor(5 * time.Second)
-	c.assertPrefixAgreement(t)
-	for i := 1; i < 5; i++ {
-		gap := c.nodes[i].FirstGap()
-		for inst := 0; inst < gap; inst++ {
-			if _, ok := c.nodes[i].Get(inst); !ok {
-				t.Fatalf("p%d has a hole at %d below its gap", i, inst)
-			}
-		}
-	}
+	c.assertPrefixAgreement(t) // no holes below any survivor's gap, either
 	if rep := c.safety(); !rep.Holds() {
 		t.Fatalf("safety: %v", rep.Violations)
 	}
@@ -637,12 +655,12 @@ func TestHighestDecidedAndGetters(t *testing.T) {
 	if c.nodes[1].HighestDecided() != 0 {
 		t.Fatalf("HighestDecided = %d", c.nodes[1].HighestDecided())
 	}
-	v, ok := c.nodes[1].Get(0)
-	if !ok || v != "only" {
-		t.Fatalf("Get(0) = %q,%v", v, ok)
+	d, ok := c.nodes[1].Recorder().Get(0)
+	if !ok || d.Value != "only" {
+		t.Fatalf("Recorder().Get(0) = %q,%v", d.Value, ok)
 	}
-	if _, ok := c.nodes[1].Get(7); ok {
-		t.Fatal("Get(7) found a value")
+	if _, ok := c.nodes[1].Recorder().Get(7); ok {
+		t.Fatal("Recorder().Get(7) found a value")
 	}
 }
 
@@ -654,11 +672,13 @@ func TestHighestDecidedAndGetters(t *testing.T) {
 // The simulator has no codec, so the replicas share one copy of each
 // envelope's bytes; a live cluster holds one per replica on top of this.
 func TestRetainedBytesPerCommand(t *testing.T) {
-	// Measured 122.9 bytes per command with the send log as varint chunks
-	// (PR 30); 156.0 with a 16-byte record per send in a doubling ring,
-	// which the budget refuses; 309.8 with a packed 32-byte Recorder row per
-	// command on each of the five replicas (PR 21); 442.1 before that.
-	const commands, budget = 20000, 140
+	// Measured 106.8 bytes per command with every replica forgetting the
+	// prefix all have applied; 123.3 with forgetting an option that was
+	// off, which the budget refuses; before that, 122.9 with the send log as
+	// varint chunks, 156.0 with a 16-byte record per send in a doubling
+	// ring, 309.8 with a packed 32-byte Recorder row per command on each of
+	// the five replicas, and 442.1.
+	const commands, budget = 20000, 115
 	c := newClusterCfg(t, 5, 1, network.Timely(ms), Config{BatchMax: 16, Window: 8, DriveInterval: 5 * ms})
 	w, nodes := c.world, c.nodes
 	w.Start()

@@ -465,7 +465,7 @@ func TestCommitIndex(t *testing.T) {
 				}
 				got := make([]consensus.Value, r.log.end())
 				for inst := range got {
-					got[inst], _ = r.Get(inst)
+					got[inst], _ = r.log.get(inst)
 				}
 				if fmt.Sprint(got) != fmt.Sprint(st.decided) {
 					t.Fatalf("step %d: log = %q, want %q", i, got, st.decided)
@@ -683,7 +683,7 @@ func TestLaggingPreparerNeverFillsADecidedSlot(t *testing.T) {
 	deliver(2, all)   // ACCEPTED: p1 decides instance 0
 	nodes[1].Submit("b")
 	envs[1].drain() // ACCEPT 1 and the commit index of 0 are in flight for good
-	if v, ok := nodes[1].Get(0); !ok || v != "a" || nodes[2].FirstGap() != 0 || nodes[2].log.voted != 1 || nodes[0].log.end() != 0 {
+	if v, ok := nodes[1].log.get(0); !ok || v != "a" || nodes[2].FirstGap() != 0 || nodes[2].log.voted != 1 || nodes[0].log.end() != 0 {
 		t.Fatalf("setup: p1 decided %q,%v in 0; p2 first gap %d with %d votes; p0 holds %d slots", v, ok, nodes[2].FirstGap(), nodes[2].log.voted, nodes[0].log.end())
 	}
 
@@ -717,13 +717,13 @@ func TestLaggingPreparerNeverFillsADecidedSlot(t *testing.T) {
 	if rep := consensus.CheckSafety(consensus.SafetyInput{Recorders: recs}); !rep.Holds() {
 		t.Fatalf("safety: %v", rep.Violations)
 	}
-	if v, ok := nodes[0].Get(0); !ok || v != "a" || nodes[0].FirstGap() < 1 {
-		t.Fatalf("p0 has %q,%v in instance 0 and first gap %d: it should have learned p1's decision by value", v, ok, nodes[0].FirstGap())
+	if d, ok := nodes[0].Recorder().Get(0); !ok || d.Value != "a" || nodes[0].FirstGap() < 1 {
+		t.Fatalf("p0 has %q,%v in instance 0 and first gap %d: it should have learned p1's decision by value", d.Value, ok, nodes[0].FirstGap())
 	}
 	// p2's vote in 0 is at p1's ballot, which p0's commit index does not
 	// decide: p0 passes on what it learned, and p2 never has to ask.
-	if v, ok := nodes[2].Get(0); !ok || v != "a" || nodes[2].acc.askedAt != 0 {
-		t.Fatalf("p2 has %q,%v in instance 0, asked at %v: p0 should have passed the decision on", v, ok, nodes[2].acc.askedAt)
+	if d, ok := nodes[2].Recorder().Get(0); !ok || d.Value != "a" || nodes[2].acc.askedAt != 0 {
+		t.Fatalf("p2 has %q,%v in instance 0, asked at %v: p0 should have passed the decision on", d.Value, ok, nodes[2].acc.askedAt)
 	}
 }
 

@@ -292,7 +292,7 @@ func TestRestoreAtLargeSnapIndexKeepsWindowSmall(t *testing.T) {
 		Decided:  []durable.DecidedRec{{Inst: base, V: "d0"}, {Inst: base + 1, V: "d1"}, {Inst: base + 4, V: "island"}},
 		Accepted: []durable.AcceptedRec{{Inst: base - 3, B: uint64(b), V: "stale"}, {Inst: base + 1, B: uint64(b), V: "d1"}, {Inst: base + 2, B: uint64(b), V: "voted"}},
 	}
-	r := New(consensus.StaticLeader(1), Config{Store: snapStore{durable.Nop, st}, Forget: true})
+	r := New(consensus.StaticLeader(1), Config{Store: snapStore{durable.Nop, st}})
 	env := newFakeEnv(2, 3)
 	r.Start(env)
 	if r.MinDone() != base || r.FirstGap() != base+2 || r.HighestDecided() != base+4 || r.Retained() != 3 {
@@ -438,9 +438,10 @@ func BenchmarkApplyBatch16(b *testing.B) {
 }
 
 // BenchmarkFollowerCommit is a follower's whole share of one instance:
-// the ACCEPT of a 16-command envelope (vote, reply), then the commit index
-// that covers it (decide from the vote, apply). The value arrives once;
-// deciding and applying it must add no allocation to what the vote costs.
+// the ACCEPT of a 16-command envelope (vote, reply) carrying the horizon as
+// every leader's does, then the commit index that covers it (decide from
+// the vote, apply, forget). The value arrives once; deciding, applying and
+// forgetting it must add no allocation to what the vote costs.
 func BenchmarkFollowerCommit(b *testing.B) {
 	cmds := make([]consensus.Value, 16)
 	for i := range cmds {
@@ -455,7 +456,7 @@ func BenchmarkFollowerCommit(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r.onAccept(1, AcceptMsg{B: ballot, Inst: i, V: v, CommitUpTo: i})
+		r.onAccept(1, AcceptMsg{B: ballot, Inst: i, V: v, CommitUpTo: i, MinDone: i})
 		r.onCommit(ballot, i+1)
 	}
 	if r.Applied() != 16*b.N {
