@@ -73,8 +73,9 @@ test-race:
 # Twenty seconds of the wire fuzzer, then five of the one thing a frame
 # carries that rsm unpacks itself, a shared READ-REPLY's tail (unpacking
 # never panics, yields nothing from a malformed tail, and inverts
-# packing). The wire fuzzer: strict decoding, the encode/decode
-# fixpoint in both versions, and a connection decoder that agrees with the
+# packing). The wire fuzzer: strict decoding, refusal of a frame without
+# its marker byte, the encode/decode fixpoint, and a connection decoder
+# that agrees with the
 # shared path and never aliases its input (DESIGN.md §11, §16). CI's
 # build-test job runs it. -fuzzminimizetime: left at its 60 s default, the
 # first input that reaches new coverage is minimized for the rest of the
@@ -83,9 +84,9 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzEnvelopeRoundTrip -fuzztime=20s -fuzzminimizetime=1s ./internal/wire
 	$(GO) test -run='^$$' -fuzz=FuzzReadSpans -fuzztime=5s -fuzzminimizetime=1s ./internal/consensus/rsm
 
-# Full chaos soak under the race detector: live UDP and TCP clusters
-# through leader crash, asymmetric partition + heal, and pre-GST link
-# chaos, with consensus safety checked at the end (see DESIGN.md §10).
+# Full chaos soak under the race detector: live TCP clusters through
+# leader crash, asymmetric partition + heal, and pre-GST link chaos, with
+# consensus safety checked at the end (see DESIGN.md §10).
 #
 # With METRICS set (make soak METRICS=:8080) the soak instead runs as a
 # watchable live cluster: the full TCP fault plan with the telemetry
@@ -170,20 +171,17 @@ bench-micro:
 	$(GO) test -run '^$$' -bench 'RecorderRecord|BatcherPumpFull|ApplyBatch16|FollowerCommit|SubmitWithBacklog|LeaseReadTurn' -benchmem ./internal/consensus ./internal/consensus/rsm
 	$(GO) test -run '^$$' -bench 'StationTurn|WALTurn' -benchmem ./internal/transport ./internal/durable
 
-# End-to-end tracing smoke (DESIGN.md §8): a traced consensus load run
-# and a traced chaossoak leader-crash run, then traceview over both sets
-# of flight-recorder dumps. -require-request gates on at least one
-# complete request→queue→quorum→apply chain; -require-election gates on
-# a captured leader election.
+# End-to-end tracing smoke (DESIGN.md §8): a traced chaossoak leader-crash
+# run over TCP, then traceview over its flight-recorder dumps.
+# -require-request gates on at least one complete
+# request→queue→quorum→apply chain; -require-election gates on a captured
+# leader election.
 trace-smoke:
-	$(GO) build -o /tmp/consload-trace ./cmd/consload
 	$(GO) build -o /tmp/chaossoak-trace ./cmd/chaossoak
 	$(GO) build -o /tmp/traceview-smoke ./cmd/traceview
 	rm -rf /tmp/trace-smoke && mkdir -p /tmp/trace-smoke
-	/tmp/consload-trace -n 3 -dur 2s -reps 1 -trace-dir /tmp/trace-smoke/consload
 	/tmp/chaossoak-trace -transport tcp -plan crash -trace-dir /tmp/trace-smoke/soak
-	/tmp/traceview-smoke -require-request /tmp/trace-smoke/consload/batched
-	/tmp/traceview-smoke -require-election -chrome /tmp/trace-smoke/soak.chrome.json /tmp/trace-smoke/soak
+	/tmp/traceview-smoke -require-request -require-election -chrome /tmp/trace-smoke/soak.chrome.json /tmp/trace-smoke/soak
 
 # Regenerate EXPERIMENTS.md-style tables at full size.
 tables:

@@ -232,8 +232,8 @@ func BenchmarkWireHeartbeatEncode(b *testing.B) {
 	}
 }
 
-// BenchmarkWireEnvelopeEncode measures the full datagram frame (sender
-// header + heartbeat) the UDP transport writes per message.
+// BenchmarkWireEnvelopeEncode measures the full envelope (sender header +
+// heartbeat) the TCP transport frames per message.
 func BenchmarkWireEnvelopeEncode(b *testing.B) {
 	codec := wire.NewCodec()
 	var msg node.Message = core.LeaderMsg{Epoch: 123456}

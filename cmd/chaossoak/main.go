@@ -1,5 +1,5 @@
-// Command chaossoak runs a live cluster — real UDP or TCP sockets on
-// loopback, or the in-process mem transport — under a scripted fault
+// Command chaossoak runs a live cluster — real TCP sockets on loopback,
+// or the in-process mem transport — under a scripted fault
 // plan: seeded per-link chaos, scheduled leader crashes, runtime
 // partitions and heals. It drives replicated-state-machine traffic
 // through the surviving majority and verifies, at the end, that leader
@@ -8,9 +8,9 @@
 //
 // Usage examples:
 //
-//	chaossoak -transport udp -plan full -n 5 -seed 42
+//	chaossoak -plan full -n 5 -seed 42
 //	chaossoak -transport tcp -plan crash -n 3
-//	chaossoak -transport udp -plan chaos -gst 2s -bound 30s
+//	chaossoak -plan chaos -gst 2s -bound 30s
 //	chaossoak -transport mem -plan recovery -n 3 -fsync group
 //	chaossoak -transport mem -plan recovery -n 3 -groups 4
 //
@@ -62,8 +62,8 @@ func main() {
 	}
 }
 
-// cluster is the transport surface the soak drives; all three live
-// clusters satisfy it.
+// cluster is the transport surface the soak drives; both live clusters
+// satisfy it.
 type cluster interface {
 	Start()
 	Stop()
@@ -75,7 +75,7 @@ type cluster interface {
 func run(args []string) (err error) {
 	fs := flag.NewFlagSet("chaossoak", flag.ContinueOnError)
 	var (
-		transportName = fs.String("transport", "udp", "live transport: mem, udp, tcp")
+		transportName = fs.String("transport", "tcp", "live transport: mem, tcp")
 		n             = fs.Int("n", 5, "number of processes (full/partition plans need n >= 5 for quorum math)")
 		seed          = fs.Int64("seed", 42, "fault-injection seed (same seed + plan = same drop/delay decisions)")
 		eta           = fs.Duration("eta", 5*time.Millisecond, "heartbeat period η")
@@ -216,12 +216,10 @@ func run(args []string) (err error) {
 	switch *transportName {
 	case "mem":
 		c, err = transport.NewCluster(cfg, autos)
-	case "udp":
-		c, err = transport.NewUDPCluster(cfg, autos)
 	case "tcp":
 		c, err = transport.NewTCPCluster(cfg, autos)
 	default:
-		return fmt.Errorf("unknown transport %q (want mem, udp, tcp)", *transportName)
+		return fmt.Errorf("unknown transport %q (want mem, tcp)", *transportName)
 	}
 	if err != nil {
 		return err
@@ -597,6 +595,15 @@ func (s *soak) agreement(skip map[int]bool) (node.ID, bool) {
 	return leader, leader != node.None
 }
 
+// settledLeader waits until the processes not in skip agree on a leader
+// and returns it. Right after a pump the Omegas may be in dispute for an
+// instant, and a one-shot agreement would then name node.None.
+func (s *soak) settledLeader(skip map[int]bool, what string) (node.ID, error) {
+	leader := node.None
+	err := s.waitFor(func() (ok bool) { leader, ok = s.agreement(skip); return ok }, what)
+	return leader, err
+}
+
 // waitFor polls cond until it holds or the phase bound expires.
 func (s *soak) waitFor(cond func() bool, what string) error {
 	deadline := time.Now().Add(s.bound)
@@ -700,7 +707,10 @@ func (s *soak) runCrash() error {
 	if err := s.pump(ints(0, n), "pre", s.commands); err != nil {
 		return err
 	}
-	leader, _ := s.agreement(nil)
+	leader, err := s.settledLeader(nil, "settled leader to crash")
+	if err != nil {
+		return err
+	}
 	s.c.Crash(leader)
 	fmt.Printf("fault:     crashed leader p%v\n", leader)
 	skip := map[int]bool{int(leader): true}
@@ -801,7 +811,10 @@ func (s *soak) runRecovery() error {
 	if err := s.pump(all, "pre", s.commands); err != nil {
 		return err
 	}
-	leader, _ := s.agreement(nil)
+	leader, err := s.settledLeader(nil, "settled leader to kill")
+	if err != nil {
+		return err
+	}
 	s.recovered = leader
 
 	// Kill the leader mid-batch: a burst of requests is still in flight
@@ -858,17 +871,9 @@ func (s *soak) runRecovery() error {
 	// process already leads again, progress below proves the point
 	// directly; otherwise the cluster must keep deciding with the
 	// restarted process voting in (and possibly leading) every quorum.
-	// Agreement can be momentarily in dispute after the catch-up wait
-	// (the rejoin itself may trigger a leader change), so capture the
-	// second leader from a settled view rather than a one-shot snapshot.
-	second := node.None
-	if err := s.waitFor(func() bool {
-		l, ok := s.agreement(nil)
-		if ok {
-			second = l
-		}
-		return ok
-	}, "settled leader before second kill"); err != nil {
+	// The rejoin itself may trigger a leader change.
+	second, err := s.settledLeader(nil, "settled leader before second kill")
+	if err != nil {
 		return err
 	}
 	correct := all

@@ -46,7 +46,7 @@ func TestRunRecoveryPlanGroups(t *testing.T) {
 }
 
 func TestRunRecoveryPlanRequiresMem(t *testing.T) {
-	if err := run([]string{"-transport", "udp", "-plan", "recovery", "-n", "3"}); err == nil {
+	if err := run([]string{"-transport", "tcp", "-plan", "recovery", "-n", "3"}); err == nil {
 		t.Fatal("recovery plan accepted a socket transport")
 	}
 }

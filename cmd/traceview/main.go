@@ -1,5 +1,5 @@
-// Command traceview merges flight-recorder dumps (written by chaossoak,
-// consload, or omegasim under -trace-dir) into one causally ordered
+// Command traceview merges flight-recorder dumps (written by chaossoak or
+// omegasim under -trace-dir) into one causally ordered
 // timeline: request latency percentiles with a per-stage breakdown
 // (queue / quorum / wire / apply), the reconstructed leader-election
 // downtime intervals, the slowest request's span tree, and optionally

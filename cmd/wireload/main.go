@@ -1,6 +1,6 @@
 // Command wireload is a throughput harness for the live transports: it
 // drives an all-to-all heartbeat load — the paper's steady-state traffic
-// shape — through a mem, UDP or TCP cluster at a configurable per-link
+// shape — through a mem or TCP cluster at a configurable per-link
 // rate and reports what the wire actually cost: messages per second,
 // bytes per message, allocations per message, and drops. Every number
 // comes out of the same obs/metrics pipeline the protocols are
@@ -10,7 +10,7 @@
 // Usage examples:
 //
 //	wireload -transport tcp -n 5 -rate 2000 -dur 5s
-//	wireload -transport udp -n 3 -version fixed -msg vector
+//	wireload -transport mem -n 3 -msg vector
 //	wireload -transport tcp -batch-frames 1   # pre-batching baseline
 package main
 
@@ -28,7 +28,6 @@ import (
 	"repro/internal/node"
 	"repro/internal/telemetry"
 	"repro/internal/transport"
-	"repro/internal/wire"
 )
 
 func main() {
@@ -38,8 +37,8 @@ func main() {
 	}
 }
 
-// cluster is the transport surface the load generator drives; all three
-// live clusters satisfy it.
+// cluster is the transport surface the load generator drives; both live
+// clusters satisfy it.
 type cluster interface {
 	Start()
 	Stop()
@@ -58,12 +57,11 @@ func (nop) Deliver(node.ID, node.Message) {}
 func run(args []string, out *os.File) error {
 	fs := flag.NewFlagSet("wireload", flag.ContinueOnError)
 	var (
-		transportName = fs.String("transport", "tcp", "live transport: mem, udp, tcp")
+		transportName = fs.String("transport", "tcp", "live transport: mem, tcp")
 		n             = fs.Int("n", 3, "number of processes")
 		rate          = fs.Int("rate", 1000, "messages per second per directed link")
 		dur           = fs.Duration("dur", 3*time.Second, "how long to drive the load")
 		seed          = fs.Int64("seed", 1, "delay/loss randomness seed")
-		version       = fs.String("version", "varint", "wire encoding: varint, fixed")
 		msgName       = fs.String("msg", "hb", "payload: hb (leader heartbeat), vector (SOURCE counter vector)")
 		sendQueue     = fs.Int("sendqueue", 0, "TCP per-link queue bound (0 = default)")
 		batchFrames   = fs.Int("batch-frames", 0, "TCP coalescing frame cap (0 = default, 1 = per-frame writes)")
@@ -79,16 +77,6 @@ func run(args []string, out *os.File) error {
 	}
 	if *rate <= 0 || *dur <= 0 {
 		return fmt.Errorf("wireload: rate and dur must be positive")
-	}
-
-	codec := wire.NewCodec()
-	switch *version {
-	case "varint":
-		codec.SetEncodeVersion(wire.VersionVarint)
-	case "fixed":
-		codec.SetEncodeVersion(wire.VersionFixed)
-	default:
-		return fmt.Errorf("wireload: unknown version %q (want varint, fixed)", *version)
 	}
 
 	var msg node.Message
@@ -112,7 +100,6 @@ func run(args []string, out *os.File) error {
 	tel := telemetry.New(*n)
 	cfg := transport.Config{
 		N: *n, Seed: *seed, Quiet: true,
-		Codec:       codec,
 		SendQueue:   *sendQueue,
 		BatchFrames: *batchFrames,
 		BatchBytes:  *batchBytes,
@@ -123,12 +110,10 @@ func run(args []string, out *os.File) error {
 	switch *transportName {
 	case "mem":
 		c, err = transport.NewCluster(cfg, autos)
-	case "udp":
-		c, err = transport.NewUDPCluster(cfg, autos)
 	case "tcp":
 		c, err = transport.NewTCPCluster(cfg, autos)
 	default:
-		return fmt.Errorf("wireload: unknown transport %q (want mem, udp, tcp)", *transportName)
+		return fmt.Errorf("wireload: unknown transport %q (want mem, tcp)", *transportName)
 	}
 	if err != nil {
 		return err
@@ -193,8 +178,8 @@ func run(args []string, out *os.File) error {
 	sent, delivered, dropped := s.TotalSent(), s.Delivered(), s.Dropped()
 	wireBytes := s.WireBytes()
 	report := func(f string, args ...any) { fmt.Fprintf(out, f+"\n", args...) }
-	report("wireload: %s n=%d rate=%d/link dur=%v version=%s msg=%s",
-		*transportName, *n, *rate, elapsed.Round(time.Millisecond), *version, *msgName)
+	report("wireload: %s n=%d rate=%d/link dur=%v msg=%s",
+		*transportName, *n, *rate, elapsed.Round(time.Millisecond), *msgName)
 	report("  sent      %10d  (%.0f msgs/sec offered)", sent, float64(sent)/elapsed.Seconds())
 	report("  delivered %10d  (%.0f msgs/sec)", delivered, float64(delivered)/elapsed.Seconds())
 	report("  dropped   %10d", dropped)

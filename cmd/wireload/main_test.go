@@ -14,17 +14,9 @@ func TestRunMem(t *testing.T) {
 	}
 }
 
-func TestRunUDP(t *testing.T) {
-	if err := run([]string{"-transport", "udp", "-n", "3", "-rate", "500", "-dur", "300ms"}, os.Stdout); err != nil {
+func TestRunTCP(t *testing.T) {
+	if err := run([]string{"-transport", "tcp", "-n", "3", "-rate", "500", "-dur", "300ms"}, os.Stdout); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestRunTCPBothVersions(t *testing.T) {
-	for _, v := range []string{"varint", "fixed"} {
-		if err := run([]string{"-transport", "tcp", "-n", "3", "-rate", "500", "-dur", "300ms", "-version", v}, os.Stdout); err != nil {
-			t.Fatalf("version %s: %v", v, err)
-		}
 	}
 }
 
@@ -43,7 +35,6 @@ func TestRunVectorPayload(t *testing.T) {
 func TestRunRejectsBadFlags(t *testing.T) {
 	for name, args := range map[string][]string{
 		"unknown transport": {"-transport", "smoke-signal"},
-		"unknown version":   {"-version", "v3"},
 		"unknown msg":       {"-msg", "jumbo"},
 		"n too small":       {"-n", "1"},
 		"zero rate":         {"-rate", "0"},

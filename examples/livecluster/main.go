@@ -1,9 +1,9 @@
 // Livecluster: the same communication-efficient Omega automatons, but on
-// real goroutines, wall-clock timers and UDP sockets instead of the
+// real goroutines, wall-clock timers and TCP sockets instead of the
 // deterministic simulator — messages cross real process boundaries through
 // the binary wire codec.
 //
-// The program starts a five-endpoint UDP cluster on the loopback
+// The program starts a five-endpoint TCP cluster on the loopback
 // interface, waits for leader agreement, measures steady-state traffic,
 // kills the leader and waits for the re-election.
 //
@@ -34,14 +34,14 @@ func run() error {
 		dets[i] = core.New(core.WithEta(20 * time.Millisecond))
 		autos[i] = dets[i]
 	}
-	cluster, err := transport.NewUDPCluster(transport.Config{N: n, Seed: 1, Quiet: true}, autos)
+	cluster, err := transport.NewTCPCluster(transport.Config{N: n, Seed: 1, Quiet: true}, autos)
 	if err != nil {
 		return err
 	}
 	cluster.Start()
 	defer cluster.Stop()
 
-	fmt.Println("five UDP endpoints on 127.0.0.1:")
+	fmt.Println("five TCP endpoints on 127.0.0.1:")
 	for i := 0; i < n; i++ {
 		fmt.Printf("  p%d @ %v\n", i, cluster.Addr(node.ID(i)))
 	}

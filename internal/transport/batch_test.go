@@ -1,14 +1,12 @@
 package transport
 
 import (
-	"net"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/node"
-	"repro/internal/wire"
 )
 
 // epochRecorder is a silent automaton that records every LeaderMsg epoch
@@ -124,52 +122,5 @@ func TestTCPBufferLifecycleExactOnce(t *testing.T) {
 	time.Sleep(50 * time.Millisecond)
 	if got := encBufs.Balance(); got != base {
 		t.Fatalf("pool balance = %d after quiesce, want %d (leak if higher, double put if lower)", got, base)
-	}
-}
-
-// TestUDPSteadyStateReceiveAllocs pins the allocation-free UDP receive
-// loop: one reusable read buffer, an address returned by value, and the
-// socket's own decoder make the steady-state datagram → message path cost
-// zero allocations per op for a heartbeat (a message that carries a value
-// costs its box: wire's TestConnDecoderValueAllocs).
-func TestUDPSteadyStateReceiveAllocs(t *testing.T) {
-	codec := wire.NewCodec()
-	dec := codec.NewConnDecoder()
-	recv, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer recv.Close()
-	send, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer send.Close()
-	dst := recv.LocalAddr().(*net.UDPAddr).AddrPort()
-	_ = recv.SetReadDeadline(time.Now().Add(30 * time.Second))
-
-	frame, err := codec.MarshalEnvelope(1, core.LeaderMsg{Epoch: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, 64*1024)
-	loop := func() {
-		if _, err := send.WriteToUDPAddrPort(frame, dst); err != nil {
-			t.Fatal(err)
-		}
-		n, _, err := recv.ReadFromUDPAddrPort(buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		env, err := dec.UnmarshalEnvelope(buf[:n])
-		if err != nil || env.From != 1 {
-			t.Fatal("bad datagram")
-		}
-	}
-	for i := 0; i < 16; i++ {
-		loop() // warm the socket path
-	}
-	if allocs := testing.AllocsPerRun(200, loop); allocs != 0 {
-		t.Errorf("UDP receive steady state: %v allocs/op, want 0", allocs)
 	}
 }

@@ -1,14 +1,12 @@
 package transport
 
 import (
-	"net"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/node"
-	"repro/internal/wire"
 )
 
 // countingAutomaton counts deliveries and nothing else — the receive side
@@ -77,46 +75,3 @@ func BenchmarkTCPSendBatched(b *testing.B) { benchTCPSend(b, 0) }
 // BenchmarkTCPSendPerFrame pins the pre-batching baseline — BatchFrames=1
 // makes every frame its own write syscall, the behaviour this PR replaced.
 func BenchmarkTCPSendPerFrame(b *testing.B) { benchTCPSend(b, 1) }
-
-// BenchmarkUDPReceiveSteadyState times the full datagram receive path —
-// kernel read, envelope decode — over real loopback sockets. It must run
-// at 0 allocs/op: one reusable read buffer, an address returned by value,
-// and the socket's own decoder (TestUDPSteadyStateReceiveAllocs pins the
-// same invariant as a test).
-func BenchmarkUDPReceiveSteadyState(b *testing.B) {
-	codec := wire.NewCodec()
-	dec := codec.NewConnDecoder()
-	recv, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 0})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer recv.Close()
-	send, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 0})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer send.Close()
-	dst := recv.LocalAddr().(*net.UDPAddr).AddrPort()
-	_ = recv.SetReadDeadline(time.Now().Add(10 * time.Minute))
-
-	frame, err := codec.MarshalEnvelope(1, core.LeaderMsg{Epoch: 5})
-	if err != nil {
-		b.Fatal(err)
-	}
-	buf := make([]byte, 64*1024)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := send.WriteToUDPAddrPort(frame, dst); err != nil {
-			b.Fatal(err)
-		}
-		n, _, err := recv.ReadFromUDPAddrPort(buf)
-		if err != nil {
-			b.Fatal(err)
-		}
-		env, err := dec.UnmarshalEnvelope(buf[:n])
-		if err != nil || env.From != 1 {
-			b.Fatal("bad datagram")
-		}
-	}
-}

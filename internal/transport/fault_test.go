@@ -73,9 +73,9 @@ func TestMemClusterDownLinksDropEverything(t *testing.T) {
 	}
 }
 
-func TestUDPClusterPartitionCutAndHeal(t *testing.T) {
+func TestTCPClusterPartitionCutAndHeal(t *testing.T) {
 	inj := mustInjector(t, 2, 2, faultline.Plan{})
-	c, err := NewUDPCluster(Config{N: 2, Seed: 2, Quiet: true, Fault: inj}, idleAutomatons(2))
+	c, err := NewTCPCluster(Config{N: 2, Seed: 2, Quiet: true, Fault: inj}, idleAutomatons(2))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/node"
 	"repro/internal/obs"
-	"repro/internal/wire"
 )
 
 // Config parameterizes a live cluster.
@@ -25,9 +24,6 @@ type Config struct {
 	MaxDelay time.Duration
 	// DropProb injects message loss (default 0).
 	DropProb float64
-	// Codec serializes messages across process boundaries
-	// (default wire.NewCodec()).
-	Codec *wire.Codec
 	// Quiet suppresses per-process logging.
 	Quiet bool
 	// Observer is an optional extra obs.Sink teed with the cluster's
@@ -51,11 +47,10 @@ type Config struct {
 	// from a timer goroutine, so it must be safe to run concurrently with
 	// the rest of the cluster. Required when Fault carries a restart
 	// plan; only the in-memory Cluster arms restart plans (the socket
-	// transports would need process supervision, not an in-process swap).
+	// transport would need process supervision, not an in-process swap).
 	Rebuild func(node.ID) node.Automaton
-	// WriteTimeout bounds each socket write — a TCP frame or a UDP
-	// datagram — so a peer that stops reading can never wedge a sender
-	// (default 1s).
+	// WriteTimeout bounds each TCP write, so a peer that stops reading can
+	// never wedge a sender (default 1s).
 	WriteTimeout time.Duration
 	// DialTimeout bounds each TCP dial attempt (default 1s).
 	DialTimeout time.Duration
@@ -99,9 +94,6 @@ func (c *Config) fill() error {
 	}
 	if c.DropProb < 0 || c.DropProb > 1 {
 		return fmt.Errorf("transport: DropProb %v out of range", c.DropProb)
-	}
-	if c.Codec == nil {
-		c.Codec = wire.NewCodec()
 	}
 	if c.Fault != nil && c.Fault.N() != c.N {
 		return fmt.Errorf("transport: fault injector built for n=%d, cluster has N=%d", c.Fault.N(), c.N)
@@ -257,7 +249,7 @@ func (m *memNet) send(from, to node.ID, msg node.Message) {
 	// copy, exactly as over a socket. The buffer is pooled and returned
 	// once the receiver has decoded (or the message is dropped).
 	bp := encBufs.Get()
-	data, err := c.cfg.Codec.MarshalAppend((*bp)[:0], msg)
+	data, err := codec.MarshalAppend((*bp)[:0], msg)
 	if err != nil {
 		encBufs.Put(bp)
 		panic(fmt.Sprintf("transport: marshal %T: %v", msg, err))
@@ -288,7 +280,7 @@ func (m *memNet) send(from, to node.ID, msg node.Message) {
 		return
 	}
 	time.AfterFunc(delay, func() {
-		decoded, err := c.cfg.Codec.Unmarshal(data)
+		decoded, err := codec.Unmarshal(data)
 		encBufs.Put(bp) // Unmarshal copies what it keeps
 		if err != nil {
 			panic(fmt.Sprintf("transport: unmarshal: %v", err))

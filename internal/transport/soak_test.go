@@ -14,8 +14,8 @@ import (
 	"repro/internal/node"
 )
 
-// liveCluster is the surface the chaos soak drives, satisfied by the UDP
-// and TCP clusters alike.
+// liveCluster is the surface the soaks and restart drills drive,
+// satisfied by the mem and TCP clusters alike.
 type liveCluster interface {
 	Start()
 	Stop()
@@ -79,11 +79,11 @@ func skipAllBut(n int, keep []int) map[int]bool {
 	return skip
 }
 
-// runChaosSoak drives one live cluster through the scripted fault plan of
-// the acceptance criteria: commit entries, crash the leader, cut a
+// TestChaosSoakTCP drives a live TCP cluster through the scripted fault
+// plan of the acceptance criteria: commit entries, crash the leader, cut a
 // minority partition, heal — then assert re-election, renewed consensus
 // progress, and that no instance ever decided two values.
-func runChaosSoak(t *testing.T, build func(Config, []node.Automaton) (liveCluster, error)) {
+func TestChaosSoakTCP(t *testing.T) {
 	// n = 5 so the quorum (3) survives the crash of p0 AND the cut of p4:
 	// the majority side {1,2,3} can still decide during the partition.
 	const n = 5
@@ -97,7 +97,7 @@ func runChaosSoak(t *testing.T, build func(Config, []node.Automaton) (liveCluste
 		t.Fatal(err)
 	}
 	autos, dets, logs := soakReplicas(n)
-	c, err := build(Config{N: n, Seed: 42, Quiet: true, Fault: inj, WriteTimeout: 200 * time.Millisecond}, autos)
+	c, err := NewTCPCluster(Config{N: n, Seed: 42, Quiet: true, Fault: inj, WriteTimeout: 200 * time.Millisecond}, autos)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,19 +164,7 @@ func runChaosSoak(t *testing.T, build func(Config, []node.Automaton) (liveCluste
 	}
 }
 
-func TestChaosSoakUDP(t *testing.T) {
-	runChaosSoak(t, func(cfg Config, autos []node.Automaton) (liveCluster, error) {
-		return NewUDPCluster(cfg, autos)
-	})
-}
-
-func TestChaosSoakTCP(t *testing.T) {
-	runChaosSoak(t, func(cfg Config, autos []node.Automaton) (liveCluster, error) {
-		return NewTCPCluster(cfg, autos)
-	})
-}
-
-// TestChaosSoakPreGSTChaosHeals runs a live UDP cluster on
+// TestChaosSoakPreGSTChaosHeals runs a live TCP cluster on
 // eventually-timely links: before the wall-clock GST every link drops and
 // delays wildly; from GST on the links are timely and the detectors must
 // stabilize — the paper's GST model, on real sockets.
@@ -202,7 +190,7 @@ func TestChaosSoakPreGSTChaosHeals(t *testing.T) {
 		dets[i] = core.New(core.WithEta(5*time.Millisecond), core.WithRebuff())
 		autos[i] = dets[i]
 	}
-	c, err := NewUDPCluster(Config{N: n, Seed: 7, Quiet: true, Fault: inj}, autos)
+	c, err := NewTCPCluster(Config{N: n, Seed: 7, Quiet: true, Fault: inj}, autos)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,7 @@
 // Package transport runs the protocol automatons on real time and real
 // concurrency instead of the deterministic simulator: one goroutine per
 // process, wall-clock timers, and either an in-memory network with
-// injected delay/loss or real UDP/TCP sockets on the loopback interface.
+// injected delay/loss or real TCP sockets on the loopback interface.
 // Messages cross process boundaries through the binary codec
 // (internal/wire), so live runs exercise serialization exactly as a
 // deployment would. The examples/livecluster program demonstrates it.
@@ -45,7 +45,7 @@ type sender interface {
 // (internal/consensus/group), which demuxes each message into a per-group
 // mailbox. When a station's automaton implements it, inbound messages are
 // handed over directly from the transport's receive goroutines (TCP read
-// loops, UDP receive loops, mem delivery timers), skipping the station
+// loops, mem delivery timers), skipping the station
 // loop's serialization point entirely. DeliverConcurrent reports whether
 // the message was consumed; on false the message takes the ordinary
 // station-loop path. Such an automaton also sends from goroutines of its

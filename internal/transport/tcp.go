@@ -251,7 +251,7 @@ func (c *TCPCluster) readLoop(i int, conn net.Conn) {
 	defer c.release(conn)
 	st := c.stations[i]
 	in := frames{br: bufio.NewReaderSize(conn, c.cfg.BatchBytes)}
-	dec := c.cfg.Codec.NewConnDecoder()
+	dec := codec.NewConnDecoder()
 	var batch []event
 	for {
 		// batch is empty here: the loop never blocks in a read while it
@@ -410,7 +410,7 @@ func (t *tcpNet) send(from, to nodepkg.ID, msg nodepkg.Message) {
 	// prefix, append the envelope, then patch the length in.
 	bp := encBufs.Get()
 	frame := append((*bp)[:0], 0, 0, 0, 0)
-	frame, err := c.cfg.Codec.MarshalEnvelopeAppend(frame, from, msg)
+	frame, err := codec.MarshalEnvelopeAppend(frame, from, msg)
 	if err != nil {
 		encBufs.Put(bp)
 		panic(fmt.Sprintf("transport: marshal %T: %v", msg, err))

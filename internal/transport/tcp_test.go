@@ -91,7 +91,11 @@ func expectClosed(t *testing.T, conn net.Conn, what string) {
 	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
 	buf := make([]byte, 256)
 	for {
-		if _, err := conn.Read(buf); err != nil {
+		_, err := conn.Read(buf)
+		if ne, ok := err.(net.Error); ok && ne.Timeout() {
+			t.Fatalf("%s: connection still open after 5s", what)
+		}
+		if err != nil {
 			return
 		}
 	}
@@ -140,17 +144,23 @@ func TestTCPCorruptEnvelopeDropsConnectionNotStation(t *testing.T) {
 		return ok && l == 0
 	}, "agreement before attack")
 
-	conn := hostileConn(t, c, 0)
-	defer conn.Close()
-	// A well-framed but undecodable envelope: framing can no longer be
-	// trusted, so the receiver must cut the connection.
-	garbage := []byte{0xff, 0xfe, 0xfd, 0xfc, 0xfb}
-	var header [4]byte
-	binary.BigEndian.PutUint32(header[:], uint32(len(garbage)))
-	if _, err := conn.Write(append(header[:], garbage...)); err != nil {
-		t.Fatal(err)
+	// Well-framed but undecodable envelopes: framing can no longer be
+	// trusted, so the receiver must cut the connection. The second is a
+	// heartbeat from p1 as the fixed-width encoding wrote it (big-endian
+	// sender id, LEADER's type code 1, big-endian epoch): it has no marker
+	// byte, so it is refused like any other garbage.
+	for what, envelope := range map[string][]byte{
+		"corrupt envelope":      {0xff, 0xfe, 0xfd, 0xfc, 0xfb},
+		"fixed-width heartbeat": {0, 0, 0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 9},
+	} {
+		conn := hostileConn(t, c, 0)
+		defer conn.Close()
+		frame := binary.BigEndian.AppendUint32(nil, uint32(len(envelope)))
+		if _, err := conn.Write(append(frame, envelope...)); err != nil {
+			t.Fatal(err)
+		}
+		expectClosed(t, conn, what)
 	}
-	expectClosed(t, conn, "corrupt envelope")
 
 	sent := c.Stats().TotalSent()
 	waitFor(t, 10*time.Second, func() bool {

@@ -186,89 +186,6 @@ func TestMemClusterReplicatedLog(t *testing.T) {
 	}
 }
 
-func TestUDPClusterElectsLeader(t *testing.T) {
-	autos, dets := liveDetectors(4)
-	c, err := NewUDPCluster(Config{N: 4, Seed: 6, Quiet: true}, autos)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Start()
-	defer c.Stop()
-	waitFor(t, 10*time.Second, func() bool {
-		l, ok := agreement(dets, nil)
-		return ok && l == 0
-	}, "UDP leader agreement")
-	if c.Addr(0) == nil || c.Addr(0).Port == 0 {
-		t.Fatal("no bound address")
-	}
-}
-
-func TestUDPClusterLeaderCrash(t *testing.T) {
-	autos, dets := liveDetectors(3)
-	c, err := NewUDPCluster(Config{N: 3, Seed: 7, Quiet: true}, autos)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Start()
-	defer c.Stop()
-	waitFor(t, 10*time.Second, func() bool {
-		l, ok := agreement(dets, nil)
-		return ok && l == 0
-	}, "initial agreement")
-	c.Crash(0)
-	waitFor(t, 15*time.Second, func() bool {
-		l, ok := agreement(dets, map[int]bool{0: true})
-		return ok && l == 1
-	}, "UDP re-election")
-}
-
-func TestUDPReplicatedLog(t *testing.T) {
-	const n = 3
-	autos := make([]node.Automaton, n)
-	dets := make([]*core.Detector, n)
-	logs := make([]*rsm.Node, n)
-	for i := 0; i < n; i++ {
-		dets[i] = core.New(core.WithEta(5 * time.Millisecond))
-		logs[i] = rsm.New(dets[i], rsm.Config{DriveInterval: 10 * time.Millisecond})
-		autos[i] = node.Compose(dets[i], logs[i])
-	}
-	c, err := NewUDPCluster(Config{N: n, Seed: 20, Quiet: true}, autos)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Start()
-	defer c.Stop()
-	waitFor(t, 10*time.Second, func() bool {
-		for _, d := range dets {
-			if d.History().Current() != 0 {
-				return false
-			}
-		}
-		return true
-	}, "UDP leader stabilization")
-	// Push commands through real datagrams until the logs fill.
-	net := &udpNet{cluster: c}
-	waitFor(t, 15*time.Second, func() bool {
-		for i := 0; i < 3; i++ {
-			net.send(1, 0, rsm.RequestMsg{V: consensus.Value(fmt.Sprintf("udp-cmd%d", i))})
-		}
-		for _, l := range logs {
-			if l.Recorder().Count() < 3 {
-				return false
-			}
-		}
-		return true
-	}, "UDP replicas decide 3 instances")
-	recs := make([]*consensus.Recorder, n)
-	for i, l := range logs {
-		recs[i] = l.Recorder()
-	}
-	rep := consensus.CheckSafety(consensus.SafetyInput{Recorders: recs})
-	if !rep.Agreement {
-		t.Fatalf("disagreement over UDP: %v", rep.Violations)
-	}
-}
-
 func TestClusterStopIsIdempotentAndClean(t *testing.T) {
 	autos, _ := liveDetectors(3)
 	c, err := NewCluster(Config{N: 3, Seed: 8, Quiet: true}, autos)
@@ -279,14 +196,6 @@ func TestClusterStopIsIdempotentAndClean(t *testing.T) {
 	time.Sleep(50 * time.Millisecond)
 	c.Stop()
 	c.Stop() // must not panic or hang
-	u, err := NewUDPCluster(Config{N: 3, Seed: 9, Quiet: true}, autos)
-	if err != nil {
-		t.Fatal(err)
-	}
-	u.Start()
-	time.Sleep(50 * time.Millisecond)
-	u.Stop()
-	u.Stop()
 }
 
 func TestConfigValidation(t *testing.T) {

@@ -189,7 +189,7 @@ func leaderFrames(t *testing.T, c *TCPCluster, first, last uint64) []byte {
 	t.Helper()
 	var out []byte
 	for e := first; e <= last; e++ {
-		env, err := c.cfg.Codec.MarshalEnvelope(0, core.LeaderMsg{Epoch: e})
+		env, err := codec.MarshalEnvelope(0, core.LeaderMsg{Epoch: e})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -8,15 +8,13 @@ import (
 	"repro/internal/node"
 )
 
-// benchEnvelope measures the full envelope path for one codec version:
-// encode (MarshalEnvelopeAppend into a reused buffer) and decode
+// benchEnvelope measures the full envelope path: encode
+// (MarshalEnvelopeAppend into a reused buffer) and decode
 // (UnmarshalEnvelope with the pooled decoder). Both halves must stay at
 // 0 allocs/op — the live receive loops run them per message — and the
-// reported wire-bytes/op metric shows the varint envelope strictly smaller
-// than the fixed one.
-func benchEnvelope(b *testing.B, v Version, msg node.Message) {
+// wire-B/msg metric reports the frame's size.
+func benchEnvelope(b *testing.B, msg node.Message) {
 	c := NewCodec()
-	c.SetEncodeVersion(v)
 	frame, err := c.MarshalEnvelope(1, msg)
 	if err != nil {
 		b.Fatal(err)
@@ -49,23 +47,16 @@ func benchEnvelope(b *testing.B, v Version, msg node.Message) {
 	})
 }
 
-// BenchmarkEnvelopeVarint is the steady-state heartbeat envelope in the
-// varint encoding — the frame every live link carries once per η.
+// BenchmarkEnvelopeVarint is the steady-state heartbeat envelope — the
+// frame every live link carries once per η.
 func BenchmarkEnvelopeVarint(b *testing.B) {
-	benchEnvelope(b, VersionVarint, core.LeaderMsg{Epoch: 5})
-}
-
-// BenchmarkEnvelopeFixed is the same heartbeat under the original
-// fixed-width encoding, the baseline the varint codec is measured
-// against.
-func BenchmarkEnvelopeFixed(b *testing.B) {
-	benchEnvelope(b, VersionFixed, core.LeaderMsg{Epoch: 5})
+	benchEnvelope(b, core.LeaderMsg{Epoch: 5})
 }
 
 // BenchmarkEnvelopeVarintVector exercises the vector-carrying heartbeat
 // of the SOURCE-detector (one counter per process, n = 8): varint
 // counters shrink with their values, so the steady-state vector frame is
-// far below the fixed 8 bytes per entry.
+// about a byte per entry.
 func BenchmarkEnvelopeVarintVector(b *testing.B) {
-	benchEnvelope(b, VersionVarint, source.AliveMsg{Counters: []uint64{3, 0, 17, 254, 1, 9, 0, 2}})
+	benchEnvelope(b, source.AliveMsg{Counters: []uint64{3, 0, 17, 254, 1, 9, 0, 2}})
 }

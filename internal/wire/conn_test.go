@@ -16,8 +16,9 @@ import (
 
 // TestHostileLengthPrefixAllocatesNothing: a vector's length prefix is
 // checked against the bytes that remain before anything is allocated by
-// it. These two envelopes — seven and six bytes, on UDP a datagram from
-// anywhere — used to cost 32 MiB and 8 MiB before failing as truncated.
+// it. These two envelopes — seven and six bytes, on TCP a frame from anyone
+// who can connect — used to cost 32 MiB and 8 MiB before failing as
+// truncated.
 func TestHostileLengthPrefixAllocatesNothing(t *testing.T) {
 	c := NewCodec()
 	million := []byte{0x80, 0x80, 0x40} // uvarint(1<<20), the largest count maxElems lets through

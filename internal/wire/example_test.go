@@ -16,7 +16,7 @@ func Example() {
 		fmt.Println("error:", err)
 		return
 	}
-	// A varint frame: version marker + type code + varint epoch.
+	// Marker + type code + varint epoch.
 	fmt.Println("encoded bytes:", len(data))
 
 	msg, err := codec.Unmarshal(data)

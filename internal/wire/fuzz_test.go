@@ -14,24 +14,24 @@ import (
 )
 
 // FuzzEnvelopeRoundTrip drives arbitrary bytes through UnmarshalEnvelope
-// and, whenever a frame decodes, re-marshals the message under both
-// versions and demands a byte-stable fixpoint and strict decoding of the
-// canonical frames. The fuzzer therefore explores four invariants at
-// once:
+// and, whenever a frame decodes, re-marshals the message and demands a
+// byte-stable fixpoint and strict decoding of the canonical frame. The
+// fuzzer therefore explores five invariants at once:
 //
 //  1. no input panics or over-allocates (the decoder range-checks every
 //     length prefix before allocating);
-//  2. decode∘encode is the identity on every decodable value, in both
-//     versions and across versions;
-//  3. canonical frames are strict — truncating one byte yields an error,
+//  2. a frame that does not open with the marker byte is refused;
+//  3. decode∘encode is the identity on every decodable value;
+//  4. canonical frames are strict — truncating one byte yields an error,
 //     and so does appending one;
-//  4. a connection decoder agrees with the shared path on every input,
+//  5. a connection decoder agrees with the shared path on every input,
 //     twice, and its messages survive the input being overwritten
 //     (checkConnDecode).
+//
+// Each seed message goes in twice: as its frame, and with the marker cut
+// off.
 func FuzzEnvelopeRoundTrip(f *testing.F) {
-	seed := NewCodec()
-	seedFixed := NewCodec()
-	seedFixed.SetEncodeVersion(VersionFixed)
+	c := NewCodec()
 	seedMsgs := []struct {
 		from node.ID
 		msg  node.Message
@@ -65,52 +65,48 @@ func FuzzEnvelopeRoundTrip(f *testing.F) {
 		{2, group.Msg{Group: 2, Inner: tracing.Wrap{Ctx: tracing.Context{Trace: 9, Span: 10}, Inner: rsm.AcceptedMsg{B: 5, Inst: 7, Done: 6, LeaseSeq: 3}}}},
 	}
 	for _, s := range seedMsgs {
-		for _, c := range []*Codec{seed, seedFixed} {
-			b, err := c.MarshalEnvelope(s.from, s.msg)
-			if err != nil {
-				f.Fatal(err)
-			}
-			f.Add(b)
+		b, err := c.MarshalEnvelope(s.from, s.msg)
+		if err != nil {
+			f.Fatal(err)
 		}
+		f.Add(b)
+		f.Add(b[1:])
 	}
 	f.Add([]byte{})
 	f.Add([]byte{verVarintByte})
 	f.Add([]byte{0, 0, 0, 1, codeCoreLeader})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF})
 
-	fixed := NewCodec()
-	fixed.SetEncodeVersion(VersionFixed)
-	varint := NewCodec()
-
 	f.Fuzz(func(t *testing.T, b []byte) {
-		env, err := varint.UnmarshalEnvelope(b)
+		env, err := c.UnmarshalEnvelope(b)
 		// A decoder per input: one shared between inputs would make the
 		// coverage an input reaches depend on how full its chunk is.
-		checkConnDecode(t, varint.NewConnDecoder(), b, env, err)
+		checkConnDecode(t, c.NewConnDecoder(), b, env, err)
 		if err != nil {
 			if env.Msg != nil {
 				t.Fatal("error with non-nil message")
 			}
 			return
 		}
-		for name, c := range map[string]*Codec{"fixed": fixed, "varint": varint} {
-			canon, err := c.MarshalEnvelope(env.From, env.Msg)
-			if err != nil {
-				t.Fatalf("%s re-marshal of decoded %T: %v", name, env.Msg, err)
-			}
-			again, err := c.UnmarshalEnvelope(canon)
-			if err != nil {
-				t.Fatalf("%s canonical frame rejected: %v", name, err)
-			}
-			if again.From != env.From || !reflect.DeepEqual(again.Msg, env.Msg) {
-				t.Fatalf("%s round trip changed value: %+v → %+v", name, env, again)
-			}
-			if _, err := c.UnmarshalEnvelope(canon[:len(canon)-1]); err == nil {
-				t.Fatalf("%s frame truncated by one byte accepted", name)
-			}
-			if _, err := c.UnmarshalEnvelope(append(canon[:len(canon):len(canon)], 0)); err == nil {
-				t.Fatalf("%s frame with a trailing byte accepted", name)
-			}
+		if b[0] != verVarintByte {
+			t.Fatalf("frame opening with %#x decoded", b[0])
+		}
+		canon, err := c.MarshalEnvelope(env.From, env.Msg)
+		if err != nil {
+			t.Fatalf("re-marshal of decoded %T: %v", env.Msg, err)
+		}
+		again, err := c.UnmarshalEnvelope(canon)
+		if err != nil {
+			t.Fatalf("canonical frame rejected: %v", err)
+		}
+		if again.From != env.From || !reflect.DeepEqual(again.Msg, env.Msg) {
+			t.Fatalf("round trip changed value: %+v → %+v", env, again)
+		}
+		if _, err := c.UnmarshalEnvelope(canon[:len(canon)-1]); err == nil {
+			t.Fatal("frame truncated by one byte accepted")
+		}
+		if _, err := c.UnmarshalEnvelope(append(canon[:len(canon):len(canon)], 0)); err == nil {
+			t.Fatal("frame with a trailing byte accepted")
 		}
 	})
 }

@@ -12,29 +12,6 @@ import (
 	"repro/internal/core"
 )
 
-// TestGroupFixedWireFrozen pins the exact fixed-encoding bytes of a group
-// wrapper: the GROUP code, the group id as a fixed u64, then the inner
-// message's own code and fields nested in place. Frames in flight across a
-// rolling restart must decode forever, so this layout can never drift.
-func TestGroupFixedWireFrozen(t *testing.T) {
-	c := NewCodec()
-	c.SetEncodeVersion(VersionFixed)
-	b, err := c.MarshalEnvelope(7, group.Msg{Group: 1, Inner: rsm.RequestMsg{V: "ab"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []byte{
-		0, 0, 0, 7, // sender id, big-endian u32
-		codeGroupWrap,
-		0, 0, 0, 0, 0, 0, 0, 1, // group id, big-endian u64
-		codeRSMRequest,
-		0, 0, 0, 2, 'a', 'b', // value, length-prefixed
-	}
-	if !reflect.DeepEqual(b, want) {
-		t.Fatalf("fixed group envelope = % x, want % x", b, want)
-	}
-}
-
 // TestGroupVarintWireFrozen pins the varint layout the same way: marker,
 // varint sender, GROUP code, varint group id, inner code, inner fields.
 func TestGroupVarintWireFrozen(t *testing.T) {
@@ -57,11 +34,9 @@ func TestGroupVarintWireFrozen(t *testing.T) {
 }
 
 // TestGroupRoundTrip exercises the wrapper around a spread of inner kinds
-// and group ids, in both versions.
+// and group ids.
 func TestGroupRoundTrip(t *testing.T) {
-	fixed := NewCodec()
-	fixed.SetEncodeVersion(VersionFixed)
-	varint := NewCodec()
+	c := NewCodec()
 	msgs := []group.Msg{
 		{Group: 0, Inner: rsm.RequestMsg{V: "k=v"}},
 		{Group: 1, Inner: rsm.PrepareMsg{B: 12}},
@@ -71,18 +46,8 @@ func TestGroupRoundTrip(t *testing.T) {
 		{Group: 3, Inner: rsm.PromiseMsg{B: 9, Entries: []rsm.PromEntry{{Inst: 1, AccB: 2, AccV: "a"}}}},
 	}
 	for _, m := range msgs {
-		for name, c := range map[string]*Codec{"fixed": fixed, "varint": varint} {
-			b, err := c.Marshal(m)
-			if err != nil {
-				t.Fatalf("%s Marshal(%+v): %v", name, m, err)
-			}
-			got, err := c.Unmarshal(b)
-			if err != nil {
-				t.Fatalf("%s Unmarshal(%+v): %v", name, m, err)
-			}
-			if !reflect.DeepEqual(got, m) {
-				t.Fatalf("%s round trip changed value: %+v → %+v", name, m, got)
-			}
+		if got := roundTrip(t, c, m); !reflect.DeepEqual(got, m) {
+			t.Fatalf("round trip changed value: %+v → %+v", m, got)
 		}
 	}
 }
@@ -97,8 +62,8 @@ func TestGroupNestRejected(t *testing.T) {
 	if _, err := c.Marshal(nested); err == nil {
 		t.Fatal("nested group wrapper encoded")
 	}
-	// Fixed-version frame: GROUP, group id 1, then GROUP again.
-	frame := []byte{codeGroupWrap, 0, 0, 0, 0, 0, 0, 0, 1, codeGroupWrap}
+	// GROUP, group id 1, then GROUP again.
+	frame := []byte{verVarintByte, codeGroupWrap, 1, codeGroupWrap}
 	if _, err := c.Unmarshal(frame); err == nil {
 		t.Fatal("nested group frame decoded")
 	}
@@ -127,11 +92,11 @@ func (unknownMsg) Kind() string { return "UNKNOWN-TEST-KIND" }
 // after the group id, and an inner code the codec does not know.
 func TestGroupDecodeRejects(t *testing.T) {
 	c := NewCodec()
-	truncated := []byte{codeGroupWrap, 0, 0, 0, 0, 0, 0, 0, 1}
+	truncated := []byte{verVarintByte, codeGroupWrap, 1}
 	if _, err := c.Unmarshal(truncated); !errors.Is(err, ErrTruncated) {
 		t.Fatalf("frame ending after group id: err = %v, want ErrTruncated", err)
 	}
-	unknown := []byte{codeGroupWrap, 0, 0, 0, 0, 0, 0, 0, 1, 0xEF}
+	unknown := []byte{verVarintByte, codeGroupWrap, 1, 0xEF}
 	if _, err := c.Unmarshal(unknown); !errors.Is(err, ErrUnknownCode) {
 		t.Fatalf("unknown inner code: err = %v, want ErrUnknownCode", err)
 	}

@@ -16,8 +16,8 @@ import (
 )
 
 // Type codes. Codes are part of the wire format: append only, never
-// renumber. The band at and above 0xF0 is reserved for frame version
-// markers (see wire.go).
+// renumber. The band at and above 0xF0 is reserved for the frame marker
+// (see wire.go).
 const (
 	codeCoreLeader byte = iota + 1
 	codeCoreAccuse
@@ -60,9 +60,7 @@ func badType(want string, got node.Message) error {
 
 // reg registers kind with typed encode/decode functions, folding the
 // concrete-type assertion and badType error into the adapter so a new
-// message kind registers in a few lines. The field helpers on Encoder and
-// Decoder are version-aware, so one registration serves both the fixed and
-// varint encodings.
+// message kind registers in a few lines.
 func reg[M node.Message](c *Codec, code byte, kind string, enc func(*Encoder, M) error, dec func(*Decoder) (M, error)) {
 	c.Register(code, kind,
 		func(e *Encoder, m node.Message) error {
@@ -78,7 +76,7 @@ func reg[M node.Message](c *Codec, code byte, kind string, enc func(*Encoder, M)
 }
 
 // NewCodec returns a codec with every protocol message in this repository
-// registered, encoding VersionVarint (decode accepts every version).
+// registered.
 func NewCodec() *Codec {
 	c := NewEmptyCodec()
 
@@ -124,8 +122,8 @@ func NewCodec() *Codec {
 
 // registerGroup registers the group-routing wrapper (multi-group sharded
 // consensus, DESIGN.md §15): a varint GroupID followed by the inner
-// message's own encoding — type code and fields — in the same frame
-// version, nested in place with no intermediate buffer. Wrappers do not
+// message's own encoding — type code and fields — nested in place with no
+// intermediate buffer. Wrappers do not
 // nest: a GROUP code inside a GROUP body is a decode error, which also
 // bounds decoder recursion at one level.
 //
@@ -183,9 +181,9 @@ func registerGroup(c *Codec) {
 }
 
 // registerTrace registers the trace-context wrapper (causal tracing,
-// DESIGN.md §8): the trace id and parent span id as varint/fixed u64
-// fields, followed by the inner message's own encoding — type code and
-// fields — nested in place, exactly the group wrapper's shape. A TRACE
+// DESIGN.md §8): the trace id and parent span id as varint u64 fields,
+// followed by the inner message's own encoding — type code and fields —
+// nested in place, exactly the group wrapper's shape. A TRACE
 // wrapper may not nest itself, and may not carry a GROUP wrapper: the
 // group envelope is always outermost (the demux fast path must see its
 // own tag first), so a traced sharded message is GROUP(TRACE(inner)).
@@ -442,7 +440,7 @@ func registerRSM(c *Codec) {
 			}
 			// An entry is an instance, a ballot and a string's length prefix
 			// at the least.
-			n, err := d.Len(3, 8+8+4)
+			n, err := d.Len(3)
 			if err != nil {
 				return rsm.PromiseMsg{}, err
 			}

@@ -13,34 +13,6 @@ import (
 	"repro/internal/tracing"
 )
 
-// TestTraceFixedWireFrozen pins the exact fixed-encoding bytes of a trace
-// wrapper: the TRACE code, trace id and parent span id as fixed u64s, then
-// the inner message's own code and fields nested in place. Like the GROUP
-// layout, frames in flight across a rolling restart must decode forever,
-// so this can never drift.
-func TestTraceFixedWireFrozen(t *testing.T) {
-	c := NewCodec()
-	c.SetEncodeVersion(VersionFixed)
-	b, err := c.MarshalEnvelope(7, tracing.Wrap{
-		Ctx:   tracing.Context{Trace: 2, Span: 3},
-		Inner: rsm.RequestMsg{V: "ab"},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []byte{
-		0, 0, 0, 7, // sender id, big-endian u32
-		codeTraceWrap,
-		0, 0, 0, 0, 0, 0, 0, 2, // trace id, big-endian u64
-		0, 0, 0, 0, 0, 0, 0, 3, // parent span id, big-endian u64
-		codeRSMRequest,
-		0, 0, 0, 2, 'a', 'b', // value, length-prefixed
-	}
-	if !reflect.DeepEqual(b, want) {
-		t.Fatalf("fixed trace envelope = % x, want % x", b, want)
-	}
-}
-
 // TestTraceVarintWireFrozen pins the varint layout the same way: marker,
 // varint sender, TRACE code, varint trace id and span id, inner code,
 // inner fields.
@@ -68,12 +40,10 @@ func TestTraceVarintWireFrozen(t *testing.T) {
 }
 
 // TestTraceRoundTrip exercises the wrapper around a spread of inner kinds
-// and context values — including full-width 64-bit ids — in both
-// versions, plus the sharded composition GROUP(TRACE(inner)).
+// and context values — including full-width 64-bit ids — plus the sharded
+// composition GROUP(TRACE(inner)).
 func TestTraceRoundTrip(t *testing.T) {
-	fixed := NewCodec()
-	fixed.SetEncodeVersion(VersionFixed)
-	varint := NewCodec()
+	c := NewCodec()
 	msgs := []node.Message{
 		tracing.Wrap{Ctx: tracing.Context{Trace: 1, Span: 2}, Inner: rsm.RequestMsg{V: "k=v"}},
 		tracing.Wrap{Ctx: tracing.Context{Trace: 1 << 48, Span: 1<<48 | 9}, Inner: rsm.AcceptMsg{B: 2, Inst: 40, V: "x", CommitUpTo: 39, MinDone: 12, LeaseSeq: 4}},
@@ -82,18 +52,8 @@ func TestTraceRoundTrip(t *testing.T) {
 		group.Msg{Group: 3, Inner: tracing.Wrap{Ctx: tracing.Context{Trace: 6, Span: 7}, Inner: rsm.RequestMsg{V: "sharded"}}},
 	}
 	for _, m := range msgs {
-		for name, c := range map[string]*Codec{"fixed": fixed, "varint": varint} {
-			b, err := c.Marshal(m)
-			if err != nil {
-				t.Fatalf("%s Marshal(%+v): %v", name, m, err)
-			}
-			got, err := c.Unmarshal(b)
-			if err != nil {
-				t.Fatalf("%s Unmarshal(%+v): %v", name, m, err)
-			}
-			if !reflect.DeepEqual(got, m) {
-				t.Fatalf("%s round trip changed value: %+v → %+v", name, m, got)
-			}
+		if got := roundTrip(t, c, m); !reflect.DeepEqual(got, m) {
+			t.Fatalf("round trip changed value: %+v → %+v", m, got)
 		}
 	}
 }
@@ -113,12 +73,8 @@ func TestTraceNestRejected(t *testing.T) {
 	if _, err := c.Marshal(tracing.Wrap{Ctx: ctx, Inner: group.Msg{Group: 1, Inner: inner}}); err == nil {
 		t.Fatal("group wrapper inside trace wrapper encoded")
 	}
-	// Fixed-version frames: TRACE, trace id, span id, then the banned code.
-	head := []byte{
-		codeTraceWrap,
-		0, 0, 0, 0, 0, 0, 0, 1,
-		0, 0, 0, 0, 0, 0, 0, 2,
-	}
+	// TRACE, trace id 1, span id 2, then the banned code.
+	head := []byte{verVarintByte, codeTraceWrap, 1, 2}
 	if _, err := c.Unmarshal(append(append([]byte{}, head...), codeTraceWrap)); err == nil {
 		t.Fatal("nested trace frame decoded")
 	}
@@ -144,11 +100,7 @@ func TestTraceEncodeRejects(t *testing.T) {
 // mid-context or right after it, and an unknown inner code.
 func TestTraceDecodeRejects(t *testing.T) {
 	c := NewCodec()
-	full := []byte{
-		codeTraceWrap,
-		0, 0, 0, 0, 0, 0, 0, 1,
-		0, 0, 0, 0, 0, 0, 0, 2,
-	}
+	full := []byte{verVarintByte, codeTraceWrap, 1, 2}
 	for cut := 1; cut < len(full); cut++ {
 		if _, err := c.Unmarshal(full[:cut]); err == nil {
 			t.Fatalf("frame cut at %d accepted", cut)

@@ -1,19 +1,15 @@
 // Package wire provides a compact binary codec for every protocol message
 // in this repository, used by the live transports (internal/transport) to
-// move messages between real processes (goroutines or UDP sockets) instead
+// move messages between real processes (goroutines or TCP sockets) instead
 // of sharing Go values.
 //
-// Two encodings share one registry. The original fixed encoding is one
-// type-code byte followed by the message fields in big-endian fixed-width
-// integers; strings and vectors carry a u32 length prefix. The varint
-// encoding — the default since the batched wire path landed — opens with a
-// version marker byte (outside the type-code space) and writes every
-// integer field as an unsigned LEB128 varint (zigzag for signed fields),
-// shrinking a steady-state heartbeat to a handful of bytes. The decode
-// side dispatches on the first byte, so old fixed-width frames keep
-// decoding forever.
+// A frame opens with a marker byte (outside the type-code space), then one
+// type-code byte and the message fields, every integer field an unsigned
+// LEB128 varint (zigzag for signed fields); strings and vectors carry a
+// varint length prefix. A steady-state heartbeat is three bytes. A frame
+// that does not open with the marker is refused.
 //
-// Both codecs are strict — unknown type codes, truncated payloads and
+// The codec is strict — unknown type codes, truncated payloads and
 // trailing garbage are errors — because a transport must never deliver a
 // half-parsed message to a protocol automaton.
 package wire
@@ -43,29 +39,19 @@ var (
 	// ErrTooLarge is returned when a length prefix or varint exceeds sane
 	// bounds.
 	ErrTooLarge = errors.New("wire: length prefix too large")
+	// ErrUnmarked is returned for a frame that does not open with the
+	// marker byte.
+	ErrUnmarked = errors.New("wire: frame without its marker byte")
 )
 
 // maxElems bounds length prefixes to keep a corrupt packet from causing a
 // huge allocation.
 const maxElems = 1 << 20
 
-// Version selects how a codec encodes frames it produces. Decoding always
-// accepts every version.
-type Version byte
-
-const (
-	// VersionFixed is the original encoding: big-endian fixed-width
-	// fields, no marker byte (frames start directly with the type code).
-	VersionFixed Version = 1
-	// VersionVarint frames open with a marker byte and encode integer
-	// fields as varints. Strictly smaller than VersionFixed for every
-	// message in the registry.
-	VersionVarint Version = 2
-)
-
-// verVarintByte opens every varint-encoded frame. It sits in a reserved
-// band above the type-code space (Register refuses codes >= codeLimit), so
-// the first byte of a frame always disambiguates the version.
+// verVarintByte opens every frame. It sits in a reserved band above the
+// type-code space (Register refuses codes >= codeLimit), so it is never
+// mistaken for a type code; the band is kept free for the header of a
+// future envelope layout.
 const (
 	verVarintByte byte = 0xF8
 	codeLimit     byte = 0xF0
@@ -89,35 +75,12 @@ type entry struct {
 type Codec struct {
 	byKind map[string]*entry
 	byCode map[byte]*entry
-	encVar bool // encode frames as VersionVarint
 }
 
 // NewEmptyCodec returns a codec with no registrations (tests and custom
-// protocols), encoding VersionVarint. Most callers want NewCodec from
-// registry.go.
+// protocols). Most callers want NewCodec from registry.go.
 func NewEmptyCodec() *Codec {
-	return &Codec{byKind: make(map[string]*entry), byCode: make(map[byte]*entry), encVar: true}
-}
-
-// SetEncodeVersion selects the encoding for frames this codec produces.
-// Decoding is unaffected: every codec accepts every version.
-func (c *Codec) SetEncodeVersion(v Version) {
-	switch v {
-	case VersionFixed:
-		c.encVar = false
-	case VersionVarint:
-		c.encVar = true
-	default:
-		panic(fmt.Sprintf("wire: unknown version %d", v))
-	}
-}
-
-// EncodeVersion returns the version this codec encodes with.
-func (c *Codec) EncodeVersion() Version {
-	if c.encVar {
-		return VersionVarint
-	}
-	return VersionFixed
+	return &Codec{byKind: make(map[string]*entry), byCode: make(map[byte]*entry)}
 }
 
 // Register adds a message type. It panics on duplicate codes or kinds:
@@ -125,7 +88,7 @@ func (c *Codec) EncodeVersion() Version {
 // error. Codes at or above the framing-marker band are refused.
 func (c *Codec) Register(code byte, kind string, enc EncodeFunc, dec DecodeFunc) {
 	if code >= codeLimit {
-		panic(fmt.Sprintf("wire: code %d collides with the version-marker band", code))
+		panic(fmt.Sprintf("wire: code %d collides with the frame-marker band", code))
 	}
 	if _, ok := c.byCode[code]; ok {
 		panic(fmt.Sprintf("wire: duplicate code %d", code))
@@ -165,21 +128,16 @@ func (c *Codec) Marshal(m node.Message) ([]byte, error) {
 // returning the extended buffer. With a reused dst of sufficient capacity
 // the steady-state encode path performs no allocations.
 func (c *Codec) MarshalAppend(dst []byte, m node.Message) ([]byte, error) {
-	if c.encVar {
-		dst = append(dst, verVarintByte)
-	}
-	return c.marshalBody(dst, m)
+	return c.marshalBody(append(dst, verVarintByte), m)
 }
 
-// marshalBody appends the type code and fields of m (no version marker) in
-// the codec's encode mode.
+// marshalBody appends the type code and fields of m (no marker).
 func (c *Codec) marshalBody(dst []byte, m node.Message) ([]byte, error) {
 	e, ok := c.byKind[m.Kind()]
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownKind, m.Kind())
 	}
 	enc := encoders.Get().(*Encoder)
-	enc.varint = c.encVar
 	enc.buf = append(dst, e.code)
 	err := e.enc(enc, m)
 	out := enc.buf
@@ -191,26 +149,33 @@ func (c *Codec) marshalBody(dst []byte, m node.Message) ([]byte, error) {
 	return out, nil
 }
 
-// Unmarshal parses a message produced by Marshal, in either version.
+// Unmarshal parses a message produced by Marshal.
 func (c *Codec) Unmarshal(b []byte) (node.Message, error) {
-	if len(b) == 0 {
-		return nil, ErrTruncated
-	}
-	varint := false
-	if b[0] == verVarintByte {
-		varint = true
-		b = b[1:]
+	b, err := unmark(b)
+	if err != nil {
+		return nil, err
 	}
 	dec := decoders.Get().(*Decoder)
-	m, err := c.unmarshalBody(dec, b, varint)
+	m, err := c.unmarshalBody(dec, b)
 	decoders.Put(dec)
 	return m, err
 }
 
-// unmarshalBody parses a type code plus fields (no version marker) in the
-// given mode with dec, enforcing the no-trailing-bytes invariant. The
-// message never aliases b: Str copies every string out of it.
-func (c *Codec) unmarshalBody(dec *Decoder, b []byte, varint bool) (node.Message, error) {
+// unmark returns b without the marker byte it must open with.
+func unmark(b []byte) ([]byte, error) {
+	if len(b) == 0 {
+		return nil, ErrTruncated
+	}
+	if b[0] != verVarintByte {
+		return nil, ErrUnmarked
+	}
+	return b[1:], nil
+}
+
+// unmarshalBody parses a type code plus fields (no marker) with dec,
+// enforcing the no-trailing-bytes invariant. The message never aliases b:
+// Str copies every string out of it.
+func (c *Codec) unmarshalBody(dec *Decoder, b []byte) (node.Message, error) {
 	if len(b) == 0 {
 		return nil, ErrTruncated
 	}
@@ -219,7 +184,6 @@ func (c *Codec) unmarshalBody(dec *Decoder, b []byte, varint bool) (node.Message
 		return nil, fmt.Errorf("%w: %d", ErrUnknownCode, b[0])
 	}
 	dec.buf = b[1:]
-	dec.varint = varint
 	m, err := e.dec(dec)
 	trailing := len(dec.buf)
 	dec.buf = nil // never retain the caller's buffer past the call
@@ -232,45 +196,19 @@ func (c *Codec) unmarshalBody(dec *Decoder, b []byte, varint bool) (node.Message
 	return m, nil
 }
 
-// Encoder appends fields to a buffer, fixed-width or varint depending on
-// the frame version being produced. Registered EncodeFuncs use one set of
-// field helpers and serve both versions.
+// Encoder appends a message's fields to a buffer.
 type Encoder struct {
-	buf    []byte
-	varint bool
+	buf []byte
 }
 
-// U64 appends an unsigned 64-bit integer.
-func (e *Encoder) U64(v uint64) {
-	if e.varint {
-		e.buf = binary.AppendUvarint(e.buf, v)
-		return
-	}
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], v)
-	e.buf = append(e.buf, b[:]...)
-}
+// U64 appends an unsigned 64-bit integer as a varint.
+func (e *Encoder) U64(v uint64) { e.buf = binary.AppendUvarint(e.buf, v) }
 
-// U32 appends an unsigned 32-bit integer.
-func (e *Encoder) U32(v uint32) {
-	if e.varint {
-		e.buf = binary.AppendUvarint(e.buf, uint64(v))
-		return
-	}
-	var b [4]byte
-	binary.BigEndian.PutUint32(b[:], v)
-	e.buf = append(e.buf, b[:]...)
-}
+// U32 appends an unsigned 32-bit integer as a varint.
+func (e *Encoder) U32(v uint32) { e.U64(uint64(v)) }
 
-// I64 appends a signed 64-bit integer: zigzag varint in varint frames,
-// big-endian two's complement in fixed frames.
-func (e *Encoder) I64(v int64) {
-	if e.varint {
-		e.buf = binary.AppendVarint(e.buf, v)
-		return
-	}
-	e.U64(uint64(v))
-}
+// I64 appends a signed 64-bit integer as a zigzag varint.
+func (e *Encoder) I64(v int64) { e.buf = binary.AppendVarint(e.buf, v) }
 
 // Int appends a non-negative int as u64.
 func (e *Encoder) Int(v int) error {
@@ -295,11 +233,9 @@ func (e *Encoder) U64s(vs []uint64) {
 	}
 }
 
-// Decoder consumes fields from a buffer, fixed-width or varint depending
-// on the frame version being parsed.
+// Decoder consumes a message's fields from a buffer.
 type Decoder struct {
-	buf    []byte
-	varint bool
+	buf []byte
 
 	// arena makes Str copy strings into chunk instead of allocating each
 	// on its own: set on a ConnDecoder's decoder, never on a shared one.
@@ -311,67 +247,39 @@ type Decoder struct {
 // a ConnDecoder: ~900 of the benchmark's 70-byte commands.
 const arenaChunk = 64 << 10
 
-// uvarint reads one unsigned varint.
-func (d *Decoder) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(d.buf)
-	if n > 0 {
-		d.buf = d.buf[n:]
-		return v, nil
-	}
-	if n == 0 {
-		return 0, ErrTruncated
-	}
-	return 0, ErrTooLarge // more than 64 bits of payload
-}
-
 // U64 reads an unsigned 64-bit integer.
 func (d *Decoder) U64() (uint64, error) {
-	if d.varint {
-		return d.uvarint()
-	}
-	if len(d.buf) < 8 {
-		return 0, ErrTruncated
-	}
-	v := binary.BigEndian.Uint64(d.buf[:8])
-	d.buf = d.buf[8:]
-	return v, nil
+	v, n := binary.Uvarint(d.buf)
+	return v, d.advance(n)
 }
 
 // U32 reads an unsigned 32-bit integer.
 func (d *Decoder) U32() (uint32, error) {
-	if d.varint {
-		v, err := d.uvarint()
-		if err != nil {
-			return 0, err
-		}
-		if v > 1<<32-1 {
-			return 0, ErrTooLarge
-		}
-		return uint32(v), nil
+	v, err := d.U64()
+	if err == nil && v > 1<<32-1 {
+		err = ErrTooLarge
 	}
-	if len(d.buf) < 4 {
-		return 0, ErrTruncated
-	}
-	v := binary.BigEndian.Uint32(d.buf[:4])
-	d.buf = d.buf[4:]
-	return v, nil
+	return uint32(v), err
 }
 
 // I64 reads a signed 64-bit integer (see Encoder.I64).
 func (d *Decoder) I64() (int64, error) {
-	if d.varint {
-		v, n := binary.Varint(d.buf)
-		if n > 0 {
-			d.buf = d.buf[n:]
-			return v, nil
-		}
-		if n == 0 {
-			return 0, ErrTruncated
-		}
-		return 0, ErrTooLarge
+	v, n := binary.Varint(d.buf)
+	return v, d.advance(n)
+}
+
+// advance consumes a varint of n bytes, as binary.Uvarint and
+// binary.Varint report it: 0 when the buffer ends inside it, negative when
+// it carries more than 64 bits.
+func (d *Decoder) advance(n int) error {
+	switch {
+	case n == 0:
+		return ErrTruncated
+	case n < 0:
+		return ErrTooLarge
 	}
-	v, err := d.U64()
-	return int64(v), err
+	d.buf = d.buf[n:]
+	return nil
 }
 
 // Int reads a non-negative int encoded as u64.
@@ -425,20 +333,16 @@ func (d *Decoder) copyOut(b []byte) string {
 }
 
 // Len reads the length prefix of a vector whose elements each take at
-// least minVarint bytes in a varint frame and minFixed in a fixed one, and
-// refuses a count the rest of the frame cannot hold — before the caller
-// allocates by it, so a few hostile bytes cannot cost megabytes.
-func (d *Decoder) Len(minVarint, minFixed int) (int, error) {
+// least width bytes, and refuses a count the rest of the frame cannot hold
+// — before the caller allocates by it, so a few hostile bytes cannot cost
+// megabytes.
+func (d *Decoder) Len(width int) (int, error) {
 	n, err := d.U32()
 	if err != nil {
 		return 0, err
 	}
 	if n > maxElems {
 		return 0, ErrTooLarge
-	}
-	width := minFixed
-	if d.varint {
-		width = minVarint
 	}
 	if int(n) > len(d.buf)/width {
 		return 0, ErrTruncated
@@ -448,7 +352,7 @@ func (d *Decoder) Len(minVarint, minFixed int) (int, error) {
 
 // U64s reads a length-prefixed vector of u64.
 func (d *Decoder) U64s() ([]uint64, error) {
-	n, err := d.Len(1, 8)
+	n, err := d.Len(1)
 	if err != nil {
 		return nil, err
 	}
@@ -462,7 +366,7 @@ func (d *Decoder) U64s() ([]uint64, error) {
 	return out, nil
 }
 
-// Envelope frames a message with its sender for datagram transports.
+// Envelope frames a message with its sender for the socket transport.
 type Envelope struct {
 	From node.ID
 	Msg  node.Message
@@ -473,23 +377,16 @@ func (c *Codec) MarshalEnvelope(from node.ID, m node.Message) ([]byte, error) {
 	return c.MarshalEnvelopeAppend(nil, from, m)
 }
 
-// MarshalEnvelopeAppend serializes from + message, appending to dst. The
-// body is encoded directly after the header — no intermediate copy. In
-// varint frames the sender id is itself a varint, so a steady-state
-// heartbeat envelope is a handful of bytes.
+// MarshalEnvelopeAppend serializes from + message, appending to dst: the
+// marker, the sender id as a varint, then the body directly after it — no
+// intermediate copy. A steady-state heartbeat envelope is four bytes.
 func (c *Codec) MarshalEnvelopeAppend(dst []byte, from node.ID, m node.Message) ([]byte, error) {
-	if c.encVar {
-		dst = append(dst, verVarintByte)
-		dst = binary.AppendUvarint(dst, uint64(uint32(from)))
-		return c.marshalBody(dst, m)
-	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(from))
-	return c.marshalBody(append(dst, hdr[:]...), m)
+	dst = binary.AppendUvarint(append(dst, verVarintByte), uint64(uint32(from)))
+	return c.marshalBody(dst, m)
 }
 
-// UnmarshalEnvelope parses a framed message, in either version. Safe from
-// any goroutine; every string of the message is its own allocation.
+// UnmarshalEnvelope parses a framed message. Safe from any goroutine;
+// every string of the message is its own allocation.
 func (c *Codec) UnmarshalEnvelope(b []byte) (Envelope, error) {
 	dec := decoders.Get().(*Decoder)
 	env, err := c.unmarshalEnvelope(dec, b)
@@ -516,37 +413,26 @@ func (c *Codec) NewConnDecoder() *ConnDecoder {
 	return &ConnDecoder{c: c, d: Decoder{arena: true}}
 }
 
-// UnmarshalEnvelope parses a framed message, in either version.
+// UnmarshalEnvelope parses a framed message.
 func (cd *ConnDecoder) UnmarshalEnvelope(b []byte) (Envelope, error) {
 	return cd.c.unmarshalEnvelope(&cd.d, b)
 }
 
 func (c *Codec) unmarshalEnvelope(dec *Decoder, b []byte) (Envelope, error) {
-	if len(b) == 0 {
-		return Envelope{}, ErrTruncated
-	}
-	if b[0] == verVarintByte {
-		v, n := binary.Uvarint(b[1:])
-		switch {
-		case n == 0:
-			return Envelope{}, ErrTruncated
-		case n < 0 || v > 1<<32-1:
-			return Envelope{}, ErrTooLarge
-		}
-		from := node.ID(int32(uint32(v)))
-		m, err := c.unmarshalBody(dec, b[1+n:], true)
-		if err != nil {
-			return Envelope{}, err
-		}
-		return Envelope{From: from, Msg: m}, nil
-	}
-	if len(b) < 4 {
-		return Envelope{}, ErrTruncated
-	}
-	from := node.ID(int32(binary.BigEndian.Uint32(b[:4])))
-	m, err := c.unmarshalBody(dec, b[4:], false)
+	b, err := unmark(b)
 	if err != nil {
 		return Envelope{}, err
 	}
-	return Envelope{From: from, Msg: m}, nil
+	v, n := binary.Uvarint(b)
+	switch {
+	case n == 0:
+		return Envelope{}, ErrTruncated
+	case n < 0 || v > 1<<32-1:
+		return Envelope{}, ErrTooLarge
+	}
+	m, err := c.unmarshalBody(dec, b[n:])
+	if err != nil {
+		return Envelope{}, err
+	}
+	return Envelope{From: node.ID(int32(uint32(v))), Msg: m}, nil
 }

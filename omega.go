@@ -19,7 +19,7 @@
 //   - the substrates they need: a deterministic discrete-event simulator,
 //     link models with GST-style partial synchrony, a process runtime,
 //     metrics, tracing, property checkers, a binary wire codec, and live
-//     goroutine/UDP transports.
+//     in-memory and TCP transports.
 //
 // This file is the front door: build and run a scenario, check the
 // paper's properties on it, or regenerate the full experiment suite. See
