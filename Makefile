@@ -110,9 +110,10 @@ endif
 # agreement violation they caught (a leader behind a member of its own
 # phase-1 quorum filling a decided slot, DESIGN.md §14) showed in one run
 # in a hundred — it stayed a flake for eleven PRs because CI looked once.
-# The -groups run repeats the drill sharded: the killed
-# replica hosts 4 groups, so 4 WAL directories must recover at once and
-# the replay check runs per group. The two TestRunRecoveryPlan* drills run
+# The -groups run repeats the drill sharded, under the race detector: the
+# killed replica hosts 4 groups, so 4 WAL directories must recover at once
+# and the replay check runs per group, and its crash and reboot reach 4
+# node loops at once. The two TestRunRecoveryPlan* drills run
 # five times over: their catch-up bar is taken from what the survivors
 # decided after the kill, so a pass no longer depends on how far the
 # warm-up happened to overshoot, and a flake here is a bug.
@@ -120,7 +121,7 @@ recovery-soak:
 	$(GO) test -race -count=5 -run 'TestRunRecoveryPlan' -v ./cmd/chaossoak/
 	$(GO) test -race -count=300 -run 'Restart' ./internal/transport/
 	$(GO) run ./cmd/chaossoak -transport mem -plan recovery -n 5 -fsync always
-	$(GO) run ./cmd/chaossoak -transport mem -plan recovery -n 3 -groups 4
+	$(GO) run -race ./cmd/chaossoak -transport mem -plan recovery -n 3 -groups 4
 
 # Boot wireload with the telemetry endpoint, scrape /healthz and /metrics
 # mid-run with curl, and let the run finish. /healthz reads 503 here by

@@ -288,13 +288,8 @@ func run(args []string) (err error) {
 	}
 	if *planName == "recovery" {
 		// Quiesce before re-reading the WAL directories offline: an open
-		// on a live, appending log would race the node loops. Sharded runs
-		// additionally halt every engine's group loops — their timers fire
-		// process-internally, outside the cluster's control.
+		// on a live, appending log would race the node loops.
 		c.Stop()
-		for _, e := range s.engines {
-			e.Halt()
-		}
 		if s.groups > 0 {
 			err = s.checkGroupReplayEquivalence()
 		} else {
@@ -378,12 +373,11 @@ type soak struct {
 	dets     []*core.Detector
 	logs     []*rsm.Node
 
-	// Sharded recovery (-groups > 0): per-process engines and the
-	// [process][group] detector/log matrices; dets and logs stay nil.
-	groups  int
-	engines []*group.Engine
-	gdets   [][]*core.Detector
-	glogs   [][]*rsm.Node
+	// Sharded recovery (-groups > 0): the [process][group] detector/log
+	// matrices; dets and logs stay nil.
+	groups int
+	gdets  [][]*core.Detector
+	glogs  [][]*rsm.Node
 
 	// Durability wiring, recovery plan only.
 	walRoot   string
@@ -495,12 +489,11 @@ func (s *soak) groupWALPath(id node.ID, g int) string {
 	return filepath.Join(s.walPath(id), fmt.Sprintf("g%d", g))
 }
 
-// buildGroupReplicas builds the sharded fleet: one engine per process,
-// each running s.groups detector+log pairs on their own loops, each pair
+// buildGroupReplicas builds the sharded fleet: s.groups detector+log
+// pairs per process, which the cluster runs on a node loop each, each pair
 // journaling to its own WAL directory.
 func (s *soak) buildGroupReplicas(n int) ([]node.Automaton, error) {
 	autos := make([]node.Automaton, n)
-	s.engines = make([]*group.Engine, n)
 	s.gdets = make([][]*core.Detector, n)
 	s.glogs = make([][]*rsm.Node, n)
 	s.gstores = make([][]*durable.WAL, n)
@@ -514,7 +507,7 @@ func (s *soak) buildGroupReplicas(n int) ([]node.Automaton, error) {
 	return autos, nil
 }
 
-// buildGroupReplica composes one process's engine, opening (or, on the
+// buildGroupReplica composes one sharded process, opening (or, on the
 // restart path, reopening) all of its per-group WAL directories. Build
 // runs synchronously inside group.New, so WAL open errors are carried out
 // through the closure.
@@ -546,15 +539,11 @@ func (s *soak) buildGroupReplica(i int) (node.Automaton, error) {
 	if buildErr != nil {
 		return nil, buildErr
 	}
-	s.engines[i] = eng
 	return eng, nil
 }
 
-// restartGroup rebuilds process id's engine from its G WAL directories
-// and reboots it in place. The caller must have Halted the dead
-// incarnation first: its group loops own timers that fire process-
-// internally, and a zombie loop appending to a WAL the new incarnation is
-// recovering from would corrupt kill -9 semantics into a two-writer race.
+// restartGroup rebuilds sharded process id from its G WAL directories and
+// reboots it in place, as restart does an unsharded one.
 func (s *soak) restartGroup(id node.ID) error {
 	auto, err := s.buildGroupReplica(int(id))
 	if err != nil {
@@ -1004,10 +993,6 @@ func (s *soak) runGroupRecovery() error {
 		led++
 	}
 	s.c.Crash(victim)
-	// The cluster stops delivering to the victim, but its group loops run
-	// their own timers — halt them so the dead incarnation truly stops
-	// appending before its WAL directories are reopened.
-	s.engines[victim].Halt()
 	fmt.Printf("fault:     killed p%v mid-batch — led %d of %d groups, hosted %d WALs\n", victim, led, s.groups, s.groups)
 
 	survivors := make([]int, 0, n-1)

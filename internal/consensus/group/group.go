@@ -1,35 +1,80 @@
-// Package group runs G independent replicated-log state machines in one
-// process — the sharded write engine. Every command belongs to exactly one
-// group (shard), each group runs its own Omega election, its own stable
-// ballot, its own pipeline and its own (optional) WAL directory, and the
-// G event loops run on separate goroutines, so decided-write throughput
-// scales with cores instead of saturating one single-threaded node loop.
+// Package group describes G independent replicated-log state machines in
+// one process — the sharded write path. Every command belongs to exactly
+// one group (shard), each group runs its own Omega election, its own stable
+// ballot, its own pipeline and its own (optional) WAL directory.
+// internal/transport runs a sharded process as G lanes of its node loop,
+// one goroutine each, so decided-write throughput can scale with cores
+// instead of saturating one single-threaded loop; this package holds what
+// the lanes and the clients share: the Msg wrapper, the id rotation and
+// the Router.
 //
-// Crucially, the groups multiplex over the *same* physical links. Engine
+// Crucially, the groups multiplex over the *same* physical links. A lane
 // wraps every outbound protocol message in a Msg carrying a varint GroupID
-// routing tag and hands it to the shared transport Env, so a 4-group
-// cluster still dials one TCP connection per directed peer pair and the
-// per-link senders writev-coalesce frames from all groups into shared
-// batches — more frames per flush, not more sockets. The paper's
-// steady-state link count (n−1 after stabilization, per group all on the
-// same n−1 physical connections) is preserved.
+// routing tag, so a 4-group cluster still dials one TCP connection per
+// directed peer pair and the per-link senders writev-coalesce frames from
+// all groups into shared batches — more frames per flush, not more
+// sockets. The paper's steady-state link count (n−1 after stabilization,
+// per group all on the same n−1 physical connections) is preserved.
 //
 // Leader spread: inside group g, process identities are rotated —
 // logical id ℓ lives on physical process (ℓ+g) mod n — so the Omega
 // detectors (which break ties toward the lowest id) elect a *different*
 // physical leader per group: group g stabilizes on physical process
 // g mod n. Writes therefore spread across processes as well as cores.
-//
-// Engine implements node.Automaton but is live-transport-only: its group
-// loops call Env.Send, Env.Now and Env.Logf from their own goroutines,
-// which internal/transport's stations support (their send paths are
-// goroutine-safe) and the deterministic simulator does not.
 package group
 
 import (
+	"fmt"
+
 	"repro/internal/node"
 	"repro/internal/obs"
 )
+
+// Config parameterizes New.
+type Config struct {
+	// Groups is the shard count G (required, >= 1).
+	Groups int
+	// Build constructs group g's automaton — typically an Omega detector
+	// composed with an rsm.Node (and, for durable configurations, a
+	// per-group durable.Store opened on the group's own WAL directory).
+	// It runs once per group inside New, in group order, on the caller's
+	// goroutine; the automaton it returns lives in the group's logical id
+	// space.
+	Build func(g int) node.Automaton
+}
+
+// Engine is a sharded process: its G group automatons, group g at index g.
+// It stands in a transport cluster's automaton slice, or is passed to its
+// Restart, where the cluster runs each group on a lane of its own; it is a
+// node.Automaton only to stand there, and no runtime calls it as one.
+type Engine struct{ groups []node.Automaton }
+
+// New builds a sharded process; Build runs immediately for every group so
+// the caller can capture references to the per-group automatons it
+// creates.
+func New(cfg Config) *Engine {
+	if cfg.Groups < 1 {
+		panic(fmt.Sprintf("group: Groups = %d, need at least 1", cfg.Groups))
+	}
+	e := &Engine{groups: make([]node.Automaton, cfg.Groups)}
+	for g := range e.groups {
+		e.groups[g] = cfg.Build(g)
+	}
+	return e
+}
+
+// Automatons returns the group automatons, group g at index g.
+func (e *Engine) Automatons() []node.Automaton { return e.groups }
+
+// Start implements node.Automaton by refusing to run: only
+// internal/transport knows how to run the groups.
+func (e *Engine) Start(node.Env) { panic("group: a sharded process runs on internal/transport") }
+
+// Deliver implements node.Automaton; it is never called.
+func (e *Engine) Deliver(node.ID, node.Message) {}
+
+// Tick implements node.Automaton; it is never called.
+func (e *Engine) Tick(string) {}
 
 // KindGroup tags the group-routing wrapper message.
 const KindGroup = "GROUP"

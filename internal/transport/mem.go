@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/faultline"
-	"repro/internal/metrics"
 	"repro/internal/node"
 	"repro/internal/obs"
 )
@@ -82,9 +81,12 @@ type Config struct {
 	OnFlush func(from, to node.ID, frames, bytes int)
 }
 
-func (c *Config) fill() error {
+func (c *Config) fill(automatons int) error {
 	if c.N < 2 {
 		return fmt.Errorf("transport: N = %d, need at least 2", c.N)
+	}
+	if automatons != c.N {
+		return fmt.Errorf("transport: %d automatons for N=%d", automatons, c.N)
 	}
 	if c.MaxDelay <= 0 {
 		c.MaxDelay = 2 * time.Millisecond
@@ -123,19 +125,13 @@ func (c *Config) fill() error {
 // network that serializes every message through the wire codec and injects
 // configurable delay and loss.
 type Cluster struct {
-	cfg      Config
-	stations []*station
-	stats    *metrics.MessageStats
-	sink     obs.Sink
-	bytes    obs.ByteSink // byte-accounting view of sink, nil if unsupported
-	ctx      obs.CtxSink  // trace-context view of sink, nil if unsupported
-	start    time.Time
+	table
+	cfg Config
 
 	mu       sync.Mutex
 	rng      *rand.Rand
 	crashers []*time.Timer
 
-	wg      sync.WaitGroup
 	started bool
 	stopped bool
 }
@@ -143,36 +139,13 @@ type Cluster struct {
 // NewCluster builds a live in-memory cluster; automatons[i] runs as
 // process i.
 func NewCluster(cfg Config, automatons []node.Automaton) (*Cluster, error) {
-	if err := cfg.fill(); err != nil {
+	if err := cfg.fill(len(automatons)); err != nil {
 		return nil, err
 	}
-	if len(automatons) != cfg.N {
-		return nil, fmt.Errorf("transport: %d automatons for N=%d", len(automatons), cfg.N)
-	}
-	c := &Cluster{
-		cfg:   cfg,
-		stats: metrics.NewMessageStatsWindow(cfg.N, cfg.RecordWindow),
-		start: time.Now(),
-		rng:   rand.New(rand.NewSource(cfg.Seed)),
-	}
-	c.sink = obs.Tee(c.stats, cfg.Observer)
-	c.bytes = obs.Bytes(c.sink)
-	c.ctx = obs.Ctx(c.sink)
-	logf := func(string, ...any) {}
-	c.stations = make([]*station, cfg.N)
-	for i := range c.stations {
-		var nodeLogf func(string, ...any)
-		if cfg.Quiet {
-			nodeLogf = logf
-		}
-		c.stations[i] = newStation(node.ID(i), cfg.N, automatons[i], (*memNet)(c), c.start, nodeLogf)
-		c.stations[i].events, _ = cfg.Observer.(obs.EventSink)
-	}
+	c := &Cluster{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
+	c.build(cfg, automatons, (*memNet)(c))
 	return c, nil
 }
-
-// Stats returns the cluster's message accounting.
-func (c *Cluster) Stats() *metrics.MessageStats { return c.stats }
 
 // Start boots every process and arms the fault plan's scheduled crashes.
 func (c *Cluster) Start() {
@@ -180,22 +153,17 @@ func (c *Cluster) Start() {
 		return
 	}
 	c.started = true
-	c.wg.Add(len(c.stations))
-	for _, s := range c.stations {
-		go s.run(&c.wg)
-	}
+	c.run()
 	c.mu.Lock()
 	c.crashers = scheduleCrashes(c.cfg.Fault, c.Crash)
 	c.crashers = append(c.crashers, scheduleRestarts(c.cfg.Fault, c.cfg.Rebuild, c.Crash, c.Restart, c.armTimer)...)
 	c.mu.Unlock()
 }
 
-// Crash makes process id inert (crash-stop).
-func (c *Cluster) Crash(id node.ID) { c.stations[id].crash() }
-
 // Restart reboots process id with a fresh automaton — the in-process
 // equivalent of restarting a kill -9'd process from its durable state.
-// The swap happens on the process's node loop; the new automaton's Start
+// A sharded process takes a group.Engine of as many groups. The swap
+// happens on each of the process's node loops; the new automaton's Start
 // runs under the same single-threaded Env contract as at boot. Safe to
 // call from any goroutine.
 func (c *Cluster) Restart(id node.ID, a node.Automaton) { c.stations[id].reboot(a) }
@@ -230,9 +198,7 @@ func (c *Cluster) Stop() {
 		t.Stop()
 	}
 	c.mu.Unlock()
-	for _, s := range c.stations {
-		s.mbox.Close()
-	}
+	c.stop()
 	c.wg.Wait()
 }
 

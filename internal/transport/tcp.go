@@ -15,9 +15,7 @@ import (
 	"repro/internal/faultline"
 	"repro/internal/link"
 	"repro/internal/loop"
-	"repro/internal/metrics"
 	nodepkg "repro/internal/node"
-	"repro/internal/obs"
 )
 
 // maxFrame bounds a TCP frame so a corrupt length prefix cannot trigger a
@@ -41,15 +39,10 @@ const maxFrame = 1 << 20
 // this file only encodes frames, consults the fault injector, and wires
 // the cluster's observability into the senders.
 type TCPCluster struct {
+	table
 	cfg       Config
-	stations  []*station
 	listeners []net.Listener
 	addrs     []net.Addr
-	stats     *metrics.MessageStats
-	sink      obs.Sink
-	bytes     obs.ByteSink // byte-accounting view of sink, nil if unsupported
-	ctx       obs.CtxSink  // trace-context view of sink, nil if unsupported
-	start     time.Time
 	senders   []*link.Sender // n*n row-major, nil on the diagonal
 	stopCh    chan struct{}
 	conns     atomic.Int64 // receiver-side open connections (accepted - closed)
@@ -58,7 +51,6 @@ type TCPCluster struct {
 	accepted []net.Conn    // receiver-side, for shutdown
 	crashers []*time.Timer // armed fault-plan crashes
 
-	wg      sync.WaitGroup
 	started bool
 	stopped bool
 }
@@ -66,24 +58,17 @@ type TCPCluster struct {
 // NewTCPCluster builds a TCP cluster on 127.0.0.1; automatons[i] runs as
 // process i.
 func NewTCPCluster(cfg Config, automatons []nodepkg.Automaton) (*TCPCluster, error) {
-	if err := cfg.fill(); err != nil {
+	if err := cfg.fill(len(automatons)); err != nil {
 		return nil, err
-	}
-	if len(automatons) != cfg.N {
-		return nil, fmt.Errorf("transport: %d automatons for N=%d", len(automatons), cfg.N)
 	}
 	c := &TCPCluster{
 		cfg:       cfg,
-		stats:     metrics.NewMessageStatsWindow(cfg.N, cfg.RecordWindow),
-		start:     time.Now(),
 		listeners: make([]net.Listener, cfg.N),
 		addrs:     make([]net.Addr, cfg.N),
 		senders:   make([]*link.Sender, cfg.N*cfg.N),
 		stopCh:    make(chan struct{}),
 	}
-	c.sink = obs.Tee(c.stats, cfg.Observer)
-	c.bytes = obs.Bytes(c.sink)
-	c.ctx = obs.Ctx(c.sink)
+	c.build(cfg, automatons, &tcpNet{cluster: c})
 	for i := 0; i < cfg.N; i++ {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
@@ -124,16 +109,6 @@ func NewTCPCluster(cfg Config, automatons []nodepkg.Automaton) (*TCPCluster, err
 			})
 		}
 	}
-	quiet := func(string, ...any) {}
-	c.stations = make([]*station, cfg.N)
-	for i := range c.stations {
-		var logf func(string, ...any)
-		if cfg.Quiet {
-			logf = quiet
-		}
-		c.stations[i] = newStation(nodepkg.ID(i), cfg.N, automatons[i], &tcpNet{cluster: c}, c.start, logf)
-		c.stations[i].events, _ = cfg.Observer.(obs.EventSink)
-	}
 	return c, nil
 }
 
@@ -149,9 +124,6 @@ func (c *TCPCluster) closeAll() {
 	}
 	c.mu.Unlock()
 }
-
-// Stats returns the cluster's message accounting.
-func (c *TCPCluster) Stats() *metrics.MessageStats { return c.stats }
 
 // OpenConns returns the receiver-side count of currently open inbound
 // connections across the cluster. A quiesced n-process cluster with every
@@ -180,17 +152,17 @@ func (c *TCPCluster) Addr(id nodepkg.ID) net.Addr { return c.addrs[id] }
 // Fault returns the cluster's fault injector (nil when none configured).
 func (c *TCPCluster) Fault() *faultline.Injector { return c.cfg.Fault }
 
-// Start boots every process: one accept loop, one node loop, and one
-// sender goroutine per outgoing link each, and arms the fault plan's
+// Start boots every process: one accept loop, a node loop per lane, and
+// one sender goroutine per outgoing link each, and arms the fault plan's
 // scheduled crashes.
 func (c *TCPCluster) Start() {
 	if c.started {
 		return
 	}
 	c.started = true
-	c.wg.Add(2 * len(c.stations))
-	for i, s := range c.stations {
-		go s.run(&c.wg)
+	c.run()
+	c.wg.Add(len(c.stations))
+	for i := range c.stations {
 		go c.acceptLoop(i)
 	}
 	for _, s := range c.senders {
@@ -234,12 +206,12 @@ func (c *TCPCluster) acceptLoop(i int) {
 // readLoop is the receive half of a turn (DESIGN.md "Turns"): one read
 // from the socket, one decode pass over every complete frame it brought —
 // in place, in a read buffer sized to the sender's batch cap — and one push
-// of what they decoded to the station's mailbox. What the peer's sender
-// flushed with one vectored write is therefore one read syscall, one
-// mailbox lock and one wake-up here, and one turn of the automaton. The
-// messages share nothing with the read buffer: the connection's decoder
-// copies their strings into its own chunks (wire.ConnDecoder), one
-// allocation per ~64 KiB of them.
+// of what they decoded to the station's mailbox (a sharded station's lanes
+// take them one by one). What the peer's sender flushed with one vectored
+// write is therefore one read syscall, one mailbox lock and one wake-up
+// here, and one turn of the automaton. The messages share nothing with
+// the read buffer: the connection's decoder copies their strings into its
+// own chunks (wire.ConnDecoder), one allocation per ~64 KiB of them.
 //
 // Any sign of a corrupt stream — a length prefix out of range or an
 // envelope that fails to decode — ends the loop, as do EOF and a read
@@ -341,9 +313,6 @@ func (f *frames) next(wait bool) ([]byte, error) {
 	return frame[4:], nil
 }
 
-// Crash makes process id inert (crash-stop).
-func (c *TCPCluster) Crash(id nodepkg.ID) { c.stations[id].crash() }
-
 // Inject hands m to the cluster's send path as if process from had sent
 // it to process to, over the from→to link's sender — the entry point for
 // external clients (tests, the chaossoak runner). Safe to call from any
@@ -366,9 +335,7 @@ func (c *TCPCluster) Stop() {
 	c.mu.Unlock()
 	close(c.stopCh)
 	c.closeAll()
-	for _, s := range c.stations {
-		s.mbox.Close()
-	}
+	c.stop()
 	c.wg.Wait()
 	// The senders have exited and nothing enqueues after stopCh closes;
 	// whatever frames remain queued are dead. Account and release them so

@@ -69,6 +69,14 @@ func (e *echo) Tick(key string) {
 	e.env.Send(1, pingMsg())
 }
 
+// runStation boots s alone; the func it returns stops s and waits for its
+// node loops to exit.
+func runStation(s *station) (stop func()) {
+	tb := &table{stations: []*station{s}}
+	tb.run()
+	return func() { tb.stop(); tb.wg.Wait() }
+}
+
 func TestQueuedMessagesAreOneTurn(t *testing.T) {
 	const k = 10
 	w := &wireTap{}
@@ -77,11 +85,9 @@ func TestQueuedMessagesAreOneTurn(t *testing.T) {
 	for i := 0; i < k; i++ {
 		s.deliver(1, core.LeaderMsg{Epoch: uint64(i)})
 	}
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go s.run(&wg)
+	stop := runStation(s)
 	waitFor(t, 5*time.Second, func() bool { return w.count() == 1+k+1 }, "the turn's sends")
-	s.stop()
+	stop()
 	// Boot is a turn of no deliveries; then the k queued messages are one.
 	if fmt.Sprint(a.turns) != fmt.Sprint([]int{0, k}) {
 		t.Fatalf("turns saw %v deliveries, want [0 %d]: one signal for everything queued", a.turns, k)
@@ -110,11 +116,9 @@ func TestLongBacklogIsSplitIntoTurns(t *testing.T) {
 	for i := 0; i < k; i++ {
 		s.deliver(1, core.LeaderMsg{Epoch: uint64(i)})
 	}
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go s.run(&wg)
+	stop := runStation(s)
 	waitFor(t, 5*time.Second, func() bool { return w.count() == k+4 }, "the backlog's sends")
-	s.stop()
+	stop()
 	if fmt.Sprint(a.turns) != fmt.Sprint([]int{0, loop.MaxTurn, loop.MaxTurn, 7}) {
 		t.Fatalf("turns saw %v deliveries, want the backlog cut at %d", a.turns, loop.MaxTurn)
 	}
@@ -133,11 +137,9 @@ func TestCrashInMidTurnDropsTheOutbox(t *testing.T) {
 	for i := 0; i < k; i++ {
 		s.deliver(1, core.LeaderMsg{Epoch: uint64(i)})
 	}
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go s.run(&wg)
-	waitFor(t, 5*time.Second, func() bool { return s.crashed.Load() }, "the crash")
-	s.stop() // returns once the loop has finished the turn
+	stop := runStation(s)
+	waitFor(t, 5*time.Second, func() bool { return crashed(s) }, "the crash")
+	stop() // the loop has finished the turn
 	if a.delivered != crashAt {
 		t.Fatalf("%d deliveries, want none after the crash in delivery %d", a.delivered, crashAt)
 	}
@@ -436,7 +438,7 @@ func TestTCPWildInstanceIsDropped(t *testing.T) {
 func BenchmarkStationTurn(b *testing.B) {
 	const burst = 10
 	leader := rsm.New(consensus.StaticLeader(0), rsm.Config{BatchMax: 16, Window: 8})
-	s := newStation(0, 3, leader, discard{}, time.Now(), func(string, ...any) {})
+	s := newStation(0, 3, leader, discard{}, time.Now(), func(string, ...any) {}).lanes[0]
 	leader.Start(s)
 	leader.Tick("rsm/drive") // opens the ballot
 	ballot := s.outbox[0].m.(rsm.PrepareMsg).B
