@@ -163,12 +163,14 @@ bench:
 # SubmitWithBacklog a follower's Submit behind forty outstanding commands,
 # and LeaseReadTurn a turn of sixteen reads at a lease-holding leader (2
 # allocs per turn, the one reply's tail and box — not 16).
-# ConnDecode is what a socket's read loop pays to decode a frame that
+# In internal/wire, Envelope* encodes and decodes a heartbeat envelope
+# and a vector heartbeat through the shared path (0 allocs/op both ways),
+# and ConnDecode is what a socket's read loop pays to decode a frame that
 # carries a value — a 64-byte REQ, a 700-byte ACCEPT — through its own
 # decoder (1 alloc/op, the message's box) and through the shared path (2).
 bench-micro:
 	$(GO) test -run '^$$' -bench 'SinkRecordSend|Wire' -benchmem .
-	$(GO) test -run '^$$' -bench 'ConnDecode' -benchmem ./internal/wire
+	$(GO) test -run '^$$' -bench 'Envelope|ConnDecode' -benchmem ./internal/wire
 	$(GO) test -run '^$$' -bench 'RecorderRecord|BatcherPumpFull|ApplyBatch16|FollowerCommit|SubmitWithBacklog|LeaseReadTurn' -benchmem ./internal/consensus ./internal/consensus/rsm
 	$(GO) test -run '^$$' -bench 'StationTurn|WALTurn' -benchmem ./internal/transport ./internal/durable
 

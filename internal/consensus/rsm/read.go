@@ -47,7 +47,7 @@ import (
 // otherwise grow reads.pending with every client retry until it finally
 // abdicates; past the cap new fallback reads are shed and the clients
 // simply retry later. It also bounds a reply: 4,096 packed requests of ≤ 15
-// bytes each are ≤ 60 KiB, one 64 KiB TCP sender batch, far under maxFrame.
+// bytes each are ≤ 60 KiB, one 64 KiB TCP sender batch, far under wire.MaxFrame.
 const maxPendingReads = 4096
 
 // readState is the leader-side read bookkeeping.

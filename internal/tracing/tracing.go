@@ -63,7 +63,7 @@ var kindTraceID = obs.Intern(KindTrace)
 // Wrap carries a trace context alongside an inner protocol message — the
 // GROUP-wrapper pattern applied to tracing. The wire codec encodes the
 // context then the inner message's own code and fields nested in place
-// (see wire.registerTrace); the consensus engine unwraps it at Deliver,
+// (wire's one wrapper codec); the consensus engine unwraps it at Deliver,
 // installs the context for the inner handler, and processes Inner as if
 // it had arrived bare. Wrappers do not nest: TRACE inside TRACE is a
 // codec error, and a TRACE wrapper rides *inside* a GROUP wrapper (the

@@ -12,6 +12,7 @@ import (
 	"repro/internal/faultline"
 	"repro/internal/network"
 	"repro/internal/node"
+	"repro/internal/wire"
 )
 
 // pingMsg returns a small registered wire message for hand-driven sends.
@@ -137,6 +138,56 @@ func TestTCPInjectedDropsAreAccounted(t *testing.T) {
 	}
 	if got := c.Stats().Dropped(); got != 15 {
 		t.Fatalf("dropped = %d, want 15", got)
+	}
+}
+
+// TestOversizedMessageIsADrop: a message the codec will not frame — a REQ
+// whose value alone is over wire.MaxFrame — is lost on its link like any
+// other, one counted drop, and the message sent behind it on the same link
+// arrives. The in-memory network used to panic decoding it; TCP used to
+// cut the connection, with whatever was batched behind it, and count
+// nothing.
+func TestOversizedMessageIsADrop(t *testing.T) {
+	for name, build := range map[string]func([]node.Automaton) (liveCluster, error){
+		"mem": func(a []node.Automaton) (liveCluster, error) {
+			return NewCluster(Config{N: 2, Seed: 43, Quiet: true}, a)
+		},
+		"tcp": func(a []node.Automaton) (liveCluster, error) {
+			return NewTCPCluster(Config{N: 2, Seed: 43, Quiet: true}, a)
+		},
+	} {
+		rec := &turnLog{}
+		c, err := build([]node.Automaton{idleAutomaton{}, rec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Start()
+		defer c.Stop()
+		dials := func() uint64 {
+			if tc, ok := c.(*TCPCluster); ok {
+				return tc.Dials()
+			}
+			return 0
+		}
+		arrived := func(n int) func() bool {
+			return func() bool { _, msgs := rec.snapshot(); return len(msgs) == n }
+		}
+		c.Inject(0, 1, pingMsg()) // dials the TCP link before the count is taken
+		waitFor(t, 5*time.Second, arrived(1), name+": the first message")
+		dropped, dialed := c.Stats().Dropped(), dials()
+		next := rsm.RequestMsg{V: "next"}
+		c.Inject(0, 1, bigMsg(wire.MaxFrame+1))
+		c.Inject(0, 1, next)
+		waitFor(t, 5*time.Second, arrived(2), name+": the message behind the oversized one")
+		if _, msgs := rec.snapshot(); msgs[1] != node.Message(next) {
+			t.Errorf("%s: delivered %+v, want %+v", name, msgs[1], next)
+		}
+		if got := c.Stats().Dropped(); got != dropped+1 {
+			t.Errorf("%s: %d drops counted, want 1", name, got-dropped)
+		}
+		if got := dials(); got != dialed {
+			t.Errorf("%s: the link was dialed %d more times", name, got-dialed)
+		}
 	}
 }
 

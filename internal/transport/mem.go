@@ -218,7 +218,9 @@ func (m *memNet) send(from, to node.ID, msg node.Message) {
 	data, err := codec.MarshalAppend((*bp)[:0], msg)
 	if err != nil {
 		encBufs.Put(bp)
-		panic(fmt.Sprintf("transport: marshal %T: %v", msg, err))
+		unframable(msg, err)
+		c.sink.OnDrop(now, int(from), int(to), k)
+		return
 	}
 	*bp = data
 	if c.bytes != nil {

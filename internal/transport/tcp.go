@@ -16,11 +16,8 @@ import (
 	"repro/internal/link"
 	"repro/internal/loop"
 	nodepkg "repro/internal/node"
+	"repro/internal/wire"
 )
-
-// maxFrame bounds a TCP frame so a corrupt length prefix cannot trigger a
-// huge allocation.
-const maxFrame = 1 << 20
 
 // TCPCluster runs n automatons as TCP endpoints on the loopback interface.
 // Each process listens on a kernel-assigned port. Every directed link is
@@ -291,7 +288,7 @@ func (f *frames) next(wait bool) ([]byte, error) {
 		return nil, err
 	}
 	size := int(binary.BigEndian.Uint32(header))
-	if size == 0 || size > maxFrame {
+	if size == 0 || size > wire.MaxFrame {
 		return nil, errCorrupt
 	}
 	if !wait && f.br.Buffered() < 4+size {
@@ -380,7 +377,9 @@ func (t *tcpNet) send(from, to nodepkg.ID, msg nodepkg.Message) {
 	frame, err := codec.MarshalEnvelopeAppend(frame, from, msg)
 	if err != nil {
 		encBufs.Put(bp)
-		panic(fmt.Sprintf("transport: marshal %T: %v", msg, err))
+		unframable(msg, err)
+		c.sink.OnDrop(now, int(from), int(to), k)
+		return
 	}
 	*bp = frame
 	binary.BigEndian.PutUint32(frame[:4], uint32(len(frame)-4))

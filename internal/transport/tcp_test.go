@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/node"
+	"repro/internal/wire"
 )
 
 func TestTCPClusterElectsLeader(t *testing.T) {
@@ -117,7 +118,7 @@ func TestTCPOversizedFrameDropsConnectionNotStation(t *testing.T) {
 	conn := hostileConn(t, c, 0)
 	defer conn.Close()
 	var header [4]byte
-	binary.BigEndian.PutUint32(header[:], maxFrame+1)
+	binary.BigEndian.PutUint32(header[:], wire.MaxFrame+1)
 	if _, err := conn.Write(header[:]); err != nil {
 		t.Fatal(err)
 	}

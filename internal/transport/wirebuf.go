@@ -1,6 +1,9 @@
 package transport
 
 import (
+	"errors"
+	"fmt"
+
 	"repro/internal/link"
 	"repro/internal/wire"
 )
@@ -14,3 +17,12 @@ var encBufs = link.NewPool(512)
 // codec frames every message a cluster moves; a Codec is read-only once
 // built, so every cluster shares this one.
 var codec = wire.NewCodec()
+
+// unframable panics unless err is the codec refusing a frame over
+// wire.MaxFrame: that message is lost like any other, a drop a fair-lossy
+// link tolerates, while any other marshal error is a programming error.
+func unframable(msg any, err error) {
+	if !errors.Is(err, wire.ErrTooLarge) {
+		panic(fmt.Sprintf("transport: marshal %T: %v", msg, err))
+	}
+}

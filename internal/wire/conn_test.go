@@ -21,10 +21,10 @@ import (
 // truncated.
 func TestHostileLengthPrefixAllocatesNothing(t *testing.T) {
 	c := NewCodec()
-	million := []byte{0x80, 0x80, 0x40} // uvarint(1<<20), the largest count maxElems lets through
+	million := []byte{0x80, 0x80, 0x40} // uvarint(1<<20), a count as large as MaxFrame
 	for name, frame := range map[string][]byte{
-		"RSM-PROMISE": append([]byte{verVarintByte, 1, codeRSMPromise, 5}, million...),
-		"ALIVE-V":     append([]byte{verVarintByte, 1, codeSourceAlive}, million...),
+		"RSM-PROMISE": append([]byte{verVarintByte, 1, 20, 5}, million...),
+		"ALIVE-V":     append([]byte{verVarintByte, 1, 4}, million...),
 	} {
 		_, _ = c.UnmarshalEnvelope(frame) // first use fills the decoder pool
 		var before, after runtime.MemStats

@@ -74,7 +74,7 @@ func FuzzEnvelopeRoundTrip(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{verVarintByte})
-	f.Add([]byte{0, 0, 0, 1, codeCoreLeader})
+	f.Add([]byte{0, 0, 0, 1, 1})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF})
 
 	f.Fuzz(func(t *testing.T, b []byte) {

@@ -23,9 +23,9 @@ func TestGroupVarintWireFrozen(t *testing.T) {
 	want := []byte{
 		verVarintByte,
 		7, // sender id, uvarint
-		codeGroupWrap,
+		31,
 		3, // group id, uvarint
-		codeCoreLeader,
+		1,
 		5, // epoch, uvarint
 	}
 	if !reflect.DeepEqual(b, want) {
@@ -63,7 +63,7 @@ func TestGroupNestRejected(t *testing.T) {
 		t.Fatal("nested group wrapper encoded")
 	}
 	// GROUP, group id 1, then GROUP again.
-	frame := []byte{verVarintByte, codeGroupWrap, 1, codeGroupWrap}
+	frame := []byte{verVarintByte, 31, 1, 31}
 	if _, err := c.Unmarshal(frame); err == nil {
 		t.Fatal("nested group frame decoded")
 	}
@@ -92,11 +92,11 @@ func (unknownMsg) Kind() string { return "UNKNOWN-TEST-KIND" }
 // after the group id, and an inner code the codec does not know.
 func TestGroupDecodeRejects(t *testing.T) {
 	c := NewCodec()
-	truncated := []byte{verVarintByte, codeGroupWrap, 1}
+	truncated := []byte{verVarintByte, 31, 1}
 	if _, err := c.Unmarshal(truncated); !errors.Is(err, ErrTruncated) {
 		t.Fatalf("frame ending after group id: err = %v, want ErrTruncated", err)
 	}
-	unknown := []byte{verVarintByte, codeGroupWrap, 1, 0xEF}
+	unknown := []byte{verVarintByte, 31, 1, 0xEF}
 	if _, err := c.Unmarshal(unknown); !errors.Is(err, ErrUnknownCode) {
 		t.Fatalf("unknown inner code: err = %v, want ErrUnknownCode", err)
 	}

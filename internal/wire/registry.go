@@ -53,432 +53,173 @@ const (
 	codeTraceWrap
 )
 
-// badType builds the error for an encoder handed the wrong concrete type.
-func badType(want string, got node.Message) error {
-	return fmt.Errorf("wire: encoder for %s got %T", want, got)
-}
-
 // reg registers kind with typed encode/decode functions, folding the
-// concrete-type assertion and badType error into the adapter so a new
-// message kind registers in a few lines.
-func reg[M node.Message](c *Codec, code byte, kind string, enc func(*Encoder, M) error, dec func(*Decoder) (M, error)) {
+// concrete-type assertion into the adapter. A read that fails latches in
+// the Decoder, so most kinds decode as one composite literal, whose calls
+// Go evaluates left to right — in wire order.
+func reg[M node.Message](c *Codec, code byte, kind string, enc func(*Encoder, M), dec func(*Decoder) M) {
 	c.Register(code, kind,
-		func(e *Encoder, m node.Message) error {
-			msg, ok := m.(M)
-			if !ok {
-				return badType(kind, m)
+		func(e *Encoder, m node.Message) {
+			if msg, ok := m.(M); ok {
+				enc(e, msg)
+			} else {
+				e.Fail(fmt.Errorf("wire: encoder for %s got %T", kind, m))
 			}
-			return enc(e, msg)
 		},
-		func(d *Decoder) (node.Message, error) {
-			return dec(d)
-		})
+		func(d *Decoder) node.Message { return dec(d) })
 }
 
 // NewCodec returns a codec with every protocol message in this repository
 // registered.
 func NewCodec() *Codec {
 	c := NewEmptyCodec()
-
 	reg(c, codeCoreLeader, core.KindLeader,
-		func(e *Encoder, m core.LeaderMsg) error { e.U64(m.Epoch); return nil },
-		func(d *Decoder) (core.LeaderMsg, error) {
-			epoch, err := d.U64()
-			return core.LeaderMsg{Epoch: epoch}, err
-		})
-
+		func(e *Encoder, m core.LeaderMsg) { e.U64(m.Epoch) },
+		func(d *Decoder) core.LeaderMsg { return core.LeaderMsg{Epoch: d.U64()} })
 	reg(c, codeCoreAccuse, core.KindAccuse,
-		func(e *Encoder, m core.AccuseMsg) error { e.U64(m.Epoch); return nil },
-		func(d *Decoder) (core.AccuseMsg, error) {
-			epoch, err := d.U64()
-			return core.AccuseMsg{Epoch: epoch}, err
-		})
-
+		func(e *Encoder, m core.AccuseMsg) { e.U64(m.Epoch) },
+		func(d *Decoder) core.AccuseMsg { return core.AccuseMsg{Epoch: d.U64()} })
 	reg(c, codeCoreRebuff, core.KindRebuff,
-		func(e *Encoder, m core.RebuffMsg) error { e.U64(m.Epoch); return nil },
-		func(d *Decoder) (core.RebuffMsg, error) {
-			epoch, err := d.U64()
-			return core.RebuffMsg{Epoch: epoch}, err
-		})
-
+		func(e *Encoder, m core.RebuffMsg) { e.U64(m.Epoch) },
+		func(d *Decoder) core.RebuffMsg { return core.RebuffMsg{Epoch: d.U64()} })
 	reg(c, codeAllToAllAlive, alltoall.KindAlive,
-		func(e *Encoder, m alltoall.AliveMsg) error { return nil },
-		func(d *Decoder) (alltoall.AliveMsg, error) { return alltoall.AliveMsg{}, nil })
-
+		func(*Encoder, alltoall.AliveMsg) {},
+		func(*Decoder) alltoall.AliveMsg { return alltoall.AliveMsg{} })
 	reg(c, codeSourceAlive, source.KindAlive,
-		func(e *Encoder, m source.AliveMsg) error { e.U64s(m.Counters); return nil },
-		func(d *Decoder) (source.AliveMsg, error) {
-			counters, err := d.U64s()
-			return source.AliveMsg{Counters: counters}, err
-		})
-
+		func(e *Encoder, m source.AliveMsg) { e.U64s(m.Counters) },
+		func(d *Decoder) source.AliveMsg { return source.AliveMsg{Counters: d.U64s()} })
 	registerSynod(c)
 	registerCT(c)
 	registerRSM(c)
-	registerGroup(c)
-	registerTrace(c)
+	registerWrappers(c)
 	return c
 }
 
-// registerGroup registers the group-routing wrapper (multi-group sharded
-// consensus, DESIGN.md §15): a varint GroupID followed by the inner
-// message's own encoding — type code and fields — nested in place with no
-// intermediate buffer. Wrappers do not
-// nest: a GROUP code inside a GROUP body is a decode error, which also
-// bounds decoder recursion at one level.
+// registerWrappers registers the two wrappers, GROUP (multi-group sharded
+// consensus, DESIGN.md §15: a group id) and TRACE (causal tracing,
+// DESIGN.md §8: a trace id and a parent span id). A wrapper's own fields
+// come first, then the message it carries — type code and fields — nested
+// in place with no intermediate buffer. A wrapper refuses to carry itself
+// and every wrapper it must stay inside, on encode and on decode: the
+// group envelope is always outermost (the demux must see its own tag
+// first), so a traced sharded message is GROUP(TRACE(inner)) and TRACE
+// refuses GROUP. That bounds decoder recursion at two levels.
 //
-// Like the LeaseSeq fields on ACCEPT/ACCEPTED (PR 7), the new kind is not
-// negotiated: a pre-group node that receives a GROUP frame fails strict
-// decoding and (on TCP) drops the connection, so enabling sharded groups
-// is a cluster-wide atomic upgrade. Nodes that never send groups remain
-// wire-compatible in both directions.
-func registerGroup(c *Codec) {
-	c.Register(codeGroupWrap, group.KindGroup,
-		func(e *Encoder, m node.Message) error {
-			msg, ok := m.(group.Msg)
-			if !ok {
-				return badType(group.KindGroup, m)
-			}
-			if err := e.Int(msg.Group); err != nil {
-				return err
-			}
-			if msg.Inner == nil {
-				return fmt.Errorf("wire: group wrapper with nil inner message")
-			}
-			ent, ok := c.byKind[msg.Inner.Kind()]
-			if !ok {
-				return fmt.Errorf("%w: %q inside group wrapper", ErrUnknownKind, msg.Inner.Kind())
-			}
-			if ent.code == codeGroupWrap {
-				return fmt.Errorf("wire: group wrapper cannot nest")
-			}
-			e.buf = append(e.buf, ent.code)
-			return ent.enc(e, msg.Inner)
+// Neither kind is negotiated: a node built before it fails strict decoding
+// of its frames and (on TCP) drops the connection, so enabling groups or
+// tracing is a cluster-wide atomic upgrade. Messages sent bare encode
+// exactly as before either existed.
+func registerWrappers(c *Codec) {
+	reg(c, codeGroupWrap, group.KindGroup,
+		func(e *Encoder, m group.Msg) {
+			e.Int(m.Group)
+			c.encode(e, m.Inner, codeGroupWrap)
 		},
-		func(d *Decoder) (node.Message, error) {
-			g, err := d.Int()
-			if err != nil {
-				return nil, err
-			}
-			if len(d.buf) == 0 {
-				return nil, ErrTruncated
-			}
-			code := d.buf[0]
-			if code == codeGroupWrap {
-				return nil, fmt.Errorf("wire: group wrapper cannot nest")
-			}
-			ent, ok := c.byCode[code]
-			if !ok {
-				return nil, fmt.Errorf("%w: %d inside group wrapper", ErrUnknownCode, code)
-			}
-			d.buf = d.buf[1:]
-			inner, err := ent.dec(d)
-			if err != nil {
-				return nil, fmt.Errorf("decode %q: %w", ent.kind, err)
-			}
-			return group.Msg{Group: g, Inner: inner}, nil
+		func(d *Decoder) group.Msg {
+			return group.Msg{Group: d.Int(), Inner: c.decode(d, codeGroupWrap)}
 		})
-}
-
-// registerTrace registers the trace-context wrapper (causal tracing,
-// DESIGN.md §8): the trace id and parent span id as varint u64 fields,
-// followed by the inner message's own encoding — type code and fields —
-// nested in place, exactly the group wrapper's shape. A TRACE
-// wrapper may not nest itself, and may not carry a GROUP wrapper: the
-// group envelope is always outermost (the demux fast path must see its
-// own tag first), so a traced sharded message is GROUP(TRACE(inner)).
-// Both rules are encode and decode errors, bounding decoder recursion at
-// two levels (GROUP then TRACE) by construction.
-//
-// Like the GROUP kind and the LeaseSeq fields before it, TRACE is not
-// negotiated: a pre-tracing node that receives a TRACE frame fails
-// strict decoding and (on TCP) drops the connection, so enabling tracing
-// is a cluster-wide atomic upgrade. Clusters that never sample remain
-// wire-compatible in both directions — untraced messages encode exactly
-// as before.
-func registerTrace(c *Codec) {
-	c.Register(codeTraceWrap, tracing.KindTrace,
-		func(e *Encoder, m node.Message) error {
-			msg, ok := m.(tracing.Wrap)
-			if !ok {
-				return badType(tracing.KindTrace, m)
-			}
-			e.U64(uint64(msg.Ctx.Trace))
-			e.U64(uint64(msg.Ctx.Span))
-			if msg.Inner == nil {
-				return fmt.Errorf("wire: trace wrapper with nil inner message")
-			}
-			ent, ok := c.byKind[msg.Inner.Kind()]
-			if !ok {
-				return fmt.Errorf("%w: %q inside trace wrapper", ErrUnknownKind, msg.Inner.Kind())
-			}
-			if ent.code == codeTraceWrap {
-				return fmt.Errorf("wire: trace wrapper cannot nest")
-			}
-			if ent.code == codeGroupWrap {
-				return fmt.Errorf("wire: trace wrapper cannot carry a group wrapper (wrap the trace inside the group)")
-			}
-			e.buf = append(e.buf, ent.code)
-			return ent.enc(e, msg.Inner)
+	reg(c, codeTraceWrap, tracing.KindTrace,
+		func(e *Encoder, m tracing.Wrap) {
+			e.U64(uint64(m.Ctx.Trace))
+			e.U64(uint64(m.Ctx.Span))
+			c.encode(e, m.Inner, codeTraceWrap, codeGroupWrap)
 		},
-		func(d *Decoder) (node.Message, error) {
-			trace, err := d.U64()
-			if err != nil {
-				return nil, err
-			}
-			span, err := d.U64()
-			if err != nil {
-				return nil, err
-			}
-			if len(d.buf) == 0 {
-				return nil, ErrTruncated
-			}
-			code := d.buf[0]
-			if code == codeTraceWrap {
-				return nil, fmt.Errorf("wire: trace wrapper cannot nest")
-			}
-			if code == codeGroupWrap {
-				return nil, fmt.Errorf("wire: trace wrapper cannot carry a group wrapper")
-			}
-			ent, ok := c.byCode[code]
-			if !ok {
-				return nil, fmt.Errorf("%w: %d inside trace wrapper", ErrUnknownCode, code)
-			}
-			d.buf = d.buf[1:]
-			inner, err := ent.dec(d)
-			if err != nil {
-				return nil, fmt.Errorf("decode %q: %w", ent.kind, err)
-			}
-			return tracing.Wrap{
-				Ctx:   tracing.Context{Trace: tracing.TraceID(trace), Span: tracing.SpanID(span)},
-				Inner: inner,
-			}, nil
+		func(d *Decoder) tracing.Wrap {
+			ctx := tracing.Context{Trace: tracing.TraceID(d.U64()), Span: tracing.SpanID(d.U64())}
+			return tracing.Wrap{Ctx: ctx, Inner: c.decode(d, codeTraceWrap, codeGroupWrap)}
 		})
 }
 
 func registerSynod(c *Codec) {
 	reg(c, codeSynodPrepare, synod.KindPrepare,
-		func(e *Encoder, m synod.PrepareMsg) error { e.U64(uint64(m.B)); return nil },
-		func(d *Decoder) (synod.PrepareMsg, error) {
-			b, err := d.U64()
-			return synod.PrepareMsg{B: consensus.Ballot(b)}, err
-		})
-
+		func(e *Encoder, m synod.PrepareMsg) { e.U64(uint64(m.B)) },
+		func(d *Decoder) synod.PrepareMsg { return synod.PrepareMsg{B: consensus.Ballot(d.U64())} })
 	reg(c, codeSynodPromise, synod.KindPromise,
-		func(e *Encoder, m synod.PromiseMsg) error {
+		func(e *Encoder, m synod.PromiseMsg) {
 			e.U64(uint64(m.B))
 			e.U64(uint64(m.AccB))
 			e.Str(string(m.AccV))
-			return nil
 		},
-		func(d *Decoder) (synod.PromiseMsg, error) {
-			b, err := d.U64()
-			if err != nil {
-				return synod.PromiseMsg{}, err
-			}
-			accB, err := d.U64()
-			if err != nil {
-				return synod.PromiseMsg{}, err
-			}
-			accV, err := d.Str()
-			return synod.PromiseMsg{
-				B:    consensus.Ballot(b),
-				AccB: consensus.Ballot(accB),
-				AccV: consensus.Value(accV),
-			}, err
+		func(d *Decoder) synod.PromiseMsg {
+			return synod.PromiseMsg{B: consensus.Ballot(d.U64()), AccB: consensus.Ballot(d.U64()), AccV: consensus.Value(d.Str())}
 		})
-
 	reg(c, codeSynodNack, synod.KindNack,
-		func(e *Encoder, m synod.NackMsg) error {
-			e.U64(uint64(m.B))
-			e.U64(uint64(m.Promised))
-			return nil
-		},
-		func(d *Decoder) (synod.NackMsg, error) {
-			b, err := d.U64()
-			if err != nil {
-				return synod.NackMsg{}, err
-			}
-			p, err := d.U64()
-			return synod.NackMsg{B: consensus.Ballot(b), Promised: consensus.Ballot(p)}, err
+		func(e *Encoder, m synod.NackMsg) { e.U64(uint64(m.B)); e.U64(uint64(m.Promised)) },
+		func(d *Decoder) synod.NackMsg {
+			return synod.NackMsg{B: consensus.Ballot(d.U64()), Promised: consensus.Ballot(d.U64())}
 		})
-
 	reg(c, codeSynodAccept, synod.KindAccept,
-		func(e *Encoder, m synod.AcceptMsg) error {
-			e.U64(uint64(m.B))
-			e.Str(string(m.V))
-			return nil
-		},
-		func(d *Decoder) (synod.AcceptMsg, error) {
-			b, err := d.U64()
-			if err != nil {
-				return synod.AcceptMsg{}, err
-			}
-			v, err := d.Str()
-			return synod.AcceptMsg{B: consensus.Ballot(b), V: consensus.Value(v)}, err
+		func(e *Encoder, m synod.AcceptMsg) { e.U64(uint64(m.B)); e.Str(string(m.V)) },
+		func(d *Decoder) synod.AcceptMsg {
+			return synod.AcceptMsg{B: consensus.Ballot(d.U64()), V: consensus.Value(d.Str())}
 		})
-
 	reg(c, codeSynodAccepted, synod.KindAccepted,
-		func(e *Encoder, m synod.AcceptedMsg) error { e.U64(uint64(m.B)); return nil },
-		func(d *Decoder) (synod.AcceptedMsg, error) {
-			b, err := d.U64()
-			return synod.AcceptedMsg{B: consensus.Ballot(b)}, err
-		})
-
+		func(e *Encoder, m synod.AcceptedMsg) { e.U64(uint64(m.B)) },
+		func(d *Decoder) synod.AcceptedMsg { return synod.AcceptedMsg{B: consensus.Ballot(d.U64())} })
 	reg(c, codeSynodDecide, synod.KindDecide,
-		func(e *Encoder, m synod.DecideMsg) error { e.Str(string(m.V)); return nil },
-		func(d *Decoder) (synod.DecideMsg, error) {
-			v, err := d.Str()
-			return synod.DecideMsg{V: consensus.Value(v)}, err
-		})
-
+		func(e *Encoder, m synod.DecideMsg) { e.Str(string(m.V)) },
+		func(d *Decoder) synod.DecideMsg { return synod.DecideMsg{V: consensus.Value(d.Str())} })
 	reg(c, codeSynodLearn, synod.KindLearn,
-		func(e *Encoder, m synod.LearnMsg) error { return nil },
-		func(d *Decoder) (synod.LearnMsg, error) { return synod.LearnMsg{}, nil })
-
+		func(*Encoder, synod.LearnMsg) {},
+		func(*Decoder) synod.LearnMsg { return synod.LearnMsg{} })
 	reg(c, codeSynodRequest, synod.KindRequest,
-		func(e *Encoder, m synod.RequestMsg) error { e.Str(string(m.V)); return nil },
-		func(d *Decoder) (synod.RequestMsg, error) {
-			v, err := d.Str()
-			return synod.RequestMsg{V: consensus.Value(v)}, err
-		})
+		func(e *Encoder, m synod.RequestMsg) { e.Str(string(m.V)) },
+		func(d *Decoder) synod.RequestMsg { return synod.RequestMsg{V: consensus.Value(d.Str())} })
 }
 
 func registerCT(c *Codec) {
 	reg(c, codeCTEstimate, ct.KindEstimate,
-		func(e *Encoder, m ct.EstimateMsg) error {
-			if err := e.Int(m.R); err != nil {
-				return err
-			}
-			e.Str(string(m.Est))
-			return e.Int(m.TS)
-		},
-		func(d *Decoder) (ct.EstimateMsg, error) {
-			r, err := d.Int()
-			if err != nil {
-				return ct.EstimateMsg{}, err
-			}
-			est, err := d.Str()
-			if err != nil {
-				return ct.EstimateMsg{}, err
-			}
-			ts, err := d.Int()
-			return ct.EstimateMsg{R: r, Est: consensus.Value(est), TS: ts}, err
+		func(e *Encoder, m ct.EstimateMsg) { e.Int(m.R); e.Str(string(m.Est)); e.Int(m.TS) },
+		func(d *Decoder) ct.EstimateMsg {
+			return ct.EstimateMsg{R: d.Int(), Est: consensus.Value(d.Str()), TS: d.Int()}
 		})
-
 	reg(c, codeCTProposal, ct.KindProposal,
-		func(e *Encoder, m ct.ProposalMsg) error {
-			if err := e.Int(m.R); err != nil {
-				return err
-			}
-			e.Str(string(m.V))
-			return nil
-		},
-		func(d *Decoder) (ct.ProposalMsg, error) {
-			r, err := d.Int()
-			if err != nil {
-				return ct.ProposalMsg{}, err
-			}
-			v, err := d.Str()
-			return ct.ProposalMsg{R: r, V: consensus.Value(v)}, err
-		})
-
+		func(e *Encoder, m ct.ProposalMsg) { e.Int(m.R); e.Str(string(m.V)) },
+		func(d *Decoder) ct.ProposalMsg { return ct.ProposalMsg{R: d.Int(), V: consensus.Value(d.Str())} })
 	reg(c, codeCTAck, ct.KindAck,
-		func(e *Encoder, m ct.AckMsg) error { return e.Int(m.R) },
-		func(d *Decoder) (ct.AckMsg, error) {
-			r, err := d.Int()
-			return ct.AckMsg{R: r}, err
-		})
-
+		func(e *Encoder, m ct.AckMsg) { e.Int(m.R) },
+		func(d *Decoder) ct.AckMsg { return ct.AckMsg{R: d.Int()} })
 	reg(c, codeCTNack, ct.KindNack,
-		func(e *Encoder, m ct.NackMsg) error { return e.Int(m.R) },
-		func(d *Decoder) (ct.NackMsg, error) {
-			r, err := d.Int()
-			return ct.NackMsg{R: r}, err
-		})
-
+		func(e *Encoder, m ct.NackMsg) { e.Int(m.R) },
+		func(d *Decoder) ct.NackMsg { return ct.NackMsg{R: d.Int()} })
 	reg(c, codeCTDecide, ct.KindDecide,
-		func(e *Encoder, m ct.DecideMsg) error { e.Str(string(m.V)); return nil },
-		func(d *Decoder) (ct.DecideMsg, error) {
-			v, err := d.Str()
-			return ct.DecideMsg{V: consensus.Value(v)}, err
-		})
+		func(e *Encoder, m ct.DecideMsg) { e.Str(string(m.V)) },
+		func(d *Decoder) ct.DecideMsg { return ct.DecideMsg{V: consensus.Value(d.Str())} })
 }
 
 func registerRSM(c *Codec) {
 	reg(c, codeRSMRequest, rsm.KindRequest,
-		func(e *Encoder, m rsm.RequestMsg) error { e.Str(string(m.V)); return nil },
-		func(d *Decoder) (rsm.RequestMsg, error) {
-			v, err := d.Str()
-			return rsm.RequestMsg{V: consensus.Value(v)}, err
-		})
-
+		func(e *Encoder, m rsm.RequestMsg) { e.Str(string(m.V)) },
+		func(d *Decoder) rsm.RequestMsg { return rsm.RequestMsg{V: consensus.Value(d.Str())} })
 	reg(c, codeRSMPrepare, rsm.KindPrepare,
-		func(e *Encoder, m rsm.PrepareMsg) error { e.U64(uint64(m.B)); return nil },
-		func(d *Decoder) (rsm.PrepareMsg, error) {
-			b, err := d.U64()
-			return rsm.PrepareMsg{B: consensus.Ballot(b)}, err
-		})
-
+		func(e *Encoder, m rsm.PrepareMsg) { e.U64(uint64(m.B)) },
+		func(d *Decoder) rsm.PrepareMsg { return rsm.PrepareMsg{B: consensus.Ballot(d.U64())} })
 	reg(c, codeRSMPromise, rsm.KindPromise,
-		func(e *Encoder, m rsm.PromiseMsg) error {
+		func(e *Encoder, m rsm.PromiseMsg) {
 			e.U64(uint64(m.B))
-			e.U32(uint32(len(m.Entries)))
+			e.U64(uint64(len(m.Entries)))
 			for _, ent := range m.Entries {
-				if err := e.Int(ent.Inst); err != nil {
-					return err
-				}
+				e.Int(ent.Inst)
 				e.U64(uint64(ent.AccB))
 				e.Str(string(ent.AccV))
 			}
-			return nil
 		},
-		func(d *Decoder) (rsm.PromiseMsg, error) {
-			b, err := d.U64()
-			if err != nil {
-				return rsm.PromiseMsg{}, err
-			}
-			// An entry is an instance, a ballot and a string's length prefix
-			// at the least.
-			n, err := d.Len(3)
-			if err != nil {
-				return rsm.PromiseMsg{}, err
-			}
-			entries := make([]rsm.PromEntry, n)
-			for i := range entries {
-				inst, err := d.Int()
-				if err != nil {
-					return rsm.PromiseMsg{}, err
+		func(d *Decoder) rsm.PromiseMsg {
+			m := rsm.PromiseMsg{B: consensus.Ballot(d.U64())}
+			// An entry is an instance, a ballot and a string's length
+			// prefix at the least.
+			if n := d.Len(3); n > 0 {
+				m.Entries = make([]rsm.PromEntry, n)
+				for i := range m.Entries {
+					m.Entries[i] = rsm.PromEntry{Inst: d.Int(), AccB: consensus.Ballot(d.U64()), AccV: consensus.Value(d.Str())}
 				}
-				accB, err := d.U64()
-				if err != nil {
-					return rsm.PromiseMsg{}, err
-				}
-				accV, err := d.Str()
-				if err != nil {
-					return rsm.PromiseMsg{}, err
-				}
-				entries[i] = rsm.PromEntry{Inst: inst, AccB: consensus.Ballot(accB), AccV: consensus.Value(accV)}
 			}
-			if len(entries) == 0 {
-				entries = nil
-			}
-			return rsm.PromiseMsg{B: consensus.Ballot(b), Entries: entries}, nil
+			return m
 		})
-
 	reg(c, codeRSMNack, rsm.KindNack,
-		func(e *Encoder, m rsm.NackMsg) error {
-			e.U64(uint64(m.B))
-			e.U64(uint64(m.Promised))
-			return nil
-		},
-		func(d *Decoder) (rsm.NackMsg, error) {
-			b, err := d.U64()
-			if err != nil {
-				return rsm.NackMsg{}, err
-			}
-			p, err := d.U64()
-			return rsm.NackMsg{B: consensus.Ballot(b), Promised: consensus.Ballot(p)}, err
+		func(e *Encoder, m rsm.NackMsg) { e.U64(uint64(m.B)); e.U64(uint64(m.Promised)) },
+		func(d *Decoder) rsm.NackMsg {
+			return rsm.NackMsg{B: consensus.Ballot(d.U64()), Promised: consensus.Ballot(d.U64())}
 		})
 
 	// The trailing LeaseSeq on ACCEPT/ACCEPTED (PR 7) is not negotiated:
@@ -486,73 +227,27 @@ func registerRSM(c *Codec) {
 	// unreadable, so clusters upgrade atomically across that boundary
 	// (DESIGN.md §13).
 	reg(c, codeRSMAccept, rsm.KindAccept,
-		func(e *Encoder, m rsm.AcceptMsg) error {
+		func(e *Encoder, m rsm.AcceptMsg) {
 			e.U64(uint64(m.B))
-			if err := e.Int(m.Inst); err != nil {
-				return err
-			}
+			e.Int(m.Inst)
 			e.Str(string(m.V))
-			if err := e.Int(m.CommitUpTo); err != nil {
-				return err
-			}
-			if err := e.Int(m.MinDone); err != nil {
-				return err
-			}
+			e.Int(m.CommitUpTo)
+			e.Int(m.MinDone)
 			e.U64(m.LeaseSeq)
-			return nil
 		},
-		func(d *Decoder) (rsm.AcceptMsg, error) {
-			b, err := d.U64()
-			if err != nil {
-				return rsm.AcceptMsg{}, err
-			}
-			inst, err := d.Int()
-			if err != nil {
-				return rsm.AcceptMsg{}, err
-			}
-			v, err := d.Str()
-			if err != nil {
-				return rsm.AcceptMsg{}, err
-			}
-			commit, err := d.Int()
-			if err != nil {
-				return rsm.AcceptMsg{}, err
-			}
-			minDone, err := d.Int()
-			if err != nil {
-				return rsm.AcceptMsg{}, err
-			}
-			lease, err := d.U64()
-			return rsm.AcceptMsg{B: consensus.Ballot(b), Inst: inst, V: consensus.Value(v), CommitUpTo: commit, MinDone: minDone, LeaseSeq: lease}, err
+		func(d *Decoder) rsm.AcceptMsg {
+			return rsm.AcceptMsg{B: consensus.Ballot(d.U64()), Inst: d.Int(), V: consensus.Value(d.Str()),
+				CommitUpTo: d.Int(), MinDone: d.Int(), LeaseSeq: d.U64()}
 		})
-
 	reg(c, codeRSMAccepted, rsm.KindAccepted,
-		func(e *Encoder, m rsm.AcceptedMsg) error {
+		func(e *Encoder, m rsm.AcceptedMsg) {
 			e.U64(uint64(m.B))
-			if err := e.Int(m.Inst); err != nil {
-				return err
-			}
-			if err := e.Int(m.Done); err != nil {
-				return err
-			}
+			e.Int(m.Inst)
+			e.Int(m.Done)
 			e.U64(m.LeaseSeq)
-			return nil
 		},
-		func(d *Decoder) (rsm.AcceptedMsg, error) {
-			b, err := d.U64()
-			if err != nil {
-				return rsm.AcceptedMsg{}, err
-			}
-			inst, err := d.Int()
-			if err != nil {
-				return rsm.AcceptedMsg{}, err
-			}
-			done, err := d.Int()
-			if err != nil {
-				return rsm.AcceptedMsg{}, err
-			}
-			lease, err := d.U64()
-			return rsm.AcceptedMsg{B: consensus.Ballot(b), Inst: inst, Done: done, LeaseSeq: lease}, err
+		func(d *Decoder) rsm.AcceptedMsg {
+			return rsm.AcceptedMsg{B: consensus.Ballot(d.U64()), Inst: d.Int(), Done: d.Int(), LeaseSeq: d.U64()}
 		})
 
 	// DECIDE has two forms under one code, told apart by the leading
@@ -561,87 +256,38 @@ func registerRSM(c *Codec) {
 	// is the value-free commit index and ends after Inst; NoBallot is the
 	// by-value repair reply and carries the value.
 	reg(c, codeRSMDecide, rsm.KindDecide,
-		func(e *Encoder, m rsm.DecideMsg) error {
+		func(e *Encoder, m rsm.DecideMsg) {
 			e.U64(uint64(m.B))
-			if err := e.Int(m.Inst); err != nil {
-				return err
+			e.Int(m.Inst)
+			switch {
+			case m.B == consensus.NoBallot:
+				e.Str(string(m.V))
+			case m.V != consensus.NoValue:
+				e.Fail(fmt.Errorf("wire: %s commit index at ballot %v carries a value", rsm.KindDecide, m.B))
 			}
-			if m.B != consensus.NoBallot {
-				if m.V != consensus.NoValue {
-					return fmt.Errorf("wire: %s commit index at ballot %v carries a value", rsm.KindDecide, m.B)
-				}
-				return nil
-			}
-			e.Str(string(m.V))
-			return nil
 		},
-		func(d *Decoder) (rsm.DecideMsg, error) {
-			b, err := d.U64()
-			if err != nil {
-				return rsm.DecideMsg{}, err
+		func(d *Decoder) rsm.DecideMsg {
+			m := rsm.DecideMsg{B: consensus.Ballot(d.U64()), Inst: d.Int()}
+			if m.B == consensus.NoBallot {
+				m.V = consensus.Value(d.Str())
 			}
-			inst, err := d.Int()
-			if err != nil || b != 0 {
-				return rsm.DecideMsg{B: consensus.Ballot(b), Inst: inst}, err
-			}
-			v, err := d.Str()
-			return rsm.DecideMsg{Inst: inst, V: consensus.Value(v)}, err
+			return m
 		})
-
 	reg(c, codeRSMLearn, rsm.KindLearn,
-		func(e *Encoder, m rsm.LearnMsg) error { return e.Int(m.FirstGap) },
-		func(d *Decoder) (rsm.LearnMsg, error) {
-			g, err := d.Int()
-			return rsm.LearnMsg{FirstGap: g}, err
-		})
-
+		func(e *Encoder, m rsm.LearnMsg) { e.Int(m.FirstGap) },
+		func(d *Decoder) rsm.LearnMsg { return rsm.LearnMsg{FirstGap: d.Int()} })
 	reg(c, codeRSMLeaseGrant, rsm.KindLeaseGrant,
-		func(e *Encoder, m rsm.LeaseGrantMsg) error {
-			e.U64(uint64(m.B))
-			e.U64(m.Seq)
-			return nil
-		},
-		func(d *Decoder) (rsm.LeaseGrantMsg, error) {
-			b, err := d.U64()
-			if err != nil {
-				return rsm.LeaseGrantMsg{}, err
-			}
-			seq, err := d.U64()
-			return rsm.LeaseGrantMsg{B: consensus.Ballot(b), Seq: seq}, err
+		func(e *Encoder, m rsm.LeaseGrantMsg) { e.U64(uint64(m.B)); e.U64(m.Seq) },
+		func(d *Decoder) rsm.LeaseGrantMsg {
+			return rsm.LeaseGrantMsg{B: consensus.Ballot(d.U64()), Seq: d.U64()}
 		})
-
 	reg(c, codeRSMLeaseAck, rsm.KindLeaseAck,
-		func(e *Encoder, m rsm.LeaseAckMsg) error {
-			e.U64(uint64(m.B))
-			e.U64(m.Seq)
-			return nil
-		},
-		func(d *Decoder) (rsm.LeaseAckMsg, error) {
-			b, err := d.U64()
-			if err != nil {
-				return rsm.LeaseAckMsg{}, err
-			}
-			seq, err := d.U64()
-			return rsm.LeaseAckMsg{B: consensus.Ballot(b), Seq: seq}, err
-		})
-
+		func(e *Encoder, m rsm.LeaseAckMsg) { e.U64(uint64(m.B)); e.U64(m.Seq) },
+		func(d *Decoder) rsm.LeaseAckMsg { return rsm.LeaseAckMsg{B: consensus.Ballot(d.U64()), Seq: d.U64()} })
 	reg(c, codeRSMReadReq, rsm.KindReadReq,
-		func(e *Encoder, m rsm.ReadReqMsg) error {
-			e.U64(m.Seq)
-			e.U32(m.Count)
-			return e.Int(int(m.Origin))
-		},
-		func(d *Decoder) (rsm.ReadReqMsg, error) {
-			seq, err := d.U64()
-			if err != nil {
-				return rsm.ReadReqMsg{}, err
-			}
-			count, err := d.U32()
-			if err != nil {
-				return rsm.ReadReqMsg{}, err
-			}
-			origin, err := d.Int()
-			return rsm.ReadReqMsg{Seq: seq, Count: count, Origin: node.ID(origin)}, err
+		func(e *Encoder, m rsm.ReadReqMsg) { e.U64(m.Seq); e.U32(m.Count); e.Int(int(m.Origin)) },
+		func(d *Decoder) rsm.ReadReqMsg {
+			return rsm.ReadReqMsg{Seq: d.U64(), Count: d.U32(), Origin: node.ID(d.Int())}
 		})
 
 	// A reply to several requests (rsm/read.go) carries all but the first
@@ -651,13 +297,11 @@ func registerRSM(c *Codec) {
 	// read either: the one canonical frame per message strict decoding
 	// rests on.
 	reg(c, codeRSMReadReply, rsm.KindReadReply,
-		func(e *Encoder, m rsm.ReadReplyMsg) error {
+		func(e *Encoder, m rsm.ReadReplyMsg) {
 			e.U64(m.Seq)
 			e.U32(m.Count)
-			if err := e.Int(m.Index); err != nil {
-				return err
-			}
-			var local uint32
+			e.Int(m.Index)
+			local := uint32(0)
 			if m.Local {
 				local = 1
 			}
@@ -665,29 +309,14 @@ func registerRSM(c *Codec) {
 			if m.More != "" {
 				e.Str(m.More)
 			}
-			return nil
 		},
-		func(d *Decoder) (rsm.ReadReplyMsg, error) {
-			seq, err := d.U64()
-			if err != nil {
-				return rsm.ReadReplyMsg{}, err
+		func(d *Decoder) rsm.ReadReplyMsg {
+			m := rsm.ReadReplyMsg{Seq: d.U64(), Count: d.U32(), Index: d.Int(), Local: d.U32() != 0}
+			if len(d.buf) > 0 {
+				if m.More = d.Str(); m.More == "" {
+					d.Fail(fmt.Errorf("wire: %s with an empty list of further requests", rsm.KindReadReply))
+				}
 			}
-			count, err := d.U32()
-			if err != nil {
-				return rsm.ReadReplyMsg{}, err
-			}
-			index, err := d.Int()
-			if err != nil {
-				return rsm.ReadReplyMsg{}, err
-			}
-			local, err := d.U32()
-			m := rsm.ReadReplyMsg{Seq: seq, Count: count, Index: index, Local: local != 0}
-			if err != nil || len(d.buf) == 0 {
-				return m, err
-			}
-			if m.More, err = d.Str(); err == nil && m.More == "" {
-				err = fmt.Errorf("wire: %s with an empty list of further requests", rsm.KindReadReply)
-			}
-			return m, err
+			return m
 		})
 }

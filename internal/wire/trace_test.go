@@ -28,10 +28,10 @@ func TestTraceVarintWireFrozen(t *testing.T) {
 	want := []byte{
 		verVarintByte,
 		7, // sender id, uvarint
-		codeTraceWrap,
+		32,
 		2, // trace id, uvarint
 		3, // parent span id, uvarint
-		codeCoreLeader,
+		1,
 		5, // epoch, uvarint
 	}
 	if !reflect.DeepEqual(b, want) {
@@ -74,11 +74,11 @@ func TestTraceNestRejected(t *testing.T) {
 		t.Fatal("group wrapper inside trace wrapper encoded")
 	}
 	// TRACE, trace id 1, span id 2, then the banned code.
-	head := []byte{verVarintByte, codeTraceWrap, 1, 2}
-	if _, err := c.Unmarshal(append(append([]byte{}, head...), codeTraceWrap)); err == nil {
+	head := []byte{verVarintByte, 32, 1, 2}
+	if _, err := c.Unmarshal(append(append([]byte{}, head...), 32)); err == nil {
 		t.Fatal("nested trace frame decoded")
 	}
-	if _, err := c.Unmarshal(append(append([]byte{}, head...), codeGroupWrap)); err == nil {
+	if _, err := c.Unmarshal(append(append([]byte{}, head...), 31)); err == nil {
 		t.Fatal("trace frame carrying a group wrapper decoded")
 	}
 }
@@ -100,7 +100,7 @@ func TestTraceEncodeRejects(t *testing.T) {
 // mid-context or right after it, and an unknown inner code.
 func TestTraceDecodeRejects(t *testing.T) {
 	c := NewCodec()
-	full := []byte{verVarintByte, codeTraceWrap, 1, 2}
+	full := []byte{verVarintByte, 32, 1, 2}
 	for cut := 1; cut < len(full); cut++ {
 		if _, err := c.Unmarshal(full[:cut]); err == nil {
 			t.Fatalf("frame cut at %d accepted", cut)

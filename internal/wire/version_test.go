@@ -18,8 +18,8 @@ func TestRegisterRefusesMarkerBand(t *testing.T) {
 		}
 	}()
 	c.Register(codeLimit, "BAD",
-		func(*Encoder, node.Message) error { return nil },
-		func(*Decoder) (node.Message, error) { return nil, nil })
+		func(*Encoder, node.Message) {},
+		func(*Decoder) node.Message { return nil })
 }
 
 // TestRSMDecideWireFrozen pins both forms of RSM-DECIDE. The leading
@@ -37,14 +37,14 @@ func TestRSMDecideWireFrozen(t *testing.T) {
 		{"varint commit", NewCodec(), rsm.DecideMsg{B: 6, Inst: 300}, []byte{
 			verVarintByte,
 			7, // sender id, uvarint
-			codeRSMDecide,
+			24,
 			6,          // ballot
 			0xAC, 0x02, // commit index 300
 		}},
 		{"varint value", NewCodec(), rsm.DecideMsg{Inst: 3, V: "ab"}, []byte{
 			verVarintByte,
 			7,
-			codeRSMDecide,
+			24,
 			0, // NoBallot: by value
 			3, // instance
 			2, 'a', 'b',
@@ -86,7 +86,7 @@ func TestRSMPromiseWireFrozen(t *testing.T) {
 		{"varint votes", NewCodec(), votes, []byte{
 			verVarintByte,
 			7, // sender id, uvarint
-			codeRSMPromise,
+			20,
 			9, // ballot
 			1, // entries
 			5, 2, 2, 'a', 'b',
@@ -94,7 +94,7 @@ func TestRSMPromiseWireFrozen(t *testing.T) {
 		{"varint decided", NewCodec(), decided, []byte{
 			verVarintByte,
 			7,
-			codeRSMPromise,
+			20,
 			9,
 			3,
 			0xAC, 0x02, 0, 0, // NoBallot first: everything below 300 is decided here
@@ -171,13 +171,13 @@ func TestRSMReadReplyWireFrozen(t *testing.T) {
 		{"varint, one request", NewCodec(), one, []byte{
 			verVarintByte,
 			7, // sender id, uvarint
-			codeRSMReadReply,
+			30,
 			41, 16, 99, 1,
 		}},
 		{"varint, three requests", NewCodec(), three, []byte{
 			verVarintByte,
 			7,
-			codeRSMReadReply,
+			30,
 			41, 16, 99, 1,
 			4, 16, 1, 1, 2,
 		}},
@@ -194,7 +194,7 @@ func TestRSMReadReplyWireFrozen(t *testing.T) {
 			t.Fatalf("%s decoded %+v, %v", tc.name, env.Msg, err)
 		}
 	}
-	frame := []byte{verVarintByte, 7, codeRSMReadReply, 41, 16, 99, 1, 0}
+	frame := []byte{verVarintByte, 7, 30, 41, 16, 99, 1, 0}
 	if env, err := NewCodec().UnmarshalEnvelope(frame); err == nil {
 		t.Fatalf("a reply with an empty tail decoded as %+v: two frames for one message", env.Msg)
 	}
@@ -212,11 +212,11 @@ func TestUnmarkedFrameRefused(t *testing.T) {
 	}
 	for name, frame := range map[string][]byte{
 		// A fixed-width heartbeat message: type code, big-endian epoch.
-		"fixed heartbeat": {codeCoreLeader, 0, 0, 0, 0, 0, 0, 0, 5},
+		"fixed heartbeat": {1, 0, 0, 0, 0, 0, 0, 0, 5},
 		// The same in an envelope from p7: big-endian sender id first.
-		"fixed heartbeat envelope": {0, 0, 0, 7, codeCoreLeader, 0, 0, 0, 0, 0, 0, 1, 2},
+		"fixed heartbeat envelope": {0, 0, 0, 7, 1, 0, 0, 0, 0, 0, 0, 1, 2},
 		"fixed DECIDE envelope": {
-			0, 0, 0, 7, codeRSMDecide,
+			0, 0, 0, 7, 24,
 			0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 2, 'a', 'b',
 		},
 		"live envelope without its marker": live[1:],

@@ -5,9 +5,9 @@
 //
 // A frame opens with a marker byte (outside the type-code space), then one
 // type-code byte and the message fields, every integer field an unsigned
-// LEB128 varint (zigzag for signed fields); strings and vectors carry a
-// varint length prefix. A steady-state heartbeat is three bytes. A frame
-// that does not open with the marker is refused.
+// LEB128 varint; strings and vectors carry a varint length prefix. A
+// steady-state heartbeat is three bytes. A frame that does not open with
+// the marker is refused, and so is one over MaxFrame bytes.
 //
 // The codec is strict — unknown type codes, truncated payloads and
 // trailing garbage are errors — because a transport must never deliver a
@@ -18,10 +18,13 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 	"strings"
 	"sync"
 
 	"repro/internal/node"
+	"repro/internal/obs"
 )
 
 // Codec errors.
@@ -36,17 +39,20 @@ var (
 	ErrTruncated = errors.New("wire: truncated payload")
 	// ErrTrailing is returned when a payload has bytes past its message.
 	ErrTrailing = errors.New("wire: trailing bytes")
-	// ErrTooLarge is returned when a length prefix or varint exceeds sane
-	// bounds.
-	ErrTooLarge = errors.New("wire: length prefix too large")
+	// ErrTooLarge is returned for a frame over MaxFrame, on encode and on
+	// decode, and for a varint out of its field's range.
+	ErrTooLarge = errors.New("wire: too large")
 	// ErrUnmarked is returned for a frame that does not open with the
 	// marker byte.
 	ErrUnmarked = errors.New("wire: frame without its marker byte")
 )
 
-// maxElems bounds length prefixes to keep a corrupt packet from causing a
-// huge allocation.
-const maxElems = 1 << 20
+// MaxFrame bounds a frame, from its marker byte to its last field: the
+// encoder refuses to write a longer one and the decoders refuse to read
+// one, and the TCP transport bounds its length prefix by it, so a corrupt
+// prefix cannot cost a huge allocation. A string or vector longer than
+// that cannot fit in a frame, so it bounds their length prefixes too.
+const MaxFrame = 1 << 20
 
 // verVarintByte opens every frame. It sits in a reserved band above the
 // type-code space (Register refuses codes >= codeLimit), so it is never
@@ -58,11 +64,12 @@ const (
 )
 
 // EncodeFunc serializes a message's fields (the type code is written by
-// the codec).
-type EncodeFunc func(e *Encoder, m node.Message) error
+// the codec), reporting a failure through Encoder.Fail.
+type EncodeFunc func(e *Encoder, m node.Message)
 
-// DecodeFunc parses a message's fields.
-type DecodeFunc func(d *Decoder) (node.Message, error)
+// DecodeFunc parses a message's fields. A failed read latches in d, and
+// the codec checks it once the frame is parsed.
+type DecodeFunc func(d *Decoder) node.Message
 
 type entry struct {
 	code byte
@@ -73,15 +80,13 @@ type entry struct {
 
 // Codec maps message kinds to binary representations.
 type Codec struct {
-	byKind map[string]*entry
-	byCode map[byte]*entry
+	byKind [obs.MaxKinds]*entry // by the kind's interned obs.Kind
+	byCode [256]*entry          // by type code; any byte indexes it
 }
 
 // NewEmptyCodec returns a codec with no registrations (tests and custom
 // protocols). Most callers want NewCodec from registry.go.
-func NewEmptyCodec() *Codec {
-	return &Codec{byKind: make(map[string]*entry), byCode: make(map[byte]*entry)}
-}
+func NewEmptyCodec() *Codec { return new(Codec) }
 
 // Register adds a message type. It panics on duplicate codes or kinds:
 // registration happens at assembly time and a clash is a programming
@@ -90,24 +95,15 @@ func (c *Codec) Register(code byte, kind string, enc EncodeFunc, dec DecodeFunc)
 	if code >= codeLimit {
 		panic(fmt.Sprintf("wire: code %d collides with the frame-marker band", code))
 	}
-	if _, ok := c.byCode[code]; ok {
+	if c.byCode[code] != nil {
 		panic(fmt.Sprintf("wire: duplicate code %d", code))
 	}
-	if _, ok := c.byKind[kind]; ok {
+	id := obs.Intern(kind)
+	if c.byKind[id] != nil {
 		panic(fmt.Sprintf("wire: duplicate kind %q", kind))
 	}
 	e := &entry{code: code, kind: kind, enc: enc, dec: dec}
-	c.byCode[code] = e
-	c.byKind[kind] = e
-}
-
-// Kinds returns the registered kinds (order unspecified).
-func (c *Codec) Kinds() []string {
-	out := make([]string, 0, len(c.byKind))
-	for k := range c.byKind {
-		out = append(out, k)
-	}
-	return out
+	c.byCode[code], c.byKind[id] = e, e
 }
 
 // encoders and decoders pool the codec state so the append-style marshal
@@ -128,77 +124,117 @@ func (c *Codec) Marshal(m node.Message) ([]byte, error) {
 // returning the extended buffer. With a reused dst of sufficient capacity
 // the steady-state encode path performs no allocations.
 func (c *Codec) MarshalAppend(dst []byte, m node.Message) ([]byte, error) {
-	return c.marshalBody(append(dst, verVarintByte), m)
+	return c.marshal(len(dst), append(dst, verVarintByte), m)
 }
 
-// marshalBody appends the type code and fields of m (no marker).
-func (c *Codec) marshalBody(dst []byte, m node.Message) ([]byte, error) {
-	e, ok := c.byKind[m.Kind()]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownKind, m.Kind())
-	}
+// marshal appends the type code and fields of m to head, whose frame
+// begins at head[start], and checks once whether any of it failed.
+func (c *Codec) marshal(start int, head []byte, m node.Message) ([]byte, error) {
 	enc := encoders.Get().(*Encoder)
-	enc.buf = append(dst, e.code)
-	err := e.enc(enc, m)
-	out := enc.buf
-	enc.buf = nil
+	enc.buf = head
+	c.encode(enc, m)
+	out, err := enc.buf, enc.err
+	*enc = Encoder{} // never retain the caller's buffer past the call
 	encoders.Put(enc)
+	if err == nil && len(out)-start > MaxFrame {
+		err = fmt.Errorf("%w: %d-byte %s frame", ErrTooLarge, len(out)-start, m.Kind())
+	}
 	if err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
+// encode appends m's type code and fields. A kind in refuse fails: a
+// wrapper passes itself and every wrapper it must stay inside.
+func (c *Codec) encode(e *Encoder, m node.Message, refuse ...byte) {
+	if m == nil {
+		e.Fail(fmt.Errorf("%w: nil message", ErrUnknownKind))
+		return
+	}
+	ent := c.byKind[node.MessageKind(m)]
+	switch {
+	case ent == nil:
+		e.Fail(fmt.Errorf("%w: %q", ErrUnknownKind, m.Kind()))
+	case slices.Contains(refuse, ent.code):
+		e.Fail(fmt.Errorf("wire: %s cannot nest here", ent.kind))
+	default:
+		e.buf = append(e.buf, ent.code)
+		ent.enc(e, m)
+	}
+}
+
+// decode reads a type code and the fields of its kind; a code in refuse
+// fails, as in encode.
+func (c *Codec) decode(d *Decoder, refuse ...byte) node.Message {
+	code := d.code()
+	ent := c.byCode[code]
+	switch {
+	case d.err != nil:
+	case ent == nil:
+		d.Fail(fmt.Errorf("%w: %d", ErrUnknownCode, code))
+	case slices.Contains(refuse, code):
+		d.Fail(fmt.Errorf("wire: %s cannot nest here", ent.kind))
+	default:
+		return ent.dec(d)
+	}
+	return nil
+}
+
 // Unmarshal parses a message produced by Marshal.
 func (c *Codec) Unmarshal(b []byte) (node.Message, error) {
-	b, err := unmark(b)
-	if err != nil {
-		return nil, err
-	}
 	dec := decoders.Get().(*Decoder)
-	m, err := c.unmarshalBody(dec, b)
+	env, err := c.unmarshal(dec, b, false)
 	decoders.Put(dec)
-	return m, err
+	return env.Msg, err
 }
 
-// unmark returns b without the marker byte it must open with.
-func unmark(b []byte) ([]byte, error) {
-	if len(b) == 0 {
-		return nil, ErrTruncated
+// unmarshal parses a frame with d — the marker, the sender id when the
+// frame is an envelope, then one message and nothing after it — reads d's
+// error once, and leaves d ready for the next frame. The message never
+// aliases b: Str copies every string out of it.
+func (c *Codec) unmarshal(d *Decoder, b []byte, envelope bool) (Envelope, error) {
+	switch {
+	case len(b) == 0:
+		return Envelope{}, ErrTruncated
+	case b[0] != verVarintByte:
+		return Envelope{}, ErrUnmarked
+	case len(b) > MaxFrame:
+		return Envelope{}, ErrTooLarge
 	}
-	if b[0] != verVarintByte {
-		return nil, ErrUnmarked
+	var env Envelope
+	d.buf = b[1:]
+	if envelope {
+		env.From = node.ID(int32(d.U32()))
 	}
-	return b[1:], nil
-}
-
-// unmarshalBody parses a type code plus fields (no marker) with dec,
-// enforcing the no-trailing-bytes invariant. The message never aliases b:
-// Str copies every string out of it.
-func (c *Codec) unmarshalBody(dec *Decoder, b []byte) (node.Message, error) {
-	if len(b) == 0 {
-		return nil, ErrTruncated
+	body := d.buf
+	env.Msg = c.decode(d)
+	if len(d.buf) != 0 {
+		d.Fail(fmt.Errorf("%w: %d bytes", ErrTrailing, len(d.buf)))
 	}
-	e, ok := c.byCode[b[0]]
-	if !ok {
-		return nil, fmt.Errorf("%w: %d", ErrUnknownCode, b[0])
+	err := d.err
+	d.buf, d.err = nil, nil // never retain the caller's buffer past the call
+	if err != nil && len(body) > 0 && c.byCode[body[0]] != nil {
+		err = fmt.Errorf("decode %s: %w", c.byCode[body[0]].kind, err)
 	}
-	dec.buf = b[1:]
-	m, err := e.dec(dec)
-	trailing := len(dec.buf)
-	dec.buf = nil // never retain the caller's buffer past the call
 	if err != nil {
-		return nil, fmt.Errorf("decode %q: %w", e.kind, err)
+		return Envelope{}, err
 	}
-	if trailing != 0 {
-		return nil, fmt.Errorf("%w: %d bytes after %q", ErrTrailing, trailing, e.kind)
-	}
-	return m, nil
+	return env, nil
 }
 
-// Encoder appends a message's fields to a buffer.
+// Encoder appends a message's fields to a buffer. Like a Decoder it
+// latches its first failure, which the codec checks once per frame.
 type Encoder struct {
 	buf []byte
+	err error
+}
+
+// Fail records err as the encoding's failure unless one is recorded.
+func (e *Encoder) Fail(err error) {
+	if e.err == nil {
+		e.err = err
+	}
 }
 
 // U64 appends an unsigned 64-bit integer as a varint.
@@ -207,35 +243,35 @@ func (e *Encoder) U64(v uint64) { e.buf = binary.AppendUvarint(e.buf, v) }
 // U32 appends an unsigned 32-bit integer as a varint.
 func (e *Encoder) U32(v uint32) { e.U64(uint64(v)) }
 
-// I64 appends a signed 64-bit integer as a zigzag varint.
-func (e *Encoder) I64(v int64) { e.buf = binary.AppendVarint(e.buf, v) }
-
-// Int appends a non-negative int as u64.
-func (e *Encoder) Int(v int) error {
+// Int appends a non-negative int as u64; a negative one fails.
+func (e *Encoder) Int(v int) {
 	if v < 0 {
-		return fmt.Errorf("wire: negative int %d", v)
+		e.Fail(fmt.Errorf("wire: negative int %d", v))
+		return
 	}
 	e.U64(uint64(v))
-	return nil
 }
 
 // Str appends a length-prefixed string.
 func (e *Encoder) Str(s string) {
-	e.U32(uint32(len(s)))
+	e.U64(uint64(len(s)))
 	e.buf = append(e.buf, s...)
 }
 
 // U64s appends a length-prefixed vector of u64.
 func (e *Encoder) U64s(vs []uint64) {
-	e.U32(uint32(len(vs)))
+	e.U64(uint64(len(vs)))
 	for _, v := range vs {
 		e.U64(v)
 	}
 }
 
-// Decoder consumes a message's fields from a buffer.
+// Decoder consumes a message's fields from a buffer. Its first failure
+// latches (Fail): every read after it fails too and returns zero, so a
+// message decodes as one expression and the codec checks once per frame.
 type Decoder struct {
 	buf []byte
+	err error
 
 	// arena makes Str copy strings into chunk instead of allocating each
 	// on its own: set on a ConnDecoder's decoder, never on a shared one.
@@ -247,68 +283,67 @@ type Decoder struct {
 // a ConnDecoder: ~900 of the benchmark's 70-byte commands.
 const arenaChunk = 64 << 10
 
+// Fail records err as the frame's failure unless one is recorded, and
+// empties the buffer, so that every later read fails.
+func (d *Decoder) Fail(err error) {
+	if d.err == nil {
+		d.err = err
+	}
+	d.buf = nil
+}
+
 // U64 reads an unsigned 64-bit integer.
-func (d *Decoder) U64() (uint64, error) {
+func (d *Decoder) U64() uint64 {
 	v, n := binary.Uvarint(d.buf)
-	return v, d.advance(n)
+	switch {
+	case n == 0:
+		d.Fail(ErrTruncated)
+	case n < 0:
+		d.Fail(ErrTooLarge)
+	default:
+		d.buf = d.buf[n:]
+		return v
+	}
+	return 0
 }
 
 // U32 reads an unsigned 32-bit integer.
-func (d *Decoder) U32() (uint32, error) {
-	v, err := d.U64()
-	if err == nil && v > 1<<32-1 {
-		err = ErrTooLarge
+func (d *Decoder) U32() uint32 {
+	v := d.U64()
+	if v > math.MaxUint32 {
+		d.Fail(ErrTooLarge)
+		return 0
 	}
-	return uint32(v), err
-}
-
-// I64 reads a signed 64-bit integer (see Encoder.I64).
-func (d *Decoder) I64() (int64, error) {
-	v, n := binary.Varint(d.buf)
-	return v, d.advance(n)
-}
-
-// advance consumes a varint of n bytes, as binary.Uvarint and
-// binary.Varint report it: 0 when the buffer ends inside it, negative when
-// it carries more than 64 bits.
-func (d *Decoder) advance(n int) error {
-	switch {
-	case n == 0:
-		return ErrTruncated
-	case n < 0:
-		return ErrTooLarge
-	}
-	d.buf = d.buf[n:]
-	return nil
+	return uint32(v)
 }
 
 // Int reads a non-negative int encoded as u64.
-func (d *Decoder) Int() (int, error) {
-	v, err := d.U64()
-	if err != nil {
-		return 0, err
-	}
+func (d *Decoder) Int() int {
+	v := d.U64()
 	if v > 1<<62 {
-		return 0, ErrTooLarge
+		d.Fail(ErrTooLarge)
+		return 0
 	}
-	return int(v), nil
+	return int(v)
+}
+
+// code reads a type-code byte.
+func (d *Decoder) code() byte {
+	if len(d.buf) == 0 {
+		d.Fail(ErrTruncated)
+		return 0
+	}
+	c := d.buf[0]
+	d.buf = d.buf[1:]
+	return c
 }
 
 // Str reads a length-prefixed string.
-func (d *Decoder) Str() (string, error) {
-	n, err := d.U32()
-	if err != nil {
-		return "", err
-	}
-	if n > maxElems {
-		return "", ErrTooLarge
-	}
-	if len(d.buf) < int(n) {
-		return "", ErrTruncated
-	}
+func (d *Decoder) Str() string {
+	n := d.Len(1)
 	s := d.copyOut(d.buf[:n])
 	d.buf = d.buf[n:]
-	return s, nil
+	return s
 }
 
 // copyOut returns b as a string that shares nothing with b. An arena
@@ -336,34 +371,22 @@ func (d *Decoder) copyOut(b []byte) string {
 // least width bytes, and refuses a count the rest of the frame cannot hold
 // — before the caller allocates by it, so a few hostile bytes cannot cost
 // megabytes.
-func (d *Decoder) Len(width int) (int, error) {
-	n, err := d.U32()
-	if err != nil {
-		return 0, err
+func (d *Decoder) Len(width int) int {
+	n := d.U64()
+	if n > uint64(len(d.buf)/width) {
+		d.Fail(ErrTruncated)
+		return 0
 	}
-	if n > maxElems {
-		return 0, ErrTooLarge
-	}
-	if int(n) > len(d.buf)/width {
-		return 0, ErrTruncated
-	}
-	return int(n), nil
+	return int(n)
 }
 
 // U64s reads a length-prefixed vector of u64.
-func (d *Decoder) U64s() ([]uint64, error) {
-	n, err := d.Len(1)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]uint64, n)
+func (d *Decoder) U64s() []uint64 {
+	out := make([]uint64, d.Len(1))
 	for i := range out {
-		out[i], err = d.U64()
-		if err != nil {
-			return nil, err
-		}
+		out[i] = d.U64()
 	}
-	return out, nil
+	return out
 }
 
 // Envelope frames a message with its sender for the socket transport.
@@ -381,15 +404,14 @@ func (c *Codec) MarshalEnvelope(from node.ID, m node.Message) ([]byte, error) {
 // marker, the sender id as a varint, then the body directly after it — no
 // intermediate copy. A steady-state heartbeat envelope is four bytes.
 func (c *Codec) MarshalEnvelopeAppend(dst []byte, from node.ID, m node.Message) ([]byte, error) {
-	dst = binary.AppendUvarint(append(dst, verVarintByte), uint64(uint32(from)))
-	return c.marshalBody(dst, m)
+	return c.marshal(len(dst), binary.AppendUvarint(append(dst, verVarintByte), uint64(uint32(from))), m)
 }
 
 // UnmarshalEnvelope parses a framed message. Safe from any goroutine;
 // every string of the message is its own allocation.
 func (c *Codec) UnmarshalEnvelope(b []byte) (Envelope, error) {
 	dec := decoders.Get().(*Decoder)
-	env, err := c.unmarshalEnvelope(dec, b)
+	env, err := c.unmarshal(dec, b, true)
 	decoders.Put(dec)
 	return env, err
 }
@@ -415,24 +437,5 @@ func (c *Codec) NewConnDecoder() *ConnDecoder {
 
 // UnmarshalEnvelope parses a framed message.
 func (cd *ConnDecoder) UnmarshalEnvelope(b []byte) (Envelope, error) {
-	return cd.c.unmarshalEnvelope(&cd.d, b)
-}
-
-func (c *Codec) unmarshalEnvelope(dec *Decoder, b []byte) (Envelope, error) {
-	b, err := unmark(b)
-	if err != nil {
-		return Envelope{}, err
-	}
-	v, n := binary.Uvarint(b)
-	switch {
-	case n == 0:
-		return Envelope{}, ErrTruncated
-	case n < 0 || v > 1<<32-1:
-		return Envelope{}, ErrTooLarge
-	}
-	m, err := c.unmarshalBody(dec, b[n:])
-	if err != nil {
-		return Envelope{}, err
-	}
-	return Envelope{From: node.ID(int32(uint32(v))), Msg: m}, nil
+	return cd.c.unmarshal(&cd.d, b, true)
 }

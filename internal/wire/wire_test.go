@@ -1,9 +1,12 @@
 package wire
 
 import (
+	"bytes"
 	"encoding/binary"
+	"errors"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -16,6 +19,7 @@ import (
 	"repro/internal/detector/alltoall"
 	"repro/internal/detector/source"
 	"repro/internal/node"
+	"repro/internal/tracing"
 )
 
 // readReply returns a READ-REPLY answering k single reads numbered from 100
@@ -43,9 +47,9 @@ func roundTrip(t *testing.T, c *Codec, m node.Message) node.Message {
 	return out
 }
 
-func TestRoundTripAllMessageTypes(t *testing.T) {
-	c := NewCodec()
-	msgs := []node.Message{
+// allMessages holds at least one message of every registered kind.
+func allMessages() []node.Message {
+	return []node.Message{
 		core.LeaderMsg{Epoch: 42},
 		core.AccuseMsg{Epoch: 7},
 		core.RebuffMsg{Epoch: 9},
@@ -82,8 +86,14 @@ func TestRoundTripAllMessageTypes(t *testing.T) {
 		readReply(21),  // what a turn of the benchmark's leader answers at once
 		readReply(128), // a whole turn (loop.MaxTurn) of reads from one origin
 		group.Msg{Group: 3, Inner: rsm.AcceptMsg{B: 9, Inst: 4, V: "x", CommitUpTo: 3, MinDone: 2, LeaseSeq: 6}},
+		tracing.Wrap{Ctx: tracing.Context{Trace: 1 << 40, Span: 3}, Inner: rsm.RequestMsg{V: "traced"}},
+		group.Msg{Group: 2, Inner: tracing.Wrap{Ctx: tracing.Context{Trace: 5, Span: 6}, Inner: rsm.AcceptedMsg{B: 9, Inst: 4, Done: 3}}},
 	}
-	for _, m := range msgs {
+}
+
+func TestRoundTripAllMessageTypes(t *testing.T) {
+	c := NewCodec()
+	for _, m := range allMessages() {
 		got := roundTrip(t, c, m)
 		if !reflect.DeepEqual(got, m) {
 			t.Fatalf("round trip changed %T: %+v → %+v", m, m, got)
@@ -91,10 +101,43 @@ func TestRoundTripAllMessageTypes(t *testing.T) {
 	}
 }
 
+// TestRoundTripCoversEveryRegisteredKind pins every type code to its kind,
+// so that renumbering one fails here — codes are append only — and holds
+// allMessages to a message of each.
 func TestRoundTripCoversEveryRegisteredKind(t *testing.T) {
+	codes := map[byte]string{
+		1: core.KindLeader, 2: core.KindAccuse, 3: alltoall.KindAlive, 4: source.KindAlive,
+		5: synod.KindPrepare, 6: synod.KindPromise, 7: synod.KindNack, 8: synod.KindAccept,
+		9: synod.KindAccepted, 10: synod.KindDecide, 11: synod.KindLearn, 12: synod.KindRequest,
+		13: ct.KindEstimate, 14: ct.KindProposal, 15: ct.KindAck, 16: ct.KindNack, 17: ct.KindDecide,
+		18: rsm.KindRequest, 19: rsm.KindPrepare, 20: rsm.KindPromise, 21: rsm.KindNack,
+		22: rsm.KindAccept, 23: rsm.KindAccepted, 24: rsm.KindDecide, 25: rsm.KindLearn,
+		26: core.KindRebuff, 27: rsm.KindLeaseGrant, 28: rsm.KindLeaseAck, 29: rsm.KindReadReq,
+		30: rsm.KindReadReply, 31: group.KindGroup, 32: tracing.KindTrace,
+	}
 	c := NewCodec()
-	if got := len(c.Kinds()); got != 32 {
-		t.Fatalf("registered kinds = %d, update the round-trip test when adding messages", got)
+	registered := 0
+	for _, e := range c.byCode {
+		if e != nil {
+			registered++
+		}
+	}
+	if registered != len(codes) {
+		t.Fatalf("%d kinds registered, %d pinned: pin a new kind's code here", registered, len(codes))
+	}
+	for code, kind := range codes {
+		if e := c.byCode[code]; e == nil || e.kind != kind {
+			t.Errorf("code %d: %+v, want %s", code, e, kind)
+		}
+	}
+	covered := map[string]bool{}
+	for _, m := range allMessages() {
+		covered[m.Kind()] = true
+	}
+	for _, kind := range codes {
+		if !covered[kind] {
+			t.Errorf("allMessages has no %s", kind)
+		}
 	}
 }
 
@@ -151,6 +194,11 @@ func TestQuickRoundTripVectors(t *testing.T) {
 	}
 }
 
+// TestUnmarshalErrors sweeps a failure across every field of every kind,
+// through Unmarshal and through a connection decoder: each proper prefix of
+// a frame fails or is itself the canonical frame of what it decodes to (a
+// READR without More is a prefix of one with it), and each frame with a
+// byte appended fails.
 func TestUnmarshalErrors(t *testing.T) {
 	c := NewCodec()
 	if _, err := c.Unmarshal(nil); err == nil {
@@ -159,15 +207,61 @@ func TestUnmarshalErrors(t *testing.T) {
 	if _, err := c.Unmarshal([]byte{verVarintByte, 0xEF}); err == nil {
 		t.Fatal("unknown code accepted")
 	}
-	good, err := c.Marshal(synod.AcceptMsg{B: 1, V: "abc"})
-	if err != nil {
-		t.Fatal(err)
+	cd := c.NewConnDecoder()
+	for _, p := range []struct {
+		name    string
+		marshal func(node.Message) ([]byte, error)
+		decode  func([]byte) (node.Message, error)
+	}{
+		{"Unmarshal", c.Marshal, c.Unmarshal},
+		{"connection decoder",
+			func(m node.Message) ([]byte, error) { return c.MarshalEnvelope(7, m) },
+			func(b []byte) (node.Message, error) { env, err := cd.UnmarshalEnvelope(b); return env.Msg, err }},
+	} {
+		for _, m := range allMessages() {
+			frame, err := p.marshal(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for cut := 0; cut < len(frame); cut++ {
+				got, err := p.decode(frame[:cut])
+				if err != nil {
+					if got != nil {
+						t.Errorf("%s: %T cut at %d: error %v with message %+v", p.name, m, cut, err, got)
+					}
+					continue
+				}
+				if canon, err := p.marshal(got); err != nil || !bytes.Equal(canon, frame[:cut]) {
+					t.Errorf("%s: %T cut at %d decoded as %+v, whose frame is % x (%v)", p.name, m, cut, got, canon, err)
+				}
+			}
+			if got, err := p.decode(append(frame, 0)); err == nil {
+				t.Errorf("%s: %T with a trailing byte decoded as %+v", p.name, m, got)
+			}
+		}
 	}
-	if _, err := c.Unmarshal(good[:len(good)-1]); err == nil {
-		t.Fatal("truncated payload accepted")
+}
+
+// TestFrameLimit: one limit, MaxFrame, on both sides. A frame of exactly
+// MaxFrame bytes encodes and decodes; one a byte longer is refused by the
+// encoder and, built by hand, by the decoder.
+func TestFrameLimit(t *testing.T) {
+	c := NewCodec()
+	fits := rsm.RequestMsg{V: consensus.Value(strings.Repeat("v", MaxFrame-5))} // marker, code, 3-byte length
+	frame, err := c.Marshal(fits)
+	if err != nil || len(frame) != MaxFrame {
+		t.Fatalf("%d-byte frame, %v; want %d bytes", len(frame), err, MaxFrame)
 	}
-	if _, err := c.Unmarshal(append(good, 0)); err == nil {
-		t.Fatal("trailing bytes accepted")
+	if got, err := c.Unmarshal(frame); err != nil || got != node.Message(fits) {
+		t.Fatalf("a frame of MaxFrame bytes decoded as %.20v, %v", got, err)
+	}
+	over := rsm.RequestMsg{V: fits.V + "v"}
+	if _, err := c.Marshal(over); !errors.Is(err, ErrTooLarge) {
+		t.Fatalf("a frame one byte over: err = %v, want ErrTooLarge", err)
+	}
+	long := append(binary.AppendUvarint(frame[:2:2], uint64(len(over.V))), over.V...)
+	if _, err := c.Unmarshal(long); !errors.Is(err, ErrTooLarge) {
+		t.Fatalf("a hand-built frame one byte over: err = %v, want ErrTooLarge", err)
 	}
 }
 
@@ -197,8 +291,8 @@ func (weirdMsg) Kind() string { return "WEIRD" }
 
 func TestDuplicateRegistrationPanics(t *testing.T) {
 	c := NewEmptyCodec()
-	enc := func(*Encoder, node.Message) error { return nil }
-	dec := func(*Decoder) (node.Message, error) { return weirdMsg{}, nil }
+	enc := func(*Encoder, node.Message) {}
+	dec := func(*Decoder) node.Message { return weirdMsg{} }
 	c.Register(1, "A", enc, dec)
 	defer func() {
 		if recover() == nil {
@@ -231,7 +325,7 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 
 func TestNegativeIntRejected(t *testing.T) {
 	var e Encoder
-	if err := e.Int(-1); err == nil {
+	if e.Int(-1); e.err == nil {
 		t.Fatal("negative int encoded")
 	}
 }
