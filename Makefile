@@ -168,11 +168,15 @@ bench:
 # and ConnDecode is what a socket's read loop pays to decode a frame that
 # carries a value — a 64-byte REQ, a 700-byte ACCEPT — through its own
 # decoder (1 alloc/op, the message's box) and through the shared path (2).
+# Last, TCPSendBatched is the link sender's throughput: heartbeats injected
+# on one loopback TCP link ahead of its sender, which coalesces what is
+# queued into one vectored write (msgs/sec, and 0 allocs/op on injection).
 bench-micro:
 	$(GO) test -run '^$$' -bench 'SinkRecordSend|Wire' -benchmem .
 	$(GO) test -run '^$$' -bench 'Envelope|ConnDecode' -benchmem ./internal/wire
 	$(GO) test -run '^$$' -bench 'RecorderRecord|BatcherPumpFull|ApplyBatch16|FollowerCommit|SubmitWithBacklog|LeaseReadTurn' -benchmem ./internal/consensus ./internal/consensus/rsm
 	$(GO) test -run '^$$' -bench 'StationTurn|WALTurn' -benchmem ./internal/transport ./internal/durable
+	$(GO) test -run '^$$' -bench TCPSendBatched -benchmem ./internal/transport
 
 # End-to-end tracing smoke (DESIGN.md §8): a traced chaossoak leader-crash
 # run over TCP, then traceview over its flight-recorder dumps.

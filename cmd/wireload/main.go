@@ -11,7 +11,6 @@
 //
 //	wireload -transport tcp -n 5 -rate 2000 -dur 5s
 //	wireload -transport mem -n 3 -msg vector
-//	wireload -transport tcp -batch-frames 1   # pre-batching baseline
 package main
 
 import (
@@ -61,11 +60,9 @@ func run(args []string, out *os.File) error {
 		n             = fs.Int("n", 3, "number of processes")
 		rate          = fs.Int("rate", 1000, "messages per second per directed link")
 		dur           = fs.Duration("dur", 3*time.Second, "how long to drive the load")
-		seed          = fs.Int64("seed", 1, "delay/loss randomness seed")
+		seed          = fs.Int64("seed", 1, "delay and re-dial jitter seed")
 		msgName       = fs.String("msg", "hb", "payload: hb (leader heartbeat), vector (SOURCE counter vector)")
 		sendQueue     = fs.Int("sendqueue", 0, "TCP per-link queue bound (0 = default)")
-		batchFrames   = fs.Int("batch-frames", 0, "TCP coalescing frame cap (0 = default, 1 = per-frame writes)")
-		batchBytes    = fs.Int("batch-bytes", 0, "TCP coalescing byte cap (0 = default)")
 		metricsAddr   = fs.String("metrics-addr", "", "serve /metrics, /healthz and pprof on this address (e.g. :8080)")
 		snapshotJSON  = fs.String("snapshot-json", "", "write the final merged metrics+histogram snapshot to this path")
 	)
@@ -100,10 +97,8 @@ func run(args []string, out *os.File) error {
 	tel := telemetry.New(*n)
 	cfg := transport.Config{
 		N: *n, Seed: *seed, Quiet: true,
-		SendQueue:   *sendQueue,
-		BatchFrames: *batchFrames,
-		BatchBytes:  *batchBytes,
-		Observer:    tel,
+		SendQueue: *sendQueue,
+		Observer:  tel,
 	}
 	var c cluster
 	var err error

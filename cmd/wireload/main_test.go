@@ -20,12 +20,6 @@ func TestRunTCP(t *testing.T) {
 	}
 }
 
-func TestRunTCPPerFrameBaseline(t *testing.T) {
-	if err := run([]string{"-transport", "tcp", "-n", "2", "-rate", "500", "-dur", "300ms", "-batch-frames", "1"}, os.Stdout); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestRunVectorPayload(t *testing.T) {
 	if err := run([]string{"-transport", "mem", "-n", "3", "-rate", "500", "-dur", "300ms", "-msg", "vector"}, os.Stdout); err != nil {
 		t.Fatal(err)

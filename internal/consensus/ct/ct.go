@@ -88,23 +88,12 @@ const (
 	timerBoot  = "ct/boot"
 )
 
-// Config parameterizes the protocol. Zero values select defaults.
-type Config struct {
-	// RoundTimeout is the initial wait for a coordinator proposal
-	// (default 30ms).
-	RoundTimeout time.Duration
-	// Increment grows the wait after each timeout (default 10ms).
-	Increment time.Duration
-}
-
-func (c *Config) fill() {
-	if c.RoundTimeout <= 0 {
-		c.RoundTimeout = 30 * time.Millisecond
-	}
-	if c.Increment <= 0 {
-		c.Increment = 10 * time.Millisecond
-	}
-}
+// The initial wait for a coordinator proposal, and how much each timeout
+// grows it.
+const (
+	roundTimeout = 30 * time.Millisecond
+	increment    = 10 * time.Millisecond
+)
 
 // coordState is the coordinator-side bookkeeping for one round.
 type coordState struct {
@@ -118,7 +107,6 @@ type coordState struct {
 
 // Node is the rotating-coordinator consensus automaton for one process.
 type Node struct {
-	cfg Config
 	env node.Env
 	me  node.ID
 	n   int
@@ -139,9 +127,8 @@ type Node struct {
 var _ node.Automaton = (*Node)(nil)
 
 // New returns a rotating-coordinator node.
-func New(cfg Config) *Node {
-	cfg.fill()
-	return &Node{cfg: cfg, rec: consensus.NewRecorder(), coord: make(map[int]*coordState)}
+func New() *Node {
+	return &Node{rec: consensus.NewRecorder(), coord: make(map[int]*coordState)}
 }
 
 // Propose submits this process's input. It must be called before the world
@@ -164,10 +151,10 @@ func (c *Node) Start(env node.Env) {
 	c.me = env.ID()
 	c.n = env.N()
 	c.round = -1
-	c.timeout = c.cfg.RoundTimeout
+	c.timeout = roundTimeout
 	if c.est == consensus.NoValue {
 		// No input yet: poll until Propose is called.
-		env.SetTimer(timerBoot, c.cfg.RoundTimeout)
+		env.SetTimer(timerBoot, roundTimeout)
 		return
 	}
 	c.enterRound(0)
@@ -181,7 +168,7 @@ func (c *Node) Tick(key string) {
 			return
 		}
 		if c.est == consensus.NoValue {
-			c.env.SetTimer(timerBoot, c.cfg.RoundTimeout)
+			c.env.SetTimer(timerBoot, roundTimeout)
 			return
 		}
 		if c.round < 0 {
@@ -193,7 +180,7 @@ func (c *Node) Tick(key string) {
 		}
 		// Suspect the coordinator: NACK and move on. Growing the wait
 		// keeps false suspicions finite after stabilization.
-		c.timeout += c.cfg.Increment
+		c.timeout += increment
 		c.reply(false)
 	}
 }
@@ -307,7 +294,7 @@ func (c *Node) onProposal(m ProposalMsg) {
 	}
 	if m.R > c.round {
 		// We lag behind; jump to the proposal's round so our ACK counts.
-		c.timeout += c.cfg.Increment
+		c.timeout += increment
 		c.round = m.R
 		c.replied = false
 	}

@@ -26,7 +26,7 @@ func newCluster(t *testing.T, n int, seed int64, link network.Profile) *cluster 
 	}
 	c := &cluster{world: w, nodes: make([]*Node, n)}
 	for i := 0; i < n; i++ {
-		c.nodes[i] = New(Config{})
+		c.nodes[i] = New()
 		w.SetAutomaton(node.ID(i), c.nodes[i])
 	}
 	return c
@@ -184,7 +184,7 @@ func TestLatecomerLearnsViaEstimateReply(t *testing.T) {
 func TestTimestampLockingPreservedAcrossRounds(t *testing.T) {
 	// Directed unit check of the locking rule: a coordinator must pick
 	// the estimate with the highest timestamp.
-	n := New(Config{})
+	n := New()
 	env := newFakeEnv(0, 3) // p0 coordinates round 0
 	n.Propose("own")
 	n.Start(env)
@@ -193,7 +193,7 @@ func TestTimestampLockingPreservedAcrossRounds(t *testing.T) {
 	// Majority of 3 is 2: p0's own estimate (ts 0, "own") and p1's. The
 	// tie at ts 0 picks whichever arrives... both ts 0; but a genuinely
 	// higher timestamp must always win:
-	n2 := New(Config{})
+	n2 := New()
 	env2 := newFakeEnv(1, 3)
 	n2.Propose("own2")
 	n2.Start(env2)

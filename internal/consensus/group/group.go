@@ -5,8 +5,7 @@
 // internal/transport runs a sharded process as G lanes of its node loop,
 // one goroutine each, so decided-write throughput can scale with cores
 // instead of saturating one single-threaded loop; this package holds what
-// the lanes and the clients share: the Msg wrapper, the id rotation and
-// the Router.
+// the lanes share: the Msg wrapper and the id rotation.
 //
 // Crucially, the groups multiplex over the *same* physical links. A lane
 // wraps every outbound protocol message in a Msg carrying a varint GroupID

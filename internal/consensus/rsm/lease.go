@@ -26,14 +26,14 @@ import (
 // has run out — and by holding off its own phase 1 until that instant.
 //
 // The leader counts grant seq acked by follower f as valid until
-// issued(seq) + Config.Lease − Config.LeaseSkew on its own clock, where
+// issued(seq) + Config.Lease − Lease/10 on its own clock, where
 // issued(seq) is when it FIRST sent that grant. It holds the lease while
 // a majority (its own vote included) of grants are valid. Safety needs
 // only a bound on clock *rate* divergence over one lease interval, not
 // synchronized clocks: the follower's window starts at receipt, which is
 // at or after first-send in real time, so the leader's window starts no
-// later than the follower's; LeaseSkew then covers the follower's clock
-// running fast relative to the leader's by up to LeaseSkew over one
+// later than the follower's; the Lease/10 margin then covers the
+// follower's clock gaining up to Lease/10 on the leader's over one
 // Lease. Under that assumption, while the leader's conservative window
 // holds, every quorum of any competing prepare intersects a follower
 // still inside its deferral window, so no other ballot can complete
@@ -146,7 +146,7 @@ func (r *Node) onLeaseGrant(from node.ID, m LeaseGrantMsg) {
 }
 
 // onLeaseAck is the leader side: follower from has honored grant seq.
-// The grant is valid until first-send + Lease − LeaseSkew; the quorum
+// The grant is valid until first-send + Lease − Lease/10; the quorum
 // expiry is the Majority-th largest per-follower expiry (own vote
 // included).
 func (r *Node) onLeaseAck(from node.ID, b consensus.Ballot, seq uint64) {
@@ -157,7 +157,7 @@ func (r *Node) onLeaseAck(from node.ID, b consensus.Ballot, seq uint64) {
 	if !ok {
 		return // too old: conservatively worthless
 	}
-	until := issued.Add(r.cfg.Lease - r.cfg.LeaseSkew)
+	until := issued.Add(r.cfg.Lease - r.cfg.Lease/10)
 	if r.lease.granted == nil {
 		r.lease.granted = make([]sim.Time, r.n)
 	}

@@ -245,16 +245,6 @@ func TestLeaseBlocksCompetingPrepareUntilExpiry(t *testing.T) {
 	}
 }
 
-// TestLeaseSkewDefault: a configured lease without an explicit skew gets
-// the documented Lease/10 margin.
-func TestLeaseSkewDefault(t *testing.T) {
-	cfg := Config{Lease: time.Second}
-	cfg.fill()
-	if cfg.LeaseSkew != 100*ms {
-		t.Fatalf("default LeaseSkew = %v, want %v", cfg.LeaseSkew, 100*ms)
-	}
-}
-
 // TestReadsDuringFailoverAreAnsweredWhenTheBallotStands: five seeded
 // failovers with a client that keeps reading at whichever survivor believes
 // it leads. A read that reaches a leader-elect waits for its phase 1 and one

@@ -40,24 +40,14 @@ func monitorKey(q node.ID) string { return fmt.Sprintf("alltoall/mon/%d", q) }
 
 // Config parameterizes the detector. Zero values select defaults.
 type Config struct {
-	// Eta is the heartbeat period (default 10ms).
+	// Eta is the heartbeat period (default 10ms). The initial suspicion
+	// timeout is 3·Eta, and each false suspicion adds Eta to it.
 	Eta time.Duration
-	// BaseTimeout is the initial suspicion timeout (default 3·Eta).
-	BaseTimeout time.Duration
-	// Increment is added to a process's timeout on each false suspicion
-	// (default Eta).
-	Increment time.Duration
 }
 
 func (c *Config) fill() {
 	if c.Eta <= 0 {
 		c.Eta = 10 * time.Millisecond
-	}
-	if c.BaseTimeout <= 0 {
-		c.BaseTimeout = 3 * c.Eta
-	}
-	if c.Increment <= 0 {
-		c.Increment = c.Eta
 	}
 }
 
@@ -99,7 +89,7 @@ func (d *Detector) Start(env node.Env) {
 	d.suspected = make([]bool, d.n)
 	d.timeout = make([]time.Duration, d.n)
 	for q := 0; q < d.n; q++ {
-		d.timeout[q] = d.cfg.BaseTimeout
+		d.timeout[q] = 3 * d.cfg.Eta
 		if node.ID(q) != d.me {
 			env.SetTimer(monitorKey(node.ID(q)), d.timeout[q])
 		}
@@ -118,7 +108,7 @@ func (d *Detector) Deliver(from node.ID, m node.Message) {
 		// False suspicion: forgive and widen the timeout so the same
 		// mistake eventually stops happening.
 		d.suspected[from] = false
-		d.timeout[from] += d.cfg.Increment
+		d.timeout[from] += d.cfg.Eta
 	}
 	d.env.SetTimer(monitorKey(from), d.timeout[from])
 	d.elect()

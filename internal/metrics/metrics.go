@@ -13,11 +13,11 @@
 // takes the message events — send, deliver, drop, and wire bytes from the
 // transports that serialize — and none of the protocol events, which are
 // not messages. Every runtime tees one in (node.World.Stats, the clusters'
-// Stats()). The record path is contention-free: all counters are
-// per-process sharded atomics, and the send log is per sender, guarded only
-// by that sender's own mutex (a single writer in every runtime, so the lock
-// is uncontended). Queries over the send log go through an immutable
-// Snapshot.
+// Stats()). The record path takes no global lock: all counters are
+// per-process sharded atomics, and the send log is per sender, guarded by
+// that sender's own mutex — contended only where goroutines send under one
+// id (a live ingress and its clients, a sharded process's lanes). Queries
+// over the send log go through an immutable Snapshot.
 //
 // The log keeps when each of a sender's last window sends left and nothing
 // else about it — to whom and of what kind are counted per link and per
@@ -119,8 +119,8 @@ func (s *MessageStats) OnSend(t sim.Time, from, to int, kind obs.Kind) {
 	sh := s.shards[from]
 	sh.sentBy.Add(1)
 	sh.link[to].Add(1)
-	if at := &sh.linkAt[to]; int64(t) >= at.Load() { // one writer per sender
-		at.Store(int64(t) + 1)
+	at := &sh.linkAt[to] // a max: goroutines sending under one id race here
+	for old := at.Load(); old <= int64(t) && !at.CompareAndSwap(old, int64(t)+1); old = at.Load() {
 	}
 	sh.kindSent[kind].Add(1)
 	s.noteKind(kind)

@@ -19,8 +19,8 @@ import (
 // chunks and copies the list of them and the one being written, under one
 // hold of the sender's lock that also reads its latest instant: 2 KiB and 8
 // bytes a chunk, after a million sends as after ten. A sender's instants
-// are in non-decreasing order in every runtime (one clock, one sending
-// goroutine); a log that is not is counted through instead of searched.
+// are in non-decreasing order where one goroutine sends under its id (the
+// simulator); a log that is not is counted through instead of searched.
 type Snapshot struct {
 	logs   []sendLog // indexed by sender
 	linkAt []int64   // per link, as shard.linkAt: last send instant + 1

@@ -277,3 +277,39 @@ func TestSnapshotSharesSealedChunks(t *testing.T) {
 		t.Errorf("the sender still retains %d sends of the first million", got)
 	}
 }
+
+// TestLinkLastSendNeverMovesBack: several goroutines record interleaved
+// instants on one link, as a live ingress and its clients or a sharded
+// process's lanes do under one id. Whatever order their records land in,
+// both the live query and a snapshot must see the link used at the latest
+// instant recorded. Run with -race.
+func TestLinkLastSendNeverMovesBack(t *testing.T) {
+	const (
+		senders = 8
+		per     = 64
+		rounds  = 300
+	)
+	k := obs.Intern("stress-link-HB")
+	s := NewMessageStats(2)
+	for r := 0; r < rounds; r++ {
+		base := r * senders * per
+		var wg sync.WaitGroup
+		for g := 0; g < senders; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for i := 0; i < per; i++ {
+					s.OnSend(sim.Time(base+i*senders+g), 0, 1, k)
+				}
+			}(g)
+		}
+		wg.Wait()
+		last := sim.Time(base + senders*per - 1)
+		if got := s.LinksUsedSince(last); got != 1 {
+			t.Fatalf("round %d: LinksUsedSince(%d) = %d, want 1", r, last, got)
+		}
+		if got := s.Snapshot().LinksUsedSince(last); got != 1 {
+			t.Fatalf("round %d: snapshot LinksUsedSince(%d) = %d, want 1", r, last, got)
+		}
+	}
+}

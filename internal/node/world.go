@@ -38,9 +38,6 @@ type WorldConfig struct {
 	// it sees every send/deliver/drop and, when it is an obs.EventSink,
 	// every crash (obs.Down) and note.
 	Observer obs.Sink
-	// RecordWindow bounds the per-sender send log retained for checker
-	// queries (0 = metrics.DefaultWindow). Counters are never windowed.
-	RecordWindow int
 }
 
 // World is a complete simulated system: kernel, fabric, and n processes
@@ -106,7 +103,7 @@ func NewWorld(cfg WorldConfig) (*World, error) {
 		return nil, fmt.Errorf("node: StartAt has %d entries for %d processes", len(cfg.StartAt), cfg.N)
 	}
 	k := sim.NewKernel(cfg.Seed)
-	stats := metrics.NewMessageStatsWindow(cfg.N, cfg.RecordWindow)
+	stats := metrics.NewMessageStats(cfg.N)
 	fabric, err := network.NewFabric(k, cfg.N, cfg.DefaultLink, obs.Tee(stats, cfg.Observer))
 	if err != nil {
 		return nil, err

@@ -54,9 +54,11 @@ func BenchmarkTracingOn(b *testing.B) {
 // every dropped frame costs while a queue sheds load, from every link
 // sender at once. It must stay at 0 allocs/op and take no lock.
 func BenchmarkTriggerCapped(b *testing.B) {
-	s := New(Config{Procs: 1, Dir: b.TempDir(), MaxDumps: 1})
+	s := New(Config{Procs: 1, Dir: b.TempDir()})
 	sink := s.Sink()
-	sink.OnDrop(0, 0, 0, 0) // the one dump the cap allows
+	for i := 0; i < maxDumps; i++ {
+		sink.OnDrop(0, 0, 0, 0) // the dumps the cap allows
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {

@@ -28,10 +28,11 @@ type Config struct {
 	// Dir is where flight-recorder dumps are written ("" disables
 	// dumps; spans are still recorded and readable via WriteJSON).
 	Dir string
-	// MaxDumps caps dumps per trigger reason (default 4) so a repeating
-	// anomaly cannot flood the directory. Final dumps are exempt.
-	MaxDumps int
 }
+
+// maxDumps caps dumps per trigger reason so a repeating anomaly cannot
+// flood the directory. Final dumps are exempt.
+const maxDumps = 4
 
 func (c *Config) fill() {
 	if c.Limit <= 0 {
@@ -39,9 +40,6 @@ func (c *Config) fill() {
 	}
 	if c.SampleEvery <= 0 {
 		c.SampleEvery = 1
-	}
-	if c.MaxDumps <= 0 {
-		c.MaxDumps = 4
 	}
 }
 
@@ -146,8 +144,7 @@ func (s *Set) Trigger(now sim.Time, proc int, reason string) {
 	if s == nil || s.cfg.Dir == "" {
 		return
 	}
-	max := int64(s.cfg.MaxDumps)
-	if n := s.dumpCount(reason); n.Load() >= max || n.Add(1) > max {
+	if n := s.dumpCount(reason); n.Load() >= maxDumps || n.Add(1) > maxDumps {
 		return
 	}
 	s.triggered.Add(1)

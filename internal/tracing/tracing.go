@@ -227,7 +227,7 @@ func (t *Tracer) mark(now sim.Time, name string, peer int, note string) {
 
 // Trigger asks the flight recorder for a dump on this process's behalf.
 // Reason must be a constant string; dumps are capped per reason (see
-// Config.MaxDumps), and a capped or dirless trigger takes no lock: it
+// maxDumps), and a capped or dirless trigger takes no lock: it
 // costs the two atomic loads that find the reason's count.
 func (t *Tracer) Trigger(now sim.Time, reason string) {
 	if t == nil {

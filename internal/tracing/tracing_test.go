@@ -294,15 +294,15 @@ func TestZeroAllocDisabledAndSampledOut(t *testing.T) {
 
 func TestFlightRecorderDumps(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "nested", "dumps")
-	s := New(Config{Procs: 2, Dir: dir, MaxDumps: 2})
+	s := New(Config{Procs: 2, Dir: dir})
 	s.Tracer(0).Mark(5, "leader-change", 1)
 
-	s.Trigger(10, 0, "leader-change")
-	s.Trigger(11, 0, "leader-change")
-	s.Trigger(12, 0, "leader-change") // capped
-	s.Trigger(13, 1, "crash")         // separate reason, separate cap
-	if got := s.Triggered(); got != 3 {
-		t.Fatalf("Triggered = %d, want 3 (third leader-change capped)", got)
+	for i := 0; i < maxDumps+1; i++ {
+		s.Trigger(sim.Time(10+i), 0, "leader-change") // the last is capped
+	}
+	s.Trigger(15, 1, "crash") // separate reason, separate cap
+	if got := s.Triggered(); got != maxDumps+1 {
+		t.Fatalf("Triggered = %d, want %d (fifth leader-change capped)", got, maxDumps+1)
 	}
 	path, err := s.Final()
 	if err != nil {
@@ -319,8 +319,10 @@ func TestFlightRecorderDumps(t *testing.T) {
 	want := []string{
 		"trace-001-leader-change.json",
 		"trace-002-leader-change.json",
-		"trace-003-crash.json",
-		"trace-004-final.json",
+		"trace-003-leader-change.json",
+		"trace-004-leader-change.json",
+		"trace-005-crash.json",
+		"trace-006-final.json",
 	}
 	if len(names) != len(want) {
 		t.Fatalf("dumps = %v, want %v", names, want)
@@ -330,7 +332,7 @@ func TestFlightRecorderDumps(t *testing.T) {
 			t.Fatalf("dumps = %v, want %v", names, want)
 		}
 	}
-	if filepath.Base(path) != "trace-004-final.json" {
+	if filepath.Base(path) != "trace-006-final.json" {
 		t.Fatalf("Final path = %s", path)
 	}
 	data, err := os.ReadFile(path)
@@ -412,10 +414,10 @@ func TestSinkKeepsEventsAsMarks(t *testing.T) {
 
 // TestMaxDumpsExactUnderContention: the cap is checked without a lock
 // (the sink triggers per dropped frame from every link sender), and it
-// must still let exactly MaxDumps through per reason. Run with -race.
+// must still let exactly maxDumps through per reason. Run with -race.
 func TestMaxDumpsExactUnderContention(t *testing.T) {
 	dir := t.TempDir()
-	s := New(Config{Procs: 4, Dir: dir, MaxDumps: 3})
+	s := New(Config{Procs: 4, Dir: dir})
 	reasons := []string{"message-drop", "leader-change", "crash"}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -428,12 +430,12 @@ func TestMaxDumpsExactUnderContention(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if got := s.Triggered(); got != 9 {
-		t.Fatalf("Triggered = %d, want 3 reasons x MaxDumps 3", got)
+	if got := s.Triggered(); got != 3*maxDumps {
+		t.Fatalf("Triggered = %d, want 3 reasons x maxDumps %d", got, maxDumps)
 	}
 	entries, err := os.ReadDir(dir)
-	if err != nil || len(entries) != 9 {
-		t.Fatalf("%d dump files (err %v), want 9 with distinct sequence numbers", len(entries), err)
+	if err != nil || len(entries) != 3*maxDumps {
+		t.Fatalf("%d dump files (err %v), want %d with distinct sequence numbers", len(entries), err, 3*maxDumps)
 	}
 	per := map[string]int{}
 	for _, e := range entries {
@@ -444,8 +446,8 @@ func TestMaxDumpsExactUnderContention(t *testing.T) {
 		}
 	}
 	for _, r := range reasons {
-		if per[r] != 3 {
-			t.Fatalf("dumps per reason = %v, want 3 each", per)
+		if per[r] != maxDumps {
+			t.Fatalf("dumps per reason = %v, want %d each", per, maxDumps)
 		}
 	}
 }

@@ -22,16 +22,14 @@ func (a *countingAutomaton) Deliver(node.ID, node.Message) { a.delivered.Add(1) 
 // one is delivered. Injection runs ahead of the sender (bounded by half
 // the queue, so nothing ever hits the queue-full drop path), which is
 // exactly the regime coalescing exists for: the sender finds frames
-// already queued and flushes them with one vectored write. The reported
-// msgs/sec for batchFrames = 32 versus 1 is the batching win.
-func benchTCPSend(b *testing.B, batchFrames int) {
+// already queued and flushes them with one vectored write.
+func BenchmarkTCPSendBatched(b *testing.B) {
 	const queue = 1 << 14
 	recv := &countingAutomaton{}
 	autos := []node.Automaton{&countingAutomaton{}, recv}
 	c, err := NewTCPCluster(Config{
 		N: 2, Seed: 1, Quiet: true,
-		SendQueue:   queue,
-		BatchFrames: batchFrames,
+		SendQueue: queue,
 	}, autos)
 	if err != nil {
 		b.Fatal(err)
@@ -67,11 +65,3 @@ func benchTCPSend(b *testing.B, batchFrames int) {
 	}
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "msgs/sec")
 }
-
-// BenchmarkTCPSendBatched is the coalescing sender at its default batch
-// cap: queued frames go out in one vectored write per flush.
-func BenchmarkTCPSendBatched(b *testing.B) { benchTCPSend(b, 0) }
-
-// BenchmarkTCPSendPerFrame pins the pre-batching baseline — BatchFrames=1
-// makes every frame its own write syscall, the behaviour this PR replaced.
-func BenchmarkTCPSendPerFrame(b *testing.B) { benchTCPSend(b, 1) }

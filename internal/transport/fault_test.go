@@ -273,10 +273,7 @@ func TestTCPStalledPeerKeepsOtherLinksFast(t *testing.T) {
 // listens at p2's address at all, so every 0→2 frame fails its dial (with
 // backoff), while 0→1 keeps flowing with bounded send latency.
 func TestTCPUnreachablePeerDoesNotStallOthers(t *testing.T) {
-	c, err := NewTCPCluster(Config{
-		N: 3, Seed: 6, Quiet: true,
-		DialTimeout: 200 * time.Millisecond,
-	}, idleAutomatons(3))
+	c, err := NewTCPCluster(Config{N: 3, Seed: 6, Quiet: true}, idleAutomatons(3))
 	if err != nil {
 		t.Fatal(err)
 	}

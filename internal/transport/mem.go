@@ -15,14 +15,9 @@ import (
 type Config struct {
 	// N is the number of processes (required, > 1).
 	N int
-	// Seed drives delay/loss randomness.
+	// Seed drives the in-memory network's delays and the TCP senders'
+	// re-dial jitter.
 	Seed int64
-	// MinDelay/MaxDelay bound the injected per-message delay
-	// (default 0 / 2ms).
-	MinDelay time.Duration
-	MaxDelay time.Duration
-	// DropProb injects message loss (default 0).
-	DropProb float64
 	// Quiet suppresses per-process logging.
 	Quiet bool
 	// Observer is an optional extra obs.Sink teed with the cluster's
@@ -30,9 +25,6 @@ type Config struct {
 	// obs.EventSink, every process going down (obs.Down) and coming back
 	// (obs.Up). Implementations must be safe for concurrent use.
 	Observer obs.Sink
-	// RecordWindow bounds the per-sender send log retained for queries
-	// (0 = metrics.DefaultWindow). Counters are never windowed.
-	RecordWindow int
 	// Fault optionally subjects every link to a faultline.Injector: each
 	// send consults the injector for a drop/delay decision, and the
 	// injector's crash plan is armed at Start. Injected drops are
@@ -51,29 +43,10 @@ type Config struct {
 	// WriteTimeout bounds each TCP write, so a peer that stops reading can
 	// never wedge a sender (default 1s).
 	WriteTimeout time.Duration
-	// DialTimeout bounds each TCP dial attempt (default 1s).
-	DialTimeout time.Duration
 	// SendQueue bounds each TCP per-peer outbound queue; when a link's
 	// queue is full the message is dropped, never blocking the node loop
 	// (default 128).
 	SendQueue int
-	// BatchFrames caps how many queued frames a TCP sender coalesces
-	// into one vectored write (default 256; 1 disables coalescing).
-	BatchFrames int
-	// BatchBytes caps the payload bytes a TCP sender coalesces into one
-	// vectored write (default 64 KiB).
-	BatchBytes int
-	// BatchWait, when positive, lets an under-filled TCP batch wait this
-	// long for more frames before its vectored write — fewer, larger
-	// writes under sustained load at the cost of that much added latency
-	// on the first frame. 0 flushes as soon as the queue empties.
-	BatchWait time.Duration
-	// BatchWaitMax, when positive, makes each TCP sender's batch wait
-	// adaptive within [0, BatchWaitMax]: stretched when flushes
-	// degenerate to one or two frames under load, backed off when
-	// batches arrive full or the link idles (see link.Config.
-	// BatchWaitMax). BatchWait seeds the initial value.
-	BatchWaitMax time.Duration
 	// OnFlush, when set, observes every successful TCP vectored write
 	// with its coalesced frame and payload counts (telemetry.FlushHook
 	// turns it into obs.Flush events). Runs on sender goroutines; must be
@@ -88,15 +61,6 @@ func (c *Config) fill(automatons int) error {
 	if automatons != c.N {
 		return fmt.Errorf("transport: %d automatons for N=%d", automatons, c.N)
 	}
-	if c.MaxDelay <= 0 {
-		c.MaxDelay = 2 * time.Millisecond
-	}
-	if c.MinDelay < 0 || c.MinDelay > c.MaxDelay {
-		return fmt.Errorf("transport: bad delay bounds [%v, %v]", c.MinDelay, c.MaxDelay)
-	}
-	if c.DropProb < 0 || c.DropProb > 1 {
-		return fmt.Errorf("transport: DropProb %v out of range", c.DropProb)
-	}
 	if c.Fault != nil && c.Fault.N() != c.N {
 		return fmt.Errorf("transport: fault injector built for n=%d, cluster has N=%d", c.Fault.N(), c.N)
 	}
@@ -106,24 +70,16 @@ func (c *Config) fill(automatons int) error {
 	if c.WriteTimeout <= 0 {
 		c.WriteTimeout = time.Second
 	}
-	if c.DialTimeout <= 0 {
-		c.DialTimeout = time.Second
-	}
 	if c.SendQueue <= 0 {
 		c.SendQueue = 128
-	}
-	if c.BatchFrames <= 0 {
-		c.BatchFrames = 256
-	}
-	if c.BatchBytes <= 0 {
-		c.BatchBytes = 64 << 10
 	}
 	return nil
 }
 
 // Cluster runs n automatons on real goroutines connected by an in-memory
-// network that serializes every message through the wire codec and injects
-// configurable delay and loss.
+// network that serializes every message through the wire codec and delays
+// it uniformly over [0, memDelayBound]; loss and extra delay come only from
+// Config.Fault.
 type Cluster struct {
 	table
 	cfg Config
@@ -205,6 +161,9 @@ func (c *Cluster) Stop() {
 // memNet implements sender over the cluster's in-memory links.
 type memNet Cluster
 
+// memDelayBound bounds the in-memory network's own per-message delay.
+const memDelayBound = 2 * time.Millisecond
+
 func (m *memNet) send(from, to node.ID, msg node.Message) {
 	c := (*Cluster)(m)
 	now := c.stations[from].Now()
@@ -227,25 +186,16 @@ func (m *memNet) send(from, to node.ID, msg node.Message) {
 		c.bytes.OnWireBytes(now, int(from), int(to), k, len(data))
 	}
 	c.mu.Lock()
-	drop := c.cfg.DropProb > 0 && c.rng.Float64() < c.cfg.DropProb
-	span := c.cfg.MaxDelay - c.cfg.MinDelay
-	delay := c.cfg.MinDelay
-	if span > 0 {
-		delay += time.Duration(c.rng.Int63n(int64(span) + 1))
-	}
+	delay := time.Duration(c.rng.Int63n(int64(memDelayBound) + 1))
 	c.mu.Unlock()
-	// Consult the injector even when the cluster's own loss already chose
-	// to drop, so the injector's per-link decision stream stays indexed
-	// purely by send count.
 	if c.cfg.Fault != nil {
 		extra, ok := c.cfg.Fault.Transmit(from, to, time.Since(c.start))
-		drop = drop || !ok
+		if !ok {
+			c.sink.OnDrop(now, int(from), int(to), k)
+			encBufs.Put(bp)
+			return
+		}
 		delay += extra
-	}
-	if drop {
-		c.sink.OnDrop(now, int(from), int(to), k)
-		encBufs.Put(bp)
-		return
 	}
 	time.AfterFunc(delay, func() {
 		decoded, err := codec.Unmarshal(data)

@@ -319,7 +319,7 @@ type table struct {
 // through net.
 func (t *table) build(cfg Config, automatons []node.Automaton, net sender) {
 	t.start = time.Now()
-	t.stats = metrics.NewMessageStatsWindow(cfg.N, cfg.RecordWindow)
+	t.stats = metrics.NewMessageStats(cfg.N)
 	t.sink = obs.Tee(t.stats, cfg.Observer)
 	t.bytes, t.ctx = obs.Bytes(t.sink), obs.Ctx(t.sink)
 	events, _ := cfg.Observer.(obs.EventSink)

@@ -27,10 +27,10 @@ import (
 // write deadlines, and reconnects on failure. A dead or stalled peer
 // therefore costs at most a queue-full drop — it can never block another
 // link or a station's node loop. The sender coalesces whatever is already
-// queued (up to Config.BatchFrames / Config.BatchBytes) into one vectored
-// write, so n frames per interval cost one writev syscall, not n write
-// syscalls. TCP gives reliable, ordered per-connection delivery — the
-// "reliable link" regime of the paper, live.
+// queued (up to 256 frames or link.BatchBytes) into one vectored write, so
+// n frames per interval cost one writev syscall, not n write syscalls. TCP
+// gives reliable, ordered per-connection delivery — the "reliable link"
+// regime of the paper, live.
 //
 // The queueing/coalescing/redial machinery itself lives in internal/link;
 // this file only encodes frames, consults the fault injector, and wires
@@ -90,12 +90,7 @@ func NewTCPCluster(cfg Config, automatons []nodepkg.Automaton) (*TCPCluster, err
 			c.senders[from*cfg.N+to] = link.NewSender(link.Config{
 				Addr:         c.addrs[to].String(),
 				Queue:        cfg.SendQueue,
-				BatchFrames:  cfg.BatchFrames,
-				BatchBytes:   cfg.BatchBytes,
-				BatchWait:    cfg.BatchWait,
-				BatchWaitMax: cfg.BatchWaitMax,
 				WriteTimeout: cfg.WriteTimeout,
-				DialTimeout:  cfg.DialTimeout,
 				Seed:         cfg.Seed ^ int64(from*cfg.N+to+1),
 				Pool:         encBufs,
 				Stop:         c.stopCh,
@@ -219,7 +214,7 @@ func (c *TCPCluster) readLoop(i int, conn net.Conn) {
 	defer c.wg.Done()
 	defer c.release(conn)
 	st := c.stations[i]
-	in := frames{br: bufio.NewReaderSize(conn, c.cfg.BatchBytes)}
+	in := frames{br: bufio.NewReaderSize(conn, link.BatchBytes)}
 	dec := codec.NewConnDecoder()
 	var batch []event
 	for {

@@ -9,7 +9,9 @@ import (
 	"repro/internal/consensus/rsm"
 	"repro/internal/core"
 	"repro/internal/detector"
+	"repro/internal/faultline"
 	"repro/internal/metrics"
+	"repro/internal/network"
 	"repro/internal/node"
 )
 
@@ -129,7 +131,8 @@ func TestMemClusterWithLossStillElectsEventually(t *testing.T) {
 	// source-omega... keep core with very light loss and only assert no
 	// deadlock in the runtime (processes keep exchanging messages).
 	autos, _ := liveDetectors(3)
-	c, err := NewCluster(Config{N: 3, Seed: 4, DropProb: 0.05, Quiet: true}, autos)
+	inj := mustInjector(t, 3, 4, faultline.Plan{Default: network.Lossy(0, time.Millisecond, 0.05)})
+	c, err := NewCluster(Config{N: 3, Seed: 4, Quiet: true, Fault: inj}, autos)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,12 +205,6 @@ func TestConfigValidation(t *testing.T) {
 	autos, _ := liveDetectors(2)
 	if _, err := NewCluster(Config{N: 1}, autos[:1]); err == nil {
 		t.Fatal("N=1 accepted")
-	}
-	if _, err := NewCluster(Config{N: 2, DropProb: 2}, autos); err == nil {
-		t.Fatal("DropProb=2 accepted")
-	}
-	if _, err := NewCluster(Config{N: 2, MinDelay: 10 * time.Millisecond, MaxDelay: time.Millisecond}, autos); err == nil {
-		t.Fatal("min>max accepted")
 	}
 	if _, err := NewCluster(Config{N: 3}, autos); err == nil {
 		t.Fatal("wrong automaton count accepted")

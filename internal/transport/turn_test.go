@@ -13,6 +13,7 @@ import (
 	"repro/internal/consensus/rsm"
 	"repro/internal/core"
 	"repro/internal/durable"
+	"repro/internal/link"
 	"repro/internal/loop"
 	"repro/internal/node"
 )
@@ -256,7 +257,7 @@ func TestFrameLargerThanReadBuffer(t *testing.T) {
 	}
 	c.Start()
 	defer c.Stop()
-	big := rsm.RequestMsg{V: consensus.Value(strings.Repeat("0123456789", c.cfg.BatchBytes/5))} // two buffers' worth
+	big := rsm.RequestMsg{V: consensus.Value(strings.Repeat("0123456789", link.BatchBytes/5))} // two buffers' worth
 	want := []node.Message{core.LeaderMsg{Epoch: 1}, big, core.LeaderMsg{Epoch: 2}}
 	for _, m := range want {
 		c.Inject(0, 1, m)
@@ -319,7 +320,7 @@ func TestSentVoteIsRecovered(t *testing.T) {
 	for i := range autos {
 		autos[i] = build(i)
 	}
-	c, err := NewCluster(Config{N: n, Seed: 17, Quiet: true, MaxDelay: 200 * time.Microsecond}, autos)
+	c, err := NewCluster(Config{N: n, Seed: 17, Quiet: true}, autos)
 	if err != nil {
 		t.Fatal(err)
 	}
