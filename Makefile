@@ -171,12 +171,16 @@ bench:
 # Last, TCPSendBatched is the link sender's throughput: heartbeats injected
 # on one loopback TCP link ahead of its sender, which coalesces what is
 # queued into one vectored write (msgs/sec, and 0 allocs/op on injection).
+# BENCHTIME is go test's -benchtime; CI passes 1x, which runs each benchmark
+# once — go test compiles them but never runs one, so a benchmark that
+# panics would otherwise pass.
+BENCHTIME ?= 1s
 bench-micro:
-	$(GO) test -run '^$$' -bench 'SinkRecordSend|Wire' -benchmem .
-	$(GO) test -run '^$$' -bench 'Envelope|ConnDecode' -benchmem ./internal/wire
-	$(GO) test -run '^$$' -bench 'RecorderRecord|BatcherPumpFull|ApplyBatch16|FollowerCommit|SubmitWithBacklog|LeaseReadTurn' -benchmem ./internal/consensus ./internal/consensus/rsm
-	$(GO) test -run '^$$' -bench 'StationTurn|WALTurn' -benchmem ./internal/transport ./internal/durable
-	$(GO) test -run '^$$' -bench TCPSendBatched -benchmem ./internal/transport
+	$(GO) test -run '^$$' -bench 'SinkRecordSend|Wire' -benchmem -benchtime $(BENCHTIME) .
+	$(GO) test -run '^$$' -bench 'Envelope|ConnDecode' -benchmem -benchtime $(BENCHTIME) ./internal/wire
+	$(GO) test -run '^$$' -bench 'RecorderRecord|BatcherPumpFull|ApplyBatch16|FollowerCommit|SubmitWithBacklog|LeaseReadTurn' -benchmem -benchtime $(BENCHTIME) ./internal/consensus ./internal/consensus/rsm
+	$(GO) test -run '^$$' -bench 'StationTurn|WALTurn' -benchmem -benchtime $(BENCHTIME) ./internal/transport ./internal/durable
+	$(GO) test -run '^$$' -bench TCPSendBatched -benchmem -benchtime $(BENCHTIME) ./internal/transport
 
 # End-to-end tracing smoke (DESIGN.md §8): a traced chaossoak leader-crash
 # run over TCP, then traceview over its flight-recorder dumps.

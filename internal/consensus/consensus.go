@@ -54,15 +54,14 @@ type Decision struct {
 }
 
 // row is what a Recorder keeps of one decided instance: the value as it was
-// proposed, its n commands cut apart only when read. Record's row is the
-// one-command case: v is the command, cmd its index. el, when not 0, is one
-// past where the row's Elapsed begin. 48 bytes: a command index, a process
-// id and a place among the Elapsed each fit an int32.
+// proposed, its n commands cut apart only when read, and when it was
+// learned. Record's row is the one-command case: v is the command, cmd its
+// index. 40 bytes: a command index and a count each fit an int32.
 type row struct {
-	v              Value
-	at             sim.Time
-	inst           int
-	cmd, el, n, by int32
+	v      Value
+	at     sim.Time
+	inst   int
+	cmd, n int32
 }
 
 // Recorder collects the decisions one process learns. It is safe for
@@ -70,19 +69,24 @@ type row struct {
 //
 // The commands batched into an instance share its number, its learning time
 // and its bytes, so there is one row per instance (RecordInstance), in
-// learning order, cut into a Decision per command on read. sorted lists the
-// rows by (instance, first command) — the same order, for a log learned in
-// order — and a lookup is a binary search of it: exact for any input, sized
-// by nothing but the rows. Elapsed, which only the proposing leader knows,
-// is kept beside the log for the rows that have one.
+// learning order, cut into a Decision per command on read. A lookup is a
+// binary search of the rows by (instance, first command): of the log itself
+// while every row has arrived in that order, as rsm's applier records, and
+// of sorted, an index built when the first row arrives out of it — exact for
+// any input, sized by nothing but the rows. The learner is the Recorder's
+// own: the first record names it. Elapsed, which only the proposing leader
+// knows, is kept beside the log for the rows that have one, and el, one
+// place per row from the first such row on, says where each row's begin.
 type Recorder struct {
 	// Split, set before anything is recorded, appends the commands in an
 	// instance's value to cmds, in order; without it a value is one command.
 	Split   func(cmds []Value, v Value) []Value
 	mu      sync.Mutex
 	log     []row
-	sorted  []int32
-	n       int // decisions in log
+	sorted  []int32 // empty while the log is in order
+	n       int     // decisions in log
+	by      node.ID
+	el      []int32 // per row, one past where its Elapsed begin; 0: none
 	elapsed []time.Duration
 	notify  []func(d Decision)
 	cmds    []Value    // cut's scratch
@@ -105,48 +109,87 @@ func (r *Recorder) AddNotify(fn func(d Decision)) {
 	r.notify = append(r.notify, fn)
 }
 
-// cut returns w's decisions, good until the next cut; the caller holds the
-// lock. A row not yet added (n == 0) is cut to find out what it holds.
-func (r *Recorder) cut(w *row) []Decision {
+// cut returns the decisions of row p of the log, good until the next cut;
+// the caller holds the lock. A row not yet added (p == len(log)) is cut to
+// find out what it holds.
+func (r *Recorder) cut(w *row, p int) []Decision {
 	r.cmds, r.buf = append(r.cmds[:0], w.v), r.buf[:0]
 	if w.n != 1 && r.Split != nil {
 		r.cmds = r.Split(r.cmds[:0], w.v)
 	}
+	el := 0
+	if p < len(r.el) {
+		el = int(r.el[p])
+	}
 	for k, cmd := range r.cmds {
-		d := Decision{Instance: w.inst, Cmd: int(w.cmd) + k, Value: cmd, At: w.at, By: node.ID(w.by)}
-		if w.el > 0 {
-			d.Elapsed = r.elapsed[int(w.el)-1+k]
+		d := Decision{Instance: w.inst, Cmd: int(w.cmd) + k, Value: cmd, At: w.at, By: r.by}
+		if el > 0 {
+			d.Elapsed = r.elapsed[el-1+k]
 		}
 		r.buf = append(r.buf, d)
 	}
 	return r.buf
 }
 
-// find returns the row that holds a command slot's decision, or nil, and how
-// many rows sort at or before the slot: the last of them is the only one that
-// can hold it, and a row for it goes after them. The caller holds the lock.
-func (r *Recorder) find(inst, cmd int) (*row, int) {
-	i := sort.Search(len(r.sorted), func(i int) bool {
-		w := &r.log[r.sorted[i]]
+// learner names the process whose decisions these are, by the first record
+// (lock held).
+func (r *Recorder) learner(by node.ID) {
+	if len(r.log) == 0 {
+		r.by = by
+	}
+}
+
+// rank returns the place in the log of the i-th row in (instance, first
+// command) order (lock held).
+func (r *Recorder) rank(i int) int {
+	if len(r.sorted) == 0 {
+		return i
+	}
+	return int(r.sorted[i])
+}
+
+// find returns the place in the log of the row that holds a command slot's
+// decision, or -1, and how many rows sort at or before the slot: the last of
+// them is the only one that can hold it, and a row for it goes after them.
+// The caller holds the lock.
+func (r *Recorder) find(inst, cmd int) (p, i int) {
+	i = sort.Search(len(r.log), func(i int) bool {
+		w := &r.log[r.rank(i)]
 		return w.inst > inst || w.inst == inst && int(w.cmd) > cmd
 	})
 	if i > 0 {
-		if w := &r.log[r.sorted[i-1]]; w.inst == inst && uint(cmd-int(w.cmd)) < uint(w.n) {
-			return w, i
+		if p = r.rank(i - 1); r.log[p].inst == inst && uint(cmd-int(r.log[p].cmd)) < uint(r.log[p].n) {
+			return p, i
 		}
 	}
-	return nil, i
+	return -1, i
 }
 
-// add appends w, whose decisions are ds, as the i-th row of sorted (lock held).
+// add appends w, whose decisions are ds, as the i-th row in (instance, first
+// command) order (lock held).
 func (r *Recorder) add(w row, i int, ds []Decision) {
+	if len(r.sorted) == 0 && i < len(r.log) { // the first row out of order: index them all
+		r.sorted = make([]int32, len(r.log), 2*len(r.log)+1)
+		for p := range r.sorted {
+			r.sorted[p] = int32(p)
+		}
+	}
+	if len(r.sorted) > 0 {
+		r.sorted = slices.Insert(r.sorted, i, int32(len(r.log)))
+	}
+	el := int32(0)
 	if slices.ContainsFunc(ds, func(d Decision) bool { return d.Elapsed != 0 }) {
-		w.el = int32(len(r.elapsed)) + 1
+		el = int32(len(r.elapsed)) + 1
 		for _, d := range ds {
 			r.elapsed = append(r.elapsed, d.Elapsed)
 		}
+		if len(r.el) == 0 {
+			r.el = make([]int32, len(r.log)) // the first row led: every row from here on has a place
+		}
 	}
-	r.sorted = slices.Insert(r.sorted, i, int32(len(r.log)))
+	if el > 0 || len(r.el) > 0 {
+		r.el = append(r.el, el)
+	}
 	r.log = append(r.log, w)
 	r.n += int(w.n)
 }
@@ -156,9 +199,10 @@ func (r *Recorder) add(w row, i int, ds []Decision) {
 func (r *Recorder) Record(d Decision) {
 	r.mu.Lock()
 	var notify []func(Decision)
-	if w, i := r.find(d.Instance, d.Cmd); w == nil {
+	if p, i := r.find(d.Instance, d.Cmd); p < 0 {
+		r.learner(d.By)
 		r.buf = append(r.buf[:0], d)
-		r.add(row{v: d.Value, at: d.At, inst: d.Instance, cmd: int32(d.Cmd), n: 1, by: int32(d.By)}, i, r.buf)
+		r.add(row{v: d.Value, at: d.At, inst: d.Instance, cmd: int32(d.Cmd), n: 1}, i, r.buf)
 		notify = r.notify[:len(r.notify):len(r.notify)]
 	}
 	r.mu.Unlock()
@@ -173,8 +217,9 @@ func (r *Recorder) Record(d Decision) {
 // the time from then to at. Command slots recorded already are ignored.
 func (r *Recorder) RecordInstance(inst int, v Value, at sim.Time, by node.ID, enq []sim.Time) {
 	r.mu.Lock()
-	w := row{v: v, at: at, inst: inst, by: int32(by)}
-	ds := r.cut(&w)
+	r.learner(by)
+	w := row{v: v, at: at, inst: inst}
+	ds := r.cut(&w, len(r.log))
 	for k := range ds[:min(len(ds), len(enq))] {
 		ds[k].Elapsed = at.Sub(enq[k])
 	}
@@ -182,7 +227,7 @@ func (r *Recorder) RecordInstance(inst int, v Value, at sim.Time, by node.ID, en
 		w.v = ds[0].Value // a lone command, out of its envelope if it came in one
 	}
 	tell := r.notify[:len(r.notify):len(r.notify)]
-	if _, i := r.find(inst, math.MaxInt); i == 0 || r.log[r.sorted[i-1]].inst != inst {
+	if _, i := r.find(inst, math.MaxInt); i == 0 || r.log[r.rank(i-1)].inst != inst {
 		r.add(w, i, ds)
 	} else {
 		tell = []func(Decision){r.Record} // the instance has rows: slot by slot
@@ -206,8 +251,8 @@ func (r *Recorder) Get(instance int) (Decision, bool) { return r.GetCmd(instance
 func (r *Recorder) GetCmd(instance, cmd int) (Decision, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if w, _ := r.find(instance, cmd); w != nil {
-		return r.cut(w)[cmd-int(w.cmd)], true
+	if p, _ := r.find(instance, cmd); p >= 0 {
+		return r.cut(&r.log[p], p)[cmd-int(r.log[p].cmd)], true
 	}
 	return Decision{}, false
 }
@@ -236,7 +281,7 @@ func (r *Recorder) Each(fn func(d Decision)) {
 	var ds []Decision
 	for p := range log {
 		r.mu.Lock()
-		ds = append(ds[:0], r.cut(&log[p])...)
+		ds = append(ds[:0], r.cut(&log[p], p)...)
 		r.mu.Unlock()
 		for _, d := range ds {
 			fn(d)
@@ -348,8 +393,8 @@ func CheckSafety(in SafetyInput) SafetyReport {
 		}
 		r.Each(func(d Decision) {
 			rep.TotalDecisions++
-			if c, _ := chosen.find(d.Instance, d.Cmd); c != nil {
-				if prev := c.v; prev != d.Value {
+			if c, _ := chosen.find(d.Instance, d.Cmd); c >= 0 {
+				if prev := chosen.log[c].v; prev != d.Value {
 					rep.Agreement = false
 					rep.Violations = append(rep.Violations, fmt.Sprintf(
 						"instance %d cmd %d: p%d decided %q but %q was decided elsewhere", d.Instance, d.Cmd, id, d.Value, prev))

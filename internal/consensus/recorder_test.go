@@ -120,12 +120,17 @@ func checkAgainst(t *testing.T, r *Recorder, m *refRecorder, lo, hi, cmds int) {
 // TestRecorderMatchesMapModel: whatever mix of Record and RecordInstance
 // arrives, in whatever order, every query answers as one Decision per
 // command slot in arrival order would, Elapsed included, and the hooks see
-// each first-time decision once, in that order.
+// each first-time decision once, in that order. A log that arrives in
+// (instance, command) order — the applier shape — is searched in place and
+// holds no index; the in-order shape has its first late duplicate only once
+// its log is large, so its index is built from many rows at once.
 func TestRecorderMatchesMapModel(t *testing.T) {
 	const cmds = 5
 	// Each shape is a stream of instance numbers.
 	shapes := map[string]func(rng *rand.Rand, i int) int{
-		// What rsm does: instances in order.
+		// What rsm's applier does: instances in order, each once.
+		"applier": func(_ *rand.Rand, i int) int { return i },
+		// Instances in order.
 		"in-order": func(_ *rand.Rand, i int) int { return i },
 		// The same after a restore at a large snapshot index.
 		"restored": func(_ *rand.Rand, i int) int { return 1<<40 + i },
@@ -136,6 +141,8 @@ func TestRecorderMatchesMapModel(t *testing.T) {
 		// Holes no index could span: nothing may be sized by an instance number.
 		"sparse": func(rng *rand.Rand, i int) int { return 7 + i*(1+rng.Intn(3)<<40) },
 	}
+	// The step at which a shape's late duplicates begin; 0 for the rest.
+	lateFrom := map[string]int{"applier": 1 << 30, "in-order": 2000}
 	for name, shape := range shapes {
 		t.Run(name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(20040725))
@@ -177,14 +184,17 @@ func TestRecorderMatchesMapModel(t *testing.T) {
 				}
 			}
 			for i := 0; i < 3000; i++ {
+				if i == lateFrom[name] && cap(r.sorted) != 0 {
+					t.Fatalf("an index of capacity %d before the first of %d rows arrived out of order", cap(r.sorted), len(r.log))
+				}
 				inst := shape(rng, i)
 				feed(inst, i)
 				seen = append(seen, inst)
 				lo, hi = min(lo, inst), max(hi, inst)
-				if rng.Intn(4) == 0 {
+				if i >= lateFrom[name] && rng.Intn(4) == 0 {
 					feed(seen[rng.Intn(len(seen))], -i) // a late duplicate, with other values
 				}
-				if i%997 == 0 {
+				if i%997 == 0 || i == lateFrom[name]+100 {
 					checkAgainst(t, r, m, lo, min(hi, lo+300), cmds)
 				}
 			}
@@ -192,7 +202,11 @@ func TestRecorderMatchesMapModel(t *testing.T) {
 			if !slices.Equal(told, m.order) {
 				t.Fatalf("the hook saw %d decisions, not the model's %d in its order", len(told), len(m.order))
 			}
-			if len(r.sorted) != len(r.log) || cap(r.sorted) > 2*len(r.log)+64 {
+			if name == "applier" {
+				if cap(r.sorted) != 0 {
+					t.Fatalf("an index of capacity %d for %d rows recorded in order", cap(r.sorted), len(r.log))
+				}
+			} else if len(r.sorted) != len(r.log) || cap(r.sorted) > 2*len(r.log)+64 {
 				t.Fatalf("index of %d (cap %d) for %d rows: sized by something else than the rows", len(r.sorted), cap(r.sorted), len(r.log))
 			}
 		})
@@ -200,11 +214,12 @@ func TestRecorderMatchesMapModel(t *testing.T) {
 }
 
 // TestRecorderKeepsAnInstanceInOneRow: what the layout is for. A batched
-// instance costs one row whatever it carries, a follower keeps no Elapsed,
-// and a leader's are kept only for the instances it led.
+// instance costs one row whatever it carries, a follower keeps no Elapsed
+// and no place for them, and a leader's are kept only for the instances it
+// led, behind a place for every row from the first one it led.
 func TestRecorderKeepsAnInstanceInOneRow(t *testing.T) {
-	if got := unsafe.Sizeof(row{}); got > 48 {
-		t.Fatalf("a row is %d bytes, want at most 48", got)
+	if got := unsafe.Sizeof(row{}); got > 40 {
+		t.Fatalf("a row is %d bytes, want at most 40", got)
 	}
 	leader, follower := newSplitRecorder(), newSplitRecorder()
 	const n, k = 300, 4
@@ -218,11 +233,12 @@ func TestRecorderKeepsAnInstanceInOneRow(t *testing.T) {
 		}
 		leader.RecordInstance(i, v, at, 0, enq)
 	}
-	if len(follower.log) != n || follower.Count() != n*k || len(follower.elapsed) != 0 {
-		t.Fatalf("follower: %d rows, %d decisions, %d Elapsed; want %d, %d, 0", len(follower.log), follower.Count(), len(follower.elapsed), n, n*k)
+	if len(follower.log) != n || follower.Count() != n*k || cap(follower.elapsed) != 0 || cap(follower.el) != 0 || cap(follower.sorted) != 0 {
+		t.Fatalf("follower: %d rows, %d decisions, %d Elapsed, %d places, %d index; want %d, %d, 0, 0, 0",
+			len(follower.log), follower.Count(), cap(follower.elapsed), cap(follower.el), cap(follower.sorted), n, n*k)
 	}
-	if len(leader.log) != n || len(leader.elapsed) != 200*k {
-		t.Fatalf("leader: %d rows and %d Elapsed, want %d and %d", len(leader.log), len(leader.elapsed), n, 200*k)
+	if len(leader.log) != n || len(leader.elapsed) != 200*k || len(leader.el) != n || cap(leader.sorted) != 0 {
+		t.Fatalf("leader: %d rows, %d Elapsed, %d places, %d index; want %d, %d, %d, 0", len(leader.log), len(leader.elapsed), len(leader.el), cap(leader.sorted), n, 200*k, n)
 	}
 	for p, d := range leader.All() {
 		want := time.Duration(0)
@@ -349,10 +365,11 @@ func TestRecorderEachRunsOutsideTheLock(t *testing.T) {
 }
 
 func TestRecorderRecordAllocatesOnlyToGrow(t *testing.T) {
-	// A follower's log, then a leader's. With room in the log, the index and
-	// the Elapsed column — they grow by amortised doubling — recording an
+	// A follower's log, then a leader's. With room in the log and the Elapsed
+	// and their places — they grow by amortised doubling — recording an
 	// instance allocates nothing: no closure for the splitter, no slice for
-	// the commands, whatever the batch holds.
+	// the commands, whatever the batch holds. Both arrive in order, so
+	// neither builds an index.
 	v := testPack("a", "b", "c", "d")
 	for _, enq := range [][]sim.Time{nil, {1, 2, 3, 4}} {
 		r := newSplitRecorder()
@@ -363,9 +380,9 @@ func TestRecorderRecordAllocatesOnlyToGrow(t *testing.T) {
 			inst++
 		}
 		record()
-		r.log, r.sorted, r.elapsed = slices.Grow(r.log, 512), slices.Grow(r.sorted, 512), slices.Grow(r.elapsed, 2048)
-		if got := testing.AllocsPerRun(200, record); got != 0 {
-			t.Fatalf("enq %v: recording allocates %.2f times an instance with room to spare, want 0", enq, got)
+		r.log, r.el, r.elapsed = slices.Grow(r.log, 512), slices.Grow(r.el, 512), slices.Grow(r.elapsed, 2048)
+		if got := testing.AllocsPerRun(200, record); got != 0 || cap(r.sorted) != 0 {
+			t.Fatalf("enq %v: recording allocates %.2f times an instance with room to spare, want 0; index of %d", enq, got, cap(r.sorted))
 		}
 	}
 }
@@ -375,8 +392,7 @@ var benchDecision Decision
 func BenchmarkRecorderRecord(b *testing.B) {
 	// The rsm applier's pattern at a follower: instances in order, 4
 	// commands each, one op a command. B/op is what a decision costs to
-	// keep: its quarter of a 48-byte row and of the 4-byte index, growth
-	// slack included.
+	// keep: its quarter of a 40-byte row, growth slack included.
 	b.ReportAllocs()
 	r := newSplitRecorder()
 	v := testPack("a", "b", "c", "d")

@@ -15,7 +15,7 @@ import (
 
 // applier tracks apply progress and decision fan-out. What the leader
 // proposed in an instance, and when each command in it was enqueued,
-// rides on the instance's flight (pipeline.go).
+// rides on the instance's flight (pipeline.go), which apply takes.
 type applier struct {
 	next    int // next instance to apply; always firstGap after apply()
 	count   int // commands applied, noops included
@@ -29,12 +29,11 @@ func (r *Node) apply() {
 	now := r.env.Now()
 	for {
 		s := r.log.at(r.app.next)
-		if s == nil || !s.decided {
+		if s == nil || !s.decided() {
 			break
 		}
 		// Copy out of the slot: the hooks below may grow the window.
-		inst, v, fl := r.app.next, s.v, s.fl
-		s.fl = nil
+		inst, v, fl := r.app.next, s.v, r.pipe.unhang(r.app.next)
 		r.app.next++
 		tracked := fl != nil && fl.tracked
 		if tracked && fl.v != v {
@@ -102,10 +101,10 @@ func (r *Node) maybeSnapshot() {
 		st.App = r.cfg.SnapshotState()
 	}
 	for inst := r.log.firstGap; inst < r.log.end(); inst++ {
-		if s := r.log.at(inst); s.decided {
+		if s := r.log.at(inst); s.decided() {
 			st.Decided = append(st.Decided, durable.DecidedRec{Inst: uint64(inst), V: string(s.v)})
-		} else if s.accB != consensus.NoBallot {
-			st.Accepted = append(st.Accepted, durable.AcceptedRec{Inst: uint64(inst), B: uint64(s.accB), V: string(s.v)})
+		} else if s.b != consensus.NoBallot {
+			st.Accepted = append(st.Accepted, durable.AcceptedRec{Inst: uint64(inst), B: uint64(s.b), V: string(s.v)})
 		}
 	}
 	if err := r.cfg.Store.Snapshot(st); err != nil {

@@ -24,6 +24,15 @@ import (
 // (single-command) envelope so decoding stays unambiguous.
 const batchPrefix = "\x00b"
 
+// MaxValue caps the bytes of a proposed value so that the ACCEPT carrying it
+// fits a wire frame (wire.MaxFrame, 1 MiB) inside both wrappers; a test in
+// internal/wire holds the two together. A batch closes before it would pass
+// the cap, and a command that would pass it alone is refused (admit).
+const MaxValue = 1<<20 - 1<<8
+
+// cmdLen is what cmd adds to an envelope: its length prefix and its bytes.
+func cmdLen(cmd consensus.Value) int { return uvarintLen(len(cmd)) + len(cmd) }
+
 // encodeBatch packs commands into one proposable value. A lone command
 // without the marker prefix is proposed raw — the unbatched fast path
 // keeps old logs, tests and tools readable.
@@ -33,7 +42,7 @@ func encodeBatch(cmds []consensus.Value) consensus.Value {
 	}
 	size := len(batchPrefix) + uvarintLen(len(cmds))
 	for _, c := range cmds {
-		size += uvarintLen(len(c)) + len(c)
+		size += cmdLen(c)
 	}
 	var sb strings.Builder // sized exactly: the value is built once, in place
 	sb.Grow(size)
@@ -153,15 +162,19 @@ func (b *batcher) add(v consensus.Value, now sim.Time, tctx tracing.Context, fro
 	b.tail++
 }
 
-// take assigns the next k commands to leader me and returns their values
-// (valid until the next take), leaving their enqueue times, origins and —
-// when any is traced — trace contexts in fl's buffers.
+// take assigns up to the next k commands to leader me, as many as an
+// envelope of MaxValue bytes holds, and returns their values (valid until
+// the next take), leaving their enqueue times, origins and — when any is
+// traced — trace contexts in fl's buffers.
 func (b *batcher) take(k int, me node.ID, now sim.Time, fl *flight) []consensus.Value {
 	b.cmds, fl.enq, fl.reqs, fl.from = b.cmds[:0], fl.enq[:0], fl.reqs[:0], slices.Grow(fl.from[:0], k)
 	b.fwdTo = node.None // the stamps below are not forwards
-	traced := false
+	traced, size := false, len(batchPrefix)+uvarintLen(k)
 	for ; k > 0; k-- {
 		p := b.at(b.next)
+		if size += cmdLen(p.v); size > MaxValue && len(b.cmds) > 0 {
+			break // the rest go in the next instance
+		}
 		b.next++
 		p.lastSentTo, p.lastSentAt = me, now
 		b.cmds = append(b.cmds, p.v)
@@ -228,7 +241,7 @@ func (r *Node) pumpBatches(force bool) {
 			r.cfg.Tracer.Record(fl.enq[i], now, ctx, "queue", -1, "")
 		}
 		v := encodeBatch(cmds)
-		if k == 1 {
+		if len(cmds) == 1 {
 			// The log keeps what it proposes, and a lone command is
 			// proposed as it came — over a socket, as a substring of the
 			// chunk its connection's decoder cut it from (wire.ConnDecoder),
@@ -277,15 +290,21 @@ func appendCmds(cmds []consensus.Value, v consensus.Value) []consensus.Value {
 	return cmds
 }
 
-// BatchRequest packs several client commands into one request message;
-// the serving leader unpacks the envelope into individual pending
-// commands. Clients with their own queues use this to amortize the
-// request hop the same way the leader amortizes phase 2.
-func BatchRequest(cmds []consensus.Value) RequestMsg {
-	return RequestMsg{V: encodeBatch(cmds)}
+// admit reports whether v may be queued: a command that even an instance of
+// its own could not carry is dropped, with a log line.
+func (r *Node) admit(v consensus.Value) bool {
+	ok := len(batchPrefix)+1+cmdLen(v) <= MaxValue
+	if !ok && r.env != nil {
+		r.env.Logf("rsm: dropped a %d-byte command: an instance carries at most %d bytes", len(v), MaxValue)
+	}
+	return ok
 }
 
+// onRequest queues a REQ's value as one command, whatever its bytes.
 func (r *Node) onRequest(from node.ID, m RequestMsg) {
+	if !r.admit(m.V) {
+		return
+	}
 	if r.omega.Leader() != r.me {
 		r.hold(heldReq{v: m.V, tctx: r.curCtx, from: from})
 		return
@@ -296,11 +315,11 @@ func (r *Node) onRequest(from node.ID, m RequestMsg) {
 	r.enqueue(m.V, r.env.Now(), r.curCtx, from)
 }
 
-// enqueue puts every command of a request on the pending queue. A traced
-// request (wrapped by the client or a forwarding replica) hands its context
-// to each; the sampling decision stays with the trace originator.
+// enqueue puts a request's command on the pending queue. A traced request
+// (wrapped by the client or a forwarding replica) hands it its context; the
+// sampling decision stays with the trace originator.
 func (r *Node) enqueue(v consensus.Value, at sim.Time, tctx tracing.Context, from node.ID) {
-	eachCmd(v, func(_ int, cmd consensus.Value) { r.bat.add(cmd, at, tctx, from) })
+	r.bat.add(v, at, tctx, from)
 	r.pumpDue = true
 }
 

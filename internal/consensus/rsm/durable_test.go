@@ -81,6 +81,37 @@ func TestRestartKeepsAcceptedVote(t *testing.T) {
 	}
 }
 
+// TestReservedBallotIsDropped: a PREPARE or an ACCEPT at the ballot a
+// decided slot keeps gets no reply and leaves nothing behind, durable or
+// not: a real ballot is promised afterwards, before and after a restart,
+// and no vote is reported.
+func TestReservedBallotIsDropped(t *testing.T) {
+	dir := t.TempDir()
+	w := openWAL(t, dir)
+	r := New(consensus.StaticLeader(1), Config{Store: w})
+	env := newFakeEnv(2, 3)
+	r.Start(env)
+	r.Deliver(1, PrepareMsg{B: decidedB})
+	r.Deliver(1, AcceptMsg{B: decidedB, Inst: 0, V: "x"})
+	if out := env.drain(); len(out) != 0 || r.acc.promised != consensus.NoBallot || r.log.end() != 0 {
+		t.Fatalf("replies %v, promised %v, window to %d: want none, none, empty", out, r.acc.promised, r.log.end())
+	}
+	w.Close()
+
+	r2 := New(consensus.StaticLeader(1), Config{Store: openWAL(t, dir)})
+	env2 := newFakeEnv(2, 3)
+	r2.Start(env2)
+	b := consensus.MakeBallot(1, 0, 3)
+	r2.Deliver(0, PrepareMsg{B: b})
+	out := env2.drain()
+	if len(out) != 1 {
+		t.Fatalf("replies %+v after a restart, want one promise", out)
+	}
+	if p, ok := out[0].msg.(PromiseMsg); !ok || !slices.Equal(p.Entries, []PromEntry{{Inst: 0}}) {
+		t.Fatalf("reply %+v after a restart, want a promise reporting no vote", out[0].msg)
+	}
+}
+
 func TestRestartedLeaderOutbidsItsOwnBallot(t *testing.T) {
 	dir := t.TempDir()
 	w := openWAL(t, dir)

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/consensus"
 	"repro/internal/core"
@@ -249,6 +250,13 @@ func TestHeldDownReplicaPinsTheHorizon(t *testing.T) {
 	for i, r := range nodes[:down] {
 		if r.Retained() < cut {
 			t.Fatalf("p%d retains %d instances after %d decided without p4, want them all", i, r.Retained(), cut)
+		}
+		// What a survivor's window costs per instance it must keep, besides
+		// the value: a 24-byte slot and the array's growth slack, 27.3 bytes
+		// here.
+		per := float64(uintptr(cap(r.log.slots))*unsafe.Sizeof(slot{})+uintptr(cap(r.pipe.flights))*unsafe.Sizeof(&flight{})) / float64(r.Retained())
+		if per > 36 {
+			t.Fatalf("p%d keeps %.1f bytes of window per pinned instance, want at most 36", i, per)
 		}
 	}
 

@@ -7,22 +7,24 @@ import (
 )
 
 // This file is the storage layer: the instance window — one slot per log
-// instance holding the decided value, the acceptor's vote and the leader's
-// in-flight state — and the Done-vector bookkeeping by which every replica
-// forgets the prefix every replica has applied.
+// instance holding the decided value or the acceptor's vote (the leader's
+// round state is the pipeline's) — and the Done-vector bookkeeping by which
+// every replica forgets the prefix every replica has applied.
 
-// slot is what this replica holds about one log instance; zero is a hole.
+// decidedB is a decided slot's ballot: no ballot a process makes reaches
+// it, and onPrepare and onAccept drop a message at it, which no acceptor
+// may promise or vote at.
+const decidedB = ^consensus.Ballot(0)
+
+// slot is what this replica holds about one log instance, 24 bytes; zero is
+// a hole. v is the decision when b is decidedB, else the value this acceptor
+// voted for at ballot b (NoBallot: no vote).
 type slot struct {
-	// v is the decided value once decided; until then, the value this
-	// acceptor voted for at ballot accB (NoBallot: no vote, and so it is
-	// again once decided — the vote is dead weight for promises).
-	v       consensus.Value
-	accB    consensus.Ballot
-	decided bool
-	// fl is the leader-side state (pipeline.go) from the moment this
-	// replica proposes the instance until it applies it; nil otherwise.
-	fl *flight
+	v consensus.Value
+	b consensus.Ballot
 }
+
+func (s *slot) decided() bool { return s.b == decidedB }
 
 // logbook is one replica's instance window: slots[i] is instance base+i,
 // so every per-instance lookup is an index, walks are in instance order,
@@ -68,7 +70,7 @@ func (l *logbook) ensure(inst int) *slot {
 func (l *logbook) end() int { return l.base + len(l.slots) }
 
 func (l *logbook) get(inst int) (consensus.Value, bool) {
-	if s := l.at(inst); s != nil && s.decided {
+	if s := l.at(inst); s != nil && s.decided() {
 		return s.v, true
 	}
 	return consensus.NoValue, false
@@ -78,13 +80,13 @@ func (l *logbook) get(inst int) (consensus.Value, bool) {
 // is decided: the slot's value is the decision then, whatever the ballot.
 func (l *logbook) accept(inst int, b consensus.Ballot, v consensus.Value) {
 	s := l.ensure(inst)
-	if s.decided {
+	if s.decided() || b == decidedB {
 		return
 	}
-	if s.accB == consensus.NoBallot {
+	if s.b == consensus.NoBallot {
 		l.voted++
 	}
-	s.accB, s.v = b, v
+	s.b, s.v = b, v
 }
 
 // insert stores a decision if the instance is new, advances the gap, and
@@ -94,19 +96,18 @@ func (l *logbook) insert(inst int, v consensus.Value) bool {
 		return false // forgotten (decided, applied and pruned), or wild
 	}
 	s := l.ensure(inst)
-	if s.decided {
+	if s.decided() {
 		return false
 	}
-	if s.accB != consensus.NoBallot {
-		s.accB = consensus.NoBallot
+	if s.b != consensus.NoBallot {
 		l.voted--
 	}
-	s.v, s.decided = v, true
+	s.v, s.b = v, decidedB
 	l.decided++
 	if inst > l.highestDecided {
 		l.highestDecided = inst
 	}
-	for s := l.at(l.firstGap); s != nil && s.decided; s = l.at(l.firstGap) {
+	for s := l.at(l.firstGap); s != nil && s.decided(); s = l.at(l.firstGap) {
 		l.firstGap++
 	}
 	return true
@@ -181,8 +182,8 @@ func (r *Node) onCommit(b consensus.Ballot, upTo int) {
 	r.acc.commitUpTo = upTo
 	for inst := from; inst < upTo && inst < r.log.end(); inst++ {
 		// nil: learn let the window forget past inst. A decided slot
-		// holds no vote (accB is NoBallot), so this skips it too.
-		if s := r.log.at(inst); s != nil && s.accB == b {
+		// holds no vote at b, so this skips it too.
+		if s := r.log.at(inst); s != nil && s.b == b {
 			r.learn(inst, s.v)
 		}
 	}
@@ -229,7 +230,7 @@ func (r *Node) learn(inst int, v consensus.Value) bool {
 		return false
 	}
 	r.cfg.Store.Decide(uint64(inst), string(v))
-	if fl := r.log.at(inst).fl; fl != nil && fl.open {
+	if fl := r.pipe.at(inst); fl != nil && fl.open {
 		fl.open = false // decided, by our quorum or someone else's
 		r.pipe.open--
 		if r.prop.prepared && fl.v != v {

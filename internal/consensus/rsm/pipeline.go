@@ -12,10 +12,10 @@ import (
 
 // This file is the pipeline layer: windowed multi-instance phase 2. The
 // prepared leader drives up to Config.Window instances concurrently, each
-// a flight on its window slot carrying one value (a single command or a
-// batch envelope). Every instance costs (n−1) ACCEPT + (n−1) ACCEPTED,
-// whatever the batch size, which is where batching's amortization comes
-// from, and the value crosses each link once: decisions are announced by
+// a flight carrying one value (a single command or a batch envelope).
+// Every instance costs (n−1) ACCEPT + (n−1) ACCEPTED, whatever the batch
+// size, which is where batching's amortization comes from, and the value
+// crosses each link once: decisions are announced by
 // index (announceCommit), on the ACCEPT that leaves at the end of the same
 // turn when one does, else by a value-free DECIDE to the replicas whose
 // commands were decided — the rest hear on the next ACCEPT or from catchUp.
@@ -23,10 +23,11 @@ import (
 // maxRetryTimeout caps retry backoffs.
 const maxRetryTimeout = 5 * time.Second
 
-// flight is the leader-side state of one instance, hung on its window
-// slot from propose (or reopen) until the applier has passed it. Flights
-// are recycled with their buffers, so a steady leader allocates none.
+// flight is the leader-side state of one instance, in the pipeline from
+// propose (or reopen) until the applier has passed it. Flights are recycled
+// with their buffers, so a steady leader allocates none.
 type flight struct {
+	inst    int
 	v       consensus.Value
 	open    bool     // awaiting its quorum: counts against Config.Window
 	acks    []uint64 // bitset over process ids
@@ -61,11 +62,14 @@ func (f *flight) ack(id node.ID) {
 	}
 }
 
-// pipeline is the leader-side phase-2 state that is not per instance.
+// pipeline is the leader-side phase-2 state.
 type pipeline struct {
 	nextInst int
-	open     int       // flights awaiting their quorum
-	free     []*flight // retired flights, buffers kept
+	// flights are this replica's instances in flight, in instance order: a
+	// window's worth and what a phase 1 re-opened, none on a follower.
+	flights []*flight
+	open    int       // flights awaiting their quorum
+	free    []*flight // retired flights, buffers kept
 	// told[f] is the commit index last sent to follower f at this ballot,
 	// on an ACCEPT or a DECIDE (0 after an abdication): nobody is sent one
 	// index twice. owed[f]: the applier has passed a command f waits on, and
@@ -73,6 +77,29 @@ type pipeline struct {
 	told     []int
 	owed     []bool
 	acceptAt sim.Time
+}
+
+// find returns where inst's flight is, or would go, in flights.
+func (p *pipeline) find(inst int) (int, bool) {
+	return slices.BinarySearchFunc(p.flights, inst, func(fl *flight, inst int) int { return fl.inst - inst })
+}
+
+// at returns inst's flight, or nil.
+func (p *pipeline) at(inst int) *flight {
+	if i, ok := p.find(inst); ok {
+		return p.flights[i]
+	}
+	return nil
+}
+
+// unhang takes inst's flight, if any, out of the pipeline: the applier is
+// passing the instance.
+func (p *pipeline) unhang(inst int) (fl *flight) {
+	if i, ok := p.find(inst); ok {
+		fl = p.flights[i]
+		p.flights = slices.Delete(p.flights, i, i+1)
+	}
+	return fl
 }
 
 // alloc returns a blank flight.
@@ -94,7 +121,11 @@ func (p *pipeline) release(fl *flight) {
 // launch (re)starts phase 2 for inst at the current ballot with this
 // node's own vote cast — durable before the ACCEPT broadcast shows it.
 func (r *Node) launch(inst int, v consensus.Value, fl *flight) {
-	r.log.ensure(inst).fl = fl
+	i, ok := r.pipe.find(inst)
+	if !ok {
+		r.pipe.flights = slices.Insert(r.pipe.flights, i, nil)
+	}
+	fl.inst, r.pipe.flights[i] = inst, fl
 	if !fl.open {
 		fl.open = true
 		r.pipe.open++
@@ -141,7 +172,7 @@ func (r *Node) propose(v consensus.Value, fl *flight) int {
 // opened earlier is reused, tracked only while the value is still its own —
 // and owing everyone (owe): a leader change is not the steady state.
 func (r *Node) reopen(inst int, v consensus.Value) {
-	fl := r.log.ensure(inst).fl
+	fl := r.pipe.at(inst)
 	if fl == nil {
 		fl = r.pipe.alloc()
 	}
@@ -153,9 +184,8 @@ func (r *Node) reopen(inst int, v consensus.Value) {
 // redrive rebroadcasts stalled instances, lowest first, with per-instance
 // backoff: from the floor up, as nothing below it was proposed at this ballot.
 func (r *Node) redrive(now sim.Time) {
-	for inst := max(r.log.firstGap, r.prop.floor); inst < r.log.end(); inst++ {
-		fl := r.log.at(inst).fl
-		if fl == nil || !fl.open {
+	for _, fl := range r.pipe.flights {
+		if !fl.open || fl.inst < r.prop.floor {
 			continue
 		}
 		if fl.timeout == 0 {
@@ -166,13 +196,16 @@ func (r *Node) redrive(now sim.Time) {
 			if fl.timeout < maxRetryTimeout {
 				fl.timeout *= 2
 			}
-			r.env.Broadcast(r.traced(fl.tctx, r.acceptMsg(inst, fl.v)))
+			r.env.Broadcast(r.traced(fl.tctx, r.acceptMsg(fl.inst, fl.v)))
 		}
 	}
 }
 
 // onAccept is the acceptor's phase-2 handler.
 func (r *Node) onAccept(from node.ID, m AcceptMsg) {
+	if m.B == decidedB {
+		return // no vote can be held at it
+	}
 	if v, decided := r.log.get(m.Inst); decided {
 		r.env.Send(from, DecideMsg{Inst: m.Inst, V: v})
 		return
@@ -220,17 +253,17 @@ func (r *Node) onAccepted(from node.ID, m AcceptedMsg) {
 		return
 	}
 	r.onLeaseAck(from, m.B, m.LeaseSeq)
-	s := r.log.at(m.Inst)
-	if s == nil || s.fl == nil || !s.fl.open {
+	fl := r.pipe.at(m.Inst)
+	if fl == nil || !fl.open {
 		return
 	}
-	s.fl.ack(from)
-	r.cfg.Tracer.Event(r.env.Now(), s.fl.tctx, "accepted", int(from))
+	fl.ack(from)
+	r.cfg.Tracer.Event(r.env.Now(), fl.tctx, "accepted", int(from))
 	r.maybeDecide(m.Inst)
 }
 
 func (r *Node) maybeDecide(inst int) {
-	fl := r.log.at(inst).fl
+	fl := r.pipe.at(inst)
 	if fl == nil || !fl.open || fl.acked < consensus.Majority(r.n) {
 		return
 	}

@@ -70,14 +70,21 @@ func (r *Node) startPrepare() {
 func (r *Node) promiseEntries() []PromEntry {
 	out := []PromEntry{{Inst: r.log.firstGap}}
 	for inst := r.log.firstGap; inst < r.log.end(); inst++ {
-		if s := r.log.at(inst); s.decided || s.accB != consensus.NoBallot {
-			out = append(out, PromEntry{Inst: inst, AccB: s.accB, AccV: s.v})
+		if s := r.log.at(inst); s.b != consensus.NoBallot {
+			e := PromEntry{Inst: inst, AccB: s.b, AccV: s.v}
+			if s.decided() {
+				e.AccB = consensus.NoBallot
+			}
+			out = append(out, e)
 		}
 	}
 	return out
 }
 
 func (r *Node) onPrepare(from node.ID, m PrepareMsg) {
+	if m.B == decidedB {
+		return // no vote can be held at it
+	}
 	now := r.env.Now()
 	if wait := r.leaseWait(m.B.Owner(r.n), now); wait > 0 {
 		// A standing lease grant forbids promising this ballot — this is
@@ -193,7 +200,7 @@ func (r *Node) maybeFinishPrepare() {
 		if _, decided := r.log.get(inst); decided {
 			continue
 		}
-		if s := r.log.at(inst); s != nil && s.fl != nil && s.fl.open {
+		if fl := r.pipe.at(inst); fl != nil && fl.open {
 			continue // already re-proposed above
 		}
 		r.reopen(inst, consensus.Noop)

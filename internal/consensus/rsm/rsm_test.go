@@ -672,13 +672,14 @@ func TestHighestDecidedAndGetters(t *testing.T) {
 // The simulator has no codec, so the replicas share one copy of each
 // envelope's bytes; a live cluster holds one per replica on top of this.
 func TestRetainedBytesPerCommand(t *testing.T) {
-	// Measured 106.8 bytes per command with every replica forgetting the
-	// prefix all have applied; 123.3 with forgetting an option that was
-	// off, which the budget refuses; before that, 122.9 with the send log as
-	// varint chunks, 156.0 with a 16-byte record per send in a doubling
-	// ring, 309.8 with a packed 32-byte Recorder row per command on each of
-	// the five replicas, and 442.1.
-	const commands, budget = 20000, 115
+	// Measured 101.0 bytes per command with 40-byte Recorder rows and no
+	// index for a log recorded in order; 106.8 with 48-byte rows and a sort
+	// index; 123.3 with forgetting an option that was off, which the budget
+	// refuses; before that, 122.9 with the send log as varint chunks, 156.0
+	// with a 16-byte record per send in a doubling ring, 309.8 with a packed
+	// 32-byte Recorder row per command on each of the five replicas, and
+	// 442.1.
+	const commands, budget = 20000, 105
 	c := newClusterCfg(t, 5, 1, network.Timely(ms), Config{BatchMax: 16, Window: 8, DriveInterval: 5 * ms})
 	w, nodes := c.world, c.nodes
 	w.Start()
@@ -711,4 +712,30 @@ func TestRetainedBytesPerCommand(t *testing.T) {
 		t.Fatalf("%.1f bytes retained per command, budget %d", per, budget)
 	}
 	runtime.KeepAlive(w)
+}
+
+// TestForwardedMarkerCommandAppliesOnceWhole: a command that itself starts
+// with the batch marker, submitted at follower p2, is forwarded as it was
+// submitted and is one command at the leader, since a REQ carries exactly
+// one command, so it applies once, whole, and p2 holds nothing pending.
+func TestForwardedMarkerCommandAppliesOnceWhole(t *testing.T) {
+	const cmd = consensus.Value("\x00b\x02\x01x\x01y") // to a decoder, an envelope of "x" and "y"
+	c := newCluster(t, 3, 5, network.Timely(2*ms))
+	c.world.Start()
+	c.world.RunFor(300 * ms)
+	if !c.nodes[0].IsLeader() {
+		t.Fatal("p0 not leader after stabilization")
+	}
+	c.nodes[2].Submit(cmd)
+	c.world.RunFor(2 * time.Second)
+	for i, r := range c.nodes {
+		applied := map[consensus.Value]int{}
+		r.Recorder().Each(func(d consensus.Decision) { applied[d.Value]++ })
+		if applied[cmd] != 1 || applied["x"] != 0 || applied["y"] != 0 {
+			t.Fatalf("p%d applied the command %d times, x %d and y %d; want it once, whole", i, applied[cmd], applied["x"], applied["y"])
+		}
+	}
+	if b := &c.nodes[2].bat; b.tail != b.head {
+		t.Fatalf("p2 still has %d commands pending", b.tail-b.head)
+	}
 }

@@ -2,6 +2,7 @@ package rsm
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -793,5 +794,30 @@ func TestNewLeaderServesNoLocalReadBeforeItsReproposalsDecide(t *testing.T) {
 	}
 	if len(replies) != 1 || replies[0].Local || replies[0].Seq != 7 || replies[0].Index < nodes[1].Applied() {
 		t.Fatalf("replies %+v: want read 7 answered once, through the barrier, at an index covering the %d commands p1 applied", replies, nodes[1].Applied())
+	}
+}
+
+// TestOversizedCommandIsRefused: a command that an instance of its own could
+// not carry in MaxValue bytes is dropped where it enters — by Submit, and by
+// a leader or a successor-to-be receiving it in a REQ — and the largest one
+// that fits is queued and proposed in an instance of its own.
+func TestOversizedCommandIsRefused(t *testing.T) {
+	fits := consensus.Value(strings.Repeat("v", MaxValue-len(batchPrefix)-1-uvarintLen(MaxValue)))
+	if v := encodeBatch([]consensus.Value{batchPrefix + fits[2:]}); len(v) != MaxValue {
+		t.Fatalf("the largest command admitted makes a %d-byte value when wrapped, want %d", len(v), MaxValue)
+	}
+	for _, leader := range []node.ID{0, 1} {
+		r := New(consensus.StaticLeader(leader), Config{})
+		env := newFakeEnv(0, 3)
+		r.Start(env)
+		r.Submit(fits + "v")
+		r.Deliver(1, RequestMsg{V: fits + "v"})
+		if r.bat.tail != 0 || len(r.held) != 0 {
+			t.Fatalf("leader p%d: %d commands queued and %d held after two over the cap", leader, r.bat.tail, len(r.held))
+		}
+		r.Deliver(1, RequestMsg{V: fits})
+		if r.bat.tail+len(r.held) != 1 {
+			t.Fatalf("leader p%d: %d commands queued and %d held, want the one that fits", leader, r.bat.tail, len(r.held))
+		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/consensus"
 	"repro/internal/durable"
@@ -214,6 +215,9 @@ func TestBatcherRingMatchesSliceModel(t *testing.T) {
 }
 
 func TestWindowIslandsForgetAndHorizon(t *testing.T) {
+	if got := unsafe.Sizeof(slot{}); got != 24 {
+		t.Fatalf("a slot is %d bytes, want 24: a value and a ballot", got)
+	}
 	l := logbook{highestDecided: -1}
 	b := consensus.MakeBallot(1, 0, 3)
 	l.insert(0, "v0")
@@ -237,7 +241,7 @@ func TestWindowIslandsForgetAndHorizon(t *testing.T) {
 		t.Fatal("a decided island was overwritten")
 	}
 	l.insert(3, "v3") // deciding over a vote consumes it
-	if l.voted != 1 || l.at(3).accB != consensus.NoBallot {
+	if l.voted != 1 || *l.at(3) != (slot{v: "v3", b: decidedB}) {
 		t.Fatalf("voted = %d after deciding the voted instance", l.voted)
 	}
 	l.insert(2, "v2")
@@ -250,8 +254,6 @@ func TestWindowIslandsForgetAndHorizon(t *testing.T) {
 	}
 
 	// Forgetting moves low; addressing stays by instance number.
-	fl := &flight{v: "mine"}
-	l.ensure(8).fl = fl
 	l.forgetBelow(6)
 	if l.low != 6 || l.decided != 1 || len(l.slots) != 4 {
 		t.Fatalf("low %d decided %d slots %d after forgetting below 6", l.low, l.decided, len(l.slots))
@@ -259,7 +261,7 @@ func TestWindowIslandsForgetAndHorizon(t *testing.T) {
 	if v, ok := l.get(6); !ok || v != "v6" {
 		t.Fatalf("instance 6 reads %q,%v across the horizon move", v, ok)
 	}
-	if l.at(5) != nil || l.at(8).fl != fl || l.at(9).accB != b {
+	if l.at(5) != nil || *l.at(8) != (slot{}) || *l.at(9) != (slot{v: "a9", b: b}) {
 		t.Fatal("slots did not keep their instances when the horizon moved")
 	}
 	if l.insert(2, "zombie") {

@@ -51,11 +51,9 @@ type shard struct {
 	dropped   atomic.Uint64 // messages lost on this process's out-links
 	bytesOut  atomic.Uint64 // wire bytes handed to this process's out-links
 
-	link          []atomic.Uint64 // out-link counts, indexed by destination
-	linkAt        []atomic.Int64  // per out-link: its last send instant + 1, 0 never; survives eviction
-	kindSent      [obs.MaxKinds]atomic.Uint64
-	kindDelivered [obs.MaxKinds]atomic.Uint64
-	kindDropped   [obs.MaxKinds]atomic.Uint64
+	link     []atomic.Uint64 // out-link counts, indexed by destination
+	linkAt   []atomic.Int64  // per out-link: its last send instant + 1, 0 never; survives eviction
+	kindSent [obs.MaxKinds]atomic.Uint64
 
 	mu  sync.Mutex
 	log sendLog
@@ -133,14 +131,12 @@ func (s *MessageStats) OnSend(t sim.Time, from, to int, kind obs.Kind) {
 func (s *MessageStats) OnDeliver(t sim.Time, from, to int, kind obs.Kind) {
 	sh := s.shards[to]
 	sh.delivered.Add(1)
-	sh.kindDelivered[kind].Add(1)
 }
 
 // OnDrop implements obs.Sink: the from→to link lost a message.
 func (s *MessageStats) OnDrop(t sim.Time, from, to int, kind obs.Kind) {
 	sh := s.shards[from]
 	sh.dropped.Add(1)
-	sh.kindDropped[kind].Add(1)
 }
 
 // OnWireBytes implements obs.ByteSink: the from→to link was handed n
@@ -199,30 +195,14 @@ func (s *MessageStats) sum(counter func(*shard) *atomic.Uint64) uint64 {
 	return total
 }
 
-// sumKind adds one per-kind counter up over the shards; zero for a kind
-// never interned.
-func (s *MessageStats) sumKind(kind string, counters func(*shard) *[obs.MaxKinds]atomic.Uint64) uint64 {
+// KindCount returns how many messages of the given kind were sent; zero for
+// a kind never interned.
+func (s *MessageStats) KindCount(kind string) uint64 {
 	id, ok := obs.Lookup(kind)
 	if !ok {
 		return 0
 	}
-	return s.sum(func(sh *shard) *atomic.Uint64 { return &counters(sh)[id] })
-}
-
-// KindCount returns how many messages of the given kind were sent.
-func (s *MessageStats) KindCount(kind string) uint64 {
-	return s.sumKind(kind, func(sh *shard) *[obs.MaxKinds]atomic.Uint64 { return &sh.kindSent })
-}
-
-// DeliveredByKind returns how many messages of the given kind were
-// delivered.
-func (s *MessageStats) DeliveredByKind(kind string) uint64 {
-	return s.sumKind(kind, func(sh *shard) *[obs.MaxKinds]atomic.Uint64 { return &sh.kindDelivered })
-}
-
-// DroppedByKind returns how many messages of the given kind were lost.
-func (s *MessageStats) DroppedByKind(kind string) uint64 {
-	return s.sumKind(kind, func(sh *shard) *[obs.MaxKinds]atomic.Uint64 { return &sh.kindDropped })
+	return s.sum(func(sh *shard) *atomic.Uint64 { return &sh.kindSent[id] })
 }
 
 // Kinds returns the observed sent-message kinds in first-seen order.

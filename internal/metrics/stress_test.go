@@ -112,12 +112,6 @@ func TestConcurrentRecordingMatchesSequential(t *testing.T) {
 		if got, want := concurrent.KindCount(name), sequential.KindCount(name); got != want {
 			t.Errorf("KindCount(%q) = %d, want %d", name, got, want)
 		}
-		if got, want := concurrent.DeliveredByKind(name), sequential.DeliveredByKind(name); got != want {
-			t.Errorf("DeliveredByKind(%q) = %d, want %d", name, got, want)
-		}
-		if got, want := concurrent.DroppedByKind(name), sequential.DroppedByKind(name); got != want {
-			t.Errorf("DroppedByKind(%q) = %d, want %d", name, got, want)
-		}
 	}
 
 	// Kinds(): first-seen order is scheduling-dependent under concurrency,

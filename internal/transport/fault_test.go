@@ -191,6 +191,66 @@ func TestOversizedMessageIsADrop(t *testing.T) {
 	}
 }
 
+// TestLargeCommandsDoNotWedgeTheLog: sixteen 100 KB commands reach the
+// leader in one burst, each a frame well under wire.MaxFrame, and together
+// more than one. A batch closes at rsm.MaxValue bytes, so every ACCEPT is a
+// frame the codec takes, the burst takes two instances, and the command
+// sent after it applies everywhere.
+func TestLargeCommandsDoNotWedgeTheLog(t *testing.T) {
+	const n = 3
+	for name, build := range map[string]func([]node.Automaton) (liveCluster, error){
+		"mem": func(a []node.Automaton) (liveCluster, error) {
+			return NewCluster(Config{N: n, Seed: 44, Quiet: true}, a)
+		},
+		"tcp": func(a []node.Automaton) (liveCluster, error) {
+			return NewTCPCluster(Config{N: n, Seed: 44, Quiet: true}, a)
+		},
+	} {
+		// Heartbeats queue behind megabyte frames: a detector as quick as
+		// soakReplicas' would see a crashed leader, and failover is not what
+		// this test is about.
+		autos, dets, logs := make([]node.Automaton, n), make([]*core.Detector, n), make([]*rsm.Node, n)
+		for i := range autos {
+			dets[i] = core.New(core.WithEta(50*time.Millisecond), core.WithRebuff())
+			logs[i] = rsm.New(dets[i], rsm.Config{DriveInterval: 10 * time.Millisecond})
+			autos[i] = node.Compose(dets[i], logs[i])
+		}
+		c, err := build(autos)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Start()
+		defer c.Stop()
+		everywhere := func(v consensus.Value) func() bool {
+			return func() bool {
+				for _, l := range logs {
+					found := false
+					l.Recorder().Each(func(d consensus.Decision) { found = found || d.Value == v })
+					if !found {
+						return false
+					}
+				}
+				return true
+			}
+		}
+		var leader node.ID
+		waitFor(t, 10*time.Second, func() bool {
+			l, ok := agreement(dets, nil)
+			if ok {
+				leader = l
+				c.Inject((l+1)%n, l, rsm.RequestMsg{V: "boot"})
+			}
+			return ok && everywhere("boot")()
+		}, name+": a leader with a command applied")
+		big := strings.Repeat("b", 100<<10)
+		for i := 0; i < 16; i++ {
+			c.Inject((leader+1)%n, leader, rsm.RequestMsg{V: consensus.Value(string(rune('a'+i)) + big)})
+		}
+		c.Inject((leader+1)%n, leader, rsm.RequestMsg{V: "after"})
+		waitFor(t, 5*time.Second, everywhere("after"), name+": the command sent behind sixteen 100 KB commands")
+	}
+}
+
 // TestTCPStalledPeerKeepsOtherLinksFast is the regression for the old
 // lock-held lazy dial and deadline-less write: with one peer's reads
 // frozen, sends to that peer must stay non-blocking (queue-full drops)

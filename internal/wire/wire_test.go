@@ -265,6 +265,22 @@ func TestFrameLimit(t *testing.T) {
 	}
 }
 
+// TestMaxValueFitsAFrame: rsm closes a batch at rsm.MaxValue bytes so that
+// the ACCEPT carrying it is a frame. With a value of that size and every
+// other field at its widest, inside both wrappers and a socket envelope, it
+// fits MaxFrame, with under 256 bytes to spare.
+func TestMaxValueFitsAFrame(t *testing.T) {
+	const wide, widest = 1 << 62, ^uint64(0) // the largest Int and U64
+	accept := rsm.AcceptMsg{B: consensus.Ballot(widest), Inst: wide, V: consensus.Value(strings.Repeat("v", rsm.MaxValue)),
+		CommitUpTo: wide, MinDone: wide, LeaseSeq: widest}
+	traced := tracing.Wrap{Ctx: tracing.Context{Trace: tracing.TraceID(widest), Span: tracing.SpanID(widest)}, Inner: accept}
+	frame, err := NewCodec().MarshalEnvelope(-1, group.Msg{Group: wide, Inner: traced})
+	if spare := MaxFrame - len(frame); err != nil || spare < 0 || spare >= 256 {
+		t.Fatalf("the widest ACCEPT of rsm.MaxValue = %d bytes is a %d-byte frame (%v), want one within 256 bytes under MaxFrame = %d",
+			rsm.MaxValue, len(frame), err, MaxFrame)
+	}
+}
+
 func TestFuzzUnmarshalNeverPanics(t *testing.T) {
 	c := NewCodec()
 	rng := rand.New(rand.NewSource(1))
