@@ -154,9 +154,11 @@ bench:
 # 16-command batch) and BenchmarkFollowerCommit, a follower's whole share
 # of an instance (ACCEPT of a 16-command envelope, then the commit index:
 # vote, decide from the vote, apply). The SinkRecordSend and Wire*Encode
-# benches and the three bookkeeping benches must stay at 0 allocs/op;
-# FollowerCommit at 1, the ACCEPTED it sends — what the vote alone cost
-# before decisions were committed by index. Then the turn: StationTurn is
+# benches, the three bookkeeping benches and FollowerCommit must stay at 0
+# allocs/op: the ACCEPTED a follower sends is cut from a slab, a chunk per
+# 32. Phase2Round is one instance of three replicas on hand-driven envs —
+# ACCEPT broadcast, two ACCEPTEDs, the commit index — at 1 alloc/op, the
+# leader's copy of the command it proposes alone. Then the turn: StationTurn is
 # one steady-state turn of a leader's node loop (ten requests and a vote
 # in, one ACCEPT broadcast out; ns and allocs per ten commands), WALTurn
 # sixteen votes flushed once against sixteen flushed one by one,
@@ -165,9 +167,10 @@ bench:
 # allocs per turn, the one reply's tail and box — not 16).
 # In internal/wire, Envelope* encodes and decodes a heartbeat envelope
 # and a vector heartbeat through the shared path (0 allocs/op both ways),
-# and ConnDecode is what a socket's read loop pays to decode a frame that
-# carries a value — a 64-byte REQ, a 700-byte ACCEPT — through its own
-# decoder (1 alloc/op, the message's box) and through the shared path (2).
+# and ConnDecode is what a socket's read loop pays to decode a frame of the
+# write path — a 64-byte REQ, a 700-byte ACCEPT, an ACCEPTED — through its
+# own decoder (1 alloc/op for the REQ's box, 0 for the two phase-2 kinds,
+# boxed from slabs) and through the shared path (2, 2 and 1).
 # Last, TCPSendBatched is the link sender's throughput: heartbeats injected
 # on one loopback TCP link ahead of its sender, which coalesces what is
 # queued into one vectored write (msgs/sec, and 0 allocs/op on injection).
@@ -178,7 +181,7 @@ BENCHTIME ?= 1s
 bench-micro:
 	$(GO) test -run '^$$' -bench 'SinkRecordSend|Wire' -benchmem -benchtime $(BENCHTIME) .
 	$(GO) test -run '^$$' -bench 'Envelope|ConnDecode' -benchmem -benchtime $(BENCHTIME) ./internal/wire
-	$(GO) test -run '^$$' -bench 'RecorderRecord|BatcherPumpFull|ApplyBatch16|FollowerCommit|SubmitWithBacklog|LeaseReadTurn' -benchmem -benchtime $(BENCHTIME) ./internal/consensus ./internal/consensus/rsm
+	$(GO) test -run '^$$' -bench 'RecorderRecord|BatcherPumpFull|ApplyBatch16|FollowerCommit|Phase2Round|SubmitWithBacklog|LeaseReadTurn' -benchmem -benchtime $(BENCHTIME) ./internal/consensus ./internal/consensus/rsm
 	$(GO) test -run '^$$' -bench 'StationTurn|WALTurn' -benchmem -benchtime $(BENCHTIME) ./internal/transport ./internal/durable
 	$(GO) test -run '^$$' -bench TCPSendBatched -benchmem -benchtime $(BENCHTIME) ./internal/transport
 

@@ -1,0 +1,135 @@
+package rsm
+
+import (
+	"fmt"
+	"testing"
+	"time"
+
+	"repro/internal/consensus"
+	"repro/internal/core"
+	"repro/internal/network"
+	"repro/internal/node"
+)
+
+// The phase-2 kinds are pointers, boxed from each sender's node.Slab: the
+// tests here hold a box to what it held when it arrived, and count what one
+// instance costs.
+
+// acceptSpy is a replica that keeps every ACCEPT delivered to it, with a
+// copy of what the box held on arrival.
+type acceptSpy struct {
+	*Node
+	got  []*AcceptMsg
+	held []AcceptMsg
+}
+
+func (s *acceptSpy) Deliver(from node.ID, m node.Message) {
+	if a, ok := m.(*AcceptMsg); ok {
+		s.got, s.held = append(s.got, a), append(s.held, *a)
+	}
+	s.Node.Deliver(from, m)
+}
+
+// TestBroadcastSharesOneBox: on node.World one ACCEPT broadcast reaches all
+// n−1 followers as the same box, and when the run is over, every box still
+// holds what it held on arrival — after every receiver has handled it and
+// the leader has cut hundreds more from its slab. A slab that handed a slot
+// out twice, or a handler that wrote through a message, fails it.
+func TestBroadcastSharesOneBox(t *testing.T) {
+	const n = 5
+	w, err := node.NewWorld(node.WorldConfig{N: n, Seed: 3, DefaultLink: network.Timely(ms)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spies := make([]*acceptSpy, n)
+	for i := range spies {
+		det := core.New(core.WithEta(10 * ms))
+		spies[i] = &acceptSpy{Node: New(det, Config{})}
+		w.SetAutomaton(node.ID(i), node.Compose(det, spies[i]))
+	}
+	w.Start()
+	w.RunFor(200 * ms)
+	for i := 0; i < 3000; i++ {
+		spies[i%n].Submit(consensus.Value(fmt.Sprint("cmd-", i)))
+		if i%4 == 0 {
+			w.RunFor(ms)
+		}
+	}
+	w.RunFor(time.Second)
+
+	receivers := map[*AcceptMsg]int{}
+	for i, s := range spies {
+		for j, a := range s.got {
+			receivers[a]++
+			if *a != s.held[j] {
+				t.Fatalf("p%d's ACCEPT #%d holds %+v at the end of the run, %+v on arrival", i, j, *a, s.held[j])
+			}
+		}
+	}
+	for a, k := range receivers {
+		if k != n-1 {
+			t.Fatalf("ACCEPT %+v reached %d receivers as this box, want all %d", *a, k, n-1)
+		}
+	}
+	if chunks := len(receivers) / 32; chunks < 10 {
+		t.Fatalf("%d ACCEPT boxes, %d slab chunks: too few to mean anything", len(receivers), chunks)
+	}
+}
+
+// phase2Cluster is a prepared leader p0 and its two followers, each on a
+// hand-driven env whose outbox the caller delivers from.
+type phase2Cluster struct {
+	nodes [3]*Node
+	envs  [3]*fakeEnv
+}
+
+func newPhase2Cluster(tb testing.TB) *phase2Cluster {
+	c := &phase2Cluster{}
+	c.nodes[0], c.envs[0] = prepareLeaderCfg(tb, nil, Config{})
+	c.envs[0].drain()
+	for i := 1; i < 3; i++ {
+		c.nodes[i], c.envs[i] = New(consensus.StaticLeader(0), Config{}), newFakeEnv(node.ID(i), 3)
+		c.nodes[i].Start(c.envs[i])
+	}
+	return c
+}
+
+// deliver hands p's outbox to its addressees and empties it, keeping its
+// array: a delivery appends to the receiver's outbox, never to p's.
+func (c *phase2Cluster) deliver(p int) {
+	for _, s := range c.envs[p].outbox {
+		c.nodes[s.to].Deliver(node.ID(p), s.msg)
+	}
+	c.envs[p].outbox = c.envs[p].outbox[:0]
+}
+
+// round is one instance of a command p1 forwarded: the ACCEPT broadcast,
+// the n−1 ACCEPTEDs, then the commit index owed to p1. p2 hears the index on
+// the next round's ACCEPT.
+func (c *phase2Cluster) round(req node.Message) {
+	c.nodes[0].Deliver(1, req)
+	c.deliver(0) // ACCEPT to p1 and p2
+	c.deliver(1) // ACCEPTED
+	c.deliver(2) // ACCEPTED
+	c.deliver(0) // DECIDE to p1
+}
+
+// BenchmarkPhase2Round is one steady-state instance of three replicas on a
+// hand-driven env, its REQ prebuilt: the ACCEPT broadcast, the two
+// ACCEPTEDs and the commit index. Its one allocation is the leader's copy
+// of the command it proposes alone (batch.go, pump); the four boxes the
+// round sends are cut from slabs, a chunk per 32.
+func BenchmarkPhase2Round(b *testing.B) {
+	c := newPhase2Cluster(b)
+	var req node.Message = RequestMsg{V: "command-with-a-64-byte-payload-like-the-benchmark-sends........."}
+	c.round(req)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.round(req)
+	}
+	b.StopTimer()
+	if got := c.nodes[1].FirstGap(); got != b.N+1 {
+		b.Fatalf("p1 decided %d instances in %d rounds", got, b.N+1)
+	}
+}

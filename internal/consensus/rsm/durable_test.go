@@ -60,7 +60,7 @@ func TestRestartKeepsAcceptedVote(t *testing.T) {
 	env := newFakeEnv(2, 3)
 	r.Start(env)
 	b := consensus.MakeBallot(3, 1, 3)
-	r.Deliver(1, AcceptMsg{B: b, Inst: 0, V: "voted"})
+	r.Deliver(1, &AcceptMsg{B: b, Inst: 0, V: "voted"})
 	env.drain()
 	w.Close()
 
@@ -92,7 +92,7 @@ func TestReservedBallotIsDropped(t *testing.T) {
 	env := newFakeEnv(2, 3)
 	r.Start(env)
 	r.Deliver(1, PrepareMsg{B: decidedB})
-	r.Deliver(1, AcceptMsg{B: decidedB, Inst: 0, V: "x"})
+	r.Deliver(1, &AcceptMsg{B: decidedB, Inst: 0, V: "x"})
 	if out := env.drain(); len(out) != 0 || r.acc.promised != consensus.NoBallot || r.log.end() != 0 {
 		t.Fatalf("replies %v, promised %v, window to %d: want none, none, empty", out, r.acc.promised, r.log.end())
 	}

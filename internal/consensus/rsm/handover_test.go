@@ -277,7 +277,7 @@ func TestLeadershipEdgeStartsPrepareInTheSameEvent(t *testing.T) {
 		a, r, env := composed(t, 0, Config{Lease: 300 * ms})
 		a.Deliver(1, PromiseMsg{B: r.prop.ballot})
 		r.Submit("w")
-		a.Deliver(1, AcceptedMsg{B: r.prop.ballot, Inst: 0, LeaseSeq: 1})
+		a.Deliver(1, &AcceptedMsg{B: r.prop.ballot, Inst: 0, LeaseSeq: 1})
 		if !r.IsLeader() || !r.LeaseHeld() {
 			t.Fatalf("setup: leader %v, lease held %v", r.IsLeader(), r.LeaseHeld())
 		}
@@ -422,7 +422,7 @@ func TestReadAtSuccessorBeforeItsOmegaFlipsIsAnswered(t *testing.T) {
 	if out := acceptsOf(env.drain()); out[r.reads.barrier] != consensus.Noop || len(out) != 1 {
 		t.Fatalf("accepts once prepared = %q, want the read barrier", out)
 	}
-	a.Deliver(1, AcceptedMsg{B: r.prop.ballot, Inst: r.reads.barrier})
+	a.Deliver(1, &AcceptedMsg{B: r.prop.ballot, Inst: r.reads.barrier})
 	replies := repliesOf(env.drain())[2]
 	if want := (ReadReplyMsg{Seq: 9, Count: 4, Index: 1}); len(replies) != 1 || replies[0] != want {
 		t.Fatalf("replies %+v, want %+v", replies, want)

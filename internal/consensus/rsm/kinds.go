@@ -33,13 +33,13 @@ func (PromiseMsg) KindID() obs.Kind { return kindPromiseID }
 func (NackMsg) KindID() obs.Kind { return kindNackID }
 
 // KindID implements node.KindIDer.
-func (AcceptMsg) KindID() obs.Kind { return kindAcceptID }
+func (*AcceptMsg) KindID() obs.Kind { return kindAcceptID }
 
 // KindID implements node.KindIDer.
-func (AcceptedMsg) KindID() obs.Kind { return kindAcceptedID }
+func (*AcceptedMsg) KindID() obs.Kind { return kindAcceptedID }
 
 // KindID implements node.KindIDer.
-func (DecideMsg) KindID() obs.Kind { return kindDecideID }
+func (*DecideMsg) KindID() obs.Kind { return kindDecideID }
 
 // KindID implements node.KindIDer.
 func (LearnMsg) KindID() obs.Kind { return kindLearnID }

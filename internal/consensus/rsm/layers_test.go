@@ -444,12 +444,12 @@ func TestSnapshotRestartIgnoresAcceptsBelowIndex(t *testing.T) {
 	baseApplied := r2.Applied()
 
 	// Stale ACCEPT below the snapshot index: silently dropped.
-	r2.Deliver(1, AcceptMsg{B: consensus.MakeBallot(9, 1, 3), Inst: 2, V: "zombie"})
+	r2.Deliver(1, &AcceptMsg{B: consensus.MakeBallot(9, 1, 3), Inst: 2, V: "zombie"})
 	if out := env2.drain(); len(out) != 0 {
 		t.Fatalf("stale accept answered: %v", out)
 	}
 	// Stale DECIDE below the snapshot index: same.
-	r2.Deliver(1, DecideMsg{Inst: 3, V: "zombie"})
+	r2.Deliver(1, &DecideMsg{Inst: 3, V: "zombie"})
 	if got := r2.Retained(); got != 0 {
 		t.Fatalf("retained grew to %d on stale traffic below k", got)
 	}
@@ -461,12 +461,12 @@ func TestSnapshotRestartIgnoresAcceptsBelowIndex(t *testing.T) {
 	}
 
 	// Fresh traffic at/above the snapshot index still flows normally.
-	r2.Deliver(1, AcceptMsg{B: consensus.MakeBallot(9, 1, 3), Inst: k, V: "new"})
+	r2.Deliver(1, &AcceptMsg{B: consensus.MakeBallot(9, 1, 3), Inst: k, V: "new"})
 	out := env2.drain()
 	if len(out) != 1 {
 		t.Fatalf("live accept got %d replies, want ACCEPTED", len(out))
 	}
-	if _, ok := out[0].msg.(AcceptedMsg); !ok {
+	if _, ok := out[0].msg.(*AcceptedMsg); !ok {
 		t.Fatalf("reply = %+v, want AcceptedMsg", out[0].msg)
 	}
 }

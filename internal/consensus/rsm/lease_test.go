@@ -159,7 +159,7 @@ func TestStaleBarrierFailsPendingReads(t *testing.T) {
 	// A follower that already learned a newer leader's decision at the
 	// barrier instance answers the ACCEPT with the decision, not an
 	// ACCEPTED (TestAcceptorAnswersDecidedInstanceWithDecide).
-	r.Deliver(1, DecideMsg{Inst: r.reads.barrier, V: consensus.Noop})
+	r.Deliver(1, &DecideMsg{Inst: r.reads.barrier, V: consensus.Noop})
 	if len(replies) != 0 {
 		t.Fatalf("stale barrier answered %d read batches, want 0", len(replies))
 	}
@@ -180,7 +180,7 @@ func TestOwnQuorumBarrierAnswersReads(t *testing.T) {
 	r.OnReadReply(func(m ReadReplyMsg) { replies = append(replies, m) })
 	env.drain()
 	r.Read(5, 3)
-	r.Deliver(1, AcceptedMsg{B: r.prop.ballot, Inst: r.reads.barrier})
+	r.Deliver(1, &AcceptedMsg{B: r.prop.ballot, Inst: r.reads.barrier})
 	if len(replies) != 1 || replies[0].Seq != 5 || replies[0].Count != 3 {
 		t.Fatalf("replies = %+v, want one batch for seq 5 count 3", replies)
 	}

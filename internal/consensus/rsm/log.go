@@ -261,7 +261,7 @@ func (r *Node) onLearn(from node.ID, m LearnMsg) {
 	sent := 0
 	for inst := start; inst <= r.log.highestDecided && sent < learnBatch; inst++ {
 		if v, ok := r.log.get(inst); ok {
-			r.env.Send(from, DecideMsg{Inst: inst, V: v})
+			r.env.Send(from, r.decides.New(DecideMsg{Inst: inst, V: v}))
 			sent++
 		}
 	}

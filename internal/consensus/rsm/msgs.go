@@ -100,8 +100,8 @@ type AcceptMsg struct {
 	LeaseSeq   uint64
 }
 
-// Kind implements node.Message.
-func (AcceptMsg) Kind() string { return KindAccept }
+// Kind implements node.Message: an ACCEPT is sent boxed, from a node.Slab.
+func (*AcceptMsg) Kind() string { return KindAccept }
 
 // AcceptedMsg acknowledges acceptance of instance Inst at ballot B. Done
 // advertises the sender's applied-through count (its first gap) — the
@@ -115,8 +115,8 @@ type AcceptedMsg struct {
 	LeaseSeq uint64
 }
 
-// Kind implements node.Message.
-func (AcceptedMsg) Kind() string { return KindAccepted }
+// Kind implements node.Message: an ACCEPTED is sent boxed, from a node.Slab.
+func (*AcceptedMsg) Kind() string { return KindAccepted }
 
 // DecideMsg announces decisions, in one of two forms.
 //
@@ -136,8 +136,8 @@ type DecideMsg struct {
 	V    consensus.Value
 }
 
-// Kind implements node.Message.
-func (DecideMsg) Kind() string { return KindDecide }
+// Kind implements node.Message: a DECIDE is sent boxed, from a node.Slab.
+func (*DecideMsg) Kind() string { return KindDecide }
 
 // LearnMsg asks the receiver for decisions starting at FirstGap. It
 // doubles as a Done-vector advertisement: the sender has applied

@@ -207,7 +207,7 @@ func (r *Node) onAccept(from node.ID, m AcceptMsg) {
 		return // no vote can be held at it
 	}
 	if v, decided := r.log.get(m.Inst); decided {
-		r.env.Send(from, DecideMsg{Inst: m.Inst, V: v})
+		r.env.Send(from, r.decides.New(DecideMsg{Inst: m.Inst, V: v}))
 		return
 	}
 	if m.Inst < r.log.low {
@@ -234,7 +234,7 @@ func (r *Node) onAccept(from node.ID, m AcceptMsg) {
 		// reply carries that span's context back, closing the round trip
 		// in the trace tree. Untraced (or tracing off): plain send.
 		actx := r.cfg.Tracer.Record(now, now, r.curCtx, "accept", int(from), "")
-		r.env.Send(from, r.traced(actx, AcceptedMsg{B: m.B, Inst: m.Inst, Done: r.log.firstGap, LeaseSeq: ack}))
+		r.env.Send(from, r.traced(actx, r.accepteds.New(AcceptedMsg{B: m.B, Inst: m.Inst, Done: r.log.firstGap, LeaseSeq: ack})))
 		r.onCommit(m.B, m.CommitUpTo)
 		if m.B == r.acc.commitB && m.Inst < r.acc.commitUpTo {
 			// The links are not FIFO: this ACCEPT was overtaken by the
@@ -302,7 +302,7 @@ func (r *Node) owe(batched bool, fl *flight) {
 func (r *Node) tell(f node.ID) {
 	if f != r.me && r.pipe.told[f] < r.log.firstGap {
 		r.pipe.told[f] = r.log.firstGap
-		r.env.Send(f, DecideMsg{B: r.prop.ballot, Inst: r.log.firstGap})
+		r.env.Send(f, r.decides.New(DecideMsg{B: r.prop.ballot, Inst: r.log.firstGap}))
 	}
 }
 
@@ -349,7 +349,7 @@ func (r *Node) catchUp(now sim.Time) {
 
 // acceptMsg builds a phase-2 broadcast carrying the current commit index
 // (noted as told to everyone), forgetting horizon, and lease grant.
-func (r *Node) acceptMsg(inst int, v consensus.Value) AcceptMsg {
+func (r *Node) acceptMsg(inst int, v consensus.Value) *AcceptMsg {
 	m := AcceptMsg{B: r.prop.ballot, Inst: inst, V: v, CommitUpTo: r.log.firstGap, MinDone: r.dones.min()}
 	for f := range r.pipe.told {
 		r.pipe.told[f] = m.CommitUpTo // never below what f was told: firstGap only grows
@@ -358,5 +358,5 @@ func (r *Node) acceptMsg(inst int, v consensus.Value) AcceptMsg {
 	r.pipe.acceptAt = now
 	r.driveIn(now, r.quiet()) // catchUp is due then, should no ACCEPT follow
 	m.LeaseSeq = r.grantSeq(now)
-	return m
+	return r.accepts.New(m)
 }

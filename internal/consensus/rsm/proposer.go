@@ -222,7 +222,7 @@ func (r *Node) maybeFinishPrepare() {
 func (r *Node) passOn(from node.ID, m DecideMsg) {
 	for f, done := range r.dones.done {
 		if id := node.ID(f); id != r.me && id != from && done <= m.Inst {
-			r.env.Send(id, m)
+			r.env.Send(id, r.decides.New(m))
 		}
 	}
 }

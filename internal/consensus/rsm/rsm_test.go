@@ -388,10 +388,10 @@ func TestSteadyStateMessageBudget(t *testing.T) {
 	var lastAccept sim.Time // when one last reached anybody
 	bystanders := 0         // DECIDEs to a replica that forwarded nothing, ACCEPTs flowing
 	c.tap(func(to, from node.ID, m node.Message) {
-		if _, ok := m.(AcceptMsg); ok {
+		if _, ok := m.(*AcceptMsg); ok {
 			lastAccept = c.world.Kernel.Now()
 		}
-		d, ok := m.(DecideMsg)
+		d, ok := m.(*DecideMsg)
 		if !ok {
 			return
 		}

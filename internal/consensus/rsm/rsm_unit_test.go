@@ -2,6 +2,7 @@ package rsm
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -15,6 +16,13 @@ import (
 type sent struct {
 	to  node.ID
 	msg node.Message
+}
+
+// is reports whether s carries m to the process to. A phase-2 message is a
+// box from the sender's slab, so == would compare boxes; is compares what
+// they hold.
+func (s sent) is(to node.ID, m node.Message) bool {
+	return s.to == to && reflect.DeepEqual(s.msg, m)
 }
 
 // fakeEnv is a hand-driven node.Env for unit-testing the leader-change
@@ -67,7 +75,7 @@ func (e *fakeEnv) drain() []sent {
 func acceptsOf(msgs []sent) map[int]consensus.Value {
 	out := make(map[int]consensus.Value)
 	for _, s := range msgs {
-		if a, ok := s.msg.(AcceptMsg); ok {
+		if a, ok := s.msg.(*AcceptMsg); ok {
 			out[a.Inst] = a.V
 		}
 	}
@@ -203,12 +211,12 @@ func TestAcceptorAnswersDecidedInstanceWithDecide(t *testing.T) {
 	r.Start(env)
 	r.learn(3, "v")
 	env.drain()
-	r.Deliver(1, AcceptMsg{B: 10, Inst: 3, V: "other"})
+	r.Deliver(1, &AcceptMsg{B: 10, Inst: 3, V: "other"})
 	out := env.drain()
 	if len(out) != 1 {
 		t.Fatalf("replies = %v", out)
 	}
-	d, ok := out[0].msg.(DecideMsg)
+	d, ok := out[0].msg.(*DecideMsg)
 	if !ok || d.Inst != 3 || d.V != "v" {
 		t.Fatalf("reply = %+v, want decide of the learned value", out[0].msg)
 	}
@@ -254,7 +262,7 @@ func TestLostProposalCommandsAreReproposed(t *testing.T) {
 	// proves a higher ballot completed phase 1: ours is dead, and a commit
 	// index at it would have our voters decide "stranded?" — step down.
 	lost := r.prop.ballot
-	r.Deliver(1, DecideMsg{Inst: 0, V: "theirs"})
+	r.Deliver(1, &DecideMsg{Inst: 0, V: "theirs"})
 	if got := r.bat.tail - r.bat.head; got != 2 {
 		t.Fatalf("%d commands pending after losing instance 0, want both kept", got)
 	}
@@ -262,7 +270,7 @@ func TestLostProposalCommandsAreReproposed(t *testing.T) {
 		t.Fatal("leader kept its ballot after losing an instance to another value")
 	}
 	for _, m := range env.drain() {
-		if d, ok := m.msg.(DecideMsg); ok {
+		if d, ok := m.msg.(*DecideMsg); ok {
 			t.Fatalf("deposed leader announced %+v", d)
 		}
 	}
@@ -277,7 +285,7 @@ func TestLostProposalCommandsAreReproposed(t *testing.T) {
 	if out = acceptsOf(env.drain()); out[1] != want {
 		t.Fatalf("accepts after the loss = %q, want both commands re-proposed in instance 1", out)
 	}
-	r.Deliver(1, AcceptedMsg{B: r.prop.ballot, Inst: 1})
+	r.Deliver(1, &AcceptedMsg{B: r.prop.ballot, Inst: 1})
 	for k, cmd := range []consensus.Value{"stranded?", "me too"} {
 		if d, ok := r.Recorder().GetCmd(1, k); !ok || d.Value != cmd {
 			t.Fatalf("command %d of instance 1 = %+v,%v, want %q decided", k, d, ok, cmd)
@@ -299,8 +307,8 @@ func TestLostProposalCommandsAreReproposed(t *testing.T) {
 	if out = acceptsOf(env.drain()); out[2] != "theirs again" || out[3] != "across a step-down" {
 		t.Fatalf("accepts after re-election = %q, want their value adopted in 2 and ours re-proposed in 3", out)
 	}
-	r.Deliver(2, AcceptedMsg{B: r.prop.ballot, Inst: 2})
-	r.Deliver(2, AcceptedMsg{B: r.prop.ballot, Inst: 3})
+	r.Deliver(2, &AcceptedMsg{B: r.prop.ballot, Inst: 2})
+	r.Deliver(2, &AcceptedMsg{B: r.prop.ballot, Inst: 3})
 	if d, ok := r.Recorder().Get(3); !ok || d.Value != "across a step-down" || r.bat.head != r.bat.tail {
 		t.Fatalf("instance 3 = %+v,%v with %d pending", d, ok, r.bat.tail-r.bat.head)
 	}
@@ -361,9 +369,9 @@ func TestCommitIndex(t *testing.T) {
 	b2 := consensus.MakeBallot(5, 0, n)  // a newer leader's
 	own := consensus.MakeBallot(0, 0, n) // what prepareLeaderCfg's p0 prepares
 	accept := func(b consensus.Ballot, inst int, v consensus.Value, commit int) node.Message {
-		return AcceptMsg{B: b, Inst: inst, V: v, CommitUpTo: commit}
+		return &AcceptMsg{B: b, Inst: inst, V: v, CommitUpTo: commit}
 	}
-	commit := func(b consensus.Ballot, upTo int) node.Message { return DecideMsg{B: b, Inst: upTo} }
+	commit := func(b consensus.Ballot, upTo int) node.Message { return &DecideMsg{B: b, Inst: upTo} }
 	cases := []struct {
 		name   string
 		leader bool // the node under test is p0, prepared; otherwise follower p2 of leader p1
@@ -406,9 +414,9 @@ func TestCommitIndex(t *testing.T) {
 		{name: "an out-of-order quorum is announced with the prefix, once, to its origin", leader: true, window: 2, steps: []commitStep{
 			{from: 2, msg: RequestMsg{V: "x"}, decided: []consensus.Value{""}},
 			{from: 2, msg: RequestMsg{V: "y"}, decided: []consensus.Value{"", ""}},
-			{from: 1, msg: AcceptedMsg{B: own, Inst: 1}, decided: []consensus.Value{"", "y"}},
-			{from: 1, msg: AcceptedMsg{B: own, Inst: 0}, decided: []consensus.Value{"x", "y"}, announced: []told{{2, 2}}},
-			{from: 2, msg: AcceptedMsg{B: own, Inst: 0}, decided: []consensus.Value{"x", "y"}},
+			{from: 1, msg: &AcceptedMsg{B: own, Inst: 1}, decided: []consensus.Value{"", "y"}},
+			{from: 1, msg: &AcceptedMsg{B: own, Inst: 0}, decided: []consensus.Value{"x", "y"}, announced: []told{{2, 2}}},
+			{from: 2, msg: &AcceptedMsg{B: own, Inst: 0}, decided: []consensus.Value{"x", "y"}},
 			// The stream has gone quiet: p1, who forwarded nothing, catches up;
 			// p2 is not told the same index again, and a later tick tells nobody.
 			{tick: true, decided: []consensus.Value{"x", "y"}, announced: []told{{1, 2}}},
@@ -418,16 +426,16 @@ func TestCommitIndex(t *testing.T) {
 			{from: 2, msg: RequestMsg{V: "x"}, decided: []consensus.Value{""}},
 			{from: 1, msg: RequestMsg{V: "y"}, decided: []consensus.Value{""}}, // Window 1: queued
 			// The quorum for 0 launches 1, whose ACCEPT carries index 1 to all.
-			{from: 1, msg: AcceptedMsg{B: own, Inst: 0}, decided: []consensus.Value{"x", ""}},
-			{from: 2, msg: AcceptedMsg{B: own, Inst: 1}, decided: []consensus.Value{"x", "y"}, announced: []told{{1, 2}}},
+			{from: 1, msg: &AcceptedMsg{B: own, Inst: 0}, decided: []consensus.Value{"x", ""}},
+			{from: 2, msg: &AcceptedMsg{B: own, Inst: 1}, decided: []consensus.Value{"x", "y"}, announced: []told{{1, 2}}},
 			{tick: true, decided: []consensus.Value{"x", "y"}, announced: []told{{2, 2}}},
 		}},
 		{name: "a command submitted at the leader owes nobody", leader: true, window: 2, steps: []commitStep{
 			{submit: "x", decided: []consensus.Value{""}},
-			{from: 1, msg: AcceptedMsg{B: own, Inst: 0}, decided: []consensus.Value{"x"}},
+			{from: 1, msg: &AcceptedMsg{B: own, Inst: 0}, decided: []consensus.Value{"x"}},
 			// Nothing until the next ACCEPT, which tells everyone for free...
 			{submit: "y", decided: []consensus.Value{"x", ""}},
-			{from: 2, msg: AcceptedMsg{B: own, Inst: 1}, decided: []consensus.Value{"x", "y"}},
+			{from: 2, msg: &AcceptedMsg{B: own, Inst: 1}, decided: []consensus.Value{"x", "y"}},
 			// ...or, none coming, the catch-up.
 			{tick: true, decided: []consensus.Value{"x", "y"}, announced: []told{{1, 2}, {2, 2}}},
 		}},
@@ -475,12 +483,12 @@ func TestCommitIndex(t *testing.T) {
 				carried := -1
 				for _, s := range env.drain() {
 					switch m := s.msg.(type) {
-					case DecideMsg:
+					case *DecideMsg:
 						if m.B != r.prop.ballot || m.V != consensus.NoValue {
 							t.Fatalf("step %d: sent %+v, want a value-free index at ballot %v", i, m, r.prop.ballot)
 						}
 						announced = append(announced, told{s.to, m.Inst})
-					case AcceptMsg:
+					case *AcceptMsg:
 						carried = m.CommitUpTo
 					}
 				}
@@ -525,15 +533,15 @@ func TestDeposedLeaderAnnouncesNothing(t *testing.T) {
 	r, env := prepareLeaderCfg(t, nil, Config{BatchMax: 1})
 	r.Deliver(2, RequestMsg{V: "mine"})
 	env.drain()
-	r.Deliver(1, DecideMsg{Inst: 0, V: "mine"})
+	r.Deliver(1, &DecideMsg{Inst: 0, V: "mine"})
 	// Re-budgeted with the addressed announcement: the index goes to p2,
 	// where the command came from, not to both followers.
-	if out := env.drain(); len(out) != 1 || out[0] != (sent{2, DecideMsg{B: r.prop.ballot, Inst: 1}}) {
+	if out := env.drain(); len(out) != 1 || !out[0].is(2, &DecideMsg{B: r.prop.ballot, Inst: 1}) {
 		t.Fatalf("after a by-value repair with our own value: sent %+v, want the index announced to the origin", out)
 	}
 	r.Deliver(2, RequestMsg{V: "mine too"})
 	env.drain()
-	r.Deliver(1, DecideMsg{Inst: 1, V: "theirs"})
+	r.Deliver(1, &DecideMsg{Inst: 1, V: "theirs"})
 	if out := env.drain(); len(out) != 0 || r.prop.prepared {
 		t.Fatalf("after losing instance 1: sent %+v, prepared=%v; want silence and a step-down", out, r.prop.prepared)
 	}
@@ -549,7 +557,7 @@ func TestAcceptOvertakingItsPrepareIsNotANack(t *testing.T) {
 	env := newFakeEnv(2, 3)
 	r.Start(env)
 	b := consensus.MakeBallot(0, 1, 3)
-	r.Deliver(1, AcceptMsg{B: b, Inst: 0, V: "early"})
+	r.Deliver(1, &AcceptMsg{B: b, Inst: 0, V: "early"})
 	env.drain()
 	r.Deliver(1, PrepareMsg{B: b})
 	out := env.drain()
@@ -579,14 +587,14 @@ func TestWildInstanceNumbersAreDropped(t *testing.T) {
 	f := New(consensus.StaticLeader(1), Config{})
 	env := newFakeEnv(0, 3)
 	f.Start(env)
-	f.Deliver(1, AcceptMsg{B: b, Inst: 0, V: "v0"})
-	f.Deliver(1, AcceptMsg{B: b, Inst: maxHole - 1, V: "edge"}) // the farthest the window reaches
+	f.Deliver(1, &AcceptMsg{B: b, Inst: 0, V: "v0"})
+	f.Deliver(1, &AcceptMsg{B: b, Inst: maxHole - 1, V: "edge"}) // the farthest the window reaches
 	if got := env.drain(); len(got) != 2 || len(f.log.slots) != maxHole {
 		t.Fatalf("%d replies and %d slots after two votes within reach", len(got), len(f.log.slots))
 	}
-	f.Deliver(1, AcceptMsg{B: b, Inst: maxHole, V: "far", CommitUpTo: 1})
-	f.Deliver(1, AcceptMsg{B: b + 3, Inst: wild, V: "far"})
-	f.Deliver(1, DecideMsg{Inst: wild, V: "far"})
+	f.Deliver(1, &AcceptMsg{B: b, Inst: maxHole, V: "far", CommitUpTo: 1})
+	f.Deliver(1, &AcceptMsg{B: b + 3, Inst: wild, V: "far"})
+	f.Deliver(1, &DecideMsg{Inst: wild, V: "far"})
 	if got := env.drain(); len(got) != 0 || len(f.log.slots) != maxHole || f.log.voted != 1 || f.acc.promised != b {
 		t.Fatalf("wild instances: sent %+v, %d slots, %d votes, promised %v", got, len(f.log.slots), f.log.voted, f.acc.promised)
 	}
@@ -594,7 +602,7 @@ func TestWildInstanceNumbersAreDropped(t *testing.T) {
 		t.Fatalf("gap %d highest %d: the index on the dropped ACCEPT decides instance 0 and nothing else", f.FirstGap(), f.HighestDecided())
 	}
 	// An index far past the log: this replica is behind, and says so.
-	f.Deliver(1, AcceptMsg{B: b + 3, Inst: wild, V: "far", CommitUpTo: wild - 7})
+	f.Deliver(1, &AcceptMsg{B: b + 3, Inst: wild, V: "far", CommitUpTo: wild - 7})
 	for i := 0; i < 2; i++ {
 		env.now = env.now.Add(f.cfg.DriveInterval)
 		f.Tick(timerDrive)
@@ -760,7 +768,7 @@ func TestNewLeaderServesNoLocalReadBeforeItsReproposalsDecide(t *testing.T) {
 	nodes[1].Tick(timerDrive) // "b" does not wait for 0 to decide
 	deliver(1, all)           // ACCEPT 0 and 1, each granting p1 the lease
 	envs[0].drain()           // p0's votes are lost, and p2's for 1
-	deliver(2, func(s sent) bool { a, ok := s.msg.(AcceptedMsg); return !ok || a.Inst == 0 })
+	deliver(2, func(s sent) bool { a, ok := s.msg.(*AcceptedMsg); return !ok || a.Inst == 0 })
 	envs[1].drain() // the commit index of 0 dies with p1
 	if nodes[1].Applied() != 1 || nodes[0].log.voted != 2 || nodes[2].log.voted != 2 || nodes[0].FirstGap() != 0 || nodes[2].FirstGap() != 0 {
 		t.Fatalf("setup: p1 applied %d; p0 and p2 hold %d and %d votes with first gaps %d and %d",
@@ -774,7 +782,7 @@ func TestNewLeaderServesNoLocalReadBeforeItsReproposalsDecide(t *testing.T) {
 	nodes[0].Tick(timerDrive) // PREPARE
 	deliver(0, up)
 	deliver(2, all) // p2's PROMISE: both votes, a quorum with p0's own
-	late := deliver(0, func(s sent) bool { a, ok := s.msg.(AcceptMsg); return up(s) && !(ok && a.Inst == 0) })
+	late := deliver(0, func(s sent) bool { a, ok := s.msg.(*AcceptMsg); return up(s) && !(ok && a.Inst == 0) })
 	deliver(2, all) // p2's vote for 1, and with it the lease
 	if !nodes[0].prop.prepared || !nodes[0].LeaseHeld() || nodes[0].FirstGap() != 0 {
 		t.Fatalf("setup: p0 prepared %v, lease held %v, first gap %d", nodes[0].prop.prepared, nodes[0].LeaseHeld(), nodes[0].FirstGap())

@@ -67,7 +67,7 @@ func broadcastsOf[M node.Message](t *testing.T, msgs []sent) []M {
 // to the replica whose command was decided, not to everyone.
 func decidesOf(msgs []sent) (out []sent) {
 	for _, s := range msgs {
-		if _, ok := s.msg.(DecideMsg); ok {
+		if _, ok := s.msg.(*DecideMsg); ok {
 			out = append(out, s)
 		}
 	}
@@ -86,7 +86,7 @@ func TestBurstOfRequestsIsOneInstance(t *testing.T) {
 		t.Fatalf("%d messages left before the end of the turn: %+v", len(got), got)
 	}
 	r.Tick(node.TurnEnd)
-	accepts := broadcastsOf[AcceptMsg](t, env.drain())
+	accepts := broadcastsOf[*AcceptMsg](t, env.drain())
 	if len(accepts) != 1 || len(DecodeBatch(accepts[0].V)) != k {
 		t.Fatalf("a turn of %d requests proposed %+v, want one instance carrying all %d", k, accepts, k)
 	}
@@ -98,23 +98,23 @@ func TestBurstOfRequestsIsOneInstance(t *testing.T) {
 	for _, m := range requests(k, "burst-") {
 		r.Deliver(1, m)
 	}
-	accepts = broadcastsOf[AcceptMsg](t, env.drain())
+	accepts = broadcastsOf[*AcceptMsg](t, env.drain())
 	if len(accepts) != 1 || len(DecodeBatch(accepts[0].V)) != 1 {
 		t.Fatalf("turns of one proposed %+v, want the first request alone", accepts)
 	}
-	r.Deliver(1, AcceptedMsg{B: r.prop.ballot, Inst: accepts[0].Inst})
-	accepts = broadcastsOf[AcceptMsg](t, env.drain())
+	r.Deliver(1, &AcceptedMsg{B: r.prop.ballot, Inst: accepts[0].Inst})
+	accepts = broadcastsOf[*AcceptMsg](t, env.drain())
 	if len(accepts) != 1 || len(DecodeBatch(accepts[0].V)) != k-1 {
 		t.Fatalf("after the first quorum: %+v, want one instance with the other %d", accepts, k-1)
 	}
 }
 
 func TestQuorumAndRequestsInOneTurnNeedNoDecide(t *testing.T) {
-	inFlight := func() (*Node, *fakeEnv, AcceptMsg) {
+	inFlight := func() (*Node, *fakeEnv, *AcceptMsg) {
 		r, env := prepareLeader(t, nil)
 		env.drain()
 		r.Deliver(1, RequestMsg{V: "first"})
-		accepts := broadcastsOf[AcceptMsg](t, env.drain())
+		accepts := broadcastsOf[*AcceptMsg](t, env.drain())
 		if len(accepts) != 1 {
 			t.Fatalf("setup: %+v", accepts)
 		}
@@ -123,9 +123,9 @@ func TestQuorumAndRequestsInOneTurnNeedNoDecide(t *testing.T) {
 
 	r, env, first := inFlight()
 	withTurns(r)
-	turn(r, 1, append([]node.Message{AcceptedMsg{B: r.prop.ballot, Inst: first.Inst}}, requests(3, "next-")...)...)
+	turn(r, 1, append([]node.Message{&AcceptedMsg{B: r.prop.ballot, Inst: first.Inst}}, requests(3, "next-")...)...)
 	out := env.drain()
-	accepts := broadcastsOf[AcceptMsg](t, out)
+	accepts := broadcastsOf[*AcceptMsg](t, out)
 	if len(accepts) != 1 || len(DecodeBatch(accepts[0].V)) != 3 || accepts[0].CommitUpTo != first.Inst+1 {
 		t.Fatalf("proposed %+v, want one instance of 3 commands carrying commit index %d", accepts, first.Inst+1)
 	}
@@ -139,16 +139,16 @@ func TestQuorumAndRequestsInOneTurnNeedNoDecide(t *testing.T) {
 	// announcement; the parent broadcast this DECIDE to 1 and 2).
 	r, env, first = inFlight()
 	withTurns(r)
-	turn(r, 1, AcceptedMsg{B: r.prop.ballot, Inst: first.Inst})
-	want := sent{1, DecideMsg{B: r.prop.ballot, Inst: first.Inst + 1}}
-	if d := decidesOf(env.drain()); len(d) != 1 || d[0] != want {
+	turn(r, 1, &AcceptedMsg{B: r.prop.ballot, Inst: first.Inst})
+	want := &DecideMsg{B: r.prop.ballot, Inst: first.Inst + 1}
+	if d := decidesOf(env.drain()); len(d) != 1 || !d[0].is(1, want) {
 		t.Fatalf("DECIDEs %+v, want %+v alone", d, want)
 	}
 
 	// Turns of one: the quorum announces before the requests arrive, and
 	// the ACCEPT that follows carries the same index again, to everyone.
 	r, env, first = inFlight()
-	r.Deliver(1, AcceptedMsg{B: r.prop.ballot, Inst: first.Inst})
+	r.Deliver(1, &AcceptedMsg{B: r.prop.ballot, Inst: first.Inst})
 	for _, m := range requests(3, "next-") {
 		r.Deliver(1, m)
 	}
@@ -156,7 +156,7 @@ func TestQuorumAndRequestsInOneTurnNeedNoDecide(t *testing.T) {
 	if d := decidesOf(out); len(d) != 1 || d[0].to != 1 {
 		t.Fatalf("turns of one sent DECIDEs %+v, want one, to the origin", d)
 	}
-	if a := broadcastsOf[AcceptMsg](t, out); len(a) != 1 || len(DecodeBatch(a[0].V)) != 1 {
+	if a := broadcastsOf[*AcceptMsg](t, out); len(a) != 1 || len(DecodeBatch(a[0].V)) != 1 {
 		t.Fatalf("turns of one proposed %+v, want the next request alone", a)
 	}
 }
@@ -169,7 +169,7 @@ func TestSubmitOutsideATurnActsAtOnce(t *testing.T) {
 	withTurns(r)
 	env.drain()
 	r.Submit("outside")
-	if a := broadcastsOf[AcceptMsg](t, env.drain()); len(a) != 1 {
+	if a := broadcastsOf[*AcceptMsg](t, env.drain()); len(a) != 1 {
 		t.Fatalf("Submit between turns proposed %+v, want its command at once", a)
 	}
 	r.Deliver(1, LearnMsg{}) // any event: a turn is open
@@ -178,9 +178,9 @@ func TestSubmitOutsideATurnActsAtOnce(t *testing.T) {
 	if got := env.drain(); len(got) != 0 {
 		t.Fatalf("Submit inside a turn sent %+v before its end", got)
 	}
-	r.Deliver(1, AcceptedMsg{B: r.prop.ballot, Inst: 0})
+	r.Deliver(1, &AcceptedMsg{B: r.prop.ballot, Inst: 0})
 	r.Tick(node.TurnEnd)
-	if a := broadcastsOf[AcceptMsg](t, env.drain()); len(a) != 1 || len(DecodeBatch(a[0].V)) != 2 {
+	if a := broadcastsOf[*AcceptMsg](t, env.drain()); len(a) != 1 || len(DecodeBatch(a[0].V)) != 2 {
 		t.Fatalf("the turn proposed %+v, want both commands in one instance", a)
 	}
 }
@@ -193,7 +193,7 @@ func leaseLeader(t testing.TB, k int) (*Node, *fakeEnv) {
 	r, env := prepareLeaderCfg(t, nil, Config{Lease: 300 * time.Millisecond})
 	for i := 0; i < max(k, 1); i++ {
 		r.Submit(consensus.Value(fmt.Sprint("w", i)))
-		r.Deliver(1, AcceptedMsg{B: r.prop.ballot, Inst: i, LeaseSeq: 1})
+		r.Deliver(1, &AcceptedMsg{B: r.prop.ballot, Inst: i, LeaseSeq: 1})
 	}
 	if !r.holdsLease(env.now) || r.app.count != max(k, 1) {
 		t.Fatalf("setup: lease held %v, applied %d", r.holdsLease(env.now), r.app.count)
@@ -282,7 +282,7 @@ func TestReadsSeeTheTurnsWrites(t *testing.T) {
 	r, env := leaseLeader(t, 2)
 	r.Submit("in flight")
 	env.drain()
-	msgs := append(readRequests(2, 1, 4), AcceptedMsg{B: r.prop.ballot, Inst: 2})
+	msgs := append(readRequests(2, 1, 4), &AcceptedMsg{B: r.prop.ballot, Inst: 2})
 	turn(r, 2, msgs...)
 	reply := repliesOf(env.drain())[2]
 	if len(reply) != 1 || reply[0].Index != 3 || !reply[0].Local {
@@ -302,14 +302,14 @@ func TestLeaseLapsingInATurnSendsItsReadsThroughTheBarrier(t *testing.T) {
 	env.now = env.now.Add(time.Second) // past the lease, before the turn ends
 	r.Tick(node.TurnEnd)
 	out := env.drain()
-	barrier := broadcastsOf[AcceptMsg](t, out)
+	barrier := broadcastsOf[*AcceptMsg](t, out)
 	if len(barrier) != 1 || barrier[0].V != consensus.Noop || len(out) != 2 {
 		t.Fatalf("the turn sent %+v, want one no-op barrier and no reply", out)
 	}
 	if len(r.reads.pending) != k || r.LocalReads() != 0 {
 		t.Fatalf("%d reads pending, %d served locally; want all %d on the barrier", len(r.reads.pending), r.LocalReads(), k)
 	}
-	turn(r, 1, AcceptedMsg{B: r.prop.ballot, Inst: barrier[0].Inst})
+	turn(r, 1, &AcceptedMsg{B: r.prop.ballot, Inst: barrier[0].Inst})
 	replies := repliesOf(env.drain())[1]
 	if len(replies) != 1 || replies[0].Local || replies[0].Index != r.app.count {
 		t.Fatalf("replies %+v, want one fallback answer at index %d", replies, r.app.count)
@@ -396,7 +396,7 @@ func TestReadDuringPrepareIsQueuedNotDropped(t *testing.T) {
 	if out := acceptsOf(env.drain()); out[r.reads.barrier] != consensus.Noop || len(out) != 1 {
 		t.Fatalf("accepts once prepared = %q, want the read barrier", out)
 	}
-	r.Deliver(1, AcceptedMsg{B: r.prop.ballot, Inst: r.reads.barrier})
+	r.Deliver(1, &AcceptedMsg{B: r.prop.ballot, Inst: r.reads.barrier})
 	replies := repliesOf(env.drain())[2]
 	if want := (ReadReplyMsg{Seq: 9, Count: 4, Index: 1}); len(replies) != 1 || replies[0] != want {
 		t.Fatalf("replies %+v, want %+v", replies, want)
@@ -507,7 +507,7 @@ func TestVotesAreWrittenOncePerTurn(t *testing.T) {
 	b := consensus.MakeBallot(3, 1, 3)
 	votes := func() []node.Message {
 		return []node.Message{
-			AcceptMsg{B: b, Inst: 0, V: "a"}, AcceptMsg{B: b, Inst: 1, V: "b"}, AcceptMsg{B: b, Inst: 2, V: "c"},
+			&AcceptMsg{B: b, Inst: 0, V: "a"}, &AcceptMsg{B: b, Inst: 1, V: "b"}, &AcceptMsg{B: b, Inst: 2, V: "c"},
 		}
 	}
 	follower := func(dir string) (*Node, *fakeEnv) {

@@ -75,9 +75,9 @@ func (valueTap) Start(node.Env) {}
 func (valueTap) Tick(string)    {}
 func (t valueTap) Deliver(_ node.ID, m node.Message) {
 	switch m := m.(type) {
-	case rsm.AcceptMsg:
+	case *rsm.AcceptMsg:
 		*t.bytes += uint64(len(m.V))
-	case rsm.DecideMsg:
+	case *rsm.DecideMsg:
 		*t.bytes += uint64(len(m.V))
 	}
 }

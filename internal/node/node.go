@@ -23,7 +23,9 @@ const None ID = -1
 // Message is a protocol message. Kind returns a short stable tag (for
 // example "LEADER") used for accounting, tracing and wire encoding.
 // Messages must behave as immutable values once sent: implementations
-// carrying slices must copy them at construction.
+// carrying slices must copy them at construction. A message may be a
+// pointer — a box from a Slab — that every receiver of a broadcast shares,
+// so no receiver writes through one.
 type Message interface {
 	Kind() string
 }

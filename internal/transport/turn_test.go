@@ -281,7 +281,7 @@ type acceptedTap struct {
 func (a *acceptedTap) Start(node.Env) {}
 func (a *acceptedTap) Tick(string)    {}
 func (a *acceptedTap) Deliver(from node.ID, m node.Message) {
-	if acc, ok := m.(rsm.AcceptedMsg); ok && from == a.from {
+	if acc, ok := m.(*rsm.AcceptedMsg); ok && from == a.from {
 		a.mu.Lock()
 		a.seen[acc.Inst] = max(a.seen[acc.Inst], acc.B)
 		a.mu.Unlock()
@@ -422,8 +422,8 @@ func TestTCPWildInstanceIsDropped(t *testing.T) {
 		b = tap.seen[0]
 		return b != consensus.NoBallot
 	}, "the follower's first vote at the leader")
-	c.Inject(0, 1, rsm.AcceptMsg{B: b, Inst: wild, V: "far"})
-	c.Inject(0, 1, rsm.DecideMsg{Inst: wild, V: "far"})
+	c.Inject(0, 1, &rsm.AcceptMsg{B: b, Inst: wild, V: "far"})
+	c.Inject(0, 1, &rsm.DecideMsg{Inst: wild, V: "far"})
 	write("after")
 	c.Stop()
 	if _, voted := tap.seen[wild]; voted || logs[1].HighestDecided() >= wild {
@@ -457,7 +457,7 @@ func BenchmarkStationTurn(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if i > 0 {
-			s.dispatch(event{from: 1, msg: rsm.AcceptedMsg{B: ballot, Inst: i - 1}})
+			s.dispatch(event{from: 1, msg: &rsm.AcceptedMsg{B: ballot, Inst: i - 1}})
 		}
 		for _, m := range reqs {
 			s.dispatch(event{from: 2, msg: m})

@@ -77,70 +77,117 @@ func TestConnDecoderArenaIntegrity(t *testing.T) {
 	}
 }
 
-// valueFrames are the two frames of the write path that carry a value: a
-// client's command on its way to the leader and a batch on its way to a
-// follower.
-func valueFrames(t testing.TB, c *Codec) map[string][]byte {
-	out := map[string][]byte{}
-	for name, m := range map[string]node.Message{
-		"REQ-64B":     rsm.RequestMsg{V: consensus.Value(strings.Repeat("r", 64))},
-		"ACCEPT-700B": rsm.AcceptMsg{B: 5, Inst: 900, V: consensus.Value(strings.Repeat("a", 700)), CommitUpTo: 899, LeaseSeq: 3},
-	} {
-		frame, err := c.MarshalEnvelope(1, m)
+// TestConnDecoderSlabIntegrity: an ACCEPT a connection decoder handed out
+// still holds its fields after 100 more on the same connection — three
+// slab chunks' worth, decoded from a read buffer overwritten each time —
+// and no two share a box.
+func TestConnDecoderSlabIntegrity(t *testing.T) {
+	c := NewCodec()
+	cd := c.NewConnDecoder()
+	accept := func(i int) *rsm.AcceptMsg {
+		return &rsm.AcceptMsg{B: 7, Inst: i, V: consensus.Value(fmt.Sprint("value-", i)), CommitUpTo: i, MinDone: i / 2, LeaseSeq: uint64(i)}
+	}
+	buf := make([]byte, 0, 64) // the read buffer, reused for every frame
+	boxes := map[*rsm.AcceptMsg]int{}
+	var first *rsm.AcceptMsg
+	for i := 0; i <= 100; i++ {
+		var err error
+		if buf, err = c.MarshalEnvelopeAppend(buf[:0], 1, accept(i)); err != nil {
+			t.Fatal(err)
+		}
+		env, err := cd.UnmarshalEnvelope(buf)
 		if err != nil {
 			t.Fatal(err)
 		}
-		out[name] = frame
+		m := env.Msg.(*rsm.AcceptMsg)
+		if j, dup := boxes[m]; dup {
+			t.Fatalf("frame %d decoded into the box of frame %d", i, j)
+		}
+		boxes[m] = i
+		if i == 0 {
+			first = m
+		}
+		for j := range buf {
+			buf[j] = 0xAA
+		}
+	}
+	if *first != *accept(0) {
+		t.Fatalf("the first ACCEPT reads %+v after 100 more frames, want %+v", *first, *accept(0))
+	}
+}
+
+// valueFrame is a frame of the write path with what it costs through each
+// decode path: a value kind's box (REQ's), or a pointer kind's box, which a
+// connection's slab amortises to nothing; and through the shared path one
+// more object for each string.
+type valueFrame struct {
+	frame  []byte
+	allocs [2]float64 // through decodePaths' conn and shared decoder
+}
+
+// valueFrames are the frames of the write path: a client's command on its
+// way to the leader, a batch on its way to a follower, and the vote that
+// answers it.
+func valueFrames(t testing.TB, c *Codec) map[string]valueFrame {
+	out := map[string]valueFrame{}
+	for name, f := range map[string]struct {
+		m      node.Message
+		allocs [2]float64
+	}{
+		"REQ-64B":     {rsm.RequestMsg{V: consensus.Value(strings.Repeat("r", 64))}, [2]float64{1, 2}},
+		"ACCEPT-700B": {&rsm.AcceptMsg{B: 5, Inst: 900, V: consensus.Value(strings.Repeat("a", 700)), CommitUpTo: 899, LeaseSeq: 3}, [2]float64{0, 2}},
+		"ACCEPTED":    {&rsm.AcceptedMsg{B: 5, Inst: 900, Done: 899, LeaseSeq: 3}, [2]float64{0, 1}},
+	} {
+		frame, err := c.MarshalEnvelope(1, f.m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[name] = valueFrame{frame, f.allocs}
 	}
 	return out
 }
 
-// decodePath is one of the two ways to decode an envelope, with what a
-// frame that carries a value costs through it: the message's box, and
-// through the shared path one more object for the string.
+// decodePath is one of the two ways to decode an envelope.
 type decodePath struct {
 	name   string
 	decode func([]byte) (Envelope, error)
-	allocs float64
 }
 
 func decodePaths(c *Codec) []decodePath {
-	return []decodePath{
-		{"conn", c.NewConnDecoder().UnmarshalEnvelope, 1},
-		{"shared", c.UnmarshalEnvelope, 2},
-	}
+	return []decodePath{{"conn", c.NewConnDecoder().UnmarshalEnvelope}, {"shared", c.UnmarshalEnvelope}}
 }
 
-// TestConnDecoderValueAllocs is the decode guard that carries a value (the
+// TestConnDecoderValueAllocs is the decode guard for the write path (the
 // heartbeat guards' LeaderMsg{Epoch: 5} boxes for free): through a
-// connection decoder a string costs, amortised, nothing.
+// connection decoder a string costs, amortised, nothing, and so does the box
+// of an ACCEPT or an ACCEPTED.
 func TestConnDecoderValueAllocs(t *testing.T) {
 	c := NewCodec()
-	for name, frame := range valueFrames(t, c) {
-		for _, p := range decodePaths(c) {
+	for name, f := range valueFrames(t, c) {
+		for i, p := range decodePaths(c) {
 			got := testing.AllocsPerRun(1000, func() {
-				if env, err := p.decode(frame); err != nil || env.From != 1 {
+				if env, err := p.decode(f.frame); err != nil || env.From != 1 {
 					t.Fatal("decode failed")
 				}
 			})
-			if got != p.allocs {
-				t.Errorf("%s through the %s decoder: %v allocs/op, want %v", name, p.name, got, p.allocs)
+			if got != f.allocs[i] {
+				t.Errorf("%s through the %s decoder: %v allocs/op, want %v", name, p.name, got, f.allocs[i])
 			}
 		}
 	}
 }
 
-// BenchmarkConnDecode is what a socket's read loop pays per frame that
-// carries a value, against the shared UnmarshalEnvelope the loops called
-// before they owned a decoder.
+// BenchmarkConnDecode is what a socket's read loop pays per frame of the
+// write path, against the shared UnmarshalEnvelope the loops called before
+// they owned a decoder.
 func BenchmarkConnDecode(b *testing.B) {
 	c := NewCodec()
-	for name, frame := range valueFrames(b, c) {
+	for name, f := range valueFrames(b, c) {
 		for _, p := range decodePaths(c) {
 			b.Run(name+"/"+p.name, func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if env, err := p.decode(frame); err != nil || env.From != 1 {
+					if env, err := p.decode(f.frame); err != nil || env.From != 1 {
 						b.Fatal("decode failed")
 					}
 				}

@@ -40,9 +40,9 @@ func FuzzEnvelopeRoundTrip(f *testing.F) {
 		{1, core.AccuseMsg{Epoch: 300}},
 		{2, source.AliveMsg{Counters: []uint64{1, 1 << 40, 0}}},
 		{3, synod.PromiseMsg{B: 9, AccB: 2, AccV: "seed"}},
-		{4, rsm.AcceptMsg{B: 5, Inst: 7, V: "cmd", CommitUpTo: 6, LeaseSeq: 3}},
-		{0, rsm.DecideMsg{B: 5, Inst: 8}},
-		{1, rsm.DecideMsg{Inst: 7, V: "cmd"}},
+		{4, &rsm.AcceptMsg{B: 5, Inst: 7, V: "cmd", CommitUpTo: 6, LeaseSeq: 3}},
+		{0, &rsm.DecideMsg{B: 5, Inst: 8}},
+		{1, &rsm.DecideMsg{Inst: 7, V: "cmd"}},
 		{1, rsm.LeaseGrantMsg{B: 5, Seq: 8}},
 		{2, rsm.LeaseAckMsg{B: 5, Seq: 8}},
 		{3, rsm.ReadReqMsg{Seq: 41, Count: 16, Origin: 3}},
@@ -52,17 +52,17 @@ func FuzzEnvelopeRoundTrip(f *testing.F) {
 		{1, rsm.ReadReqMsg{Seq: 1, Count: 1, Origin: 7}}, // an origin outside a cluster of 3: decodes, and rsm drops it
 		// Instance numbers no log reaches: they decode, and rsm neither votes
 		// across the hole nor sizes its window by them.
-		{1, rsm.AcceptMsg{B: 5, Inst: 1 << 28, V: "far", CommitUpTo: 6}},
-		{1, rsm.DecideMsg{Inst: 1 << 28, V: "far"}},
+		{1, &rsm.AcceptMsg{B: 5, Inst: 1 << 28, V: "far", CommitUpTo: 6}},
+		{1, &rsm.DecideMsg{Inst: 1 << 28, V: "far"}},
 		{2, rsm.PromiseMsg{B: 5, Entries: []rsm.PromEntry{{Inst: 1 << 28, AccB: 4, AccV: "far"}}}},
 		// A promise reporting decisions under NoBallot, a prefix no log reaches among them.
 		{2, rsm.PromiseMsg{B: 5, Entries: []rsm.PromEntry{{Inst: 1 << 40}, {Inst: 1<<40 + 2, AccB: 4, AccV: "vote"}, {Inst: 1<<40 + 3, AccV: "decided"}}}},
 		{0, group.Msg{Group: 0, Inner: rsm.RequestMsg{V: "k=v"}}},
-		{2, group.Msg{Group: 3, Inner: rsm.AcceptMsg{B: 5, Inst: 7, V: "cmd", CommitUpTo: 6, LeaseSeq: 3}}},
+		{2, group.Msg{Group: 3, Inner: &rsm.AcceptMsg{B: 5, Inst: 7, V: "cmd", CommitUpTo: 6, LeaseSeq: 3}}},
 		{1, group.Msg{Group: 1, Inner: core.LeaderMsg{Epoch: 9}}},
 		{0, tracing.Wrap{Ctx: tracing.Context{Trace: 1 << 48, Span: 1<<48 | 2}, Inner: rsm.RequestMsg{V: "k=v"}}},
-		{3, tracing.Wrap{Ctx: tracing.Context{Trace: 7, Span: 8}, Inner: rsm.AcceptMsg{B: 5, Inst: 7, V: "cmd", CommitUpTo: 6, LeaseSeq: 3}}},
-		{2, group.Msg{Group: 2, Inner: tracing.Wrap{Ctx: tracing.Context{Trace: 9, Span: 10}, Inner: rsm.AcceptedMsg{B: 5, Inst: 7, Done: 6, LeaseSeq: 3}}}},
+		{3, tracing.Wrap{Ctx: tracing.Context{Trace: 7, Span: 8}, Inner: &rsm.AcceptMsg{B: 5, Inst: 7, V: "cmd", CommitUpTo: 6, LeaseSeq: 3}}},
+		{2, group.Msg{Group: 2, Inner: tracing.Wrap{Ctx: tracing.Context{Trace: 9, Span: 10}, Inner: &rsm.AcceptedMsg{B: 5, Inst: 7, Done: 6, LeaseSeq: 3}}}},
 	}
 	for _, s := range seedMsgs {
 		b, err := c.MarshalEnvelope(s.from, s.msg)

@@ -40,8 +40,8 @@ func TestGroupRoundTrip(t *testing.T) {
 	msgs := []group.Msg{
 		{Group: 0, Inner: rsm.RequestMsg{V: "k=v"}},
 		{Group: 1, Inner: rsm.PrepareMsg{B: 12}},
-		{Group: 7, Inner: rsm.AcceptMsg{B: 2, Inst: 40, V: "x", CommitUpTo: 39, MinDone: 12, LeaseSeq: 4}},
-		{Group: 300, Inner: rsm.DecideMsg{Inst: 9, V: consensus.Value(strings.Repeat("v", 100))}},
+		{Group: 7, Inner: &rsm.AcceptMsg{B: 2, Inst: 40, V: "x", CommitUpTo: 39, MinDone: 12, LeaseSeq: 4}},
+		{Group: 300, Inner: &rsm.DecideMsg{Inst: 9, V: consensus.Value(strings.Repeat("v", 100))}},
 		{Group: 2, Inner: core.LeaderMsg{Epoch: 8}},
 		{Group: 3, Inner: rsm.PromiseMsg{B: 9, Entries: []rsm.PromEntry{{Inst: 1, AccB: 2, AccV: "a"}}}},
 	}
@@ -108,7 +108,7 @@ func TestGroupDecodeRejects(t *testing.T) {
 // pre-group peers (they fail decoding, not misinterpret).
 func TestGroupStrictTrailing(t *testing.T) {
 	c := NewCodec()
-	b, err := c.Marshal(group.Msg{Group: 2, Inner: rsm.DecideMsg{Inst: 4, V: consensus.Value("v")}})
+	b, err := c.Marshal(group.Msg{Group: 2, Inner: &rsm.DecideMsg{Inst: 4, V: consensus.Value("v")}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -227,7 +227,7 @@ func registerRSM(c *Codec) {
 	// unreadable, so clusters upgrade atomically across that boundary
 	// (DESIGN.md §13).
 	reg(c, codeRSMAccept, rsm.KindAccept,
-		func(e *Encoder, m rsm.AcceptMsg) {
+		func(e *Encoder, m *rsm.AcceptMsg) {
 			e.U64(uint64(m.B))
 			e.Int(m.Inst)
 			e.Str(string(m.V))
@@ -235,19 +235,19 @@ func registerRSM(c *Codec) {
 			e.Int(m.MinDone)
 			e.U64(m.LeaseSeq)
 		},
-		func(d *Decoder) rsm.AcceptMsg {
-			return rsm.AcceptMsg{B: consensus.Ballot(d.U64()), Inst: d.Int(), V: consensus.Value(d.Str()),
-				CommitUpTo: d.Int(), MinDone: d.Int(), LeaseSeq: d.U64()}
+		func(d *Decoder) *rsm.AcceptMsg {
+			return slot(d, codeRSMAccept, rsm.AcceptMsg{B: consensus.Ballot(d.U64()), Inst: d.Int(), V: consensus.Value(d.Str()),
+				CommitUpTo: d.Int(), MinDone: d.Int(), LeaseSeq: d.U64()})
 		})
 	reg(c, codeRSMAccepted, rsm.KindAccepted,
-		func(e *Encoder, m rsm.AcceptedMsg) {
+		func(e *Encoder, m *rsm.AcceptedMsg) {
 			e.U64(uint64(m.B))
 			e.Int(m.Inst)
 			e.Int(m.Done)
 			e.U64(m.LeaseSeq)
 		},
-		func(d *Decoder) rsm.AcceptedMsg {
-			return rsm.AcceptedMsg{B: consensus.Ballot(d.U64()), Inst: d.Int(), Done: d.Int(), LeaseSeq: d.U64()}
+		func(d *Decoder) *rsm.AcceptedMsg {
+			return slot(d, codeRSMAccepted, rsm.AcceptedMsg{B: consensus.Ballot(d.U64()), Inst: d.Int(), Done: d.Int(), LeaseSeq: d.U64()})
 		})
 
 	// DECIDE has two forms under one code, told apart by the leading
@@ -256,7 +256,7 @@ func registerRSM(c *Codec) {
 	// is the value-free commit index and ends after Inst; NoBallot is the
 	// by-value repair reply and carries the value.
 	reg(c, codeRSMDecide, rsm.KindDecide,
-		func(e *Encoder, m rsm.DecideMsg) {
+		func(e *Encoder, m *rsm.DecideMsg) {
 			e.U64(uint64(m.B))
 			e.Int(m.Inst)
 			switch {
@@ -266,12 +266,12 @@ func registerRSM(c *Codec) {
 				e.Fail(fmt.Errorf("wire: %s commit index at ballot %v carries a value", rsm.KindDecide, m.B))
 			}
 		},
-		func(d *Decoder) rsm.DecideMsg {
+		func(d *Decoder) *rsm.DecideMsg {
 			m := rsm.DecideMsg{B: consensus.Ballot(d.U64()), Inst: d.Int()}
 			if m.B == consensus.NoBallot {
 				m.V = consensus.Value(d.Str())
 			}
-			return m
+			return slot(d, codeRSMDecide, m)
 		})
 	reg(c, codeRSMLearn, rsm.KindLearn,
 		func(e *Encoder, m rsm.LearnMsg) { e.Int(m.FirstGap) },

@@ -31,17 +31,17 @@ func TestRSMDecideWireFrozen(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
 		c     *Codec
-		m     rsm.DecideMsg
+		m     *rsm.DecideMsg
 		frame []byte
 	}{
-		{"varint commit", NewCodec(), rsm.DecideMsg{B: 6, Inst: 300}, []byte{
+		{"varint commit", NewCodec(), &rsm.DecideMsg{B: 6, Inst: 300}, []byte{
 			verVarintByte,
 			7, // sender id, uvarint
 			24,
 			6,          // ballot
 			0xAC, 0x02, // commit index 300
 		}},
-		{"varint value", NewCodec(), rsm.DecideMsg{Inst: 3, V: "ab"}, []byte{
+		{"varint value", NewCodec(), &rsm.DecideMsg{Inst: 3, V: "ab"}, []byte{
 			verVarintByte,
 			7,
 			24,
@@ -58,12 +58,12 @@ func TestRSMDecideWireFrozen(t *testing.T) {
 			t.Fatalf("%s envelope = % x, want % x", tc.name, b, tc.frame)
 		}
 		env, err := tc.c.UnmarshalEnvelope(tc.frame)
-		if err != nil || env.Msg != node.Message(tc.m) {
+		if err != nil || !reflect.DeepEqual(env.Msg, node.Message(tc.m)) {
 			t.Fatalf("%s decoded %+v, %v", tc.name, env.Msg, err)
 		}
 	}
 	// A commit index is value-free by construction, not by convention.
-	if _, err := NewCodec().Marshal(rsm.DecideMsg{B: 6, Inst: 3, V: "ab"}); err == nil {
+	if _, err := NewCodec().Marshal(&rsm.DecideMsg{B: 6, Inst: 3, V: "ab"}); err == nil {
 		t.Fatal("a commit index carrying a value was encoded")
 	}
 }
@@ -206,7 +206,7 @@ func TestRSMReadReplyWireFrozen(t *testing.T) {
 // never a message, never a panic.
 func TestUnmarkedFrameRefused(t *testing.T) {
 	c := NewCodec()
-	live, err := c.MarshalEnvelope(7, rsm.DecideMsg{Inst: 3, V: "ab"})
+	live, err := c.MarshalEnvelope(7, &rsm.DecideMsg{Inst: 3, V: "ab"})
 	if err != nil {
 		t.Fatal(err)
 	}

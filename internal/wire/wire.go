@@ -273,10 +273,17 @@ type Decoder struct {
 	buf []byte
 	err error
 
-	// arena makes Str copy strings into chunk instead of allocating each
-	// on its own: set on a ConnDecoder's decoder, never on a shared one.
-	arena bool
+	// arena is set on a ConnDecoder's decoder, never on a shared one.
+	arena *connArena
+}
+
+// connArena is what a connection's decoded messages are cut from: Str
+// copies strings into chunk instead of allocating each on its own, and slot
+// boxes a message of a pointer kind in slabs[code], a *node.Slab of that
+// kind, instead of allocating each box on its own.
+type connArena struct {
 	chunk strings.Builder
+	slabs [codeLimit]any
 }
 
 // arenaChunk is how many bytes of decoded strings share one allocation on
@@ -355,16 +362,36 @@ func (d *Decoder) Str() string {
 // eighth of a chunk is allocated on its own rather than strand the rest of
 // the chunk it does not fit in.
 func (d *Decoder) copyOut(b []byte) string {
-	if !d.arena || len(b) > arenaChunk/8 {
+	if d.arena == nil || len(b) > arenaChunk/8 {
 		return string(b)
 	}
-	if d.chunk.Cap()-d.chunk.Len() < len(b) {
-		d.chunk.Reset() // lets go of the old chunk without touching it
-		d.chunk.Grow(arenaChunk)
+	chunk := &d.arena.chunk
+	if chunk.Cap()-chunk.Len() < len(b) {
+		chunk.Reset() // lets go of the old chunk without touching it
+		chunk.Grow(arenaChunk)
 	}
-	at := d.chunk.Len()
-	d.chunk.Write(b)
-	return d.chunk.String()[at:]
+	at := chunk.Len()
+	chunk.Write(b)
+	return chunk.String()[at:]
+}
+
+// slot boxes v, a decoded message of the pointer kind with type code code.
+// A ConnDecoder cuts the box from its slab for that code — one allocation
+// per chunk, and a box handed out is never written again (node.Slab); a
+// shared decoder, whose messages outlive its return to the pool, allocates
+// each box on its own.
+func slot[T any](d *Decoder, code byte, v T) *T {
+	if d.arena == nil {
+		p := new(T)
+		*p = v
+		return p
+	}
+	s, ok := d.arena.slabs[code].(*node.Slab[T])
+	if !ok {
+		s = new(node.Slab[T])
+		d.arena.slabs[code] = s
+	}
+	return s.New(v)
 }
 
 // Len reads the length prefix of a vector whose elements each take at
@@ -417,14 +444,15 @@ func (c *Codec) UnmarshalEnvelope(b []byte) (Envelope, error) {
 }
 
 // ConnDecoder decodes the envelopes of one connection, for the one
-// goroutine that reads it: no pool round trip per frame, and the strings of
-// the messages it returns are cut from a chunk they share (see
-// Decoder.copyOut). One per connection, because a link carries strings of
-// one lifetime — client commands the leader drops once they are batched,
-// or batches a follower's log keeps — so a chunk is garbage as a whole or
-// retained as a whole; a decoder shared between links would pin dead
-// commands under every live batch. Like Codec.UnmarshalEnvelope it never
-// aliases the frame it is given.
+// goroutine that reads it: no pool round trip per frame, the strings of the
+// messages it returns are cut from a chunk they share (see Decoder.copyOut),
+// and a message of a pointer kind from a slab per kind (slot). One per
+// connection, because a link carries strings of one lifetime — client
+// commands the leader drops once they are batched, or batches a follower's
+// log keeps — so a chunk is garbage as a whole or retained as a whole; a
+// decoder shared between links would pin dead commands under every live
+// batch. Like Codec.UnmarshalEnvelope it never aliases the frame it is
+// given.
 type ConnDecoder struct {
 	c *Codec
 	d Decoder
@@ -432,7 +460,7 @@ type ConnDecoder struct {
 
 // NewConnDecoder returns a decoder for one connection's read loop.
 func (c *Codec) NewConnDecoder() *ConnDecoder {
-	return &ConnDecoder{c: c, d: Decoder{arena: true}}
+	return &ConnDecoder{c: c, d: Decoder{arena: new(connArena)}}
 }
 
 // UnmarshalEnvelope parses a framed message.

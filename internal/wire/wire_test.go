@@ -73,11 +73,11 @@ func allMessages() []node.Message {
 		rsm.PromiseMsg{B: 9, Entries: []rsm.PromEntry{{Inst: 1, AccB: 2, AccV: "a"}, {Inst: 5, AccB: 9, AccV: "b"}}},
 		rsm.PromiseMsg{B: 9},
 		rsm.NackMsg{B: 9, Promised: 12},
-		rsm.AcceptMsg{B: 9, Inst: 4, V: "x", CommitUpTo: 3, MinDone: 2, LeaseSeq: 6},
-		rsm.AcceptedMsg{B: 9, Inst: 4, Done: 11, LeaseSeq: 6},
-		rsm.DecideMsg{Inst: 4, V: "x"}, // by value: the repair reply
-		rsm.DecideMsg{Inst: 4},         // by value, the empty value
-		rsm.DecideMsg{B: 9, Inst: 5},   // by index: the commit announcement
+		&rsm.AcceptMsg{B: 9, Inst: 4, V: "x", CommitUpTo: 3, MinDone: 2, LeaseSeq: 6},
+		&rsm.AcceptedMsg{B: 9, Inst: 4, Done: 11, LeaseSeq: 6},
+		&rsm.DecideMsg{Inst: 4, V: "x"}, // by value: the repair reply
+		&rsm.DecideMsg{Inst: 4},         // by value, the empty value
+		&rsm.DecideMsg{B: 9, Inst: 5},   // by index: the commit announcement
 		rsm.LearnMsg{FirstGap: 11},
 		rsm.LeaseGrantMsg{B: 9, Seq: 7},
 		rsm.LeaseAckMsg{B: 9, Seq: 7},
@@ -85,9 +85,9 @@ func allMessages() []node.Message {
 		rsm.ReadReplyMsg{Seq: 100, Count: 64, Index: 4242, Local: true},
 		readReply(21),  // what a turn of the benchmark's leader answers at once
 		readReply(128), // a whole turn (loop.MaxTurn) of reads from one origin
-		group.Msg{Group: 3, Inner: rsm.AcceptMsg{B: 9, Inst: 4, V: "x", CommitUpTo: 3, MinDone: 2, LeaseSeq: 6}},
+		group.Msg{Group: 3, Inner: &rsm.AcceptMsg{B: 9, Inst: 4, V: "x", CommitUpTo: 3, MinDone: 2, LeaseSeq: 6}},
 		tracing.Wrap{Ctx: tracing.Context{Trace: 1 << 40, Span: 3}, Inner: rsm.RequestMsg{V: "traced"}},
-		group.Msg{Group: 2, Inner: tracing.Wrap{Ctx: tracing.Context{Trace: 5, Span: 6}, Inner: rsm.AcceptedMsg{B: 9, Inst: 4, Done: 3}}},
+		group.Msg{Group: 2, Inner: tracing.Wrap{Ctx: tracing.Context{Trace: 5, Span: 6}, Inner: &rsm.AcceptedMsg{B: 9, Inst: 4, Done: 3}}},
 	}
 }
 
@@ -153,13 +153,13 @@ func TestQuickRoundTripScalars(t *testing.T) {
 		if err != nil || got1 != m1 {
 			return false
 		}
-		m2 := rsm.AcceptMsg{B: consensus.Ballot(b), Inst: int(inst), V: consensus.Value(v)}
+		m2 := &rsm.AcceptMsg{B: consensus.Ballot(b), Inst: int(inst), V: consensus.Value(v)}
 		r2, err := c.Marshal(m2)
 		if err != nil {
 			return false
 		}
 		got2, err := c.Unmarshal(r2)
-		return err == nil && got2 == m2
+		return err == nil && reflect.DeepEqual(got2, m2) // == would compare the boxes
 	}
 	if err := quick.Check(property, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -271,7 +271,7 @@ func TestFrameLimit(t *testing.T) {
 // fits MaxFrame, with under 256 bytes to spare.
 func TestMaxValueFitsAFrame(t *testing.T) {
 	const wide, widest = 1 << 62, ^uint64(0) // the largest Int and U64
-	accept := rsm.AcceptMsg{B: consensus.Ballot(widest), Inst: wide, V: consensus.Value(strings.Repeat("v", rsm.MaxValue)),
+	accept := &rsm.AcceptMsg{B: consensus.Ballot(widest), Inst: wide, V: consensus.Value(strings.Repeat("v", rsm.MaxValue)),
 		CommitUpTo: wide, MinDone: wide, LeaseSeq: widest}
 	traced := tracing.Wrap{Ctx: tracing.Context{Trace: tracing.TraceID(widest), Span: tracing.SpanID(widest)}, Inner: accept}
 	frame, err := NewCodec().MarshalEnvelope(-1, group.Msg{Group: wide, Inner: traced})
