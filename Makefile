@@ -110,10 +110,11 @@ endif
 # agreement violation they caught (a leader behind a member of its own
 # phase-1 quorum filling a decided slot, DESIGN.md §14) showed in one run
 # in a hundred — it stayed a flake for eleven PRs because CI looked once.
-# The -groups run repeats the drill sharded, under the race detector: the
-# killed replica hosts 4 groups, so 4 WAL directories must recover at once
-# and the replay check runs per group, and its crash and reboot reach 4
-# node loops at once. The two TestRunRecoveryPlan* drills run
+# The -groups run is the same drill, one code path, with 4 groups under
+# the race detector: the killed replica hosts 4 groups, so 4 WAL
+# directories must recover at once, catch-up, the second leader kill and
+# the replay check run per group, and its crash and reboot reach 4 node
+# loops at once. The two TestRunRecoveryPlan* drills run
 # five times over: their catch-up bar is taken from what the survivors
 # decided after the kill, so a pass no longer depends on how far the
 # warm-up happened to overshoot, and a flake here is a bug.

@@ -22,11 +22,13 @@
 // directories offline and cross-checks them against the in-memory
 // decision logs (replay equivalence).
 //
-// With -groups G the recovery drill shards every process into G
-// consensus groups (internal/consensus/group), each journaling to its
-// own WAL directory (walroot/p<i>/g<g>). The killed replica hosts all G
-// groups at once — the rebuild must reopen every one of its G WALs, and
-// the offline replay check runs per group.
+// Every step runs per consensus group. Without -groups a process is one
+// group journaling to walroot/p<i>; with -groups G the recovery drill
+// shards every process into G groups (internal/consensus/group), each
+// journaling to its own walroot/p<i>/g<g>. The killed replica hosts all G
+// groups at once, so the rebuild reopens every one of its G WALs, and the
+// catch-up, the second kill and the offline replay check cover every
+// group.
 package main
 
 import (
@@ -35,6 +37,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"time"
 
@@ -106,7 +109,7 @@ func run(args []string) (err error) {
 		return fmt.Errorf("-groups needs -plan recovery (sharded soaking is the durable multi-group drill)")
 	}
 
-	s := &soak{eta: *eta, bound: *bound, commands: *commands, lease: *lease, groups: *groupsFlag}
+	s := &soak{eta: *eta, bound: *bound, commands: *commands, lease: *lease, groups: max(*groupsFlag, 1), sharded: *groupsFlag > 0}
 	switch *planName {
 	case "recovery":
 		if *transportName != "mem" {
@@ -198,12 +201,7 @@ func run(args []string) (err error) {
 		tail = tracing.New(tracing.Config{Procs: *n, Limit: *traceTail})
 	}
 	s.observer = obs.Tee(tel, s.tset.Sink(), tail.MessageSink())
-	var autos []node.Automaton
-	if s.groups > 0 {
-		autos, err = s.buildGroupReplicas(*n)
-	} else {
-		autos, err = s.buildReplicas(*n)
-	}
+	autos, err := s.buildReplicas(*n)
 	if err != nil {
 		return err
 	}
@@ -234,14 +232,8 @@ func run(args []string) (err error) {
 	s.tset.SetWallStart(time.Now())
 	tail.SetWallStart(time.Now())
 	tel.AttachStats(c.Stats())
-	// Omega watching stays unsharded-only: each group's detectors speak a
-	// rotated logical id space, so the cluster-wide leader gauge would read
-	// garbage. Sharded runs get per-group labeled series instead.
 	for i := range s.logs {
 		s.attach(node.ID(i))
-	}
-	for i := range s.glogs {
-		s.attachGroups(node.ID(i))
 	}
 	if *metricsAddr != "" {
 		var opts []telemetry.ServeOption
@@ -269,33 +261,19 @@ func run(args []string) (err error) {
 	case "full":
 		err = s.runPartition(true)
 	case "recovery":
-		if s.groups > 0 {
-			err = s.runGroupRecovery()
-		} else {
-			err = s.runRecovery()
-		}
+		err = s.runRecovery()
 	}
 	if err != nil {
 		return err
 	}
-	if s.groups > 0 {
-		err = s.checkGroupSafety()
-	} else {
-		err = s.checkSafety()
-	}
-	if err != nil {
+	if err := s.checkSafety(); err != nil {
 		return err
 	}
 	if *planName == "recovery" {
 		// Quiesce before re-reading the WAL directories offline: an open
 		// on a live, appending log would race the node loops.
 		c.Stop()
-		if s.groups > 0 {
-			err = s.checkGroupReplayEquivalence()
-		} else {
-			err = s.checkReplayEquivalence()
-		}
-		if err != nil {
+		if err := s.checkReplayEquivalence(); err != nil {
 			return err
 		}
 	}
@@ -358,7 +336,9 @@ func run(args []string) (err error) {
 	return nil
 }
 
-// soak holds the replicas and fault handles for one run.
+// soak holds the replicas and fault handles for one run. A process's
+// detectors, logs and WALs are indexed [process][group]; an unsharded run
+// is one group, and group 0's logical ids are the physical ones.
 type soak struct {
 	eta      time.Duration
 	bound    time.Duration
@@ -370,38 +350,32 @@ type soak struct {
 	tel      *telemetry.Collector
 	tset     *tracing.Set // nil without -trace-dir; every method no-ops then
 	observer obs.Sink     // what the cluster reports into: tel, tset, the -trace-tail ring
-	dets     []*core.Detector
-	logs     []*rsm.Node
-
-	// Sharded recovery (-groups > 0): the [process][group] detector/log
-	// matrices; dets and logs stay nil.
-	groups int
-	gdets  [][]*core.Detector
-	glogs  [][]*rsm.Node
+	groups   int          // consensus groups per process; 1 when unsharded
+	sharded  bool         // -groups given: each process is a group.Engine
+	dets     [][]*core.Detector
+	logs     [][]*rsm.Node
+	stores   [][]*durable.WAL // nil entries outside the recovery plan
 
 	// Durability wiring, recovery plan only.
 	walRoot   string
 	sync      durable.SyncPolicy
 	snapEvery int
-	stores    []*durable.WAL   // per process; unsharded runs
-	gstores   [][]*durable.WAL // [process][group]; sharded runs
-	recovered node.ID          // the process killed and rebuilt from disk
+	recovered node.ID // the process killed and rebuilt from disk
 }
 
-// attach subscribes the observer to replica id's current incarnation: its
-// detector's output, its log's decisions, its read path.
+// attach subscribes the observer to replica id's current incarnation:
+// each group's decisions, and unsharded, its detector's output and read
+// path. A sharded run watches no Omega, since each group's detectors speak
+// a rotated logical id space and the cluster-wide leader gauge would read
+// garbage; its decision series are labeled per group instead.
 func (s *soak) attach(id node.ID) {
-	l := s.logs[id]
-	telemetry.Attach(s.observer, s.tel, obs.NoGroup, telemetry.Process{
-		ID: id, History: s.dets[id].History(), Recorder: l.Recorder(),
-		Lease: func() (bool, uint64, uint64) { return l.LeaseHeld(), l.LocalReads(), l.FallbackReads() },
-	})
-}
-
-// attachGroups does the same for each group of sharded replica id.
-func (s *soak) attachGroups(id node.ID) {
-	for g, l := range s.glogs[id] {
-		telemetry.Attach(s.observer, s.tel, g, telemetry.Process{ID: id, Recorder: l.Recorder()})
+	for g, l := range s.logs[id] {
+		p, label := telemetry.Process{ID: id, Recorder: l.Recorder()}, g
+		if !s.sharded {
+			p.History, label = s.dets[id][g].History(), obs.NoGroup
+			p.Lease = func() (bool, uint64, uint64) { return l.LeaseHeld(), l.LocalReads(), l.FallbackReads() }
+		}
+		telemetry.Attach(s.observer, s.tel, label, p)
 	}
 }
 
@@ -412,55 +386,55 @@ func (s *soak) walOptions(i int) durable.Options {
 	return opts
 }
 
-// buildReplicas composes one rebuff-hardened detector plus a replicated
-// log per process. Rebuff matters here: chaos plans lose accusations,
-// and the base algorithm (built for reliable links) can deadlock after a
-// heal with every process electing itself.
+// buildReplicas builds one process per id, each a rebuff-hardened
+// detector plus a replicated log per group. Rebuff matters here: chaos
+// plans lose accusations, and the base algorithm (built for reliable
+// links) can deadlock after a heal with every process electing itself.
 func (s *soak) buildReplicas(n int) ([]node.Automaton, error) {
 	autos := make([]node.Automaton, n)
-	s.dets = make([]*core.Detector, n)
-	s.logs = make([]*rsm.Node, n)
-	if s.walRoot != "" {
-		s.stores = make([]*durable.WAL, n)
-	}
-	for i := 0; i < n; i++ {
-		auto, err := s.buildReplica(i)
-		if err != nil {
+	s.dets, s.logs, s.stores = make([][]*core.Detector, n), make([][]*rsm.Node, n), make([][]*durable.WAL, n)
+	for i := range autos {
+		var err error
+		if autos[i], err = s.buildReplica(i); err != nil {
 			return nil, err
 		}
-		autos[i] = auto
 	}
 	return autos, nil
 }
 
-// buildReplica composes one detector+log pair, journaling through the
-// process's WAL directory when the recovery plan is active. It is also
-// the rebuild path: reopening the same directory recovers everything the
-// previous incarnation persisted.
+// buildReplica composes process i, journaling each group through its own
+// WAL directory when the recovery plan is active. It is also the rebuild
+// path: reopening the same directories recovers everything the previous
+// incarnation persisted.
 func (s *soak) buildReplica(i int) (node.Automaton, error) {
-	cfg := rsm.Config{DriveInterval: 2 * s.eta, Lease: s.lease, Tracer: s.tset.Tracer(i)}
-	var al *appliedLog
-	if s.stores != nil {
-		w, err := durable.Open(s.walPath(node.ID(i)), s.walOptions(i))
-		if err != nil {
-			return nil, err
+	s.dets[i], s.logs[i], s.stores[i] = make([]*core.Detector, s.groups), make([]*rsm.Node, s.groups), make([]*durable.WAL, s.groups)
+	for g := range s.stores[i] {
+		var err error
+		if s.walRoot != "" {
+			if s.stores[i][g], err = durable.Open(s.walPath(node.ID(i), g), s.walOptions(i)); err != nil {
+				return nil, err
+			}
 		}
-		s.stores[i] = w
-		cfg.Store = w
-		cfg.SnapshotEvery = s.snapEvery
+	}
+	build := func(g int) node.Automaton {
+		cfg := rsm.Config{DriveInterval: 2 * s.eta, Lease: s.lease, Tracer: s.tset.Tracer(i)}
 		// The "application" here is the applied command sequence itself:
 		// snapshots absorb it, restarts restore it, and the offline
 		// replay-equivalence check re-derives it from the WAL alone.
-		al = &appliedLog{}
-		cfg.SnapshotState = al.snapshot
-		cfg.RestoreState = al.restore
+		al := &appliedLog{}
+		if w := s.stores[i][g]; w != nil {
+			cfg.Store, cfg.SnapshotEvery = w, s.snapEvery
+			cfg.SnapshotState, cfg.RestoreState = al.snapshot, al.restore
+		}
+		s.dets[i][g] = core.New(core.WithEta(s.eta), core.WithRebuff())
+		s.logs[i][g] = rsm.New(s.dets[i][g], cfg)
+		s.logs[i][g].OnApply(func(inst, cmd int, v consensus.Value) { al.cmds = append(al.cmds, string(v)) })
+		return node.Compose(s.dets[i][g], s.logs[i][g])
 	}
-	s.dets[i] = core.New(core.WithEta(s.eta), core.WithRebuff())
-	s.logs[i] = rsm.New(s.dets[i], cfg)
-	if al != nil {
-		s.logs[i].OnApply(func(inst, cmd int, v consensus.Value) { al.cmds = append(al.cmds, string(v)) })
+	if !s.sharded {
+		return build(0), nil
 	}
-	return node.Compose(s.dets[i], s.logs[i]), nil
+	return group.New(group.Config{Groups: s.groups, Build: build}), nil
 }
 
 // appliedLog is one incarnation's applied command sequence; all methods
@@ -479,84 +453,19 @@ func (a *appliedLog) restore(b []byte) {
 // this soak (or gap-fill no-op) contains a unit separator.
 const appliedSep = "\x1f"
 
-func (s *soak) walPath(id node.ID) string {
-	return filepath.Join(s.walRoot, fmt.Sprintf("p%d", id))
-}
-
-// groupWALPath is group g's journal directory on process id: each group
-// in a sharded replica recovers independently, so each gets its own WAL.
-func (s *soak) groupWALPath(id node.ID, g int) string {
-	return filepath.Join(s.walPath(id), fmt.Sprintf("g%d", g))
-}
-
-// buildGroupReplicas builds the sharded fleet: s.groups detector+log
-// pairs per process, which the cluster runs on a node loop each, each pair
-// journaling to its own WAL directory.
-func (s *soak) buildGroupReplicas(n int) ([]node.Automaton, error) {
-	autos := make([]node.Automaton, n)
-	s.gdets = make([][]*core.Detector, n)
-	s.glogs = make([][]*rsm.Node, n)
-	s.gstores = make([][]*durable.WAL, n)
-	for i := 0; i < n; i++ {
-		auto, err := s.buildGroupReplica(i)
-		if err != nil {
-			return nil, err
-		}
-		autos[i] = auto
+// walPath is group g's journal directory on process id: p<id>, or
+// p<id>/g<g> in a sharded run, where each group recovers independently.
+func (s *soak) walPath(id node.ID, g int) string {
+	dir := filepath.Join(s.walRoot, fmt.Sprintf("p%d", id))
+	if s.sharded {
+		dir = filepath.Join(dir, fmt.Sprintf("g%d", g))
 	}
-	return autos, nil
+	return dir
 }
 
-// buildGroupReplica composes one sharded process, opening (or, on the
-// restart path, reopening) all of its per-group WAL directories. Build
-// runs synchronously inside group.New, so WAL open errors are carried out
-// through the closure.
-func (s *soak) buildGroupReplica(i int) (node.Automaton, error) {
-	s.gdets[i] = make([]*core.Detector, s.groups)
-	s.glogs[i] = make([]*rsm.Node, s.groups)
-	s.gstores[i] = make([]*durable.WAL, s.groups)
-	var buildErr error
-	eng := group.New(group.Config{
-		Groups: s.groups,
-		Build: func(g int) node.Automaton {
-			cfg := rsm.Config{DriveInterval: 2 * s.eta, Tracer: s.tset.Tracer(i)}
-			al := &appliedLog{}
-			if w, err := durable.Open(s.groupWALPath(node.ID(i), g), s.walOptions(i)); err != nil {
-				buildErr = err
-			} else {
-				s.gstores[i][g] = w
-				cfg.Store = w
-				cfg.SnapshotEvery = s.snapEvery
-				cfg.SnapshotState = al.snapshot
-				cfg.RestoreState = al.restore
-			}
-			s.gdets[i][g] = core.New(core.WithEta(s.eta), core.WithRebuff())
-			s.glogs[i][g] = rsm.New(s.gdets[i][g], cfg)
-			s.glogs[i][g].OnApply(func(inst, cmd int, v consensus.Value) { al.cmds = append(al.cmds, string(v)) })
-			return node.Compose(s.gdets[i][g], s.glogs[i][g])
-		},
-	})
-	if buildErr != nil {
-		return nil, buildErr
-	}
-	return eng, nil
-}
-
-// restartGroup rebuilds sharded process id from its G WAL directories and
-// reboots it in place, as restart does an unsharded one.
-func (s *soak) restartGroup(id node.ID) error {
-	auto, err := s.buildGroupReplica(int(id))
-	if err != nil {
-		return err
-	}
-	s.attachGroups(id)
-	s.memc.Restart(id, auto)
-	return nil
-}
-
-// restart rebuilds process id from its WAL directory and reboots it in
-// place. The dead incarnation's WAL handle is abandoned unclosed,
-// exactly as kill -9 leaves it; recovery reads the directory fresh.
+// restart rebuilds process id from its WAL directories and reboots it in
+// place. The dead incarnation's WAL handles are abandoned unclosed,
+// exactly as kill -9 leaves them; recovery reads the directories fresh.
 func (s *soak) restart(id node.ID) error {
 	auto, err := s.buildReplica(int(id))
 	if err != nil {
@@ -567,30 +476,64 @@ func (s *soak) restart(id node.ID) error {
 	return nil
 }
 
-// agreement reports the common leader among processes not in skip.
-func (s *soak) agreement(skip map[int]bool) (node.ID, bool) {
-	leader := node.None
-	for i, d := range s.dets {
-		if skip[i] {
-			continue
-		}
-		l := d.History().Current()
-		if leader == node.None {
-			leader = l
-		} else if l != leader {
-			return node.None, false
-		}
+// inject sends request m from one process to another in group g: inside
+// the group's envelope in a sharded run, bare otherwise.
+func (s *soak) inject(from, to node.ID, g int, m node.Message) {
+	if s.sharded {
+		m = group.Wrap(g, m)
 	}
-	return leader, leader != node.None
+	s.c.Inject(from, to, m)
 }
 
-// settledLeader waits until the processes not in skip agree on a leader
-// and returns it. Right after a pump the Omegas may be in dispute for an
-// instant, and a one-shot agreement would then name node.None.
-func (s *soak) settledLeader(skip map[int]bool, what string) (node.ID, error) {
-	leader := node.None
-	err := s.waitFor(func() (ok bool) { leader, ok = s.agreement(skip); return ok }, what)
-	return leader, err
+// leaders returns each group's leader as a physical id: the one the
+// processes not in skip agree on, or node.None while they dispute it.
+func (s *soak) leaders(skip map[int]bool) []node.ID {
+	out := make([]node.ID, s.groups)
+	for g := range out {
+		leader := node.None
+		for i, ds := range s.dets {
+			if skip[i] {
+				continue
+			}
+			if l := ds[g].History().Current(); leader == node.None {
+				leader = l
+			} else if l != leader {
+				leader = node.None
+				break
+			}
+		}
+		out[g] = leader
+		if leader != node.None {
+			out[g] = group.Physical(leader, g, len(s.dets))
+		}
+	}
+	return out
+}
+
+// outside reports whether l is a leader and not in skip.
+func outside(l node.ID, skip map[int]bool) bool { return l != node.None && !skip[int(l)] }
+
+// settled waits until, in every group, the processes not in skip agree on
+// a leader among themselves, and returns the leaders. Right after a pump
+// the Omegas may be in dispute for an instant, and a one-shot look would
+// then name node.None.
+func (s *soak) settled(skip map[int]bool, what string) ([]node.ID, error) {
+	var ls []node.ID
+	err := s.waitFor(func() bool {
+		ls = s.leaders(skip)
+		return !slices.ContainsFunc(ls, func(l node.ID) bool { return !outside(l, skip) })
+	}, what)
+	return ls, err
+}
+
+// kill crashes process id, printing what, and waits until the others
+// agree in every group on a leader among themselves. It returns the
+// others.
+func (s *soak) kill(id node.ID, what string) ([]int, error) {
+	s.c.Crash(id)
+	fmt.Printf("fault:     %s\n", what)
+	_, err := s.settled(map[int]bool{int(id): true}, fmt.Sprintf("re-election without p%v", id))
+	return slices.DeleteFunc(ints(0, len(s.dets)), func(p int) bool { return p == int(id) }), err
 }
 
 // waitFor polls cond until it holds or the phase bound expires.
@@ -604,15 +547,6 @@ func (s *soak) waitFor(cond func() bool, what string) error {
 		time.Sleep(time.Millisecond)
 	}
 	return fmt.Errorf("timed out after %v waiting for %s", s.bound, what)
-}
-
-// maxCount is the most commands any replica in ps has recorded.
-func maxCount(logs []*rsm.Node, ps []int) int {
-	most := 0
-	for _, p := range ps {
-		most = max(most, logs[p].Recorder().Count())
-	}
-	return most
 }
 
 // outageBar is the highest instance among the decisions rec holds from
@@ -638,29 +572,35 @@ func caughtUp(rec *consensus.Recorder, w *durable.WAL, bar int) bool {
 	return ok
 }
 
-// pump keeps injecting client requests at the current leader until every
-// replica in correct has recorded target commands (a restarted replica
-// counts from its restart).
+// pump keeps injecting client requests at every group's current leader
+// until each replica in correct has recorded target commands in every
+// group (a restarted replica counts from its restart).
 func (s *soak) pump(correct []int, prefix string, target int) error {
-	i := 0
+	skip := skipAllBut(len(s.dets), correct)
+	sent := make([]int, s.groups)
 	return s.waitFor(func() bool {
-		if l, ok := s.agreement(skipAllBut(len(s.dets), correct)); ok {
+		for g, l := range s.leaders(skip) {
+			if !outside(l, skip) {
+				continue
+			}
 			from := node.ID(correct[0])
 			if from == l {
 				from = node.ID(correct[1])
 			}
-			req := node.Message(rsm.RequestMsg{V: consensus.Value(fmt.Sprintf("%s-%d", prefix, i))})
+			req := node.Message(rsm.RequestMsg{V: consensus.Value(fmt.Sprintf("%s-g%d-%d", prefix, g, sent[g]))})
 			// Client-side trace ingress: a sampled request carries its
 			// context from the injection hop onward.
 			if ctx := s.tset.Tracer(int(from)).StartTrace(s.tset.Stamp(), "request"); ctx.Valid() {
 				req = tracing.Wrap{Ctx: ctx, Inner: req}
 			}
-			s.c.Inject(from, l, req)
-			i++
+			s.inject(from, l, g, req)
+			sent[g]++
 		}
 		for _, p := range correct {
-			if s.logs[p].Recorder().Count() < target {
-				return false
+			for _, l := range s.logs[p] {
+				if l.Recorder().Count() < target {
+					return false
+				}
 			}
 		}
 		return true
@@ -686,33 +626,27 @@ func ints(lo, hi int) []int {
 	return out
 }
 
+// warmUp waits for a first agreement and commits a first batch on every
+// process.
+func (s *soak) warmUp() error {
+	if _, err := s.settled(nil, "initial agreement"); err != nil {
+		return err
+	}
+	return s.pump(ints(0, len(s.dets)), "pre", s.commands)
+}
+
 // runCrash commits a batch, crashes the leader, and requires re-election
 // plus renewed consensus progress among the survivors.
 func (s *soak) runCrash() error {
-	n := len(s.dets)
-	if err := s.waitFor(func() bool { _, ok := s.agreement(nil); return ok }, "initial agreement"); err != nil {
+	if err := s.warmUp(); err != nil {
 		return err
 	}
-	if err := s.pump(ints(0, n), "pre", s.commands); err != nil {
-		return err
-	}
-	leader, err := s.settledLeader(nil, "settled leader to crash")
+	leaders, err := s.settled(nil, "settled leader to crash")
 	if err != nil {
 		return err
 	}
-	s.c.Crash(leader)
-	fmt.Printf("fault:     crashed leader p%v\n", leader)
-	skip := map[int]bool{int(leader): true}
-	survivors := make([]int, 0, n-1)
-	for i := 0; i < n; i++ {
-		if node.ID(i) != leader {
-			survivors = append(survivors, i)
-		}
-	}
-	if err := s.waitFor(func() bool {
-		l, ok := s.agreement(skip)
-		return ok && l != leader
-	}, "re-election after crash"); err != nil {
+	survivors, err := s.kill(leaders[0], fmt.Sprintf("crashed leader p%v", leaders[0]))
+	if err != nil {
 		return err
 	}
 	return s.pump(survivors, "post", 2*s.commands)
@@ -722,23 +656,15 @@ func (s *soak) runCrash() error {
 // then a minority cut, majority progress, heal, and convergence.
 func (s *soak) runPartition(crashFirst bool) error {
 	n := len(s.dets)
-	if err := s.waitFor(func() bool { _, ok := s.agreement(nil); return ok }, "initial agreement"); err != nil {
-		return err
-	}
-	if err := s.pump(ints(0, n), "pre", s.commands); err != nil {
+	if err := s.warmUp(); err != nil {
 		return err
 	}
 	skip := map[int]bool{}
 	correct := ints(0, n)
 	if crashFirst {
-		s.c.Crash(0)
-		fmt.Println("fault:     crashed p0")
 		skip[0] = true
-		correct = ints(1, n)
-		if err := s.waitFor(func() bool {
-			l, ok := s.agreement(skip)
-			return ok && l != 0
-		}, "re-election after crash"); err != nil {
+		var err error
+		if correct, err = s.kill(0, "crashed p0"); err != nil {
 			return err
 		}
 	}
@@ -748,10 +674,7 @@ func (s *soak) runPartition(crashFirst bool) error {
 	majority := correct[:len(correct)-1]
 	s.inj.Cut([]node.ID{minority}, idsOf(majority))
 	fmt.Printf("fault:     cut p%v from %v\n", minority, majority)
-	if err := s.waitFor(func() bool {
-		l, ok := s.agreement(skipAllBut(n, majority))
-		return ok && !skip[int(l)] && l != minority
-	}, "majority agreement during partition"); err != nil {
+	if _, err := s.settled(skipAllBut(n, majority), "majority agreement during partition"); err != nil {
 		return err
 	}
 	if err := s.pump(majority, "cut", s.commands+1); err != nil {
@@ -759,10 +682,7 @@ func (s *soak) runPartition(crashFirst bool) error {
 	}
 	s.inj.Heal()
 	fmt.Println("fault:     healed all partitions")
-	if err := s.waitFor(func() bool {
-		l, ok := s.agreement(skip)
-		return ok && !skip[int(l)]
-	}, "convergence after heal"); err != nil {
+	if _, err := s.settled(skip, "convergence after heal"); err != nil {
 		return err
 	}
 	return s.pump(correct, "post", s.commands+2)
@@ -777,292 +697,113 @@ func (s *soak) runChaos(gst time.Duration) error {
 		return fmt.Errorf("pre-GST chaos injected no drops")
 	}
 	fmt.Printf("fault:     pre-GST chaos dropped %d messages\n", s.c.Stats().Dropped())
-	if err := s.waitFor(func() bool {
-		_, ok := s.agreement(nil)
-		return ok && time.Since(start) > gst
-	}, "post-GST stabilization"); err != nil {
+	time.Sleep(time.Until(start.Add(gst)))
+	if _, err := s.settled(nil, "post-GST stabilization"); err != nil {
 		return err
 	}
 	return s.pump(ints(0, len(s.dets)), "post-gst", s.commands)
 }
 
-// runRecovery is the kill -9 drill (mem transport, per-process WALs):
-// commit a batch, kill the leader with a burst of requests in flight,
-// let the survivors advance, rebuild the dead process from its WAL
-// directory, and require it to rejoin, catch up on the outage, and win
-// back proposer eligibility before the final safety and replay checks.
+// runRecovery is the kill -9 drill (mem transport, a WAL per process and
+// group): commit a batch in every group, kill group 0's leader with a
+// burst of requests in flight in every group it leads, let the survivors
+// advance everywhere, rebuild the dead process from all of its WALs at
+// once, and require it to rejoin, catch up on the outage in every group,
+// and win back proposer eligibility before the final safety and replay
+// checks. A sharded victim hosts every group, so the groups it did not
+// lead each lose a follower.
 func (s *soak) runRecovery() error {
-	n := len(s.dets)
-	all := ints(0, n)
-	if err := s.waitFor(func() bool { _, ok := s.agreement(nil); return ok }, "initial agreement"); err != nil {
+	all := ints(0, len(s.dets))
+	if err := s.warmUp(); err != nil {
 		return err
 	}
-	if err := s.pump(all, "pre", s.commands); err != nil {
-		return err
-	}
-	leader, err := s.settledLeader(nil, "settled leader to kill")
+	leaders, err := s.settled(nil, "settled leaders to kill")
 	if err != nil {
 		return err
 	}
-	s.recovered = leader
+	victim := leaders[0]
+	s.recovered = victim
 
 	// Kill the leader mid-batch: a burst of requests is still in flight
 	// when it dies, so its WAL tail holds accepts that may never have
 	// reached a quorum — recovery must carry them without inventing
 	// decisions.
 	from := node.ID(all[0])
-	if from == leader {
+	if from == victim {
 		from = node.ID(all[1])
 	}
-	for i := 0; i < s.commands; i++ {
-		s.c.Inject(from, leader, rsm.RequestMsg{V: consensus.Value(fmt.Sprintf("burst-%d", i))})
-	}
-	s.c.Crash(leader)
-	fmt.Printf("fault:     killed leader p%v mid-batch\n", leader)
-
-	survivors := make([]int, 0, n-1)
-	for i := 0; i < n; i++ {
-		if node.ID(i) != leader {
-			survivors = append(survivors, i)
+	led := 0
+	for g, l := range leaders {
+		if l != victim {
+			continue
 		}
+		for i := 0; i < s.commands; i++ {
+			s.inject(from, victim, g, rsm.RequestMsg{V: consensus.Value(fmt.Sprintf("burst-g%d-%d", g, i))})
+		}
+		led++
 	}
-	if err := s.waitFor(func() bool {
-		l, ok := s.agreement(map[int]bool{int(leader): true})
-		return ok && l != leader
-	}, "re-election after kill"); err != nil {
+	survivors, err := s.kill(victim, fmt.Sprintf("killed leader p%v mid-batch — led %d of %d groups", victim, led, s.groups))
+	if err != nil {
 		return err
 	}
 	// Progress during the outage is relative to where the survivors stood
 	// at the kill: the pre pump may have overshot any absolute target, and
-	// the outage must decide something for the catch-up to have a bar.
-	atKill := s.logs[survivors[0]].Recorder().Count()
-	if err := s.pump(survivors, "outage", maxCount(s.logs, survivors)+s.commands); err != nil {
+	// the outage must decide something in every group for the catch-up to
+	// have a bar.
+	atKill, target := make([]int, s.groups), 0
+	for g := range atKill {
+		atKill[g] = s.logs[survivors[0]][g].Recorder().Count()
+		for _, p := range survivors {
+			target = max(target, s.logs[p][g].Recorder().Count())
+		}
+	}
+	if err := s.pump(survivors, "outage", target+s.commands); err != nil {
 		return err
 	}
-	// The highest instance the survivors decided while the process was
-	// down: the bar its catch-up has to clear.
-	outageMax := outageBar(s.logs[survivors[0]].Recorder(), atKill)
+	// Per group, the highest instance the survivors decided while the
+	// process was down: the bar its catch-up has to clear.
+	bars := make([]int, s.groups)
+	for g := range bars {
+		bars[g] = outageBar(s.logs[survivors[0]][g].Recorder(), atKill[g])
+	}
 
-	if err := s.restart(leader); err != nil {
+	if err := s.restart(victim); err != nil {
 		return err
 	}
-	fmt.Printf("fault:     restarted p%v from %s\n", leader, s.walPath(leader))
-	if err := s.waitFor(func() bool { _, ok := s.agreement(nil); return ok }, "convergence after restart"); err != nil {
+	fmt.Printf("fault:     restarted p%v from %d WAL directories under %s\n", victim, s.groups, s.walRoot)
+	if _, err := s.settled(nil, "convergence after restart"); err != nil {
 		return err
 	}
 	if err := s.waitFor(func() bool {
-		return caughtUp(s.logs[leader].Recorder(), s.stores[leader], outageMax)
+		for g, l := range s.logs[victim] {
+			if !caughtUp(l.Recorder(), s.stores[victim][g], bars[g]) {
+				return false
+			}
+		}
+		return true
 	}, "restarted replica catch-up"); err != nil {
 		return err
 	}
 
-	// Proposer eligibility: kill the current leader. If the restarted
-	// process already leads again, progress below proves the point
-	// directly; otherwise the cluster must keep deciding with the
+	// Proposer eligibility: kill group 0's current leader. If the
+	// restarted process already leads it again, progress below proves the
+	// point directly; otherwise the cluster must keep deciding with the
 	// restarted process voting in (and possibly leading) every quorum.
 	// The rejoin itself may trigger a leader change.
-	second, err := s.settledLeader(nil, "settled leader before second kill")
-	if err != nil {
+	if leaders, err = s.settled(nil, "settled leaders before second kill"); err != nil {
 		return err
 	}
 	correct := all
-	if second != leader {
-		s.c.Crash(second)
-		fmt.Printf("fault:     crashed second leader p%v\n", second)
-		correct = make([]int, 0, n-1)
-		for i := 0; i < n; i++ {
-			if node.ID(i) != second {
-				correct = append(correct, i)
-			}
-		}
-		if err := s.waitFor(func() bool {
-			l, ok := s.agreement(map[int]bool{int(second): true})
-			return ok && l != second
-		}, "re-election after second kill"); err != nil {
+	if second := leaders[0]; second != victim {
+		if correct, err = s.kill(second, fmt.Sprintf("crashed second leader p%v", second)); err != nil {
 			return err
 		}
 	}
 	return s.pump(correct, "post", 3*s.commands)
 }
 
-// groupAgreement reports the common leader of group g — in the group's
-// logical id space — among processes not in skip.
-func (s *soak) groupAgreement(g int, skip map[int]bool) (node.ID, bool) {
-	leader := node.None
-	for i := range s.gdets {
-		if skip[i] {
-			continue
-		}
-		l := s.gdets[i][g].History().Current()
-		if leader == node.None {
-			leader = l
-		} else if l != leader {
-			return node.None, false
-		}
-	}
-	return leader, leader != node.None
-}
-
-// allGroupsAgree returns every group's agreed logical leader, or nil if
-// any group is still in dispute among the processes not in skip.
-func (s *soak) allGroupsAgree(skip map[int]bool) []node.ID {
-	leaders := make([]node.ID, s.groups)
-	for g := 0; g < s.groups; g++ {
-		l, ok := s.groupAgreement(g, skip)
-		if !ok {
-			return nil
-		}
-		leaders[g] = l
-	}
-	return leaders
-}
-
-// groupPump keeps injecting client requests at every group's current
-// physical leader until each replica in correct has recorded target
-// commands in every group.
-func (s *soak) groupPump(correct []int, prefix string, target int) error {
-	n := len(s.gdets)
-	skip := skipAllBut(n, correct)
-	counters := make([]int, s.groups)
-	return s.waitFor(func() bool {
-		for g := 0; g < s.groups; g++ {
-			l, ok := s.groupAgreement(g, skip)
-			if !ok {
-				continue
-			}
-			phys := group.Physical(l, g, n)
-			if skip[int(phys)] {
-				continue // this group's leader is outside the correct set
-			}
-			from := node.ID(correct[0])
-			if from == phys {
-				from = node.ID(correct[1])
-			}
-			s.c.Inject(from, phys, group.Wrap(g, rsm.RequestMsg{V: consensus.Value(fmt.Sprintf("%s-g%d-%d", prefix, g, counters[g]))}))
-			counters[g]++
-		}
-		for _, p := range correct {
-			for g := 0; g < s.groups; g++ {
-				if s.glogs[p][g].Recorder().Count() < target {
-					return false
-				}
-			}
-		}
-		return true
-	}, prefix+" sharded consensus progress")
-}
-
-// runGroupRecovery is the sharded kill -9 drill: commit a batch in every
-// group, kill the process that leads group 0 — it hosts all G groups, so
-// G WAL directories die with it and G-1 other groups lose a follower —
-// with bursts in flight in every group it led, let the survivors advance
-// everywhere, rebuild the dead process from all G of its WALs at once,
-// and require per-group catch-up before the per-group safety and replay
-// checks.
-func (s *soak) runGroupRecovery() error {
-	n := len(s.gdets)
-	all := ints(0, n)
-	if err := s.waitFor(func() bool { return s.allGroupsAgree(nil) != nil }, "initial agreement in every group"); err != nil {
-		return err
-	}
-	if err := s.groupPump(all, "pre", s.commands); err != nil {
-		return err
-	}
-
-	// The pump may have left group 0 in dispute for an instant: the
-	// victim is whoever it next agrees on.
-	var l0 node.ID
-	if err := s.waitFor(func() (ok bool) { l0, ok = s.groupAgreement(0, nil); return ok }, "group 0 leader to kill"); err != nil {
-		return err
-	}
-	victim := group.Physical(l0, 0, n)
-	s.recovered = victim
-	led := 0
-	for g := 0; g < s.groups; g++ {
-		l, ok := s.groupAgreement(g, nil)
-		if !ok || group.Physical(l, g, n) != victim {
-			continue
-		}
-		from := node.ID(0)
-		if from == victim {
-			from = node.ID(1)
-		}
-		for i := 0; i < s.commands; i++ {
-			s.c.Inject(from, victim, group.Wrap(g, rsm.RequestMsg{V: consensus.Value(fmt.Sprintf("burst-g%d-%d", g, i))}))
-		}
-		led++
-	}
-	s.c.Crash(victim)
-	fmt.Printf("fault:     killed p%v mid-batch — led %d of %d groups, hosted %d WALs\n", victim, led, s.groups, s.groups)
-
-	survivors := make([]int, 0, n-1)
-	for i := 0; i < n; i++ {
-		if node.ID(i) != victim {
-			survivors = append(survivors, i)
-		}
-	}
-	skip := map[int]bool{int(victim): true}
-	if err := s.waitFor(func() bool {
-		leaders := s.allGroupsAgree(skip)
-		if leaders == nil {
-			return false
-		}
-		for g, l := range leaders {
-			if group.Physical(l, g, n) == victim {
-				return false
-			}
-		}
-		return true
-	}, "live leader in every group after kill"); err != nil {
-		return err
-	}
-	// As in runRecovery, outage progress is relative to the kill: every
-	// group must get commands past the furthest any group stood then.
-	atKill, target := make([]int, s.groups), 0
-	for g := 0; g < s.groups; g++ {
-		atKill[g] = s.glogs[survivors[0]][g].Recorder().Count()
-		for _, p := range survivors {
-			target = max(target, s.glogs[p][g].Recorder().Count())
-		}
-	}
-	if err := s.groupPump(survivors, "outage", target+s.commands); err != nil {
-		return err
-	}
-	// Per group, the highest instance the survivors decided while the
-	// victim was down: the bar each of its G recoveries has to clear.
-	outageMax := make([]int, s.groups)
-	for g := 0; g < s.groups; g++ {
-		outageMax[g] = outageBar(s.glogs[survivors[0]][g].Recorder(), atKill[g])
-	}
-
-	if err := s.restartGroup(victim); err != nil {
-		return err
-	}
-	fmt.Printf("fault:     restarted p%v from %d WAL directories under %s\n", victim, s.groups, s.walPath(victim))
-	if err := s.waitFor(func() bool { return s.allGroupsAgree(nil) != nil }, "convergence after restart"); err != nil {
-		return err
-	}
-	if err := s.waitFor(func() bool {
-		for g := 0; g < s.groups; g++ {
-			if !caughtUp(s.glogs[victim][g].Recorder(), s.gstores[victim][g], outageMax[g]) {
-				return false
-			}
-		}
-		return true
-	}, "restarted replica catch-up in every group"); err != nil {
-		return err
-	}
-	return s.groupPump(all, "post", 3*s.commands)
-}
-
-// reopen loads one WAL directory offline and returns its recovered state.
-func (s *soak) reopen(id node.ID) (*durable.State, error) {
-	return reopenPath(s.walPath(id))
-}
-
-// reopenPath loads a WAL directory offline and returns its recovered
-// state.
-func reopenPath(dir string) (*durable.State, error) {
+// reopen loads a WAL directory offline and returns its recovered state.
+func reopen(dir string) (*durable.State, error) {
 	w, err := durable.Open(dir, durable.Options{Sync: durable.SyncOff})
 	if err != nil {
 		return nil, err
@@ -1097,67 +838,22 @@ func recoveredSequence(st *durable.State) []string {
 
 // checkReplayEquivalence re-reads every WAL directory offline, twice,
 // after the cluster has stopped. Recovery must be deterministic (equal
-// state across opens), and the applied sequence each WAL rebuilds must
-// be a prefix of every longer one — same commands, same order, nothing
-// lost, nothing doubled. The restarted process's sequence must be
-// non-empty so the check cannot pass vacuously.
+// state across opens), and within each group the applied sequence each
+// WAL rebuilds must be a prefix of every longer one — same commands, same
+// order, nothing lost, nothing doubled. The restarted process must
+// rebuild a non-empty sequence in every group, so no group's check can
+// pass vacuously.
 func (s *soak) checkReplayEquivalence() error {
-	seqs := make([][]string, len(s.logs))
-	for i := range s.logs {
-		a, err := s.reopen(node.ID(i))
-		if err != nil {
-			return err
-		}
-		b, err := s.reopen(node.ID(i))
-		if err != nil {
-			return err
-		}
-		if !reflect.DeepEqual(a, b) {
-			return fmt.Errorf("replay of p%d is not deterministic across opens", i)
-		}
-		if a == nil {
-			return fmt.Errorf("p%d recovered no durable state", i)
-		}
-		seqs[i] = recoveredSequence(a)
-	}
-	if len(seqs[s.recovered]) == 0 {
-		return fmt.Errorf("replay check vacuous: restarted p%v rebuilds an empty sequence", s.recovered)
-	}
-	for i := range seqs {
-		for j := i + 1; j < len(seqs); j++ {
-			short, long := seqs[i], seqs[j]
-			if len(short) > len(long) {
-				short, long = long, short
-			}
-			for k := range short {
-				if short[k] != long[k] {
-					return fmt.Errorf("replay divergence: applied command %d is %q on p%d, %q on p%d", k, seqs[i][k], i, seqs[j][k], j)
-				}
-			}
-		}
-	}
-	fmt.Printf("replay:    WAL recovery deterministic; applied sequences prefix-consistent (restarted p%v rebuilds %d commands)\n",
-		s.recovered, len(seqs[s.recovered]))
-	return nil
-}
-
-// checkGroupReplayEquivalence is the sharded offline replay check: for
-// every group independently, re-read each process's group WAL directory
-// twice (determinism), then require the G applied sequences the cluster
-// would rebuild to be pairwise prefix-consistent within the group. The
-// restarted process must rebuild a non-empty sequence in every group it
-// hosted, so no group's check can pass vacuously.
-func (s *soak) checkGroupReplayEquivalence() error {
 	rebuilt := make([]int, s.groups)
-	for g := 0; g < s.groups; g++ {
-		seqs := make([][]string, len(s.glogs))
-		for i := range s.glogs {
-			dir := s.groupWALPath(node.ID(i), g)
-			a, err := reopenPath(dir)
+	for g := range rebuilt {
+		seqs := make([][]string, len(s.logs))
+		for i := range seqs {
+			dir := s.walPath(node.ID(i), g)
+			a, err := reopen(dir)
 			if err != nil {
 				return err
 			}
-			b, err := reopenPath(dir)
+			b, err := reopen(dir)
 			if err != nil {
 				return err
 			}
@@ -1169,10 +865,9 @@ func (s *soak) checkGroupReplayEquivalence() error {
 			}
 			seqs[i] = recoveredSequence(a)
 		}
-		if len(seqs[s.recovered]) == 0 {
+		if rebuilt[g] = len(seqs[s.recovered]); rebuilt[g] == 0 {
 			return fmt.Errorf("group %d replay check vacuous: restarted p%v rebuilds an empty sequence", g, s.recovered)
 		}
-		rebuilt[g] = len(seqs[s.recovered])
 		for i := range seqs {
 			for j := i + 1; j < len(seqs); j++ {
 				short, long := seqs[i], seqs[j]
@@ -1187,37 +882,22 @@ func (s *soak) checkGroupReplayEquivalence() error {
 			}
 		}
 	}
-	fmt.Printf("replay:    %d WAL dirs per process deterministic; applied sequences prefix-consistent per group (restarted p%v rebuilds %v commands)\n",
+	fmt.Printf("replay:    WAL recovery deterministic in %d group(s); applied sequences prefix-consistent (restarted p%v rebuilds %v commands)\n",
 		s.groups, s.recovered, rebuilt)
 	return nil
 }
 
-// checkGroupSafety verifies, per group, that no consensus instance
-// decided two values on any process.
-func (s *soak) checkGroupSafety() error {
+// checkSafety verifies that no consensus instance of any group decided
+// two values anywhere — crashed and once-partitioned replicas included.
+func (s *soak) checkSafety() error {
 	for g := 0; g < s.groups; g++ {
-		recs := make([]*consensus.Recorder, len(s.glogs))
-		for i := range s.glogs {
-			recs[i] = s.glogs[i][g].Recorder()
+		recs := make([]*consensus.Recorder, len(s.logs))
+		for i, ls := range s.logs {
+			recs[i] = ls[g].Recorder()
 		}
-		rep := consensus.CheckSafety(consensus.SafetyInput{Recorders: recs})
-		if !rep.Agreement {
+		if rep := consensus.CheckSafety(consensus.SafetyInput{Recorders: recs}); !rep.Agreement {
 			return fmt.Errorf("group %d consensus disagreement: %v", g, rep.Violations)
 		}
-	}
-	return nil
-}
-
-// checkSafety verifies no consensus instance decided two values anywhere
-// — crashed and once-partitioned replicas included.
-func (s *soak) checkSafety() error {
-	recs := make([]*consensus.Recorder, len(s.logs))
-	for i, l := range s.logs {
-		recs[i] = l.Recorder()
-	}
-	rep := consensus.CheckSafety(consensus.SafetyInput{Recorders: recs})
-	if !rep.Agreement {
-		return fmt.Errorf("consensus disagreement: %v", rep.Violations)
 	}
 	return nil
 }

@@ -31,10 +31,10 @@ func TestRunRecoveryPlanMem(t *testing.T) {
 	}
 }
 
-// TestRunRecoveryPlanGroups is the sharded variant: the killed replica
-// hosts 2 consensus groups, so 2 WAL directories must recover at once
-// and the replay-equivalence check runs per group. Enabled under -short
-// so the -race CI job always runs it.
+// TestRunRecoveryPlanGroups is the same drill sharded: the killed replica
+// hosts 2 consensus groups, so 2 WAL directories must recover at once,
+// and catch-up, the second kill and the replay-equivalence check cover
+// both groups. Enabled under -short so the -race CI job always runs it.
 func TestRunRecoveryPlanGroups(t *testing.T) {
 	if err := run([]string{
 		"-transport", "mem", "-plan", "recovery", "-n", "3",
@@ -67,6 +67,7 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		"partition needs 5":     {"-plan", "partition", "-n", "3"},
 		"crash needs 3":         {"-plan", "crash", "-n", "2"},
 		"groups needs recovery": {"-plan", "crash", "-n", "3", "-groups", "2"},
+		"negative groups":       {"-transport", "mem", "-plan", "recovery", "-n", "3", "-groups", "-1"},
 	}
 	for name, args := range cases {
 		err := run(args)

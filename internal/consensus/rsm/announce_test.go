@@ -74,7 +74,7 @@ func newAnnounceWorld(t *testing.T, n int, seed int64, cfg Config, ingress []nod
 	cfg.fill()
 	a := &announceWorld{t: t, c: c, cfg: cfg, ingress: ingress, waiting: make([]int, n), sent: map[string]bool{},
 		name: fmt.Sprintf("n=%d seed %d ingress %v drive %v", n, seed, ingress, cfg.DriveInterval)}
-	quiet := min(cfg.DriveInterval, cfg.RetryTimeout/2)
+	quiet := min(cfg.DriveInterval, retryTimeout/2)
 	// (a), checked as each event of the leader closes: whoever a command
 	// applied in it came from has been sent an index past it in that event.
 	closeEvent := func(key string) {
@@ -172,7 +172,7 @@ func (a *announceWorld) run() {
 	c.world.RunFor(time.Second + time.Duration(seq)*time.Microsecond)
 	c.nodes[a.ingress[0]].Submit(consensus.Value(fmt.Sprintf("a%d@p%d", seq, a.ingress[0])))
 	a.settles(warm+seq+1, "a lone instance")
-	c.world.RunFor(2 * a.cfg.RetryTimeout) // long enough for any follower to have asked
+	c.world.RunFor(2 * retryTimeout) // long enough for any follower to have asked
 	for _, k := range kinds {
 		if got := c.world.Stats.KindCount(k) - before[k]; got != 0 {
 			t.Errorf("%s: %d %s sent on a fault-free run, want 0", a.name, got, k)
@@ -195,7 +195,7 @@ func (a *announceWorld) run() {
 func (a *announceWorld) settles(applied int, what string) {
 	c := a.c
 	c.world.RunUntil(c.world.Kernel.Now().Add(time.Second), func() bool { return c.nodes[0].Applied() == applied })
-	c.world.RunUntil(a.lastAccept.Add(min(a.cfg.DriveInterval, a.cfg.RetryTimeout/2)+ms), nil)
+	c.world.RunUntil(a.lastAccept.Add(min(a.cfg.DriveInterval, retryTimeout/2)+ms), nil)
 	if got := c.nodes[0].Applied(); got != applied {
 		a.t.Fatalf("%s: after %s the leader has applied %d commands, want %d", a.name, what, got, applied)
 	}
@@ -211,7 +211,7 @@ func (a *announceWorld) settles(applied int, what string) {
 // or on the ACCEPT leaving then; (b) nobody is sent one (ballot, index)
 // twice; (c) a replica that forwarded nothing is sent no DECIDE while
 // ACCEPTs flow; (d) once they stop, every follower has applied what the
-// leader has within min(DriveInterval, RetryTimeout/2) and a link delay,
+// leader has within min(DriveInterval, retryTimeout/2) and a link delay,
 // with no LEARN and nothing else a follower initiates; (e) commands
 // submitted at the leader owe nobody. The parent, which broadcast every
 // DECIDE, fails (c) and (e).
@@ -231,16 +231,16 @@ func TestAnnouncementProperties(t *testing.T) {
 }
 
 // TestCatchUpBeatsTheStaleVoteRule is (d) where it is tight: chaossoak's
-// shape (DriveInterval 2η = 50 ms, RetryTimeout 100 ms), where a catch-up
+// shape (DriveInterval 2η = 50 ms, retryTimeout 100 ms), where a catch-up
 // that waited for a second quiet tick would come as the followers' votes go
-// stale and they ask (fillGaps); and a tick longer than RetryTimeout/2,
+// stale and they ask (fillGaps); and a tick longer than retryTimeout/2,
 // where waiting for any tick would — and where a drive that every ACCEPT
 // re-armed, rather than only brought forward, never ran under load (run
 // counts the leader's drive ticks).
 func TestCatchUpBeatsTheStaleVoteRule(t *testing.T) {
 	for _, cfg := range []Config{
-		{BatchMax: 16, Window: 8, DriveInterval: 50 * ms, RetryTimeout: 100 * ms},
-		{BatchMax: 16, Window: 8, DriveInterval: 90 * ms, RetryTimeout: 100 * ms},
+		{BatchMax: 16, Window: 8, DriveInterval: 50 * ms},
+		{BatchMax: 16, Window: 8, DriveInterval: 90 * ms},
 	} {
 		for seed := int64(1); seed <= 5; seed++ {
 			newAnnounceWorld(t, 5, seed, cfg, []node.ID{2}).run()

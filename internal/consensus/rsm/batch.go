@@ -254,7 +254,7 @@ func (r *Node) pumpBatches(force bool) {
 }
 
 // forwardPending sends unserved local commands to the believed leader:
-// every one not yet sent to it, or sent a RetryTimeout ago, in queue
+// every one not yet sent to it, or sent a retryTimeout ago, in queue
 // order.
 func (r *Node) forwardPending(leader node.ID) {
 	if leader == node.None || leader == r.me {
@@ -262,12 +262,12 @@ func (r *Node) forwardPending(leader node.ID) {
 	}
 	b, now := &r.bat, r.env.Now()
 	from := b.fwd
-	if b.fwdTo != leader || now.Sub(b.fwdOldest) > r.cfg.RetryTimeout {
+	if b.fwdTo != leader || now.Sub(b.fwdOldest) > retryTimeout {
 		from, b.fwdOldest = b.head, now // the summary says nothing: walk it all
 	}
 	for i := from; i < b.tail; i++ {
 		p := b.at(i)
-		if p.lastSentTo == leader && now.Sub(p.lastSentAt) <= r.cfg.RetryTimeout {
+		if p.lastSentTo == leader && now.Sub(p.lastSentAt) <= retryTimeout {
 			b.fwdOldest = min(b.fwdOldest, p.lastSentAt)
 			continue
 		}
@@ -310,7 +310,7 @@ func (r *Node) onRequest(from node.ID, m RequestMsg) {
 		return
 	}
 	// A leader-elect still in phase 1 queues too: the forwarder has
-	// stamped the command as sent and would sit on it for a RetryTimeout.
+	// stamped the command as sent and would sit on it for a retryTimeout.
 	// maybeFinishPrepare pumps the queue the moment the ballot stands.
 	r.enqueue(m.V, r.env.Now(), r.curCtx, from)
 }
@@ -340,8 +340,8 @@ type heldReq struct {
 // hold keeps a request that reached this replica while its Omega names
 // another: a forwarder's view moves a fraction of a link delay before the
 // successor's own, and a request dropped in that window costs its sender
-// a RetryTimeout. It waits for the edge that names this replica (adoptHeld)
-// or for RetryTimeout (expireHeld), when the sender's re-forward takes over,
+// a retryTimeout. It waits for the edge that names this replica (adoptHeld)
+// or for retryTimeout (expireHeld), when the sender's re-forward takes over,
 // and is never forwarded onward: two replicas naming each other would
 // bounce it at link speed while they disagree.
 func (r *Node) hold(h heldReq) {
@@ -351,10 +351,10 @@ func (r *Node) hold(h heldReq) {
 	}
 }
 
-// expireHeld drops what has been held for longer than RetryTimeout.
+// expireHeld drops what has been held for longer than retryTimeout.
 func (r *Node) expireHeld(now sim.Time) {
 	i := 0
-	for i < len(r.held) && now.Sub(r.held[i].at) > r.cfg.RetryTimeout {
+	for i < len(r.held) && now.Sub(r.held[i].at) > retryTimeout {
 		i++
 	}
 	r.held = slices.Delete(r.held, 0, i) // in place, the freed tail zeroed

@@ -455,7 +455,7 @@ func TestHandoverBufferIsBoundedAndExpires(t *testing.T) {
 	if out := env.drain(); len(out) != 0 || r.pipe.open != 0 || r.bat.tail != 0 {
 		t.Fatalf("held requests sent %v, proposed %d, queued %d", out, r.pipe.open, r.bat.tail)
 	}
-	env.now = env.now.Add(r.cfg.RetryTimeout)
+	env.now = env.now.Add(retryTimeout)
 	a.Tick(timerDrive)
 	if len(r.held) != maxHeld {
 		t.Fatalf("%d held at the age of one RetryTimeout, want them kept to the end of it", len(r.held))

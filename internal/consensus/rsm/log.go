@@ -142,7 +142,7 @@ func (l *logbook) forgetBelow(min int) {
 type acceptor struct {
 	promised consensus.Ballot
 	// lastAcceptAt is when this acceptor last took a phase-2 message;
-	// votes that have gone quiet for a RetryTimeout make fillGaps ask (the
+	// votes that have gone quiet for a retryTimeout make fillGaps ask (the
 	// commit that should have closed them was lost with its leader).
 	lastAcceptAt sim.Time
 	// commitB and commitUpTo are the highest commit index heard, on an

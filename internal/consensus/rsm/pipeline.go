@@ -20,8 +20,11 @@ import (
 // turn when one does, else by a value-free DECIDE to the replicas whose
 // commands were decided — the rest hear on the next ACCEPT or from catchUp.
 
-// maxRetryTimeout caps retry backoffs.
-const maxRetryTimeout = 5 * time.Second
+// retryTimeout bounds how long a prepare, an in-flight instance or a
+// forwarded command may stall before being re-driven, and how long a
+// request is held for a leadership not yet announced here (batch.go,
+// hold); maxRetryTimeout caps retry backoffs.
+const retryTimeout, maxRetryTimeout = 100 * time.Millisecond, 5 * time.Second
 
 // flight is the leader-side state of one instance, in the pipeline from
 // propose (or reopen) until the applier has passed it. Flights are recycled
@@ -189,7 +192,7 @@ func (r *Node) redrive(now sim.Time) {
 			continue
 		}
 		if fl.timeout == 0 {
-			fl.timeout = r.cfg.RetryTimeout
+			fl.timeout = retryTimeout
 		}
 		if now.Sub(fl.started) >= fl.timeout {
 			fl.started = now
@@ -330,7 +333,7 @@ func (r *Node) announceCommit() {
 
 // quiet is how long after its last ACCEPT a stream counts as idle: half the
 // time a follower's votes take to go stale (fillGaps), or a tick if less.
-func (r *Node) quiet() time.Duration { return min(r.cfg.DriveInterval, r.cfg.RetryTimeout/2) }
+func (r *Node) quiet() time.Duration { return min(r.cfg.DriveInterval, retryTimeout/2) }
 
 // catchUp runs on the leader's drive. On an idle stream it sends every
 // follower the index it has not been sent, so the end of a burst is decided

@@ -21,7 +21,7 @@ type proposer struct {
 	preparing   bool
 	prepStarted sim.Time
 	// prepTimeout is how long the open PREPARE may go unanswered:
-	// RetryTimeout, doubling across consecutive failures of one candidacy
+	// retryTimeout, doubling across consecutive failures of one candidacy
 	// only — a ballot that stood, or an abdication, ends it.
 	prepTimeout time.Duration
 	promises    map[node.ID]PromiseMsg
@@ -43,7 +43,7 @@ func (r *Node) startPrepare() {
 	}
 	r.prop.ballot = base.Next(r.me, r.n)
 	if !r.prop.preparing {
-		r.prop.prepTimeout = r.cfg.RetryTimeout
+		r.prop.prepTimeout = retryTimeout
 	} else if r.prop.prepTimeout < maxRetryTimeout {
 		r.prop.prepTimeout *= 2
 	}

@@ -86,11 +86,6 @@ type Config struct {
 	// in the queue while the pipeline is busy. A leader change does not
 	// wait for it: Omega's output is followed on the edge (followOmega).
 	DriveInterval time.Duration
-	// RetryTimeout bounds how long a prepare, an in-flight instance or a
-	// forwarded command may stall before being re-driven (default 100ms),
-	// and how long a request is held for a leadership not yet announced
-	// here (batch.go, hold).
-	RetryTimeout time.Duration
 	// Window caps how many log instances the leader drives concurrently
 	// (default 8; 1 disables pipelining).
 	Window int
@@ -135,9 +130,6 @@ type Config struct {
 func (c *Config) fill() {
 	if c.DriveInterval <= 0 {
 		c.DriveInterval = 20 * time.Millisecond
-	}
-	if c.RetryTimeout <= 0 {
-		c.RetryTimeout = 100 * time.Millisecond
 	}
 	if c.Window <= 0 {
 		c.Window = 8
@@ -403,7 +395,7 @@ func (r *Node) drive() {
 // with its first gap not moving. Out-of-order delivery opens such gaps all
 // the time and closes them within a link delay; only one that outlives an
 // interval is loss (or a restart that forgot the votes). Votes that have
-// gone quiet for a RetryTimeout ask too: the commit that should have
+// gone quiet for a retryTimeout ask too: the commit that should have
 // closed them died with its leader.
 func (r *Node) fillGaps(leader node.ID) {
 	if leader == node.None || leader == r.me {
@@ -418,7 +410,7 @@ func (r *Node) fillGaps(leader node.ID) {
 	}
 	stuck := behind && now.Sub(r.acc.stuckSince) >= r.cfg.DriveInterval
 	stale := r.log.voted > 0 &&
-		now.Sub(r.acc.lastAcceptAt) >= r.cfg.RetryTimeout
+		now.Sub(r.acc.lastAcceptAt) >= retryTimeout
 	// One ask per interval: Submit drives too, many times a tick.
 	if (stuck || stale) && now.Sub(r.acc.askedAt) >= r.cfg.DriveInterval {
 		r.acc.askedAt = now

@@ -610,7 +610,7 @@ func TestForwardPendingMatchesFullScan(t *testing.T) {
 			r.bat.take(1+rng.Intn(r.bat.tail-r.bat.next), r.me, env.now, r.pipe.alloc())
 			r.bat.unassign()
 		case op == 7:
-			env.now = env.now.Add(time.Duration(rng.Intn(3)) * r.cfg.RetryTimeout / 16)
+			env.now = env.now.Add(time.Duration(rng.Intn(3)) * retryTimeout / 16)
 		}
 		leader := node.ID(1 + rng.Intn(8)/7) // mostly 1, sometimes 2
 		if leaderless = leaderless != (rng.Intn(60) == 0); leaderless {
@@ -619,13 +619,13 @@ func TestForwardPendingMatchesFullScan(t *testing.T) {
 		var want []sent
 		for i := r.bat.head; i < r.bat.tail && leader != node.None; i++ {
 			p := r.bat.at(i)
-			if p.lastSentTo == leader && env.now.Sub(p.lastSentAt) <= r.cfg.RetryTimeout {
+			if p.lastSentTo == leader && env.now.Sub(p.lastSentAt) <= retryTimeout {
 				skipped++
 				continue
 			}
 			want = append(want, sent{leader, RequestMsg{V: p.v}})
 		}
-		if leader == r.bat.fwdTo && env.now.Sub(r.bat.fwdOldest) <= r.cfg.RetryTimeout {
+		if leader == r.bat.fwdTo && env.now.Sub(r.bat.fwdOldest) <= retryTimeout {
 			short++ // the summary stands: this call may skip the forwarded prefix
 		}
 		r.forwardPending(leader)

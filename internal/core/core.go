@@ -127,7 +127,6 @@ const (
 type config struct {
 	eta           time.Duration
 	baseTimeout   time.Duration
-	increment     time.Duration
 	timeoutGrowth bool
 	epochGuard    bool
 	accuseMsgs    bool
@@ -143,10 +142,6 @@ func WithEta(d time.Duration) Option { return func(c *config) { c.eta = d } }
 // WithBaseTimeout sets the initial per-process monitoring timeout
 // (default 3η).
 func WithBaseTimeout(d time.Duration) Option { return func(c *config) { c.baseTimeout = d } }
-
-// WithTimeoutIncrement sets how much a timeout grows per accusation
-// (default η).
-func WithTimeoutIncrement(d time.Duration) Option { return func(c *config) { c.increment = d } }
 
 // WithoutTimeoutGrowth is an ablation: timeouts stay fixed, so premature
 // suspicions never die out and leadership can oscillate forever.
@@ -201,9 +196,6 @@ func New(opts ...Option) *Detector {
 	}
 	if cfg.baseTimeout == 0 {
 		cfg.baseTimeout = 3 * cfg.eta
-	}
-	if cfg.increment == 0 {
-		cfg.increment = cfg.eta
 	}
 	if cfg.eta <= 0 {
 		panic(fmt.Sprintf("core: non-positive eta %v", cfg.eta))
@@ -304,7 +296,7 @@ func (d *Detector) suspectLeader() {
 	}
 	d.counter[l] = epoch + 1
 	if d.cfg.timeoutGrowth {
-		d.timeout[l] += d.cfg.increment
+		d.timeout[l] += d.cfg.eta
 	}
 	d.elect()
 	if d.leader != d.me {

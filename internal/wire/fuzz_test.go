@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/consensus/group"
 	"repro/internal/consensus/rsm"
-	"repro/internal/consensus/synod"
 	"repro/internal/core"
 	"repro/internal/detector/source"
 	"repro/internal/node"
@@ -39,7 +38,7 @@ func FuzzEnvelopeRoundTrip(f *testing.F) {
 		{0, core.LeaderMsg{Epoch: 1}},
 		{1, core.AccuseMsg{Epoch: 300}},
 		{2, source.AliveMsg{Counters: []uint64{1, 1 << 40, 0}}},
-		{3, synod.PromiseMsg{B: 9, AccB: 2, AccV: "seed"}},
+		{3, rsm.PromiseMsg{B: 9, Entries: []rsm.PromEntry{{Inst: 2, AccB: 2, AccV: "seed"}}}},
 		{4, &rsm.AcceptMsg{B: 5, Inst: 7, V: "cmd", CommitUpTo: 6, LeaseSeq: 3}},
 		{0, &rsm.DecideMsg{B: 5, Inst: 8}},
 		{1, &rsm.DecideMsg{Inst: 7, V: "cmd"}},

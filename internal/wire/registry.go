@@ -4,10 +4,8 @@ import (
 	"fmt"
 
 	"repro/internal/consensus"
-	"repro/internal/consensus/ct"
 	"repro/internal/consensus/group"
 	"repro/internal/consensus/rsm"
-	"repro/internal/consensus/synod"
 	"repro/internal/core"
 	"repro/internal/detector/alltoall"
 	"repro/internal/detector/source"
@@ -23,20 +21,13 @@ const (
 	codeCoreAccuse
 	codeAllToAllAlive
 	codeSourceAlive
-	codeSynodPrepare
-	codeSynodPromise
-	codeSynodNack
-	codeSynodAccept
-	codeSynodAccepted
-	codeSynodDecide
-	codeSynodLearn
-	codeSynodRequest
-	codeCTEstimate
-	codeCTProposal
-	codeCTAck
-	codeCTNack
-	codeCTDecide
-	codeRSMRequest
+)
+
+// Codes 5–17 carried the synod and ct kinds, which run only in the
+// simulator and never cross a wire. They are retired: a frame carrying one
+// is refused as unknown, and no kind takes one again.
+const (
+	codeRSMRequest byte = iota + 18
 	codeRSMPrepare
 	codeRSMPromise
 	codeRSMNack
@@ -88,8 +79,6 @@ func NewCodec() *Codec {
 	reg(c, codeSourceAlive, source.KindAlive,
 		func(e *Encoder, m source.AliveMsg) { e.U64s(m.Counters) },
 		func(d *Decoder) source.AliveMsg { return source.AliveMsg{Counters: d.U64s()} })
-	registerSynod(c)
-	registerCT(c)
 	registerRSM(c)
 	registerWrappers(c)
 	return c
@@ -128,63 +117,6 @@ func registerWrappers(c *Codec) {
 			ctx := tracing.Context{Trace: tracing.TraceID(d.U64()), Span: tracing.SpanID(d.U64())}
 			return tracing.Wrap{Ctx: ctx, Inner: c.decode(d, codeTraceWrap, codeGroupWrap)}
 		})
-}
-
-func registerSynod(c *Codec) {
-	reg(c, codeSynodPrepare, synod.KindPrepare,
-		func(e *Encoder, m synod.PrepareMsg) { e.U64(uint64(m.B)) },
-		func(d *Decoder) synod.PrepareMsg { return synod.PrepareMsg{B: consensus.Ballot(d.U64())} })
-	reg(c, codeSynodPromise, synod.KindPromise,
-		func(e *Encoder, m synod.PromiseMsg) {
-			e.U64(uint64(m.B))
-			e.U64(uint64(m.AccB))
-			e.Str(string(m.AccV))
-		},
-		func(d *Decoder) synod.PromiseMsg {
-			return synod.PromiseMsg{B: consensus.Ballot(d.U64()), AccB: consensus.Ballot(d.U64()), AccV: consensus.Value(d.Str())}
-		})
-	reg(c, codeSynodNack, synod.KindNack,
-		func(e *Encoder, m synod.NackMsg) { e.U64(uint64(m.B)); e.U64(uint64(m.Promised)) },
-		func(d *Decoder) synod.NackMsg {
-			return synod.NackMsg{B: consensus.Ballot(d.U64()), Promised: consensus.Ballot(d.U64())}
-		})
-	reg(c, codeSynodAccept, synod.KindAccept,
-		func(e *Encoder, m synod.AcceptMsg) { e.U64(uint64(m.B)); e.Str(string(m.V)) },
-		func(d *Decoder) synod.AcceptMsg {
-			return synod.AcceptMsg{B: consensus.Ballot(d.U64()), V: consensus.Value(d.Str())}
-		})
-	reg(c, codeSynodAccepted, synod.KindAccepted,
-		func(e *Encoder, m synod.AcceptedMsg) { e.U64(uint64(m.B)) },
-		func(d *Decoder) synod.AcceptedMsg { return synod.AcceptedMsg{B: consensus.Ballot(d.U64())} })
-	reg(c, codeSynodDecide, synod.KindDecide,
-		func(e *Encoder, m synod.DecideMsg) { e.Str(string(m.V)) },
-		func(d *Decoder) synod.DecideMsg { return synod.DecideMsg{V: consensus.Value(d.Str())} })
-	reg(c, codeSynodLearn, synod.KindLearn,
-		func(*Encoder, synod.LearnMsg) {},
-		func(*Decoder) synod.LearnMsg { return synod.LearnMsg{} })
-	reg(c, codeSynodRequest, synod.KindRequest,
-		func(e *Encoder, m synod.RequestMsg) { e.Str(string(m.V)) },
-		func(d *Decoder) synod.RequestMsg { return synod.RequestMsg{V: consensus.Value(d.Str())} })
-}
-
-func registerCT(c *Codec) {
-	reg(c, codeCTEstimate, ct.KindEstimate,
-		func(e *Encoder, m ct.EstimateMsg) { e.Int(m.R); e.Str(string(m.Est)); e.Int(m.TS) },
-		func(d *Decoder) ct.EstimateMsg {
-			return ct.EstimateMsg{R: d.Int(), Est: consensus.Value(d.Str()), TS: d.Int()}
-		})
-	reg(c, codeCTProposal, ct.KindProposal,
-		func(e *Encoder, m ct.ProposalMsg) { e.Int(m.R); e.Str(string(m.V)) },
-		func(d *Decoder) ct.ProposalMsg { return ct.ProposalMsg{R: d.Int(), V: consensus.Value(d.Str())} })
-	reg(c, codeCTAck, ct.KindAck,
-		func(e *Encoder, m ct.AckMsg) { e.Int(m.R) },
-		func(d *Decoder) ct.AckMsg { return ct.AckMsg{R: d.Int()} })
-	reg(c, codeCTNack, ct.KindNack,
-		func(e *Encoder, m ct.NackMsg) { e.Int(m.R) },
-		func(d *Decoder) ct.NackMsg { return ct.NackMsg{R: d.Int()} })
-	reg(c, codeCTDecide, ct.KindDecide,
-		func(e *Encoder, m ct.DecideMsg) { e.Str(string(m.V)) },
-		func(d *Decoder) ct.DecideMsg { return ct.DecideMsg{V: consensus.Value(d.Str())} })
 }
 
 func registerRSM(c *Codec) {

@@ -11,10 +11,8 @@ import (
 	"testing/quick"
 
 	"repro/internal/consensus"
-	"repro/internal/consensus/ct"
 	"repro/internal/consensus/group"
 	"repro/internal/consensus/rsm"
-	"repro/internal/consensus/synod"
 	"repro/internal/core"
 	"repro/internal/detector/alltoall"
 	"repro/internal/detector/source"
@@ -55,19 +53,6 @@ func allMessages() []node.Message {
 		core.RebuffMsg{Epoch: 9},
 		alltoall.AliveMsg{},
 		source.AliveMsg{Counters: []uint64{1, 0, 99}},
-		synod.PrepareMsg{B: 17},
-		synod.PromiseMsg{B: 17, AccB: 5, AccV: "v"},
-		synod.NackMsg{B: 17, Promised: 20},
-		synod.AcceptMsg{B: 17, V: "value with spaces"},
-		synod.AcceptedMsg{B: 17},
-		synod.DecideMsg{V: "final"},
-		synod.LearnMsg{},
-		synod.RequestMsg{V: "req"},
-		ct.EstimateMsg{R: 3, Est: "e", TS: 2},
-		ct.ProposalMsg{R: 3, V: "p"},
-		ct.AckMsg{R: 3},
-		ct.NackMsg{R: 4},
-		ct.DecideMsg{V: "d"},
 		rsm.RequestMsg{V: "cmd"},
 		rsm.PrepareMsg{B: 9},
 		rsm.PromiseMsg{B: 9, Entries: []rsm.PromEntry{{Inst: 1, AccB: 2, AccV: "a"}, {Inst: 5, AccB: 9, AccV: "b"}}},
@@ -102,14 +87,12 @@ func TestRoundTripAllMessageTypes(t *testing.T) {
 }
 
 // TestRoundTripCoversEveryRegisteredKind pins every type code to its kind,
-// so that renumbering one fails here — codes are append only — and holds
-// allMessages to a message of each.
+// so that renumbering one fails here — codes are append only — and every
+// retired code (5–17, the synod and ct kinds) to ErrUnknownCode, so that
+// reusing one fails too; and it holds allMessages to a message of each.
 func TestRoundTripCoversEveryRegisteredKind(t *testing.T) {
 	codes := map[byte]string{
 		1: core.KindLeader, 2: core.KindAccuse, 3: alltoall.KindAlive, 4: source.KindAlive,
-		5: synod.KindPrepare, 6: synod.KindPromise, 7: synod.KindNack, 8: synod.KindAccept,
-		9: synod.KindAccepted, 10: synod.KindDecide, 11: synod.KindLearn, 12: synod.KindRequest,
-		13: ct.KindEstimate, 14: ct.KindProposal, 15: ct.KindAck, 16: ct.KindNack, 17: ct.KindDecide,
 		18: rsm.KindRequest, 19: rsm.KindPrepare, 20: rsm.KindPromise, 21: rsm.KindNack,
 		22: rsm.KindAccept, 23: rsm.KindAccepted, 24: rsm.KindDecide, 25: rsm.KindLearn,
 		26: core.KindRebuff, 27: rsm.KindLeaseGrant, 28: rsm.KindLeaseAck, 29: rsm.KindReadReq,
@@ -128,6 +111,11 @@ func TestRoundTripCoversEveryRegisteredKind(t *testing.T) {
 	for code, kind := range codes {
 		if e := c.byCode[code]; e == nil || e.kind != kind {
 			t.Errorf("code %d: %+v, want %s", code, e, kind)
+		}
+	}
+	for code := byte(5); code <= 17; code++ {
+		if _, err := c.Unmarshal([]byte{verVarintByte, code}); !errors.Is(err, ErrUnknownCode) {
+			t.Errorf("retired code %d: err = %v, want ErrUnknownCode", code, err)
 		}
 	}
 	covered := map[string]bool{}
