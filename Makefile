@@ -151,15 +151,16 @@ bench:
 
 # Just the per-message-path micro-benchmarks: observer sink recording and
 # wire encode/decode, then the per-command bookkeeping of the consensus
-# engine (decision recording, a pump that cannot propose, applying a
+# engine (decision recording at a follower and, RecordInstanceInOrder, at
+# the leader that proposed, a pump that cannot propose, applying a
 # 16-command batch) and BenchmarkFollowerCommit, a follower's whole share
 # of an instance (ACCEPT of a 16-command envelope, then the commit index:
-# vote, decide from the vote, apply). The SinkRecordSend and Wire*Encode
-# benches, the three bookkeeping benches and FollowerCommit must stay at 0
-# allocs/op: the ACCEPTED a follower sends is cut from a slab, a chunk per
-# 32. Phase2Round is one instance of three replicas on hand-driven envs —
-# ACCEPT broadcast, two ACCEPTEDs, the commit index — at 1 alloc/op, the
-# leader's copy of the command it proposes alone. Then the turn: StationTurn is
+# vote, decide from the vote, apply), and Phase2Round, one instance of
+# three replicas on hand-driven envs (ACCEPT broadcast, two ACCEPTEDs, the
+# commit index). The SinkRecordSend and Wire*Encode benches, the four
+# bookkeeping benches, FollowerCommit and Phase2Round must stay at 0
+# allocs/op: the phase-2 messages are cut from slabs, a chunk per 32, and
+# the value the leader proposes from its arena. Then the turn: StationTurn is
 # one steady-state turn of a leader's node loop (ten requests and a vote
 # in, one ACCEPT broadcast out; ns and allocs per ten commands), WALTurn
 # sixteen votes flushed once against sixteen flushed one by one,
@@ -182,7 +183,7 @@ BENCHTIME ?= 1s
 bench-micro:
 	$(GO) test -run '^$$' -bench 'SinkRecordSend|Wire' -benchmem -benchtime $(BENCHTIME) .
 	$(GO) test -run '^$$' -bench 'Envelope|ConnDecode' -benchmem -benchtime $(BENCHTIME) ./internal/wire
-	$(GO) test -run '^$$' -bench 'RecorderRecord|BatcherPumpFull|ApplyBatch16|FollowerCommit|Phase2Round|SubmitWithBacklog|LeaseReadTurn' -benchmem -benchtime $(BENCHTIME) ./internal/consensus ./internal/consensus/rsm
+	$(GO) test -run '^$$' -bench 'RecorderRecord|RecordInstanceInOrder|BatcherPumpFull|ApplyBatch16|FollowerCommit|Phase2Round|SubmitWithBacklog|LeaseReadTurn' -benchmem -benchtime $(BENCHTIME) ./internal/consensus ./internal/consensus/rsm
 	$(GO) test -run '^$$' -bench 'StationTurn|WALTurn' -benchmem -benchtime $(BENCHTIME) ./internal/transport ./internal/durable
 	$(GO) test -run '^$$' -bench TCPSendBatched -benchmem -benchtime $(BENCHTIME) ./internal/transport
 

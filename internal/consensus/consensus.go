@@ -53,13 +53,19 @@ type Decision struct {
 	Elapsed time.Duration
 }
 
-// row is what a Recorder keeps of one decided instance: the value as it was
-// proposed, its n commands cut apart only when read, and when it was
-// learned. Record's row is the one-command case: v is the command, cmd its
-// index. 40 bytes: a command index and a count each fit an int32.
+// row is what a Recorder keeps of one decided instance: its value and when
+// it was learned, 24 bytes. Which command slots it holds is its key: a row
+// of a dense log is instance base+p, its commands cut from v on read; a row
+// of a keyed log says so in keys[p].
 type row struct {
-	v      Value
-	at     sim.Time
+	v  Value
+	at sim.Time
+}
+
+// key names the command slots of a row of a keyed log: the instance, the
+// first command's index and the count. A count other than one is cut from
+// the row's value on read; a row of one command holds the command itself.
+type key struct {
 	inst   int
 	cmd, n int32
 }
@@ -68,22 +74,28 @@ type row struct {
 // concurrent use so live transports can observe it.
 //
 // The commands batched into an instance share its number, its learning time
-// and its bytes, so there is one row per instance (RecordInstance), in
-// learning order, cut into a Decision per command on read. A lookup is a
-// binary search of the rows by (instance, first command): of the log itself
-// while every row has arrived in that order, as rsm's applier records, and
-// of sorted, an index built when the first row arrives out of it — exact for
-// any input, sized by nothing but the rows. The learner is the Recorder's
-// own: the first record names it. Elapsed, which only the proposing leader
-// knows, is kept beside the log for the rows that have one, and el, one
-// place per row from the first such row on, says where each row's begin.
+// and its bytes, so there is one row per instance, in learning order, cut
+// into a Decision per command on read. While every row has come from
+// RecordInstance at the next instance — how rsm's applier records — the log
+// is dense: row p is instance base+p, it keeps the value exactly as decided,
+// and a lookup is a subtraction. The first row that breaks that — a Record,
+// a gap, an older instance — gives every row a key, and from then on a lookup
+// is a binary search by (instance, first command): of the keys themselves
+// while they arrive in that order, and of sorted, an index built when the
+// first one does not — exact for any input, sized by nothing but the rows. The
+// learner is the Recorder's own: the first record names it. Elapsed, which
+// only the proposing leader knows, is kept beside the log for the rows that
+// have one, and el, one place per row from the first such row on, says where
+// each row's begin.
 type Recorder struct {
 	// Split, set before anything is recorded, appends the commands in an
 	// instance's value to cmds, in order; without it a value is one command.
 	Split   func(cmds []Value, v Value) []Value
 	mu      sync.Mutex
 	log     []row
-	sorted  []int32 // empty while the log is in order
+	base    int     // the instance of log[0] while the log is dense
+	keys    []key   // per row; nil while the log is dense
+	sorted  []int32 // empty while the keys are in order
 	n       int     // decisions in log
 	by      node.ID
 	el      []int32 // per row, one past where its Elapsed begin; 0: none
@@ -109,22 +121,31 @@ func (r *Recorder) AddNotify(fn func(d Decision)) {
 	r.notify = append(r.notify, fn)
 }
 
-// cut returns the decisions of row p of the log, good until the next cut;
-// the caller holds the lock. A row not yet added (p == len(log)) is cut to
-// find out what it holds.
-func (r *Recorder) cut(w *row, p int) []Decision {
+// key returns row p's key (lock held). A dense row's count is not kept: it
+// reads -1, cut from the value.
+func (r *Recorder) key(p int) key {
+	if r.keys == nil {
+		return key{inst: r.base + p, n: -1}
+	}
+	return r.keys[p]
+}
+
+// cut returns the decisions of row w, keyed k, at place p of the log, good
+// until the next cut; the caller holds the lock. A row not yet added (p ==
+// len(log)) is cut to find out what it holds.
+func (r *Recorder) cut(w row, k key, p int) []Decision {
 	r.cmds, r.buf = append(r.cmds[:0], w.v), r.buf[:0]
-	if w.n != 1 && r.Split != nil {
+	if k.n != 1 && r.Split != nil {
 		r.cmds = r.Split(r.cmds[:0], w.v)
 	}
 	el := 0
 	if p < len(r.el) {
 		el = int(r.el[p])
 	}
-	for k, cmd := range r.cmds {
-		d := Decision{Instance: w.inst, Cmd: int(w.cmd) + k, Value: cmd, At: w.at, By: r.by}
+	for j, cmd := range r.cmds {
+		d := Decision{Instance: k.inst, Cmd: int(k.cmd) + j, Value: cmd, At: w.at, By: r.by}
 		if el > 0 {
-			d.Elapsed = r.elapsed[el-1+k]
+			d.Elapsed = r.elapsed[el-1+j]
 		}
 		r.buf = append(r.buf, d)
 	}
@@ -139,6 +160,22 @@ func (r *Recorder) learner(by node.ID) {
 	}
 }
 
+// index gives every row of a dense log its key (lock held): the log is about
+// to take a row that breaks its density. A row of one command is unwrapped,
+// as a keyed row of one command holds it: a lone command that begins with
+// the batch marker rides in an envelope, and cut would split the bare
+// command as if it were one.
+func (r *Recorder) index() {
+	r.keys = make([]key, len(r.log), 2*len(r.log)+1)
+	for p := range r.keys {
+		ds := r.cut(r.log[p], key{n: -1}, p)
+		r.keys[p] = key{inst: r.base + p, n: int32(len(ds))}
+		if len(ds) == 1 {
+			r.log[p].v = ds[0].Value
+		}
+	}
+}
+
 // rank returns the place in the log of the i-th row in (instance, first
 // command) order (lock held).
 func (r *Recorder) rank(i int) int {
@@ -148,34 +185,37 @@ func (r *Recorder) rank(i int) int {
 	return int(r.sorted[i])
 }
 
-// find returns the place in the log of the row that holds a command slot's
-// decision, or -1, and how many rows sort at or before the slot: the last of
-// them is the only one that can hold it, and a row for it goes after them.
-// The caller holds the lock.
+// find returns the place in a keyed log of the row that holds a command
+// slot's decision, or -1, and how many rows sort at or before the slot: the
+// last of them is the only one that can hold it, and a row for it goes after
+// them. The caller holds the lock.
 func (r *Recorder) find(inst, cmd int) (p, i int) {
-	i = sort.Search(len(r.log), func(i int) bool {
-		w := &r.log[r.rank(i)]
-		return w.inst > inst || w.inst == inst && int(w.cmd) > cmd
+	i = sort.Search(len(r.keys), func(i int) bool {
+		k := &r.keys[r.rank(i)]
+		return k.inst > inst || k.inst == inst && int(k.cmd) > cmd
 	})
 	if i > 0 {
-		if p = r.rank(i - 1); r.log[p].inst == inst && uint(cmd-int(r.log[p].cmd)) < uint(r.log[p].n) {
+		if p = r.rank(i - 1); r.keys[p].inst == inst && uint(cmd-int(r.keys[p].cmd)) < uint(r.keys[p].n) {
 			return p, i
 		}
 	}
 	return -1, i
 }
 
-// add appends w, whose decisions are ds, as the i-th row in (instance, first
-// command) order (lock held).
-func (r *Recorder) add(w row, i int, ds []Decision) {
-	if len(r.sorted) == 0 && i < len(r.log) { // the first row out of order: index them all
-		r.sorted = make([]int32, len(r.log), 2*len(r.log)+1)
-		for p := range r.sorted {
-			r.sorted[p] = int32(p)
+// add appends w, whose decisions are ds — keyed k as the i-th row in
+// (instance, first command) order once the log is keyed — (lock held).
+func (r *Recorder) add(w row, k key, i int, ds []Decision) {
+	if r.keys != nil {
+		if len(r.sorted) == 0 && i < len(r.keys) { // the first key out of order: index them all
+			r.sorted = make([]int32, len(r.keys), 2*len(r.keys)+1)
+			for p := range r.sorted {
+				r.sorted[p] = int32(p)
+			}
 		}
-	}
-	if len(r.sorted) > 0 {
-		r.sorted = slices.Insert(r.sorted, i, int32(len(r.log)))
+		if len(r.sorted) > 0 {
+			r.sorted = slices.Insert(r.sorted, i, int32(len(r.keys)))
+		}
+		r.keys = append(r.keys, k)
 	}
 	el := int32(0)
 	if slices.ContainsFunc(ds, func(d Decision) bool { return d.Elapsed != 0 }) {
@@ -191,18 +231,21 @@ func (r *Recorder) add(w row, i int, ds []Decision) {
 		r.el = append(r.el, el)
 	}
 	r.log = append(r.log, w)
-	r.n += int(w.n)
+	r.n += len(ds)
 }
 
 // Record stores the first decision for a command slot; later records for
 // the same (instance, cmd) are ignored (integrity is checked elsewhere).
 func (r *Recorder) Record(d Decision) {
 	r.mu.Lock()
+	if r.keys == nil {
+		r.index()
+	}
 	var notify []func(Decision)
 	if p, i := r.find(d.Instance, d.Cmd); p < 0 {
 		r.learner(d.By)
 		r.buf = append(r.buf[:0], d)
-		r.add(row{v: d.Value, at: d.At, inst: d.Instance, cmd: int32(d.Cmd), n: 1}, i, r.buf)
+		r.add(row{v: d.Value, at: d.At}, key{inst: d.Instance, cmd: int32(d.Cmd), n: 1}, i, r.buf)
 		notify = r.notify[:len(r.notify):len(r.notify)]
 	}
 	r.mu.Unlock()
@@ -218,17 +261,25 @@ func (r *Recorder) Record(d Decision) {
 func (r *Recorder) RecordInstance(inst int, v Value, at sim.Time, by node.ID, enq []sim.Time) {
 	r.mu.Lock()
 	r.learner(by)
-	w := row{v: v, at: at, inst: inst}
-	ds := r.cut(&w, len(r.log))
-	for k := range ds[:min(len(ds), len(enq))] {
-		ds[k].Elapsed = at.Sub(enq[k])
+	if r.keys == nil && len(r.log) > 0 && inst != r.base+len(r.log) {
+		r.index() // a gap or an older instance
 	}
-	if w.n = int32(len(ds)); w.n == 1 {
-		w.v = ds[0].Value // a lone command, out of its envelope if it came in one
+	w, k := row{v: v, at: at}, key{inst: inst, n: -1}
+	ds := r.cut(w, k, len(r.log))
+	for j := range ds[:min(len(ds), len(enq))] {
+		ds[j].Elapsed = at.Sub(enq[j])
 	}
 	tell := r.notify[:len(r.notify):len(r.notify)]
-	if _, i := r.find(inst, math.MaxInt); i == 0 || r.log[r.rank(i-1)].inst != inst {
-		r.add(w, i, ds)
+	if r.keys == nil {
+		if len(r.log) == 0 {
+			r.base = inst
+		}
+		r.add(w, k, 0, ds)
+	} else if _, i := r.find(inst, math.MaxInt); i == 0 || r.keys[r.rank(i-1)].inst != inst {
+		if k.n = int32(len(ds)); k.n == 1 {
+			w.v = ds[0].Value // a lone command, out of its envelope if it came in one
+		}
+		r.add(w, k, i, ds)
 	} else {
 		tell = []func(Decision){r.Record} // the instance has rows: slot by slot
 	}
@@ -251,8 +302,15 @@ func (r *Recorder) Get(instance int) (Decision, bool) { return r.GetCmd(instance
 func (r *Recorder) GetCmd(instance, cmd int) (Decision, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if p, _ := r.find(instance, cmd); p >= 0 {
-		return r.cut(&r.log[p], p)[cmd-int(r.log[p].cmd)], true
+	p := instance - r.base
+	if r.keys != nil {
+		p, _ = r.find(instance, cmd)
+	}
+	if p >= 0 && p < len(r.log) {
+		k := r.key(p)
+		if ds := r.cut(r.log[p], k, p); uint(cmd-int(k.cmd)) < uint(len(ds)) {
+			return ds[cmd-int(k.cmd)], true
+		}
 	}
 	return Decision{}, false
 }
@@ -276,12 +334,12 @@ func (r *Recorder) All() []Decision {
 // order, without copying the log. fn runs outside the recorder's lock.
 func (r *Recorder) Each(fn func(d Decision)) {
 	r.mu.Lock()
-	log := r.log // a row never changes once it is there
+	rows := len(r.log) // a row keeps its place and its decisions once it is there
 	r.mu.Unlock()
 	var ds []Decision
-	for p := range log {
+	for p := 0; p < rows; p++ {
 		r.mu.Lock()
-		ds = append(ds[:0], r.cut(&log[p], p)...)
+		ds = append(ds[:0], r.cut(r.log[p], r.key(p), p)...)
 		r.mu.Unlock()
 		for _, d := range ds {
 			fn(d)

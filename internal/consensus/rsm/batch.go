@@ -33,19 +33,22 @@ const MaxValue = 1<<20 - 1<<8
 // cmdLen is what cmd adds to an envelope: its length prefix and its bytes.
 func cmdLen(cmd consensus.Value) int { return uvarintLen(len(cmd)) + len(cmd) }
 
-// encodeBatch packs commands into one proposable value. A lone command
-// without the marker prefix is proposed raw — the unbatched fast path
-// keeps old logs, tests and tools readable.
-func encodeBatch(cmds []consensus.Value) consensus.Value {
+// encodeBatch packs commands into one proposable value, cut from a (the
+// batcher's vals). A lone command without the marker prefix is proposed raw
+// — the unbatched fast path keeps old logs, tests and tools readable — but
+// copied all the same: the log keeps what it proposes, and a lone command
+// came over a socket as a substring of the chunk its connection's decoder cut
+// it from (wire.ConnDecoder), which one kept command would pin whole.
+func encodeBatch(a *node.Arena, cmds []consensus.Value) consensus.Value {
 	if len(cmds) == 1 && !strings.HasPrefix(string(cmds[0]), batchPrefix) {
-		return cmds[0]
+		a.Grow(len(cmds[0])).WriteString(string(cmds[0]))
+		return consensus.Value(a.Cut())
 	}
 	size := len(batchPrefix) + uvarintLen(len(cmds))
 	for _, c := range cmds {
 		size += cmdLen(c)
 	}
-	var sb strings.Builder // sized exactly: the value is built once, in place
-	sb.Grow(size)
+	sb := a.Grow(size) // sized exactly: the value is built once, in place
 	sb.WriteString(batchPrefix)
 	var num [binary.MaxVarintLen64]byte
 	sb.Write(num[:binary.PutUvarint(num[:], uint64(len(cmds)))])
@@ -53,7 +56,7 @@ func encodeBatch(cmds []consensus.Value) consensus.Value {
 		sb.Write(num[:binary.PutUvarint(num[:], uint64(len(c)))])
 		sb.WriteString(string(c))
 	}
-	return consensus.Value(sb.String())
+	return consensus.Value(a.Cut())
 }
 
 // uvarintLen is how many bytes binary.PutUvarint spends on x.
@@ -141,6 +144,7 @@ type batcher struct {
 	ring             []pendingCmd // len is a power of two
 	head, next, tail int
 	cmds             []consensus.Value // take's scratch: the batch being encoded
+	vals             node.Arena        // what the values proposed are cut from
 
 	fwd       int
 	fwdTo     node.ID
@@ -240,16 +244,7 @@ func (r *Node) pumpBatches(force bool) {
 			// enqueue to batch formation.
 			r.cfg.Tracer.Record(fl.enq[i], now, ctx, "queue", -1, "")
 		}
-		v := encodeBatch(cmds)
-		if len(cmds) == 1 {
-			// The log keeps what it proposes, and a lone command is
-			// proposed as it came — over a socket, as a substring of the
-			// chunk its connection's decoder cut it from (wire.ConnDecoder),
-			// which one kept command would pin whole. A batch is a copy
-			// already.
-			v = consensus.Value(strings.Clone(string(v)))
-		}
-		r.propose(v, fl)
+		r.propose(encodeBatch(&r.bat.vals, cmds), fl)
 	}
 }
 

@@ -2,6 +2,7 @@ package rsm
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -76,6 +77,65 @@ func TestBroadcastSharesOneBox(t *testing.T) {
 	}
 }
 
+// TestProposedValuesReadBackWhole: the values a leader proposes are cut from
+// its arena, and every replica's Recorder keeps them. After the leader has
+// cut several chunks' worth — lone commands copied raw, commands that begin
+// with the batch marker wrapped, batches built in place — every decision of
+// every replica reads back byte for byte what its applier saw when the
+// instance was applied, and every command submitted is among them. An arena
+// that wrote over a chunk it had handed strings out of fails it.
+func TestProposedValuesReadBackWhole(t *testing.T) {
+	const n, commands = 3, 3000
+	c := newCluster(t, n, 5, network.Timely(ms))
+	applied := make([][]consensus.Value, n)
+	for i, r := range c.nodes {
+		r.OnApply(func(_, _ int, v consensus.Value) {
+			applied[i] = append(applied[i], consensus.Value(strings.Clone(string(v))))
+		})
+	}
+	c.world.Start()
+	c.world.RunFor(200 * ms)
+	submitted, bytes := map[consensus.Value]bool{}, 0
+	for i := 0; i < commands; i++ {
+		v := consensus.Value(fmt.Sprintf("%06d-%s", i, strings.Repeat(string(rune('a'+i%26)), 40+i%90)))
+		if i%7 == 0 {
+			v = batchPrefix + v
+		}
+		submitted[v], bytes = true, bytes+len(v)
+		c.nodes[i%n].Submit(v)
+		if i%50 < 25 {
+			c.world.RunFor(3 * ms) // one at a time: proposed alone
+		}
+	}
+	c.world.RunFor(time.Second)
+	if bytes < 3*64<<10 {
+		t.Fatalf("%d bytes of commands: fewer than three arena chunks", bytes)
+	}
+	for i, r := range c.nodes {
+		lone, batched := 0, 0
+		all := r.Recorder().All()
+		for k, d := range all {
+			if k >= len(applied[i]) || d.Value != applied[i][k] {
+				t.Fatalf("p%d's decision %d of %d reads back %.30q, applied as %.30q", i, k, len(all), d.Value, applied[i][min(k, len(applied[i])-1)])
+			}
+			delete(submitted, d.Value)
+			switch {
+			case d.Cmd > 0:
+			case k+1 < len(all) && all[k+1].Cmd > 0:
+				batched++
+			default:
+				lone++
+			}
+		}
+		if len(all) != len(applied[i]) || lone < 100 || batched < 100 {
+			t.Fatalf("p%d: %d decisions for %d applied, %d instances of one command and %d batches", i, len(all), len(applied[i]), lone, batched)
+		}
+	}
+	if len(submitted) > 0 {
+		t.Fatalf("%d commands submitted were never decided", len(submitted))
+	}
+}
+
 // phase2Cluster is a prepared leader p0 and its two followers, each on a
 // hand-driven env whose outbox the caller delivers from.
 type phase2Cluster struct {
@@ -116,9 +176,9 @@ func (c *phase2Cluster) round(req node.Message) {
 
 // BenchmarkPhase2Round is one steady-state instance of three replicas on a
 // hand-driven env, its REQ prebuilt: the ACCEPT broadcast, the two
-// ACCEPTEDs and the commit index. Its one allocation is the leader's copy
-// of the command it proposes alone (batch.go, pump); the four boxes the
-// round sends are cut from slabs, a chunk per 32.
+// ACCEPTEDs and the commit index, at 0 allocs/op: the four boxes the round
+// sends are cut from slabs, a chunk per 32, and the leader's copy of the
+// command it proposes alone from its arena (encodeBatch).
 func BenchmarkPhase2Round(b *testing.B) {
 	c := newPhase2Cluster(b)
 	var req node.Message = RequestMsg{V: "command-with-a-64-byte-payload-like-the-benchmark-sends........."}

@@ -39,7 +39,7 @@ func TestBatchCodecRoundTrip(t *testing.T) {
 		{"binary\x00\xffstuff", consensus.Value(make([]byte, 300))},
 	}
 	for _, cmds := range cases {
-		env := encodeBatch(cmds)
+		env := encodeBatch(new(node.Arena), cmds)
 		got := DecodeBatch(env)
 		if len(got) != len(cmds) {
 			t.Fatalf("round-trip of %q: %d commands, want %d", cmds, len(got), len(cmds))
@@ -51,11 +51,11 @@ func TestBatchCodecRoundTrip(t *testing.T) {
 		}
 	}
 	// The unbatched fast path: a lone marker-free command is proposed raw.
-	if env := encodeBatch([]consensus.Value{"plain"}); env != "plain" {
+	if env := encodeBatch(new(node.Arena), []consensus.Value{"plain"}); env != "plain" {
 		t.Fatalf("single command encoded as %q, want raw", env)
 	}
 	// A marker-prefixed command must NOT pass through raw.
-	if env := encodeBatch([]consensus.Value{"\x00boops"}); env == "\x00boops" {
+	if env := encodeBatch(new(node.Arena), []consensus.Value{"\x00boops"}); env == "\x00boops" {
 		t.Fatal("marker-prefixed command leaked through unwrapped")
 	}
 	// Arbitrary non-envelope values decode as one command.

@@ -281,7 +281,7 @@ func TestLostProposalCommandsAreReproposed(t *testing.T) {
 	if !r.prop.prepared || r.prop.ballot <= lost {
 		t.Fatalf("ballot %v prepared=%v after the loss, want a fresh one above %v", r.prop.ballot, r.prop.prepared, lost)
 	}
-	want := encodeBatch([]consensus.Value{"stranded?", "me too"})
+	want := encodeBatch(new(node.Arena), []consensus.Value{"stranded?", "me too"})
 	if out = acceptsOf(env.drain()); out[1] != want {
 		t.Fatalf("accepts after the loss = %q, want both commands re-proposed in instance 1", out)
 	}
@@ -811,7 +811,7 @@ func TestNewLeaderServesNoLocalReadBeforeItsReproposalsDecide(t *testing.T) {
 // that fits is queued and proposed in an instance of its own.
 func TestOversizedCommandIsRefused(t *testing.T) {
 	fits := consensus.Value(strings.Repeat("v", MaxValue-len(batchPrefix)-1-uvarintLen(MaxValue)))
-	if v := encodeBatch([]consensus.Value{batchPrefix + fits[2:]}); len(v) != MaxValue {
+	if v := encodeBatch(new(node.Arena), []consensus.Value{batchPrefix + fits[2:]}); len(v) != MaxValue {
 		t.Fatalf("the largest command admitted makes a %d-byte value when wrapped, want %d", len(v), MaxValue)
 	}
 	for _, leader := range []node.ID{0, 1} {

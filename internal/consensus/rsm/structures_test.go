@@ -55,7 +55,7 @@ func FuzzDecodeBatch(f *testing.F) {
 		{batchPrefix, batchPrefix + "\x01\x01a", "plain"},
 		{consensus.Value(make([]byte, 300)), consensus.Noop},
 	} {
-		f.Add([]byte(encodeBatch(cmds)))
+		f.Add([]byte(encodeBatch(new(node.Arena), cmds)))
 	}
 	for _, raw := range []string{
 		"", "legacy", batchPrefix, batchPrefix + "\x02\x01a", // count 2, one command
@@ -91,7 +91,7 @@ func FuzzDecodeBatch(f *testing.F) {
 		}
 		// Whatever it decoded to re-encodes to something that decodes the
 		// same: the applier and a replaying tool always agree.
-		if back := DecodeBatch(encodeBatch(got)); len(got) > 0 && fmt.Sprint(back) != fmt.Sprint(got) {
+		if back := DecodeBatch(encodeBatch(new(node.Arena), got)); len(got) > 0 && fmt.Sprint(back) != fmt.Sprint(got) {
 			t.Fatalf("%q: re-encoded commands decode as %q, want %q", b, back, got)
 		}
 	})
@@ -106,13 +106,22 @@ func TestEncodeBatchSizesExactly(t *testing.T) {
 		for _, c := range cmds {
 			want += len(binary.AppendUvarint(nil, uint64(len(c)))) + len(c)
 		}
-		if got := len(encodeBatch(cmds)); got != want {
+		if got := len(encodeBatch(new(node.Arena), cmds)); got != want {
 			t.Fatalf("envelope of %d commands is %d bytes, want %d", len(cmds), got, want)
 		}
 	}
+	// A leader's values, envelopes and lone commands alike, are cut from its
+	// arena: a chunk per ~120 of these, which rounds to 0 a value.
+	var vals node.Arena
 	big := []consensus.Value{consensus.Value(make([]byte, 200)), consensus.Value(make([]byte, 300)), "c"}
-	if got := testing.AllocsPerRun(100, func() { encodeBatch(big) }); got != 1 {
-		t.Fatalf("encodeBatch allocates %.0f times, want 1: the value, built in place", got)
+	lone := []consensus.Value{consensus.Value(make([]byte, 64))}
+	if got := testing.AllocsPerRun(1000, func() { encodeBatch(&vals, big); encodeBatch(&vals, lone) }); got != 0 {
+		t.Fatalf("encodeBatch allocates %.0f times a value, want 0: cut from the arena, built in place", got)
+	}
+	// A lone command is proposed raw but copied: the log keeps it, and must
+	// not keep the chunk a connection's decoder cut it from with it.
+	if v := encodeBatch(&vals, lone); v != lone[0] || unsafe.StringData(string(v)) == unsafe.StringData(string(lone[0])) {
+		t.Fatal("a lone command was proposed as the caller's own string")
 	}
 }
 
@@ -389,7 +398,7 @@ func TestApplyAllocatesNothingPerCommand(t *testing.T) {
 		r.Start(env)
 		applied := 0
 		r.OnApply(func(int, int, consensus.Value) { applied++ })
-		inst, v := 0, encodeBatch(cmds) // built once: the pin counts the decision, not its making
+		inst, v := 0, encodeBatch(new(node.Arena), cmds) // built once: the pin counts the decision, not its making
 		decide := func() {
 			var m node.Message = &DecideMsg{Inst: inst, V: v}
 			r.Deliver(1, m)
@@ -423,7 +432,7 @@ func BenchmarkApplyBatch16(b *testing.B) {
 	for i := range cmds {
 		cmds[i] = consensus.Value(fmt.Sprintf("command-%02d-with-a-64-byte-payload-like-the-benchmark-sends....", i))
 	}
-	v := encodeBatch(cmds)
+	v := encodeBatch(new(node.Arena), cmds)
 	r := New(consensus.StaticLeader(1), Config{})
 	env := newFakeEnv(2, 3)
 	env.mute = true
@@ -448,7 +457,7 @@ func BenchmarkFollowerCommit(b *testing.B) {
 	for i := range cmds {
 		cmds[i] = consensus.Value(fmt.Sprintf("command-%02d-with-a-64-byte-payload-like-the-benchmark-sends....", i))
 	}
-	v := encodeBatch(cmds)
+	v := encodeBatch(new(node.Arena), cmds)
 	ballot := consensus.MakeBallot(0, 1, 3)
 	r := New(consensus.StaticLeader(1), Config{})
 	env := newFakeEnv(2, 3)

@@ -30,14 +30,14 @@ const (
 	SyncOff
 )
 
-// Options tunes a WAL. The zero value is safe: per-record fsync, 4 MiB
-// segments.
+// segmentBytes is the size past which a Flush rotates the segment.
+const segmentBytes = 4 << 20
+
+// Options tunes a WAL. The zero value is safe: per-record fsync.
 type Options struct {
 	Sync SyncPolicy
 	// GroupBytes is the SyncGroup flush threshold (default 64 KiB).
 	GroupBytes int
-	// SegmentBytes is the segment rotation threshold (default 4 MiB).
-	SegmentBytes int
 	// OnAppend, when set, observes the framed size of every appended
 	// record (telemetry: WAL append bytes).
 	OnAppend func(bytes int)
@@ -51,9 +51,6 @@ type Options struct {
 func (o *Options) fill() {
 	if o.GroupBytes <= 0 {
 		o.GroupBytes = 64 << 10
-	}
-	if o.SegmentBytes <= 0 {
-		o.SegmentBytes = 4 << 20
 	}
 }
 
@@ -265,7 +262,7 @@ func (w *WAL) Flush() {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.flush()
-	if w.size >= int64(w.opts.SegmentBytes) {
+	if w.size >= segmentBytes {
 		if err := w.rotate(); err != nil {
 			panic("durable: wal rotate: " + err.Error())
 		}

@@ -73,14 +73,36 @@ func TestAcceptImpliesPromise(t *testing.T) {
 	}
 }
 
+// quarter is a value a quarter of a segment long: a test that wants its log
+// to span segments writes a few.
+var quarter = strings.Repeat("q", segmentBytes/4)
+
+// segments counts dir's log segments.
+func segments(t *testing.T, dir string) int {
+	t.Helper()
+	segs, err := filepath.Glob(filepath.Join(dir, "wal-*.seg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return len(segs)
+}
+
 func TestRecoveryIsDeterministic(t *testing.T) {
 	dir := t.TempDir()
-	w := openT(t, dir, Options{Sync: SyncOff, SegmentBytes: 128})
+	w := openT(t, dir, Options{Sync: SyncOff})
 	for i := 0; i < 200; i++ {
-		w.Accept(uint64(i), 5, strings.Repeat("x", i%17))
-		w.Decide(uint64(i), strings.Repeat("x", i%17))
+		v := strings.Repeat("x", i%17)
+		if i%40 == 0 {
+			v = quarter
+		}
+		w.Accept(uint64(i), 5, v)
+		w.Decide(uint64(i), v)
+		w.Flush()
 	}
 	w.Close()
+	if n := segments(t, dir); n < 2 {
+		t.Fatalf("only %d segment: the log does not span segments", n)
+	}
 	a := openT(t, dir, Options{Sync: SyncOff})
 	stA := a.State()
 	a.Close()
@@ -132,12 +154,15 @@ func TestTornTailIsTruncated(t *testing.T) {
 
 func TestCorruptMiddleSegmentFailsOpen(t *testing.T) {
 	dir := t.TempDir()
-	w := openT(t, dir, Options{Sync: SyncOff, SegmentBytes: 64})
-	for i := 0; i < 50; i++ {
-		w.Decide(uint64(i), "0123456789abcdef")
+	w := openT(t, dir, Options{Sync: SyncOff})
+	for i := 0; i < 6; i++ {
+		w.Decide(uint64(i), quarter)
 		w.Flush() // segments rotate as records are written, not as they are buffered
 	}
 	w.Close()
+	if n := segments(t, dir); n < 2 {
+		t.Fatalf("only %d segment: none to corrupt in the middle", n)
+	}
 	// Flip a byte in the first (non-newest) segment.
 	path := filepath.Join(dir, segName(1))
 	data, err := os.ReadFile(path)
@@ -220,21 +245,24 @@ func TestGroupCommitAndRotationSurviveReopen(t *testing.T) {
 	dir := t.TempDir()
 	var fsyncs, appendBytes int
 	w := openT(t, dir, Options{
-		Sync:         SyncGroup,
-		GroupBytes:   64,
-		SegmentBytes: 256,
-		OnFsync:      func(time.Duration) { fsyncs++ },
-		OnAppend:     func(n int) { appendBytes += n },
+		Sync:       SyncGroup,
+		GroupBytes: 64,
+		OnFsync:    func(time.Duration) { fsyncs++ },
+		OnAppend:   func(n int) { appendBytes += n },
 	})
 	for i := 0; i < 100; i++ {
-		w.Decide(uint64(i), "0123456789abcdef")
+		v := "0123456789abcdef"
+		if i%20 == 0 {
+			v = quarter
+		}
+		w.Decide(uint64(i), v)
 		if i%3 == 2 {
-			w.Flush() // turns of three records: several per fsync group and per segment
+			w.Flush() // turns of three records: several per fsync group, and per segment
 		}
 	}
 	w.Close()
-	if segs, _ := filepath.Glob(filepath.Join(dir, "wal-*.seg")); len(segs) < 5 {
-		t.Fatalf("%d segments after 100 records at 256 bytes each, want rotation", len(segs))
+	if n := segments(t, dir); n < 2 {
+		t.Fatalf("only %d segment after five records a quarter of one, want rotation", n)
 	}
 	if fsyncs == 0 {
 		t.Fatal("group commit never fsynced")

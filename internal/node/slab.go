@@ -9,8 +9,7 @@ const slabChunk = 32
 // Slab boxes T values for a sender or a decoder that hands out a message of
 // one kind after another: it allocates slabChunk of them at a time and cuts
 // each box from the current chunk, one allocation per chunk instead of one
-// per value. It is append-only, the struct-level sibling of wire.Decoder's
-// string arena: a slot is handed out once and never rewound or reused, and a
+// per value. It is append-only, the struct-level sibling of Arena: a slot is handed out once and never rewound or reused, and a
 // full chunk is abandoned to the garbage collector, which frees it when the
 // last pointer into it dies. So a box is never written again once New has
 // returned it — which is what lets n−1 receivers of one broadcast share it —

@@ -12,12 +12,12 @@ import (
 	"repro/internal/sim"
 )
 
-// DefaultQuiescenceWindow is the sliding window over which link activity
-// is judged: a directed link is "active" if it carried a message within
-// the window. One second comfortably covers every heartbeat period used
-// in this repository while staying short enough that stabilization shows
-// up within a couple of scrapes.
-const DefaultQuiescenceWindow = time.Second
+// QuiescenceWindow is the sliding window over which link activity is
+// judged: a directed link is "active" if it carried a message within the
+// window. One second comfortably covers every heartbeat period used in this
+// repository while staying short enough that stabilization shows up within
+// a couple of scrapes.
+const QuiescenceWindow = time.Second
 
 // Series names one of the collector's histograms (see seriesTable).
 type Series int
@@ -86,7 +86,6 @@ type Collector struct {
 	n     int
 	clock func() sim.Time
 	stats *metrics.MessageStats
-	win   time.Duration
 
 	// hbKind marks the message kinds treated as heartbeats for
 	// inter-arrival tracking; lastHB holds the previous delivery time per
@@ -128,23 +127,12 @@ func WithClock(fn func() sim.Time) Option {
 	return func(c *Collector) { c.clock = fn }
 }
 
-// WithQuiescenceWindow sets the sliding window for the active-links gauge
-// (default DefaultQuiescenceWindow).
-func WithQuiescenceWindow(d time.Duration) Option {
-	return func(c *Collector) {
-		if d > 0 {
-			c.win = d
-		}
-	}
-}
-
 // New returns a collector for an n-process system. Deliveries of the
 // repository's heartbeat kinds — LEADER (core), ALIVE (alltoall), ALIVE-V
 // (source) — feed the inter-arrival histogram.
 func New(n int, opts ...Option) *Collector {
 	c := &Collector{
 		n:      n,
-		win:    DefaultQuiescenceWindow,
 		lastHB: make([]atomic.Int64, n*n),
 		agree:  obs.NewAgreement(n),
 		probes: make(map[int][]LeaseProbe),
@@ -294,7 +282,7 @@ func (c *Collector) ActiveLinks() int {
 	if c.stats == nil {
 		return 0
 	}
-	since := c.clock() - sim.Time(c.win)
+	since := c.clock() - sim.Time(QuiescenceWindow)
 	if since < 0 {
 		since = 0
 	}

@@ -147,7 +147,7 @@ func TestHeartbeatJitter(t *testing.T) {
 func TestQuiescenceGauges(t *testing.T) {
 	clk := &fakeClock{}
 	stats := metrics.NewMessageStats(3)
-	c := New(3, WithClock(clk.now), WithQuiescenceWindow(100*time.Millisecond))
+	c := New(3, WithClock(clk.now))
 	c.AttachStats(stats)
 
 	leaderKind := obs.Intern("LEADER")
@@ -182,9 +182,9 @@ func TestQuiescenceGauges(t *testing.T) {
 
 	// Steady state: only the leader's links stay active once the window
 	// slides past the early chatter.
-	stats.OnSend(sim.At(500*time.Millisecond), 0, 1, leaderKind)
-	stats.OnSend(sim.At(500*time.Millisecond), 0, 2, leaderKind)
-	clk.set(550 * time.Millisecond)
+	stats.OnSend(sim.At(1500*time.Millisecond), 0, 1, leaderKind)
+	stats.OnSend(sim.At(1500*time.Millisecond), 0, 2, leaderKind)
+	clk.set(QuiescenceWindow + 550*time.Millisecond)
 	if got := c.ActiveLinks(); got != 2 {
 		t.Fatalf("active links = %d in steady state, want n-1 = 2", got)
 	}

@@ -3,7 +3,6 @@ package telemetry
 import (
 	"encoding/json"
 	"os"
-	"time"
 
 	"repro/internal/obs"
 )
@@ -72,7 +71,7 @@ func (c *Collector) Dump() Dump {
 		Decides:        c.Decides(),
 		ActiveLinks:    c.ActiveLinks(),
 		NonLeaderSends: c.NonLeaderSends(),
-		WindowNS:       int64(c.win / time.Nanosecond),
+		WindowNS:       int64(QuiescenceWindow),
 		SentByKind:     map[string]uint64{},
 		Histograms:     make(map[string]HistJSON, numSeries),
 	}

@@ -74,7 +74,7 @@ func (c *Collector) WritePrometheus(w io.Writer) {
 		"Directed links that carried a message within the quiescence window.",
 		float64(c.ActiveLinks()))
 	gauge("omega_quiescence_window_seconds",
-		"Sliding window used by omega_active_links.", c.win.Seconds())
+		"Sliding window used by omega_active_links.", QuiescenceWindow.Seconds())
 	gauge("omega_non_leader_sends_total",
 		"Messages sent by processes other than the stable leader.",
 		float64(c.NonLeaderSends()))

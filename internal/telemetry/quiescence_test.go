@@ -23,11 +23,10 @@ import (
 // this doubles as a concurrency test of the whole observer pipeline.
 func TestQuiescenceEndToEnd(t *testing.T) {
 	const (
-		n      = 5
-		eta    = 4 * time.Millisecond
-		window = 300 * time.Millisecond
+		n   = 5
+		eta = 4 * time.Millisecond
 	)
-	tel := telemetry.New(n, telemetry.WithQuiescenceWindow(window))
+	tel := telemetry.New(n)
 
 	// A generous timeout keeps goroutine-scheduling jitter on loaded CI
 	// machines from triggering spurious accusations mid-test.
@@ -66,7 +65,7 @@ func TestQuiescenceEndToEnd(t *testing.T) {
 	// Communication efficiency: over a full observation window, the
 	// non-leader counter (net of accusations/rebuffs) must not move.
 	base := tel.NonLeaderSends(core.KindAccuse, core.KindRebuff)
-	time.Sleep(window)
+	time.Sleep(telemetry.QuiescenceWindow)
 	if got := tel.NonLeaderSends(core.KindAccuse, core.KindRebuff); got != base {
 		t.Errorf("non-leader sends moved %d -> %d during steady state", base, got)
 	}
@@ -112,11 +111,8 @@ func TestQuiescenceLiveTCPMetricsEndpoint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live TCP e2e; skipped in -short")
 	}
-	const (
-		n      = 5
-		window = 300 * time.Millisecond
-	)
-	tel := telemetry.New(n, telemetry.WithQuiescenceWindow(window))
+	const n = 5
+	tel := telemetry.New(n)
 	dets := make([]*core.Detector, n)
 	autos := make([]node.Automaton, n)
 	for i := range autos {
@@ -176,7 +172,7 @@ func TestQuiescenceLiveTCPMetricsEndpoint(t *testing.T) {
 	if !ok {
 		t.Fatal("omega_non_leader_sends_total missing from /metrics")
 	}
-	time.Sleep(window)
+	time.Sleep(telemetry.QuiescenceWindow)
 	after, _ := scrape("omega_non_leader_sends_total")
 	if after != before {
 		t.Errorf("omega_non_leader_sends_total moved %v -> %v during steady state", before, after)

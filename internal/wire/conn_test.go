@@ -67,7 +67,7 @@ func TestConnDecoderArenaIntegrity(t *testing.T) {
 			buf[j] = 0xAA
 		}
 	}
-	if turnovers := frames * len(value(0)) / arenaChunk; turnovers < 10 {
+	if turnovers := frames * len(value(0)) / (64 << 10); turnovers < 10 { // node.Arena's chunk
 		t.Fatalf("only %d chunk turnovers: the test no longer exercises them", turnovers)
 	}
 	for i, m := range kept {

@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"strings"
 	"sync"
 
 	"repro/internal/node"
@@ -278,17 +277,13 @@ type Decoder struct {
 }
 
 // connArena is what a connection's decoded messages are cut from: Str
-// copies strings into chunk instead of allocating each on its own, and slot
+// copies strings into strs instead of allocating each on its own, and slot
 // boxes a message of a pointer kind in slabs[code], a *node.Slab of that
 // kind, instead of allocating each box on its own.
 type connArena struct {
-	chunk strings.Builder
+	strs  node.Arena
 	slabs [codeLimit]any
 }
-
-// arenaChunk is how many bytes of decoded strings share one allocation on
-// a ConnDecoder: ~900 of the benchmark's 70-byte commands.
-const arenaChunk = 64 << 10
 
 // Fail records err as the frame's failure unless one is recorded, and
 // empties the buffer, so that every later read fails.
@@ -353,26 +348,14 @@ func (d *Decoder) Str() string {
 	return s
 }
 
-// copyOut returns b as a string that shares nothing with b. An arena
-// decoder appends the bytes to its current chunk and returns a string over
-// them: one allocation per chunk instead of one per string. The chunk is
-// append-only — a full one is abandoned to the garbage collector, which
-// frees it when the last string cut from it dies, and is never rewound —
-// so a string handed out is never written again. A string of more than an
-// eighth of a chunk is allocated on its own rather than strand the rest of
-// the chunk it does not fit in.
+// copyOut returns b as a string that shares nothing with b: cut from the
+// connection's node.Arena on an arena decoder, an allocation of its own on a
+// shared one.
 func (d *Decoder) copyOut(b []byte) string {
-	if d.arena == nil || len(b) > arenaChunk/8 {
+	if d.arena == nil {
 		return string(b)
 	}
-	chunk := &d.arena.chunk
-	if chunk.Cap()-chunk.Len() < len(b) {
-		chunk.Reset() // lets go of the old chunk without touching it
-		chunk.Grow(arenaChunk)
-	}
-	at := chunk.Len()
-	chunk.Write(b)
-	return chunk.String()[at:]
+	return d.arena.strs.Copy(b)
 }
 
 // slot boxes v, a decoded message of the pointer kind with type code code.
@@ -445,8 +428,8 @@ func (c *Codec) UnmarshalEnvelope(b []byte) (Envelope, error) {
 
 // ConnDecoder decodes the envelopes of one connection, for the one
 // goroutine that reads it: no pool round trip per frame, the strings of the
-// messages it returns are cut from a chunk they share (see Decoder.copyOut),
-// and a message of a pointer kind from a slab per kind (slot). One per
+// messages it returns are cut from a node.Arena, in chunks they share, and a
+// message of a pointer kind from a slab per kind (slot). One per
 // connection, because a link carries strings of one lifetime — client
 // commands the leader drops once they are batched, or batches a follower's
 // log keeps — so a chunk is garbage as a whole or retained as a whole; a
