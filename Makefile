@@ -175,7 +175,9 @@ bench:
 # boxed from slabs) and through the shared path (2, 2 and 1).
 # Last, TCPSendBatched is the link sender's throughput: heartbeats injected
 # on one loopback TCP link ahead of its sender, which coalesces what is
-# queued into one vectored write (msgs/sec, and 0 allocs/op on injection).
+# queued into one vectored write (msgs/sec, and 0 allocs/op on injection),
+# and NewTCPCluster what a three-process TCP cluster of idle automatons
+# costs to build, Start and Stop (≈15 KB/op: no link reserves its bound).
 # BENCHTIME is go test's -benchtime; CI passes 1x, which runs each benchmark
 # once — go test compiles them but never runs one, so a benchmark that
 # panics would otherwise pass.
@@ -185,7 +187,7 @@ bench-micro:
 	$(GO) test -run '^$$' -bench 'Envelope|ConnDecode' -benchmem -benchtime $(BENCHTIME) ./internal/wire
 	$(GO) test -run '^$$' -bench 'RecorderRecord|RecordInstanceInOrder|BatcherPumpFull|ApplyBatch16|FollowerCommit|Phase2Round|SubmitWithBacklog|LeaseReadTurn' -benchmem -benchtime $(BENCHTIME) ./internal/consensus ./internal/consensus/rsm
 	$(GO) test -run '^$$' -bench 'StationTurn|WALTurn' -benchmem -benchtime $(BENCHTIME) ./internal/transport ./internal/durable
-	$(GO) test -run '^$$' -bench TCPSendBatched -benchmem -benchtime $(BENCHTIME) ./internal/transport
+	$(GO) test -run '^$$' -bench 'TCPSendBatched|NewTCPCluster' -benchmem -benchtime $(BENCHTIME) ./internal/transport
 
 # End-to-end tracing smoke (DESIGN.md §8): a traced chaossoak leader-crash
 # run over TCP, then traceview over its flight-recorder dumps.

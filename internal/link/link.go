@@ -6,21 +6,33 @@
 //
 // A Sender owns one directed link. The producer side (a node loop, a KV
 // client) hands it encoded frames with Enqueue, which never blocks: when
-// the queue is full the frame is refused and the producer accounts the
+// the bound is reached the frame is refused and the producer accounts the
 // drop — a dead or stalled peer costs a drop, never latency. All dialing
 // and writing happens inside Run, so a slow dial or a stalled write can
 // only ever delay this link's own frames. The sender never waits for a
 // batch to fill: it writes whatever is queued, up to fixed caps, at once.
 //
+// The queue is a slice under a mutex. Enqueue appends to it; Run swaps the
+// whole slice out under the same lock, once per batch, and writes what it
+// took while producers fill the other slice. A one-slot wake channel tells
+// a sleeping Run that an empty queue got its first frame. The bound,
+// Config.Queue, counts every frame accepted and not yet written or dropped:
+// those still queued and those Run has taken into a write that has not
+// finished, so a peer that stops reading is refused frames once Queue of
+// them wait. The slices grow with the frames that arrive, never to the
+// bound up front: a link the steady state does not use costs a few hundred
+// bytes.
+//
 // Buffer ownership: frames carry pooled buffers (Pool). Once Enqueue
 // accepts a frame the sender owns its buffer and releases it exactly once
-// — written, dropped on write error, or drained at stop. When Enqueue
+// — written, dropped on write error, or dropped at stop. When Enqueue
 // refuses a frame, ownership stays with the caller.
 package link
 
 import (
-	"math/rand"
+	"math/rand/v2"
 	"net"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -60,7 +72,10 @@ type Frame struct {
 type Config struct {
 	// Addr is the dial target for this directed link.
 	Addr string
-	// Queue bounds the outbound queue (default 128).
+	// Queue bounds the frames accepted and not yet written or dropped
+	// (default 128): those waiting in the queue and those the sender has
+	// taken into a write still under way. Enqueue refuses a frame once
+	// Queue of them wait. The bound reserves no memory.
 	Queue int
 	// WriteTimeout bounds each vectored write (default 1s).
 	WriteTimeout time.Duration
@@ -68,10 +83,11 @@ type Config struct {
 	Seed int64
 	// Pool is the buffer pool frames are released into (required).
 	Pool *Pool
-	// Stop, when closed, makes Run return and Enqueue refuse frames.
+	// Stop, when closed, makes Run return, dropping what it had taken;
+	// what is still queued is Drain's.
 	Stop <-chan struct{}
 	// OnDrop is called once for every frame the sender drops after
-	// accepting it (write failure, link down, stop-drain). Accounting
+	// accepting it (write failure, link down, stop, drain). Accounting
 	// only — the sender itself releases the buffer. May be nil.
 	OnDrop func(Frame)
 	// OnFlush is called after every successful vectored write with the
@@ -92,22 +108,30 @@ func (c *Config) fill() {
 // Sender owns one directed link: its queue, its connection, and its
 // reconnect state.
 //
-// Buffer ownership: once a frame is in s.frames, this sender owns its
-// pooled buffer and releaseBatch returns every one exactly once — whether
-// the batch was written or dropped. s.bufs is only a view for the
-// vectored write, never an owner.
+// Buffer ownership: once a frame is in queue or taken, this sender owns
+// its pooled buffer and release returns every one exactly once — whether
+// the frame was written or dropped. s.bufs is only a view for the vectored
+// write, never an owner.
 type Sender struct {
-	cfg   Config
-	queue chan Frame
-	rng   *rand.Rand
+	cfg  Config
+	wake chan struct{} // one slot: the queue got a frame while empty
 
+	mu      sync.Mutex
+	queue   []Frame // accepted, not yet taken by Run
+	drained bool    // Drain has run: Enqueue refuses from then on
+	// unwritten counts the frames accepted and not yet written or
+	// dropped. Enqueue raises it under mu, so its check cannot overshoot;
+	// Run lowers it as each write finishes.
+	unwritten atomic.Int64
+
+	// Run's own state.
+	taken    []Frame // the slice swapped out of queue, being written
+	rng      rand.PCG
 	conn     net.Conn
 	backoff  time.Duration
 	nextDial time.Time
-
-	frames []Frame      // collected batch (owns the buffers)
-	bufs   net.Buffers  // reusable writev view over frames
-	view   *net.Buffers // heap box handed to WriteTo, which consumes it
+	bufs     net.Buffers  // reusable writev view over a batch
+	view     *net.Buffers // heap box handed to WriteTo, which consumes it
 
 	// dials counts successful connection establishments over the link's
 	// lifetime — shared-sender accounting for multi-group clusters, where
@@ -117,17 +141,15 @@ type Sender struct {
 }
 
 // NewSender builds a sender for one directed link. Run must be started on
-// its own goroutine before frames flow.
+// its own goroutine before frames flow; frames enqueued before then wait.
 func NewSender(cfg Config) *Sender {
 	cfg.fill()
 	if cfg.Pool == nil {
 		panic("link: Config.Pool is required")
 	}
-	return &Sender{
-		cfg:   cfg,
-		queue: make(chan Frame, cfg.Queue),
-		rng:   rand.New(rand.NewSource(cfg.Seed)),
-	}
+	s := &Sender{cfg: cfg, wake: make(chan struct{}, 1)}
+	s.rng.Seed(uint64(cfg.Seed), 0)
+	return s
 }
 
 // Dials returns how many connections this link has established over its
@@ -137,90 +159,101 @@ func NewSender(cfg Config) *Sender {
 func (s *Sender) Dials() uint64 { return s.dials.Load() }
 
 // Enqueue offers a frame to the link without blocking. It reports whether
-// the sender took ownership; on false (queue full or stopping) the caller
-// keeps the buffer and accounts the drop itself.
+// the sender took ownership; on false (Queue frames unwritten, or drained)
+// the caller keeps the buffer and accounts the drop itself.
 func (s *Sender) Enqueue(f Frame) bool {
-	select {
-	case s.queue <- f:
-		return true
-	default:
+	s.mu.Lock()
+	if s.drained || s.unwritten.Load() >= int64(s.cfg.Queue) {
+		s.mu.Unlock()
 		return false
 	}
+	s.unwritten.Add(1)
+	s.queue = append(s.queue, f)
+	first := len(s.queue) == 1
+	s.mu.Unlock()
+	if first {
+		select {
+		case s.wake <- struct{}{}:
+		default: // a wake-up is already pending
+		}
+	}
+	return true
 }
 
 // Run is the sender loop; it returns when Config.Stop closes. Call Drain
 // afterwards (once no producer can enqueue) to settle buffer accounting.
 func (s *Sender) Run() {
 	defer s.closeConn()
-	for {
-		select {
-		case <-s.cfg.Stop:
-			return
-		default:
+	for !s.stopped() {
+		s.mu.Lock()
+		s.taken, s.queue = s.queue, s.taken
+		s.mu.Unlock()
+		if len(s.taken) == 0 {
+			select {
+			case <-s.cfg.Stop:
+				return
+			case <-s.wake:
+			}
+			continue
 		}
-		select {
-		case <-s.cfg.Stop:
-			return
-		case f := <-s.queue:
-			s.collect(f)
-		}
+		s.write(s.taken)
+		clear(s.taken) // hold no frame until the next swap
+		s.taken = s.taken[:0]
 	}
 }
 
-// Drain accounts and releases every frame still queued. Call only after
-// Run has returned and producers have stopped enqueuing.
+// Drain accounts and releases every frame still queued, and makes Enqueue
+// refuse from then on. Call it after Run has returned.
 func (s *Sender) Drain() {
-	for {
-		select {
-		case f := <-s.queue:
-			s.dropFrame(f)
-		default:
-			return
-		}
+	s.mu.Lock()
+	s.drained = true
+	left := s.queue
+	s.queue = nil
+	s.mu.Unlock()
+	s.release(left, true)
+}
+
+// stopped reports whether Config.Stop has closed.
+func (s *Sender) stopped() bool {
+	select {
+	case <-s.cfg.Stop:
+		return true
+	default:
+		return false
 	}
 }
 
-// collect gathers the zero-delay frames already queued behind first — up
-// to the frame and byte caps — and flushes them with one vectored write. A
-// frame carrying an injected link delay ends the batch: everything queued
-// before it is flushed first (FIFO order holds), then the delay is served
-// and the frame goes out alone, exactly as an un-batched sender would.
-// Serving the delay inside the sender goroutine is what models link
-// latency: a slow link delays only its own frames.
-func (s *Sender) collect(first Frame) {
-	if first.Delay > 0 {
-		s.delayedSingle(first)
-		return
-	}
-	s.frames = append(s.frames[:0], first)
-	bytes := len(*first.Buf)
-	// len() on the buffered queue tells how many frames are ready right
-	// now; receiving that many plain (no select-with-default per frame)
-	// keeps the per-frame drain cost to a bare channel op. Frames enqueued
-	// during the drain are picked up by the next len() round or batch.
-	for n := len(s.queue); n > 0 && len(s.frames) < batchFrames && bytes < BatchBytes; n = len(s.queue) {
-		for ; n > 0 && len(s.frames) < batchFrames && bytes < BatchBytes; n-- {
-			f := <-s.queue
-			if f.Delay > 0 {
-				s.flush()
-				s.delayedSingle(f)
+// write puts the frames taken from the queue on the wire in order. A run
+// of frames without an injected delay is coalesced, up to the frame and
+// byte caps, into one vectored write. A frame carrying a delay ends the run
+// before it: everything ahead is written first (FIFO order holds), then
+// the delay is served and the frame goes out alone, exactly as an
+// un-batched sender would. Serving the delay on the sender goroutine is
+// what models link latency: a slow link delays only its own frames. Once
+// Stop closes, whatever is left is dropped.
+func (s *Sender) write(frames []Frame) {
+	for len(frames) > 0 {
+		if s.stopped() {
+			s.release(frames, true)
+			return
+		}
+		if d := frames[0].Delay; d > 0 {
+			if !s.sleep(d) {
+				s.release(frames, true)
 				return
 			}
-			s.frames = append(s.frames, f)
-			bytes += len(*f.Buf)
+			s.flush(frames[:1])
+			frames = frames[1:]
+			continue
 		}
+		n, bytes := 0, 0
+		for n < len(frames) && n < batchFrames && bytes < BatchBytes && frames[n].Delay == 0 {
+			bytes += len(*frames[n].Buf)
+			n++
+		}
+		s.flush(frames[:n])
+		frames = frames[n:]
 	}
-	s.flush()
-}
-
-// delayedSingle serves f's injected delay, then writes it on its own.
-func (s *Sender) delayedSingle(f Frame) {
-	if !s.sleep(f.Delay) {
-		s.dropFrame(f) // stopping
-		return
-	}
-	s.frames = append(s.frames[:0], f)
-	s.flush()
 }
 
 // sleep waits for d, returning false if the sender is stopped first.
@@ -235,24 +268,22 @@ func (s *Sender) sleep(d time.Duration) bool {
 	}
 }
 
-// flush writes the collected batch with one vectored write (writev on a
-// TCP connection) under one deadline, dialing first if needed. On any
-// failure the whole batch is dropped: a partial write poisons the frame
-// stream, so the connection is torn down and re-dialed with backoff. TCP's
-// reliability is per-connection; across reconnects the link is "reliable
-// unless the process is down", which matches the crash-stop model. Either
-// way every pooled buffer in the batch is released exactly once.
-func (s *Sender) flush() {
-	if len(s.frames) == 0 {
-		return
-	}
+// flush writes frames with one vectored write (writev on a TCP connection)
+// under one deadline, dialing first if needed. On any failure every frame
+// is dropped: a partial write poisons the frame stream, so the connection
+// is torn down and re-dialed with backoff. TCP's reliability is
+// per-connection; across reconnects the link is "reliable unless the
+// process is down", which matches the crash-stop model. Either way every
+// pooled buffer is released exactly once.
+func (s *Sender) flush(frames []Frame) {
 	if s.conn == nil && !s.redial() {
-		s.releaseBatch(true)
+		s.release(frames, true)
 		return
 	}
-	s.bufs = s.bufs[:0]
-	for i := range s.frames {
-		s.bufs = append(s.bufs, *s.frames[i].Buf)
+	written := 0
+	for _, f := range frames {
+		s.bufs = append(s.bufs, *f.Buf)
+		written += len(*f.Buf)
 	}
 	_ = s.conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
 	// WriteTo consumes the Buffers it is called on; hand it a reusable
@@ -264,39 +295,32 @@ func (s *Sender) flush() {
 	*s.view = s.bufs
 	_, err := s.view.WriteTo(s.conn)
 	*s.view = nil
-	for i := range s.bufs {
-		s.bufs[i] = nil // do not retain pooled bytes across batches
-	}
+	clear(s.bufs) // do not retain pooled bytes across batches
 	s.bufs = s.bufs[:0]
 	if err != nil {
 		s.closeConn()
 		s.scheduleRedial()
-		s.releaseBatch(true)
+		s.release(frames, true)
 		return
 	}
 	s.backoff = 0
-	n, written := len(s.frames), 0
-	for i := range s.frames {
-		written += len(*s.frames[i].Buf)
-	}
-	s.releaseBatch(false)
+	s.release(frames, false)
 	if s.cfg.OnFlush != nil {
-		s.cfg.OnFlush(n, written)
+		s.cfg.OnFlush(len(frames), written)
 	}
 }
 
-// releaseBatch returns every buffer in the current batch to the pool
-// exactly once, accounting each frame as dropped when drop is set.
-func (s *Sender) releaseBatch(drop bool) {
-	for i := range s.frames {
-		if drop {
-			s.dropFrame(s.frames[i])
-		} else {
-			s.cfg.Pool.Put(s.frames[i].Buf)
+// release returns the buffer of every frame to the pool exactly once,
+// accounting each as dropped when drop is set, and takes the frames off
+// the unwritten count.
+func (s *Sender) release(frames []Frame, drop bool) {
+	for _, f := range frames {
+		if drop && s.cfg.OnDrop != nil {
+			s.cfg.OnDrop(f)
 		}
-		s.frames[i] = Frame{}
+		s.cfg.Pool.Put(f.Buf)
 	}
-	s.frames = s.frames[:0]
+	s.unwritten.Add(-int64(len(frames)))
 }
 
 // redial re-establishes the connection, honouring the backoff window.
@@ -326,8 +350,8 @@ func (s *Sender) scheduleRedial() {
 	} else if s.backoff *= 2; s.backoff > dialBackoffCap {
 		s.backoff = dialBackoffCap
 	}
-	wait := s.backoff/2 + time.Duration(s.rng.Int63n(int64(s.backoff/2)+1))
-	s.nextDial = time.Now().Add(wait)
+	half := uint64(s.backoff / 2)
+	s.nextDial = time.Now().Add(time.Duration(half + s.rng.Uint64()%(half+1)))
 }
 
 func (s *Sender) closeConn() {
@@ -335,12 +359,4 @@ func (s *Sender) closeConn() {
 		_ = s.conn.Close()
 		s.conn = nil
 	}
-}
-
-// dropFrame accounts one frame as dropped and returns its buffer.
-func (s *Sender) dropFrame(f Frame) {
-	if s.cfg.OnDrop != nil {
-		s.cfg.OnDrop(f)
-	}
-	s.cfg.Pool.Put(f.Buf)
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"io"
 	"net"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -17,6 +18,13 @@ func frame(p *Pool, payload []byte) Frame {
 	binary.BigEndian.PutUint32(b[:4], uint32(len(payload)))
 	*bp = b
 	return Frame{Buf: bp}
+}
+
+// queued reports how many frames wait in s's queue, not yet taken by Run.
+func queued(s *Sender) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.queue)
 }
 
 // echoServer accepts one connection and streams decoded payloads to out.
@@ -206,7 +214,7 @@ func TestSenderReconnectsAfterPeerRestarts(t *testing.T) {
 }
 
 // queuedSender builds a sender against a fresh echo server and enqueues
-// frames before Run starts, so its first collect finds them all queued.
+// frames before Run starts, so its first swap takes them all at once.
 // Flush sizes stream to the returned channel.
 func queuedSender(t *testing.T, pool *Pool, frames []Frame) (<-chan int, <-chan []byte) {
 	t.Helper()
@@ -299,8 +307,8 @@ func TestStopDuringDelayDropsFrame(t *testing.T) {
 		s.Run()
 		close(done)
 	}()
-	for len(s.queue) > 0 {
-		time.Sleep(time.Millisecond) // until the sender holds the frame
+	for queued(s) > 0 {
+		time.Sleep(time.Millisecond) // until the sender has taken the frame
 	}
 	close(stop)
 	select {
@@ -314,5 +322,139 @@ func TestStopDuringDelayDropsFrame(t *testing.T) {
 	}
 	if got := pool.Balance(); got != 0 {
 		t.Fatalf("pool balance = %d, want 0", got)
+	}
+}
+
+// TestStalledPeerBoundsUnwrittenFrames: against a peer that accepts and
+// never reads, the sender writes until the socket buffers are full and then
+// sits in a write. From then on Enqueue refuses every frame: Queue of them
+// wait unwritten, some queued and some taken into that write. Stop and
+// Drain then account every accepted frame exactly once — written, or
+// dropped, those taken mid-write included.
+func TestStalledPeerBoundsUnwrittenFrames(t *testing.T) {
+	const queue = 8
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = ln.Close() })
+	peers := make(chan net.Conn, 8)
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			peers <- conn // never read from
+		}
+	}()
+	pool := NewPool(64)
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	var drops, written atomic.Int64
+	s := NewSender(Config{Addr: ln.Addr().String(), Pool: pool, Stop: stop, Seed: 14,
+		Queue: queue, WriteTimeout: time.Minute,
+		OnDrop:  func(Frame) { drops.Add(1) },
+		OnFlush: func(frames, _ int) { written.Add(int64(frames)) }})
+	go func() {
+		s.Run()
+		close(done)
+	}()
+
+	payload := make([]byte, 16<<10)
+	accepted := 0
+	deadline := time.Now().Add(10 * time.Second)
+	for last := time.Now(); time.Since(last) < 100*time.Millisecond; {
+		if time.Now().After(deadline) {
+			t.Fatal("the stalled peer kept taking frames for 10s")
+		}
+		f := frame(pool, payload)
+		if s.Enqueue(f) {
+			accepted++
+			last = time.Now()
+			continue
+		}
+		pool.Put(f.Buf) // refused: ownership stayed with us
+		time.Sleep(time.Millisecond)
+	}
+	if got := int64(accepted) - written.Load(); got != queue || s.unwritten.Load() != queue {
+		t.Fatalf("refusing with %d accepted frames unwritten (counted %d), want the bound %d", got, s.unwritten.Load(), queue)
+	}
+	if queued(s) == queue {
+		t.Fatal("no frame taken into the stalled write")
+	}
+	if drops.Load() != 0 {
+		t.Fatalf("%d frames dropped before the stop", drops.Load())
+	}
+
+	close(stop)
+	_ = (<-peers).Close() // fails the stalled write; the sender then sees the stop
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Run did not return after the stop")
+	}
+	s.Drain()
+	if got := written.Load() + drops.Load(); got != int64(accepted) {
+		t.Fatalf("%d frames written and %d dropped, want the %d accepted", written.Load(), drops.Load(), accepted)
+	}
+	if f := frame(pool, payload); s.Enqueue(f) {
+		t.Fatal("a drained sender accepted a frame")
+	} else {
+		pool.Put(f.Buf)
+	}
+	if got := pool.Balance(); got != 0 {
+		t.Fatalf("pool balance = %d, want 0", got)
+	}
+}
+
+// TestStopBetweenWritesDropsTheRest: a stop seen between two writes of one
+// swapped-out batch ends Run there, and the frames of the batch not yet
+// written are dropped and released with the rest — none is left behind.
+func TestStopBetweenWritesDropsTheRest(t *testing.T) {
+	const n = batchFrames + 44 // two writes' worth, taken in one swap
+	pool := NewPool(64)
+	stop := make(chan struct{})
+	var drops atomic.Int64
+	s := NewSender(Config{
+		Addr: "127.0.0.1:1", // nothing listens: the first write's dial fails
+		Pool: pool, Stop: stop, Seed: 15, Queue: n,
+		OnDrop: func(Frame) {
+			if drops.Add(1) == 1 {
+				close(stop) // on the sender goroutine, inside the first write
+			}
+		},
+	})
+	for i := 0; i < n; i++ {
+		if !s.Enqueue(frame(pool, []byte{byte(i)})) {
+			t.Fatalf("enqueue %d refused under the bound", i)
+		}
+	}
+	s.Run()
+	s.Drain()
+	if got := drops.Load(); got != n {
+		t.Fatalf("OnDrop called %d times, want %d", got, n)
+	}
+	if got := pool.Balance(); got != 0 {
+		t.Fatalf("pool balance = %d, want 0", got)
+	}
+}
+
+// TestNewSenderAllocatesUnderOneKiB: building a sender reserves nothing
+// for its bound, so a link that is never used costs its struct and its
+// wake channel — not a queue of Queue frames.
+func TestNewSenderAllocatesUnderOneKiB(t *testing.T) {
+	const runs = 100
+	pool := NewPool(64)
+	keep := make([]*Sender, runs)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range keep {
+		keep[i] = NewSender(Config{Addr: "127.0.0.1:1", Pool: pool, Queue: 4096, Seed: int64(i)})
+	}
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(keep)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= 1024 {
+		t.Fatalf("NewSender allocates %d B, budget 1 KiB", per)
 	}
 }

@@ -65,3 +65,21 @@ func BenchmarkTCPSendBatched(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "msgs/sec")
 }
+
+// BenchmarkNewTCPCluster is what a three-process TCP cluster costs before
+// its first message: build (listeners, six link senders), Start (accept
+// loops, senders, every lane's boot turn, node loops) and Stop. The
+// automatons are idle, so no link dials: a link the steady state does not
+// use costs its struct and nothing more.
+func BenchmarkNewTCPCluster(b *testing.B) {
+	autos := []node.Automaton{idleAutomaton{}, idleAutomaton{}, idleAutomaton{}}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		c, err := NewTCPCluster(Config{N: len(autos), Seed: int64(i), Quiet: true, SendQueue: 4096}, autos)
+		if err != nil {
+			b.Fatal(err)
+		}
+		c.Start()
+		c.Stop()
+	}
+}

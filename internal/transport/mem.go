@@ -43,9 +43,9 @@ type Config struct {
 	// WriteTimeout bounds each TCP write, so a peer that stops reading can
 	// never wedge a sender (default 1s).
 	WriteTimeout time.Duration
-	// SendQueue bounds each TCP per-peer outbound queue; when a link's
-	// queue is full the message is dropped, never blocking the node loop
-	// (default 128).
+	// SendQueue bounds the frames each TCP link holds unwritten, queued or
+	// in a write under way (link.Config.Queue); past it a message is
+	// dropped, never blocking the node loop (default 128).
 	SendQueue int
 	// OnFlush, when set, observes every successful TCP vectored write
 	// with its coalesced frame and payload counts (telemetry.FlushHook
@@ -103,7 +103,11 @@ func NewCluster(cfg Config, automatons []node.Automaton) (*Cluster, error) {
 	return c, nil
 }
 
-// Start boots every process and arms the fault plan's scheduled crashes.
+// Start boots every process — every lane's first turn on the calling
+// goroutine (so an OnApply replay while a log restores runs there), then a
+// node loop per lane — and arms the fault plan's scheduled crashes. When
+// Start returns every detector has its first output and phase 1 is on the
+// network.
 func (c *Cluster) Start() {
 	if c.started {
 		return

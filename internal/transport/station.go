@@ -184,12 +184,17 @@ func (s *station) reboot(a node.Automaton) {
 // Now is the process clock: wall-clock time since the cluster started.
 func (s *station) Now() sim.Time { return sim.Time(time.Since(s.start).Nanoseconds()) }
 
-// run is the node loop; it returns when the mailbox closes. Booting is
-// the first turn.
-func (l *lane) run(wg *sync.WaitGroup) {
-	defer wg.Done()
+// boot is the lane's first turn: Start, the end-of-turn signal, release.
+// It runs before the lane's node loop exists, on the goroutine that starts
+// the cluster; what reaches the mailbox meanwhile waits for the loop.
+func (l *lane) boot() {
 	l.automaton.Start(l)
 	l.endTurn()
+}
+
+// run is the node loop; it returns when the mailbox closes.
+func (l *lane) run(wg *sync.WaitGroup) {
+	defer wg.Done()
 	loop.Run(l.mbox, l.dispatch, l.endTurn)
 }
 
@@ -340,8 +345,15 @@ func (t *table) Stats() *metrics.MessageStats { return t.stats }
 // Crash makes process id inert (crash-stop), every group of a sharded one.
 func (t *table) Crash(id node.ID) { t.stations[id].crash() }
 
-// run boots every process: a goroutine per lane, counted in wg.
+// run boots every process: each lane's first turn on the caller, so every
+// automaton has started and its boot sends are on the network when run
+// returns, then a goroutine per lane, counted in wg.
 func (t *table) run() {
+	for _, s := range t.stations {
+		for _, l := range s.lanes {
+			l.boot()
+		}
+	}
 	for _, s := range t.stations {
 		t.wg.Add(len(s.lanes))
 		for _, l := range s.lanes {

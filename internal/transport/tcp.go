@@ -144,15 +144,17 @@ func (c *TCPCluster) Addr(id nodepkg.ID) net.Addr { return c.addrs[id] }
 // Fault returns the cluster's fault injector (nil when none configured).
 func (c *TCPCluster) Fault() *faultline.Injector { return c.cfg.Fault }
 
-// Start boots every process: one accept loop, a node loop per lane, and
-// one sender goroutine per outgoing link each, and arms the fault plan's
-// scheduled crashes.
+// Start boots every process: one accept loop and one sender goroutine per
+// outgoing link each, then every lane's first turn on the calling
+// goroutine (so an OnApply replay while a log restores runs there), then a
+// node loop per lane; then it arms the fault plan's scheduled crashes.
+// When Start returns every detector has its first output and phase 1 is
+// queued on the links.
 func (c *TCPCluster) Start() {
 	if c.started {
 		return
 	}
 	c.started = true
-	c.run()
 	c.wg.Add(len(c.stations))
 	for i := range c.stations {
 		go c.acceptLoop(i)
@@ -167,6 +169,7 @@ func (c *TCPCluster) Start() {
 			s.Run()
 		}(s)
 	}
+	c.run()
 	c.mu.Lock()
 	c.crashers = scheduleCrashes(c.cfg.Fault, c.Crash)
 	c.mu.Unlock()

@@ -6,15 +6,18 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/consensus"
+	"repro/internal/consensus/group"
 	"repro/internal/consensus/rsm"
 	"repro/internal/core"
 	"repro/internal/durable"
 	"repro/internal/link"
 	"repro/internal/loop"
+	"repro/internal/metrics"
 	"repro/internal/node"
 )
 
@@ -149,6 +152,103 @@ func TestCrashInMidTurnDropsTheOutbox(t *testing.T) {
 	}
 	if n := w.count(); n != 1 {
 		t.Fatalf("%d messages on the wire, want the boot turn's alone: the crashed turn's %d sends die with it", n, crashAt-1)
+	}
+}
+
+// bootGate counts a lane's end-of-turn signals and holds every other event
+// at its gate: composed ahead of a detector, it keeps the node loop from
+// ending a turn after the boot turn, or the detector from moving, until
+// the gate opens.
+type bootGate struct {
+	gate  <-chan struct{}
+	turns atomic.Int64
+}
+
+func (g *bootGate) Start(node.Env)                {}
+func (g *bootGate) Deliver(node.ID, node.Message) { <-g.gate }
+
+func (g *bootGate) Tick(key string) {
+	if key == node.TurnEnd {
+		g.turns.Add(1)
+		return
+	}
+	<-g.gate
+}
+
+// TestStartReturnsBooted: Start runs every lane's boot turn — Start, the
+// signal, release — on the caller, so when it returns each detector has
+// its first output, each lane has seen exactly one end-of-turn signal, and
+// the boot sends are on the network; a station crashed before Start has
+// seen none and releases nothing, then or later. On both runtimes, one
+// lane a process and two.
+func TestStartReturnsBooted(t *testing.T) {
+	const n, crashedID = 3, 2
+	type cluster interface {
+		Start()
+		Stop()
+		Crash(node.ID)
+		Stats() *metrics.MessageStats
+	}
+	runtimes := []struct {
+		name string
+		new  func(autos []node.Automaton) (cluster, error)
+	}{
+		{"mem", func(autos []node.Automaton) (cluster, error) {
+			return NewCluster(Config{N: n, Seed: 51, Quiet: true}, autos)
+		}},
+		{"tcp", func(autos []node.Automaton) (cluster, error) {
+			return NewTCPCluster(Config{N: n, Seed: 51, Quiet: true}, autos)
+		}},
+	}
+	for _, rt := range runtimes {
+		for _, groups := range []int{1, 2} {
+			t.Run(fmt.Sprintf("%s/groups=%d", rt.name, groups), func(t *testing.T) {
+				gate := make(chan struct{})
+				dets := make([][]*core.Detector, n)
+				gates := make([][]*bootGate, n)
+				autos := make([]node.Automaton, n)
+				for i := range autos {
+					build := func(int) node.Automaton {
+						d, g := core.New(core.WithEta(5*time.Millisecond)), &bootGate{gate: gate}
+						dets[i], gates[i] = append(dets[i], d), append(gates[i], g)
+						return node.Compose(g, d)
+					}
+					if groups == 1 {
+						autos[i] = build(0)
+					} else {
+						autos[i] = group.New(group.Config{Groups: groups, Build: build})
+					}
+				}
+				c, err := rt.new(autos)
+				if err != nil {
+					t.Fatal(err)
+				}
+				c.Crash(crashedID)
+				c.Start()
+				for i := range autos {
+					for g, d := range dets[i] {
+						want := int64(1)
+						if i == crashedID {
+							want = 0
+						} else if d.History().Current() == node.None {
+							t.Errorf("p%d group %d: no Omega output when Start returned", i, g)
+						}
+						if got := gates[i][g].turns.Load(); got != want {
+							t.Errorf("p%d group %d: %d end-of-turn signals when Start returned, want %d", i, g, got, want)
+						}
+					}
+				}
+				if c.Stats().TotalSent() == 0 {
+					t.Error("no boot send on the network when Start returned")
+				}
+				close(gate)
+				time.Sleep(30 * time.Millisecond) // heartbeats every 5 ms
+				c.Stop()
+				if sent := c.Stats().SentBy(crashedID); sent != 0 {
+					t.Errorf("the station crashed before Start released %d sends", sent)
+				}
+			})
+		}
 	}
 }
 
