@@ -164,15 +164,17 @@ bench:
 # one steady-state turn of a leader's node loop (ten requests and a vote
 # in, one ACCEPT broadcast out; ns and allocs per ten commands), WALTurn
 # sixteen votes flushed once against sixteen flushed one by one,
-# SubmitWithBacklog a follower's Submit behind forty outstanding commands,
-# and LeaseReadTurn a turn of sixteen reads at a lease-holding leader (2
-# allocs per turn, the one reply's tail and box — not 16).
+# SubmitWithBacklog a follower's Submit behind forty outstanding commands
+# (0 allocs/op: the REQ it forwards is cut from a slab too), and
+# LeaseReadTurn a turn of sixteen reads at a lease-holding leader (1 alloc
+# per turn, the one reply's tail; its box is from a slab — not 16).
 # In internal/wire, Envelope* encodes and decodes a heartbeat envelope
 # and a vector heartbeat through the shared path (0 allocs/op both ways),
 # and ConnDecode is what a socket's read loop pays to decode a frame of the
-# write path — a 64-byte REQ, a 700-byte ACCEPT, an ACCEPTED — through its
-# own decoder (1 alloc/op for the REQ's box, 0 for the two phase-2 kinds,
-# boxed from slabs) and through the shared path (2, 2 and 1).
+# per-operation path — a 64-byte REQ, a 700-byte ACCEPT, an ACCEPTED, a READ,
+# a READR alone and one answering 21 reads — through its own decoder (0
+# allocs/op each: every box is cut from a slab, every string from an arena)
+# and through the shared path (2, 2, 1, 1, 1 and 2).
 # Last, TCPSendBatched is the link sender's throughput: heartbeats injected
 # on one loopback TCP link ahead of its sender, which coalesces what is
 # queued into one vectored write (msgs/sec, and 0 allocs/op on injection),

@@ -282,7 +282,7 @@ func TestReproposedInstanceIsAnnouncedToAll(t *testing.T) {
 // other, owes nobody a DECIDE and sizes nothing by its id.
 func TestRequestFromAStrangerOwesNobody(t *testing.T) {
 	instance := func(r *Node, from node.ID) {
-		r.Deliver(from, RequestMsg{V: "cmd"})
+		r.Deliver(from, &RequestMsg{V: "cmd"})
 		r.Deliver(1, &AcceptedMsg{B: r.prop.ballot, Inst: r.pipe.nextInst - 1})
 	}
 	for _, from := range []node.ID{-1, 3, 1 << 40} {

@@ -268,7 +268,7 @@ func (r *Node) forwardPending(leader node.ID) {
 		}
 		p.lastSentTo = leader
 		p.lastSentAt = now
-		r.env.Send(leader, r.traced(p.tctx, RequestMsg{V: p.v}))
+		r.env.Send(leader, r.traced(p.tctx, r.requests.New(RequestMsg{V: p.v})))
 	}
 	b.fwd, b.fwdTo = b.tail, leader
 }

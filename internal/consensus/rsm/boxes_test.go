@@ -2,6 +2,7 @@ package rsm
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -12,68 +13,83 @@ import (
 	"repro/internal/node"
 )
 
-// The phase-2 kinds are pointers, boxed from each sender's node.Slab: the
-// tests here hold a box to what it held when it arrived, and count what one
-// instance costs.
+// Every per-operation kind — ACCEPT, ACCEPTED, DECIDE, REQ, READ, READR —
+// is a pointer, boxed from the sender's node.Slab: the tests here hold a box
+// to what it held when it arrived, and count what one instance costs.
 
-// acceptSpy is a replica that keeps every ACCEPT delivered to it, with a
+// boxSpy is a replica that keeps every boxed message delivered to it, with a
 // copy of what the box held on arrival.
-type acceptSpy struct {
+type boxSpy struct {
 	*Node
-	got  []*AcceptMsg
-	held []AcceptMsg
+	got  []node.Message
+	held []any
 }
 
-func (s *acceptSpy) Deliver(from node.ID, m node.Message) {
-	if a, ok := m.(*AcceptMsg); ok {
-		s.got, s.held = append(s.got, a), append(s.held, *a)
+func (s *boxSpy) Deliver(from node.ID, m node.Message) {
+	if v := reflect.ValueOf(m); v.Kind() == reflect.Pointer {
+		s.got, s.held = append(s.got, m), append(s.held, v.Elem().Interface())
 	}
 	s.Node.Deliver(from, m)
 }
 
 // TestBroadcastSharesOneBox: on node.World one ACCEPT broadcast reaches all
-// n−1 followers as the same box, and when the run is over, every box still
-// holds what it held on arrival — after every receiver has handled it and
-// the leader has cut hundreds more from its slab. A slab that handed a slot
-// out twice, or a handler that wrote through a message, fails it.
+// n−1 followers as the same box, any other box reaches one replica, and when
+// the run is over every box still holds what it held on arrival — after
+// every receiver has handled it and the senders have cut hundreds more from
+// their slabs. The load is commands and reads at every replica, so that
+// followers forward REQs and READs and the leader answers READRs. A slab
+// that handed a slot out twice, or a handler that wrote through a message,
+// fails it.
 func TestBroadcastSharesOneBox(t *testing.T) {
 	const n = 5
 	w, err := node.NewWorld(node.WorldConfig{N: n, Seed: 3, DefaultLink: network.Timely(ms)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	spies := make([]*acceptSpy, n)
+	spies := make([]*boxSpy, n)
 	for i := range spies {
 		det := core.New(core.WithEta(10 * ms))
-		spies[i] = &acceptSpy{Node: New(det, Config{})}
+		spies[i] = &boxSpy{Node: New(det, Config{})}
 		w.SetAutomaton(node.ID(i), node.Compose(det, spies[i]))
 	}
 	w.Start()
 	w.RunFor(200 * ms)
 	for i := 0; i < 3000; i++ {
 		spies[i%n].Submit(consensus.Value(fmt.Sprint("cmd-", i)))
+		if i%3 == 0 {
+			spies[(i+1)%n].Read(uint64(i), 1)
+		}
 		if i%4 == 0 {
 			w.RunFor(ms)
 		}
 	}
 	w.RunFor(time.Second)
 
-	receivers := map[*AcceptMsg]int{}
+	receivers, boxes := map[node.Message]int{}, map[string]int{}
 	for i, s := range spies {
-		for j, a := range s.got {
-			receivers[a]++
-			if *a != s.held[j] {
-				t.Fatalf("p%d's ACCEPT #%d holds %+v at the end of the run, %+v on arrival", i, j, *a, s.held[j])
+		for j, m := range s.got {
+			if receivers[m]++; receivers[m] == 1 {
+				boxes[m.Kind()]++
+			}
+			if now := reflect.ValueOf(m).Elem().Interface(); now != s.held[j] {
+				t.Fatalf("p%d's %s #%d holds %+v at the end of the run, %+v on arrival", i, m.Kind(), j, now, s.held[j])
 			}
 		}
 	}
-	for a, k := range receivers {
-		if k != n-1 {
-			t.Fatalf("ACCEPT %+v reached %d receivers as this box, want all %d", *a, k, n-1)
+	for m, k := range receivers {
+		want := 1
+		if m.Kind() == KindAccept {
+			want = n - 1
+		}
+		if k != want {
+			t.Fatalf("%s %+v reached %d receivers as this box, want %d", m.Kind(), m, k, want)
 		}
 	}
-	if chunks := len(receivers) / 32; chunks < 10 {
-		t.Fatalf("%d ACCEPT boxes, %d slab chunks: too few to mean anything", len(receivers), chunks)
+	t.Logf("boxes per kind: %v", boxes)
+	for _, kind := range []string{KindAccept, KindAccepted, KindRequest, KindReadReq, KindReadReply} {
+		if chunks := boxes[kind] / 32; chunks < 10 {
+			t.Fatalf("%d %s boxes, %d slab chunks: too few to mean anything (all boxes: %v)", boxes[kind], kind, chunks, boxes)
+		}
 	}
 }
 
@@ -181,7 +197,7 @@ func (c *phase2Cluster) round(req node.Message) {
 // command it proposes alone from its arena (encodeBatch).
 func BenchmarkPhase2Round(b *testing.B) {
 	c := newPhase2Cluster(b)
-	var req node.Message = RequestMsg{V: "command-with-a-64-byte-payload-like-the-benchmark-sends........."}
+	var req node.Message = &RequestMsg{V: "command-with-a-64-byte-payload-like-the-benchmark-sends........."}
 	c.round(req)
 	b.ReportAllocs()
 	b.ResetTimer()

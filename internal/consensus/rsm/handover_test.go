@@ -234,7 +234,7 @@ func preparesOf(msgs []sent) (out []PrepareMsg) {
 
 func requestsOf(msgs []sent) (n int) {
 	for _, s := range msgs {
-		if _, ok := s.msg.(RequestMsg); ok {
+		if _, ok := s.msg.(*RequestMsg); ok {
 			n++
 		}
 	}
@@ -409,7 +409,7 @@ func TestLeaseFailoverCostsNoRetryTimer(t *testing.T) {
 // new ballot opens; it is not dropped for the client to time out on.
 func TestReadAtSuccessorBeforeItsOmegaFlipsIsAnswered(t *testing.T) {
 	a, r, env := composed(t, 1, Config{})
-	a.Deliver(2, ReadReqMsg{Seq: 9, Count: 4, Origin: 2})
+	a.Deliver(2, &ReadReqMsg{Seq: 9, Count: 4, Origin: 2})
 	if out := env.drain(); len(out) != 0 || len(r.held) != 1 {
 		t.Fatalf("a read forwarded to a non-leader: sent %v, %d held; want it held and never forwarded on", out, len(r.held))
 	}
@@ -441,7 +441,7 @@ func TestReadAtSuccessorBeforeItsOmegaFlipsIsAnswered(t *testing.T) {
 // RetryTimeout later they are gone, whoever Omega names then.
 func TestHandoverBufferIsBoundedAndExpires(t *testing.T) {
 	a, r, env := composed(t, 1, Config{})
-	var write, read node.Message = RequestMsg{V: "w"}, ReadReqMsg{Seq: 1, Count: 1, Origin: 2}
+	var write, read node.Message = &RequestMsg{V: "w"}, &ReadReqMsg{Seq: 1, Count: 1, Origin: 2}
 	for i := 0; i < 5*maxHeld; i++ {
 		a.Deliver(2, write)
 		a.Deliver(2, read)

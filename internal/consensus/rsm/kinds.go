@@ -20,38 +20,16 @@ var (
 	kindReadReplyID  = obs.Intern(KindReadReply)
 )
 
-// KindID implements node.KindIDer.
-func (RequestMsg) KindID() obs.Kind { return kindRequestID }
-
-// KindID implements node.KindIDer.
-func (PrepareMsg) KindID() obs.Kind { return kindPrepareID }
-
-// KindID implements node.KindIDer.
-func (PromiseMsg) KindID() obs.Kind { return kindPromiseID }
-
-// KindID implements node.KindIDer.
-func (NackMsg) KindID() obs.Kind { return kindNackID }
-
-// KindID implements node.KindIDer.
-func (*AcceptMsg) KindID() obs.Kind { return kindAcceptID }
-
-// KindID implements node.KindIDer.
-func (*AcceptedMsg) KindID() obs.Kind { return kindAcceptedID }
-
-// KindID implements node.KindIDer.
-func (*DecideMsg) KindID() obs.Kind { return kindDecideID }
-
-// KindID implements node.KindIDer.
-func (LearnMsg) KindID() obs.Kind { return kindLearnID }
-
-// KindID implements node.KindIDer.
+// Each KindID implements node.KindIDer.
+func (RequestMsg) KindID() obs.Kind    { return kindRequestID }
+func (PrepareMsg) KindID() obs.Kind    { return kindPrepareID }
+func (PromiseMsg) KindID() obs.Kind    { return kindPromiseID }
+func (NackMsg) KindID() obs.Kind       { return kindNackID }
+func (*AcceptMsg) KindID() obs.Kind    { return kindAcceptID }
+func (*AcceptedMsg) KindID() obs.Kind  { return kindAcceptedID }
+func (*DecideMsg) KindID() obs.Kind    { return kindDecideID }
+func (LearnMsg) KindID() obs.Kind      { return kindLearnID }
 func (LeaseGrantMsg) KindID() obs.Kind { return kindLeaseGrantID }
-
-// KindID implements node.KindIDer.
-func (LeaseAckMsg) KindID() obs.Kind { return kindLeaseAckID }
-
-// KindID implements node.KindIDer.
-func (ReadReqMsg) KindID() obs.Kind { return kindReadReqID }
-
-// KindID implements node.KindIDer.
-func (ReadReplyMsg) KindID() obs.Kind { return kindReadReplyID }
+func (LeaseAckMsg) KindID() obs.Kind   { return kindLeaseAckID }
+func (ReadReqMsg) KindID() obs.Kind    { return kindReadReqID }
+func (*ReadReplyMsg) KindID() obs.Kind { return kindReadReplyID }

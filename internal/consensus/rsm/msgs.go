@@ -36,10 +36,12 @@ const (
 	KindReadReply = "RSM-READR"
 )
 
-// RequestMsg forwards a client command to the leader.
+// RequestMsg forwards a client command to the leader, boxed from a node.Slab.
+// A client outside the cluster may send it plain; the wire decodes a box,
+// and a replica handles only the box.
 type RequestMsg struct{ V consensus.Value }
 
-// Kind implements node.Message.
+// Kind implements node.Message, for the box and the plain value alike.
 func (RequestMsg) Kind() string { return KindRequest }
 
 // PrepareMsg opens a stable ballot covering all instances.
@@ -171,14 +173,15 @@ func (LeaseAckMsg) Kind() string { return KindLeaseAck }
 // ReadReqMsg asks the leader to position the Count reads numbered
 // [Seq, Seq+Count) against the log (see read.go). Origin is the process
 // the reply goes to; followers forward requests to the believed leader
-// with Origin preserved, so one client hop reaches the serving replica.
+// with Origin preserved, so one client hop reaches the serving replica. It
+// is boxed and injected as a REQ is.
 type ReadReqMsg struct {
 	Seq    uint64
 	Count  uint32
 	Origin node.ID
 }
 
-// Kind implements node.Message.
+// Kind implements node.Message, for the box and the plain value alike.
 func (ReadReqMsg) Kind() string { return KindReadReq }
 
 // ReadReplyMsg answers reads [Seq, Seq+Count): state that has applied
@@ -200,8 +203,8 @@ type ReadReplyMsg struct {
 	More  string
 }
 
-// Kind implements node.Message.
-func (ReadReplyMsg) Kind() string { return KindReadReply }
+// Kind implements node.Message: a READ-REPLY is sent boxed, from a node.Slab.
+func (*ReadReplyMsg) Kind() string { return KindReadReply }
 
 // learnBatch bounds how many decisions a LearnMsg response carries.
 const learnBatch = 64

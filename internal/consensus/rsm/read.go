@@ -106,7 +106,7 @@ func (r *Node) onReadReq(from node.ID, m ReadReqMsg) {
 		if from != r.me {
 			r.hold(heldReq{read: m})
 		} else if leader != node.None {
-			r.env.Send(leader, m)
+			r.env.Send(leader, r.readReqs.New(m))
 		}
 		return
 	}
@@ -214,7 +214,7 @@ func (r *Node) answerReads(reqs []ReadReqMsg, local bool) (reads uint64) {
 		r.reads.packed = packed
 		if !first {
 			reply.More = string(packed)
-			r.env.Send(origin, reply)
+			r.env.Send(origin, r.replies.New(reply))
 		}
 	}
 	return reads

@@ -241,7 +241,7 @@ func TestFollowerDropsRequests(t *testing.T) {
 	r := New(consensus.StaticLeader(1), Config{}) // someone else leads
 	env := newFakeEnv(0, 3)
 	r.Start(env)
-	r.Deliver(2, RequestMsg{V: "cmd"})
+	r.Deliver(2, &RequestMsg{V: "cmd"})
 	if r.pipe.open != 0 {
 		t.Fatal("follower proposed a request")
 	}
@@ -412,8 +412,8 @@ func TestCommitIndex(t *testing.T) {
 			{from: 0, msg: commit(b2, 3), decided: []consensus.Value{"a", "b", "c"}},
 		}},
 		{name: "an out-of-order quorum is announced with the prefix, once, to its origin", leader: true, window: 2, steps: []commitStep{
-			{from: 2, msg: RequestMsg{V: "x"}, decided: []consensus.Value{""}},
-			{from: 2, msg: RequestMsg{V: "y"}, decided: []consensus.Value{"", ""}},
+			{from: 2, msg: &RequestMsg{V: "x"}, decided: []consensus.Value{""}},
+			{from: 2, msg: &RequestMsg{V: "y"}, decided: []consensus.Value{"", ""}},
 			{from: 1, msg: &AcceptedMsg{B: own, Inst: 1}, decided: []consensus.Value{"", "y"}},
 			{from: 1, msg: &AcceptedMsg{B: own, Inst: 0}, decided: []consensus.Value{"x", "y"}, announced: []told{{2, 2}}},
 			{from: 2, msg: &AcceptedMsg{B: own, Inst: 0}, decided: []consensus.Value{"x", "y"}},
@@ -423,8 +423,8 @@ func TestCommitIndex(t *testing.T) {
 			{tick: true, decided: []consensus.Value{"x", "y"}},
 		}},
 		{name: "a decision that frees the pipeline rides the next ACCEPT", leader: true, window: 1, steps: []commitStep{
-			{from: 2, msg: RequestMsg{V: "x"}, decided: []consensus.Value{""}},
-			{from: 1, msg: RequestMsg{V: "y"}, decided: []consensus.Value{""}}, // Window 1: queued
+			{from: 2, msg: &RequestMsg{V: "x"}, decided: []consensus.Value{""}},
+			{from: 1, msg: &RequestMsg{V: "y"}, decided: []consensus.Value{""}}, // Window 1: queued
 			// The quorum for 0 launches 1, whose ACCEPT carries index 1 to all.
 			{from: 1, msg: &AcceptedMsg{B: own, Inst: 0}, decided: []consensus.Value{"x", ""}},
 			{from: 2, msg: &AcceptedMsg{B: own, Inst: 1}, decided: []consensus.Value{"x", "y"}, announced: []told{{1, 2}}},
@@ -515,7 +515,7 @@ func TestRequestDuringPrepareIsQueuedNotDropped(t *testing.T) {
 		t.Fatal("leader-elect is not in phase 1")
 	}
 	env.drain()
-	r.Deliver(2, RequestMsg{V: "forwarded"})
+	r.Deliver(2, &RequestMsg{V: "forwarded"})
 	if got := r.bat.tail - r.bat.head; got != 1 {
 		t.Fatalf("%d commands queued during phase 1, want the forwarded one kept", got)
 	}
@@ -531,7 +531,7 @@ func TestRequestDuringPrepareIsQueuedNotDropped(t *testing.T) {
 // ballot — and the same value coming back by value is passed on by index.
 func TestDeposedLeaderAnnouncesNothing(t *testing.T) {
 	r, env := prepareLeaderCfg(t, nil, Config{BatchMax: 1})
-	r.Deliver(2, RequestMsg{V: "mine"})
+	r.Deliver(2, &RequestMsg{V: "mine"})
 	env.drain()
 	r.Deliver(1, &DecideMsg{Inst: 0, V: "mine"})
 	// Re-budgeted with the addressed announcement: the index goes to p2,
@@ -539,7 +539,7 @@ func TestDeposedLeaderAnnouncesNothing(t *testing.T) {
 	if out := env.drain(); len(out) != 1 || !out[0].is(2, &DecideMsg{B: r.prop.ballot, Inst: 1}) {
 		t.Fatalf("after a by-value repair with our own value: sent %+v, want the index announced to the origin", out)
 	}
-	r.Deliver(2, RequestMsg{V: "mine too"})
+	r.Deliver(2, &RequestMsg{V: "mine too"})
 	env.drain()
 	r.Deliver(1, &DecideMsg{Inst: 1, V: "theirs"})
 	if out := env.drain(); len(out) != 0 || r.prop.prepared {
@@ -819,11 +819,11 @@ func TestOversizedCommandIsRefused(t *testing.T) {
 		env := newFakeEnv(0, 3)
 		r.Start(env)
 		r.Submit(fits + "v")
-		r.Deliver(1, RequestMsg{V: fits + "v"})
+		r.Deliver(1, &RequestMsg{V: fits + "v"})
 		if r.bat.tail != 0 || len(r.held) != 0 {
 			t.Fatalf("leader p%d: %d commands queued and %d held after two over the cap", leader, r.bat.tail, len(r.held))
 		}
-		r.Deliver(1, RequestMsg{V: fits})
+		r.Deliver(1, &RequestMsg{V: fits})
 		if r.bat.tail+len(r.held) != 1 {
 			t.Fatalf("leader p%d: %d commands queued and %d held, want the one that fits", leader, r.bat.tail, len(r.held))
 		}

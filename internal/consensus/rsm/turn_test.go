@@ -33,7 +33,7 @@ func turn(r *Node, from node.ID, msgs ...node.Message) {
 func requests(k int, tag string) []node.Message {
 	out := make([]node.Message, k)
 	for i := range out {
-		out[i] = RequestMsg{V: consensus.Value(fmt.Sprint(tag, i))}
+		out[i] = &RequestMsg{V: consensus.Value(fmt.Sprint(tag, i))}
 	}
 	return out
 }
@@ -113,7 +113,7 @@ func TestQuorumAndRequestsInOneTurnNeedNoDecide(t *testing.T) {
 	inFlight := func() (*Node, *fakeEnv, *AcceptMsg) {
 		r, env := prepareLeader(t, nil)
 		env.drain()
-		r.Deliver(1, RequestMsg{V: "first"})
+		r.Deliver(1, &RequestMsg{V: "first"})
 		accepts := broadcastsOf[*AcceptMsg](t, env.drain())
 		if len(accepts) != 1 {
 			t.Fatalf("setup: %+v", accepts)
@@ -208,7 +208,7 @@ func leaseLeader(t testing.TB, k int) (*Node, *fakeEnv) {
 func readRequests(origin node.ID, seq uint64, k int) []node.Message {
 	out := make([]node.Message, k)
 	for i := range out {
-		out[i] = ReadReqMsg{Seq: seq + uint64(i), Count: 1, Origin: origin}
+		out[i] = &ReadReqMsg{Seq: seq + uint64(i), Count: 1, Origin: origin}
 	}
 	return out
 }
@@ -217,8 +217,8 @@ func readRequests(origin node.ID, seq uint64, k int) []node.Message {
 func repliesOf(msgs []sent) map[node.ID][]ReadReplyMsg {
 	out := map[node.ID][]ReadReplyMsg{}
 	for _, s := range msgs {
-		if m, ok := s.msg.(ReadReplyMsg); ok {
-			out[s.to] = append(out[s.to], m)
+		if m, ok := s.msg.(*ReadReplyMsg); ok {
+			out[s.to] = append(out[s.to], *m)
 		}
 	}
 	return out
@@ -230,7 +230,7 @@ func answersAt(id node.ID, m ReadReplyMsg) (got []ReadReplyMsg) {
 	o := New(consensus.StaticLeader(0), Config{})
 	o.OnReadReply(func(a ReadReplyMsg) { got = append(got, a) })
 	o.Start(newFakeEnv(id, 3))
-	o.Deliver(0, m)
+	o.Deliver(0, &m)
 	return got
 }
 
@@ -240,8 +240,8 @@ func TestReadsOfATurnShareOneReplyPerOrigin(t *testing.T) {
 	for _, m := range readRequests(1, 100, k) {
 		r.Deliver(1, m)
 	}
-	r.Deliver(1, ReadReqMsg{Seq: 7, Count: 64, Origin: 2}) // forwarded by 1 for 2: a chunked client
-	r.Deliver(2, ReadReqMsg{Seq: 5, Count: 0, Origin: 2})  // numbered downwards, and a zero count means one
+	r.Deliver(1, &ReadReqMsg{Seq: 7, Count: 64, Origin: 2}) // forwarded by 1 for 2: a chunked client
+	r.Deliver(2, &ReadReqMsg{Seq: 5, Count: 0, Origin: 2})  // numbered downwards, and a zero count means one
 	if got := env.drain(); len(got) != 0 {
 		t.Fatalf("%d messages left before the end of the turn: %+v", len(got), got)
 	}
@@ -269,8 +269,8 @@ func TestReadsOfATurnShareOneReplyPerOrigin(t *testing.T) {
 	}
 
 	// The next turn starts from nothing: one request, one reply, no tail.
-	turn(r, 1, ReadReqMsg{Seq: 900, Count: 2, Origin: 1})
-	if got := env.drain(); len(got) != 1 || got[0] != (sent{1, ReadReplyMsg{Seq: 900, Count: 2, Index: 3, Local: true}}) {
+	turn(r, 1, &ReadReqMsg{Seq: 900, Count: 2, Origin: 1})
+	if got := env.drain(); len(got) != 1 || !got[0].is(1, &ReadReplyMsg{Seq: 900, Count: 2, Index: 3, Local: true}) {
 		t.Fatalf("the turn after sent %+v, want the one request answered alone", got)
 	}
 }
@@ -344,8 +344,8 @@ func TestReadOutsideATurnIsAnsweredAlone(t *testing.T) {
 	r.turns = false // the bare fakeEnv again: node.World's view
 	for i, m := range readRequests(1, 10, 3) {
 		r.Deliver(1, m)
-		want := sent{1, ReadReplyMsg{Seq: 10 + uint64(i), Count: 1, Index: 2, Local: true}}
-		if got := env.drain(); len(got) != 1 || got[0] != want {
+		want := &ReadReplyMsg{Seq: 10 + uint64(i), Count: 1, Index: 2, Local: true}
+		if got := env.drain(); len(got) != 1 || !got[0].is(1, want) {
 			t.Fatalf("request %d was answered %+v, want %+v at once", i, got, want)
 		}
 	}
@@ -363,14 +363,14 @@ func TestReadOutsideATurnIsAnsweredAlone(t *testing.T) {
 // networks' tables and killed the process.
 func TestReadReqWithForeignOriginIsDropped(t *testing.T) {
 	r, env := leaseLeader(t, 1)
-	turn(r, 1, ReadReqMsg{Seq: 1, Count: 1, Origin: 7}, ReadReqMsg{Seq: 2, Count: 1, Origin: -1}, ReadReqMsg{Seq: 3, Count: 1, Origin: 3})
+	turn(r, 1, &ReadReqMsg{Seq: 1, Count: 1, Origin: 7}, &ReadReqMsg{Seq: 2, Count: 1, Origin: -1}, &ReadReqMsg{Seq: 3, Count: 1, Origin: 3})
 	if got := env.drain(); len(got) != 0 || r.LocalReads() != 0 {
 		t.Fatalf("requests from outside the cluster were answered: %+v", got)
 	}
 	f := New(consensus.StaticLeader(1), Config{})
 	fenv := newFakeEnv(0, 3)
 	f.Start(fenv)
-	f.Deliver(7, ReadReqMsg{Seq: 1, Count: 1, Origin: 7})
+	f.Deliver(7, &ReadReqMsg{Seq: 1, Count: 1, Origin: 7})
 	if got := fenv.drain(); len(got) != 0 {
 		t.Fatalf("a follower forwarded %+v", got)
 	}
@@ -388,7 +388,7 @@ func TestReadDuringPrepareIsQueuedNotDropped(t *testing.T) {
 		t.Fatal("leader-elect is not in phase 1")
 	}
 	env.drain()
-	r.Deliver(2, ReadReqMsg{Seq: 9, Count: 4, Origin: 2})
+	r.Deliver(2, &ReadReqMsg{Seq: 9, Count: 4, Origin: 2})
 	if len(r.reads.pending) != 1 || r.reads.barrier >= 0 || len(env.drain()) != 0 {
 		t.Fatalf("%d reads queued during phase 1 (barrier %d), want the one kept and nothing proposed yet", len(r.reads.pending), r.reads.barrier)
 	}
@@ -424,13 +424,14 @@ func TestReadFromItsOwnReplyHook(t *testing.T) {
 }
 
 // TestLeaseReadTurnAllocatesPerReplyNotPerRead: sixteen reads of one
-// origin cost what their one reply costs — its tail and its box.
+// origin cost what their one reply costs — its tail; its box is cut from a
+// slab.
 func TestLeaseReadTurnAllocatesPerReplyNotPerRead(t *testing.T) {
 	r, env := leaseLeader(t, 1)
 	env.mute = true
 	reqs := readRequests(1, 1000, 16)
-	if got := testing.AllocsPerRun(200, func() { turn(r, 1, reqs...) }); got > 2 {
-		t.Fatalf("a turn of 16 lease reads allocates %.0f objects, want at most 2", got)
+	if got := testing.AllocsPerRun(200, func() { turn(r, 1, reqs...) }); got > 1 {
+		t.Fatalf("a turn of 16 lease reads allocates %.0f objects, want at most 1", got)
 	}
 	if r.LocalReads() < 16*200 {
 		t.Fatalf("only %d reads served", r.LocalReads())
@@ -623,14 +624,14 @@ func TestForwardPendingMatchesFullScan(t *testing.T) {
 				skipped++
 				continue
 			}
-			want = append(want, sent{leader, RequestMsg{V: p.v}})
+			want = append(want, sent{leader, &RequestMsg{V: p.v}})
 		}
 		if leader == r.bat.fwdTo && env.now.Sub(r.bat.fwdOldest) <= retryTimeout {
 			short++ // the summary stands: this call may skip the forwarded prefix
 		}
 		r.forwardPending(leader)
-		if got := env.drain(); !slices.Equal(got, want) {
-			t.Fatalf("step %d: forwarded %v, the full scan forwards %v", step, got, want)
+		if got := env.drain(); !slices.EqualFunc(got, want, func(g, w sent) bool { return g.is(w.to, w.msg) }) {
+			t.Fatalf("step %d: forwarded %+v, the full scan forwards %v", step, got, want)
 		}
 		sentTotal += len(want)
 	}

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"net"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -175,11 +176,11 @@ func TestOversizedMessageIsADrop(t *testing.T) {
 		c.Inject(0, 1, pingMsg()) // dials the TCP link before the count is taken
 		waitFor(t, 5*time.Second, arrived(1), name+": the first message")
 		dropped, dialed := c.Stats().Dropped(), dials()
-		next := rsm.RequestMsg{V: "next"}
+		next := &rsm.RequestMsg{V: "next"}
 		c.Inject(0, 1, bigMsg(wire.MaxFrame+1))
 		c.Inject(0, 1, next)
 		waitFor(t, 5*time.Second, arrived(2), name+": the message behind the oversized one")
-		if _, msgs := rec.snapshot(); msgs[1] != node.Message(next) {
+		if _, msgs := rec.snapshot(); !reflect.DeepEqual(msgs[1], node.Message(next)) {
 			t.Errorf("%s: delivered %+v, want %+v", name, msgs[1], next)
 		}
 		if got := c.Stats().Dropped(); got != dropped+1 {

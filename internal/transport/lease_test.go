@@ -130,7 +130,7 @@ func runLeaseCrashSafety(t *testing.T, build func(inj *faultline.Injector, autos
 	// and the fallback barrier cannot commit without a quorum.
 	armed.Store(true)
 	for i := 0; i < 30; i++ {
-		stations[0].deliver(0, rsm.ReadReqMsg{Seq: uint64(1000 + i), Count: 1, Origin: 0})
+		stations[0].deliver(0, &rsm.ReadReqMsg{Seq: uint64(1000 + i), Count: 1, Origin: 0})
 		time.Sleep(10 * time.Millisecond)
 	}
 	if got := staleLocal.Load(); got != 0 {

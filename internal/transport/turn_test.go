@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -357,7 +358,7 @@ func TestFrameLargerThanReadBuffer(t *testing.T) {
 	}
 	c.Start()
 	defer c.Stop()
-	big := rsm.RequestMsg{V: consensus.Value(strings.Repeat("0123456789", link.BatchBytes/5))} // two buffers' worth
+	big := &rsm.RequestMsg{V: consensus.Value(strings.Repeat("0123456789", link.BatchBytes/5))} // two buffers' worth
 	want := []node.Message{core.LeaderMsg{Epoch: 1}, big, core.LeaderMsg{Epoch: 2}}
 	for _, m := range want {
 		c.Inject(0, 1, m)
@@ -365,7 +366,7 @@ func TestFrameLargerThanReadBuffer(t *testing.T) {
 	waitFor(t, 5*time.Second, func() bool { _, msgs := rec.snapshot(); return len(msgs) == len(want) }, "the three frames")
 	_, got := rec.snapshot()
 	for i := range want {
-		if got[i] != want[i] {
+		if !reflect.DeepEqual(got[i], want[i]) {
 			t.Fatalf("delivery %d is a %T, want the %T sent: the oversized frame was cut short or reordered", i, got[i], want[i])
 		}
 	}
@@ -551,7 +552,7 @@ func BenchmarkStationTurn(b *testing.B) {
 	}
 	reqs := make([]node.Message, burst)
 	for i := range reqs {
-		reqs[i] = rsm.RequestMsg{V: consensus.Value(fmt.Sprintf("command-%02d-with-a-64-byte-payload-like-the-benchmark-sends....", i))}
+		reqs[i] = &rsm.RequestMsg{V: consensus.Value(fmt.Sprintf("command-%02d-with-a-64-byte-payload-like-the-benchmark-sends....", i))}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -55,7 +55,7 @@ func TestConnDecoderArenaIntegrity(t *testing.T) {
 	kept := make([]node.Message, frames)
 	for i := range kept {
 		var err error
-		if buf, err = c.MarshalEnvelopeAppend(buf[:0], 1, rsm.RequestMsg{V: value(i)}); err != nil {
+		if buf, err = c.MarshalEnvelopeAppend(buf[:0], 1, &rsm.RequestMsg{V: value(i)}); err != nil {
 			t.Fatal(err)
 		}
 		env, err := cd.UnmarshalEnvelope(buf)
@@ -71,7 +71,7 @@ func TestConnDecoderArenaIntegrity(t *testing.T) {
 		t.Fatalf("only %d chunk turnovers: the test no longer exercises them", turnovers)
 	}
 	for i, m := range kept {
-		if got := m.(rsm.RequestMsg).V; got != value(i) {
+		if got := m.(*rsm.RequestMsg).V; got != value(i) {
 			t.Fatalf("value %d read back as %q after %d later decodes", i, got, frames-1-i)
 		}
 	}
@@ -116,27 +116,29 @@ func TestConnDecoderSlabIntegrity(t *testing.T) {
 	}
 }
 
-// valueFrame is a frame of the write path with what it costs through each
-// decode path: a value kind's box (REQ's), or a pointer kind's box, which a
-// connection's slab amortises to nothing; and through the shared path one
-// more object for each string.
+// valueFrame is a frame of the per-operation path with what it costs
+// through each decode path: a box, which a connection's slab amortises to
+// nothing, and through the shared path one more object for each string.
 type valueFrame struct {
 	frame  []byte
 	allocs [2]float64 // through decodePaths' conn and shared decoder
 }
 
-// valueFrames are the frames of the write path: a client's command on its
-// way to the leader, a batch on its way to a follower, and the vote that
-// answers it.
+// valueFrames are the frames of the per-operation path: a client's command
+// on its way to the leader, a batch on its way to a follower, the vote that
+// answers it, and a lease read's request and its reply, alone and packed.
 func valueFrames(t testing.TB, c *Codec) map[string]valueFrame {
 	out := map[string]valueFrame{}
 	for name, f := range map[string]struct {
 		m      node.Message
 		allocs [2]float64
 	}{
-		"REQ-64B":     {rsm.RequestMsg{V: consensus.Value(strings.Repeat("r", 64))}, [2]float64{1, 2}},
+		"REQ-64B":     {&rsm.RequestMsg{V: consensus.Value(strings.Repeat("r", 64))}, [2]float64{0, 2}},
 		"ACCEPT-700B": {&rsm.AcceptMsg{B: 5, Inst: 900, V: consensus.Value(strings.Repeat("a", 700)), CommitUpTo: 899, LeaseSeq: 3}, [2]float64{0, 2}},
 		"ACCEPTED":    {&rsm.AcceptedMsg{B: 5, Inst: 900, Done: 899, LeaseSeq: 3}, [2]float64{0, 1}},
+		"READ":        {&rsm.ReadReqMsg{Seq: 1 << 20, Count: 1, Origin: 2}, [2]float64{0, 1}},
+		"READR":       {&rsm.ReadReplyMsg{Seq: 1 << 20, Count: 1, Index: 1 << 20, Local: true}, [2]float64{0, 1}},
+		"READR-21":    {readReply(21), [2]float64{0, 2}},
 	} {
 		frame, err := c.MarshalEnvelope(1, f.m)
 		if err != nil {
@@ -157,10 +159,10 @@ func decodePaths(c *Codec) []decodePath {
 	return []decodePath{{"conn", c.NewConnDecoder().UnmarshalEnvelope}, {"shared", c.UnmarshalEnvelope}}
 }
 
-// TestConnDecoderValueAllocs is the decode guard for the write path (the
-// heartbeat guards' LeaderMsg{Epoch: 5} boxes for free): through a
+// TestConnDecoderValueAllocs is the decode guard for the per-operation path
+// (the heartbeat guards' LeaderMsg{Epoch: 5} boxes for free): through a
 // connection decoder a string costs, amortised, nothing, and so does the box
-// of an ACCEPT or an ACCEPTED.
+// of every kind a command or a read sends.
 func TestConnDecoderValueAllocs(t *testing.T) {
 	c := NewCodec()
 	for name, f := range valueFrames(t, c) {
@@ -178,7 +180,7 @@ func TestConnDecoderValueAllocs(t *testing.T) {
 }
 
 // BenchmarkConnDecode is what a socket's read loop pays per frame of the
-// write path, against the shared UnmarshalEnvelope the loops called before
+// per-operation path, against the shared UnmarshalEnvelope the loops called before
 // they owned a decoder.
 func BenchmarkConnDecode(b *testing.B) {
 	c := NewCodec()

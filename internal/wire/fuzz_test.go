@@ -44,11 +44,11 @@ func FuzzEnvelopeRoundTrip(f *testing.F) {
 		{1, &rsm.DecideMsg{Inst: 7, V: "cmd"}},
 		{1, rsm.LeaseGrantMsg{B: 5, Seq: 8}},
 		{2, rsm.LeaseAckMsg{B: 5, Seq: 8}},
-		{3, rsm.ReadReqMsg{Seq: 41, Count: 16, Origin: 3}},
-		{4, rsm.ReadReplyMsg{Seq: 41, Count: 16, Index: 99, Local: true}},
+		{3, &rsm.ReadReqMsg{Seq: 41, Count: 16, Origin: 3}},
+		{4, &rsm.ReadReplyMsg{Seq: 41, Count: 16, Index: 99, Local: true}},
 		{0, readReply(21)},
 		{0, readReply(128)},
-		{1, rsm.ReadReqMsg{Seq: 1, Count: 1, Origin: 7}}, // an origin outside a cluster of 3: decodes, and rsm drops it
+		{1, &rsm.ReadReqMsg{Seq: 1, Count: 1, Origin: 7}}, // an origin outside a cluster of 3: decodes, and rsm drops it
 		// Instance numbers no log reaches: they decode, and rsm neither votes
 		// across the hole nor sizes its window by them.
 		{1, &rsm.AcceptMsg{B: 5, Inst: 1 << 28, V: "far", CommitUpTo: 6}},
@@ -56,10 +56,10 @@ func FuzzEnvelopeRoundTrip(f *testing.F) {
 		{2, rsm.PromiseMsg{B: 5, Entries: []rsm.PromEntry{{Inst: 1 << 28, AccB: 4, AccV: "far"}}}},
 		// A promise reporting decisions under NoBallot, a prefix no log reaches among them.
 		{2, rsm.PromiseMsg{B: 5, Entries: []rsm.PromEntry{{Inst: 1 << 40}, {Inst: 1<<40 + 2, AccB: 4, AccV: "vote"}, {Inst: 1<<40 + 3, AccV: "decided"}}}},
-		{0, group.Msg{Group: 0, Inner: rsm.RequestMsg{V: "k=v"}}},
+		{0, group.Msg{Group: 0, Inner: &rsm.RequestMsg{V: "k=v"}}},
 		{2, group.Msg{Group: 3, Inner: &rsm.AcceptMsg{B: 5, Inst: 7, V: "cmd", CommitUpTo: 6, LeaseSeq: 3}}},
 		{1, group.Msg{Group: 1, Inner: core.LeaderMsg{Epoch: 9}}},
-		{0, tracing.Wrap{Ctx: tracing.Context{Trace: 1 << 48, Span: 1<<48 | 2}, Inner: rsm.RequestMsg{V: "k=v"}}},
+		{0, tracing.Wrap{Ctx: tracing.Context{Trace: 1 << 48, Span: 1<<48 | 2}, Inner: &rsm.RequestMsg{V: "k=v"}}},
 		{3, tracing.Wrap{Ctx: tracing.Context{Trace: 7, Span: 8}, Inner: &rsm.AcceptMsg{B: 5, Inst: 7, V: "cmd", CommitUpTo: 6, LeaseSeq: 3}}},
 		{2, group.Msg{Group: 2, Inner: tracing.Wrap{Ctx: tracing.Context{Trace: 9, Span: 10}, Inner: &rsm.AcceptedMsg{B: 5, Inst: 7, Done: 6, LeaseSeq: 3}}}},
 	}

@@ -38,7 +38,7 @@ func TestGroupVarintWireFrozen(t *testing.T) {
 func TestGroupRoundTrip(t *testing.T) {
 	c := NewCodec()
 	msgs := []group.Msg{
-		{Group: 0, Inner: rsm.RequestMsg{V: "k=v"}},
+		{Group: 0, Inner: &rsm.RequestMsg{V: "k=v"}},
 		{Group: 1, Inner: rsm.PrepareMsg{B: 12}},
 		{Group: 7, Inner: &rsm.AcceptMsg{B: 2, Inst: 40, V: "x", CommitUpTo: 39, MinDone: 12, LeaseSeq: 4}},
 		{Group: 300, Inner: &rsm.DecideMsg{Inst: 9, V: consensus.Value(strings.Repeat("v", 100))}},

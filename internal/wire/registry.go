@@ -60,6 +60,28 @@ func reg[M node.Message](c *Codec, code byte, kind string, enc func(*Encoder, M)
 		func(d *Decoder) node.Message { return dec(d) })
 }
 
+// regBoxed registers a kind that a replica sends boxed, *M, and that a
+// client outside the cluster may inject as a plain M (the benchmark and
+// chaossoak build REQ and READ values): both forms encode alike, and a frame
+// always decodes into a box (slot).
+func regBoxed[M node.Message, P interface {
+	*M
+	node.Message
+}](c *Codec, code byte, kind string, enc func(*Encoder, M), dec func(*Decoder) M) {
+	c.Register(code, kind,
+		func(e *Encoder, m node.Message) {
+			switch msg := m.(type) {
+			case P:
+				enc(e, *msg)
+			case M:
+				enc(e, msg)
+			default:
+				e.Fail(fmt.Errorf("wire: encoder for %s got %T", kind, m))
+			}
+		},
+		func(d *Decoder) node.Message { return P(slot(d, code, dec(d))) })
+}
+
 // NewCodec returns a codec with every protocol message in this repository
 // registered.
 func NewCodec() *Codec {
@@ -120,7 +142,7 @@ func registerWrappers(c *Codec) {
 }
 
 func registerRSM(c *Codec) {
-	reg(c, codeRSMRequest, rsm.KindRequest,
+	regBoxed(c, codeRSMRequest, rsm.KindRequest,
 		func(e *Encoder, m rsm.RequestMsg) { e.Str(string(m.V)) },
 		func(d *Decoder) rsm.RequestMsg { return rsm.RequestMsg{V: consensus.Value(d.Str())} })
 	reg(c, codeRSMPrepare, rsm.KindPrepare,
@@ -216,7 +238,7 @@ func registerRSM(c *Codec) {
 	reg(c, codeRSMLeaseAck, rsm.KindLeaseAck,
 		func(e *Encoder, m rsm.LeaseAckMsg) { e.U64(uint64(m.B)); e.U64(m.Seq) },
 		func(d *Decoder) rsm.LeaseAckMsg { return rsm.LeaseAckMsg{B: consensus.Ballot(d.U64()), Seq: d.U64()} })
-	reg(c, codeRSMReadReq, rsm.KindReadReq,
+	regBoxed(c, codeRSMReadReq, rsm.KindReadReq,
 		func(e *Encoder, m rsm.ReadReqMsg) { e.U64(m.Seq); e.U32(m.Count); e.Int(int(m.Origin)) },
 		func(d *Decoder) rsm.ReadReqMsg {
 			return rsm.ReadReqMsg{Seq: d.U64(), Count: d.U32(), Origin: node.ID(d.Int())}
@@ -229,7 +251,7 @@ func registerRSM(c *Codec) {
 	// read either: the one canonical frame per message strict decoding
 	// rests on.
 	reg(c, codeRSMReadReply, rsm.KindReadReply,
-		func(e *Encoder, m rsm.ReadReplyMsg) {
+		func(e *Encoder, m *rsm.ReadReplyMsg) {
 			e.U64(m.Seq)
 			e.U32(m.Count)
 			e.Int(m.Index)
@@ -242,13 +264,13 @@ func registerRSM(c *Codec) {
 				e.Str(m.More)
 			}
 		},
-		func(d *Decoder) rsm.ReadReplyMsg {
+		func(d *Decoder) *rsm.ReadReplyMsg {
 			m := rsm.ReadReplyMsg{Seq: d.U64(), Count: d.U32(), Index: d.Int(), Local: d.U32() != 0}
 			if len(d.buf) > 0 {
 				if m.More = d.Str(); m.More == "" {
 					d.Fail(fmt.Errorf("wire: %s with an empty list of further requests", rsm.KindReadReply))
 				}
 			}
-			return m
+			return slot(d, codeRSMReadReply, m)
 		})
 }

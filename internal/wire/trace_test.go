@@ -45,11 +45,11 @@ func TestTraceVarintWireFrozen(t *testing.T) {
 func TestTraceRoundTrip(t *testing.T) {
 	c := NewCodec()
 	msgs := []node.Message{
-		tracing.Wrap{Ctx: tracing.Context{Trace: 1, Span: 2}, Inner: rsm.RequestMsg{V: "k=v"}},
+		tracing.Wrap{Ctx: tracing.Context{Trace: 1, Span: 2}, Inner: &rsm.RequestMsg{V: "k=v"}},
 		tracing.Wrap{Ctx: tracing.Context{Trace: 1 << 48, Span: 1<<48 | 9}, Inner: &rsm.AcceptMsg{B: 2, Inst: 40, V: "x", CommitUpTo: 39, MinDone: 12, LeaseSeq: 4}},
 		tracing.Wrap{Ctx: tracing.Context{Trace: ^tracing.TraceID(0), Span: ^tracing.SpanID(0)}, Inner: &rsm.AcceptedMsg{B: 2, Inst: 40, Done: 39, LeaseSeq: 4}},
 		tracing.Wrap{Ctx: tracing.Context{Trace: 5, Span: 0}, Inner: &rsm.DecideMsg{Inst: 9, V: consensus.Value("v")}},
-		group.Msg{Group: 3, Inner: tracing.Wrap{Ctx: tracing.Context{Trace: 6, Span: 7}, Inner: rsm.RequestMsg{V: "sharded"}}},
+		group.Msg{Group: 3, Inner: tracing.Wrap{Ctx: tracing.Context{Trace: 6, Span: 7}, Inner: &rsm.RequestMsg{V: "sharded"}}},
 	}
 	for _, m := range msgs {
 		if got := roundTrip(t, c, m); !reflect.DeepEqual(got, m) {

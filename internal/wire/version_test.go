@@ -160,12 +160,12 @@ func TestSteadyStateDecodeAllocs(t *testing.T) {
 // ends after Local. Further requests travel behind it in one
 // length-prefixed string that rsm packs; an empty one is not a frame.
 func TestRSMReadReplyWireFrozen(t *testing.T) {
-	one := rsm.ReadReplyMsg{Seq: 41, Count: 16, Index: 99, Local: true}
-	three := rsm.ReadReplyMsg{Seq: 41, Count: 16, Index: 99, Local: true, More: "\x10\x01\x01\x02"}
+	one := &rsm.ReadReplyMsg{Seq: 41, Count: 16, Index: 99, Local: true}
+	three := &rsm.ReadReplyMsg{Seq: 41, Count: 16, Index: 99, Local: true, More: "\x10\x01\x01\x02"}
 	for _, tc := range []struct {
 		name  string
 		c     *Codec
-		m     rsm.ReadReplyMsg
+		m     *rsm.ReadReplyMsg
 		frame []byte
 	}{
 		{"varint, one request", NewCodec(), one, []byte{
@@ -190,7 +190,7 @@ func TestRSMReadReplyWireFrozen(t *testing.T) {
 			t.Fatalf("%s envelope = % x, want % x", tc.name, b, tc.frame)
 		}
 		env, err := tc.c.UnmarshalEnvelope(tc.frame)
-		if err != nil || env.Msg != node.Message(tc.m) {
+		if err != nil || !reflect.DeepEqual(env.Msg, tc.m) {
 			t.Fatalf("%s decoded %+v, %v", tc.name, env.Msg, err)
 		}
 	}

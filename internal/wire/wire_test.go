@@ -23,12 +23,12 @@ import (
 // readReply returns a READ-REPLY answering k single reads numbered from 100
 // upwards: all but the first packed into More the way rsm packs them, as
 // uvarint (distance from the previous number, count) pairs.
-func readReply(k int) rsm.ReadReplyMsg {
+func readReply(k int) *rsm.ReadReplyMsg {
 	var more []byte
 	for i := 1; i < k; i++ {
 		more = binary.AppendUvarint(binary.AppendUvarint(more, 1), 1)
 	}
-	return rsm.ReadReplyMsg{Seq: 100, Count: 1, Index: 4242, Local: true, More: string(more)}
+	return &rsm.ReadReplyMsg{Seq: 100, Count: 1, Index: 4242, Local: true, More: string(more)}
 }
 
 // roundTrip marshals and unmarshals m, failing on any error.
@@ -53,7 +53,7 @@ func allMessages() []node.Message {
 		core.RebuffMsg{Epoch: 9},
 		alltoall.AliveMsg{},
 		source.AliveMsg{Counters: []uint64{1, 0, 99}},
-		rsm.RequestMsg{V: "cmd"},
+		&rsm.RequestMsg{V: "cmd"},
 		rsm.PrepareMsg{B: 9},
 		rsm.PromiseMsg{B: 9, Entries: []rsm.PromEntry{{Inst: 1, AccB: 2, AccV: "a"}, {Inst: 5, AccB: 9, AccV: "b"}}},
 		rsm.PromiseMsg{B: 9},
@@ -66,12 +66,12 @@ func allMessages() []node.Message {
 		rsm.LearnMsg{FirstGap: 11},
 		rsm.LeaseGrantMsg{B: 9, Seq: 7},
 		rsm.LeaseAckMsg{B: 9, Seq: 7},
-		rsm.ReadReqMsg{Seq: 100, Count: 64, Origin: 2},
-		rsm.ReadReplyMsg{Seq: 100, Count: 64, Index: 4242, Local: true},
+		&rsm.ReadReqMsg{Seq: 100, Count: 64, Origin: 2},
+		&rsm.ReadReplyMsg{Seq: 100, Count: 64, Index: 4242, Local: true},
 		readReply(21),  // what a turn of the benchmark's leader answers at once
 		readReply(128), // a whole turn (loop.MaxTurn) of reads from one origin
 		group.Msg{Group: 3, Inner: &rsm.AcceptMsg{B: 9, Inst: 4, V: "x", CommitUpTo: 3, MinDone: 2, LeaseSeq: 6}},
-		tracing.Wrap{Ctx: tracing.Context{Trace: 1 << 40, Span: 3}, Inner: rsm.RequestMsg{V: "traced"}},
+		tracing.Wrap{Ctx: tracing.Context{Trace: 1 << 40, Span: 3}, Inner: &rsm.RequestMsg{V: "traced"}},
 		group.Msg{Group: 2, Inner: tracing.Wrap{Ctx: tracing.Context{Trace: 5, Span: 6}, Inner: &rsm.AcceptedMsg{B: 9, Inst: 4, Done: 3}}},
 	}
 }
@@ -82,6 +82,26 @@ func TestRoundTripAllMessageTypes(t *testing.T) {
 		got := roundTrip(t, c, m)
 		if !reflect.DeepEqual(got, m) {
 			t.Fatalf("round trip changed %T: %+v → %+v", m, m, got)
+		}
+	}
+}
+
+// TestInjectedValuesEncodeAsBoxes: a client outside the cluster may send a
+// REQ or a READ as a plain value. That is the frame of the box a replica
+// sends, and it decodes into a box like any other.
+func TestInjectedValuesEncodeAsBoxes(t *testing.T) {
+	c := NewCodec()
+	for _, tc := range []struct{ plain, box node.Message }{
+		{rsm.RequestMsg{V: "cmd"}, &rsm.RequestMsg{V: "cmd"}},
+		{rsm.ReadReqMsg{Seq: 9, Count: 2, Origin: 1}, &rsm.ReadReqMsg{Seq: 9, Count: 2, Origin: 1}},
+	} {
+		plain, perr := c.Marshal(tc.plain)
+		box, berr := c.Marshal(tc.box)
+		if perr != nil || berr != nil || !bytes.Equal(plain, box) {
+			t.Fatalf("%s: plain % x (%v), boxed % x (%v)", tc.box.Kind(), plain, perr, box, berr)
+		}
+		if got := roundTrip(t, c, tc.plain); !reflect.DeepEqual(got, tc.box) {
+			t.Fatalf("%s: a plain value decoded as %#v, want %#v", tc.box.Kind(), got, tc.box)
 		}
 	}
 }
@@ -235,12 +255,12 @@ func TestUnmarshalErrors(t *testing.T) {
 // encoder and, built by hand, by the decoder.
 func TestFrameLimit(t *testing.T) {
 	c := NewCodec()
-	fits := rsm.RequestMsg{V: consensus.Value(strings.Repeat("v", MaxFrame-5))} // marker, code, 3-byte length
+	fits := &rsm.RequestMsg{V: consensus.Value(strings.Repeat("v", MaxFrame-5))} // marker, code, 3-byte length
 	frame, err := c.Marshal(fits)
 	if err != nil || len(frame) != MaxFrame {
 		t.Fatalf("%d-byte frame, %v; want %d bytes", len(frame), err, MaxFrame)
 	}
-	if got, err := c.Unmarshal(frame); err != nil || got != node.Message(fits) {
+	if got, err := c.Unmarshal(frame); err != nil || *got.(*rsm.RequestMsg) != *fits {
 		t.Fatalf("a frame of MaxFrame bytes decoded as %.20v, %v", got, err)
 	}
 	over := rsm.RequestMsg{V: fits.V + "v"}
