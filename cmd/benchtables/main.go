@@ -1,5 +1,5 @@
 // Command benchtables regenerates every experiment table and figure
-// (E1–E13) of the reproduction. The output is the source of the numbers
+// (E1–E14) of the reproduction. The output is the source of the numbers
 // recorded in EXPERIMENTS.md.
 //
 // Usage:

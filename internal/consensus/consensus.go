@@ -1,8 +1,8 @@
 // Package consensus holds the types shared by the consensus protocols in
 // this repository — the paper's leader-driven, communication-efficient
-// synod protocol (internal/consensus/synod), its repeated/replicated-log
-// form (internal/consensus/rsm), and the classic rotating-coordinator
-// baseline (internal/consensus/ct) — together with ballot arithmetic and a
+// protocol as a replicated log (internal/consensus/rsm), and the classic
+// rotating-coordinator baseline (internal/consensus/ct) — together with
+// ballot arithmetic and a
 // safety checker (agreement, validity, integrity) used by tests and
 // experiments.
 package consensus

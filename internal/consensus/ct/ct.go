@@ -18,8 +18,9 @@
 //
 // Message cost per round is Θ(n) to the coordinator, Θ(n) from it, Θ(n)
 // replies, and the decision costs Θ(n²) through the reliable broadcast —
-// and unlike the synod protocol the round structure keeps **every**
-// process sending in **every** round, so repeated consensus never becomes
+// and unlike the leader-driven protocol (internal/consensus/rsm) the round
+// structure keeps **every** process sending in **every** round, so
+// repeated consensus never becomes
 // communication-efficient. That contrast is the paper's point.
 package ct
 

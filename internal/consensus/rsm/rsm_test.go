@@ -496,19 +496,127 @@ func TestNoPhase1PerCommandAfterStableLeader(t *testing.T) {
 	}
 }
 
+// TestSafetyUnderChurnManySeeds: twenty-five worlds on links that delay
+// each message by 1–80 ms and reorder freely, with up to two of five
+// replicas crashed at seed-chosen instants while commands are in flight.
+// Every world must be safe and agree on its prefix, and, a majority
+// surviving, every survivor must apply every command submitted at a
+// survivor.
 func TestSafetyUnderChurnManySeeds(t *testing.T) {
-	for seed := int64(0); seed < 15; seed++ {
-		c := newCluster(t, 5, seed, network.Reliable(ms, 50*ms))
+	for seed := int64(0); seed < 25; seed++ {
+		c := newCluster(t, 5, seed, network.Reliable(ms, 80*ms))
 		c.world.Start()
-		for i := 0; i < 8; i++ {
-			c.nodes[int(seed+int64(i))%5].Submit(consensus.Value(fmt.Sprintf("s%d-c%d", seed, i)))
+		cmds := make([]consensus.Value, 8)
+		for i := range cmds {
+			cmds[i] = consensus.Value(fmt.Sprintf("s%d-c%d", seed, i))
+			c.nodes[int(seed+int64(i))%5].Submit(cmds[i])
 		}
 		c.world.CrashAt(node.ID(seed%5), sim.At(time.Duration(seed%7)*30*ms))
+		c.world.CrashAt(node.ID((seed+2)%5), sim.At(time.Duration(seed%29)*5*ms))
 		c.world.RunFor(20 * time.Second)
 		if rep := c.safety(); !rep.Holds() {
 			t.Fatalf("seed %d: %v", seed, rep.Violations)
 		}
 		c.assertPrefixAgreement(t)
+		for p := range c.nodes {
+			if !c.world.Alive(node.ID(p)) {
+				continue
+			}
+			applied := c.appliedSet(p)
+			for i, v := range cmds {
+				if at := node.ID((seed + int64(i)) % 5); c.world.Alive(at) && !applied[v] {
+					t.Fatalf("seed %d: p%d never applied %q, submitted at survivor p%d", seed, p, v, at)
+				}
+			}
+		}
+	}
+}
+
+// TestMajorityCrashLosesLivenessNotSafety: with three of four replicas
+// crashed at t = 0, before any PROMISE can reach it, the survivor has no
+// quorum, so it decides nothing, and above all not alone.
+func TestMajorityCrashLosesLivenessNotSafety(t *testing.T) {
+	c := newCluster(t, 4, 4, network.Timely(2*ms))
+	c.world.Start()
+	for p := node.ID(1); p < 4; p++ {
+		c.world.CrashAt(p, 0)
+	}
+	c.nodes[0].Submit("alone")
+	c.world.RunFor(2 * time.Second)
+	if gap := c.nodes[0].FirstGap(); gap != 0 {
+		t.Fatalf("p0 decided %d instances without a correct majority", gap)
+	}
+	if rep := c.safety(); !rep.Holds() {
+		t.Fatalf("safety: %v", rep.Violations)
+	}
+}
+
+// flappingOracle is a Leadership that lies: until settleAt its output
+// rotates through every process, one step per 20 ms of simulated time,
+// shifted by skew so that replicas disagree and two often lead at once;
+// from settleAt on it names p2. It reads the kernel clock rather than
+// counting calls, because rsm consults Leader() on every event.
+type flappingOracle struct {
+	k        *sim.Kernel
+	n        int
+	skew     time.Duration
+	settleAt sim.Time
+}
+
+func (f flappingOracle) Leader() node.ID {
+	now := f.k.Now()
+	if !now.Before(f.settleAt) {
+		return 2
+	}
+	return node.ID(int((now.Duration()+f.skew)/(20*ms)) % f.n)
+}
+
+// TestSafetyAndLivenessUnderFlappingOracle: twenty worlds whose Omega flaps
+// for 1.2 s before it settles on p2, with commands submitted at every
+// replica from 1.0 s to 1.4 s, across the settle instant. Dueling proposers
+// must never break safety or the agreed prefix, and once the output has
+// settled every command is applied everywhere.
+func TestSafetyAndLivenessUnderFlappingOracle(t *testing.T) {
+	const seeds, n = 20, 5
+	failures := sweep.Map(sweep.New(0), seeds, func(i int) string {
+		w, err := node.NewWorld(node.WorldConfig{N: n, Seed: int64(i), DefaultLink: network.Timely(2 * ms)})
+		if err != nil {
+			return err.Error()
+		}
+		c := &cluster{world: w, nodes: make([]*Node, n)}
+		for p := range c.nodes {
+			oracle := flappingOracle{k: w.Kernel, n: n, skew: time.Duration(p) * 7 * ms, settleAt: sim.At(1200 * ms)}
+			c.nodes[p] = New(oracle, Config{})
+			w.SetAutomaton(node.ID(p), c.nodes[p])
+		}
+		w.Start()
+		var cmds []consensus.Value
+		for k, at := 0, sim.At(time.Second); at.Before(sim.At(1400 * ms)); k, at = k+1, at.Add(20*ms) {
+			r, v := c.nodes[k%n], consensus.Value(fmt.Sprintf("s%d-c%d", i, k))
+			cmds = append(cmds, v)
+			w.Kernel.ScheduleAt(at, func() { r.Submit(v) })
+		}
+		w.RunFor(4 * time.Second)
+		if rep := c.safety(); !rep.Holds() {
+			return fmt.Sprintf("safety: %v", rep.Violations)
+		}
+		if diff := c.prefixDisagreement(); diff != "" {
+			return diff
+		}
+		for p := range c.nodes {
+			applied := c.appliedSet(p)
+			for _, v := range cmds {
+				if !applied[v] {
+					return fmt.Sprintf("p%d never applied %q", p, v)
+				}
+			}
+		}
+		return ""
+	})
+	for i, f := range failures {
+		if f != "" {
+			t.Errorf("seed %d: %s", i, f)
+		}
 	}
 }
 

@@ -568,10 +568,14 @@ func TestAcceptOvertakingItsPrepareIsNotANack(t *testing.T) {
 	if !ok || p.B != b || len(p.Entries) != 2 || p.Entries[0] != (PromEntry{}) || p.Entries[1].AccV != "early" {
 		t.Fatalf("reply = %+v, want a promise at %v reporting an empty decided prefix and the vote already cast", out[0].msg, b)
 	}
-	// A genuinely lower ballot is still refused.
+	// A genuinely lower ballot is still refused, in either phase.
 	r.Deliver(0, PrepareMsg{B: b - 1})
 	if n, ok := env.drain()[0].msg.(NackMsg); !ok || n.Promised != b {
 		t.Fatalf("lower prepare not nacked at %v", b)
+	}
+	r.Deliver(0, &AcceptMsg{B: b - 1, Inst: 0, V: "stale"})
+	if n, ok := env.drain()[0].msg.(NackMsg); !ok || n.Promised != b {
+		t.Fatalf("lower accept not nacked at %v", b)
 	}
 }
 

@@ -7,20 +7,15 @@ import (
 	"repro/internal/consensus"
 	"repro/internal/consensus/ct"
 	"repro/internal/consensus/rsm"
-	"repro/internal/consensus/synod"
 	"repro/internal/core"
 	"repro/internal/network"
 	"repro/internal/node"
 	"repro/internal/sim"
 )
 
-// synodKinds and ctKinds name the message kinds belonging to each
+// ctKinds and rsmKinds name the message kinds belonging to each
 // consensus protocol, so Omega heartbeats can be excluded from counts.
 var (
-	synodKinds = []string{
-		synod.KindPrepare, synod.KindPromise, synod.KindNack, synod.KindAccept,
-		synod.KindAccepted, synod.KindDecide, synod.KindLearn, synod.KindRequest,
-	}
 	ctKinds = []string{
 		ct.KindEstimate, ct.KindProposal, ct.KindAck, ct.KindNack, ct.KindDecide,
 	}
@@ -38,43 +33,43 @@ func kindTotal(w *node.World, kinds []string) uint64 {
 	return total
 }
 
-// synodRun wires n processes running Omega+synod, proposes at every
-// process, and runs until all correct processes decide (or the horizon).
-// It returns the decision latency and the consensus message count.
-func synodRun(n int, seed int64, crashLeader bool) (time.Duration, uint64, bool) {
+// rsmRun wires n processes running Omega+rsm, submits one command at every
+// process, and runs until every correct process has decided the log's first
+// instance (or the horizon). It returns the decision latency and the
+// consensus message count.
+func rsmRun(n int, seed int64, crashLeader bool) (time.Duration, uint64, bool) {
 	w, err := node.NewWorld(node.WorldConfig{N: n, Seed: seed, DefaultLink: network.Timely(2 * time.Millisecond)})
 	if err != nil {
 		panic(err)
 	}
-	nodes := make([]*synod.Node, n)
+	nodes := make([]*rsm.Node, n)
 	for i := 0; i < n; i++ {
 		det := core.New(core.WithEta(Eta))
-		nodes[i] = synod.New(det, synod.Config{})
-		nodes[i].Propose(consensus.Value(fmt.Sprintf("v%d", i)))
+		nodes[i] = rsm.New(det, rsm.Config{})
 		w.SetAutomaton(node.ID(i), node.Compose(det, nodes[i]))
 	}
 	w.Start()
+	for i, r := range nodes {
+		r.Submit(consensus.Value(fmt.Sprintf("v%d", i)))
+	}
 	if crashLeader {
-		// Crash p0 at t=0, before it can drive a ballot: the run pays
+		// Crash p0 at t=0, before its ballot is prepared: the run pays
 		// the full re-election-plus-consensus price.
 		w.CrashAt(0, 0)
 	}
 	allDecided := func() bool {
-		for i, s := range nodes {
-			if !w.Alive(node.ID(i)) {
-				continue
-			}
-			if _, ok := s.Decided(); !ok {
+		for i, r := range nodes {
+			if w.Alive(node.ID(i)) && r.FirstGap() < 1 {
 				return false
 			}
 		}
 		return true
 	}
 	w.RunUntil(sim.At(20*time.Second), allDecided)
-	return w.Kernel.Now().Duration(), kindTotal(w, synodKinds), allDecided()
+	return w.Kernel.Now().Duration(), kindTotal(w, rsmKinds), allDecided()
 }
 
-// ctRun is the rotating-coordinator counterpart of synodRun.
+// ctRun is the rotating-coordinator counterpart of rsmRun.
 func ctRun(n int, seed int64, crashLeader bool) (time.Duration, uint64, bool) {
 	w, err := node.NewWorld(node.WorldConfig{N: n, Seed: seed, DefaultLink: network.Timely(2 * time.Millisecond)})
 	if err != nil {
@@ -108,9 +103,10 @@ func ctRun(n int, seed int64, crashLeader bool) (time.Duration, uint64, bool) {
 }
 
 // E6ConsensusCost regenerates Table 3: single-decree consensus cost — the
-// Omega-driven synod protocol against the rotating-coordinator baseline.
-// Expected shape: synod messages grow linearly in n, the baseline
-// quadratically (its decide echo alone is n(n−1)).
+// Omega-driven leader protocol, as the first instance of rsm's log, against
+// the rotating-coordinator baseline. Expected shape: rsm messages grow
+// linearly in n, the baseline quadratically (its decide echo alone is
+// n(n−1)).
 func E6ConsensusCost(o Opts) Table {
 	o.fill()
 	sizes := []int{3, 5, 7, 9}
@@ -129,9 +125,9 @@ func E6ConsensusCost(o Opts) Table {
 		crash bool
 	}
 	protos := []proto{
-		{"synod+Ω", synodRun, false},
+		{"rsm+Ω", rsmRun, false},
 		{"ct-rotating", ctRun, false},
-		{"synod+Ω (×)", synodRun, true},
+		{"rsm+Ω (×)", rsmRun, true},
 		{"ct-rotating (×)", ctRun, true},
 	}
 	type cell struct {

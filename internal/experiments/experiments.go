@@ -1,5 +1,5 @@
 // Package experiments regenerates the reproduction's tables and figures
-// (E1–E13, indexed in DESIGN.md §4 and reported in EXPERIMENTS.md). PODC
+// (E1–E14, indexed in DESIGN.md §4 and reported in EXPERIMENTS.md). PODC
 // 2004 is a theory paper, so each experiment validates one theorem-shaped
 // claim empirically: steady-state message counts, links used forever,
 // stabilization times, consensus costs, assumption boundaries, and

@@ -70,9 +70,11 @@ func TestE5LinksShape(t *testing.T) {
 	}
 }
 
-func TestE6SynodCheaperThanCT(t *testing.T) {
+func TestE6LeaderBasedCheaperThanCT(t *testing.T) {
 	tab := E6ConsensusCost(quick)
-	// For every n, synod (no crash) must use fewer messages than ct.
+	// For every n, rsm (no crash) must use fewer messages than ct, and rsm
+	// must decide on every seed, its first leader crashed or not.
+	all := fmt.Sprintf("%d/%d", quick.Seeds, quick.Seeds)
 	costs := map[string]map[string]float64{}
 	for _, row := range tab.Rows {
 		n := row[0]
@@ -80,10 +82,13 @@ func TestE6SynodCheaperThanCT(t *testing.T) {
 			costs[n] = map[string]float64{}
 		}
 		costs[n][row[1]] = atofOrFail(t, row[2])
+		if strings.HasPrefix(row[1], "rsm+Ω") && row[4] != all {
+			t.Errorf("n=%s: %s decided %s, want %s", n, row[1], row[4], all)
+		}
 	}
 	for n, byProto := range costs {
-		if byProto["synod+Ω"] >= byProto["ct-rotating"] {
-			t.Errorf("n=%s: synod %v >= ct %v", n, byProto["synod+Ω"], byProto["ct-rotating"])
+		if byProto["rsm+Ω"] >= byProto["ct-rotating"] {
+			t.Errorf("n=%s: rsm %v >= ct %v", n, byProto["rsm+Ω"], byProto["ct-rotating"])
 		}
 	}
 }

@@ -12,10 +12,10 @@
 //     source;
 //   - the weak-assumption gossiped-counter Omega and the classic
 //     all-to-all heartbeat detector as baselines (internal/detector/...);
-//   - leader-driven consensus: a single-decree synod protocol and a
-//     repeated-consensus replicated log whose steady state is Θ(n)
-//     messages per decision, against a rotating-coordinator Θ(n²)
-//     baseline (internal/consensus/...);
+//   - leader-driven consensus: an Omega-steered Paxos replicated log,
+//     whose first instance is single-decree consensus and whose steady
+//     state is Θ(n) messages per decision, against a rotating-coordinator
+//     Θ(n²) baseline (internal/consensus/...);
 //   - the substrates they need: a deterministic discrete-event simulator,
 //     link models with GST-style partial synchrony, a process runtime,
 //     metrics, tracing, property checkers, a binary wire codec, and live
@@ -80,7 +80,7 @@ const (
 // Build constructs a runnable system from a scenario.
 func Build(cfg Scenario) (*System, error) { return scenario.Build(cfg) }
 
-// RunExperiments regenerates the full E1–E13 suite (DESIGN.md §4),
+// RunExperiments regenerates the full E1–E14 suite (DESIGN.md §4),
 // writing rendered tables and figures to w.
 func RunExperiments(w io.Writer, opts ExperimentOpts) error {
 	return experiments.RunAll(w, opts)
