@@ -17,13 +17,13 @@ test: bench-check
 	$(GO) test ./...
 
 # Non-test Go lines per package, with the total for the observability set
-# (obs, metrics, tracing, telemetry, traceview) and for cmd/: the unit
-# ROADMAP items 5 and 6 are accepted in. Given a parent, chosen as for
-# bench-pairs (make loc BASE=HEAD~1, or PARENT=<dir>), it also prints
-# before, after and delta for rsm, the observability set, cmd/ and the
-# module, and fails when rsm or the observability set has grown: a change
-# lands each no larger than it found it. scripts/loc.sh DIR counts another
-# checkout alone.
+# (obs, metrics, tracing, telemetry, traceview) and for cmd/. Given a
+# parent, chosen as for bench-pairs (make loc BASE=HEAD~1, or
+# PARENT=<dir>), it also prints before, after and delta for rsm, the
+# observability set, cmd/ and the module, and fails when rsm or the
+# observability set is larger than at the parent: a change lands each no
+# larger than it found it. scripts/loc.sh DIR counts another checkout
+# alone.
 loc:
 	bash scripts/loc.sh
 
@@ -164,6 +164,8 @@ bench:
 # one steady-state turn of a leader's node loop (ten requests and a vote
 # in, one ACCEPT broadcast out; ns and allocs per ten commands), WALTurn
 # sixteen votes flushed once against sixteen flushed one by one,
+# WALOpen what a replica's store adds to its boot (Open and Close of a WAL in
+# a directory Open creates, per fsync policy; no policy syncs there),
 # SubmitWithBacklog a follower's Submit behind forty outstanding commands
 # (0 allocs/op: the REQ it forwards is cut from a slab too), and
 # LeaseReadTurn a turn of sixteen reads at a lease-holding leader (1 alloc
@@ -188,7 +190,7 @@ bench-micro:
 	$(GO) test -run '^$$' -bench 'SinkRecordSend|Wire' -benchmem -benchtime $(BENCHTIME) .
 	$(GO) test -run '^$$' -bench 'Envelope|ConnDecode' -benchmem -benchtime $(BENCHTIME) ./internal/wire
 	$(GO) test -run '^$$' -bench 'RecorderRecord|RecordInstanceInOrder|BatcherPumpFull|ApplyBatch16|FollowerCommit|Phase2Round|SubmitWithBacklog|LeaseReadTurn' -benchmem -benchtime $(BENCHTIME) ./internal/consensus ./internal/consensus/rsm
-	$(GO) test -run '^$$' -bench 'StationTurn|WALTurn' -benchmem -benchtime $(BENCHTIME) ./internal/transport ./internal/durable
+	$(GO) test -run '^$$' -bench 'StationTurn|WALTurn|WALOpen' -benchmem -benchtime $(BENCHTIME) ./internal/transport ./internal/durable
 	$(GO) test -run '^$$' -bench 'TCPSendBatched|NewTCPCluster' -benchmem -benchtime $(BENCHTIME) ./internal/transport
 
 # End-to-end tracing smoke (DESIGN.md §8): a traced chaossoak leader-crash

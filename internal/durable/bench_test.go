@@ -2,23 +2,27 @@ package durable
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 )
+
+// walPolicies are the three fsync policies, as the WAL benchmarks run them.
+var walPolicies = []struct {
+	name string
+	opts Options
+}{
+	{"off", Options{Sync: SyncOff}},
+	{"group64k", Options{Sync: SyncGroup, GroupBytes: 64 << 10}},
+	{"always", Options{Sync: SyncAlways}},
+}
 
 // BenchmarkWALAppend measures a flushed append per fsync policy — the
 // per-vote cost a durable replica pays on top of the in-memory protocol
 // when the vote is alone in its turn. SyncOff is the kill-9-durable mode; SyncAlways pays a real
 // fsync per record.
 func BenchmarkWALAppend(b *testing.B) {
-	policies := []struct {
-		name string
-		opts Options
-	}{
-		{"off", Options{Sync: SyncOff}},
-		{"group64k", Options{Sync: SyncGroup, GroupBytes: 64 << 10}},
-		{"always", Options{Sync: SyncAlways}},
-	}
-	for _, p := range policies {
+	for _, p := range walPolicies {
 		b.Run(p.name, func(b *testing.B) {
 			w, err := Open(b.TempDir(), p.opts)
 			if err != nil {
@@ -30,6 +34,32 @@ func BenchmarkWALAppend(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				w.Accept(uint64(i), 7, "0123456789abcdef0123456789abcdef")
 				w.Flush()
+			}
+		})
+	}
+}
+
+// BenchmarkWALOpen measures Open and Close of a WAL in a directory Open
+// creates, per fsync policy: what a replica's store adds to its boot before
+// any record exists. No policy syncs here; a segment's first fsync pays
+// for its directory entry.
+func BenchmarkWALOpen(b *testing.B) {
+	for _, p := range walPolicies {
+		b.Run(p.name, func(b *testing.B) {
+			root := b.TempDir()
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				dir := filepath.Join(root, fmt.Sprint(i))
+				w, err := Open(dir, p.opts)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := w.Close(); err != nil {
+					b.Fatal(err)
+				}
+				b.StopTimer()
+				os.RemoveAll(dir)
+				b.StartTimer()
 			}
 		})
 	}

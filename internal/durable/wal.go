@@ -1,6 +1,7 @@
 package durable
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -76,17 +77,25 @@ type WAL struct {
 	payload []byte  // reused encode buffer
 	buf     []byte  // framed records appended since the last Flush
 	st      *State  // state recovered at Open; nil for a fresh dir
+	// unsynced lists the directories the next fsync syncs after the file,
+	// outermost first: the parents of the directories Open made, then dir
+	// while its entry for the active segment may not be durable.
+	unsynced []string
 }
 
 var _ Store = (*WAL)(nil)
 
-// segFile is what the WAL asks of its active segment; an *os.File, except
-// where a test counts the calls.
+// segFile is what the WAL asks of a file or directory it syncs; an
+// *os.File, except where a test counts or fails the calls.
 type segFile interface {
 	Write(p []byte) (int, error)
 	Sync() error
 	Close() error
 }
+
+// openFile opens every file and directory the WAL syncs: segments,
+// checkpoints and the directories that hold them. A test swaps it.
+var openFile = func(name string, flag int) (segFile, error) { return os.OpenFile(name, flag, 0o644) }
 
 func segName(seq uint64) string  { return fmt.Sprintf("wal-%016x.seg", seq) }
 func snapName(seq uint64) string { return fmt.Sprintf("snap-%016x.ckpt", seq) }
@@ -113,7 +122,8 @@ func parseSeq(name, prefix, suffix string) (uint64, bool) {
 func Open(dir string, opts Options) (*WAL, error) {
 	opts.fill()
 	start := time.Now()
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	parents, err := mkdirAll(dir)
+	if err != nil {
 		return nil, fmt.Errorf("durable: open %s: %w", dir, err)
 	}
 	entries, err := os.ReadDir(dir)
@@ -150,7 +160,11 @@ func Open(dir string, opts Options) (*WAL, error) {
 	}
 
 	rp := newReplay(snap)
-	w := &WAL{dir: dir, opts: opts, st: nil}
+	// Whichever segment ends up active, its entry in dir may not be
+	// durable: a fresh one's is not, and a reopened one's creator may have
+	// died before its first fsync.
+	w := &WAL{dir: dir, opts: opts, unsynced: append(parents, dir)}
+	var tail int64 // bytes kept in the newest segment replayed
 	for i, seq := range segs {
 		if seq < replayFrom {
 			continue
@@ -162,6 +176,7 @@ func Open(dir string, opts Options) (*WAL, error) {
 		}
 		last := i == len(segs)-1
 		good, err := rp.run(data)
+		tail = int64(len(data))
 		if err != nil {
 			if !last {
 				return nil, fmt.Errorf("durable: %s: record %d bytes in: %w", segName(seq), good, err)
@@ -171,24 +186,22 @@ func Open(dir string, opts Options) (*WAL, error) {
 			if err := os.Truncate(path, int64(good)); err != nil {
 				return nil, fmt.Errorf("durable: truncate torn tail of %s: %w", segName(seq), err)
 			}
+			tail = int64(good)
 		}
 	}
 	w.st = rp.finalize()
 
-	// Reopen (or create) the active segment for appending.
+	// Reopen (or create) the active segment for appending. A newest
+	// segment below the checkpoint is one the checkpoint covers: the
+	// segment its Snapshot created was lost with its unsynced entry.
 	switch {
-	case len(segs) > 0:
+	case len(segs) > 0 && segs[len(segs)-1] >= replayFrom:
 		w.seq = segs[len(segs)-1]
-		f, err := os.OpenFile(filepath.Join(dir, segName(w.seq)), os.O_WRONLY|os.O_APPEND, 0o644)
+		f, err := openFile(filepath.Join(dir, segName(w.seq)), os.O_WRONLY|os.O_APPEND)
 		if err != nil {
 			return nil, fmt.Errorf("durable: open %s: %w", dir, err)
 		}
-		fi, err := f.Stat()
-		if err != nil {
-			f.Close()
-			return nil, fmt.Errorf("durable: open %s: %w", dir, err)
-		}
-		w.f, w.size = f, fi.Size()
+		w.f, w.size = f, tail
 	default:
 		w.seq = replayFrom
 		if w.seq == 0 {
@@ -218,15 +231,17 @@ func Open(dir string, opts Options) (*WAL, error) {
 	return w, nil
 }
 
-// createSegment makes the file for w.seq and makes its dirent durable.
+// createSegment makes the file for w.seq. Its directory entry becomes
+// durable at the segment's first fsync, not here: until a record is in it
+// there is nothing a power failure could lose.
 func (w *WAL) createSegment() error {
-	f, err := os.OpenFile(filepath.Join(w.dir, segName(w.seq)), os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
+	f, err := openFile(filepath.Join(w.dir, segName(w.seq)), os.O_WRONLY|os.O_CREATE|os.O_EXCL)
 	if err != nil {
 		return fmt.Errorf("durable: create segment: %w", err)
 	}
 	w.f, w.size = f, 0
-	if w.opts.Sync != SyncOff {
-		syncDir(w.dir)
+	if len(w.unsynced) == 0 {
+		w.unsynced = append(w.unsynced, w.dir)
 	}
 	return nil
 }
@@ -286,10 +301,15 @@ func (w *WAL) flush() {
 	}
 }
 
+// fsync makes the active segment durable: the file, then the directory
+// entries it still waits for. Callers hold w.mu.
 func (w *WAL) fsync() {
 	start := time.Now()
 	if err := w.f.Sync(); err != nil {
 		panic("durable: wal fsync: " + err.Error())
+	}
+	if err := w.syncDirs(); err != nil {
+		panic("durable: wal dir sync: " + err.Error())
 	}
 	w.dirty = 0
 	if w.opts.OnFsync != nil {
@@ -298,7 +318,8 @@ func (w *WAL) fsync() {
 }
 
 // rotate seals the active segment, buffered records included, and starts
-// the next one. Callers hold w.mu.
+// the next one, whose directory entry waits for its first fsync. Callers
+// hold w.mu.
 func (w *WAL) rotate() error {
 	w.flush()
 	if w.opts.Sync != SyncOff && w.dirty > 0 {
@@ -312,11 +333,11 @@ func (w *WAL) rotate() error {
 }
 
 // Snapshot writes a checkpoint that absorbs st and compacts the log:
-// rotate to a fresh segment S, durably write snap-S (tmp + rename), then
-// delete every segment and checkpoint below S. Recovery replays exactly
-// the records appended after this call. A failed snapshot leaves the old
-// checkpoint and segments in place — the WAL keeps growing but loses
-// nothing.
+// rotate to a fresh segment S, durably write snap-S (tmp + rename, then a
+// directory sync that makes S's entry durable too), then delete every
+// segment and checkpoint below S. Recovery replays exactly the records
+// appended after this call. A failed snapshot leaves the old checkpoint
+// and segments in place — the WAL keeps growing but loses nothing.
 func (w *WAL) Snapshot(st *State) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -326,7 +347,7 @@ func (w *WAL) Snapshot(st *State) error {
 	w.payload = appendStatePayload(w.payload[:0], st)
 	frame := appendFrame(nil, w.payload)
 	tmp := filepath.Join(w.dir, snapName(w.seq)+".tmp")
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	f, err := openFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC)
 	if err != nil {
 		return fmt.Errorf("durable: snapshot: %w", err)
 	}
@@ -346,8 +367,12 @@ func (w *WAL) Snapshot(st *State) error {
 		os.Remove(tmp)
 		return fmt.Errorf("durable: snapshot: %w", err)
 	}
+	// One directory sync makes the rename durable and, since rotate left
+	// dir in w.unsynced, S's entry too.
 	if w.opts.Sync != SyncOff {
-		syncDir(w.dir)
+		if err := w.syncDirs(); err != nil {
+			return fmt.Errorf("durable: snapshot: %w", err)
+		}
 	}
 	// The checkpoint is durable; everything below it is garbage.
 	entries, err := os.ReadDir(w.dir)
@@ -381,13 +406,36 @@ func (w *WAL) Close() error {
 	return err
 }
 
-// syncDir fsyncs a directory so renames and creates within it are
-// durable. Best-effort: some filesystems refuse directory fsync.
-func syncDir(dir string) {
-	d, err := os.Open(dir)
-	if err != nil {
-		return
+// syncDirs syncs the directories in w.unsynced, dropping each once it is
+// synced. Callers hold w.mu.
+func (w *WAL) syncDirs() error {
+	for len(w.unsynced) > 0 {
+		d, err := openFile(w.unsynced[0], os.O_RDONLY)
+		if err != nil {
+			return err
+		}
+		err = d.Sync()
+		d.Close() // opened to sync, never written: its error changes nothing
+		if err != nil {
+			return err
+		}
+		w.unsynced = w.unsynced[1:]
 	}
-	d.Sync()
-	d.Close()
+	return nil
+}
+
+// mkdirAll is os.MkdirAll that also returns the parent of each directory
+// it made, outermost first: until those are synced, a power failure can
+// lose the directories and every segment in them.
+func mkdirAll(dir string) ([]string, error) {
+	var parents []string
+	for d := filepath.Clean(dir); ; {
+		p := filepath.Dir(d)
+		if _, err := os.Stat(d); p == d || !errors.Is(err, os.ErrNotExist) {
+			break
+		}
+		parents = append([]string{p}, parents...)
+		d = p
+	}
+	return parents, os.MkdirAll(dir, 0o755)
 }

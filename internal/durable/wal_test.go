@@ -1,6 +1,7 @@
 package durable
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -318,6 +319,261 @@ func TestFlushIsOneWriteOneSync(t *testing.T) {
 	defer w2.Close()
 	if got := len(w2.State().Accepted); got != 16 {
 		t.Fatalf("recovered %d votes after Flush without Close, want 16", got)
+	}
+}
+
+// syncLog is the counting seam for directory syncs: every Sync of a file
+// or directory the WAL opens, in order. A Sync of the path named by fail
+// reports an error instead.
+type syncLog struct {
+	syncs []string
+	fail  string
+}
+
+var errSyncRefused = errors.New("sync refused")
+
+type loggedFile struct {
+	segFile
+	name string
+	log  *syncLog
+}
+
+func (f *loggedFile) Sync() error {
+	f.log.syncs = append(f.log.syncs, f.name)
+	if f.name == f.log.fail {
+		return errSyncRefused
+	}
+	return f.segFile.Sync()
+}
+
+// logSyncs swaps openFile, for the rest of t, for one that logs each Sync
+// by the path relative to root.
+func logSyncs(t *testing.T, root string) *syncLog {
+	l := &syncLog{}
+	open := openFile
+	openFile = func(name string, flag int) (segFile, error) {
+		f, err := open(name, flag)
+		if err != nil {
+			return nil, err
+		}
+		rel, err := filepath.Rel(root, name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return &loggedFile{segFile: f, name: rel, log: l}, nil
+	}
+	t.Cleanup(func() { openFile = open })
+	return l
+}
+
+// expect fails t unless the syncs logged since the last expect are want.
+func (l *syncLog) expect(t *testing.T, what string, want ...string) {
+	t.Helper()
+	got := l.syncs
+	l.syncs = nil
+	if !reflect.DeepEqual(got, want) && len(got)+len(want) > 0 {
+		t.Fatalf("%s synced %q, want %q", what, got, want)
+	}
+}
+
+// walRoot returns a temporary directory holding an empty directory "wal".
+func walRoot(t *testing.T) string {
+	root := t.TempDir()
+	if err := os.Mkdir(filepath.Join(root, "wal"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	return root
+}
+
+// TestDirectoryEntryDurableAtFirstFsync: Open syncs nothing; a segment's
+// first fsync syncs the file and then the directory holding it (and the
+// parents of any directory Open made), exactly once; later fsyncs sync the
+// file alone.
+func TestDirectoryEntryDurableAtFirstFsync(t *testing.T) {
+	seg := func(seq uint64) string { return filepath.Join("wal", segName(seq)) }
+
+	t.Run("always/fresh-dirs", func(t *testing.T) {
+		root := t.TempDir()
+		l := logSyncs(t, root)
+		w := openT(t, filepath.Join(root, "a", "wal"), Options{Sync: SyncAlways})
+		defer w.Close()
+		l.expect(t, "Open")
+		w.Decide(0, "v")
+		w.Flush()
+		l.expect(t, "first Flush", filepath.Join("a", seg(1)), ".", "a", filepath.Join("a", "wal"))
+		w.Decide(1, "v")
+		w.Flush()
+		l.expect(t, "second Flush", filepath.Join("a", seg(1)))
+	})
+
+	t.Run("group", func(t *testing.T) {
+		root := walRoot(t)
+		l := logSyncs(t, root)
+		w := openT(t, filepath.Join(root, "wal"), Options{Sync: SyncGroup, GroupBytes: 64})
+		defer w.Close()
+		l.expect(t, "Open")
+		w.Decide(0, "v")
+		w.Flush()
+		l.expect(t, "a Flush below the group")
+		w.Decide(1, strings.Repeat("v", 64))
+		w.Flush()
+		l.expect(t, "first group", seg(1), "wal")
+		w.Decide(2, strings.Repeat("v", 64))
+		w.Flush()
+		l.expect(t, "second group", seg(1))
+	})
+
+	t.Run("always/rotate", func(t *testing.T) {
+		root := walRoot(t)
+		l := logSyncs(t, root)
+		w := openT(t, filepath.Join(root, "wal"), Options{Sync: SyncAlways})
+		defer w.Close()
+		l.expect(t, "Open")
+		for i := 0; i < 4; i++ { // the fourth quarter fills segment 1
+			w.Decide(uint64(i), quarter)
+			w.Flush()
+			if i == 0 {
+				l.expect(t, "first Flush", seg(1), "wal")
+			} else {
+				l.expect(t, "later Flush", seg(1))
+			}
+		}
+		if w.seq != 2 {
+			t.Fatalf("active segment %d after four quarters, want 2", w.seq)
+		}
+		for i := 4; i < 6; i++ {
+			w.Decide(uint64(i), "v")
+			w.Flush()
+			if i == 4 {
+				l.expect(t, "first Flush after rotation", seg(2), "wal")
+			} else {
+				l.expect(t, "later Flush after rotation", seg(2))
+			}
+		}
+	})
+
+	t.Run("group/rotate-seal-and-close", func(t *testing.T) {
+		root := walRoot(t)
+		l := logSyncs(t, root)
+		w := openT(t, filepath.Join(root, "wal"), Options{Sync: SyncGroup, GroupBytes: 2 * segmentBytes})
+		for i := 0; i < 4; i++ {
+			w.Decide(uint64(i), quarter)
+			w.Flush()
+		}
+		l.expect(t, "filling segment 1, then its seal", seg(1), "wal")
+		w.Decide(4, "v")
+		w.Flush()
+		l.expect(t, "a Flush below the group")
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		l.expect(t, "Close", seg(2), "wal")
+	})
+
+	t.Run("reopen-before-first-fsync", func(t *testing.T) {
+		root := walRoot(t)
+		dir := filepath.Join(root, "wal")
+		l := logSyncs(t, root)
+		w := openT(t, dir, Options{Sync: SyncGroup})
+		w.Decide(0, "v")
+		w.Flush()
+		l.expect(t, "Open and a Flush below the group")
+		// kill -9 before the first fsync: abandoned, not closed.
+		w2 := openT(t, dir, Options{Sync: SyncAlways})
+		defer w2.Close()
+		l.expect(t, "reopen")
+		w2.Decide(1, "v")
+		w2.Flush()
+		l.expect(t, "first Flush after reopen", seg(1), "wal")
+		w2.Decide(2, "v")
+		w2.Flush()
+		l.expect(t, "second Flush after reopen", seg(1))
+		if got := len(w2.State().Decided); got != 1 {
+			t.Fatalf("reopen recovered %d decided entries, want 1", got)
+		}
+	})
+
+	t.Run("snapshot", func(t *testing.T) {
+		root := walRoot(t)
+		l := logSyncs(t, root)
+		w := openT(t, filepath.Join(root, "wal"), Options{Sync: SyncAlways})
+		defer w.Close()
+		w.Decide(0, "v")
+		w.Flush()
+		l.expect(t, "Open and first Flush", seg(1), "wal")
+		w.Decide(1, "v") // buffered: the snapshot's rotation writes and seals it
+		if err := w.Snapshot(&State{SnapIndex: 2, SnapCount: 2}); err != nil {
+			t.Fatal(err)
+		}
+		l.expect(t, "Snapshot", seg(1), filepath.Join("wal", snapName(2)+".tmp"), "wal")
+		w.Decide(2, "v")
+		w.Flush()
+		l.expect(t, "first Flush after Snapshot", seg(2))
+	})
+}
+
+// TestFailedDirSync: a directory sync that fails on a record's way to disk
+// panics, as a failed file fsync does; one that fails after a checkpoint's
+// rename fails the Snapshot, which then prunes nothing.
+func TestFailedDirSync(t *testing.T) {
+	t.Run("flush", func(t *testing.T) {
+		root := t.TempDir()
+		l := logSyncs(t, root)
+		l.fail = "wal"
+		w := openT(t, filepath.Join(root, "wal"), Options{Sync: SyncAlways})
+		w.Decide(0, "v")
+		defer func() {
+			r, _ := recover().(string)
+			if !strings.HasPrefix(r, "durable: wal dir sync: ") || !strings.Contains(r, errSyncRefused.Error()) {
+				t.Fatalf("Flush with a failing directory sync panicked with %q", r)
+			}
+		}()
+		w.Flush()
+		t.Fatal("Flush with a failing directory sync returned")
+	})
+
+	t.Run("snapshot", func(t *testing.T) {
+		root := walRoot(t)
+		dir := filepath.Join(root, "wal")
+		l := logSyncs(t, root)
+		w := openT(t, dir, Options{Sync: SyncAlways})
+		defer w.Close()
+		w.Decide(0, "v")
+		w.Flush()
+		l.fail = "wal"
+		err := w.Snapshot(&State{SnapIndex: 1, SnapCount: 1})
+		if !errors.Is(err, errSyncRefused) {
+			t.Fatalf("Snapshot with a failing directory sync returned %v", err)
+		}
+		if n := segments(t, dir); n != 2 {
+			t.Fatalf("%d segments after a failed Snapshot, want both kept", n)
+		}
+	})
+}
+
+// TestCheckpointAboveEverySegment: a Snapshot's new segment and its
+// checkpoint become durable at one directory sync, so a power failure may
+// keep the rename and lose the segment. Open then starts the segment the
+// checkpoint names rather than appending to one it is about to prune.
+func TestCheckpointAboveEverySegment(t *testing.T) {
+	dir := t.TempDir()
+	w := openT(t, dir, Options{Sync: SyncOff})
+	w.Decide(0, "v")
+	if err := w.Snapshot(&State{SnapIndex: 1, SnapCount: 1}); err != nil {
+		t.Fatal(err)
+	}
+	w.Close()
+	// Put back segment 1, as if the prune never ran, and lose segment 2.
+	if err := os.Rename(filepath.Join(dir, segName(2)), filepath.Join(dir, segName(1))); err != nil {
+		t.Fatal(err)
+	}
+	w2 := openT(t, dir, Options{Sync: SyncOff})
+	w2.Decide(1, "after")
+	w2.Close()
+	w3 := openT(t, dir, Options{Sync: SyncOff})
+	defer w3.Close()
+	if st := w3.State(); len(st.Decided) != 1 || st.Decided[0].V != "after" {
+		t.Fatalf("recovered %+v, want the record appended after the reopen", st.Decided)
 	}
 }
 
