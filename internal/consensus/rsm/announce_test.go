@@ -57,8 +57,17 @@ type announceWorld struct {
 	lastAccept sim.Time // when the leader last sent an ACCEPT
 	sent       map[string]bool
 	bystander  int // DECIDEs to a replica that forwarded nothing, while ACCEPTs flowed
-	early      int // DECIDEs sooner than quiet after an ACCEPT, at a leader whose own client is the only one
+	early      int // DECIDEs sooner than quiet after an ACCEPT, where nobody is owed one
 	drives     int // the leader's drive ticks under load
+	// untold are the instances the leader applied for an origin it told
+	// nothing, at a quorum of two: the origin decides them on its own vote.
+	untold []untold
+}
+
+type untold struct {
+	origin node.ID
+	inst   int
+	at     sim.Time
 }
 
 func origin(v consensus.Value) node.ID {
@@ -75,14 +84,18 @@ func newAnnounceWorld(t *testing.T, n int, seed int64, cfg Config, ingress []nod
 	a := &announceWorld{t: t, c: c, cfg: cfg, ingress: ingress, waiting: make([]int, n), sent: map[string]bool{},
 		name: fmt.Sprintf("n=%d seed %d ingress %v drive %v", n, seed, ingress, cfg.DriveInterval)}
 	quiet := min(cfg.DriveInterval, retryTimeout/2)
+	pair := consensus.Majority(n) == 2 && cfg.Lease == 0 // pairDecides
 	// (a), checked as each event of the leader closes: whoever a command
-	// applied in it came from has been sent an index past it in that event.
+	// applied in it came from has been sent an index past it in that event —
+	// or, at a quorum of two, is checked at the end of the run (untold).
 	closeEvent := func(key string) {
 		if key == timerDrive && a.loaded {
 			a.drives++
 		}
 		for o, inst := range a.waiting {
-			if inst >= 0 {
+			if inst >= 0 && pair {
+				a.untold = append(a.untold, untold{node.ID(o), inst, c.world.Kernel.Now()})
+			} else if inst >= 0 {
 				t.Errorf("%s: event %d decided instance %d carrying p%d's command and sent p%d no index covering it", a.name, a.event, inst, o, o)
 			}
 			a.waiting[o] = -1
@@ -124,8 +137,9 @@ func newAnnounceWorld(t *testing.T, n int, seed int64, cfg Config, ingress []nod
 			if !slices.Contains(ingress, to) && !idle {
 				a.bystander++
 			}
-			// (e) a leader whose own client is the only one owes nobody.
-			if len(ingress) == 1 && ingress[0] == 0 && !idle {
+			// (e) a leader whose own client is the only one owes nobody, and at
+			// a quorum of two nobody is owed anything.
+			if (pair || len(ingress) == 1 && ingress[0] == 0) && !idle {
 				a.early++
 			}
 		}
@@ -182,7 +196,12 @@ func (a *announceWorld) run() {
 		t.Errorf("%s: (c) %d DECIDEs went to a replica that forwarded nothing while ACCEPTs flowed", a.name, a.bystander)
 	}
 	if a.early != 0 {
-		t.Errorf("%s: (e) %d DECIDEs left for commands the leader's own client submitted before the stream went quiet", a.name, a.early)
+		t.Errorf("%s: (e) %d DECIDEs left before the stream went quiet where nobody is owed one", a.name, a.early)
+	}
+	for _, u := range a.untold {
+		if d, ok := c.nodes[u.origin].Recorder().Get(u.inst); !ok || d.At > u.at.Add(ms) {
+			t.Errorf("%s: (a) p%d, told nothing of instance %d the leader applied at %v, applied it %v (%v): want within a link delay", a.name, u.origin, u.inst, u.at, d.At, ok)
+		}
 	}
 	if rep := c.safety(); !rep.Holds() {
 		t.Fatalf("%s: safety: %v", a.name, rep.Violations)
@@ -208,13 +227,15 @@ func (a *announceWorld) settles(applied int, what string) {
 
 // TestAnnouncementProperties sweeps the rule: (a) an origin is sent an
 // index covering its command in the event the quorum completes, by DECIDE
-// or on the ACCEPT leaving then; (b) nobody is sent one (ballot, index)
-// twice; (c) a replica that forwarded nothing is sent no DECIDE while
-// ACCEPTs flow; (d) once they stop, every follower has applied what the
-// leader has within min(DriveInterval, retryTimeout/2) and a link delay,
-// with no LEARN and nothing else a follower initiates; (e) commands
-// submitted at the leader owe nobody. The parent, which broadcast every
-// DECIDE, fails (c) and (e).
+// or on the ACCEPT leaving then — at a quorum of two it is sent nothing and
+// applies the instance on its own vote within a link delay of the leader;
+// (b) nobody is sent one (ballot, index) twice; (c) a replica that
+// forwarded nothing is sent no DECIDE while ACCEPTs flow; (d) once they
+// stop, every follower has applied what the leader has within
+// min(DriveInterval, retryTimeout/2) and a link delay, with no LEARN and
+// nothing else a follower initiates; (e) commands submitted at the leader
+// owe nobody, nor, at a quorum of two, any command. A leader that
+// broadcast every DECIDE fails (c) and (e).
 func TestAnnouncementProperties(t *testing.T) {
 	seeds := 20
 	if testing.Short() {
@@ -308,5 +329,76 @@ func TestRequestFromAStrangerOwesNobody(t *testing.T) {
 	// owed to p2 from slabs.
 	if known, wild := allocs(2), allocs(1<<40); known != 0 || wild != 0 {
 		t.Fatalf("an instance for a REQ from 1<<40 allocates %.1f objects, from p2 %.1f; want 0", wild, known)
+	}
+}
+
+// TestSelfDecideGate: a vote decides its instance on its own only at a
+// quorum of two, without a lease, on an ACCEPT from its ballot's owner. Where
+// any of the three fails the vote stays open past its turn, and the origin
+// still hears by DECIDE: in the event the quorum completes, or — the ACCEPT
+// came by someone else, the leader owing nobody at a quorum of two — from
+// the catch-up once the stream is quiet.
+func TestSelfDecideGate(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		n       int
+		lease   time.Duration
+		from    node.ID // who hands the origin p2 the leader p1's ACCEPT
+		decides bool    // p2's vote decides at the end of its turn
+		catchUp bool    // p2 hears from the catch-up, not when the quorum completes
+	}{
+		{name: "the rule", n: 3, from: 1, decides: true},
+		{name: "a lease", n: 3, lease: time.Second, from: 1},
+		{name: "five processes", n: 5, from: 1},
+		{name: "an ACCEPT from a non-owner", n: 3, from: 0, catchUp: true},
+	} {
+		cfg := Config{BatchMax: 1, Lease: tc.lease}
+		leader, lenv := New(consensus.StaticLeader(1), cfg), newFakeEnv(1, tc.n)
+		leader.Start(lenv)
+		leader.Tick(timerDrive)
+		for p := 2; p <= consensus.Majority(tc.n); p++ {
+			leader.Deliver(node.ID(p), PromiseMsg{B: leader.prop.ballot})
+		}
+		lenv.drain()
+		leader.Deliver(2, &RequestMsg{V: "x"})
+		out := lenv.drain()
+		accept, ok := out[0].msg.(*AcceptMsg)
+		if !leader.IsLeader() || len(out) != tc.n-1 || !ok {
+			t.Fatalf("%s: setup: leader=%v, sent %+v", tc.name, leader.IsLeader(), out)
+		}
+
+		p2 := New(consensus.StaticLeader(1), cfg)
+		p2.Start(newFakeEnv(2, tc.n))
+		withTurns(p2)
+		turn(p2, tc.from, accept)
+		if decided := p2.FirstGap() == 1; decided != tc.decides || p2.log.voted+p2.FirstGap() != 1 {
+			t.Fatalf("%s: after its turn the vote is decided=%v (first gap %d, %d open); want %v", tc.name, decided, p2.FirstGap(), p2.log.voted, tc.decides)
+		}
+		for p := 2; p <= consensus.Majority(tc.n); p++ {
+			leader.Deliver(node.ID(p), &AcceptedMsg{B: accept.B, Inst: accept.Inst})
+		}
+		decides := decidesOf(lenv.drain())
+		if tc.decides {
+			if len(decides) != 0 || leader.FirstGap() != 1 {
+				t.Fatalf("%s: the quorum sent DECIDEs %+v (first gap %d); want none, the origin decided", tc.name, decides, leader.FirstGap())
+			}
+			continue
+		}
+		if tc.catchUp && len(decides) == 0 {
+			lenv.now = lenv.now.Add(leader.cfg.DriveInterval)
+			leader.Tick(timerDrive)
+			for _, d := range decidesOf(lenv.drain()) { // p0 is told too
+				if d.to == 2 {
+					decides = append(decides, d)
+				}
+			}
+		}
+		if len(decides) != 1 || !decides[0].is(2, &DecideMsg{B: leader.prop.ballot, Inst: 1}) {
+			t.Fatalf("%s: the origin is sent %+v, want the commit index", tc.name, decides)
+		}
+		p2.Deliver(1, decides[0].msg)
+		if p2.FirstGap() != 1 {
+			t.Fatalf("%s: the DECIDE left the vote open", tc.name)
+		}
 	}
 }

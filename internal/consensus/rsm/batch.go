@@ -220,13 +220,11 @@ func (b *batcher) retire(v consensus.Value) {
 
 // pump packs queued commands into batches and feeds the pipeline while
 // the window has room. Policy: a full batch goes immediately; a partial
-// batch goes only when nothing is in flight (force=false) or on the
-// drive tick (force=true), so bursts coalesce but queue latency stays
-// bounded by one DriveInterval. Handlers do not call it: they set
-// pumpDue and the end of the turn pumps once (turn.go).
-func (r *Node) pump() { r.pumpBatches(false) }
-
-func (r *Node) pumpBatches(force bool) {
+// batch goes only when nothing is in flight or on the drive tick (force),
+// so bursts coalesce but queue latency stays bounded by one DriveInterval.
+// Handlers do not call it: they set pumpDue and the end of the turn pumps
+// once (turn.go).
+func (r *Node) pump(force bool) {
 	if !r.prop.prepared {
 		return
 	}

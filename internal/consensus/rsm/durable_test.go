@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/consensus"
 	"repro/internal/durable"
+	"repro/internal/node"
 )
 
 // Tests for the durable-store integration: what survives a kill -9 and
@@ -53,13 +54,15 @@ func TestRestartKeepsAcceptorPromise(t *testing.T) {
 	}
 }
 
+// TestRestartKeepsAcceptedVote: one follower of five, whose vote alone
+// decides nothing.
 func TestRestartKeepsAcceptedVote(t *testing.T) {
 	dir := t.TempDir()
 	w := openWAL(t, dir)
 	r := New(consensus.StaticLeader(1), Config{Store: w})
-	env := newFakeEnv(2, 3)
+	env := newFakeEnv(2, 5)
 	r.Start(env)
-	b := consensus.MakeBallot(3, 1, 3)
+	b := consensus.MakeBallot(3, 1, 5)
 	r.Deliver(1, &AcceptMsg{B: b, Inst: 0, V: "voted"})
 	env.drain()
 	w.Close()
@@ -67,9 +70,9 @@ func TestRestartKeepsAcceptedVote(t *testing.T) {
 	// After restart, a competing prepare must learn of the vote so the
 	// new leader re-proposes "voted" — never a different value.
 	r2 := New(consensus.StaticLeader(1), Config{Store: openWAL(t, dir)})
-	env2 := newFakeEnv(2, 3)
+	env2 := newFakeEnv(2, 5)
 	r2.Start(env2)
-	higher := consensus.MakeBallot(7, 0, 3)
+	higher := consensus.MakeBallot(7, 0, 5)
 	r2.Deliver(0, PrepareMsg{B: higher})
 	out := env2.drain()
 	if len(out) != 1 {
@@ -258,5 +261,50 @@ func TestRecoveryIsIdempotentAcrossRestarts(t *testing.T) {
 			t.Fatalf("round %d: log.get(6) = %q, want c6", round, got)
 		}
 		w2.Close()
+	}
+}
+
+// flushSpy is a Store that notes which instances' votes a Flush has made
+// durable.
+type flushSpy struct {
+	durable.Store
+	pending, flushed []int // votes since the last Flush, and before it
+}
+
+func (s *flushSpy) Accept(inst, _ uint64, _ string) { s.pending = append(s.pending, int(inst)) }
+func (s *flushSpy) Flush()                          { s.flushed, s.pending = append(s.flushed, s.pending...), s.pending[:0] }
+
+// TestSelfDecidedVoteAppliesAfterItsFlush: a follower of three without a
+// lease decides what it votes for on its ballot owner's ACCEPT, but applies
+// it only once the Flush that covers its own vote has returned — at the end
+// of the turn that cast it, or at once in a turn of one.
+func TestSelfDecidedVoteAppliesAfterItsFlush(t *testing.T) {
+	b := consensus.MakeBallot(0, 1, 3)
+	for _, turns := range []bool{true, false} {
+		spy := &flushSpy{Store: durable.Nop}
+		r := New(consensus.StaticLeader(1), Config{Store: spy})
+		applied := 0
+		r.OnApply(func(inst, _ int, _ consensus.Value) {
+			applied++
+			if !slices.Contains(spy.flushed, inst) {
+				t.Errorf("turns=%v: instance %d applied before a Flush covered its vote", turns, inst)
+			}
+		})
+		r.Start(newFakeEnv(2, 3))
+		if turns {
+			withTurns(r)
+		}
+		for inst := 0; inst < 3; inst++ {
+			r.Deliver(1, &AcceptMsg{B: b, Inst: inst, V: consensus.Value(fmt.Sprint("v", inst))})
+		}
+		if turns {
+			if applied != 0 {
+				t.Fatalf("%d applied in mid-turn, want none before its flush", applied)
+			}
+			r.Tick(node.TurnEnd)
+		}
+		if applied != 3 || r.FirstGap() != 3 {
+			t.Fatalf("turns=%v: applied %d, first gap %d; want every vote decided on its own", turns, applied, r.FirstGap())
+		}
 	}
 }

@@ -97,7 +97,7 @@ func TestLogbookForgetBelow(t *testing.T) {
 }
 
 func TestDoneVectorMin(t *testing.T) {
-	d := newDoneVector(3)
+	d := doneVector{done: make([]int, 3)}
 	if d.min() != 0 {
 		t.Fatalf("fresh min = %d", d.min())
 	}
@@ -300,10 +300,10 @@ func TestHeldDownReplicaPinsTheHorizon(t *testing.T) {
 // runs out behind the slice, and every append past it allocates anew.
 func TestForgettingAllocatesNothing(t *testing.T) {
 	const accepts = 100000
-	b := consensus.MakeBallot(0, 1, 3)
+	b := consensus.MakeBallot(0, 1, 5) // one follower of five: the commit index alone decides
 	run := func(forget bool) (mallocs uint64, slots int) {
 		r := New(consensus.StaticLeader(1), Config{})
-		env := newFakeEnv(2, 3)
+		env := newFakeEnv(2, 5)
 		env.mute = true
 		r.Start(env)
 		var before, after runtime.MemStats

@@ -81,11 +81,7 @@ type leaseState struct {
 // issued every quarter lease, so the quorum expiry is re-extended three
 // times before it can lapse under healthy links.
 func (r *Node) leaseRefresh() time.Duration {
-	q := r.cfg.Lease / 4
-	if q < r.cfg.DriveInterval {
-		q = r.cfg.DriveInterval
-	}
-	return q
+	return max(r.cfg.Lease/4, r.cfg.DriveInterval)
 }
 
 // grantSeq returns the lease grant to piggyback on an outgoing ACCEPT,
@@ -132,9 +128,7 @@ func (r *Node) noteGrant(b consensus.Ballot, seq uint64, now sim.Time) uint64 {
 		return 0
 	}
 	r.lease.holder = b.Owner(r.n)
-	if until := now.Add(r.cfg.Lease); until.After(r.lease.blockUntil) {
-		r.lease.blockUntil = until
-	}
+	r.lease.blockUntil = max(r.lease.blockUntil, now.Add(r.cfg.Lease))
 	return seq
 }
 
@@ -161,9 +155,7 @@ func (r *Node) onLeaseAck(from node.ID, b consensus.Ballot, seq uint64) {
 	if r.lease.granted == nil {
 		r.lease.granted = make([]sim.Time, r.n)
 	}
-	if until.After(r.lease.granted[from]) {
-		r.lease.granted[from] = until
-	}
+	r.lease.granted[from] = max(r.lease.granted[from], until)
 	// Recompute the quorum expiry: with our own vote, we need
 	// Majority-1 unexpired follower grants.
 	need := consensus.Majority(r.n) - 1

@@ -1,6 +1,8 @@
 package rsm
 
 import (
+	"slices"
+
 	"repro/internal/consensus"
 	"repro/internal/node"
 	"repro/internal/sim"
@@ -104,9 +106,7 @@ func (l *logbook) insert(inst int, v consensus.Value) bool {
 	}
 	s.v, s.b = v, decidedB
 	l.decided++
-	if inst > l.highestDecided {
-		l.highestDecided = inst
-	}
+	l.highestDecided = max(l.highestDecided, inst)
 	for s := l.at(l.firstGap); s != nil && s.decided(); s = l.at(l.firstGap) {
 		l.firstGap++
 	}
@@ -160,6 +160,15 @@ type acceptor struct {
 	stuckGap   int
 	stuckSince sim.Time
 	askedAt    sim.Time
+	// ripe are the votes of the open turn that decide their instance,
+	// learned once the turn's flush has made them durable (decideRipe).
+	ripe []ripeVote
+}
+
+// ripeVote is a vote at b in inst that decides it (pairDecides).
+type ripeVote struct {
+	inst int
+	b    consensus.Ballot
 }
 
 // onCommit folds a commit index heard from the leader of ballot b into
@@ -200,8 +209,6 @@ type doneVector struct {
 	done []int
 }
 
-func newDoneVector(n int) doneVector { return doneVector{done: make([]int, n)} }
-
 // observe records that process id has applied through count.
 func (d *doneVector) observe(id node.ID, count int) {
 	if int(id) < len(d.done) && count > d.done[id] {
@@ -214,13 +221,7 @@ func (d *doneVector) min() int {
 	if len(d.done) == 0 {
 		return 0
 	}
-	m := d.done[0]
-	for _, v := range d.done[1:] {
-		if v < m {
-			m = v
-		}
-	}
-	return m
+	return slices.Min(d.done)
 }
 
 // learn installs a decision locally and lets the applier run the newly
@@ -243,9 +244,7 @@ func (r *Node) learn(inst int, v consensus.Value) bool {
 			r.abdicateLeader()
 		}
 	}
-	if r.pipe.nextInst <= inst {
-		r.pipe.nextInst = inst + 1
-	}
+	r.pipe.nextInst = max(r.pipe.nextInst, inst+1)
 	r.apply()
 	return true
 }
@@ -254,12 +253,8 @@ func (r *Node) learn(inst int, v consensus.Value) bool {
 // advertised progress into the Done vector.
 func (r *Node) onLearn(from node.ID, m LearnMsg) {
 	r.dones.observe(from, m.FirstGap)
-	start := m.FirstGap
-	if start < r.log.low {
-		start = r.log.low
-	}
 	sent := 0
-	for inst := start; inst <= r.log.highestDecided && sent < learnBatch; inst++ {
+	for inst := max(m.FirstGap, r.log.low); inst <= r.log.highestDecided && sent < learnBatch; inst++ {
 		if v, ok := r.log.get(inst); ok {
 			r.env.Send(from, r.decides.New(DecideMsg{Inst: inst, V: v}))
 			sent++

@@ -5,35 +5,21 @@ import (
 	"repro/internal/node"
 )
 
-// Message kind tags.
+// Message kind tags. Under load a lease grant rides on ACCEPTs and its ack
+// on ACCEPTEDs; the two lease kinds are the idle path (see lease.go).
 const (
-	// KindRequest tags command forwarding to the leader.
-	KindRequest = "RSM-REQ"
-	// KindPrepare tags the leader's one-time phase-1 broadcast.
-	KindPrepare = "RSM-PREPARE"
-	// KindPromise tags phase-1 acknowledgements with accepted entries.
-	KindPromise = "RSM-PROMISE"
-	// KindNack tags ballot rejections.
-	KindNack = "RSM-NACK"
-	// KindAccept tags per-instance phase-2 proposals.
-	KindAccept = "RSM-ACCEPT"
-	// KindAccepted tags per-instance phase-2 acknowledgements.
-	KindAccepted = "RSM-ACCEPTED"
-	// KindDecide tags decision announcements, both forms (see DecideMsg):
-	// the leader's value-free commit index and the by-value repair reply.
-	KindDecide = "RSM-DECIDE"
-	// KindLearn tags gap-fill requests from lagging followers.
-	KindLearn = "RSM-LEARN"
-	// KindLeaseGrant tags idle-path lease refreshes; under load, grants
-	// ride on ACCEPTs instead (see lease.go).
-	KindLeaseGrant = "RSM-LEASE"
-	// KindLeaseAck tags explicit grant acknowledgements; under load,
-	// acks ride on ACCEPTEDs.
-	KindLeaseAck = "RSM-LEASEACK"
-	// KindReadReq tags linearizable read requests.
-	KindReadReq = "RSM-READ"
-	// KindReadReply tags read answers.
-	KindReadReply = "RSM-READR"
+	KindRequest    = "RSM-REQ"      // command forwarding to the leader
+	KindPrepare    = "RSM-PREPARE"  // the leader's one-time phase-1 broadcast
+	KindPromise    = "RSM-PROMISE"  // phase-1 acknowledgements with accepted entries
+	KindNack       = "RSM-NACK"     // ballot rejections
+	KindAccept     = "RSM-ACCEPT"   // per-instance phase-2 proposals
+	KindAccepted   = "RSM-ACCEPTED" // per-instance phase-2 acknowledgements
+	KindDecide     = "RSM-DECIDE"   // commit index or by-value repair (see DecideMsg)
+	KindLearn      = "RSM-LEARN"    // gap-fill requests from lagging followers
+	KindLeaseGrant = "RSM-LEASE"    // idle-path lease refreshes
+	KindLeaseAck   = "RSM-LEASEACK" // idle-path grant acknowledgements
+	KindReadReq    = "RSM-READ"     // linearizable read requests
+	KindReadReply  = "RSM-READR"    // read answers
 )
 
 // RequestMsg forwards a client command to the leader, boxed from a node.Slab.

@@ -15,10 +15,12 @@ import (
 // a flight carrying one value (a single command or a batch envelope).
 // Every instance costs (n−1) ACCEPT + (n−1) ACCEPTED, whatever the batch
 // size, which is where batching's amortization comes from, and the value
-// crosses each link once: decisions are announced by
-// index (announceCommit), on the ACCEPT that leaves at the end of the same
-// turn when one does, else by a value-free DECIDE to the replicas whose
-// commands were decided — the rest hear on the next ACCEPT or from catchUp.
+// crosses each link once: decisions are announced by index
+// (announceCommit), on the ACCEPT that leaves at the end of the same turn
+// when one does, else by a value-free DECIDE to the replicas whose commands
+// were decided — the rest hear on the next ACCEPT or from catchUp. At n = 3
+// without leases no DECIDE is owed: a follower decides on its own vote
+// (pairDecides), and an instance costs 2(n−1) messages.
 
 // retryTimeout bounds how long a prepare, an in-flight instance or a
 // forwarded command may stall before being re-driven, and how long a
@@ -238,6 +240,12 @@ func (r *Node) onAccept(from node.ID, m AcceptMsg) {
 		// in the trace tree. Untraced (or tracing off): plain send.
 		actx := r.cfg.Tracer.Record(now, now, r.curCtx, "accept", int(from), "")
 		r.env.Send(from, r.traced(actx, r.accepteds.New(AcceptedMsg{B: m.B, Inst: m.Inst, Done: r.log.firstGap, LeaseSeq: ack})))
+		if r.pairDecides() && m.B.Owner(r.n) == from {
+			// The owner's vote was durable before its ACCEPT left (launch): with
+			// this one it is a quorum of two for m.V at m.B, decided once the
+			// end of the turn has flushed this vote too (decideRipe).
+			r.acc.ripe = append(r.acc.ripe, ripeVote{m.Inst, m.B})
+		}
 		r.onCommit(m.B, m.CommitUpTo)
 		if m.B == r.acc.commitB && m.Inst < r.acc.commitUpTo {
 			// The links are not FIFO: this ACCEPT was overtaken by the
@@ -248,6 +256,25 @@ func (r *Node) onAccept(from node.ID, m AcceptMsg) {
 	} else {
 		r.env.Send(from, NackMsg{B: m.B, Promised: r.acc.promised})
 	}
+}
+
+// pairDecides reports whether a follower's vote together with its ballot
+// owner's decides an instance: a quorum is two, and no lease holder answers
+// reads at its own applied index, which a follower deciding on its own could
+// run ahead of (lease.go).
+func (r *Node) pairDecides() bool { return consensus.Majority(r.n) == 2 && r.cfg.Lease == 0 }
+
+// decideRipe learns the votes this turn cast that decide their instance
+// (onAccept), now that the flush has made them durable: nothing is applied
+// on a vote a crash could lose. A slot revoted since at another ballot is
+// left to that vote.
+func (r *Node) decideRipe() {
+	for _, rv := range r.acc.ripe {
+		if s := r.log.at(rv.inst); s != nil && s.b == rv.b {
+			r.learn(rv.inst, s.v)
+		}
+	}
+	r.acc.ripe = r.acc.ripe[:0]
 }
 
 func (r *Node) onAccepted(from node.ID, m AcceptedMsg) {
@@ -292,10 +319,11 @@ func (r *Node) maybeDecide(inst int) {
 // prepared leader: the replicas whose commands this leader batched into it.
 // One it did not batch, or reopened at a new ballot — a re-proposal, a gap
 // filler, a read barrier — owes everyone: a leader change is not the steady
-// state, and its clients may be anywhere.
+// state, and its clients may be anywhere. At a quorum of two one it batched
+// owes nobody: each origin decided it on its own vote (pairDecides).
 func (r *Node) owe(batched bool, fl *flight) {
 	for f := range r.pipe.owed { // a sender id outside [0, n) matches nobody
-		if !batched || len(fl.from) == 0 || slices.Contains(fl.from, node.ID(f)) {
+		if !batched || len(fl.from) == 0 || (slices.Contains(fl.from, node.ID(f)) && !r.pairDecides()) {
 			r.pipe.owed[f] = true
 		}
 	}

@@ -37,11 +37,7 @@ type proposer struct {
 
 // startPrepare opens (or re-opens) the stable ballot.
 func (r *Node) startPrepare() {
-	base := r.acc.promised
-	if r.prop.ballot > base {
-		base = r.prop.ballot
-	}
-	r.prop.ballot = base.Next(r.me, r.n)
+	r.prop.ballot = max(r.acc.promised, r.prop.ballot).Next(r.me, r.n)
 	if !r.prop.preparing {
 		r.prop.prepTimeout = retryTimeout
 	} else if r.prop.prepTimeout < maxRetryTimeout {
@@ -177,14 +173,10 @@ func (r *Node) maybeFinishPrepare() {
 	insts := make([]int, 0, len(best))
 	for inst := range best {
 		insts = append(insts, inst)
-		if inst > maxInst {
-			maxInst = inst
-		}
+		maxInst = max(maxInst, inst)
 	}
 	sort.Ints(insts)
-	if r.pipe.nextInst <= maxInst {
-		r.pipe.nextInst = maxInst + 1
-	}
+	r.pipe.nextInst = max(r.pipe.nextInst, maxInst+1)
 	// Re-propose constrained instances at the new ballot. These bypass the
 	// pipelining window: they block the decided prefix, so they must be
 	// driven regardless of how much new work is in flight.
@@ -249,9 +241,7 @@ func (r *Node) onNack(m NackMsg) {
 	if m.B != r.prop.ballot {
 		return
 	}
-	if m.Promised > r.acc.promised {
-		r.acc.promised = m.Promised
-	}
+	r.acc.promised = max(r.acc.promised, m.Promised)
 	// The next drive tick re-prepares with a higher ballot if Omega
 	// still says we lead.
 	r.abdicateLeader()

@@ -78,10 +78,7 @@ type readState struct {
 // it directly — inject a ReadReqMsg through the transport instead, as
 // the repository benchmark does (bench/live.go).
 func (r *Node) Read(seq uint64, count int) {
-	if count <= 0 {
-		count = 1
-	}
-	r.onReadReq(r.me, ReadReqMsg{Seq: seq, Count: uint32(count), Origin: r.me})
+	r.onReadReq(r.me, ReadReqMsg{Seq: seq, Count: uint32(max(count, 1)), Origin: r.me})
 	r.settle()
 }
 
@@ -165,15 +162,11 @@ func (r *Node) completeFallbackReads() {
 	if r.reads.barrier < 0 || r.app.next <= r.reads.barrier {
 		return
 	}
-	if !r.reads.barrierOwn {
-		r.failPendingReads()
-		return
+	pending, own := r.reads.pending, r.reads.barrierOwn
+	r.failPendingReads() // passed: answered if this node's quorum decided it
+	if own {
+		r.lease.fallbackReads.Add(r.answerReads(pending, false))
 	}
-	r.reads.barrier = -1
-	r.reads.barrierOwn = false
-	pending := r.reads.pending
-	r.reads.pending = nil
-	r.lease.fallbackReads.Add(r.answerReads(pending, false))
 }
 
 // failPendingReads drops reads waiting on a barrier that can no longer

@@ -7,24 +7,25 @@
 // costs one phase-2 round-trip, (n−1) ACCEPT + (n−1) ACCEPTED, and crosses
 // each link once. Decisions are committed by index, not by value: the
 // leader announces how far its log is decided and every follower decides
-// that prefix from its own votes. The index rides on the ACCEPT that
-// leaves in the turn the prefix advances in, when one does; otherwise a
-// value-free DECIDE tells the replicas whose commands were decided, at
-// once, and the others hear on the next ACCEPT or, on a stream gone quiet,
-// a drive interval later (catchUp). So an instance costs 2(n−1) messages
-// back to back, 2(n−1) + one per origin when spaced, 3(n−1) only when
-// idle, all initiated by the leader or addressed to it. Followers forward
-// commands to the leader, and ask it for decisions by value (LEARN) only
-// when stuck behind the commit index for a whole drive interval — after
-// loss or a restart, not in steady state. A change of Omega's
-// output is acted on in the event that brings it (followOmega): the
+// that prefix from its own votes. The index rides on the ACCEPT that leaves
+// in the turn the prefix advances in, when one does; otherwise a value-free
+// DECIDE tells the replicas whose commands were decided, at once, and the
+// others hear on the next ACCEPT or, on a stream gone quiet, a drive
+// interval later (catchUp). At n = 3 without leases nobody is owed one: a
+// quorum is two, so a follower's vote on its ballot owner's ACCEPT decides
+// the instance once flushed (pipeline.go, pairDecides). An instance costs
+// 2(n−1) messages back to back (and spaced, at n = 3 without leases),
+// 2(n−1) + one per origin when spaced, 3(n−1) only when idle — all
+// initiated by the leader or addressed to it. Followers forward commands to the leader, and
+// ask it for decisions by value (LEARN) only when stuck behind the commit
+// index for a whole drive interval: after loss or a restart. A change of
+// Omega's output is acted on in the event that brings it (followOmega): the
 // process named starts phase 1, the others re-forward what they have
-// pending, and a request that reaches the successor ahead of its own
-// Omega is held for it, not dropped (batch.go, hold). Once the leader
-// stabilizes, no other process initiates communication — the
-// repeated-consensus analogue of the Omega algorithm's communication
-// efficiency, regenerated by experiments E7 and E12 and pinned by
-// TestSteadyStateMessageBudget.
+// pending, and a request that reaches the successor ahead of its own Omega
+// is held for it (batch.go, hold). Once the leader stabilizes, no other
+// process initiates communication — the repeated-consensus analogue of the
+// Omega algorithm's communication efficiency (E7, E12,
+// TestSteadyStateMessageBudget).
 //
 // The engine is layered, one file per layer:
 //
@@ -41,16 +42,14 @@
 //
 // Batching packs many commands into one proposed value and pipelining
 // overlaps many instances, so the per-instance cost is amortized over
-// Window×BatchMax commands in flight. When a batch forms is one policy
-// (batch.go, pump): a full batch at once, a partial one only into an idle
-// pipeline or on the drive tick. Who asks for it is another: no handler
-// pumps or announces. A request (onRequest), a completed quorum
-// (pipeline.go, maybeDecide) and a finished phase 1 only mark the pump and
-// the commit announcement due; the end of the turn (turn.go) does each
-// once for everything the node loop found waiting, answers the reads it
-// found there with one reply per origin (read.go), and flushes the store
-// once for every vote cast meanwhile. On a runtime without turns each
-// event is a turn of one.
+// Window×BatchMax commands in flight. A full batch is proposed at once, a
+// partial one only into an idle pipeline or on the drive tick (batch.go,
+// pump). No handler pumps or announces: a request, a completed quorum and a
+// finished phase 1 only mark both due, and the end of the turn (turn.go)
+// does each once, answers the turn's reads with one reply per origin
+// (read.go), flushes the store once for every vote cast meanwhile, and then
+// decides the votes that decide on their own. On a runtime without turns
+// each event is a turn of one.
 //
 // The log forgets as it goes (log.go): every replica drops the prefix all
 // replicas have applied, the minimum of a Done vector that rides phase-2
@@ -275,7 +274,7 @@ func (r *Node) Start(env node.Env) {
 	r.env = env
 	r.me = env.ID()
 	r.n = env.N()
-	r.dones = newDoneVector(r.n)
+	r.dones = doneVector{done: make([]int, r.n)}
 	r.pipe.told, r.pipe.owed = make([]int, r.n), make([]bool, r.n)
 	if st := r.cfg.Store.State(); st != nil {
 		r.restore(st)
@@ -321,9 +320,7 @@ func (r *Node) restore(st *durable.State) {
 		}
 		r.log.accept(inst, consensus.Ballot(a.B), consensus.Value(a.V))
 	}
-	if r.pipe.nextInst < r.log.firstGap {
-		r.pipe.nextInst = r.log.firstGap
-	}
+	r.pipe.nextInst = max(r.pipe.nextInst, r.log.firstGap)
 	if r.cfg.Lease > 0 {
 		// The previous incarnation may have granted (or held) a lease
 		// this one no longer remembers. Conservatively treat one as
@@ -384,7 +381,7 @@ func (r *Node) drive() {
 		}
 		return
 	}
-	r.pumpBatches(true) // flush partial batches queued since the last tick
+	r.pump(true) // flush partial batches queued since the last tick
 	r.learnFloor(now, r.cfg.DriveInterval)
 	r.redrive(now)
 	r.catchUp(now)

@@ -693,8 +693,10 @@ func TestCommitIndexPropertySweep(t *testing.T) {
 	}
 }
 
+// TestGapFillViaLearn runs five replicas: at three a follower decides on its
+// own vote and the leader's horizon moves past what the probe asks for.
 func TestGapFillViaLearn(t *testing.T) {
-	c := newCluster(t, 3, 6, network.Timely(2*ms))
+	c := newCluster(t, 5, 6, network.Timely(2*ms))
 	c.world.Start()
 	c.world.RunFor(200 * ms)
 	for i := 0; i < 5; i++ {

@@ -445,7 +445,9 @@ func TestCommitIndex(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			boot := func() (*Node, *fakeEnv) {
-				cfg := Config{Store: openWAL(t, dir), BatchMax: 1, Window: tc.window}
+				// With a lease a lone vote decides nothing (pairDecides): what
+				// decides here is the commit index alone.
+				cfg := Config{Store: openWAL(t, dir), BatchMax: 1, Window: tc.window, Lease: time.Second}
 				if tc.leader {
 					r, env := prepareLeaderCfg(t, nil, cfg)
 					if r.prop.ballot != own {
@@ -530,7 +532,8 @@ func TestRequestDuringPrepareIsQueuedNotDropped(t *testing.T) {
 // covering it — its followers hold votes for the losing value at its
 // ballot — and the same value coming back by value is passed on by index.
 func TestDeposedLeaderAnnouncesNothing(t *testing.T) {
-	r, env := prepareLeaderCfg(t, nil, Config{BatchMax: 1})
+	// A lease keeps p2's command owed to it: its vote alone decides nothing.
+	r, env := prepareLeaderCfg(t, nil, Config{BatchMax: 1, Lease: time.Second})
 	r.Deliver(2, &RequestMsg{V: "mine"})
 	env.drain()
 	r.Deliver(1, &DecideMsg{Inst: 0, V: "mine"})
@@ -552,11 +555,12 @@ func TestDeposedLeaderAnnouncesNothing(t *testing.T) {
 // its PREPARE to a slower acceptor is still in flight. The ACCEPT raises
 // that acceptor's promise to the ballot; the PREPARE arriving after it
 // must be promised, not refused — a NACK would depose a healthy leader.
+// Five processes: at three the vote would decide the instance on arrival.
 func TestAcceptOvertakingItsPrepareIsNotANack(t *testing.T) {
 	r := New(consensus.StaticLeader(1), Config{})
-	env := newFakeEnv(2, 3)
+	env := newFakeEnv(2, 5)
 	r.Start(env)
-	b := consensus.MakeBallot(0, 1, 3)
+	b := consensus.MakeBallot(0, 1, 5)
 	r.Deliver(1, &AcceptMsg{B: b, Inst: 0, V: "early"})
 	env.drain()
 	r.Deliver(1, PrepareMsg{B: b})
@@ -584,12 +588,13 @@ func TestAcceptOvertakingItsPrepareIsNotANack(t *testing.T) {
 // 1<<28 appended 2²⁸ forty-byte slots and the process was OOM-killed. What
 // the window does not reach casts no vote and installs nothing; a commit
 // index riding on it still counts, so a replica that really is that far
-// behind asks for the decisions in order.
+// behind asks for the decisions in order. The follower is one of five, where
+// its votes alone decide nothing.
 func TestWildInstanceNumbersAreDropped(t *testing.T) {
 	const wild = 1 << 28
-	b := consensus.MakeBallot(0, 1, 3)
+	b := consensus.MakeBallot(0, 1, 5)
 	f := New(consensus.StaticLeader(1), Config{})
-	env := newFakeEnv(0, 3)
+	env := newFakeEnv(0, 5)
 	f.Start(env)
 	f.Deliver(1, &AcceptMsg{B: b, Inst: 0, V: "v0"})
 	f.Deliver(1, &AcceptMsg{B: b, Inst: maxHole - 1, V: "edge"}) // the farthest the window reaches
@@ -597,7 +602,7 @@ func TestWildInstanceNumbersAreDropped(t *testing.T) {
 		t.Fatalf("%d replies and %d slots after two votes within reach", len(got), len(f.log.slots))
 	}
 	f.Deliver(1, &AcceptMsg{B: b, Inst: maxHole, V: "far", CommitUpTo: 1})
-	f.Deliver(1, &AcceptMsg{B: b + 3, Inst: wild, V: "far"})
+	f.Deliver(1, &AcceptMsg{B: b + 5, Inst: wild, V: "far"})
 	f.Deliver(1, &DecideMsg{Inst: wild, V: "far"})
 	if got := env.drain(); len(got) != 0 || len(f.log.slots) != maxHole || f.log.voted != 1 || f.acc.promised != b {
 		t.Fatalf("wild instances: sent %+v, %d slots, %d votes, promised %v", got, len(f.log.slots), f.log.voted, f.acc.promised)
@@ -606,7 +611,7 @@ func TestWildInstanceNumbersAreDropped(t *testing.T) {
 		t.Fatalf("gap %d highest %d: the index on the dropped ACCEPT decides instance 0 and nothing else", f.FirstGap(), f.HighestDecided())
 	}
 	// An index far past the log: this replica is behind, and says so.
-	f.Deliver(1, &AcceptMsg{B: b + 3, Inst: wild, V: "far", CommitUpTo: wild - 7})
+	f.Deliver(1, &AcceptMsg{B: b + 5, Inst: wild, V: "far", CommitUpTo: wild - 7})
 	for i := 0; i < 2; i++ {
 		env.now = env.now.Add(f.cfg.DriveInterval)
 		f.Tick(timerDrive)
@@ -666,17 +671,19 @@ func handDeliver(nodes []*Node, envs []*fakeEnv) func(p node.ID, keep func(sent)
 
 // TestLaggingPreparerNeverFillsADecidedSlot is ROADMAP item 0's schedule by
 // hand, without the restart and the WAL it was first seen behind: a leader
-// that is behind a member of its own phase-1 quorum. p1 leads and decides
-// instance 0 on p2's vote; the commit index never reaches p2, and p1 has
-// proposed instance 1 to nobody yet. Omega moves to p0, which has heard none
-// of it. p1, which has decided 0, has no vote to report there, and its
-// PROMISE completes p0's quorum before p2's — the one that carries the vote.
-// A preparer that reads "nothing reported" as "free" fills 0 with a no-op,
-// p2 (0 undecided, the ballot high enough) votes for it, and two values are
-// decided in one slot. Below the decided prefix a promiser reports, p0 must
-// propose nothing and ask for the decisions by value.
+// that is behind a member of its own phase-1 quorum. Of five, p1 leads and
+// decides instance 0 on p2's and p3's votes; the commit index never reaches
+// them, and p1 has proposed instance 1 to nobody yet. Omega moves to p0,
+// which has heard none of it, and neither has p4. p1, which has decided 0,
+// has no vote to report there, and its PROMISE and p4's complete p0's quorum
+// before p2's and p3's — the ones that carry the vote. A preparer that reads
+// "nothing reported" as "free" fills 0 with a no-op, p2 and p3 (0 undecided,
+// the ballot high enough) vote for it, and two values are decided in one
+// slot. Below the decided prefix a promiser reports, p0 must propose nothing
+// and ask for the decisions by value. (At three processes p2's vote would
+// decide 0 on arrival: pairDecides.)
 func TestLaggingPreparerNeverFillsADecidedSlot(t *testing.T) {
-	const n = 3
+	const n = 5
 	omega := &fakeOmega{leader: 1}
 	var nodes [n]*Node
 	var envs [n]*fakeEnv
@@ -686,36 +693,42 @@ func TestLaggingPreparerNeverFillsADecidedSlot(t *testing.T) {
 	}
 	deliver := handDeliver(nodes[:], envs[:])
 	all := func(sent) bool { return true }
-	to := func(q node.ID) func(sent) bool { return func(s sent) bool { return s.to == q } }
+	none := func(sent) bool { return false }
+	voters := func(s sent) bool { return s.to == 2 || s.to == 3 }
 
 	deliver(1, all) // p1's PREPARE, sent at boot
-	deliver(0, all)
-	deliver(2, all) // the PROMISEs: p1 stands
+	for p := node.ID(0); p < n; p++ {
+		deliver(p, all) // the PROMISEs: p1 stands
+	}
 	nodes[1].Submit("a")
-	deliver(1, to(2)) // ACCEPT 0 reaches p2 alone
-	deliver(2, all)   // ACCEPTED: p1 decides instance 0
+	deliver(1, voters) // ACCEPT 0 reaches p2 and p3 alone
+	deliver(2, all)
+	deliver(3, all) // ACCEPTEDs: p1 decides instance 0
 	nodes[1].Submit("b")
 	envs[1].drain() // ACCEPT 1 and the commit index of 0 are in flight for good
-	if v, ok := nodes[1].log.get(0); !ok || v != "a" || nodes[2].FirstGap() != 0 || nodes[2].log.voted != 1 || nodes[0].log.end() != 0 {
+	if v, ok := nodes[1].log.get(0); !ok || v != "a" || nodes[2].FirstGap() != 0 || nodes[2].log.voted != 1 || nodes[3].log.voted != 1 || nodes[0].log.end() != 0 || nodes[4].log.end() != 0 {
 		t.Fatalf("setup: p1 decided %q,%v in 0; p2 first gap %d with %d votes; p0 holds %d slots", v, ok, nodes[2].FirstGap(), nodes[2].log.voted, nodes[0].log.end())
 	}
 
 	omega.leader = 0
 	nodes[0].Tick(timerDrive) // PREPARE
 	deliver(0, all)
-	late := deliver(2, func(sent) bool { return false }) // p2's PROMISE, with its vote in 0, is the slower one
-	deliver(1, all)                                      // p1's completes the quorum
+	late2, late3 := deliver(2, none), deliver(3, none) // the PROMISEs with the vote in 0 are the slower ones
+	deliver(1, all)
+	deliver(4, all) // p1's and p4's complete the quorum
 	if !nodes[0].prop.prepared {
-		t.Fatal("p0 and p1 are a majority: phase 1 should stand")
+		t.Fatal("p0, p1 and p4 are a majority: phase 1 should stand")
 	}
-	held := deliver(0, to(2)) // what p0 sends reaches p2 first
-	deliver(2, all)           // and its votes come straight back
-	for _, s := range append(held, late...) {
-		from := node.ID(0)
-		if s.to == 0 {
-			from = 2
+	held := deliver(0, voters) // what p0 sends reaches p2 and p3 first
+	deliver(2, all)            // and their votes come straight back
+	deliver(3, all)
+	for _, h := range []struct {
+		from node.ID
+		msgs []sent
+	}{{0, held}, {2, late2}, {3, late3}} {
+		for _, s := range h.msgs {
+			nodes[s.to].Deliver(h.from, s.msg)
 		}
-		nodes[s.to].Deliver(from, s.msg)
 	}
 	for p := node.ID(0); p < n; p++ { // whatever is still owed: LEARN, the decisions by value
 		for q := node.ID(0); q < n; q++ {
@@ -733,10 +746,12 @@ func TestLaggingPreparerNeverFillsADecidedSlot(t *testing.T) {
 	if d, ok := nodes[0].Recorder().Get(0); !ok || d.Value != "a" || nodes[0].FirstGap() < 1 {
 		t.Fatalf("p0 has %q,%v in instance 0 and first gap %d: it should have learned p1's decision by value", d.Value, ok, nodes[0].FirstGap())
 	}
-	// p2's vote in 0 is at p1's ballot, which p0's commit index does not
-	// decide: p0 passes on what it learned, and p2 never has to ask.
-	if d, ok := nodes[2].Recorder().Get(0); !ok || d.Value != "a" || nodes[2].acc.askedAt != 0 {
-		t.Fatalf("p2 has %q,%v in instance 0, asked at %v: p0 should have passed the decision on", d.Value, ok, nodes[2].acc.askedAt)
+	// p2's and p3's votes in 0 are at p1's ballot, which p0's commit index
+	// does not decide: p0 passes on what it learned, and neither has to ask.
+	for _, p := range []node.ID{2, 3} {
+		if d, ok := nodes[p].Recorder().Get(0); !ok || d.Value != "a" || nodes[p].acc.askedAt != 0 {
+			t.Fatalf("p%d has %q,%v in instance 0, asked at %v: p0 should have passed the decision on", p, d.Value, ok, nodes[p].acc.askedAt)
+		}
 	}
 }
 

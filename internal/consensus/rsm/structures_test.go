@@ -297,14 +297,15 @@ func (s snapStore) State() *durable.State { return s.st }
 
 func TestRestoreAtLargeSnapIndexKeepsWindowSmall(t *testing.T) {
 	const base = 1 << 40 // a window indexed from 0 would not fit in memory
-	b := consensus.MakeBallot(3, 1, 3)
+	// One follower of five: a vote alone decides nothing.
+	b := consensus.MakeBallot(3, 1, 5)
 	st := &durable.State{
 		Promised: uint64(b), SnapIndex: base, SnapCount: 5 * base,
 		Decided:  []durable.DecidedRec{{Inst: base, V: "d0"}, {Inst: base + 1, V: "d1"}, {Inst: base + 4, V: "island"}},
 		Accepted: []durable.AcceptedRec{{Inst: base - 3, B: uint64(b), V: "stale"}, {Inst: base + 1, B: uint64(b), V: "d1"}, {Inst: base + 2, B: uint64(b), V: "voted"}},
 	}
 	r := New(consensus.StaticLeader(1), Config{Store: snapStore{durable.Nop, st}})
-	env := newFakeEnv(2, 3)
+	env := newFakeEnv(2, 5)
 	r.Start(env)
 	if r.MinDone() != base || r.FirstGap() != base+2 || r.HighestDecided() != base+4 || r.Retained() != 3 {
 		t.Fatalf("low %d gap %d highest %d retained %d", r.MinDone(), r.FirstGap(), r.HighestDecided(), r.Retained())
@@ -320,7 +321,7 @@ func TestRestoreAtLargeSnapIndexKeepsWindowSmall(t *testing.T) {
 	}
 	// What a preparer hears about, in instance order: the decided prefix,
 	// the surviving vote, and the island decided above it.
-	r.Deliver(1, PrepareMsg{B: b + 3})
+	r.Deliver(1, PrepareMsg{B: b + 5})
 	out := env.drain()
 	p, ok := out[len(out)-1].msg.(PromiseMsg)
 	if !ok || !slices.Equal(p.Entries, []PromEntry{{Inst: base + 2}, {Inst: base + 2, AccB: b, AccV: "voted"}, {Inst: base + 4, AccV: "island"}}) {
@@ -329,7 +330,7 @@ func TestRestoreAtLargeSnapIndexKeepsWindowSmall(t *testing.T) {
 	// Filling the gap applies through the island and the horizon follows.
 	r.Deliver(1, &DecideMsg{Inst: base + 2, V: "voted"})
 	r.Deliver(1, &DecideMsg{Inst: base + 3, V: "d3"})
-	r.Deliver(1, &AcceptMsg{B: b + 3, Inst: base + 5, V: "next", MinDone: base + 4})
+	r.Deliver(1, &AcceptMsg{B: b + 5, Inst: base + 5, V: "next", MinDone: base + 4})
 	if r.FirstGap() != base+5 || r.MinDone() != base+4 || r.Retained() != 1 || r.log.voted != 1 {
 		t.Fatalf("gap %d low %d retained %d voted %d after catching up", r.FirstGap(), r.MinDone(), r.Retained(), r.log.voted)
 	}
@@ -354,7 +355,7 @@ func TestFutilePumpIsFree(t *testing.T) {
 	// Window full, 100 commands queued: nothing can be proposed, and
 	// finding that out must not look at the queue.
 	r, _ := saturatedLeader(t, 100)
-	if got := testing.AllocsPerRun(100, r.pump); got != 0 {
+	if got := testing.AllocsPerRun(100, func() { r.pump(false) }); got != 0 {
 		t.Fatalf("pump with a full window allocates %.0f times", got)
 	}
 	// Window open but busy, and less than a batch queued: same.
@@ -367,7 +368,7 @@ func TestFutilePumpIsFree(t *testing.T) {
 	if r.pipe.open != 1 || r.bat.tail-r.bat.next != 5 {
 		t.Fatalf("open %d, unassigned %d: want one instance in flight and 5 queued", r.pipe.open, r.bat.tail-r.bat.next)
 	}
-	if got := testing.AllocsPerRun(100, r.pump); got != 0 {
+	if got := testing.AllocsPerRun(100, func() { r.pump(false) }); got != 0 {
 		t.Fatalf("pump with a partial batch allocates %.0f times", got)
 	}
 	if r.pipe.open != 1 {
@@ -443,7 +444,7 @@ func BenchmarkBatcherPumpFull(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r.pump()
+		r.pump(false)
 	}
 }
 

@@ -12,22 +12,23 @@ package rsm
 // whose commands the turn decided (pipeline.go, announceCommit); one
 // answer to the reads the turn brought (read.go), at the index all of
 // that left applied; one write of every record the turn appended to the
-// store, before any message that reveals them is released.
+// store, before any message that reveals them is released; and, at n = 3
+// without leases, where no DECIDE is owed, the decision of every vote the
+// turn cast on its ballot owner's ACCEPT, now durable (decideRipe).
 //
 // On a runtime without turns — node.World, a hand-driven test Env, a
 // Submit or Read from outside the loop — nothing holds a send back and
 // nothing will signal, so each event is a turn of one: it ends itself
-// (settle), and a record is flushed the moment it is appended
-// (persisted). That is the engine's behaviour before turns existed, to
-// the message, by the same code.
+// (settle), and a record is flushed the moment it is appended (persisted).
 
 // endTurn does what the turn's events left due. The pump comes first: an
 // ACCEPT that leaves now announces the commit index to everyone for free. The
 // reads come after both, and before the flush that covers a barrier they open.
+// Only a flushed vote decides.
 func (r *Node) endTurn() {
 	for r.pumpDue { // a one-process quorum decides inside pump and asks again
 		r.pumpDue = false
-		r.pump()
+		r.pump(false)
 	}
 	if r.commitDue {
 		r.commitDue = false
@@ -37,6 +38,7 @@ func (r *Node) endTurn() {
 		r.serveReads()
 	}
 	r.cfg.Store.Flush()
+	r.decideRipe()
 }
 
 // settle closes an event that no turn of the runtime encloses.

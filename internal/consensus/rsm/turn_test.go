@@ -111,7 +111,9 @@ func TestBurstOfRequestsIsOneInstance(t *testing.T) {
 
 func TestQuorumAndRequestsInOneTurnNeedNoDecide(t *testing.T) {
 	inFlight := func() (*Node, *fakeEnv, *AcceptMsg) {
-		r, env := prepareLeader(t, nil)
+		// With a lease p1's vote alone decides nothing, so its command is
+		// owed to it (pairDecides).
+		r, env := prepareLeaderCfg(t, nil, Config{Lease: time.Second})
 		env.drain()
 		r.Deliver(1, &RequestMsg{V: "first"})
 		accepts := broadcastsOf[*AcceptMsg](t, env.drain())
@@ -505,7 +507,9 @@ func votesOnDisk(t *testing.T, dir string) int {
 }
 
 func TestVotesAreWrittenOncePerTurn(t *testing.T) {
-	b := consensus.MakeBallot(3, 1, 3)
+	// One follower of five: its votes decide nothing, so the records on disk
+	// are its votes alone.
+	b := consensus.MakeBallot(3, 1, 5)
 	votes := func() []node.Message {
 		return []node.Message{
 			&AcceptMsg{B: b, Inst: 0, V: "a"}, &AcceptMsg{B: b, Inst: 1, V: "b"}, &AcceptMsg{B: b, Inst: 2, V: "c"},
@@ -513,7 +517,7 @@ func TestVotesAreWrittenOncePerTurn(t *testing.T) {
 	}
 	follower := func(dir string) (*Node, *fakeEnv) {
 		r := New(consensus.StaticLeader(1), Config{Store: openWAL(t, dir)})
-		env := newFakeEnv(2, 3)
+		env := newFakeEnv(2, 5)
 		r.Start(env)
 		return r, env
 	}

@@ -23,24 +23,26 @@ func openWAL(t *testing.T, dir string) *durable.WAL {
 	return w
 }
 
+// TestRestartKeepsPromiseAndVote: one acceptor of five, whose vote alone
+// decides nothing (at three, a vote on its ballot owner's ACCEPT does).
 func TestRestartKeepsPromiseAndVote(t *testing.T) {
 	dir := t.TempDir()
 	w := openWAL(t, dir)
 	r := rsm.New(consensus.StaticLeader(1), rsm.Config{Store: w})
-	env := newFakeEnv(2, 3)
+	env := newFakeEnv(2, 5)
 	r.Start(env)
-	b := consensus.MakeBallot(4, 1, 3)
+	b := consensus.MakeBallot(4, 1, 5)
 	r.Deliver(1, rsm.PrepareMsg{B: b})
 	r.Deliver(1, &rsm.AcceptMsg{B: b, Inst: 0, V: "voted"})
 	env.drain()
 	w.Close()
 
 	r2 := rsm.New(consensus.StaticLeader(1), rsm.Config{Store: openWAL(t, dir)})
-	env2 := newFakeEnv(2, 3)
+	env2 := newFakeEnv(2, 5)
 	r2.Start(env2)
 
 	// A lower ballot must be nacked — the pre-crash promise stands.
-	low := consensus.MakeBallot(1, 0, 3)
+	low := consensus.MakeBallot(1, 0, 5)
 	r2.Deliver(0, rsm.PrepareMsg{B: low})
 	out := env2.drain()
 	if len(out) != 1 {
@@ -52,7 +54,7 @@ func TestRestartKeepsPromiseAndVote(t *testing.T) {
 
 	// A higher prepare must learn of the pre-crash vote, so the new
 	// leader is forced to re-propose "voted".
-	high := consensus.MakeBallot(9, 0, 3)
+	high := consensus.MakeBallot(9, 0, 5)
 	r2.Deliver(0, rsm.PrepareMsg{B: high})
 	out = env2.drain()
 	if len(out) != 1 {

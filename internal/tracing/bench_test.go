@@ -7,7 +7,7 @@ import (
 )
 
 // BenchmarkTracingOff measures the disabled-tracing tax on the consensus
-// hot path: the nil-tracer call shape Submit/pumpBatches/propose/apply
+// hot path: the nil-tracer call shape Submit/pump/propose/apply
 // make per command. It must stay at 0 allocs/op — tracing off is the
 // default for every sim and bench run, so any regression here lands
 // directly in the engine's steady-state numbers.
