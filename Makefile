@@ -117,14 +117,16 @@ endif
 # loops at once. The two TestRunRecoveryPlan* drills run
 # five times over: their catch-up bar is taken from what the survivors
 # decided after the kill, so a pass no longer depends on how far the
-# warm-up happened to overshoot, and a flake here is a bug. The -n 3 run
-# is where a follower decides on its own vote (a quorum of two, no lease):
-# the kill meets that path with a WAL that syncs on every flush.
+# warm-up happened to overshoot, and a flake here is a bug. The -n 3 runs
+# are where a follower decides on its own vote (a quorum of two): the kill
+# meets that path with a WAL that syncs on every flush, without a lease and
+# with one, whose local reads wait for what was launched before them.
 recovery-soak:
 	$(GO) test -race -count=5 -run 'TestRunRecoveryPlan' -v ./cmd/chaossoak/
 	$(GO) test -race -count=300 -run 'Restart' ./internal/transport/
 	$(GO) run ./cmd/chaossoak -transport mem -plan recovery -n 5 -fsync always
 	$(GO) run ./cmd/chaossoak -transport mem -plan recovery -n 3 -fsync always
+	$(GO) run ./cmd/chaossoak -transport mem -plan recovery -n 3 -fsync always -lease 300ms
 	$(GO) run -race ./cmd/chaossoak -transport mem -plan recovery -n 3 -groups 4
 
 # Boot wireload with the telemetry endpoint, scrape /healthz and /metrics

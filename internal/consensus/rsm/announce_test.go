@@ -333,8 +333,8 @@ func TestRequestFromAStrangerOwesNobody(t *testing.T) {
 }
 
 // TestSelfDecideGate: a vote decides its instance on its own only at a
-// quorum of two, without a lease, on an ACCEPT from its ballot's owner. Where
-// any of the three fails the vote stays open past its turn, and the origin
+// quorum of two, on an ACCEPT from its ballot's owner, with or without a
+// lease. Where either fails the vote stays open past its turn, and the origin
 // still hears by DECIDE: in the event the quorum completes, or — the ACCEPT
 // came by someone else, the leader owing nobody at a quorum of two — from
 // the catch-up once the stream is quiet.
@@ -348,7 +348,7 @@ func TestSelfDecideGate(t *testing.T) {
 		catchUp bool    // p2 hears from the catch-up, not when the quorum completes
 	}{
 		{name: "the rule", n: 3, from: 1, decides: true},
-		{name: "a lease", n: 3, lease: time.Second, from: 1},
+		{name: "a lease", n: 3, lease: time.Second, from: 1, decides: true},
 		{name: "five processes", n: 5, from: 1},
 		{name: "an ACCEPT from a non-owner", n: 3, from: 0, catchUp: true},
 	} {

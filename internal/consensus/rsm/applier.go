@@ -76,7 +76,6 @@ func (r *Node) apply() {
 	if r.prop.prepared {
 		r.log.forgetBelow(r.dones.min())
 	}
-	r.completeFallbackReads()
 	r.maybeSnapshot()
 }
 

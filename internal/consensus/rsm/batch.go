@@ -359,7 +359,7 @@ func (r *Node) expireHeld(now sim.Time) {
 func (r *Node) adoptHeld() {
 	for i := range r.held {
 		if h := &r.held[i]; h.read.Count > 0 {
-			r.reads.noted = append(r.reads.noted, h.read)
+			r.onReadReq(r.me, h.read) // noted: this replica leads
 		} else {
 			r.enqueue(h.v, h.at, h.tctx, h.from)
 		}

@@ -414,8 +414,8 @@ func TestReadAtSuccessorBeforeItsOmegaFlipsIsAnswered(t *testing.T) {
 		t.Fatalf("a read forwarded to a non-leader: sent %v, %d held; want it held and never forwarded on", out, len(r.held))
 	}
 	a.Deliver(2, nominate(0))
-	if len(r.reads.pending) != 1 || len(r.held) != 0 || !r.prop.preparing {
-		t.Fatalf("at the edge: %d reads pending, %d held, preparing %v", len(r.reads.pending), len(r.held), r.prop.preparing)
+	if len(r.reads.waiting) != 1 || len(r.held) != 0 || !r.prop.preparing {
+		t.Fatalf("at the edge: %d reads pending, %d held, preparing %v", len(r.reads.waiting), len(r.held), r.prop.preparing)
 	}
 	env.drain()
 	a.Deliver(1, PromiseMsg{B: r.prop.ballot})
@@ -462,8 +462,8 @@ func TestHandoverBufferIsBoundedAndExpires(t *testing.T) {
 	}
 	env.now = env.now.Add(ms)
 	a.Deliver(2, nominate(0))
-	if len(r.held) != 0 || r.bat.tail != 0 || len(r.reads.pending) != 0 {
-		t.Fatalf("past RetryTimeout: %d held, %d queued, %d reads pending; their senders have re-forwarded", len(r.held), r.bat.tail, len(r.reads.pending))
+	if len(r.held) != 0 || r.bat.tail != 0 || len(r.reads.waiting) != 0 {
+		t.Fatalf("past RetryTimeout: %d held, %d queued, %d reads pending; their senders have re-forwarded", len(r.held), r.bat.tail, len(r.reads.waiting))
 	}
 	if out := env.drain(); len(out) != 2 || len(preparesOf(out)) != 1 {
 		t.Fatalf("sent %v, want the new leader's PREPARE broadcast and nothing else", out)

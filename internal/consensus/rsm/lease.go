@@ -276,8 +276,8 @@ func (r *Node) abdicateLeader() {
 	if len(r.lease.issued) > 0 {
 		clear(r.lease.issued)
 	}
-	r.reads.noted = r.reads.noted[:0]
-	r.failPendingReads()
+	r.reads.waiting = r.reads.waiting[:0]
+	r.reads.barrier, r.reads.barrierOwn = -1, false
 }
 
 // LeaseHeld reports whether this replica currently holds a quorum read

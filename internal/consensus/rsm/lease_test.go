@@ -153,8 +153,8 @@ func TestStaleBarrierFailsPendingReads(t *testing.T) {
 	r.OnReadReply(func(m ReadReplyMsg) { replies = append(replies, m) })
 	env.drain()
 	r.Read(1, 2)
-	if r.reads.barrier < 0 || len(r.reads.pending) != 1 {
-		t.Fatalf("barrier = %d, pending = %d, want an armed barrier", r.reads.barrier, len(r.reads.pending))
+	if r.reads.barrier < 0 || len(r.reads.waiting) != 1 {
+		t.Fatalf("barrier = %d, pending = %d, want an armed barrier", r.reads.barrier, len(r.reads.waiting))
 	}
 	// A follower that already learned a newer leader's decision at the
 	// barrier instance answers the ACCEPT with the decision, not an
@@ -163,7 +163,7 @@ func TestStaleBarrierFailsPendingReads(t *testing.T) {
 	if len(replies) != 0 {
 		t.Fatalf("stale barrier answered %d read batches, want 0", len(replies))
 	}
-	if len(r.reads.pending) != 0 || r.reads.barrier != -1 {
+	if len(r.reads.waiting) != 0 || r.reads.barrier != -1 {
 		t.Fatal("pending reads not failed after a foreign barrier decision")
 	}
 	if r.FallbackReads() != 0 {
@@ -187,7 +187,7 @@ func TestOwnQuorumBarrierAnswersReads(t *testing.T) {
 	if replies[0].Local {
 		t.Fatal("barrier read claimed to be local")
 	}
-	if r.reads.barrier != -1 || r.reads.barrierOwn || len(r.reads.pending) != 0 {
+	if r.reads.barrier != -1 || r.reads.barrierOwn || len(r.reads.waiting) != 0 {
 		t.Fatal("barrier state not reset after completion")
 	}
 	if r.FallbackReads() != 3 {
@@ -203,8 +203,8 @@ func TestPendingFallbackReadsAreCapped(t *testing.T) {
 	for i := 0; i < maxPendingReads+100; i++ {
 		r.Read(uint64(i), 1)
 	}
-	if len(r.reads.pending) != maxPendingReads {
-		t.Fatalf("pending queue = %d, want capped at %d", len(r.reads.pending), maxPendingReads)
+	if len(r.reads.waiting) != maxPendingReads {
+		t.Fatalf("pending queue = %d, want capped at %d", len(r.reads.waiting), maxPendingReads)
 	}
 }
 
@@ -311,5 +311,184 @@ func TestReadsDuringFailoverAreAnsweredWhenTheBallotStands(t *testing.T) {
 		if elect.FallbackReads() == 0 {
 			t.Fatalf("seed %d: the reads of the outage were not served through the barrier", seed)
 		}
+	}
+}
+
+// readCluster boots a hand-driven replica per oracle, steered by it, and
+// records every answer their OnReadReply hooks get.
+func readCluster(cfg Config, omegas ...consensus.Leadership) ([]*Node, []*fakeEnv, *[]ReadReplyMsg) {
+	var answers []ReadReplyMsg
+	nodes, envs := make([]*Node, len(omegas)), make([]*fakeEnv, len(omegas))
+	for i, o := range omegas {
+		nodes[i], envs[i] = New(o, cfg), newFakeEnv(node.ID(i), len(omegas))
+		nodes[i].OnReadReply(func(m ReadReplyMsg) { answers = append(answers, m) })
+		nodes[i].Start(envs[i])
+	}
+	return nodes, envs, &answers
+}
+
+// kind keeps the messages of type M sent to to, or to anyone if it is None.
+func kind[M node.Message](to node.ID) func(sent) bool {
+	return func(s sent) bool {
+		_, ok := s.msg.(M)
+		return ok && (to == node.None || s.to == to)
+	}
+}
+
+// TestLeaseReadWaitsForWhatAFollowerDecidedAlone: of three, with a lease
+// held by p1, p2 votes for the write w on p1's ACCEPT, decides it at the end
+// of its turn and applies it — its client has the answer. A read from p0
+// that reaches p1 before any vote for w must not be answered from the lease
+// at p1's applied index, which lacks w: it waits for the applier to pass
+// the instances launched before it, and is answered then, from the lease.
+func TestLeaseReadWaitsForWhatAFollowerDecidedAlone(t *testing.T) {
+	leader := consensus.StaticLeader(1)
+	nodes, envs, answers := readCluster(Config{Lease: 300 * ms, BatchMax: 1}, leader, leader, leader)
+	deliver := handDeliver(nodes, envs)
+	all := func(sent) bool { return true }
+	deliver(1, all) // PREPARE
+	deliver(0, all)
+	deliver(2, all) // the PROMISEs
+	nodes[1].Submit("w0")
+	deliver(1, all)
+	deliver(0, all)
+	deliver(2, all) // the votes for w0, and with them the lease
+	if !nodes[1].LeaseHeld() || nodes[2].Applied() != 1 {
+		t.Fatalf("setup: lease held %v, p2 applied %d", nodes[1].LeaseHeld(), nodes[2].Applied())
+	}
+
+	nodes[2].Submit("w")
+	deliver(2, all) // the REQ: w is instance 1
+	withTurns(nodes[2])
+	deliver(1, kind[*AcceptMsg](2)) // its ACCEPT reaches p2 alone
+	if nodes[2].Applied() != 1 {
+		t.Fatalf("p2 applied %d commands in mid-turn, want w to wait for the flush", nodes[2].Applied())
+	}
+	nodes[2].Tick(node.TurnEnd)
+	if nodes[2].Applied() != 2 {
+		t.Fatalf("p2 applied %d commands, want w applied on its own vote", nodes[2].Applied())
+	}
+	nodes[0].Read(9, 1)
+	deliver(0, all) // the READ, ahead of every vote for w
+	if len(*answers) != 0 || len(envs[1].outbox) != 0 {
+		t.Fatalf("p1 answered %+v, sent %+v with w applied at p2 and not here", *answers, envs[1].outbox)
+	}
+	deliver(2, all) // p2's vote for w
+	deliver(1, kind[*ReadReplyMsg](node.None))
+	want := ReadReplyMsg{Seq: 9, Count: 1, Index: 2, Local: true}
+	if len(*answers) != 1 || (*answers)[0] != want || nodes[1].LocalReads() != 1 {
+		t.Fatalf("answers %+v (%d local), want %+v: w counted, from the lease", *answers, nodes[1].LocalReads(), want)
+	}
+}
+
+// staleAnswers returns the answers to read seq below index.
+func staleAnswers(answers []ReadReplyMsg, seq uint64, index int) (out []ReadReplyMsg) {
+	for _, a := range answers {
+		if a.Seq == seq && a.Index < index {
+			out = append(out, a)
+		}
+	}
+	return out
+}
+
+// TestBarrierAnswersNoReadThatArrivedAfterALaterWriteApplied: of three,
+// without a lease, read 1 from p0 opens a barrier at instance 0 and p2's
+// write w becomes instance 1. p2 gets both ACCEPTs in one turn, decides both
+// on its own votes and applies w — its client has the answer. Read 2 from
+// p0 then reaches p1, before any vote: it must not ride barrier 0, whose
+// instance is below w's, and when p2's vote for the barrier arrives read 1
+// is answered, read 2 not — it waits for a barrier of its own.
+func TestBarrierAnswersNoReadThatArrivedAfterALaterWriteApplied(t *testing.T) {
+	leader := consensus.StaticLeader(1)
+	nodes, envs, answers := readCluster(Config{BatchMax: 1}, leader, leader, leader)
+	deliver := handDeliver(nodes, envs)
+	all := func(sent) bool { return true }
+	deliver(1, all) // PREPARE
+	deliver(0, all)
+	deliver(2, all) // the PROMISEs
+	nodes[0].Read(1, 1)
+	deliver(0, all) // read 1: p1 opens the barrier, instance 0
+	nodes[2].Submit("w")
+	deliver(2, all) // the REQ: w is instance 1
+	withTurns(nodes[2])
+	held := deliver(1, kind[*AcceptMsg](2)) // both ACCEPTs reach p2, in one turn
+	nodes[2].Tick(node.TurnEnd)
+	if nodes[2].Applied() != 2 || nodes[1].Applied() != 0 {
+		t.Fatalf("setup: p2 applied %d commands, p1 %d; want w applied at p2 alone", nodes[2].Applied(), nodes[1].Applied())
+	}
+	nodes[0].Read(2, 1)
+	deliver(0, all) // read 2, ahead of every vote
+	vote1 := deliver(2, func(s sent) bool { a, ok := s.msg.(*AcceptedMsg); return ok && a.Inst == 0 })
+	held = append(held, deliver(1, kind[*ReadReplyMsg](node.None))...)
+	if stale := staleAnswers(*answers, 2, 2); len(*answers) != 1 || (*answers)[0].Seq != 1 || len(stale) != 0 {
+		t.Fatalf("after the vote for the barrier: answers %+v; want read 1 alone, read 2 not below w", *answers)
+	}
+	for _, s := range held { // what was held back — the second barrier too — then the rest
+		nodes[s.to].Deliver(1, s.msg)
+	}
+	for _, s := range vote1 {
+		nodes[s.to].Deliver(2, s.msg)
+	}
+	for round := 0; round < 4; round++ {
+		for p := range nodes {
+			deliver(node.ID(p), all)
+		}
+		nodes[2].Tick(node.TurnEnd)
+	}
+	if stale := staleAnswers(*answers, 2, 2); len(*answers) != 2 || (*answers)[1].Seq != 2 || len(stale) != 0 {
+		t.Fatalf("answers %+v: want read 2 answered through a barrier of its own, at an index covering w", *answers)
+	}
+}
+
+// TestBarrierAnswersNoReadThatArrivedAfterItsVotes: of three, without a
+// lease, p1 opens a barrier at instance 0 for read 1, at ballot b. p2 votes
+// for it, and its ACCEPTED is delayed. p0, which has voted for it too,
+// prepares above b on p2's promise and decides its own write w at instance
+// 1 — its client has the answer. Read 2 then reaches p1, which has heard
+// none of it; when p2's delayed vote completes barrier 0, that vote was cast
+// before read 2 arrived and proves nothing about it: read 2 is not answered
+// at p1's index, below w.
+func TestBarrierAnswersNoReadThatArrivedAfterItsVotes(t *testing.T) {
+	o0, leader := &fakeOmega{leader: 1}, consensus.StaticLeader(1)
+	nodes, envs, answers := readCluster(Config{BatchMax: 1}, o0, leader, leader)
+	deliver := handDeliver(nodes, envs)
+	all := func(sent) bool { return true }
+	notP1 := func(s sent) bool { return s.to != 1 } // p1 hears nothing of p0's ballot
+	deliver(1, all)                                 // PREPARE
+	deliver(0, all)
+	deliver(2, all) // the PROMISEs
+	nodes[0].Read(1, 1)
+	deliver(0, all) // read 1: p1 opens the barrier, instance 0
+	deliver(1, all) // its ACCEPT reaches p0 and p2
+	envs[0].drain() // p0's vote is lost
+	delayed := envs[2].drain()
+
+	o0.leader = 0
+	nodes[0].Tick(timerDrive) // PREPARE above b
+	for i := 0; i < 3; i++ {
+		deliver(0, notP1)
+		deliver(2, notP1)
+	}
+	nodes[0].Submit("w")
+	for i := 0; i < 3; i++ {
+		deliver(0, notP1)
+		deliver(2, notP1)
+	}
+	if !nodes[0].IsLeader() || nodes[0].Applied() != 2 || nodes[1].Applied() != 0 {
+		t.Fatalf("setup: p0 leads %v and applied %d commands, p1 %d", nodes[0].IsLeader(), nodes[0].Applied(), nodes[1].Applied())
+	}
+	nodes[2].Read(2, 1)
+	deliver(2, kind[*ReadReqMsg](node.None)) // read 2 reaches p1, which still leads at b
+	for _, s := range delayed {
+		nodes[s.to].Deliver(2, s.msg) // p2's vote for the barrier, cast before read 2
+	}
+	for round := 0; round < 4; round++ {
+		for p := range nodes {
+			deliver(node.ID(p), all)
+		}
+	}
+	read1 := ReadReplyMsg{Seq: 1, Count: 1, Index: 1}
+	if stale := staleAnswers(*answers, 2, 2); len(*answers) == 0 || (*answers)[0] != read1 || len(stale) != 0 {
+		t.Fatalf("answers %+v: want read 1 answered by its barrier, %+v, and read 2 never below w", *answers, read1)
 	}
 }

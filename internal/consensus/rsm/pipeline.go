@@ -19,8 +19,8 @@ import (
 // (announceCommit), on the ACCEPT that leaves at the end of the same turn
 // when one does, else by a value-free DECIDE to the replicas whose commands
 // were decided — the rest hear on the next ACCEPT or from catchUp. At n = 3
-// without leases no DECIDE is owed: a follower decides on its own vote
-// (pairDecides), and an instance costs 2(n−1) messages.
+// no DECIDE is owed: a follower decides on its own vote (pairDecides), with
+// or without leases, and an instance costs 2(n−1) messages.
 
 // retryTimeout bounds how long a prepare, an in-flight instance or a
 // forwarded command may stall before being re-driven, and how long a
@@ -259,10 +259,9 @@ func (r *Node) onAccept(from node.ID, m AcceptMsg) {
 }
 
 // pairDecides reports whether a follower's vote together with its ballot
-// owner's decides an instance: a quorum is two, and no lease holder answers
-// reads at its own applied index, which a follower deciding on its own could
-// run ahead of (lease.go).
-func (r *Node) pairDecides() bool { return consensus.Majority(r.n) == 2 && r.cfg.Lease == 0 }
+// owner's decides an instance: a quorum is two. A follower may then apply
+// what its leader has not, and lease reads wait for their need (read.go).
+func (r *Node) pairDecides() bool { return consensus.Majority(r.n) == 2 }
 
 // decideRipe learns the votes this turn cast that decide their instance
 // (onAccept), now that the flush has made them durable: nothing is applied
@@ -305,7 +304,7 @@ func (r *Node) maybeDecide(inst int) {
 	}
 	if inst == r.reads.barrier {
 		// Our own ack quorum at our own ballot decided the read barrier —
-		// the completion proof completeFallbackReads requires.
+		// the completion proof serveReads requires.
 		r.reads.barrierOwn = true
 	}
 	r.learn(inst, v)

@@ -204,7 +204,6 @@ func (r *Node) maybeFinishPrepare() {
 	// without them, every follower is owed this ballot's commit index.
 	r.owe(false, nil)
 	r.pumpDue, r.commitDue = true, true
-	r.openBarrier() // for the reads that arrived during phase 1
 	r.learnFloor(r.env.Now(), 0)
 }
 

@@ -3,67 +3,81 @@ package rsm
 import (
 	"encoding/binary"
 	"math"
+	"sort"
 
 	"repro/internal/consensus"
 	"repro/internal/node"
 )
 
 // This file is the read path. A linearizable read must observe every
-// write that completed before it was issued. While the leader holds a
-// quorum lease (lease.go) its applied prefix is guaranteed current, so
-// it positions reads at its applied index — zero consensus messages per
-// read. When the lease does not hold (disabled, lapsed, leadership in
-// doubt, or phase 1 still running) the read falls back to a phase-2
-// no-op barrier: the leader proposes consensus.Noop through the normal
-// pipeline and answers once its applier passes the barrier instance —
-// but only if the barrier was decided by this node's own quorum at its
-// current ballot (readState.barrierOwn). That condition is the safety
-// proof: a majority of ACCEPTEDs at ballot b means no higher ballot had
-// completed phase 1 with a quorum before those acks (the two majorities
-// would intersect in an acceptor that NACKs one of them), so no write
-// this leader's applied prefix misses was completed before the reads
-// arrived. A deposed leader's barrier instead gets decided out from
-// under it — a follower that already learned a newer leader's value at
-// that instance answers the ACCEPT with a DecideMsg, not an ACCEPTED —
-// and the pending reads are failed, never answered at the stale applied
-// index; clients retry against the new leader.
+// write that completed before it was issued. The leader notes each read
+// with its need: the first instance it had not launched when the read's
+// turn began (what a turn launches leaves at its end). A write completed
+// before the read is below need, or in an older ballot's instance that
+// phase 1 re-proposed (proposer.go, reopenedEnd); a read is answered only
+// at an applied index that covers its need.
+//
+// While the leader holds a quorum lease (lease.go) and has decided what
+// phase 1 re-proposed, no other ballot can decide anything: its applied
+// prefix is current once it covers need — zero consensus messages per read.
+// At n = 3 a follower decides what it votes for before the leader hears of
+// it (pipeline.go, pairDecides), so a read waits for the applier to pass
+// need, and is answered then if the lease still holds. At n ≥ 4 only the
+// leader decides first: its applied index covers need already.
+//
+// Otherwise (no lease, lapsed, leadership in doubt, or phase 1 running)
+// the leader proposes a consensus.Noop barrier through the pipeline and,
+// once its applier passes it, answers the reads whose need is at or below
+// it — if its own quorum decided it at its current ballot (barrierOwn).
+// That is the safety proof: the acks were sent after the ACCEPT left, so
+// after those reads arrived, and a majority of ACCEPTEDs at ballot b means
+// no higher ballot had completed phase 1 with a quorum before them (the two
+// majorities would intersect in an acceptor that NACKs one of them). A
+// later read waits for the next barrier: acks already sent prove nothing
+// about it. A deposed leader's barrier instead gets decided out from under
+// it — a follower that learned a newer leader's value there answers the
+// ACCEPT with a DecideMsg — and its reads are failed, never answered at the
+// stale applied index; clients retry against the new leader.
 //
 // Reads are the third user of the turn (turn.go). A request that reaches
-// the leader is only noted; the end of the turn serves everything the
-// turn noted at once (serveReads): one clock read, one lease check, one
-// sample of the applied index — taken after the turn's quorums have
-// applied — and one READ-REPLY per origin carrying every request that
-// origin made. Sharing an answer is what reads on one barrier have always
-// done, and it is linearizable for the same reason: the index is sampled,
-// and the lease checked, at an instant between each read's arrival and
-// its reply. Whatever deposes this leader later in the same turn
-// (abdicateLeader) drops the noted reads with the pending ones, so
-// nothing is answered after this node helped a competitor. On a runtime
-// without turns each request is a turn of its own and is answered at
-// once, alone.
+// the leader is only noted; the end of the turn serves every read it can
+// at once (serveReads): one clock read, one lease check, one sample of the
+// applied index — taken after the turn's quorums have applied — and one
+// READ-REPLY per origin carrying every request that origin made. Sharing an
+// answer is linearizable for the reason sharing a barrier is: the index is
+// sampled, and the lease checked, between each read's arrival and its
+// reply. Whatever deposes this leader later in the same turn
+// (abdicateLeader) drops the waiting reads, so nothing is answered after
+// this node helped a competitor. Without turns each event is a turn.
 
-// maxPendingReads caps the fallback queue. A leader whose barrier cannot
-// complete (say, minority-partitioned with a stale Omega view) would
-// otherwise grow reads.pending with every client retry until it finally
-// abdicates; past the cap new fallback reads are shed and the clients
-// simply retry later. It also bounds a reply: 4,096 packed requests of ≤ 15
-// bytes each are ≤ 60 KiB, one 64 KiB TCP sender batch, far under wire.MaxFrame.
+// maxPendingReads caps the reads waiting at the leader. One whose barrier
+// cannot complete (say, minority-partitioned with a stale Omega view) would
+// otherwise grow the list with every client retry until it finally
+// abdicates; past the cap new reads are shed and the clients simply retry
+// later. It also bounds a reply: 4,096 packed requests of ≤ 15 bytes each
+// are ≤ 60 KiB, one 64 KiB TCP sender batch, far under wire.MaxFrame.
 const maxPendingReads = 4096
 
 // readState is the leader-side read bookkeeping.
 type readState struct {
-	noted   []ReadReqMsg // this turn's requests, served at its end; the list is reused
-	pending []ReadReqMsg // reads awaiting the barrier
-	barrier int          // in-flight no-op barrier instance, -1 when none
+	waiting []waitingRead // noted, unanswered, in arrival order; the list is reused
+	need    int           // pipe.nextInst when the turn began (endTurn)
+	barrier int           // in-flight no-op barrier instance, -1 when none
 	// barrierOwn records that the barrier instance was decided by this
 	// node's own ack quorum at its current ballot (set in maybeDecide) —
 	// the only completion that proves the applied prefix is current. A
 	// barrier decided any other way (a DecideMsg carrying a competing
 	// leader's value — possibly an identical no-op from its gap fill)
-	// fails the pending reads instead of answering them.
+	// fails its reads instead of answering them.
 	barrierOwn bool
 	packed     []byte // answerReads' scratch: the reply being packed
 	onReply    func(ReadReplyMsg)
+}
+
+// waitingRead is a read with its need, which never falls along the list.
+type waitingRead struct {
+	ReadReqMsg
+	need int
 }
 
 // Read submits Count reads numbered [Seq, Seq+Count) from this replica.
@@ -107,74 +121,62 @@ func (r *Node) onReadReq(from node.ID, m ReadReqMsg) {
 		}
 		return
 	}
-	r.reads.noted = append(r.reads.noted, m)
+	if len(r.reads.waiting) < maxPendingReads { // past the cap shed: the client retries
+		r.reads.waiting = append(r.reads.waiting, waitingRead{m, r.reads.need})
+	}
 }
 
-// serveReads answers what the turn noted, from the lease if it holds at
-// this instant and through the barrier otherwise. A leader-elect still in
-// phase 1 queues for the barrier too — its client has the request stamped
-// as sent and would sit out a timeout — and maybeFinishPrepare opens it
-// the moment the ballot stands.
+// serveReads answers the waiting reads an applied index covers, a prefix
+// of the list. Those the barrier in flight covers are its own: answered
+// once it has passed if this node's quorum decided it, failed if not. The
+// others are answered from the lease if it holds at this instant, or wait
+// for a barrier, opened now if none is in flight and the ballot stands.
 func (r *Node) serveReads() {
-	reqs := r.reads.noted
-	r.reads.noted = nil // a hook that reads again starts a list of its own
-	if r.holdsLease(r.env.Now()) {
-		r.lease.localReads.Add(r.answerReads(reqs, true))
-	} else {
-		// Past the cap the barrier is stuck: shed, the clients retry.
-		room := maxPendingReads - len(r.reads.pending)
-		r.reads.pending = append(r.reads.pending, reqs[:min(len(reqs), room)]...)
-		if r.prop.prepared {
-			r.openBarrier()
+	for {
+		ws, lease := r.reads.waiting, r.holdsLease(r.env.Now())
+		r.reads.waiting = nil // a hook that reads again starts a list of its own
+		covered := func(inst int) int { return sort.Search(len(ws), func(i int) bool { return ws[i].need > inst }) }
+		keep, from := 0, 0 // ws[:from] are the barrier's, ws[:keep] still wait for it
+		if b := r.reads.barrier; b >= 0 {
+			from = covered(b)
+			if keep = from; r.app.next > b {
+				own := r.reads.barrierOwn
+				keep, r.reads.barrier, r.reads.barrierOwn = 0, -1, false
+				if own {
+					r.lease.fallbackReads.Add(r.answerReads(ws[:from], false))
+				}
+			}
 		}
-	}
-	if len(r.reads.noted) == 0 {
-		r.reads.noted = reqs[:0]
+		to := from
+		if lease {
+			to = len(ws)
+			if r.pairDecides() { // a follower may have applied what this leader has not
+				to = max(from, covered(r.app.next))
+			}
+			r.lease.localReads.Add(r.answerReads(ws[from:to], true))
+		}
+		r.reads.waiting = append(append(ws[:keep], ws[to:]...), r.reads.waiting...)
+		if lease || len(r.reads.waiting) == 0 || r.reads.barrier >= 0 || !r.prop.prepared {
+			return
+		}
+		r.openBarrier() // one process decides it inside propose: serve again
 	}
 }
 
-// openBarrier proposes the shared no-op read barrier, if reads wait for
-// one and none is in flight: all reads arriving while one is coalesce
-// onto it. The instance is recorded before propose runs: with a
-// one-process majority the proposal decides — and applies — synchronously
-// inside propose, and maybeDecide must already see it as the barrier to
-// credit the own-quorum decision.
+// openBarrier proposes the shared no-op read barrier: all reads waiting
+// when it opens coalesce onto it. The instance is recorded before propose
+// runs: with a one-process majority the proposal decides — and applies —
+// synchronously inside propose, and maybeDecide must already see it as the
+// barrier to credit the own-quorum decision.
 func (r *Node) openBarrier() {
-	if r.reads.barrier >= 0 || len(r.reads.pending) == 0 {
-		return
-	}
 	// A barrier opening is the read-path anomaly the flight recorder
 	// watches for: the lease did not hold, so reads are paying a full
 	// phase-2 round. Marked once per barrier, not per read.
 	now := r.env.Now()
 	r.cfg.Tracer.Mark(now, "fallback-read", -1)
 	r.cfg.Tracer.Trigger(now, "fallback-read")
-	r.reads.barrierOwn = false
 	r.reads.barrier = r.pipe.nextInst
 	r.propose(consensus.Noop, nil)
-}
-
-// completeFallbackReads answers pending reads once the applier has
-// passed the barrier instance — or fails them when the barrier decided
-// without this node's quorum, because the applied prefix may then be
-// missing a newer leader's writes. Called at the end of every apply pass.
-func (r *Node) completeFallbackReads() {
-	if r.reads.barrier < 0 || r.app.next <= r.reads.barrier {
-		return
-	}
-	pending, own := r.reads.pending, r.reads.barrierOwn
-	r.failPendingReads() // passed: answered if this node's quorum decided it
-	if own {
-		r.lease.fallbackReads.Add(r.answerReads(pending, false))
-	}
-}
-
-// failPendingReads drops reads waiting on a barrier that can no longer
-// complete under this leadership. Clients retry elsewhere.
-func (r *Node) failPendingReads() {
-	r.reads.pending = nil
-	r.reads.barrier = -1
-	r.reads.barrierOwn = false
 }
 
 // answerReads answers every request in reqs at the applied index of this
@@ -182,7 +184,7 @@ func (r *Node) failPendingReads() {
 // reply: its first request in the reply's own fields, the others packed
 // behind it. Requests of this very replica go straight to the hook —
 // stations refuse self-sends, and there is nothing to serialize anyway.
-func (r *Node) answerReads(reqs []ReadReqMsg, local bool) (reads uint64) {
+func (r *Node) answerReads(reqs []waitingRead, local bool) (reads uint64) {
 	index := r.app.count
 	for o := 0; o < r.n; o++ {
 		origin, packed, first := node.ID(o), r.reads.packed[:0], true
@@ -200,7 +202,7 @@ func (r *Node) answerReads(reqs []ReadReqMsg, local bool) (reads uint64) {
 			case first:
 				reply.Seq, reply.Count, first = q.Seq, q.Count, false
 			default:
-				packed = appendSpan(packed, prev, q)
+				packed = appendSpan(packed, prev, q.ReadReqMsg)
 			}
 			prev = q.Seq
 		}

@@ -11,11 +11,11 @@
 // in the turn the prefix advances in, when one does; otherwise a value-free
 // DECIDE tells the replicas whose commands were decided, at once, and the
 // others hear on the next ACCEPT or, on a stream gone quiet, a drive
-// interval later (catchUp). At n = 3 without leases nobody is owed one: a
-// quorum is two, so a follower's vote on its ballot owner's ACCEPT decides
-// the instance once flushed (pipeline.go, pairDecides). An instance costs
-// 2(n−1) messages back to back (and spaced, at n = 3 without leases),
-// 2(n−1) + one per origin when spaced, 3(n−1) only when idle — all
+// interval later (catchUp). At n = 3 nobody is owed one: a quorum is two,
+// so a follower's vote on its ballot owner's ACCEPT decides the instance
+// once flushed (pipeline.go, pairDecides), and a read waits for what was
+// launched before it (read.go). An instance costs 2(n−1) messages back to
+// back (and spaced, at n = 3), 2(n−1) + one per origin when spaced, 3(n−1) only when idle — all
 // initiated by the leader or addressed to it. Followers forward commands to the leader, and
 // ask it for decisions by value (LEARN) only when stuck behind the commit
 // index for a whole drive interval: after loss or a restart. A change of
@@ -37,7 +37,7 @@
 //	applier.go  — in-order apply: one record per instance, the hooks per command
 //	lease.go    — leader read leases piggybacked on phase 2 (Config.Lease)
 //	read.go     — linearizable reads: lease-local or no-op fallback, one reply per origin
-//	turn.go     — the end of a turn: one pump, one addressed announcement, one serve of its reads, one flush
+//	turn.go     — the end of a turn: one pump, one serve of its reads, one addressed announcement, one flush
 //	rsm.go      — Node: composition, config, and the automaton surface
 //
 // Batching packs many commands into one proposed value and pipelining

@@ -113,6 +113,23 @@ func prepareLeaderCfg(t testing.TB, peerPromise *PromiseMsg, cfg Config) (*Node,
 	return r, env
 }
 
+// prepareLeaderOf boots a leader p0 of n on a fake env and completes phase 1
+// with empty promises from p1 upwards, a quorum's worth.
+func prepareLeaderOf(t testing.TB, n int, cfg Config) (*Node, *fakeEnv) {
+	t.Helper()
+	r := New(consensus.StaticLeader(0), cfg)
+	env := newFakeEnv(0, n)
+	r.Start(env)
+	r.Tick(timerDrive)
+	for p := 1; p < consensus.Majority(n); p++ {
+		r.Deliver(node.ID(p), PromiseMsg{B: r.prop.ballot})
+	}
+	if !r.prop.prepared {
+		t.Fatal("quorum promise did not complete phase 1")
+	}
+	return r, env
+}
+
 func TestNewLeaderReproposesHighestAcceptedValue(t *testing.T) {
 	// The peer reports instance 2 accepted at a high ballot; the new
 	// leader must re-propose that value, and close gaps 0–1 with no-ops.
@@ -361,13 +378,14 @@ type told struct {
 // TestCommitIndex walks the commit path through its corner cases on a
 // hand-driven node: which votes an index decides, in which order it may
 // meet the ACCEPTs it covers, what survives a restart and a leader
-// change, and when the leader says anything at all.
+// change, and when the leader says anything at all. Five processes: at
+// three a lone vote would decide on its own (pairDecides).
 func TestCommitIndex(t *testing.T) {
-	const n = 3
+	const n = 5
 	b1 := consensus.MakeBallot(1, 1, n)  // the leader the followers below hear from
 	b0 := consensus.MakeBallot(0, 0, n)  // an older leader's ballot
 	b2 := consensus.MakeBallot(5, 0, n)  // a newer leader's
-	own := consensus.MakeBallot(0, 0, n) // what prepareLeaderCfg's p0 prepares
+	own := consensus.MakeBallot(0, 0, n) // what prepareLeaderOf's p0 prepares
 	accept := func(b consensus.Ballot, inst int, v consensus.Value, commit int) node.Message {
 		return &AcceptMsg{B: b, Inst: inst, V: v, CommitUpTo: commit}
 	}
@@ -414,30 +432,37 @@ func TestCommitIndex(t *testing.T) {
 		{name: "an out-of-order quorum is announced with the prefix, once, to its origin", leader: true, window: 2, steps: []commitStep{
 			{from: 2, msg: &RequestMsg{V: "x"}, decided: []consensus.Value{""}},
 			{from: 2, msg: &RequestMsg{V: "y"}, decided: []consensus.Value{"", ""}},
-			{from: 1, msg: &AcceptedMsg{B: own, Inst: 1}, decided: []consensus.Value{"", "y"}},
-			{from: 1, msg: &AcceptedMsg{B: own, Inst: 0}, decided: []consensus.Value{"x", "y"}, announced: []told{{2, 2}}},
+			{from: 1, msg: &AcceptedMsg{B: own, Inst: 1}, decided: []consensus.Value{"", ""}},
+			{from: 3, msg: &AcceptedMsg{B: own, Inst: 1}, decided: []consensus.Value{"", "y"}},
+			{from: 1, msg: &AcceptedMsg{B: own, Inst: 0}, decided: []consensus.Value{"", "y"}},
+			{from: 3, msg: &AcceptedMsg{B: own, Inst: 0}, decided: []consensus.Value{"x", "y"}, announced: []told{{2, 2}}},
 			{from: 2, msg: &AcceptedMsg{B: own, Inst: 0}, decided: []consensus.Value{"x", "y"}},
-			// The stream has gone quiet: p1, who forwarded nothing, catches up;
-			// p2 is not told the same index again, and a later tick tells nobody.
-			{tick: true, decided: []consensus.Value{"x", "y"}, announced: []told{{1, 2}}},
+			// The stream has gone quiet: p1, p3 and p4, who forwarded nothing,
+			// catch up; p2 is not told the same index again, and a later tick
+			// tells nobody.
+			{tick: true, decided: []consensus.Value{"x", "y"}, announced: []told{{1, 2}, {3, 2}, {4, 2}}},
 			{tick: true, decided: []consensus.Value{"x", "y"}},
 		}},
 		{name: "a decision that frees the pipeline rides the next ACCEPT", leader: true, window: 1, steps: []commitStep{
 			{from: 2, msg: &RequestMsg{V: "x"}, decided: []consensus.Value{""}},
 			{from: 1, msg: &RequestMsg{V: "y"}, decided: []consensus.Value{""}}, // Window 1: queued
 			// The quorum for 0 launches 1, whose ACCEPT carries index 1 to all.
-			{from: 1, msg: &AcceptedMsg{B: own, Inst: 0}, decided: []consensus.Value{"x", ""}},
-			{from: 2, msg: &AcceptedMsg{B: own, Inst: 1}, decided: []consensus.Value{"x", "y"}, announced: []told{{1, 2}}},
-			{tick: true, decided: []consensus.Value{"x", "y"}, announced: []told{{2, 2}}},
+			{from: 1, msg: &AcceptedMsg{B: own, Inst: 0}, decided: []consensus.Value{""}},
+			{from: 3, msg: &AcceptedMsg{B: own, Inst: 0}, decided: []consensus.Value{"x", ""}},
+			{from: 2, msg: &AcceptedMsg{B: own, Inst: 1}, decided: []consensus.Value{"x", ""}},
+			{from: 3, msg: &AcceptedMsg{B: own, Inst: 1}, decided: []consensus.Value{"x", "y"}, announced: []told{{1, 2}}},
+			{tick: true, decided: []consensus.Value{"x", "y"}, announced: []told{{2, 2}, {3, 2}, {4, 2}}},
 		}},
 		{name: "a command submitted at the leader owes nobody", leader: true, window: 2, steps: []commitStep{
 			{submit: "x", decided: []consensus.Value{""}},
-			{from: 1, msg: &AcceptedMsg{B: own, Inst: 0}, decided: []consensus.Value{"x"}},
+			{from: 1, msg: &AcceptedMsg{B: own, Inst: 0}, decided: []consensus.Value{""}},
+			{from: 2, msg: &AcceptedMsg{B: own, Inst: 0}, decided: []consensus.Value{"x"}},
 			// Nothing until the next ACCEPT, which tells everyone for free...
 			{submit: "y", decided: []consensus.Value{"x", ""}},
-			{from: 2, msg: &AcceptedMsg{B: own, Inst: 1}, decided: []consensus.Value{"x", "y"}},
+			{from: 2, msg: &AcceptedMsg{B: own, Inst: 1}, decided: []consensus.Value{"x", ""}},
+			{from: 3, msg: &AcceptedMsg{B: own, Inst: 1}, decided: []consensus.Value{"x", "y"}},
 			// ...or, none coming, the catch-up.
-			{tick: true, decided: []consensus.Value{"x", "y"}, announced: []told{{1, 2}, {2, 2}}},
+			{tick: true, decided: []consensus.Value{"x", "y"}, announced: []told{{1, 2}, {2, 2}, {3, 2}, {4, 2}}},
 		}},
 	}
 	for _, tc := range cases {
@@ -445,11 +470,11 @@ func TestCommitIndex(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			boot := func() (*Node, *fakeEnv) {
-				// With a lease a lone vote decides nothing (pairDecides): what
+				// Of five a lone vote decides nothing (pairDecides): what
 				// decides here is the commit index alone.
-				cfg := Config{Store: openWAL(t, dir), BatchMax: 1, Window: tc.window, Lease: time.Second}
+				cfg := Config{Store: openWAL(t, dir), BatchMax: 1, Window: tc.window}
 				if tc.leader {
-					r, env := prepareLeaderCfg(t, nil, cfg)
+					r, env := prepareLeaderOf(t, n, cfg)
 					if r.prop.ballot != own {
 						t.Fatalf("leader prepared %v, the script assumes %v", r.prop.ballot, own)
 					}
@@ -532,8 +557,8 @@ func TestRequestDuringPrepareIsQueuedNotDropped(t *testing.T) {
 // covering it — its followers hold votes for the losing value at its
 // ballot — and the same value coming back by value is passed on by index.
 func TestDeposedLeaderAnnouncesNothing(t *testing.T) {
-	// A lease keeps p2's command owed to it: its vote alone decides nothing.
-	r, env := prepareLeaderCfg(t, nil, Config{BatchMax: 1, Lease: time.Second})
+	// Of five, p2's command is owed to it: its vote alone decides nothing.
+	r, env := prepareLeaderOf(t, 5, Config{BatchMax: 1})
 	r.Deliver(2, &RequestMsg{V: "mine"})
 	env.drain()
 	r.Deliver(1, &DecideMsg{Inst: 0, V: "mine"})
@@ -755,17 +780,19 @@ func TestLaggingPreparerNeverFillsADecidedSlot(t *testing.T) {
 	}
 }
 
-// TestNewLeaderServesNoLocalReadBeforeItsReproposalsDecide: p1 led, proposed
-// instances 0 and 1 together, decided 0 on p2's vote and applied it — its
-// client has the answer — and is gone. p0 and p2 voted in both and heard of
-// neither decision. p0 succeeds it and re-proposes both; each ACCEPT carries
-// a lease grant, the links are not FIFO, and p2's vote for 1 is the first
+// TestNewLeaderServesNoLocalReadBeforeItsReproposalsDecide: of five, p1
+// led, proposed instances 0 and 1 together, decided 0 on p2's and p3's
+// votes and applied it — its client has the answer — and is gone. p0, p2
+// and p3 voted in both and heard of neither decision. p0 succeeds it on p2's
+// and p3's promises and re-proposes both; each ACCEPT carries a lease
+// grant, the links are not FIFO, and p2's and p3's votes for 1 are the first
 // thing p0 hears: its lease now stands while 0, which it has not decided and
 // so not applied, is acknowledged elsewhere. A read at that instant must
 // not be answered from the lease at p0's applied index; it waits for the
-// barrier, which is open behind the re-proposals.
+// barrier, which is open behind the re-proposals. (At three, p2's vote
+// would decide 0 on its own, and the read would wait for its need too.)
 func TestNewLeaderServesNoLocalReadBeforeItsReproposalsDecide(t *testing.T) {
-	const n = 3
+	const n = 5
 	omega := &fakeOmega{leader: 1}
 	var nodes [n]*Node
 	var envs [n]*fakeEnv
@@ -778,20 +805,27 @@ func TestNewLeaderServesNoLocalReadBeforeItsReproposalsDecide(t *testing.T) {
 	deliver := handDeliver(nodes[:], envs[:])
 	all := func(sent) bool { return true }
 	up := func(s sent) bool { return s.to != 1 } // once p1 is down
+	voters := []node.ID{2, 3}
 
 	deliver(1, all) // p1's PREPARE, sent at boot
-	deliver(0, all)
-	deliver(2, all) // the PROMISEs: p1 stands
+	for _, p := range []node.ID{0, 2, 3, 4} {
+		deliver(p, all) // the PROMISEs: p1 stands
+	}
 	nodes[1].Submit("a")
 	nodes[1].Submit("b")
 	nodes[1].Tick(timerDrive) // "b" does not wait for 0 to decide
 	deliver(1, all)           // ACCEPT 0 and 1, each granting p1 the lease
-	envs[0].drain()           // p0's votes are lost, and p2's for 1
-	deliver(2, func(s sent) bool { a, ok := s.msg.(*AcceptedMsg); return !ok || a.Inst == 0 })
+	envs[0].drain()           // p0's votes are lost, p4's, and p2's and p3's for 1
+	envs[4].drain()
+	for _, p := range voters {
+		deliver(p, func(s sent) bool { a, ok := s.msg.(*AcceptedMsg); return !ok || a.Inst == 0 })
+	}
 	envs[1].drain() // the commit index of 0 dies with p1
-	if nodes[1].Applied() != 1 || nodes[0].log.voted != 2 || nodes[2].log.voted != 2 || nodes[0].FirstGap() != 0 || nodes[2].FirstGap() != 0 {
-		t.Fatalf("setup: p1 applied %d; p0 and p2 hold %d and %d votes with first gaps %d and %d",
-			nodes[1].Applied(), nodes[0].log.voted, nodes[2].log.voted, nodes[0].FirstGap(), nodes[2].FirstGap())
+	if nodes[1].Applied() != 1 || nodes[0].log.voted != 2 || nodes[2].log.voted != 2 || nodes[3].log.voted != 2 ||
+		nodes[0].FirstGap()+nodes[2].FirstGap()+nodes[3].FirstGap() != 0 {
+		t.Fatalf("setup: p1 applied %d; p0, p2 and p3 hold %d, %d and %d votes with first gaps %d, %d and %d",
+			nodes[1].Applied(), nodes[0].log.voted, nodes[2].log.voted, nodes[3].log.voted,
+			nodes[0].FirstGap(), nodes[2].FirstGap(), nodes[3].FirstGap())
 	}
 
 	omega.leader = 0
@@ -800,9 +834,14 @@ func TestNewLeaderServesNoLocalReadBeforeItsReproposalsDecide(t *testing.T) {
 	}
 	nodes[0].Tick(timerDrive) // PREPARE
 	deliver(0, up)
-	deliver(2, all) // p2's PROMISE: both votes, a quorum with p0's own
+	envs[4].drain() // p4's PROMISE is lost
+	for _, p := range voters {
+		deliver(p, all) // p2's and p3's PROMISEs: both votes, a quorum with p0's own
+	}
 	late := deliver(0, func(s sent) bool { a, ok := s.msg.(*AcceptMsg); return up(s) && !(ok && a.Inst == 0) })
-	deliver(2, all) // p2's vote for 1, and with it the lease
+	for _, p := range voters {
+		deliver(p, all) // p2's and p3's votes for 1, and with them the lease
+	}
 	if !nodes[0].prop.prepared || !nodes[0].LeaseHeld() || nodes[0].FirstGap() != 0 {
 		t.Fatalf("setup: p0 prepared %v, lease held %v, first gap %d", nodes[0].prop.prepared, nodes[0].LeaseHeld(), nodes[0].FirstGap())
 	}
@@ -815,8 +854,10 @@ func TestNewLeaderServesNoLocalReadBeforeItsReproposalsDecide(t *testing.T) {
 			nodes[s.to].Deliver(0, s.msg)
 		}
 	}
-	for i := 0; i < 3; i++ { // the vote for 0, the barrier and its votes
-		deliver(2, all)
+	for i := 0; i < 3; i++ { // the votes for 0, the barrier and its votes
+		for _, p := range voters {
+			deliver(p, all)
+		}
 		deliver(0, up)
 	}
 	if len(replies) != 1 || replies[0].Local || replies[0].Seq != 7 || replies[0].Index < nodes[1].Applied() {

@@ -8,37 +8,38 @@ package rsm
 // returns. So the handlers only note what is due, and the end of the turn
 // does it once: one pump, which puts the whole burst into one instance
 // whose ACCEPT also carries the commit index of a quorum completed in the
-// same turn; if no ACCEPT took the index along, one DECIDE to each replica
-// whose commands the turn decided (pipeline.go, announceCommit); one
-// answer to the reads the turn brought (read.go), at the index all of
-// that left applied; one write of every record the turn appended to the
-// store, before any message that reveals them is released; and, at n = 3
-// without leases, where no DECIDE is owed, the decision of every vote the
-// turn cast on its ballot owner's ACCEPT, now durable (decideRipe).
+// same turn; one answer to the waiting reads the applied index now covers
+// (read.go); if no ACCEPT took the index along, one DECIDE to each replica
+// whose commands the turn decided (pipeline.go, announceCommit); one write of
+// every record the turn appended to the store, before any message that
+// reveals them is released; and, at n = 3, where no DECIDE is owed, the
+// decision of every vote the turn cast on its ballot owner's ACCEPT, now
+// durable (decideRipe).
 //
 // On a runtime without turns — node.World, a hand-driven test Env, a
 // Submit or Read from outside the loop — nothing holds a send back and
 // nothing will signal, so each event is a turn of one: it ends itself
 // (settle), and a record is flushed the moment it is appended (persisted).
 
-// endTurn does what the turn's events left due. The pump comes first: an
-// ACCEPT that leaves now announces the commit index to everyone for free. The
-// reads come after both, and before the flush that covers a barrier they open.
+// endTurn does what the turn's events left due. The pump and the reads come
+// first: an ACCEPT that leaves now, a batch's or a barrier's, announces the
+// commit index to everyone for free. The flush covers a barrier they open.
 // Only a flushed vote decides.
 func (r *Node) endTurn() {
 	for r.pumpDue { // a one-process quorum decides inside pump and asks again
 		r.pumpDue = false
 		r.pump(false)
 	}
+	if len(r.reads.waiting) > 0 {
+		r.serveReads()
+	}
 	if r.commitDue {
 		r.commitDue = false
 		r.announceCommit()
 	}
-	if len(r.reads.noted) > 0 {
-		r.serveReads()
-	}
 	r.cfg.Store.Flush()
 	r.decideRipe()
+	r.reads.need = r.pipe.nextInst // the next turn's reads need this much
 }
 
 // settle closes an event that no turn of the runtime encloses.

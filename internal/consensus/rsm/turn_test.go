@@ -42,6 +42,12 @@ func requests(k int, tag string) []node.Message {
 // order, having checked each went to both peers of a 3-process leader.
 func broadcastsOf[M node.Message](t *testing.T, msgs []sent) []M {
 	t.Helper()
+	return broadcastsAmong[M](t, 3, msgs)
+}
+
+// broadcastsAmong is broadcastsOf for a leader p0 of n.
+func broadcastsAmong[M node.Message](t *testing.T, n int, msgs []sent) []M {
+	t.Helper()
 	var out []M
 	to := map[int][]node.ID{}
 	for _, s := range msgs {
@@ -54,9 +60,13 @@ func broadcastsOf[M node.Message](t *testing.T, msgs []sent) []M {
 		}
 		to[len(out)-1] = append(to[len(out)-1], s.to)
 	}
+	var peers []node.ID
+	for p := 1; p < n; p++ {
+		peers = append(peers, node.ID(p))
+	}
 	for i := range out {
-		if !slices.Equal(to[i], []node.ID{1, 2}) {
-			t.Fatalf("%T #%d went to %v, want a broadcast to 1 and 2", out[i], i, to[i])
+		if !slices.Equal(to[i], peers) {
+			t.Fatalf("%T #%d went to %v, want a broadcast to %v", out[i], i, to[i], peers)
 		}
 	}
 	return out
@@ -110,13 +120,14 @@ func TestBurstOfRequestsIsOneInstance(t *testing.T) {
 }
 
 func TestQuorumAndRequestsInOneTurnNeedNoDecide(t *testing.T) {
+	const n = 5
 	inFlight := func() (*Node, *fakeEnv, *AcceptMsg) {
-		// With a lease p1's vote alone decides nothing, so its command is
-		// owed to it (pairDecides).
-		r, env := prepareLeaderCfg(t, nil, Config{Lease: time.Second})
+		// Of five, p1's vote alone decides nothing, so its command is owed to
+		// it (pairDecides); p2's vote completes each quorum below.
+		r, env := prepareLeaderOf(t, n, Config{})
 		env.drain()
 		r.Deliver(1, &RequestMsg{V: "first"})
-		accepts := broadcastsOf[*AcceptMsg](t, env.drain())
+		accepts := broadcastsAmong[*AcceptMsg](t, n, env.drain())
 		if len(accepts) != 1 {
 			t.Fatalf("setup: %+v", accepts)
 		}
@@ -125,9 +136,10 @@ func TestQuorumAndRequestsInOneTurnNeedNoDecide(t *testing.T) {
 
 	r, env, first := inFlight()
 	withTurns(r)
+	r.Deliver(2, &AcceptedMsg{B: r.prop.ballot, Inst: first.Inst})
 	turn(r, 1, append([]node.Message{&AcceptedMsg{B: r.prop.ballot, Inst: first.Inst}}, requests(3, "next-")...)...)
 	out := env.drain()
-	accepts := broadcastsOf[*AcceptMsg](t, out)
+	accepts := broadcastsAmong[*AcceptMsg](t, n, out)
 	if len(accepts) != 1 || len(DecodeBatch(accepts[0].V)) != 3 || accepts[0].CommitUpTo != first.Inst+1 {
 		t.Fatalf("proposed %+v, want one instance of 3 commands carrying commit index %d", accepts, first.Inst+1)
 	}
@@ -136,11 +148,12 @@ func TestQuorumAndRequestsInOneTurnNeedNoDecide(t *testing.T) {
 	}
 
 	// A quorum alone in its turn still announces, by DECIDE, once — to p1,
-	// whose command it decided. p2 forwarded nothing and has nothing waiting:
-	// it hears on the next ACCEPT (re-budgeted with the addressed
-	// announcement; the parent broadcast this DECIDE to 1 and 2).
+	// whose command it decided. The others forwarded nothing and have nothing
+	// waiting: they hear on the next ACCEPT (re-budgeted with the addressed
+	// announcement; before it this DECIDE went to every follower).
 	r, env, first = inFlight()
 	withTurns(r)
+	r.Deliver(2, &AcceptedMsg{B: r.prop.ballot, Inst: first.Inst})
 	turn(r, 1, &AcceptedMsg{B: r.prop.ballot, Inst: first.Inst})
 	want := &DecideMsg{B: r.prop.ballot, Inst: first.Inst + 1}
 	if d := decidesOf(env.drain()); len(d) != 1 || !d[0].is(1, want) {
@@ -150,6 +163,7 @@ func TestQuorumAndRequestsInOneTurnNeedNoDecide(t *testing.T) {
 	// Turns of one: the quorum announces before the requests arrive, and
 	// the ACCEPT that follows carries the same index again, to everyone.
 	r, env, first = inFlight()
+	r.Deliver(2, &AcceptedMsg{B: r.prop.ballot, Inst: first.Inst})
 	r.Deliver(1, &AcceptedMsg{B: r.prop.ballot, Inst: first.Inst})
 	for _, m := range requests(3, "next-") {
 		r.Deliver(1, m)
@@ -158,7 +172,7 @@ func TestQuorumAndRequestsInOneTurnNeedNoDecide(t *testing.T) {
 	if d := decidesOf(out); len(d) != 1 || d[0].to != 1 {
 		t.Fatalf("turns of one sent DECIDEs %+v, want one, to the origin", d)
 	}
-	if a := broadcastsOf[*AcceptMsg](t, out); len(a) != 1 || len(DecodeBatch(a[0].V)) != 1 {
+	if a := broadcastsAmong[*AcceptMsg](t, n, out); len(a) != 1 || len(DecodeBatch(a[0].V)) != 1 {
 		t.Fatalf("turns of one proposed %+v, want the next request alone", a)
 	}
 }
@@ -308,8 +322,8 @@ func TestLeaseLapsingInATurnSendsItsReadsThroughTheBarrier(t *testing.T) {
 	if len(barrier) != 1 || barrier[0].V != consensus.Noop || len(out) != 2 {
 		t.Fatalf("the turn sent %+v, want one no-op barrier and no reply", out)
 	}
-	if len(r.reads.pending) != k || r.LocalReads() != 0 {
-		t.Fatalf("%d reads pending, %d served locally; want all %d on the barrier", len(r.reads.pending), r.LocalReads(), k)
+	if len(r.reads.waiting) != k || r.LocalReads() != 0 {
+		t.Fatalf("%d reads pending, %d served locally; want all %d on the barrier", len(r.reads.waiting), r.LocalReads(), k)
 	}
 	turn(r, 1, &AcceptedMsg{B: r.prop.ballot, Inst: barrier[0].Inst})
 	replies := repliesOf(env.drain())[1]
@@ -332,8 +346,8 @@ func TestAbdicationInATurnDropsItsReads(t *testing.T) {
 	if got := env.drain(); len(got) != 0 {
 		t.Fatalf("a deposed leader sent %+v", got)
 	}
-	if len(r.reads.noted)+len(r.reads.pending) != 0 || r.LocalReads() != 0 {
-		t.Fatalf("reads kept across an abdication: %d noted, %d pending, %d served", len(r.reads.noted), len(r.reads.pending), r.LocalReads())
+	if len(r.reads.waiting) != 0 || r.LocalReads() != 0 {
+		t.Fatalf("reads kept across an abdication: %d waiting, %d served", len(r.reads.waiting), r.LocalReads())
 	}
 }
 
@@ -391,8 +405,8 @@ func TestReadDuringPrepareIsQueuedNotDropped(t *testing.T) {
 	}
 	env.drain()
 	r.Deliver(2, &ReadReqMsg{Seq: 9, Count: 4, Origin: 2})
-	if len(r.reads.pending) != 1 || r.reads.barrier >= 0 || len(env.drain()) != 0 {
-		t.Fatalf("%d reads queued during phase 1 (barrier %d), want the one kept and nothing proposed yet", len(r.reads.pending), r.reads.barrier)
+	if len(r.reads.waiting) != 1 || r.reads.barrier >= 0 || len(env.drain()) != 0 {
+		t.Fatalf("%d reads queued during phase 1 (barrier %d), want the one kept and nothing proposed yet", len(r.reads.waiting), r.reads.barrier)
 	}
 	r.Deliver(1, PromiseMsg{B: r.prop.ballot})
 	if out := acceptsOf(env.drain()); out[r.reads.barrier] != consensus.Noop || len(out) != 1 {
