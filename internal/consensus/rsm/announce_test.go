@@ -82,9 +82,9 @@ func newAnnounceWorld(t *testing.T, n int, seed int64, cfg Config, ingress []nod
 	c := newClusterCfg(t, n, seed, network.Timely(ms), cfg)
 	cfg.fill()
 	a := &announceWorld{t: t, c: c, cfg: cfg, ingress: ingress, waiting: make([]int, n), sent: map[string]bool{},
-		name: fmt.Sprintf("n=%d seed %d ingress %v drive %v", n, seed, ingress, cfg.DriveInterval)}
+		name: fmt.Sprintf("n=%d seed %d ingress %v drive %v lease %v", n, seed, ingress, cfg.DriveInterval, cfg.Lease)}
 	quiet := min(cfg.DriveInterval, retryTimeout/2)
-	pair := consensus.Majority(n) == 2 && cfg.Lease == 0 // pairDecides
+	pair := consensus.Majority(n) == 2 // pairDecides
 	// (a), checked as each event of the leader closes: whoever a command
 	// applied in it came from has been sent an index past it in that event —
 	// or, at a quorum of two, is checked at the end of the run (untold).
@@ -247,6 +247,14 @@ func TestAnnouncementProperties(t *testing.T) {
 			for seed := int64(1); seed <= int64(seeds); seed++ {
 				newAnnounceWorld(t, n, seed, bench, ingress).run()
 			}
+		}
+	}
+	// tcp_mixed's shape: three processes, leased.
+	leased := bench
+	leased.Lease = 300 * ms
+	for _, ingress := range [][]node.ID{{2}, {1, 2}, {0}} {
+		for seed := int64(1); seed <= int64(seeds); seed++ {
+			newAnnounceWorld(t, 3, seed, leased, ingress).run()
 		}
 	}
 }

@@ -12,9 +12,9 @@ import (
 // This file is the lease layer: leader read leases that make queries free
 // in steady state. The prepared leader numbers lease grants with a
 // monotonically increasing sequence and piggybacks the current grant on
-// every ACCEPT it already broadcasts; followers piggyback the ack on the
-// ACCEPTED they already return, so while commands flow the lease costs
-// zero extra messages. Only when phase-2 traffic idles does the leader
+// every ACCEPT it already broadcasts; the followers asked to reply
+// piggyback the ack on their ACCEPTED, so while commands flow the lease
+// costs zero extra messages. Only when phase-2 traffic idles does the leader
 // fall back to an explicit LeaseGrantMsg/LeaseAckMsg pair per refresh
 // interval (Config.Lease/4).
 //
@@ -93,9 +93,6 @@ func (r *Node) grantSeq(now sim.Time) uint64 {
 	}
 	if r.lease.seq == 0 || now.Sub(r.lease.issued[r.lease.seq]) >= r.leaseRefresh() {
 		r.lease.seq++
-		if r.lease.issued == nil {
-			r.lease.issued = make(map[uint64]sim.Time, 8)
-		}
 		r.lease.issued[r.lease.seq] = now
 		// Prune grants too old to extend any expiry.
 		for s, t := range r.lease.issued {
@@ -152,18 +149,10 @@ func (r *Node) onLeaseAck(from node.ID, b consensus.Ballot, seq uint64) {
 		return // too old: conservatively worthless
 	}
 	until := issued.Add(r.cfg.Lease - r.cfg.Lease/10)
-	if r.lease.granted == nil {
-		r.lease.granted = make([]sim.Time, r.n)
-	}
 	r.lease.granted[from] = max(r.lease.granted[from], until)
 	// Recompute the quorum expiry: with our own vote, we need
 	// Majority-1 unexpired follower grants.
-	need := consensus.Majority(r.n) - 1
-	if need <= 0 {
-		r.lease.heldUntil.Store(int64(until))
-		return
-	}
-	if exp, ok := r.nthGrant(need); ok {
+	if exp, ok := r.nthGrant(consensus.Majority(r.n) - 1); ok {
 		r.lease.heldUntil.Store(int64(exp))
 	}
 }
@@ -212,14 +201,10 @@ func (r *Node) leaseWait(owner node.ID, now sim.Time) time.Duration {
 	if hold := r.lease.restartHold.Sub(now); hold > 0 {
 		return hold // pre-crash grants are unknown: wait out a full Lease
 	}
-	if r.lease.holder == node.None || r.lease.holder == owner {
+	if r.lease.holder == owner {
 		return 0
 	}
-	if wait := r.lease.blockUntil.Sub(now); wait > 0 {
-		return wait
-	}
-	r.lease.holder = node.None // expired
-	return 0
+	return max(r.lease.blockUntil.Sub(now), 0)
 }
 
 // driveIn brings the next drive forward to wait from now — the instant a
@@ -263,19 +248,12 @@ func (r *Node) abdicateLeader() {
 	r.prop.prepared, r.prop.preparing = false, false
 	clear(r.pipe.told)
 	clear(r.pipe.owed)
+	r.pipe.named = 0
 	r.bat.unassign()
-	if r.lease.heldUntil.Load() != 0 {
-		r.lease.heldUntil.Store(0)
-	}
-	if r.lease.granted != nil {
-		for i := range r.lease.granted {
-			r.lease.granted[i] = 0
-		}
-	}
+	r.lease.heldUntil.Store(0)
+	clear(r.lease.granted)
 	r.lease.seq = 0
-	if len(r.lease.issued) > 0 {
-		clear(r.lease.issued)
-	}
+	clear(r.lease.issued)
 	r.reads.waiting = r.reads.waiting[:0]
 	r.reads.barrier, r.reads.barrierOwn = -1, false
 }

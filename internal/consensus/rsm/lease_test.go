@@ -351,8 +351,8 @@ func TestLeaseReadWaitsForWhatAFollowerDecidedAlone(t *testing.T) {
 	deliver(2, all) // the PROMISEs
 	nodes[1].Submit("w0")
 	deliver(1, all)
-	deliver(0, all)
-	deliver(2, all) // the votes for w0, and with them the lease
+	deliver(2, all) // the votes for w0, and with them the lease: p2's first,
+	deliver(0, all) // so p1 names p2 its replier
 	if !nodes[1].LeaseHeld() || nodes[2].Applied() != 1 {
 		t.Fatalf("setup: lease held %v, p2 applied %d", nodes[1].LeaseHeld(), nodes[2].Applied())
 	}

@@ -218,9 +218,6 @@ func (d *doneVector) observe(id node.ID, count int) {
 
 // min returns the cluster-wide applied-through minimum.
 func (d *doneVector) min() int {
-	if len(d.done) == 0 {
-		return 0
-	}
 	return slices.Min(d.done)
 }
 

@@ -79,6 +79,9 @@ func (NackMsg) Kind() string { return KindNack }
 // LeaseSeq, when non-zero, piggybacks a read-lease grant (see lease.go):
 // the receiver promises not to promise a ballot owned by anyone else for
 // Config.Lease from receipt, and acks the grant on its ACCEPTED.
+//
+// Repliers, when non-zero, names the followers to answer, bit f for process
+// f; the others vote, decide and honour the grant as ever, in silence.
 type AcceptMsg struct {
 	B          consensus.Ballot
 	Inst       int
@@ -86,6 +89,7 @@ type AcceptMsg struct {
 	CommitUpTo int
 	MinDone    int
 	LeaseSeq   uint64
+	Repliers   uint64
 }
 
 // Kind implements node.Message: an ACCEPT is sent boxed, from a node.Slab.

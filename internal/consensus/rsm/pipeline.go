@@ -13,14 +13,14 @@ import (
 // This file is the pipeline layer: windowed multi-instance phase 2. The
 // prepared leader drives up to Config.Window instances concurrently, each
 // a flight carrying one value (a single command or a batch envelope).
-// Every instance costs (n−1) ACCEPT + (n−1) ACCEPTED, whatever the batch
-// size, which is where batching's amortization comes from, and the value
-// crosses each link once: decisions are announced by index
+// Every instance costs (n−1) ACCEPT + (n−1) ACCEPTED at n ≥ 4, whatever
+// the batch size, which is where batching's amortization comes from, and
+// the value crosses each link once: decisions are announced by index
 // (announceCommit), on the ACCEPT that leaves at the end of the same turn
 // when one does, else by a value-free DECIDE to the replicas whose commands
 // were decided — the rest hear on the next ACCEPT or from catchUp. At n = 3
-// no DECIDE is owed: a follower decides on its own vote (pairDecides), with
-// or without leases, and an instance costs 2(n−1) messages.
+// a follower decides on its own vote (pairDecides): no DECIDE is owed, one
+// follower named on the ACCEPT replies, and an instance costs n messages.
 
 // retryTimeout bounds how long a prepare, an in-flight instance or a
 // forwarded command may stall before being re-driven, and how long a
@@ -35,6 +35,7 @@ type flight struct {
 	inst    int
 	v       consensus.Value
 	open    bool     // awaiting its quorum: counts against Config.Window
+	all     bool     // launched asking every follower to reply
 	acks    []uint64 // bitset over process ids
 	acked   int      // bits set in acks
 	started sim.Time
@@ -78,10 +79,14 @@ type pipeline struct {
 	// told[f] is the commit index last sent to follower f at this ballot,
 	// on an ACCEPT or a DECIDE (0 after an abdication): nobody is sent one
 	// index twice. owed[f]: the applier has passed a command f waits on, and
-	// the end of the turn tells it. acceptAt: when an ACCEPT last left.
+	// the end of the turn tells it. acceptAt: when an ACCEPT last left, and
+	// askedAll when one last asked every follower to reply (Repliers zero).
+	// named: the one follower a fresh ACCEPT asks at a quorum of two.
 	told     []int
 	owed     []bool
 	acceptAt sim.Time
+	askedAll sim.Time
+	named    uint64
 }
 
 // find returns where inst's flight is, or would go, in flights.
@@ -124,8 +129,9 @@ func (p *pipeline) release(fl *flight) {
 }
 
 // launch (re)starts phase 2 for inst at the current ballot with this
-// node's own vote cast — durable before the ACCEPT broadcast shows it.
-func (r *Node) launch(inst int, v consensus.Value, fl *flight) {
+// node's own vote cast — durable before the ACCEPT broadcast shows it —
+// asking the followers in ask (0: all) to reply.
+func (r *Node) launch(inst int, v consensus.Value, fl *flight, ask uint64) {
 	i, ok := r.pipe.find(inst)
 	if !ok {
 		r.pipe.flights = slices.Insert(r.pipe.flights, i, nil)
@@ -135,14 +141,17 @@ func (r *Node) launch(inst int, v consensus.Value, fl *flight) {
 		fl.open = true
 		r.pipe.open++
 	}
-	fl.v, fl.started, fl.timeout = v, r.env.Now(), 0
+	fl.v, fl.started, fl.timeout, fl.all = v, r.env.Now(), retryTimeout, ask == 0
+	if !fl.all {
+		fl.timeout = r.quiet() // a named replier is not waited for longer (redrive)
+	}
 	clear(fl.acks)
 	fl.acked = 0
 	fl.ack(r.me)
 	r.log.accept(inst, r.prop.ballot, v)
 	r.cfg.Store.Accept(uint64(inst), uint64(r.prop.ballot), string(v))
 	r.persisted()
-	r.env.Broadcast(r.traced(fl.tctx, r.acceptMsg(inst, v)))
+	r.env.Broadcast(r.traced(fl.tctx, r.acceptMsg(inst, v, ask)))
 }
 
 // propose drives value v in a fresh instance of the pipeline. fl, when
@@ -166,7 +175,11 @@ func (r *Node) propose(v consensus.Value, fl *flight) int {
 			break
 		}
 	}
-	r.launch(inst, v, fl)
+	ask := r.pipe.named // pinned by onAccepted, only where pairDecides
+	if r.env.Now().Sub(r.pipe.askedAll) >= retryTimeout {
+		ask = 0 // once a retryTimeout: the silent follower's Done stays current
+	}
+	r.launch(inst, v, fl, ask)
 	r.maybeDecide(inst)
 	return inst
 }
@@ -183,25 +196,24 @@ func (r *Node) reopen(inst int, v consensus.Value) {
 	}
 	fl.tracked, fl.from = fl.tracked && fl.v == v, fl.from[:0]
 	fl.tctx = tracing.Context{}
-	r.launch(inst, v, fl)
+	r.launch(inst, v, fl, 0)
 }
 
-// redrive rebroadcasts stalled instances, lowest first, with per-instance
-// backoff: from the floor up, as nothing below it was proposed at this ballot.
+// redrive rebroadcasts stalled instances to everyone, lowest first, with
+// per-instance backoff: from the floor up, as nothing below it was proposed
+// at this ballot. It unpins the named replier, and an answer pins nobody:
+// a replier slower than quiet would re-pin itself answering its own ACCEPT.
 func (r *Node) redrive(now sim.Time) {
 	for _, fl := range r.pipe.flights {
 		if !fl.open || fl.inst < r.prop.floor {
 			continue
 		}
-		if fl.timeout == 0 {
-			fl.timeout = retryTimeout
-		}
 		if now.Sub(fl.started) >= fl.timeout {
-			fl.started = now
+			fl.started, r.pipe.named = now, 0
 			if fl.timeout < maxRetryTimeout {
-				fl.timeout *= 2
+				fl.timeout = max(2*fl.timeout, retryTimeout)
 			}
-			r.env.Broadcast(r.traced(fl.tctx, r.acceptMsg(fl.inst, fl.v)))
+			r.env.Broadcast(r.traced(fl.tctx, r.acceptMsg(fl.inst, fl.v, 0)))
 		}
 	}
 }
@@ -238,8 +250,11 @@ func (r *Node) onAccept(from node.ID, m AcceptMsg) {
 		// A traced ACCEPT earns a synchronous "accept" span here and the
 		// reply carries that span's context back, closing the round trip
 		// in the trace tree. Untraced (or tracing off): plain send.
-		actx := r.cfg.Tracer.Record(now, now, r.curCtx, "accept", int(from), "")
-		r.env.Send(from, r.traced(actx, r.accepteds.New(AcceptedMsg{B: m.B, Inst: m.Inst, Done: r.log.firstGap, LeaseSeq: ack})))
+		// A follower the ACCEPT does not name votes in silence (Repliers).
+		if m.Repliers == 0 || m.Repliers>>uint(r.me)&1 != 0 {
+			actx := r.cfg.Tracer.Record(now, now, r.curCtx, "accept", int(from), "")
+			r.env.Send(from, r.traced(actx, r.accepteds.New(AcceptedMsg{B: m.B, Inst: m.Inst, Done: r.log.firstGap, LeaseSeq: ack})))
+		}
 		if r.pairDecides() && m.B.Owner(r.n) == from {
 			// The owner's vote was durable before its ACCEPT left (launch): with
 			// this one it is a quorum of two for m.V at m.B, decided once the
@@ -286,7 +301,9 @@ func (r *Node) onAccepted(from node.ID, m AcceptedMsg) {
 	if fl == nil || !fl.open {
 		return
 	}
-	fl.ack(from)
+	if fl.ack(from); fl.all && fl.acked == 2 && r.pairDecides() {
+		r.pipe.named = 1 << uint(from) // the first to answer everyone's ACCEPT
+	}
 	r.cfg.Tracer.Event(r.env.Now(), fl.tctx, "accepted", int(from))
 	r.maybeDecide(m.Inst)
 }
@@ -379,13 +396,15 @@ func (r *Node) catchUp(now sim.Time) {
 
 // acceptMsg builds a phase-2 broadcast carrying the current commit index
 // (noted as told to everyone), forgetting horizon, and lease grant.
-func (r *Node) acceptMsg(inst int, v consensus.Value) *AcceptMsg {
-	m := AcceptMsg{B: r.prop.ballot, Inst: inst, V: v, CommitUpTo: r.log.firstGap, MinDone: r.dones.min()}
+func (r *Node) acceptMsg(inst int, v consensus.Value, ask uint64) *AcceptMsg {
+	m := AcceptMsg{B: r.prop.ballot, Inst: inst, V: v, CommitUpTo: r.log.firstGap, MinDone: r.dones.min(), Repliers: ask}
 	for f := range r.pipe.told {
 		r.pipe.told[f] = m.CommitUpTo // never below what f was told: firstGap only grows
 	}
 	now := r.env.Now()
-	r.pipe.acceptAt = now
+	if r.pipe.acceptAt = now; ask == 0 {
+		r.pipe.askedAll = now
+	}
 	r.driveIn(now, r.quiet()) // catchUp is due then, should no ACCEPT follow
 	m.LeaseSeq = r.grantSeq(now)
 	return r.accepts.New(m)

@@ -11,14 +11,15 @@
 // in the turn the prefix advances in, when one does; otherwise a value-free
 // DECIDE tells the replicas whose commands were decided, at once, and the
 // others hear on the next ACCEPT or, on a stream gone quiet, a drive
-// interval later (catchUp). At n = 3 nobody is owed one: a quorum is two,
-// so a follower's vote on its ballot owner's ACCEPT decides the instance
-// once flushed (pipeline.go, pairDecides), and a read waits for what was
-// launched before it (read.go). An instance costs 2(n−1) messages back to
-// back (and spaced, at n = 3), 2(n−1) + one per origin when spaced, 3(n−1) only when idle — all
-// initiated by the leader or addressed to it. Followers forward commands to the leader, and
-// ask it for decisions by value (LEARN) only when stuck behind the commit
-// index for a whole drive interval: after loss or a restart. A change of
+// interval later (catchUp). At n = 3 a quorum is two: a follower's vote on
+// its ballot owner's ACCEPT decides the instance once flushed, so nobody is
+// owed a DECIDE, a read waits for what was launched before it (read.go),
+// and only the follower the ACCEPT names replies (pipeline.go). An instance
+// costs 2(n−1) messages back to back, n at n = 3, one per origin more when
+// spaced at n ≥ 4, n−1 more only when idle — all initiated by the leader or
+// addressed to it. Followers forward commands to the leader, and ask it for
+// decisions by value (LEARN) only when stuck behind the commit index for a
+// whole drive interval: after loss or a restart. A change of
 // Omega's output is acted on in the event that brings it (followOmega): the
 // process named starts phase 1, the others re-forward what they have
 // pending, and a request that reaches the successor ahead of its own Omega
@@ -276,6 +277,7 @@ func (r *Node) Start(env node.Env) {
 	r.n = env.N()
 	r.dones = doneVector{done: make([]int, r.n)}
 	r.pipe.told, r.pipe.owed = make([]int, r.n), make([]bool, r.n)
+	r.lease.granted, r.lease.issued = make([]sim.Time, r.n), make(map[uint64]sim.Time)
 	if st := r.cfg.Store.State(); st != nil {
 		r.restore(st)
 	}

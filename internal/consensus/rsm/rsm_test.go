@@ -2,8 +2,10 @@ package rsm
 
 import (
 	"fmt"
+	"math/bits"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -30,8 +32,8 @@ func newCluster(t *testing.T, n int, seed int64, link network.Profile) *cluster 
 
 // newClusterCfg builds a simulated cluster with an explicit engine
 // config — the lease tests need Config.Lease, everything else uses the
-// defaults via newCluster.
-func newClusterCfg(t *testing.T, n int, seed int64, link network.Profile, cfg Config) *cluster {
+// defaults via newCluster — and detectors with opts beside η = 10 ms.
+func newClusterCfg(t *testing.T, n int, seed int64, link network.Profile, cfg Config, opts ...core.Option) *cluster {
 	t.Helper()
 	w, err := node.NewWorld(node.WorldConfig{N: n, Seed: seed, DefaultLink: link})
 	if err != nil {
@@ -39,7 +41,7 @@ func newClusterCfg(t *testing.T, n int, seed int64, link network.Profile, cfg Co
 	}
 	c := &cluster{world: w, dets: make([]*core.Detector, n), nodes: make([]*Node, n)}
 	for i := 0; i < n; i++ {
-		c.dets[i] = core.New(core.WithEta(10 * ms))
+		c.dets[i] = core.New(append([]core.Option{core.WithEta(10 * ms)}, opts...)...)
 		c.nodes[i] = New(c.dets[i], cfg)
 		w.SetAutomaton(node.ID(i), node.Compose(c.dets[i], c.nodes[i]))
 	}
@@ -368,6 +370,75 @@ func (c *cluster) tap(fn deliveryTap) {
 	}
 }
 
+// steadyLoad is the load of the message budget tests on a fault-free
+// n-process world of 1 ms timely links, led by p0: a warm-up command at
+// ingress, then 20 commands per millisecond there for a second — about one
+// and a half instances per link delay, so quorums complete out of order
+// and commit indexes overtake ACCEPTs all the time — then a drain. Every
+// replica must have decided and applied everything, in the batched steady
+// state. It returns the cluster, how many messages of a kind the load
+// sent, and the instances it took. tap, when non-nil, sees every delivery
+// (cluster.tap); loaded is false for those of the warm-up.
+func steadyLoad(t *testing.T, n int, ingress node.ID, tap func(c *cluster, loaded bool, to, from node.ID, m node.Message)) (*cluster, func(kind string) int, int) {
+	t.Helper()
+	c := newClusterCfg(t, n, 20040726, network.Timely(ms), Config{BatchMax: 16, Window: 8, DriveInterval: 5 * ms})
+	loaded := false
+	if tap != nil {
+		c.tap(func(to, from node.ID, m node.Message) { tap(c, loaded, to, from, m) })
+	}
+	c.world.Start()
+	// Warm-up: Omega settles on p0, phase 1 completes, one command through.
+	c.world.RunFor(200 * ms)
+	c.nodes[ingress].Submit("warm-up")
+	c.world.RunFor(100 * ms)
+	if !c.nodes[0].IsLeader() || c.nodes[ingress].Applied() == 0 {
+		t.Fatalf("warm-up: p0 leader=%v, ingress applied %d", c.nodes[0].IsLeader(), c.nodes[ingress].Applied())
+	}
+	before := map[string]uint64{}
+	for _, k := range c.world.Stats.Kinds() {
+		before[k] = c.world.Stats.KindCount(k)
+	}
+	startGap := c.nodes[0].FirstGap()
+	loaded = true
+	for i := 0; i < steadyCmds; i++ {
+		c.nodes[ingress].Submit(consensus.Value(fmt.Sprintf("w%05d", i)))
+		c.world.RunFor(50 * time.Microsecond)
+	}
+	c.world.RunFor(500 * ms)
+
+	sent := func(kind string) int { return int(c.world.Stats.KindCount(kind) - before[kind]) }
+	instances := c.nodes[0].FirstGap() - startGap
+	for i, s := range c.nodes {
+		if s.FirstGap() != startGap+instances || s.Applied() != c.nodes[0].Applied() {
+			t.Fatalf("p%d decided %d instances / applied %d, leader %d / %d", i, s.FirstGap(), s.Applied(), startGap+instances, c.nodes[0].Applied())
+		}
+	}
+	if instances < steadyCmds/16 || instances > steadyCmds/8 {
+		t.Fatalf("%d commands took %d instances: not the batched steady state this test is about", steadyCmds, instances)
+	}
+	if got := sent(KindLearn); got != 0 {
+		t.Errorf("followers sent %d LEARNs on a fault-free run, want 0", got)
+	}
+	if got := sent(KindRequest); got != steadyCmds {
+		t.Errorf("REQ = %d, want each of the %d commands forwarded once", got, steadyCmds)
+	}
+	for _, k := range []string{KindPrepare, KindPromise, KindNack} {
+		if got := sent(k); got != 0 {
+			t.Errorf("%s = %d in steady state, want 0", k, got)
+		}
+	}
+	if rep := c.safety(); !rep.Holds() {
+		t.Fatalf("safety: %v", rep.Violations)
+	}
+	t.Logf("%d commands, %d instances: per command REQ %.3f ACCEPT %.3f ACCEPTED %.3f DECIDE %.3f LEARN %.3f",
+		steadyCmds, instances, float64(sent(KindRequest))/steadyCmds, float64(sent(KindAccept))/steadyCmds,
+		float64(sent(KindAccepted))/steadyCmds, float64(sent(KindDecide))/steadyCmds, float64(sent(KindLearn))/steadyCmds)
+	return c, sent, instances
+}
+
+// steadyCmds is how many commands steadyLoad submits.
+const steadyCmds = 20000
+
 // TestSteadyStateMessageBudget is the paper's "only the leader initiates
 // communication", for the replicated log, as an exact message budget: a
 // fault-free n=5 timely world under sustained open-loop load at a
@@ -379,15 +450,19 @@ func (c *cluster) tap(fn deliveryTap) {
 // once each.
 func TestSteadyStateMessageBudget(t *testing.T) {
 	const n, ingress = 5, 2
-	c := newClusterCfg(t, n, 20040726, network.Timely(ms), Config{BatchMax: 16, Window: 8, DriveInterval: 5 * ms})
 	type announcement struct {
 		to   node.ID
 		upTo int
 	}
-	announcedTo := map[announcement]bool{}
-	var lastAccept sim.Time // when one last reached anybody
-	bystanders := 0         // DECIDEs to a replica that forwarded nothing, ACCEPTs flowing
-	c.tap(func(to, from node.ID, m node.Message) {
+	announcedTo := map[announcement]bool{} // the warm-up's, then the load's
+	var lastAccept sim.Time                // when one last reached anybody
+	bystanders := 0                        // DECIDEs to a replica that forwarded nothing, ACCEPTs flowing
+	warm := true
+	_, sent, instances := steadyLoad(t, n, ingress, func(c *cluster, loaded bool, to, from node.ID, m node.Message) {
+		if loaded && warm {
+			warm = false
+			clear(announcedTo)
+		}
 		if _, ok := m.(*AcceptMsg); ok {
 			lastAccept = c.world.Kernel.Now()
 		}
@@ -409,45 +484,6 @@ func TestSteadyStateMessageBudget(t *testing.T) {
 			announcedTo[a] = true
 		}
 	})
-	c.world.Start()
-	// Warm-up: Omega settles on p0, phase 1 completes, one command through.
-	c.world.RunFor(200 * ms)
-	c.nodes[ingress].Submit("warm-up")
-	c.world.RunFor(100 * ms)
-	if !c.nodes[0].IsLeader() || c.nodes[ingress].Applied() == 0 {
-		t.Fatalf("warm-up: p0 leader=%v, ingress applied %d", c.nodes[0].IsLeader(), c.nodes[ingress].Applied())
-	}
-	kinds := []string{KindRequest, KindPrepare, KindPromise, KindNack, KindAccept, KindAccepted, KindDecide, KindLearn}
-	before := map[string]uint64{}
-	for _, k := range kinds {
-		before[k] = c.world.Stats.KindCount(k)
-	}
-	startGap := c.nodes[0].FirstGap()
-	clear(announcedTo)
-
-	// 20 commands per millisecond for a second — about one and a half
-	// instances per link delay, so quorums complete out of order and
-	// commit indexes overtake ACCEPTs all the time — then drain.
-	const cmds = 20000
-	for i := 0; i < cmds; i++ {
-		c.nodes[ingress].Submit(consensus.Value(fmt.Sprintf("w%05d", i)))
-		c.world.RunFor(50 * time.Microsecond)
-	}
-	c.world.RunFor(500 * ms)
-
-	sent := func(kind string) int { return int(c.world.Stats.KindCount(kind) - before[kind]) }
-	instances := c.nodes[0].FirstGap() - startGap
-	for i, s := range c.nodes {
-		if s.FirstGap() != startGap+instances || s.Applied() != c.nodes[0].Applied() {
-			t.Fatalf("p%d decided %d instances / applied %d, leader %d / %d", i, s.FirstGap(), s.Applied(), startGap+instances, c.nodes[0].Applied())
-		}
-	}
-	if instances < cmds/16 || instances > cmds/8 {
-		t.Fatalf("%d commands took %d instances: not the batched steady state this test is about", cmds, instances)
-	}
-	if got := sent(KindLearn); got != 0 {
-		t.Errorf("followers sent %d LEARNs on a fault-free run, want 0", got)
-	}
 	if a, ad := sent(KindAccept), sent(KindAccepted); a != (n-1)*instances || ad != (n-1)*instances {
 		t.Errorf("ACCEPT = %d, ACCEPTED = %d for %d instances, want (n-1) per instance = %d each", a, ad, instances, (n-1)*instances)
 	}
@@ -466,20 +502,138 @@ func TestSteadyStateMessageBudget(t *testing.T) {
 	if got := sent(KindDecide); got >= instances*3/4 {
 		t.Errorf("DECIDE-kind = %d for %d instances: under load most commit indexes should ride ACCEPTs", got, instances)
 	}
-	if got := sent(KindRequest); got != cmds {
-		t.Errorf("REQ = %d, want each of the %d commands forwarded once", got, cmds)
+}
+
+// TestSteadyStateMessageBudgetOfThree is the budget at a quorum of two,
+// where one follower's vote with the leader's decides an instance: the
+// leader names one follower on each fresh ACCEPT to reply (pipeline.go,
+// named), and the other votes in silence. Per instance n−1 ACCEPTs and
+// one ACCEPTED, and one more from the other follower each time an ACCEPT
+// asks everyone again — at most once a retryTimeout; no follower asks for
+// anything, and no more DECIDEs than when every follower replied.
+func TestSteadyStateMessageBudgetOfThree(t *testing.T) {
+	const n, ingress = 3, 2
+	var first, last sim.Time // the load's first and last ACCEPT
+	c, sent, instances := steadyLoad(t, n, ingress, func(c *cluster, loaded bool, _, _ node.ID, m node.Message) {
+		if _, ok := m.(*AcceptMsg); ok && loaded {
+			if last = c.world.Kernel.Now(); first == 0 {
+				first = last
+			}
+		}
+	})
+	if got := sent(KindAccept); got != (n-1)*instances {
+		t.Errorf("ACCEPT = %d for %d instances, want (n-1) per instance = %d", got, instances, (n-1)*instances)
 	}
-	for _, k := range []string{KindPrepare, KindPromise, KindNack} {
-		if got := sent(k); got != 0 {
-			t.Errorf("%s = %d in steady state, want 0", k, got)
+	asks := int(last.Sub(first)/retryTimeout) + 1 // ACCEPTs that may have asked everyone
+	if got := sent(KindAccepted); got < instances || got > instances+(n-1)*asks {
+		t.Errorf("ACCEPTED = %d for %d instances over %v, want one per instance and at most %d more", got, instances, last.Sub(first), (n-1)*asks)
+	}
+	if c.nodes[0].pipe.named == 0 {
+		t.Error("the leader names no replier at the end of the load")
+	}
+	// The silent follower's Done rides the ACCEPTEDs of ACCEPTs that ask
+	// everyone: the log still forgets as it goes.
+	if low, gap := c.nodes[0].MinDone(), c.nodes[0].FirstGap(); low < gap-instances/4 {
+		t.Errorf("the leader forgets below %d of %d decided instances, want within %d of them", low, gap, instances/4)
+	}
+	// With every follower replying this load sent two: the catch-up after
+	// the last command, to each follower.
+	if got := sent(KindDecide); got > n-1 {
+		t.Errorf("DECIDE-kind = %d for %d instances, want at most %d", got, instances, n-1)
+	}
+}
+
+// TestNamedReplierLost: of three, under an open-loop client at the leader
+// p0, the follower p0 names its replier (pipeline.go, pipeline.named) is
+// lost mid-stream — crashed, or cut off from p0 both ways and healed later
+// — just after an ACCEPT asked everyone, so that the next such ACCEPT is a
+// retryTimeout away. The leader does not wait for it: a flight it named goes
+// unanswered for at most quiet, the next drive re-asks everyone, and the
+// other follower answers — so the leader's applied prefix stands still
+// for at most quiet, a drive interval and a round trip, and the survivor
+// is named from then on. Every command is applied once at the survivors;
+// after the heal, everyone reaches the same first gap. The detectors
+// rebuff (core.WithRebuff): a cut loses the accusation the lost follower
+// sent p0, and without it the two disagree on Omega for good.
+func TestNamedReplierLost(t *testing.T) {
+	const n = 3
+	cfg := Config{BatchMax: 16, Window: 8, DriveInterval: 5 * ms}
+	for _, cut := range []bool{false, true} {
+		for seed := int64(1); seed <= 5; seed++ {
+			name := fmt.Sprintf("cut=%v seed %d", cut, seed)
+			c := newClusterCfg(t, n, seed, network.Timely(ms), cfg, core.WithRebuff())
+			var applied []sim.Time // when the leader applied each command of the load
+			c.nodes[0].OnApply(func(_, _ int, v consensus.Value) {
+				if strings.HasPrefix(string(v), "r") {
+					applied = append(applied, c.world.Kernel.Now())
+				}
+			})
+			c.world.Start()
+			c.world.RunFor(300 * ms)
+			var lost, survivor node.ID
+			var lostAt sim.Time
+			const cmds = 600
+			at := -1 // the tick the replier is lost at: just after an ACCEPT asked everyone
+			for tick := 0; tick < cmds; tick++ {
+				if at < 0 && tick >= 150 && c.world.Kernel.Now().Sub(c.nodes[0].pipe.askedAll) < 10*ms {
+					at = tick
+					lost = node.ID(bits.TrailingZeros64(c.nodes[0].pipe.named))
+					survivor, lostAt = n-lost, c.world.Kernel.Now() // {1, 2} \ {lost}
+					if !c.nodes[0].IsLeader() || lost != 1 && lost != 2 {
+						t.Fatalf("%s: p0 leader=%v names %#b", name, c.nodes[0].IsLeader(), c.nodes[0].pipe.named)
+					}
+					if cut {
+						c.world.Fabric.Cut(0, int(lost))
+						c.world.Fabric.Cut(int(lost), 0)
+					} else {
+						c.world.Crash(lost)
+					}
+				}
+				if got := c.nodes[0].pipe.named; at >= 0 && tick == at+30 && !cut && got != 1<<survivor {
+					t.Errorf("%s: 30 ms after p%d crashed the leader names %#b, want p%d", name, lost, got, survivor)
+				}
+				if cut && at >= 0 && tick == at+200 {
+					c.world.Fabric.Heal(0, int(lost))
+					c.world.Fabric.Heal(int(lost), 0)
+				}
+				c.nodes[0].Submit(consensus.Value(fmt.Sprintf("r%04d", tick)))
+				c.world.RunFor(ms)
+			}
+			c.world.RunFor(2 * time.Second)
+			if rep := c.safety(); !rep.Holds() {
+				t.Fatalf("%s: safety: %v", name, rep.Violations)
+			}
+			c.assertPrefixAgreement(t)
+			for i := range c.nodes {
+				if c.world.Alive(node.ID(i)) && c.nodes[i].FirstGap() != c.nodes[0].FirstGap() {
+					t.Errorf("%s: p%d's first gap is %d, p0's %d", name, i, c.nodes[i].FirstGap(), c.nodes[0].FirstGap())
+				}
+			}
+			// A cut may move the leadership, and with it decide a command twice.
+			for p := range c.nodes {
+				counts := map[consensus.Value]int{}
+				c.nodes[p].Recorder().Each(func(d consensus.Decision) { counts[d.Value]++ })
+				for tick := 0; tick < cmds && c.world.Alive(node.ID(p)); tick++ {
+					if v := consensus.Value(fmt.Sprintf("r%04d", tick)); counts[v] == 0 || !cut && counts[v] != 1 {
+						t.Fatalf("%s: p%d applied %s %d times, want once", name, p, v, counts[v])
+					}
+				}
+			}
+			if cut {
+				continue
+			}
+			stall := time.Duration(0)
+			for i := 1; i < len(applied); i++ {
+				if applied[i].After(lostAt) {
+					stall = max(stall, applied[i].Sub(applied[i-1]))
+				}
+			}
+			if bound := c.nodes[0].quiet() + cfg.DriveInterval + 2*ms; stall > bound {
+				t.Errorf("%s: the leader applied nothing for %v after p%d crashed, want at most %v", name, stall, lost, bound)
+			}
+			t.Logf("%s: p%d lost, longest stall %v", name, lost, stall)
 		}
 	}
-	if rep := c.safety(); !rep.Holds() {
-		t.Fatalf("safety: %v", rep.Violations)
-	}
-	t.Logf("%d commands, %d instances: per command REQ %.3f ACCEPT %.3f ACCEPTED %.3f DECIDE %.3f LEARN %.3f",
-		cmds, instances, float64(sent(KindRequest))/cmds, float64(sent(KindAccept))/cmds,
-		float64(sent(KindAccepted))/cmds, float64(sent(KindDecide))/cmds, float64(sent(KindLearn))/cmds)
 }
 
 func TestNoPhase1PerCommandAfterStableLeader(t *testing.T) {

@@ -889,3 +889,62 @@ func TestOversizedCommandIsRefused(t *testing.T) {
 		}
 	}
 }
+
+// TestReplierPinning: at n = 3 the leader names on each fresh ACCEPT the
+// first follower to answer an ACCEPT that asked everyone. A flight its
+// replier leaves unanswered for quiet is re-asked of everyone at the next
+// drive and the replier unpinned; an answer to the re-ask pins nobody — a
+// replier slower than quiet would pin itself again answering the ACCEPT
+// that named it — so the next fresh ACCEPT asks everyone, as one does
+// again each retryTimeout.
+func TestReplierPinning(t *testing.T) {
+	r, env := prepareLeaderCfg(t, nil, Config{BatchMax: 1, DriveInterval: 5 * time.Millisecond})
+	env.drain()
+	propose := func(v consensus.Value) AcceptMsg {
+		t.Helper()
+		r.Deliver(2, &RequestMsg{V: v})
+		for _, s := range env.drain() {
+			if a, ok := s.msg.(*AcceptMsg); ok && a.V == v {
+				return *a
+			}
+		}
+		t.Fatalf("no ACCEPT of %q", v)
+		return AcceptMsg{}
+	}
+	answer := func(from node.ID, a AcceptMsg) { r.Deliver(from, &AcceptedMsg{B: a.B, Inst: a.Inst}) }
+	step := func(what string, a AcceptMsg, asks, named uint64) {
+		t.Helper()
+		if a.Repliers != asks || r.pipe.named != named {
+			t.Fatalf("%s: the ACCEPT of instance %d asks %#b, the leader names %#b; want %#b, %#b", what, a.Inst, a.Repliers, r.pipe.named, asks, named)
+		}
+	}
+	a := propose("a")
+	step("nobody pinned", a, 0, 0)
+	answer(2, a)
+	answer(1, a)
+	a = propose("b")
+	step("p2 answered first", a, 1<<2, 1<<2)
+
+	env.now = env.now.Add(r.quiet())
+	r.Tick(timerDrive)
+	reasked := 0
+	for _, s := range env.drain() {
+		if m, ok := s.msg.(*AcceptMsg); ok && m.Inst == a.Inst && m.Repliers == 0 {
+			reasked++
+		}
+	}
+	if reasked != 2 || r.pipe.named != 0 {
+		t.Fatalf("p2 silent for quiet: the leader re-asked %d followers and names %#b; want 2 and nobody", reasked, r.pipe.named)
+	}
+	answer(2, a) // late, to the ACCEPT that named it
+	a = propose("c")
+	step("a late answer to the re-ask", a, 0, 0)
+	answer(1, a)
+	a = propose("d")
+	step("p1 answered first", a, 1<<1, 1<<1)
+	answer(1, a)
+
+	env.now = env.now.Add(retryTimeout)
+	a = propose("e")
+	step("a retryTimeout on", a, 0, 1<<1)
+}

@@ -16,9 +16,11 @@ import (
 	"repro/internal/consensus/rsm"
 	"repro/internal/core"
 	"repro/internal/durable"
+	"repro/internal/faultline"
 	"repro/internal/link"
 	"repro/internal/loop"
 	"repro/internal/metrics"
+	"repro/internal/network"
 	"repro/internal/node"
 )
 
@@ -395,6 +397,9 @@ func (a *acceptedTap) Deliver(from node.ID, m node.Message) {
 // writes, and every vote the leader ever heard from it must be in what
 // its WAL directory recovers — the ACCEPTED left only after the turn's
 // flush. Then it is restarted from that directory and the drill repeats.
+// The other follower's replies reach the leader 3 ms late, so the leader
+// names the victim to reply for the pair (rsm's pipeline.named): it hears
+// every vote the victim casts, not one a retryTimeout.
 func TestSentVoteIsRecovered(t *testing.T) {
 	const n, victim = 3, 2
 	base := t.TempDir()
@@ -421,7 +426,8 @@ func TestSentVoteIsRecovered(t *testing.T) {
 	for i := range autos {
 		autos[i] = build(i)
 	}
-	c, err := NewCluster(Config{N: n, Seed: 17, Quiet: true}, autos)
+	slow := faultline.Plan{Links: map[faultline.Link]network.Profile{{From: 1, To: 0}: network.Reliable(3*time.Millisecond, 3*time.Millisecond)}}
+	c, err := NewCluster(Config{N: n, Seed: 17, Quiet: true, Fault: mustInjector(t, n, 17, slow)}, autos)
 	if err != nil {
 		t.Fatal(err)
 	}

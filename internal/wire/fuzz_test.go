@@ -40,6 +40,7 @@ func FuzzEnvelopeRoundTrip(f *testing.F) {
 		{2, source.AliveMsg{Counters: []uint64{1, 1 << 40, 0}}},
 		{3, rsm.PromiseMsg{B: 9, Entries: []rsm.PromEntry{{Inst: 2, AccB: 2, AccV: "seed"}}}},
 		{4, &rsm.AcceptMsg{B: 5, Inst: 7, V: "cmd", CommitUpTo: 6, LeaseSeq: 3}},
+		{0, &rsm.AcceptMsg{B: 5, Inst: 7, V: "cmd", CommitUpTo: 6, LeaseSeq: 3, Repliers: 1 << 1}}, // p1 alone replies
 		{0, &rsm.DecideMsg{B: 5, Inst: 8}},
 		{1, &rsm.DecideMsg{Inst: 7, V: "cmd"}},
 		{1, rsm.LeaseGrantMsg{B: 5, Seq: 8}},

@@ -179,7 +179,9 @@ func registerRSM(c *Codec) {
 	// The trailing LeaseSeq on ACCEPT/ACCEPTED (PR 7) is not negotiated:
 	// strict decoding makes pre-lease and post-lease frames mutually
 	// unreadable, so clusters upgrade atomically across that boundary
-	// (DESIGN.md §13).
+	// (DESIGN.md §13). So is the ACCEPT's Repliers behind it, the next
+	// such trailing field, which the optional-field header of ROADMAP item
+	// 4(d) is to fold in with the other five.
 	reg(c, codeRSMAccept, rsm.KindAccept,
 		func(e *Encoder, m *rsm.AcceptMsg) {
 			e.U64(uint64(m.B))
@@ -188,10 +190,11 @@ func registerRSM(c *Codec) {
 			e.Int(m.CommitUpTo)
 			e.Int(m.MinDone)
 			e.U64(m.LeaseSeq)
+			e.U64(m.Repliers)
 		},
 		func(d *Decoder) *rsm.AcceptMsg {
 			return slot(d, codeRSMAccept, rsm.AcceptMsg{B: consensus.Ballot(d.U64()), Inst: d.Int(), V: consensus.Value(d.Str()),
-				CommitUpTo: d.Int(), MinDone: d.Int(), LeaseSeq: d.U64()})
+				CommitUpTo: d.Int(), MinDone: d.Int(), LeaseSeq: d.U64(), Repliers: d.U64()})
 		})
 	reg(c, codeRSMAccepted, rsm.KindAccepted,
 		func(e *Encoder, m *rsm.AcceptedMsg) {

@@ -59,6 +59,8 @@ func allMessages() []node.Message {
 		rsm.PromiseMsg{B: 9},
 		rsm.NackMsg{B: 9, Promised: 12},
 		&rsm.AcceptMsg{B: 9, Inst: 4, V: "x", CommitUpTo: 3, MinDone: 2, LeaseSeq: 6},
+		&rsm.AcceptMsg{B: 9, Inst: 4, V: "x", CommitUpTo: 3, MinDone: 2, LeaseSeq: 6, Repliers: 1 << 2},     // p2 alone replies
+		&rsm.AcceptMsg{B: 9, Inst: 4, V: "x", CommitUpTo: 3, MinDone: 2, LeaseSeq: 6, Repliers: ^uint64(0)}, // the widest set
 		&rsm.AcceptedMsg{B: 9, Inst: 4, Done: 11, LeaseSeq: 6},
 		&rsm.DecideMsg{Inst: 4, V: "x"}, // by value: the repair reply
 		&rsm.DecideMsg{Inst: 4},         // by value, the empty value
@@ -280,7 +282,7 @@ func TestFrameLimit(t *testing.T) {
 func TestMaxValueFitsAFrame(t *testing.T) {
 	const wide, widest = 1 << 62, ^uint64(0) // the largest Int and U64
 	accept := &rsm.AcceptMsg{B: consensus.Ballot(widest), Inst: wide, V: consensus.Value(strings.Repeat("v", rsm.MaxValue)),
-		CommitUpTo: wide, MinDone: wide, LeaseSeq: widest}
+		CommitUpTo: wide, MinDone: wide, LeaseSeq: widest, Repliers: widest}
 	traced := tracing.Wrap{Ctx: tracing.Context{Trace: tracing.TraceID(widest), Span: tracing.SpanID(widest)}, Inner: accept}
 	frame, err := NewCodec().MarshalEnvelope(-1, group.Msg{Group: wide, Inner: traced})
 	if spare := MaxFrame - len(frame); err != nil || spare < 0 || spare >= 256 {

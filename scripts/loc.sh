@@ -14,10 +14,11 @@
 # Prints one "lines package" row per package that has non-test Go files,
 # then the total for the observability set (obs, metrics, trace, tracing,
 # telemetry, traceview — a package that no longer exists counts 0), for
-# cmd/ and for the module. Lines are raw `wc -l` lines: comments and blanks
-# count, _test.go files do not. Against a parent it exits 1 when rsm or the
-# observability set has grown: a change lands each no larger than it found
-# it.
+# cmd/ and for the module, and DESIGN.md's lines. Lines are raw `wc -l`
+# lines: comments and blanks count, _test.go files do not. Against a parent
+# it exits 1 when rsm or the observability set has grown: a change lands
+# each no larger than it found it. DESIGN.md's row is reported against its
+# target of 1,200 lines (ROADMAP item 4(f)) and never fails the script.
 set -euo pipefail
 
 # count DIR prints the table for the checkout at DIR.
@@ -30,6 +31,7 @@ count() {
 	$2 ~ /\/internal\/(obs|metrics|trace|tracing|telemetry|traceview)$/ { o += $1 }
 	$2 ~ /\/cmd\// { c += $1 }
 	END { printf "%6d  observability set\n%6d  cmd/\n%6d  module\n", o, c, all }'
+	printf '%6d  DESIGN.md\n' "$(wc -l <"$1/DESIGN.md")"
 }
 
 if [ $# -gt 0 ] || [ -z "${BASE:-}${PARENT:-}" ]; then
@@ -49,13 +51,15 @@ name ~ /\/internal\/consensus\/rsm$/ { name = "rsm" }
 { v[name, side] = n }
 END {
 	printf "\n%-18s %7s %7s %7s\n", "", "before", "after", "delta"
-	split("rsm|observability set|cmd/|module", keys, "|")
-	for (i = 1; i <= 4; i++) {
+	split("rsm|observability set|cmd/|module|DESIGN.md", keys, "|")
+	for (i = 1; i <= 5; i++) {
 		k = keys[i]
 		d = v[k, "after"] - v[k, "before"]
 		grew = i <= 2 && d > 0
 		if (grew) bad = 1
-		printf "%-18s %7d %7d %+7d%s\n", k, v[k, "before"], v[k, "after"], d, grew ? "  grew: land it no larger than it was found" : ""
+		note = grew ? "  grew: land it no larger than it was found" : ""
+		if (k == "DESIGN.md") note = "  target 1,200 (ROADMAP 4(f)): reported, not a gate"
+		printf "%-18s %7d %7d %+7d%s\n", k, v[k, "before"], v[k, "after"], d, note
 	}
 	exit bad
 }'
