@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test loc bench-check bench-pairs sim-gate test-race fuzz-smoke soak recovery-soak telemetry-smoke trace-smoke bench bench-micro tables
+.PHONY: all build vet test loc tables-diff bench-check bench-pairs sim-gate test-race fuzz-smoke soak recovery-soak telemetry-smoke trace-smoke bench bench-micro tables
 
 all: vet test
 
@@ -27,6 +27,13 @@ test: bench-check
 # another checkout alone.
 loc:
 	bash scripts/loc.sh
+
+# Every experiment table (benchtables -md) on the parent, chosen as for
+# bench-pairs (make tables-diff BASE=HEAD~1, or PARENT=<dir>), and on this
+# checkout: prints diff -u and fails on any difference. A refactor lands
+# with an empty diff; a behaviour change names the rows it moves.
+tables-diff:
+	bash scripts/tables-diff.sh
 
 # The repository benchmark is a nested module (bench/go.mod), so ./...
 # does not descend into it: an API change under internal/ that breaks it

@@ -46,7 +46,9 @@ type OmegaReport struct {
 	Reason string
 }
 
-// Omega evaluates the Omega property on a finished run.
+// Omega evaluates the Omega property on a finished run. Changes and
+// StabilizedAt count every correct process, whether or not the property
+// holds.
 func Omega(in OmegaInput) OmegaReport {
 	var rep OmegaReport
 	leader := node.None
@@ -62,12 +64,12 @@ func Omega(in OmegaInput) OmegaReport {
 		}
 		if leader == node.None {
 			leader = cur
-			continue
-		}
-		if cur != leader {
+		} else if cur != leader && rep.Reason == "" {
 			rep.Reason = fmt.Sprintf("p%d trusts p%v while another correct process trusts p%v", id, cur, leader)
-			return rep
 		}
+	}
+	if rep.Reason != "" {
+		return rep
 	}
 	if leader == node.None {
 		rep.Reason = "no correct process"

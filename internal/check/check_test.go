@@ -59,6 +59,8 @@ func TestOmegaFailsOnDisagreement(t *testing.T) {
 		Histories: []*detector.History{
 			history(Changeish{0, 0}),
 			history(Changeish{0, 1}),
+			// Past the first disagreement: its changes still count.
+			history(Changeish{0, 1}, Changeish{40, 0}),
 		},
 		Crashed: map[node.ID]sim.Time{},
 		Horizon: at(100),
@@ -69,6 +71,9 @@ func TestOmegaFailsOnDisagreement(t *testing.T) {
 	}
 	if rep.Reason == "" {
 		t.Fatal("missing reason")
+	}
+	if rep.Changes != 4 || rep.StabilizedAt != at(40) {
+		t.Fatalf("Changes = %d, StabilizedAt = %v; want 4 and 40ms, every correct process counted", rep.Changes, rep.StabilizedAt)
 	}
 }
 

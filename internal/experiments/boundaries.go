@@ -64,10 +64,7 @@ func E8AssumptionMatrix(o Opts) Table {
 		if c.regime == scenario.RegimeLossy {
 			cfg.DropProb = 1.0
 		}
-		s, err := scenario.Build(cfg)
-		if err != nil {
-			panic(err)
-		}
+		s := build(cfg)
 		s.Run(horizon)
 		rep := s.OmegaReport()
 		// "Holds" requires agreement AND stability margin: no change in
@@ -126,10 +123,7 @@ func E9Ablations(o Opts) Table {
 
 	run := func(algo scenario.Algorithm, mutate func(*scenario.System), horizon time.Duration, seed int64) []string {
 		cfg := scenario.Config{N: 5, Seed: seed, Algorithm: algo, Regime: scenario.RegimeAllTimely, Eta: Eta}
-		s, err := scenario.Build(cfg)
-		if err != nil {
-			panic(err)
-		}
+		s := build(cfg)
 		if mutate != nil {
 			mutate(s)
 		}

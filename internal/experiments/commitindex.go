@@ -6,9 +6,8 @@ import (
 
 	"repro/internal/consensus"
 	"repro/internal/consensus/rsm"
-	"repro/internal/core"
-	"repro/internal/network"
 	"repro/internal/node"
+	"repro/internal/scenario"
 )
 
 // E12CommitIndex regenerates Table 8: what committing by index costs the
@@ -69,6 +68,8 @@ type commitIndexCost struct {
 
 // valueTap is an automaton composed next to a replica to see what is
 // delivered to it: the fabric's counters know kinds, not contents.
+// commitIndexRun reinstalls each process as Build composed it, detector
+// and log, with the tap beside them.
 type valueTap struct{ bytes *uint64 }
 
 func (valueTap) Start(node.Env) {}
@@ -84,16 +85,11 @@ func (t valueTap) Deliver(_ node.ID, m node.Message) {
 
 // commitIndexRun executes one E12 cell.
 func commitIndexRun(n, cmds int, regime string) commitIndexCost {
-	w, err := node.NewWorld(node.WorldConfig{N: n, Seed: 31, DefaultLink: network.Timely(2 * time.Millisecond)})
-	if err != nil {
-		panic(err)
-	}
+	s := build(scenario.Config{N: n, Seed: 31, Eta: Eta, Consensus: scenario.ConsensusRSM})
+	w, logs := s.World, s.Logs
 	var c commitIndexCost
-	logs := make([]*rsm.Node, n)
-	for i := 0; i < n; i++ {
-		det := core.New(core.WithEta(Eta))
-		logs[i] = rsm.New(det, rsm.Config{})
-		w.SetAutomaton(node.ID(i), node.Compose(det, logs[i], valueTap{&c.valueBytes}))
+	for i, l := range logs {
+		w.SetAutomaton(node.ID(i), node.Compose(s.Omegas[i], l, valueTap{&c.valueBytes}))
 	}
 	w.Start()
 	w.RunFor(500 * time.Millisecond)

@@ -7,9 +7,8 @@ import (
 	"repro/internal/consensus"
 	"repro/internal/consensus/ct"
 	"repro/internal/consensus/rsm"
-	"repro/internal/core"
-	"repro/internal/network"
 	"repro/internal/node"
+	"repro/internal/scenario"
 	"repro/internal/sim"
 )
 
@@ -33,73 +32,43 @@ func kindTotal(w *node.World, kinds []string) uint64 {
 	return total
 }
 
-// rsmRun wires n processes running Omega+rsm, submits one command at every
-// process, and runs until every correct process has decided the log's first
-// instance (or the horizon). It returns the decision latency and the
-// consensus message count.
-func rsmRun(n int, seed int64, crashLeader bool) (time.Duration, uint64, bool) {
-	w, err := node.NewWorld(node.WorldConfig{N: n, Seed: seed, DefaultLink: network.Timely(2 * time.Millisecond)})
-	if err != nil {
-		panic(err)
+// consensusRun builds n processes running layer (scenario.ConsensusRSM
+// over Omega, or scenario.ConsensusCT alone), has every process propose,
+// and runs until every correct process has decided (for rsm, the log's
+// first instance) or the horizon. It returns the decision latency and the
+// consensus message count. With crashLeader, p0 — rsm's first leader and
+// ct's round-0 coordinator — crashes at t = 0: rsm pays the full
+// re-election-plus-consensus price, ct a failed round plus the timeout
+// before round 1 can decide.
+func consensusRun(layer string, n int, seed int64, crashLeader bool) (time.Duration, uint64, bool) {
+	cfg := scenario.Config{N: n, Seed: seed, Eta: Eta, Consensus: layer}
+	if crashLeader {
+		cfg.Crashes = []scenario.Crash{{ID: 0, At: 0}}
 	}
-	nodes := make([]*rsm.Node, n)
-	for i := 0; i < n; i++ {
-		det := core.New(core.WithEta(Eta))
-		nodes[i] = rsm.New(det, rsm.Config{})
-		w.SetAutomaton(node.ID(i), node.Compose(det, nodes[i]))
+	s := build(cfg)
+	for i, c := range s.CT {
+		c.Propose(consensus.Value(fmt.Sprintf("v%d", i)))
 	}
-	w.Start()
-	for i, r := range nodes {
+	s.Start()
+	for i, r := range s.Logs {
 		r.Submit(consensus.Value(fmt.Sprintf("v%d", i)))
 	}
-	if crashLeader {
-		// Crash p0 at t=0, before its ballot is prepared: the run pays
-		// the full re-election-plus-consensus price.
-		w.CrashAt(0, 0)
+	kinds := rsmKinds
+	decided := func(i int) bool { return s.Logs[i].FirstGap() >= 1 }
+	if layer == scenario.ConsensusCT {
+		kinds = ctKinds
+		decided = func(i int) bool { _, ok := s.CT[i].Decided(); return ok }
 	}
 	allDecided := func() bool {
-		for i, r := range nodes {
-			if w.Alive(node.ID(i)) && r.FirstGap() < 1 {
+		for i := 0; i < n; i++ {
+			if s.World.Alive(node.ID(i)) && !decided(i) {
 				return false
 			}
 		}
 		return true
 	}
-	w.RunUntil(sim.At(20*time.Second), allDecided)
-	return w.Kernel.Now().Duration(), kindTotal(w, rsmKinds), allDecided()
-}
-
-// ctRun is the rotating-coordinator counterpart of rsmRun.
-func ctRun(n int, seed int64, crashLeader bool) (time.Duration, uint64, bool) {
-	w, err := node.NewWorld(node.WorldConfig{N: n, Seed: seed, DefaultLink: network.Timely(2 * time.Millisecond)})
-	if err != nil {
-		panic(err)
-	}
-	nodes := make([]*ct.Node, n)
-	for i := 0; i < n; i++ {
-		nodes[i] = ct.New()
-		nodes[i].Propose(consensus.Value(fmt.Sprintf("v%d", i)))
-		w.SetAutomaton(node.ID(i), nodes[i])
-	}
-	w.Start()
-	if crashLeader {
-		// Crash the round-0 coordinator at t=0: the run pays a failed
-		// round plus the timeout before round 1 can decide.
-		w.CrashAt(0, 0)
-	}
-	allDecided := func() bool {
-		for i, s := range nodes {
-			if !w.Alive(node.ID(i)) {
-				continue
-			}
-			if _, ok := s.Decided(); !ok {
-				return false
-			}
-		}
-		return true
-	}
-	w.RunUntil(sim.At(20*time.Second), allDecided)
-	return w.Kernel.Now().Duration(), kindTotal(w, ctKinds), allDecided()
+	s.World.RunUntil(sim.At(20*time.Second), allDecided)
+	return s.World.Kernel.Now().Duration(), kindTotal(s.World, kinds), allDecided()
 }
 
 // E6ConsensusCost regenerates Table 3: single-decree consensus cost — the
@@ -121,14 +90,14 @@ func E6ConsensusCost(o Opts) Table {
 	}
 	type proto struct {
 		name  string
-		run   func(n int, seed int64, crash bool) (time.Duration, uint64, bool)
+		layer string
 		crash bool
 	}
 	protos := []proto{
-		{"rsm+Ω", rsmRun, false},
-		{"ct-rotating", ctRun, false},
-		{"rsm+Ω (×)", rsmRun, true},
-		{"ct-rotating (×)", ctRun, true},
+		{"rsm+Ω", scenario.ConsensusRSM, false},
+		{"ct-rotating", scenario.ConsensusCT, false},
+		{"rsm+Ω (×)", scenario.ConsensusRSM, true},
+		{"ct-rotating (×)", scenario.ConsensusCT, true},
 	}
 	type cell struct {
 		n int
@@ -146,7 +115,7 @@ func E6ConsensusCost(o Opts) Table {
 		ok   bool
 	}
 	res := sweepCells(o, cells, func(c cell, seed int) run {
-		lat, m, ok := c.p.run(c.n, int64(seed), c.p.crash)
+		lat, m, ok := consensusRun(c.p.layer, c.n, int64(seed), c.p.crash)
 		return run{lat: lat, msgs: m, ok: ok}
 	})
 	for ci, c := range cells {
@@ -172,19 +141,9 @@ func E6ConsensusCost(o Opts) Table {
 
 // e7World builds the n-process replicated-log world for E7 runs.
 func e7World(n int, seed int64) (*node.World, []*rsm.Node) {
-	w, err := node.NewWorld(node.WorldConfig{N: n, Seed: seed, DefaultLink: network.Timely(2 * time.Millisecond)})
-	if err != nil {
-		panic(err)
-	}
-	logs := make([]*rsm.Node, n)
-	for i := 0; i < n; i++ {
-		det := core.New(core.WithEta(Eta))
-		logs[i] = rsm.New(det, rsm.Config{})
-		w.SetAutomaton(node.ID(i), node.Compose(det, logs[i]))
-	}
-	w.Start()
-	w.RunFor(500 * time.Millisecond) // leader stable, ballot prepared
-	return w, logs
+	s := build(scenario.Config{N: n, Seed: seed, Eta: Eta, Consensus: scenario.ConsensusRSM})
+	s.Run(500 * time.Millisecond) // leader stable, ballot prepared
+	return s.World, s.Logs
 }
 
 // e7SingleStream measures messages per command when commands arrive one

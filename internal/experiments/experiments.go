@@ -16,6 +16,7 @@ import (
 	"text/tabwriter"
 	"time"
 
+	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/sweep"
 )
@@ -69,6 +70,16 @@ func sweepCells[C, T any](o Opts, cells []C, fn func(cell C, seed int) T) [][]T 
 // independent run per cell, merged in cell order.
 func sweepEach[C, T any](o Opts, cells []C, fn func(cell C) T) []T {
 	return sweep.Map(o.pool(), len(cells), func(i int) T { return fn(cells[i]) })
+}
+
+// build is scenario.Build for a configuration an experiment wrote itself:
+// an error there is a bug in the experiment, so it panics.
+func build(cfg scenario.Config) *scenario.System {
+	s, err := scenario.Build(cfg)
+	if err != nil {
+		panic(err)
+	}
+	return s
 }
 
 // Table is a rendered experiment result.

@@ -4,9 +4,8 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/network"
-	"repro/internal/node"
+	"repro/internal/scenario"
 	"repro/internal/sim"
 )
 
@@ -71,42 +70,29 @@ func E11FSourceBoundary(o Opts) Table {
 // fSourceRun executes one E11 cell: source p(n-1) gets timely links to its
 // first k peers, the rest of the world is fair-lossy.
 func fSourceRun(n, k int, seed int64, horizon time.Duration) (holds bool, changes int, msgsPerEta float64) {
-	w, err := node.NewWorld(node.WorldConfig{
-		N: n, Seed: seed,
-		DefaultLink: network.FairLossy(2*time.Millisecond, 40*time.Millisecond, 0.3),
+	s := build(scenario.Config{
+		N: n, Seed: seed, Regime: scenario.RegimeSourceFairLossy,
+		Eta: Eta, MaxDelay: 40 * time.Millisecond, DropProb: 0.3,
 	})
-	if err != nil {
-		panic(err)
-	}
+	// The regime gives the source eventually timely links to every peer;
+	// E11 keeps timely ones to the first k and makes the rest fair-lossy
+	// like every other link.
 	src := n - 1
-	for peer := 0; peer < k; peer++ {
-		if err := w.Fabric.SetProfile(src, peer, network.Timely(2*time.Millisecond)); err != nil {
+	for peer := 0; peer < src; peer++ {
+		p := s.World.Fabric.Profile(peer, src)
+		if peer < k {
+			p = network.Timely(2 * time.Millisecond)
+		}
+		if err := s.World.Fabric.SetProfile(src, peer, p); err != nil {
 			panic(err)
 		}
 	}
-	dets := make([]*core.Detector, n)
-	for i := range dets {
-		dets[i] = core.New(core.WithEta(Eta))
-		w.SetAutomaton(node.ID(i), dets[i])
-	}
-	w.Start()
-	w.RunUntil(sim.At(horizon), nil)
+	s.Start()
+	s.World.RunUntil(sim.At(horizon), nil)
 
 	tailStart := sim.At(horizon * 3 / 4)
-	leader := dets[0].Leader()
-	agree := true
-	lastChange := sim.TimeZero
-	for _, d := range dets {
-		changes += d.History().NumChanges()
-		if d.Leader() != leader {
-			agree = false
-		}
-		if at, _ := d.History().StableSince(); at > lastChange {
-			lastChange = at
-		}
-	}
-	holds = agree && lastChange <= tailStart
-	msgsPerEta = float64(w.Stats.Snapshot().MessagesInWindow(tailStart, sim.At(horizon))) /
+	rep := s.OmegaReport()
+	msgsPerEta = float64(s.World.Stats.Snapshot().MessagesInWindow(tailStart, sim.At(horizon))) /
 		(float64(horizon/4) / float64(Eta))
-	return holds, changes, msgsPerEta
+	return rep.Holds && rep.StabilizedAt <= tailStart, rep.Changes, msgsPerEta
 }

@@ -6,9 +6,7 @@ import (
 
 	"repro/internal/consensus"
 	"repro/internal/consensus/rsm"
-	"repro/internal/core"
-	"repro/internal/network"
-	"repro/internal/node"
+	"repro/internal/scenario"
 )
 
 // readKinds is every message kind the read path can generate on top of
@@ -82,16 +80,8 @@ func E14LeaseReads(o Opts) Table {
 // cost, the log instances the series consumed, and the local/fallback
 // split at the leader.
 func leaseReadRun(n, reads int, lease time.Duration, origin int) (perRead float64, instances int, local, fallback uint64) {
-	w, err := node.NewWorld(node.WorldConfig{N: n, Seed: 41, DefaultLink: network.Timely(2 * time.Millisecond)})
-	if err != nil {
-		panic(err)
-	}
-	logs := make([]*rsm.Node, n)
-	for i := 0; i < n; i++ {
-		det := core.New(core.WithEta(Eta))
-		logs[i] = rsm.New(det, rsm.Config{Lease: lease})
-		w.SetAutomaton(node.ID(i), node.Compose(det, logs[i]))
-	}
+	s := build(scenario.Config{N: n, Seed: 41, Eta: Eta, Consensus: scenario.ConsensusRSM, RSM: rsm.Config{Lease: lease}})
+	w, logs := s.World, s.Logs
 	answered := 0
 	logs[origin].OnReadReply(func(m rsm.ReadReplyMsg) { answered += int(m.Count) })
 	w.Start()

@@ -41,13 +41,10 @@ func E1SteadyStateMessages(o Opts) Table {
 		senders int
 	}
 	res := sweepCells(o, cells, func(c sizeAlgo, seed int) run {
-		s, err := scenario.Build(scenario.Config{
+		s := build(scenario.Config{
 			N: c.n, Seed: int64(seed), Algorithm: c.algo,
 			Regime: scenario.RegimeAllET, Eta: Eta, GST: etaT(20),
 		})
-		if err != nil {
-			panic(err)
-		}
 		s.Run(time.Duration(horizon) * Eta)
 		rep := s.CommEffReport(etaT(horizon - tail))
 		return run{rate: rep.MessagesPerPeriod, senders: len(rep.Senders)}
@@ -114,13 +111,10 @@ func E2ConvergenceSeries(o Opts) Series {
 		xs, ys []float64
 	}
 	curves := sweepEach(o, omegaAlgos, func(algo scenario.Algorithm) curve {
-		sys, err := scenario.Build(scenario.Config{
+		sys := build(scenario.Config{
 			N: n, Seed: 1, Algorithm: algo,
 			Regime: scenario.RegimeAllET, Eta: Eta, GST: etaT(gstPeriods),
 		})
-		if err != nil {
-			panic(err)
-		}
 		sys.Run(time.Duration(horizon) * Eta)
 		buckets := sys.World.Stats.Snapshot().Series(Eta, etaT(horizon))
 		var c curve
@@ -174,13 +168,10 @@ func E3StabilizationVsGST(o Opts) Table {
 		ok bool
 	}
 	res := sweepCells(o, cells, func(c cell, seed int) run {
-		s, err := scenario.Build(scenario.Config{
+		s := build(scenario.Config{
 			N: 10, Seed: int64(seed), Algorithm: c.algo,
 			Regime: scenario.RegimeAllET, Eta: Eta, GST: etaT(c.gst),
 		})
-		if err != nil {
-			panic(err)
-		}
 		s.Run(time.Duration(c.gst)*Eta + 200*Eta)
 		at, ok := sysConvergence(s)
 		return run{at: float64(at) / float64(Eta.Nanoseconds()), ok: ok}
@@ -234,14 +225,11 @@ func E4CrashRecovery(o Opts) Table {
 		ok  bool
 	}
 	res := sweepCells(o, cells, func(c sizeAlgo, seed int) run {
-		s, err := scenario.Build(scenario.Config{
+		s := build(scenario.Config{
 			N: c.n, Seed: int64(seed), Algorithm: c.algo,
 			Regime: scenario.RegimeAllTimely, Eta: Eta,
 			Crashes: []scenario.Crash{{ID: 0, At: crashAt}},
 		})
-		if err != nil {
-			panic(err)
-		}
 		s.Run(400 * Eta)
 		rep := s.OmegaReport()
 		if !rep.Holds || rep.Leader == 0 {
@@ -293,12 +281,9 @@ func E5LinksUsed(o Opts) Table {
 	}
 	cells := sizeAlgoCells(sizes)
 	links := sweepEach(o, cells, func(c sizeAlgo) int {
-		s, err := scenario.Build(scenario.Config{
+		s := build(scenario.Config{
 			N: c.n, Seed: 7, Algorithm: c.algo, Regime: scenario.RegimeAllTimely, Eta: Eta,
 		})
-		if err != nil {
-			panic(err)
-		}
 		s.Run(time.Duration(horizon) * Eta)
 		return s.World.Stats.Snapshot().LinksUsedSince(etaT(horizon - tail))
 	})

@@ -46,12 +46,9 @@ func E13PartitionHeal(o Opts) Table {
 		changes int
 	}
 	res := sweepEach(o, algos, func(algo scenario.Algorithm) run {
-		sys, err := scenario.Build(scenario.Config{
+		sys := build(scenario.Config{
 			N: 5, Seed: 1, Algorithm: algo, Regime: scenario.RegimeAllTimely, Eta: Eta,
 		})
-		if err != nil {
-			panic(err)
-		}
 		sys.World.Kernel.ScheduleAt(sim.At(300*time.Millisecond), func() { sys.World.Fabric.Isolate(0) })
 		sys.World.Kernel.ScheduleAt(sim.At(1500*time.Millisecond), func() { sys.World.Fabric.Rejoin(0) })
 		sys.Run(horizon)

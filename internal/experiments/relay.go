@@ -4,10 +4,10 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/network"
 	"repro/internal/node"
 	"repro/internal/relay"
+	"repro/internal/scenario"
 	"repro/internal/sim"
 )
 
@@ -68,74 +68,56 @@ func E10RelayedPaths(o Opts) Table {
 
 // relayRun executes one E10 cell and extracts its metrics.
 func relayRun(relayOn bool, horizon time.Duration, seed int64) (holds string, leader node.ID, originators int, msgsPerEta float64, changes int) {
-	w, err := node.NewWorld(node.WorldConfig{
-		N: 4, Seed: seed,
-		DefaultLink: network.FairLossy(time.Millisecond, 30*time.Millisecond, 0.9),
+	s := build(scenario.Config{
+		N: 4, Seed: seed, Regime: scenario.RegimeTimelyPath,
+		Eta: Eta, Delta: time.Millisecond, MaxDelay: 30 * time.Millisecond,
 	})
-	if err != nil {
-		panic(err)
-	}
+	// The regime's chain p3↔p2↔{p0,p1}, at a 2 ms bound where the lossy
+	// links keep the 1 ms Delta.
 	for _, link := range [][2]int{{3, 2}, {2, 0}, {2, 1}, {0, 2}, {1, 2}, {2, 3}} {
-		if err := w.Fabric.SetProfile(link[0], link[1], network.Timely(2*time.Millisecond)); err != nil {
+		if err := s.World.Fabric.SetProfile(link[0], link[1], network.Timely(2*time.Millisecond)); err != nil {
 			panic(err)
 		}
 	}
-	dets := make([]*core.Detector, 4)
+	// The relayed variant wraps each detector here rather than building
+	// with AlgoCoreRelay, which keeps the wrapper to itself: E10 reads
+	// what each one originated.
 	wraps := make([]*relay.Wrapper, 4)
-	for i := range dets {
-		dets[i] = core.New(core.WithEta(Eta))
-		if relayOn {
-			wraps[i] = relay.Wrap(dets[i])
-			w.SetAutomaton(node.ID(i), wraps[i])
-		} else {
-			w.SetAutomaton(node.ID(i), dets[i])
+	if relayOn {
+		for i, om := range s.Omegas {
+			wraps[i] = relay.Wrap(om)
+			s.World.SetAutomaton(node.ID(i), wraps[i])
 		}
 	}
-	w.Start()
+	s.Start()
 
 	tailStart := sim.At(horizon * 3 / 4)
-	w.RunUntil(tailStart, nil)
+	s.World.RunUntil(tailStart, nil)
 	var originatedAtTail [4]uint64
 	if relayOn {
 		for i, wr := range wraps {
 			originatedAtTail[i] = wr.Originated()
 		}
 	}
-	w.RunUntil(sim.At(horizon), nil)
+	s.World.RunUntil(sim.At(horizon), nil)
 
-	for _, d := range dets {
-		changes += d.History().NumChanges()
-	}
-	leader = dets[0].Leader()
-	agree := true
-	lastChange := sim.TimeZero
-	for _, d := range dets {
-		if d.Leader() != leader {
-			agree = false
-		}
-		if at, _ := d.History().StableSince(); at > lastChange {
-			lastChange = at
-		}
-	}
-	holds = "no"
-	if agree && lastChange <= tailStart {
-		holds = "yes"
-	} else {
-		leader = node.None
+	rep := s.OmegaReport()
+	holds, leader = "no", node.None
+	if rep.Holds && rep.StabilizedAt <= tailStart {
+		holds, leader = "yes", rep.Leader
 	}
 
+	snap := s.World.Stats.Snapshot()
 	if relayOn {
 		for i, wr := range wraps {
 			if wr.Originated() > originatedAtTail[i] {
 				originators++
 			}
 		}
-	}
-	snap := w.Stats.Snapshot()
-	if !relayOn {
+	} else {
 		originators = len(snap.SendersSince(tailStart))
 	}
 	msgsPerEta = float64(snap.MessagesInWindow(tailStart, sim.At(horizon))) /
 		(float64(horizon/4) / float64(Eta))
-	return holds, leader, originators, msgsPerEta, changes
+	return holds, leader, originators, msgsPerEta, rep.Changes
 }

@@ -1,18 +1,15 @@
 package scenario
 
 import (
-	"fmt"
 	"time"
 
 	"repro/internal/faultline"
-	"repro/internal/network"
-	"repro/internal/node"
 )
 
 // LiveFaultPlan translates a simulator scenario Config into a
 // faultline.Plan for the live clusters (internal/transport), so the same
-// named regimes and failure plans drive real sockets. The mapping mirrors
-// applyRegime link for link: the per-link profiles are identical, the
+// named regimes and failure plans drive real sockets. The per-link
+// profiles come from the table Build installs (regimeLinks), the
 // simulated GST becomes a wall-clock offset from cluster start, each
 // scheduled crash becomes a wall-clock crash-stop, and each restart
 // becomes a crash-then-reboot cycle (the in-memory transport rebuilds
@@ -26,8 +23,14 @@ func LiveFaultPlan(cfg Config) (faultline.Plan, error) {
 	if err := cfg.fill(); err != nil {
 		return faultline.Plan{}, err
 	}
+	def, links, err := regimeLinks(cfg)
+	if err != nil {
+		return faultline.Plan{}, err
+	}
 	plan := faultline.Plan{
 		GST:     time.Duration(cfg.GST),
+		Default: def,
+		Links:   links,
 		Crashes: make([]faultline.Crash, 0, len(cfg.Crashes)),
 	}
 	for _, cr := range cfg.Crashes {
@@ -39,51 +42,6 @@ func LiveFaultPlan(cfg Config) (faultline.Plan, error) {
 			After:    time.Duration(rs.At),
 			Downtime: time.Duration(rs.Downtime),
 		})
-	}
-
-	setOutgoing := func(from int, p network.Profile) {
-		for q := 0; q < cfg.N; q++ {
-			if q == from {
-				continue
-			}
-			plan.Links[faultline.Link{From: node.ID(from), To: node.ID(q)}] = p
-		}
-	}
-	setPair := func(a, b int, p network.Profile) {
-		plan.Links[faultline.Link{From: node.ID(a), To: node.ID(b)}] = p
-		plan.Links[faultline.Link{From: node.ID(b), To: node.ID(a)}] = p
-	}
-
-	switch cfg.Regime {
-	case RegimeAllTimely:
-		plan.Default = network.Timely(cfg.Delta)
-	case RegimeAllET:
-		plan.Default = network.EventuallyTimely(cfg.Delta, cfg.MaxDelay, 0)
-	case RegimeSourceReliable:
-		plan.Default = network.Reliable(cfg.Delta, cfg.MaxDelay)
-		plan.Links = make(map[faultline.Link]network.Profile, cfg.N-1)
-		setOutgoing(int(cfg.Source), network.EventuallyTimely(cfg.Delta, cfg.MaxDelay, 0))
-	case RegimeSourceFairLossy:
-		plan.Default = network.FairLossy(cfg.Delta, cfg.MaxDelay, cfg.DropProb)
-		plan.Links = make(map[faultline.Link]network.Profile, cfg.N-1)
-		setOutgoing(int(cfg.Source), network.EventuallyTimely(cfg.Delta, cfg.MaxDelay, 0))
-	case RegimeLossy:
-		plan.Default = network.Lossy(cfg.Delta, cfg.MaxDelay, cfg.DropProb)
-	case RegimeTimelyPath:
-		plan.Default = network.FairLossy(cfg.Delta, cfg.MaxDelay, 0.9)
-		plan.Links = make(map[faultline.Link]network.Profile, 2*cfg.N)
-		src := int(cfg.Source)
-		hub := (src + cfg.N - 1) % cfg.N
-		timely := network.Timely(cfg.Delta)
-		setPair(src, hub, timely)
-		for q := 0; q < cfg.N; q++ {
-			if q == hub || q == src {
-				continue
-			}
-			setPair(hub, q, timely)
-		}
-	default:
-		return faultline.Plan{}, fmt.Errorf("scenario: unknown regime %q", cfg.Regime)
 	}
 	return plan, nil
 }

@@ -11,8 +11,8 @@ import (
 )
 
 // TestLiveFaultPlanMirrorsRegimes checks that every named regime maps to
-// the same per-link profiles applyRegime would install in the simulator,
-// and that the resulting plan is accepted by faultline.New.
+// the same per-link profiles Build installs in the simulator, and that the
+// resulting plan is accepted by faultline.New.
 func TestLiveFaultPlanMirrorsRegimes(t *testing.T) {
 	base := Config{N: 4, Seed: 1, Eta: 10 * time.Millisecond, Delta: 2 * time.Millisecond, MaxDelay: 50 * time.Millisecond, DropProb: 0.25}
 	for _, regime := range Regimes() {
@@ -24,6 +24,24 @@ func TestLiveFaultPlanMirrorsRegimes(t *testing.T) {
 		}
 		if _, err := faultline.New(cfg.N, cfg.Seed, plan); err != nil {
 			t.Fatalf("%s: plan rejected by faultline: %v", regime, err)
+		}
+		s, err := Build(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", regime, err)
+		}
+		for from := 0; from < cfg.N; from++ {
+			for to := 0; to < cfg.N; to++ {
+				if from == to {
+					continue
+				}
+				want, ok := plan.Links[faultline.Link{From: node.ID(from), To: node.ID(to)}]
+				if !ok {
+					want = plan.Default
+				}
+				if got := s.World.Fabric.Profile(from, to); got != want {
+					t.Fatalf("%s: sim link %d→%d = %+v, live plan %+v", regime, from, to, got, want)
+				}
+			}
 		}
 	}
 

@@ -1,8 +1,11 @@
 // Package scenario assembles complete experiment setups: a link regime
 // (which links are timely, reliable, or lossy), a leader-election
-// algorithm, a failure plan, and seeds. It is the shared entry point for
-// the test suite, the benchmarks (bench_test.go), the experiment harness
-// (internal/experiments) and the CLI (cmd/omegasim).
+// algorithm, an optional consensus layer over it (the rsm replicated log,
+// or the ct baseline alone), a failure plan, and seeds. It is the one world
+// builder for the test suite, the benchmarks (bench_test.go), every
+// experiment (internal/experiments) and the CLI (cmd/omegasim); an
+// experiment that needs other links sets them on System.World.Fabric
+// before Start.
 package scenario
 
 import (
@@ -10,10 +13,13 @@ import (
 	"time"
 
 	"repro/internal/check"
+	"repro/internal/consensus/ct"
+	"repro/internal/consensus/rsm"
 	"repro/internal/core"
 	"repro/internal/detector"
 	"repro/internal/detector/alltoall"
 	"repro/internal/detector/source"
+	"repro/internal/faultline"
 	"repro/internal/network"
 	"repro/internal/node"
 	"repro/internal/obs"
@@ -89,6 +95,17 @@ func Regimes() []Regime {
 	return []Regime{RegimeAllTimely, RegimeAllET, RegimeSourceReliable, RegimeSourceFairLossy, RegimeLossy, RegimeTimelyPath}
 }
 
+// Consensus layers (Config.Consensus).
+const (
+	// ConsensusRSM runs the replicated log (internal/consensus/rsm) at
+	// every process, steered by that process's Omega.
+	ConsensusRSM = "rsm"
+	// ConsensusCT runs the rotating-coordinator baseline
+	// (internal/consensus/ct) alone: it needs no detector, so none is
+	// installed.
+	ConsensusCT = "ct"
+)
+
 // Crash schedules one process failure.
 type Crash struct {
 	ID node.ID
@@ -142,6 +159,11 @@ type Config struct {
 	// (and the trace); the telemetry layer hooks in here so sim runs feed
 	// the same collector live clusters do, by the same path.
 	Observer obs.Sink
+	// Consensus is the layer over the detector: "" (none), ConsensusRSM
+	// or ConsensusCT.
+	Consensus string
+	// RSM configures every replica when Consensus is ConsensusRSM.
+	RSM rsm.Config
 }
 
 func (c *Config) fill() error {
@@ -172,6 +194,9 @@ func (c *Config) fill() error {
 	if int(c.Source) < 0 || int(c.Source) >= c.N {
 		return fmt.Errorf("scenario: source %d out of range", c.Source)
 	}
+	if c.Consensus != "" && c.Consensus != ConsensusRSM && c.Consensus != ConsensusCT {
+		return fmt.Errorf("scenario: unknown consensus layer %q", c.Consensus)
+	}
 	for _, cr := range c.Crashes {
 		if int(cr.ID) < 0 || int(cr.ID) >= c.N {
 			return fmt.Errorf("scenario: crash id %d out of range", cr.ID)
@@ -193,11 +218,15 @@ func (c *Config) fill() error {
 // ring only grows as it fills.
 const traceLimit = 1 << 20
 
-// System is a built, runnable scenario.
+// System is a built, runnable scenario: the world and what runs at each
+// process, indexed by id. Omegas is empty under ConsensusCT, Logs is set
+// only under ConsensusRSM and CT only under ConsensusCT.
 type System struct {
 	Config Config
 	World  *node.World
 	Omegas []detector.Omega
+	Logs   []*rsm.Node
+	CT     []*ct.Node
 	// Trace is the run's event log (tracing.Set.WriteText prints it), nil
 	// without Config.EnableTrace.
 	Trace *tracing.Set
@@ -206,14 +235,19 @@ type System struct {
 }
 
 // Build constructs the world, applies the link regime, installs the
-// algorithm at every process, and schedules the failure plan. The system
-// is not started; call Start (or Run, which starts it on first use).
+// algorithm and the consensus layer at every process, and schedules the
+// failure plan. The system is not started; call Start (or Run, which
+// starts it on first use).
 func Build(cfg Config) (*System, error) {
 	if err := cfg.fill(); err != nil {
 		return nil, err
 	}
 	if len(cfg.Restarts) > 0 {
 		return nil, fmt.Errorf("scenario: restarts are live-cluster only (use LiveFaultPlan); the simulator cannot rebuild an automaton from durable state")
+	}
+	def, links, err := regimeLinks(cfg)
+	if err != nil {
+		return nil, err
 	}
 	var trace *tracing.Set
 	observer := cfg.Observer
@@ -225,23 +259,34 @@ func Build(cfg Config) (*System, error) {
 		N:           cfg.N,
 		Seed:        cfg.Seed,
 		GST:         cfg.GST,
-		DefaultLink: network.Timely(cfg.Delta), // replaced below
+		DefaultLink: def,
 		EnableTrace: cfg.EnableTrace,
 		Observer:    observer, // nil with neither: the fabric then reports to the stats alone
 	})
 	if err != nil {
 		return nil, err
 	}
-	if err := applyRegime(w.Fabric, cfg); err != nil {
-		return nil, err
+	for l, p := range links {
+		if err := w.Fabric.SetProfile(int(l.From), int(l.To), p); err != nil {
+			return nil, err
+		}
 	}
-	s := &System{Config: cfg, World: w, Omegas: make([]detector.Omega, cfg.N), Trace: trace}
+	s := &System{Config: cfg, World: w, Trace: trace}
 	for i := 0; i < cfg.N; i++ {
+		if cfg.Consensus == ConsensusCT {
+			s.CT = append(s.CT, ct.New())
+			w.SetAutomaton(node.ID(i), s.CT[i])
+			continue
+		}
 		auto, om, err := buildDetector(cfg)
 		if err != nil {
 			return nil, err
 		}
-		s.Omegas[i] = om
+		s.Omegas = append(s.Omegas, om)
+		if cfg.Consensus == ConsensusRSM {
+			s.Logs = append(s.Logs, rsm.New(om, cfg.RSM))
+			auto = node.Compose(auto, s.Logs[i])
+		}
 		w.SetAutomaton(node.ID(i), auto)
 	}
 	for _, cr := range cfg.Crashes {
@@ -278,53 +323,48 @@ func buildDetector(cfg Config) (node.Automaton, detector.Omega, error) {
 	return om, om, nil
 }
 
-func applyRegime(f *network.Fabric, cfg Config) error {
+// regimeLinks is the one regime table: the profile of every link, and the
+// directed links the regime sets apart from it. Build installs it on the
+// simulator's fabric, LiveFaultPlan hands it to faultline.
+func regimeLinks(cfg Config) (network.Profile, map[faultline.Link]network.Profile, error) {
+	links := make(map[faultline.Link]network.Profile)
+	set := func(from, to int, p network.Profile) {
+		links[faultline.Link{From: node.ID(from), To: node.ID(to)}] = p
+	}
+	src := int(cfg.Source)
+	et := network.EventuallyTimely(cfg.Delta, cfg.MaxDelay, 0)
+	var def network.Profile
 	switch cfg.Regime {
 	case RegimeAllTimely:
-		return f.SetAll(network.Timely(cfg.Delta))
+		def = network.Timely(cfg.Delta)
 	case RegimeAllET:
-		return f.SetAll(network.EventuallyTimely(cfg.Delta, cfg.MaxDelay, 0))
-	case RegimeSourceReliable:
-		if err := f.SetAll(network.Reliable(cfg.Delta, cfg.MaxDelay)); err != nil {
-			return err
-		}
-		return f.SetOutgoing(int(cfg.Source), network.EventuallyTimely(cfg.Delta, cfg.MaxDelay, 0))
-	case RegimeSourceFairLossy:
-		if err := f.SetAll(network.FairLossy(cfg.Delta, cfg.MaxDelay, cfg.DropProb)); err != nil {
-			return err
-		}
-		return f.SetOutgoing(int(cfg.Source), network.EventuallyTimely(cfg.Delta, cfg.MaxDelay, 0))
-	case RegimeLossy:
-		return f.SetAll(network.Lossy(cfg.Delta, cfg.MaxDelay, cfg.DropProb))
-	case RegimeTimelyPath:
-		if err := f.SetAll(network.FairLossy(cfg.Delta, cfg.MaxDelay, 0.9)); err != nil {
-			return err
-		}
-		// Timely chain: source ↔ hub, hub ↔ everyone else.
-		src := int(cfg.Source)
-		hub := (src + cfg.N - 1) % cfg.N
-		timely := network.Timely(cfg.Delta)
-		if err := f.SetProfile(src, hub, timely); err != nil {
-			return err
-		}
-		if err := f.SetProfile(hub, src, timely); err != nil {
-			return err
+		def = et
+	case RegimeSourceReliable, RegimeSourceFairLossy:
+		def = network.Reliable(cfg.Delta, cfg.MaxDelay)
+		if cfg.Regime == RegimeSourceFairLossy {
+			def = network.FairLossy(cfg.Delta, cfg.MaxDelay, cfg.DropProb)
 		}
 		for q := 0; q < cfg.N; q++ {
-			if q == hub || q == src {
-				continue
-			}
-			if err := f.SetProfile(hub, q, timely); err != nil {
-				return err
-			}
-			if err := f.SetProfile(q, hub, timely); err != nil {
-				return err
+			if q != src {
+				set(src, q, et)
 			}
 		}
-		return nil
+	case RegimeLossy:
+		def = network.Lossy(cfg.Delta, cfg.MaxDelay, cfg.DropProb)
+	case RegimeTimelyPath:
+		def = network.FairLossy(cfg.Delta, cfg.MaxDelay, 0.9)
+		// Timely chain: source ↔ hub, hub ↔ everyone else.
+		hub := (src + cfg.N - 1) % cfg.N
+		for q := 0; q < cfg.N; q++ {
+			if q != hub {
+				set(hub, q, network.Timely(cfg.Delta))
+				set(q, hub, network.Timely(cfg.Delta))
+			}
+		}
 	default:
-		return fmt.Errorf("scenario: unknown regime %q", cfg.Regime)
+		return def, nil, fmt.Errorf("scenario: unknown regime %q", cfg.Regime)
 	}
+	return def, links, nil
 }
 
 // Start boots the system.

@@ -37,6 +37,7 @@ func TestBuildValidation(t *testing.T) {
 		{N: 3, Crashes: []Crash{{ID: 9}}},
 		{N: 3, Restarts: []Restart{{ID: 9}}},
 		{N: 3, Restarts: []Restart{{ID: 0, Downtime: -1}}},
+		{N: 3, Consensus: "paxos"},
 	}
 	for i, cfg := range cases {
 		if _, err := Build(cfg); err == nil {
