@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test loc tables-diff bench-check bench-pairs sim-gate test-race fuzz-smoke soak recovery-soak telemetry-smoke trace-smoke bench bench-micro tables
+.PHONY: all build vet test loc tables-diff mutants bench-check bench-pairs sim-gate test-race fuzz-smoke soak recovery-soak telemetry-smoke trace-smoke bench bench-micro tables
 
 all: vet test
 
@@ -34,6 +34,14 @@ loc:
 # with an empty diff; a behaviour change names the rows it moves.
 tables-diff:
 	bash scripts/tables-diff.sh
+
+# The read-path mutation check: five edits that each break linearizable
+# reads in rsm, applied one at a time to a temporary copy of the package,
+# whose tests must fail on every one. It fails when a mutant survives or
+# its edit no longer applies (scripts/mutants.sh). About 50 s; CI's
+# build-test job runs it.
+mutants:
+	bash scripts/mutants.sh
 
 # The repository benchmark is a nested module (bench/go.mod), so ./...
 # does not descend into it: an API change under internal/ that breaks it

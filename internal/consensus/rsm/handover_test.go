@@ -405,7 +405,7 @@ func TestLeaseFailoverCostsNoRetryTimer(t *testing.T) {
 
 // TestReadAtSuccessorBeforeItsOmegaFlipsIsAnswered: a follower whose Omega
 // has already moved forwards its client's read to the successor, which
-// has not heard yet. The read waits for the edge and rides the barrier the
+// has not heard yet. The read waits for the edge and rides the round the
 // new ballot opens; it is not dropped for the client to time out on.
 func TestReadAtSuccessorBeforeItsOmegaFlipsIsAnswered(t *testing.T) {
 	a, r, env := composed(t, 1, Config{})
@@ -419,12 +419,12 @@ func TestReadAtSuccessorBeforeItsOmegaFlipsIsAnswered(t *testing.T) {
 	}
 	env.drain()
 	a.Deliver(1, PromiseMsg{B: r.prop.ballot})
-	if out := acceptsOf(env.drain()); out[r.reads.barrier] != consensus.Noop || len(out) != 1 {
-		t.Fatalf("accepts once prepared = %q, want the read barrier", out)
+	if grants := broadcastsOf[LeaseGrantMsg](t, env.drain()); len(grants) != 1 || grants[0].Seq != r.reads.round {
+		t.Fatalf("grants once prepared = %+v, want the read's round", grants)
 	}
-	a.Deliver(1, &AcceptedMsg{B: r.prop.ballot, Inst: r.reads.barrier})
+	a.Deliver(1, LeaseAckMsg{B: r.prop.ballot, Seq: r.reads.round})
 	replies := repliesOf(env.drain())[2]
-	if want := (ReadReplyMsg{Seq: 9, Count: 4, Index: 1}); len(replies) != 1 || replies[0] != want {
+	if want := (ReadReplyMsg{Seq: 9, Count: 4, Index: 0}); len(replies) != 1 || replies[0] != want {
 		t.Fatalf("replies %+v, want %+v", replies, want)
 	}
 	// An origin's own read still goes to the leader it believes in.

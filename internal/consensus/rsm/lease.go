@@ -9,38 +9,39 @@ import (
 	"repro/internal/sim"
 )
 
-// This file is the lease layer: leader read leases that make queries free
-// in steady state. The prepared leader numbers lease grants with a
-// monotonically increasing sequence and piggybacks the current grant on
-// every ACCEPT it already broadcasts; the followers asked to reply
-// piggyback the ack on their ACCEPTED, so while commands flow the lease
-// costs zero extra messages. Only when phase-2 traffic idles does the leader
-// fall back to an explicit LeaseGrantMsg/LeaseAckMsg pair per refresh
-// interval (Config.Lease/4).
+// This file is the lease layer: numbered grants that a majority acks. The
+// leader keeps one quantity per follower, the highest grant it has acked,
+// and the grant a majority (its own vote included) has acked, quorumSeq,
+// serves two ends: it confirms the reads noted before it was issued
+// (read.go), and with Config.Lease set it dates a lease that makes reads
+// free in steady state. The leader piggybacks its current grant on every
+// ACCEPT it already broadcasts and the followers asked to reply ack it on
+// their ACCEPTED, so while commands flow the lease costs zero extra
+// messages; only when phase-2 traffic idles does the leader fall back to
+// an explicit LeaseGrantMsg/LeaseAckMsg pair per refresh interval
+// (Config.Lease/4). Without a lease the explicit grants are read rounds.
 //
-// A follower that honors grant seq at ballot b promises: "until
+// An acceptor promised above a grant's ballot NACKs it. With leases on, a
+// follower that acks grant seq at ballot b also promises: "until
 // Config.Lease after I received this grant (my clock), I will not
 // promise any ballot owned by a process other than b's owner". It
 // enforces the promise by deferring PREPAREs from other would-be leaders
 // — no answer while the grant stands, the highest one answered when it
 // has run out — and by holding off its own phase 1 until that instant.
 //
-// The leader counts grant seq acked by follower f as valid until
-// issued(seq) + Config.Lease − Lease/10 on its own clock, where
-// issued(seq) is when it FIRST sent that grant. It holds the lease while
-// a majority (its own vote included) of grants are valid. Safety needs
-// only a bound on clock *rate* divergence over one lease interval, not
-// synchronized clocks: the follower's window starts at receipt, which is
-// at or after first-send in real time, so the leader's window starts no
-// later than the follower's; the Lease/10 margin then covers the
-// follower's clock gaining up to Lease/10 on the leader's over one
-// Lease. Under that assumption, while the leader's conservative window
+// The leader holds the lease until issued(quorumSeq) + Config.Lease −
+// Lease/10 on its own clock, issued(seq) being when it FIRST sent that
+// grant. Safety needs only a bound on clock *rate* divergence over one
+// lease interval, not synchronized clocks: the follower's window starts at
+// receipt, which is at or after first-send in real time, so the leader's
+// window starts no later than the follower's; the Lease/10 margin then
+// covers the follower's clock gaining up to Lease/10 on the leader's over
+// one Lease. Under that assumption, while the leader's conservative window
 // holds, every quorum of any competing prepare intersects a follower
 // still inside its deferral window, so no other ballot can complete
 // phase 1 — and nothing can be decided this replica's applied prefix
 // would miss. Serving a read at the leader's applied index while the
-// lease holds is therefore linearizable (see read.go for the fallback
-// when it does not hold).
+// lease holds is therefore linearizable (read.go: a round when it does not).
 //
 // A lease holder that learns of a higher ballot (PREPARE or NACK) drops
 // its lease state along with leadership before acknowledging the ballot,
@@ -52,7 +53,7 @@ type leaseState struct {
 	// Leader side.
 	seq      uint64              // current grant sequence number
 	issued   map[uint64]sim.Time // grant seq → first-send time
-	granted  []sim.Time          // per follower: conservative grant expiry
+	acked    []uint64            // per process: the highest grant acked (own vote: the current one)
 	lastSent sim.Time            // when a grant last rode out (any carrier)
 
 	// Follower side.
@@ -72,7 +73,7 @@ type leaseState struct {
 	// nanos) for observers outside the node loop; 0 when not held.
 	heldUntil atomic.Int64
 	// localReads / fallbackReads count individual reads served from the
-	// lease vs through the no-op barrier (telemetry).
+	// lease vs confirmed by a majority's acks of a later grant (telemetry).
 	localReads    atomic.Uint64
 	fallbackReads atomic.Uint64
 }
@@ -92,101 +93,94 @@ func (r *Node) grantSeq(now sim.Time) uint64 {
 		return 0
 	}
 	if r.lease.seq == 0 || now.Sub(r.lease.issued[r.lease.seq]) >= r.leaseRefresh() {
-		r.lease.seq++
-		r.lease.issued[r.lease.seq] = now
-		// Prune grants too old to extend any expiry.
-		for s, t := range r.lease.issued {
-			if now.Sub(t) > r.cfg.Lease {
-				delete(r.lease.issued, s)
-			}
-		}
+		r.nextGrant(now)
 	}
 	r.lease.lastSent = now
+	return r.lease.seq
+}
+
+// nextGrant issues the next grant sequence number, first sent now. This
+// node's own vote acks it at once.
+func (r *Node) nextGrant(now sim.Time) uint64 {
+	r.lease.seq++
+	r.lease.issued[r.lease.seq] = now
+	r.lease.acked[r.me] = r.lease.seq
+	// Prune grants too old to extend any expiry.
+	for s, t := range r.lease.issued {
+		if now.Sub(t) > r.cfg.Lease {
+			delete(r.lease.issued, s)
+		}
+	}
 	return r.lease.seq
 }
 
 // refreshLease keeps grants flowing when no ACCEPT traffic carries them:
 // the drive tick broadcasts an explicit grant once per refresh interval.
 func (r *Node) refreshLease(now sim.Time) {
-	if r.cfg.Lease <= 0 || !r.prop.prepared {
-		return
-	}
-	if now.Sub(r.lease.lastSent) < r.leaseRefresh() {
+	if r.cfg.Lease <= 0 || !r.prop.prepared || now.Sub(r.lease.lastSent) < r.leaseRefresh() {
 		return
 	}
 	r.env.Broadcast(LeaseGrantMsg{B: r.prop.ballot, Seq: r.grantSeq(now)})
 }
 
-// noteGrant is the follower side: honor a grant carried by an ACCEPT or
-// a LeaseGrantMsg whose ballot this acceptor has (just) promised.
-// Returns the sequence to ack, or zero when the grant is not honored.
-func (r *Node) noteGrant(b consensus.Ballot, seq uint64, now sim.Time) uint64 {
-	if r.cfg.Lease <= 0 || seq == 0 || b < r.acc.promised {
-		return 0
+// noteGrant is the follower side of a grant at or above this acceptor's
+// promise, which it acks: with leases on, the ack promises the window.
+func (r *Node) noteGrant(b consensus.Ballot, seq uint64, now sim.Time) {
+	if r.cfg.Lease > 0 && seq != 0 {
+		r.lease.holder = b.Owner(r.n)
+		r.lease.blockUntil = max(r.lease.blockUntil, now.Add(r.cfg.Lease))
 	}
-	r.lease.holder = b.Owner(r.n)
-	r.lease.blockUntil = max(r.lease.blockUntil, now.Add(r.cfg.Lease))
-	return seq
 }
 
-// onLeaseGrant handles an explicit idle-path grant.
+// onLeaseGrant acks an explicit grant, or NACKs it as it would the ACCEPT
+// of a ballot below its promise.
 func (r *Node) onLeaseGrant(from node.ID, m LeaseGrantMsg) {
-	if seq := r.noteGrant(m.B, m.Seq, r.env.Now()); seq != 0 {
-		r.env.Send(from, LeaseAckMsg{B: m.B, Seq: seq})
-	}
-}
-
-// onLeaseAck is the leader side: follower from has honored grant seq.
-// The grant is valid until first-send + Lease − Lease/10; the quorum
-// expiry is the Majority-th largest per-follower expiry (own vote
-// included).
-func (r *Node) onLeaseAck(from node.ID, b consensus.Ballot, seq uint64) {
-	if r.cfg.Lease <= 0 || seq == 0 || !r.prop.prepared || b != r.prop.ballot {
+	if m.B < r.acc.promised {
+		r.env.Send(from, NackMsg{B: m.B, Promised: r.acc.promised})
 		return
 	}
-	issued, ok := r.lease.issued[seq]
-	if !ok {
-		return // too old: conservatively worthless
-	}
-	until := issued.Add(r.cfg.Lease - r.cfg.Lease/10)
-	r.lease.granted[from] = max(r.lease.granted[from], until)
-	// Recompute the quorum expiry: with our own vote, we need
-	// Majority-1 unexpired follower grants.
-	if exp, ok := r.nthGrant(consensus.Majority(r.n) - 1); ok {
-		r.lease.heldUntil.Store(int64(exp))
-	}
+	r.noteGrant(m.B, m.Seq, r.env.Now())
+	r.env.Send(from, LeaseAckMsg{B: m.B, Seq: m.Seq})
 }
 
-// nthGrant picks the need-th largest of the followers' grant expiries in
-// place — this runs on every lease-carrying ACCEPTED, and n is a handful,
-// so a rank count beats sorting a copy. A grant's rank is how many others
-// outlast it, ties broken by id so that ranks are distinct.
-func (r *Node) nthGrant(need int) (sim.Time, bool) {
-	for f, t := range r.lease.granted {
-		if node.ID(f) == r.me || t == 0 {
+// onLeaseAck is the leader side: follower from has acked grant seq, and
+// the grant a majority has acked may date the lease anew.
+func (r *Node) onLeaseAck(from node.ID, b consensus.Ballot, seq uint64) {
+	if !r.prop.prepared || b != r.prop.ballot || seq <= r.lease.acked[from] || seq > r.lease.seq {
+		return
+	}
+	r.lease.acked[from] = seq
+	if issued, ok := r.lease.issued[r.quorumSeq()]; ok && r.cfg.Lease > 0 {
+		r.lease.heldUntil.Store(int64(issued.Add(r.cfg.Lease - r.cfg.Lease/10)))
+	} // a grant pruned as too old has run out: worthless
+}
+
+// quorumSeq returns the highest grant a majority, own vote included, has
+// acked. It runs on every lease-carrying ACCEPTED, and n is a handful: a
+// count per candidate beats sorting a copy.
+func (r *Node) quorumSeq() (q uint64) {
+	for _, s := range r.lease.acked {
+		if s <= q {
 			continue
 		}
-		rank := 0
-		for g, u := range r.lease.granted {
-			if node.ID(g) != r.me && (u > t || (u == t && g < f)) {
-				rank++
+		k := 0
+		for _, u := range r.lease.acked {
+			if u >= s {
+				k++
 			}
 		}
-		if rank == need-1 {
-			return t, true
+		if k >= consensus.Majority(r.n) {
+			q = s
 		}
 	}
-	return 0, false // fewer than need followers have granted
+	return q
 }
 
-// holdsLease reports whether local reads are safe right now: prepared,
-// still nominated by Omega, a quorum of grants unexpired, nothing left to
-// learn below the floor or to decide of what phase 1 re-proposed (the
-// grants ride those very ACCEPTs, and the links are not FIFO), and no
-// post-restart blind spot in effect.
+// holdsLease reports whether local reads are safe right now for a leader
+// ready to answer any (read.go): still nominated by Omega, a quorum of
+// grants unexpired, and no post-restart blind spot in effect.
 func (r *Node) holdsLease(now sim.Time) bool {
-	return r.cfg.Lease > 0 && r.prop.prepared && r.omega.Leader() == r.me &&
-		r.log.firstGap >= max(r.prop.floor, r.prop.reopenedEnd) &&
+	return r.cfg.Lease > 0 && r.omega.Leader() == r.me &&
 		!r.lease.restartHold.After(now) &&
 		sim.Time(r.lease.heldUntil.Load()).After(now)
 }
@@ -236,9 +230,9 @@ func (r *Node) answerDeferred() {
 // right that came with them; the next drive tick re-prepares if Omega
 // still nominates this process. Commands riding in this leader's
 // instances go back to the queue, to be forwarded or proposed again.
-// Reads are dropped, those waiting on the barrier and those the open turn
-// has noted but not yet served (clients retry against the new leader);
-// the gauge clears before any competing ballot gets our promise.
+// Reads are dropped, those waiting on a round and those the open turn has
+// noted but not yet served (clients retry against the new leader); the
+// gauge clears before any competing ballot gets our promise.
 func (r *Node) abdicateLeader() {
 	if r.prop.prepared || r.prop.preparing {
 		// Only an actual demotion is an election transition worth a span;
@@ -251,11 +245,11 @@ func (r *Node) abdicateLeader() {
 	r.pipe.named = 0
 	r.bat.unassign()
 	r.lease.heldUntil.Store(0)
-	clear(r.lease.granted)
+	clear(r.lease.acked)
 	r.lease.seq = 0
 	clear(r.lease.issued)
 	r.reads.waiting = r.reads.waiting[:0]
-	r.reads.barrier, r.reads.barrierOwn = -1, false
+	r.reads.round = 0
 }
 
 // LeaseHeld reports whether this replica currently holds a quorum read
@@ -272,6 +266,7 @@ func (r *Node) LeaseHeld() bool {
 // Safe from any goroutine.
 func (r *Node) LocalReads() uint64 { return r.lease.localReads.Load() }
 
-// FallbackReads returns how many reads this replica served through the
-// phase-2 no-op barrier. Safe from any goroutine.
+// FallbackReads returns how many reads this replica served without its
+// lease, each confirmed by a majority's acks of a grant issued after it
+// arrived (read.go). Safe from any goroutine.
 func (r *Node) FallbackReads() uint64 { return r.lease.fallbackReads.Load() }

@@ -83,9 +83,9 @@ func TestFollowerReadForwardedAndServedLocally(t *testing.T) {
 	}
 }
 
-// TestFallbackReadWithoutLease: with leases disabled every read takes the
-// no-op barrier through phase 2 — answered correctly, marked non-local,
-// and counted as a fallback.
+// TestFallbackReadWithoutLease: with leases disabled every read waits for
+// a round, a grant that a majority acks — answered correctly, marked
+// non-local, counted as a fallback, and at the cost of no log instance.
 func TestFallbackReadWithoutLease(t *testing.T) {
 	c := newCluster(t, 3, 24, network.Timely(2*ms))
 	var got []ReadReplyMsg
@@ -97,7 +97,7 @@ func TestFallbackReadWithoutLease(t *testing.T) {
 	if c.nodes[0].LeaseHeld() {
 		t.Fatal("lease held with Lease unset")
 	}
-	acceptsBefore := c.world.Stats.KindCount(KindAccept)
+	grantsBefore, gapBefore := c.world.Stats.KindCount(KindLeaseGrant), c.nodes[0].FirstGap()
 	c.nodes[0].Read(1, 4)
 	c.world.RunFor(300 * ms)
 	if len(got) != 1 {
@@ -112,20 +112,24 @@ func TestFallbackReadWithoutLease(t *testing.T) {
 	if c.nodes[0].FallbackReads() != 4 {
 		t.Fatalf("fallback counter = %d, want 4", c.nodes[0].FallbackReads())
 	}
-	if c.world.Stats.KindCount(KindAccept) == acceptsBefore {
-		t.Fatal("fallback read cost no accepts — barrier never ran")
+	if c.world.Stats.KindCount(KindLeaseGrant) == grantsBefore {
+		t.Fatal("fallback read cost no grant — no round ran")
+	}
+	if used := c.nodes[0].FirstGap() - gapBefore; used != 0 {
+		t.Fatalf("a read consumed %d log instances, want 0", used)
 	}
 }
 
-// TestFallbackReadsCoalesceOnOneBarrier: reads arriving while a barrier
-// is in flight share it — many reads, one no-op instance.
+// TestFallbackReadsCoalesceOnOneBarrier: reads arriving while a round is
+// in flight share the next one — ten reads, at most two rounds, and no log
+// instance at all.
 func TestFallbackReadsCoalesceOnOneBarrier(t *testing.T) {
 	c := newCluster(t, 3, 25, network.Timely(2*ms))
 	answered := 0
 	c.nodes[0].OnReadReply(func(m ReadReplyMsg) { answered += int(m.Count) })
 	c.world.Start()
 	c.world.RunFor(500 * ms)
-	gapBefore := c.nodes[0].FirstGap()
+	gapBefore, grantsBefore := c.nodes[0].FirstGap(), c.world.Stats.KindCount(KindLeaseGrant)
 	for i := 0; i < 10; i++ {
 		c.nodes[0].Read(uint64(1+i), 1)
 	}
@@ -133,38 +137,53 @@ func TestFallbackReadsCoalesceOnOneBarrier(t *testing.T) {
 	if answered != 10 {
 		t.Fatalf("answered %d reads, want 10", answered)
 	}
-	if used := c.nodes[0].FirstGap() - gapBefore; used > 2 {
-		t.Fatalf("10 coalesced reads consumed %d instances, want <= 2", used)
+	if used := c.nodes[0].FirstGap() - gapBefore; used != 0 {
+		t.Fatalf("10 coalesced reads consumed %d instances, want 0", used)
+	}
+	if grants := c.world.Stats.KindCount(KindLeaseGrant) - grantsBefore; grants > 2*2 {
+		t.Fatalf("10 coalesced reads cost %d grants, want at most two rounds to two followers", grants)
 	}
 	if c.nodes[0].FallbackReads() != 10 {
 		t.Fatalf("fallback counter = %d, want 10", c.nodes[0].FallbackReads())
 	}
 }
 
-// TestStaleBarrierFailsPendingReads: a deposed leader whose no-op read
-// barrier lands on an instance a newer leader already used must fail the
-// pending reads when the foreign decision applies — even when the
-// decided value is an identical no-op (the new leader's gap fill).
-// Positional completion alone would answer at a stale applied index and
-// miss every write the new leader committed at later instances.
+// TestStaleBarrierFailsPendingReads: a deposed leader's read round must
+// fail its pending reads, never answer them at its stale applied index,
+// which misses every write a newer leader committed. An ack of the round's
+// grant at another ballot confirms nothing; a follower that has promised a
+// newer leader answers the grant with a NACK, and the leader abdicates.
 func TestStaleBarrierFailsPendingReads(t *testing.T) {
 	r, env := prepareLeader(t, nil)
 	var replies []ReadReplyMsg
 	r.OnReadReply(func(m ReadReplyMsg) { replies = append(replies, m) })
 	env.drain()
 	r.Read(1, 2)
-	if r.reads.barrier < 0 || len(r.reads.waiting) != 1 {
-		t.Fatalf("barrier = %d, pending = %d, want an armed barrier", r.reads.barrier, len(r.reads.waiting))
+	round := r.reads.round
+	if grants := broadcastsOf[LeaseGrantMsg](t, env.drain()); len(grants) != 1 || grants[0].Seq != round || len(r.reads.waiting) != 1 {
+		t.Fatalf("sent %+v with %d pending, want one round for the read", grants, len(r.reads.waiting))
 	}
-	// A follower that already learned a newer leader's decision at the
-	// barrier instance answers the ACCEPT with the decision, not an
-	// ACCEPTED (TestAcceptorAnswersDecidedInstanceWithDecide).
-	r.Deliver(1, &DecideMsg{Inst: r.reads.barrier, V: consensus.Noop})
+	r.Deliver(1, LeaseAckMsg{B: r.prop.ballot + 1, Seq: round})
+	if len(replies) != 0 || len(r.reads.waiting) != 1 {
+		t.Fatalf("an ack at another ballot answered %+v", replies)
+	}
+
+	f := New(consensus.StaticLeader(0), Config{})
+	fenv := newFakeEnv(1, 3)
+	f.Start(fenv)
+	f.Deliver(2, PrepareMsg{B: r.prop.ballot + 1}) // a newer leader's ballot
+	fenv.drain()
+	f.Deliver(0, LeaseGrantMsg{B: r.prop.ballot, Seq: round})
+	nack := fenv.drain()
+	if len(nack) != 1 || !nack[0].is(0, NackMsg{B: r.prop.ballot, Promised: r.prop.ballot + 1}) {
+		t.Fatalf("a follower promised above the grant's ballot sent %+v, want a NACK", nack)
+	}
+	r.Deliver(1, nack[0].msg)
 	if len(replies) != 0 {
-		t.Fatalf("stale barrier answered %d read batches, want 0", len(replies))
+		t.Fatalf("stale round answered %d read batches, want 0", len(replies))
 	}
-	if len(r.reads.waiting) != 0 || r.reads.barrier != -1 {
-		t.Fatal("pending reads not failed after a foreign barrier decision")
+	if len(r.reads.waiting) != 0 || r.reads.round != 0 || r.IsLeader() {
+		t.Fatal("pending reads not failed after the NACK")
 	}
 	if r.FallbackReads() != 0 {
 		t.Fatal("failed reads counted as served")
@@ -172,30 +191,62 @@ func TestStaleBarrierFailsPendingReads(t *testing.T) {
 }
 
 // TestOwnQuorumBarrierAnswersReads: the healthy fallback path on the
-// unit harness — a majority of ACCEPTEDs at the leader's own ballot
-// completes the barrier and answers the pending reads.
+// unit harness — nothing is answered before a majority has acked a grant
+// issued after the reads, and that ack, at the leader's own ballot,
+// answers them.
 func TestOwnQuorumBarrierAnswersReads(t *testing.T) {
 	r, env := prepareLeader(t, nil)
 	var replies []ReadReplyMsg
 	r.OnReadReply(func(m ReadReplyMsg) { replies = append(replies, m) })
 	env.drain()
 	r.Read(5, 3)
-	r.Deliver(1, &AcceptedMsg{B: r.prop.ballot, Inst: r.reads.barrier})
+	if len(replies) != 0 || len(broadcastsOf[LeaseGrantMsg](t, env.drain())) != 1 {
+		t.Fatalf("replies = %+v before any ack; want a round and no answer", replies)
+	}
+	r.Deliver(1, LeaseAckMsg{B: r.prop.ballot, Seq: r.reads.round})
 	if len(replies) != 1 || replies[0].Seq != 5 || replies[0].Count != 3 {
 		t.Fatalf("replies = %+v, want one batch for seq 5 count 3", replies)
 	}
 	if replies[0].Local {
-		t.Fatal("barrier read claimed to be local")
+		t.Fatal("read confirmed by a round claimed to be local")
 	}
-	if r.reads.barrier != -1 || r.reads.barrierOwn || len(r.reads.waiting) != 0 {
-		t.Fatal("barrier state not reset after completion")
+	if r.quorumSeq() < r.reads.round || len(r.reads.waiting) != 0 || len(env.drain()) != 0 {
+		t.Fatal("a round still in flight, or another opened, after the reads were answered")
 	}
 	if r.FallbackReads() != 3 {
 		t.Fatalf("fallback counter = %d, want 3", r.FallbackReads())
 	}
 }
 
-// TestPendingFallbackReadsAreCapped: a stuck barrier must not let client
+// TestLostRoundIsIssuedAnew: a round whose grants or acks are lost is
+// issued again, with a fresh grant, by the first drive a retryTimeout after
+// it left, and the ack of that grant answers the read.
+func TestLostRoundIsIssuedAnew(t *testing.T) {
+	r, env := prepareLeader(t, nil)
+	var replies []ReadReplyMsg
+	r.OnReadReply(func(m ReadReplyMsg) { replies = append(replies, m) })
+	env.drain()
+	r.Read(1, 1)
+	lost := r.reads.round
+	env.drain() // the round's grants are lost
+	env.now = env.now.Add(retryTimeout - ms)
+	r.Tick(timerDrive)
+	if grants := broadcastsOf[LeaseGrantMsg](t, env.drain()); len(grants) != 0 {
+		t.Fatalf("round issued again before a retryTimeout: %+v", grants)
+	}
+	env.now = env.now.Add(ms)
+	r.Tick(timerDrive)
+	grants := broadcastsOf[LeaseGrantMsg](t, env.drain())
+	if len(grants) != 1 || grants[0].Seq <= lost || len(replies) != 0 {
+		t.Fatalf("a retryTimeout after grant %d was lost: sent %+v, answered %+v; want a fresh grant and no answer", lost, grants, replies)
+	}
+	r.Deliver(1, LeaseAckMsg{B: r.prop.ballot, Seq: grants[0].Seq})
+	if len(replies) != 1 || replies[0].Seq != 1 || replies[0].Local {
+		t.Fatalf("replies %+v, want the read answered by the new round", replies)
+	}
+}
+
+// TestPendingFallbackReadsAreCapped: a stuck round must not let client
 // retries grow the pending queue without bound.
 func TestPendingFallbackReadsAreCapped(t *testing.T) {
 	r, env := prepareLeader(t, nil)
@@ -248,7 +299,7 @@ func TestLeaseBlocksCompetingPrepareUntilExpiry(t *testing.T) {
 // TestReadsDuringFailoverAreAnsweredWhenTheBallotStands: five seeded
 // failovers with a client that keeps reading at whichever survivor believes
 // it leads. A read that reaches a leader-elect waits for its phase 1 and one
-// barrier round, not for a client timeout, and no answer is ever below the
+// round of grants, not for a client timeout, and no answer is ever below the
 // writes completed before the crash.
 func TestReadsDuringFailoverAreAnsweredWhenTheBallotStands(t *testing.T) {
 	const round = 5 * ms // ACCEPT + ACCEPTED on 2 ms links, with slack
@@ -309,7 +360,7 @@ func TestReadsDuringFailoverAreAnsweredWhenTheBallotStands(t *testing.T) {
 			t.Fatalf("seed %d: read %d, issued during phase 1, answered at %v (%v); the ballot stood at %v", seed, last, at, ok, stood)
 		}
 		if elect.FallbackReads() == 0 {
-			t.Fatalf("seed %d: the reads of the outage were not served through the barrier", seed)
+			t.Fatalf("seed %d: the reads of the outage were not confirmed by a round", seed)
 		}
 	}
 }
@@ -392,12 +443,13 @@ func staleAnswers(answers []ReadReplyMsg, seq uint64, index int) (out []ReadRepl
 }
 
 // TestBarrierAnswersNoReadThatArrivedAfterALaterWriteApplied: of three,
-// without a lease, read 1 from p0 opens a barrier at instance 0 and p2's
-// write w becomes instance 1. p2 gets both ACCEPTs in one turn, decides both
-// on its own votes and applies w — its client has the answer. Read 2 from
-// p0 then reaches p1, before any vote: it must not ride barrier 0, whose
-// instance is below w's, and when p2's vote for the barrier arrives read 1
-// is answered, read 2 not — it waits for a barrier of its own.
+// without a lease, read 1 from p0 opens a round at p1 and p2's write w
+// becomes instance 0. p2 gets the round's grant and w's ACCEPT in one turn,
+// decides w on its own vote and applies it — its client has the answer.
+// Read 2 from p0 then reaches p1, before any ack or vote: p2's ack of the
+// round confirms read 1, which is answered, but not read 2, which arrived
+// after the grant left; read 2 waits for a round of its own and for p1 to
+// apply w, and is never answered below it.
 func TestBarrierAnswersNoReadThatArrivedAfterALaterWriteApplied(t *testing.T) {
 	leader := consensus.StaticLeader(1)
 	nodes, envs, answers := readCluster(Config{BatchMax: 1}, leader, leader, leader)
@@ -407,26 +459,26 @@ func TestBarrierAnswersNoReadThatArrivedAfterALaterWriteApplied(t *testing.T) {
 	deliver(0, all)
 	deliver(2, all) // the PROMISEs
 	nodes[0].Read(1, 1)
-	deliver(0, all) // read 1: p1 opens the barrier, instance 0
+	deliver(0, all) // read 1: p1 opens a round
 	nodes[2].Submit("w")
-	deliver(2, all) // the REQ: w is instance 1
+	deliver(2, all) // the REQ: w is instance 0
 	withTurns(nodes[2])
-	held := deliver(1, kind[*AcceptMsg](2)) // both ACCEPTs reach p2, in one turn
+	held := deliver(1, func(s sent) bool { return s.to == 2 }) // the grant and the ACCEPT reach p2, in one turn
 	nodes[2].Tick(node.TurnEnd)
-	if nodes[2].Applied() != 2 || nodes[1].Applied() != 0 {
+	if nodes[2].Applied() != 1 || nodes[1].Applied() != 0 {
 		t.Fatalf("setup: p2 applied %d commands, p1 %d; want w applied at p2 alone", nodes[2].Applied(), nodes[1].Applied())
 	}
 	nodes[0].Read(2, 1)
-	deliver(0, all) // read 2, ahead of every vote
-	vote1 := deliver(2, func(s sent) bool { a, ok := s.msg.(*AcceptedMsg); return ok && a.Inst == 0 })
+	deliver(0, all)                                  // read 2, ahead of every ack and vote
+	vote := deliver(2, kind[LeaseAckMsg](node.None)) // p2's ack of the round alone
 	held = append(held, deliver(1, kind[*ReadReplyMsg](node.None))...)
-	if stale := staleAnswers(*answers, 2, 2); len(*answers) != 1 || (*answers)[0].Seq != 1 || len(stale) != 0 {
-		t.Fatalf("after the vote for the barrier: answers %+v; want read 1 alone, read 2 not below w", *answers)
+	if stale := staleAnswers(*answers, 2, 1); len(*answers) != 1 || (*answers)[0].Seq != 1 || len(stale) != 0 {
+		t.Fatalf("after the ack of the round: answers %+v; want read 1 alone, read 2 not below w", *answers)
 	}
-	for _, s := range held { // what was held back — the second barrier too — then the rest
+	for _, s := range held { // what was held back — the second round too — then the rest
 		nodes[s.to].Deliver(1, s.msg)
 	}
-	for _, s := range vote1 {
+	for _, s := range vote {
 		nodes[s.to].Deliver(2, s.msg)
 	}
 	for round := 0; round < 4; round++ {
@@ -435,19 +487,19 @@ func TestBarrierAnswersNoReadThatArrivedAfterALaterWriteApplied(t *testing.T) {
 		}
 		nodes[2].Tick(node.TurnEnd)
 	}
-	if stale := staleAnswers(*answers, 2, 2); len(*answers) != 2 || (*answers)[1].Seq != 2 || len(stale) != 0 {
-		t.Fatalf("answers %+v: want read 2 answered through a barrier of its own, at an index covering w", *answers)
+	if stale := staleAnswers(*answers, 2, 1); len(*answers) != 2 || (*answers)[1].Seq != 2 || len(stale) != 0 {
+		t.Fatalf("answers %+v: want read 2 answered through a round of its own, at an index covering w", *answers)
 	}
 }
 
 // TestBarrierAnswersNoReadThatArrivedAfterItsVotes: of three, without a
-// lease, p1 opens a barrier at instance 0 for read 1, at ballot b. p2 votes
-// for it, and its ACCEPTED is delayed. p0, which has voted for it too,
-// prepares above b on p2's promise and decides its own write w at instance
-// 1 — its client has the answer. Read 2 then reaches p1, which has heard
-// none of it; when p2's delayed vote completes barrier 0, that vote was cast
-// before read 2 arrived and proves nothing about it: read 2 is not answered
-// at p1's index, below w.
+// lease, p1 opens a round for read 1 at ballot b. p2 acks its grant, and the
+// ack is delayed. p0, which has acked it too, prepares above b on p2's
+// promise and decides its own write w at instance 0 — its client has the
+// answer. Read 2 then reaches p1, which has heard none of it; when p2's
+// delayed ack completes the round, that ack was sent before read 2 arrived
+// and proves nothing about it: read 2 waits for a round of its own, whose
+// grant p0 and p2 NACK, and it is never answered at p1's index, below w.
 func TestBarrierAnswersNoReadThatArrivedAfterItsVotes(t *testing.T) {
 	o0, leader := &fakeOmega{leader: 1}, consensus.StaticLeader(1)
 	nodes, envs, answers := readCluster(Config{BatchMax: 1}, o0, leader, leader)
@@ -458,9 +510,9 @@ func TestBarrierAnswersNoReadThatArrivedAfterItsVotes(t *testing.T) {
 	deliver(0, all)
 	deliver(2, all) // the PROMISEs
 	nodes[0].Read(1, 1)
-	deliver(0, all) // read 1: p1 opens the barrier, instance 0
-	deliver(1, all) // its ACCEPT reaches p0 and p2
-	envs[0].drain() // p0's vote is lost
+	deliver(0, all) // read 1: p1 opens a round
+	deliver(1, all) // its grant reaches p0 and p2
+	envs[0].drain() // p0's ack is lost
 	delayed := envs[2].drain()
 
 	o0.leader = 0
@@ -474,21 +526,21 @@ func TestBarrierAnswersNoReadThatArrivedAfterItsVotes(t *testing.T) {
 		deliver(0, notP1)
 		deliver(2, notP1)
 	}
-	if !nodes[0].IsLeader() || nodes[0].Applied() != 2 || nodes[1].Applied() != 0 {
+	if !nodes[0].IsLeader() || nodes[0].Applied() != 1 || nodes[1].Applied() != 0 {
 		t.Fatalf("setup: p0 leads %v and applied %d commands, p1 %d", nodes[0].IsLeader(), nodes[0].Applied(), nodes[1].Applied())
 	}
 	nodes[2].Read(2, 1)
 	deliver(2, kind[*ReadReqMsg](node.None)) // read 2 reaches p1, which still leads at b
 	for _, s := range delayed {
-		nodes[s.to].Deliver(2, s.msg) // p2's vote for the barrier, cast before read 2
+		nodes[s.to].Deliver(2, s.msg) // p2's ack of the round, sent before read 2
 	}
 	for round := 0; round < 4; round++ {
 		for p := range nodes {
 			deliver(node.ID(p), all)
 		}
 	}
-	read1 := ReadReplyMsg{Seq: 1, Count: 1, Index: 1}
-	if stale := staleAnswers(*answers, 2, 2); len(*answers) == 0 || (*answers)[0] != read1 || len(stale) != 0 {
-		t.Fatalf("answers %+v: want read 1 answered by its barrier, %+v, and read 2 never below w", *answers, read1)
+	read1 := ReadReplyMsg{Seq: 1, Count: 1, Index: 0}
+	if stale := staleAnswers(*answers, 2, 1); len(*answers) == 0 || (*answers)[0] != read1 || len(stale) != 0 {
+		t.Fatalf("answers %+v: want read 1 answered by its round, %+v, and read 2 never below w", *answers, read1)
 	}
 }

@@ -6,7 +6,8 @@ import (
 )
 
 // Message kind tags. Under load a lease grant rides on ACCEPTs and its ack
-// on ACCEPTEDs; the two lease kinds are the idle path (see lease.go).
+// on ACCEPTEDs; the two lease kinds are the idle path and the read rounds
+// (see lease.go, read.go).
 const (
 	KindRequest    = "RSM-REQ"      // command forwarding to the leader
 	KindPrepare    = "RSM-PREPARE"  // the leader's one-time phase-1 broadcast
@@ -16,8 +17,8 @@ const (
 	KindAccepted   = "RSM-ACCEPTED" // per-instance phase-2 acknowledgements
 	KindDecide     = "RSM-DECIDE"   // commit index or by-value repair (see DecideMsg)
 	KindLearn      = "RSM-LEARN"    // gap-fill requests from lagging followers
-	KindLeaseGrant = "RSM-LEASE"    // idle-path lease refreshes
-	KindLeaseAck   = "RSM-LEASEACK" // idle-path grant acknowledgements
+	KindLeaseGrant = "RSM-LEASE"    // explicit grants: idle lease refreshes and read rounds
+	KindLeaseAck   = "RSM-LEASEACK" // acknowledgements of explicit grants
 	KindReadReq    = "RSM-READ"     // linearizable read requests
 	KindReadReply  = "RSM-READR"    // read answers
 )
@@ -139,9 +140,11 @@ type LearnMsg struct{ FirstGap int }
 // Kind implements node.Message.
 func (LearnMsg) Kind() string { return KindLearn }
 
-// LeaseGrantMsg refreshes the leader's read lease when no ACCEPT traffic
-// is flowing to carry the grant (see lease.go). B is the granting
-// leader's stable ballot; Seq identifies the grant for acknowledgement.
+// LeaseGrantMsg is an explicit grant: it refreshes the leader's read lease
+// when no ACCEPT traffic is flowing to carry one (see lease.go), and asks a
+// majority to confirm the leadership for the reads waiting (a round, see
+// read.go). B is the granting leader's stable ballot; Seq identifies the
+// grant for acknowledgement. An acceptor promised above B NACKs it.
 type LeaseGrantMsg struct {
 	B   consensus.Ballot
 	Seq uint64
@@ -150,8 +153,7 @@ type LeaseGrantMsg struct {
 // Kind implements node.Message.
 func (LeaseGrantMsg) Kind() string { return KindLeaseGrant }
 
-// LeaseAckMsg acknowledges lease grant Seq at ballot B when no ACCEPTED
-// is about to carry the ack.
+// LeaseAckMsg acknowledges the explicit grant Seq at ballot B.
 type LeaseAckMsg struct {
 	B   consensus.Ballot
 	Seq uint64
@@ -177,7 +179,8 @@ func (ReadReqMsg) Kind() string { return KindReadReq }
 // ReadReplyMsg answers reads [Seq, Seq+Count): state that has applied
 // Index commands reflects every write that completed before the reads
 // were served. Local reports whether the leader served from its lease
-// (zero consensus messages) or fell back to a phase-2 no-op barrier.
+// (zero consensus messages) or waited for a round: a majority's acks of a
+// grant issued after the reads arrived (read.go).
 //
 // More, on the wire only, carries every further request of the same
 // origin that the leader answered at the same instant with the same Index

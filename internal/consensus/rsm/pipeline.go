@@ -246,14 +246,14 @@ func (r *Node) onAccept(from node.ID, m AcceptMsg) {
 		r.cfg.Store.Accept(uint64(m.Inst), uint64(m.B), string(m.V))
 		r.persisted()
 		// The ACCEPTED doubles as the lease ack for a piggybacked grant.
-		ack := r.noteGrant(m.B, m.LeaseSeq, now)
+		r.noteGrant(m.B, m.LeaseSeq, now)
 		// A traced ACCEPT earns a synchronous "accept" span here and the
 		// reply carries that span's context back, closing the round trip
 		// in the trace tree. Untraced (or tracing off): plain send.
 		// A follower the ACCEPT does not name votes in silence (Repliers).
 		if m.Repliers == 0 || m.Repliers>>uint(r.me)&1 != 0 {
 			actx := r.cfg.Tracer.Record(now, now, r.curCtx, "accept", int(from), "")
-			r.env.Send(from, r.traced(actx, r.accepteds.New(AcceptedMsg{B: m.B, Inst: m.Inst, Done: r.log.firstGap, LeaseSeq: ack})))
+			r.env.Send(from, r.traced(actx, r.accepteds.New(AcceptedMsg{B: m.B, Inst: m.Inst, Done: r.log.firstGap, LeaseSeq: m.LeaseSeq})))
 		}
 		if r.pairDecides() && m.B.Owner(r.n) == from {
 			// The owner's vote was durable before its ACCEPT left (launch): with
@@ -319,11 +319,6 @@ func (r *Node) maybeDecide(inst int) {
 		r.cfg.Tracer.End(now, fl.tctx) // quorum complete
 		fl.decidedAt = now             // start of the apply stage for this batch
 	}
-	if inst == r.reads.barrier {
-		// Our own ack quorum at our own ballot decided the read barrier —
-		// the completion proof serveReads requires.
-		r.reads.barrierOwn = true
-	}
 	r.learn(inst, v)
 	// A window slot freed up: the end of the turn pulls in queued work. An
 	// ACCEPT leaving then carries the new commit index to everyone; otherwise
@@ -333,10 +328,10 @@ func (r *Node) maybeDecide(inst int) {
 
 // owe notes who waits on the instance the applier has just passed at a
 // prepared leader: the replicas whose commands this leader batched into it.
-// One it did not batch, or reopened at a new ballot — a re-proposal, a gap
-// filler, a read barrier — owes everyone: a leader change is not the steady
-// state, and its clients may be anywhere. At a quorum of two one it batched
-// owes nobody: each origin decided it on its own vote (pairDecides).
+// One it did not batch, or reopened at a new ballot — a re-proposal or a gap
+// filler — owes everyone: a leader change is not the steady state, and its
+// clients may be anywhere. At a quorum of two one it batched owes nobody:
+// each origin decided it on its own vote (pairDecides).
 func (r *Node) owe(batched bool, fl *flight) {
 	for f := range r.pipe.owed { // a sender id outside [0, n) matches nobody
 		if !batched || len(fl.from) == 0 || (slices.Contains(fl.from, node.ID(f)) && !r.pairDecides()) {

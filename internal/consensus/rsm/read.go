@@ -5,8 +5,8 @@ import (
 	"math"
 	"sort"
 
-	"repro/internal/consensus"
 	"repro/internal/node"
+	"repro/internal/sim"
 )
 
 // This file is the read path. A linearizable read must observe every
@@ -14,43 +14,43 @@ import (
 // with its need: the first instance it had not launched when the read's
 // turn began (what a turn launches leaves at its end). A write completed
 // before the read is below need, or in an older ballot's instance that
-// phase 1 re-proposed (proposer.go, reopenedEnd); a read is answered only
-// at an applied index that covers its need.
+// phase 1 re-proposed or found decided (proposer.go); a read is answered
+// only at an applied index that covers its need, once those are decided
+// here (ready).
 //
-// While the leader holds a quorum lease (lease.go) and has decided what
-// phase 1 re-proposed, no other ballot can decide anything: its applied
-// prefix is current once it covers need — zero consensus messages per read.
-// At n = 3 a follower decides what it votes for before the leader hears of
-// it (pipeline.go, pairDecides), so a read waits for the applier to pass
-// need, and is answered then if the lease still holds. At n ≥ 4 only the
-// leader decides first: its applied index covers need already.
+// That leaves one thing to prove: that no other ballot has decided anything
+// since the read arrived. A majority's acks of a grant (lease.go) issued
+// after the read was noted prove it — Raft's ReadIndex (Ongaro's thesis,
+// §6.4) on the grants the lease already sends. Each read is stamped with
+// the grant current when it was noted; a later grant, and every ack of it,
+// left after the read arrived. An acceptor promised above a grant's ballot
+// NACKs it and the leader abdicates, so a majority of acks means no higher
+// ballot had completed phase 1 when they were sent: the two majorities would
+// meet in an acceptor that refuses one of them. At n ≥ 4 only the leader
+// decides first at its ballot; at n = 3 a follower decides what it votes for
+// (pipeline.go, pairDecides), so a read also waits for the applier to pass
+// its need.
 //
-// Otherwise (no lease, lapsed, leadership in doubt, or phase 1 running)
-// the leader proposes a consensus.Noop barrier through the pipeline and,
-// once its applier passes it, answers the reads whose need is at or below
-// it — if its own quorum decided it at its current ballot (barrierOwn).
-// That is the safety proof: the acks were sent after the ACCEPT left, so
-// after those reads arrived, and a majority of ACCEPTEDs at ballot b means
-// no higher ballot had completed phase 1 with a quorum before them (the two
-// majorities would intersect in an acceptor that NACKs one of them). A
-// later read waits for the next barrier: acks already sent prove nothing
-// about it. A deposed leader's barrier instead gets decided out from under
-// it — a follower that learned a newer leader's value there answers the
-// ACCEPT with a DecideMsg — and its reads are failed, never answered at the
-// stale applied index; clients retry against the new leader.
+// While the leader holds its lease, the acks in hand prove as much for the
+// lease window: reads are answered at once, with zero consensus messages.
+// Otherwise the reads no acked grant confirms wait for a round — the next
+// grant, broadcast as a LeaseGrantMsg when none is in flight, and shared by
+// every read noted before it left; one that arrives later waits for the
+// next. A round a majority has not acked within a retryTimeout is issued
+// anew. No read consumes a log instance.
 //
 // Reads are the third user of the turn (turn.go). A request that reaches
 // the leader is only noted; the end of the turn serves every read it can
 // at once (serveReads): one clock read, one lease check, one sample of the
 // applied index — taken after the turn's quorums have applied — and one
 // READ-REPLY per origin carrying every request that origin made. Sharing an
-// answer is linearizable for the reason sharing a barrier is: the index is
+// answer is linearizable for the reason sharing a round is: the index is
 // sampled, and the lease checked, between each read's arrival and its
 // reply. Whatever deposes this leader later in the same turn
 // (abdicateLeader) drops the waiting reads, so nothing is answered after
 // this node helped a competitor. Without turns each event is a turn.
 
-// maxPendingReads caps the reads waiting at the leader. One whose barrier
+// maxPendingReads caps the reads waiting at the leader. One whose round
 // cannot complete (say, minority-partitioned with a stale Omega view) would
 // otherwise grow the list with every client retry until it finally
 // abdicates; past the cap new reads are shed and the clients simply retry
@@ -62,22 +62,18 @@ const maxPendingReads = 4096
 type readState struct {
 	waiting []waitingRead // noted, unanswered, in arrival order; the list is reused
 	need    int           // pipe.nextInst when the turn began (endTurn)
-	barrier int           // in-flight no-op barrier instance, -1 when none
-	// barrierOwn records that the barrier instance was decided by this
-	// node's own ack quorum at its current ballot (set in maybeDecide) —
-	// the only completion that proves the applied prefix is current. A
-	// barrier decided any other way (a DecideMsg carrying a competing
-	// leader's value — possibly an identical no-op from its gap fill)
-	// fails its reads instead of answering them.
-	barrierOwn bool
-	packed     []byte // answerReads' scratch: the reply being packed
-	onReply    func(ReadReplyMsg)
+	round   uint64        // the grant the read round in flight awaits, 0 when none
+	roundAt sim.Time      // when that grant was issued
+	packed  []byte        // answerReads' scratch: the reply being packed
+	onReply func(ReadReplyMsg)
 }
 
-// waitingRead is a read with its need, which never falls along the list.
+// waitingRead is a read with its need and the grant current when it was
+// noted, neither of which falls along the list.
 type waitingRead struct {
 	ReadReqMsg
-	need int
+	need  int
+	grant uint64
 }
 
 // Read submits Count reads numbered [Seq, Seq+Count) from this replica.
@@ -122,61 +118,60 @@ func (r *Node) onReadReq(from node.ID, m ReadReqMsg) {
 		return
 	}
 	if len(r.reads.waiting) < maxPendingReads { // past the cap shed: the client retries
-		r.reads.waiting = append(r.reads.waiting, waitingRead{m, r.reads.need})
+		r.reads.waiting = append(r.reads.waiting, waitingRead{m, r.reads.need, r.lease.seq})
 	}
 }
 
-// serveReads answers the waiting reads an applied index covers, a prefix
-// of the list. Those the barrier in flight covers are its own: answered
-// once it has passed if this node's quorum decided it, failed if not. The
-// others are answered from the lease if it holds at this instant, or wait
-// for a barrier, opened now if none is in flight and the ballot stands.
+// ready reports whether this leader can answer reads at all: prepared, and
+// decided past the floor and what phase 1 re-proposed, any of which may be
+// decided and acknowledged elsewhere (the links are not FIFO).
+func (r *Node) ready() bool {
+	return r.prop.prepared && r.log.firstGap >= max(r.prop.floor, r.prop.reopenedEnd)
+}
+
+// serveReads answers a prefix of the waiting reads: all of them while the
+// lease holds, else those stamped below the grant a majority has acked — at
+// n = 3 only those whose need the applier has passed — and opens a round
+// for the rest if none is in flight.
 func (r *Node) serveReads() {
 	for {
-		ws, lease := r.reads.waiting, r.holdsLease(r.env.Now())
+		ws, q, now := r.reads.waiting, r.quorumSeq(), r.env.Now()
+		lease := r.holdsLease(now)
 		r.reads.waiting = nil // a hook that reads again starts a list of its own
-		covered := func(inst int) int { return sort.Search(len(ws), func(i int) bool { return ws[i].need > inst }) }
-		keep, from := 0, 0 // ws[:from] are the barrier's, ws[:keep] still wait for it
-		if b := r.reads.barrier; b >= 0 {
-			from = covered(b)
-			if keep = from; r.app.next > b {
-				own := r.reads.barrierOwn
-				keep, r.reads.barrier, r.reads.barrierOwn = 0, -1, false
-				if own {
-					r.lease.fallbackReads.Add(r.answerReads(ws[:from], false))
-				}
+		from, to := 0, 0      // ws[:from] were confirmed by a round, ws[from:to] are the lease's
+		if r.ready() {
+			from = sort.Search(len(ws), func(i int) bool { return ws[i].grant >= q })
+			to = from
+			if lease {
+				from, to = min(from, sort.Search(len(ws), func(i int) bool { return ws[i].grant >= r.reads.round })), len(ws)
 			}
-		}
-		to := from
-		if lease {
-			to = len(ws)
 			if r.pairDecides() { // a follower may have applied what this leader has not
-				to = max(from, covered(r.app.next))
+				k := sort.Search(len(ws), func(i int) bool { return ws[i].need > r.app.next })
+				from, to = min(from, k), min(to, k)
 			}
+			r.lease.fallbackReads.Add(r.answerReads(ws[:from], false))
 			r.lease.localReads.Add(r.answerReads(ws[from:to], true))
 		}
-		r.reads.waiting = append(append(ws[:keep], ws[to:]...), r.reads.waiting...)
-		if lease || len(r.reads.waiting) == 0 || r.reads.barrier >= 0 || !r.prop.prepared {
+		r.reads.waiting = append(append(ws[:0], ws[to:]...), r.reads.waiting...)
+		w := r.reads.waiting
+		inFlight := r.reads.round > q && now.Sub(r.reads.roundAt) < retryTimeout // else lost: issue it anew
+		if lease || !r.prop.prepared || len(w) == 0 || w[len(w)-1].grant < q || inFlight {
 			return
 		}
-		r.openBarrier() // one process decides it inside propose: serve again
+		r.openRound() // one process confirms it at once: serve again
 	}
 }
 
-// openBarrier proposes the shared no-op read barrier: all reads waiting
-// when it opens coalesce onto it. The instance is recorded before propose
-// runs: with a one-process majority the proposal decides — and applies —
-// synchronously inside propose, and maybeDecide must already see it as the
-// barrier to credit the own-quorum decision.
-func (r *Node) openBarrier() {
-	// A barrier opening is the read-path anomaly the flight recorder
-	// watches for: the lease did not hold, so reads are paying a full
-	// phase-2 round. Marked once per barrier, not per read.
+// openRound broadcasts the next grant for the reads waiting unconfirmed:
+// the read-path anomaly the flight recorder watches for (the lease did not
+// hold), marked once per round, not per read.
+func (r *Node) openRound() {
 	now := r.env.Now()
 	r.cfg.Tracer.Mark(now, "fallback-read", -1)
 	r.cfg.Tracer.Trigger(now, "fallback-read")
-	r.reads.barrier = r.pipe.nextInst
-	r.propose(consensus.Noop, nil)
+	r.reads.round, r.reads.roundAt = r.nextGrant(now), now
+	r.lease.lastSent = now
+	r.env.Broadcast(LeaseGrantMsg{B: r.prop.ballot, Seq: r.reads.round})
 }
 
 // answerReads answers every request in reqs at the applied index of this

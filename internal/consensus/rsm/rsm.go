@@ -37,7 +37,7 @@
 //	batch.go    — command ring, envelope codec, pump policy (Config.BatchMax)
 //	applier.go  — in-order apply: one record per instance, the hooks per command
 //	lease.go    — leader read leases piggybacked on phase 2 (Config.Lease)
-//	read.go     — linearizable reads: lease-local or no-op fallback, one reply per origin
+//	read.go     — linearizable reads: lease-local or confirmed by a round of grants, one reply per origin
 //	turn.go     — the end of a turn: one pump, one serve of its reads, one addressed announcement, one flush
 //	rsm.go      — Node: composition, config, and the automaton surface
 //
@@ -95,10 +95,10 @@ type Config struct {
 	// Lease enables leader read leases of this duration (see lease.go):
 	// grants piggyback on ACCEPTs, acks on ACCEPTEDs, and the leader
 	// serves reads locally at its applied index while a quorum of
-	// grants is unexpired. Off (zero) by default; all reads then take
-	// the phase-2 no-op fallback. Every process in a cluster must run
-	// the same Lease value — the grant window is cluster config, not a
-	// per-replica tunable.
+	// grants is unexpired. Off (zero) by default; every read then waits
+	// for a round of explicit grants (read.go). Every process in a
+	// cluster must run the same Lease value — the grant window is
+	// cluster config, not a per-replica tunable.
 	Lease time.Duration
 	// Store persists the safety-critical consensus state — acceptor
 	// promises and accepts, decided entries, the proposer ballot — so
@@ -161,7 +161,7 @@ type Node struct {
 	app     applier    // in-order apply + decision fan-out
 	dones   doneVector // applied-through per process (forgetting)
 	lease   leaseState // read-lease grants, both sides
-	reads   readState  // fallback-read barrier bookkeeping
+	reads   readState  // reads waiting at the leader, and their round
 	held    []heldReq  // requests that arrived ahead of this replica's Omega
 	acted   node.ID    // the Omega output drive last acted on (followOmega)
 	driveAt sim.Time   // when the drive timer is set to fire (driveIn)
@@ -199,7 +199,6 @@ func New(omega consensus.Leadership, cfg Config) *Node {
 		acc:   acceptor{stuckGap: -1},
 		log:   logbook{highestDecided: -1},
 		lease: leaseState{holder: node.None},
-		reads: readState{barrier: -1},
 		acted: node.None,
 	}
 }
@@ -277,7 +276,7 @@ func (r *Node) Start(env node.Env) {
 	r.n = env.N()
 	r.dones = doneVector{done: make([]int, r.n)}
 	r.pipe.told, r.pipe.owed = make([]int, r.n), make([]bool, r.n)
-	r.lease.granted, r.lease.issued = make([]sim.Time, r.n), make(map[uint64]sim.Time)
+	r.lease.acked, r.lease.issued = make([]uint64, r.n), make(map[uint64]sim.Time)
 	if st := r.cfg.Store.State(); st != nil {
 		r.restore(st)
 	}

@@ -788,9 +788,10 @@ func TestLaggingPreparerNeverFillsADecidedSlot(t *testing.T) {
 // grant, the links are not FIFO, and p2's and p3's votes for 1 are the first
 // thing p0 hears: its lease now stands while 0, which it has not decided and
 // so not applied, is acknowledged elsewhere. A read at that instant must
-// not be answered from the lease at p0's applied index; it waits for the
-// barrier, which is open behind the re-proposals. (At three, p2's vote
-// would decide 0 on its own, and the read would wait for its need too.)
+// not be answered from the lease at p0's applied index; it waits until
+// the re-proposals decide, and is answered from the lease then. (At three,
+// p2's vote would decide 0 on its own, and the read would wait for its need
+// too.)
 func TestNewLeaderServesNoLocalReadBeforeItsReproposalsDecide(t *testing.T) {
 	const n = 5
 	omega := &fakeOmega{leader: 1}
@@ -854,14 +855,14 @@ func TestNewLeaderServesNoLocalReadBeforeItsReproposalsDecide(t *testing.T) {
 			nodes[s.to].Deliver(0, s.msg)
 		}
 	}
-	for i := 0; i < 3; i++ { // the votes for 0, the barrier and its votes
+	for i := 0; i < 3; i++ { // the votes for 0, and the decision of 0 and 1
 		for _, p := range voters {
 			deliver(p, all)
 		}
 		deliver(0, up)
 	}
-	if len(replies) != 1 || replies[0].Local || replies[0].Seq != 7 || replies[0].Index < nodes[1].Applied() {
-		t.Fatalf("replies %+v: want read 7 answered once, through the barrier, at an index covering the %d commands p1 applied", replies, nodes[1].Applied())
+	if len(replies) != 1 || !replies[0].Local || replies[0].Seq != 7 || replies[0].Index < nodes[1].Applied() {
+		t.Fatalf("replies %+v: want read 7 answered once, from the lease, at an index covering the %d commands p1 applied", replies, nodes[1].Applied())
 	}
 }
 

@@ -21,9 +21,8 @@ package rsm
 // nothing will signal, so each event is a turn of one: it ends itself
 // (settle), and a record is flushed the moment it is appended (persisted).
 
-// endTurn does what the turn's events left due. The pump and the reads come
-// first: an ACCEPT that leaves now, a batch's or a barrier's, announces the
-// commit index to everyone for free. The flush covers a barrier they open.
+// endTurn does what the turn's events left due. The pump comes first: an
+// ACCEPT that leaves now announces the commit index to everyone for free.
 // Only a flushed vote decides.
 func (r *Node) endTurn() {
 	for r.pumpDue { // a one-process quorum decides inside pump and asks again

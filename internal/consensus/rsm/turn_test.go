@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/consensus"
 	"repro/internal/node"
-	"repro/internal/sim"
 )
 
 // Tests for the turn layer on a fake runtime with turns: the fakeEnv,
@@ -308,7 +307,7 @@ func TestReadsSeeTheTurnsWrites(t *testing.T) {
 
 // TestLeaseLapsingInATurnSendsItsReadsThroughTheBarrier: what decides is
 // the lease at the end of the turn, and reads it no longer covers share
-// one barrier and then one reply, as reads without a lease always have.
+// one round and then one reply, as reads without a lease always have.
 func TestLeaseLapsingInATurnSendsItsReadsThroughTheBarrier(t *testing.T) {
 	const k = 5
 	r, env := leaseLeader(t, 1)
@@ -318,20 +317,20 @@ func TestLeaseLapsingInATurnSendsItsReadsThroughTheBarrier(t *testing.T) {
 	env.now = env.now.Add(time.Second) // past the lease, before the turn ends
 	r.Tick(node.TurnEnd)
 	out := env.drain()
-	barrier := broadcastsOf[*AcceptMsg](t, out)
-	if len(barrier) != 1 || barrier[0].V != consensus.Noop || len(out) != 2 {
-		t.Fatalf("the turn sent %+v, want one no-op barrier and no reply", out)
+	round := broadcastsOf[LeaseGrantMsg](t, out)
+	if len(round) != 1 || round[0].Seq != r.reads.round || len(out) != 2 {
+		t.Fatalf("the turn sent %+v, want one round and no reply", out)
 	}
 	if len(r.reads.waiting) != k || r.LocalReads() != 0 {
-		t.Fatalf("%d reads pending, %d served locally; want all %d on the barrier", len(r.reads.waiting), r.LocalReads(), k)
+		t.Fatalf("%d reads pending, %d served locally; want all %d on the round", len(r.reads.waiting), r.LocalReads(), k)
 	}
-	turn(r, 1, &AcceptedMsg{B: r.prop.ballot, Inst: barrier[0].Inst})
+	turn(r, 1, LeaseAckMsg{B: r.prop.ballot, Seq: round[0].Seq})
 	replies := repliesOf(env.drain())[1]
 	if len(replies) != 1 || replies[0].Local || replies[0].Index != r.app.count {
 		t.Fatalf("replies %+v, want one fallback answer at index %d", replies, r.app.count)
 	}
 	if got := answersAt(1, replies[0]); len(got) != k || got[k-1].Seq != 40+k-1 || r.FallbackReads() != k {
-		t.Fatalf("the barrier answered %+v (%d counted), want all %d requests", got, r.FallbackReads(), k)
+		t.Fatalf("the round answered %+v (%d counted), want all %d requests", got, r.FallbackReads(), k)
 	}
 }
 
@@ -393,7 +392,7 @@ func TestReadReqWithForeignOriginIsDropped(t *testing.T) {
 }
 
 // TestReadDuringPrepareIsQueuedNotDropped: a read reaching a leader-elect
-// while its phase 1 is in flight rides the barrier the moment the ballot
+// while its phase 1 is in flight rides the round the moment the ballot
 // stands instead of costing its client a timeout.
 func TestReadDuringPrepareIsQueuedNotDropped(t *testing.T) {
 	r := New(consensus.StaticLeader(0), Config{})
@@ -405,16 +404,16 @@ func TestReadDuringPrepareIsQueuedNotDropped(t *testing.T) {
 	}
 	env.drain()
 	r.Deliver(2, &ReadReqMsg{Seq: 9, Count: 4, Origin: 2})
-	if len(r.reads.waiting) != 1 || r.reads.barrier >= 0 || len(env.drain()) != 0 {
-		t.Fatalf("%d reads queued during phase 1 (barrier %d), want the one kept and nothing proposed yet", len(r.reads.waiting), r.reads.barrier)
+	if len(r.reads.waiting) != 1 || r.reads.round != 0 || len(env.drain()) != 0 {
+		t.Fatalf("%d reads queued during phase 1 (round %d), want the one kept and nothing sent yet", len(r.reads.waiting), r.reads.round)
 	}
 	r.Deliver(1, PromiseMsg{B: r.prop.ballot})
-	if out := acceptsOf(env.drain()); out[r.reads.barrier] != consensus.Noop || len(out) != 1 {
-		t.Fatalf("accepts once prepared = %q, want the read barrier", out)
+	if grants := broadcastsOf[LeaseGrantMsg](t, env.drain()); len(grants) != 1 || grants[0].Seq != r.reads.round {
+		t.Fatalf("grants once prepared = %+v, want the read's round", grants)
 	}
-	r.Deliver(1, &AcceptedMsg{B: r.prop.ballot, Inst: r.reads.barrier})
+	r.Deliver(1, LeaseAckMsg{B: r.prop.ballot, Seq: r.reads.round})
 	replies := repliesOf(env.drain())[2]
-	if want := (ReadReplyMsg{Seq: 9, Count: 4, Index: 1}); len(replies) != 1 || replies[0] != want {
+	if want := (ReadReplyMsg{Seq: 9, Count: 4, Index: 0}); len(replies) != 1 || replies[0] != want {
 		t.Fatalf("replies %+v, want %+v", replies, want)
 	}
 }
@@ -580,26 +579,20 @@ func TestLeaseAckAllocatesNothing(t *testing.T) {
 	}
 }
 
-func TestNthGrantMatchesSorting(t *testing.T) {
+func TestQuorumSeqMatchesSorting(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for round := 0; round < 2000; round++ {
-		n := 2 + rng.Intn(6)
-		r := &Node{n: n, me: node.ID(rng.Intn(n))}
-		r.lease.granted = make([]sim.Time, n)
-		var others []sim.Time
-		for f := range r.lease.granted {
-			r.lease.granted[f] = sim.Time(rng.Intn(4)) // few values: ties and never-granted zeros
-			if node.ID(f) != r.me && r.lease.granted[f] > 0 {
-				others = append(others, r.lease.granted[f])
-			}
+		n := 1 + rng.Intn(7)
+		r := &Node{n: n}
+		r.lease.acked = make([]uint64, n)
+		for f := range r.lease.acked {
+			r.lease.acked[f] = uint64(rng.Intn(4)) // few values: ties and never-acked zeros
 		}
-		slices.Sort(others)
-		slices.Reverse(others)
-		for need := 1; need < n; need++ {
-			got, ok := r.nthGrant(need)
-			if ok != (len(others) >= need) || (ok && got != others[need-1]) {
-				t.Fatalf("grants %v me %d need %d: got %v %v, sorted others %v", r.lease.granted, r.me, need, got, ok, others)
-			}
+		sorted := slices.Clone(r.lease.acked)
+		slices.Sort(sorted)
+		slices.Reverse(sorted)
+		if got, want := r.quorumSeq(), sorted[consensus.Majority(n)-1]; got != want {
+			t.Fatalf("acked %v: got %d, want %d, the majority-th largest", r.lease.acked, got, want)
 		}
 	}
 }

@@ -20,9 +20,10 @@ var readKinds = []string{
 // E14LeaseReads measures the read path with and without the leader
 // lease. With a lease, a read at the leader is answered from the applied
 // prefix — zero messages, zero log instances; a follower read costs one
-// forward and one reply. Without a lease every read rides a no-op
-// barrier through phase 2, so the per-read cost collapses only as far as
-// barrier coalescing allows and each barrier burns a log instance.
+// forward and one reply. Without a lease every read waits for a round: a
+// grant broadcast after it arrived and acked by a majority, shared by all
+// the reads waiting for it. The per-read cost collapses only as far as
+// that sharing allows, and no read consumes a log instance.
 func E14LeaseReads(o Opts) Table {
 	o.fill()
 	const n = 5
@@ -32,7 +33,7 @@ func E14LeaseReads(o Opts) Table {
 	}
 	t := Table{
 		ID:    "E14",
-		Title: "leader-lease local reads vs no-op read barriers",
+		Title: "leader-lease local reads vs reads confirmed by a round of grants",
 		Note: fmt.Sprintf("n=%d, %d reads in bursts of 10 every 30ms after a settled write; msgs/read counts read+lease traffic; instances = log slots consumed by the read series",
 			n, reads),
 		Columns: []string{"variant", "origin", "msgs/read", "instances", "local", "fallback"},
@@ -59,7 +60,7 @@ func E14LeaseReads(o Opts) Table {
 	for ci, c := range cells {
 		variant := "lease"
 		if c.lease == 0 {
-			variant = "barrier"
+			variant = "round"
 		}
 		origin := "leader"
 		if c.origin != 0 {

@@ -56,6 +56,35 @@ func TestE4RecoveryLatencyBounded(t *testing.T) {
 	}
 }
 
+// TestE14ReadCost pins what reads cost with and without the lease: no row
+// consumes a log instance, the lease rows answer every read locally, the
+// others every read through a round of grants, and the lease-less rows
+// cost no more than the no-op barrier they replaced did at this scale
+// (2.00 and 3.42 msgs/read).
+func TestE14ReadCost(t *testing.T) {
+	tab := E14LeaseReads(Opts{Quick: true})
+	const reads = "40"
+	budget := map[string]float64{"leader": 2.00, "follower": 3.42}
+	if len(tab.Rows) != 4 {
+		t.Fatalf("E14 has %d rows, want 4", len(tab.Rows))
+	}
+	for _, row := range tab.Rows {
+		variant, origin, local, fallback := row[0], row[1], row[4], row[5]
+		if row[3] != "0" {
+			t.Fatalf("%s/%s: reads consumed %s log instances, want 0", variant, origin, row[3])
+		}
+		served := fallback
+		if variant == "lease" {
+			served = local
+		} else if perRead, err := strconv.ParseFloat(row[2], 64); err != nil || perRead > budget[origin] {
+			t.Fatalf("%s/%s: %s msgs/read, want at most %.2f", variant, origin, row[2], budget[origin])
+		}
+		if served != reads || (local != "0" && fallback != "0") {
+			t.Fatalf("%s/%s: %s local and %s through a round, want all %s one way", variant, origin, local, fallback, reads)
+		}
+	}
+}
+
 func TestE12CommitIndexShape(t *testing.T) {
 	tab := E12CommitIndex(Opts{Quick: true, Seeds: 1})
 	const n, cmds, cmdBytes = 5, 30, 32

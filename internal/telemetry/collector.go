@@ -340,7 +340,7 @@ func (c *Collector) GroupHist(g int) HistSnapshot {
 // once: how many processes believe they hold the leader lease — 0 or 1
 // when healthy, a sustained 2+ would falsify the lease safety argument —
 // and the total reads served locally under a lease, with zero consensus
-// messages, and through the phase-2 no-op barrier.
+// messages, and confirmed by a round of grants that a majority acked.
 func (c *Collector) Lease(group int) (held int, local, fallback uint64) {
 	c.mu.Lock()
 	probes := c.probes[group]

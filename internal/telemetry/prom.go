@@ -105,7 +105,7 @@ func (c *Collector) WritePrometheus(w io.Writer) {
 	counter("rsm_reads_local_total",
 		"Reads served locally under a lease, with zero consensus messages.", local)
 	counter("rsm_reads_fallback_total",
-		"Reads that took the phase-2 no-op barrier.", fallback)
+		"Reads confirmed by a round of grants that a majority acked.", fallback)
 
 	for s, row := range seriesTable {
 		fmt.Fprintf(w, "# TYPE %s histogram\n", row.prom)

@@ -145,7 +145,7 @@ rsm_lease_held 1
 # HELP rsm_reads_local_total Reads served locally under a lease, with zero consensus messages.
 # TYPE rsm_reads_local_total counter
 rsm_reads_local_total 15
-# HELP rsm_reads_fallback_total Reads that took the phase-2 no-op barrier.
+# HELP rsm_reads_fallback_total Reads confirmed by a round of grants that a majority acked.
 # TYPE rsm_reads_fallback_total counter
 rsm_reads_fallback_total 3
 # TYPE omega_election_downtime_seconds histogram

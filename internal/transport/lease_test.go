@@ -32,7 +32,7 @@ type leaseCluster interface {
 // leader could complete phase 1, so by the time the successor's write
 // is observed decided, the old leader must answer zero reads: local
 // serving is forbidden (lease lapsed, unrecoverable while isolated) and
-// the fallback barrier cannot reach a quorum.
+// no round of grants can be acked by a quorum.
 func runLeaseCrashSafety(t *testing.T, build func(inj *faultline.Injector, autos []node.Automaton) (leaseCluster, []*station)) {
 	const n = 3
 	const lease = 400 * time.Millisecond
@@ -127,7 +127,7 @@ func runLeaseCrashSafety(t *testing.T, build func(inj *faultline.Injector, autos
 	// Drive reads straight into the old leader, as a client colocated
 	// with it would. None may be answered: a Local reply would be a
 	// stale read (its applied index misses the post-isolation writes),
-	// and the fallback barrier cannot commit without a quorum.
+	// and no round of grants is confirmed without a quorum.
 	armed.Store(true)
 	for i := 0; i < 30; i++ {
 		stations[0].deliver(0, &rsm.ReadReqMsg{Seq: uint64(1000 + i), Count: 1, Origin: 0})
@@ -137,7 +137,7 @@ func runLeaseCrashSafety(t *testing.T, build func(inj *faultline.Injector, autos
 		t.Fatalf("old leader served %d stale local reads after the successor decided", got)
 	}
 	if got := replies.Load(); got != 0 {
-		t.Fatalf("old leader answered %d reads while isolated (fallback barrier cannot have committed)", got)
+		t.Fatalf("old leader answered %d reads while isolated (no round can have been confirmed)", got)
 	}
 }
 

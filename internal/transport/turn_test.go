@@ -397,9 +397,12 @@ func (a *acceptedTap) Deliver(from node.ID, m node.Message) {
 // writes, and every vote the leader ever heard from it must be in what
 // its WAL directory recovers — the ACCEPTED left only after the turn's
 // flush. Then it is restarted from that directory and the drill repeats.
-// The other follower's replies reach the leader 3 ms late, so the leader
-// names the victim to reply for the pair (rsm's pipeline.named): it hears
-// every vote the victim casts, not one a retryTimeout.
+// The client writes to whichever replica the detectors agree leads, and the
+// tap that hears the victim's votes sits at every replica: an early false
+// suspicion may move Omega off p0. Between p0 and p1 replies take 3 ms, so
+// the leader of the two names the victim to reply for the pair (rsm's
+// pipeline.named): it hears every vote the victim casts, not one a
+// retryTimeout. The victim is killed only while it does not lead.
 func TestSentVoteIsRecovered(t *testing.T) {
 	const n, victim = 3, 2
 	base := t.TempDir()
@@ -417,31 +420,36 @@ func TestSentVoteIsRecovered(t *testing.T) {
 	build := func(i int) node.Automaton {
 		dets[i] = core.New(core.WithEta(5*time.Millisecond), core.WithRebuff())
 		logs[i] = rsm.New(dets[i], rsm.Config{DriveInterval: 5 * time.Millisecond, Store: openStore(i)})
-		if i == 0 {
-			return node.Compose(dets[i], logs[i], tap)
-		}
-		return node.Compose(dets[i], logs[i])
+		return node.Compose(dets[i], logs[i], tap)
 	}
 	autos := make([]node.Automaton, n)
 	for i := range autos {
 		autos[i] = build(i)
 	}
-	slow := faultline.Plan{Links: map[faultline.Link]network.Profile{{From: 1, To: 0}: network.Reliable(3*time.Millisecond, 3*time.Millisecond)}}
+	late := network.Reliable(3*time.Millisecond, 3*time.Millisecond)
+	slow := faultline.Plan{Links: map[faultline.Link]network.Profile{{From: 1, To: 0}: late, {From: 0, To: 1}: late}}
 	c, err := NewCluster(Config{N: n, Seed: 17, Quiet: true, Fault: mustInjector(t, n, 17, slow)}, autos)
 	if err != nil {
 		t.Fatal(err)
 	}
 	c.Start()
 	defer c.Stop()
-	waitFor(t, 20*time.Second, func() bool {
+	// leader is the replica the detectors last agreed leads, never the
+	// victim; agreed waits for such an agreement and notes it.
+	var leader atomic.Int32
+	agreed := func() bool {
 		l, ok := agreement(dets, nil)
-		return ok && l == 0
-	}, "initial agreement on p0")
+		if ok && l != victim {
+			leader.Store(int32(l))
+		}
+		return ok && l != victim
+	}
+	waitFor(t, 20*time.Second, agreed, "initial agreement on a leader other than the victim")
 
 	stop := make(chan struct{})
 	var clients sync.WaitGroup
 	clients.Add(1)
-	go func() { // a client at p1 sending bursts to the leader
+	go func() { // a client at the replica that is neither leader nor victim
 		defer clients.Done()
 		for i := 0; ; i++ {
 			select {
@@ -449,8 +457,9 @@ func TestSentVoteIsRecovered(t *testing.T) {
 				return
 			default:
 			}
+			l := node.ID(leader.Load())
 			for k := 0; k < 5; k++ {
-				c.Inject(1, 0, rsm.RequestMsg{V: consensus.Value(fmt.Sprint("cmd-", i, "-", k))})
+				c.Inject(3-victim-l, l, rsm.RequestMsg{V: consensus.Value(fmt.Sprint("cmd-", i, "-", k))})
 			}
 			time.Sleep(300 * time.Microsecond)
 		}
@@ -461,7 +470,8 @@ func TestSentVoteIsRecovered(t *testing.T) {
 	for round := 0; round < 4; round++ {
 		heard := func() int { tap.mu.Lock(); defer tap.mu.Unlock(); return len(tap.seen) }
 		before := heard()
-		waitFor(t, 20*time.Second, func() bool { return heard() >= before+50 }, "votes from the victim")
+		waitFor(t, 20*time.Second, func() bool { agreed(); return heard() >= before+50 }, "votes from the victim")
+		waitFor(t, 20*time.Second, agreed, "a leader other than the victim")
 		time.Sleep(time.Duration(round) * 137 * time.Microsecond) // land the kill at different points of a turn
 		c.Crash(victim)
 		time.Sleep(20 * time.Millisecond) // what it sent before dying has arrived; its loop has wound down
