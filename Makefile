@@ -35,11 +35,11 @@ loc:
 tables-diff:
 	bash scripts/tables-diff.sh
 
-# The read-path mutation check: five edits that each break linearizable
-# reads in rsm, applied one at a time to a temporary copy of the package,
-# whose tests must fail on every one. It fails when a mutant survives or
-# its edit no longer applies (scripts/mutants.sh). About 50 s; CI's
-# build-test job runs it.
+# The mutation check of rsm: five edits that each break linearizable
+# reads and two that break the leader's fan-out, applied one at a time to
+# a temporary copy of the package, whose tests must fail on every one. It
+# fails when a mutant survives or its edit no longer applies
+# (scripts/mutants.sh). About 70 s; CI's build-test job runs it.
 mutants:
 	bash scripts/mutants.sh
 

@@ -15,7 +15,7 @@ import (
 // serves two ends: it confirms the reads noted before it was issued
 // (read.go), and with Config.Lease set it dates a lease that makes reads
 // free in steady state. The leader piggybacks its current grant on every
-// ACCEPT it already broadcasts and the followers asked to reply ack it on
+// ACCEPT it already sends and the followers asked to reply ack it on
 // their ACCEPTED, so while commands flow the lease costs zero extra
 // messages; only when phase-2 traffic idles does the leader fall back to
 // an explicit LeaseGrantMsg/LeaseAckMsg pair per refresh interval
@@ -115,12 +115,12 @@ func (r *Node) nextGrant(now sim.Time) uint64 {
 }
 
 // refreshLease keeps grants flowing when no ACCEPT traffic carries them:
-// the drive tick broadcasts an explicit grant once per refresh interval.
+// the drive tick sends an explicit grant once per refresh interval.
 func (r *Node) refreshLease(now sim.Time) {
 	if r.cfg.Lease <= 0 || !r.prop.prepared || now.Sub(r.lease.lastSent) < r.leaseRefresh() {
 		return
 	}
-	r.env.Broadcast(LeaseGrantMsg{B: r.prop.ballot, Seq: r.grantSeq(now)})
+	r.fanOut(LeaseGrantMsg{B: r.prop.ballot, Seq: r.grantSeq(now)}, nil)
 }
 
 // noteGrant is the follower side of a grant at or above this acceptor's
@@ -240,8 +240,7 @@ func (r *Node) abdicateLeader() {
 		r.cfg.Tracer.Mark(r.env.Now(), "abdicate", -1)
 	}
 	r.prop.prepared, r.prop.preparing = false, false
-	clear(r.pipe.told)
-	clear(r.pipe.owed)
+	clear(r.pipe.peers)
 	r.pipe.named = 0
 	r.bat.unassign()
 	r.lease.heldUntil.Store(0)

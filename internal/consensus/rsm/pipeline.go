@@ -13,14 +13,17 @@ import (
 // This file is the pipeline layer: windowed multi-instance phase 2. The
 // prepared leader drives up to Config.Window instances concurrently, each
 // a flight carrying one value (a single command or a batch envelope).
-// Every instance costs (n−1) ACCEPT + (n−1) ACCEPTED at n ≥ 4, whatever
-// the batch size, which is where batching's amortization comes from, and
-// the value crosses each link once: decisions are announced by index
-// (announceCommit), on the ACCEPT that leaves at the end of the same turn
-// when one does, else by a value-free DECIDE to the replicas whose commands
-// were decided — the rest hear on the next ACCEPT or from catchUp. At n = 3
-// a follower decides on its own vote (pairDecides): no DECIDE is owed, one
-// follower named on the ACCEPT replies, and an instance costs n messages.
+// Every instance costs one ACCEPT and one ACCEPTED per answering follower at
+// n ≥ 4, whatever the batch size, which is where batching's amortization
+// comes from, and the value crosses each link once: decisions are announced
+// by index (announceCommit), on the ACCEPT that leaves at the end of the
+// same turn when one does, else by a value-free DECIDE to the replicas whose
+// commands were decided — the rest hear on the next ACCEPT or from catchUp.
+// At n = 3 a follower decides on its own vote (pairDecides): no DECIDE is
+// owed, one follower named on the ACCEPT replies, and an instance costs n
+// messages. Everything the leader streams to its followers goes through one
+// fan-out (fanOut), which skips a follower that has stopped answering: a
+// silent follower costs one probe per retryTimeout (reach).
 
 // retryTimeout bounds how long a prepare, an in-flight instance or a
 // forwarded command may stall before being re-driven, and how long a
@@ -41,7 +44,7 @@ type flight struct {
 	started sim.Time
 	timeout time.Duration // per-instance retry backoff
 	// tctx is the instance's open "quorum" span (zero when untraced):
-	// ACCEPTs broadcast under it, ACCEPTED arrivals are events on it,
+	// ACCEPTs are sent under it, ACCEPTED arrivals are events on it,
 	// and the majority closes it.
 	tctx tracing.Context
 	// tracked marks a proposal of queued commands: enq holds when each
@@ -76,17 +79,25 @@ type pipeline struct {
 	flights []*flight
 	open    int       // flights awaiting their quorum
 	free    []*flight // retired flights, buffers kept
-	// told[f] is the commit index last sent to follower f at this ballot,
-	// on an ACCEPT or a DECIDE (0 after an abdication): nobody is sent one
-	// index twice. owed[f]: the applier has passed a command f waits on, and
-	// the end of the turn tells it. acceptAt: when an ACCEPT last left, and
-	// askedAll when one last asked every follower to reply (Repliers zero).
-	// named: the one follower a fresh ACCEPT asks at a quorum of two.
-	told     []int
-	owed     []bool
+	// peers holds what this leader knows of each follower at its ballot, its
+	// own entry unused (zero after an abdication). acceptAt: when an ACCEPT
+	// last left. named: the one follower a fresh ACCEPT asks at a quorum of two.
+	peers    []peer
 	acceptAt sim.Time
-	askedAll sim.Time
 	named    uint64
+}
+
+// peer is the leader's record of one follower.
+type peer struct {
+	// told is the commit index last sent it, on an ACCEPT or a DECIDE:
+	// nobody is sent one index twice. owed: the applier has passed a command
+	// it waits on, and the end of the turn tells it.
+	told int
+	owed bool
+	// waiting is when it was first asked to answer since it was last heard
+	// from (zero: no ask outstanding), asked when it was last asked — by an
+	// ACCEPT that names it or nobody, or by a probe (reach).
+	waiting, asked sim.Time
 }
 
 // find returns where inst's flight is, or would go, in flights.
@@ -129,7 +140,7 @@ func (p *pipeline) release(fl *flight) {
 }
 
 // launch (re)starts phase 2 for inst at the current ballot with this
-// node's own vote cast — durable before the ACCEPT broadcast shows it —
+// node's own vote cast — durable before the ACCEPT shows it —
 // asking the followers in ask (0: all) to reply.
 func (r *Node) launch(inst int, v consensus.Value, fl *flight, ask uint64) {
 	i, ok := r.pipe.find(inst)
@@ -151,7 +162,8 @@ func (r *Node) launch(inst int, v consensus.Value, fl *flight, ask uint64) {
 	r.log.accept(inst, r.prop.ballot, v)
 	r.cfg.Store.Accept(uint64(inst), uint64(r.prop.ballot), string(v))
 	r.persisted()
-	r.env.Broadcast(r.traced(fl.tctx, r.acceptMsg(inst, v, ask)))
+	a := r.acceptMsg(inst, v, ask)
+	r.fanOut(r.traced(fl.tctx, a), a)
 }
 
 // propose drives value v in a fresh instance of the pipeline. fl, when
@@ -175,9 +187,11 @@ func (r *Node) propose(v consensus.Value, fl *flight) int {
 			break
 		}
 	}
-	ask := r.pipe.named // pinned by onAccepted, only where pairDecides
-	if r.env.Now().Sub(r.pipe.askedAll) >= retryTimeout {
-		ask = 0 // once a retryTimeout: the silent follower's Done stays current
+	ask, now := r.pipe.named, r.env.Now() // pinned by onAccepted, only where pairDecides
+	for f, p := range r.pipe.peers {
+		if node.ID(f) != r.me && ask>>uint(f)&1 == 0 && now.Sub(p.asked) >= retryTimeout {
+			ask = 0 // once a retryTimeout: the unnamed follower's Done stays current
+		}
 	}
 	r.launch(inst, v, fl, ask)
 	r.maybeDecide(inst)
@@ -199,7 +213,7 @@ func (r *Node) reopen(inst int, v consensus.Value) {
 	r.launch(inst, v, fl, 0)
 }
 
-// redrive rebroadcasts stalled instances to everyone, lowest first, with
+// redrive re-sends stalled instances to everyone, lowest first, with
 // per-instance backoff: from the floor up, as nothing below it was proposed
 // at this ballot. It unpins the named replier, and an answer pins nobody:
 // a replier slower than quiet would re-pin itself answering its own ACCEPT.
@@ -213,7 +227,8 @@ func (r *Node) redrive(now sim.Time) {
 			if fl.timeout < maxRetryTimeout {
 				fl.timeout = max(2*fl.timeout, retryTimeout)
 			}
-			r.env.Broadcast(r.traced(fl.tctx, r.acceptMsg(fl.inst, fl.v, 0)))
+			a := r.acceptMsg(fl.inst, fl.v, 0)
+			r.fanOut(r.traced(fl.tctx, a), a)
 		}
 	}
 }
@@ -333,26 +348,32 @@ func (r *Node) maybeDecide(inst int) {
 // clients may be anywhere. At a quorum of two one it batched owes nobody:
 // each origin decided it on its own vote (pairDecides).
 func (r *Node) owe(batched bool, fl *flight) {
-	for f := range r.pipe.owed { // a sender id outside [0, n) matches nobody
+	for f := range r.pipe.peers { // a sender id outside [0, n) matches nobody
 		if !batched || len(fl.from) == 0 || (slices.Contains(fl.from, node.ID(f)) && !r.pairDecides()) {
-			r.pipe.owed[f] = true
+			r.pipe.peers[f].owed = true
 		}
 	}
 }
 
-// tell sends follower f the commit index, unless it has been sent it.
-func (r *Node) tell(f node.ID) {
-	if f != r.me && r.pipe.told[f] < r.log.firstGap {
-		r.pipe.told[f] = r.log.firstGap
-		r.env.Send(f, r.decides.New(DecideMsg{B: r.prop.ballot, Inst: r.log.firstGap}))
+// tell sends the commit index to each follower owed it (each follower, when
+// all) that has not been sent it and that the stream reaches now (reach);
+// none is owed it after.
+func (r *Node) tell(all bool) {
+	for f := range r.pipe.peers {
+		p := &r.pipe.peers[f]
+		if (all || p.owed) && p.told < r.log.firstGap && r.reach(node.ID(f), r.env.Now(), false) {
+			p.told = r.log.firstGap
+			r.env.Send(node.ID(f), r.decides.New(DecideMsg{B: r.prop.ballot, Inst: r.log.firstGap}))
+		}
+		p.owed = false
 	}
 }
 
 // announceCommit tells the replicas that are owed it how far the log is
 // decided, once per advance of the prefix: an instance decided out of
 // order, which nobody could apply anyway, waits for the ones below it and
-// is covered by the same announcement. ACCEPTs carry the index to everyone
-// for free (acceptMsg), so a value-free DECIDE goes only to a replica whose
+// is covered by the same announcement. ACCEPTs carry the index for free to
+// every follower they reach (fanOut), so a DECIDE goes only to a replica whose
 // client waits and that no ACCEPT has told since the prefix moved: it hears
 // in the event the quorum completes, as it always has. The others hear on
 // the next ACCEPT, or from catchUp when none comes. That is safe: a learner
@@ -362,12 +383,7 @@ func (r *Node) announceCommit() {
 	if !r.prop.prepared {
 		return // abdicated since the quorum: nothing is owed (abdicateLeader)
 	}
-	for f, owed := range r.pipe.owed {
-		if owed {
-			r.pipe.owed[f] = false
-			r.tell(node.ID(f))
-		}
-	}
+	r.tell(false)
 }
 
 // quiet is how long after its last ACCEPT a stream counts as idle: half the
@@ -384,23 +400,54 @@ func (r *Node) catchUp(now sim.Time) {
 		r.driveIn(now, wait)
 		return
 	}
-	for f := range r.pipe.told {
-		r.tell(node.ID(f))
-	}
+	r.tell(true)
 }
 
-// acceptMsg builds a phase-2 broadcast carrying the current commit index
-// (noted as told to everyone), forgetting horizon, and lease grant.
+// acceptMsg builds a phase-2 ACCEPT carrying the current commit index,
+// forgetting horizon, and lease grant.
 func (r *Node) acceptMsg(inst int, v consensus.Value, ask uint64) *AcceptMsg {
 	m := AcceptMsg{B: r.prop.ballot, Inst: inst, V: v, CommitUpTo: r.log.firstGap, MinDone: r.dones.min(), Repliers: ask}
-	for f := range r.pipe.told {
-		r.pipe.told[f] = m.CommitUpTo // never below what f was told: firstGap only grows
-	}
 	now := r.env.Now()
-	if r.pipe.acceptAt = now; ask == 0 {
-		r.pipe.askedAll = now
-	}
+	r.pipe.acceptAt = now
 	r.driveIn(now, r.quiet()) // catchUp is due then, should no ACCEPT follow
 	m.LeaseSeq = r.grantSeq(now)
 	return r.accepts.New(m)
+}
+
+// fanOut sends m to every follower the stream reaches (reach), in ascending
+// id order. a is m's ACCEPT, when it is one: it asks the followers it names
+// (all when it names nobody) and tells each one reached its commit index.
+func (r *Node) fanOut(m node.Message, a *AcceptMsg) {
+	now := r.env.Now()
+	for f := range r.pipe.peers {
+		ask := a != nil && (a.Repliers == 0 || a.Repliers>>uint(f)&1 != 0)
+		if r.reach(node.ID(f), now, ask) {
+			if a != nil {
+				r.pipe.peers[f].told = a.CommitUpTo // never below what f was told: firstGap only grows
+			}
+			r.env.Send(node.ID(f), m)
+		}
+	}
+}
+
+// reach reports whether the stream goes to follower f now, noting an ask —
+// a message asking f to answer. A follower is silent once it has left an ask
+// unanswered for a retryTimeout (not once it has said nothing for as long:
+// at a quorum of two the unnamed follower is asked once a retryTimeout). It
+// is then reached once a retryTimeout, by the message that would have gone
+// to it anyway — the probe — until anything it sends is delivered here, its
+// detector's messages included (Deliver).
+func (r *Node) reach(f node.ID, now sim.Time, ask bool) bool {
+	p := &r.pipe.peers[f]
+	silent := p.waiting != 0 && now.Sub(p.waiting) >= retryTimeout
+	if f == r.me || silent && now.Sub(p.asked) < retryTimeout {
+		return false
+	}
+	if ask || silent {
+		p.asked = now
+	}
+	if ask && p.waiting == 0 {
+		p.waiting = now
+	}
+	return true
 }

@@ -34,7 +34,7 @@ import (
 // While the leader holds its lease, the acks in hand prove as much for the
 // lease window: reads are answered at once, with zero consensus messages.
 // Otherwise the reads no acked grant confirms wait for a round — the next
-// grant, broadcast as a LeaseGrantMsg when none is in flight, and shared by
+// grant, sent as a LeaseGrantMsg when none is in flight, and shared by
 // every read noted before it left; one that arrives later waits for the
 // next. A round a majority has not acked within a retryTimeout is issued
 // anew. No read consumes a log instance.
@@ -162,7 +162,7 @@ func (r *Node) serveReads() {
 	}
 }
 
-// openRound broadcasts the next grant for the reads waiting unconfirmed:
+// openRound sends the next grant for the reads waiting unconfirmed:
 // the read-path anomaly the flight recorder watches for (the lease did not
 // hold), marked once per round, not per read.
 func (r *Node) openRound() {
@@ -171,7 +171,7 @@ func (r *Node) openRound() {
 	r.cfg.Tracer.Trigger(now, "fallback-read")
 	r.reads.round, r.reads.roundAt = r.nextGrant(now), now
 	r.lease.lastSent = now
-	r.env.Broadcast(LeaseGrantMsg{B: r.prop.ballot, Seq: r.reads.round})
+	r.fanOut(LeaseGrantMsg{B: r.prop.ballot, Seq: r.reads.round}, nil)
 }
 
 // answerReads answers every request in reqs at the applied index of this

@@ -4,29 +4,32 @@
 //
 // The Omega-elected leader runs phase 1 **once**, establishing a stable
 // ballot that covers every log instance; from then on each proposed value
-// costs one phase-2 round-trip, (n−1) ACCEPT + (n−1) ACCEPTED, and crosses
-// each link once. Decisions are committed by index, not by value: the
-// leader announces how far its log is decided and every follower decides
-// that prefix from its own votes. The index rides on the ACCEPT that leaves
-// in the turn the prefix advances in, when one does; otherwise a value-free
-// DECIDE tells the replicas whose commands were decided, at once, and the
-// others hear on the next ACCEPT or, on a stream gone quiet, a drive
-// interval later (catchUp). At n = 3 a quorum is two: a follower's vote on
-// its ballot owner's ACCEPT decides the instance once flushed, so nobody is
-// owed a DECIDE, a read waits for what was launched before it (read.go),
-// and only the follower the ACCEPT names replies (pipeline.go). An instance
-// costs 2(n−1) messages back to back, n at n = 3, one per origin more when
-// spaced at n ≥ 4, n−1 more only when idle — all initiated by the leader or
-// addressed to it. Followers forward commands to the leader, and ask it for
-// decisions by value (LEARN) only when stuck behind the commit index for a
-// whole drive interval: after loss or a restart. A change of
-// Omega's output is acted on in the event that brings it (followOmega): the
-// process named starts phase 1, the others re-forward what they have
-// pending, and a request that reaches the successor ahead of its own Omega
-// is held for it (batch.go, hold). Once the leader stabilizes, no other
-// process initiates communication — the repeated-consensus analogue of the
-// Omega algorithm's communication efficiency (E7, E12,
-// TestSteadyStateMessageBudget).
+// costs one phase-2 round-trip, one ACCEPT and one ACCEPTED per answering
+// follower, and crosses each link once. Decisions are committed by index,
+// not by value: the leader announces how far its log is decided and every
+// follower decides that prefix from its own votes. The index rides on the
+// ACCEPT that leaves in the turn the prefix advances in, when one does;
+// otherwise a value-free DECIDE tells the replicas whose commands were
+// decided, at once, and the others hear on the next ACCEPT or, on a stream
+// gone quiet, a drive interval later (catchUp). At n = 3 a quorum is two: a
+// follower's vote on its ballot owner's ACCEPT decides the instance once
+// flushed, so nobody is owed a DECIDE, a read waits for what was launched
+// before it (read.go), and only the follower the ACCEPT names replies
+// (pipeline.go). An instance costs one ACCEPT and one ACCEPTED per
+// answering follower back to back, n messages at n = 3, one per origin more
+// when spaced at n ≥ 4, one per answering follower more only when idle; a
+// silent follower, one that has left an ask unanswered for a retryTimeout,
+// costs one probe per retryTimeout (pipeline.go, fanOut). All are initiated
+// by the leader or addressed to it. Followers forward commands to the
+// leader, and ask it for decisions by value (LEARN) only when stuck behind
+// the commit index for a whole drive interval: after loss or a restart. A
+// change of Omega's output is acted on in the event that brings it
+// (followOmega): the process named starts phase 1, the others re-forward
+// what they have pending, and a request that reaches the successor ahead of
+// its own Omega is held for it (batch.go, hold). Once the leader
+// stabilizes, no other process initiates communication — the
+// repeated-consensus analogue of the Omega algorithm's communication
+// efficiency (E7, E12, TestSteadyStateMessageBudget).
 //
 // The engine is layered, one file per layer:
 //
@@ -275,7 +278,7 @@ func (r *Node) Start(env node.Env) {
 	r.me = env.ID()
 	r.n = env.N()
 	r.dones = doneVector{done: make([]int, r.n)}
-	r.pipe.told, r.pipe.owed = make([]int, r.n), make([]bool, r.n)
+	r.pipe.peers = make([]peer, r.n)
 	r.lease.acked, r.lease.issued = make([]uint64, r.n), make(map[uint64]sim.Time)
 	if st := r.cfg.Store.State(); st != nil {
 		r.restore(st)
@@ -422,6 +425,9 @@ func (r *Node) fillGaps(leader node.ID) {
 // Deliver implements node.Automaton.
 func (r *Node) Deliver(from node.ID, m node.Message) {
 	r.inTurn = r.turns
+	if uint(from) < uint(len(r.pipe.peers)) {
+		r.pipe.peers[from].waiting = 0 // anything it sends is an answer (reach)
+	}
 	r.handle(from, m)
 	r.followOmega()
 	r.settle()

@@ -381,10 +381,26 @@ func (c *cluster) tap(fn deliveryTap) {
 // (cluster.tap); loaded is false for those of the warm-up.
 func steadyLoad(t *testing.T, n int, ingress node.ID, tap func(c *cluster, loaded bool, to, from node.ID, m node.Message)) (*cluster, func(kind string) int, int) {
 	t.Helper()
+	return steadyLoadDown(t, n, ingress, node.None, tap, nil)
+}
+
+// steadyLoadDown is steadyLoad with follower down, unless node.None,
+// crashed as the load begins — every live replica must still decide and
+// apply everything — and sends, when non-nil, called with every message
+// p0's rsm node sends.
+func steadyLoadDown(t *testing.T, n int, ingress, down node.ID, tap func(c *cluster, loaded bool, to, from node.ID, m node.Message), sends func(c *cluster, to node.ID, m node.Message)) (*cluster, func(kind string) int, int) {
+	t.Helper()
 	c := newClusterCfg(t, n, 20040726, network.Timely(ms), Config{BatchMax: 16, Window: 8, DriveInterval: 5 * ms})
 	loaded := false
 	if tap != nil {
 		c.tap(func(to, from node.ID, m node.Message) { tap(c, loaded, to, from, m) })
+	}
+	if sends != nil {
+		at0 := []node.Automaton{c.dets[0], &spy{Automaton: c.nodes[0], send: func(to node.ID, m node.Message) { sends(c, to, m) }, event: func(string) {}}}
+		if tap != nil {
+			at0 = append(at0, tapAt{0, func(to, from node.ID, m node.Message) { tap(c, loaded, to, from, m) }})
+		}
+		c.world.SetAutomaton(0, node.Compose(at0...))
 	}
 	c.world.Start()
 	// Warm-up: Omega settles on p0, phase 1 completes, one command through.
@@ -400,16 +416,19 @@ func steadyLoad(t *testing.T, n int, ingress node.ID, tap func(c *cluster, loade
 	}
 	startGap := c.nodes[0].FirstGap()
 	loaded = true
+	if down != node.None {
+		c.world.Crash(down)
+	}
 	for i := 0; i < steadyCmds; i++ {
 		c.nodes[ingress].Submit(consensus.Value(fmt.Sprintf("w%05d", i)))
-		c.world.RunFor(50 * time.Microsecond)
+		c.world.RunFor(steadyStep)
 	}
 	c.world.RunFor(500 * ms)
 
 	sent := func(kind string) int { return int(c.world.Stats.KindCount(kind) - before[kind]) }
 	instances := c.nodes[0].FirstGap() - startGap
 	for i, s := range c.nodes {
-		if s.FirstGap() != startGap+instances || s.Applied() != c.nodes[0].Applied() {
+		if c.world.Alive(node.ID(i)) && (s.FirstGap() != startGap+instances || s.Applied() != c.nodes[0].Applied()) {
 			t.Fatalf("p%d decided %d instances / applied %d, leader %d / %d", i, s.FirstGap(), s.Applied(), startGap+instances, c.nodes[0].Applied())
 		}
 	}
@@ -436,8 +455,8 @@ func steadyLoad(t *testing.T, n int, ingress node.ID, tap func(c *cluster, loade
 	return c, sent, instances
 }
 
-// steadyCmds is how many commands steadyLoad submits.
-const steadyCmds = 20000
+// steadyCmds is how many commands steadyLoad submits, one a steadyStep.
+const steadyCmds, steadyStep = 20000, 50 * time.Microsecond
 
 // TestSteadyStateMessageBudget is the paper's "only the leader initiates
 // communication", for the replicated log, as an exact message budget: a
@@ -575,7 +594,9 @@ func TestNamedReplierLost(t *testing.T) {
 			const cmds = 600
 			at := -1 // the tick the replier is lost at: just after an ACCEPT asked everyone
 			for tick := 0; tick < cmds; tick++ {
-				if at < 0 && tick >= 150 && c.world.Kernel.Now().Sub(c.nodes[0].pipe.askedAll) < 10*ms {
+				// The follower p0 does not name was last asked with everyone.
+				askedAll := min(c.nodes[0].pipe.peers[1].asked, c.nodes[0].pipe.peers[2].asked)
+				if at < 0 && tick >= 150 && c.world.Kernel.Now().Sub(askedAll) < 10*ms {
 					at = tick
 					lost = node.ID(bits.TrailingZeros64(c.nodes[0].pipe.named))
 					survivor, lostAt = n-lost, c.world.Kernel.Now() // {1, 2} \ {lost}

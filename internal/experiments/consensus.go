@@ -221,8 +221,9 @@ func e7Batched(cmds, crashAfter, burst int) []float64 {
 // the replicated log over a stream of commands, with a leader crash
 // mid-stream. Expected shape: ≈3(n−1)+1 messages per command in steady
 // state when commands trickle in one at a time, one spike at the crash
-// (re-prepare + re-proposals), then back; the batched curve amortizes
-// the same 3(n−1) per-instance cost over each burst.
+// (re-prepare + re-proposals), then ≈3(n−2)+1, the crashed replica being
+// sent only a probe a retryTimeout; the batched curve amortizes the same
+// per-instance cost over each burst.
 func E7RepeatedConsensus(o Opts) Series {
 	o.fill()
 	const n = 5
@@ -240,7 +241,7 @@ func E7RepeatedConsensus(o Opts) Series {
 	s := Series{
 		ID:    "E7",
 		Title: fmt.Sprintf("messages per command, replicated log, n=%d (Figure 4)", n),
-		Note: fmt.Sprintf("leader crashes after command %d; steady state ≈ 3(n-1) = %d consensus messages per leader-submitted command, amortized to ≈ 3(n-1)/%d when bursts of %d coalesce into batch envelopes (accepted replies shrink with the surviving cluster after the crash)",
+		Note: fmt.Sprintf("leader crashes after command %d; steady state ≈ 3(n-1) = %d consensus messages per leader-submitted command, amortized to ≈ 3(n-1)/%d when bursts of %d coalesce into batch envelopes; after the crash the crashed replica gets only a probe a retryTimeout, so a command costs what the surviving cluster needs",
 			crashAfter, 3*(n-1), burst, burst),
 		XLabel: "command #",
 		YLabel: "msgs/cmd",

@@ -2,10 +2,14 @@ package transport
 
 import (
 	"encoding/binary"
+	"fmt"
 	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/consensus"
+	"repro/internal/consensus/rsm"
 	"repro/internal/core"
 	"repro/internal/node"
 	"repro/internal/wire"
@@ -263,4 +267,71 @@ func TestTCPSendAfterStopDropsQuietly(t *testing.T) {
 	if c.Stats().Dropped() != before+1 {
 		t.Fatal("send after stop not accounted as drop")
 	}
+}
+
+// TestTCPCrashedFollowerCostsAProbe: of five on loopback TCP, under a
+// client writing a command a millisecond through p1, follower p3 crashes.
+// From a retryTimeout after the crash (100 ms, with as much again for
+// slack) the leader p0 sends it, over 2 s, its Omega heartbeats and one rsm
+// message a retryTimeout — a probe, not every ACCEPT — while the live
+// replicas go on applying.
+func TestTCPCrashedFollowerCostsAProbe(t *testing.T) {
+	const n, down = 5, 3
+	autos := make([]node.Automaton, n)
+	dets := make([]*core.Detector, n)
+	logs := make([]*rsm.Node, n)
+	for i := range autos {
+		dets[i] = core.New(core.WithEta(5 * time.Millisecond))
+		logs[i] = rsm.New(dets[i], rsm.Config{DriveInterval: 10 * time.Millisecond})
+		autos[i] = node.Compose(dets[i], logs[i])
+	}
+	var applied atomic.Int64 // at p1
+	logs[1].OnApply(func(int, int, consensus.Value) { applied.Add(1) })
+	c, err := NewTCPCluster(Config{N: n, Seed: 14, Quiet: true}, autos)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Start()
+	defer c.Stop()
+	waitFor(t, 10*time.Second, func() bool {
+		l, ok := agreement(dets, nil)
+		if ok && l == 0 && applied.Load() == 0 {
+			c.Inject(1, 0, rsm.RequestMsg{V: "boot"})
+		}
+		return ok && l == 0 && applied.Load() > 0
+	}, "leader 0 with a write applied at p1")
+
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() { // the client
+		defer close(done)
+		tick := time.NewTicker(time.Millisecond)
+		defer tick.Stop()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			case <-tick.C:
+				c.Inject(1, 0, rsm.RequestMsg{V: consensus.Value(fmt.Sprintf("w%d", i))})
+			}
+		}
+	}()
+	c.Crash(down)
+	time.Sleep(200 * time.Millisecond)
+	stats := c.Stats()
+	links, beats, before := stats.LinkCount(0, down), stats.SentByKind(0, core.KindLeader), applied.Load()
+	const window = 2 * time.Second
+	time.Sleep(window)
+	close(stop)
+	<-done
+	// p0's heartbeats go to every follower alike; the rest to p3 is rsm.
+	hb := (stats.SentByKind(0, core.KindLeader) - beats) / (n - 1)
+	rsmSent := stats.LinkCount(0, down) - links - hb
+	if probes := uint64(window/(100*time.Millisecond)) + 3; rsmSent > probes {
+		t.Errorf("p0 sent the crashed p%d %d rsm messages over %v (and %d heartbeats), want at most %d", down, rsmSent, window, hb, probes)
+	}
+	if got := applied.Load() - before; got < int64(window/time.Millisecond)/2 {
+		t.Errorf("p1 applied %d commands over %v of a command a millisecond", got, window)
+	}
+	t.Logf("over %v: %d rsm messages and %d heartbeats to p%d, %d commands applied at p1", window, rsmSent, hb, down, applied.Load()-before)
 }

@@ -1,14 +1,17 @@
 #!/usr/bin/env bash
-# Read-path mutation check (make mutants): each mutant below is one edit
-# that breaks linearizable reads in internal/consensus/rsm. The script
-# copies the package to a temporary directory, applies one mutant there,
-# runs the package's tests against the copy (go test -overlay puts the
-# copied files in place of the originals) and expects them to fail.
+# Mutation check of internal/consensus/rsm (make mutants): each mutant
+# below is one edit that breaks either linearizable reads (read.go,
+# lease.go) or the leader's fan-out to its followers (pipeline.go: reach).
+# The script copies the package to a temporary directory, applies one
+# mutant there, runs the package's tests against the copy (go test
+# -overlay puts the copied files in place of the originals) and expects
+# them to fail.
 #
 # Exits 1 when a mutant survives — the tests no longer catch that bug —
 # and when a mutant's edit does not apply exactly once to its file, so a
-# refactor of the read path cannot retire a mutant in silence: restate the
-# edit for the new code. About ten seconds a mutant on 2 vCPUs.
+# refactor of the read path or the fan-out cannot retire a mutant in
+# silence: restate the edit for the new code. About ten seconds a mutant
+# on 2 vCPUs.
 set -euo pipefail
 root=$(git -C "$(dirname "$0")" rev-parse --show-toplevel)
 pkg="$root/internal/consensus/rsm"
@@ -44,6 +47,16 @@ mutants=(
 	read.go
 	'r.log.firstGap >= max(r.prop.floor, r.prop.reopenedEnd)'
 	'r.log.firstGap >= r.prop.floor'
+
+	"a silent follower never probed again"
+	pipeline.go
+	'if f == r.me || silent && now.Sub(p.asked) < retryTimeout {'
+	'if f == r.me || silent {'
+
+	"a fan-out that sends to every follower, as a broadcast does"
+	pipeline.go
+	'if f == r.me || silent && now.Sub(p.asked) < retryTimeout {'
+	'if f == r.me {'
 )
 
 failed=0
