@@ -9,7 +9,7 @@
 //	benchtables -only E3    # a single experiment
 //	benchtables -seeds 10   # more seeds per cell
 //	benchtables -j 4        # four sweep workers
-//	benchtables -parallel=false  # force the sequential path
+//	benchtables -j 1        # the sequential path
 //
 // Independent (cell, seed) runs are fanned across CPU cores; results are
 // merged deterministically, so the output is byte-identical for any -j.
@@ -35,15 +35,10 @@ func run() error {
 	only := flag.String("only", "", "run a single experiment by id (e.g. E3)")
 	seeds := flag.Int("seeds", 0, "seeds per cell (default 5, quick 2)")
 	md := flag.Bool("md", false, "emit markdown sections (the EXPERIMENTS.md format)")
-	parallel := flag.Bool("parallel", true, "fan independent runs across CPU cores")
-	jobs := flag.Int("j", 0, "sweep workers (0 = one per core; implies -parallel)")
+	jobs := flag.Int("j", 0, "sweep workers (0 = one per core, 1 = sequential)")
 	flag.Parse()
 
-	workers := *jobs
-	if !*parallel && *jobs == 0 {
-		workers = 1
-	}
-	opts := experiments.Opts{Quick: *quick, Seeds: *seeds, Workers: workers}
+	opts := experiments.Opts{Quick: *quick, Seeds: *seeds, Workers: *jobs}
 	if *only != "" {
 		return experiments.RunOne(os.Stdout, *only, opts)
 	}

@@ -24,7 +24,7 @@ type applier struct {
 
 // apply runs the applier over every newly contiguous decided instance:
 // record it, decode, run the hook and retire the matching pending command
-// for each of its commands, and advance the Done vector's own entry.
+// for each of its commands, and advance this replica's own done (observe).
 func (r *Node) apply() {
 	now := r.env.Now()
 	for {
@@ -72,9 +72,9 @@ func (r *Node) apply() {
 			r.pipe.release(fl)
 		}
 	}
-	r.dones.observe(r.me, r.log.firstGap)
+	r.observe(r.me, r.log.firstGap)
 	if r.prop.prepared {
-		r.log.forgetBelow(r.dones.min())
+		r.log.forgetBelow(r.minDone())
 	}
 	r.maybeSnapshot()
 }
@@ -84,7 +84,7 @@ func (r *Node) apply() {
 // absorbs the contiguous applied prefix (below firstGap) into the App
 // payload; entries at or above it — decided-but-unapplied islands and
 // open acceptor votes — ride along explicitly. In-memory forgetting is
-// untouched: logbook.retained() stays governed by the Done vector, the
+// untouched: logbook.retained() stays governed by the Done column, the
 // snapshot only moves the *durable* horizon.
 func (r *Node) maybeSnapshot() {
 	if r.cfg.SnapshotEvery <= 0 || r.app.count-r.snapBase < r.cfg.SnapshotEvery {

@@ -14,10 +14,10 @@ import (
 
 // This file is the batching layer: the ring of queued client commands and
 // the envelope codec that packs many commands into one proposable value. A
-// batch of k commands costs the same phase-2 traffic as a single command
-// — 2(n−1) messages plus the commit index, which rides the next ACCEPT or
-// costs one value-free DECIDE per replica the batch came from — so throughput
-// scales with Config.BatchMax while per-instance cost stays flat.
+// batch of k commands costs the phase-2 traffic of one — an ACCEPT and an
+// ACCEPTED per answering follower, n messages at n = 3, and the commit
+// index, on the next ACCEPT or a value-free DECIDE per replica it came from
+// — so throughput scales with Config.BatchMax, the cost per instance flat.
 
 // batchPrefix marks an encoded batch envelope. Client commands are
 // opaque; one that happens to start with the marker is wrapped in a

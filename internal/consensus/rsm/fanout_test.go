@@ -70,8 +70,8 @@ func TestCrashedFollowerCostsAProbe(t *testing.T) {
 			}
 		})
 		crashAt, _ := c.world.CrashedAt(tc.down)
-		asked := c.nodes[0].pipe.peers[tc.down].waiting // the first ask it left unanswered
-		bound := 2 * ms                                 // a link delay for its last answer, and the next ACCEPT
+		asked := c.nodes[0].peers[tc.down].waiting // the first ask it left unanswered
+		bound := 2 * ms                            // a link delay for its last answer, and the next ACCEPT
 		if tc.n == 3 {
 			bound += retryTimeout // an unnamed follower is asked once a retryTimeout
 		}
@@ -172,5 +172,65 @@ func TestCutFollowerRejoinsTheStream(t *testing.T) {
 			t.Errorf("%s: p%d's first gap is %d %v after the heal (p0's was %d at the heal), %d at the end (p0's %d)",
 				name, lost, gapAtRejoin, rejoin().Sub(healAt), gapAtHeal, c.nodes[lost].FirstGap(), c.nodes[0].FirstGap())
 		}
+	}
+}
+
+// TestFollowerSlowerThanRetryTimeout: of three and of five, under static
+// leader p0 at the default drive interval, follower p1's links both ways
+// take 120 ms, longer than a retryTimeout. Its answers come after the
+// leader has counted it silent, so it drops out of the stream and is probed
+// back in, over and over. 1,000 commands, one a millisecond at p0, then
+// 2 s: every replica applies every command, in one order. How many ACCEPTs
+// and by-value DECIDEs p1 received is logged, not bounded: on slow links
+// the by-value repair is a known cost.
+func TestFollowerSlowerThanRetryTimeout(t *testing.T) {
+	const slow, cmds = 1, 1000
+	for _, n := range []int{3, 5} {
+		w, err := node.NewWorld(node.WorldConfig{N: n, Seed: 1, DefaultLink: network.Timely(ms)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Fabric.SetOutgoing(slow, network.Timely(120*ms)); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Fabric.SetIncoming(slow, network.Timely(120*ms)); err != nil {
+			t.Fatal(err)
+		}
+		c := &cluster{world: w, nodes: make([]*Node, n)}
+		for i := range c.nodes {
+			c.nodes[i] = New(consensus.StaticLeader(0), Config{})
+			w.SetAutomaton(node.ID(i), c.nodes[i])
+		}
+		accepts, byValue := 0, 0
+		w.SetAutomaton(slow, node.Compose(c.nodes[slow], tapAt{slow, func(_, _ node.ID, m node.Message) {
+			switch m := m.(type) {
+			case *AcceptMsg:
+				accepts++
+			case *DecideMsg:
+				if m.B == consensus.NoBallot {
+					byValue++
+				}
+			}
+		}}))
+		w.Start()
+		for i := 0; i < cmds; i++ {
+			c.nodes[0].Submit(consensus.Value(fmt.Sprintf("s%04d", i)))
+			w.RunFor(ms)
+		}
+		w.RunFor(2 * time.Second)
+		if rep := c.safety(); !rep.Holds() {
+			t.Fatalf("n=%d: safety: %v", n, rep.Violations)
+		}
+		c.assertPrefixAgreement(t)
+		for i, r := range c.nodes {
+			applied := c.appliedSet(i)
+			for k := 0; k < cmds; k++ {
+				if v := consensus.Value(fmt.Sprintf("s%04d", k)); !applied[v] {
+					t.Fatalf("n=%d: p%d has not applied %s (first gap %d, p0's %d)", n, i, v, r.FirstGap(), c.nodes[0].FirstGap())
+				}
+			}
+		}
+		t.Logf("n=%d: p%d received %d ACCEPTs for %d instances and %d by-value DECIDEs",
+			n, slow, accepts, c.nodes[0].FirstGap(), byValue)
 	}
 }

@@ -97,22 +97,90 @@ func TestLogbookForgetBelow(t *testing.T) {
 }
 
 func TestDoneVectorMin(t *testing.T) {
-	d := doneVector{done: make([]int, 3)}
-	if d.min() != 0 {
-		t.Fatalf("fresh min = %d", d.min())
+	d := &Node{peers: make([]follower, 3)}
+	if d.minDone() != 0 {
+		t.Fatalf("fresh min = %d", d.minDone())
 	}
 	d.observe(0, 7)
 	d.observe(1, 5)
-	if d.min() != 0 {
+	if d.minDone() != 0 {
 		t.Fatal("min advanced without hearing from p2")
 	}
 	d.observe(2, 6)
-	if d.min() != 5 {
-		t.Fatalf("min = %d, want 5", d.min())
+	if d.minDone() != 5 {
+		t.Fatalf("min = %d, want 5", d.minDone())
 	}
 	d.observe(1, 3) // stale advertisement must not regress
-	if d.min() != 5 {
-		t.Fatalf("min regressed to %d", d.min())
+	if d.minDone() != 5 {
+		t.Fatalf("min regressed to %d", d.minDone())
+	}
+	d.observe(node.None, 9) // a sender outside [0, n) is nobody
+	if d.minDone() != 5 {
+		t.Fatalf("min = %d after an advertisement from nobody", d.minDone())
+	}
+}
+
+// TestDoneOutlivesAnAbdication: how far a process has applied is a fact
+// about the process, whoever leads, so a leader that abdicates keeps it.
+// Leader p0 of three decides 0–3 on both followers' votes, then proposes 4
+// and 5; only p2's vote in 5 comes back, sent after p2 had decided 4 on its
+// own vote, so p2 is known to have applied through 5 while p0 is stuck at 4.
+// p0 abdicates — on a NACK, or on a higher PREPARE — and is elected again
+// on p1's promise, which reports p1's decided prefix, 5, and so sets p0's
+// floor. p0 learns 4 by value from p1 below that floor and must not pass it
+// on to p2, whose Done covers it (passOn); the first ACCEPT of the new
+// ballot must carry a MinDone no lower than the last one of the old.
+func TestDoneOutlivesAnAbdication(t *testing.T) {
+	for _, how := range []string{"NACK", "PREPARE"} {
+		r, env := prepareLeaderCfg(t, nil, Config{BatchMax: 1})
+		propose := func(v consensus.Value) AcceptMsg {
+			t.Helper()
+			r.Submit(v)
+			for _, s := range env.drain() {
+				if a, ok := s.msg.(*AcceptMsg); ok && a.V == v {
+					return *a
+				}
+			}
+			t.Fatalf("%s: no ACCEPT of %q", how, v)
+			return AcceptMsg{}
+		}
+		for i, v := range []consensus.Value{"a", "b", "c", "d"} {
+			a := propose(v)
+			r.Deliver(1, &AcceptedMsg{B: a.B, Inst: a.Inst, Done: i})
+			r.Deliver(2, &AcceptedMsg{B: a.B, Inst: a.Inst, Done: i})
+		}
+		propose("e")
+		before := propose("f")
+		r.Deliver(2, &AcceptedMsg{B: before.B, Inst: before.Inst, Done: 5})
+		if r.FirstGap() != 4 || r.HighestDecided() != 5 || r.minDone() != before.MinDone || before.MinDone != 3 {
+			t.Fatalf("%s: setup: first gap %d, highest decided %d, MinDone %d on the last ACCEPT, %d now",
+				how, r.FirstGap(), r.HighestDecided(), before.MinDone, r.minDone())
+		}
+
+		if how == "NACK" {
+			r.Deliver(1, NackMsg{B: before.B, Promised: before.B + 50})
+		} else {
+			r.Deliver(2, PrepareMsg{B: before.B + 50})
+		}
+		if r.prop.prepared {
+			t.Fatalf("%s: p0 did not abdicate", how)
+		}
+		env.now = env.now.Add(time.Hour)
+		r.Tick(timerDrive)
+		r.Deliver(1, PromiseMsg{B: r.prop.ballot, Entries: []PromEntry{{Inst: 5}}})
+		if !r.prop.prepared || r.prop.floor != 5 {
+			t.Fatalf("%s: p0 re-elected %v, floor %d; want prepared at floor 5", how, r.prop.prepared, r.prop.floor)
+		}
+		env.drain()
+		r.Deliver(1, &DecideMsg{Inst: 4, V: "e"}) // p1 answers p0's LEARN
+		for _, s := range env.drain() {
+			if d, ok := s.msg.(*DecideMsg); ok && s.to == 2 && d.B == consensus.NoBallot {
+				t.Errorf("%s: p0 passed instance %d on to p2, which has applied through 5", how, d.Inst)
+			}
+		}
+		if after := propose("g"); after.MinDone < before.MinDone {
+			t.Errorf("%s: the first ACCEPT of the new ballot carries MinDone %d, the last of the old %d", how, after.MinDone, before.MinDone)
+		}
 	}
 }
 

@@ -53,7 +53,6 @@ type leaseState struct {
 	// Leader side.
 	seq      uint64              // current grant sequence number
 	issued   map[uint64]sim.Time // grant seq → first-send time
-	acked    []uint64            // per process: the highest grant acked (own vote: the current one)
 	lastSent sim.Time            // when a grant last rode out (any carrier)
 
 	// Follower side.
@@ -104,7 +103,7 @@ func (r *Node) grantSeq(now sim.Time) uint64 {
 func (r *Node) nextGrant(now sim.Time) uint64 {
 	r.lease.seq++
 	r.lease.issued[r.lease.seq] = now
-	r.lease.acked[r.me] = r.lease.seq
+	r.peers[r.me].acked = r.lease.seq
 	// Prune grants too old to extend any expiry.
 	for s, t := range r.lease.issued {
 		if now.Sub(t) > r.cfg.Lease {
@@ -146,10 +145,10 @@ func (r *Node) onLeaseGrant(from node.ID, m LeaseGrantMsg) {
 // onLeaseAck is the leader side: follower from has acked grant seq, and
 // the grant a majority has acked may date the lease anew.
 func (r *Node) onLeaseAck(from node.ID, b consensus.Ballot, seq uint64) {
-	if !r.prop.prepared || b != r.prop.ballot || seq <= r.lease.acked[from] || seq > r.lease.seq {
+	if !r.prop.prepared || b != r.prop.ballot || seq <= r.peers[from].acked || seq > r.lease.seq {
 		return
 	}
-	r.lease.acked[from] = seq
+	r.peers[from].acked = seq
 	if issued, ok := r.lease.issued[r.quorumSeq()]; ok && r.cfg.Lease > 0 {
 		r.lease.heldUntil.Store(int64(issued.Add(r.cfg.Lease - r.cfg.Lease/10)))
 	} // a grant pruned as too old has run out: worthless
@@ -159,18 +158,18 @@ func (r *Node) onLeaseAck(from node.ID, b consensus.Ballot, seq uint64) {
 // acked. It runs on every lease-carrying ACCEPTED, and n is a handful: a
 // count per candidate beats sorting a copy.
 func (r *Node) quorumSeq() (q uint64) {
-	for _, s := range r.lease.acked {
-		if s <= q {
+	for _, p := range r.peers {
+		if p.acked <= q {
 			continue
 		}
 		k := 0
-		for _, u := range r.lease.acked {
-			if u >= s {
+		for _, u := range r.peers {
+			if u.acked >= p.acked {
 				k++
 			}
 		}
 		if k >= consensus.Majority(r.n) {
-			q = s
+			q = p.acked
 		}
 	}
 	return q
@@ -240,11 +239,12 @@ func (r *Node) abdicateLeader() {
 		r.cfg.Tracer.Mark(r.env.Now(), "abdicate", -1)
 	}
 	r.prop.prepared, r.prop.preparing = false, false
-	clear(r.pipe.peers)
+	for f, p := range r.peers {
+		r.peers[f] = follower{done: p.done}
+	}
 	r.pipe.named = 0
 	r.bat.unassign()
 	r.lease.heldUntil.Store(0)
-	clear(r.lease.acked)
 	r.lease.seq = 0
 	clear(r.lease.issued)
 	r.reads.waiting = r.reads.waiting[:0]

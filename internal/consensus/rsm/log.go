@@ -10,8 +10,8 @@ import (
 
 // This file is the storage layer: the instance window — one slot per log
 // instance holding the decided value or the acceptor's vote (the leader's
-// round state is the pipeline's) — and the Done-vector bookkeeping by which
-// every replica forgets the prefix every replica has applied.
+// round state is the pipeline's) — and the forgetting by which every
+// replica drops the prefix every replica has applied (follower.done).
 
 // decidedB is a decided slot's ballot: no ballot a process makes reaches
 // it, and onPrepare and onAccept drop a message at it, which no acceptor
@@ -198,27 +198,16 @@ func (r *Node) onCommit(b consensus.Ballot, upTo int) {
 	}
 }
 
-// doneVector tracks, per process, how far it is known to have applied the
-// log (its advertised first gap). The cluster minimum is the forgetting
-// horizon: below it, every process has applied, so nothing will ever be
-// re-read or re-proposed. The leader forgets below it as it advances and
-// sends it on every ACCEPT (MinDone), and a follower forgets below that. A
-// replica that is down or slow pins it, so nothing it may still ask for
-// by value is gone.
-type doneVector struct {
-	done []int
-}
-
-// observe records that process id has applied through count.
-func (d *doneVector) observe(id node.ID, count int) {
-	if int(id) < len(d.done) && count > d.done[id] {
-		d.done[id] = count
+// observe records that process id has applied through count (follower.done).
+func (r *Node) observe(id node.ID, count int) {
+	if uint(id) < uint(len(r.peers)) {
+		r.peers[id].done = max(r.peers[id].done, count)
 	}
 }
 
-// min returns the cluster-wide applied-through minimum.
-func (d *doneVector) min() int {
-	return slices.Min(d.done)
+// minDone returns the forgetting horizon, the least done (follower).
+func (r *Node) minDone() int {
+	return slices.MinFunc(r.peers, func(a, b follower) int { return a.done - b.done }).done
 }
 
 // learn installs a decision locally and lets the applier run the newly
@@ -246,10 +235,10 @@ func (r *Node) learn(inst int, v consensus.Value) bool {
 	return true
 }
 
-// onLearn serves a lagging follower's gap-fill request and folds its
-// advertised progress into the Done vector.
+// onLearn serves a lagging follower's gap-fill request and records its
+// advertised progress (observe).
 func (r *Node) onLearn(from node.ID, m LearnMsg) {
-	r.dones.observe(from, m.FirstGap)
+	r.observe(from, m.FirstGap)
 	sent := 0
 	for inst := max(m.FirstGap, r.log.low); inst <= r.log.highestDecided && sent < learnBatch; inst++ {
 		if v, ok := r.log.get(inst); ok {

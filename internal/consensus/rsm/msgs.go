@@ -73,7 +73,7 @@ func (NackMsg) Kind() string { return KindNack }
 // ballot B is decided with its accepted value (the commit index; see
 // DecideMsg for the form it takes when no ACCEPT is leaving).
 //
-// MinDone piggybacks the Done vector's cluster minimum (log.go): every
+// MinDone piggybacks the cluster minimum of Done (follower): every
 // process has applied the instances below it, so the receiver forgets
 // them. Zero forgets nothing.
 //
@@ -98,7 +98,7 @@ func (*AcceptMsg) Kind() string { return KindAccept }
 
 // AcceptedMsg acknowledges acceptance of instance Inst at ballot B. Done
 // advertises the sender's applied-through count (its first gap) — the
-// sender's entry in the leader's Done vector (log.go).
+// sender's done in the leader's record of it (follower).
 // LeaseSeq, when non-zero, acknowledges the lease grant of that sequence
 // number (see lease.go).
 type AcceptedMsg struct {

@@ -76,28 +76,11 @@ type pipeline struct {
 	nextInst int
 	// flights are this replica's instances in flight, in instance order: a
 	// window's worth and what a phase 1 re-opened, none on a follower.
-	flights []*flight
-	open    int       // flights awaiting their quorum
-	free    []*flight // retired flights, buffers kept
-	// peers holds what this leader knows of each follower at its ballot, its
-	// own entry unused (zero after an abdication). acceptAt: when an ACCEPT
-	// last left. named: the one follower a fresh ACCEPT asks at a quorum of two.
-	peers    []peer
-	acceptAt sim.Time
-	named    uint64
-}
-
-// peer is the leader's record of one follower.
-type peer struct {
-	// told is the commit index last sent it, on an ACCEPT or a DECIDE:
-	// nobody is sent one index twice. owed: the applier has passed a command
-	// it waits on, and the end of the turn tells it.
-	told int
-	owed bool
-	// waiting is when it was first asked to answer since it was last heard
-	// from (zero: no ask outstanding), asked when it was last asked — by an
-	// ACCEPT that names it or nobody, or by a probe (reach).
-	waiting, asked sim.Time
+	flights  []*flight
+	open     int       // flights awaiting their quorum
+	free     []*flight // retired flights, buffers kept
+	acceptAt sim.Time  // when an ACCEPT last left
+	named    uint64    // the one follower a fresh ACCEPT asks at a quorum of two
 }
 
 // find returns where inst's flight is, or would go, in flights.
@@ -188,7 +171,7 @@ func (r *Node) propose(v consensus.Value, fl *flight) int {
 		}
 	}
 	ask, now := r.pipe.named, r.env.Now() // pinned by onAccepted, only where pairDecides
-	for f, p := range r.pipe.peers {
+	for f, p := range r.peers {
 		if node.ID(f) != r.me && ask>>uint(f)&1 == 0 && now.Sub(p.asked) >= retryTimeout {
 			ask = 0 // once a retryTimeout: the unnamed follower's Done stays current
 		}
@@ -307,7 +290,7 @@ func (r *Node) decideRipe() {
 }
 
 func (r *Node) onAccepted(from node.ID, m AcceptedMsg) {
-	r.dones.observe(from, m.Done)
+	r.observe(from, m.Done)
 	if m.B != r.prop.ballot {
 		return
 	}
@@ -348,9 +331,9 @@ func (r *Node) maybeDecide(inst int) {
 // clients may be anywhere. At a quorum of two one it batched owes nobody:
 // each origin decided it on its own vote (pairDecides).
 func (r *Node) owe(batched bool, fl *flight) {
-	for f := range r.pipe.peers { // a sender id outside [0, n) matches nobody
+	for f := range r.peers { // a sender id outside [0, n) matches nobody
 		if !batched || len(fl.from) == 0 || (slices.Contains(fl.from, node.ID(f)) && !r.pairDecides()) {
-			r.pipe.peers[f].owed = true
+			r.peers[f].owed = true
 		}
 	}
 }
@@ -359,8 +342,8 @@ func (r *Node) owe(batched bool, fl *flight) {
 // all) that has not been sent it and that the stream reaches now (reach);
 // none is owed it after.
 func (r *Node) tell(all bool) {
-	for f := range r.pipe.peers {
-		p := &r.pipe.peers[f]
+	for f := range r.peers {
+		p := &r.peers[f]
 		if (all || p.owed) && p.told < r.log.firstGap && r.reach(node.ID(f), r.env.Now(), false) {
 			p.told = r.log.firstGap
 			r.env.Send(node.ID(f), r.decides.New(DecideMsg{B: r.prop.ballot, Inst: r.log.firstGap}))
@@ -406,7 +389,7 @@ func (r *Node) catchUp(now sim.Time) {
 // acceptMsg builds a phase-2 ACCEPT carrying the current commit index,
 // forgetting horizon, and lease grant.
 func (r *Node) acceptMsg(inst int, v consensus.Value, ask uint64) *AcceptMsg {
-	m := AcceptMsg{B: r.prop.ballot, Inst: inst, V: v, CommitUpTo: r.log.firstGap, MinDone: r.dones.min(), Repliers: ask}
+	m := AcceptMsg{B: r.prop.ballot, Inst: inst, V: v, CommitUpTo: r.log.firstGap, MinDone: r.minDone(), Repliers: ask}
 	now := r.env.Now()
 	r.pipe.acceptAt = now
 	r.driveIn(now, r.quiet()) // catchUp is due then, should no ACCEPT follow
@@ -419,11 +402,11 @@ func (r *Node) acceptMsg(inst int, v consensus.Value, ask uint64) *AcceptMsg {
 // (all when it names nobody) and tells each one reached its commit index.
 func (r *Node) fanOut(m node.Message, a *AcceptMsg) {
 	now := r.env.Now()
-	for f := range r.pipe.peers {
+	for f := range r.peers {
 		ask := a != nil && (a.Repliers == 0 || a.Repliers>>uint(f)&1 != 0)
 		if r.reach(node.ID(f), now, ask) {
 			if a != nil {
-				r.pipe.peers[f].told = a.CommitUpTo // never below what f was told: firstGap only grows
+				r.peers[f].told = a.CommitUpTo // never below what f was told: firstGap only grows
 			}
 			r.env.Send(node.ID(f), m)
 		}
@@ -438,7 +421,7 @@ func (r *Node) fanOut(m node.Message, a *AcceptMsg) {
 // to it anyway — the probe — until anything it sends is delivered here, its
 // detector's messages included (Deliver).
 func (r *Node) reach(f node.ID, now sim.Time, ask bool) bool {
-	p := &r.pipe.peers[f]
+	p := &r.peers[f]
 	silent := p.waiting != 0 && now.Sub(p.waiting) >= retryTimeout
 	if f == r.me || silent && now.Sub(p.asked) < retryTimeout {
 		return false

@@ -135,7 +135,7 @@ func (r *Node) onPromise(from node.ID, m PromiseMsg) {
 			r.learn(e.Inst, e.AccV)
 			continue
 		}
-		r.dones.observe(from, e.Inst)
+		r.observe(from, e.Inst)
 		if e.Inst > r.prop.floor {
 			r.prop.floor, r.prop.floorAt, r.acc.stuckGap = e.Inst, from, -1
 		}
@@ -211,8 +211,8 @@ func (r *Node) maybeFinishPrepare() {
 // to the followers not known to hold it: no ACCEPT of this ballot carries it,
 // and this ballot's commit index does not decide a vote cast at an older one.
 func (r *Node) passOn(from node.ID, m DecideMsg) {
-	for f, done := range r.dones.done {
-		if id := node.ID(f); id != r.me && id != from && done <= m.Inst {
+	for f, p := range r.peers {
+		if id := node.ID(f); id != r.me && id != from && p.done <= m.Inst {
 			r.env.Send(id, r.decides.New(m))
 		}
 	}

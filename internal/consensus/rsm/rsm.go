@@ -34,7 +34,7 @@
 // The engine is layered, one file per layer:
 //
 //	msgs.go     — the wire messages
-//	log.go      — storage: the instance window (decisions, votes), Done vector, forgetting
+//	log.go      — storage: the instance window (decisions, votes), forgetting
 //	proposer.go — ballot management and the one-time phase 1
 //	pipeline.go — windowed multi-instance phase 2 (Config.Window): flights
 //	batch.go    — command ring, envelope codec, pump policy (Config.BatchMax)
@@ -42,7 +42,7 @@
 //	lease.go    — leader read leases piggybacked on phase 2 (Config.Lease)
 //	read.go     — linearizable reads: lease-local or confirmed by a round of grants, one reply per origin
 //	turn.go     — the end of a turn: one pump, one serve of its reads, one addressed announcement, one flush
-//	rsm.go      — Node: composition, config, and the automaton surface
+//	rsm.go      — Node: composition, config, the follower record, and the automaton surface
 //
 // Batching packs many commands into one proposed value and pipelining
 // overlaps many instances, so the per-instance cost is amortized over
@@ -56,9 +56,9 @@
 // each event is a turn of one.
 //
 // The log forgets as it goes (log.go): every replica drops the prefix all
-// replicas have applied, the minimum of a Done vector that rides phase-2
-// traffic (Done on ACCEPTED, MinDone on ACCEPT) and so costs no message. A
-// replica that is down or cut off pins it, and logs grow until it is back.
+// replicas have applied, the minimum of their Done (follower), which rides
+// phase-2 traffic (Done on ACCEPTED, MinDone on ACCEPT) and so costs no
+// message. A replica down or cut off pins it; logs grow until it is back.
 //
 // Safety is per-instance synod safety: an instance's value is chosen once
 // a majority accepts it at some ballot, every later ballot's leader
@@ -162,7 +162,7 @@ type Node struct {
 	pipe    pipeline   // windowed phase 2: flights
 	bat     batcher    // queued client commands
 	app     applier    // in-order apply + decision fan-out
-	dones   doneVector // applied-through per process (forgetting)
+	peers   []follower // what this replica knows of each process, by id
 	lease   leaseState // read-lease grants, both sides
 	reads   readState  // reads waiting at the leader, and their round
 	held    []heldReq  // requests that arrived ahead of this replica's Omega
@@ -188,6 +188,35 @@ type Node struct {
 	// so inner handlers can attach their spans without every message
 	// type growing a context field.
 	curCtx tracing.Context
+}
+
+// follower is what this replica knows of one process (Node.peers), in two
+// lifetimes. done is a fact about the process whoever leads, so it is never
+// reset: how far it is known to have applied the log, its advertised first
+// gap (Done on ACCEPTED, a PROMISE's first entry, LEARN), which only grows
+// (observe). The least done, minDone, is the forgetting horizon: below it
+// every process has applied, so nothing will ever be re-read or re-proposed.
+// The leader forgets below it as it advances and sends it on every ACCEPT
+// (MinDone), a follower forgets below that, and a replica down or slow pins
+// it, so nothing it may still ask for by value is gone. A ballot that forgot
+// it would send a lower MinDone and pass decisions on by value to followers
+// that hold them (passOn).
+//
+// The rest belongs to this leader at its ballot; an abdication zeroes it, so
+// a new ballot announces afresh. told is the commit index last sent it, on
+// an ACCEPT or a DECIDE: nobody is sent one index twice. owed: the applier
+// has passed a command it waits on, and the end of the turn tells it.
+// waiting is when it was first asked to answer since it was last heard from
+// (zero: no ask outstanding), asked when it was last asked — by an ACCEPT
+// that names it or nobody, or by a probe (reach). acked is the highest lease
+// grant it has acked (quorumSeq). Of the own entry only acked, the own vote
+// on the current grant, and done are read.
+type follower struct {
+	told           int
+	owed           bool
+	waiting, asked sim.Time
+	acked          uint64
+	done           int
 }
 
 var _ node.Automaton = (*Node)(nil)
@@ -277,9 +306,8 @@ func (r *Node) Start(env node.Env) {
 	r.env = env
 	r.me = env.ID()
 	r.n = env.N()
-	r.dones = doneVector{done: make([]int, r.n)}
-	r.pipe.peers = make([]peer, r.n)
-	r.lease.acked, r.lease.issued = make([]uint64, r.n), make(map[uint64]sim.Time)
+	r.peers = make([]follower, r.n)
+	r.lease.issued = make(map[uint64]sim.Time)
 	if st := r.cfg.Store.State(); st != nil {
 		r.restore(st)
 	}
@@ -390,7 +418,7 @@ func (r *Node) drive() {
 	r.redrive(now)
 	r.catchUp(now)
 	r.refreshLease(now)
-	r.log.forgetBelow(r.dones.min())
+	r.log.forgetBelow(r.minDone())
 }
 
 // fillGaps asks the leader for decisions, by value, when this replica has
@@ -425,8 +453,8 @@ func (r *Node) fillGaps(leader node.ID) {
 // Deliver implements node.Automaton.
 func (r *Node) Deliver(from node.ID, m node.Message) {
 	r.inTurn = r.turns
-	if uint(from) < uint(len(r.pipe.peers)) {
-		r.pipe.peers[from].waiting = 0 // anything it sends is an answer (reach)
+	if uint(from) < uint(len(r.peers)) {
+		r.peers[from].waiting = 0 // anything it sends is an answer (reach)
 	}
 	r.handle(from, m)
 	r.followOmega()

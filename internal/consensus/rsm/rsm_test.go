@@ -595,7 +595,7 @@ func TestNamedReplierLost(t *testing.T) {
 			at := -1 // the tick the replier is lost at: just after an ACCEPT asked everyone
 			for tick := 0; tick < cmds; tick++ {
 				// The follower p0 does not name was last asked with everyone.
-				askedAll := min(c.nodes[0].pipe.peers[1].asked, c.nodes[0].pipe.peers[2].asked)
+				askedAll := min(c.nodes[0].peers[1].asked, c.nodes[0].peers[2].asked)
 				if at < 0 && tick >= 150 && c.world.Kernel.Now().Sub(askedAll) < 10*ms {
 					at = tick
 					lost = node.ID(bits.TrailingZeros64(c.nodes[0].pipe.named))

@@ -583,16 +583,17 @@ func TestQuorumSeqMatchesSorting(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for round := 0; round < 2000; round++ {
 		n := 1 + rng.Intn(7)
-		r := &Node{n: n}
-		r.lease.acked = make([]uint64, n)
-		for f := range r.lease.acked {
-			r.lease.acked[f] = uint64(rng.Intn(4)) // few values: ties and never-acked zeros
+		r := &Node{n: n, peers: make([]follower, n)}
+		acked := make([]uint64, n)
+		for f := range r.peers {
+			acked[f] = uint64(rng.Intn(4)) // few values: ties and never-acked zeros
+			r.peers[f].acked = acked[f]
 		}
-		sorted := slices.Clone(r.lease.acked)
+		sorted := slices.Clone(acked)
 		slices.Sort(sorted)
 		slices.Reverse(sorted)
 		if got, want := r.quorumSeq(), sorted[consensus.Majority(n)-1]; got != want {
-			t.Fatalf("acked %v: got %d, want %d, the majority-th largest", r.lease.acked, got, want)
+			t.Fatalf("acked %v: got %d, want %d, the majority-th largest", acked, got, want)
 		}
 	}
 }

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Mutation check of internal/consensus/rsm (make mutants): each mutant
-# below is one edit that breaks either linearizable reads (read.go,
-# lease.go) or the leader's fan-out to its followers (pipeline.go: reach).
+# below is one edit that breaks linearizable reads (read.go, lease.go),
+# the leader's fan-out to its followers (pipeline.go: reach) or what the
+# leader keeps of them across an abdication (lease.go: abdicateLeader).
 # The script copies the package to a temporary directory, applies one
 # mutant there, runs the package's tests against the copy (go test
 # -overlay puts the copied files in place of the originals) and expects
@@ -57,6 +58,13 @@ mutants=(
 	pipeline.go
 	'if f == r.me || silent && now.Sub(p.asked) < retryTimeout {'
 	'if f == r.me {'
+
+	"an abdication that forgets what followers applied"
+	lease.go
+	'for f, p := range r.peers {
+		r.peers[f] = follower{done: p.done}
+	}'
+	'clear(r.peers)'
 )
 
 failed=0
