@@ -321,7 +321,7 @@ func BenchmarkWorldMessagePath(b *testing.B) {
 
 type benchMsg struct{}
 
-func (benchMsg) Kind() string { return "BENCH" }
+func (benchMsg) KindID() obs.Kind { return obs.Intern("BENCH") }
 
 type benchSink struct{ got int }
 

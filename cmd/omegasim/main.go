@@ -46,7 +46,7 @@ func run(args []string) error {
 		gst      = fs.Duration("gst", 0, "global stabilization time")
 		eta      = fs.Duration("eta", 10*time.Millisecond, "heartbeat period η")
 		drop     = fs.Float64("drop", 0.3, "drop probability for lossy regimes")
-		source   = fs.Int("source", 0, "◊-source process id (default n-1)")
+		source   = fs.Int("source", -1, "◊-source process id (-1: n-1)")
 		runFor   = fs.Duration("run", 3*time.Second, "virtual time to simulate")
 		crashes  = fs.String("crash", "", "crash plan, e.g. 0@300ms,2@1s")
 		trace    = fs.Bool("trace", false, "print the full event trace")
@@ -59,6 +59,9 @@ func run(args []string) error {
 		return err
 	}
 
+	if *source < 0 {
+		*source = *n - 1
+	}
 	plan, err := parseCrashes(*crashes)
 	if err != nil {
 		return err

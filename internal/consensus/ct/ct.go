@@ -53,35 +53,20 @@ type EstimateMsg struct {
 	TS  int
 }
 
-// Kind implements node.Message.
-func (EstimateMsg) Kind() string { return KindEstimate }
-
 // ProposalMsg is the coordinator's proposal for round R.
 type ProposalMsg struct {
 	R int
 	V consensus.Value
 }
 
-// Kind implements node.Message.
-func (ProposalMsg) Kind() string { return KindProposal }
-
 // AckMsg acknowledges adoption of round R's proposal.
 type AckMsg struct{ R int }
-
-// Kind implements node.Message.
-func (AckMsg) Kind() string { return KindAck }
 
 // NackMsg reports a timeout on round R's coordinator.
 type NackMsg struct{ R int }
 
-// Kind implements node.Message.
-func (NackMsg) Kind() string { return KindNack }
-
 // DecideMsg announces the decided value (reliably re-broadcast).
 type DecideMsg struct{ V consensus.Value }
-
-// Kind implements node.Message.
-func (DecideMsg) Kind() string { return KindDecide }
 
 // Timer keys.
 const (

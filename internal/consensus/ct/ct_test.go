@@ -8,6 +8,7 @@ import (
 	"repro/internal/consensus"
 	"repro/internal/network"
 	"repro/internal/node"
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -215,5 +216,25 @@ func TestTimestampLockingPreservedAcrossRounds(t *testing.T) {
 	}
 	if prop.V != "locked" {
 		t.Fatalf("proposal = %q, want the max-timestamp estimate", prop.V)
+	}
+}
+
+// TestKindIsNamedByType holds each of the five kinds, which run only in the
+// simulator and so have no wire code for the wire tests to pin, to the
+// constant its type names.
+func TestKindIsNamedByType(t *testing.T) {
+	for _, tc := range []struct {
+		m    node.Message
+		want string
+	}{
+		{EstimateMsg{}, KindEstimate},
+		{ProposalMsg{}, KindProposal},
+		{AckMsg{}, KindAck},
+		{NackMsg{}, KindNack},
+		{DecideMsg{}, KindDecide},
+	} {
+		if got := obs.KindName(tc.m.KindID()); got != tc.want {
+			t.Errorf("%T names %s, want %s", tc.m, got, tc.want)
+		}
 	}
 }

@@ -2,8 +2,9 @@ package ct
 
 import "repro/internal/obs"
 
-// Kind ids are interned once at package init so the consensus send path
-// (node.KindIDer fast path) never hashes a kind string.
+// Kind ids are interned once at package init, so the consensus send path
+// never hashes a kind string. The kinds run only in the simulator: none
+// has a wire code.
 var (
 	kindEstimateID = obs.Intern(KindEstimate)
 	kindProposalID = obs.Intern(KindProposal)
@@ -12,17 +13,9 @@ var (
 	kindDecideID   = obs.Intern(KindDecide)
 )
 
-// KindID implements node.KindIDer.
+// Each KindID implements node.Message.
 func (EstimateMsg) KindID() obs.Kind { return kindEstimateID }
-
-// KindID implements node.KindIDer.
 func (ProposalMsg) KindID() obs.Kind { return kindProposalID }
-
-// KindID implements node.KindIDer.
-func (AckMsg) KindID() obs.Kind { return kindAckID }
-
-// KindID implements node.KindIDer.
-func (NackMsg) KindID() obs.Kind { return kindNackID }
-
-// KindID implements node.KindIDer.
-func (DecideMsg) KindID() obs.Kind { return kindDecideID }
+func (AckMsg) KindID() obs.Kind      { return kindAckID }
+func (NackMsg) KindID() obs.Kind     { return kindNackID }
+func (DecideMsg) KindID() obs.Kind   { return kindDecideID }

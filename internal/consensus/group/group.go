@@ -92,10 +92,7 @@ type Msg struct {
 	Inner node.Message
 }
 
-// Kind implements node.Message.
-func (Msg) Kind() string { return KindGroup }
-
-// KindID implements node.KindIDer.
+// KindID implements node.Message.
 func (Msg) KindID() obs.Kind { return kindGroupID }
 
 // TraceContext implements node.Traced by delegating to the inner

@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/network"
 	"repro/internal/node"
+	"repro/internal/obs"
 )
 
 // Every per-operation kind — ACCEPT, ACCEPTED, DECIDE, REQ, READ, READR —
@@ -69,20 +70,20 @@ func TestBroadcastSharesOneBox(t *testing.T) {
 	for i, s := range spies {
 		for j, m := range s.got {
 			if receivers[m]++; receivers[m] == 1 {
-				boxes[m.Kind()]++
+				boxes[obs.KindName(m.KindID())]++
 			}
 			if now := reflect.ValueOf(m).Elem().Interface(); now != s.held[j] {
-				t.Fatalf("p%d's %s #%d holds %+v at the end of the run, %+v on arrival", i, m.Kind(), j, now, s.held[j])
+				t.Fatalf("p%d's %s #%d holds %+v at the end of the run, %+v on arrival", i, obs.KindName(m.KindID()), j, now, s.held[j])
 			}
 		}
 	}
 	for m, k := range receivers {
 		want := 1
-		if m.Kind() == KindAccept {
+		if m.KindID() == kindAcceptID {
 			want = n - 1
 		}
 		if k != want {
-			t.Fatalf("%s %+v reached %d receivers as this box, want %d", m.Kind(), m, k, want)
+			t.Fatalf("%s %+v reached %d receivers as this box, want %d", obs.KindName(m.KindID()), m, k, want)
 		}
 	}
 	t.Logf("boxes per kind: %v", boxes)

@@ -45,7 +45,7 @@ type watched struct {
 }
 
 func (a watched) Deliver(from node.ID, m node.Message) {
-	a.c.note(a.id, "delivered %s from p%d", m.Kind(), from)
+	a.c.note(a.id, "delivered %s from p%d", obs.KindName(m.KindID()), from)
 	a.Automaton.Deliver(from, m)
 }
 

@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/network"
 	"repro/internal/node"
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/sweep"
 )
@@ -202,7 +203,7 @@ type fakeOmega struct{ leader node.ID }
 
 type nominate node.ID
 
-func (nominate) Kind() string { return "TEST-NOMINATE" }
+func (nominate) KindID() obs.Kind { return obs.Intern("TEST-NOMINATE") }
 
 func (o *fakeOmega) Leader() node.ID { return o.leader }
 func (o *fakeOmega) Start(node.Env)  {}

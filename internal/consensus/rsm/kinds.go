@@ -2,8 +2,8 @@ package rsm
 
 import "repro/internal/obs"
 
-// Kind ids are interned once at package init so the replicated-log send
-// path (node.KindIDer fast path) never hashes a kind string.
+// Kind ids are interned once at package init, so the replicated-log send
+// path never hashes a kind string.
 var (
 	kindRequestID  = obs.Intern(KindRequest)
 	kindPrepareID  = obs.Intern(KindPrepare)
@@ -20,16 +20,16 @@ var (
 	kindReadReplyID  = obs.Intern(KindReadReply)
 )
 
-// Each KindID implements node.KindIDer.
-func (RequestMsg) KindID() obs.Kind    { return kindRequestID }
+// Each KindID implements node.Message.
+func (RequestMsg) KindID() obs.Kind    { return kindRequestID } // for the box and the plain value alike
 func (PrepareMsg) KindID() obs.Kind    { return kindPrepareID }
 func (PromiseMsg) KindID() obs.Kind    { return kindPromiseID }
 func (NackMsg) KindID() obs.Kind       { return kindNackID }
-func (*AcceptMsg) KindID() obs.Kind    { return kindAcceptID }
-func (*AcceptedMsg) KindID() obs.Kind  { return kindAcceptedID }
-func (*DecideMsg) KindID() obs.Kind    { return kindDecideID }
+func (*AcceptMsg) KindID() obs.Kind    { return kindAcceptID }   // sent boxed, from a node.Slab
+func (*AcceptedMsg) KindID() obs.Kind  { return kindAcceptedID } // sent boxed, from a node.Slab
+func (*DecideMsg) KindID() obs.Kind    { return kindDecideID }   // sent boxed, from a node.Slab
 func (LearnMsg) KindID() obs.Kind      { return kindLearnID }
 func (LeaseGrantMsg) KindID() obs.Kind { return kindLeaseGrantID }
 func (LeaseAckMsg) KindID() obs.Kind   { return kindLeaseAckID }
-func (ReadReqMsg) KindID() obs.Kind    { return kindReadReqID }
-func (*ReadReplyMsg) KindID() obs.Kind { return kindReadReplyID }
+func (ReadReqMsg) KindID() obs.Kind    { return kindReadReqID }   // for the box and the plain value alike
+func (*ReadReplyMsg) KindID() obs.Kind { return kindReadReplyID } // sent boxed, from a node.Slab

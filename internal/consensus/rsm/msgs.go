@@ -28,14 +28,8 @@ const (
 // and a replica handles only the box.
 type RequestMsg struct{ V consensus.Value }
 
-// Kind implements node.Message, for the box and the plain value alike.
-func (RequestMsg) Kind() string { return KindRequest }
-
 // PrepareMsg opens a stable ballot covering all instances.
 type PrepareMsg struct{ B consensus.Ballot }
-
-// Kind implements node.Message.
-func (PrepareMsg) Kind() string { return KindPrepare }
 
 // PromEntry reports one instance in a promise. With AccB set it is the
 // promiser's vote there. Under NoBallot it is a decision: a promise's first
@@ -54,17 +48,11 @@ type PromiseMsg struct {
 	Entries []PromEntry
 }
 
-// Kind implements node.Message.
-func (PromiseMsg) Kind() string { return KindPromise }
-
 // NackMsg rejects ballot B in favor of Promised.
 type NackMsg struct {
 	B        consensus.Ballot
 	Promised consensus.Ballot
 }
-
-// Kind implements node.Message.
-func (NackMsg) Kind() string { return KindNack }
 
 // AcceptMsg proposes value V for log instance Inst at ballot B.
 //
@@ -93,9 +81,6 @@ type AcceptMsg struct {
 	Repliers   uint64
 }
 
-// Kind implements node.Message: an ACCEPT is sent boxed, from a node.Slab.
-func (*AcceptMsg) Kind() string { return KindAccept }
-
 // AcceptedMsg acknowledges acceptance of instance Inst at ballot B. Done
 // advertises the sender's applied-through count (its first gap) — the
 // sender's done in the leader's record of it (follower).
@@ -107,9 +92,6 @@ type AcceptedMsg struct {
 	Done     int
 	LeaseSeq uint64
 }
-
-// Kind implements node.Message: an ACCEPTED is sent boxed, from a node.Slab.
-func (*AcceptedMsg) Kind() string { return KindAccepted }
 
 // DecideMsg announces decisions, in one of two forms.
 //
@@ -129,16 +111,10 @@ type DecideMsg struct {
 	V    consensus.Value
 }
 
-// Kind implements node.Message: a DECIDE is sent boxed, from a node.Slab.
-func (*DecideMsg) Kind() string { return KindDecide }
-
 // LearnMsg asks the receiver for decisions starting at FirstGap. It
 // doubles as a Done-vector advertisement: the sender has applied
 // everything below FirstGap.
 type LearnMsg struct{ FirstGap int }
-
-// Kind implements node.Message.
-func (LearnMsg) Kind() string { return KindLearn }
 
 // LeaseGrantMsg is an explicit grant: it refreshes the leader's read lease
 // when no ACCEPT traffic is flowing to carry one (see lease.go), and asks a
@@ -150,17 +126,11 @@ type LeaseGrantMsg struct {
 	Seq uint64
 }
 
-// Kind implements node.Message.
-func (LeaseGrantMsg) Kind() string { return KindLeaseGrant }
-
 // LeaseAckMsg acknowledges the explicit grant Seq at ballot B.
 type LeaseAckMsg struct {
 	B   consensus.Ballot
 	Seq uint64
 }
-
-// Kind implements node.Message.
-func (LeaseAckMsg) Kind() string { return KindLeaseAck }
 
 // ReadReqMsg asks the leader to position the Count reads numbered
 // [Seq, Seq+Count) against the log (see read.go). Origin is the process
@@ -172,9 +142,6 @@ type ReadReqMsg struct {
 	Count  uint32
 	Origin node.ID
 }
-
-// Kind implements node.Message, for the box and the plain value alike.
-func (ReadReqMsg) Kind() string { return KindReadReq }
 
 // ReadReplyMsg answers reads [Seq, Seq+Count): state that has applied
 // Index commands reflects every write that completed before the reads
@@ -195,9 +162,6 @@ type ReadReplyMsg struct {
 	Local bool
 	More  string
 }
-
-// Kind implements node.Message: a READ-REPLY is sent boxed, from a node.Slab.
-func (*ReadReplyMsg) Kind() string { return KindReadReply }
 
 // learnBatch bounds how many decisions a LearnMsg response carries.
 const learnBatch = 64

@@ -87,10 +87,7 @@ type LeaderMsg struct {
 	Epoch uint64
 }
 
-// Kind implements node.Message.
-func (LeaderMsg) Kind() string { return KindLeader }
-
-// KindID implements node.KindIDer.
+// KindID implements node.Message.
 func (LeaderMsg) KindID() obs.Kind { return kindLeaderID }
 
 // AccuseMsg tells its receiver "I timed out on you while you were my leader
@@ -99,10 +96,7 @@ type AccuseMsg struct {
 	Epoch uint64
 }
 
-// Kind implements node.Message.
-func (AccuseMsg) Kind() string { return KindAccuse }
-
-// KindID implements node.KindIDer.
+// KindID implements node.Message.
 func (AccuseMsg) KindID() obs.Kind { return kindAccuseID }
 
 // RebuffMsg tells a stale self-believed leader "your accusation count is
@@ -112,10 +106,7 @@ type RebuffMsg struct {
 	Epoch uint64
 }
 
-// Kind implements node.Message.
-func (RebuffMsg) Kind() string { return KindRebuff }
-
-// KindID implements node.KindIDer.
+// KindID implements node.Message.
 func (RebuffMsg) KindID() obs.Kind { return kindRebuffID }
 
 // Timer keys.

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/node"
+	"repro/internal/obs"
 )
 
 // startDetector boots a detector on a fake env and clears boot traffic.
@@ -280,7 +281,7 @@ func TestUnknownMessageIgnored(t *testing.T) {
 
 type pingMsg struct{}
 
-func (pingMsg) Kind() string { return "PING" }
+func (pingMsg) KindID() obs.Kind { return obs.Intern("PING") }
 
 func TestHistoryRecordsTransitions(t *testing.T) {
 	d, env := startDetector(1, 3)

@@ -28,10 +28,7 @@ var kindAliveID = obs.Intern(KindAlive)
 // AliveMsg is the periodic heartbeat.
 type AliveMsg struct{}
 
-// Kind implements node.Message.
-func (AliveMsg) Kind() string { return KindAlive }
-
-// KindID implements node.KindIDer.
+// KindID implements node.Message.
 func (AliveMsg) KindID() obs.Kind { return kindAliveID }
 
 const timerHeartbeat = "alltoall/hb"

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/network"
 	"repro/internal/node"
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -143,7 +144,7 @@ func TestUnknownMessageIgnored(t *testing.T) {
 
 type strangeMsg struct{}
 
-func (strangeMsg) Kind() string { return "STRANGE" }
+func (strangeMsg) KindID() obs.Kind { return obs.Intern("STRANGE") }
 
 func TestConfigDefaults(t *testing.T) {
 	d := New(Config{})

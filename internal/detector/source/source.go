@@ -37,10 +37,7 @@ type AliveMsg struct {
 	Counters []uint64
 }
 
-// Kind implements node.Message.
-func (AliveMsg) Kind() string { return KindAlive }
-
-// KindID implements node.KindIDer.
+// KindID implements node.Message.
 func (AliveMsg) KindID() obs.Kind { return kindAliveID }
 
 // NewAliveMsg builds a heartbeat with a defensive copy of counters.

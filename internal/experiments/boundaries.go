@@ -58,7 +58,7 @@ func E8AssumptionMatrix(o Opts) Table {
 	}
 	res := sweepCells(o, cells, func(c cell, seed int) run {
 		cfg := scenario.Config{
-			N: 4, Seed: int64(seed), Algorithm: c.algo, Regime: c.regime,
+			N: 4, Source: 3, Seed: int64(seed), Algorithm: c.algo, Regime: c.regime,
 			Eta: Eta, MaxDelay: 40 * time.Millisecond, DropProb: 0.3,
 		}
 		if c.regime == scenario.RegimeLossy {

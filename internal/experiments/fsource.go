@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/network"
+	"repro/internal/node"
 	"repro/internal/scenario"
 	"repro/internal/sim"
 )
@@ -70,14 +71,14 @@ func E11FSourceBoundary(o Opts) Table {
 // fSourceRun executes one E11 cell: source p(n-1) gets timely links to its
 // first k peers, the rest of the world is fair-lossy.
 func fSourceRun(n, k int, seed int64, horizon time.Duration) (holds bool, changes int, msgsPerEta float64) {
+	src := n - 1
 	s := build(scenario.Config{
-		N: n, Seed: seed, Regime: scenario.RegimeSourceFairLossy,
+		N: n, Source: node.ID(src), Seed: seed, Regime: scenario.RegimeSourceFairLossy,
 		Eta: Eta, MaxDelay: 40 * time.Millisecond, DropProb: 0.3,
 	})
 	// The regime gives the source eventually timely links to every peer;
 	// E11 keeps timely ones to the first k and makes the rest fair-lossy
 	// like every other link.
-	src := n - 1
 	for peer := 0; peer < src; peer++ {
 		p := s.World.Fabric.Profile(peer, src)
 		if peer < k {

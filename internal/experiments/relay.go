@@ -69,7 +69,7 @@ func E10RelayedPaths(o Opts) Table {
 // relayRun executes one E10 cell and extracts its metrics.
 func relayRun(relayOn bool, horizon time.Duration, seed int64) (holds string, leader node.ID, originators int, msgsPerEta float64, changes int) {
 	s := build(scenario.Config{
-		N: 4, Seed: seed, Regime: scenario.RegimeTimelyPath,
+		N: 4, Source: 3, Seed: seed, Regime: scenario.RegimeTimelyPath,
 		Eta: Eta, Delta: time.Millisecond, MaxDelay: 30 * time.Millisecond,
 	})
 	// The regime's chain p3↔p2↔{p0,p1}, at a 2 ms bound where the lossy

@@ -75,9 +75,9 @@ type Plan struct {
 	Restarts []Restart
 }
 
-// linkState is one directed link's fault machinery. The profile is read
-// and the RNG advanced under the link's own mutex, so concurrent senders
-// on different links never contend.
+// linkState is one directed link's fault machinery. The RNG is advanced
+// under the link's own mutex, so concurrent senders on different links
+// never contend.
 type linkState struct {
 	mu      sync.Mutex
 	profile network.Profile
@@ -87,7 +87,7 @@ type linkState struct {
 
 // Injector decides the fate of every message on a live cluster's links.
 // It is safe for concurrent use: Transmit may be called from any sender
-// goroutine while Cut/Heal/SetLink reconfigure the topology.
+// goroutine while Cut/Isolate/Heal reconfigure the topology.
 type Injector struct {
 	n    int
 	seed int64
@@ -241,28 +241,6 @@ func (inj *Injector) Transmit(from, to node.ID, elapsed time.Duration) (time.Dur
 	return delay, ok
 }
 
-// CutLink severs the directed link from→to: it delivers nothing until
-// healed. The underlying profile keeps advancing, so healing resumes the
-// link's decision stream where an uncut run would be.
-func (inj *Injector) CutLink(from, to node.ID) {
-	if err := checkLink(inj.n, from, to); err != nil {
-		panic(err)
-	}
-	inj.cutMu.Lock()
-	inj.cut[int(from)*inj.n+int(to)] = true
-	inj.cutMu.Unlock()
-}
-
-// HealLink restores the directed link from→to to its profile behaviour.
-func (inj *Injector) HealLink(from, to node.ID) {
-	if err := checkLink(inj.n, from, to); err != nil {
-		panic(err)
-	}
-	inj.cutMu.Lock()
-	inj.cut[int(from)*inj.n+int(to)] = false
-	inj.cutMu.Unlock()
-}
-
 // Cut partitions groups a and b: every link between a member of a and a
 // member of b, in both directions, is severed. Links within each group are
 // untouched. Ids present in both groups cut themselves off from everyone
@@ -301,25 +279,4 @@ func (inj *Injector) Heal() {
 		inj.cut[i] = false
 	}
 	inj.cutMu.Unlock()
-}
-
-// SetLink swaps the profile of the directed link from→to at runtime.
-// Unlike Cut/Heal, a swap changes how many RNG draws each decision
-// consumes, so determinism across runs requires swaps at the same
-// per-link send index.
-func (inj *Injector) SetLink(from, to node.ID, p network.Profile) error {
-	if err := checkLink(inj.n, from, to); err != nil {
-		return err
-	}
-	if !isPerfect(p) {
-		if err := p.Validate(); err != nil {
-			return err
-		}
-	}
-	ls := &inj.links[int(from)*inj.n+int(to)]
-	ls.mu.Lock()
-	ls.profile = p
-	ls.perfect = isPerfect(p)
-	ls.mu.Unlock()
-	return nil
 }

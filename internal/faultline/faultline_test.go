@@ -188,37 +188,11 @@ func TestIsolateAndHealLink(t *testing.T) {
 	if _, ok := inj.Transmit(0, 2, 0); !ok {
 		t.Fatal("unrelated link severed by Isolate")
 	}
-	inj.HealLink(0, 1)
-	if _, ok := inj.Transmit(0, 1, 0); !ok {
-		t.Fatal("healed link still severed")
-	}
-	if _, ok := inj.Transmit(1, 0, 0); ok {
-		t.Fatal("reverse link healed by one-directional HealLink")
-	}
-}
-
-func TestSetLinkSwapsProfile(t *testing.T) {
-	inj, err := New(2, 1, Plan{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := inj.SetLink(0, 1, network.Down()); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := inj.Transmit(0, 1, 0); ok {
-		t.Fatal("down-swapped link delivered")
-	}
-	if err := inj.SetLink(0, 1, network.Profile{}); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := inj.Transmit(0, 1, 0); !ok {
-		t.Fatal("perfect-swapped link dropped")
-	}
-	if err := inj.SetLink(0, 0, network.Down()); err == nil {
-		t.Fatal("self-link accepted")
-	}
-	if err := inj.SetLink(0, 1, network.Profile{Kind: network.LinkTimely}); err == nil {
-		t.Fatal("invalid profile accepted")
+	inj.Heal()
+	for _, l := range []Link{{0, 1}, {1, 0}, {2, 1}, {1, 2}} {
+		if _, ok := inj.Transmit(l.From, l.To, 0); !ok {
+			t.Fatalf("healed link %v still severed", l)
+		}
 	}
 }
 

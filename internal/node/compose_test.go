@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/network"
+	"repro/internal/obs"
 )
 
 // recordingAutomaton notes which callbacks it saw.
@@ -19,7 +20,7 @@ type recordingAutomaton struct {
 func (r *recordingAutomaton) Start(Env) { r.started = true }
 
 func (r *recordingAutomaton) Deliver(_ ID, m Message) {
-	if m.Kind() == r.acceptKind {
+	if obs.KindName(m.KindID()) == r.acceptKind {
 		r.delivered = append(r.delivered, m)
 	}
 }

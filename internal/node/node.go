@@ -20,31 +20,15 @@ type ID int
 // None is the null process id.
 const None ID = -1
 
-// Message is a protocol message. Kind returns a short stable tag (for
-// example "LEADER") used for accounting, tracing and wire encoding.
-// Messages must behave as immutable values once sent: implementations
-// carrying slices must copy them at construction. A message may be a
-// pointer — a box from a Slab — that every receiver of a broadcast shares,
-// so no receiver writes through one.
+// Message is a protocol message. KindID returns its kind, a short stable
+// tag (for example "LEADER") interned once by the protocol that defines it,
+// so accounting, tracing and wire encoding never hash a kind string;
+// obs.KindName gives the tag back. Messages must behave as immutable values
+// once sent: implementations carrying slices must copy them at
+// construction. A message may be a pointer — a box from a Slab — that every
+// receiver of a broadcast shares, so no receiver writes through one.
 type Message interface {
-	Kind() string
-}
-
-// KindIDer is optionally implemented by messages that pre-intern their kind
-// tag (typically in a package-level var at init). Runtimes use it to skip
-// the obs.Intern map lookup on every send, which keeps the steady-state
-// send path allocation- and hash-free. KindID must equal obs.Intern(Kind()).
-type KindIDer interface {
 	KindID() obs.Kind
-}
-
-// MessageKind returns m's interned kind id, using the KindID fast path when
-// the message provides one and falling back to interning the kind string.
-func MessageKind(m Message) obs.Kind {
-	if k, ok := m.(KindIDer); ok {
-		return k.KindID()
-	}
-	return obs.Intern(m.Kind())
 }
 
 // Traced is optionally implemented by wrapper messages carrying a causal

@@ -14,7 +14,7 @@ const ms = time.Millisecond
 // pingMsg is a trivial test message.
 type pingMsg struct{ Seq int }
 
-func (pingMsg) Kind() string { return "PING" }
+func (pingMsg) KindID() obs.Kind { return obs.Intern("PING") }
 
 // echoAutomaton replies to every PING with a PING carrying Seq+1 and counts
 // timer ticks.

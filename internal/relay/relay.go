@@ -45,17 +45,14 @@ type Msg struct {
 	Inner  node.Message
 }
 
-// Kind implements node.Message.
-func (m Msg) Kind() string { return KindRelay + "/" + m.Inner.Kind() }
-
 // relayKindIDs caches the interned "RELAY/<inner>" id per inner kind id
 // (+1, so zero means unset), so flooding a heartbeat neither concatenates
 // nor hashes strings after the first envelope of each inner kind.
 var relayKindIDs [obs.MaxKinds]atomic.Uint32
 
-// KindID implements node.KindIDer.
+// KindID implements node.Message.
 func (m Msg) KindID() obs.Kind {
-	inner := node.MessageKind(m.Inner)
+	inner := m.Inner.KindID()
 	if v := relayKindIDs[inner].Load(); v != 0 {
 		return obs.Kind(v - 1)
 	}

@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/network"
 	"repro/internal/node"
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -84,11 +85,11 @@ type echoInner struct {
 
 type ping struct{}
 
-func (ping) Kind() string { return "PING" }
+func (ping) KindID() obs.Kind { return obs.Intern("PING") }
 
 type pong struct{}
 
-func (pong) Kind() string { return "PONG" }
+func (pong) KindID() obs.Kind { return obs.Intern("PONG") }
 
 func (e *echoInner) Start(env node.Env) { e.env = env }
 func (e *echoInner) Deliver(from node.ID, m node.Message) {

@@ -14,7 +14,7 @@ import (
 // the same per-link profiles Build installs in the simulator, and that the
 // resulting plan is accepted by faultline.New.
 func TestLiveFaultPlanMirrorsRegimes(t *testing.T) {
-	base := Config{N: 4, Seed: 1, Eta: 10 * time.Millisecond, Delta: 2 * time.Millisecond, MaxDelay: 50 * time.Millisecond, DropProb: 0.25}
+	base := Config{N: 4, Source: 3, Seed: 1, Eta: 10 * time.Millisecond, Delta: 2 * time.Millisecond, MaxDelay: 50 * time.Millisecond, DropProb: 0.25}
 	for _, regime := range Regimes() {
 		cfg := base
 		cfg.Regime = regime
@@ -57,8 +57,8 @@ func TestLiveFaultPlanMirrorsRegimes(t *testing.T) {
 
 	cfg.Regime = RegimeSourceReliable
 	plan, _ = LiveFaultPlan(cfg)
-	// Default source is n-1; its outgoing links carry the ET profile.
-	src := node.ID(cfg.N - 1)
+	// The source's outgoing links carry the ET profile.
+	src := cfg.Source
 	et := network.EventuallyTimely(cfg.Delta, cfg.MaxDelay, 0)
 	if want := network.Reliable(cfg.Delta, cfg.MaxDelay); plan.Default != want {
 		t.Fatalf("source-reliable default = %+v, want %+v", plan.Default, want)

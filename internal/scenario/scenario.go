@@ -143,8 +143,9 @@ type Config struct {
 	DropProb float64
 	// GST is the global stabilization time (default 0).
 	GST sim.Time
-	// Source is the ◊-source id for source regimes (default n-1, the
-	// process the naive min-id choice would pick last).
+	// Source is the ◊-source id of the source regimes and the far end of
+	// the timely path's chain, taken as given: zero is p0. The experiments
+	// set n-1, the process the naive min-id choice would pick last.
 	Source node.ID
 	// Crashes is the failure plan.
 	Crashes []Crash
@@ -187,9 +188,6 @@ func (c *Config) fill() error {
 	}
 	if c.DropProb == 0 {
 		c.DropProb = 0.3
-	}
-	if c.Source == 0 {
-		c.Source = node.ID(c.N - 1)
 	}
 	if int(c.Source) < 0 || int(c.Source) >= c.N {
 		return fmt.Errorf("scenario: source %d out of range", c.Source)

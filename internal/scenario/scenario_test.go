@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/network"
 	"repro/internal/node"
 	"repro/internal/sim"
 )
@@ -18,8 +19,8 @@ func TestBuildDefaults(t *testing.T) {
 	if s.Config.Algorithm != AlgoCore || s.Config.Regime != RegimeAllTimely {
 		t.Fatalf("defaults = %+v", s.Config)
 	}
-	if s.Config.Source != 3 {
-		t.Fatalf("default source = %v, want n-1", s.Config.Source)
+	if s.Config.Source != 0 {
+		t.Fatalf("source = %v, want 0: Source has no default", s.Config.Source)
 	}
 	s.Run(500 * ms)
 	rep := s.OmegaReport()
@@ -34,6 +35,7 @@ func TestBuildValidation(t *testing.T) {
 		{N: 3, Algorithm: "nope"},
 		{N: 3, Regime: "nope"},
 		{N: 3, Source: 7},
+		{N: 3, Source: -1},
 		{N: 3, Crashes: []Crash{{ID: 9}}},
 		{N: 3, Restarts: []Restart{{ID: 9}}},
 		{N: 3, Restarts: []Restart{{ID: 0, Downtime: -1}}},
@@ -105,8 +107,29 @@ func TestCrashPlanApplied(t *testing.T) {
 	}
 }
 
+// TestSourceZeroIsP0: Source means what it says, p0 included — the zero
+// value is not read as unset.
+func TestSourceZeroIsP0(t *testing.T) {
+	cfg := Config{N: 4, Source: 0, Regime: RegimeSourceReliable, Delta: 2 * ms, MaxDelay: 60 * ms}
+	s, err := Build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	et := network.EventuallyTimely(cfg.Delta, cfg.MaxDelay, 0)
+	for from := 0; from < cfg.N; from++ {
+		for to := 0; to < cfg.N; to++ {
+			if from == to {
+				continue
+			}
+			if got := s.World.Fabric.Profile(from, to); (got == et) != (from == 0) {
+				t.Errorf("link %d→%d = %+v; only p0's outgoing links are eventually timely", from, to, got)
+			}
+		}
+	}
+}
+
 func TestSourceReliableRegime(t *testing.T) {
-	s, err := Build(Config{N: 4, Seed: 4, Regime: RegimeSourceReliable, MaxDelay: 60 * ms})
+	s, err := Build(Config{N: 4, Source: 3, Seed: 4, Regime: RegimeSourceReliable, MaxDelay: 60 * ms})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +146,7 @@ func TestSourceReliableRegime(t *testing.T) {
 
 func TestSourceFairLossyRegimeSourceAlgo(t *testing.T) {
 	s, err := Build(Config{
-		N: 4, Seed: 5, Algorithm: AlgoSource,
+		N: 4, Source: 3, Seed: 5, Algorithm: AlgoSource,
 		Regime: RegimeSourceFairLossy, MaxDelay: 40 * ms, DropProb: 0.4,
 	})
 	if err != nil {
@@ -142,7 +165,7 @@ func TestSourceFairLossyRegimeSourceAlgo(t *testing.T) {
 func TestTimelyPathRegimeNeedsRelay(t *testing.T) {
 	// Only a relayed algorithm stabilizes when timeliness exists solely
 	// along a path through the hub.
-	relayed, err := Build(Config{N: 4, Seed: 9, Algorithm: AlgoCoreRelay, Regime: RegimeTimelyPath, MaxDelay: 30 * ms})
+	relayed, err := Build(Config{N: 4, Source: 3, Seed: 9, Algorithm: AlgoCoreRelay, Regime: RegimeTimelyPath, MaxDelay: 30 * ms})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +175,7 @@ func TestTimelyPathRegimeNeedsRelay(t *testing.T) {
 		t.Fatalf("relayed core did not stabilize on timely-path regime: %+v", rep)
 	}
 
-	bare, err := Build(Config{N: 4, Seed: 9, Algorithm: AlgoCore, Regime: RegimeTimelyPath, MaxDelay: 30 * ms})
+	bare, err := Build(Config{N: 4, Source: 3, Seed: 9, Algorithm: AlgoCore, Regime: RegimeTimelyPath, MaxDelay: 30 * ms})
 	if err != nil {
 		t.Fatal(err)
 	}

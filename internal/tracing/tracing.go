@@ -73,10 +73,7 @@ type Wrap struct {
 	Inner node.Message
 }
 
-// Kind implements node.Message.
-func (Wrap) Kind() string { return KindTrace }
-
-// KindID implements node.KindIDer.
+// KindID implements node.Message.
 func (Wrap) KindID() obs.Kind { return kindTraceID }
 
 // TraceContext implements node.Traced: the transports read the context

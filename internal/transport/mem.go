@@ -171,7 +171,7 @@ const memDelayBound = 2 * time.Millisecond
 func (m *memNet) send(from, to node.ID, msg node.Message) {
 	c := (*Cluster)(m)
 	now := c.stations[from].Now()
-	k := node.MessageKind(msg)
+	k := msg.KindID()
 	c.sink.OnSend(now, int(from), int(to), k)
 	reportSendCtx(c.ctx, now, int(from), int(to), k, msg)
 	// Serialize immediately: the receiver must observe an independent

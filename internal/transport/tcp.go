@@ -231,7 +231,7 @@ func (c *TCPCluster) readLoop(i int, conn net.Conn) {
 				err = errCorrupt
 				break
 			}
-			c.sink.OnDeliver(now, int(env.From), i, nodepkg.MessageKind(env.Msg))
+			c.sink.OnDeliver(now, int(env.From), i, env.Msg.KindID())
 			batch = append(batch, event{from: env.From, msg: env.Msg})
 			if len(batch) == loop.MaxTurn {
 				// A turn takes no more; handing it over here bounds batch.
@@ -349,7 +349,7 @@ type tcpNet struct {
 
 func (t *tcpNet) send(from, to nodepkg.ID, msg nodepkg.Message) {
 	c := t.cluster
-	k := nodepkg.MessageKind(msg)
+	k := msg.KindID()
 	now := c.stations[from].Now()
 	c.sink.OnSend(now, int(from), int(to), k)
 	reportSendCtx(c.ctx, now, int(from), int(to), k, msg)

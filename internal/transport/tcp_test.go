@@ -275,13 +275,20 @@ func TestTCPSendAfterStopDropsQuietly(t *testing.T) {
 // slack) the leader p0 sends it, over 2 s, its Omega heartbeats and one rsm
 // message a retryTimeout — a probe, not every ACCEPT — while the live
 // replicas go on applying.
+//
+// The bound assumes p0 leads throughout the window. A host too starved to
+// run p0's heartbeats every η lets a follower time out on it; p0 then
+// prepares again, its abdication resets p3's record, and p3 is streamed
+// every ACCEPT for another retryTimeout. The test names that premise when
+// it fails: p0's PREPAREs in the window, and its heartbeats against one
+// per η.
 func TestTCPCrashedFollowerCostsAProbe(t *testing.T) {
-	const n, down = 5, 3
+	const n, down, eta = 5, 3, 5 * time.Millisecond
 	autos := make([]node.Automaton, n)
 	dets := make([]*core.Detector, n)
 	logs := make([]*rsm.Node, n)
 	for i := range autos {
-		dets[i] = core.New(core.WithEta(5 * time.Millisecond))
+		dets[i] = core.New(core.WithEta(eta))
 		logs[i] = rsm.New(dets[i], rsm.Config{DriveInterval: 10 * time.Millisecond})
 		autos[i] = node.Compose(dets[i], logs[i])
 	}
@@ -320,6 +327,7 @@ func TestTCPCrashedFollowerCostsAProbe(t *testing.T) {
 	time.Sleep(200 * time.Millisecond)
 	stats := c.Stats()
 	links, beats, before := stats.LinkCount(0, down), stats.SentByKind(0, core.KindLeader), applied.Load()
+	prepares := stats.SentByKind(0, rsm.KindPrepare)
 	const window = 2 * time.Second
 	time.Sleep(window)
 	close(stop)
@@ -327,11 +335,15 @@ func TestTCPCrashedFollowerCostsAProbe(t *testing.T) {
 	// p0's heartbeats go to every follower alike; the rest to p3 is rsm.
 	hb := (stats.SentByKind(0, core.KindLeader) - beats) / (n - 1)
 	rsmSent := stats.LinkCount(0, down) - links - hb
+	if prepared := stats.SentByKind(0, rsm.KindPrepare) - prepares; prepared > 0 {
+		t.Errorf("premise broken: p0 sent %d PREPAREs in the window, so it re-prepared and streamed to p%d again; it sent %d heartbeats per follower against %d at one per η (likely a starved host)",
+			prepared, down, hb, window/eta)
+	}
 	if probes := uint64(window/(100*time.Millisecond)) + 3; rsmSent > probes {
 		t.Errorf("p0 sent the crashed p%d %d rsm messages over %v (and %d heartbeats), want at most %d", down, rsmSent, window, hb, probes)
 	}
 	if got := applied.Load() - before; got < int64(window/time.Millisecond)/2 {
 		t.Errorf("p1 applied %d commands over %v of a command a millisecond", got, window)
 	}
-	t.Logf("over %v: %d rsm messages and %d heartbeats to p%d, %d commands applied at p1", window, rsmSent, hb, down, applied.Load()-before)
+	t.Logf("over %v: %d rsm messages and %d heartbeats (%d at one per η) to p%d, %d commands applied at p1", window, rsmSent, hb, window/eta, down, applied.Load()-before)
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/wire"
 )
 
@@ -25,7 +26,7 @@ func Example() {
 		return
 	}
 	hb := msg.(core.LeaderMsg)
-	fmt.Println("kind:", hb.Kind(), "epoch:", hb.Epoch)
+	fmt.Println("kind:", obs.KindName(hb.KindID()), "epoch:", hb.Epoch)
 	// Output:
 	// encoded bytes: 3
 	// kind: LEADER epoch: 7

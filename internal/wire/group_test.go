@@ -10,6 +10,7 @@ import (
 	"repro/internal/consensus/group"
 	"repro/internal/consensus/rsm"
 	"repro/internal/core"
+	"repro/internal/obs"
 )
 
 // TestGroupVarintWireFrozen pins the varint layout the same way: marker,
@@ -86,7 +87,7 @@ func TestGroupEncodeRejects(t *testing.T) {
 
 type unknownMsg struct{}
 
-func (unknownMsg) Kind() string { return "UNKNOWN-TEST-KIND" }
+func (unknownMsg) KindID() obs.Kind { return obs.Intern("UNKNOWN-TEST-KIND") }
 
 // TestGroupDecodeRejects covers the decoder guards: a frame that ends right
 // after the group id, and an inner code the codec does not know.

@@ -10,6 +10,7 @@ import (
 	"repro/internal/detector/alltoall"
 	"repro/internal/detector/source"
 	"repro/internal/node"
+	"repro/internal/obs"
 	"repro/internal/tracing"
 )
 
@@ -44,17 +45,22 @@ const (
 	codeTraceWrap
 )
 
-// reg registers kind with typed encode/decode functions, folding the
-// concrete-type assertion into the adapter. A read that fails latches in
-// the Decoder, so most kinds decode as one composite literal, whose calls
-// Go evaluates left to right — in wire order.
-func reg[M node.Message](c *Codec, code byte, kind string, enc func(*Encoder, M), dec func(*Decoder) M) {
+// reg registers M's kind under code with typed encode/decode functions,
+// folding the concrete-type assertion into the adapter. The kind is M's
+// own, read off its zero value (a nil box for a pointer kind: no
+// registered kind's KindID reads its receiver), so no registration names a
+// kind that could disagree with the type it encodes. A read that fails
+// latches in the Decoder, so most kinds decode as one composite literal,
+// whose calls Go evaluates left to right — in wire order.
+func reg[M node.Message](c *Codec, code byte, enc func(*Encoder, M), dec func(*Decoder) M) {
+	var zero M
+	kind := zero.KindID()
 	c.Register(code, kind,
 		func(e *Encoder, m node.Message) {
 			if msg, ok := m.(M); ok {
 				enc(e, msg)
 			} else {
-				e.Fail(fmt.Errorf("wire: encoder for %s got %T", kind, m))
+				e.Fail(fmt.Errorf("wire: encoder for %s got %T", obs.KindName(kind), m))
 			}
 		},
 		func(d *Decoder) node.Message { return dec(d) })
@@ -67,7 +73,9 @@ func reg[M node.Message](c *Codec, code byte, kind string, enc func(*Encoder, M)
 func regBoxed[M node.Message, P interface {
 	*M
 	node.Message
-}](c *Codec, code byte, kind string, enc func(*Encoder, M), dec func(*Decoder) M) {
+}](c *Codec, code byte, enc func(*Encoder, M), dec func(*Decoder) M) {
+	var zero M
+	kind := zero.KindID()
 	c.Register(code, kind,
 		func(e *Encoder, m node.Message) {
 			switch msg := m.(type) {
@@ -76,7 +84,7 @@ func regBoxed[M node.Message, P interface {
 			case M:
 				enc(e, msg)
 			default:
-				e.Fail(fmt.Errorf("wire: encoder for %s got %T", kind, m))
+				e.Fail(fmt.Errorf("wire: encoder for %s got %T", obs.KindName(kind), m))
 			}
 		},
 		func(d *Decoder) node.Message { return P(slot(d, code, dec(d))) })
@@ -86,19 +94,19 @@ func regBoxed[M node.Message, P interface {
 // registered.
 func NewCodec() *Codec {
 	c := NewEmptyCodec()
-	reg(c, codeCoreLeader, core.KindLeader,
+	reg(c, codeCoreLeader,
 		func(e *Encoder, m core.LeaderMsg) { e.U64(m.Epoch) },
 		func(d *Decoder) core.LeaderMsg { return core.LeaderMsg{Epoch: d.U64()} })
-	reg(c, codeCoreAccuse, core.KindAccuse,
+	reg(c, codeCoreAccuse,
 		func(e *Encoder, m core.AccuseMsg) { e.U64(m.Epoch) },
 		func(d *Decoder) core.AccuseMsg { return core.AccuseMsg{Epoch: d.U64()} })
-	reg(c, codeCoreRebuff, core.KindRebuff,
+	reg(c, codeCoreRebuff,
 		func(e *Encoder, m core.RebuffMsg) { e.U64(m.Epoch) },
 		func(d *Decoder) core.RebuffMsg { return core.RebuffMsg{Epoch: d.U64()} })
-	reg(c, codeAllToAllAlive, alltoall.KindAlive,
+	reg(c, codeAllToAllAlive,
 		func(*Encoder, alltoall.AliveMsg) {},
 		func(*Decoder) alltoall.AliveMsg { return alltoall.AliveMsg{} })
-	reg(c, codeSourceAlive, source.KindAlive,
+	reg(c, codeSourceAlive,
 		func(e *Encoder, m source.AliveMsg) { e.U64s(m.Counters) },
 		func(d *Decoder) source.AliveMsg { return source.AliveMsg{Counters: d.U64s()} })
 	registerRSM(c)
@@ -121,7 +129,7 @@ func NewCodec() *Codec {
 // tracing is a cluster-wide atomic upgrade. Messages sent bare encode
 // exactly as before either existed.
 func registerWrappers(c *Codec) {
-	reg(c, codeGroupWrap, group.KindGroup,
+	reg(c, codeGroupWrap,
 		func(e *Encoder, m group.Msg) {
 			e.Int(m.Group)
 			c.encode(e, m.Inner, codeGroupWrap)
@@ -129,7 +137,7 @@ func registerWrappers(c *Codec) {
 		func(d *Decoder) group.Msg {
 			return group.Msg{Group: d.Int(), Inner: c.decode(d, codeGroupWrap)}
 		})
-	reg(c, codeTraceWrap, tracing.KindTrace,
+	reg(c, codeTraceWrap,
 		func(e *Encoder, m tracing.Wrap) {
 			e.U64(uint64(m.Ctx.Trace))
 			e.U64(uint64(m.Ctx.Span))
@@ -142,13 +150,13 @@ func registerWrappers(c *Codec) {
 }
 
 func registerRSM(c *Codec) {
-	regBoxed(c, codeRSMRequest, rsm.KindRequest,
+	regBoxed(c, codeRSMRequest,
 		func(e *Encoder, m rsm.RequestMsg) { e.Str(string(m.V)) },
 		func(d *Decoder) rsm.RequestMsg { return rsm.RequestMsg{V: consensus.Value(d.Str())} })
-	reg(c, codeRSMPrepare, rsm.KindPrepare,
+	reg(c, codeRSMPrepare,
 		func(e *Encoder, m rsm.PrepareMsg) { e.U64(uint64(m.B)) },
 		func(d *Decoder) rsm.PrepareMsg { return rsm.PrepareMsg{B: consensus.Ballot(d.U64())} })
-	reg(c, codeRSMPromise, rsm.KindPromise,
+	reg(c, codeRSMPromise,
 		func(e *Encoder, m rsm.PromiseMsg) {
 			e.U64(uint64(m.B))
 			e.U64(uint64(len(m.Entries)))
@@ -170,7 +178,7 @@ func registerRSM(c *Codec) {
 			}
 			return m
 		})
-	reg(c, codeRSMNack, rsm.KindNack,
+	reg(c, codeRSMNack,
 		func(e *Encoder, m rsm.NackMsg) { e.U64(uint64(m.B)); e.U64(uint64(m.Promised)) },
 		func(d *Decoder) rsm.NackMsg {
 			return rsm.NackMsg{B: consensus.Ballot(d.U64()), Promised: consensus.Ballot(d.U64())}
@@ -182,7 +190,7 @@ func registerRSM(c *Codec) {
 	// (DESIGN.md §13). So is the ACCEPT's Repliers behind it, the next
 	// such trailing field, which the optional-field header of ROADMAP item
 	// 4(d) is to fold in with the other five.
-	reg(c, codeRSMAccept, rsm.KindAccept,
+	reg(c, codeRSMAccept,
 		func(e *Encoder, m *rsm.AcceptMsg) {
 			e.U64(uint64(m.B))
 			e.Int(m.Inst)
@@ -196,7 +204,7 @@ func registerRSM(c *Codec) {
 			return slot(d, codeRSMAccept, rsm.AcceptMsg{B: consensus.Ballot(d.U64()), Inst: d.Int(), V: consensus.Value(d.Str()),
 				CommitUpTo: d.Int(), MinDone: d.Int(), LeaseSeq: d.U64(), Repliers: d.U64()})
 		})
-	reg(c, codeRSMAccepted, rsm.KindAccepted,
+	reg(c, codeRSMAccepted,
 		func(e *Encoder, m *rsm.AcceptedMsg) {
 			e.U64(uint64(m.B))
 			e.Int(m.Inst)
@@ -212,7 +220,7 @@ func registerRSM(c *Codec) {
 	// atomically across it; DESIGN.md "commit index"): a non-zero ballot
 	// is the value-free commit index and ends after Inst; NoBallot is the
 	// by-value repair reply and carries the value.
-	reg(c, codeRSMDecide, rsm.KindDecide,
+	reg(c, codeRSMDecide,
 		func(e *Encoder, m *rsm.DecideMsg) {
 			e.U64(uint64(m.B))
 			e.Int(m.Inst)
@@ -230,18 +238,18 @@ func registerRSM(c *Codec) {
 			}
 			return slot(d, codeRSMDecide, m)
 		})
-	reg(c, codeRSMLearn, rsm.KindLearn,
+	reg(c, codeRSMLearn,
 		func(e *Encoder, m rsm.LearnMsg) { e.Int(m.FirstGap) },
 		func(d *Decoder) rsm.LearnMsg { return rsm.LearnMsg{FirstGap: d.Int()} })
-	reg(c, codeRSMLeaseGrant, rsm.KindLeaseGrant,
+	reg(c, codeRSMLeaseGrant,
 		func(e *Encoder, m rsm.LeaseGrantMsg) { e.U64(uint64(m.B)); e.U64(m.Seq) },
 		func(d *Decoder) rsm.LeaseGrantMsg {
 			return rsm.LeaseGrantMsg{B: consensus.Ballot(d.U64()), Seq: d.U64()}
 		})
-	reg(c, codeRSMLeaseAck, rsm.KindLeaseAck,
+	reg(c, codeRSMLeaseAck,
 		func(e *Encoder, m rsm.LeaseAckMsg) { e.U64(uint64(m.B)); e.U64(m.Seq) },
 		func(d *Decoder) rsm.LeaseAckMsg { return rsm.LeaseAckMsg{B: consensus.Ballot(d.U64()), Seq: d.U64()} })
-	regBoxed(c, codeRSMReadReq, rsm.KindReadReq,
+	regBoxed(c, codeRSMReadReq,
 		func(e *Encoder, m rsm.ReadReqMsg) { e.U64(m.Seq); e.U32(m.Count); e.Int(int(m.Origin)) },
 		func(d *Decoder) rsm.ReadReqMsg {
 			return rsm.ReadReqMsg{Seq: d.U64(), Count: d.U32(), Origin: node.ID(d.Int())}
@@ -253,7 +261,7 @@ func registerRSM(c *Codec) {
 	// replies were shared. An empty string is never written, so it is not
 	// read either: the one canonical frame per message strict decoding
 	// rests on.
-	reg(c, codeRSMReadReply, rsm.KindReadReply,
+	reg(c, codeRSMReadReply,
 		func(e *Encoder, m *rsm.ReadReplyMsg) {
 			e.U64(m.Seq)
 			e.U32(m.Count)

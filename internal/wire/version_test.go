@@ -8,6 +8,7 @@ import (
 	"repro/internal/consensus/rsm"
 	"repro/internal/core"
 	"repro/internal/node"
+	"repro/internal/obs"
 )
 
 func TestRegisterRefusesMarkerBand(t *testing.T) {
@@ -17,7 +18,7 @@ func TestRegisterRefusesMarkerBand(t *testing.T) {
 			t.Fatal("code in the frame-marker band accepted")
 		}
 	}()
-	c.Register(codeLimit, "BAD",
+	c.Register(codeLimit, obs.Intern("BAD"),
 		func(*Encoder, node.Message) {},
 		func(*Decoder) node.Message { return nil })
 }

@@ -72,7 +72,7 @@ type DecodeFunc func(d *Decoder) node.Message
 
 type entry struct {
 	code byte
-	kind string
+	kind string // its name, for errors
 	enc  EncodeFunc
 	dec  DecodeFunc
 }
@@ -90,19 +90,18 @@ func NewEmptyCodec() *Codec { return new(Codec) }
 // Register adds a message type. It panics on duplicate codes or kinds:
 // registration happens at assembly time and a clash is a programming
 // error. Codes at or above the framing-marker band are refused.
-func (c *Codec) Register(code byte, kind string, enc EncodeFunc, dec DecodeFunc) {
+func (c *Codec) Register(code byte, kind obs.Kind, enc EncodeFunc, dec DecodeFunc) {
 	if code >= codeLimit {
 		panic(fmt.Sprintf("wire: code %d collides with the frame-marker band", code))
 	}
 	if c.byCode[code] != nil {
 		panic(fmt.Sprintf("wire: duplicate code %d", code))
 	}
-	id := obs.Intern(kind)
-	if c.byKind[id] != nil {
-		panic(fmt.Sprintf("wire: duplicate kind %q", kind))
+	if c.byKind[kind] != nil {
+		panic(fmt.Sprintf("wire: duplicate kind %q", obs.KindName(kind)))
 	}
-	e := &entry{code: code, kind: kind, enc: enc, dec: dec}
-	c.byCode[code], c.byKind[id] = e, e
+	e := &entry{code: code, kind: obs.KindName(kind), enc: enc, dec: dec}
+	c.byCode[code], c.byKind[kind] = e, e
 }
 
 // encoders and decoders pool the codec state so the append-style marshal
@@ -136,7 +135,7 @@ func (c *Codec) marshal(start int, head []byte, m node.Message) ([]byte, error) 
 	*enc = Encoder{} // never retain the caller's buffer past the call
 	encoders.Put(enc)
 	if err == nil && len(out)-start > MaxFrame {
-		err = fmt.Errorf("%w: %d-byte %s frame", ErrTooLarge, len(out)-start, m.Kind())
+		err = fmt.Errorf("%w: %d-byte %s frame", ErrTooLarge, len(out)-start, obs.KindName(m.KindID()))
 	}
 	if err != nil {
 		return nil, err
@@ -151,10 +150,10 @@ func (c *Codec) encode(e *Encoder, m node.Message, refuse ...byte) {
 		e.Fail(fmt.Errorf("%w: nil message", ErrUnknownKind))
 		return
 	}
-	ent := c.byKind[node.MessageKind(m)]
+	ent := c.byKind[m.KindID()]
 	switch {
 	case ent == nil:
-		e.Fail(fmt.Errorf("%w: %q", ErrUnknownKind, m.Kind()))
+		e.Fail(fmt.Errorf("%w: %q", ErrUnknownKind, obs.KindName(m.KindID())))
 	case slices.Contains(refuse, ent.code):
 		e.Fail(fmt.Errorf("wire: %s cannot nest here", ent.kind))
 	default:

@@ -17,6 +17,7 @@ import (
 	"repro/internal/detector/alltoall"
 	"repro/internal/detector/source"
 	"repro/internal/node"
+	"repro/internal/obs"
 	"repro/internal/tracing"
 )
 
@@ -100,10 +101,10 @@ func TestInjectedValuesEncodeAsBoxes(t *testing.T) {
 		plain, perr := c.Marshal(tc.plain)
 		box, berr := c.Marshal(tc.box)
 		if perr != nil || berr != nil || !bytes.Equal(plain, box) {
-			t.Fatalf("%s: plain % x (%v), boxed % x (%v)", tc.box.Kind(), plain, perr, box, berr)
+			t.Fatalf("%s: plain % x (%v), boxed % x (%v)", obs.KindName(tc.box.KindID()), plain, perr, box, berr)
 		}
 		if got := roundTrip(t, c, tc.plain); !reflect.DeepEqual(got, tc.box) {
-			t.Fatalf("%s: a plain value decoded as %#v, want %#v", tc.box.Kind(), got, tc.box)
+			t.Fatalf("%s: a plain value decoded as %#v, want %#v", obs.KindName(tc.box.KindID()), got, tc.box)
 		}
 	}
 }
@@ -112,6 +113,9 @@ func TestInjectedValuesEncodeAsBoxes(t *testing.T) {
 // so that renumbering one fails here — codes are append only — and every
 // retired code (5–17, the synod and ct kinds) to ErrUnknownCode, so that
 // reusing one fails too; and it holds allMessages to a message of each.
+// A kind is named by its type: the kind a registration reads off its type
+// parameter, and the KindID of every message in allMessages, must name the
+// constant pinned for the code it is sent under.
 func TestRoundTripCoversEveryRegisteredKind(t *testing.T) {
 	codes := map[byte]string{
 		1: core.KindLeader, 2: core.KindAccuse, 3: alltoall.KindAlive, 4: source.KindAlive,
@@ -131,7 +135,7 @@ func TestRoundTripCoversEveryRegisteredKind(t *testing.T) {
 		t.Fatalf("%d kinds registered, %d pinned: pin a new kind's code here", registered, len(codes))
 	}
 	for code, kind := range codes {
-		if e := c.byCode[code]; e == nil || e.kind != kind {
+		if e := c.byCode[code]; e == nil || e.kind != kind || c.byKind[obs.Intern(kind)] != e {
 			t.Errorf("code %d: %+v, want %s", code, e, kind)
 		}
 	}
@@ -142,7 +146,15 @@ func TestRoundTripCoversEveryRegisteredKind(t *testing.T) {
 	}
 	covered := map[string]bool{}
 	for _, m := range allMessages() {
-		covered[m.Kind()] = true
+		b, err := c.Marshal(m)
+		if err != nil {
+			t.Fatalf("%T: %v", m, err)
+		}
+		name := obs.KindName(m.KindID())
+		if name != codes[b[1]] {
+			t.Errorf("%T names %s, sent under code %d, which is %s", m, name, b[1], codes[b[1]])
+		}
+		covered[name] = true
 	}
 	for _, kind := range codes {
 		if !covered[kind] {
@@ -313,19 +325,19 @@ func TestMarshalUnknownKind(t *testing.T) {
 
 type weirdMsg struct{}
 
-func (weirdMsg) Kind() string { return "WEIRD" }
+func (weirdMsg) KindID() obs.Kind { return obs.Intern("WEIRD") }
 
 func TestDuplicateRegistrationPanics(t *testing.T) {
 	c := NewEmptyCodec()
 	enc := func(*Encoder, node.Message) {}
 	dec := func(*Decoder) node.Message { return weirdMsg{} }
-	c.Register(1, "A", enc, dec)
+	c.Register(1, obs.Intern("A"), enc, dec)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("duplicate code accepted")
 		}
 	}()
-	c.Register(1, "B", enc, dec)
+	c.Register(1, obs.Intern("B"), enc, dec)
 }
 
 func TestEnvelopeRoundTrip(t *testing.T) {

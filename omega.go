@@ -38,7 +38,8 @@ import (
 // algorithm with a link-synchrony regime and a failure plan; Build wires
 // it onto the deterministic simulator.
 type (
-	// Scenario configures a runnable system (see scenario.Config).
+	// Scenario configures a runnable system (see scenario.Config). Its
+	// Source is the ◊-source's id as given, p0 included.
 	Scenario = scenario.Config
 	// System is a built scenario: world, detectors, checkers.
 	System = scenario.System
