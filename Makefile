@@ -23,8 +23,8 @@ test: bench-check
 # observability set, cmd/ and the module, and fails when rsm or the
 # observability set is larger than at the parent: a change lands each no
 # larger than it found it. rsm's code, comment and blank lines are printed
-# beside its raw count, before and after, and never fail it; nor does rsm's
-# 2,400-line target, printed on its row. DESIGN.md's line count is printed
+# beside its raw count, before and after, and never fail it; nor do rsm's
+# 2,400-line target and the observability set's 2,900, printed on their rows. DESIGN.md's line count is printed
 # too, against its 1,200-line target, and never fails it. scripts/loc.sh DIR counts
 # another checkout alone.
 loc:

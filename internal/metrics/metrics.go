@@ -10,10 +10,10 @@
 // messages per period", and "how many links carried traffic after t".
 //
 // MessageStats is a subscriber of the obs pipeline (DESIGN.md §8): it
-// takes the message events — send, deliver, drop, and wire bytes from the
-// transports that serialize — and none of the protocol events, which are
-// not messages. Every runtime tees one in (node.World.Stats, the clusters'
-// Stats()). The record path takes no global lock: all counters are
+// counts sends, deliveries, drops and the wire bytes of the transports
+// that serialize, and embeds obs.Nop for trace contexts and protocol
+// events, which are not messages. Every runtime tees one in
+// (node.World.Stats, the clusters' Stats()). The record path takes no global lock: all counters are
 // per-process sharded atomics, and the send log is per sender, guarded by
 // that sender's own mutex — contended only where goroutines send under one
 // id (a live ingress and its clients, a sharded process's lanes). Queries
@@ -64,6 +64,8 @@ type shard struct {
 // the live goroutine transports — and its record path takes no global
 // lock.
 type MessageStats struct {
+	obs.Nop // trace contexts and events: neither is a message count
+
 	n      int
 	shards []*shard
 
@@ -73,8 +75,6 @@ type MessageStats struct {
 	seen     [obs.MaxKinds]atomic.Bool
 	observed []obs.Kind
 }
-
-var _ obs.Sink = (*MessageStats)(nil)
 
 // NewMessageStats returns stats for a system of n processes with the
 // default send-log window.
@@ -139,7 +139,7 @@ func (s *MessageStats) OnDrop(t sim.Time, from, to int, kind obs.Kind) {
 	sh.dropped.Add(1)
 }
 
-// OnWireBytes implements obs.ByteSink: the from→to link was handed n
+// OnWireBytes implements obs.Sink: the from→to link was handed n
 // encoded bytes for one message of the given kind. Only the serializing
 // transports report it; simulator runs carry no wire bytes.
 func (s *MessageStats) OnWireBytes(t sim.Time, from, to int, kind obs.Kind, n int) {

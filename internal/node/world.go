@@ -35,8 +35,8 @@ type WorldConfig struct {
 	// behave during rollout.
 	StartAt []sim.Time
 	// Observer is an optional extra obs.Sink teed with the world's stats;
-	// it sees every send/deliver/drop and, when it is an obs.EventSink,
-	// every crash (obs.Down) and note.
+	// it sees every send/deliver/drop, every crash (obs.Down) and every
+	// note.
 	Observer obs.Sink
 }
 
@@ -47,10 +47,10 @@ type World struct {
 	Fabric *network.Fabric
 	Stats  *metrics.MessageStats
 
-	// events is the observer's event extension, nil when it has none;
-	// notes says whether Logf reports to it.
-	events obs.EventSink
-	notes  bool
+	// sink is Stats teed with the observer: the fabric reports messages
+	// into it, the world its events. notes says whether Logf reports.
+	sink  obs.Sink
+	notes bool
 
 	nodes     []*proc
 	started   bool
@@ -104,7 +104,8 @@ func NewWorld(cfg WorldConfig) (*World, error) {
 	}
 	k := sim.NewKernel(cfg.Seed)
 	stats := metrics.NewMessageStats(cfg.N)
-	fabric, err := network.NewFabric(k, cfg.N, cfg.DefaultLink, obs.Tee(stats, cfg.Observer))
+	sink := obs.Tee(stats, cfg.Observer)
+	fabric, err := network.NewFabric(k, cfg.N, cfg.DefaultLink, sink)
 	if err != nil {
 		return nil, err
 	}
@@ -113,6 +114,8 @@ func NewWorld(cfg WorldConfig) (*World, error) {
 		Kernel:    k,
 		Fabric:    fabric,
 		Stats:     stats,
+		sink:      sink,
+		notes:     cfg.EnableTrace && cfg.Observer != nil,
 		startAt:   cfg.StartAt,
 		crashedAt: make(map[ID]sim.Time),
 	}
@@ -130,8 +133,6 @@ func NewWorld(cfg WorldConfig) (*World, error) {
 			timers: make(map[string]*timerRec),
 		}
 	}
-	w.events, _ = cfg.Observer.(obs.EventSink)
-	w.notes = cfg.EnableTrace && w.events != nil
 	fabric.SetDeliver(w.deliverPayload)
 	return w, nil
 }
@@ -202,9 +203,7 @@ func (w *World) Crash(id ID) {
 	}
 	p.timers = make(map[string]*timerRec)
 	w.crashedAt[id] = w.Kernel.Now()
-	if w.events != nil {
-		w.events.OnEvent(obs.Event{T: w.Kernel.Now(), What: obs.Down, Proc: int(id), Peer: -1})
-	}
+	w.sink.OnEvent(obs.Event{T: w.Kernel.Now(), What: obs.Down, Proc: int(id), Peer: -1})
 }
 
 // CrashAt schedules a crash of id at virtual instant t.
@@ -313,5 +312,5 @@ func (p *proc) Logf(format string, args ...any) {
 	if !w.notes {
 		return
 	}
-	w.events.OnEvent(obs.Event{T: w.Kernel.Now(), What: obs.Note, Proc: int(p.id), Peer: -1, Text: fmt.Sprintf(format, args...)})
+	w.sink.OnEvent(obs.Event{T: w.Kernel.Now(), What: obs.Note, Proc: int(p.id), Peer: -1, Text: fmt.Sprintf(format, args...)})
 }

@@ -65,26 +65,6 @@ type Event struct {
 	Text  string
 }
 
-// EventSink is the optional extension of Sink through which events reach
-// a subscriber, the ByteSink idiom: a Sink that lacks it is skipped.
-// Events are not messages and never touch message counters. A source
-// asserts its observer to EventSink once and holds the result: with no
-// subscriber an event costs one nil check and is never built.
-// Implementations must be safe for concurrent use, like Sink.
-type EventSink interface {
-	OnEvent(e Event)
-}
-
-// OnEvent implements EventSink, forwarding to every member that consumes
-// events.
-func (m multi) OnEvent(e Event) {
-	for _, s := range m {
-		if es, ok := s.(EventSink); ok {
-			es.OnEvent(e)
-		}
-	}
-}
-
 // Agreement is the election tracker: fed the LeaderChange, Down and Up
 // events of an n-process cluster in time order, it knows whether every
 // live process outputs the same live leader. The run starts without

@@ -1,18 +1,19 @@
 // Package obs is the one path by which what happens in a run reaches
 // whoever watches it, shared by the deterministic simulator and the live
-// transports. Message events (send, deliver, drop) go through the Sink
-// interface, with message kinds pre-interned to small integer IDs so the
-// hot path never hashes strings or takes a global lock; the rare
-// protocol-level events (leader changes, crashes and rejoins, decisions,
-// flushes, WAL activity, notes) are Event values delivered through the
-// EventSink extension of the same sink (event.go).
+// transports. Everything goes through one interface, Sink: message events
+// (send, deliver, drop, and the wire bytes and trace context of a
+// serialized send), with message kinds pre-interned to small integer IDs
+// so the hot path never hashes strings or takes a global lock, and the
+// rare protocol-level events (leader changes, crashes and rejoins,
+// decisions, flushes, WAL activity, notes) as Event values (event.go).
 //
 // The simulator's network.Fabric and node.World and the live clusters in
-// internal/transport report into the Sink they were built with;
+// internal/transport each hold one Sink and report into it;
 // metrics.MessageStats, telemetry.Collector and the tracing span ring are
-// plain subscribers, and Tee composes several into one. obs subscribes to
-// nothing itself: it holds the vocabulary and Agreement, the election
-// tracker two of those subscribers share.
+// plain subscribers that embed Nop for what they ignore, and Tee composes
+// several into one. obs subscribes to nothing itself: it holds the
+// vocabulary and Agreement, the election tracker two of those subscribers
+// share.
 package obs
 
 import (
@@ -95,9 +96,12 @@ func KindName(k Kind) string {
 // NumKinds returns how many kinds have been interned so far.
 func NumKinds() int { return len(kinds.Load().names) }
 
-// Sink observes message-level events. Implementations must be safe for
-// concurrent use: the live transports report from one goroutine per
-// process plus delivery callbacks.
+// Sink observes a run, and is the one observer interface: each runtime
+// holds one and reports every message and every protocol-level event
+// (event.go) into it; an observer that wants only some embeds Nop for the
+// rest. Implementations must be safe for concurrent use: the live
+// transports report from one goroutine per process plus delivery
+// callbacks.
 type Sink interface {
 	// OnSend reports that from handed a message of the given kind to the
 	// from→to link at t.
@@ -106,64 +110,29 @@ type Sink interface {
 	OnDeliver(t sim.Time, from, to int, kind Kind)
 	// OnDrop reports that the from→to link lost a message.
 	OnDrop(t sim.Time, from, to int, kind Kind)
-}
-
-// ByteSink is an optional extension of Sink for observers that account
-// bytes on the wire. Transports that serialize messages report each
-// frame's encoded size (as handed to the link, length prefixes included)
-// alongside the OnSend event. Implementations must be safe for concurrent
-// use, like Sink.
-type ByteSink interface {
-	// OnWireBytes reports that the from→to link was handed n encoded
-	// bytes for one message of the given kind at t.
+	// OnWireBytes reports, after its OnSend, the n encoded bytes (length
+	// prefixes included) of a message a serializing transport sent.
 	OnWireBytes(t sim.Time, from, to int, kind Kind, n int)
-}
-
-// Bytes returns s's byte-accounting extension, or nil when s does not
-// implement it. Callers hold the result so the hot path pays one nil
-// check per message instead of a type assertion.
-func Bytes(s Sink) ByteSink {
-	if bs, ok := s.(ByteSink); ok {
-		return bs
-	}
-	return nil
-}
-
-// CtxSink is an optional extension of Sink for observers that consume
-// causal trace contexts (internal/tracing). Transports report each send
-// of a context-carrying message (node.Traced with a nonzero trace id)
-// through OnSendCtx alongside the ordinary OnSend event. Implementations
-// must be safe for concurrent use, like Sink.
-type CtxSink interface {
-	// OnSendCtx reports that from handed a traced message of the given
-	// kind to the from→to link at t, under the (trace, span) context.
+	// OnSendCtx reports, after its OnSend, the (trace, span) context of
+	// a node.Traced message with a nonzero trace id (internal/tracing).
 	OnSendCtx(t sim.Time, from, to int, kind Kind, trace, span uint64)
+	// OnEvent reports a protocol-level event. Events are not messages and
+	// never touch message counters.
+	OnEvent(e Event)
 }
 
-// Ctx returns s's trace-context extension, or nil when s does not
-// implement it — same holding pattern as Bytes: one nil check per
-// message on the hot path, and a nil result makes the per-send type
-// assertion on the message itself unnecessary too.
-func Ctx(s Sink) CtxSink {
-	if cs, ok := s.(CtxSink); ok {
-		return cs
-	}
-	return nil
-}
-
-// Nop is a Sink that discards everything.
+// Nop is a Sink that discards everything; a partial observer embeds it
+// for the methods it ignores.
 type Nop struct{}
 
-// OnSend implements Sink.
-func (Nop) OnSend(sim.Time, int, int, Kind) {}
+func (Nop) OnSend(sim.Time, int, int, Kind)                    {}
+func (Nop) OnDeliver(sim.Time, int, int, Kind)                 {}
+func (Nop) OnDrop(sim.Time, int, int, Kind)                    {}
+func (Nop) OnWireBytes(sim.Time, int, int, Kind, int)          {}
+func (Nop) OnSendCtx(sim.Time, int, int, Kind, uint64, uint64) {}
+func (Nop) OnEvent(Event)                                      {}
 
-// OnDeliver implements Sink.
-func (Nop) OnDeliver(sim.Time, int, int, Kind) {}
-
-// OnDrop implements Sink.
-func (Nop) OnDrop(sim.Time, int, int, Kind) {}
-
-// multi fans events out to several sinks in order.
+// multi fans everything out to several sinks in order.
 type multi []Sink
 
 func (m multi) OnSend(t sim.Time, from, to int, kind Kind) {
@@ -184,25 +153,21 @@ func (m multi) OnDrop(t sim.Time, from, to int, kind Kind) {
 	}
 }
 
-// OnWireBytes implements ByteSink, forwarding to every member that
-// accounts bytes. A multi always presents the extension; members that
-// lack it are skipped.
 func (m multi) OnWireBytes(t sim.Time, from, to int, kind Kind, n int) {
 	for _, s := range m {
-		if bs, ok := s.(ByteSink); ok {
-			bs.OnWireBytes(t, from, to, kind, n)
-		}
+		s.OnWireBytes(t, from, to, kind, n)
 	}
 }
 
-// OnSendCtx implements CtxSink, forwarding to every member that consumes
-// trace contexts. Like OnWireBytes, a multi always presents the
-// extension and skips members that lack it.
 func (m multi) OnSendCtx(t sim.Time, from, to int, kind Kind, trace, span uint64) {
 	for _, s := range m {
-		if cs, ok := s.(CtxSink); ok {
-			cs.OnSendCtx(t, from, to, kind, trace, span)
-		}
+		s.OnSendCtx(t, from, to, kind, trace, span)
+	}
+}
+
+func (m multi) OnEvent(e Event) {
+	for _, s := range m {
+		s.OnEvent(e)
 	}
 }
 

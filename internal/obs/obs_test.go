@@ -55,12 +55,23 @@ func TestInternConcurrent(t *testing.T) {
 	}
 }
 
-// countingSink tallies calls for Tee tests.
-type countingSink struct{ sends, delivers, drops int }
+// countingSink tallies every call, for Tee tests.
+type countingSink struct{ sends, delivers, drops, bytes, ctxs, events int }
 
-func (c *countingSink) OnSend(sim.Time, int, int, Kind)    { c.sends++ }
-func (c *countingSink) OnDeliver(sim.Time, int, int, Kind) { c.delivers++ }
-func (c *countingSink) OnDrop(sim.Time, int, int, Kind)    { c.drops++ }
+func (c *countingSink) OnSend(sim.Time, int, int, Kind)                    { c.sends++ }
+func (c *countingSink) OnDeliver(sim.Time, int, int, Kind)                 { c.delivers++ }
+func (c *countingSink) OnDrop(sim.Time, int, int, Kind)                    { c.drops++ }
+func (c *countingSink) OnWireBytes(sim.Time, int, int, Kind, int)          { c.bytes++ }
+func (c *countingSink) OnSendCtx(sim.Time, int, int, Kind, uint64, uint64) { c.ctxs++ }
+func (c *countingSink) OnEvent(Event)                                      { c.events++ }
+
+// sendsOnly is a partial observer: Nop for all but OnSend.
+type sendsOnly struct {
+	Nop
+	sends int
+}
+
+func (s *sendsOnly) OnSend(sim.Time, int, int, Kind) { s.sends++ }
 
 func TestTeeFansOutAndSkipsNil(t *testing.T) {
 	a, b := &countingSink{}, &countingSink{}
@@ -69,10 +80,30 @@ func TestTeeFansOutAndSkipsNil(t *testing.T) {
 	s.OnSend(2, 0, 1, 0)
 	s.OnDeliver(3, 0, 1, 0)
 	s.OnDrop(4, 0, 1, 0)
+	s.OnWireBytes(5, 0, 1, 0, 40)
+	s.OnSendCtx(6, 0, 1, 0, 9, 3)
+	s.OnEvent(Event{T: 7, What: Down, Proc: 0, Peer: -1})
+	want := countingSink{sends: 2, delivers: 1, drops: 1, bytes: 1, ctxs: 1, events: 1}
 	for _, c := range []*countingSink{a, b} {
-		if c.sends != 2 || c.delivers != 1 || c.drops != 1 {
-			t.Fatalf("sink saw %+v", *c)
+		if *c != want {
+			t.Fatalf("sink saw %+v, want %+v", *c, want)
 		}
+	}
+}
+
+// TestTeePartialMemberSeesOnlySends: a member that embeds Nop and
+// implements OnSend alone is handed every call, and keeps only the sends.
+func TestTeePartialMemberSeesOnlySends(t *testing.T) {
+	part := &sendsOnly{}
+	s := Tee(part, Nop{})
+	s.OnSend(1, 0, 1, 0)
+	s.OnDeliver(2, 0, 1, 0)
+	s.OnDrop(3, 0, 1, 0)
+	s.OnWireBytes(4, 0, 1, 0, 40)
+	s.OnSendCtx(5, 0, 1, 0, 9, 3)
+	s.OnEvent(Event{T: 6, What: Note, Proc: 0, Peer: -1})
+	if part.sends != 1 {
+		t.Fatalf("partial member counted %d sends, want 1", part.sends)
 	}
 }
 

@@ -19,24 +19,24 @@ type Process struct {
 	Lease    LeaseProbe          // read path, polled by c
 }
 
-// Attach is the one assembly call: it subscribes sink — the observer the
-// process's runtime was built with, which already gets its messages,
-// crashes and rejoins — to p's hooks, one adapter each, and registers p's
-// probe with c (nil: no collector). group is the consensus group p is a
-// replica of, obs.NoGroup in an unsharded cluster. Every subscriber teed
-// into sink sees every event whatever the order of Attach calls; call it
-// before the process starts, and again for the fresh History and Recorder
-// of a restarted one.
+// Attach is the one assembly call: it subscribes sink (nil: none) — the
+// observer the process's runtime was built with, which already gets its
+// messages, crashes and rejoins — to p's hooks, one adapter each, and
+// registers p's probe with c (nil: no collector). group is the consensus
+// group p is a replica of, obs.NoGroup in an unsharded cluster. Every
+// subscriber teed into sink sees every event whatever the order of Attach
+// calls; call it before the process starts, and again for the fresh
+// History and Recorder of a restarted one.
 func Attach(sink obs.Sink, c *Collector, group int, p Process) {
-	if ev, ok := sink.(obs.EventSink); ok {
+	if sink != nil {
 		if id := int(p.ID); p.History != nil {
 			p.History.AddNotify(func(t sim.Time, leader node.ID) {
-				ev.OnEvent(obs.Event{T: t, What: obs.LeaderChange, Proc: id, Peer: int(leader)})
+				sink.OnEvent(obs.Event{T: t, What: obs.LeaderChange, Proc: id, Peer: int(leader)})
 			})
 		}
 		if p.Recorder != nil {
 			p.Recorder.AddNotify(func(d consensus.Decision) {
-				ev.OnEvent(obs.Event{T: d.At, What: obs.Decide, Proc: int(d.By), Peer: -1, Dur: d.Elapsed, N: group})
+				sink.OnEvent(obs.Event{T: d.At, What: obs.Decide, Proc: int(d.By), Peer: -1, Dur: d.Elapsed, N: group})
 			})
 		}
 	}
@@ -46,28 +46,27 @@ func Attach(sink obs.Sink, c *Collector, group int, p Process) {
 }
 
 // FlushHook adapts sink to transport.Config.OnFlush: every vectored write
-// becomes an obs.Flush event. Nil when sink takes no events.
+// becomes an obs.Flush event. Nil when sink is.
 func FlushHook(sink obs.Sink) func(from, to node.ID, frames, bytes int) {
-	ev, ok := sink.(obs.EventSink)
-	if !ok {
+	if sink == nil {
 		return nil
 	}
 	return func(from, to node.ID, frames, bytes int) {
-		ev.OnEvent(obs.Event{What: obs.Flush, Proc: int(from), Peer: int(to), N: frames, Bytes: bytes})
+		sink.OnEvent(obs.Event{What: obs.Flush, Proc: int(from), Peer: int(to), N: frames, Bytes: bytes})
 	}
 }
 
 // WALHooks adapts sink to the three observer callbacks of process id's
 // durable.Options — OnAppend, OnFsync, OnRecover, matched field for field
-// so this package never imports durable. The WAL has no clock; now stamps
-// the fsyncs and recoveries (the cluster clock, or tracing.Set.Stamp).
+// so this package never imports durable; nil when sink is. The WAL has no
+// clock; now stamps the fsyncs and recoveries (the cluster clock, or
+// tracing.Set.Stamp).
 func WALHooks(sink obs.Sink, id node.ID, now func() sim.Time) (onAppend func(int), onFsync, onRecover func(time.Duration)) {
-	ev, ok := sink.(obs.EventSink)
-	if !ok {
+	if sink == nil {
 		return nil, nil, nil
 	}
 	emit := func(t sim.Time, what obs.What, d time.Duration, bytes int) {
-		ev.OnEvent(obs.Event{T: t, What: what, Proc: int(id), Peer: -1, Dur: d, Bytes: bytes})
+		sink.OnEvent(obs.Event{T: t, What: what, Proc: int(id), Peer: -1, Dur: d, Bytes: bytes})
 	}
 	return func(bytes int) { emit(0, obs.WALAppend, 0, bytes) }, // nobody asks when
 		func(d time.Duration) { emit(now(), obs.WALFsync, d, 0) },

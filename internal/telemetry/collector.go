@@ -75,13 +75,13 @@ type LeaseProbe func() (held bool, local, fallback uint64)
 // stream, plus the steady-state quiescence gauges that assert the paper's
 // n−1-links property at runtime.
 //
-// A Collector is an obs.Sink and an obs.EventSink; tee it into a
-// transport.Config.Observer (or a scenario/world observer) so it sees
-// every message and every event the runtime emits, and Attach each
-// process's History and Recorder so it sees theirs. All methods are safe
+// A Collector is an obs.Sink; tee it into a transport.Config.Observer (or
+// a scenario/world observer) so it sees every message and every event the
+// runtime emits, and Attach each process's History and Recorder so it
+// sees theirs. All methods are safe
 // for concurrent use; the per-message path is lock-free.
 type Collector struct {
-	obs.Nop // sends and drops: message counting lives in metrics.MessageStats
+	obs.Nop // sends, drops, bytes, contexts: message counting lives in metrics.MessageStats
 
 	n     int
 	clock func() sim.Time
@@ -112,9 +112,6 @@ type Collector struct {
 	leaderChanges atomic.Uint64
 	decides       atomic.Uint64
 }
-
-var _ obs.Sink = (*Collector)(nil)
-var _ obs.EventSink = (*Collector)(nil)
 
 // Option customizes a Collector.
 type Option func(*Collector)
@@ -190,7 +187,7 @@ func (c *Collector) OnDeliver(t sim.Time, from, to int, kind obs.Kind) {
 	}
 }
 
-// OnEvent implements obs.EventSink: the one place events become series.
+// OnEvent implements obs.Sink: the one place events become series.
 // An election's downtime — from the instant cluster-wide agreement broke
 // (or time zero, or the crash of the leader) to the instant every live
 // process outputs the same live leader again — is obs.Agreement's to

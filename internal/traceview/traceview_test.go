@@ -135,7 +135,7 @@ func TestElectionsFromDumpedMarks(t *testing.T) {
 	const n = 3
 	dir := t.TempDir()
 	set := tracing.New(tracing.Config{Procs: n, Dir: dir})
-	ev := set.Sink().(obs.EventSink)
+	ev := set.Sink()
 
 	ms := func(d int) sim.Time { return sim.Time(d) * sim.Time(time.Millisecond) }
 	for _, e := range []obs.Event{

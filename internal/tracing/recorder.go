@@ -288,9 +288,9 @@ func (s *Set) encodeDump(w io.Writer, reason string, now sim.Time, proc int) err
 const SlowFsync = 25 * time.Millisecond
 
 // Sink subscribes the set to the observer pipeline. Wire-level send
-// events for traced messages arrive through the OnSendCtx extension (the
-// transports read the context off node.Traced messages); each becomes a
-// completed zero-length "send" span under the carried parent — the
+// events for traced messages arrive through OnSendCtx (the transports
+// read the context off node.Traced messages); each becomes a completed
+// zero-length "send" span under the carried parent — the
 // per-directed-link children of a quorum span. Of the events (OnEvent),
 // leader changes, crashes, rejoins and notes are kept as marks, which is
 // what traceview replays elections from. Leader changes, crashes, message
@@ -308,16 +308,14 @@ func (s *Set) sink(msgs bool) obs.Sink {
 	if s == nil {
 		return nil
 	}
-	return setSink{s, msgs}
+	return setSink{s: s, msgs: msgs}
 }
 
 type setSink struct {
-	s    *Set
-	msgs bool
+	obs.Nop // wire bytes
+	s       *Set
+	msgs    bool
 }
-
-var _ obs.CtxSink = setSink{}
-var _ obs.EventSink = setSink{}
 
 func (k setSink) OnSend(t sim.Time, from, to int, kind obs.Kind) {
 	if k.msgs {
@@ -338,7 +336,7 @@ func (k setSink) OnDrop(t sim.Time, from, to int, kind obs.Kind) {
 	k.s.Trigger(t, from, "message-drop")
 }
 
-// OnSendCtx implements obs.CtxSink. An event log has the send already.
+// OnSendCtx implements obs.Sink. An event log has the send already.
 func (k setSink) OnSendCtx(t sim.Time, from, to int, kind obs.Kind, trace, span uint64) {
 	if k.msgs {
 		return
@@ -347,7 +345,7 @@ func (k setSink) OnSendCtx(t sim.Time, from, to int, kind obs.Kind, trace, span 
 	k.s.Tracer(from).Record(t, t, parent, "send", to, obs.KindName(kind))
 }
 
-// OnEvent implements obs.EventSink. Marks carry the event's own name
+// OnEvent implements obs.Sink. Marks carry the event's own name
 // (obs.What.String), the new leader as the peer of a leader-change.
 func (k setSink) OnEvent(e obs.Event) {
 	tr := k.s.Tracer(e.Proc)

@@ -13,7 +13,7 @@
 // per-process dumps back into one causally ordered timeline.
 //
 // The ring is a subscriber of the obs stream (Set.Sink): traced sends
-// arrive through obs.CtxSink, and of the events it keeps leader changes,
+// arrive through obs.Sink.OnSendCtx, and of the events it keeps leader changes,
 // crashes, rejoins and notes as marks, firing the flight recorder on the
 // first two, on a dropped message and on an fsync slower than SlowFsync.
 // Set.MessageSink keeps every message event as a mark too — the

@@ -365,10 +365,7 @@ func TestSinkKeepsEventsAsMarks(t *testing.T) {
 	dir := t.TempDir()
 	s := New(Config{Procs: 2, Dir: dir})
 	s.SetWallStart(time.Now().Add(-time.Second))
-	ev, ok := obs.Tee(obs.Nop{}, s.Sink()).(obs.EventSink) // as a cluster sees it: teed
-	if !ok {
-		t.Fatal("set sink must implement obs.EventSink")
-	}
+	ev := obs.Tee(obs.Nop{}, s.Sink()) // as a cluster sees it: teed
 
 	ev.OnEvent(obs.Event{T: 42, What: obs.LeaderChange, Proc: 1, Peer: 0})
 	ev.OnEvent(obs.Event{T: 50, What: obs.Down, Proc: 0, Peer: -1})
@@ -467,8 +464,8 @@ func TestMessageSinkIsTheEventLog(t *testing.T) {
 	sink.OnSend(at(1), 0, 2, leader)
 	sink.OnDeliver(at(2), 0, 1, leader)
 	sink.OnDrop(at(2), 0, 2, leader)
-	sink.(obs.EventSink).OnEvent(obs.Event{T: at(3), What: obs.Down, Proc: 0, Peer: -1})
-	sink.(obs.EventSink).OnEvent(obs.Event{T: at(4), What: obs.Note, Proc: 2, Peer: -1, Text: "leader is now p1"})
+	sink.OnEvent(obs.Event{T: at(3), What: obs.Down, Proc: 0, Peer: -1})
+	sink.OnEvent(obs.Event{T: at(4), What: obs.Note, Proc: 2, Peer: -1, Text: "leader is now p1"})
 	sink.OnSend(at(1500), 2, 1, accuse)
 
 	marks := s.Marks()
@@ -543,14 +540,10 @@ func TestSinkRecordsSendsAndDumpsDrops(t *testing.T) {
 	kind := obs.Intern("ACCEPT")
 
 	root := s.Tracer(0).StartTrace(1, "request")
-	if cs, ok := sink.(obs.CtxSink); !ok {
-		t.Fatal("set sink must implement obs.CtxSink")
-	} else {
-		cs.OnSendCtx(2, 0, 2, kind, uint64(root.Trace), uint64(root.Span))
-		cs.OnSendCtx(2, 0, 1, kind, 0, 0) // untraced message: no span
-	}
-	sink.OnSend(2, 0, 2, kind)    // plain sends are not recorded
-	sink.OnDeliver(3, 0, 2, kind) // deliveries are not recorded
+	sink.OnSendCtx(2, 0, 2, kind, uint64(root.Trace), uint64(root.Span))
+	sink.OnSendCtx(2, 0, 1, kind, 0, 0) // untraced message: no span
+	sink.OnSend(2, 0, 2, kind)          // plain sends are not recorded
+	sink.OnDeliver(3, 0, 2, kind)       // deliveries are not recorded
 	d := snapshot(t, s)
 	sends := spansNamed(d, "send")
 	if len(sends) != 1 {

@@ -21,8 +21,8 @@ type Config struct {
 	// Quiet suppresses per-process logging.
 	Quiet bool
 	// Observer is an optional extra obs.Sink teed with the cluster's
-	// stats; it sees every send/deliver/drop and, when it is an
-	// obs.EventSink, every process going down (obs.Down) and coming back
+	// stats; it sees every send/deliver/drop with its wire bytes and trace
+	// context, and every process going down (obs.Down) and coming back
 	// (obs.Up). Implementations must be safe for concurrent use.
 	Observer obs.Sink
 	// Fault optionally subjects every link to a faultline.Injector: each
@@ -172,8 +172,7 @@ func (m *memNet) send(from, to node.ID, msg node.Message) {
 	c := (*Cluster)(m)
 	now := c.stations[from].Now()
 	k := msg.KindID()
-	c.sink.OnSend(now, int(from), int(to), k)
-	reportSendCtx(c.ctx, now, int(from), int(to), k, msg)
+	c.sent(now, from, to, k, msg)
 	// Serialize immediately: the receiver must observe an independent
 	// copy, exactly as over a socket. The buffer is pooled and returned
 	// once the receiver has decoded (or the message is dropped).
@@ -186,9 +185,7 @@ func (m *memNet) send(from, to node.ID, msg node.Message) {
 		return
 	}
 	*bp = data
-	if c.bytes != nil {
-		c.bytes.OnWireBytes(now, int(from), int(to), k, len(data))
-	}
+	c.sink.OnWireBytes(now, int(from), int(to), k, len(data))
 	c.mu.Lock()
 	delay := time.Duration(c.rng.Int63n(int64(memDelayBound) + 1))
 	c.mu.Unlock()

@@ -55,10 +55,9 @@ type station struct {
 	net     sender
 	start   time.Time
 	logf    func(format string, args ...any)
-	// events is the cluster observer's event extension (nil when it has
-	// none), set by the cluster before run: the station reports its own
-	// going down and coming up.
-	events obs.EventSink
+	// sink is the cluster's, set before run (obs.Nop until then): the
+	// station reports its own going down and coming up.
+	sink obs.Sink
 
 	// life is twice the number of reboots, plus one while the process is
 	// crashed: a lane acts only while it equals the lane's own. Reboots
@@ -90,7 +89,7 @@ type lane struct {
 var _ node.Env = (*lane)(nil)
 
 func newStation(id node.ID, n int, a node.Automaton, net sender, start time.Time, logf func(string, ...any)) *station {
-	s := &station{id: id, n: n, net: net, start: start, logf: logf}
+	s := &station{id: id, n: n, net: net, start: start, logf: logf, sink: obs.Nop{}}
 	var autos []node.Automaton
 	autos, s.sharded = lanesOf(a)
 	for g, a := range autos {
@@ -152,9 +151,7 @@ func (s *station) crash() {
 }
 
 func (s *station) emit(what obs.What) {
-	if s.events != nil {
-		s.events.OnEvent(obs.Event{T: s.Now(), What: what, Proc: int(s.id), Peer: -1})
-	}
+	s.sink.OnEvent(obs.Event{T: s.Now(), What: what, Proc: int(s.id), Peer: -1})
 }
 
 // reboot restarts the process with a fresh automaton of the same shape —
@@ -315,8 +312,6 @@ type table struct {
 	start    time.Time
 	stats    *metrics.MessageStats
 	sink     obs.Sink
-	bytes    obs.ByteSink // byte-accounting view of sink, nil if unsupported
-	ctx      obs.CtxSink  // trace-context view of sink, nil if unsupported
 	wg       sync.WaitGroup
 }
 
@@ -326,8 +321,6 @@ func (t *table) build(cfg Config, automatons []node.Automaton, net sender) {
 	t.start = time.Now()
 	t.stats = metrics.NewMessageStats(cfg.N)
 	t.sink = obs.Tee(t.stats, cfg.Observer)
-	t.bytes, t.ctx = obs.Bytes(t.sink), obs.Ctx(t.sink)
-	events, _ := cfg.Observer.(obs.EventSink)
 	t.stations = make([]*station, cfg.N)
 	for i := range t.stations {
 		logf := func(format string, args ...any) { log.Printf("p%d: %s", i, fmt.Sprintf(format, args...)) }
@@ -335,7 +328,19 @@ func (t *table) build(cfg Config, automatons []node.Automaton, net sender) {
 			logf = func(string, ...any) {}
 		}
 		t.stations[i] = newStation(node.ID(i), cfg.N, automatons[i], net, t.start, logf)
-		t.stations[i].events = events
+		t.stations[i].sink = t.sink
+	}
+}
+
+// sent reports that from handed msg, of kind k, to the from→to link at
+// now, and its trace context when msg is a node.Traced with a nonzero
+// trace id: an untraced message costs one type assertion.
+func (t *table) sent(now sim.Time, from, to node.ID, k obs.Kind, msg node.Message) {
+	t.sink.OnSend(now, int(from), int(to), k)
+	if tm, ok := msg.(node.Traced); ok {
+		if trace, span := tm.TraceContext(); trace != 0 {
+			t.sink.OnSendCtx(now, int(from), int(to), k, trace, span)
+		}
 	}
 }
 

@@ -351,8 +351,7 @@ func (t *tcpNet) send(from, to nodepkg.ID, msg nodepkg.Message) {
 	c := t.cluster
 	k := msg.KindID()
 	now := c.stations[from].Now()
-	c.sink.OnSend(now, int(from), int(to), k)
-	reportSendCtx(c.ctx, now, int(from), int(to), k, msg)
+	c.sent(now, from, to, k, msg)
 	select {
 	case <-c.stopCh:
 		c.sink.OnDrop(now, int(from), int(to), k)
@@ -381,9 +380,7 @@ func (t *tcpNet) send(from, to nodepkg.ID, msg nodepkg.Message) {
 	}
 	*bp = frame
 	binary.BigEndian.PutUint32(frame[:4], uint32(len(frame)-4))
-	if c.bytes != nil {
-		c.bytes.OnWireBytes(now, int(from), int(to), k, len(frame))
-	}
+	c.sink.OnWireBytes(now, int(from), int(to), k, len(frame))
 
 	s := c.senders[int(from)*c.cfg.N+int(to)]
 	if !s.Enqueue(link.Frame{Buf: bp, Kind: k, Delay: delay}) {

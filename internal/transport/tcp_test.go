@@ -63,7 +63,7 @@ func TestTCPClusterCommunicationEfficiency(t *testing.T) {
 		l, ok := agreement(dets, nil)
 		return ok && l == 0
 	}, "agreement")
-	expectSteadySender(t, c.stations[0], c.Stats(), 0)
+	expectSteadySender(t, c.stations[0], c.Stats(), dets, 0)
 }
 
 func TestTCPStopIsIdempotentAndClean(t *testing.T) {

@@ -101,16 +101,22 @@ func TestMemClusterCommunicationEfficiency(t *testing.T) {
 		l, ok := agreement(dets, nil)
 		return ok && l == 0
 	}, "agreement")
-	expectSteadySender(t, c.stations[0], c.Stats(), 0)
+	expectSteadySender(t, c.stations[0], c.Stats(), dets, 0)
 }
 
 // expectSteadySender polls 300ms windows until one passes in which only
 // leader sent — the steady-state communication-efficiency property.
 // Polling (rather than one fixed settle-then-measure window) keeps the
 // check robust on a loaded machine, where a late heartbeat can trigger a
-// stray accusation well after initial agreement.
-func expectSteadySender(t *testing.T, clock *station, stats *metrics.MessageStats, leader int) {
+// stray accusation well after initial agreement. It is called once dets
+// agree on leader, and when no window passes it names that premise: the
+// leader each detector outputs, and the leader changes each made since.
+func expectSteadySender(t *testing.T, clock *station, stats *metrics.MessageStats, dets []*core.Detector, leader int) {
 	t.Helper()
+	agreed := make([]int, len(dets))
+	for i, d := range dets {
+		agreed[i] = d.History().NumChanges()
+	}
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		mark := clock.Now()
@@ -120,7 +126,15 @@ func expectSteadySender(t *testing.T, clock *station, stats *metrics.MessageStat
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("steady-state senders = %v, want [%d]", senders, leader)
+			var outputs, moves []string
+			for i, d := range dets {
+				outputs = append(outputs, fmt.Sprintf("p%d:p%d", i, d.History().Current()))
+				for _, c := range d.History().Changes()[agreed[i]:] {
+					moves = append(moves, fmt.Sprintf("p%d→p%d at %v", i, c.Leader, c.At))
+				}
+			}
+			t.Fatalf("steady-state senders = %v, want [%d]; the detectors output %v, and changed leader %d times since agreeing on p%d: %v",
+				senders, leader, outputs, len(moves), leader, moves)
 		}
 	}
 }

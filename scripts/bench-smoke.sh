@@ -2,7 +2,10 @@
 # The benchmark's own entry point, as a benchmark run invokes it (make
 # bench-smoke): one untraced second of every workload BENCHMARK.json names,
 # each through bash bench/run.sh -workload W -seconds 1 -trace 0. Exits 1
-# unless every run's last line reports "correct":true and "failed":0.
+# unless every run exits 0 and its result line reports "correct":true and
+# "failed":0; for a run that does not, it prints run.sh's exit status,
+# the run's INCORRECT: and unstable: lines and its result line (the build's
+# errors and bench's own complaints reach stderr as they happen).
 # make bench-check runs the benchmark module's own tests, whose smoke run
 # is the traced half only (-short); this is the untraced half, from source,
 # as it is measured. About ten seconds on 2 vCPUs once built.
@@ -13,14 +16,16 @@ workloads=$(awk '/"workloads"/ { w = 1 } w && /"name"/ { gsub(/[",]/, "", $2); p
 [ -n "$workloads" ] || { echo "bench-smoke: no workload named in BENCHMARK.json"; exit 1; }
 fail=0
 for w in $workloads; do
-	if ! line=$(bash bench/run.sh -workload "$w" -seconds 1 -trace 0 | tail -n 1); then
-		echo "bench-smoke: $w: bench/run.sh failed"
-		fail=1
-	elif grep -q '"correct":true' <<<"$line" && grep -qE '"failed":0[,}]' <<<"$line"; then
+	rc=0
+	out=$(bash bench/run.sh -workload "$w" -seconds 1 -trace 0) || rc=$?
+	result=$(grep '^{' <<<"$out" | tail -n 1 || true)
+	if [ "$rc" -eq 0 ] && grep -q '"correct":true' <<<"$result" && grep -qE '"failed":0[,}]' <<<"$result"; then
 		echo "bench-smoke: $w: correct, 0 failed"
-	else
-		echo "bench-smoke: $w: $line"
-		fail=1
+		continue
 	fi
+	fail=1
+	echo "bench-smoke: $w: FAILED; bench/run.sh exited $rc$([ "$rc" -eq 0 ] || echo ' (non-zero: the build, a correctness violation or five unstable attempts)')"
+	grep -E '^ *(INCORRECT|unstable): ' <<<"$out" | sed "s/^ */bench-smoke: $w:   /" || true
+	echo "bench-smoke: $w:   result: ${result:-none printed}"
 done
 exit "$fail"

@@ -20,7 +20,8 @@
 # non-blank characters are //; a line with code and a trailing comment is
 # code. Against a parent it exits 1 when rsm or the observability set has
 # grown: a change lands each no larger than it found it. rsm's distance to
-# its target of 2,400 lines (ROADMAP item 4), the rsm split, so that lines
+# its target of 2,400 lines (ROADMAP item 4), the observability set's to
+# its target of 2,900 (ROADMAP item 7), the rsm split, so that lines
 # cut from comments can be told from lines cut from code, and DESIGN.md's
 # row, against its target of 1,200 lines (ROADMAP item 4(f)), are reported
 # and never fail the script.
@@ -69,6 +70,7 @@ END {
 		if (grew) bad = 1
 		note = grew ? "  grew: land it no larger than it was found" : ""
 		if (k == "rsm" && !grew) note = "  target 2,400 (ROADMAP 4): reported, not a gate"
+		if (k == "observability set" && !grew) note = "  target 2,900 (ROADMAP 7): reported, not a gate"
 		if (k ~ /^rsm [a-z]/) note = "  reported, not a gate"
 		if (k == "DESIGN.md") note = "  target 1,200 (ROADMAP 4(f)): reported, not a gate"
 		printf "%-18s %7d %7d %+7d%s\n", k, v[k, "before"], v[k, "after"], d, note
