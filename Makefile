@@ -38,11 +38,12 @@ tables-diff:
 	bash scripts/tables-diff.sh
 
 # The mutation check of rsm: five edits that each break linearizable
-# reads, two that break the leader's fan-out and one that makes an
-# abdication forget how far each process has applied, applied one at a
-# time to a temporary copy of the package, whose tests must fail on every
-# one. It fails when a mutant survives or its edit no longer applies
-# (scripts/mutants.sh). About 80 s; CI's build-test job runs it.
+# reads, two that break the leader's fan-out, one that makes an
+# abdication forget how far each process has applied and one that has a
+# replica serve nothing it has applied from its Recorder, applied one at
+# a time to a temporary copy of the package, whose tests must fail on
+# every one. It fails when a mutant survives or its edit no longer applies
+# (scripts/mutants.sh). About 90 s; CI's build-test job runs it.
 mutants:
 	bash scripts/mutants.sh
 

@@ -48,8 +48,9 @@ type Decision struct {
 	By node.ID
 	// Elapsed is the proposer-side decision latency for this command —
 	// from the moment the leader enqueued it until it was applied. Only
-	// the proposing leader knows it; everywhere else it is zero
-	// ("unknown").
+	// the proposing leader knows it, and only the hooks of its Recorder
+	// are handed it (AddNotify); everywhere else, and read back from a
+	// Recorder, it is zero ("unknown").
 	Elapsed time.Duration
 }
 
@@ -84,25 +85,22 @@ type key struct {
 // while they arrive in that order, and of sorted, an index built when the
 // first one does not — exact for any input, sized by nothing but the rows. The
 // learner is the Recorder's own: the first record names it. Elapsed, which
-// only the proposing leader knows, is kept beside the log for the rows that
-// have one, and el, one place per row from the first such row on, says where
-// each row's begin.
+// only the proposing leader knows, is handed to the hooks and not kept: a
+// decision read back has none.
 type Recorder struct {
 	// Split, set before anything is recorded, appends the commands in an
 	// instance's value to cmds, in order; without it a value is one command.
-	Split   func(cmds []Value, v Value) []Value
-	mu      sync.Mutex
-	log     []row
-	base    int     // the instance of log[0] while the log is dense
-	keys    []key   // per row; nil while the log is dense
-	sorted  []int32 // empty while the keys are in order
-	n       int     // decisions in log
-	by      node.ID
-	el      []int32 // per row, one past where its Elapsed begin; 0: none
-	elapsed []time.Duration
-	notify  []func(d Decision)
-	cmds    []Value    // cut's scratch
-	buf     []Decision // what cut returns
+	Split  func(cmds []Value, v Value) []Value
+	mu     sync.Mutex
+	log    []row
+	base   int     // the instance of log[0] while the log is dense
+	keys   []key   // per row; nil while the log is dense
+	sorted []int32 // empty while the keys are in order
+	n      int     // decisions in log
+	by     node.ID
+	notify []func(d Decision)
+	cmds   []Value    // cut's scratch
+	buf    []Decision // what cut returns
 }
 
 // NewRecorder returns an empty recorder.
@@ -130,24 +128,16 @@ func (r *Recorder) key(p int) key {
 	return r.keys[p]
 }
 
-// cut returns the decisions of row w, keyed k, at place p of the log, good
-// until the next cut; the caller holds the lock. A row not yet added (p ==
-// len(log)) is cut to find out what it holds.
-func (r *Recorder) cut(w row, k key, p int) []Decision {
+// cut returns the decisions of row w, keyed k, good until the next cut; the
+// caller holds the lock. A row not yet added is cut to find out what it
+// holds.
+func (r *Recorder) cut(w row, k key) []Decision {
 	r.cmds, r.buf = append(r.cmds[:0], w.v), r.buf[:0]
 	if k.n != 1 && r.Split != nil {
 		r.cmds = r.Split(r.cmds[:0], w.v)
 	}
-	el := 0
-	if p < len(r.el) {
-		el = int(r.el[p])
-	}
 	for j, cmd := range r.cmds {
-		d := Decision{Instance: k.inst, Cmd: int(k.cmd) + j, Value: cmd, At: w.at, By: r.by}
-		if el > 0 {
-			d.Elapsed = r.elapsed[el-1+j]
-		}
-		r.buf = append(r.buf, d)
+		r.buf = append(r.buf, Decision{Instance: k.inst, Cmd: int(k.cmd) + j, Value: cmd, At: w.at, By: r.by})
 	}
 	return r.buf
 }
@@ -168,7 +158,7 @@ func (r *Recorder) learner(by node.ID) {
 func (r *Recorder) index() {
 	r.keys = make([]key, len(r.log), 2*len(r.log)+1)
 	for p := range r.keys {
-		ds := r.cut(r.log[p], key{n: -1}, p)
+		ds := r.cut(r.log[p], key{n: -1})
 		r.keys[p] = key{inst: r.base + p, n: int32(len(ds))}
 		if len(ds) == 1 {
 			r.log[p].v = ds[0].Value
@@ -202,9 +192,9 @@ func (r *Recorder) find(inst, cmd int) (p, i int) {
 	return -1, i
 }
 
-// add appends w, whose decisions are ds — keyed k as the i-th row in
+// add appends w, which holds n decisions — keyed k as the i-th row in
 // (instance, first command) order once the log is keyed — (lock held).
-func (r *Recorder) add(w row, k key, i int, ds []Decision) {
+func (r *Recorder) add(w row, k key, i, n int) {
 	if r.keys != nil {
 		if len(r.sorted) == 0 && i < len(r.keys) { // the first key out of order: index them all
 			r.sorted = make([]int32, len(r.keys), 2*len(r.keys)+1)
@@ -217,21 +207,8 @@ func (r *Recorder) add(w row, k key, i int, ds []Decision) {
 		}
 		r.keys = append(r.keys, k)
 	}
-	el := int32(0)
-	if slices.ContainsFunc(ds, func(d Decision) bool { return d.Elapsed != 0 }) {
-		el = int32(len(r.elapsed)) + 1
-		for _, d := range ds {
-			r.elapsed = append(r.elapsed, d.Elapsed)
-		}
-		if len(r.el) == 0 {
-			r.el = make([]int32, len(r.log)) // the first row led: every row from here on has a place
-		}
-	}
-	if el > 0 || len(r.el) > 0 {
-		r.el = append(r.el, el)
-	}
 	r.log = append(r.log, w)
-	r.n += len(ds)
+	r.n += n
 }
 
 // Record stores the first decision for a command slot; later records for
@@ -244,8 +221,7 @@ func (r *Recorder) Record(d Decision) {
 	var notify []func(Decision)
 	if p, i := r.find(d.Instance, d.Cmd); p < 0 {
 		r.learner(d.By)
-		r.buf = append(r.buf[:0], d)
-		r.add(row{v: d.Value, at: d.At}, key{inst: d.Instance, cmd: int32(d.Cmd), n: 1}, i, r.buf)
+		r.add(row{v: d.Value, at: d.At}, key{inst: d.Instance, cmd: int32(d.Cmd), n: 1}, i, 1)
 		notify = r.notify[:len(r.notify):len(r.notify)]
 	}
 	r.mu.Unlock()
@@ -257,7 +233,8 @@ func (r *Recorder) Record(d Decision) {
 // RecordInstance stores, in one row, the decision of every command in an
 // instance's decided value v, learned at at by process by. enq, where the
 // proposing leader has it, is when each command was queued: its Elapsed is
-// the time from then to at. Command slots recorded already are ignored.
+// the time from then to at, which the hooks are handed and the log does not
+// keep. Command slots recorded already are ignored.
 func (r *Recorder) RecordInstance(inst int, v Value, at sim.Time, by node.ID, enq []sim.Time) {
 	r.mu.Lock()
 	r.learner(by)
@@ -265,26 +242,26 @@ func (r *Recorder) RecordInstance(inst int, v Value, at sim.Time, by node.ID, en
 		r.index() // a gap or an older instance
 	}
 	w, k := row{v: v, at: at}, key{inst: inst, n: -1}
-	ds := r.cut(w, k, len(r.log))
-	for j := range ds[:min(len(ds), len(enq))] {
-		ds[j].Elapsed = at.Sub(enq[j])
-	}
+	ds := r.cut(w, k)
 	tell := r.notify[:len(r.notify):len(r.notify)]
 	if r.keys == nil {
 		if len(r.log) == 0 {
 			r.base = inst
 		}
-		r.add(w, k, 0, ds)
+		r.add(w, k, 0, len(ds))
 	} else if _, i := r.find(inst, math.MaxInt); i == 0 || r.keys[r.rank(i-1)].inst != inst {
 		if k.n = int32(len(ds)); k.n == 1 {
 			w.v = ds[0].Value // a lone command, out of its envelope if it came in one
 		}
-		r.add(w, k, i, ds)
+		r.add(w, k, i, len(ds))
 	} else {
 		tell = []func(Decision){r.Record} // the instance has rows: slot by slot
 	}
 	if ds = nil; len(tell) > 0 {
 		ds = slices.Clone(r.buf) // buf is the next cut's
+		for j := range ds[:min(len(ds), len(enq))] {
+			ds[j].Elapsed = at.Sub(enq[j])
+		}
 	}
 	r.mu.Unlock()
 	for _, d := range ds {
@@ -308,11 +285,25 @@ func (r *Recorder) GetCmd(instance, cmd int) (Decision, bool) {
 	}
 	if p >= 0 && p < len(r.log) {
 		k := r.key(p)
-		if ds := r.cut(r.log[p], k, p); uint(cmd-int(k.cmd)) < uint(len(ds)) {
+		if ds := r.cut(r.log[p], k); uint(cmd-int(k.cmd)) < uint(len(ds)) {
 			return ds[cmd-int(k.cmd)], true
 		}
 	}
 	return Decision{}, false
+}
+
+// Value returns an instance's value exactly as it was decided — a batch
+// envelope whole, a lone command that begins with the batch marker still in
+// its envelope — while the log is dense, as rsm's applier records it. A
+// keyed log, whose rows of one command hold the bare command, and an
+// instance not recorded answer false.
+func (r *Recorder) Value(inst int) (Value, bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if p := inst - r.base; r.keys == nil && uint(p) < uint(len(r.log)) {
+		return r.log[p].v, true
+	}
+	return NoValue, false
 }
 
 // Count returns how many commands this process has decided (equals the
@@ -339,7 +330,7 @@ func (r *Recorder) Each(fn func(d Decision)) {
 	var ds []Decision
 	for p := 0; p < rows; p++ {
 		r.mu.Lock()
-		ds = append(ds[:0], r.cut(r.log[p], r.key(p), p)...)
+		ds = append(ds[:0], r.cut(r.log[p], r.key(p))...)
 		r.mu.Unlock()
 		for _, d := range ds {
 			fn(d)

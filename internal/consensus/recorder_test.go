@@ -83,6 +83,13 @@ func testSplit(cmds []Value, v Value) []Value {
 
 func newSplitRecorder() *Recorder { return &Recorder{Split: testSplit} }
 
+// read is what a Recorder answers for a decision the model holds: the
+// hooks are handed Elapsed, and the log does not keep it.
+func read(d Decision) Decision {
+	d.Elapsed = 0
+	return d
+}
+
 // checkAgainst compares every observable of r with the model, probing
 // all slots in a box around what was recorded so misses are checked too.
 func checkAgainst(t *testing.T, r *Recorder, m *refRecorder, lo, hi, cmds int) {
@@ -90,11 +97,15 @@ func checkAgainst(t *testing.T, r *Recorder, m *refRecorder, lo, hi, cmds int) {
 	if r.Count() != len(m.order) {
 		t.Fatalf("Count = %d, model %d", r.Count(), len(m.order))
 	}
+	order := make([]Decision, len(m.order))
+	for i, d := range m.order {
+		order[i] = read(d)
+	}
 	all := r.All()
 	var each []Decision
 	r.Each(func(d Decision) { each = append(each, d) })
-	if !slices.Equal(all, m.order) || !slices.Equal(each, m.order) {
-		for i, d := range m.order {
+	if !slices.Equal(all, order) || !slices.Equal(each, order) {
+		for i, d := range order {
 			if i >= len(all) || all[i] != d || i >= len(each) || each[i] != d {
 				t.Fatalf("decision %d: model %+v, All and Each have %d and %d and differ there", i, d, len(all), len(each))
 			}
@@ -105,13 +116,13 @@ func checkAgainst(t *testing.T, r *Recorder, m *refRecorder, lo, hi, cmds int) {
 		for cmd := -1; cmd < cmds+1; cmd++ {
 			got, ok := r.GetCmd(inst, cmd)
 			want, wok := m.decisions[decisionKey{inst, cmd}]
-			if ok != wok || got != want {
+			if ok != wok || got != read(want) {
 				t.Fatalf("GetCmd(%d,%d) = %+v,%v, model %+v,%v", inst, cmd, got, ok, want, wok)
 			}
 		}
 		got, ok := r.Get(inst)
 		want, wok := m.decisions[decisionKey{inst, 0}]
-		if ok != wok || got != want {
+		if ok != wok || got != read(want) {
 			t.Fatalf("Get(%d) = %+v,%v, model %+v,%v", inst, got, ok, want, wok)
 		}
 	}
@@ -193,8 +204,8 @@ func (f *modelRun) check(lo, hi int, dense bool) {
 
 // TestRecorderMatchesMapModel: whatever mix of Record and RecordInstance
 // arrives, in whatever order, every query answers as one Decision per
-// command slot in arrival order would, Elapsed included, and the hooks see
-// each first-time decision once, in that order. Every run begins as rsm's
+// command slot in arrival order would, without Elapsed, and the hooks see
+// each first-time decision once, in that order, Elapsed included. Every run begins as rsm's
 // applier records — whole instances, in order, from the shape's first — and
 // stays dense, with no keys and no index, until one breaker arrives: a gap,
 // an older instance, or a Record. Then the shape's stream of anything at
@@ -287,10 +298,10 @@ func testBreakers(t *testing.T, shape func(rng *rand.Rand, i int) int, dense, st
 }
 
 // TestRecorderKeepsAnInstanceInOneRow: what the layout is for. A batched
-// instance costs one row whatever it carries, a follower keeps no Elapsed
-// and no place for them, and a leader's are kept only for the instances it
-// led, behind a place for every row from the first one it led. Both record
-// in order, so neither keys its rows: a row is its value and its instant.
+// instance costs one row whatever it carries, at a follower and at the
+// leader that proposed it alike: the leader's Elapsed reach its hooks, for
+// the instances it led, and are not kept. Both record in order, so neither
+// keys its rows: a row is its value and its instant.
 func TestRecorderKeepsAnInstanceInOneRow(t *testing.T) {
 	if got := unsafe.Sizeof(row{}); got != 24 {
 		t.Fatalf("a row is %d bytes, want 24: a value and an instant", got)
@@ -298,6 +309,8 @@ func TestRecorderKeepsAnInstanceInOneRow(t *testing.T) {
 	leader, follower := newSplitRecorder(), newSplitRecorder()
 	const n, k = 300, 4
 	led := func(i int) bool { return i < 100 || i >= 200 } // the middle third was led by someone else
+	var told []time.Duration
+	leader.AddNotify(func(d Decision) { told = append(told, d.Elapsed) })
 	for i := 0; i < n; i++ {
 		v, at := testPack("a", "b", "c", "d"), sim.Time(10*i+9)
 		follower.RecordInstance(i, v, at, 1, nil)
@@ -307,20 +320,22 @@ func TestRecorderKeepsAnInstanceInOneRow(t *testing.T) {
 		}
 		leader.RecordInstance(i, v, at, 0, enq)
 	}
-	if len(follower.log) != n || follower.Count() != n*k || cap(follower.elapsed) != 0 || cap(follower.el) != 0 || cap(follower.keys) != 0 {
-		t.Fatalf("follower: %d rows, %d decisions, %d Elapsed, %d places, %d keys; want %d, %d, 0, 0, 0",
-			len(follower.log), follower.Count(), cap(follower.elapsed), cap(follower.el), cap(follower.keys), n, n*k)
+	for _, r := range []*Recorder{follower, leader} {
+		if len(r.log) != n || cap(r.log) > 2*n || r.Count() != n*k || cap(r.keys) != 0 || cap(r.sorted) != 0 {
+			t.Fatalf("%d rows (cap %d), %d decisions, %d keys, index of %d; want %d, %d, 0, 0",
+				len(r.log), cap(r.log), r.Count(), cap(r.keys), cap(r.sorted), n, n*k)
+		}
 	}
-	if len(leader.log) != n || len(leader.elapsed) != 200*k || len(leader.el) != n || cap(leader.keys) != 0 {
-		t.Fatalf("leader: %d rows, %d Elapsed, %d places, %d keys; want %d, %d, %d, 0", len(leader.log), len(leader.elapsed), len(leader.el), cap(leader.keys), n, 200*k, n)
+	if len(told) != n*k {
+		t.Fatalf("the leader's hook was told %d decisions, want %d", len(told), n*k)
 	}
 	for p, d := range leader.All() {
 		want := time.Duration(0)
 		if led(p / k) {
 			want = time.Duration(1 + p%k)
 		}
-		if got, _ := leader.GetCmd(p/k, p%k); d.Elapsed != want || got != d || d.Instance != p/k || d.Cmd != p%k {
-			t.Fatalf("decision %d: All %+v, GetCmd %+v, want Elapsed %v", p, d, got, want)
+		if got, _ := leader.GetCmd(p/k, p%k); told[p] != want || d.Elapsed != 0 || got != d || d.Instance != p/k || d.Cmd != p%k {
+			t.Fatalf("decision %d: All %+v, GetCmd %+v, the hook told Elapsed %v; want it told %v and 0 read back", p, d, got, told[p], want)
 		}
 	}
 }
@@ -391,7 +406,7 @@ func TestRecorderConcurrentEachAndRecordInstance(t *testing.T) {
 	walk := func() int {
 		seen := 0
 		r.Each(func(d Decision) {
-			want := Decision{Instance: seen / 3, Cmd: seen % 3, Value: "x", At: sim.Time(seen / 3), By: 2, Elapsed: time.Duration(seen / 3)}
+			want := Decision{Instance: seen / 3, Cmd: seen % 3, Value: "x", At: sim.Time(seen / 3), By: 2}
 			switch seen % 3 {
 			case 1:
 				want.Value = Value(fmt.Sprint(seen / 3))
@@ -460,13 +475,55 @@ func TestRecorderDenseFromAnyBase(t *testing.T) {
 	}
 }
 
+// TestRecorderValueIsTheDecidedValue: a dense log answers Value with an
+// instance's value exactly as it was decided — a batch envelope whole, a raw
+// command, and a lone command that begins with the batch marker still in
+// its envelope — which is what rsm serves a replica that asks for a
+// decision it has applied. A keyed log holds a lone command bare, so it
+// answers false for every instance, as every log does for one it never
+// recorded.
+func TestRecorderValueIsTheDecidedValue(t *testing.T) {
+	const base = 977
+	vs := []Value{testPack("a", "b"), "raw", testPack(testMark + "x")}
+	r := newSplitRecorder()
+	for i, v := range vs {
+		r.RecordInstance(base+i, v, sim.Time(i), 1, nil)
+	}
+	for i, want := range vs {
+		if got, ok := r.Value(base + i); !ok || got != want {
+			t.Fatalf("Value(%d) = %q,%v, want %q as decided", base+i, got, ok, want)
+		}
+	}
+	for _, inst := range []int{base - 1, base + len(vs), -1 << 62, 1 << 62} {
+		if v, ok := r.Value(inst); ok {
+			t.Fatalf("Value(%d) = %q of an instance never recorded", inst, v)
+		}
+	}
+	r.RecordInstance(base+len(vs)+1, vs[0], 9, 1, nil) // a gap keys the log
+	recorded := NewRecorder()
+	recorded.Record(Decision{Instance: base, Value: "v"})
+	for _, keyed := range []*Recorder{r, recorded} {
+		if keyed.keys == nil {
+			t.Fatal("a gap or a Record left the log dense")
+		}
+		for inst := base - 1; inst <= base+len(vs)+2; inst++ {
+			if v, ok := keyed.Value(inst); ok {
+				t.Fatalf("a keyed log answers Value(%d) = %q", inst, v)
+			}
+		}
+	}
+	if d, ok := r.GetCmd(base+2, 0); !ok || d.Value != testMark+"x" {
+		t.Fatalf("the marked command reads back %+v,%v once keyed", d, ok)
+	}
+}
+
 func TestRecorderRecordAllocatesOnlyToGrow(t *testing.T) {
 	// A follower's log, then a leader's, each once dense and once keyed by a
-	// Record beside every instance. With room in the log, its keys, the
-	// Elapsed and their places — they grow by amortised doubling — recording
-	// an instance allocates nothing: no closure for the splitter, no slice
-	// for the commands, whatever the batch holds. All arrive in order, so
-	// none builds an index.
+	// Record beside every instance. With room in the log and its keys — they
+	// grow by amortised doubling — recording an instance allocates nothing:
+	// no closure for the splitter, no slice for the commands, whatever the
+	// batch holds, and nothing for the leader's Elapsed, which no hook is
+	// here to take. All arrive in order, so none builds an index.
 	v := testPack("a", "b", "c", "d")
 	for _, enq := range [][]sim.Time{nil, {1, 2, 3, 4}} {
 		for _, keyed := range []bool{false, true} {
@@ -480,7 +537,7 @@ func TestRecorderRecordAllocatesOnlyToGrow(t *testing.T) {
 				inst++
 			}
 			record()
-			r.log, r.el, r.elapsed = slices.Grow(r.log, 512), slices.Grow(r.el, 512), slices.Grow(r.elapsed, 2048)
+			r.log = slices.Grow(r.log, 512)
 			if keyed {
 				r.keys = slices.Grow(r.keys, 512)
 			}
@@ -508,17 +565,17 @@ func BenchmarkRecorderRecord(b *testing.B) {
 }
 
 func BenchmarkRecordInstanceInOrder(b *testing.B) {
-	// The same at the leader that proposed the instances: each command's
-	// Elapsed kept too. B/op: a quarter of a 24-byte row and of a 4-byte
-	// place, and an 8-byte Elapsed, growth slack included. The log stays
-	// dense (no keys, no index), which the end checks.
+	// The same at the leader that proposed the instances, each command's
+	// enqueue instant given. B/op: a quarter of a 24-byte row, growth slack
+	// included, as at a follower: the Elapsed are the hooks', and the log
+	// keeps none. It stays dense (no keys, no index), which the end checks.
 	b.ReportAllocs()
 	r := newSplitRecorder()
 	v, enq := testPack("a", "b", "c", "d"), []sim.Time{1, 2, 3, 4}
 	for i := 0; i < b.N; i += 4 {
 		r.RecordInstance(i/4, v, 9, 0, enq)
 	}
-	if benchDecision, _ = r.GetCmd((b.N-1)/4, (b.N-1)%4); r.keys != nil || benchDecision.Elapsed == 0 {
-		b.Fatalf("%d keys, last decision %+v: want a dense log of Elapsed", len(r.keys), benchDecision)
+	if benchDecision, _ = r.GetCmd((b.N-1)/4, (b.N-1)%4); r.keys != nil || r.sorted != nil || benchDecision.Elapsed != 0 || benchDecision.At != 9 {
+		b.Fatalf("%d keys, last decision %+v: want a dense log that keeps no Elapsed", len(r.keys), benchDecision)
 	}
 }

@@ -8,10 +8,10 @@ import (
 
 // This file is the applier layer: it walks the contiguous decided prefix
 // in order, records each instance once — the Recorder cuts it into one
-// Decision per command when read — and runs the hooks per command. Latency
-// is per command, enqueue-to-apply: the proposing leader remembers when
-// each command entered its queue and the record stamps the difference at
-// apply time; everywhere else Elapsed is zero ("unknown").
+// Decision per command when read — runs the hooks per command, and releases
+// the slots it passed. Latency is per command, enqueue-to-apply: the
+// proposing leader remembers when each command entered its queue, and the
+// Recorder hands its hooks the difference at apply time.
 
 // applier tracks apply progress and decision fan-out. What the leader
 // proposed in an instance, and when each command in it was enqueued,
@@ -72,6 +72,7 @@ func (r *Node) apply() {
 			r.pipe.release(fl)
 		}
 	}
+	r.log.release(r.app.next) // recorded: the Recorder serves them from here
 	r.observe(r.me, r.log.firstGap)
 	if r.prop.prepared {
 		r.log.forgetBelow(r.minDone())
@@ -83,9 +84,8 @@ func (r *Node) apply() {
 // commands have been applied since the last checkpoint. The snapshot
 // absorbs the contiguous applied prefix (below firstGap) into the App
 // payload; entries at or above it — decided-but-unapplied islands and
-// open acceptor votes — ride along explicitly. In-memory forgetting is
-// untouched: logbook.retained() stays governed by the Done column, the
-// snapshot only moves the *durable* horizon.
+// open acceptor votes — ride along explicitly. The in-memory horizon stays
+// the Done column's: the snapshot moves only the durable one.
 func (r *Node) maybeSnapshot() {
 	if r.cfg.SnapshotEvery <= 0 || r.app.count-r.snapBase < r.cfg.SnapshotEvery {
 		return

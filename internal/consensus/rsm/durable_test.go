@@ -257,10 +257,48 @@ func TestRecoveryIsIdempotentAcrossRestarts(t *testing.T) {
 		if r2.Applied() != 7 {
 			t.Fatalf("round %d: Applied() = %d, want 7", round, r2.Applied())
 		}
-		if got, _ := r2.log.get(6); got != "c6" {
-			t.Fatalf("round %d: log.get(6) = %q, want c6", round, got)
+		if got, _ := r2.decision(6); got != "c6" {
+			t.Fatalf("round %d: decision(6) = %q, want c6", round, got)
 		}
 		w2.Close()
+	}
+}
+
+// TestRecorderStaysDenseAcrossRestore: a replica restored from a snapshot
+// records from the snapshot's index on, in instance order, through the
+// replay and past it, so its Recorder stays dense and holds every applied
+// instance at or above the horizon exactly as decided. That is where they
+// are served from: the window holds none of them.
+func TestRecorderStaysDenseAcrossRestore(t *testing.T) {
+	dir := t.TempDir()
+	w := openWAL(t, dir)
+	r := New(consensus.StaticLeader(1), Config{Store: w, SnapshotEvery: 3})
+	r.Start(newFakeEnv(2, 3))
+	for i := 0; i < 7; i++ {
+		r.learn(i, consensus.Value(fmt.Sprintf("c%d", i)))
+	}
+	w.Close()
+
+	w2 := openWAL(t, dir)
+	defer w2.Close()
+	r2 := New(consensus.StaticLeader(1), Config{Store: w2})
+	r2.Start(newFakeEnv(2, 3))
+	low := r2.MinDone()
+	for i := 7; i < 12; i++ {
+		r2.learn(i, consensus.Value(fmt.Sprintf("c%d", i)))
+	}
+	if low != 6 || r2.FirstGap() != 12 || r2.log.live != 12 {
+		t.Fatalf("horizon %d, first gap %d, window from %d: want the snapshot's 6, and 12 applied and released", low, r2.FirstGap(), r2.log.live)
+	}
+	for inst := low - 1; inst <= 12; inst++ {
+		want := inst >= low && inst < 12
+		v, ok := r2.Recorder().Value(inst)
+		if ok != want || ok && v != consensus.Value(fmt.Sprintf("c%d", inst)) {
+			t.Fatalf("Recorder().Value(%d) = %q,%v, want %v: the log recorded from the snapshot on is dense", inst, v, ok, want)
+		}
+		if d, ok := r2.decision(inst); ok != want || d != v {
+			t.Fatalf("decision(%d) = %q,%v, want the Recorder's %q", inst, d, ok, v)
+		}
 	}
 }
 

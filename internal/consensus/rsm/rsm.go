@@ -4,37 +4,22 @@
 //
 // The Omega-elected leader runs phase 1 **once**, establishing a stable
 // ballot that covers every log instance; from then on each proposed value
-// costs one phase-2 round-trip, one ACCEPT and one ACCEPTED per answering
-// follower, and crosses each link once. Decisions are committed by index,
-// not by value: the leader announces how far its log is decided and every
-// follower decides that prefix from its own votes. The index rides on the
-// ACCEPT that leaves in the turn the prefix advances in, when one does;
-// otherwise a value-free DECIDE tells the replicas whose commands were
-// decided, at once, and the others hear on the next ACCEPT or, on a stream
-// gone quiet, a drive interval later (catchUp). At n = 3 a quorum is two: a
-// follower's vote on its ballot owner's ACCEPT decides the instance once
-// flushed, so nobody is owed a DECIDE, a read waits for what was launched
-// before it (read.go), and only the follower the ACCEPT names replies
-// (pipeline.go). An instance costs one ACCEPT and one ACCEPTED per
-// answering follower back to back, n messages at n = 3, one per origin more
-// when spaced at n ≥ 4, one per answering follower more only when idle; a
-// silent follower, one that has left an ask unanswered for a retryTimeout,
-// costs one probe per retryTimeout (pipeline.go, fanOut). All are initiated
-// by the leader or addressed to it. Followers forward commands to the
-// leader, and ask it for decisions by value (LEARN) only when stuck behind
-// the commit index for a whole drive interval: after loss or a restart. A
-// change of Omega's output is acted on in the event that brings it
-// (followOmega): the process named starts phase 1, the others re-forward
-// what they have pending, and a request that reaches the successor ahead of
-// its own Omega is held for it (batch.go, hold). Once the leader
-// stabilizes, no other process initiates communication — the
-// repeated-consensus analogue of the Omega algorithm's communication
-// efficiency (E7, E12, TestSteadyStateMessageBudget).
+// costs one phase-2 round-trip and crosses each link once, and decisions
+// are announced by index, not by value (pipeline.go). Every message is
+// initiated by the leader or addressed to it: followers forward commands
+// to the leader, and ask it for decisions by value (LEARN) only when stuck
+// behind the commit index for a whole drive interval, after loss or a
+// restart. A change of Omega's output is acted on in the event that brings
+// it (followOmega): the process named starts phase 1, the others
+// re-forward what they have pending. Once the leader stabilizes, no other
+// process initiates communication — the repeated-consensus analogue of the
+// Omega algorithm's communication efficiency (E7, E12,
+// TestSteadyStateMessageBudget).
 //
 // The engine is layered, one file per layer:
 //
 //	msgs.go     — the wire messages
-//	log.go      — storage: the instance window (decisions, votes), forgetting
+//	log.go      — storage: the window of unapplied instances, the horizon
 //	proposer.go — ballot management and the one-time phase 1
 //	pipeline.go — windowed multi-instance phase 2 (Config.Window): flights
 //	batch.go    — command ring, envelope codec, pump policy (Config.BatchMax)
@@ -46,19 +31,15 @@
 //
 // Batching packs many commands into one proposed value and pipelining
 // overlaps many instances, so the per-instance cost is amortized over
-// Window×BatchMax commands in flight. A full batch is proposed at once, a
-// partial one only into an idle pipeline or on the drive tick (batch.go,
-// pump). No handler pumps or announces: a request, a completed quorum and a
-// finished phase 1 only mark both due, and the end of the turn (turn.go)
-// does each once, answers the turn's reads with one reply per origin
-// (read.go), flushes the store once for every vote cast meanwhile, and then
-// decides the votes that decide on their own. On a runtime without turns
-// each event is a turn of one.
+// Window×BatchMax commands in flight. No handler pumps or announces: they
+// mark what is due, and the end of the turn does each once (turn.go). On a
+// runtime without turns each event is a turn of one.
 //
-// The log forgets as it goes (log.go): every replica drops the prefix all
-// replicas have applied, the minimum of their Done (follower), which rides
-// phase-2 traffic (Done on ACCEPTED, MinDone on ACCEPT) and so costs no
-// message. A replica down or cut off pins it; logs grow until it is back.
+// The window holds only what is not yet applied (log.go); the Recorder
+// serves the applied prefix to a replica that asks, down to the horizon:
+// the least Done of all replicas (follower), which rides phase-2 traffic
+// and so costs no message. A replica down or cut off pins the horizon, not
+// the window.
 //
 // Safety is per-instance synod safety: an instance's value is chosen once
 // a majority accepts it at some ballot, every later ballot's leader
@@ -196,9 +177,9 @@ type Node struct {
 // gap (Done on ACCEPTED, a PROMISE's first entry, LEARN), which only grows
 // (observe). The least done, minDone, is the forgetting horizon: below it
 // every process has applied, so nothing will ever be re-read or re-proposed.
-// The leader forgets below it as it advances and sends it on every ACCEPT
-// (MinDone), a follower forgets below that, and a replica down or slow pins
-// it, so nothing it may still ask for by value is gone. A ballot that forgot
+// The leader stops serving by value below it and sends it on every ACCEPT
+// (MinDone), a follower does the same below that, and a replica down or slow
+// pins it, so nothing it may still ask for by value is refused. A ballot that forgot
 // it would send a lower MinDone and pass decisions on by value to followers
 // that hold them (passOn).
 //
@@ -286,15 +267,16 @@ func (r *Node) HighestDecided() int { return r.log.highestDecided }
 // (noop fillers included).
 func (r *Node) Applied() int { return r.app.count }
 
-// Retained returns how many decided log entries are held in memory: those
-// from MinDone up. It stays bounded while every replica keeps applying, and
-// grows while one is down or cut off, which pins MinDone.
+// Retained returns how many decided instances from MinDone up this replica
+// serves by value: the window's, and the applied ones its Recorder holds.
+// It stays bounded while every replica keeps applying, and grows while one
+// is down or cut off, which pins MinDone; the window does not grow.
 func (r *Node) Retained() int { return r.log.decided }
 
 // MinDone returns the forgetting horizon, never above FirstGap: every
 // instance below it has been applied by every process (or, after a
-// restart, is inside this replica's snapshot) and is gone from its log.
-// The decisions themselves stay readable from the Recorder.
+// restart, is inside this replica's snapshot), and none is served by value
+// any more. The Recorder, the one copy of the applied log, still holds them.
 func (r *Node) MinDone() int { return r.log.low }
 
 // IsLeader reports whether this replica currently holds a prepared ballot
@@ -328,11 +310,7 @@ func (r *Node) restore(st *durable.State) {
 	r.acc.promised = consensus.Ballot(st.Promised)
 	r.prop.ballot = consensus.Ballot(st.Ballot) // Next() outbids every past own ballot
 	low := int(st.SnapIndex)
-	r.log.base, r.log.low = low, low
-	r.log.firstGap = low
-	if low > 0 {
-		r.log.highestDecided = low - 1
-	}
+	r.log.base, r.log.live, r.log.low, r.log.firstGap, r.log.highestDecided = low, low, low, low, low-1
 	r.app.next = low
 	r.app.count = int(st.SnapCount)
 	r.snapBase = int(st.SnapCount)
@@ -342,15 +320,10 @@ func (r *Node) restore(st *durable.State) {
 	for _, d := range st.Decided {
 		r.log.insert(int(d.Inst), consensus.Value(d.V))
 	}
-	for _, a := range st.Accepted {
-		inst := int(a.Inst)
-		if inst < r.log.low {
-			continue
+	for _, a := range st.Accepted { // accept keeps a decided slot's decision
+		if inst := int(a.Inst); inst >= r.log.low {
+			r.log.accept(inst, consensus.Ballot(a.B), consensus.Value(a.V))
 		}
-		if _, decided := r.log.get(inst); decided {
-			continue
-		}
-		r.log.accept(inst, consensus.Ballot(a.B), consensus.Value(a.V))
 	}
 	r.pipe.nextInst = max(r.pipe.nextInst, r.log.firstGap)
 	if r.cfg.Lease > 0 {

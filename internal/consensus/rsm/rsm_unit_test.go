@@ -501,7 +501,7 @@ func TestCommitIndex(t *testing.T) {
 				}
 				got := make([]consensus.Value, r.log.end())
 				for inst := range got {
-					got[inst], _ = r.log.get(inst)
+					got[inst], _ = r.decision(inst)
 				}
 				if fmt.Sprint(got) != fmt.Sprint(st.decided) {
 					t.Fatalf("step %d: log = %q, want %q", i, got, st.decided)
@@ -731,7 +731,7 @@ func TestLaggingPreparerNeverFillsADecidedSlot(t *testing.T) {
 	deliver(3, all) // ACCEPTEDs: p1 decides instance 0
 	nodes[1].Submit("b")
 	envs[1].drain() // ACCEPT 1 and the commit index of 0 are in flight for good
-	if v, ok := nodes[1].log.get(0); !ok || v != "a" || nodes[2].FirstGap() != 0 || nodes[2].log.voted != 1 || nodes[3].log.voted != 1 || nodes[0].log.end() != 0 || nodes[4].log.end() != 0 {
+	if v, ok := nodes[1].decision(0); !ok || v != "a" || nodes[2].FirstGap() != 0 || nodes[2].log.voted != 1 || nodes[3].log.voted != 1 || nodes[0].log.end() != 0 || nodes[4].log.end() != 0 {
 		t.Fatalf("setup: p1 decided %q,%v in 0; p2 first gap %d with %d votes; p0 holds %d slots", v, ok, nodes[2].FirstGap(), nodes[2].log.voted, nodes[0].log.end())
 	}
 

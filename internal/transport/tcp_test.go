@@ -280,8 +280,8 @@ func TestTCPSendAfterStopDropsQuietly(t *testing.T) {
 // run p0's heartbeats every η lets a follower time out on it; p0 then
 // prepares again, its abdication resets p3's record, and p3 is streamed
 // every ACCEPT for another retryTimeout. The test names that premise when
-// it fails: p0's PREPAREs in the window, and its heartbeats against one
-// per η.
+// it fails: p0's PREPAREs in the window, the leader changes each detector
+// made in it, and p0's heartbeats against one per η.
 func TestTCPCrashedFollowerCostsAProbe(t *testing.T) {
 	const n, down, eta = 5, 3, 5 * time.Millisecond
 	autos := make([]node.Automaton, n)
@@ -328,6 +328,10 @@ func TestTCPCrashedFollowerCostsAProbe(t *testing.T) {
 	stats := c.Stats()
 	links, beats, before := stats.LinkCount(0, down), stats.SentByKind(0, core.KindLeader), applied.Load()
 	prepares := stats.SentByKind(0, rsm.KindPrepare)
+	marks := make([]int, n)
+	for i, d := range dets {
+		marks[i] = d.History().NumChanges()
+	}
 	const window = 2 * time.Second
 	time.Sleep(window)
 	close(stop)
@@ -335,15 +339,23 @@ func TestTCPCrashedFollowerCostsAProbe(t *testing.T) {
 	// p0's heartbeats go to every follower alike; the rest to p3 is rsm.
 	hb := (stats.SentByKind(0, core.KindLeader) - beats) / (n - 1)
 	rsmSent := stats.LinkCount(0, down) - links - hb
-	if prepared := stats.SentByKind(0, rsm.KindPrepare) - prepares; prepared > 0 {
-		t.Errorf("premise broken: p0 sent %d PREPAREs in the window, so it re-prepared and streamed to p%d again; it sent %d heartbeats per follower against %d at one per η (likely a starved host)",
-			prepared, down, hb, window/eta)
+	prepared := stats.SentByKind(0, rsm.KindPrepare) - prepares
+	var moves []string
+	for i, d := range dets {
+		for _, ch := range d.History().Changes()[marks[i]:] {
+			moves = append(moves, fmt.Sprintf("p%d→p%d at %v", i, ch.Leader, ch.At))
+		}
+	}
+	premise := fmt.Sprintf("p0 sent %d PREPAREs in the window, the detectors changed leader %d times in it %v, and p0 sent %d heartbeats per follower against %d at one per η",
+		prepared, len(moves), moves, hb, window/eta)
+	if prepared > 0 {
+		t.Errorf("premise broken: p0 re-prepared and streamed to p%d again: %s (likely a starved host)", down, premise)
 	}
 	if probes := uint64(window/(100*time.Millisecond)) + 3; rsmSent > probes {
-		t.Errorf("p0 sent the crashed p%d %d rsm messages over %v (and %d heartbeats), want at most %d", down, rsmSent, window, hb, probes)
+		t.Errorf("p0 sent the crashed p%d %d rsm messages over %v, want at most %d; %s", down, rsmSent, window, probes, premise)
 	}
 	if got := applied.Load() - before; got < int64(window/time.Millisecond)/2 {
-		t.Errorf("p1 applied %d commands over %v of a command a millisecond", got, window)
+		t.Errorf("p1 applied %d commands over %v of a command a millisecond; %s", got, window, premise)
 	}
 	t.Logf("over %v: %d rsm messages and %d heartbeats (%d at one per η) to p%d, %d commands applied at p1", window, rsmSent, hb, window/eta, down, applied.Load()-before)
 }

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Mutation check of internal/consensus/rsm (make mutants): each mutant
 # below is one edit that breaks linearizable reads (read.go, lease.go),
-# the leader's fan-out to its followers (pipeline.go: reach) or what the
-# leader keeps of them across an abdication (lease.go: abdicateLeader).
+# the leader's fan-out to its followers (pipeline.go: reach), what the
+# leader keeps of them across an abdication (lease.go: abdicateLeader) or
+# the catch-up it serves from its Recorder (log.go: decision).
 # The script copies the package to a temporary directory, applies one
 # mutant there, runs the package's tests against the copy (go test
 # -overlay puts the copied files in place of the originals) and expects
@@ -10,9 +11,9 @@
 #
 # Exits 1 when a mutant survives — the tests no longer catch that bug —
 # and when a mutant's edit does not apply exactly once to its file, so a
-# refactor of the read path or the fan-out cannot retire a mutant in
-# silence: restate the edit for the new code. About ten seconds a mutant
-# on 2 vCPUs.
+# refactor of the read path, the fan-out or the catch-up cannot retire a
+# mutant in silence: restate the edit for the new code. About ten seconds
+# a mutant on 2 vCPUs.
 set -euo pipefail
 root=$(git -C "$(dirname "$0")" rev-parse --show-toplevel)
 pkg="$root/internal/consensus/rsm"
@@ -65,6 +66,11 @@ mutants=(
 		r.peers[f] = follower{done: p.done}
 	}'
 	'clear(r.peers)'
+
+	"a leader that serves nothing below its window"
+	log.go
+	'return r.rec.Value(inst)'
+	'return consensus.NoValue, false'
 )
 
 failed=0
