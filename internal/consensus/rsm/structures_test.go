@@ -262,7 +262,9 @@ func TestWindowIslandsForgetAndHorizon(t *testing.T) {
 		t.Fatalf("gap = %d, want 7: the islands joined the prefix", l.firstGap)
 	}
 
-	// Forgetting moves low; addressing stays by instance number.
+	// Releasing and forgetting move live and low; addressing stays by
+	// instance number.
+	l.release(6)
 	l.forgetBelow(6)
 	if l.low != 6 || l.decided != 1 || len(l.slots) != 4 {
 		t.Fatalf("low %d decided %d slots %d after forgetting below 6", l.low, l.decided, len(l.slots))
@@ -276,7 +278,8 @@ func TestWindowIslandsForgetAndHorizon(t *testing.T) {
 	if l.insert(2, "zombie") {
 		t.Fatal("insert below the horizon accepted")
 	}
-	l.forgetBelow(99) // capped at the decided prefix
+	l.release(99) // both capped at the decided prefix
+	l.forgetBelow(99)
 	if l.low != 7 || l.decided != 0 || l.voted != 1 {
 		t.Fatalf("low %d decided %d voted %d, want the horizon capped at firstGap 7", l.low, l.decided, l.voted)
 	}
