@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test loc tables-diff mutants bench-check bench-smoke bench-pairs sim-gate test-race fuzz-smoke soak recovery-soak telemetry-smoke trace-smoke bench bench-micro tables
+.PHONY: all build vet test loc tables-diff mutants bench-check bench-smoke bench-pairs heap-top sim-gate test-race fuzz-smoke soak recovery-soak telemetry-smoke trace-smoke bench bench-micro tables
 
 all: vet test
 
@@ -71,6 +71,15 @@ W ?= tcp_write
 N ?= 10
 bench-pairs:
 	bash scripts/bench-pairs.sh $(W) $(N)
+
+# Who owns the heap where the benchmark samples rss_mb, for one workload
+# (make heap-top W=sim_failover [SEED=1]): a one-second run of a temporary
+# copy of bench/ that writes an inuse_space heap profile there, then
+# go tool pprof -top of it (scripts/heap-top.sh). DESIGN.md §17's table is
+# read from it. Manual: CI does not run it.
+SEED ?= 1
+heap-top:
+	bash scripts/heap-top.sh $(W) $(SEED)
 
 # The regression gate a noisy host cannot defeat: sim_steady and
 # sim_failover at seeds 1..SEEDS (default 1; CI passes 5) on the parent

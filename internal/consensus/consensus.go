@@ -42,7 +42,9 @@ type Decision struct {
 	// Value is the decided value — the individual command, not the batch
 	// envelope it rode in.
 	Value Value
-	// At is when this process learned the decision.
+	// At is when this process learned the decision. The hooks of its
+	// Recorder are handed it (AddNotify); read back from a Recorder it is
+	// zero, like Elapsed.
 	At sim.Time
 	// By is the learning process.
 	By node.ID
@@ -54,13 +56,12 @@ type Decision struct {
 	Elapsed time.Duration
 }
 
-// row is what a Recorder keeps of one decided instance: its value and when
-// it was learned, 24 bytes. Which command slots it holds is its key: a row
-// of a dense log is instance base+p, its commands cut from v on read; a row
-// of a keyed log says so in keys[p].
+// row is what a Recorder keeps of one decided instance: its value alone, 16
+// bytes. Which command slots it holds is its key: a row of a dense log is
+// instance base+p, its commands cut from v on read; a row of a keyed log
+// says so in keys[p].
 type row struct {
-	v  Value
-	at sim.Time
+	v Value
 }
 
 // key names the command slots of a row of a keyed log: the instance, the
@@ -74,19 +75,20 @@ type key struct {
 // Recorder collects the decisions one process learns. It is safe for
 // concurrent use so live transports can observe it.
 //
-// The commands batched into an instance share its number, its learning time
-// and its bytes, so there is one row per instance, in learning order, cut
-// into a Decision per command on read. While every row has come from
-// RecordInstance at the next instance — how rsm's applier records — the log
-// is dense: row p is instance base+p, it keeps the value exactly as decided,
-// and a lookup is a subtraction. The first row that breaks that — a Record,
-// a gap, an older instance — gives every row a key, and from then on a lookup
-// is a binary search by (instance, first command): of the keys themselves
-// while they arrive in that order, and of sorted, an index built when the
-// first one does not — exact for any input, sized by nothing but the rows. The
-// learner is the Recorder's own: the first record names it. Elapsed, which
-// only the proposing leader knows, is handed to the hooks and not kept: a
-// decision read back has none.
+// The commands batched into an instance share its number and its bytes, so
+// there is one row per instance, in learning order, cut into a Decision per
+// command on read. While every row has come from RecordInstance at the next
+// instance — how rsm's applier records — the log is dense: row p is instance
+// base+p, it keeps the value exactly as decided, and a lookup is a
+// subtraction. The first row that breaks that — a Record, a gap, an older
+// instance — gives every row a key, and from then on a lookup is a binary
+// search by (instance, first command): of the keys themselves while they
+// arrive in that order, and of sorted, an index built when the first one does
+// not — exact for any input, sized by nothing but the rows. The learner is
+// the Recorder's own: the first record names it. When a decision was learned
+// (At) and, where only the proposing leader knows it, how long it took
+// (Elapsed) are handed to the hooks and not kept: a decision read back has
+// neither, as agreement and validity are about values alone.
 type Recorder struct {
 	// Split, set before anything is recorded, appends the commands in an
 	// instance's value to cmds, in order; without it a value is one command.
@@ -137,7 +139,7 @@ func (r *Recorder) cut(w row, k key) []Decision {
 		r.cmds = r.Split(r.cmds[:0], w.v)
 	}
 	for j, cmd := range r.cmds {
-		r.buf = append(r.buf, Decision{Instance: k.inst, Cmd: int(k.cmd) + j, Value: cmd, At: w.at, By: r.by})
+		r.buf = append(r.buf, Decision{Instance: k.inst, Cmd: int(k.cmd) + j, Value: cmd, By: r.by})
 	}
 	return r.buf
 }
@@ -211,8 +213,9 @@ func (r *Recorder) add(w row, k key, i, n int) {
 	r.n += n
 }
 
-// Record stores the first decision for a command slot; later records for
-// the same (instance, cmd) are ignored (integrity is checked elsewhere).
+// Record stores the first decision for a command slot, and hands it to the
+// hooks as it came, At and Elapsed included; later records for the same
+// (instance, cmd) are ignored (integrity is checked elsewhere).
 func (r *Recorder) Record(d Decision) {
 	r.mu.Lock()
 	if r.keys == nil {
@@ -221,7 +224,7 @@ func (r *Recorder) Record(d Decision) {
 	var notify []func(Decision)
 	if p, i := r.find(d.Instance, d.Cmd); p < 0 {
 		r.learner(d.By)
-		r.add(row{v: d.Value, at: d.At}, key{inst: d.Instance, cmd: int32(d.Cmd), n: 1}, i, 1)
+		r.add(row{v: d.Value}, key{inst: d.Instance, cmd: int32(d.Cmd), n: 1}, i, 1)
 		notify = r.notify[:len(r.notify):len(r.notify)]
 	}
 	r.mu.Unlock()
@@ -233,15 +236,15 @@ func (r *Recorder) Record(d Decision) {
 // RecordInstance stores, in one row, the decision of every command in an
 // instance's decided value v, learned at at by process by. enq, where the
 // proposing leader has it, is when each command was queued: its Elapsed is
-// the time from then to at, which the hooks are handed and the log does not
-// keep. Command slots recorded already are ignored.
+// the time from then to at. The hooks are handed at and Elapsed, and the log
+// keeps neither. Command slots recorded already are ignored.
 func (r *Recorder) RecordInstance(inst int, v Value, at sim.Time, by node.ID, enq []sim.Time) {
 	r.mu.Lock()
 	r.learner(by)
 	if r.keys == nil && len(r.log) > 0 && inst != r.base+len(r.log) {
 		r.index() // a gap or an older instance
 	}
-	w, k := row{v: v, at: at}, key{inst: inst, n: -1}
+	w, k := row{v: v}, key{inst: inst, n: -1}
 	ds := r.cut(w, k)
 	tell := r.notify[:len(r.notify):len(r.notify)]
 	if r.keys == nil {
@@ -259,8 +262,11 @@ func (r *Recorder) RecordInstance(inst int, v Value, at sim.Time, by node.ID, en
 	}
 	if ds = nil; len(tell) > 0 {
 		ds = slices.Clone(r.buf) // buf is the next cut's
-		for j := range ds[:min(len(ds), len(enq))] {
-			ds[j].Elapsed = at.Sub(enq[j])
+		for j := range ds {
+			ds[j].At = at
+			if j < len(enq) {
+				ds[j].Elapsed = at.Sub(enq[j])
+			}
 		}
 	}
 	r.mu.Unlock()

@@ -84,9 +84,9 @@ func testSplit(cmds []Value, v Value) []Value {
 func newSplitRecorder() *Recorder { return &Recorder{Split: testSplit} }
 
 // read is what a Recorder answers for a decision the model holds: the
-// hooks are handed Elapsed, and the log does not keep it.
+// hooks are handed At and Elapsed, and the log keeps neither.
 func read(d Decision) Decision {
-	d.Elapsed = 0
+	d.At, d.Elapsed = 0, 0
 	return d
 }
 
@@ -204,8 +204,8 @@ func (f *modelRun) check(lo, hi int, dense bool) {
 
 // TestRecorderMatchesMapModel: whatever mix of Record and RecordInstance
 // arrives, in whatever order, every query answers as one Decision per
-// command slot in arrival order would, without Elapsed, and the hooks see
-// each first-time decision once, in that order, Elapsed included. Every run begins as rsm's
+// command slot in arrival order would, without At or Elapsed, and the hooks
+// see each first-time decision once, in that order, both included. Every run begins as rsm's
 // applier records — whole instances, in order, from the shape's first — and
 // stays dense, with no keys and no index, until one breaker arrives: a gap,
 // an older instance, or a Record. Then the shape's stream of anything at
@@ -299,18 +299,18 @@ func testBreakers(t *testing.T, shape func(rng *rand.Rand, i int) int, dense, st
 
 // TestRecorderKeepsAnInstanceInOneRow: what the layout is for. A batched
 // instance costs one row whatever it carries, at a follower and at the
-// leader that proposed it alike: the leader's Elapsed reach its hooks, for
-// the instances it led, and are not kept. Both record in order, so neither
-// keys its rows: a row is its value and its instant.
+// leader that proposed it alike: each decision's learn time, and the
+// leader's Elapsed for the instances it led, reach the hooks and are not
+// kept. Both record in order, so neither keys its rows: a row is its value.
 func TestRecorderKeepsAnInstanceInOneRow(t *testing.T) {
-	if got := unsafe.Sizeof(row{}); got != 24 {
-		t.Fatalf("a row is %d bytes, want 24: a value and an instant", got)
+	if got := unsafe.Sizeof(row{}); got != 16 {
+		t.Fatalf("a row is %d bytes, want 16: a value", got)
 	}
 	leader, follower := newSplitRecorder(), newSplitRecorder()
 	const n, k = 300, 4
 	led := func(i int) bool { return i < 100 || i >= 200 } // the middle third was led by someone else
-	var told []time.Duration
-	leader.AddNotify(func(d Decision) { told = append(told, d.Elapsed) })
+	var told []Decision
+	leader.AddNotify(func(d Decision) { told = append(told, d) })
 	for i := 0; i < n; i++ {
 		v, at := testPack("a", "b", "c", "d"), sim.Time(10*i+9)
 		follower.RecordInstance(i, v, at, 1, nil)
@@ -334,8 +334,9 @@ func TestRecorderKeepsAnInstanceInOneRow(t *testing.T) {
 		if led(p / k) {
 			want = time.Duration(1 + p%k)
 		}
-		if got, _ := leader.GetCmd(p/k, p%k); told[p] != want || d.Elapsed != 0 || got != d || d.Instance != p/k || d.Cmd != p%k {
-			t.Fatalf("decision %d: All %+v, GetCmd %+v, the hook told Elapsed %v; want it told %v and 0 read back", p, d, got, told[p], want)
+		at := sim.Time(10*(p/k) + 9)
+		if got, _ := leader.GetCmd(p/k, p%k); told[p].Elapsed != want || told[p].At != at || d.Elapsed != 0 || d.At != 0 || got != d || d.Instance != p/k || d.Cmd != p%k {
+			t.Fatalf("decision %d: All %+v, GetCmd %+v, the hook told %+v; want it told Elapsed %v at %v, and 0 read back", p, d, got, told[p], want, at)
 		}
 	}
 }
@@ -406,7 +407,7 @@ func TestRecorderConcurrentEachAndRecordInstance(t *testing.T) {
 	walk := func() int {
 		seen := 0
 		r.Each(func(d Decision) {
-			want := Decision{Instance: seen / 3, Cmd: seen % 3, Value: "x", At: sim.Time(seen / 3), By: 2}
+			want := Decision{Instance: seen / 3, Cmd: seen % 3, Value: "x", By: 2}
 			switch seen % 3 {
 			case 1:
 				want.Value = Value(fmt.Sprint(seen / 3))
@@ -554,7 +555,7 @@ var benchDecision Decision
 func BenchmarkRecorderRecord(b *testing.B) {
 	// The rsm applier's pattern at a follower: instances in order, 4
 	// commands each, one op a command. B/op is what a decision costs to
-	// keep: its quarter of a 24-byte row, growth slack included.
+	// keep: its quarter of a 16-byte row, growth slack included.
 	b.ReportAllocs()
 	r := newSplitRecorder()
 	v := testPack("a", "b", "c", "d")
@@ -566,16 +567,17 @@ func BenchmarkRecorderRecord(b *testing.B) {
 
 func BenchmarkRecordInstanceInOrder(b *testing.B) {
 	// The same at the leader that proposed the instances, each command's
-	// enqueue instant given. B/op: a quarter of a 24-byte row, growth slack
-	// included, as at a follower: the Elapsed are the hooks', and the log
-	// keeps none. It stays dense (no keys, no index), which the end checks.
+	// enqueue instant given. B/op: a quarter of a 16-byte row, growth slack
+	// included, as at a follower: the learn time and the Elapsed are the
+	// hooks', and the log keeps neither. It stays dense (no keys, no index),
+	// which the end checks.
 	b.ReportAllocs()
 	r := newSplitRecorder()
 	v, enq := testPack("a", "b", "c", "d"), []sim.Time{1, 2, 3, 4}
 	for i := 0; i < b.N; i += 4 {
 		r.RecordInstance(i/4, v, 9, 0, enq)
 	}
-	if benchDecision, _ = r.GetCmd((b.N-1)/4, (b.N-1)%4); r.keys != nil || r.sorted != nil || benchDecision.Elapsed != 0 || benchDecision.At != 9 {
-		b.Fatalf("%d keys, last decision %+v: want a dense log that keeps no Elapsed", len(r.keys), benchDecision)
+	if benchDecision, _ = r.GetCmd((b.N-1)/4, (b.N-1)%4); r.keys != nil || r.sorted != nil || benchDecision.Elapsed != 0 || benchDecision.At != 0 {
+		b.Fatalf("%d keys, last decision %+v: want a dense log that keeps no learn time and no Elapsed", len(r.keys), benchDecision)
 	}
 }

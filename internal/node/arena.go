@@ -2,9 +2,12 @@ package node
 
 import "strings"
 
-// arenaChunk is how many bytes of strings share one allocation in an Arena:
-// ~900 of the benchmark's 70-byte commands.
-const arenaChunk = 64 << 10
+// arenaChunk is how many bytes of strings share one allocation in an Arena
+// at most: ~900 of the benchmark's 70-byte commands. The first chunk is
+// arenaFirst bytes, or the first string's if that is more, and each after it
+// twice the last up to arenaChunk: an arena that cuts a few strings costs a
+// few hundred bytes, not a whole chunk.
+const arenaChunk, arenaFirst = 64 << 10, 512
 
 // Arena cuts strings for a decoder or a proposer that makes one after
 // another from chunks they share: one allocation per chunk instead of one
@@ -34,8 +37,9 @@ func (a *Arena) Grow(n int) *strings.Builder {
 		a.own.Grow(n)
 		a.cur = &a.own
 	case a.chunk.Cap()-a.chunk.Len() < n:
+		size := min(max(arenaFirst, 2*a.chunk.Cap(), n), arenaChunk)
 		a.chunk.Reset()
-		a.chunk.Grow(arenaChunk)
+		a.chunk.Grow(size)
 	}
 	a.at = a.cur.Len()
 	return a.cur

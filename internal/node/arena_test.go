@@ -2,6 +2,8 @@ package node
 
 import (
 	"fmt"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -60,5 +62,32 @@ func TestArenaAllocatesPerChunk(t *testing.T) {
 	room := a.chunk.Cap() - a.chunk.Len()
 	if got := testing.AllocsPerRun(10, func() { a.Copy(big) }); got != 1 || a.chunk.Cap()-a.chunk.Len() != room {
 		t.Fatalf("a %d-byte string costs %.0f allocations and %d bytes of the chunk, want 1 and 0", len(big), got, room-(a.chunk.Cap()-a.chunk.Len()))
+	}
+}
+
+// TestArenaStartsSmall: a fresh Arena that cuts one short string costs less
+// than a KiB, not a whole chunk, and its chunks double from arenaFirst to
+// arenaChunk as it cuts more.
+func TestArenaStartsSmall(t *testing.T) {
+	const arenas = 100
+	kept := make([]string, arenas)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range kept {
+		kept[i] = new(Arena).Copy([]byte("a short string"))
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / arenas; per >= 1<<10 {
+		t.Fatalf("a fresh arena cutting one short string allocates %d bytes, want under 1 KiB", per)
+	}
+	var a Arena
+	var sizes []int
+	for i := 0; len(sizes) < 10; i++ {
+		if a.Copy([]byte(fmt.Sprintf("%070d", i))); a.chunk.Len() == 70 { // the string began a chunk
+			sizes = append(sizes, a.chunk.Cap())
+		}
+	}
+	if want := []int{512, 1 << 10, 2 << 10, 4 << 10, 8 << 10, 16 << 10, 32 << 10, 64 << 10, 64 << 10, 64 << 10}; !slices.Equal(sizes, want) {
+		t.Fatalf("chunks of %v bytes, want %v", sizes, want)
 	}
 }

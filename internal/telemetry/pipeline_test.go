@@ -101,9 +101,10 @@ func TestSubscribersSeeEveryEventInAnyOrder(t *testing.T) {
 		hist.Record(10, 2)
 		hist.Record(20, 0)
 		rec.Record(consensus.Decision{Instance: 0, Value: "a", At: 30, By: 1, Elapsed: time.Millisecond})
+		rec.RecordInstance(1, "b", 40, 1, []sim.Time{35}) // the Recorder keeps no learn time: the hook is told it
 
-		if tel.LeaderChanges() != 2 || tel.Decides() != 1 {
-			t.Errorf("order %v: collector saw %d leader changes and %d decisions, want 2 and 1", order, tel.LeaderChanges(), tel.Decides())
+		if tel.LeaderChanges() != 2 || tel.Decides() != 2 {
+			t.Errorf("order %v: collector saw %d leader changes and %d decisions, want 2 and 2", order, tel.LeaderChanges(), tel.Decides())
 		}
 		marks := set.Marks()
 		if len(marks) != 2 || marks[0].Name != "leader-change" || marks[0].Peer != 2 || marks[1].Peer != 0 {
@@ -113,6 +114,7 @@ func TestSubscribersSeeEveryEventInAnyOrder(t *testing.T) {
 			{T: 10, What: obs.LeaderChange, Proc: 1, Peer: 2},
 			{T: 20, What: obs.LeaderChange, Proc: 1, Peer: 0},
 			{T: 30, What: obs.Decide, Proc: 1, Peer: -1, Dur: time.Millisecond, N: obs.NoGroup},
+			{T: 40, What: obs.Decide, Proc: 1, Peer: -1, Dur: 5, N: obs.NoGroup},
 		}
 		if !reflect.DeepEqual(log.events, want) {
 			t.Errorf("order %v: third subscriber saw %v, want %v", order, log.events, want)

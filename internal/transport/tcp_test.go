@@ -281,7 +281,9 @@ func TestTCPSendAfterStopDropsQuietly(t *testing.T) {
 // prepares again, its abdication resets p3's record, and p3 is streamed
 // every ACCEPT for another retryTimeout. The test names that premise when
 // it fails: p0's PREPAREs in the window, the leader changes each detector
-// made in it, and p0's heartbeats against one per η.
+// made in it, and p0's heartbeats against one per η. A set-up that never
+// sees p0 lead with a write applied names its own: each detector's output,
+// every leader change since Start, and p0's PREPAREs.
 func TestTCPCrashedFollowerCostsAProbe(t *testing.T) {
 	const n, down, eta = 5, 3, 5 * time.Millisecond
 	autos := make([]node.Automaton, n)
@@ -298,15 +300,36 @@ func TestTCPCrashedFollowerCostsAProbe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// changes lists the leader changes detector i made after its marks[i]-th.
+	changes := func(marks []int) []string {
+		var moves []string
+		for i, d := range dets {
+			for _, ch := range d.History().Changes()[marks[i]:] {
+				moves = append(moves, fmt.Sprintf("p%d→p%d at %v", i, ch.Leader, ch.At))
+			}
+		}
+		return moves
+	}
 	c.Start()
 	defer c.Stop()
-	waitFor(t, 10*time.Second, func() bool {
+	booted := func() bool {
 		l, ok := agreement(dets, nil)
 		if ok && l == 0 && applied.Load() == 0 {
 			c.Inject(1, 0, rsm.RequestMsg{V: "boot"})
 		}
 		return ok && l == 0 && applied.Load() > 0
-	}, "leader 0 with a write applied at p1")
+	}
+	for deadline := time.Now().Add(10 * time.Second); !booted(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			outputs := make([]node.ID, n)
+			for i, d := range dets {
+				outputs[i] = d.History().Current()
+			}
+			moves := changes(make([]int, n))
+			t.Fatalf("timed out waiting for leader 0 with a write applied at p1 (%d applied): the detectors output %v, changed leader %d times since Start %v, and p0 sent %d PREPAREs",
+				applied.Load(), outputs, len(moves), moves, c.Stats().SentByKind(0, rsm.KindPrepare))
+		}
+	}
 
 	stop := make(chan struct{})
 	done := make(chan struct{})
@@ -340,12 +363,7 @@ func TestTCPCrashedFollowerCostsAProbe(t *testing.T) {
 	hb := (stats.SentByKind(0, core.KindLeader) - beats) / (n - 1)
 	rsmSent := stats.LinkCount(0, down) - links - hb
 	prepared := stats.SentByKind(0, rsm.KindPrepare) - prepares
-	var moves []string
-	for i, d := range dets {
-		for _, ch := range d.History().Changes()[marks[i]:] {
-			moves = append(moves, fmt.Sprintf("p%d→p%d at %v", i, ch.Leader, ch.At))
-		}
-	}
+	moves := changes(marks)
 	premise := fmt.Sprintf("p0 sent %d PREPAREs in the window, the detectors changed leader %d times in it %v, and p0 sent %d heartbeats per follower against %d at one per η",
 		prepared, len(moves), moves, hb, window/eta)
 	if prepared > 0 {
