@@ -212,6 +212,10 @@ bench:
 # (0 allocs/op: the REQ it forwards is cut from a slab too), and
 # LeaseReadTurn a turn of sixteen reads at a lease-holding leader (1 alloc
 # per turn, the one reply's tail; its box is from a slab — not 16).
+# NewKernel is what seeding a world's random source costs: sim.NewRand
+# should take at most a third of math/rand's own rand.NewSource's time,
+# with the same two allocations, and Reset reseeds with none. WorldBoot is
+# one n = 5 core+rsm world from NewWorld to its first applied command.
 # In internal/wire, Envelope* encodes and decodes a heartbeat envelope
 # and a vector heartbeat through the shared path (0 allocs/op both ways),
 # and ConnDecode is what a socket's read loop pays to decode a frame of the
@@ -233,6 +237,7 @@ bench-micro:
 	$(GO) test -run '^$$' -bench 'Envelope|ConnDecode' -benchmem -benchtime $(BENCHTIME) ./internal/wire
 	$(GO) test -run '^$$' -bench 'RecorderRecord|RecordInstanceInOrder|BatcherPumpFull|ApplyBatch16|FollowerCommit|Phase2Round|SubmitWithBacklog|LeaseReadTurn' -benchmem -benchtime $(BENCHTIME) ./internal/consensus ./internal/consensus/rsm
 	$(GO) test -run '^$$' -bench 'StationTurn|WALTurn|WALOpen' -benchmem -benchtime $(BENCHTIME) ./internal/transport ./internal/durable
+	$(GO) test -run '^$$' -bench 'NewKernel|WorldBoot' -benchmem -benchtime $(BENCHTIME) ./internal/sim ./internal/consensus/rsm
 	$(GO) test -run '^$$' -bench 'TCPSendBatched|NewTCPCluster' -benchmem -benchtime $(BENCHTIME) ./internal/transport
 
 # End-to-end tracing smoke (DESIGN.md §8): a traced chaossoak leader-crash

@@ -1001,6 +1001,36 @@ func TestRetainedBytesPerCommand(t *testing.T) {
 	runtime.KeepAlive(w)
 }
 
+// BenchmarkWorldBoot is what one seeded world costs before it does any
+// work: an n = 5 core+rsm node.World built as the sim benchmarks build it
+// (η = 50 ms, 1 ms timely links), from NewWorld until a command submitted
+// at follower p2 is applied there. Each iteration boots another seed.
+func BenchmarkWorldBoot(b *testing.B) {
+	const n = 5
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		w, err := node.NewWorld(node.WorldConfig{N: n, Seed: int64(i + 1), DefaultLink: network.Timely(ms)})
+		if err != nil {
+			b.Fatal(err)
+		}
+		logs := make([]*Node, n)
+		for id := range logs {
+			det := core.New(core.WithEta(50*ms), core.WithRebuff())
+			logs[id] = New(det, Config{BatchMax: 16, Window: 8, DriveInterval: 5 * ms})
+			w.SetAutomaton(node.ID(id), node.Compose(det, logs[id]))
+		}
+		applied := false
+		logs[2].OnApply(func(int, int, consensus.Value) { applied = true })
+		w.Start()
+		w.RunFor(20 * ms) // phase 1 done: the command is not held for a re-forward
+		logs[2].Submit("boot")
+		w.RunUntil(w.Kernel.Now().Add(time.Second), func() bool { return applied })
+		if !applied {
+			b.Fatalf("seed %d: the command was not applied within 1s", i+1)
+		}
+	}
+}
+
 // TestForwardedMarkerCommandAppliesOnceWhole: a command that itself starts
 // with the batch marker, submitted at follower p2, is forwarded as it was
 // submitted and is one command at the leader, since a REQ carries exactly

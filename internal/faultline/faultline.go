@@ -27,6 +27,7 @@ import (
 
 	"repro/internal/network"
 	"repro/internal/node"
+	"repro/internal/sim"
 )
 
 // Link names one directed link.
@@ -169,7 +170,7 @@ func New(n int, seed int64, plan Plan) (*Injector, error) {
 			ls := &inj.links[from*n+to]
 			ls.profile = p
 			ls.perfect = isPerfect(p)
-			ls.rng = rand.New(rand.NewSource(linkSeed(seed, from, to, n)))
+			ls.rng = sim.NewRand(linkSeed(seed, from, to, n))
 		}
 	}
 	return inj, nil

@@ -32,13 +32,13 @@ type Kernel struct {
 // Two kernels created with the same seed and driven by the same code
 // produce identical executions.
 func NewKernel(seed int64) *Kernel {
-	return &Kernel{rng: rand.New(rand.NewSource(seed))}
+	return &Kernel{rng: NewRand(seed)}
 }
 
 // Reset returns the kernel to the state NewKernel(seed) would produce —
 // clock at zero, queue empty, counters cleared, random source reseeded —
 // while keeping the event heap's backing array and the slot free list, so
-// sweep workers can reuse one kernel across many runs without reallocating.
+// a harness could reuse one kernel across runs (none does today).
 func (k *Kernel) Reset(seed int64) {
 	for {
 		e := k.heap.Pop()

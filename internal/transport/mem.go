@@ -9,6 +9,7 @@ import (
 	"repro/internal/faultline"
 	"repro/internal/node"
 	"repro/internal/obs"
+	"repro/internal/sim"
 )
 
 // Config parameterizes a live cluster.
@@ -98,7 +99,7 @@ func NewCluster(cfg Config, automatons []node.Automaton) (*Cluster, error) {
 	if err := cfg.fill(len(automatons)); err != nil {
 		return nil, err
 	}
-	c := &Cluster{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
+	c := &Cluster{cfg: cfg, rng: sim.NewRand(cfg.Seed)}
 	c.build(cfg, automatons, (*memNet)(c))
 	return c, nil
 }
