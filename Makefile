@@ -37,13 +37,15 @@ loc:
 tables-diff:
 	bash scripts/tables-diff.sh
 
-# The mutation check of rsm: five edits that each break linearizable
-# reads, two that break the leader's fan-out, one that makes an
-# abdication forget how far each process has applied and one that has a
-# replica serve nothing it has applied from its Recorder, applied one at
-# a time to a temporary copy of the package, whose tests must fail on
-# every one. It fails when a mutant survives or its edit no longer applies
-# (scripts/mutants.sh). About 90 s; CI's build-test job runs it.
+# The mutation check of rsm and the safety checker: ten edits — five that
+# each break linearizable reads, two that break the leader's fan-out, one
+# that makes an abdication forget how far each process has applied, one
+# that has a replica serve nothing it has applied from its Recorder and
+# one that has CheckSafety ignore a per-command disagreement — applied one
+# at a time to a temporary copy of the package each edits, whose tests
+# must fail on every one. It fails when a mutant survives or its edit no
+# longer applies (scripts/mutants.sh). About 100 s; CI's build-test job
+# runs it.
 mutants:
 	bash scripts/mutants.sh
 

@@ -85,9 +85,9 @@ func TestMajority(t *testing.T) {
 
 func TestRecorder(t *testing.T) {
 	r := NewRecorder()
-	r.Record(Decision{Instance: 0, Value: "a", By: 1})
-	r.Record(Decision{Instance: 0, Value: "b", By: 1}) // ignored duplicate
-	r.Record(Decision{Instance: 2, Value: "c", By: 1})
+	r.RecordInstance(0, "a", 0, 1, nil)
+	r.RecordInstance(0, "b", 0, 1, nil) // ignored repeat
+	r.RecordInstance(1, "c", 0, 1, nil)
 	if r.Count() != 2 {
 		t.Fatalf("Count = %d", r.Count())
 	}
@@ -95,8 +95,8 @@ func TestRecorder(t *testing.T) {
 	if !ok || d.Value != "a" {
 		t.Fatalf("Get(0) = %+v,%v", d, ok)
 	}
-	if _, ok := r.Get(1); ok {
-		t.Fatal("Get(1) found a decision")
+	if _, ok := r.Get(2); ok {
+		t.Fatal("Get(2) found a decision")
 	}
 	all := r.All()
 	if len(all) != 2 || all[0].Value != "a" || all[1].Value != "c" {
@@ -105,13 +105,11 @@ func TestRecorder(t *testing.T) {
 }
 
 func TestRecorderKeysPerCommand(t *testing.T) {
-	r := NewRecorder()
-	// One batched instance deciding three commands: each slot records
-	// independently, duplicates per slot are still ignored.
-	r.Record(Decision{Instance: 0, Cmd: 0, Value: "a"})
-	r.Record(Decision{Instance: 0, Cmd: 1, Value: "b"})
-	r.Record(Decision{Instance: 0, Cmd: 2, Value: "c"})
-	r.Record(Decision{Instance: 0, Cmd: 1, Value: "z"}) // ignored duplicate
+	r := newSplitRecorder()
+	// One batched instance deciding three commands: each slot reads back
+	// on its own, and a repeat of the instance is still ignored.
+	r.RecordInstance(0, testPack("a", "b", "c"), 0, 0, nil)
+	r.RecordInstance(0, testPack("a", "z", "c"), 0, 0, nil) // ignored repeat
 	if r.Count() != 3 {
 		t.Fatalf("Count = %d, want 3", r.Count())
 	}
@@ -126,31 +124,46 @@ func TestRecorderKeysPerCommand(t *testing.T) {
 	}
 }
 
-func TestCheckSafetyPerCommandAgreement(t *testing.T) {
-	// Same batch envelope, but the processes disagree on the command in
-	// slot 1 — per-instance checking would miss this.
-	r0, r1 := NewRecorder(), NewRecorder()
-	r0.Record(Decision{Instance: 0, Cmd: 0, Value: "a"})
-	r0.Record(Decision{Instance: 0, Cmd: 1, Value: "b"})
-	r1.Record(Decision{Instance: 0, Cmd: 0, Value: "a"})
-	r1.Record(Decision{Instance: 0, Cmd: 1, Value: "x"})
-	rep := CheckSafety(SafetyInput{Recorders: []*Recorder{r0, r1}})
-	if rep.Agreement {
-		t.Fatal("per-command disagreement not caught")
+// recorded returns a Recorder holding vs as the instances from base up, in
+// the tests' batch format.
+func recorded(base int, vs ...Value) *Recorder {
+	r := newSplitRecorder()
+	for i, v := range vs {
+		r.RecordInstance(base+i, v, 0, 0, nil)
 	}
-	if rep.Instances != 1 || rep.TotalDecisions != 4 {
-		t.Fatalf("Instances=%d TotalDecisions=%d", rep.Instances, rep.TotalDecisions)
+	return r
+}
+
+func TestCheckSafetyPerCommandAgreement(t *testing.T) {
+	// Same batch envelope shape, but the processes disagree on the command
+	// in slot 1 — per-instance checking would miss this. The second pair
+	// began at different instances, as a replica restored from a snapshot
+	// does, and disagrees in one slot of the instances both hold.
+	for _, tc := range []struct {
+		r0, r1               *Recorder
+		instances, decisions int
+		want                 string
+	}{
+		{recorded(0, testPack("a", "b")), recorded(0, testPack("a", "x")), 1, 4,
+			`instance 0 cmd 1: p1 decided "x" but "b" was decided elsewhere`},
+		{recorded(5, "p", testPack("q", "r"), "s"), recorded(6, testPack("q", "x"), "s"), 3, 7,
+			`instance 6 cmd 1: p1 decided "x" but "r" was decided elsewhere`},
+	} {
+		rep := CheckSafety(SafetyInput{Recorders: []*Recorder{tc.r0, tc.r1}})
+		if rep.Agreement || len(rep.Violations) != 1 || rep.Violations[0] != tc.want {
+			t.Fatalf("per-command disagreement: %q, want %q alone", rep.Violations, tc.want)
+		}
+		if rep.Instances != tc.instances || rep.TotalDecisions != tc.decisions {
+			t.Fatalf("Instances=%d TotalDecisions=%d, want %d and %d", rep.Instances, rep.TotalDecisions, tc.instances, tc.decisions)
+		}
 	}
 }
 
 func TestCheckSafetyNoopIsAlwaysValid(t *testing.T) {
 	// Gap fillers are proposed by the protocol, not a client; validity
 	// must not flag them.
-	r0 := NewRecorder()
-	r0.Record(Decision{Instance: 0, Value: Noop})
-	r0.Record(Decision{Instance: 1, Value: "a"})
 	rep := CheckSafety(SafetyInput{
-		Recorders: []*Recorder{r0},
+		Recorders: []*Recorder{recorded(0, Noop, "a")},
 		Proposed:  map[int][]Value{1: {"a"}},
 	})
 	if !rep.Holds() {
@@ -159,10 +172,7 @@ func TestCheckSafetyNoopIsAlwaysValid(t *testing.T) {
 }
 
 func TestCheckSafetyAgreementViolation(t *testing.T) {
-	r0, r1 := NewRecorder(), NewRecorder()
-	r0.Record(Decision{Instance: 0, Value: "x"})
-	r1.Record(Decision{Instance: 0, Value: "y"})
-	rep := CheckSafety(SafetyInput{Recorders: []*Recorder{r0, r1}})
+	rep := CheckSafety(SafetyInput{Recorders: []*Recorder{recorded(0, "x"), recorded(0, "y")}})
 	if rep.Agreement || rep.Holds() {
 		t.Fatal("agreement violation not caught")
 	}
@@ -172,8 +182,7 @@ func TestCheckSafetyAgreementViolation(t *testing.T) {
 }
 
 func TestCheckSafetyValidity(t *testing.T) {
-	r0 := NewRecorder()
-	r0.Record(Decision{Instance: 0, Value: "ghost"})
+	r0 := recorded(0, "ghost")
 	rep := CheckSafety(SafetyInput{
 		Recorders: []*Recorder{r0},
 		Proposed:  map[int][]Value{0: {"a", "b"}},
@@ -191,13 +200,9 @@ func TestCheckSafetyValidity(t *testing.T) {
 }
 
 func TestCheckSafetyCountsInstances(t *testing.T) {
-	r0, r1 := NewRecorder(), NewRecorder()
-	for i := 0; i < 5; i++ {
-		r0.Record(Decision{Instance: i, Value: Value(rune('a' + i))})
-		if i%2 == 0 {
-			r1.Record(Decision{Instance: i, Value: Value(rune('a' + i))})
-		}
-	}
+	// p1 holds instances 2 to 4 of p0's five, p2 none of them: an instance
+	// counts once, a decision once per process that holds it.
+	r0, r1 := recorded(0, "a", "b", "c", "d", "e"), recorded(2, "c", "d", "e")
 	rep := CheckSafety(SafetyInput{Recorders: []*Recorder{r0, r1, nil}})
 	if !rep.Holds() {
 		t.Fatalf("violations: %v", rep.Violations)

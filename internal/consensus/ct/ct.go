@@ -332,7 +332,7 @@ func (c *Node) onDecide(v consensus.Value) {
 	c.env.StopTimer(timerRound)
 	c.env.StopTimer(timerBoot)
 	c.env.Broadcast(DecideMsg{V: v})
-	c.rec.Record(consensus.Decision{Instance: 0, Value: v, At: c.env.Now(), By: c.me})
+	c.rec.RecordInstance(0, v, c.env.Now(), c.me, nil)
 	c.env.Logf("ct: decided %q in round %d", string(v), c.round)
 }
 

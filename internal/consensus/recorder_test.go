@@ -20,34 +20,39 @@ type decisionKey struct {
 	inst, cmd int
 }
 
-// refRecorder is the map-and-slice Recorder this package began with: one
-// Decision per command slot, first record wins, arrival order kept. It is
-// the model every layout since is held to.
+// refRecorder is the map-and-slice Recorder this package began with — one
+// Decision per command slot, arrival order kept — under the rule rsm's
+// applier records by: instances in order from the first, whatever it is.
+// It is the model every layout since is held to.
 type refRecorder struct {
 	decisions map[decisionKey]Decision
 	order     []Decision
+	values    map[int]Value
+	next      int
 }
 
-func newRef() *refRecorder { return &refRecorder{decisions: make(map[decisionKey]Decision)} }
+func newRef() *refRecorder {
+	return &refRecorder{decisions: make(map[decisionKey]Decision), values: make(map[int]Value)}
+}
 
-func (m *refRecorder) record(d Decision) {
-	key := decisionKey{d.Instance, d.Cmd}
-	if _, ok := m.decisions[key]; !ok {
-		m.decisions[key] = d
-		m.order = append(m.order, d)
+// recordInstance is RecordInstance by its definition: the first instance,
+// or the one after the last, is recorded slot by slot, each command with
+// its learn time and, where enq has it, its Elapsed; one recorded already
+// or below the first is ignored; one past the next is a gap, reported.
+func (m *refRecorder) recordInstance(inst int, v Value, at sim.Time, by node.ID, enq []sim.Time) (gap bool) {
+	if len(m.values) > 0 && inst != m.next {
+		return inst > m.next
 	}
-}
-
-// recordInstance is RecordInstance by its definition: every command of the
-// value, slot by slot.
-func (m *refRecorder) recordInstance(inst int, v Value, at sim.Time, by node.ID, enq []sim.Time) {
+	m.values[inst], m.next = v, inst+1
 	for k, cmd := range testSplit(nil, v) {
 		d := Decision{Instance: inst, Cmd: k, Value: cmd, At: at, By: by}
 		if k < len(enq) {
 			d.Elapsed = at.Sub(enq[k])
 		}
-		m.record(d)
+		m.decisions[decisionKey{inst, k}] = d
+		m.order = append(m.order, d)
 	}
+	return false
 }
 
 // testMark begins an envelope in the tests' own batch format (rsm's is its
@@ -125,6 +130,11 @@ func checkAgainst(t *testing.T, r *Recorder, m *refRecorder, lo, hi, cmds int) {
 		if ok != wok || got != read(want) {
 			t.Fatalf("Get(%d) = %+v,%v, model %+v,%v", inst, got, ok, want, wok)
 		}
+		v, ok := r.Value(inst)
+		wv, wok := m.values[inst]
+		if ok != wok || v != wv {
+			t.Fatalf("Value(%d) = %q,%v, model %q,%v", inst, v, ok, wv, wok)
+		}
 	}
 }
 
@@ -145,155 +155,161 @@ func newModelRun(t *testing.T) *modelRun {
 	return f
 }
 
-// feed records something at inst, at step i: any op, or with slots false
-// only what rsm's applier records, a whole instance.
-func (f *modelRun) feed(inst, i int, slots bool) {
-	r, m, rng := f.r, f.m, f.rng
+// feed offers inst, with a value made at step i, to both: an envelope of 0
+// to 5 commands, a lone raw command, or a lone command that itself begins
+// with the marker, so wrapped. Where the model reports a gap the Recorder
+// must panic, naming the instance, and change nothing.
+func (f *modelRun) feed(inst, i int) {
+	rng := f.rng
 	f.seen = append(f.seen, inst)
 	f.lo, f.hi = min(f.lo, inst), max(f.hi, inst)
 	at, by := sim.Time(1000+i), node.ID(3)
 	val := func(k int) Value { return Value(fmt.Sprint("v", i, ".", k)) }
-	op := rng.Intn(10)
-	if !slots {
-		op = 3 + rng.Intn(7)
-	}
-	switch {
-	case op < 3: // one command slot, k > 0 included, as single-decree protocols and old callers record
-		d := Decision{Instance: inst, Cmd: rng.Intn(5), Value: val(0), At: at, By: by}
-		if rng.Intn(2) == 0 {
-			d.Elapsed = time.Duration(1+rng.Intn(50)) * time.Microsecond
-		}
-		r.Record(d)
-		m.record(d)
-	case op < 8: // an instance of 0..5 commands in an envelope
+	var v Value
+	var enq []sim.Time // the proposing leader's, sometimes short
+	switch op := rng.Intn(7); {
+	case op < 5:
 		vs := make([]Value, rng.Intn(6))
 		for k := range vs {
 			vs[k] = val(k)
 		}
-		var enq []sim.Time // the proposing leader's, sometimes short
 		for k := rng.Intn(len(vs) + 1); rng.Intn(2) == 0 && len(enq) < k; {
 			enq = append(enq, at-sim.Time(1+rng.Intn(900)))
 		}
-		r.RecordInstance(inst, testPack(vs...), at, by, enq)
-		m.recordInstance(inst, testPack(vs...), at, by, enq)
-	case op == 8: // a lone raw command
-		r.RecordInstance(inst, val(0), at, by, []sim.Time{at - 5})
-		m.recordInstance(inst, val(0), at, by, []sim.Time{at - 5})
-	default: // a lone command that itself starts with the marker, so wrapped
-		v := testPack(testMark + val(0))
-		r.RecordInstance(inst, v, at, by, nil)
-		m.recordInstance(inst, v, at, by, nil)
+		v = testPack(vs...)
+	case op == 5:
+		v, enq = val(0), []sim.Time{at - 5}
+	default:
+		v = testPack(testMark + val(0))
+	}
+	gap := f.m.recordInstance(inst, v, at, by, enq)
+	got := recovered(func() { f.r.RecordInstance(inst, v, at, by, enq) })
+	if gap != (got != nil) || gap && !strings.HasPrefix(fmt.Sprint(got), fmt.Sprintf("consensus: instance %d ", inst)) {
+		f.t.Fatalf("instance %d with %d next: panic %v, want one naming it: %v", inst, f.m.next, got, gap)
 	}
 }
 
-// check compares the two over the instances [lo, hi], and says whether the
-// log is still dense: no keys, and no index.
-func (f *modelRun) check(lo, hi int, dense bool) {
+// recovered runs fn and returns what it panicked with, or nil.
+func recovered(fn func()) (p any) {
+	defer func() { p = recover() }()
+	fn()
+	return nil
+}
+
+// check compares the two over the instances [lo, hi], and the decisions the
+// hook was told with the model's, learn times and Elapsed included.
+func (f *modelRun) check(lo, hi int) {
 	f.t.Helper()
 	checkAgainst(f.t, f.r, f.m, lo, hi, 5)
-	if got := f.r.keys == nil; got != dense || dense && cap(f.r.sorted) != 0 {
-		f.t.Fatalf("dense = %v (index of %d), want %v", got, cap(f.r.sorted), dense)
-	}
-	if !dense && len(f.r.keys) != len(f.r.log) {
-		f.t.Fatalf("%d keys for %d rows", len(f.r.keys), len(f.r.log))
+	if len(f.r.log) != len(f.m.values) {
+		f.t.Fatalf("%d rows for the model's %d instances", len(f.r.log), len(f.m.values))
 	}
 	if !slices.Equal(f.told, f.m.order) {
 		f.t.Fatalf("the hook saw %d decisions, not the model's %d in its order", len(f.told), len(f.m.order))
 	}
 }
 
-// TestRecorderMatchesMapModel: whatever mix of Record and RecordInstance
-// arrives, in whatever order, every query answers as one Decision per
-// command slot in arrival order would, without At or Elapsed, and the hooks
-// see each first-time decision once, in that order, both included. Every run begins as rsm's
-// applier records — whole instances, in order, from the shape's first — and
-// stays dense, with no keys and no index, until one breaker arrives: a gap,
-// an older instance, or a Record. Then the shape's stream of anything at
-// all. The lone commands that begin with the marker, wrapped in envelopes,
-// read back whole on either side of the switch (the box checked covers the
-// whole dense prefix). A stream that keeps its keys in (instance, command)
-// order — the in-order shapes after a gap or a Record of the next slot — is
-// searched in place and holds no index; the in-order shape has its first
-// late duplicate only once its log is large, so its index is built from many
-// rows at once.
+// TestRecorderMatchesMapModel: whatever instances are offered, in whatever
+// order, the Recorder answers every query as the model does — one Decision
+// per command slot of each instance recorded in order from the first, At
+// and Elapsed not kept — and the hooks see each recorded decision once, in
+// that order, both included. An instance recorded already or below the
+// first is ignored; one past the next panics, naming it, and changes
+// nothing. Every run but the applier's begins with a dense prefix from the
+// shape's first instance, as rsm's applier records, then one instance of a
+// kind: past the next (gap), older (older), or the next (record). Then, step
+// by step, the applier's next instance and the shape's; from lateFrom on,
+// an instance already offered, again, with another value.
 func TestRecorderMatchesMapModel(t *testing.T) {
 	const dense, steps = 400, 3000
-	t.Run("applier", func(t *testing.T) { // never broken, at a base far from 0
+	t.Run("applier", func(t *testing.T) { // in order at a base far from 0
 		f := newModelRun(t)
 		for i := 0; i < steps; i++ {
-			f.feed(1<<40+i, i, false)
+			f.feed(1<<40+i, i)
 			if i%997 == 0 {
-				f.check(f.lo, f.hi, true)
+				f.check(f.lo, f.hi)
 			}
 		}
-		f.check(f.lo, f.hi, true)
+		f.check(f.lo, f.hi)
 	})
 	// Each shape is a stream of instance numbers.
 	shapes := map[string]func(rng *rand.Rand, i int) int{
-		// Instances in order.
+		// Instances in order, from 0.
 		"in-order": func(_ *rand.Rand, i int) int { return i },
 		// The same after a restore at a large snapshot index.
 		"restored": func(_ *rand.Rand, i int) int { return 1<<40 + i },
-		// Anything at all in a small box: out of order, sparse, repeated.
+		// Anything at all in a small box: below the first, repeated.
 		"random": func(rng *rand.Rand, _ int) int { return 100 + rng.Intn(60) },
 		// Instances descending: every one lands below the first.
 		"descending": func(_ *rand.Rand, i int) int { return 5000 - i },
-		// Holes no index could span: nothing may be sized by an instance number.
+		// Holes nothing could span: every one a gap.
 		"sparse": func(rng *rand.Rand, i int) int { return 7 + i*(1+rng.Intn(3)<<40) },
 	}
-	// The step at which a shape's late duplicates begin; 0 for the rest.
+	// The step at which a shape's late repeats begin; 0 for the rest.
 	lateFrom := map[string]int{"in-order": 2000, "restored": steps}
 	for name, shape := range shapes {
-		t.Run(name, func(t *testing.T) { testBreakers(t, shape, dense, steps, lateFrom[name], name == "restored") })
+		t.Run(name, func(t *testing.T) {
+			for _, brk := range []string{"gap", "older", "record"} {
+				t.Run(brk, func(t *testing.T) { testShape(t, shape, brk, dense, steps, lateFrom[name]) })
+			}
+		})
 	}
 }
 
-// testBreakers is TestRecorderMatchesMapModel for one shape: a dense prefix,
-// then each breaker in a run of its own, then the shape's stream. A stream
-// inOrder keeps its keys in order to the end, unless an older instance broke
-// the log.
-func testBreakers(t *testing.T, shape func(rng *rand.Rand, i int) int, dense, steps, lateFrom int, inOrder bool) {
-	for _, brk := range []string{"gap", "older", "record"} {
-		t.Run(brk, func(t *testing.T) {
-			f := newModelRun(t)
-			base := shape(f.rng, 0)
-			for i := 0; i < dense; i++ {
-				f.feed(base+i, i, false)
-			}
-			f.check(base, base+dense, true)
-			switch brk {
-			case "gap": // the instance after next
-				f.feed(base+dense+1, dense, false)
-			case "older":
-				f.feed(base+f.rng.Intn(dense), dense, false)
-			case "record": // a slot of the next instance, in (instance, command) order
-				d := Decision{Instance: base + dense, Value: "recorded", At: 9, By: 3}
-				f.seen = append(f.seen, d.Instance)
-				f.r.Record(d)
-				f.m.record(d)
-			}
-			f.check(base, base+dense+2, false)
-			for i := dense + 2; i < steps; i++ {
-				if i == lateFrom && brk != "older" && cap(f.r.sorted) != 0 {
-					t.Fatalf("an index of capacity %d before the first of %d rows arrived out of order", cap(f.r.sorted), len(f.r.log))
-				}
-				f.feed(shape(f.rng, i), i, true)
-				if i >= lateFrom && f.rng.Intn(4) == 0 {
-					f.feed(f.seen[f.rng.Intn(len(f.seen))], -i, true) // a late duplicate, with other values
-				}
-				if i%997 == 0 {
-					f.check(f.lo, min(f.hi, f.lo+300), false)
-				}
-			}
-			f.check(f.lo, min(f.hi, f.lo+700), false)
-			f.check(base, base+dense+2, false)
-			switch indexed := len(f.r.sorted) > 0; {
-			case inOrder && brk != "older" && indexed:
-				t.Fatalf("an index of capacity %d for %d rows recorded in order", cap(f.r.sorted), len(f.r.log))
-			case (indexed || !inOrder) && (len(f.r.sorted) != len(f.r.log) || cap(f.r.sorted) > 2*len(f.r.log)+64):
-				t.Fatalf("index of %d (cap %d) for %d rows: sized by something else than the rows", len(f.r.sorted), cap(f.r.sorted), len(f.r.log))
-			}
-		})
+// testShape is TestRecorderMatchesMapModel for one shape and one kind of
+// first instance after the dense prefix.
+func testShape(t *testing.T, shape func(rng *rand.Rand, i int) int, brk string, dense, steps, lateFrom int) {
+	f := newModelRun(t)
+	base := shape(f.rng, 0)
+	for i := 0; i < dense; i++ {
+		f.feed(base+i, i)
+	}
+	f.check(base, base+dense)
+	switch brk {
+	case "gap": // the instance after next
+		f.feed(base+dense+1, dense)
+	case "older":
+		f.feed(base+f.rng.Intn(dense), dense)
+	case "record":
+		f.feed(base+dense, dense)
+	}
+	f.check(base, base+dense+2)
+	for i := dense + 2; i < steps; i++ {
+		f.feed(f.m.next, i)
+		f.feed(shape(f.rng, i), -i)
+		if i >= lateFrom && f.rng.Intn(4) == 0 {
+			f.feed(f.seen[f.rng.Intn(len(f.seen))], -i) // a late repeat, with other values
+		}
+		if i%997 == 0 {
+			f.check(f.lo, min(f.hi, f.lo+300))
+		}
+	}
+	f.check(f.lo, min(f.hi, f.lo+700))
+	f.check(base, base+dense+2)
+	f.check(f.m.next-300, f.m.next)
+}
+
+// TestRecorderPanicsOnAGap: an instance past the next is refused with a
+// panic that names it and the next, and leaves the log, its count and its
+// hooks as they were; the next instance is recorded after it as before.
+func TestRecorderPanicsOnAGap(t *testing.T) {
+	r := newSplitRecorder()
+	told := 0
+	r.AddNotify(func(Decision) { told++ })
+	r.RecordInstance(41, testPack("a", "b"), 1, 2, nil)
+	got := recovered(func() { r.RecordInstance(43, "c", 2, 2, nil) })
+	if want := "consensus: instance 43 recorded while 42 is next"; fmt.Sprint(got) != want {
+		t.Fatalf("a gap panicked with %v, want %q", got, want)
+	}
+	if r.Count() != 2 || told != 2 || len(r.log) != 1 {
+		t.Fatalf("after the gap: Count %d, %d told, %d rows; want 2, 2, 1", r.Count(), told, len(r.log))
+	}
+	if _, ok := r.Get(43); ok {
+		t.Fatal("the refused instance reads back")
+	}
+	r.RecordInstance(42, "c", 3, 2, nil)
+	if d, ok := r.Get(42); !ok || d.Value != "c" || r.Count() != 3 || told != 3 {
+		t.Fatalf("the next instance after a gap: %+v,%v, Count %d, %d told", d, ok, r.Count(), told)
 	}
 }
 
@@ -301,7 +317,7 @@ func testBreakers(t *testing.T, shape func(rng *rand.Rand, i int) int, dense, st
 // instance costs one row whatever it carries, at a follower and at the
 // leader that proposed it alike: each decision's learn time, and the
 // leader's Elapsed for the instances it led, reach the hooks and are not
-// kept. Both record in order, so neither keys its rows: a row is its value.
+// kept: a row is its value.
 func TestRecorderKeepsAnInstanceInOneRow(t *testing.T) {
 	if got := unsafe.Sizeof(row{}); got != 16 {
 		t.Fatalf("a row is %d bytes, want 16: a value", got)
@@ -321,9 +337,8 @@ func TestRecorderKeepsAnInstanceInOneRow(t *testing.T) {
 		leader.RecordInstance(i, v, at, 0, enq)
 	}
 	for _, r := range []*Recorder{follower, leader} {
-		if len(r.log) != n || cap(r.log) > 2*n || r.Count() != n*k || cap(r.keys) != 0 || cap(r.sorted) != 0 {
-			t.Fatalf("%d rows (cap %d), %d decisions, %d keys, index of %d; want %d, %d, 0, 0",
-				len(r.log), cap(r.log), r.Count(), cap(r.keys), cap(r.sorted), n, n*k)
+		if len(r.log) != n || cap(r.log) > 2*n || r.Count() != n*k {
+			t.Fatalf("%d rows (cap %d), %d decisions; want %d, %d", len(r.log), cap(r.log), r.Count(), n, n*k)
 		}
 	}
 	if len(told) != n*k {
@@ -343,19 +358,22 @@ func TestRecorderKeepsAnInstanceInOneRow(t *testing.T) {
 
 func TestRecorderConcurrentRecordAndAll(t *testing.T) {
 	// Live transports read the recorder from other goroutines while the
-	// event loop records: run under -race. Every snapshot must be a
-	// prefix of the final log.
-	r := NewRecorder()
+	// event loop records: run under -race. Several writers record the same
+	// instances in order, each recorded by the first to reach it and
+	// ignored from the rest. Every snapshot must be a prefix of the final
+	// log.
+	r := newSplitRecorder()
 	const writers, per = 4, 2048
+	value := func(i int) Value { return testPack(Value(fmt.Sprint(i)), "x", "y", "z") }
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				r.Record(Decision{Instance: i, Cmd: w, Value: Value(fmt.Sprint(w, "/", i))})
+				r.RecordInstance(i, value(i), sim.Time(i), 1, nil)
 			}
-		}(w)
+		}()
 	}
 	snaps := make(chan []Decision, 64) // every snapshot taken: the reader never waits for the checker
 	go func() {
@@ -383,9 +401,9 @@ func TestRecorderConcurrentRecordAndAll(t *testing.T) {
 		}
 	}
 	for i := 0; i < per; i++ {
-		for w := 0; w < writers; w++ {
-			if d, ok := r.GetCmd(i, w); !ok || d.Value != Value(fmt.Sprint(w, "/", i)) {
-				t.Fatalf("GetCmd(%d,%d) = %+v,%v", i, w, d, ok)
+		for k, want := range testSplit(nil, value(i)) {
+			if d, ok := r.GetCmd(i, k); !ok || d.Value != want {
+				t.Fatalf("GetCmd(%d,%d) = %+v,%v", i, k, d, ok)
 			}
 		}
 	}
@@ -442,12 +460,12 @@ func TestRecorderConcurrentEachAndRecordInstance(t *testing.T) {
 func TestRecorderEachRunsOutsideTheLock(t *testing.T) {
 	r := NewRecorder()
 	for i := 0; i < 3; i++ {
-		r.Record(Decision{Instance: i, Value: "v"})
+		r.RecordInstance(i, "v", 0, 0, nil)
 	}
 	seen := 0
 	r.Each(func(d Decision) {
 		seen++
-		r.Record(Decision{Instance: d.Instance + 3, Value: "later"})
+		r.RecordInstance(d.Instance+3, "later", 0, 0, nil)
 	})
 	if seen != 3 || r.Count() != 6 {
 		t.Fatalf("walked %d decisions and holds %d, want 3 and 6", seen, r.Count())
@@ -456,16 +474,15 @@ func TestRecorderEachRunsOutsideTheLock(t *testing.T) {
 
 // TestRecorderDenseFromAnyBase: a log recorded in order from wherever a
 // replica starts applying — a snapshot's index, here — is dense from its
-// first row: it allocates no keys and no index, and answers for the
-// instances it holds and for nothing else.
+// first row: it answers for the instances it holds and for nothing else.
 func TestRecorderDenseFromAnyBase(t *testing.T) {
 	for _, base := range []int{0, 1, 977, 1 << 40} {
 		r := newSplitRecorder()
 		for i := 0; i < 100; i++ {
 			r.RecordInstance(base+i, testPack("x", Value(fmt.Sprint(i))), sim.Time(i), 1, nil)
 		}
-		if r.keys != nil || r.sorted != nil || r.Count() != 200 {
-			t.Fatalf("base %d: %d keys and %d index for %d decisions in order", base, cap(r.keys), cap(r.sorted), r.Count())
+		if r.Count() != 200 {
+			t.Fatalf("base %d: %d decisions for 100 instances of 2", base, r.Count())
 		}
 		for _, inst := range []int{base - 1, base, base + 50, base + 99, base + 100} {
 			d, ok := r.GetCmd(inst, 1)
@@ -476,13 +493,12 @@ func TestRecorderDenseFromAnyBase(t *testing.T) {
 	}
 }
 
-// TestRecorderValueIsTheDecidedValue: a dense log answers Value with an
-// instance's value exactly as it was decided — a batch envelope whole, a raw
-// command, and a lone command that begins with the batch marker still in
-// its envelope — which is what rsm serves a replica that asks for a
-// decision it has applied. A keyed log holds a lone command bare, so it
-// answers false for every instance, as every log does for one it never
-// recorded.
+// TestRecorderValueIsTheDecidedValue: Value answers with an instance's
+// value exactly as it was decided — a batch envelope whole, a raw command,
+// and a lone command that begins with the batch marker still in its
+// envelope — which is what rsm serves a replica that asks for a decision it
+// has applied, and false for an instance never recorded. GetCmd reads the
+// marked command out of its envelope.
 func TestRecorderValueIsTheDecidedValue(t *testing.T) {
 	const base = 977
 	vs := []Value{testPack("a", "b"), "raw", testPack(testMark + "x")}
@@ -500,52 +516,29 @@ func TestRecorderValueIsTheDecidedValue(t *testing.T) {
 			t.Fatalf("Value(%d) = %q of an instance never recorded", inst, v)
 		}
 	}
-	r.RecordInstance(base+len(vs)+1, vs[0], 9, 1, nil) // a gap keys the log
-	recorded := NewRecorder()
-	recorded.Record(Decision{Instance: base, Value: "v"})
-	for _, keyed := range []*Recorder{r, recorded} {
-		if keyed.keys == nil {
-			t.Fatal("a gap or a Record left the log dense")
-		}
-		for inst := base - 1; inst <= base+len(vs)+2; inst++ {
-			if v, ok := keyed.Value(inst); ok {
-				t.Fatalf("a keyed log answers Value(%d) = %q", inst, v)
-			}
-		}
-	}
 	if d, ok := r.GetCmd(base+2, 0); !ok || d.Value != testMark+"x" {
-		t.Fatalf("the marked command reads back %+v,%v once keyed", d, ok)
+		t.Fatalf("the marked command reads back %+v,%v", d, ok)
 	}
 }
 
 func TestRecorderRecordAllocatesOnlyToGrow(t *testing.T) {
-	// A follower's log, then a leader's, each once dense and once keyed by a
-	// Record beside every instance. With room in the log and its keys — they
-	// grow by amortised doubling — recording an instance allocates nothing:
-	// no closure for the splitter, no slice for the commands, whatever the
+	// A follower's log, then a leader's. With room in the log — it grows by
+	// amortised doubling — recording an instance allocates nothing: no
+	// closure for the splitter, no slice for the commands, whatever the
 	// batch holds, and nothing for the leader's Elapsed, which no hook is
-	// here to take. All arrive in order, so none builds an index.
+	// here to take.
 	v := testPack("a", "b", "c", "d")
 	for _, enq := range [][]sim.Time{nil, {1, 2, 3, 4}} {
-		for _, keyed := range []bool{false, true} {
-			r := newSplitRecorder()
-			inst := 0
-			record := func() {
-				r.RecordInstance(inst, v, 9, 1, enq)
-				if keyed {
-					r.Record(Decision{Instance: inst, Cmd: 7, Value: "v", By: 1}) // and the one-command row
-				}
-				inst++
-			}
-			record()
-			r.log = slices.Grow(r.log, 512)
-			if keyed {
-				r.keys = slices.Grow(r.keys, 512)
-			}
-			if got := testing.AllocsPerRun(200, record); got != 0 || cap(r.sorted) != 0 || (r.keys != nil) != keyed {
-				t.Fatalf("enq %v, keyed %v: recording allocates %.2f times an instance with room to spare, want 0; %d keys, index of %d",
-					enq, keyed, got, len(r.keys), cap(r.sorted))
-			}
+		r := newSplitRecorder()
+		inst := 0
+		record := func() {
+			r.RecordInstance(inst, v, 9, 1, enq)
+			inst++
+		}
+		record()
+		r.log = slices.Grow(r.log, 512)
+		if got := testing.AllocsPerRun(200, record); got != 0 {
+			t.Fatalf("enq %v: recording allocates %.2f times an instance with room to spare, want 0", enq, got)
 		}
 	}
 }
@@ -569,15 +562,14 @@ func BenchmarkRecordInstanceInOrder(b *testing.B) {
 	// The same at the leader that proposed the instances, each command's
 	// enqueue instant given. B/op: a quarter of a 16-byte row, growth slack
 	// included, as at a follower: the learn time and the Elapsed are the
-	// hooks', and the log keeps neither. It stays dense (no keys, no index),
-	// which the end checks.
+	// hooks', and the log keeps neither, which the end checks.
 	b.ReportAllocs()
 	r := newSplitRecorder()
 	v, enq := testPack("a", "b", "c", "d"), []sim.Time{1, 2, 3, 4}
 	for i := 0; i < b.N; i += 4 {
 		r.RecordInstance(i/4, v, 9, 0, enq)
 	}
-	if benchDecision, _ = r.GetCmd((b.N-1)/4, (b.N-1)%4); r.keys != nil || r.sorted != nil || benchDecision.Elapsed != 0 || benchDecision.At != 0 {
-		b.Fatalf("%d keys, last decision %+v: want a dense log that keeps no learn time and no Elapsed", len(r.keys), benchDecision)
+	if benchDecision, _ = r.GetCmd((b.N-1)/4, (b.N-1)%4); benchDecision.Elapsed != 0 || benchDecision.At != 0 {
+		b.Fatalf("last decision %+v: want a log that keeps no learn time and no Elapsed", benchDecision)
 	}
 }

@@ -30,14 +30,14 @@ func BenchmarkFabricSendSteadyState(b *testing.B) {
 	kind := obs.Intern("BENCH") // protocols pre-intern at construction
 	// Warm the pools and fill the stats ring to its bound.
 	for i := 0; i < 2048; i++ {
-		f.SendKind(0, 1, kind, payload)
+		f.Send(0, 1, kind, payload)
 		for k.Step() {
 		}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f.SendKind(0, 1, kind, payload)
+		f.Send(0, 1, kind, payload)
 		for k.Step() {
 		}
 	}

@@ -18,7 +18,7 @@ type DeliverFunc func(from, to int, payload any)
 //
 // The send path is allocation-free in steady state: in-flight messages ride
 // pooled delivery records (see delivery) instead of per-send closures, and
-// SendKind takes a pre-interned kind id so no string is hashed.
+// Send takes a pre-interned kind id so no string is hashed.
 type Fabric struct {
 	kernel   *sim.Kernel
 	n        int
@@ -209,16 +209,10 @@ func (f *Fabric) Rejoin(id int) {
 }
 
 // Send transmits payload on the from→to directed link. The message is
-// dropped or scheduled for delivery according to the link profile; kind is
-// used only for accounting. Hot paths should pre-intern the kind and call
-// SendKind directly.
-func (f *Fabric) Send(from, to int, kind string, payload any) {
-	f.SendKind(from, to, obs.Intern(kind), payload)
-}
-
-// SendKind is Send with a pre-interned kind id: the steady-state send path
-// for protocol messages, performing zero map lookups and zero allocations.
-func (f *Fabric) SendKind(from, to int, kind obs.Kind, payload any) {
+// dropped or scheduled for delivery according to the link profile; kind,
+// interned once by the protocol (obs.Intern), is used only for accounting,
+// so the send performs zero map lookups and zero allocations.
+func (f *Fabric) Send(from, to int, kind obs.Kind, payload any) {
 	if f.deliver == nil {
 		panic("network: Send before SetDeliver")
 	}

@@ -11,6 +11,15 @@ import (
 
 const ms = time.Millisecond
 
+// The kinds the tests send, interned once as a protocol interns its own.
+var (
+	kindX    = obs.Intern("X")
+	kindPRE  = obs.Intern("PRE")
+	kindPOST = obs.Intern("POST")
+	kindAT   = obs.Intern("AT")
+	kindPING = obs.Intern("PING")
+)
+
 type delivery struct {
 	at       sim.Time
 	from, to int
@@ -36,7 +45,7 @@ func newTestFabric(t *testing.T, n int, def Profile, gst sim.Time) (*sim.Kernel,
 func TestTimelyLinkDeliversWithinDelta(t *testing.T) {
 	k, f, got, _ := newTestFabric(t, 2, Timely(10*ms), 0)
 	for i := 0; i < 50; i++ {
-		f.Send(0, 1, "X", i)
+		f.Send(0, 1, kindX, i)
 	}
 	k.RunFor(time.Second)
 	if len(*got) != 50 {
@@ -54,14 +63,14 @@ func TestEventuallyTimelyBeforeAndAfterGST(t *testing.T) {
 	k, f, got, stats := newTestFabric(t, 2, EventuallyTimely(5*ms, 500*ms, 0.5), gst)
 	// Pre-GST sends: some must be dropped, the rest arbitrarily delayed.
 	for i := 0; i < 200; i++ {
-		f.Send(0, 1, "PRE", i)
+		f.Send(0, 1, kindPRE, i)
 	}
 	k.RunUntil(gst, nil)
 	// Post-GST sends must all arrive within delta.
 	preDelivered := len(*got)
 	*got = nil
 	for i := 0; i < 100; i++ {
-		f.Send(0, 1, "POST", i)
+		f.Send(0, 1, kindPOST, i)
 	}
 	k.RunFor(5 * ms)
 	var post int
@@ -88,7 +97,7 @@ func TestEventuallyTimelyBeforeAndAfterGST(t *testing.T) {
 func TestReliableLinkNeverDrops(t *testing.T) {
 	k, f, got, stats := newTestFabric(t, 2, Reliable(ms, 300*ms), 0)
 	for i := 0; i < 200; i++ {
-		f.Send(0, 1, "X", i)
+		f.Send(0, 1, kindX, i)
 	}
 	k.RunFor(time.Second)
 	if len(*got) != 200 {
@@ -102,7 +111,7 @@ func TestReliableLinkNeverDrops(t *testing.T) {
 func TestFairLossyDropsSomeNotAll(t *testing.T) {
 	k, f, got, stats := newTestFabric(t, 2, FairLossy(ms, 10*ms, 0.4), 0)
 	for i := 0; i < 500; i++ {
-		f.Send(0, 1, "X", i)
+		f.Send(0, 1, kindX, i)
 	}
 	k.RunFor(time.Second)
 	if stats.Dropped() == 0 {
@@ -119,7 +128,7 @@ func TestFairLossyDropsSomeNotAll(t *testing.T) {
 func TestLossyCanDropEverything(t *testing.T) {
 	k, f, got, _ := newTestFabric(t, 2, Lossy(ms, 10*ms, 1.0), 0)
 	for i := 0; i < 50; i++ {
-		f.Send(0, 1, "X", i)
+		f.Send(0, 1, kindX, i)
 	}
 	k.RunFor(time.Second)
 	if len(*got) != 0 {
@@ -129,7 +138,7 @@ func TestLossyCanDropEverything(t *testing.T) {
 
 func TestDownLinkDeliversNothing(t *testing.T) {
 	k, f, got, _ := newTestFabric(t, 2, Down(), 0)
-	f.Send(0, 1, "X", nil)
+	f.Send(0, 1, kindX, nil)
 	k.RunFor(time.Second)
 	if len(*got) != 0 {
 		t.Fatal("down link delivered")
@@ -139,13 +148,13 @@ func TestDownLinkDeliversNothing(t *testing.T) {
 func TestCutAndHeal(t *testing.T) {
 	k, f, got, _ := newTestFabric(t, 2, Timely(ms), 0)
 	f.Cut(0, 1)
-	f.Send(0, 1, "X", "dropped")
+	f.Send(0, 1, kindX, "dropped")
 	k.RunFor(10 * ms)
 	if len(*got) != 0 {
 		t.Fatal("cut link delivered")
 	}
 	f.Heal(0, 1)
-	f.Send(0, 1, "X", "ok")
+	f.Send(0, 1, kindX, "ok")
 	k.RunFor(10 * ms)
 	if len(*got) != 1 {
 		t.Fatalf("healed link delivered %d, want 1", len(*got))
@@ -155,15 +164,15 @@ func TestCutAndHeal(t *testing.T) {
 func TestIsolateAndRejoin(t *testing.T) {
 	k, f, got, _ := newTestFabric(t, 3, Timely(ms), 0)
 	f.Isolate(1)
-	f.Send(0, 1, "X", nil)
-	f.Send(1, 2, "X", nil)
-	f.Send(0, 2, "X", nil) // unaffected link
+	f.Send(0, 1, kindX, nil)
+	f.Send(1, 2, kindX, nil)
+	f.Send(0, 2, kindX, nil) // unaffected link
 	k.RunFor(10 * ms)
 	if len(*got) != 1 || (*got)[0].to != 2 {
 		t.Fatalf("deliveries after isolate = %v", *got)
 	}
 	f.Rejoin(1)
-	f.Send(0, 1, "X", nil)
+	f.Send(0, 1, kindX, nil)
 	k.RunFor(10 * ms)
 	if len(*got) != 2 {
 		t.Fatalf("deliveries after rejoin = %d, want 2", len(*got))
@@ -175,9 +184,9 @@ func TestPerLinkProfileOverrides(t *testing.T) {
 	if err := f.SetOutgoing(0, Timely(ms)); err != nil {
 		t.Fatal(err)
 	}
-	f.Send(0, 1, "X", nil)
-	f.Send(0, 2, "X", nil)
-	f.Send(1, 2, "X", nil) // still down
+	f.Send(0, 1, kindX, nil)
+	f.Send(0, 2, kindX, nil)
+	f.Send(1, 2, kindX, nil) // still down
 	k.RunFor(10 * ms)
 	if len(*got) != 2 {
 		t.Fatalf("delivered %d, want 2 (only source links are up)", len(*got))
@@ -195,9 +204,9 @@ func TestSetIncoming(t *testing.T) {
 	if err := f.SetIncoming(2, Timely(ms)); err != nil {
 		t.Fatal(err)
 	}
-	f.Send(0, 2, "X", nil)
-	f.Send(1, 2, "X", nil)
-	f.Send(0, 1, "X", nil)
+	f.Send(0, 2, kindX, nil)
+	f.Send(1, 2, kindX, nil)
+	f.Send(0, 1, kindX, nil)
 	k.RunFor(10 * ms)
 	if len(*got) != 2 {
 		t.Fatalf("delivered %d, want 2", len(*got))
@@ -252,7 +261,7 @@ func TestSelfSendPanics(t *testing.T) {
 			t.Fatal("expected panic on self-send")
 		}
 	}()
-	f.Send(0, 0, "X", nil)
+	f.Send(0, 0, kindX, nil)
 }
 
 func TestSendBeforeDeliverPanics(t *testing.T) {
@@ -266,7 +275,7 @@ func TestSendBeforeDeliverPanics(t *testing.T) {
 			t.Fatal("expected panic before SetDeliver")
 		}
 	}()
-	f.Send(0, 1, "X", nil)
+	f.Send(0, 1, kindX, nil)
 }
 
 func TestNewFabricRejectsBadConfig(t *testing.T) {
@@ -291,7 +300,7 @@ func TestMaxDelta(t *testing.T) {
 
 func TestStatsRecorded(t *testing.T) {
 	k, f, _, stats := newTestFabric(t, 2, Timely(ms), 0)
-	f.Send(0, 1, "PING", nil)
+	f.Send(0, 1, kindPING, nil)
 	k.RunFor(10 * ms)
 	if stats.TotalSent() != 1 || stats.Delivered() != 1 {
 		t.Fatalf("stats sent=%d delivered=%d", stats.TotalSent(), stats.Delivered())

@@ -14,9 +14,9 @@ import (
 // δ age, and send-time semantics keep runs deterministic.)
 func TestCutAffectsSendsNotInFlight(t *testing.T) {
 	k, f, got, _ := newTestFabric(t, 2, Timely(10*ms), 0)
-	f.Send(0, 1, "X", "in-flight")
+	f.Send(0, 1, kindX, "in-flight")
 	f.Cut(0, 1)
-	f.Send(0, 1, "X", "after-cut")
+	f.Send(0, 1, kindX, "after-cut")
 	k.RunFor(time.Second)
 	if len(*got) != 1 {
 		t.Fatalf("deliveries = %d, want only the in-flight message", len(*got))
@@ -33,7 +33,7 @@ func TestReliableDelayWithinBounds(t *testing.T) {
 	k, f, got, _ := newTestFabric(t, 2, Reliable(lo, hi), 0)
 	const sends = 400
 	for i := 0; i < sends; i++ {
-		f.Send(0, 1, "X", i)
+		f.Send(0, 1, kindX, i)
 	}
 	k.RunFor(time.Second)
 	if len(*got) != sends {
@@ -74,10 +74,10 @@ func TestGSTBoundaryExactlyAtGSTIsTimely(t *testing.T) {
 	gst := sim.At(100 * ms)
 	k, f, got, stats := newTestFabric(t, 2, EventuallyTimely(5*ms, 500*ms, 1.0), gst)
 	// Pre-GST with drop=1.0: everything sent strictly before GST is lost.
-	f.Send(0, 1, "PRE", nil)
+	f.Send(0, 1, kindPRE, nil)
 	k.RunUntil(gst, nil)
 	for i := 0; i < 50; i++ {
-		f.Send(0, 1, "AT", i)
+		f.Send(0, 1, kindAT, i)
 	}
 	k.RunFor(time.Second)
 	if stats.Dropped() != 1 {

@@ -272,7 +272,7 @@ func (p *proc) Send(to ID, m Message) {
 	if to == p.id {
 		panic(fmt.Sprintf("node: process %d sending to itself", p.id))
 	}
-	p.world.Fabric.SendKind(int(p.id), int(to), m.KindID(), m)
+	p.world.Fabric.Send(int(p.id), int(to), m.KindID(), m)
 }
 
 func (p *proc) Broadcast(m Message) {

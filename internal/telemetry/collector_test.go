@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"io"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -218,12 +219,16 @@ func TestDecidedPerCommandLatency(t *testing.T) {
 	// own enqueue-to-apply latency; the collector must count and bucket
 	// every command, not just the instance.
 	c := New(3)
-	rec := consensus.NewRecorder()
+	rec := &consensus.Recorder{Split: func(cmds []consensus.Value, v consensus.Value) []consensus.Value {
+		for _, c := range strings.Split(string(v), ",") {
+			cmds = append(cmds, consensus.Value(c))
+		}
+		return cmds
+	}}
 	Attach(c, c, obs.NoGroup, Process{ID: 0, Recorder: rec})
-	for cmd, lat := range []time.Duration{3 * time.Millisecond, 5 * time.Millisecond, 9 * time.Millisecond} {
-		rec.Record(consensus.Decision{Instance: 7, Cmd: cmd, Value: "v", By: 0, Elapsed: lat})
-	}
-	rec.Record(consensus.Decision{Instance: 7, Cmd: 1, Value: "dup", By: 0, Elapsed: time.Hour}) // duplicate slot: ignored
+	at := sim.At(10 * time.Millisecond)
+	rec.RecordInstance(7, "a,b,c", at, 0, []sim.Time{at - sim.At(3*time.Millisecond), at - sim.At(5*time.Millisecond), at - sim.At(9*time.Millisecond)})
+	rec.RecordInstance(7, "d,e,f", at, 0, []sim.Time{0, 0, 0}) // a repeat of the instance: ignored
 	if c.Decides() != 3 {
 		t.Fatalf("decides = %d, want one per command", c.Decides())
 	}

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/consensus"
+	"repro/internal/sim"
 )
 
 // TestGroupSeries checks per-group decision histograms and lease gauges
@@ -22,9 +23,10 @@ func TestGroupSeries(t *testing.T) {
 		Attach(c, c, g, Process{ID: 0, Recorder: r, Lease: leases[g]})
 	}
 
-	recs[0].Record(consensus.Decision{Instance: 0, Value: "a", By: 0, Elapsed: time.Millisecond})
-	recs[1].Record(consensus.Decision{Instance: 0, Value: "b", By: 1, Elapsed: 2 * time.Millisecond})
-	recs[1].Record(consensus.Decision{Instance: 1, Value: "c", By: 1, Elapsed: 3 * time.Millisecond})
+	at := sim.At(time.Second)
+	recs[0].RecordInstance(0, "a", at, 0, []sim.Time{at - sim.At(time.Millisecond)})
+	recs[1].RecordInstance(0, "b", at, 1, []sim.Time{at - sim.At(2*time.Millisecond)})
+	recs[1].RecordInstance(1, "c", at, 1, []sim.Time{at - sim.At(3*time.Millisecond)})
 
 	if got := c.Decides(); got != 3 {
 		t.Fatalf("cluster-wide decides = %d, want 3", got)

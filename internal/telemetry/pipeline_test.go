@@ -100,7 +100,7 @@ func TestSubscribersSeeEveryEventInAnyOrder(t *testing.T) {
 		}
 		hist.Record(10, 2)
 		hist.Record(20, 0)
-		rec.Record(consensus.Decision{Instance: 0, Value: "a", At: 30, By: 1, Elapsed: time.Millisecond})
+		rec.RecordInstance(0, "a", 30, 1, []sim.Time{30 - sim.At(time.Millisecond)})
 		rec.RecordInstance(1, "b", 40, 1, []sim.Time{35}) // the Recorder keeps no learn time: the hook is told it
 
 		if tel.LeaderChanges() != 2 || tel.Decides() != 2 {

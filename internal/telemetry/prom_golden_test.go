@@ -71,7 +71,7 @@ func TestPrometheusExpositionGolden(t *testing.T) {
 	// One sharded group with its own decision stream and lease probe.
 	rec := consensus.NewRecorder()
 	Attach(c, c, 2, Process{ID: 0, Recorder: rec, Lease: func() (bool, uint64, uint64) { return true, 7, 0 }})
-	rec.Record(consensus.Decision{Instance: 0, By: 0, Elapsed: 1 * time.Millisecond})
+	rec.RecordInstance(0, consensus.NoValue, sim.At(time.Millisecond), 0, []sim.Time{0})
 
 	var buf bytes.Buffer
 	c.WritePrometheus(&buf)
