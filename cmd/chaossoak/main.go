@@ -1,26 +1,26 @@
-// Command chaossoak runs a live cluster — real TCP sockets on loopback,
-// or the in-process mem transport — under a scripted fault
-// plan: seeded per-link chaos, scheduled leader crashes, runtime
-// partitions and heals. It drives replicated-state-machine traffic
-// through the surviving majority and verifies, at the end, that leader
-// election converged and that no consensus instance ever decided two
-// values.
+// Command chaossoak runs a live cluster — real TCP sockets on loopback —
+// under a scripted fault plan: seeded per-link chaos, scheduled leader
+// crashes, runtime partitions and heals. It drives replicated-state-machine
+// traffic through the surviving majority and verifies, at the end, that
+// leader election converged and that no consensus instance ever decided
+// two values.
 //
 // Usage examples:
 //
 //	chaossoak -plan full -n 5 -seed 42
-//	chaossoak -transport tcp -plan crash -n 3
+//	chaossoak -plan crash -n 3
 //	chaossoak -plan chaos -gst 2s -bound 30s
-//	chaossoak -transport mem -plan recovery -n 3 -fsync group
-//	chaossoak -transport mem -plan recovery -n 3 -groups 4
+//	chaossoak -plan recovery -n 3 -fsync group
+//	chaossoak -plan recovery -n 3 -groups 4
 //
 // The recovery plan is the kill -9 drill: every replica journals its
 // consensus state through internal/durable, the leader is killed mid
 // batch, the survivors keep deciding, and the dead process is rebuilt
-// from its WAL directory. It must rejoin, catch up on what it missed,
-// and regain proposer eligibility — then the run re-reads the WAL
-// directories offline and cross-checks them against the in-memory
-// decision logs (replay equivalence).
+// from its WAL directory in place (TCPCluster.Restart: the process keeps
+// its sockets). It must rejoin, catch up on what it missed, and regain
+// proposer eligibility — then the run re-reads the WAL directories
+// offline and cross-checks them against the in-memory decision logs
+// (replay equivalence).
 //
 // Every step runs per consensus group. Without -groups a process is one
 // group journaling to walroot/p<i>; with -groups G the recovery drill
@@ -47,7 +47,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/durable"
 	"repro/internal/faultline"
-	"repro/internal/metrics"
 	"repro/internal/network"
 	"repro/internal/node"
 	"repro/internal/obs"
@@ -65,39 +64,28 @@ func main() {
 	}
 }
 
-// cluster is the transport surface the soak drives; both live clusters
-// satisfy it.
-type cluster interface {
-	Start()
-	Stop()
-	Crash(node.ID)
-	Inject(from, to node.ID, m node.Message)
-	Stats() *metrics.MessageStats
-}
-
 func run(args []string) (err error) {
 	fs := flag.NewFlagSet("chaossoak", flag.ContinueOnError)
 	var (
-		transportName = fs.String("transport", "tcp", "live transport: mem, tcp")
-		n             = fs.Int("n", 5, "number of processes (full/partition plans need n >= 5 for quorum math)")
-		seed          = fs.Int64("seed", 42, "fault-injection seed (same seed + plan = same drop/delay decisions)")
-		eta           = fs.Duration("eta", 5*time.Millisecond, "heartbeat period η")
-		planName      = fs.String("plan", "full", "fault plan: crash, partition, chaos, full, recovery")
-		gst           = fs.Duration("gst", 1500*time.Millisecond, "global stabilization time for the chaos plan")
-		bound         = fs.Duration("bound", 30*time.Second, "per-phase convergence bound")
-		commands      = fs.Int("commands", 5, "consensus instances to commit per traffic phase")
-		drop          = fs.Float64("drop", 0.4, "pre-GST drop probability for the chaos plan")
-		metricsAddr   = fs.String("metrics-addr", "", "serve /metrics, /healthz and pprof on this address (e.g. :8080)")
-		snapshotJSON  = fs.String("snapshot-json", "", "write the final merged metrics+histogram snapshot to this path")
-		traceTail     = fs.Int("trace-tail", 0, "record message events in a bounded ring and print the last N at exit")
-		traceTailOut  = fs.String("trace-tail-out", "", "with -trace-tail, also write the tail to this file (parent directories are created)")
-		traceDir      = fs.String("trace-dir", "", "record causal spans and write flight-recorder dumps (plus a final dump) into this directory; feed it to traceview")
-		traceSample   = fs.Int("trace-sample", 1, "with -trace-dir, sample one in this many client requests")
-		lease         = fs.Duration("lease", 0, "leader read lease; 0 disables (leases trade failover latency for local reads, so chaos plans default off)")
-		fsyncName     = fs.String("fsync", "group", "WAL fsync policy for the recovery plan: always, group, off")
-		walDir        = fs.String("wal-dir", "", "WAL root for the recovery plan (default: a fresh temp dir, removed on success)")
-		snapEvery     = fs.Int("snapshot-every", 8, "checkpoint the WAL every this many applied commands in the recovery plan")
-		groupsFlag    = fs.Int("groups", 0, "shard the recovery plan into this many consensus groups, one WAL dir per group (0 = unsharded)")
+		n            = fs.Int("n", 5, "number of processes (full/partition plans need n >= 5 for quorum math)")
+		seed         = fs.Int64("seed", 42, "fault-injection seed (same seed + plan = same drop/delay decisions)")
+		eta          = fs.Duration("eta", 5*time.Millisecond, "heartbeat period η")
+		planName     = fs.String("plan", "full", "fault plan: crash, partition, chaos, full, recovery")
+		gst          = fs.Duration("gst", 1500*time.Millisecond, "global stabilization time for the chaos plan")
+		bound        = fs.Duration("bound", 30*time.Second, "per-phase convergence bound")
+		commands     = fs.Int("commands", 5, "consensus instances to commit per traffic phase")
+		drop         = fs.Float64("drop", 0.4, "pre-GST drop probability for the chaos plan")
+		metricsAddr  = fs.String("metrics-addr", "", "serve /metrics, /healthz and pprof on this address (e.g. :8080)")
+		snapshotJSON = fs.String("snapshot-json", "", "write the final merged metrics+histogram snapshot to this path")
+		traceTail    = fs.Int("trace-tail", 0, "record message events in a bounded ring and print the last N at exit")
+		traceTailOut = fs.String("trace-tail-out", "", "with -trace-tail, also write the tail to this file (parent directories are created)")
+		traceDir     = fs.String("trace-dir", "", "record causal spans and write flight-recorder dumps (plus a final dump) into this directory; feed it to traceview")
+		traceSample  = fs.Int("trace-sample", 1, "with -trace-dir, sample one in this many client requests")
+		lease        = fs.Duration("lease", 0, "leader read lease; 0 disables (leases trade failover latency for local reads, so chaos plans default off)")
+		fsyncName    = fs.String("fsync", "group", "WAL fsync policy for the recovery plan: always, group, off")
+		walDir       = fs.String("wal-dir", "", "WAL root for the recovery plan (default: a fresh temp dir, removed on success)")
+		snapEvery    = fs.Int("snapshot-every", 8, "checkpoint the WAL every this many applied commands in the recovery plan")
+		groupsFlag   = fs.Int("groups", 0, "shard the recovery plan into this many consensus groups, one WAL dir per group (0 = unsharded)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -112,9 +100,6 @@ func run(args []string) (err error) {
 	s := &soak{eta: *eta, bound: *bound, commands: *commands, lease: *lease, groups: max(*groupsFlag, 1), sharded: *groupsFlag > 0}
 	switch *planName {
 	case "recovery":
-		if *transportName != "mem" {
-			return fmt.Errorf("plan recovery needs -transport mem (restart is an in-process rebuild)")
-		}
 		if *n < 3 {
 			return fmt.Errorf("plan recovery needs n >= 3, got %d", *n)
 		}
@@ -210,22 +195,11 @@ func run(args []string) (err error) {
 		WriteTimeout: 200 * time.Millisecond, Observer: s.observer,
 		OnFlush: telemetry.FlushHook(s.observer),
 	}
-	var c cluster
-	switch *transportName {
-	case "mem":
-		c, err = transport.NewCluster(cfg, autos)
-	case "tcp":
-		c, err = transport.NewTCPCluster(cfg, autos)
-	default:
-		return fmt.Errorf("unknown transport %q (want mem, tcp)", *transportName)
-	}
+	c, err := transport.NewTCPCluster(cfg, autos)
 	if err != nil {
 		return err
 	}
 	s.c = c
-	if *planName == "recovery" {
-		s.memc = c.(*transport.Cluster)
-	}
 	// Anchor trace timestamps to the cluster clock's zero (set at
 	// construction just above) so span offsets and telemetry wall times
 	// merge on the same axis.
@@ -250,7 +224,7 @@ func run(args []string) (err error) {
 	c.Start()
 	defer c.Stop()
 
-	fmt.Printf("chaossoak: transport=%s plan=%s n=%d seed=%d eta=%v\n", *transportName, *planName, *n, *seed, *eta)
+	fmt.Printf("chaossoak: plan=%s n=%d seed=%d eta=%v\n", *planName, *n, *seed, *eta)
 	switch *planName {
 	case "crash":
 		err = s.runCrash()
@@ -345,8 +319,7 @@ type soak struct {
 	lease    time.Duration
 	commands int
 	inj      *faultline.Injector
-	c        cluster
-	memc     *transport.Cluster // recovery plan only: restart needs the mem cluster
+	c        *transport.TCPCluster
 	tel      *telemetry.Collector
 	tset     *tracing.Set // nil without -trace-dir; every method no-ops then
 	observer obs.Sink     // what the cluster reports into: tel, tset, the -trace-tail ring
@@ -472,7 +445,7 @@ func (s *soak) restart(id node.ID) error {
 		return err
 	}
 	s.attach(id)
-	s.memc.Restart(id, auto)
+	s.c.Restart(id, auto)
 	return nil
 }
 
@@ -704,14 +677,14 @@ func (s *soak) runChaos(gst time.Duration) error {
 	return s.pump(ints(0, len(s.dets)), "post-gst", s.commands)
 }
 
-// runRecovery is the kill -9 drill (mem transport, a WAL per process and
-// group): commit a batch in every group, kill group 0's leader with a
-// burst of requests in flight in every group it leads, let the survivors
-// advance everywhere, rebuild the dead process from all of its WALs at
-// once, and require it to rejoin, catch up on the outage in every group,
-// and win back proposer eligibility before the final safety and replay
-// checks. A sharded victim hosts every group, so the groups it did not
-// lead each lose a follower.
+// runRecovery is the kill -9 drill (a WAL per process and group): commit
+// a batch in every group, kill group 0's leader with a burst of requests
+// in flight in every group it leads, let the survivors advance
+// everywhere, rebuild the dead process from all of its WALs at once, and
+// require it to rejoin, catch up on the outage in every group, and win
+// back proposer eligibility before the final safety and replay checks. A
+// sharded victim hosts every group, so the groups it did not lead each
+// lose a follower.
 func (s *soak) runRecovery() error {
 	all := ints(0, len(s.dets))
 	if err := s.warmUp(); err != nil {

@@ -6,24 +6,25 @@ import (
 )
 
 func TestRunCrashPlanMem(t *testing.T) {
-	if err := run([]string{"-transport", "mem", "-plan", "crash", "-n", "3", "-commands", "2", "-bound", "20s"}); err != nil {
+	if err := run([]string{"-plan", "crash", "-n", "3", "-commands", "2", "-bound", "20s"}); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunFullPlanMem(t *testing.T) {
-	if err := run([]string{"-transport", "mem", "-plan", "full", "-n", "5", "-commands", "2", "-bound", "20s"}); err != nil {
+	if err := run([]string{"-plan", "full", "-n", "5", "-commands", "2", "-bound", "20s"}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestRunRecoveryPlanMem is the CI recovery soak: kill -9 the leader
-// mid-batch, restart it from its WAL directory, and require rejoin,
-// catch-up, renewed proposer eligibility, and replay equivalence. It
-// stays enabled under -short so the -race CI job always runs it.
+// TestRunRecoveryPlanMem is the CI recovery soak over TCP: kill -9 the
+// leader mid-batch, restart it in place from its WAL directory, and
+// require rejoin, catch-up, renewed proposer eligibility, and replay
+// equivalence. It stays enabled under -short so the -race CI job always
+// runs it.
 func TestRunRecoveryPlanMem(t *testing.T) {
 	if err := run([]string{
-		"-transport", "mem", "-plan", "recovery", "-n", "3",
+		"-plan", "recovery", "-n", "3",
 		"-commands", "2", "-bound", "30s", "-fsync", "group",
 		"-wal-dir", t.TempDir(),
 	}); err != nil {
@@ -37,7 +38,7 @@ func TestRunRecoveryPlanMem(t *testing.T) {
 // both groups. Enabled under -short so the -race CI job always runs it.
 func TestRunRecoveryPlanGroups(t *testing.T) {
 	if err := run([]string{
-		"-transport", "mem", "-plan", "recovery", "-n", "3",
+		"-plan", "recovery", "-n", "3",
 		"-commands", "2", "-bound", "30s", "-fsync", "group",
 		"-groups", "2", "-wal-dir", t.TempDir(),
 	}); err != nil {
@@ -45,29 +46,22 @@ func TestRunRecoveryPlanGroups(t *testing.T) {
 	}
 }
 
-func TestRunRecoveryPlanRequiresMem(t *testing.T) {
-	if err := run([]string{"-transport", "tcp", "-plan", "recovery", "-n", "3"}); err == nil {
-		t.Fatal("recovery plan accepted a socket transport")
-	}
-}
-
 func TestRunChaosPlanMem(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos plan waits out a wall-clock GST")
 	}
-	if err := run([]string{"-transport", "mem", "-plan", "chaos", "-n", "3", "-gst", "400ms", "-commands", "2", "-bound", "20s"}); err != nil {
+	if err := run([]string{"-plan", "chaos", "-n", "3", "-gst", "400ms", "-commands", "2", "-bound", "20s"}); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunRejectsBadFlags(t *testing.T) {
 	cases := map[string][]string{
-		"unknown transport":     {"-transport", "carrier-pigeon"},
 		"unknown plan":          {"-plan", "mayhem"},
 		"partition needs 5":     {"-plan", "partition", "-n", "3"},
 		"crash needs 3":         {"-plan", "crash", "-n", "2"},
 		"groups needs recovery": {"-plan", "crash", "-n", "3", "-groups", "2"},
-		"negative groups":       {"-transport", "mem", "-plan", "recovery", "-n", "3", "-groups", "-1"},
+		"negative groups":       {"-plan", "recovery", "-n", "3", "-groups", "-1"},
 	}
 	for name, args := range cases {
 		err := run(args)

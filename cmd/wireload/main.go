@@ -1,7 +1,7 @@
-// Command wireload is a throughput harness for the live transports: it
+// Command wireload is a throughput harness for the live transport: it
 // drives an all-to-all heartbeat load — the paper's steady-state traffic
-// shape — through a mem or TCP cluster at a configurable per-link
-// rate and reports what the wire actually cost: messages per second,
+// shape — through a TCP cluster at a configurable per-link rate and
+// reports what the wire actually cost: messages per second,
 // bytes per message, allocations per message, and drops. Every number
 // comes out of the same obs/metrics pipeline the protocols are
 // instrumented with, so the harness measures the path production code
@@ -9,8 +9,8 @@
 //
 // Usage examples:
 //
-//	wireload -transport tcp -n 5 -rate 2000 -dur 5s
-//	wireload -transport mem -n 3 -msg vector
+//	wireload -n 5 -rate 2000 -dur 5s
+//	wireload -n 3 -msg vector
 package main
 
 import (
@@ -23,7 +23,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/detector/source"
-	"repro/internal/metrics"
 	"repro/internal/node"
 	"repro/internal/telemetry"
 	"repro/internal/transport"
@@ -34,15 +33,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-}
-
-// cluster is the transport surface the load generator drives; both live
-// clusters satisfy it.
-type cluster interface {
-	Start()
-	Stop()
-	Inject(from, to node.ID, m node.Message)
-	Stats() *metrics.MessageStats
 }
 
 // nop is a silent automaton: wireload's traffic is injected from the
@@ -56,15 +46,14 @@ func (nop) Deliver(node.ID, node.Message) {}
 func run(args []string, out *os.File) error {
 	fs := flag.NewFlagSet("wireload", flag.ContinueOnError)
 	var (
-		transportName = fs.String("transport", "tcp", "live transport: mem, tcp")
-		n             = fs.Int("n", 3, "number of processes")
-		rate          = fs.Int("rate", 1000, "messages per second per directed link")
-		dur           = fs.Duration("dur", 3*time.Second, "how long to drive the load")
-		seed          = fs.Int64("seed", 1, "delay and re-dial jitter seed")
-		msgName       = fs.String("msg", "hb", "payload: hb (leader heartbeat), vector (SOURCE counter vector)")
-		sendQueue     = fs.Int("sendqueue", 0, "TCP per-link queue bound (0 = default)")
-		metricsAddr   = fs.String("metrics-addr", "", "serve /metrics, /healthz and pprof on this address (e.g. :8080)")
-		snapshotJSON  = fs.String("snapshot-json", "", "write the final merged metrics+histogram snapshot to this path")
+		n            = fs.Int("n", 3, "number of processes")
+		rate         = fs.Int("rate", 1000, "messages per second per directed link")
+		dur          = fs.Duration("dur", 3*time.Second, "how long to drive the load")
+		seed         = fs.Int64("seed", 1, "re-dial jitter seed")
+		msgName      = fs.String("msg", "hb", "payload: hb (leader heartbeat), vector (SOURCE counter vector)")
+		sendQueue    = fs.Int("sendqueue", 0, "TCP per-link queue bound (0 = default)")
+		metricsAddr  = fs.String("metrics-addr", "", "serve /metrics, /healthz and pprof on this address (e.g. :8080)")
+		snapshotJSON = fs.String("snapshot-json", "", "write the final merged metrics+histogram snapshot to this path")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -100,16 +89,7 @@ func run(args []string, out *os.File) error {
 		SendQueue: *sendQueue,
 		Observer:  tel,
 	}
-	var c cluster
-	var err error
-	switch *transportName {
-	case "mem":
-		c, err = transport.NewCluster(cfg, autos)
-	case "tcp":
-		c, err = transport.NewTCPCluster(cfg, autos)
-	default:
-		return fmt.Errorf("wireload: unknown transport %q (want mem, tcp)", *transportName)
-	}
+	c, err := transport.NewTCPCluster(cfg, autos)
 	if err != nil {
 		return err
 	}
@@ -173,8 +153,8 @@ func run(args []string, out *os.File) error {
 	sent, delivered, dropped := s.TotalSent(), s.Delivered(), s.Dropped()
 	wireBytes := s.WireBytes()
 	report := func(f string, args ...any) { fmt.Fprintf(out, f+"\n", args...) }
-	report("wireload: %s n=%d rate=%d/link dur=%v msg=%s",
-		*transportName, *n, *rate, elapsed.Round(time.Millisecond), *msgName)
+	report("wireload: n=%d rate=%d/link dur=%v msg=%s",
+		*n, *rate, elapsed.Round(time.Millisecond), *msgName)
 	report("  sent      %10d  (%.0f msgs/sec offered)", sent, float64(sent)/elapsed.Seconds())
 	report("  delivered %10d  (%.0f msgs/sec)", delivered, float64(delivered)/elapsed.Seconds())
 	report("  dropped   %10d", dropped)

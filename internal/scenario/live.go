@@ -12,8 +12,8 @@ import (
 // profiles come from the table Build installs (regimeLinks), the
 // simulated GST becomes a wall-clock offset from cluster start, each
 // scheduled crash becomes a wall-clock crash-stop, and each restart
-// becomes a crash-then-reboot cycle (the in-memory transport rebuilds
-// the automaton from its durable store after Downtime).
+// becomes a crash-then-reboot cycle (the cluster rebuilds the automaton
+// from its durable store after Downtime).
 //
 // The translation is semantic, not bit-exact: the simulator draws delays
 // on a virtual clock while the injector draws them on top of real socket

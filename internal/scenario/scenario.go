@@ -116,7 +116,7 @@ type Crash struct {
 // state. The simulator has no restart path — its automatons hold state
 // in memory only — so restarts are live-cluster only: Build rejects a
 // Config carrying them, while LiveFaultPlan maps them onto
-// faultline.Restart for the in-memory transport's reboot machinery.
+// faultline.Restart for the live cluster's reboot machinery.
 type Restart struct {
 	ID node.ID
 	// At is when the process crash-stops.

@@ -125,8 +125,8 @@ func TestSubscribersSeeEveryEventInAnyOrder(t *testing.T) {
 // TestSimAndLiveTellTheSameStory is the north-star sentence as a test:
 // "sim and live runs emit the same events through the same path". The
 // same script — three core detectors agree, the leader is crashed, the
-// survivors agree again — runs on node.World and on the in-memory
-// transport.Cluster with the same one subscriber as observer, and both
+// survivors agree again — runs on node.World and on a
+// transport.TCPCluster with the same one subscriber as observer, and both
 // deliver the same kinds of events in the same causal order.
 func TestSimAndLiveTellTheSameStory(t *testing.T) {
 	const n = 3
@@ -196,7 +196,7 @@ func TestSimAndLiveTellTheSameStory(t *testing.T) {
 
 	liveLog := &eventLog{}
 	dets, autos = build(liveLog)
-	c, err := transport.NewCluster(transport.Config{N: n, Seed: 3, Quiet: true, Observer: liveLog}, autos)
+	c, err := transport.NewTCPCluster(transport.Config{N: n, Seed: 3, Quiet: true, Observer: liveLog}, autos)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,7 +15,7 @@ import (
 	"repro/internal/transport"
 )
 
-// TestQuiescenceEndToEnd boots a real 5-node in-memory cluster running the
+// TestQuiescenceEndToEnd boots a real 5-node TCP cluster running the
 // paper's core detector and asserts, through the telemetry gauges alone,
 // that the steady state the paper promises is reached and holds: exactly
 // n-1 directed links active, and the non-leader send counter (net of
@@ -36,7 +36,7 @@ func TestQuiescenceEndToEnd(t *testing.T) {
 		dets[i] = core.New(core.WithEta(eta), core.WithBaseTimeout(100*time.Millisecond))
 		autos[i] = dets[i]
 	}
-	c, err := transport.NewCluster(transport.Config{N: n, Seed: 42, Quiet: true, Observer: tel}, autos)
+	c, err := transport.NewTCPCluster(transport.Config{N: n, Seed: 42, Quiet: true, Observer: tel}, autos)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,9 +9,9 @@ import (
 	"repro/internal/transport"
 )
 
-// Example runs the communication-efficient Omega on real goroutines with
-// an in-memory network that still serializes every message through the
-// wire codec.
+// Example runs the communication-efficient Omega on real goroutines, each
+// process a TCP endpoint on the loopback interface, every message
+// serialized through the wire codec.
 func Example() {
 	const n = 3
 	dets := make([]*core.Detector, n)
@@ -20,7 +20,7 @@ func Example() {
 		dets[i] = core.New(core.WithEta(5 * time.Millisecond))
 		autos[i] = dets[i]
 	}
-	cluster, err := transport.NewCluster(transport.Config{N: n, Seed: 1, Quiet: true}, autos)
+	cluster, err := transport.NewTCPCluster(transport.Config{N: n, Seed: 1, Quiet: true}, autos)
 	if err != nil {
 		fmt.Println("error:", err)
 		return

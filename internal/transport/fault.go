@@ -31,7 +31,7 @@ func scheduleCrashes(fault *faultline.Injector, crash func(node.ID)) []*time.Tim
 // Downtime; arm registers the late timer for Stop cancellation (a
 // stopped cluster cancels it immediately, abandoning the reboot).
 func scheduleRestarts(fault *faultline.Injector, rebuild func(node.ID) node.Automaton,
-	crash func(node.ID), restart func(node.ID, node.Automaton), arm func(*time.Timer) bool) []*time.Timer {
+	crash func(node.ID), restart func(node.ID, node.Automaton), arm func(*time.Timer)) []*time.Timer {
 	if fault == nil {
 		return nil
 	}

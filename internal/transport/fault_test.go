@@ -54,14 +54,14 @@ func mustInjector(t *testing.T, n int, seed int64, plan faultline.Plan) *faultli
 
 func TestConfigRejectsMismatchedInjector(t *testing.T) {
 	inj := mustInjector(t, 3, 1, faultline.Plan{})
-	if _, err := NewCluster(Config{N: 4, Fault: inj}, idleAutomatons(4)); err == nil {
+	if _, err := NewTCPCluster(Config{N: 4, Fault: inj}, idleAutomatons(4)); err == nil {
 		t.Fatal("injector for n=3 accepted by N=4 cluster")
 	}
 }
 
 func TestMemClusterDownLinksDropEverything(t *testing.T) {
 	inj := mustInjector(t, 3, 1, faultline.Plan{Default: network.Down()})
-	c, err := NewCluster(Config{N: 3, Seed: 1, Quiet: true, Fault: inj}, idleAutomatons(3))
+	c, err := NewTCPCluster(Config{N: 3, Seed: 1, Quiet: true, Fault: inj}, idleAutomatons(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestScheduledCrashPlanFires(t *testing.T) {
 		Crashes: []faultline.Crash{{ID: 0, After: 30 * time.Millisecond}},
 	})
 	autos, dets := liveDetectors(3)
-	c, err := NewCluster(Config{N: 3, Seed: 3, Quiet: true, Fault: inj}, autos)
+	c, err := NewTCPCluster(Config{N: 3, Seed: 3, Quiet: true, Fault: inj}, autos)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,50 +145,34 @@ func TestTCPInjectedDropsAreAccounted(t *testing.T) {
 // TestOversizedMessageIsADrop: a message the codec will not frame — a REQ
 // whose value alone is over wire.MaxFrame — is lost on its link like any
 // other, one counted drop, and the message sent behind it on the same link
-// arrives. The in-memory network used to panic decoding it; TCP used to
-// cut the connection, with whatever was batched behind it, and count
-// nothing.
+// arrives over the same connection. TCP used to cut the connection, with
+// whatever was batched behind it, and count nothing.
 func TestOversizedMessageIsADrop(t *testing.T) {
-	for name, build := range map[string]func([]node.Automaton) (liveCluster, error){
-		"mem": func(a []node.Automaton) (liveCluster, error) {
-			return NewCluster(Config{N: 2, Seed: 43, Quiet: true}, a)
-		},
-		"tcp": func(a []node.Automaton) (liveCluster, error) {
-			return NewTCPCluster(Config{N: 2, Seed: 43, Quiet: true}, a)
-		},
-	} {
-		rec := &turnLog{}
-		c, err := build([]node.Automaton{idleAutomaton{}, rec})
-		if err != nil {
-			t.Fatal(err)
-		}
-		c.Start()
-		defer c.Stop()
-		dials := func() uint64 {
-			if tc, ok := c.(*TCPCluster); ok {
-				return tc.Dials()
-			}
-			return 0
-		}
-		arrived := func(n int) func() bool {
-			return func() bool { _, msgs := rec.snapshot(); return len(msgs) == n }
-		}
-		c.Inject(0, 1, pingMsg()) // dials the TCP link before the count is taken
-		waitFor(t, 5*time.Second, arrived(1), name+": the first message")
-		dropped, dialed := c.Stats().Dropped(), dials()
-		next := &rsm.RequestMsg{V: "next"}
-		c.Inject(0, 1, bigMsg(wire.MaxFrame+1))
-		c.Inject(0, 1, next)
-		waitFor(t, 5*time.Second, arrived(2), name+": the message behind the oversized one")
-		if _, msgs := rec.snapshot(); !reflect.DeepEqual(msgs[1], node.Message(next)) {
-			t.Errorf("%s: delivered %+v, want %+v", name, msgs[1], next)
-		}
-		if got := c.Stats().Dropped(); got != dropped+1 {
-			t.Errorf("%s: %d drops counted, want 1", name, got-dropped)
-		}
-		if got := dials(); got != dialed {
-			t.Errorf("%s: the link was dialed %d more times", name, got-dialed)
-		}
+	rec := &turnLog{}
+	c, err := NewTCPCluster(Config{N: 2, Seed: 43, Quiet: true}, []node.Automaton{idleAutomaton{}, rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Start()
+	defer c.Stop()
+	arrived := func(n int) func() bool {
+		return func() bool { _, msgs := rec.snapshot(); return len(msgs) == n }
+	}
+	c.Inject(0, 1, pingMsg()) // dials the link before the count is taken
+	waitFor(t, 5*time.Second, arrived(1), "the first message")
+	dropped, dialed := c.Stats().Dropped(), c.Dials()
+	next := &rsm.RequestMsg{V: "next"}
+	c.Inject(0, 1, bigMsg(wire.MaxFrame+1))
+	c.Inject(0, 1, next)
+	waitFor(t, 5*time.Second, arrived(2), "the message behind the oversized one")
+	if _, msgs := rec.snapshot(); !reflect.DeepEqual(msgs[1], node.Message(next)) {
+		t.Errorf("delivered %+v, want %+v", msgs[1], next)
+	}
+	if got := c.Stats().Dropped(); got != dropped+1 {
+		t.Errorf("%d drops counted, want 1", got-dropped)
+	}
+	if got := c.Dials(); got != dialed {
+		t.Errorf("the link was dialed %d more times", got-dialed)
 	}
 }
 
@@ -199,57 +183,48 @@ func TestOversizedMessageIsADrop(t *testing.T) {
 // sent after it applies everywhere.
 func TestLargeCommandsDoNotWedgeTheLog(t *testing.T) {
 	const n = 3
-	for name, build := range map[string]func([]node.Automaton) (liveCluster, error){
-		"mem": func(a []node.Automaton) (liveCluster, error) {
-			return NewCluster(Config{N: n, Seed: 44, Quiet: true}, a)
-		},
-		"tcp": func(a []node.Automaton) (liveCluster, error) {
-			return NewTCPCluster(Config{N: n, Seed: 44, Quiet: true}, a)
-		},
-	} {
-		// Heartbeats queue behind megabyte frames: a detector as quick as
-		// soakReplicas' would see a crashed leader, and failover is not what
-		// this test is about.
-		autos, dets, logs := make([]node.Automaton, n), make([]*core.Detector, n), make([]*rsm.Node, n)
-		for i := range autos {
-			dets[i] = core.New(core.WithEta(50*time.Millisecond), core.WithRebuff())
-			logs[i] = rsm.New(dets[i], rsm.Config{DriveInterval: 10 * time.Millisecond})
-			autos[i] = node.Compose(dets[i], logs[i])
-		}
-		c, err := build(autos)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c.Start()
-		defer c.Stop()
-		everywhere := func(v consensus.Value) func() bool {
-			return func() bool {
-				for _, l := range logs {
-					found := false
-					l.Recorder().Each(func(d consensus.Decision) { found = found || d.Value == v })
-					if !found {
-						return false
-					}
-				}
-				return true
-			}
-		}
-		var leader node.ID
-		waitFor(t, 10*time.Second, func() bool {
-			l, ok := agreement(dets, nil)
-			if ok {
-				leader = l
-				c.Inject((l+1)%n, l, rsm.RequestMsg{V: "boot"})
-			}
-			return ok && everywhere("boot")()
-		}, name+": a leader with a command applied")
-		big := strings.Repeat("b", 100<<10)
-		for i := 0; i < 16; i++ {
-			c.Inject((leader+1)%n, leader, rsm.RequestMsg{V: consensus.Value(string(rune('a'+i)) + big)})
-		}
-		c.Inject((leader+1)%n, leader, rsm.RequestMsg{V: "after"})
-		waitFor(t, 5*time.Second, everywhere("after"), name+": the command sent behind sixteen 100 KB commands")
+	// Heartbeats queue behind megabyte frames: a detector as quick as
+	// soakReplicas' would see a crashed leader, and failover is not what
+	// this test is about.
+	autos, dets, logs := make([]node.Automaton, n), make([]*core.Detector, n), make([]*rsm.Node, n)
+	for i := range autos {
+		dets[i] = core.New(core.WithEta(50*time.Millisecond), core.WithRebuff())
+		logs[i] = rsm.New(dets[i], rsm.Config{DriveInterval: 10 * time.Millisecond})
+		autos[i] = node.Compose(dets[i], logs[i])
 	}
+	c, err := NewTCPCluster(Config{N: n, Seed: 44, Quiet: true}, autos)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Start()
+	defer c.Stop()
+	everywhere := func(v consensus.Value) func() bool {
+		return func() bool {
+			for _, l := range logs {
+				found := false
+				l.Recorder().Each(func(d consensus.Decision) { found = found || d.Value == v })
+				if !found {
+					return false
+				}
+			}
+			return true
+		}
+	}
+	var leader node.ID
+	waitFor(t, 10*time.Second, func() bool {
+		l, ok := agreement(dets, nil)
+		if ok {
+			leader = l
+			c.Inject((l+1)%n, l, rsm.RequestMsg{V: "boot"})
+		}
+		return ok && everywhere("boot")()
+	}, "a leader with a command applied")
+	big := strings.Repeat("b", 100<<10)
+	for i := 0; i < 16; i++ {
+		c.Inject((leader+1)%n, leader, rsm.RequestMsg{V: consensus.Value(string(rune('a'+i)) + big)})
+	}
+	c.Inject((leader+1)%n, leader, rsm.RequestMsg{V: "after"})
+	waitFor(t, 5*time.Second, everywhere("after"), "the command sent behind sixteen 100 KB commands")
 }
 
 // TestTCPStalledPeerKeepsOtherLinksFast is the regression for the old
@@ -365,7 +340,7 @@ func TestLiveFaultDeterminismAcrossClusters(t *testing.T) {
 	// seed/plan/send-index — see faultline's package doc.)
 	run := func() uint64 {
 		inj := mustInjector(t, 2, 99, faultline.Plan{Default: network.Lossy(0, time.Millisecond, 0.5)})
-		c, err := NewCluster(Config{N: 2, Seed: 1, Quiet: true, Fault: inj}, idleAutomatons(2))
+		c, err := NewTCPCluster(Config{N: 2, Seed: 1, Quiet: true, Fault: inj}, idleAutomatons(2))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -16,14 +16,6 @@ import (
 	"repro/internal/node"
 )
 
-// groupCluster is the cluster surface the sharded tests drive, satisfied
-// by both the mem and TCP clusters.
-type groupCluster interface {
-	Start()
-	Stop()
-	Inject(from, to node.ID, m node.Message)
-}
-
 // buildGroupFleet constructs n sharded processes: each is a group.Engine
 // of one Omega detector + rsm.Node per group, rotated into the group's
 // logical id space. Detectors and logs are indexed [process][group] in
@@ -51,12 +43,15 @@ func buildGroupFleet(n, groups int, eta time.Duration) (autos []node.Automaton, 
 // runGroupSharded is the multi-group smoke test: G groups over one shared
 // cluster each stabilize on a *different* physical leader (the id
 // rotation), decide their own command stream, and never leak a decision
-// into another group's log.
-func runGroupSharded(t *testing.T, groups int, build func(autos []node.Automaton) groupCluster) {
+// into another group's log. It returns the cluster, stopped.
+func runGroupSharded(t *testing.T, groups int) *TCPCluster {
 	const n = 3
 	const perGroup = 5
 	autos, dets, logs := buildGroupFleet(n, groups, 10*time.Millisecond)
-	c := build(autos)
+	c, err := NewTCPCluster(Config{N: n, Seed: 11, Quiet: true}, autos)
+	if err != nil {
+		t.Fatal(err)
+	}
 	c.Start()
 	defer c.Stop()
 
@@ -103,6 +98,7 @@ func runGroupSharded(t *testing.T, groups int, build func(autos []node.Automaton
 	if err := checkGroupSafety(logs); err != nil {
 		t.Fatal(err)
 	}
+	return c
 }
 
 // checkGroupSafety runs the pairwise agreement check per group across all
@@ -121,35 +117,22 @@ func checkGroupSafety(logs [][]*rsm.Node) error {
 	return nil
 }
 
-func TestMemGroupSharded(t *testing.T) {
-	runGroupSharded(t, 2, func(autos []node.Automaton) groupCluster {
-		c, err := NewCluster(Config{N: 3, Seed: 11, Quiet: true}, autos)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return c
-	})
-}
-
-// TestTCPGroupSharded additionally asserts the shared-socket property from
-// counters: a 4-group cluster still holds exactly one TCP connection per
-// directed peer pair, and no link ever re-dialed.
+// TestTCPGroupSharded runs the smoke test with 2 and with 4 groups, and
+// asserts the shared-socket property from counters: the cluster holds
+// exactly one TCP connection per directed peer pair whatever the number
+// of groups, and no link ever re-dialed.
 func TestTCPGroupSharded(t *testing.T) {
-	var tc *TCPCluster
-	runGroupSharded(t, 4, func(autos []node.Automaton) groupCluster {
-		c, err := NewTCPCluster(Config{N: 3, Seed: 11, Quiet: true}, autos)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tc = c
-		return c
-	})
-	// runGroupSharded has stopped the cluster; the counters are final.
-	// Receiver-side conns are closed by Stop, but every directed link must
-	// have dialed exactly once over the whole run: 4 groups' frames shared
-	// n*(n-1) = 6 sockets.
-	if got, want := tc.Dials(), uint64(3*2); got != want {
-		t.Fatalf("lifetime dials = %d, want %d (one per directed pair, shared across groups)", got, want)
+	for _, groups := range []int{2, 4} {
+		t.Run(fmt.Sprintf("groups=%d", groups), func(t *testing.T) {
+			c := runGroupSharded(t, groups)
+			// runGroupSharded has stopped the cluster; the counters are
+			// final. Receiver-side conns are closed by Stop, but every
+			// directed link must have dialed exactly once over the whole
+			// run: every group's frames shared n*(n-1) = 6 sockets.
+			if got, want := c.Dials(), uint64(3*2); got != want {
+				t.Fatalf("lifetime dials = %d, want %d (one per directed pair, shared across groups)", got, want)
+			}
+		})
 	}
 }
 
@@ -196,11 +179,12 @@ func TestTCPGroupSharedConns(t *testing.T) {
 	}
 }
 
-// runGroupIsolation is the cross-group fault-isolation drill: isolate the
-// physical process that leads group 0 and prove (a) group 1 — whose quorum
-// is untouched — keeps deciding throughout the victim group's outage,
-// without ever re-electing; (b) only group 0 re-elects, and it recovers.
-func runGroupIsolation(t *testing.T, build func(inj *faultline.Injector, autos []node.Automaton) groupCluster) {
+// TestTCPGroupIsolation is the cross-group fault-isolation drill: isolate
+// the physical process that leads group 0 and prove (a) group 1 — whose
+// quorum is untouched — keeps deciding throughout the victim group's
+// outage, without ever re-electing; (b) only group 0 re-elects, and it
+// recovers.
+func TestTCPGroupIsolation(t *testing.T) {
 	const n, groups = 3, 2
 	// A large eta keeps group 0's re-election comfortably slower than
 	// group 1's per-decide latency, so "progress during the outage" is a
@@ -211,7 +195,10 @@ func runGroupIsolation(t *testing.T, build func(inj *faultline.Injector, autos [
 		t.Fatal(err)
 	}
 	autos, dets, logs := buildGroupFleet(n, groups, eta)
-	c := build(inj, autos)
+	c, err := NewTCPCluster(Config{N: n, Seed: 7, Quiet: true, Fault: inj}, autos)
+	if err != nil {
+		t.Fatal(err)
+	}
 	c.Start()
 	defer c.Stop()
 
@@ -304,26 +291,6 @@ func runGroupIsolation(t *testing.T, build func(inj *faultline.Injector, autos [
 	}
 }
 
-func TestMemGroupIsolation(t *testing.T) {
-	runGroupIsolation(t, func(inj *faultline.Injector, autos []node.Automaton) groupCluster {
-		c, err := NewCluster(Config{N: 3, Seed: 7, Quiet: true, Fault: inj}, autos)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return c
-	})
-}
-
-func TestTCPGroupIsolation(t *testing.T) {
-	runGroupIsolation(t, func(inj *faultline.Injector, autos []node.Automaton) groupCluster {
-		c, err := NewTCPCluster(Config{N: 3, Seed: 7, Quiet: true, Fault: inj}, autos)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return c
-	})
-}
-
 // stepCounter counts the steps a group automaton takes — every Tick and
 // every Deliver — and broadcasts a ping each time its 5 ms timer fires,
 // so a live process of them both ticks and is delivered to.
@@ -378,13 +345,13 @@ func expectStill(t *testing.T, what string, counters ...[]*stepCounter) {
 }
 
 // TestShardedCrashStopsEveryGroup: a crashed sharded process takes no
-// further step in any of its groups — crashed by Cluster.Crash, by a
+// further step in any of its groups — crashed by TCPCluster.Crash, by a
 // faultline crash plan, or by a restart plan, after which the old
 // incarnation stays dead beside the new one — and a stopped cluster
 // takes none anywhere, its goroutines gone.
 func TestShardedCrashStopsEveryGroup(t *testing.T) {
 	const n = 3
-	run := func(t *testing.T, plan faultline.Plan, drill func(c *Cluster, counters [][]*stepCounter, rebuilt func() []*stepCounter)) {
+	run := func(t *testing.T, plan faultline.Plan, drill func(c *TCPCluster, counters [][]*stepCounter, rebuilt func() []*stepCounter)) {
 		before := runtime.NumGoroutine()
 		autos := make([]node.Automaton, n)
 		counters := make([][]*stepCounter, n)
@@ -393,7 +360,7 @@ func TestShardedCrashStopsEveryGroup(t *testing.T) {
 		}
 		var mu sync.Mutex
 		var next []*stepCounter
-		c, err := NewCluster(Config{N: n, Seed: 21, Quiet: true, Fault: mustInjector(t, n, 21, plan),
+		c, err := NewTCPCluster(Config{N: n, Seed: 21, Quiet: true, Fault: mustInjector(t, n, 21, plan),
 			Rebuild: func(node.ID) node.Automaton {
 				a, cs := countingProcess()
 				mu.Lock()
@@ -411,26 +378,26 @@ func TestShardedCrashStopsEveryGroup(t *testing.T) {
 		expectStill(t, "a stopped cluster", append(counters, next)...)
 		waitFor(t, 5*time.Second, func() bool { return runtime.NumGoroutine() <= before }, fmt.Sprintf("goroutines back to %d", before))
 	}
-	crashedStill := func(t *testing.T, c *Cluster, counters [][]*stepCounter) {
+	crashedStill := func(t *testing.T, c *TCPCluster, counters [][]*stepCounter) {
 		waitFor(t, 5*time.Second, func() bool { return crashed(c.stations[0]) }, "the crash")
 		time.Sleep(20 * time.Millisecond) // a turn under way at the crash ends
 		expectStill(t, "crashed sharded process", counters[0])
 	}
 	t.Run("Crash", func(t *testing.T) {
-		run(t, faultline.Plan{}, func(c *Cluster, counters [][]*stepCounter, _ func() []*stepCounter) {
+		run(t, faultline.Plan{}, func(c *TCPCluster, counters [][]*stepCounter, _ func() []*stepCounter) {
 			c.Crash(0)
 			crashedStill(t, c, counters)
 		})
 	})
 	t.Run("CrashPlan", func(t *testing.T) {
 		plan := faultline.Plan{Crashes: []faultline.Crash{{ID: 0, After: 100 * time.Millisecond}}}
-		run(t, plan, func(c *Cluster, counters [][]*stepCounter, _ func() []*stepCounter) {
+		run(t, plan, func(c *TCPCluster, counters [][]*stepCounter, _ func() []*stepCounter) {
 			crashedStill(t, c, counters)
 		})
 	})
 	t.Run("RestartPlan", func(t *testing.T) {
 		plan := faultline.Plan{Restarts: []faultline.Restart{{ID: 0, After: 100 * time.Millisecond, Downtime: 10 * time.Millisecond}}}
-		run(t, plan, func(c *Cluster, counters [][]*stepCounter, rebuilt func() []*stepCounter) {
+		run(t, plan, func(c *TCPCluster, counters [][]*stepCounter, rebuilt func() []*stepCounter) {
 			waitFor(t, 5*time.Second, func() bool {
 				ticks, delivers := steps(rebuilt())
 				return ticks > 20 && delivers > 20
@@ -480,8 +447,8 @@ func recStation(t *testing.T, w sender) (*station, []*recAuto) {
 	return s, autos
 }
 
-// TestStationDemux drives wrapped messages through both receive paths —
-// a socket read's batch and a mem delivery — and checks each lands on its
+// TestStationDemux drives wrapped messages through both ways in — a
+// socket read's batch and a single delivery — and checks each lands on its
 // own group's lane with ids rotated into the group's logical space, and
 // that the echo leaves wrapped and rotated back to the physical space.
 func TestStationDemux(t *testing.T) {

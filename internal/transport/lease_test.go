@@ -14,15 +14,7 @@ import (
 	"repro/internal/node"
 )
 
-// leaseCluster is the slice of cluster surface the lease safety test
-// drives, satisfied by both the mem and TCP clusters.
-type leaseCluster interface {
-	Start()
-	Stop()
-	Inject(from, to node.ID, m node.Message)
-}
-
-// runLeaseCrashSafety is the linearizability-across-a-crash check for
+// TestTCPLeaseCrashSafety is the linearizability-across-a-crash check for
 // the read path: stabilize a lease-holding leader, kill it from the
 // cluster's point of view via faultline (isolation — unlike a station
 // crash, the partitioned leader keeps running, which is exactly the
@@ -33,7 +25,7 @@ type leaseCluster interface {
 // is observed decided, the old leader must answer zero reads: local
 // serving is forbidden (lease lapsed, unrecoverable while isolated) and
 // no round of grants can be acked by a quorum.
-func runLeaseCrashSafety(t *testing.T, build func(inj *faultline.Injector, autos []node.Automaton) (leaseCluster, []*station)) {
+func TestTCPLeaseCrashSafety(t *testing.T) {
 	const n = 3
 	const lease = 400 * time.Millisecond
 	inj, err := faultline.New(n, 7, faultline.Plan{})
@@ -59,7 +51,10 @@ func runLeaseCrashSafety(t *testing.T, build func(inj *faultline.Injector, autos
 			staleLocal.Add(1)
 		}
 	})
-	c, stations := build(inj, autos)
+	c, err := NewTCPCluster(Config{N: n, Seed: 7, Quiet: true, Fault: inj}, autos)
+	if err != nil {
+		t.Fatal(err)
+	}
 	c.Start()
 	defer c.Stop()
 
@@ -130,7 +125,7 @@ func runLeaseCrashSafety(t *testing.T, build func(inj *faultline.Injector, autos
 	// and no round of grants is confirmed without a quorum.
 	armed.Store(true)
 	for i := 0; i < 30; i++ {
-		stations[0].deliver(0, &rsm.ReadReqMsg{Seq: uint64(1000 + i), Count: 1, Origin: 0})
+		c.stations[0].deliver(0, &rsm.ReadReqMsg{Seq: uint64(1000 + i), Count: 1, Origin: 0})
 		time.Sleep(10 * time.Millisecond)
 	}
 	if got := staleLocal.Load(); got != 0 {
@@ -139,26 +134,6 @@ func runLeaseCrashSafety(t *testing.T, build func(inj *faultline.Injector, autos
 	if got := replies.Load(); got != 0 {
 		t.Fatalf("old leader answered %d reads while isolated (no round can have been confirmed)", got)
 	}
-}
-
-func TestMemLeaseCrashSafety(t *testing.T) {
-	runLeaseCrashSafety(t, func(inj *faultline.Injector, autos []node.Automaton) (leaseCluster, []*station) {
-		c, err := NewCluster(Config{N: 3, Seed: 7, Quiet: true, Fault: inj}, autos)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return c, c.stations
-	})
-}
-
-func TestTCPLeaseCrashSafety(t *testing.T) {
-	runLeaseCrashSafety(t, func(inj *faultline.Injector, autos []node.Automaton) (leaseCluster, []*station) {
-		c, err := NewTCPCluster(Config{N: 3, Seed: 7, Quiet: true, Fault: inj}, autos)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return c, c.stations
-	})
 }
 
 // leaseTCP boots three processes on TCP with a read lease and returns once

@@ -46,7 +46,7 @@ func (u *upDowns) OnEvent(e obs.Event) {
 }
 
 // TestScheduledRestartPlanReboots drives the faultline.Restart plan end
-// to end on the mem cluster: the process crashes at After, stays inert
+// to end: the process crashes at After, stays inert
 // for Downtime, then reboots with the automaton from Config.Rebuild and
 // receives messages again — and the observer is told of both by the
 // stations themselves, a crash nobody called Crash for included.
@@ -60,7 +60,7 @@ func TestScheduledRestartPlanReboots(t *testing.T) {
 		bootMark{boots: &boots, deliveries: &deliveries},
 		idleAutomaton{},
 	}
-	c, err := NewCluster(Config{
+	c, err := NewTCPCluster(Config{
 		N: 2, Seed: 11, Quiet: true, Fault: inj, Observer: seen,
 		Rebuild: func(id node.ID) node.Automaton {
 			if id != 0 {
@@ -102,13 +102,13 @@ func TestRebuildRequiredForRestartPlan(t *testing.T) {
 	inj := mustInjector(t, 2, 12, faultline.Plan{
 		Restarts: []faultline.Restart{{ID: 0, After: time.Millisecond}},
 	})
-	if _, err := NewCluster(Config{N: 2, Seed: 12, Fault: inj}, idleAutomatons(2)); err == nil {
+	if _, err := NewTCPCluster(Config{N: 2, Seed: 12, Fault: inj}, idleAutomatons(2)); err == nil {
 		t.Fatal("restart plan without Rebuild accepted")
 	}
 }
 
-// TestRestartedReplicaRejoinsAndCatchesUp is the live kill -9 drill on
-// the mem transport: a three-replica rsm cluster with per-process WALs
+// TestRestartedReplicaRejoinsAndCatchesUp is the live kill -9 drill: a
+// three-replica rsm cluster with per-process WALs
 // commits a batch, the leader is crashed, the survivors keep deciding,
 // and the leader is then rebuilt from its WAL directory. The restarted
 // replica must catch up on what it missed and the union of all decision
@@ -136,7 +136,7 @@ func TestRestartedReplicaRejoinsAndCatchesUp(t *testing.T) {
 	for i := 0; i < n; i++ {
 		dets[i], logs[i], autos[i] = build(i, openStore(i))
 	}
-	c, err := NewCluster(Config{N: n, Seed: 13, Quiet: true}, autos)
+	c, err := NewTCPCluster(Config{N: n, Seed: 13, Quiet: true}, autos)
 	if err != nil {
 		t.Fatal(err)
 	}

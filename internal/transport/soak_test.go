@@ -9,20 +9,9 @@ import (
 	"repro/internal/consensus/rsm"
 	"repro/internal/core"
 	"repro/internal/faultline"
-	"repro/internal/metrics"
 	"repro/internal/network"
 	"repro/internal/node"
 )
-
-// liveCluster is the surface the soaks and restart drills drive,
-// satisfied by the mem and TCP clusters alike.
-type liveCluster interface {
-	Start()
-	Stop()
-	Crash(node.ID)
-	Inject(from, to node.ID, m node.Message)
-	Stats() *metrics.MessageStats
-}
 
 // soakReplicas builds n composed detector+replicated-log automatons.
 // The detectors run with the rebuff extension: pre-GST loss and
@@ -43,7 +32,7 @@ func soakReplicas(n int) ([]node.Automaton, []*core.Detector, []*rsm.Node) {
 
 // pumpCommands keeps injecting client requests at the current leader until
 // every correct replica's decision log reaches target instances.
-func pumpCommands(t *testing.T, c liveCluster, dets []*core.Detector, logs []*rsm.Node, correct []int, prefix string, target int, bound time.Duration) {
+func pumpCommands(t *testing.T, c *TCPCluster, dets []*core.Detector, logs []*rsm.Node, correct []int, prefix string, target int, bound time.Duration) {
 	t.Helper()
 	i := 0
 	waitFor(t, bound, func() bool {

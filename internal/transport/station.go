@@ -1,11 +1,11 @@
 // Package transport runs the protocol automatons on real time and real
-// concurrency instead of the deterministic simulator: wall-clock timers,
-// and either an in-memory network with injected delay/loss or real TCP
-// sockets on the loopback interface. A process is a station whose node
-// loops — one goroutine each — are its lanes: one for an ordinary
-// automaton, one per group for a sharded process (a group.Engine).
-// Messages cross process boundaries through the binary codec
-// (internal/wire), so live runs exercise serialization exactly as a
+// concurrency instead of the deterministic simulator: wall-clock timers
+// and real TCP sockets on the loopback interface, with delay and loss
+// injected per link by an optional faultline.Injector. A process is a
+// station whose node loops — one goroutine each — are its lanes: one for
+// an ordinary automaton, one per group for a sharded process (a
+// group.Engine). Messages cross process boundaries through the binary
+// codec (internal/wire), so live runs exercise serialization exactly as a
 // deployment would. The examples/livecluster program demonstrates it.
 package transport
 
@@ -138,9 +138,9 @@ func (s *station) deliverAll(batch []event) {
 }
 
 // crash makes the process inert (crash-stop): every lane at once. Every
-// way a process goes down — Cluster.Crash, a faultline-scheduled crash or
-// restart — ends here, so this is where the observer learns of it, once
-// per crash.
+// way a process goes down — TCPCluster.Crash, a faultline-scheduled
+// crash or restart — ends here, so this is where the observer learns of
+// it, once per crash.
 func (s *station) crash() {
 	for v := s.life.Load(); v%2 == 0; v = s.life.Load() {
 		if s.life.CompareAndSwap(v, v+1) {
@@ -304,9 +304,9 @@ func (l *lane) Logf(format string, args ...any) {
 	l.st.logf(format, args...)
 }
 
-// table is what the mem and TCP clusters share: their processes, process
-// i at index i, the clock they read, the accounting they report into, and
-// the goroutines they wait for at Stop.
+// table is the cluster's processes, process i at index i, the clock they
+// read, the accounting they report into, and the goroutines Stop waits
+// for.
 type table struct {
 	stations []*station
 	start    time.Time

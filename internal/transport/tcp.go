@@ -16,8 +16,74 @@ import (
 	"repro/internal/link"
 	"repro/internal/loop"
 	nodepkg "repro/internal/node"
+	"repro/internal/obs"
 	"repro/internal/wire"
 )
+
+// Config parameterizes a TCP cluster.
+type Config struct {
+	// N is the number of processes (required, > 1).
+	N int
+	// Seed drives the TCP senders' re-dial jitter.
+	Seed int64
+	// Quiet suppresses per-process logging.
+	Quiet bool
+	// Observer is an optional extra obs.Sink teed with the cluster's
+	// stats; it sees every send/deliver/drop with its wire bytes and trace
+	// context, and every process going down (obs.Down) and coming back
+	// (obs.Up). Implementations must be safe for concurrent use.
+	Observer obs.Sink
+	// Fault optionally subjects every link to a faultline.Injector: each
+	// send consults the injector for a drop/delay decision, and the
+	// injector's crash and restart plans are armed at Start. Injected
+	// drops are reported through the cluster's obs.Sink exactly like
+	// organic loss. The injector must be built for the same N and must not
+	// be shared between clusters (sharing desynchronizes its decision
+	// streams).
+	Fault *faultline.Injector
+	// Rebuild constructs the next incarnation of a rebooting process —
+	// typically a fresh automaton recovered from the process's durable
+	// store. It is called once per scheduled faultline.Restart reboot,
+	// from a timer goroutine, so it must be safe to run concurrently with
+	// the rest of the cluster. Required when Fault carries a restart plan.
+	// The reboot swaps the automaton in process: the process keeps its
+	// listener and its links.
+	Rebuild func(nodepkg.ID) nodepkg.Automaton
+	// WriteTimeout bounds each TCP write, so a peer that stops reading can
+	// never wedge a sender (default 1s).
+	WriteTimeout time.Duration
+	// SendQueue bounds the frames each TCP link holds unwritten, queued or
+	// in a write under way (link.Config.Queue); past it a message is
+	// dropped, never blocking the node loop (default 128).
+	SendQueue int
+	// OnFlush, when set, observes every successful TCP vectored write
+	// with its coalesced frame and payload counts (telemetry.FlushHook
+	// turns it into obs.Flush events). Runs on sender goroutines; must be
+	// safe for concurrent use and cheap.
+	OnFlush func(from, to nodepkg.ID, frames, bytes int)
+}
+
+func (c *Config) fill(automatons int) error {
+	if c.N < 2 {
+		return fmt.Errorf("transport: N = %d, need at least 2", c.N)
+	}
+	if automatons != c.N {
+		return fmt.Errorf("transport: %d automatons for N=%d", automatons, c.N)
+	}
+	if c.Fault != nil && c.Fault.N() != c.N {
+		return fmt.Errorf("transport: fault injector built for n=%d, cluster has N=%d", c.Fault.N(), c.N)
+	}
+	if c.Fault != nil && len(c.Fault.Restarts()) > 0 && c.Rebuild == nil {
+		return fmt.Errorf("transport: fault plan schedules restarts but Config.Rebuild is nil")
+	}
+	if c.WriteTimeout <= 0 {
+		c.WriteTimeout = time.Second
+	}
+	if c.SendQueue <= 0 {
+		c.SendQueue = 128
+	}
+	return nil
+}
 
 // TCPCluster runs n automatons as TCP endpoints on the loopback interface.
 // Each process listens on a kernel-assigned port. Every directed link is
@@ -46,7 +112,7 @@ type TCPCluster struct {
 
 	mu       sync.Mutex
 	accepted []net.Conn    // receiver-side, for shutdown
-	crashers []*time.Timer // armed fault-plan crashes
+	crashers []*time.Timer // armed fault-plan crashes and reboots
 
 	started bool
 	stopped bool
@@ -147,9 +213,9 @@ func (c *TCPCluster) Fault() *faultline.Injector { return c.cfg.Fault }
 // Start boots every process: one accept loop and one sender goroutine per
 // outgoing link each, then every lane's first turn on the calling
 // goroutine (so an OnApply replay while a log restores runs there), then a
-// node loop per lane; then it arms the fault plan's scheduled crashes.
-// When Start returns every detector has its first output and phase 1 is
-// queued on the links.
+// node loop per lane; then it arms the fault plan's scheduled crashes and
+// restarts. When Start returns every detector has its first output and
+// phase 1 is queued on the links.
 func (c *TCPCluster) Start() {
 	if c.started {
 		return
@@ -172,7 +238,29 @@ func (c *TCPCluster) Start() {
 	c.run()
 	c.mu.Lock()
 	c.crashers = scheduleCrashes(c.cfg.Fault, c.Crash)
+	c.crashers = append(c.crashers, scheduleRestarts(c.cfg.Fault, c.cfg.Rebuild, c.Crash, c.Restart, c.armTimer)...)
 	c.mu.Unlock()
+}
+
+// Restart reboots process id with a fresh automaton — the in-process
+// equivalent of restarting a kill -9'd process from its durable state; the
+// process keeps its listener and its links. A sharded process takes a
+// group.Engine of as many groups. The swap happens on each of the
+// process's node loops; the new automaton's Start runs under the same
+// single-threaded Env contract as at boot. Safe to call from any
+// goroutine.
+func (c *TCPCluster) Restart(id nodepkg.ID, a nodepkg.Automaton) { c.stations[id].reboot(a) }
+
+// armTimer registers t for cancellation at Stop; when the cluster has
+// already stopped it cancels t at once.
+func (c *TCPCluster) armTimer(t *time.Timer) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.stopped {
+		t.Stop()
+		return
+	}
+	c.crashers = append(c.crashers, t)
 }
 
 // acceptLoop accepts inbound connections for process i and spawns a frame

@@ -33,37 +33,45 @@ func TestTCPClusterElectsLeader(t *testing.T) {
 }
 
 func TestTCPClusterLeaderCrash(t *testing.T) {
-	autos, dets := liveDetectors(3)
-	c, err := NewTCPCluster(Config{N: 3, Seed: 12, Quiet: true}, autos)
-	if err != nil {
-		t.Fatal(err)
+	for _, n := range []int{3, 4} {
+		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
+			autos, dets := liveDetectors(n)
+			c, err := NewTCPCluster(Config{N: n, Seed: 12, Quiet: true}, autos)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.Start()
+			defer c.Stop()
+			waitFor(t, 10*time.Second, func() bool {
+				l, ok := agreement(dets, nil)
+				return ok && l == 0
+			}, "initial agreement")
+			c.Crash(0)
+			waitFor(t, 15*time.Second, func() bool {
+				l, ok := agreement(dets, map[int]bool{0: true})
+				return ok && l == 1
+			}, "TCP re-election")
+		})
 	}
-	c.Start()
-	defer c.Stop()
-	waitFor(t, 10*time.Second, func() bool {
-		l, ok := agreement(dets, nil)
-		return ok && l == 0
-	}, "initial agreement")
-	c.Crash(0)
-	waitFor(t, 15*time.Second, func() bool {
-		l, ok := agreement(dets, map[int]bool{0: true})
-		return ok && l == 1
-	}, "TCP re-election")
 }
 
 func TestTCPClusterCommunicationEfficiency(t *testing.T) {
-	autos, dets := liveDetectors(4)
-	c, err := NewTCPCluster(Config{N: 4, Seed: 13, Quiet: true}, autos)
-	if err != nil {
-		t.Fatal(err)
+	for _, n := range []int{4, 5} {
+		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
+			autos, dets := liveDetectors(n)
+			c, err := NewTCPCluster(Config{N: n, Seed: 13, Quiet: true}, autos)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.Start()
+			defer c.Stop()
+			waitFor(t, 10*time.Second, func() bool {
+				l, ok := agreement(dets, nil)
+				return ok && l == 0
+			}, "agreement")
+			expectSteadySender(t, c.stations[0], c.Stats(), dets, 0)
+		})
 	}
-	c.Start()
-	defer c.Stop()
-	waitFor(t, 10*time.Second, func() bool {
-		l, ok := agreement(dets, nil)
-		return ok && l == 0
-	}, "agreement")
-	expectSteadySender(t, c.stations[0], c.Stats(), dets, 0)
 }
 
 func TestTCPStopIsIdempotentAndClean(t *testing.T) {

@@ -19,7 +19,6 @@ import (
 	"repro/internal/faultline"
 	"repro/internal/link"
 	"repro/internal/loop"
-	"repro/internal/metrics"
 	"repro/internal/network"
 	"repro/internal/node"
 )
@@ -182,76 +181,57 @@ func (g *bootGate) Tick(key string) {
 // signal, release — on the caller, so when it returns each detector has
 // its first output, each lane has seen exactly one end-of-turn signal, and
 // the boot sends are on the network; a station crashed before Start has
-// seen none and releases nothing, then or later. On both runtimes, one
-// lane a process and two.
+// seen none and releases nothing, then or later. One lane a process and
+// two.
 func TestStartReturnsBooted(t *testing.T) {
 	const n, crashedID = 3, 2
-	type cluster interface {
-		Start()
-		Stop()
-		Crash(node.ID)
-		Stats() *metrics.MessageStats
-	}
-	runtimes := []struct {
-		name string
-		new  func(autos []node.Automaton) (cluster, error)
-	}{
-		{"mem", func(autos []node.Automaton) (cluster, error) {
-			return NewCluster(Config{N: n, Seed: 51, Quiet: true}, autos)
-		}},
-		{"tcp", func(autos []node.Automaton) (cluster, error) {
-			return NewTCPCluster(Config{N: n, Seed: 51, Quiet: true}, autos)
-		}},
-	}
-	for _, rt := range runtimes {
-		for _, groups := range []int{1, 2} {
-			t.Run(fmt.Sprintf("%s/groups=%d", rt.name, groups), func(t *testing.T) {
-				gate := make(chan struct{})
-				dets := make([][]*core.Detector, n)
-				gates := make([][]*bootGate, n)
-				autos := make([]node.Automaton, n)
-				for i := range autos {
-					build := func(int) node.Automaton {
-						d, g := core.New(core.WithEta(5*time.Millisecond)), &bootGate{gate: gate}
-						dets[i], gates[i] = append(dets[i], d), append(gates[i], g)
-						return node.Compose(g, d)
-					}
-					if groups == 1 {
-						autos[i] = build(0)
-					} else {
-						autos[i] = group.New(group.Config{Groups: groups, Build: build})
-					}
+	for _, groups := range []int{1, 2} {
+		t.Run(fmt.Sprintf("tcp/groups=%d", groups), func(t *testing.T) {
+			gate := make(chan struct{})
+			dets := make([][]*core.Detector, n)
+			gates := make([][]*bootGate, n)
+			autos := make([]node.Automaton, n)
+			for i := range autos {
+				build := func(int) node.Automaton {
+					d, g := core.New(core.WithEta(5*time.Millisecond)), &bootGate{gate: gate}
+					dets[i], gates[i] = append(dets[i], d), append(gates[i], g)
+					return node.Compose(g, d)
 				}
-				c, err := rt.new(autos)
-				if err != nil {
-					t.Fatal(err)
+				if groups == 1 {
+					autos[i] = build(0)
+				} else {
+					autos[i] = group.New(group.Config{Groups: groups, Build: build})
 				}
-				c.Crash(crashedID)
-				c.Start()
-				for i := range autos {
-					for g, d := range dets[i] {
-						want := int64(1)
-						if i == crashedID {
-							want = 0
-						} else if d.History().Current() == node.None {
-							t.Errorf("p%d group %d: no Omega output when Start returned", i, g)
-						}
-						if got := gates[i][g].turns.Load(); got != want {
-							t.Errorf("p%d group %d: %d end-of-turn signals when Start returned, want %d", i, g, got, want)
-						}
+			}
+			c, err := NewTCPCluster(Config{N: n, Seed: 51, Quiet: true}, autos)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.Crash(crashedID)
+			c.Start()
+			for i := range autos {
+				for g, d := range dets[i] {
+					want := int64(1)
+					if i == crashedID {
+						want = 0
+					} else if d.History().Current() == node.None {
+						t.Errorf("p%d group %d: no Omega output when Start returned", i, g)
+					}
+					if got := gates[i][g].turns.Load(); got != want {
+						t.Errorf("p%d group %d: %d end-of-turn signals when Start returned, want %d", i, g, got, want)
 					}
 				}
-				if c.Stats().TotalSent() == 0 {
-					t.Error("no boot send on the network when Start returned")
-				}
-				close(gate)
-				time.Sleep(30 * time.Millisecond) // heartbeats every 5 ms
-				c.Stop()
-				if sent := c.Stats().SentBy(crashedID); sent != 0 {
-					t.Errorf("the station crashed before Start released %d sends", sent)
-				}
-			})
-		}
+			}
+			if c.Stats().TotalSent() == 0 {
+				t.Error("no boot send on the network when Start returned")
+			}
+			close(gate)
+			time.Sleep(30 * time.Millisecond) // heartbeats every 5 ms
+			c.Stop()
+			if sent := c.Stats().SentBy(crashedID); sent != 0 {
+				t.Errorf("the station crashed before Start released %d sends", sent)
+			}
+		})
 	}
 }
 
@@ -392,7 +372,7 @@ func (a *acceptedTap) Deliver(from node.ID, m node.Message) {
 }
 
 // TestSentVoteIsRecovered is the crash argument for buffered appends,
-// end to end on the mem transport with real WALs: a follower is killed
+// end to end over TCP with real WALs: a follower is killed
 // (its WAL abandoned, never closed) at arbitrary points under a stream of
 // writes, and every vote the leader ever heard from it must be in what
 // its WAL directory recovers — the ACCEPTED left only after the turn's
@@ -428,7 +408,7 @@ func TestSentVoteIsRecovered(t *testing.T) {
 	}
 	late := network.Reliable(3*time.Millisecond, 3*time.Millisecond)
 	slow := faultline.Plan{Links: map[faultline.Link]network.Profile{{From: 1, To: 0}: late, {From: 0, To: 1}: late}}
-	c, err := NewCluster(Config{N: n, Seed: 17, Quiet: true, Fault: mustInjector(t, n, 17, slow)}, autos)
+	c, err := NewTCPCluster(Config{N: n, Seed: 17, Quiet: true, Fault: mustInjector(t, n, 17, slow)}, autos)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,7 @@ import (
 	"repro/internal/wire"
 )
 
-// encBufs pools encode buffers for the mem and TCP send paths. The pool
+// encBufs pools encode buffers for the TCP send path. The pool
 // lives in internal/link (the per-link sender releases into it) and counts
 // gets/puts; tests quiesce a cluster and assert Balance() == 0 to catch
 // leaks and double puts on every frame path.

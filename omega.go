@@ -18,8 +18,8 @@
 //     Θ(n²) baseline (internal/consensus/...);
 //   - the substrates they need: a deterministic discrete-event simulator,
 //     link models with GST-style partial synchrony, a process runtime,
-//     metrics, tracing, property checkers, a binary wire codec, and live
-//     in-memory and TCP transports.
+//     metrics, tracing, property checkers, a binary wire codec, and a
+//     live TCP runtime.
 //
 // This file is the front door: build and run a scenario, check the
 // paper's properties on it, or regenerate the full experiment suite. See
