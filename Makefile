@@ -150,12 +150,8 @@ endif
 # agreement violation they caught (a leader behind a member of its own
 # phase-1 quorum filling a decided slot, DESIGN.md §14) showed in one run
 # in a hundred — it stayed a flake for eleven PRs because CI looked once.
-# The -groups run is the same drill, one code path, with 4 groups under
-# the race detector: the killed replica hosts 4 groups, so 4 WAL
-# directories must recover at once, catch-up, the second leader kill and
-# the replay check run per group, and its crash and reboot reach 4 node
-# loops at once. The two TestRunRecoveryPlan* drills run
-# five times over: their catch-up bar is taken from what the survivors
+# The last line runs the drill once more under the race detector, as a
+# command, not a test. TestRunRecoveryPlanMem runs five times over: their catch-up bar is taken from what the survivors
 # decided after the kill, so a pass no longer depends on how far the
 # warm-up happened to overshoot, and a flake here is a bug. The -n 3 runs
 # are where a follower decides on its own vote (a quorum of two): the kill
@@ -167,7 +163,7 @@ recovery-soak:
 	$(GO) run ./cmd/chaossoak -plan recovery -n 5 -fsync always
 	$(GO) run ./cmd/chaossoak -plan recovery -n 3 -fsync always
 	$(GO) run ./cmd/chaossoak -plan recovery -n 3 -fsync always -lease 300ms
-	$(GO) run -race ./cmd/chaossoak -plan recovery -n 3 -groups 4
+	$(GO) run -race ./cmd/chaossoak -plan recovery -n 3
 
 # Boot wireload with the telemetry endpoint, scrape /healthz and /metrics
 # mid-run with curl, and let the run finish. /healthz reads 503 here by

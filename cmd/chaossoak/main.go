@@ -11,7 +11,6 @@
 //	chaossoak -plan crash -n 3
 //	chaossoak -plan chaos -gst 2s -bound 30s
 //	chaossoak -plan recovery -n 3 -fsync group
-//	chaossoak -plan recovery -n 3 -groups 4
 //
 // The recovery plan is the kill -9 drill: every replica journals its
 // consensus state through internal/durable, the leader is killed mid
@@ -20,15 +19,7 @@
 // its sockets). It must rejoin, catch up on what it missed, and regain
 // proposer eligibility — then the run re-reads the WAL directories
 // offline and cross-checks them against the in-memory decision logs
-// (replay equivalence).
-//
-// Every step runs per consensus group. Without -groups a process is one
-// group journaling to walroot/p<i>; with -groups G the recovery drill
-// shards every process into G groups (internal/consensus/group), each
-// journaling to its own walroot/p<i>/g<g>. The killed replica hosts all G
-// groups at once, so the rebuild reopens every one of its G WALs, and the
-// catch-up, the second kill and the offline replay check cover every
-// group.
+// (replay equivalence). Process i journals to walroot/p<i>.
 package main
 
 import (
@@ -42,7 +33,6 @@ import (
 	"time"
 
 	"repro/internal/consensus"
-	"repro/internal/consensus/group"
 	"repro/internal/consensus/rsm"
 	"repro/internal/core"
 	"repro/internal/durable"
@@ -85,19 +75,12 @@ func run(args []string) (err error) {
 		fsyncName    = fs.String("fsync", "group", "WAL fsync policy for the recovery plan: always, group, off")
 		walDir       = fs.String("wal-dir", "", "WAL root for the recovery plan (default: a fresh temp dir, removed on success)")
 		snapEvery    = fs.Int("snapshot-every", 8, "checkpoint the WAL every this many applied commands in the recovery plan")
-		groupsFlag   = fs.Int("groups", 0, "shard the recovery plan into this many consensus groups, one WAL dir per group (0 = unsharded)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *groupsFlag < 0 {
-		return fmt.Errorf("-groups %d must be >= 0", *groupsFlag)
-	}
-	if *groupsFlag > 0 && *planName != "recovery" {
-		return fmt.Errorf("-groups needs -plan recovery (sharded soaking is the durable multi-group drill)")
-	}
 
-	s := &soak{eta: *eta, bound: *bound, commands: *commands, lease: *lease, groups: max(*groupsFlag, 1), sharded: *groupsFlag > 0}
+	s := &soak{eta: *eta, bound: *bound, commands: *commands, lease: *lease}
 	switch *planName {
 	case "recovery":
 		if *n < 3 {
@@ -310,9 +293,8 @@ func run(args []string) (err error) {
 	return nil
 }
 
-// soak holds the replicas and fault handles for one run. A process's
-// detectors, logs and WALs are indexed [process][group]; an unsharded run
-// is one group, and group 0's logical ids are the physical ones.
+// soak holds the replicas and fault handles for one run, each indexed by
+// process.
 type soak struct {
 	eta      time.Duration
 	bound    time.Duration
@@ -323,11 +305,9 @@ type soak struct {
 	tel      *telemetry.Collector
 	tset     *tracing.Set // nil without -trace-dir; every method no-ops then
 	observer obs.Sink     // what the cluster reports into: tel, tset, the -trace-tail ring
-	groups   int          // consensus groups per process; 1 when unsharded
-	sharded  bool         // -groups given: each process is a group.Engine
-	dets     [][]*core.Detector
-	logs     [][]*rsm.Node
-	stores   [][]*durable.WAL // nil entries outside the recovery plan
+	dets     []*core.Detector
+	logs     []*rsm.Node
+	stores   []*durable.WAL // nil entries outside the recovery plan
 
 	// Durability wiring, recovery plan only.
 	walRoot   string
@@ -336,23 +316,17 @@ type soak struct {
 	recovered node.ID // the process killed and rebuilt from disk
 }
 
-// attach subscribes the observer to replica id's current incarnation:
-// each group's decisions, and unsharded, its detector's output and read
-// path. A sharded run watches no Omega, since each group's detectors speak
-// a rotated logical id space and the cluster-wide leader gauge would read
-// garbage; its decision series are labeled per group instead.
+// attach subscribes the observer to replica id's current incarnation: its
+// detector's output, its decisions and its read path.
 func (s *soak) attach(id node.ID) {
-	for g, l := range s.logs[id] {
-		p, label := telemetry.Process{ID: id, Recorder: l.Recorder()}, g
-		if !s.sharded {
-			p.History, label = s.dets[id][g].History(), obs.NoGroup
-			p.Lease = func() (bool, uint64, uint64) { return l.LeaseHeld(), l.LocalReads(), l.FallbackReads() }
-		}
-		telemetry.Attach(s.observer, s.tel, label, p)
-	}
+	l := s.logs[id]
+	telemetry.Attach(s.observer, s.tel, telemetry.Process{
+		ID: id, History: s.dets[id].History(), Recorder: l.Recorder(),
+		Lease: func() (bool, uint64, uint64) { return l.LeaseHeld(), l.LocalReads(), l.FallbackReads() },
+	})
 }
 
-// walOptions are the durable.Options of one of replica i's logs.
+// walOptions are the durable.Options of replica i's log.
 func (s *soak) walOptions(i int) durable.Options {
 	opts := durable.Options{Sync: s.sync}
 	opts.OnAppend, opts.OnFsync, opts.OnRecover = telemetry.WALHooks(s.observer, node.ID(i), s.tset.Stamp)
@@ -360,12 +334,12 @@ func (s *soak) walOptions(i int) durable.Options {
 }
 
 // buildReplicas builds one process per id, each a rebuff-hardened
-// detector plus a replicated log per group. Rebuff matters here: chaos
-// plans lose accusations, and the base algorithm (built for reliable
-// links) can deadlock after a heal with every process electing itself.
+// detector plus a replicated log. Rebuff matters here: chaos plans lose
+// accusations, and the base algorithm (built for reliable links) can
+// deadlock after a heal with every process electing itself.
 func (s *soak) buildReplicas(n int) ([]node.Automaton, error) {
 	autos := make([]node.Automaton, n)
-	s.dets, s.logs, s.stores = make([][]*core.Detector, n), make([][]*rsm.Node, n), make([][]*durable.WAL, n)
+	s.dets, s.logs, s.stores = make([]*core.Detector, n), make([]*rsm.Node, n), make([]*durable.WAL, n)
 	for i := range autos {
 		var err error
 		if autos[i], err = s.buildReplica(i); err != nil {
@@ -375,39 +349,29 @@ func (s *soak) buildReplicas(n int) ([]node.Automaton, error) {
 	return autos, nil
 }
 
-// buildReplica composes process i, journaling each group through its own
-// WAL directory when the recovery plan is active. It is also the rebuild
-// path: reopening the same directories recovers everything the previous
-// incarnation persisted.
+// buildReplica composes process i, journaling through its WAL directory
+// when the recovery plan is active. It is also the rebuild path: reopening
+// the same directory recovers everything the previous incarnation
+// persisted.
 func (s *soak) buildReplica(i int) (node.Automaton, error) {
-	s.dets[i], s.logs[i], s.stores[i] = make([]*core.Detector, s.groups), make([]*rsm.Node, s.groups), make([]*durable.WAL, s.groups)
-	for g := range s.stores[i] {
-		var err error
-		if s.walRoot != "" {
-			if s.stores[i][g], err = durable.Open(s.walPath(node.ID(i), g), s.walOptions(i)); err != nil {
-				return nil, err
-			}
+	cfg := rsm.Config{DriveInterval: 2 * s.eta, Lease: s.lease, Tracer: s.tset.Tracer(i)}
+	// The "application" here is the applied command sequence itself:
+	// snapshots absorb it, restarts restore it, and the offline
+	// replay-equivalence check re-derives it from the WAL alone.
+	al := &appliedLog{}
+	if s.walRoot != "" {
+		w, err := durable.Open(s.walPath(node.ID(i)), s.walOptions(i))
+		if err != nil {
+			return nil, err
 		}
+		s.stores[i] = w
+		cfg.Store, cfg.SnapshotEvery = w, s.snapEvery
+		cfg.SnapshotState, cfg.RestoreState = al.snapshot, al.restore
 	}
-	build := func(g int) node.Automaton {
-		cfg := rsm.Config{DriveInterval: 2 * s.eta, Lease: s.lease, Tracer: s.tset.Tracer(i)}
-		// The "application" here is the applied command sequence itself:
-		// snapshots absorb it, restarts restore it, and the offline
-		// replay-equivalence check re-derives it from the WAL alone.
-		al := &appliedLog{}
-		if w := s.stores[i][g]; w != nil {
-			cfg.Store, cfg.SnapshotEvery = w, s.snapEvery
-			cfg.SnapshotState, cfg.RestoreState = al.snapshot, al.restore
-		}
-		s.dets[i][g] = core.New(core.WithEta(s.eta), core.WithRebuff())
-		s.logs[i][g] = rsm.New(s.dets[i][g], cfg)
-		s.logs[i][g].OnApply(func(inst, cmd int, v consensus.Value) { al.cmds = append(al.cmds, string(v)) })
-		return node.Compose(s.dets[i][g], s.logs[i][g])
-	}
-	if !s.sharded {
-		return build(0), nil
-	}
-	return group.New(group.Config{Groups: s.groups, Build: build}), nil
+	s.dets[i] = core.New(core.WithEta(s.eta), core.WithRebuff())
+	s.logs[i] = rsm.New(s.dets[i], cfg)
+	s.logs[i].OnApply(func(inst, cmd int, v consensus.Value) { al.cmds = append(al.cmds, string(v)) })
+	return node.Compose(s.dets[i], s.logs[i]), nil
 }
 
 // appliedLog is one incarnation's applied command sequence; all methods
@@ -426,19 +390,12 @@ func (a *appliedLog) restore(b []byte) {
 // this soak (or gap-fill no-op) contains a unit separator.
 const appliedSep = "\x1f"
 
-// walPath is group g's journal directory on process id: p<id>, or
-// p<id>/g<g> in a sharded run, where each group recovers independently.
-func (s *soak) walPath(id node.ID, g int) string {
-	dir := filepath.Join(s.walRoot, fmt.Sprintf("p%d", id))
-	if s.sharded {
-		dir = filepath.Join(dir, fmt.Sprintf("g%d", g))
-	}
-	return dir
-}
+// walPath is process id's journal directory.
+func (s *soak) walPath(id node.ID) string { return filepath.Join(s.walRoot, fmt.Sprintf("p%d", id)) }
 
-// restart rebuilds process id from its WAL directories and reboots it in
-// place. The dead incarnation's WAL handles are abandoned unclosed,
-// exactly as kill -9 leaves them; recovery reads the directories fresh.
+// restart rebuilds process id from its WAL directory and reboots it in
+// place. The dead incarnation's WAL handle is abandoned unclosed, exactly
+// as kill -9 leaves it; recovery reads the directory fresh.
 func (s *soak) restart(id node.ID) error {
 	auto, err := s.buildReplica(int(id))
 	if err != nil {
@@ -449,59 +406,40 @@ func (s *soak) restart(id node.ID) error {
 	return nil
 }
 
-// inject sends request m from one process to another in group g: inside
-// the group's envelope in a sharded run, bare otherwise.
-func (s *soak) inject(from, to node.ID, g int, m node.Message) {
-	if s.sharded {
-		m = group.Wrap(g, m)
-	}
-	s.c.Inject(from, to, m)
-}
-
-// leaders returns each group's leader as a physical id: the one the
-// processes not in skip agree on, or node.None while they dispute it.
-func (s *soak) leaders(skip map[int]bool) []node.ID {
-	out := make([]node.ID, s.groups)
-	for g := range out {
-		leader := node.None
-		for i, ds := range s.dets {
-			if skip[i] {
-				continue
-			}
-			if l := ds[g].History().Current(); leader == node.None {
-				leader = l
-			} else if l != leader {
-				leader = node.None
-				break
-			}
+// leader returns the leader the processes not in skip agree on, or
+// node.None while they dispute it.
+func (s *soak) leader(skip map[int]bool) node.ID {
+	leader := node.None
+	for i, d := range s.dets {
+		if skip[i] {
+			continue
 		}
-		out[g] = leader
-		if leader != node.None {
-			out[g] = group.Physical(leader, g, len(s.dets))
+		if l := d.History().Current(); leader == node.None {
+			leader = l
+		} else if l != leader {
+			return node.None
 		}
 	}
-	return out
+	return leader
 }
 
 // outside reports whether l is a leader and not in skip.
 func outside(l node.ID, skip map[int]bool) bool { return l != node.None && !skip[int(l)] }
 
-// settled waits until, in every group, the processes not in skip agree on
-// a leader among themselves, and returns the leaders. Right after a pump
-// the Omegas may be in dispute for an instant, and a one-shot look would
-// then name node.None.
-func (s *soak) settled(skip map[int]bool, what string) ([]node.ID, error) {
-	var ls []node.ID
+// settled waits until the processes not in skip agree on a leader among
+// themselves, and returns it. Right after a pump the Omegas may be in
+// dispute for an instant, and a one-shot look would then name node.None.
+func (s *soak) settled(skip map[int]bool, what string) (node.ID, error) {
+	var l node.ID
 	err := s.waitFor(func() bool {
-		ls = s.leaders(skip)
-		return !slices.ContainsFunc(ls, func(l node.ID) bool { return !outside(l, skip) })
+		l = s.leader(skip)
+		return outside(l, skip)
 	}, what)
-	return ls, err
+	return l, err
 }
 
 // kill crashes process id, printing what, and waits until the others
-// agree in every group on a leader among themselves. It returns the
-// others.
+// agree on a leader among themselves. It returns the others.
 func (s *soak) kill(id node.ID, what string) ([]int, error) {
 	s.c.Crash(id)
 	fmt.Printf("fault:     %s\n", what)
@@ -545,35 +483,30 @@ func caughtUp(rec *consensus.Recorder, w *durable.WAL, bar int) bool {
 	return ok
 }
 
-// pump keeps injecting client requests at every group's current leader
-// until each replica in correct has recorded target commands in every
-// group (a restarted replica counts from its restart).
+// pump keeps injecting client requests at the current leader until each
+// replica in correct has recorded target commands (a restarted replica
+// counts from its restart).
 func (s *soak) pump(correct []int, prefix string, target int) error {
 	skip := skipAllBut(len(s.dets), correct)
-	sent := make([]int, s.groups)
+	sent := 0
 	return s.waitFor(func() bool {
-		for g, l := range s.leaders(skip) {
-			if !outside(l, skip) {
-				continue
-			}
+		if l := s.leader(skip); outside(l, skip) {
 			from := node.ID(correct[0])
 			if from == l {
 				from = node.ID(correct[1])
 			}
-			req := node.Message(rsm.RequestMsg{V: consensus.Value(fmt.Sprintf("%s-g%d-%d", prefix, g, sent[g]))})
+			req := node.Message(rsm.RequestMsg{V: consensus.Value(fmt.Sprintf("%s-%d", prefix, sent))})
 			// Client-side trace ingress: a sampled request carries its
 			// context from the injection hop onward.
 			if ctx := s.tset.Tracer(int(from)).StartTrace(s.tset.Stamp(), "request"); ctx.Valid() {
 				req = tracing.Wrap{Ctx: ctx, Inner: req}
 			}
-			s.inject(from, l, g, req)
-			sent[g]++
+			s.c.Inject(from, l, req)
+			sent++
 		}
 		for _, p := range correct {
-			for _, l := range s.logs[p] {
-				if l.Recorder().Count() < target {
-					return false
-				}
+			if s.logs[p].Recorder().Count() < target {
+				return false
 			}
 		}
 		return true
@@ -614,11 +547,11 @@ func (s *soak) runCrash() error {
 	if err := s.warmUp(); err != nil {
 		return err
 	}
-	leaders, err := s.settled(nil, "settled leader to crash")
+	leader, err := s.settled(nil, "settled leader to crash")
 	if err != nil {
 		return err
 	}
-	survivors, err := s.kill(leaders[0], fmt.Sprintf("crashed leader p%v", leaders[0]))
+	survivors, err := s.kill(leader, fmt.Sprintf("crashed leader p%v", leader))
 	if err != nil {
 		return err
 	}
@@ -677,24 +610,20 @@ func (s *soak) runChaos(gst time.Duration) error {
 	return s.pump(ints(0, len(s.dets)), "post-gst", s.commands)
 }
 
-// runRecovery is the kill -9 drill (a WAL per process and group): commit
-// a batch in every group, kill group 0's leader with a burst of requests
-// in flight in every group it leads, let the survivors advance
-// everywhere, rebuild the dead process from all of its WALs at once, and
-// require it to rejoin, catch up on the outage in every group, and win
-// back proposer eligibility before the final safety and replay checks. A
-// sharded victim hosts every group, so the groups it did not lead each
-// lose a follower.
+// runRecovery is the kill -9 drill: commit a batch, kill the leader with
+// a burst of requests in flight, let the survivors advance, rebuild the
+// dead process from its WAL, and require it to rejoin, catch up on the
+// outage, and win back proposer eligibility before the final safety and
+// replay checks.
 func (s *soak) runRecovery() error {
 	all := ints(0, len(s.dets))
 	if err := s.warmUp(); err != nil {
 		return err
 	}
-	leaders, err := s.settled(nil, "settled leaders to kill")
+	victim, err := s.settled(nil, "settled leader to kill")
 	if err != nil {
 		return err
 	}
-	victim := leaders[0]
 	s.recovered = victim
 
 	// Kill the leader mid-batch: a burst of requests is still in flight
@@ -705,69 +634,51 @@ func (s *soak) runRecovery() error {
 	if from == victim {
 		from = node.ID(all[1])
 	}
-	led := 0
-	for g, l := range leaders {
-		if l != victim {
-			continue
-		}
-		for i := 0; i < s.commands; i++ {
-			s.inject(from, victim, g, rsm.RequestMsg{V: consensus.Value(fmt.Sprintf("burst-g%d-%d", g, i))})
-		}
-		led++
+	for i := 0; i < s.commands; i++ {
+		s.c.Inject(from, victim, rsm.RequestMsg{V: consensus.Value(fmt.Sprintf("burst-%d", i))})
 	}
-	survivors, err := s.kill(victim, fmt.Sprintf("killed leader p%v mid-batch — led %d of %d groups", victim, led, s.groups))
+	survivors, err := s.kill(victim, fmt.Sprintf("killed leader p%v mid-batch", victim))
 	if err != nil {
 		return err
 	}
 	// Progress during the outage is relative to where the survivors stood
 	// at the kill: the pre pump may have overshot any absolute target, and
-	// the outage must decide something in every group for the catch-up to
-	// have a bar.
-	atKill, target := make([]int, s.groups), 0
-	for g := range atKill {
-		atKill[g] = s.logs[survivors[0]][g].Recorder().Count()
-		for _, p := range survivors {
-			target = max(target, s.logs[p][g].Recorder().Count())
-		}
+	// the outage must decide something for the catch-up to have a bar.
+	atKill, target := s.logs[survivors[0]].Recorder().Count(), 0
+	for _, p := range survivors {
+		target = max(target, s.logs[p].Recorder().Count())
 	}
 	if err := s.pump(survivors, "outage", target+s.commands); err != nil {
 		return err
 	}
-	// Per group, the highest instance the survivors decided while the
-	// process was down: the bar its catch-up has to clear.
-	bars := make([]int, s.groups)
-	for g := range bars {
-		bars[g] = outageBar(s.logs[survivors[0]][g].Recorder(), atKill[g])
-	}
+	// The highest instance the survivors decided while the process was
+	// down: the bar its catch-up has to clear.
+	bar := outageBar(s.logs[survivors[0]].Recorder(), atKill)
 
 	if err := s.restart(victim); err != nil {
 		return err
 	}
-	fmt.Printf("fault:     restarted p%v from %d WAL directories under %s\n", victim, s.groups, s.walRoot)
+	fmt.Printf("fault:     restarted p%v from %s\n", victim, s.walPath(victim))
 	if _, err := s.settled(nil, "convergence after restart"); err != nil {
 		return err
 	}
 	if err := s.waitFor(func() bool {
-		for g, l := range s.logs[victim] {
-			if !caughtUp(l.Recorder(), s.stores[victim][g], bars[g]) {
-				return false
-			}
-		}
-		return true
+		return caughtUp(s.logs[victim].Recorder(), s.stores[victim], bar)
 	}, "restarted replica catch-up"); err != nil {
 		return err
 	}
 
-	// Proposer eligibility: kill group 0's current leader. If the
-	// restarted process already leads it again, progress below proves the
-	// point directly; otherwise the cluster must keep deciding with the
+	// Proposer eligibility: kill the current leader. If the restarted
+	// process already leads again, progress below proves the point
+	// directly; otherwise the cluster must keep deciding with the
 	// restarted process voting in (and possibly leading) every quorum.
 	// The rejoin itself may trigger a leader change.
-	if leaders, err = s.settled(nil, "settled leaders before second kill"); err != nil {
+	second, err := s.settled(nil, "settled leader before second kill")
+	if err != nil {
 		return err
 	}
 	correct := all
-	if second := leaders[0]; second != victim {
+	if second != victim {
 		if correct, err = s.kill(second, fmt.Sprintf("crashed second leader p%v", second)); err != nil {
 			return err
 		}
@@ -811,66 +722,61 @@ func recoveredSequence(st *durable.State) []string {
 
 // checkReplayEquivalence re-reads every WAL directory offline, twice,
 // after the cluster has stopped. Recovery must be deterministic (equal
-// state across opens), and within each group the applied sequence each
-// WAL rebuilds must be a prefix of every longer one — same commands, same
-// order, nothing lost, nothing doubled. The restarted process must
-// rebuild a non-empty sequence in every group, so no group's check can
-// pass vacuously.
+// state across opens), and the applied sequence each WAL rebuilds must be
+// a prefix of every longer one — same commands, same order, nothing lost,
+// nothing doubled. The restarted process must rebuild a non-empty
+// sequence, so the check cannot pass vacuously.
 func (s *soak) checkReplayEquivalence() error {
-	rebuilt := make([]int, s.groups)
-	for g := range rebuilt {
-		seqs := make([][]string, len(s.logs))
-		for i := range seqs {
-			dir := s.walPath(node.ID(i), g)
-			a, err := reopen(dir)
-			if err != nil {
-				return err
-			}
-			b, err := reopen(dir)
-			if err != nil {
-				return err
-			}
-			if !reflect.DeepEqual(a, b) {
-				return fmt.Errorf("group %d: replay of p%d is not deterministic across opens", g, i)
-			}
-			if a == nil {
-				return fmt.Errorf("group %d: p%d recovered no durable state", g, i)
-			}
-			seqs[i] = recoveredSequence(a)
+	seqs := make([][]string, len(s.logs))
+	for i := range seqs {
+		dir := s.walPath(node.ID(i))
+		a, err := reopen(dir)
+		if err != nil {
+			return err
 		}
-		if rebuilt[g] = len(seqs[s.recovered]); rebuilt[g] == 0 {
-			return fmt.Errorf("group %d replay check vacuous: restarted p%v rebuilds an empty sequence", g, s.recovered)
+		b, err := reopen(dir)
+		if err != nil {
+			return err
 		}
-		for i := range seqs {
-			for j := i + 1; j < len(seqs); j++ {
-				short, long := seqs[i], seqs[j]
-				if len(short) > len(long) {
-					short, long = long, short
-				}
-				for k := range short {
-					if short[k] != long[k] {
-						return fmt.Errorf("group %d replay divergence: applied command %d is %q on p%d, %q on p%d", g, k, seqs[i][k], i, seqs[j][k], j)
-					}
+		if !reflect.DeepEqual(a, b) {
+			return fmt.Errorf("replay of p%d is not deterministic across opens", i)
+		}
+		if a == nil {
+			return fmt.Errorf("p%d recovered no durable state", i)
+		}
+		seqs[i] = recoveredSequence(a)
+	}
+	rebuilt := len(seqs[s.recovered])
+	if rebuilt == 0 {
+		return fmt.Errorf("replay check vacuous: restarted p%v rebuilds an empty sequence", s.recovered)
+	}
+	for i := range seqs {
+		for j := i + 1; j < len(seqs); j++ {
+			short, long := seqs[i], seqs[j]
+			if len(short) > len(long) {
+				short, long = long, short
+			}
+			for k := range short {
+				if short[k] != long[k] {
+					return fmt.Errorf("replay divergence: applied command %d is %q on p%d, %q on p%d", k, seqs[i][k], i, seqs[j][k], j)
 				}
 			}
 		}
 	}
-	fmt.Printf("replay:    WAL recovery deterministic in %d group(s); applied sequences prefix-consistent (restarted p%v rebuilds %v commands)\n",
-		s.groups, s.recovered, rebuilt)
+	fmt.Printf("replay:    WAL recovery deterministic; applied sequences prefix-consistent (restarted p%v rebuilds %d commands)\n",
+		s.recovered, rebuilt)
 	return nil
 }
 
-// checkSafety verifies that no consensus instance of any group decided
-// two values anywhere — crashed and once-partitioned replicas included.
+// checkSafety verifies that no consensus instance decided two values
+// anywhere — crashed and once-partitioned replicas included.
 func (s *soak) checkSafety() error {
-	for g := 0; g < s.groups; g++ {
-		recs := make([]*consensus.Recorder, len(s.logs))
-		for i, ls := range s.logs {
-			recs[i] = ls[g].Recorder()
-		}
-		if rep := consensus.CheckSafety(consensus.SafetyInput{Recorders: recs}); !rep.Agreement {
-			return fmt.Errorf("group %d consensus disagreement: %v", g, rep.Violations)
-		}
+	recs := make([]*consensus.Recorder, len(s.logs))
+	for i, l := range s.logs {
+		recs[i] = l.Recorder()
+	}
+	if rep := consensus.CheckSafety(consensus.SafetyInput{Recorders: recs}); !rep.Agreement {
+		return fmt.Errorf("consensus disagreement: %v", rep.Violations)
 	}
 	return nil
 }

@@ -115,7 +115,7 @@ func run(args []string) error {
 		tel.AttachStats(sys.World.Stats)
 	}
 	for i, om := range sys.Omegas {
-		telemetry.Attach(cfg.Observer, tel, obs.NoGroup, telemetry.Process{ID: node.ID(i), History: om.History()})
+		telemetry.Attach(cfg.Observer, tel, telemetry.Process{ID: node.ID(i), History: om.History()})
 	}
 	sys.Run(*runFor)
 

@@ -25,7 +25,7 @@ import (
 const batchPrefix = "\x00b"
 
 // MaxValue caps the bytes of a proposed value so that the ACCEPT carrying it
-// fits a wire frame (wire.MaxFrame, 1 MiB) inside both wrappers; a test in
+// fits a wire frame (wire.MaxFrame, 1 MiB) inside the trace wrapper; a test in
 // internal/wire holds the two together. A batch closes before it would pass
 // the cap, and a command that would pass it alone is refused (admit).
 const MaxValue = 1<<20 - 1<<8

@@ -134,9 +134,7 @@ type Sender struct {
 	view     *net.Buffers // heap box handed to WriteTo, which consumes it
 
 	// dials counts successful connection establishments over the link's
-	// lifetime — shared-sender accounting for multi-group clusters, where
-	// G groups over one link must still show exactly one dial per
-	// directed pair in the steady state.
+	// lifetime: one per directed pair in the steady state.
 	dials atomic.Uint64
 }
 
@@ -153,8 +151,7 @@ func NewSender(cfg Config) *Sender {
 }
 
 // Dials returns how many connections this link has established over its
-// lifetime: 1 in the steady state (regardless of how many consensus
-// groups multiplex over the link), more only after redials. Safe from any
+// lifetime: 1 in the steady state, more only after redials. Safe from any
 // goroutine.
 func (s *Sender) Dials() uint64 { return s.dials.Load() }
 

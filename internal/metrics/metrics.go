@@ -13,11 +13,11 @@
 // counts sends, deliveries, drops and the wire bytes of the transports
 // that serialize, and embeds obs.Nop for trace contexts and protocol
 // events, which are not messages. Every runtime tees one in
-// (node.World.Stats, the clusters' Stats()). The record path takes no global lock: all counters are
-// per-process sharded atomics, and the send log is per sender, guarded by
-// that sender's own mutex — contended only where goroutines send under one
-// id (a live ingress and its clients, a sharded process's lanes). Queries
-// over the send log go through an immutable Snapshot.
+// (node.World.Stats, the clusters' Stats()). The record path takes no
+// global lock: all counters are per-process sharded atomics, and the send
+// log is per sender, guarded by that sender's own mutex — contended only
+// where goroutines send under one id (a live ingress and its clients).
+// Queries over the send log go through an immutable Snapshot.
 //
 // The log keeps when each of a sender's last window sends left and nothing
 // else about it — to whom and of what kind are counted per link and per

@@ -273,8 +273,8 @@ func TestSnapshotSharesSealedChunks(t *testing.T) {
 }
 
 // TestLinkLastSendNeverMovesBack: several goroutines record interleaved
-// instants on one link, as a live ingress and its clients or a sharded
-// process's lanes do under one id. Whatever order their records land in,
+// instants on one link, as a live ingress and its clients do under one
+// id. Whatever order their records land in,
 // both the live query and a snapshot must see the link used at the latest
 // instant recorded. Run with -race.
 func TestLinkLastSendNeverMovesBack(t *testing.T) {

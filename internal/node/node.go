@@ -32,8 +32,7 @@ type Message interface {
 }
 
 // Traced is optionally implemented by wrapper messages carrying a causal
-// trace context (internal/tracing's Wrap, and envelopes like the group
-// wrapper that may hold one inside). Transports read the context off
+// trace context (internal/tracing's Wrap). Transports read the context off
 // outbound messages to report per-link send events to the tracing layer.
 // A zero trace id means "no context"; implementations must not allocate.
 type Traced interface {

@@ -24,7 +24,7 @@ const (
 	// Up: Proc rejoined with the state a restart leaves it.
 	Up
 	// Decide: Proc learned one command's decision. Dur is the proposer-side
-	// latency (0: unknown here), N the consensus group or NoGroup.
+	// latency (0: unknown here).
 	Decide
 	// Flush: one vectored write on Proc→Peer of N frames, Bytes of payload.
 	Flush
@@ -49,9 +49,6 @@ func (w What) String() string {
 	}
 	return whatNames[0]
 }
-
-// NoGroup is Event.N of a Decide in an unsharded cluster.
-const NoGroup = -1
 
 // Event is one protocol-level event, passed by value.
 type Event struct {

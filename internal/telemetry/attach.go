@@ -10,8 +10,8 @@ import (
 	"repro/internal/sim"
 )
 
-// Process is what one process — or one consensus group on it — offers the
-// pipeline besides its messages. A nil field is skipped.
+// Process is what one process offers the pipeline besides its messages.
+// A nil field is skipped.
 type Process struct {
 	ID       node.ID
 	History  *detector.History   // leader output: obs.LeaderChange events
@@ -22,12 +22,11 @@ type Process struct {
 // Attach is the one assembly call: it subscribes sink (nil: none) — the
 // observer the process's runtime was built with, which already gets its
 // messages, crashes and rejoins — to p's hooks, one adapter each, and
-// registers p's probe with c (nil: no collector). group is the consensus
-// group p is a replica of, obs.NoGroup in an unsharded cluster. Every
-// subscriber teed into sink sees every event whatever the order of Attach
-// calls; call it before the process starts, and again for the fresh
-// History and Recorder of a restarted one.
-func Attach(sink obs.Sink, c *Collector, group int, p Process) {
+// registers p's probe with c (nil: no collector). Every subscriber teed
+// into sink sees every event whatever the order of Attach calls; call it
+// before the process starts, and again for the fresh History and Recorder
+// of a restarted one.
+func Attach(sink obs.Sink, c *Collector, p Process) {
 	if sink != nil {
 		if id := int(p.ID); p.History != nil {
 			p.History.AddNotify(func(t sim.Time, leader node.ID) {
@@ -36,12 +35,12 @@ func Attach(sink obs.Sink, c *Collector, group int, p Process) {
 		}
 		if p.Recorder != nil {
 			p.Recorder.AddNotify(func(d consensus.Decision) {
-				sink.OnEvent(obs.Event{T: d.At, What: obs.Decide, Proc: int(d.By), Peer: -1, Dur: d.Elapsed, N: group})
+				sink.OnEvent(obs.Event{T: d.At, What: obs.Decide, Proc: int(d.By), Peer: -1, Dur: d.Elapsed})
 			})
 		}
 	}
 	if c != nil && p.Lease != nil {
-		c.Probe(group, p.Lease)
+		c.Probe(p.Lease)
 	}
 }
 

@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -94,17 +93,13 @@ type Collector struct {
 	lastHB []atomic.Int64
 
 	hists [numSeries]*Histogram
-	// groups holds each consensus group's own decision-latency histogram
-	// in sharded clusters, by group id: written when a group first
-	// appears, read without a lock by every decision after.
-	groups sync.Map // int → *Histogram
 
 	// mu guards the election tracker and the probe lists. Leader changes
 	// are rare (finitely many, after GST) and probes are polled at scrape
 	// time; the message path never touches it.
 	mu     sync.Mutex
 	agree  *obs.Agreement
-	probes map[int][]LeaseProbe // by group; obs.NoGroup: cluster-wide
+	probes []LeaseProbe
 
 	stableLeader  atomic.Int64 // current cluster-wide agreed leader, -1 while disputed
 	lastElection  atomic.Int64 // sim.Time the current agreement formed, -1 before the first
@@ -132,7 +127,6 @@ func New(n int, opts ...Option) *Collector {
 		n:      n,
 		lastHB: make([]atomic.Int64, n*n),
 		agree:  obs.NewAgreement(n),
-		probes: make(map[int][]LeaseProbe),
 	}
 	for s := range c.hists {
 		c.hists[s] = NewHistogram(n)
@@ -160,16 +154,12 @@ func New(n int, opts ...Option) *Collector {
 // starts.
 func (c *Collector) AttachStats(s *metrics.MessageStats) { c.stats = s }
 
-// Probe registers a read-path probe: one process's, cluster-wide under
-// obs.NoGroup, or one process's share of a consensus group's, exported
-// under that group's label. Call during setup, before Serve.
-func (c *Collector) Probe(group int, p LeaseProbe) {
-	if group != obs.NoGroup {
-		c.groupHist(group) // a probed group is listed before its first decision
-	}
+// Probe registers one process's read-path probe. Call during setup,
+// before Serve.
+func (c *Collector) Probe(p LeaseProbe) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.probes[group] = append(c.probes[group], p)
+	c.probes = append(c.probes, p)
 }
 
 // --- obs.Sink -----------------------------------------------------------
@@ -210,11 +200,6 @@ func (c *Collector) OnEvent(e obs.Event) {
 		if e.Dur > 0 {
 			c.hists[DecisionLatency].Record(e.Proc, e.Dur)
 		}
-		if e.N != obs.NoGroup {
-			if h := c.groupHist(e.N); e.Dur > 0 {
-				h.Record(e.Proc, e.Dur)
-			}
-		}
 	case obs.Flush:
 		c.hists[FlushFrames].Record(e.Proc, time.Duration(e.N))
 		c.hists[FlushBytes].Record(e.Proc, time.Duration(e.Bytes))
@@ -225,16 +210,6 @@ func (c *Collector) OnEvent(e obs.Event) {
 	case obs.WALRecover:
 		c.hists[WALRecovery].Record(e.Proc, e.Dur)
 	}
-}
-
-// groupHist returns group g's decision-latency histogram, adding the
-// group on first sight.
-func (c *Collector) groupHist(g int) *Histogram {
-	h, ok := c.groups.Load(g)
-	if !ok {
-		h, _ = c.groups.LoadOrStore(g, NewHistogram(c.n))
-	}
-	return h.(*Histogram)
 }
 
 // --- gauges ---------------------------------------------------------------
@@ -313,34 +288,14 @@ func (c *Collector) NonLeaderSends(excludeKinds ...string) uint64 {
 // Hist returns the merged snapshot of one series.
 func (c *Collector) Hist(s Series) HistSnapshot { return c.hists[s].Snapshot() }
 
-// GroupIDs returns, in ascending order, the consensus groups seen so far —
-// by a decision or a probe; empty in unsharded clusters.
-func (c *Collector) GroupIDs() []int {
-	var ids []int
-	c.groups.Range(func(g, _ any) bool {
-		ids = append(ids, g.(int))
-		return true
-	})
-	sort.Ints(ids)
-	return ids
-}
-
-// GroupHist returns group g's merged decision-latency snapshot.
-func (c *Collector) GroupHist(g int) HistSnapshot {
-	if h, ok := c.groups.Load(g); ok {
-		return h.(*Histogram).Snapshot()
-	}
-	return HistSnapshot{}
-}
-
-// Lease polls one group's probes (obs.NoGroup: the cluster-wide ones)
-// once: how many processes believe they hold the leader lease — 0 or 1
-// when healthy, a sustained 2+ would falsify the lease safety argument —
-// and the total reads served locally under a lease, with zero consensus
-// messages, and confirmed by a round of grants that a majority acked.
-func (c *Collector) Lease(group int) (held int, local, fallback uint64) {
+// Lease polls the probes once: how many processes believe they hold the
+// leader lease — 0 or 1 when healthy, a sustained 2+ would falsify the
+// lease safety argument — and the total reads served locally under a
+// lease, with zero consensus messages, and confirmed by a round of grants
+// that a majority acked.
+func (c *Collector) Lease() (held int, local, fallback uint64) {
 	c.mu.Lock()
-	probes := c.probes[group]
+	probes := c.probes
 	c.mu.Unlock()
 	for _, p := range probes {
 		h, l, f := p()

@@ -31,7 +31,7 @@ func up(c *Collector, t sim.Time, proc int) {
 	c.OnEvent(obs.Event{T: t, What: obs.Up, Proc: proc, Peer: -1})
 }
 func decided(c *Collector, proc int, elapsed time.Duration) {
-	c.OnEvent(obs.Event{What: obs.Decide, Proc: proc, Peer: -1, Dur: elapsed, N: obs.NoGroup})
+	c.OnEvent(obs.Event{What: obs.Decide, Proc: proc, Peer: -1, Dur: elapsed})
 }
 
 // TestElectionEventsBecomeGauges: the agreement rule itself is
@@ -225,7 +225,7 @@ func TestDecidedPerCommandLatency(t *testing.T) {
 		}
 		return cmds
 	}}
-	Attach(c, c, obs.NoGroup, Process{ID: 0, Recorder: rec})
+	Attach(c, c, Process{ID: 0, Recorder: rec})
 	at := sim.At(10 * time.Millisecond)
 	rec.RecordInstance(7, "a,b,c", at, 0, []sim.Time{at - sim.At(3*time.Millisecond), at - sim.At(5*time.Millisecond), at - sim.At(9*time.Millisecond)})
 	rec.RecordInstance(7, "d,e,f", at, 0, []sim.Time{0, 0, 0}) // a repeat of the instance: ignored

@@ -3,8 +3,6 @@ package telemetry
 import (
 	"encoding/json"
 	"os"
-
-	"repro/internal/obs"
 )
 
 // HistJSON is one histogram snapshot in the offline-diffable dump format.
@@ -79,7 +77,7 @@ func (c *Collector) Dump() Dump {
 		// For a count series the "ns" fields hold frames or bytes.
 		d.Histograms[row.name] = histJSON(c.Hist(Series(s)))
 	}
-	d.LeaseHolders, d.LocalReads, d.FallbackReads = c.Lease(obs.NoGroup)
+	d.LeaseHolders, d.LocalReads, d.FallbackReads = c.Lease()
 	if leader, ok := c.Leader(); ok {
 		d.Leader = int(leader)
 	}

@@ -3,8 +3,6 @@ package telemetry
 import (
 	"strings"
 	"testing"
-
-	"repro/internal/obs"
 )
 
 func TestLeaseProbeGauges(t *testing.T) {
@@ -14,9 +12,9 @@ func TestLeaseProbeGauges(t *testing.T) {
 	fallback := []uint64{2, 3, 1}
 	for i := 0; i < 3; i++ {
 		i := i
-		c.Probe(obs.NoGroup, func() (bool, uint64, uint64) { return held[i], local[i], fallback[i] })
+		c.Probe(func() (bool, uint64, uint64) { return held[i], local[i], fallback[i] })
 	}
-	holders, localReads, fallbackReads := c.Lease(obs.NoGroup)
+	holders, localReads, fallbackReads := c.Lease()
 	if holders != 1 {
 		t.Fatalf("lease holders = %d, want 1", holders)
 	}
@@ -27,7 +25,7 @@ func TestLeaseProbeGauges(t *testing.T) {
 		t.Fatalf("fallback reads = %d, want 6", fallbackReads)
 	}
 	held[1] = false
-	if got, _, _ := c.Lease(obs.NoGroup); got != 0 {
+	if got, _, _ := c.Lease(); got != 0 {
 		t.Fatalf("lease holders after release = %d, want 0", got)
 	}
 }
@@ -55,7 +53,7 @@ func TestFlushHookHistograms(t *testing.T) {
 
 func TestPrometheusExportsLeaseAndFlush(t *testing.T) {
 	c := New(2)
-	c.Probe(obs.NoGroup, func() (bool, uint64, uint64) { return true, 7, 1 })
+	c.Probe(func() (bool, uint64, uint64) { return true, 7, 1 })
 	FlushHook(c)(0, 1, 8, 1024)
 	var b strings.Builder
 	c.WritePrometheus(&b)
@@ -79,7 +77,7 @@ func TestPrometheusExportsLeaseAndFlush(t *testing.T) {
 
 func TestDumpIncludesLeaseAndFlush(t *testing.T) {
 	c := New(2)
-	c.Probe(obs.NoGroup, func() (bool, uint64, uint64) { return true, 9, 2 })
+	c.Probe(func() (bool, uint64, uint64) { return true, 9, 2 })
 	FlushHook(c)(0, 1, 16, 2048)
 	d := c.Dump()
 	if d.LeaseHolders != 1 || d.LocalReads != 9 || d.FallbackReads != 2 {

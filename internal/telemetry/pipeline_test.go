@@ -62,7 +62,7 @@ func TestSimCrashReachesCollector(t *testing.T) {
 	}
 	tel.AttachStats(sys.World.Stats)
 	for i, om := range sys.Omegas {
-		telemetry.Attach(tel, tel, obs.NoGroup, telemetry.Process{ID: node.ID(i), History: om.History()})
+		telemetry.Attach(tel, tel, telemetry.Process{ID: node.ID(i), History: om.History()})
 	}
 	sys.Run(3 * time.Second)
 
@@ -96,7 +96,7 @@ func TestSubscribersSeeEveryEventInAnyOrder(t *testing.T) {
 		sinks := []obs.Sink{tel, set.Sink(), log}
 		hist, rec := detector.NewHistory(), consensus.NewRecorder()
 		for _, i := range order {
-			telemetry.Attach(sinks[i], nil, obs.NoGroup, telemetry.Process{ID: 1, History: hist, Recorder: rec})
+			telemetry.Attach(sinks[i], nil, telemetry.Process{ID: 1, History: hist, Recorder: rec})
 		}
 		hist.Record(10, 2)
 		hist.Record(20, 0)
@@ -113,8 +113,8 @@ func TestSubscribersSeeEveryEventInAnyOrder(t *testing.T) {
 		want := []obs.Event{
 			{T: 10, What: obs.LeaderChange, Proc: 1, Peer: 2},
 			{T: 20, What: obs.LeaderChange, Proc: 1, Peer: 0},
-			{T: 30, What: obs.Decide, Proc: 1, Peer: -1, Dur: time.Millisecond, N: obs.NoGroup},
-			{T: 40, What: obs.Decide, Proc: 1, Peer: -1, Dur: 5, N: obs.NoGroup},
+			{T: 30, What: obs.Decide, Proc: 1, Peer: -1, Dur: time.Millisecond},
+			{T: 40, What: obs.Decide, Proc: 1, Peer: -1, Dur: 5},
 		}
 		if !reflect.DeepEqual(log.events, want) {
 			t.Errorf("order %v: third subscriber saw %v, want %v", order, log.events, want)
@@ -135,7 +135,7 @@ func TestSimAndLiveTellTheSameStory(t *testing.T) {
 		for i := range dets {
 			dets[i] = core.New(core.WithEta(4 * time.Millisecond))
 			autos[i] = dets[i]
-			telemetry.Attach(log, nil, obs.NoGroup, telemetry.Process{ID: node.ID(i), History: dets[i].History()})
+			telemetry.Attach(log, nil, telemetry.Process{ID: node.ID(i), History: dets[i].History()})
 		}
 		return dets, autos
 	}

@@ -3,18 +3,14 @@ package telemetry
 import (
 	"fmt"
 	"io"
-
-	"repro/internal/obs"
 )
 
 // promHist writes one histogram series (cumulative le buckets, sum, count)
-// in Prometheus exposition format, without the TYPE header, so several
-// label sets — one per consensus group — share a single metric family.
-// labels is either empty or a comma-terminated prefix like `group="2",`.
-// A seconds series scales its nanoseconds to seconds, a count series
-// exports raw. Power-of-two buckets export exactly: every observation in
-// bucket b is < 2^b, so the cumulative count at le = 2^b is precise.
-func promHist(w io.Writer, name, labels string, u unit, s HistSnapshot) {
+// in Prometheus exposition format, without the TYPE header. A seconds
+// series scales its nanoseconds to seconds, a count series exports raw.
+// Power-of-two buckets export exactly: every observation in bucket b is
+// < 2^b, so the cumulative count at le = 2^b is precise.
+func promHist(w io.Writer, name string, u unit, s HistSnapshot) {
 	edge := func(b int) string { return fmt.Sprintf("%g", float64(uint64(1)<<uint(b))/1e9) }
 	sum := fmt.Sprintf("%g", s.Sum.Seconds())
 	if u == count {
@@ -30,20 +26,17 @@ func promHist(w io.Writer, name, labels string, u unit, s HistSnapshot) {
 	}
 	for b := 0; b <= top; b++ {
 		cum += s.Buckets[b]
-		fmt.Fprintf(w, "%s_bucket{%sle=\"%s\"} %d\n", name, labels, edge(b), cum)
+		fmt.Fprintf(w, "%s_bucket{le=\"%s\"} %d\n", name, edge(b), cum)
 	}
-	fmt.Fprintf(w, "%s_bucket{%sle=\"+Inf\"} %d\n", name, labels, s.Count)
-	if labels != "" {
-		labels = "{" + labels[:len(labels)-1] + "}" // drop the trailing comma
-	}
-	fmt.Fprintf(w, "%s_sum%s %s\n", name, labels, sum)
-	fmt.Fprintf(w, "%s_count%s %d\n", name, labels, s.Count)
+	fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", name, s.Count)
+	fmt.Fprintf(w, "%s_sum %s\n", name, sum)
+	fmt.Fprintf(w, "%s_count %d\n", name, s.Count)
 }
 
 // WritePrometheus writes the collector's full state in Prometheus text
 // exposition format: message counters (from the attached MessageStats),
-// the quiescence and election gauges, the read-path probes, every row of
-// the series table, and the per-group families of a sharded cluster.
+// the quiescence and election gauges, the read-path probes and every row
+// of the series table.
 func (c *Collector) WritePrometheus(w io.Writer) {
 	counter := func(name, help string, v uint64) {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
@@ -98,7 +91,7 @@ func (c *Collector) WritePrometheus(w io.Writer) {
 	// Read path: lease occupancy and the local/fallback split. Local reads
 	// cost zero consensus messages; their ratio against fallbacks is the
 	// lease's headline number.
-	held, local, fallback := c.Lease(obs.NoGroup)
+	held, local, fallback := c.Lease()
 	gauge("rsm_lease_held",
 		"Watched processes currently holding the leader lease (0 or 1 when healthy).",
 		float64(held))
@@ -109,26 +102,6 @@ func (c *Collector) WritePrometheus(w io.Writer) {
 
 	for s, row := range seriesTable {
 		fmt.Fprintf(w, "# TYPE %s histogram\n", row.prom)
-		promHist(w, row.prom, "", row.unit, c.Hist(Series(s)))
-	}
-
-	// Sharded clusters: per-group decision latency and lease occupancy,
-	// labeled by group so one slow or lease-less shard stays visible.
-	if ids := c.GroupIDs(); len(ids) > 0 {
-		fmt.Fprintf(w, "# TYPE rsm_group_decision_latency_seconds histogram\n")
-		for _, g := range ids {
-			promHist(w, "rsm_group_decision_latency_seconds", fmt.Sprintf("group=\"%d\",", g), seconds, c.GroupHist(g))
-		}
-		fmt.Fprintf(w, "# HELP rsm_group_lease_held Processes holding each group's lease (0 or 1 per group when healthy).\n# TYPE rsm_group_lease_held gauge\n")
-		for _, g := range ids {
-			held, _, _ := c.Lease(g)
-			fmt.Fprintf(w, "rsm_group_lease_held{group=\"%d\"} %d\n", g, held)
-		}
-		fmt.Fprintf(w, "# TYPE rsm_group_reads_local_total counter\n# TYPE rsm_group_reads_fallback_total counter\n")
-		for _, g := range ids {
-			_, local, fallback := c.Lease(g)
-			fmt.Fprintf(w, "rsm_group_reads_local_total{group=\"%d\"} %d\n", g, local)
-			fmt.Fprintf(w, "rsm_group_reads_fallback_total{group=\"%d\"} %d\n", g, fallback)
-		}
+		promHist(w, row.prom, row.unit, c.Hist(Series(s)))
 	}
 }

@@ -55,8 +55,8 @@ func TestPrometheusExpositionGolden(t *testing.T) {
 
 	// Read path: p0 holds the lease and has served 10 local + 2 fallback
 	// reads; p1 has 5 local + 1 fallback from an earlier reign.
-	c.Probe(obs.NoGroup, func() (bool, uint64, uint64) { return true, 10, 2 })
-	c.Probe(obs.NoGroup, func() (bool, uint64, uint64) { return false, 5, 1 })
+	c.Probe(func() (bool, uint64, uint64) { return true, 10, 2 })
+	c.Probe(func() (bool, uint64, uint64) { return false, 5, 1 })
 
 	// One vectored flush of 3 frames / 200 bytes, and the durability view:
 	// a 500µs fsync, a 48-byte append, a 20ms recovery.
@@ -68,9 +68,9 @@ func TestPrometheusExpositionGolden(t *testing.T) {
 	_, _, onRecover := WALHooks(c, 1, now)
 	onRecover(20 * time.Millisecond)
 
-	// One sharded group with its own decision stream and lease probe.
+	// One process's decision stream, attached without a lease probe.
 	rec := consensus.NewRecorder()
-	Attach(c, c, 2, Process{ID: 0, Recorder: rec, Lease: func() (bool, uint64, uint64) { return true, 7, 0 }})
+	Attach(c, c, Process{ID: 0, Recorder: rec})
 	rec.RecordInstance(0, consensus.NoValue, sim.At(time.Millisecond), 0, []sim.Time{0})
 
 	var buf bytes.Buffer
@@ -326,36 +326,4 @@ wal_recovery_seconds_bucket{le="0.033554432"} 1
 wal_recovery_seconds_bucket{le="+Inf"} 1
 wal_recovery_seconds_sum 0.02
 wal_recovery_seconds_count 1
-# TYPE rsm_group_decision_latency_seconds histogram
-rsm_group_decision_latency_seconds_bucket{group="2",le="1e-09"} 0
-rsm_group_decision_latency_seconds_bucket{group="2",le="2e-09"} 0
-rsm_group_decision_latency_seconds_bucket{group="2",le="4e-09"} 0
-rsm_group_decision_latency_seconds_bucket{group="2",le="8e-09"} 0
-rsm_group_decision_latency_seconds_bucket{group="2",le="1.6e-08"} 0
-rsm_group_decision_latency_seconds_bucket{group="2",le="3.2e-08"} 0
-rsm_group_decision_latency_seconds_bucket{group="2",le="6.4e-08"} 0
-rsm_group_decision_latency_seconds_bucket{group="2",le="1.28e-07"} 0
-rsm_group_decision_latency_seconds_bucket{group="2",le="2.56e-07"} 0
-rsm_group_decision_latency_seconds_bucket{group="2",le="5.12e-07"} 0
-rsm_group_decision_latency_seconds_bucket{group="2",le="1.024e-06"} 0
-rsm_group_decision_latency_seconds_bucket{group="2",le="2.048e-06"} 0
-rsm_group_decision_latency_seconds_bucket{group="2",le="4.096e-06"} 0
-rsm_group_decision_latency_seconds_bucket{group="2",le="8.192e-06"} 0
-rsm_group_decision_latency_seconds_bucket{group="2",le="1.6384e-05"} 0
-rsm_group_decision_latency_seconds_bucket{group="2",le="3.2768e-05"} 0
-rsm_group_decision_latency_seconds_bucket{group="2",le="6.5536e-05"} 0
-rsm_group_decision_latency_seconds_bucket{group="2",le="0.000131072"} 0
-rsm_group_decision_latency_seconds_bucket{group="2",le="0.000262144"} 0
-rsm_group_decision_latency_seconds_bucket{group="2",le="0.000524288"} 0
-rsm_group_decision_latency_seconds_bucket{group="2",le="0.001048576"} 1
-rsm_group_decision_latency_seconds_bucket{group="2",le="+Inf"} 1
-rsm_group_decision_latency_seconds_sum{group="2"} 0.001
-rsm_group_decision_latency_seconds_count{group="2"} 1
-# HELP rsm_group_lease_held Processes holding each group's lease (0 or 1 per group when healthy).
-# TYPE rsm_group_lease_held gauge
-rsm_group_lease_held{group="2"} 1
-# TYPE rsm_group_reads_local_total counter
-# TYPE rsm_group_reads_fallback_total counter
-rsm_group_reads_local_total{group="2"} 7
-rsm_group_reads_fallback_total{group="2"} 0
 `

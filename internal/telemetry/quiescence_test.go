@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/node"
-	"repro/internal/obs"
 	"repro/internal/telemetry"
 	"repro/internal/transport"
 )
@@ -42,7 +41,7 @@ func TestQuiescenceEndToEnd(t *testing.T) {
 	}
 	tel.AttachStats(c.Stats())
 	for i, d := range dets {
-		telemetry.Attach(tel, tel, obs.NoGroup, telemetry.Process{ID: node.ID(i), History: d.History()})
+		telemetry.Attach(tel, tel, telemetry.Process{ID: node.ID(i), History: d.History()})
 	}
 	c.Start()
 	defer c.Stop()
@@ -125,7 +124,7 @@ func TestQuiescenceLiveTCPMetricsEndpoint(t *testing.T) {
 	}
 	tel.AttachStats(c.Stats())
 	for i, d := range dets {
-		telemetry.Attach(tel, tel, obs.NoGroup, telemetry.Process{ID: node.ID(i), History: d.History()})
+		telemetry.Attach(tel, tel, telemetry.Process{ID: node.ID(i), History: d.History()})
 	}
 	c.Start()
 	defer c.Stop()

@@ -60,14 +60,12 @@ const KindTrace = "TRACE"
 
 var kindTraceID = obs.Intern(KindTrace)
 
-// Wrap carries a trace context alongside an inner protocol message — the
-// GROUP-wrapper pattern applied to tracing. The wire codec encodes the
-// context then the inner message's own code and fields nested in place
-// (wire's one wrapper codec); the consensus engine unwraps it at Deliver,
+// Wrap carries a trace context alongside an inner protocol message. The
+// wire codec encodes the context then the inner message's own code and
+// fields nested in place; the consensus engine unwraps it at Deliver,
 // installs the context for the inner handler, and processes Inner as if
 // it had arrived bare. Wrappers do not nest: TRACE inside TRACE is a
-// codec error, and a TRACE wrapper rides *inside* a GROUP wrapper (the
-// group demux must see its own envelope first).
+// codec error.
 type Wrap struct {
 	Ctx   Context
 	Inner node.Message
@@ -99,8 +97,8 @@ const maxOpenSpans = 4096
 
 // Tracer records spans for one process. All methods are safe on a nil
 // receiver (the disabled state) and safe for concurrent use — a process
-// may record from its node loop, group workers, and transport receive
-// goroutines at once.
+// may record from its node loop and transport receive goroutines at
+// once.
 type Tracer struct {
 	set  *Set
 	proc int

@@ -373,7 +373,7 @@ func TestSinkKeepsEventsAsMarks(t *testing.T) {
 	ev.OnEvent(obs.Event{T: 61, What: obs.Note, Proc: 0, Peer: -1, Text: "ballot 7 prepared"})
 	ev.OnEvent(obs.Event{T: 70, What: obs.WALFsync, Proc: 1, Peer: -1, Dur: SlowFsync / 2}) // healthy: no mark
 	ev.OnEvent(obs.Event{T: 71, What: obs.WALFsync, Proc: 1, Peer: -1, Dur: SlowFsync})
-	ev.OnEvent(obs.Event{T: 72, What: obs.Decide, Proc: 1, Peer: -1, Dur: time.Millisecond, N: obs.NoGroup})
+	ev.OnEvent(obs.Event{T: 72, What: obs.Decide, Proc: 1, Peer: -1, Dur: time.Millisecond})
 	ev.OnEvent(obs.Event{T: 73, What: obs.Flush, Proc: 1, Peer: 0, N: 3, Bytes: 200})
 	ev.OnEvent(obs.Event{T: 74, What: obs.Down, Proc: 9, Peer: -1}) // out of range: dropped, not a panic
 

@@ -68,7 +68,7 @@ func BenchmarkTCPSendBatched(b *testing.B) {
 
 // BenchmarkNewTCPCluster is what a three-process TCP cluster costs before
 // its first message: build (listeners, six link senders), Start (accept
-// loops, senders, every lane's boot turn, node loops) and Stop. The
+// loops, senders, every station's boot turn, node loops) and Stop. The
 // automatons are idle, so no link dials: a link the steady state does not
 // use costs its struct and nothing more.
 func BenchmarkNewTCPCluster(b *testing.B) {

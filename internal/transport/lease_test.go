@@ -125,7 +125,7 @@ func TestTCPLeaseCrashSafety(t *testing.T) {
 	// and no round of grants is confirmed without a quorum.
 	armed.Store(true)
 	for i := 0; i < 30; i++ {
-		c.stations[0].deliver(0, &rsm.ReadReqMsg{Seq: uint64(1000 + i), Count: 1, Origin: 0})
+		c.stations[0].mbox.Push(event{from: 0, msg: &rsm.ReadReqMsg{Seq: uint64(1000 + i), Count: 1, Origin: 0}})
 		time.Sleep(10 * time.Millisecond)
 	}
 	if got := staleLocal.Load(); got != 0 {

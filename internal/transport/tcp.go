@@ -186,14 +186,11 @@ func (c *TCPCluster) closeAll() {
 // OpenConns returns the receiver-side count of currently open inbound
 // connections across the cluster. A quiesced n-process cluster with every
 // directed link in use reads exactly n*(n-1) — one TCP connection per
-// directed peer pair — no matter how many consensus groups multiplex over
-// the links. Safe from any goroutine.
+// directed peer pair. Safe from any goroutine.
 func (c *TCPCluster) OpenConns() int { return int(c.conns.Load()) }
 
 // Dials returns the lifetime total of successful dials across every
-// directed link: n*(n-1) when no link ever re-dialed. Together with
-// OpenConns this asserts the shared-socket property of multi-group mode
-// from counters, not eyeballs.
+// directed link: n*(n-1) when no link ever re-dialed.
 func (c *TCPCluster) Dials() uint64 {
 	var total uint64
 	for _, s := range c.senders {
@@ -211,9 +208,9 @@ func (c *TCPCluster) Addr(id nodepkg.ID) net.Addr { return c.addrs[id] }
 func (c *TCPCluster) Fault() *faultline.Injector { return c.cfg.Fault }
 
 // Start boots every process: one accept loop and one sender goroutine per
-// outgoing link each, then every lane's first turn on the calling
+// outgoing link each, then every station's first turn on the calling
 // goroutine (so an OnApply replay while a log restores runs there), then a
-// node loop per lane; then it arms the fault plan's scheduled crashes and
+// node loop per station; then it arms the fault plan's scheduled crashes and
 // restarts. When Start returns every detector has its first output and
 // phase 1 is queued on the links.
 func (c *TCPCluster) Start() {
@@ -244,9 +241,8 @@ func (c *TCPCluster) Start() {
 
 // Restart reboots process id with a fresh automaton — the in-process
 // equivalent of restarting a kill -9'd process from its durable state; the
-// process keeps its listener and its links. A sharded process takes a
-// group.Engine of as many groups. The swap happens on each of the
-// process's node loops; the new automaton's Start runs under the same
+// process keeps its listener and its links. The swap happens on the
+// process's node loop; the new automaton's Start runs under the same
 // single-threaded Env contract as at boot. Safe to call from any
 // goroutine.
 func (c *TCPCluster) Restart(id nodepkg.ID, a nodepkg.Automaton) { c.stations[id].reboot(a) }
@@ -289,10 +285,9 @@ func (c *TCPCluster) acceptLoop(i int) {
 // readLoop is the receive half of a turn (DESIGN.md "Turns"): one read
 // from the socket, one decode pass over every complete frame it brought —
 // in place, in a read buffer sized to the sender's batch cap — and one push
-// of what they decoded to the station's mailbox (a sharded station's lanes
-// take them one by one). What the peer's sender flushed with one vectored
-// write is therefore one read syscall, one mailbox lock and one wake-up
-// here, and one turn of the automaton. The messages share nothing with
+// of what they decoded to the station's mailbox. What the peer's sender
+// flushed with one vectored write is therefore one read syscall, one
+// mailbox lock and one wake-up here, and one turn of the automaton. The messages share nothing with
 // the read buffer: the connection's decoder copies their strings into its
 // own chunks (wire.ConnDecoder), one allocation per ~64 KiB of them.
 //

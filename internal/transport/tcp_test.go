@@ -215,11 +215,12 @@ func TestTCPReconnectRecoversDelivery(t *testing.T) {
 	}, "delivery recovery after connection reset")
 }
 
-// TestTCPRedialedLinkHoldsOneSocket: an inbound connection whose read loop
-// ends — here severed five times, each followed by the sender's redial, and
-// a stranger that dials and hangs up — is closed and taken off the books.
-// Before, the loop returned without closing (the socket sat in CLOSE_WAIT)
-// and c.accepted only ever grew, until Stop.
+// TestTCPRedialedLinkHoldsOneSocket: the mesh is one dial per directed
+// link, and an inbound connection whose read loop ends — here severed five
+// times, each followed by the sender's redial, and a stranger that dials
+// and hangs up — is closed and taken off the books. Before, the loop
+// returned without closing (the socket sat in CLOSE_WAIT) and c.accepted
+// only ever grew, until Stop.
 func TestTCPRedialedLinkHoldsOneSocket(t *testing.T) {
 	const n = 3
 	autos := make([]node.Automaton, n)
@@ -244,6 +245,12 @@ func TestTCPRedialedLinkHoldsOneSocket(t *testing.T) {
 	accepted := func() int { c.mu.Lock(); defer c.mu.Unlock(); return len(c.accepted) }
 	settled := func() bool { traffic(); return c.OpenConns() == n*(n-1) && accepted() == n*(n-1) }
 	waitFor(t, 10*time.Second, settled, "the full mesh")
+	// A dial is counted once the dialer has its socket, which may be after
+	// the listener has accepted it.
+	waitFor(t, 10*time.Second, func() bool { return c.Dials() >= n*(n-1) }, "every link's dial counted")
+	if got, want := c.Dials(), uint64(n*(n-1)); got != want {
+		t.Fatalf("%d dials built the mesh, want %d: one per directed link", got, want)
+	}
 
 	for k := 0; k < 5; k++ {
 		dials := c.Dials()

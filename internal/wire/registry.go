@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/consensus"
-	"repro/internal/consensus/group"
 	"repro/internal/consensus/rsm"
 	"repro/internal/core"
 	"repro/internal/detector/alltoall"
@@ -25,8 +24,9 @@ const (
 )
 
 // Codes 5–17 carried the synod and ct kinds, which run only in the
-// simulator and never cross a wire. They are retired: a frame carrying one
-// is refused as unknown, and no kind takes one again.
+// simulator and never cross a wire, and code 31 the group wrapper of the
+// sharded write path, which is gone. They are retired: a frame carrying
+// one is refused as unknown, and no kind takes one again.
 const (
 	codeRSMRequest byte = iota + 18
 	codeRSMPrepare
@@ -41,7 +41,7 @@ const (
 	codeRSMLeaseAck
 	codeRSMReadReq
 	codeRSMReadReply
-	codeGroupWrap
+	_ // 31, retired
 	codeTraceWrap
 )
 
@@ -110,42 +110,30 @@ func NewCodec() *Codec {
 		func(e *Encoder, m source.AliveMsg) { e.U64s(m.Counters) },
 		func(d *Decoder) source.AliveMsg { return source.AliveMsg{Counters: d.U64s()} })
 	registerRSM(c)
-	registerWrappers(c)
+	registerTrace(c)
 	return c
 }
 
-// registerWrappers registers the two wrappers, GROUP (multi-group sharded
-// consensus, DESIGN.md §15: a group id) and TRACE (causal tracing,
-// DESIGN.md §8: a trace id and a parent span id). A wrapper's own fields
-// come first, then the message it carries — type code and fields — nested
-// in place with no intermediate buffer. A wrapper refuses to carry itself
-// and every wrapper it must stay inside, on encode and on decode: the
-// group envelope is always outermost (the demux must see its own tag
-// first), so a traced sharded message is GROUP(TRACE(inner)) and TRACE
-// refuses GROUP. That bounds decoder recursion at two levels.
+// registerTrace registers the trace wrapper, TRACE (causal tracing,
+// DESIGN.md §8): a trace id and a parent span id, then the message it
+// carries — type code and fields — nested in place with no intermediate
+// buffer. The wrapper refuses to carry itself, on encode and on decode,
+// which bounds decoder recursion at one level.
 //
-// Neither kind is negotiated: a node built before it fails strict decoding
-// of its frames and (on TCP) drops the connection, so enabling groups or
-// tracing is a cluster-wide atomic upgrade. Messages sent bare encode
-// exactly as before either existed.
-func registerWrappers(c *Codec) {
-	reg(c, codeGroupWrap,
-		func(e *Encoder, m group.Msg) {
-			e.Int(m.Group)
-			c.encode(e, m.Inner, codeGroupWrap)
-		},
-		func(d *Decoder) group.Msg {
-			return group.Msg{Group: d.Int(), Inner: c.decode(d, codeGroupWrap)}
-		})
+// The kind is not negotiated: a node built before it fails strict decoding
+// of its frames and (on TCP) drops the connection, so enabling tracing is
+// a cluster-wide atomic upgrade. Messages sent bare encode exactly as
+// before it existed.
+func registerTrace(c *Codec) {
 	reg(c, codeTraceWrap,
 		func(e *Encoder, m tracing.Wrap) {
 			e.U64(uint64(m.Ctx.Trace))
 			e.U64(uint64(m.Ctx.Span))
-			c.encode(e, m.Inner, codeTraceWrap, codeGroupWrap)
+			c.encode(e, m.Inner, codeTraceWrap)
 		},
 		func(d *Decoder) tracing.Wrap {
 			ctx := tracing.Context{Trace: tracing.TraceID(d.U64()), Span: tracing.SpanID(d.U64())}
-			return tracing.Wrap{Ctx: ctx, Inner: c.decode(d, codeTraceWrap, codeGroupWrap)}
+			return tracing.Wrap{Ctx: ctx, Inner: c.decode(d, codeTraceWrap)}
 		})
 }
 

@@ -6,16 +6,16 @@ import (
 	"testing"
 
 	"repro/internal/consensus"
-	"repro/internal/consensus/group"
 	"repro/internal/consensus/rsm"
 	"repro/internal/core"
 	"repro/internal/node"
+	"repro/internal/obs"
 	"repro/internal/tracing"
 )
 
-// TestTraceVarintWireFrozen pins the varint layout the same way: marker,
-// varint sender, TRACE code, varint trace id and span id, inner code,
-// inner fields.
+// TestTraceVarintWireFrozen pins the varint layout of a traced envelope:
+// marker, varint sender, TRACE code, varint trace id and span id, inner
+// code, inner fields.
 func TestTraceVarintWireFrozen(t *testing.T) {
 	c := NewCodec()
 	b, err := c.MarshalEnvelope(7, tracing.Wrap{
@@ -40,8 +40,7 @@ func TestTraceVarintWireFrozen(t *testing.T) {
 }
 
 // TestTraceRoundTrip exercises the wrapper around a spread of inner kinds
-// and context values — including full-width 64-bit ids — plus the sharded
-// composition GROUP(TRACE(inner)).
+// and context values — including full-width 64-bit ids.
 func TestTraceRoundTrip(t *testing.T) {
 	c := NewCodec()
 	msgs := []node.Message{
@@ -49,7 +48,6 @@ func TestTraceRoundTrip(t *testing.T) {
 		tracing.Wrap{Ctx: tracing.Context{Trace: 1 << 48, Span: 1<<48 | 9}, Inner: &rsm.AcceptMsg{B: 2, Inst: 40, V: "x", CommitUpTo: 39, MinDone: 12, LeaseSeq: 4}},
 		tracing.Wrap{Ctx: tracing.Context{Trace: ^tracing.TraceID(0), Span: ^tracing.SpanID(0)}, Inner: &rsm.AcceptedMsg{B: 2, Inst: 40, Done: 39, LeaseSeq: 4}},
 		tracing.Wrap{Ctx: tracing.Context{Trace: 5, Span: 0}, Inner: &rsm.DecideMsg{Inst: 9, V: consensus.Value("v")}},
-		group.Msg{Group: 3, Inner: tracing.Wrap{Ctx: tracing.Context{Trace: 6, Span: 7}, Inner: &rsm.RequestMsg{V: "sharded"}}},
 	}
 	for _, m := range msgs {
 		if got := roundTrip(t, c, m); !reflect.DeepEqual(got, m) {
@@ -58,28 +56,19 @@ func TestTraceRoundTrip(t *testing.T) {
 	}
 }
 
-// TestTraceNestRejected proves the nesting rules in both directions: a
-// trace wrapper inside a trace wrapper fails to encode and decode, and a
-// group wrapper inside a trace wrapper fails both ways too — the group
-// envelope must be outermost, so GROUP(TRACE(x)) is legal (covered by
-// TestTraceRoundTrip) and TRACE(GROUP(x)) is not.
+// TestTraceNestRejected proves the one-level bound in both directions: a
+// trace wrapper inside a trace wrapper fails to encode, and a hand-crafted
+// nested frame fails to decode — so decoder recursion depth is bounded by
+// construction, not by a counter.
 func TestTraceNestRejected(t *testing.T) {
 	c := NewCodec()
-	inner := rsm.RequestMsg{V: "x"}
 	ctx := tracing.Context{Trace: 1, Span: 2}
-	if _, err := c.Marshal(tracing.Wrap{Ctx: ctx, Inner: tracing.Wrap{Ctx: ctx, Inner: inner}}); err == nil {
+	if _, err := c.Marshal(tracing.Wrap{Ctx: ctx, Inner: tracing.Wrap{Ctx: ctx, Inner: rsm.RequestMsg{V: "x"}}}); err == nil {
 		t.Fatal("nested trace wrapper encoded")
 	}
-	if _, err := c.Marshal(tracing.Wrap{Ctx: ctx, Inner: group.Msg{Group: 1, Inner: inner}}); err == nil {
-		t.Fatal("group wrapper inside trace wrapper encoded")
-	}
-	// TRACE, trace id 1, span id 2, then the banned code.
-	head := []byte{verVarintByte, 32, 1, 2}
-	if _, err := c.Unmarshal(append(append([]byte{}, head...), 32)); err == nil {
+	// TRACE, trace id 1, span id 2, then TRACE again.
+	if _, err := c.Unmarshal([]byte{verVarintByte, 32, 1, 2, 32}); err == nil {
 		t.Fatal("nested trace frame decoded")
-	}
-	if _, err := c.Unmarshal(append(append([]byte{}, head...), 31)); err == nil {
-		t.Fatal("trace frame carrying a group wrapper decoded")
 	}
 }
 
@@ -95,6 +84,10 @@ func TestTraceEncodeRejects(t *testing.T) {
 		t.Fatalf("unknown inner kind: err = %v, want ErrUnknownKind", err)
 	}
 }
+
+type unknownMsg struct{}
+
+func (unknownMsg) KindID() obs.Kind { return obs.Intern("UNKNOWN-TEST-KIND") }
 
 // TestTraceDecodeRejects covers the decoder guards: frames that end
 // mid-context or right after it, and an unknown inner code.

@@ -19,7 +19,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 	"sync"
 
 	"repro/internal/node"
@@ -61,6 +60,10 @@ const (
 	verVarintByte byte = 0xF8
 	codeLimit     byte = 0xF0
 )
+
+// noKind is a code no kind has, as Register refuses it: what encode and
+// decode refuse for a message outside the trace wrapper.
+const noKind = codeLimit
 
 // EncodeFunc serializes a message's fields (the type code is written by
 // the codec), reporting a failure through Encoder.Fail.
@@ -130,7 +133,7 @@ func (c *Codec) MarshalAppend(dst []byte, m node.Message) ([]byte, error) {
 func (c *Codec) marshal(start int, head []byte, m node.Message) ([]byte, error) {
 	enc := encoders.Get().(*Encoder)
 	enc.buf = head
-	c.encode(enc, m)
+	c.encode(enc, m, noKind)
 	out, err := enc.buf, enc.err
 	*enc = Encoder{} // never retain the caller's buffer past the call
 	encoders.Put(enc)
@@ -143,9 +146,9 @@ func (c *Codec) marshal(start int, head []byte, m node.Message) ([]byte, error) 
 	return out, nil
 }
 
-// encode appends m's type code and fields. A kind in refuse fails: a
-// wrapper passes itself and every wrapper it must stay inside.
-func (c *Codec) encode(e *Encoder, m node.Message, refuse ...byte) {
+// encode appends m's type code and fields. The kind of code refuse fails:
+// a wrapper passes its own, and a bare message noKind.
+func (c *Codec) encode(e *Encoder, m node.Message, refuse byte) {
 	if m == nil {
 		e.Fail(fmt.Errorf("%w: nil message", ErrUnknownKind))
 		return
@@ -154,7 +157,7 @@ func (c *Codec) encode(e *Encoder, m node.Message, refuse ...byte) {
 	switch {
 	case ent == nil:
 		e.Fail(fmt.Errorf("%w: %q", ErrUnknownKind, obs.KindName(m.KindID())))
-	case slices.Contains(refuse, ent.code):
+	case ent.code == refuse:
 		e.Fail(fmt.Errorf("wire: %s cannot nest here", ent.kind))
 	default:
 		e.buf = append(e.buf, ent.code)
@@ -162,16 +165,16 @@ func (c *Codec) encode(e *Encoder, m node.Message, refuse ...byte) {
 	}
 }
 
-// decode reads a type code and the fields of its kind; a code in refuse
-// fails, as in encode.
-func (c *Codec) decode(d *Decoder, refuse ...byte) node.Message {
+// decode reads a type code and the fields of its kind; code refuse fails,
+// as in encode.
+func (c *Codec) decode(d *Decoder, refuse byte) node.Message {
 	code := d.code()
 	ent := c.byCode[code]
 	switch {
 	case d.err != nil:
 	case ent == nil:
 		d.Fail(fmt.Errorf("%w: %d", ErrUnknownCode, code))
-	case slices.Contains(refuse, code):
+	case code == refuse:
 		d.Fail(fmt.Errorf("wire: %s cannot nest here", ent.kind))
 	default:
 		return ent.dec(d)
@@ -206,7 +209,7 @@ func (c *Codec) unmarshal(d *Decoder, b []byte, envelope bool) (Envelope, error)
 		env.From = node.ID(int32(d.U32()))
 	}
 	body := d.buf
-	env.Msg = c.decode(d)
+	env.Msg = c.decode(d, noKind)
 	if len(d.buf) != 0 {
 		d.Fail(fmt.Errorf("%w: %d bytes", ErrTrailing, len(d.buf)))
 	}

@@ -11,7 +11,6 @@ import (
 	"testing/quick"
 
 	"repro/internal/consensus"
-	"repro/internal/consensus/group"
 	"repro/internal/consensus/rsm"
 	"repro/internal/core"
 	"repro/internal/detector/alltoall"
@@ -73,9 +72,7 @@ func allMessages() []node.Message {
 		&rsm.ReadReplyMsg{Seq: 100, Count: 64, Index: 4242, Local: true},
 		readReply(21),  // what a turn of the benchmark's leader answers at once
 		readReply(128), // a whole turn (loop.MaxTurn) of reads from one origin
-		group.Msg{Group: 3, Inner: &rsm.AcceptMsg{B: 9, Inst: 4, V: "x", CommitUpTo: 3, MinDone: 2, LeaseSeq: 6}},
 		tracing.Wrap{Ctx: tracing.Context{Trace: 1 << 40, Span: 3}, Inner: &rsm.RequestMsg{V: "traced"}},
-		group.Msg{Group: 2, Inner: tracing.Wrap{Ctx: tracing.Context{Trace: 5, Span: 6}, Inner: &rsm.AcceptedMsg{B: 9, Inst: 4, Done: 3}}},
 	}
 }
 
@@ -111,8 +108,8 @@ func TestInjectedValuesEncodeAsBoxes(t *testing.T) {
 
 // TestRoundTripCoversEveryRegisteredKind pins every type code to its kind,
 // so that renumbering one fails here — codes are append only — and every
-// retired code (5–17, the synod and ct kinds) to ErrUnknownCode, so that
-// reusing one fails too; and it holds allMessages to a message of each.
+// retired code (5–17, the synod and ct kinds, and 31, the group wrapper)
+// to ErrUnknownCode, so that reusing one fails too; and it holds allMessages to a message of each.
 // A kind is named by its type: the kind a registration reads off its type
 // parameter, and the KindID of every message in allMessages, must name the
 // constant pinned for the code it is sent under.
@@ -122,7 +119,7 @@ func TestRoundTripCoversEveryRegisteredKind(t *testing.T) {
 		18: rsm.KindRequest, 19: rsm.KindPrepare, 20: rsm.KindPromise, 21: rsm.KindNack,
 		22: rsm.KindAccept, 23: rsm.KindAccepted, 24: rsm.KindDecide, 25: rsm.KindLearn,
 		26: core.KindRebuff, 27: rsm.KindLeaseGrant, 28: rsm.KindLeaseAck, 29: rsm.KindReadReq,
-		30: rsm.KindReadReply, 31: group.KindGroup, 32: tracing.KindTrace,
+		30: rsm.KindReadReply, 32: tracing.KindTrace,
 	}
 	c := NewCodec()
 	registered := 0
@@ -139,7 +136,7 @@ func TestRoundTripCoversEveryRegisteredKind(t *testing.T) {
 			t.Errorf("code %d: %+v, want %s", code, e, kind)
 		}
 	}
-	for code := byte(5); code <= 17; code++ {
+	for _, code := range []byte{5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 31} {
 		if _, err := c.Unmarshal([]byte{verVarintByte, code}); !errors.Is(err, ErrUnknownCode) {
 			t.Errorf("retired code %d: err = %v, want ErrUnknownCode", code, err)
 		}
@@ -289,14 +286,14 @@ func TestFrameLimit(t *testing.T) {
 
 // TestMaxValueFitsAFrame: rsm closes a batch at rsm.MaxValue bytes so that
 // the ACCEPT carrying it is a frame. With a value of that size and every
-// other field at its widest, inside both wrappers and a socket envelope, it
-// fits MaxFrame, with under 256 bytes to spare.
+// other field at its widest, inside the trace wrapper and a socket
+// envelope, it fits MaxFrame, with under 256 bytes to spare.
 func TestMaxValueFitsAFrame(t *testing.T) {
 	const wide, widest = 1 << 62, ^uint64(0) // the largest Int and U64
 	accept := &rsm.AcceptMsg{B: consensus.Ballot(widest), Inst: wide, V: consensus.Value(strings.Repeat("v", rsm.MaxValue)),
 		CommitUpTo: wide, MinDone: wide, LeaseSeq: widest, Repliers: widest}
 	traced := tracing.Wrap{Ctx: tracing.Context{Trace: tracing.TraceID(widest), Span: tracing.SpanID(widest)}, Inner: accept}
-	frame, err := NewCodec().MarshalEnvelope(-1, group.Msg{Group: wide, Inner: traced})
+	frame, err := NewCodec().MarshalEnvelope(-1, traced)
 	if spare := MaxFrame - len(frame); err != nil || spare < 0 || spare >= 256 {
 		t.Fatalf("the widest ACCEPT of rsm.MaxValue = %d bytes is a %d-byte frame (%v), want one within 256 bytes under MaxFrame = %d",
 			rsm.MaxValue, len(frame), err, MaxFrame)
