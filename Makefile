@@ -191,14 +191,17 @@ bench:
 	$(GO) test -run '^$$' -bench . -benchmem .
 
 # Just the per-message-path micro-benchmarks: observer sink recording and
-# wire encode/decode, then the per-command bookkeeping of the consensus
+# wire encode/decode, the simulator's send path (FabricSendSteadyState: a
+# send counted, its delay drawn, its delivery scheduled and fired), then
+# the per-command bookkeeping of the consensus
 # engine (decision recording at a follower and, RecordInstanceInOrder, at
 # the leader that proposed, a pump that cannot propose, applying a
 # 16-command batch) and BenchmarkFollowerCommit, a follower's whole share
 # of an instance (ACCEPT of a 16-command envelope, then the commit index:
 # vote, decide from the vote, apply), and Phase2Round, one instance of
 # three replicas on hand-driven envs (ACCEPT broadcast, two ACCEPTEDs, the
-# commit index). The SinkRecordSend and Wire*Encode benches, the four
+# commit index). The SinkRecordSend, FabricSendSteadyState and Wire*Encode
+# benches (0 B/op too for the first two), the four
 # bookkeeping benches, FollowerCommit and Phase2Round must stay at 0
 # allocs/op: the phase-2 messages are cut from slabs, a chunk per 32, and
 # the value the leader proposes from its arena. Then the turn: StationTurn is
@@ -236,6 +239,7 @@ bench:
 BENCHTIME ?= 1s
 bench-micro:
 	$(GO) test -run '^$$' -bench 'SinkRecordSend|Wire' -benchmem -benchtime $(BENCHTIME) .
+	$(GO) test -run '^$$' -bench 'FabricSendSteadyState' -benchmem -benchtime $(BENCHTIME) ./internal/network
 	$(GO) test -run '^$$' -bench 'Envelope|ConnDecode' -benchmem -benchtime $(BENCHTIME) ./internal/wire
 	$(GO) test -run '^$$' -bench 'RecorderRecord|RecordInstanceInOrder|BatcherPumpFull|ApplyBatch16|FollowerCommit|Phase2Round|SubmitWithBacklog|LeaseReadTurn' -benchmem -benchtime $(BENCHTIME) ./internal/consensus ./internal/consensus/rsm
 	$(GO) test -run '^$$' -bench 'StationTurn|WALTurn|WALOpen' -benchmem -benchtime $(BENCHTIME) ./internal/transport ./internal/durable

@@ -167,18 +167,13 @@ func BenchmarkWireVectorRoundTrip(b *testing.B) {
 }
 
 // BenchmarkSinkRecordSend measures the steady-state observer record path:
-// one pre-interned OnSend into a send log at its window. This is the
-// per-message instrumentation cost every simulated or live send pays; it
-// must stay at 0 allocs/op (a 2 KiB chunk per two thousand of these sends).
+// one pre-interned OnSend, a handful of atomics. This is the per-message
+// instrumentation cost every simulated or live send pays; it must stay at
+// 0 allocs/op.
 func BenchmarkSinkRecordSend(b *testing.B) {
-	const n, window = 8, 1024
-	stats := metrics.NewMessageStatsWindow(n, window)
+	const n = 8
+	stats := metrics.NewMessageStats(n)
 	kind := obs.Intern("LEADER")
-	// Fill past the window (steady state: every send evicts one) before
-	// measurement starts.
-	for i := 0; i < n*window+1; i++ {
-		stats.OnSend(sim.Time(i), i%n, (i+1)%n, kind)
-	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -190,12 +185,9 @@ func BenchmarkSinkRecordSend(b *testing.B) {
 // process recording from its own goroutine — the live-transport shape the
 // sharding exists for.
 func BenchmarkSinkRecordSendParallel(b *testing.B) {
-	const n, window = 8, 1024
-	stats := metrics.NewMessageStatsWindow(n, window)
+	const n = 8
+	stats := metrics.NewMessageStats(n)
 	kind := obs.Intern("LEADER")
-	for i := 0; i < n*window+1; i++ {
-		stats.OnSend(sim.Time(i), i%n, (i+1)%n, kind)
-	}
 	var nextID atomic.Uint64
 	b.ReportAllocs()
 	b.ResetTimer()

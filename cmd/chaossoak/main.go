@@ -150,7 +150,7 @@ func run(args []string) (err error) {
 		}
 		s.inj = inj
 	default:
-		return fmt.Errorf("unknown plan %q (want crash, partition, chaos, full)", *planName)
+		return fmt.Errorf("unknown plan %q (want crash, partition, chaos, full, recovery)", *planName)
 	}
 
 	// The observer: the collector, the flight recorder and the event-log

@@ -56,5 +56,13 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		if strings.Contains(err.Error(), "timed out") {
 			t.Fatalf("%s: ran instead of rejecting: %v", name, err)
 		}
+		if name != "unknown plan" {
+			continue
+		}
+		for _, plan := range []string{"crash", "partition", "chaos", "full", "recovery"} {
+			if !strings.Contains(err.Error(), plan) {
+				t.Errorf("%s: %q does not name the %s plan", name, err, plan)
+			}
+		}
 	}
 }

@@ -117,7 +117,8 @@ func run(args []string) error {
 	for i, om := range sys.Omegas {
 		telemetry.Attach(cfg.Observer, tel, telemetry.Process{ID: node.ID(i), History: om.History()})
 	}
-	sys.Run(*runFor)
+	tail := sim.At(*runFor * 3 / 4)
+	msgs := sys.RunWindow(tail, sim.At(*runFor))
 
 	fmt.Printf("scenario: n=%d algo=%s regime=%s gst=%v seed=%d run=%v\n",
 		*n, *algo, *regime, *gst, *seed, *runFor)
@@ -139,8 +140,7 @@ func run(args []string) error {
 		fmt.Printf("omega:    VIOLATED — %s\n", rep.Reason)
 	}
 
-	tail := sim.At(*runFor * 3 / 4)
-	ce := sys.CommEffReport(tail)
+	ce := sys.CommEffReport(tail, msgs)
 	fmt.Printf("commeff:  efficient=%v quietSince=%v senders(tail)=%v links(tail)=%d msgs/η(tail)=%.1f\n",
 		ce.Efficient, ce.QuietSince, ce.Senders, ce.LinksUsed, ce.MessagesPerPeriod)
 	fmt.Printf("traffic:  %s\n", sys.World.Stats.Summary())
@@ -216,12 +216,13 @@ func runSweep(p sweepParams) error {
 		if err != nil {
 			return verdict{err: err}
 		}
-		sys.Run(p.runFor)
+		tail := sim.At(p.runFor * 3 / 4)
+		msgs := sys.RunWindow(tail, sim.At(p.runFor))
 		rep := sys.OmegaReport()
 		v := verdict{changes: rep.Changes}
-		if rep.Holds && rep.StabilizedAt <= sim.At(p.runFor*3/4) {
+		if rep.Holds && rep.StabilizedAt <= tail {
 			v.holds = true
-			v.efficient = sys.CommEffReport(sim.At(p.runFor * 3 / 4)).Efficient
+			v.efficient = sys.CommEffReport(tail, msgs).Efficient
 		}
 		return v
 	})

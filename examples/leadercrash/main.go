@@ -43,18 +43,16 @@ func run() error {
 	for reign := 0; alive > 1; reign++ {
 		startMsgs := sys.World.Stats.TotalSent()
 		startAt := sys.World.Kernel.Now()
-		sys.Run(2 * time.Second)
+		now := startAt.Add(2 * time.Second)
+		// Steady-state rate over the last 500ms of the reign.
+		steady := sys.RunWindow(now.Add(-500*time.Millisecond), now)
+		perEta := float64(steady) / 50.0
 
 		rep := sys.OmegaReport()
 		if !rep.Holds {
 			return fmt.Errorf("omega violated in reign %d: %s", reign, rep.Reason)
 		}
 		leader := rep.Leader
-
-		// Steady-state rate over the last 500ms of the reign.
-		now := sys.World.Kernel.Now()
-		window := now.Add(-500 * time.Millisecond)
-		perEta := float64(sys.World.Stats.Snapshot().MessagesInWindow(window, now)) / 50.0
 
 		// Re-election latency: last leader change minus the previous
 		// crash (reign 0 has no crash; report the boot convergence).

@@ -103,21 +103,21 @@ type CommEffReport struct {
 }
 
 // CommEff evaluates communication efficiency over the tail window
-// [checkFrom, horizon] of a finished run, for the given agreed leader.
-// It queries an immutable metrics snapshot (stats.Snapshot()), so the
-// verdict is computed over one consistent view even while a live cluster
-// keeps recording.
-func CommEff(snap *metrics.Snapshot, leader node.ID, checkFrom, horizon sim.Time, period time.Duration) CommEffReport {
+// [checkFrom, horizon) of a finished run, for the given agreed leader.
+// msgs is how many messages the window holds: stats.TotalSent() read at
+// its two edges by whoever ran it (scenario.System.RunWindow), so the
+// window is fixed before the run reaches it.
+func CommEff(stats *metrics.MessageStats, leader node.ID, checkFrom, horizon sim.Time, period time.Duration, msgs uint64) CommEffReport {
 	rep := CommEffReport{
-		QuietSince: snap.QuietSince(int(leader)),
-		Senders:    snap.SendersSince(checkFrom),
-		LinksUsed:  snap.LinksUsedSince(checkFrom),
+		QuietSince: stats.QuietSince(int(leader)),
+		Senders:    stats.SendersSince(checkFrom),
+		LinksUsed:  stats.LinksUsedSince(checkFrom),
 	}
 	sort.Ints(rep.Senders)
 	rep.Efficient = rep.QuietSince <= checkFrom
 	if horizon > checkFrom && period > 0 {
 		windows := float64(horizon.Sub(checkFrom)) / float64(period)
-		rep.MessagesPerPeriod = float64(snap.MessagesInWindow(checkFrom, horizon)) / windows
+		rep.MessagesPerPeriod = float64(msgs) / windows
 	}
 	return rep
 }

@@ -125,11 +125,12 @@ func TestCommEffEfficientRun(t *testing.T) {
 	// Noise from everyone early, then only p1.
 	s.OnSend(at(5), 0, 1, obs.Intern("X"))
 	s.OnSend(at(8), 2, 1, obs.Intern("X"))
+	before := s.TotalSent() // the window [50ms, 200ms) opens here
 	for msec := 100; msec < 200; msec += 10 {
 		s.OnSend(at(msec), 1, 0, obs.Intern("L"))
 		s.OnSend(at(msec), 1, 2, obs.Intern("L"))
 	}
-	rep := CommEff(s.Snapshot(), 1, at(50), at(200), 10*ms)
+	rep := CommEff(s, 1, at(50), at(200), 10*ms, s.TotalSent()-before)
 	if !rep.Efficient {
 		t.Fatalf("Efficient = false, QuietSince = %v", rep.QuietSince)
 	}
@@ -147,17 +148,25 @@ func TestCommEffEfficientRun(t *testing.T) {
 
 func TestCommEffInefficientRun(t *testing.T) {
 	s := metrics.NewMessageStats(3)
+	var before uint64
 	for msec := 0; msec < 200; msec += 10 {
+		if msec == 100 {
+			before = s.TotalSent() // the window [100ms, 200ms) opens here
+		}
 		for from := 0; from < 3; from++ {
 			s.OnSend(at(msec), from, (from+1)%3, obs.Intern("A"))
 		}
 	}
-	rep := CommEff(s.Snapshot(), 0, at(100), at(200), 10*ms)
+	rep := CommEff(s, 0, at(100), at(200), 10*ms, s.TotalSent()-before)
 	if rep.Efficient {
 		t.Fatal("Efficient = true for all-to-all traffic")
 	}
 	if len(rep.Senders) != 3 {
 		t.Fatalf("Senders = %v", rep.Senders)
+	}
+	// 30 messages over ten periods.
+	if rep.MessagesPerPeriod != 3 {
+		t.Fatalf("MessagesPerPeriod = %v, want 3", rep.MessagesPerPeriod)
 	}
 }
 

@@ -63,12 +63,12 @@ func goldenRun(t *testing.T, cfg Config) (fingerprint, counts string) {
 			fmt.Fprintf(h, "%d %d %q\n", d.Instance, d.Cmd, d.Value)
 		}
 	}
-	snap := c.world.Stats.Snapshot()
-	kinds := snap.Kinds()
+	stats := c.world.Stats
+	kinds := stats.Kinds()
 	sort.Strings(kinds)
 	for _, k := range kinds {
-		fmt.Fprintf(h, "%s %d\n", k, snap.KindCount(k))
-		counts += fmt.Sprintf(" %s=%d", k, snap.KindCount(k))
+		fmt.Fprintf(h, "%s %d\n", k, stats.KindCount(k))
+		counts += fmt.Sprintf(" %s=%d", k, stats.KindCount(k))
 	}
 	return hex.EncodeToString(h.Sum(nil)), counts
 }

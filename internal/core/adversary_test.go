@@ -99,7 +99,7 @@ func TestRandomAdversaryLosslessAlwaysConverges(t *testing.T) {
 		}
 		// Communication efficiency: only the leader sent during the
 		// stable window.
-		senders := w.Stats.Snapshot().SendersSince(w.Kernel.Now().Add(-stableFor + time.Second))
+		senders := w.Stats.SendersSince(w.Kernel.Now().Add(-stableFor + time.Second))
 		if len(senders) != 1 || senders[0] != int(leader) {
 			t.Fatalf("seed %d: steady-state senders = %v, leader = p%v", seed, senders, leader)
 		}

@@ -35,7 +35,7 @@ func TestLossyPartitionStrandsStaleLeader(t *testing.T) {
 	if got := ds[1].Leader(); got == 0 {
 		t.Fatalf("p1 still trusts the stale p0")
 	}
-	senders := w.Stats.Snapshot().SendersSince(sim.At(9 * time.Second))
+	senders := w.Stats.SendersSince(sim.At(9 * time.Second))
 	if len(senders) != 2 {
 		t.Fatalf("steady-state senders = %v, want the split pair", senders)
 	}
@@ -57,7 +57,7 @@ func TestRebuffHealsPartition(t *testing.T) {
 	if leader == 0 {
 		t.Fatalf("stale p0 still leads after rebuff")
 	}
-	senders := w.Stats.Snapshot().SendersSince(sim.At(9 * time.Second))
+	senders := w.Stats.SendersSince(sim.At(9 * time.Second))
 	if len(senders) != 1 || senders[0] != int(leader) {
 		t.Fatalf("steady-state senders = %v, want only p%v", senders, leader)
 	}

@@ -50,7 +50,7 @@ func TestStaggeredRolloutCanStrandWithoutRebuff(t *testing.T) {
 	if ds[1].Leader() == ds[2].Leader() {
 		t.Skip("seed converged; the strand is schedule-dependent")
 	}
-	senders := w.Stats.Snapshot().SendersSince(sim.At(4 * time.Second))
+	senders := w.Stats.SendersSince(sim.At(4 * time.Second))
 	if len(senders) < 2 {
 		t.Fatalf("expected a split-brain sender pair, got %v", senders)
 	}
@@ -63,7 +63,7 @@ func TestStaggeredRolloutConvergesWithRebuff(t *testing.T) {
 	w, ds := buildStaggered(t, WithRebuff())
 	w.RunFor(5 * time.Second)
 	leader := assertAgreement(t, w, ds)
-	senders := w.Stats.Snapshot().SendersSince(sim.At(4 * time.Second))
+	senders := w.Stats.SendersSince(sim.At(4 * time.Second))
 	if len(senders) != 1 || senders[0] != int(leader) {
 		t.Fatalf("steady-state senders = %v, leader p%v", senders, leader)
 	}

@@ -59,7 +59,7 @@ func TestEveryProcessKeepsSending(t *testing.T) {
 	w, _ := buildWorld(t, 6, 3, network.Timely(2*ms), 0)
 	w.Start()
 	w.RunFor(time.Second)
-	senders := w.Stats.Snapshot().SendersSince(sim.At(900 * ms))
+	senders := w.Stats.SendersSince(sim.At(900 * ms))
 	if len(senders) != 6 {
 		t.Fatalf("steady-state senders = %v, want all 6 (all-to-all is not communication-efficient)", senders)
 	}
@@ -72,8 +72,12 @@ func TestEveryProcessKeepsSending(t *testing.T) {
 func TestSteadyStateQuadraticMessageRate(t *testing.T) {
 	w, _ := buildWorld(t, 5, 4, network.Timely(2*ms), 0)
 	w.Start()
-	w.RunFor(time.Second)
-	got := w.Stats.Snapshot().MessagesInWindow(sim.At(500*ms), sim.At(500*ms+eta))
+	// The window [500ms, 500ms+η) is counted at its edges, each read with
+	// the clock a nanosecond short of it.
+	w.RunUntil(sim.At(500*ms)-1, nil)
+	before := w.Stats.TotalSent()
+	w.RunUntil(sim.At(500*ms+eta)-1, nil)
+	got := w.Stats.TotalSent() - before
 	if got != 20 {
 		t.Fatalf("messages per η = %d, want n(n-1)=20", got)
 	}

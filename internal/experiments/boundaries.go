@@ -65,14 +65,15 @@ func E8AssumptionMatrix(o Opts) Table {
 			cfg.DropProb = 1.0
 		}
 		s := build(cfg)
-		s.Run(horizon)
+		tail := sim.At(horizon * 2 / 3)
+		msgs := s.RunWindow(tail, sim.At(horizon))
 		rep := s.OmegaReport()
 		// "Holds" requires agreement AND stability margin: no change in
 		// the final third of the run.
-		if !rep.Holds || rep.StabilizedAt > sim.At(horizon*2/3) {
+		if !rep.Holds || rep.StabilizedAt > tail {
 			return run{}
 		}
-		ce := s.CommEffReport(sim.At(horizon * 2 / 3))
+		ce := s.CommEffReport(tail, msgs)
 		return run{holds: true, eff: ce.Efficient}
 	})
 	for ci := 0; ci < len(cells); ci += len(regimes) {
@@ -127,11 +128,12 @@ func E9Ablations(o Opts) Table {
 		if mutate != nil {
 			mutate(s)
 		}
-		s.Run(horizon)
+		tail := sim.At(horizon * 3 / 4)
+		msgs := s.RunWindow(tail, sim.At(horizon))
 		rep := s.OmegaReport()
-		ce := s.CommEffReport(sim.At(horizon * 3 / 4))
+		ce := s.CommEffReport(tail, msgs)
 		holds := "no"
-		if rep.Holds && rep.StabilizedAt <= sim.At(horizon*3/4) {
+		if rep.Holds && rep.StabilizedAt <= tail {
 			holds = "yes"
 		}
 		return []string{

@@ -88,12 +88,9 @@ func fSourceRun(n, k int, seed int64, horizon time.Duration) (holds bool, change
 			panic(err)
 		}
 	}
-	s.Start()
-	s.World.RunUntil(sim.At(horizon), nil)
-
 	tailStart := sim.At(horizon * 3 / 4)
+	msgs := s.RunWindow(tailStart, sim.At(horizon))
 	rep := s.OmegaReport()
-	msgsPerEta = float64(s.World.Stats.Snapshot().MessagesInWindow(tailStart, sim.At(horizon))) /
-		(float64(horizon/4) / float64(Eta))
+	msgsPerEta = float64(msgs) / (float64(horizon/4) / float64(Eta))
 	return rep.Holds && rep.StabilizedAt <= tailStart, rep.Changes, msgsPerEta
 }

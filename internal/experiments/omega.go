@@ -45,8 +45,8 @@ func E1SteadyStateMessages(o Opts) Table {
 			N: c.n, Seed: int64(seed), Algorithm: c.algo,
 			Regime: scenario.RegimeAllET, Eta: Eta, GST: etaT(20),
 		})
-		s.Run(time.Duration(horizon) * Eta)
-		rep := s.CommEffReport(etaT(horizon - tail))
+		msgs := s.RunWindow(etaT(horizon-tail), etaT(horizon))
+		rep := s.CommEffReport(etaT(horizon-tail), msgs)
 		return run{rate: rep.MessagesPerPeriod, senders: len(rep.Senders)}
 	})
 	for ci, c := range cells {
@@ -115,16 +115,14 @@ func E2ConvergenceSeries(o Opts) Series {
 			N: n, Seed: 1, Algorithm: algo,
 			Regime: scenario.RegimeAllET, Eta: Eta, GST: etaT(gstPeriods),
 		})
-		sys.Run(time.Duration(horizon) * Eta)
-		buckets := sys.World.Stats.Snapshot().Series(Eta, etaT(horizon))
+		// Each point is the sends in [iη, (i+step)η), read at its edges.
 		var c curve
-		for i := 0; i+step <= len(buckets); i += step {
-			var sum uint64
-			for j := 0; j < step; j++ {
-				sum += buckets[i+j]
-			}
+		var before uint64 // nothing is sent before time zero
+		for i := 0; i+step <= horizon; i += step {
+			next := sys.RunTo(etaT(i + step))
 			c.xs = append(c.xs, float64(i))
-			c.ys = append(c.ys, float64(sum)/float64(step))
+			c.ys = append(c.ys, float64(next-before)/float64(step))
+			before = next
 		}
 		return c
 	})
@@ -285,7 +283,7 @@ func E5LinksUsed(o Opts) Table {
 			N: c.n, Seed: 7, Algorithm: c.algo, Regime: scenario.RegimeAllTimely, Eta: Eta,
 		})
 		s.Run(time.Duration(horizon) * Eta)
-		return s.World.Stats.Snapshot().LinksUsedSince(etaT(horizon - tail))
+		return s.World.Stats.LinksUsedSince(etaT(horizon - tail))
 	})
 	for ci, c := range cells {
 		predicted := c.n * (c.n - 1)

@@ -51,11 +51,12 @@ func E13PartitionHeal(o Opts) Table {
 		})
 		sys.World.Kernel.ScheduleAt(sim.At(300*time.Millisecond), func() { sys.World.Fabric.Isolate(0) })
 		sys.World.Kernel.ScheduleAt(sim.At(1500*time.Millisecond), func() { sys.World.Fabric.Rejoin(0) })
-		sys.Run(horizon)
+		tail := sim.At(horizon * 3 / 4)
+		msgs := sys.RunWindow(tail, sim.At(horizon))
 		rep := sys.OmegaReport()
-		ce := sys.CommEffReport(sim.At(horizon * 3 / 4))
+		ce := sys.CommEffReport(tail, msgs)
 		holds := "no"
-		if rep.Holds && rep.StabilizedAt <= sim.At(horizon*3/4) {
+		if rep.Holds && rep.StabilizedAt <= tail {
 			holds = "yes"
 		}
 		return run{holds: holds, senders: len(ce.Senders), changes: rep.Changes}

@@ -92,14 +92,14 @@ func relayRun(relayOn bool, horizon time.Duration, seed int64) (holds string, le
 	s.Start()
 
 	tailStart := sim.At(horizon * 3 / 4)
-	s.World.RunUntil(tailStart, nil)
+	before := s.RunTo(tailStart)
 	var originatedAtTail [4]uint64
 	if relayOn {
 		for i, wr := range wraps {
 			originatedAtTail[i] = wr.Originated()
 		}
 	}
-	s.World.RunUntil(sim.At(horizon), nil)
+	msgs := s.RunTo(sim.At(horizon)) - before
 
 	rep := s.OmegaReport()
 	holds, leader = "no", node.None
@@ -107,7 +107,6 @@ func relayRun(relayOn bool, horizon time.Duration, seed int64) (holds string, le
 		holds, leader = "yes", rep.Leader
 	}
 
-	snap := s.World.Stats.Snapshot()
 	if relayOn {
 		for i, wr := range wraps {
 			if wr.Originated() > originatedAtTail[i] {
@@ -115,9 +114,8 @@ func relayRun(relayOn bool, horizon time.Duration, seed int64) (holds string, le
 			}
 		}
 	} else {
-		originators = len(snap.SendersSince(tailStart))
+		originators = len(s.World.Stats.SendersSince(tailStart))
 	}
-	msgsPerEta = float64(snap.MessagesInWindow(tailStart, sim.At(horizon))) /
-		(float64(horizon/4) / float64(Eta))
+	msgsPerEta = float64(msgs) / (float64(horizon/4) / float64(Eta))
 	return holds, leader, originators, msgsPerEta, rep.Changes
 }

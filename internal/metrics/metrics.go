@@ -4,47 +4,35 @@
 // The reproduced paper's headline property is about message counts: a
 // communication-efficient Omega implementation eventually has exactly one
 // sender and uses exactly n-1 links forever. This package counts every
-// send, delivery and drop and logs each send with its virtual timestamp,
-// so that the property checkers (internal/check) and the experiment harness
-// (internal/experiments) can compute "who sent after time t", "how many
-// messages per period", and "how many links carried traffic after t".
+// send, delivery and drop, per link and per kind, and keeps each link's
+// last send instant, so that the property checkers (internal/check) and
+// the experiment harness (internal/experiments) can ask "who sent after
+// time t", "how many links carried traffic after t" and "when did everyone
+// but the leader fall quiet". How many messages a window [from, to) holds
+// is TotalSent read at its two edges, by whoever runs the window.
 //
 // MessageStats is a subscriber of the obs pipeline (DESIGN.md §8): it
 // counts sends, deliveries, drops and the wire bytes of the transports
 // that serialize, and embeds obs.Nop for trace contexts and protocol
 // events, which are not messages. Every runtime tees one in
-// (node.World.Stats, the clusters' Stats()). The record path takes no
-// global lock: all counters are per-process sharded atomics, and the send
-// log is per sender, guarded by that sender's own mutex — contended only
-// where goroutines send under one id (a live ingress and its clients).
-// Queries over the send log go through an immutable Snapshot.
-//
-// The log keeps when each of a sender's last window sends left and nothing
-// else about it — to whom and of what kind are counted per link and per
-// kind, exactly and for ever: 2 KiB chunks of varint differences between
-// consecutive instants (sendlog.go), about three bytes a send.
+// (node.World.Stats, the clusters' Stats()). Recording and every query are
+// atomics only: the counters are per-process sharded, and nothing grows
+// with the number of sends.
 package metrics
 
 import (
 	"fmt"
-	"sync"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
-// DefaultWindow is the default per-sender send-log bound, in sends. It is
-// generous — far beyond what any experiment in the suite produces per
-// sender — so that by default the log behaves as unbounded while still
-// giving long live runs a hard memory ceiling, about 3 MB a sender. See
-// DESIGN.md ("Instrumentation pipeline") for sizing guidance.
-const DefaultWindow = 1 << 20
-
 // shard holds one process's slice of the accounting: counters it bumps as
-// a sender (sends, out-links, drops) or as a receiver (deliveries), plus
-// the bounded log of its own send instants. Shards are separately
-// heap-allocated so different processes never share cache lines.
+// a sender (sends, out-links, drops) or as a receiver (deliveries). Shards
+// are separately heap-allocated so different processes never share cache
+// lines.
 type shard struct {
 	sentBy    atomic.Uint64
 	delivered atomic.Uint64 // messages received by this process
@@ -52,46 +40,30 @@ type shard struct {
 	bytesOut  atomic.Uint64 // wire bytes handed to this process's out-links
 
 	link     []atomic.Uint64 // out-link counts, indexed by destination
-	linkAt   []atomic.Int64  // per out-link: its last send instant + 1, 0 never; survives eviction
+	linkAt   []atomic.Int64  // per out-link: its last send instant + 1, 0 never
 	kindSent [obs.MaxKinds]atomic.Uint64
-
-	mu  sync.Mutex
-	log sendLog
 }
 
 // MessageStats accumulates per-run message accounting. It is safe for
 // concurrent use — the same type serves the single-threaded simulator and
-// the live goroutine transports — and its record path takes no global
-// lock.
+// the live goroutine transports — and takes no lock.
 type MessageStats struct {
 	obs.Nop // trace contexts and events: neither is a message count
 
 	n      int
 	shards []*shard
 
-	// observed is the run-local first-seen order of sent kinds; seen gates
-	// the slow path so steady-state sends pay one atomic load.
-	obsMu    sync.Mutex
-	seen     [obs.MaxKinds]atomic.Bool
-	observed []obs.Kind
+	// firstSeen[k] is kind k's place in the run-local first-seen order of
+	// sent kinds, from 1; 0 while k is unsent. seen numbers the places.
+	firstSeen [obs.MaxKinds]atomic.Uint32
+	seen      atomic.Uint32
 }
 
-// NewMessageStats returns stats for a system of n processes with the
-// default send-log window.
+// NewMessageStats returns stats for a system of n processes.
 func NewMessageStats(n int) *MessageStats {
-	return NewMessageStatsWindow(n, DefaultWindow)
-}
-
-// NewMessageStatsWindow returns stats whose send log retains at most
-// window records per sender; older records are evicted, counters are
-// never lost. window <= 0 means DefaultWindow.
-func NewMessageStatsWindow(n, window int) *MessageStats {
-	if window <= 0 {
-		window = DefaultWindow
-	}
 	s := &MessageStats{n: n, shards: make([]*shard, n)}
 	for i := range s.shards {
-		s.shards[i] = &shard{link: make([]atomic.Uint64, n), linkAt: make([]atomic.Int64, n), log: sendLog{window: window}}
+		s.shards[i] = &shard{link: make([]atomic.Uint64, n), linkAt: make([]atomic.Int64, n)}
 	}
 	return s
 }
@@ -99,16 +71,12 @@ func NewMessageStatsWindow(n, window int) *MessageStats {
 // N returns the number of processes the stats were created for.
 func (s *MessageStats) N() int { return s.n }
 
+// noteKind gives kind its place in the first-seen order if it has none:
+// steady-state sends pay one atomic load.
 func (s *MessageStats) noteKind(kind obs.Kind) {
-	if s.seen[kind].Load() {
-		return
+	if s.firstSeen[kind].Load() == 0 {
+		s.firstSeen[kind].CompareAndSwap(0, s.seen.Add(1))
 	}
-	s.obsMu.Lock()
-	if !s.seen[kind].Load() {
-		s.observed = append(s.observed, kind)
-		s.seen[kind].Store(true)
-	}
-	s.obsMu.Unlock()
 }
 
 // OnSend implements obs.Sink: from sent a message of the given kind to to
@@ -122,9 +90,6 @@ func (s *MessageStats) OnSend(t sim.Time, from, to int, kind obs.Kind) {
 	}
 	sh.kindSent[kind].Add(1)
 	s.noteKind(kind)
-	sh.mu.Lock()
-	sh.log.add(t)
-	sh.mu.Unlock()
 }
 
 // OnDeliver implements obs.Sink: a message of the given kind reached to.
@@ -146,8 +111,6 @@ func (s *MessageStats) OnWireBytes(t sim.Time, from, to int, kind obs.Kind, n in
 	sh := s.shards[from]
 	sh.bytesOut.Add(uint64(n))
 }
-
-// --- counter queries (exact, never windowed) -----------------------------
 
 // TotalSent returns the total number of messages sent.
 func (s *MessageStats) TotalSent() uint64 {
@@ -207,10 +170,15 @@ func (s *MessageStats) KindCount(kind string) uint64 {
 
 // Kinds returns the observed sent-message kinds in first-seen order.
 func (s *MessageStats) Kinds() []string {
-	s.obsMu.Lock()
-	ids := make([]obs.Kind, len(s.observed))
-	copy(ids, s.observed)
-	s.obsMu.Unlock()
+	var ids []obs.Kind
+	for k := range s.firstSeen {
+		if s.firstSeen[k].Load() > 0 {
+			ids = append(ids, obs.Kind(k))
+		}
+	}
+	slices.SortFunc(ids, func(a, b obs.Kind) int {
+		return int(s.firstSeen[a].Load()) - int(s.firstSeen[b].Load())
+	})
 	out := make([]string, len(ids))
 	for i, id := range ids {
 		out[i] = obs.KindName(id)
@@ -224,14 +192,30 @@ func (s *MessageStats) Summary() string {
 		s.TotalSent(), s.Delivered(), s.Dropped(), len(s.Kinds()))
 }
 
-// --- send-log queries (windowed) -----------------------------------------
+// lastAt is from's last send instant + 1, 0 if it never sent: the latest
+// of its links'.
+func (s *MessageStats) lastAt(from int) (last int64) {
+	for to := range s.shards[from].linkAt {
+		last = max(last, s.shards[from].linkAt[to].Load())
+	}
+	return last
+}
+
+// SendersSince returns the sorted set of processes that sent at least one
+// message at or after t.
+func (s *MessageStats) SendersSince(t sim.Time) []int {
+	var out []int
+	for from := range s.shards {
+		if last := s.lastAt(from); last > 0 && last > int64(t) {
+			out = append(out, from)
+		}
+	}
+	return out
+}
 
 // LinksUsedSince returns how many distinct directed links carried at least
-// one message at or after t, from the per-link last-send instants: exact
-// after eviction, lock-free and O(n²), for the gauges that poll it — a
-// scrape copies no send log. The other send-log queries — who sent since t,
-// messages per window, when everyone but the leader fell quiet — are asked
-// of a Snapshot, so that one verdict's questions see one instant.
+// one message at or after t: a walk over n² atomics for the gauges that
+// poll it.
 func (s *MessageStats) LinksUsedSince(t sim.Time) (used int) {
 	for _, sh := range s.shards {
 		for to := range sh.linkAt {
@@ -241,4 +225,24 @@ func (s *MessageStats) LinksUsedSince(t sim.Time) (used int) {
 		}
 	}
 	return used
+}
+
+// QuietSince returns the earliest instant q such that every message sent
+// at or after q was sent by the given process. If nobody else ever sent,
+// that instant is 0.
+func (s *MessageStats) QuietSince(process int) sim.Time {
+	var quiet int64
+	for from := range s.shards {
+		if from != process {
+			quiet = max(quiet, s.lastAt(from))
+		}
+	}
+	return sim.Time(quiet)
+}
+
+// LastSendBy returns the time of the last message sent by id, and whether
+// id sent anything at all (the time is 0 if not).
+func (s *MessageStats) LastSendBy(id int) (sim.Time, bool) {
+	last := s.lastAt(id)
+	return sim.Time(max(last-1, 0)), last > 0
 }

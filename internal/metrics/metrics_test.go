@@ -55,16 +55,16 @@ func TestSendersSince(t *testing.T) {
 	s.OnSend(at(10), 2, 0, obs.Intern("A"))
 	s.OnSend(at(15), 2, 1, obs.Intern("A"))
 
-	if got := s.Snapshot().SendersSince(at(6)); len(got) != 1 || got[0] != 2 {
+	if got := s.SendersSince(at(6)); len(got) != 1 || got[0] != 2 {
 		t.Fatalf("SendersSince(6ms) = %v, want [2]", got)
 	}
-	if got := s.Snapshot().SendersSince(at(5)); len(got) != 2 || got[0] != 1 || got[1] != 2 {
+	if got := s.SendersSince(at(5)); len(got) != 2 || got[0] != 1 || got[1] != 2 {
 		t.Fatalf("SendersSince(5ms) = %v, want [1 2]", got)
 	}
-	if got := s.Snapshot().SendersSince(at(100)); len(got) != 0 {
+	if got := s.SendersSince(at(100)); len(got) != 0 {
 		t.Fatalf("SendersSince(100ms) = %v, want empty", got)
 	}
-	if got := s.Snapshot().SendersSince(0); len(got) != 3 {
+	if got := s.SendersSince(0); len(got) != 3 {
 		t.Fatalf("SendersSince(0) = %v, want 3 senders", got)
 	}
 }
@@ -84,12 +84,11 @@ func TestLinksUsedSince(t *testing.T) {
 }
 
 // TestLinksUsedSinceSurvivesEviction: the answer comes from the per-link
-// last-send instants, not from the retained log, so a window of 64 that
-// has evicted all but the last 64 of 10,000 sends still knows every link —
-// on the stats and on a snapshot alike. (Answered from the log, as it was,
-// link 0→1 is forgotten once 64 later sends to 2 have pushed it out.)
+// last-send instants, which nothing evicts: after one send on 1→0 and one
+// on 0→1, ten thousand later sends on 0→2 leave both links known at their
+// own instants.
 func TestLinksUsedSinceSurvivesEviction(t *testing.T) {
-	s := NewMessageStatsWindow(3, 64)
+	s := NewMessageStats(3)
 	k := obs.Intern("A")
 	s.OnSend(at(0), 1, 0, k) // a send at instant zero is a send
 	s.OnSend(at(1), 0, 1, k)
@@ -100,27 +99,26 @@ func TestLinksUsedSinceSurvivesEviction(t *testing.T) {
 		since sim.Time
 		want  int
 	}{{0, 3}, {at(1), 2}, {at(2), 1}, {at(9999), 1}, {at(10000), 0}} {
-		if got, snap := s.LinksUsedSince(tc.since), s.Snapshot().LinksUsedSince(tc.since); got != tc.want || snap != tc.want {
-			t.Errorf("LinksUsedSince(%v) = %d on the stats, %d on a snapshot, want %d", tc.since, got, snap, tc.want)
+		if got := s.LinksUsedSince(tc.since); got != tc.want {
+			t.Errorf("LinksUsedSince(%v) = %d, want %d", tc.since, got, tc.want)
 		}
 	}
 }
 
 // BenchmarkLinksUsedSince is what a /metrics scrape pays for its
-// active-links gauge with a full default window behind it: a walk over n²
-// atomics, no lock, no copy of the send log (0 allocs/op; through
-// Snapshot(), as it was, 16 MB a sender).
+// active-links gauge after a million sends: a walk over n² atomics, no
+// lock (0 allocs/op).
 func BenchmarkLinksUsedSince(b *testing.B) {
-	const n = 5
+	const n, sends = 5, 1 << 20
 	s := NewMessageStats(n)
 	k := obs.Intern("A")
-	for i := 0; i < DefaultWindow; i++ {
+	for i := 0; i < sends; i++ {
 		s.OnSend(sim.Time(i), 0, 1+i%(n-1), k)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if s.LinksUsedSince(sim.Time(DefaultWindow/2)) != n-1 {
+		if s.LinksUsedSince(sim.Time(sends/2)) != n-1 {
 			b.Fatal("wrong answer")
 		}
 	}
@@ -133,11 +131,11 @@ func TestQuietSince(t *testing.T) {
 	s.OnSend(at(7), 2, 1, obs.Intern("A"))
 	s.OnSend(at(9), 0, 1, obs.Intern("A"))
 	s.OnSend(at(11), 0, 2, obs.Intern("A"))
-	if got := s.Snapshot().QuietSince(0); got != at(7)+1 {
+	if got := s.QuietSince(0); got != at(7)+1 {
 		t.Fatalf("QuietSince(0) = %v, want just after 7ms", got)
 	}
 	// Process 2 is not quiet: 0 sends after it.
-	if got := s.Snapshot().QuietSince(2); got != at(11)+1 {
+	if got := s.QuietSince(2); got != at(11)+1 {
 		t.Fatalf("QuietSince(2) = %v, want just after 11ms", got)
 	}
 }
@@ -146,79 +144,72 @@ func TestQuietSinceNoForeignSends(t *testing.T) {
 	s := NewMessageStats(2)
 	s.OnSend(at(1), 0, 1, obs.Intern("A"))
 	s.OnSend(at(2), 0, 1, obs.Intern("A"))
-	if got := s.Snapshot().QuietSince(0); got != 0 {
+	if got := s.QuietSince(0); got != 0 {
 		t.Fatalf("QuietSince = %v, want 0", got)
 	}
 }
 
-func TestMessagesInWindow(t *testing.T) {
+// TestWindowCountAtEdges: a window's message count is TotalSent read at its
+// two edges, each read once every send before that edge is recorded and
+// none at or after it: [3ms, 7ms) of one send a millisecond holds four.
+func TestWindowCountAtEdges(t *testing.T) {
 	s := NewMessageStats(2)
+	edges := map[sim.Time]uint64{}
 	for ms := 0; ms < 10; ms++ {
+		edges[at(ms)] = s.TotalSent()
 		s.OnSend(at(ms), 0, 1, obs.Intern("A"))
 	}
-	if got := s.Snapshot().MessagesInWindow(at(3), at(7)); got != 4 {
-		t.Fatalf("MessagesInWindow = %d, want 4", got)
-	}
-	if got := s.Snapshot().MessagesInWindow(0, at(100)); got != 10 {
-		t.Fatalf("MessagesInWindow(all) = %d, want 10", got)
-	}
-	if got := s.Snapshot().MessagesInWindow(at(50), at(60)); got != 0 {
-		t.Fatalf("MessagesInWindow(empty) = %d, want 0", got)
-	}
-}
-
-func TestSeries(t *testing.T) {
-	s := NewMessageStats(2)
-	s.OnSend(at(0), 0, 1, obs.Intern("A"))
-	s.OnSend(at(1), 0, 1, obs.Intern("A"))
-	s.OnSend(at(12), 1, 0, obs.Intern("A"))
-	series := s.Snapshot().Series(10*time.Millisecond, at(29))
-	if len(series) != 3 {
-		t.Fatalf("len(series) = %d, want 3", len(series))
-	}
-	if series[0] != 2 || series[1] != 1 || series[2] != 0 {
-		t.Fatalf("series = %v, want [2 1 0]", series)
-	}
-}
-
-func TestSeriesBySender(t *testing.T) {
-	s := NewMessageStats(2)
-	s.OnSend(at(0), 0, 1, obs.Intern("A"))
-	s.OnSend(at(12), 1, 0, obs.Intern("A"))
-	s.OnSend(at(13), 1, 0, obs.Intern("A"))
-	per := s.Snapshot().SeriesBySender(10*time.Millisecond, at(19))
-	if len(per) != 2 {
-		t.Fatalf("len = %d", len(per))
-	}
-	if per[0][0] != 1 || per[0][1] != 0 || per[1][0] != 0 || per[1][1] != 2 {
-		t.Fatalf("per-sender series = %v", per)
+	edges[at(100)] = s.TotalSent()
+	for _, tc := range []struct {
+		from, to sim.Time
+		want     uint64
+	}{{at(3), at(7), 4}, {0, at(100), 10}, {at(9), at(100), 1}, {at(5), at(5), 0}} {
+		if got := edges[tc.to] - edges[tc.from]; got != tc.want {
+			t.Errorf("[%v, %v) holds %d, want %d", tc.from, tc.to, got, tc.want)
+		}
 	}
 }
 
 func TestLastSendBy(t *testing.T) {
 	s := NewMessageStats(2)
-	if _, ok := s.Snapshot().LastSendBy(0); ok {
+	if _, ok := s.LastSendBy(0); ok {
 		t.Fatal("LastSendBy on empty stats reported ok")
 	}
 	s.OnSend(at(3), 0, 1, obs.Intern("A"))
 	s.OnSend(at(8), 0, 1, obs.Intern("A"))
-	got, ok := s.Snapshot().LastSendBy(0)
+	got, ok := s.LastSendBy(0)
 	if !ok || got != at(8) {
 		t.Fatalf("LastSendBy = %v,%v want 8ms,true", got, ok)
 	}
-	if _, ok := s.Snapshot().LastSendBy(1); ok {
+	if _, ok := s.LastSendBy(1); ok {
 		t.Fatal("LastSendBy(1) reported ok for silent process")
 	}
 }
 
-func TestSeriesPanicsOnBadBucket(t *testing.T) {
-	s := NewMessageStats(1)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	s.Snapshot().Series(0, at(10))
+// TestOnSendAllocatesNothing: a fresh MessageStats records its first send,
+// of a kind it has never seen, without allocating, and so does every later
+// send — nothing it keeps grows with the sends.
+func TestOnSendAllocatesNothing(t *testing.T) {
+	const runs = 100
+	kind := obs.Intern("alloc-X")
+	fresh := make([]*MessageStats, runs+1) // AllocsPerRun warms up once
+	for i := range fresh {
+		fresh[i] = NewMessageStats(3)
+	}
+	i := 0
+	if got := testing.AllocsPerRun(runs, func() {
+		fresh[i].OnSend(at(1), 0, 1, kind)
+		i++
+	}); got != 0 {
+		t.Errorf("first OnSend: %v allocs, want 0", got)
+	}
+	s := fresh[0]
+	if got := testing.AllocsPerRun(1000, func() {
+		i++
+		s.OnSend(at(i), i%3, (i+1)%3, kind)
+	}); got != 0 {
+		t.Errorf("later OnSend: %v allocs, want 0", got)
+	}
 }
 
 func TestSummary(t *testing.T) {

@@ -18,9 +18,7 @@ type benchPayload struct{ seq uint64 }
 // is pre-interned.
 func BenchmarkFabricSendSteadyState(b *testing.B) {
 	k := sim.NewKernel(1)
-	// A small bounded window keeps the stats ring from growing mid-benchmark.
-	stats := metrics.NewMessageStatsWindow(2, 1024)
-	f, err := NewFabric(k, 2, Timely(time.Millisecond), stats)
+	f, err := NewFabric(k, 2, Timely(time.Millisecond), metrics.NewMessageStats(2))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -28,7 +26,7 @@ func BenchmarkFabricSendSteadyState(b *testing.B) {
 	f.SetDeliver(func(from, to int, payload any) { delivered++ })
 	var payload any = benchPayload{}
 	kind := obs.Intern("BENCH") // protocols pre-intern at construction
-	// Warm the pools and fill the stats ring to its bound.
+	// Warm the pools.
 	for i := 0; i < 2048; i++ {
 		f.Send(0, 1, kind, payload)
 		for k.Step() {

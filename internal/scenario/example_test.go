@@ -22,13 +22,15 @@ func Example() {
 		fmt.Println("error:", err)
 		return
 	}
-	sys.Run(2 * time.Second)
+	// Run 2 s, counting the messages of the last half second.
+	tail := sim.At(1500 * time.Millisecond)
+	msgs := sys.RunWindow(tail, sim.At(2*time.Second))
 
 	rep := sys.OmegaReport()
 	fmt.Println("omega holds:", rep.Holds)
 	fmt.Println("leader:", rep.Leader)
 
-	ce := sys.CommEffReport(sim.At(1500 * time.Millisecond))
+	ce := sys.CommEffReport(tail, msgs)
 	fmt.Println("communication-efficient:", ce.Efficient)
 	fmt.Println("steady-state links:", ce.LinksUsed)
 	// Output:

@@ -380,6 +380,29 @@ func (s *System) Run(d time.Duration) {
 	s.World.RunFor(d)
 }
 
+// RunTo starts the system if needed, runs it to t (events at t included,
+// as Run does) and returns how many messages were sent before t: a message
+// window's count at one of its edges. The count is read with the clock at
+// t−1ns, where the kernel has fired every event before t and none at it.
+// It panics if the clock is already at t or past it.
+func (s *System) RunTo(t sim.Time) (sentBefore uint64) {
+	if t <= s.World.Kernel.Now() {
+		panic(fmt.Sprintf("scenario: RunTo(%v) with the clock at %v", t, s.World.Kernel.Now()))
+	}
+	s.Start()
+	s.World.RunUntil(t-1, nil)
+	sentBefore = s.World.Stats.TotalSent()
+	s.World.RunUntil(t, nil)
+	return sentBefore
+}
+
+// RunWindow runs the system to to and returns how many messages were
+// sent in [from, to): a send at from counts, one at to does not.
+func (s *System) RunWindow(from, to sim.Time) uint64 {
+	before := s.RunTo(from)
+	return s.RunTo(to) - before
+}
+
 // OmegaInput packages the run for the property checkers.
 func (s *System) OmegaInput() check.OmegaInput {
 	histories := make([]*detector.History, len(s.Omegas))
@@ -405,14 +428,14 @@ func (s *System) OmegaReport() check.OmegaReport {
 }
 
 // CommEffReport runs the communication-efficiency checker over the tail
-// window starting at checkFrom.
-func (s *System) CommEffReport(checkFrom sim.Time) check.CommEffReport {
+// window [checkFrom, now), given the msgs sent in it (RunWindow's count).
+func (s *System) CommEffReport(checkFrom sim.Time, msgs uint64) check.CommEffReport {
 	rep := s.OmegaReport()
 	leader := rep.Leader
 	if leader == node.None {
 		leader = 0
 	}
-	return check.CommEff(s.World.Stats.Snapshot(), leader, checkFrom, s.World.Kernel.Now(), s.Config.Eta)
+	return check.CommEff(s.World.Stats, leader, checkFrom, s.World.Kernel.Now(), s.Config.Eta, msgs)
 }
 
 // Leaders returns each process's current output.

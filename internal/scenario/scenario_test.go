@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/network"
 	"repro/internal/node"
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -78,13 +79,59 @@ func TestCoreEfficientBaselinesNot(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s.Run(2 * time.Second)
-		rep := s.CommEffReport(sim.At(1500 * ms))
+		msgs := s.RunWindow(sim.At(1500*ms), sim.At(2*time.Second))
+		rep := s.CommEffReport(sim.At(1500*ms), msgs)
 		if rep.Efficient != tc.efficient {
 			t.Fatalf("%s: Efficient = %v, want %v (senders %v)",
 				tc.algo, rep.Efficient, tc.efficient, rep.Senders)
 		}
 	}
+}
+
+// TestRunWindowCountsFromNotTo: a send that lands exactly on a window's
+// from edge is counted and one exactly on its to edge is not, so a window
+// read at its edges cannot drift by a heartbeat. Each is checked against a
+// twin world that runs the same schedule without it (it only touches the
+// stats); the leader's heartbeat lands on the to edge too.
+func TestRunWindowCountsFromNotTo(t *testing.T) {
+	from, to := sim.At(1500*ms), sim.At(2*time.Second)
+	edge := obs.Intern("window-edge")
+	run := func(extra ...sim.Time) (window uint64) {
+		s, err := Build(Config{N: 5, Seed: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Scheduled before Start, each fires first among its instant's events.
+		for _, at := range extra {
+			s.World.Kernel.ScheduleAt(at, func() { s.World.Stats.OnSend(at, 1, 2, edge) })
+		}
+		window = s.RunWindow(from, to)
+		if now := s.World.Kernel.Now(); now != to {
+			t.Fatalf("RunWindow left the clock at %v, want %v", now, to)
+		}
+		if at, ok := s.World.Stats.LastSendBy(0); !ok || at != to {
+			t.Fatalf("leader's last send at %v, want a heartbeat on the to edge %v", at, to)
+		}
+		if got := s.World.Stats.SentByKind(1, "window-edge"); got != uint64(len(extra)) {
+			t.Fatalf("%d of the %d edge sends happened", got, len(extra))
+		}
+		return window
+	}
+	plain := run()
+	if got := run(from); got != plain+1 {
+		t.Errorf("with a send on from, [from, to) holds %d, want the twin's %d + 1", got, plain)
+	}
+	if got := run(to); got != plain {
+		t.Errorf("with a send on to, [from, to) holds %d, want the twin's %d", got, plain)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("RunTo the clock's instant did not panic")
+		}
+	}()
+	s, _ := Build(Config{N: 5, Seed: 2})
+	s.Run(time.Second)
+	s.RunTo(sim.At(time.Second))
 }
 
 func TestCrashPlanApplied(t *testing.T) {
@@ -133,12 +180,12 @@ func TestSourceReliableRegime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Run(20 * time.Second)
+	msgs := s.RunWindow(sim.At(19*time.Second), sim.At(20*time.Second))
 	rep := s.OmegaReport()
 	if !rep.Holds {
 		t.Fatalf("core under source-reliable did not converge: %s", rep.Reason)
 	}
-	ce := s.CommEffReport(sim.At(19 * time.Second))
+	ce := s.CommEffReport(sim.At(19*time.Second), msgs)
 	if !ce.Efficient {
 		t.Fatalf("not communication-efficient in tail: senders %v", ce.Senders)
 	}

@@ -92,7 +92,7 @@ func expectSteadySender(t *testing.T, clock *station, stats *metrics.MessageStat
 		before := changes()
 		mark := clock.Now()
 		time.Sleep(300 * time.Millisecond)
-		senders := stats.Snapshot().SendersSince(mark)
+		senders := stats.SendersSince(mark)
 		if len(senders) == 1 && senders[0] == leader && steady(before) {
 			return
 		}
