@@ -17,19 +17,29 @@ import (
 // when, and how often — and two one-event tests on a hand-driven leader.
 
 // spy sits between an automaton and its Env and calls send for every
-// message as it leaves, and event before every event the runtime delivers —
-// with the timer key when the event is a tick.
+// message as it leaves, and event after every turn the runtime ends — once
+// the automaton's own end of the turn has sent what it owed — with the
+// timer key when the turn was a tick.
 type spy struct {
 	node.Automaton
 	node.Env
 	send  func(to node.ID, m node.Message)
 	event func(key string)
+	key   string // the open turn's timer key, "" for a boot or a delivery
 }
 
-func (s *spy) Start(env node.Env) { s.Env = env; s.event(""); s.Automaton.Start(s) }
-func (s *spy) Tick(key string)    { s.event(key); s.Automaton.Tick(key) }
+func (s *spy) Start(env node.Env) { s.Env = env; s.key = ""; s.Automaton.Start(s) }
+func (s *spy) Tick(key string) {
+	if key != node.TurnEnd {
+		s.key = key
+		s.Automaton.Tick(key)
+		return
+	}
+	s.Automaton.Tick(key)
+	s.event(s.key)
+}
 func (s *spy) Deliver(from node.ID, m node.Message) {
-	s.event("")
+	s.key = ""
 	s.Automaton.Deliver(from, m)
 }
 func (s *spy) Send(to node.ID, m node.Message) { s.send(to, m); s.Env.Send(to, m) }
@@ -88,9 +98,10 @@ func newAnnounceWorld(t *testing.T, n int, seed int64, cfg Config, ingress []nod
 		name: fmt.Sprintf("n=%d seed %d ingress %v drive %v lease %v", n, seed, ingress, cfg.DriveInterval, cfg.Lease)}
 	quiet := min(cfg.DriveInterval, retryTimeout/2)
 	pair := consensus.Majority(n) == 2 // pairDecides
-	// (a), checked as each event of the leader closes: whoever a command
-	// applied in it came from has been sent an index past it in that event —
-	// or, at a quorum of two, is checked at the end of the run (untold).
+	// (a), checked as each event of the leader closes, its turn ended:
+	// whoever a command applied in it came from has been sent an index past
+	// it in that event — or, at a quorum of two, is checked at the end of
+	// the run (untold).
 	closeEvent := func(key string) {
 		if key == timerDrive && a.loaded {
 			a.drives++

@@ -48,7 +48,7 @@ import (
 // sampled, and the lease checked, between each read's arrival and its
 // reply. Whatever deposes this leader later in the same turn
 // (abdicateLeader) drops the waiting reads, so nothing is answered after
-// this node helped a competitor. Without turns each event is a turn.
+// this node helped a competitor. Outside a turn each call is one.
 
 // maxPendingReads caps the reads waiting at the leader. One whose round
 // cannot complete (say, minority-partitioned with a stale Omega view) would

@@ -32,8 +32,8 @@
 // Batching packs many commands into one proposed value and pipelining
 // overlaps many instances, so the per-instance cost is amortized over
 // Window×BatchMax commands in flight. No handler pumps or announces: they
-// mark what is due, and the end of the turn does each once (turn.go). On a
-// runtime without turns each event is a turn of one.
+// mark what is due, and the end of the turn does each once (turn.go). A
+// call from outside any turn is a turn of its own.
 //
 // The window holds only what is not yet applied (log.go); the Recorder
 // serves the applied prefix to a replica that asks, down to the horizon:

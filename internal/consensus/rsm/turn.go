@@ -16,10 +16,10 @@ package rsm
 // decision of every vote the turn cast on its ballot owner's ACCEPT, now
 // durable (decideRipe).
 //
-// On a runtime without turns — node.World, a hand-driven test Env, a
-// Submit or Read from outside the loop — nothing holds a send back and
-// nothing will signal, so each event is a turn of one: it ends itself
-// (settle), and a record is flushed the moment it is appended (persisted).
+// Both runtimes signal (node.Proc; World's turns are of one event). What
+// no turn encloses — a Submit or Read from outside the loop, a hand-driven
+// test Env — has no send held back and no signal: it ends itself (settle),
+// and a record is flushed the moment it is appended (persisted).
 
 // endTurn does what the turn's events left due. The pump comes first: an
 // ACCEPT that leaves now announces the commit index to everyone for free.

@@ -31,8 +31,8 @@ package durable
 // number it already attached a value to before the crash. The four
 // record calls may buffer; what they recorded is durable by the time the
 // next Flush returns, so the caller flushes before it lets the
-// corresponding protocol messages out — once per turn on a runtime that
-// holds a turn's sends back (node.TurnEnd), after each record elsewhere.
+// corresponding protocol messages out — once per turn (node.TurnEnd), and
+// after each record made from outside any turn.
 //
 // Methods take scalars and strings so the no-op implementation costs
 // nothing on the hot path (no []byte conversions, no boxing).

@@ -1,8 +1,8 @@
 // Package loop is the event loop of the live runtimes, written once: the
 // mailbox a process's goroutine sleeps on, the drain loop that cuts what
 // it finds there into turns, and the table of named timers that feed it.
-// A transport station — a process — runs one; node.World, the simulator,
-// has no use for it — there every event is a turn of its own.
+// A transport station — a process — runs one, feeding its node.Proc;
+// node.World, the simulator, needs none: there every event is a turn.
 package loop
 
 import "sync"

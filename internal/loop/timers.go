@@ -2,8 +2,8 @@ package loop
 
 import "time"
 
-// Timers is a node loop's table of named one-shot timers, the live
-// runtimes' node.Env.SetTimer/StopTimer. A key keeps one time.Timer for
+// Timers is a node loop's table of named one-shot timers on the wall
+// clock, the live runtime's node.Timers. A key keeps one time.Timer for
 // life and re-arms it with Reset, so the heartbeat and drive ticks that
 // every replica re-arms every few milliseconds allocate nothing. Every
 // method runs on the loop goroutine; an expiry calls push from a timer

@@ -1,10 +1,11 @@
 // Package node defines the process-runtime abstraction shared by the
-// deterministic simulator and the live transports: a protocol is an
+// deterministic simulator and the live transport: a protocol is an
 // Automaton reacting to message deliveries and timer expirations through an
-// Env handle, never touching threads or wall-clock time directly. The same
-// Automaton implementations (internal/core, internal/detector/...,
-// internal/consensus/...) therefore run unchanged on virtual time
-// (node.World) and on real goroutines (internal/transport).
+// Env handle, never touching threads or wall-clock time directly. Both
+// runtimes run it on one node loop (Proc), on virtual time (World) or on
+// real goroutines (internal/transport), so the same implementations
+// (internal/core, internal/detector/..., internal/consensus/...) run
+// unchanged on either.
 package node
 
 import (
@@ -63,19 +64,18 @@ type Env interface {
 	Logf(format string, args ...any)
 }
 
-// TurnEnd is a reserved timer key: the end-of-turn signal of a runtime
-// that handles events in turns. A live node loop wakes to whatever has
-// queued up since it last looked; it delivers all of it (bounded), then
-// calls Tick(TurnEnd) once, and only when that returns puts the messages
-// sent during the turn — the signal's own included — on the network. An
-// automaton that can do once per turn what it would otherwise do once per
-// event (form one batch, write its log once) defers that work to the
-// signal; every other automaton ignores the key like any key it does not
-// own. It travels as a Tick so that Compose and every wrapper that
-// forwards Start/Deliver/Tick carries it without knowing. The first one
-// follows Start, so an automaton that has never seen it is on a runtime
-// without turns (World, a hand-driven test Env), where each event is a
-// turn of one and nothing may be deferred. No runtime arms it as a timer.
+// TurnEnd is a reserved timer key: the end-of-turn signal. Every runtime
+// handles events in turns (Proc) — a live node loop what has queued up
+// since it last looked (bounded), World one event — and then calls
+// Tick(TurnEnd) once; only when it returns do the turn's sends, the
+// signal's own included, go on the network. An automaton that can do once
+// per turn what it would otherwise do per event (form one batch, write its
+// log once) defers that work to the signal; others ignore the key. It
+// travels as a Tick, so Compose and every forwarding wrapper carry it
+// unknowing. The first follows Start. A call from outside any turn (a
+// Submit from a kernel callback, a hand-driven test Env) is followed by no
+// signal: it ends itself, and its sends leave at once. No runtime arms it
+// as a timer.
 const TurnEnd = "node/turn-end"
 
 // Automaton is a protocol state machine. Implementations must be fully

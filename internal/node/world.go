@@ -42,6 +42,9 @@ type WorldConfig struct {
 
 // World is a complete simulated system: kernel, fabric, and n processes
 // running automatons. It is single-threaded and deterministic per seed.
+// Every boot, delivery and timer expiry is a turn of one event (Proc):
+// what its handler sends leaves, in order, once Tick(TurnEnd) returns; a
+// send from outside any turn (a kernel callback through Env) at once.
 type World struct {
 	Kernel *sim.Kernel
 	Fabric *network.Fabric
@@ -52,43 +55,38 @@ type World struct {
 	sink  obs.Sink
 	notes bool
 
-	nodes     []*proc
-	started   bool
-	startAt   []sim.Time
-	crashedAt map[ID]sim.Time
+	procs   []simProc
+	out     Outbox // every process's: one turn runs at a time
+	started bool
+	startAt []sim.Time
 }
 
-// proc is the per-process runtime state; it implements Env.
-type proc struct {
-	world     *World
-	id        ID
-	automaton Automaton
-	alive     bool
-	started   bool
+// simProc is a process and its timer table on the kernel's clock, each
+// duration skewed by the process's clock rate.
+type simProc struct {
+	Proc
+	kernel    *sim.Kernel
 	rate      float64
 	timers    map[string]*timerRec
+	crashedAt sim.Time
 }
 
 // timerRec is one named timer's slot. Keys are stable per protocol, so the
 // record — and the callback bound once at creation — is reused across
 // re-arms: arming a heartbeat timer every η allocates nothing.
 type timerRec struct {
-	p      *proc
+	p      *simProc
 	key    string
 	handle sim.Handle
 	run    func()
 }
 
-// fire delivers the timer tick. The kernel has already retired the handle,
-// so a StopTimer or re-arm from inside the automaton behaves correctly.
+// fire runs the expiry's turn. The kernel has retired the handle, so a
+// StopTimer or re-arm from inside the automaton behaves correctly.
 func (r *timerRec) fire() {
-	if !r.p.alive {
-		return
-	}
-	r.p.automaton.Tick(r.key)
+	r.p.Fire(r.key)
+	r.p.EndTurn()
 }
-
-var _ Env = (*proc)(nil)
 
 // NewWorld builds a world from cfg. Automatons are installed with
 // SetAutomaton and the system boots on Start.
@@ -111,34 +109,26 @@ func NewWorld(cfg WorldConfig) (*World, error) {
 	}
 	fabric.SetGST(cfg.GST)
 	w := &World{
-		Kernel:    k,
-		Fabric:    fabric,
-		Stats:     stats,
-		sink:      sink,
-		notes:     cfg.EnableTrace && cfg.Observer != nil,
-		startAt:   cfg.StartAt,
-		crashedAt: make(map[ID]sim.Time),
+		Kernel:  k,
+		Fabric:  fabric,
+		Stats:   stats,
+		sink:    sink,
+		notes:   cfg.EnableTrace && cfg.Observer != nil,
+		procs:   make([]simProc, cfg.N),
+		out:     Outbox{held: make([]held, 0, 2*cfg.N)},
+		startAt: cfg.StartAt,
 	}
-	w.nodes = make([]*proc, cfg.N)
-	for i := range w.nodes {
-		rate := 1.0
+	for i := range w.procs {
+		p := &w.procs[i]
+		p.kernel, p.rate, p.timers = k, 1.0, make(map[string]*timerRec)
 		if cfg.ClockRates != nil {
-			rate = cfg.ClockRates[i]
+			p.rate = cfg.ClockRates[i]
 		}
-		w.nodes[i] = &proc{
-			world:  w,
-			id:     ID(i),
-			alive:  true,
-			rate:   rate,
-			timers: make(map[string]*timerRec),
-		}
+		p.Init(ID(i), cfg.N, nil, (*host)(w), p, &w.out, sink)
 	}
 	fabric.SetDeliver(w.deliverPayload)
 	return w, nil
 }
-
-// N returns the number of processes.
-func (w *World) N() int { return len(w.nodes) }
 
 // SetAutomaton installs the protocol for process id. It must be called for
 // every process before Start.
@@ -146,7 +136,7 @@ func (w *World) SetAutomaton(id ID, a Automaton) {
 	if w.started {
 		panic("node: SetAutomaton after Start")
 	}
-	w.nodes[id].automaton = a
+	w.procs[id].automaton = a
 }
 
 // Start boots the system: every process starts at the current instant, or
@@ -156,54 +146,35 @@ func (w *World) Start() {
 	if w.started {
 		panic("node: world started twice")
 	}
-	for _, p := range w.nodes {
-		if p.automaton == nil {
-			panic(fmt.Sprintf("node: process %d has no automaton", p.id))
+	for i := range w.procs {
+		if w.procs[i].automaton == nil {
+			panic(fmt.Sprintf("node: process %d has no automaton", i))
 		}
 	}
 	w.started = true
-	for _, p := range w.nodes {
-		p := p
-		at := w.Kernel.Now()
-		if w.startAt != nil {
-			at = w.startAt[p.id]
+	for i := range w.procs {
+		p := &w.procs[i]
+		if w.startAt == nil || w.startAt[i] <= w.Kernel.Now() {
+			p.Boot()
+		} else {
+			w.Kernel.ScheduleAt(w.startAt[i], p.Boot)
 		}
-		if at <= w.Kernel.Now() {
-			p.boot()
-			continue
-		}
-		w.Kernel.ScheduleAt(at, p.boot)
 	}
-}
-
-// boot runs the automaton's Start callback unless the process crashed
-// before its staggered start time.
-func (p *proc) boot() {
-	if !p.alive || p.started {
-		return
-	}
-	p.started = true
-	p.automaton.Start(p)
 }
 
 // Started reports whether id has booted.
-func (w *World) Started(id ID) bool { return w.nodes[id].started }
+func (w *World) Started(id ID) bool { return w.procs[id].started }
 
-// Crash kills process id immediately: its timers are cancelled and it
-// neither sends nor receives from now on (crash-stop, no recovery). This
-// is where the observer learns of it: one obs.Down.
+// Crash kills process id immediately (crash-stop, no recovery): its
+// timers are cancelled, and the observer is told one obs.Down.
 func (w *World) Crash(id ID) {
-	p := w.nodes[id]
-	if !p.alive {
+	p := &w.procs[id]
+	if p.Down() {
 		return
 	}
-	p.alive = false
-	for _, r := range p.timers {
-		r.handle.Cancel()
-	}
-	p.timers = make(map[string]*timerRec)
-	w.crashedAt[id] = w.Kernel.Now()
-	w.sink.OnEvent(obs.Event{T: w.Kernel.Now(), What: obs.Down, Proc: int(id), Peer: -1})
+	p.StopAll()
+	p.crashedAt = w.Kernel.Now()
+	p.Crash()
 }
 
 // CrashAt schedules a crash of id at virtual instant t.
@@ -212,22 +183,20 @@ func (w *World) CrashAt(id ID, t sim.Time) {
 }
 
 // Alive reports whether id has not crashed.
-func (w *World) Alive(id ID) bool { return w.nodes[id].alive }
+func (w *World) Alive(id ID) bool { return !w.procs[id].Down() }
 
 // CrashedAt returns the crash instant of id, if it crashed.
 func (w *World) CrashedAt(id ID) (sim.Time, bool) {
-	t, ok := w.crashedAt[id]
-	return t, ok
+	return w.procs[id].crashedAt, w.procs[id].Down()
 }
 
-// Correct returns the ids of processes that are still alive, in ascending
-// order. At the end of a run these are the "correct" processes in the
-// crash-stop sense.
+// Correct returns the ids of the processes still alive, ascending: at the
+// end of a run, the correct ones in the crash-stop sense.
 func (w *World) Correct() []ID {
 	var out []ID
-	for _, p := range w.nodes {
-		if p.alive {
-			out = append(out, p.id)
+	for i := range w.procs {
+		if !w.procs[i].Down() {
+			out = append(out, ID(i))
 		}
 	}
 	return out
@@ -243,74 +212,49 @@ func (w *World) RunUntil(horizon sim.Time, stop func() bool) sim.RunResult {
 
 // Env returns the runtime handle of process id, mainly for tests that need
 // to poke automatons directly.
-func (w *World) Env(id ID) Env { return w.nodes[id] }
+func (w *World) Env(id ID) Env { return &w.procs[id].Proc }
 
+// deliverPayload runs the delivery's turn.
 func (w *World) deliverPayload(from, to int, payload any) {
-	p := w.nodes[to]
-	if !p.alive || !p.started {
-		return
-	}
-	m, ok := payload.(Message)
-	if !ok {
-		panic(fmt.Sprintf("node: payload %T delivered to %d is not a Message", payload, to))
-	}
-	p.automaton.Deliver(ID(from), m)
+	p := &w.procs[to].Proc
+	p.Receive(ID(from), payload.(Message))
+	p.EndTurn()
 }
 
-// --- Env implementation -------------------------------------------------
+// host is the world as its processes' Host.
+type host World
 
-func (p *proc) ID() ID { return p.id }
+func (h *host) Now() sim.Time { return h.Kernel.Now() }
+func (h *host) Logs() bool    { return h.notes }
 
-func (p *proc) N() int { return len(p.world.nodes) }
+func (h *host) Transmit(from, to ID, m Message) { h.Fabric.Send(int(from), int(to), m.KindID(), m) }
 
-func (p *proc) Now() sim.Time { return p.world.Kernel.Now() }
-
-func (p *proc) Send(to ID, m Message) {
-	if !p.alive || !p.started {
-		return
-	}
-	if to == p.id {
-		panic(fmt.Sprintf("node: process %d sending to itself", p.id))
-	}
-	p.world.Fabric.Send(int(p.id), int(to), m.KindID(), m)
+func (h *host) Log(id ID, text string) {
+	h.sink.OnEvent(obs.Event{T: h.Kernel.Now(), What: obs.Note, Proc: int(id), Peer: -1, Text: text})
 }
 
-func (p *proc) Broadcast(m Message) {
-	for to := 0; to < len(p.world.nodes); to++ {
-		if ID(to) != p.id {
-			p.Send(ID(to), m)
-		}
-	}
-}
-
-func (p *proc) SetTimer(key string, d time.Duration) {
-	if !p.alive {
-		return
-	}
-	r, ok := p.timers[key]
-	if !ok {
+func (p *simProc) Set(key string, d time.Duration) {
+	r := p.timers[key]
+	if r == nil {
 		r = &timerRec{p: p, key: key}
 		r.run = r.fire
 		p.timers[key] = r
-	} else {
-		r.handle.Cancel()
 	}
+	r.handle.Cancel() // a zero handle's Cancel is a no-op
 	if p.rate != 1.0 {
 		d = time.Duration(float64(d) * p.rate)
 	}
-	r.handle = p.world.Kernel.Schedule(d, r.run)
+	r.handle = p.kernel.Schedule(d, r.run)
 }
 
-func (p *proc) StopTimer(key string) {
+func (p *simProc) Stop(key string) {
 	if r, ok := p.timers[key]; ok {
 		r.handle.Cancel()
 	}
 }
 
-func (p *proc) Logf(format string, args ...any) {
-	w := p.world
-	if !w.notes {
-		return
+func (p *simProc) StopAll() {
+	for _, r := range p.timers {
+		r.handle.Cancel()
 	}
-	w.sink.OnEvent(obs.Event{T: w.Kernel.Now(), What: obs.Note, Proc: int(p.id), Peer: -1, Text: fmt.Sprintf(format, args...)})
 }

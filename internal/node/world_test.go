@@ -16,8 +16,8 @@ type pingMsg struct{ Seq int }
 
 func (pingMsg) KindID() obs.Kind { return obs.Intern("PING") }
 
-// echoAutomaton replies to every PING with a PING carrying Seq+1 and counts
-// timer ticks.
+// echoAutomaton replies to every PING with a PING carrying Seq+1 and
+// records timer ticks, skipping the end-of-turn signal, which is no timer.
 type echoAutomaton struct {
 	env      Env
 	got      []int
@@ -47,6 +47,9 @@ func (a *echoAutomaton) Deliver(from ID, m Message) {
 }
 
 func (a *echoAutomaton) Tick(key string) {
+	if key == TurnEnd {
+		return
+	}
 	a.ticks = append(a.ticks, key)
 	if a.onTick != nil {
 		a.onTick(key)

@@ -32,9 +32,6 @@ func (idleAutomaton) Start(node.Env)                {}
 func (idleAutomaton) Deliver(node.ID, node.Message) {}
 func (idleAutomaton) Tick(string)                   {}
 
-// crashed reports whether s is down: its life is odd while it is.
-func crashed(s *station) bool { return s.life.Load()%2 == 1 }
-
 func idleAutomatons(n int) []node.Automaton {
 	autos := make([]node.Automaton, n)
 	for i := range autos {
@@ -121,7 +118,7 @@ func TestScheduledCrashPlanFires(t *testing.T) {
 		l, ok := agreement(dets, map[int]bool{0: true})
 		return ok && l == 1
 	}, "re-election after scheduled crash")
-	if !crashed(c.stations[0]) {
+	if !c.stations[0].Down() {
 		t.Fatal("crash plan did not crash p0")
 	}
 }

@@ -75,9 +75,9 @@ func TestScheduledRestartPlanReboots(t *testing.T) {
 	c.Start()
 	defer c.Stop()
 
-	waitFor(t, 5*time.Second, func() bool { return crashed(c.stations[0]) }, "scheduled crash")
+	waitFor(t, 5*time.Second, func() bool { return c.stations[0].Down() }, "scheduled crash")
 	waitFor(t, 5*time.Second, func() bool { return boots.Load() == 2 }, "reboot Start")
-	if crashed(c.stations[0]) {
+	if c.stations[0].Down() {
 		t.Fatal("station still marked crashed after reboot")
 	}
 	before := deliveries.Load()

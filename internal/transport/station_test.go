@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/faultline"
 	"repro/internal/node"
+	"repro/internal/obs"
 )
 
 // stepCounter counts the steps an automaton takes — every Tick and every
@@ -92,7 +93,7 @@ func TestCrashStopsTheNodeLoop(t *testing.T) {
 		waitFor(t, 5*time.Second, func() bool { return runtime.NumGoroutine() <= before }, fmt.Sprintf("goroutines back to %d", before))
 	}
 	crashedStill := func(t *testing.T, c *TCPCluster, counters []*stepCounter) {
-		waitFor(t, 5*time.Second, func() bool { return crashed(c.stations[0]) }, "the crash")
+		waitFor(t, 5*time.Second, func() bool { return c.stations[0].Down() }, "the crash")
 		time.Sleep(20 * time.Millisecond) // a turn under way at the crash ends
 		expectStill(t, "crashed process", counters[0])
 	}
@@ -124,7 +125,7 @@ func TestCrashStopsTheNodeLoop(t *testing.T) {
 // that StopTimer invalidates a pending expiry.
 func TestStationTimers(t *testing.T) {
 	fired := make(chan string, 4)
-	s := newStation(0, 3, &tickAuto{fired: fired}, discard{}, time.Now(), func(string, ...any) {})
+	s := newStation(0, 3, &tickAuto{fired: fired}, discard{}, obs.Nop{})
 	defer runStation(s)()
 	select {
 	case key := <-fired:

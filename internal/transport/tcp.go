@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log"
 	"net"
 	"slices"
 	"sync"
@@ -15,8 +16,10 @@ import (
 	"repro/internal/faultline"
 	"repro/internal/link"
 	"repro/internal/loop"
+	"repro/internal/metrics"
 	nodepkg "repro/internal/node"
 	"repro/internal/obs"
+	"repro/internal/sim"
 	"repro/internal/wire"
 )
 
@@ -85,25 +88,24 @@ func (c *Config) fill(automatons int) error {
 	return nil
 }
 
-// TCPCluster runs n automatons as TCP endpoints on the loopback interface.
-// Each process listens on a kernel-assigned port. Every directed link is
-// owned by a dedicated link.Sender goroutine with a bounded outbound
-// queue: the node loop hands a frame over with a non-blocking enqueue, and
-// the sender dials (with capped exponential backoff plus jitter), applies
-// write deadlines, and reconnects on failure. A dead or stalled peer
-// therefore costs at most a queue-full drop — it can never block another
-// link or a station's node loop. The sender coalesces whatever is already
-// queued (up to 256 frames or link.BatchBytes) into one vectored write, so
-// n frames per interval cost one writev syscall, not n write syscalls. TCP
-// gives reliable, ordered per-connection delivery — the "reliable link"
-// regime of the paper, live.
-//
-// The queueing/coalescing/redial machinery itself lives in internal/link;
-// this file only encodes frames, consults the fault injector, and wires
-// the cluster's observability into the senders.
+// TCPCluster runs n automatons as TCP endpoints on the loopback interface,
+// each process listening on a kernel-assigned port. Every directed link is
+// owned by a link.Sender goroutine with a bounded queue: the node loop
+// enqueues a frame without blocking, and the sender dials (capped
+// exponential backoff plus jitter), applies write deadlines, reconnects on
+// failure and coalesces what is queued (up to 256 frames or
+// link.BatchBytes) into one vectored write. A dead or stalled peer costs
+// at most a queue-full drop, never a blocked link or node loop. TCP gives
+// reliable, ordered per-connection delivery — the paper's "reliable link"
+// regime, live. This file encodes frames, consults the fault injector and
+// wires the cluster's observability into the senders (internal/link).
 type TCPCluster struct {
-	table
 	cfg       Config
+	stations  []*station // process i at index i
+	start     time.Time  // the processes' clock reads time since
+	stats     *metrics.MessageStats
+	sink      obs.Sink       // stats teed with cfg.Observer
+	wg        sync.WaitGroup // every goroutine Stop waits for
 	listeners []net.Listener
 	addrs     []net.Addr
 	senders   []*link.Sender // n*n row-major, nil on the diagonal
@@ -126,12 +128,18 @@ func NewTCPCluster(cfg Config, automatons []nodepkg.Automaton) (*TCPCluster, err
 	}
 	c := &TCPCluster{
 		cfg:       cfg,
+		stations:  make([]*station, cfg.N),
+		start:     time.Now(),
+		stats:     metrics.NewMessageStats(cfg.N),
 		listeners: make([]net.Listener, cfg.N),
 		addrs:     make([]net.Addr, cfg.N),
 		senders:   make([]*link.Sender, cfg.N*cfg.N),
 		stopCh:    make(chan struct{}),
 	}
-	c.build(cfg, automatons, &tcpNet{cluster: c})
+	c.sink = obs.Tee(c.stats, cfg.Observer)
+	for i := range c.stations {
+		c.stations[i] = newStation(nodepkg.ID(i), cfg.N, automatons[i], (*tcpHost)(c), c.sink)
+	}
 	for i := 0; i < cfg.N; i++ {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
@@ -161,7 +169,7 @@ func NewTCPCluster(cfg Config, automatons []nodepkg.Automaton) (*TCPCluster, err
 				Pool:         encBufs,
 				Stop:         c.stopCh,
 				OnDrop: func(f link.Frame) {
-					c.sink.OnDrop(c.stations[from].Now(), from, to, f.Kind)
+					c.sink.OnDrop(c.now(), from, to, f.Kind)
 				},
 				OnFlush: onFlush,
 			})
@@ -207,12 +215,18 @@ func (c *TCPCluster) Addr(id nodepkg.ID) net.Addr { return c.addrs[id] }
 // Fault returns the cluster's fault injector (nil when none configured).
 func (c *TCPCluster) Fault() *faultline.Injector { return c.cfg.Fault }
 
-// Start boots every process: one accept loop and one sender goroutine per
-// outgoing link each, then every station's first turn on the calling
-// goroutine (so an OnApply replay while a log restores runs there), then a
-// node loop per station; then it arms the fault plan's scheduled crashes and
-// restarts. When Start returns every detector has its first output and
-// phase 1 is queued on the links.
+// Stats returns the cluster's message accounting.
+func (c *TCPCluster) Stats() *metrics.MessageStats { return c.stats }
+
+// Crash makes process id inert (crash-stop).
+func (c *TCPCluster) Crash(id nodepkg.ID) { c.stations[id].Crash() }
+
+// Start boots every process: an accept loop each and a sender goroutine
+// per link, then every station's first turn on the calling goroutine (so
+// an OnApply replay while a log restores runs there), then a node loop
+// per station; then it arms the fault plan's crashes and restarts. When
+// Start returns every detector has its first output and phase 1 is
+// queued on the links.
 func (c *TCPCluster) Start() {
 	if c.started {
 		return
@@ -232,7 +246,13 @@ func (c *TCPCluster) Start() {
 			s.Run()
 		}(s)
 	}
-	c.run()
+	for _, s := range c.stations {
+		s.Boot()
+	}
+	c.wg.Add(len(c.stations))
+	for _, s := range c.stations {
+		go s.run(&c.wg)
+	}
 	c.mu.Lock()
 	c.crashers = scheduleCrashes(c.cfg.Fault, c.Crash)
 	c.crashers = append(c.crashers, scheduleRestarts(c.cfg.Fault, c.cfg.Rebuild, c.Crash, c.Restart, c.armTimer)...)
@@ -240,12 +260,14 @@ func (c *TCPCluster) Start() {
 }
 
 // Restart reboots process id with a fresh automaton — the in-process
-// equivalent of restarting a kill -9'd process from its durable state; the
-// process keeps its listener and its links. The swap happens on the
-// process's node loop; the new automaton's Start runs under the same
-// single-threaded Env contract as at boot. Safe to call from any
+// equivalent of restarting a kill -9'd process from its durable state,
+// keeping its listener and links. The process is up at once; its node
+// loop swaps the automaton in and runs its Start as at boot. Safe from any
 // goroutine.
-func (c *TCPCluster) Restart(id nodepkg.ID, a nodepkg.Automaton) { c.stations[id].reboot(a) }
+func (c *TCPCluster) Restart(id nodepkg.ID, a nodepkg.Automaton) {
+	c.stations[id].Revive()
+	c.stations[id].mbox.Push(event{reboot: a})
+}
 
 // armTimer registers t for cancellation at Stop; when the cluster has
 // already stopped it cancels t at once.
@@ -307,7 +329,7 @@ func (c *TCPCluster) readLoop(i int, conn net.Conn) {
 		// batch is empty here: the loop never blocks in a read while it
 		// holds decoded, undelivered messages.
 		frame, err := in.next(true)
-		now := st.Now()
+		now := c.now()
 		for err == nil && frame != nil {
 			env, derr := dec.UnmarshalEnvelope(frame)
 			if derr != nil || env.From < 0 || int(env.From) >= c.cfg.N {
@@ -396,7 +418,7 @@ func (f *frames) next(wait bool) ([]byte, error) {
 // external clients (tests, the chaossoak runner). Safe to call from any
 // goroutine.
 func (c *TCPCluster) Inject(from, to nodepkg.ID, m nodepkg.Message) {
-	(&tcpNet{cluster: c}).send(from, to, m)
+	(*tcpHost)(c).Transmit(from, to, m)
 }
 
 // Stop closes all sockets and waits for every goroutine.
@@ -413,7 +435,9 @@ func (c *TCPCluster) Stop() {
 	c.mu.Unlock()
 	close(c.stopCh)
 	c.closeAll()
-	c.stop()
+	for _, s := range c.stations {
+		s.mbox.Close()
+	}
 	c.wg.Wait()
 	// The senders have exited and nothing enqueues after stopCh closes;
 	// whatever frames remain queued are dead. Account and release them so
@@ -425,16 +449,30 @@ func (c *TCPCluster) Stop() {
 	}
 }
 
-// tcpNet hands frames to the per-link senders.
-type tcpNet struct {
-	cluster *TCPCluster
-}
+// now is the cluster's clock: wall-clock time since it was built.
+func (c *TCPCluster) now() sim.Time { return sim.Time(time.Since(c.start).Nanoseconds()) }
 
-func (t *tcpNet) send(from, to nodepkg.ID, msg nodepkg.Message) {
-	c := t.cluster
+// tcpHost is the cluster as its processes' node.Host: it hands frames to
+// the per-link senders, and logs unless the cluster is quiet.
+type tcpHost TCPCluster
+
+func (h *tcpHost) Now() sim.Time                  { return (*TCPCluster)(h).now() }
+func (h *tcpHost) Logs() bool                     { return !h.cfg.Quiet }
+func (h *tcpHost) Log(id nodepkg.ID, text string) { log.Printf("p%d: %s", id, text) }
+
+// Transmit reports the send — with its trace context when msg is a
+// node.Traced with a nonzero trace id: an untraced message costs one type
+// assertion — and hands the frame to the from→to link's sender.
+func (h *tcpHost) Transmit(from, to nodepkg.ID, msg nodepkg.Message) {
+	c := (*TCPCluster)(h)
 	k := msg.KindID()
-	now := c.stations[from].Now()
-	c.sent(now, from, to, k, msg)
+	now := c.now()
+	c.sink.OnSend(now, int(from), int(to), k)
+	if tm, ok := msg.(nodepkg.Traced); ok {
+		if trace, span := tm.TraceContext(); trace != 0 {
+			c.sink.OnSendCtx(now, int(from), int(to), k, trace, span)
+		}
+	}
 	select {
 	case <-c.stopCh:
 		c.sink.OnDrop(now, int(from), int(to), k)

@@ -278,7 +278,7 @@ func TestTCPSendAfterStopDropsQuietly(t *testing.T) {
 	time.Sleep(30 * time.Millisecond)
 	c.Stop()
 	before := c.Stats().Dropped()
-	(&tcpNet{cluster: c}).send(0, 1, core.LeaderMsg{Epoch: 1})
+	(*tcpHost)(c).Transmit(0, 1, core.LeaderMsg{Epoch: 1})
 	if c.Stats().Dropped() != before+1 {
 		t.Fatal("send after stop not accounted as drop")
 	}

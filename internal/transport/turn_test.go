@@ -20,17 +20,36 @@ import (
 	"repro/internal/loop"
 	"repro/internal/network"
 	"repro/internal/node"
+	"repro/internal/obs"
+	"repro/internal/sim"
 )
 
-// wireTap is a sender that records what reached the network, in order.
-type wireTap struct {
-	mu   sync.Mutex
-	sent []held
+// testHost is the clock and the log of a station built by hand:
+// wall-clock time since the package's tests began, and no log.
+type testHost struct{}
+
+var epoch = time.Now()
+
+func (testHost) Now() sim.Time       { return sim.Time(time.Since(epoch)) }
+func (testHost) Logs() bool          { return false }
+func (testHost) Log(node.ID, string) {}
+
+// wired is one message that reached the network.
+type wired struct {
+	to node.ID
+	m  node.Message
 }
 
-func (w *wireTap) send(_, to node.ID, m node.Message) {
+// wireTap is a host that records what reached the network, in order.
+type wireTap struct {
+	testHost
+	mu   sync.Mutex
+	sent []wired
+}
+
+func (w *wireTap) Transmit(_, to node.ID, m node.Message) {
 	w.mu.Lock()
-	w.sent = append(w.sent, held{to, m})
+	w.sent = append(w.sent, wired{to, m})
 	w.mu.Unlock()
 }
 
@@ -77,16 +96,18 @@ func (e *echo) Tick(key string) {
 // runStation boots s alone; the func it returns stops s and waits for its
 // node loop to exit.
 func runStation(s *station) (stop func()) {
-	tb := &table{stations: []*station{s}}
-	tb.run()
-	return func() { tb.stop(); tb.wg.Wait() }
+	var wg sync.WaitGroup
+	s.Boot()
+	wg.Add(1)
+	go s.run(&wg)
+	return func() { s.mbox.Close(); wg.Wait() }
 }
 
 func TestQueuedMessagesAreOneTurn(t *testing.T) {
 	const k = 10
 	w := &wireTap{}
 	a := &echo{w: w}
-	s := newStation(0, 2, a, w, time.Now(), func(string, ...any) {})
+	s := newStation(0, 2, a, w, obs.Nop{})
 	for i := 0; i < k; i++ {
 		s.mbox.Push(event{from: 1, msg: core.LeaderMsg{Epoch: uint64(i)}})
 	}
@@ -117,7 +138,7 @@ func TestLongBacklogIsSplitIntoTurns(t *testing.T) {
 	const k = 2*loop.MaxTurn + 7
 	w := &wireTap{}
 	a := &echo{w: w}
-	s := newStation(0, 2, a, w, time.Now(), func(string, ...any) {})
+	s := newStation(0, 2, a, w, obs.Nop{})
 	for i := 0; i < k; i++ {
 		s.mbox.Push(event{from: 1, msg: core.LeaderMsg{Epoch: uint64(i)}})
 	}
@@ -137,13 +158,13 @@ func TestCrashInMidTurnDropsTheOutbox(t *testing.T) {
 	const k, crashAt = 10, 4
 	w := &wireTap{}
 	a := &echo{w: w, crashAt: crashAt}
-	s := newStation(0, 2, a, w, time.Now(), func(string, ...any) {})
-	a.crash = s.crash
+	s := newStation(0, 2, a, w, obs.Nop{})
+	a.crash = s.Crash
 	for i := 0; i < k; i++ {
 		s.mbox.Push(event{from: 1, msg: core.LeaderMsg{Epoch: uint64(i)}})
 	}
 	stop := runStation(s)
-	waitFor(t, 5*time.Second, func() bool { return crashed(s) }, "the crash")
+	waitFor(t, 5*time.Second, func() bool { return s.Down() }, "the crash")
 	stop() // the loop has finished the turn
 	if a.delivered != crashAt {
 		t.Fatalf("%d deliveries, want none after the crash in delivery %d", a.delivered, crashAt)
@@ -523,13 +544,14 @@ func TestTCPWildInstanceIsDropped(t *testing.T) {
 func BenchmarkStationTurn(b *testing.B) {
 	const burst = 10
 	leader := rsm.New(consensus.StaticLeader(0), rsm.Config{BatchMax: 16, Window: 8})
-	s := newStation(0, 3, leader, discard{}, time.Now(), func(string, ...any) {})
-	leader.Start(s)
-	leader.Tick("rsm/drive") // opens the ballot
-	ballot := s.outbox[0].m.(rsm.PrepareMsg).B
-	s.endTurn()
+	net := &lastSent{}
+	s := newStation(0, 3, leader, net, obs.Nop{})
+	s.Boot()
+	s.Fire("rsm/drive") // opens the ballot
+	s.EndTurn()
+	ballot := net.last.(rsm.PrepareMsg).B
 	s.dispatch(event{from: 1, msg: rsm.PromiseMsg{B: ballot}})
-	s.endTurn()
+	s.EndTurn()
 	if !leader.IsLeader() {
 		b.Fatal("leader not prepared")
 	}
@@ -546,7 +568,7 @@ func BenchmarkStationTurn(b *testing.B) {
 		for _, m := range reqs {
 			s.dispatch(event{from: 2, msg: m})
 		}
-		s.endTurn()
+		s.EndTurn()
 	}
 	b.StopTimer()
 	if got := leader.FirstGap(); got != b.N-1 {
@@ -554,7 +576,15 @@ func BenchmarkStationTurn(b *testing.B) {
 	}
 }
 
-// discard is a network that drops everything.
-type discard struct{}
+// discard is a host whose network drops everything.
+type discard struct{ testHost }
 
-func (discard) send(_, _ node.ID, _ node.Message) {}
+func (discard) Transmit(_, _ node.ID, _ node.Message) {}
+
+// lastSent is a host whose network keeps only the last message sent.
+type lastSent struct {
+	testHost
+	last node.Message
+}
+
+func (l *lastSent) Transmit(_, _ node.ID, m node.Message) { l.last = m }
