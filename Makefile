@@ -119,9 +119,13 @@ test-race:
 # build-test job runs it. -fuzzminimizetime: left at its 60 s default, the
 # first input that reaches new coverage is minimized for the rest of the
 # run (execs stand still after ~20k; with the cap, ~800k in the 20 s).
+# Last, twenty seconds of fault schedules (DESIGN.md §10): each input
+# decodes to a schedule that an n = 3 rsm world runs for 2 simulated
+# seconds, judged by consensus safety alone (≈2,000 execs/s on 2 vCPUs).
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzEnvelopeRoundTrip -fuzztime=20s -fuzzminimizetime=1s ./internal/wire
 	$(GO) test -run='^$$' -fuzz=FuzzReadSpans -fuzztime=5s -fuzzminimizetime=1s ./internal/consensus/rsm
+	$(GO) test -run='^$$' -fuzz=FuzzSchedule -fuzztime=20s -fuzzminimizetime=1s ./internal/scenario
 
 # Full chaos soak under the race detector: live TCP clusters through
 # leader crash, asymmetric partition + heal, and pre-GST link chaos, with
@@ -231,7 +235,7 @@ bench:
 # on one loopback TCP link ahead of its sender, which coalesces what is
 # queued into one vectored write (msgs/sec, and 0 allocs/op on injection),
 # and NewTCPCluster what a three-process TCP cluster of idle automatons
-# costs to build, Start and Stop (≈15 KB/op: no link reserves its bound).
+# costs to build, Start and Stop (≈8 KB/op: no link reserves its bound).
 # BENCHTIME is go test's -benchtime; CI passes 100x, which runs each
 # benchmark a hundred times — go test compiles them but never runs one, so
 # a benchmark that panics would otherwise pass. At 1x a benchmark that

@@ -81,6 +81,7 @@ func run(args []string) (err error) {
 	}
 
 	s := &soak{eta: *eta, bound: *bound, commands: *commands, lease: *lease}
+	var plan faultline.Plan // the crash, partition and full plans fault by hand
 	switch *planName {
 	case "recovery":
 		if *n < 3 {
@@ -110,10 +111,6 @@ func run(args []string) (err error) {
 			}()
 		}
 		s.snapEvery = *snapEvery
-		s.inj, err = faultline.New(*n, *seed, faultline.Plan{})
-		if err != nil {
-			return err
-		}
 	case "crash", "partition", "full":
 		if *n < 3 {
 			return fmt.Errorf("plan %s needs n >= 3, got %d", *planName, *n)
@@ -121,17 +118,12 @@ func run(args []string) (err error) {
 		if (*planName == "partition" || *planName == "full") && *n < 5 {
 			return fmt.Errorf("plan %s needs n >= 5 (crash + minority cut must leave a quorum), got %d", *planName, *n)
 		}
-		inj, err := faultline.New(*n, *seed, faultline.Plan{})
-		if err != nil {
-			return err
-		}
-		s.inj = inj
 	case "chaos":
 		// Pre-GST chaos via the scenario bridge: the simulator's all-et
 		// regime, replayed on live sockets. The simulated regime is
 		// lossless (wild delays only), so layer pre-GST loss on top — the
 		// combination the soak tests exercise.
-		plan, err := scenario.LiveFaultPlan(scenario.Config{
+		plan, err = scenario.LiveFaultPlan(scenario.Config{
 			N:      *n,
 			Regime: scenario.RegimeAllET,
 			Delta:  2 * time.Millisecond,
@@ -144,13 +136,11 @@ func run(args []string) (err error) {
 		if *drop > 0 {
 			plan.Default = network.EventuallyTimely(2*time.Millisecond, 30*time.Millisecond, *drop)
 		}
-		inj, err := faultline.New(*n, *seed, plan)
-		if err != nil {
-			return err
-		}
-		s.inj = inj
 	default:
 		return fmt.Errorf("unknown plan %q (want crash, partition, chaos, full, recovery)", *planName)
+	}
+	if s.inj, err = faultline.New(*n, *seed, plan); err != nil {
+		return err
 	}
 
 	// The observer: the collector, the flight recorder and the event-log

@@ -12,14 +12,17 @@
 package main
 
 import (
+	"cmp"
 	"context"
 	"flag"
 	"fmt"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 	"time"
 
+	"repro/internal/faultline"
 	"repro/internal/node"
 	"repro/internal/obs"
 	"repro/internal/scenario"
@@ -66,28 +69,24 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
+	cfg := scenario.Config{
+		N:         *n,
+		Seed:      *seed,
+		Algorithm: scenario.Algorithm(*algo),
+		Regime:    scenario.Regime(*regime),
+		Eta:       *eta,
+		GST:       sim.At(*gst),
+		DropProb:  *drop,
+		Source:    node.ID(*source),
+		Schedule:  plan,
+	}
 	if *sweepN > 0 {
 		if *traceDir != "" {
 			return fmt.Errorf("omegasim: -trace-dir records a single run; it cannot be combined with -sweep")
 		}
-		return runSweep(sweepParams{
-			n: *n, algo: *algo, regime: *regime, gst: *gst, eta: *eta,
-			drop: *drop, source: *source, runFor: *runFor, plan: plan,
-			seeds: *sweepN, workers: *jobs,
-		})
+		return runSweep(cfg, *sweepN, *jobs, *runFor)
 	}
-	cfg := scenario.Config{
-		N:           *n,
-		Seed:        *seed,
-		Algorithm:   scenario.Algorithm(*algo),
-		Regime:      scenario.Regime(*regime),
-		Eta:         *eta,
-		GST:         sim.At(*gst),
-		DropProb:    *drop,
-		Source:      node.ID(*source),
-		Crashes:     plan,
-		EnableTrace: *trace,
-	}
+	cfg.EnableTrace = *trace
 	var sys *scenario.System
 	var tel *telemetry.Collector
 	if *metrics != "" {
@@ -179,45 +178,26 @@ func run(args []string) error {
 	return nil
 }
 
-// sweepParams carries the scenario knobs for a multi-seed sweep.
-type sweepParams struct {
-	n       int
-	algo    string
-	regime  string
-	gst     time.Duration
-	eta     time.Duration
-	drop    float64
-	source  int
-	runFor  time.Duration
-	plan    []scenario.Crash
-	seeds   int
-	workers int
-}
-
-// runSweep executes the scenario across many seeds — fanned across CPU
-// cores, one isolated System per seed — and prints aggregate Omega /
-// communication-efficiency verdicts: a quick boundary probe without the
-// full experiment harness. Per-seed results are aggregated in seed order,
-// so the output is identical for any worker count.
-func runSweep(p sweepParams) error {
+// runSweep executes the scenario cfg across seeds 0..seeds-1 — fanned
+// across CPU cores, one isolated System per seed — and prints aggregate
+// Omega / communication-efficiency verdicts: a quick boundary probe
+// without the full experiment harness. Per-seed results are aggregated in
+// seed order, so the output is identical for any worker count.
+func runSweep(cfg scenario.Config, seeds, workers int, runFor time.Duration) error {
 	type verdict struct {
 		holds, efficient bool
 		changes          int
 		err              error
 	}
-	results := sweep.Map(sweep.New(p.workers), p.seeds, func(seed int) verdict {
-		sys, err := scenario.Build(scenario.Config{
-			N: p.n, Seed: int64(seed),
-			Algorithm: scenario.Algorithm(p.algo),
-			Regime:    scenario.Regime(p.regime),
-			Eta:       p.eta, GST: sim.At(p.gst), DropProb: p.drop,
-			Source: node.ID(p.source), Crashes: p.plan,
-		})
+	results := sweep.Map(sweep.New(workers), seeds, func(seed int) verdict {
+		cfg := cfg
+		cfg.Seed = int64(seed)
+		sys, err := scenario.Build(cfg)
 		if err != nil {
 			return verdict{err: err}
 		}
-		tail := sim.At(p.runFor * 3 / 4)
-		msgs := sys.RunWindow(tail, sim.At(p.runFor))
+		tail := sim.At(runFor * 3 / 4)
+		msgs := sys.RunWindow(tail, sim.At(runFor))
 		rep := sys.OmegaReport()
 		v := verdict{changes: rep.Changes}
 		if rep.Holds && rep.StabilizedAt <= tail {
@@ -243,19 +223,20 @@ func runSweep(p sweepParams) error {
 		}
 	}
 	fmt.Printf("sweep:    %d seeds × %v, n=%d algo=%s regime=%s\n",
-		p.seeds, p.runFor, p.n, p.algo, p.regime)
-	fmt.Printf("omega:    holds (with margin) in %d/%d seeds\n", holds, p.seeds)
-	fmt.Printf("commeff:  efficient in %d/%d seeds\n", efficient, p.seeds)
+		seeds, runFor, cfg.N, cfg.Algorithm, cfg.Regime)
+	fmt.Printf("omega:    holds (with margin) in %d/%d seeds\n", holds, seeds)
+	fmt.Printf("commeff:  efficient in %d/%d seeds\n", efficient, seeds)
 	fmt.Printf("churn:    worst-case leader changes %d\n", worstChanges)
 	return nil
 }
 
-// parseCrashes parses "id@dur,id@dur" crash plans.
-func parseCrashes(s string) ([]scenario.Crash, error) {
+// parseCrashes parses "id@dur,id@dur" crash plans into a fault schedule,
+// in time order.
+func parseCrashes(s string) (faultline.Schedule, error) {
 	if s == "" {
 		return nil, nil
 	}
-	var out []scenario.Crash
+	var out faultline.Schedule
 	for _, part := range strings.Split(s, ",") {
 		var id int
 		at := ""
@@ -266,7 +247,8 @@ func parseCrashes(s string) ([]scenario.Crash, error) {
 		if err != nil {
 			return nil, fmt.Errorf("bad crash time in %q: %w", part, err)
 		}
-		out = append(out, scenario.Crash{ID: node.ID(id), At: sim.At(d)})
+		out = append(out, faultline.Event{At: d, Op: faultline.OpCrash, From: node.ID(id)})
 	}
+	slices.SortStableFunc(out, func(a, b faultline.Event) int { return cmp.Compare(a.At, b.At) })
 	return out, nil
 }

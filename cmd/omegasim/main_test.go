@@ -4,7 +4,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/sim"
+	"repro/internal/faultline"
 )
 
 func TestParseCrashes(t *testing.T) {
@@ -15,10 +15,10 @@ func TestParseCrashes(t *testing.T) {
 	if len(plan) != 2 {
 		t.Fatalf("len = %d", len(plan))
 	}
-	if plan[0].ID != 0 || plan[0].At != sim.At(300*time.Millisecond) {
+	if plan[0].From != 0 || plan[0].At != 300*time.Millisecond || plan[0].Op != faultline.OpCrash {
 		t.Fatalf("plan[0] = %+v", plan[0])
 	}
-	if plan[1].ID != 2 || plan[1].At != sim.At(time.Second) {
+	if plan[1].From != 2 || plan[1].At != time.Second || plan[1].Op != faultline.OpCrash {
 		t.Fatalf("plan[1] = %+v", plan[1])
 	}
 }

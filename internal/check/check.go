@@ -1,5 +1,6 @@
 // Package check turns the paper's "eventually forever" theorem statements
-// into machine-checkable predicates over finite executions.
+// into machine-checkable predicates over finite executions, and Explore
+// judges a list of fault schedules by them.
 //
 // A finite run cannot prove an eventual property, so the checkers use the
 // standard reproduction compromise: they verify that the property holds
@@ -14,9 +15,11 @@ import (
 	"time"
 
 	"repro/internal/detector"
+	"repro/internal/faultline"
 	"repro/internal/metrics"
 	"repro/internal/node"
 	"repro/internal/sim"
+	"repro/internal/sweep"
 )
 
 // OmegaInput bundles what the Omega checker needs about a finished run.
@@ -161,4 +164,37 @@ func ConvergenceTime(in OmegaInput) (sim.Time, bool) {
 		return 0, false
 	}
 	return rep.StabilizedAt, true
+}
+
+// Failure is a schedule on which a predicate of Explore did not hold.
+type Failure struct {
+	Schedule faultline.Schedule
+	Reason   string
+}
+
+// String prints the failure with the schedule's byte form, which replays it.
+func (f Failure) String() string {
+	return fmt.Sprintf("%x [%v]: %s", f.Schedule.Bytes(), f.Schedule, f.Reason)
+}
+
+// Explore runs run on every schedule of space, over every core through
+// sweep.Map, and judges each result by the predicates, each of which
+// returns "" when it holds and why not when it does not. It returns, in
+// space order, a Failure for each schedule that some predicate failed on.
+func Explore[R any](space []faultline.Schedule, run func(faultline.Schedule) R, preds ...func(R) string) (out []Failure) {
+	reasons := sweep.Map(sweep.New(0), len(space), func(i int) string {
+		r := run(space[i])
+		for _, pred := range preds {
+			if why := pred(r); why != "" {
+				return why
+			}
+		}
+		return ""
+	})
+	for i, why := range reasons {
+		if why != "" {
+			out = append(out, Failure{Schedule: space[i], Reason: why})
+		}
+	}
+	return out
 }

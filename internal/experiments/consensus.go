@@ -7,6 +7,7 @@ import (
 	"repro/internal/consensus"
 	"repro/internal/consensus/ct"
 	"repro/internal/consensus/rsm"
+	"repro/internal/faultline"
 	"repro/internal/node"
 	"repro/internal/scenario"
 	"repro/internal/sim"
@@ -43,7 +44,7 @@ func kindTotal(w *node.World, kinds []string) uint64 {
 func consensusRun(layer string, n int, seed int64, crashLeader bool) (time.Duration, uint64, bool) {
 	cfg := scenario.Config{N: n, Seed: seed, Eta: Eta, Consensus: layer}
 	if crashLeader {
-		cfg.Crashes = []scenario.Crash{{ID: 0, At: 0}}
+		cfg.Schedule = faultline.Schedule{{Op: faultline.OpCrash, From: 0}}
 	}
 	s := build(cfg)
 	for i, c := range s.CT {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/faultline"
 	"repro/internal/scenario"
 	"repro/internal/sim"
 )
@@ -226,7 +227,7 @@ func E4CrashRecovery(o Opts) Table {
 		s := build(scenario.Config{
 			N: c.n, Seed: int64(seed), Algorithm: c.algo,
 			Regime: scenario.RegimeAllTimely, Eta: Eta,
-			Crashes: []scenario.Crash{{ID: 0, At: crashAt}},
+			Schedule: faultline.Schedule{{At: crashAt.Duration(), Op: faultline.OpCrash, From: 0}},
 		})
 		s.Run(400 * Eta)
 		rep := s.OmegaReport()

@@ -3,16 +3,18 @@
 // driven by the same network.Profile semantics the simulator's Fabric
 // applies — timely, eventually timely with a wall-clock GST, reliable,
 // fair-lossy, lossy, down — plus runtime partitions (Cut/Heal) and a
-// scheduled crash plan.
+// fault Schedule: the one description of a cut, heal, crash or restart,
+// which the simulator applies too (DESIGN.md §10).
 //
 // Determinism guarantee: decision k on a directed link is a pure function
 // of (seed, plan, k, afterGST_k), where afterGST_k tells whether the k-th
 // send on that link happened at or after the plan's GST. Each link draws
 // from a private RNG seeded by (seed, from, to); a cut link still computes
-// its profile decision and only then masks it to "drop", so Cut/Heal never
-// perturb the decision stream. Two runs with the same seed and plan
-// therefore inject identical drop/delay sequences as long as each link
-// classifies the same sends as pre-GST.
+// its profile decision and only then masks it to "drop", so neither Cut
+// and Heal nor a schedule's cuts and heals perturb the decision stream.
+// Two runs with the same seed and plan therefore inject identical
+// drop/delay sequences as long as each link classifies the same sends as
+// pre-GST.
 //
 // The injector only decides; the transports report every injected drop
 // through their obs.Sink (OnDrop), so metrics and trace observe injected
@@ -20,8 +22,12 @@
 package faultline
 
 import (
+	"cmp"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -35,21 +41,98 @@ type Link struct {
 	From, To node.ID
 }
 
-// Crash schedules one crash-stop failure, After the cluster starts.
-type Crash struct {
-	ID    node.ID
-	After time.Duration
+// Op is what one schedule event does.
+type Op uint8
+
+// The four events of a fault schedule.
+const (
+	OpCut     Op = iota // the link From→To delivers nothing
+	OpHeal              // the link From→To has its profile back
+	OpCrash             // process From crash-stops, if it is up
+	OpRestart           // process From reboots, if it is down (live only)
+)
+
+var opNames = [...]string{"cut", "heal", "crash", "restart"}
+
+// Event is one fault at an offset from the start of the run: a cut or a
+// heal of the directed link From→To, or a crash or a restart of process
+// From, with To 0.
+type Event struct {
+	At       time.Duration
+	Op       Op
+	From, To node.ID
 }
 
-// Restart schedules one crash-recovery cycle: the process crash-stops
-// After the cluster starts and reboots Downtime later. Unlike Crash, the
-// process comes back — rebuilt from whatever its durable.Store recovered —
-// and must rejoin the protocol. A zero Downtime means "reboot
-// immediately".
-type Restart struct {
-	ID       node.ID
-	After    time.Duration
-	Downtime time.Duration
+// Schedule is a fault schedule: events in time order, events at one
+// instant in the order written (DESIGN.md §10). Its byte form is five
+// bytes an event: op, from, to, and the offset in whole milliseconds as a
+// big-endian uint16.
+type Schedule []Event
+
+// Validate reports whether s is a valid schedule for n processes: ids in
+// range, no link from a process to itself, offsets ≥ 0 and in time order.
+func (s Schedule) Validate(n int) error {
+	for i, e := range s {
+		inRange := int(e.From) >= 0 && int(e.From) < n && int(e.To) >= 0 && int(e.To) < n
+		ordered := e.At >= 0 && (i == 0 || e.At >= s[i-1].At)
+		if e.Op > OpRestart || !inRange || !ordered || (e.Op <= OpHeal && e.From == e.To) {
+			return fmt.Errorf("faultline: event %d, %v: a bad op or id for n=%d, a self-link, or out of time order", i, s[i:i+1], n)
+		}
+	}
+	return nil
+}
+
+// Has reports whether s holds an event of kind op.
+func (s Schedule) Has(op Op) bool {
+	return slices.ContainsFunc(s, func(e Event) bool { return e.Op == op })
+}
+
+// Bytes is the byte form of s; an offset is rounded down to the
+// millisecond and capped at 65.535 s.
+func (s Schedule) Bytes() []byte {
+	var out []byte
+	for _, e := range s {
+		out = append(out, byte(e.Op), byte(e.From), byte(e.To))
+		out = binary.BigEndian.AppendUint16(out, uint16(min(e.At/time.Millisecond, 1<<16-1)))
+	}
+	return out
+}
+
+// Decode reads a schedule for 2 ≤ n ≤ 256 processes from its byte form,
+// and every input decodes to a valid one: the op and the ids wrap, a link
+// to itself turns to the next process, offsets clamp to horizon, events
+// are sorted by offset (stably), and a short tail is ignored. It inverts
+// Bytes on a valid schedule of whole milliseconds up to horizon.
+func Decode(data []byte, n int, horizon time.Duration) Schedule {
+	var s Schedule
+	for ; len(data) >= 5; data = data[5:] {
+		e := Event{Op: Op(data[0] % 4), From: node.ID(int(data[1]) % n)}
+		if e.Op <= OpHeal {
+			if e.To = node.ID(int(data[2]) % n); e.To == e.From {
+				e.To = (e.From + 1) % node.ID(n)
+			}
+		}
+		e.At = min(time.Duration(binary.BigEndian.Uint16(data[3:]))*time.Millisecond, horizon)
+		s = append(s, e)
+	}
+	slices.SortStableFunc(s, func(a, b Event) int { return cmp.Compare(a.At, b.At) })
+	return s
+}
+
+// String prints s as text: cut(0,1)@40ms crash(2)@80ms.
+func (s Schedule) String() string {
+	var b strings.Builder
+	for i, e := range s {
+		ids := fmt.Sprint(e.From)
+		if e.Op <= OpHeal {
+			ids += fmt.Sprint(",", e.To)
+		}
+		if i > 0 {
+			b.WriteByte(' ')
+		}
+		fmt.Fprintf(&b, "%s(%s)@%v", opNames[e.Op%4], ids, e.At)
+	}
+	return b.String()
 }
 
 // Plan describes the faults to inject into a live cluster.
@@ -65,15 +148,10 @@ type Plan struct {
 	// MaxDelay and drop with DropProb; from GST on they deliver within
 	// Delta. Zero means "timely from boot".
 	GST time.Duration
-	// Crashes is the scheduled crash-stop plan; the transports arm one
-	// timer per entry at Start.
-	Crashes []Crash
-	// Restarts is the scheduled crash-recovery plan; each entry kills the
-	// process at After and reboots it at After+Downtime. A process may
-	// appear in several entries (kill -9 it repeatedly) but scheduling
-	// both a Crash and a Restart for the same process is rejected — the
-	// permanent crash would race the reboot.
-	Restarts []Restart
+	// Schedule is the fault schedule, its offsets from cluster start:
+	// Transmit applies its cuts and heals, the transports its crashes and
+	// restarts.
+	Schedule Schedule
 }
 
 // linkState is one directed link's fault machinery. The RNG is advanced
@@ -84,19 +162,17 @@ type linkState struct {
 	profile network.Profile
 	perfect bool // zero-valued profile: no drop, no delay
 	rng     *rand.Rand
+	sched   []Event // the schedule's cuts and heals of this link
 }
 
 // Injector decides the fate of every message on a live cluster's links.
 // It is safe for concurrent use: Transmit may be called from any sender
-// goroutine while Cut/Isolate/Heal reconfigure the topology.
+// goroutine while Cut and Heal reconfigure the topology.
 type Injector struct {
-	n    int
-	seed int64
-	gst  time.Duration
-
-	crashes  []Crash
-	restarts []Restart
-	links    []linkState // n*n, row-major [from*n+to]
+	n     int
+	gst   time.Duration
+	sched Schedule
+	links []linkState // n*n, row-major [from*n+to]
 
 	cutMu sync.RWMutex
 	cut   []bool // n*n, true = severed (delivers nothing)
@@ -125,38 +201,21 @@ func New(n int, seed int64, plan Plan) (*Injector, error) {
 			}
 		}
 	}
-	crashed := make(map[node.ID]bool, len(plan.Crashes))
-	for _, cr := range plan.Crashes {
-		if int(cr.ID) < 0 || int(cr.ID) >= n {
-			return nil, fmt.Errorf("faultline: crash id %d out of range", cr.ID)
-		}
-		if cr.After < 0 {
-			return nil, fmt.Errorf("faultline: crash of %d at negative offset %v", cr.ID, cr.After)
-		}
-		crashed[cr.ID] = true
-	}
-	for _, rs := range plan.Restarts {
-		if int(rs.ID) < 0 || int(rs.ID) >= n {
-			return nil, fmt.Errorf("faultline: restart id %d out of range", rs.ID)
-		}
-		if rs.After < 0 {
-			return nil, fmt.Errorf("faultline: restart of %d at negative offset %v", rs.ID, rs.After)
-		}
-		if rs.Downtime < 0 {
-			return nil, fmt.Errorf("faultline: restart of %d with negative downtime %v", rs.ID, rs.Downtime)
-		}
-		if crashed[rs.ID] {
-			return nil, fmt.Errorf("faultline: process %d has both a crash and a restart scheduled", rs.ID)
-		}
+	if err := plan.Schedule.Validate(n); err != nil {
+		return nil, err
 	}
 	inj := &Injector{
-		n:        n,
-		seed:     seed,
-		gst:      plan.GST,
-		crashes:  append([]Crash(nil), plan.Crashes...),
-		restarts: append([]Restart(nil), plan.Restarts...),
-		links:    make([]linkState, n*n),
-		cut:      make([]bool, n*n),
+		n:     n,
+		gst:   plan.GST,
+		sched: slices.Clone(plan.Schedule),
+		links: make([]linkState, n*n),
+		cut:   make([]bool, n*n),
+	}
+	for _, e := range inj.sched {
+		if e.Op <= OpHeal {
+			ls := &inj.links[int(e.From)*n+int(e.To)]
+			ls.sched = append(ls.sched, e)
+		}
 	}
 	for from := 0; from < n; from++ {
 		for to := 0; to < n; to++ {
@@ -204,21 +263,16 @@ func linkSeed(seed int64, from, to, n int) int64 {
 // N returns the cluster size the injector was built for.
 func (inj *Injector) N() int { return inj.n }
 
-// GST returns the plan's wall-clock global stabilization offset.
-func (inj *Injector) GST() time.Duration { return inj.gst }
-
-// Crashes returns a copy of the scheduled crash plan. Callers get their
-// own slice: mutating it cannot corrupt the injector's schedule.
-func (inj *Injector) Crashes() []Crash { return append([]Crash(nil), inj.crashes...) }
-
-// Restarts returns a copy of the scheduled crash-recovery plan.
-func (inj *Injector) Restarts() []Restart { return append([]Restart(nil), inj.restarts...) }
+// Schedule returns a copy of the plan's fault schedule: mutating it cannot
+// corrupt the injector's.
+func (inj *Injector) Schedule() Schedule { return slices.Clone(inj.sched) }
 
 // Transmit decides the fate of one message sent on from→to at the given
 // elapsed time since cluster start: lost, or delivered after the returned
 // extra delay. The profile decision is computed (advancing the link's RNG)
-// even when the link is cut, preserving the package's determinism
-// guarantee across Cut/Heal.
+// even when the link is cut, by Cut or by the schedule's last cut or heal
+// of the link at or before elapsed, preserving the package's determinism
+// guarantee.
 func (inj *Injector) Transmit(from, to node.ID, elapsed time.Duration) (time.Duration, bool) {
 	if err := checkLink(inj.n, from, to); err != nil {
 		panic(err)
@@ -236,7 +290,14 @@ func (inj *Injector) Transmit(from, to node.ID, elapsed time.Duration) (time.Dur
 	inj.cutMu.RLock()
 	severed := inj.cut[idx]
 	inj.cutMu.RUnlock()
-	if severed {
+	scheduled := false
+	for _, e := range ls.sched {
+		if e.At > elapsed {
+			break
+		}
+		scheduled = e.Op == OpCut
+	}
+	if severed || scheduled {
 		return 0, false
 	}
 	return delay, ok
@@ -260,20 +321,8 @@ func (inj *Injector) Cut(a, b []node.ID) {
 	}
 }
 
-// Isolate severs every link to and from id (a total partition of one).
-func (inj *Injector) Isolate(id node.ID) {
-	inj.cutMu.Lock()
-	defer inj.cutMu.Unlock()
-	for q := 0; q < inj.n; q++ {
-		if node.ID(q) == id {
-			continue
-		}
-		inj.cut[int(id)*inj.n+q] = true
-		inj.cut[q*inj.n+int(id)] = true
-	}
-}
-
-// Heal removes every cut, restoring all links to their profiles.
+// Heal removes every Cut, restoring those links to their profiles; the
+// schedule's cuts keep to the schedule.
 func (inj *Injector) Heal() {
 	inj.cutMu.Lock()
 	for i := range inj.cut {

@@ -1,6 +1,7 @@
 package faultline
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -179,14 +180,14 @@ func TestIsolateAndHealLink(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inj.Isolate(1)
+	inj.Cut([]node.ID{1}, []node.ID{0, 2})
 	for _, l := range []Link{{0, 1}, {1, 0}, {2, 1}, {1, 2}} {
 		if _, ok := inj.Transmit(l.From, l.To, 0); ok {
 			t.Fatalf("isolated link %v delivered", l)
 		}
 	}
 	if _, ok := inj.Transmit(0, 2, 0); !ok {
-		t.Fatal("unrelated link severed by Isolate")
+		t.Fatal("unrelated link severed by isolating p1")
 	}
 	inj.Heal()
 	for _, l := range []Link{{0, 1}, {1, 0}, {2, 1}, {1, 2}} {
@@ -212,34 +213,29 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(2, 0, Plan{Links: map[Link]network.Profile{{0, 5}: network.Down()}}); err == nil {
 		t.Fatal("out-of-range link accepted")
 	}
-	if _, err := New(2, 0, Plan{Crashes: []Crash{{ID: 9}}}); err == nil {
+	if _, err := New(2, 0, Plan{Schedule: Schedule{{Op: OpCrash, From: 9}}}); err == nil {
 		t.Fatal("out-of-range crash accepted")
 	}
-	if _, err := New(2, 0, Plan{Crashes: []Crash{{ID: 0, After: -time.Second}}}); err == nil {
+	if _, err := New(2, 0, Plan{Schedule: Schedule{{At: -time.Second, Op: OpCrash}}}); err == nil {
 		t.Fatal("negative crash offset accepted")
 	}
-	if _, err := New(2, 0, Plan{Restarts: []Restart{{ID: 9}}}); err == nil {
-		t.Fatal("out-of-range restart accepted")
+	if _, err := New(2, 0, Plan{Schedule: Schedule{{Op: OpCut, From: 1, To: 1}}}); err == nil {
+		t.Fatal("cut of a self-link accepted")
 	}
-	if _, err := New(2, 0, Plan{Restarts: []Restart{{ID: 0, After: -time.Second}}}); err == nil {
-		t.Fatal("negative restart offset accepted")
+	if _, err := New(2, 0, Plan{Schedule: Schedule{{At: time.Second, Op: OpCrash}, {Op: OpRestart}}}); err == nil {
+		t.Fatal("schedule out of time order accepted")
 	}
-	if _, err := New(2, 0, Plan{Restarts: []Restart{{ID: 0, Downtime: -time.Second}}}); err == nil {
-		t.Fatal("negative restart downtime accepted")
-	}
-	if _, err := New(2, 0, Plan{
-		Crashes:  []Crash{{ID: 0, After: time.Second}},
-		Restarts: []Restart{{ID: 0, After: 2 * time.Second}},
-	}); err == nil {
-		t.Fatal("crash+restart of the same process accepted")
+	if _, err := New(2, 0, Plan{Schedule: Schedule{{Op: OpRestart + 1}}}); err == nil {
+		t.Fatal("unknown op accepted")
 	}
 }
 
 func TestScheduleAccessorsReturnCopies(t *testing.T) {
-	plan := Plan{
-		Crashes:  []Crash{{ID: 0, After: time.Second}},
-		Restarts: []Restart{{ID: 1, After: 2 * time.Second, Downtime: time.Second}},
-	}
+	plan := Plan{Schedule: Schedule{
+		{At: time.Second, Op: OpCrash, From: 0},
+		{At: 2 * time.Second, Op: OpRestart, From: 0},
+	}}
+	want := slices.Clone(plan.Schedule)
 	inj, err := New(3, 7, plan)
 	if err != nil {
 		t.Fatal(err)
@@ -247,26 +243,16 @@ func TestScheduleAccessorsReturnCopies(t *testing.T) {
 
 	// A caller mutating the returned slice must not corrupt the schedule
 	// the transports will read later.
-	cr := inj.Crashes()
-	cr[0] = Crash{ID: 2, After: 0}
-	if got := inj.Crashes(); got[0] != (Crash{ID: 0, After: time.Second}) {
-		t.Fatalf("crash schedule corrupted through accessor: %+v", got[0])
+	got := inj.Schedule()
+	got[0].From = 2
+	if !slices.Equal(inj.Schedule(), want) {
+		t.Fatalf("schedule corrupted through accessor: %v", inj.Schedule())
 	}
 
-	rs := inj.Restarts()
-	rs[0] = Restart{ID: 0}
-	if got := inj.Restarts(); got[0] != (Restart{ID: 1, After: 2 * time.Second, Downtime: time.Second}) {
-		t.Fatalf("restart schedule corrupted through accessor: %+v", got[0])
-	}
-
-	// The plan slices handed to New are copied too: later caller-side
+	// The schedule handed to New is copied too: later caller-side
 	// mutation of the plan must not reach the injector.
-	plan.Crashes[0].ID = 2
-	plan.Restarts[0].Downtime = 0
-	if got := inj.Crashes(); got[0].ID != 0 {
-		t.Fatalf("injector aliases the caller's crash plan: %+v", got[0])
-	}
-	if got := inj.Restarts(); got[0].Downtime != time.Second {
-		t.Fatalf("injector aliases the caller's restart plan: %+v", got[0])
+	plan.Schedule[1].At = 0
+	if !slices.Equal(inj.Schedule(), want) {
+		t.Fatalf("injector aliases the caller's schedule: %v", inj.Schedule())
 	}
 }

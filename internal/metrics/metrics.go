@@ -31,17 +31,18 @@ import (
 
 // shard holds one process's slice of the accounting: counters it bumps as
 // a sender (sends, out-links, drops) or as a receiver (deliveries). Shards
-// are separately heap-allocated so different processes never share cache
-// lines.
+// are separately heap-allocated, and they and their slices (one
+// allocation) end in a line of padding: processes never share cache lines.
 type shard struct {
 	sentBy    atomic.Uint64
 	delivered atomic.Uint64 // messages received by this process
 	dropped   atomic.Uint64 // messages lost on this process's out-links
 	bytesOut  atomic.Uint64 // wire bytes handed to this process's out-links
 
-	link     []atomic.Uint64 // out-link counts, indexed by destination
-	linkAt   []atomic.Int64  // per out-link: its last send instant + 1, 0 never
-	kindSent [obs.MaxKinds]atomic.Uint64
+	link   []atomic.Uint64 // out-link counts, indexed by destination
+	linkAt []atomic.Uint64 // per out-link: its last send instant + 1, 0 never
+	kind   []atomic.Uint64 // sends per kind interned when the stats were built
+	_      [64]byte
 }
 
 // MessageStats accumulates per-run message accounting. It is safe for
@@ -53,17 +54,21 @@ type MessageStats struct {
 	n      int
 	shards []*shard
 
-	// firstSeen[k] is kind k's place in the run-local first-seen order of
-	// sent kinds, from 1; 0 while k is unsent. seen numbers the places.
-	firstSeen [obs.MaxKinds]atomic.Uint32
-	seen      atomic.Uint32
+	// firstSeen[k] is kind k's first-seen place among sent kinds, from 1
+	// (seen numbers them). late, for kinds interned after the build, has a
+	// row of counts per sender and a row of places; made on first use.
+	firstSeen []atomic.Uint64
+	seen      atomic.Uint64
+	late      atomic.Pointer[[]atomic.Uint64]
 }
 
 // NewMessageStats returns stats for a system of n processes.
 func NewMessageStats(n int) *MessageStats {
-	s := &MessageStats{n: n, shards: make([]*shard, n)}
+	kinds := obs.NumKinds()
+	s := &MessageStats{n: n, shards: make([]*shard, n), firstSeen: make([]atomic.Uint64, kinds)}
 	for i := range s.shards {
-		s.shards[i] = &shard{link: make([]atomic.Uint64, n), linkAt: make([]atomic.Int64, n)}
+		cells := make([]atomic.Uint64, 2*n+kinds+8)
+		s.shards[i] = &shard{link: cells[:n:n], linkAt: cells[n : 2*n : 2*n], kind: cells[2*n : 2*n+kinds]}
 	}
 	return s
 }
@@ -71,12 +76,17 @@ func NewMessageStats(n int) *MessageStats {
 // N returns the number of processes the stats were created for.
 func (s *MessageStats) N() int { return s.n }
 
-// noteKind gives kind its place in the first-seen order if it has none:
-// steady-state sends pay one atomic load.
-func (s *MessageStats) noteKind(kind obs.Kind) {
-	if s.firstSeen[kind].Load() == 0 {
-		s.firstSeen[kind].CompareAndSwap(0, s.seen.Add(1))
+// kind returns from's count of kind k and k's first-seen place.
+func (s *MessageStats) kind(from int, k obs.Kind) (sent, place *atomic.Uint64) {
+	if int(k) < len(s.firstSeen) {
+		return &s.shards[from].kind[k], &s.firstSeen[k]
 	}
+	if s.late.Load() == nil {
+		all := make([]atomic.Uint64, (s.n+1)*obs.MaxKinds)
+		s.late.CompareAndSwap(nil, &all)
+	}
+	late := *s.late.Load()
+	return &late[from*obs.MaxKinds+int(k)], &late[s.n*obs.MaxKinds+int(k)]
 }
 
 // OnSend implements obs.Sink: from sent a message of the given kind to to
@@ -86,45 +96,45 @@ func (s *MessageStats) OnSend(t sim.Time, from, to int, kind obs.Kind) {
 	sh.sentBy.Add(1)
 	sh.link[to].Add(1)
 	at := &sh.linkAt[to] // a max: goroutines sending under one id race here
-	for old := at.Load(); old <= int64(t) && !at.CompareAndSwap(old, int64(t)+1); old = at.Load() {
+	for old := at.Load(); old <= uint64(t) && !at.CompareAndSwap(old, uint64(t)+1); old = at.Load() {
 	}
-	sh.kindSent[kind].Add(1)
-	s.noteKind(kind)
+	sent, place := s.kind(from, kind)
+	sent.Add(1)
+	if place.Load() == 0 { // steady-state sends pay one atomic load
+		place.CompareAndSwap(0, s.seen.Add(1))
+	}
 }
 
 // OnDeliver implements obs.Sink: a message of the given kind reached to.
 func (s *MessageStats) OnDeliver(t sim.Time, from, to int, kind obs.Kind) {
-	sh := s.shards[to]
-	sh.delivered.Add(1)
+	s.shards[to].delivered.Add(1)
 }
 
 // OnDrop implements obs.Sink: the from→to link lost a message.
 func (s *MessageStats) OnDrop(t sim.Time, from, to int, kind obs.Kind) {
-	sh := s.shards[from]
-	sh.dropped.Add(1)
+	s.shards[from].dropped.Add(1)
 }
 
 // OnWireBytes implements obs.Sink: the from→to link was handed n
 // encoded bytes for one message of the given kind. Only the serializing
 // transports report it; simulator runs carry no wire bytes.
 func (s *MessageStats) OnWireBytes(t sim.Time, from, to int, kind obs.Kind, n int) {
-	sh := s.shards[from]
-	sh.bytesOut.Add(uint64(n))
+	s.shards[from].bytesOut.Add(uint64(n))
 }
 
 // TotalSent returns the total number of messages sent.
 func (s *MessageStats) TotalSent() uint64 {
-	return s.sum(func(sh *shard) *atomic.Uint64 { return &sh.sentBy })
+	return s.sum(func(i int) *atomic.Uint64 { return &s.shards[i].sentBy })
 }
 
 // Delivered returns the total number of messages delivered.
 func (s *MessageStats) Delivered() uint64 {
-	return s.sum(func(sh *shard) *atomic.Uint64 { return &sh.delivered })
+	return s.sum(func(i int) *atomic.Uint64 { return &s.shards[i].delivered })
 }
 
 // Dropped returns the total number of messages lost in transit.
 func (s *MessageStats) Dropped() uint64 {
-	return s.sum(func(sh *shard) *atomic.Uint64 { return &sh.dropped })
+	return s.sum(func(i int) *atomic.Uint64 { return &s.shards[i].dropped })
 }
 
 // SentBy returns how many messages process id has sent.
@@ -133,57 +143,49 @@ func (s *MessageStats) SentBy(id int) uint64 { return s.shards[id].sentBy.Load()
 // SentByKind returns how many messages of the given kind process id has
 // sent. Zero for kinds never interned.
 func (s *MessageStats) SentByKind(id int, kind string) uint64 {
-	k, ok := obs.Lookup(kind)
-	if !ok {
-		return 0
+	if k, ok := obs.Lookup(kind); ok {
+		sent, _ := s.kind(id, k)
+		return sent.Load()
 	}
-	return s.shards[id].kindSent[k].Load()
+	return 0
 }
 
 // WireBytes returns the total encoded bytes handed to the links. Zero on
 // runs whose transport never serializes (the simulator).
 func (s *MessageStats) WireBytes() uint64 {
-	return s.sum(func(sh *shard) *atomic.Uint64 { return &sh.bytesOut })
+	return s.sum(func(i int) *atomic.Uint64 { return &s.shards[i].bytesOut })
 }
 
 // LinkCount returns how many messages were sent on the from→to link.
 func (s *MessageStats) LinkCount(from, to int) uint64 { return s.shards[from].link[to].Load() }
 
-// sum adds one counter up over the shards.
-func (s *MessageStats) sum(counter func(*shard) *atomic.Uint64) uint64 {
+// sum adds one counter of each process up.
+func (s *MessageStats) sum(counter func(id int) *atomic.Uint64) uint64 {
 	var total uint64
-	for _, sh := range s.shards {
-		total += counter(sh).Load()
+	for i := range s.shards {
+		total += counter(i).Load()
 	}
 	return total
 }
 
 // KindCount returns how many messages of the given kind were sent; zero for
 // a kind never interned.
-func (s *MessageStats) KindCount(kind string) uint64 {
-	id, ok := obs.Lookup(kind)
-	if !ok {
-		return 0
+func (s *MessageStats) KindCount(kind string) (total uint64) {
+	for id := range s.shards {
+		total += s.SentByKind(id, kind)
 	}
-	return s.sum(func(sh *shard) *atomic.Uint64 { return &sh.kindSent[id] })
+	return total
 }
 
 // Kinds returns the observed sent-message kinds in first-seen order.
 func (s *MessageStats) Kinds() []string {
-	var ids []obs.Kind
-	for k := range s.firstSeen {
-		if s.firstSeen[k].Load() > 0 {
-			ids = append(ids, obs.Kind(k))
+	out := make([]string, s.seen.Load())
+	for k := range obs.Kind(obs.NumKinds()) {
+		if _, p := s.kind(0, k); p.Load() > 0 && p.Load() <= uint64(len(out)) {
+			out[p.Load()-1] = obs.KindName(k)
 		}
 	}
-	slices.SortFunc(ids, func(a, b obs.Kind) int {
-		return int(s.firstSeen[a].Load()) - int(s.firstSeen[b].Load())
-	})
-	out := make([]string, len(ids))
-	for i, id := range ids {
-		out[i] = obs.KindName(id)
-	}
-	return out
+	return slices.DeleteFunc(out, func(name string) bool { return name == "" }) // lost to a race
 }
 
 // Summary returns a one-line human-readable digest.
@@ -192,11 +194,10 @@ func (s *MessageStats) Summary() string {
 		s.TotalSent(), s.Delivered(), s.Dropped(), len(s.Kinds()))
 }
 
-// lastAt is from's last send instant + 1, 0 if it never sent: the latest
-// of its links'.
+// lastAt is from's last send instant + 1 (0 if none): its links' latest.
 func (s *MessageStats) lastAt(from int) (last int64) {
 	for to := range s.shards[from].linkAt {
-		last = max(last, s.shards[from].linkAt[to].Load())
+		last = max(last, int64(s.shards[from].linkAt[to].Load()))
 	}
 	return last
 }
@@ -213,13 +214,12 @@ func (s *MessageStats) SendersSince(t sim.Time) []int {
 	return out
 }
 
-// LinksUsedSince returns how many distinct directed links carried at least
-// one message at or after t: a walk over n² atomics for the gauges that
-// poll it.
+// LinksUsedSince returns how many directed links carried a message at or
+// after t: a walk over n² atomics for the gauges that poll it.
 func (s *MessageStats) LinksUsedSince(t sim.Time) (used int) {
 	for _, sh := range s.shards {
 		for to := range sh.linkAt {
-			if sh.linkAt[to].Load() > int64(t) {
+			if int64(sh.linkAt[to].Load()) > int64(t) {
 				used++
 			}
 		}

@@ -1,6 +1,8 @@
 package metrics
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -217,5 +219,35 @@ func TestSummary(t *testing.T) {
 	s.OnSend(at(1), 0, 1, obs.Intern("A"))
 	if got := s.Summary(); got == "" {
 		t.Fatal("empty summary")
+	}
+}
+
+// TestKindInternedAfterBuildCountsExactly: the per-kind counters cover the
+// kinds interned when the stats were built; a kind interned later is
+// counted exactly all the same, by every sender, in first-seen order.
+func TestKindInternedAfterBuildCountsExactly(t *testing.T) {
+	early := obs.Intern("late-test-early")
+	s := NewMessageStats(3)
+	name := fmt.Sprintf("late-test-%d", obs.NumKinds()) // new on every -count
+	late := obs.Intern(name)
+	if int(late) < len(s.firstSeen) {
+		t.Fatalf("kind %d was interned before the stats were built", late)
+	}
+	s.OnSend(at(1), 2, 0, late)
+	s.OnSend(at(2), 0, 1, early)
+	for i := 0; i < 5; i++ {
+		s.OnSend(at(3+i), i%3, (i+1)%3, late)
+	}
+	if got := s.KindCount(name); got != 6 {
+		t.Errorf("KindCount(late) = %d, want 6", got)
+	}
+	if got := s.SentByKind(2, name); got != 2 {
+		t.Errorf("SentByKind(2, late) = %d, want 2", got)
+	}
+	if got := s.KindCount("late-test-early"); got != 1 {
+		t.Errorf("KindCount(early) = %d, want 1", got)
+	}
+	if got := s.Kinds(); !slices.Equal(got, []string{name, "late-test-early"}) {
+		t.Errorf("Kinds() = %v, want [%s late-test-early]", got, name)
 	}
 }

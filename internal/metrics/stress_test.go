@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -63,6 +64,9 @@ func TestConcurrentRecordingMatchesSequential(t *testing.T) {
 	}
 
 	concurrent := NewMessageStats(n)
+	// A kind interned after concurrent was built (before sequential was):
+	// its counts race into the table made on its first send.
+	kinds = append(kinds, obs.Intern(fmt.Sprintf("stress-late-%d", obs.NumKinds())))
 	var wg sync.WaitGroup
 	for p := 0; p < n; p++ {
 		p := p

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/consensus"
+	"repro/internal/faultline"
 	"repro/internal/sim"
 )
 
@@ -20,8 +21,8 @@ func TestWorldLevelDeterminism(t *testing.T) {
 	run := func() (uint64, []sim.Time, []int) {
 		s, err := Build(Config{
 			N: 6, Seed: 1234, Algorithm: AlgoCore, Regime: RegimeAllET,
-			GST:     sim.At(200 * time.Millisecond),
-			Crashes: []Crash{{ID: 0, At: sim.At(700 * time.Millisecond)}},
+			GST:      sim.At(200 * time.Millisecond),
+			Schedule: faultline.Schedule{{At: 700 * time.Millisecond, Op: faultline.OpCrash, From: 0}},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -55,8 +56,8 @@ func TestWorldLevelDeterminism(t *testing.T) {
 	runLog := func() digest {
 		s, err := Build(Config{
 			N: 5, Seed: 77, Regime: RegimeAllET, Consensus: ConsensusRSM,
-			GST:     sim.At(100 * time.Millisecond),
-			Crashes: []Crash{{ID: 0, At: sim.At(600 * time.Millisecond)}},
+			GST:      sim.At(100 * time.Millisecond),
+			Schedule: faultline.Schedule{{At: 600 * time.Millisecond, Op: faultline.OpCrash, From: 0}},
 		})
 		if err != nil {
 			t.Fatal(err)

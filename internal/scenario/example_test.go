@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/faultline"
 	"repro/internal/scenario"
 	"repro/internal/sim"
 )
@@ -44,9 +45,9 @@ func Example() {
 // crashed mid-run and a new correct leader takes over.
 func Example_leaderCrash() {
 	sys, err := scenario.Build(scenario.Config{
-		N:       4,
-		Seed:    7,
-		Crashes: []scenario.Crash{{ID: 0, At: sim.At(500 * time.Millisecond)}},
+		N:        4,
+		Seed:     7,
+		Schedule: faultline.Schedule{{At: 500 * time.Millisecond, Op: faultline.OpCrash, From: 0}},
 	})
 	if err != nil {
 		fmt.Println("error:", err)

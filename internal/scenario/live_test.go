@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -90,13 +91,14 @@ func TestLiveFaultPlanMirrorsRegimes(t *testing.T) {
 	}
 }
 
+// TestLiveFaultPlanCarriesGSTAndCrashes: the GST becomes a wall-clock
+// offset and the fault schedule is carried as it is, a copy.
 func TestLiveFaultPlanCarriesGSTAndCrashes(t *testing.T) {
-	cfg := Config{
-		N:       3,
-		Regime:  RegimeAllET,
-		GST:     sim.Time(250 * time.Millisecond),
-		Crashes: []Crash{{ID: 1, At: sim.Time(40 * time.Millisecond)}},
+	sched := faultline.Schedule{
+		{At: 40 * time.Millisecond, Op: faultline.OpCrash, From: 1},
+		{At: 50 * time.Millisecond, Op: faultline.OpCut, From: 0, To: 2},
 	}
+	cfg := Config{N: 3, Regime: RegimeAllET, GST: sim.Time(250 * time.Millisecond), Schedule: sched}
 	plan, err := LiveFaultPlan(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -104,32 +106,32 @@ func TestLiveFaultPlanCarriesGSTAndCrashes(t *testing.T) {
 	if plan.GST != 250*time.Millisecond {
 		t.Fatalf("GST = %v", plan.GST)
 	}
-	if len(plan.Crashes) != 1 || plan.Crashes[0].ID != 1 || plan.Crashes[0].After != 40*time.Millisecond {
-		t.Fatalf("crashes = %+v", plan.Crashes)
+	if !slices.Equal(plan.Schedule, sched) {
+		t.Fatalf("schedule = %v, want %v", plan.Schedule, sched)
+	}
+	sched[0].From = 2
+	if plan.Schedule[0].From != 1 {
+		t.Fatal("the plan aliases the config's schedule")
 	}
 }
 
 // TestLiveFaultPlanCarriesRestarts checks the live-only restart mapping:
-// LiveFaultPlan translates scheduled reboots, while Build rejects them
+// LiveFaultPlan carries a schedule's restarts, while Build rejects them
 // because the simulator cannot rebuild an automaton from durable state.
 func TestLiveFaultPlanCarriesRestarts(t *testing.T) {
-	cfg := Config{
-		N:        3,
-		Restarts: []Restart{{ID: 2, At: sim.Time(60 * time.Millisecond), Downtime: sim.Time(15 * time.Millisecond)}},
-	}
+	cfg := Config{N: 3, Schedule: faultline.Schedule{
+		{At: 60 * time.Millisecond, Op: faultline.OpCrash, From: 2},
+		{At: 75 * time.Millisecond, Op: faultline.OpRestart, From: 2},
+	}}
 	plan, err := LiveFaultPlan(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(plan.Restarts) != 1 {
-		t.Fatalf("restarts = %+v", plan.Restarts)
-	}
-	rs := plan.Restarts[0]
-	if rs.ID != 2 || rs.After != 60*time.Millisecond || rs.Downtime != 15*time.Millisecond {
-		t.Fatalf("restart = %+v", rs)
+	if !slices.Equal(plan.Schedule, cfg.Schedule) {
+		t.Fatalf("schedule = %v", plan.Schedule)
 	}
 	if _, err := Build(cfg); err == nil {
-		t.Fatal("Build accepted a restart plan; restarts are live-cluster only")
+		t.Fatal("Build accepted a restart; restarts are live-cluster only")
 	}
 }
 

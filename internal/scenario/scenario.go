@@ -1,15 +1,16 @@
 // Package scenario assembles complete experiment setups: a link regime
 // (which links are timely, reliable, or lossy), a leader-election
 // algorithm, an optional consensus layer over it (the rsm replicated log,
-// or the ct baseline alone), a failure plan, and seeds. It is the one world
-// builder for the test suite, the benchmarks (bench_test.go), every
-// experiment (internal/experiments) and the CLI (cmd/omegasim); an
-// experiment that needs other links sets them on System.World.Fabric
-// before Start.
+// or the ct baseline alone), a fault schedule (DESIGN.md §10), and seeds.
+// It is the one world builder for the test suite, the benchmarks
+// (bench_test.go), every experiment (internal/experiments) and the CLI
+// (cmd/omegasim); an experiment that needs other links sets them on
+// System.World.Fabric before Start.
 package scenario
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/check"
@@ -106,25 +107,6 @@ const (
 	ConsensusCT = "ct"
 )
 
-// Crash schedules one process failure.
-type Crash struct {
-	ID node.ID
-	At sim.Time
-}
-
-// Restart schedules a crash-stop followed by a reboot from durable
-// state. The simulator has no restart path — its automatons hold state
-// in memory only — so restarts are live-cluster only: Build rejects a
-// Config carrying them, while LiveFaultPlan maps them onto
-// faultline.Restart for the live cluster's reboot machinery.
-type Restart struct {
-	ID node.ID
-	// At is when the process crash-stops.
-	At sim.Time
-	// Downtime is how long it stays down before rebooting.
-	Downtime sim.Time
-}
-
 // Config fully describes a runnable scenario. Zero values select defaults.
 type Config struct {
 	N         int
@@ -147,12 +129,11 @@ type Config struct {
 	// the timely path's chain, taken as given: zero is p0. The experiments
 	// set n-1, the process the naive min-id choice would pick last.
 	Source node.ID
-	// Crashes is the failure plan.
-	Crashes []Crash
-	// Restarts schedules crash-then-reboot cycles. Live clusters only:
-	// Build returns an error when set (the simulator cannot rebuild an
-	// automaton from durable state), LiveFaultPlan translates them.
-	Restarts []Restart
+	// Schedule is the fault schedule. Build arms its cuts, heals and
+	// crashes on the world and refuses a restart (the simulator cannot
+	// rebuild an automaton from durable state); LiveFaultPlan hands all
+	// of it to faultline.
+	Schedule faultline.Schedule
 	// EnableTrace turns on the event log: System.Trace, a span ring that
 	// keeps every message, crash and Logf note of the run.
 	EnableTrace bool
@@ -195,20 +176,7 @@ func (c *Config) fill() error {
 	if c.Consensus != "" && c.Consensus != ConsensusRSM && c.Consensus != ConsensusCT {
 		return fmt.Errorf("scenario: unknown consensus layer %q", c.Consensus)
 	}
-	for _, cr := range c.Crashes {
-		if int(cr.ID) < 0 || int(cr.ID) >= c.N {
-			return fmt.Errorf("scenario: crash id %d out of range", cr.ID)
-		}
-	}
-	for _, rs := range c.Restarts {
-		if int(rs.ID) < 0 || int(rs.ID) >= c.N {
-			return fmt.Errorf("scenario: restart id %d out of range", rs.ID)
-		}
-		if rs.Downtime < 0 {
-			return fmt.Errorf("scenario: restart p%d has negative downtime", rs.ID)
-		}
-	}
-	return nil
+	return c.Schedule.Validate(c.N)
 }
 
 // traceLimit bounds the event log per process. A traced run is one a
@@ -233,14 +201,14 @@ type System struct {
 }
 
 // Build constructs the world, applies the link regime, installs the
-// algorithm and the consensus layer at every process, and schedules the
-// failure plan. The system is not started; call Start (or Run, which
-// starts it on first use).
+// algorithm and the consensus layer at every process, and arms the fault
+// schedule. The system is not started; call Start (or Run, which starts
+// it on first use).
 func Build(cfg Config) (*System, error) {
 	if err := cfg.fill(); err != nil {
 		return nil, err
 	}
-	if len(cfg.Restarts) > 0 {
+	if cfg.Schedule.Has(faultline.OpRestart) {
 		return nil, fmt.Errorf("scenario: restarts are live-cluster only (use LiveFaultPlan); the simulator cannot rebuild an automaton from durable state")
 	}
 	def, links, err := regimeLinks(cfg)
@@ -287,10 +255,54 @@ func Build(cfg Config) (*System, error) {
 		}
 		w.SetAutomaton(node.ID(i), auto)
 	}
-	for _, cr := range cfg.Crashes {
-		w.CrashAt(cr.ID, cr.At)
+	// One kernel event per schedule event, in schedule order, so that at
+	// one instant they fire as written — except a cut or heal at 0, which
+	// applies now, before the boot turns send, as it does on a live
+	// cluster; a crash at 0 follows the boot turns on both runtimes.
+	for _, e := range cfg.Schedule {
+		from, to, at := int(e.From), int(e.To), sim.At(e.At)
+		link := w.Fabric.Heal
+		if e.Op == faultline.OpCut {
+			link = w.Fabric.Cut
+		}
+		switch {
+		case e.Op == faultline.OpCrash:
+			w.CrashAt(e.From, at)
+		case at == 0:
+			link(from, to)
+		default:
+			w.Kernel.ScheduleAt(at, func() { link(from, to) })
+		}
 	}
 	return s, nil
+}
+
+// LiveFaultPlan translates a simulator scenario Config into a
+// faultline.Plan for the live clusters (internal/transport), so the same
+// named regimes and fault schedules drive real sockets. The per-link
+// profiles come from the table Build installs (regimeLinks), the
+// simulated GST becomes a wall-clock offset from cluster start, and the
+// schedule is carried as it is: the injector applies its cuts and heals,
+// the cluster arms its crashes and restarts (DESIGN.md §10).
+//
+// The translation is semantic, not bit-exact: the simulator draws delays
+// on a virtual clock while the injector draws them on top of real socket
+// latency, so traces differ — but which links are timely, lossy, or down,
+// and with what parameters, is the same experiment.
+func LiveFaultPlan(cfg Config) (faultline.Plan, error) {
+	if err := cfg.fill(); err != nil {
+		return faultline.Plan{}, err
+	}
+	def, links, err := regimeLinks(cfg)
+	if err != nil {
+		return faultline.Plan{}, err
+	}
+	return faultline.Plan{
+		GST:      time.Duration(cfg.GST),
+		Default:  def,
+		Links:    links,
+		Schedule: slices.Clone(cfg.Schedule),
+	}, nil
 }
 
 // buildDetector returns the automaton to install and the Omega view to

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/faultline"
 	"repro/internal/network"
 	"repro/internal/node"
 	"repro/internal/obs"
@@ -37,9 +38,10 @@ func TestBuildValidation(t *testing.T) {
 		{N: 3, Regime: "nope"},
 		{N: 3, Source: 7},
 		{N: 3, Source: -1},
-		{N: 3, Crashes: []Crash{{ID: 9}}},
-		{N: 3, Restarts: []Restart{{ID: 9}}},
-		{N: 3, Restarts: []Restart{{ID: 0, Downtime: -1}}},
+		{N: 3, Schedule: faultline.Schedule{{Op: faultline.OpCrash, From: 9}}},
+		{N: 3, Schedule: faultline.Schedule{{Op: faultline.OpCut, From: 1, To: 1}}},
+		{N: 3, Schedule: faultline.Schedule{{At: ms, Op: faultline.OpCrash}, {Op: faultline.OpCrash, From: 1}}},
+		{N: 3, Schedule: faultline.Schedule{{Op: faultline.OpCrash}, {Op: faultline.OpRestart}}},
 		{N: 3, Consensus: "paxos"},
 	}
 	for i, cfg := range cases {
@@ -136,9 +138,12 @@ func TestRunWindowCountsFromNotTo(t *testing.T) {
 
 func TestCrashPlanApplied(t *testing.T) {
 	s, err := Build(Config{
-		N:       4,
-		Seed:    3,
-		Crashes: []Crash{{ID: 0, At: sim.At(100 * ms)}, {ID: 1, At: sim.At(200 * ms)}},
+		N:    4,
+		Seed: 3,
+		Schedule: faultline.Schedule{
+			{At: 100 * ms, Op: faultline.OpCrash, From: 0},
+			{At: 200 * ms, Op: faultline.OpCrash, From: 1},
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -290,7 +295,7 @@ func TestGSTDelaysConvergence(t *testing.T) {
 }
 
 func TestCrashedProcessExcludedFromChecks(t *testing.T) {
-	s, err := Build(Config{N: 2, Seed: 9, Crashes: []Crash{{ID: 1, At: sim.At(50 * ms)}}})
+	s, err := Build(Config{N: 2, Seed: 9, Schedule: faultline.Schedule{{At: 50 * ms, Op: faultline.OpCrash, From: 1}}})
 	if err != nil {
 		t.Fatal(err)
 	}

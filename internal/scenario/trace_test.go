@@ -5,7 +5,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/sim"
+	"repro/internal/faultline"
 	"repro/internal/tracing"
 )
 
@@ -26,7 +26,7 @@ func named(marks []tracing.SpanJSON, name string) []tracing.SpanJSON {
 func TestTraceCapturesTheRunStory(t *testing.T) {
 	s, err := Build(Config{
 		N: 3, Seed: 5, EnableTrace: true,
-		Crashes: []Crash{{ID: 0, At: sim.At(200 * time.Millisecond)}},
+		Schedule: faultline.Schedule{{At: 200 * time.Millisecond, Op: faultline.OpCrash, From: 0}},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -9,6 +9,7 @@ import (
 	"repro/internal/consensus"
 	"repro/internal/core"
 	"repro/internal/detector"
+	"repro/internal/faultline"
 	"repro/internal/network"
 	"repro/internal/node"
 	"repro/internal/obs"
@@ -55,7 +56,7 @@ func TestSimCrashReachesCollector(t *testing.T) {
 	tel := telemetry.New(5, telemetry.WithClock(func() sim.Time { return sys.World.Kernel.Now() }))
 	sys, err := scenario.Build(scenario.Config{
 		N: 5, Seed: 1, Observer: tel,
-		Crashes: []scenario.Crash{{ID: 0, At: sim.At(300 * time.Millisecond)}},
+		Schedule: faultline.Schedule{{At: 300 * time.Millisecond, Op: faultline.OpCrash, From: 0}},
 	})
 	if err != nil {
 		t.Fatal(err)

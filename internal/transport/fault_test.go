@@ -102,9 +102,39 @@ func TestTCPClusterPartitionCutAndHeal(t *testing.T) {
 	waitFor(t, 5*time.Second, func() bool { return c.Stats().Delivered() > delivered }, "post-heal delivery")
 }
 
+// TestTCPClusterScheduledCutAndHeal: a schedule's cut of 0→1 at 0 drops
+// what that link carries from the start, the reverse link delivers, and
+// the scheduled heal lets 0→1 deliver again.
+func TestTCPClusterScheduledCutAndHeal(t *testing.T) {
+	inj := mustInjector(t, 2, 2, faultline.Plan{Schedule: faultline.Schedule{
+		{Op: faultline.OpCut, From: 0, To: 1},
+		{At: 300 * time.Millisecond, Op: faultline.OpHeal, From: 0, To: 1},
+	}})
+	c, err := NewTCPCluster(Config{N: 2, Seed: 2, Quiet: true, Fault: inj}, idleAutomatons(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Start()
+	defer c.Stop()
+
+	for i := 0; i < 10; i++ {
+		c.Inject(0, 1, pingMsg())
+	}
+	if got := c.Stats().Dropped(); got != 10 {
+		t.Fatalf("dropped = %d, want 10: the scheduled cut leaked", got)
+	}
+	c.Inject(1, 0, pingMsg())
+	waitFor(t, 5*time.Second, func() bool { return c.Stats().Delivered() == 1 }, "delivery on the uncut 1→0")
+
+	waitFor(t, 5*time.Second, func() bool {
+		c.Inject(0, 1, pingMsg())
+		return c.Stats().Delivered() > 1
+	}, "delivery on 0→1 after the scheduled heal")
+}
+
 func TestScheduledCrashPlanFires(t *testing.T) {
 	inj := mustInjector(t, 3, 3, faultline.Plan{
-		Crashes: []faultline.Crash{{ID: 0, After: 30 * time.Millisecond}},
+		Schedule: faultline.Schedule{{At: 30 * time.Millisecond, Op: faultline.OpCrash, From: 0}},
 	})
 	autos, dets := liveDetectors(3)
 	c, err := NewTCPCluster(Config{N: 3, Seed: 3, Quiet: true, Fault: inj}, autos)

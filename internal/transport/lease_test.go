@@ -84,7 +84,7 @@ func TestTCPLeaseCrashSafety(t *testing.T) {
 
 	// "Kill" the leader mid-lease: cut every link to and from it. The
 	// leader itself keeps running — and keeps believing it leads.
-	inj.Isolate(0)
+	inj.Cut([]node.ID{0}, []node.ID{1, 2})
 
 	// The survivors must elect a successor, wait out the lease, prepare,
 	// and decide a fresh write. The probe value is distinguishable from

@@ -45,16 +45,19 @@ func (u *upDowns) OnEvent(e obs.Event) {
 	u.mu.Unlock()
 }
 
-// TestScheduledRestartPlanReboots drives the faultline.Restart plan end
-// to end: the process crashes at After, stays inert
-// for Downtime, then reboots with the automaton from Config.Rebuild and
+// TestScheduledRestartPlanReboots drives a scheduled crash and restart end
+// to end: the process crashes at its crash event, stays inert until its
+// restart event, then reboots with the automaton from Config.Rebuild and
 // receives messages again — and the observer is told of both by the
 // stations themselves, a crash nobody called Crash for included.
 func TestScheduledRestartPlanReboots(t *testing.T) {
 	var boots, deliveries atomic.Int32
 	seen := &upDowns{}
 	inj := mustInjector(t, 2, 11, faultline.Plan{
-		Restarts: []faultline.Restart{{ID: 0, After: 20 * time.Millisecond, Downtime: 30 * time.Millisecond}},
+		Schedule: faultline.Schedule{
+			{At: 20 * time.Millisecond, Op: faultline.OpCrash, From: 0},
+			{At: 50 * time.Millisecond, Op: faultline.OpRestart, From: 0},
+		},
 	})
 	autos := []node.Automaton{
 		bootMark{boots: &boots, deliveries: &deliveries},
@@ -96,11 +99,15 @@ func TestScheduledRestartPlanReboots(t *testing.T) {
 	}
 }
 
-// TestRebuildRequiredForRestartPlan: a restart plan without a Rebuild
-// hook cannot produce the next incarnation and must be rejected up front.
+// TestRebuildRequiredForRestartPlan: a schedule with a restart and no
+// Rebuild hook cannot produce the next incarnation and must be rejected up
+// front.
 func TestRebuildRequiredForRestartPlan(t *testing.T) {
 	inj := mustInjector(t, 2, 12, faultline.Plan{
-		Restarts: []faultline.Restart{{ID: 0, After: time.Millisecond}},
+		Schedule: faultline.Schedule{
+			{At: time.Millisecond, Op: faultline.OpCrash, From: 0},
+			{At: time.Millisecond, Op: faultline.OpRestart, From: 0},
+		},
 	})
 	if _, err := NewTCPCluster(Config{N: 2, Seed: 12, Fault: inj}, idleAutomatons(2)); err == nil {
 		t.Fatal("restart plan without Rebuild accepted")

@@ -104,13 +104,16 @@ func TestCrashStopsTheNodeLoop(t *testing.T) {
 		})
 	})
 	t.Run("CrashPlan", func(t *testing.T) {
-		plan := faultline.Plan{Crashes: []faultline.Crash{{ID: 0, After: 100 * time.Millisecond}}}
+		plan := faultline.Plan{Schedule: faultline.Schedule{{At: 100 * time.Millisecond, Op: faultline.OpCrash, From: 0}}}
 		run(t, plan, func(c *TCPCluster, counters []*stepCounter, _ func() *stepCounter) {
 			crashedStill(t, c, counters)
 		})
 	})
 	t.Run("RestartPlan", func(t *testing.T) {
-		plan := faultline.Plan{Restarts: []faultline.Restart{{ID: 0, After: 100 * time.Millisecond, Downtime: 10 * time.Millisecond}}}
+		plan := faultline.Plan{Schedule: faultline.Schedule{
+			{At: 100 * time.Millisecond, Op: faultline.OpCrash, From: 0},
+			{At: 110 * time.Millisecond, Op: faultline.OpRestart, From: 0},
+		}}
 		run(t, plan, func(c *TCPCluster, counters []*stepCounter, rebuilt func() *stepCounter) {
 			waitFor(t, 5*time.Second, func() bool {
 				ticks, delivers := steps(rebuilt())

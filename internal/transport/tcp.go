@@ -37,20 +37,21 @@ type Config struct {
 	// (obs.Up). Implementations must be safe for concurrent use.
 	Observer obs.Sink
 	// Fault optionally subjects every link to a faultline.Injector: each
-	// send consults the injector for a drop/delay decision, and the
-	// injector's crash and restart plans are armed at Start. Injected
-	// drops are reported through the cluster's obs.Sink exactly like
-	// organic loss. The injector must be built for the same N and must not
+	// send consults the injector for a drop/delay decision (its schedule's
+	// cuts and heals included), and Start arms its schedule's crashes and
+	// restarts at their offsets from NewTCPCluster (DESIGN.md §10).
+	// Injected drops are reported through the cluster's obs.Sink exactly
+	// like organic loss. The injector must be built for the same N and must not
 	// be shared between clusters (sharing desynchronizes its decision
 	// streams).
 	Fault *faultline.Injector
 	// Rebuild constructs the next incarnation of a rebooting process —
 	// typically a fresh automaton recovered from the process's durable
-	// store. It is called once per scheduled faultline.Restart reboot,
-	// from a timer goroutine, so it must be safe to run concurrently with
-	// the rest of the cluster. Required when Fault carries a restart plan.
-	// The reboot swaps the automaton in process: the process keeps its
-	// listener and its links.
+	// store. It is called once per restart event of the fault schedule
+	// that finds its process down, from a timer goroutine, so it must be
+	// safe to run concurrently with the rest of the cluster. Required when
+	// the schedule holds a restart. The reboot swaps the automaton in
+	// process: the process keeps its listener and its links.
 	Rebuild func(nodepkg.ID) nodepkg.Automaton
 	// WriteTimeout bounds each TCP write, so a peer that stops reading can
 	// never wedge a sender (default 1s).
@@ -76,8 +77,8 @@ func (c *Config) fill(automatons int) error {
 	if c.Fault != nil && c.Fault.N() != c.N {
 		return fmt.Errorf("transport: fault injector built for n=%d, cluster has N=%d", c.Fault.N(), c.N)
 	}
-	if c.Fault != nil && len(c.Fault.Restarts()) > 0 && c.Rebuild == nil {
-		return fmt.Errorf("transport: fault plan schedules restarts but Config.Rebuild is nil")
+	if c.Fault != nil && c.Fault.Schedule().Has(faultline.OpRestart) && c.Rebuild == nil {
+		return fmt.Errorf("transport: fault schedule holds a restart but Config.Rebuild is nil")
 	}
 	if c.WriteTimeout <= 0 {
 		c.WriteTimeout = time.Second
@@ -114,7 +115,7 @@ type TCPCluster struct {
 
 	mu       sync.Mutex
 	accepted []net.Conn    // receiver-side, for shutdown
-	crashers []*time.Timer // armed fault-plan crashes and reboots
+	crashers []*time.Timer // the fault schedule's armed timer
 
 	started bool
 	stopped bool
@@ -212,9 +213,6 @@ func (c *TCPCluster) Dials() uint64 {
 // Addr returns the TCP address of process id.
 func (c *TCPCluster) Addr(id nodepkg.ID) net.Addr { return c.addrs[id] }
 
-// Fault returns the cluster's fault injector (nil when none configured).
-func (c *TCPCluster) Fault() *faultline.Injector { return c.cfg.Fault }
-
 // Stats returns the cluster's message accounting.
 func (c *TCPCluster) Stats() *metrics.MessageStats { return c.stats }
 
@@ -224,7 +222,7 @@ func (c *TCPCluster) Crash(id nodepkg.ID) { c.stations[id].Crash() }
 // Start boots every process: an accept loop each and a sender goroutine
 // per link, then every station's first turn on the calling goroutine (so
 // an OnApply replay while a log restores runs there), then a node loop
-// per station; then it arms the fault plan's crashes and restarts. When
+// per station; then it arms the fault schedule's crashes and restarts. When
 // Start returns every detector has its first output and phase 1 is
 // queued on the links.
 func (c *TCPCluster) Start() {
@@ -253,10 +251,32 @@ func (c *TCPCluster) Start() {
 	for _, s := range c.stations {
 		go s.run(&c.wg)
 	}
-	c.mu.Lock()
-	c.crashers = scheduleCrashes(c.cfg.Fault, c.Crash)
-	c.crashers = append(c.crashers, scheduleRestarts(c.cfg.Fault, c.cfg.Rebuild, c.Crash, c.Restart, c.armTimer)...)
-	c.mu.Unlock()
+	if c.cfg.Fault != nil {
+		c.armSchedule(c.cfg.Fault.Schedule())
+	}
+}
+
+// armSchedule applies the crashes and restarts of a fault schedule, each
+// at its offset from NewTCPCluster, one after another on one chain of
+// timers: an event is armed only once the one before it has applied, so
+// events at one instant apply in schedule order, and one already due
+// applies at once, on the caller. A restart reboots only a process that is
+// down. The schedule's cuts and heals are the injector's, in Transmit.
+func (c *TCPCluster) armSchedule(sched faultline.Schedule) {
+	for i, e := range sched {
+		if e.Op != faultline.OpCrash && e.Op != faultline.OpRestart {
+			continue
+		}
+		if wait := e.At - time.Since(c.start); wait > 0 {
+			c.armTimer(time.AfterFunc(wait, func() { c.armSchedule(sched[i:]) }))
+			return
+		}
+		if e.Op == faultline.OpCrash {
+			c.Crash(e.From)
+		} else if c.stations[e.From].Down() {
+			c.Restart(e.From, c.cfg.Rebuild(e.From))
+		}
+	}
 }
 
 // Restart reboots process id with a fresh automaton — the in-process

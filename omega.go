@@ -35,8 +35,8 @@ import (
 )
 
 // Re-exported scenario vocabulary. A Scenario pairs a leader-election
-// algorithm with a link-synchrony regime and a failure plan; Build wires
-// it onto the deterministic simulator.
+// algorithm with a link-synchrony regime and a fault schedule (DESIGN.md
+// §10); Build wires it onto the deterministic simulator.
 type (
 	// Scenario configures a runnable system (see scenario.Config). Its
 	// Source is the ◊-source's id as given, p0 included.
@@ -47,8 +47,6 @@ type (
 	Algorithm = scenario.Algorithm
 	// Regime selects a link-synchrony configuration.
 	Regime = scenario.Regime
-	// Crash schedules a process failure.
-	Crash = scenario.Crash
 	// OmegaReport is the Omega-property verdict for a run.
 	OmegaReport = check.OmegaReport
 	// CommEffReport is the communication-efficiency verdict for a run.
