@@ -78,10 +78,15 @@ bench-pairs:
 # (make heap-top W=sim_failover [SEED=1]): a one-second run of a temporary
 # copy of bench/ that writes an inuse_space heap profile there, then
 # go tool pprof -top of it (scripts/heap-top.sh). DESIGN.md §17's table is
-# read from it. Manual: CI does not run it.
+# read from it. SAMPLE=alloc_objects lists instead who allocated how many
+# objects up to the first rss_mb sample, at MemProfileRate 64: the owners
+# of allocs_per_op, which is how the simulator's per-record pools (kernel
+# events, fabric deliveries, slab boxes) were found to be worth minting in
+# chunks. Manual: CI does not run it.
 SEED ?= 1
+SAMPLE ?= inuse_space
 heap-top:
-	bash scripts/heap-top.sh $(W) $(SEED)
+	bash scripts/heap-top.sh $(W) $(SEED) $(SAMPLE)
 
 # The regression gate a noisy host cannot defeat: sim_steady and
 # sim_failover at seeds 1..SEEDS (default 1; CI passes 5) on the parent
@@ -209,7 +214,7 @@ bench:
 # commit index). The SinkRecordSend, FabricSendSteadyState and Wire*Encode
 # benches (0 B/op too for the first two), the four
 # bookkeeping benches, FollowerCommit and Phase2Round must stay at 0
-# allocs/op: the phase-2 messages are cut from slabs, a chunk per 32, and
+# allocs/op: the phase-2 messages are cut from slabs, a chunk per 64, and
 # the value the leader proposes from its arena. Then the turn: StationTurn is
 # one steady-state turn of a leader's node loop (ten requests and a vote
 # in, one ACCEPT broadcast out; ns and allocs per ten commands), WALTurn
@@ -223,7 +228,11 @@ bench:
 # NewKernel is what seeding a world's random source costs: sim.NewRand
 # should take at most a third of math/rand's own rand.NewSource's time,
 # with the same two allocations, and Reset reseeds with none. WorldBoot is
-# one n = 5 core+rsm world from NewWorld to its first applied command.
+# one n = 5 core+rsm world from NewWorld to its first applied command, and
+# WorldFailover that world under sim_failover's load without the
+# benchmark's client — 2,000 commands a simulated second at p2 for a
+# second, p0 crashed halfway — with allocs/cmd, every allocation from boot
+# to the last apply per command.
 # In internal/wire, Envelope* encodes and decodes a heartbeat envelope
 # and a vector heartbeat through the shared path (0 allocs/op both ways),
 # and ConnDecode is what a socket's read loop pays to decode a frame of the
@@ -249,7 +258,7 @@ bench-micro:
 	$(GO) test -run '^$$' -bench 'Envelope|ConnDecode' -benchmem -benchtime $(BENCHTIME) ./internal/wire
 	$(GO) test -run '^$$' -bench 'RecorderRecord|RecordInstanceInOrder|BatcherPumpFull|ApplyBatch16|FollowerCommit|Phase2Round|SubmitWithBacklog|LeaseReadTurn' -benchmem -benchtime $(BENCHTIME) ./internal/consensus ./internal/consensus/rsm
 	$(GO) test -run '^$$' -bench 'StationTurn|WALTurn|WALOpen' -benchmem -benchtime $(BENCHTIME) ./internal/transport ./internal/durable
-	$(GO) test -run '^$$' -bench 'NewKernel|WorldBoot' -benchmem -benchtime $(BENCHTIME) ./internal/sim ./internal/consensus/rsm
+	$(GO) test -run '^$$' -bench 'NewKernel|WorldBoot|WorldFailover' -benchmem -benchtime $(BENCHTIME) ./internal/sim ./internal/consensus/rsm
 	$(GO) test -run '^$$' -bench 'TCPSendBatched|NewTCPCluster' -benchmem -benchtime $(BENCHTIME) ./internal/transport
 
 # End-to-end tracing smoke (DESIGN.md §8): a traced chaossoak leader-crash

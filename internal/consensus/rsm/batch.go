@@ -171,7 +171,7 @@ func (b *batcher) add(v consensus.Value, now sim.Time, tctx tracing.Context, fro
 // the next take), leaving their enqueue times, origins and — when any is
 // traced — trace contexts in fl's buffers.
 func (b *batcher) take(k int, me node.ID, now sim.Time, fl *flight) []consensus.Value {
-	b.cmds, fl.enq, fl.reqs, fl.from = b.cmds[:0], fl.enq[:0], fl.reqs[:0], slices.Grow(fl.from[:0], k)
+	b.cmds, fl.enq, fl.reqs, fl.from = slices.Grow(b.cmds[:0], k), slices.Grow(fl.enq[:0], k), slices.Grow(fl.reqs[:0], k), slices.Grow(fl.from[:0], k)
 	b.fwdTo = node.None // the stamps below are not forwards
 	traced, size := false, len(batchPrefix)+uvarintLen(k)
 	for ; k > 0; k-- {

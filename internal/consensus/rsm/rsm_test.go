@@ -1003,34 +1003,94 @@ func TestRetainedBytesPerCommand(t *testing.T) {
 	runtime.KeepAlive(w)
 }
 
-// BenchmarkWorldBoot is what one seeded world costs before it does any
-// work: an n = 5 core+rsm node.World built as the sim benchmarks build it
-// (η = 50 ms, 1 ms timely links), from NewWorld until a command submitted
-// at follower p2 is applied there. Each iteration boots another seed.
-func BenchmarkWorldBoot(b *testing.B) {
+// benchWorld boots one seeded world as the sim benchmarks build it: an
+// n = 5 core+rsm node.World (η = 50 ms with rebuff, 1 ms timely links, the
+// benchmark's engine Config), run until a command submitted at follower p2
+// is applied there.
+func benchWorld(b *testing.B, seed int64) (*node.World, []*Node) {
 	const n = 5
+	w, err := node.NewWorld(node.WorldConfig{N: n, Seed: seed, DefaultLink: network.Timely(ms)})
+	if err != nil {
+		b.Fatal(err)
+	}
+	logs := make([]*Node, n)
+	for id := range logs {
+		det := core.New(core.WithEta(50*ms), core.WithRebuff())
+		logs[id] = New(det, Config{BatchMax: 16, Window: 8, DriveInterval: 5 * ms})
+		w.SetAutomaton(node.ID(id), node.Compose(det, logs[id]))
+	}
+	applied := false
+	logs[2].OnApply(func(int, int, consensus.Value) { applied = true })
+	w.Start()
+	w.RunFor(20 * ms) // phase 1 done: the command is not held for a re-forward
+	logs[2].Submit("boot")
+	w.RunUntil(w.Kernel.Now().Add(time.Second), func() bool { return applied })
+	if !applied {
+		b.Fatalf("seed %d: the command was not applied within 1s", seed)
+	}
+	return w, logs
+}
+
+// BenchmarkWorldBoot is what one seeded world costs before it does any
+// work: benchWorld, from NewWorld until its first command is applied at
+// p2. Each iteration boots another seed.
+func BenchmarkWorldBoot(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		w, err := node.NewWorld(node.WorldConfig{N: n, Seed: int64(i + 1), DefaultLink: network.Timely(ms)})
-		if err != nil {
-			b.Fatal(err)
+		benchWorld(b, int64(i+1))
+	}
+}
+
+// BenchmarkWorldFailover is what the program allocates per command when
+// its leader fails under load, as the benchmark's sim_failover drives a
+// world but without its client: each iteration boots another seed with
+// benchWorld, submits 2,000 commands a simulated second at p2 for one
+// second from a slice made before the timer starts, crashes p0 halfway
+// through, and runs until p2 has applied every command. allocs/cmd is
+// every allocation from boot to the last apply over the commands
+// submitted.
+func BenchmarkWorldFailover(b *testing.B) {
+	const rate, span = 2000, time.Second
+	const total = int(rate * span / time.Second)
+	cmds := make([]consensus.Value, total)
+	index := make(map[consensus.Value]int, total)
+	for i := range cmds {
+		cmds[i] = consensus.Value(fmt.Sprintf("%064d", i))
+		index[cmds[i]] = i
+	}
+	seen := make([]bool, total)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w, logs := benchWorld(b, int64(i+1))
+		k, start, applied := w.Kernel, w.Kernel.Now(), 0
+		clear(seen)
+		logs[2].OnApply(func(_, _ int, v consensus.Value) {
+			if j, ok := index[v]; ok && !seen[j] {
+				seen[j] = true
+				applied++
+			}
+		})
+		w.CrashAt(0, start.Add(span/2))
+		next := 0
+		var submit func()
+		submit = func() {
+			logs[2].Submit(cmds[next])
+			if next++; next < total {
+				k.ScheduleAt(start.Add(time.Duration(next)*span/time.Duration(total)), submit)
+			}
 		}
-		logs := make([]*Node, n)
-		for id := range logs {
-			det := core.New(core.WithEta(50*ms), core.WithRebuff())
-			logs[id] = New(det, Config{BatchMax: 16, Window: 8, DriveInterval: 5 * ms})
-			w.SetAutomaton(node.ID(id), node.Compose(det, logs[id]))
-		}
-		applied := false
-		logs[2].OnApply(func(int, int, consensus.Value) { applied = true })
-		w.Start()
-		w.RunFor(20 * ms) // phase 1 done: the command is not held for a re-forward
-		logs[2].Submit("boot")
-		w.RunUntil(w.Kernel.Now().Add(time.Second), func() bool { return applied })
-		if !applied {
-			b.Fatalf("seed %d: the command was not applied within 1s", i+1)
+		k.ScheduleAt(start, submit)
+		w.RunUntil(start.Add(span+time.Second), func() bool { return applied == total })
+		if applied != total {
+			b.Fatalf("seed %d: %d of %d commands applied at p2 a second after the last was submitted", i+1, applied, total)
 		}
 	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(b.N*total), "allocs/cmd")
 }
 
 // TestForwardedMarkerCommandAppliesOnceWhole: a command that itself starts

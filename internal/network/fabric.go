@@ -17,7 +17,7 @@ type DeliverFunc func(from, to int, payload any)
 // "cut" overlay for injecting partitions on top of any profile.
 //
 // The send path is allocation-free in steady state: in-flight messages ride
-// pooled delivery records (see delivery) instead of per-send closures, and
+// pooled delivery records (see inFlight) instead of per-send closures, and
 // Send takes a pre-interned kind id so no string is hashed.
 type Fabric struct {
 	kernel   *sim.Kernel
@@ -30,26 +30,33 @@ type Fabric struct {
 
 	// freeDeliveries is the delivery-record free list. The fabric is
 	// single-threaded (it lives inside one kernel), so no lock is needed.
+	// A record never used yet is chunk[minted], the next of the current
+	// chunk.
 	freeDeliveries *inFlight
+	chunk          []inFlight
+	minted         int
 }
 
-// inFlight is one in-flight message. Each record binds its fire method to a
-// func() exactly once, at pool-creation time, so scheduling a delivery
-// reuses that method value instead of allocating a fresh closure per send.
+// chunkFirst and chunkMax bound the delivery records a fabric mints at
+// once: they double from the first to the last, so a fabric that comes to
+// carry n messages at once has made O(log n) allocations for them.
+const chunkFirst, chunkMax = 16, 256
+
+// inFlight is one in-flight message. The kernel runs the record itself
+// (sim.Runner), so scheduling a delivery binds no closure.
 type inFlight struct {
 	f       *Fabric
 	from    int32
 	to      int32
 	kind    obs.Kind
 	payload any
-	run     func()
 	next    *inFlight // free-list link
 }
 
-// fire hands the message to its destination and returns the record to the
+// Run hands the message to its destination and returns the record to the
 // pool. The record is released before the delivery callback runs, so sends
 // performed inside the callback reuse the hot record.
-func (d *inFlight) fire() {
+func (d *inFlight) Run() {
 	f := d.f
 	from, to, kind, payload := int(d.from), int(d.to), d.kind, d.payload
 	d.payload = nil
@@ -59,14 +66,19 @@ func (d *inFlight) fire() {
 	f.deliver(from, to, payload)
 }
 
-// newDelivery takes a record from the pool, or mints one with its run
-// method value bound (the only allocation this path can make, amortized to
-// zero in steady state).
+// newDelivery takes a record from the pool, or cuts a new one from the
+// current chunk, minting a chunk twice the last one's size when it is used
+// up (the only allocation this path can make, amortized to zero in steady
+// state).
 func (f *Fabric) newDelivery() *inFlight {
 	d := f.freeDeliveries
 	if d == nil {
-		d = &inFlight{f: f}
-		d.run = d.fire
+		if f.minted == len(f.chunk) {
+			f.chunk, f.minted = make([]inFlight, min(max(chunkFirst, 2*len(f.chunk)), chunkMax)), 0
+		}
+		d = &f.chunk[f.minted]
+		f.minted++
+		d.f = f
 		return d
 	}
 	f.freeDeliveries = d.next
@@ -229,7 +241,7 @@ func (f *Fabric) Send(from, to int, kind obs.Kind, payload any) {
 	}
 	d := f.newDelivery()
 	d.from, d.to, d.kind, d.payload = int32(from), int32(to), kind, payload
-	f.kernel.Schedule(delay, d.run)
+	f.kernel.ScheduleRun(delay, d)
 }
 
 // MaxDelta returns the largest Delta across all timely or eventually-timely

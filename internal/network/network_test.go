@@ -1,6 +1,8 @@
 package network
 
 import (
+	"math/bits"
+	"runtime"
 	"testing"
 	"time"
 
@@ -307,5 +309,44 @@ func TestStatsRecorded(t *testing.T) {
 	}
 	if stats.KindCount("PING") != 1 {
 		t.Fatal("kind not recorded")
+	}
+}
+
+// TestFreshFabricMintsRecordsInChunks: a fresh fabric that comes to carry
+// 1,000 messages at once allocates about ⌈log₂ 1,000⌉ times, not once a
+// message: its delivery records come in chunks that double from chunkFirst
+// to chunkMax (seven chunks), and the kernel runs each record itself, so no
+// record binds a closure. The kernel is warmed first so that only the
+// fabric's allocations count. Every message is then delivered.
+func TestFreshFabricMintsRecordsInChunks(t *testing.T) {
+	const n = 1000
+	k := sim.NewKernel(1)
+	fn := func() {}
+	for i := 0; i < n; i++ {
+		k.Schedule(0, fn)
+	}
+	k.RunFor(ms)
+	f, err := NewFabric(k, 2, Timely(ms), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	delivered := 0
+	f.SetDeliver(func(from, to int, payload any) { delivered++ })
+	var payload any = &delivery{}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		f.Send(0, 1, kindX, payload)
+	}
+	runtime.ReadMemStats(&after)
+	got := after.Mallocs - before.Mallocs
+	t.Logf("%d messages in flight: %d allocations", n, got)
+	if bound := bits.Len(n); got > uint64(bound) {
+		t.Fatalf("%d messages in flight cost %d allocations, want at most %d", n, got, bound)
+	}
+	k.RunFor(time.Second)
+	if delivered != n {
+		t.Fatalf("%d of %d messages delivered", delivered, n)
 	}
 }

@@ -5,8 +5,9 @@ import "strings"
 // arenaChunk is how many bytes of strings share one allocation in an Arena
 // at most: ~900 of the benchmark's 70-byte commands. The first chunk is
 // arenaFirst bytes, or the first string's if that is more, and each after it
-// twice the last up to arenaChunk: an arena that cuts a few strings costs a
-// few hundred bytes, not a whole chunk.
+// twice the last up to arenaChunk, as a Slab's chunks of boxes double: an
+// arena that cuts a few strings costs a few hundred bytes, not a whole
+// chunk.
 const arenaChunk, arenaFirst = 64 << 10, 512
 
 // Arena cuts strings for a decoder or a proposer that makes one after

@@ -2,6 +2,7 @@ package node
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 )
 
@@ -33,15 +34,26 @@ func TestSlabNeverHandsOutASlotTwice(t *testing.T) {
 	}
 }
 
-// TestSlabAllocatesPerChunk: slabChunk boxes cost one allocation.
+// TestSlabAllocatesPerChunk: a warm slab, its chunks grown from slabFirst
+// to slabChunk, costs one allocation per slabChunk boxes — slabChunk if each
+// box were allocated alone — and a fresh one's chunks double from slabFirst.
 func TestSlabAllocatesPerChunk(t *testing.T) {
 	var s Slab[[7]uint64]
+	var sizes []int
+	for len(sizes) < 6 {
+		if s.New([7]uint64{}); len(s.free) == s.last-1 { // the box began a chunk
+			sizes = append(sizes, s.last)
+		}
+	}
+	if want := []int{slabFirst, 8, 16, 32, slabChunk, slabChunk}; !slices.Equal(sizes, want) {
+		t.Fatalf("chunks of %v boxes, want %v", sizes, want)
+	}
 	got := testing.AllocsPerRun(10, func() {
 		for i := 0; i < slabChunk; i++ {
 			s.New([7]uint64{uint64(i)})
 		}
 	})
 	if got != 1 {
-		t.Fatalf("%d boxes cost %.0f allocations, want one chunk", slabChunk, got)
+		t.Fatalf("%d boxes of a warm slab cost %.0f allocations, want one chunk", slabChunk, got)
 	}
 }

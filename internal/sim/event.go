@@ -8,7 +8,7 @@ package sim
 type Event struct {
 	at        Time
 	seq       uint64
-	fn        func()
+	run       Runner
 	cancelled bool
 
 	// gen is bumped every time the slot is recycled; a Handle is live only
@@ -19,6 +19,17 @@ type Event struct {
 	doneGen   uint64
 	doneFired bool
 }
+
+// Runner is what an event runs when it fires: a plain callback through
+// Func, or a record its owner pools, which runs itself and so is scheduled
+// without binding a method value to a func() for it.
+type Runner interface{ Run() }
+
+// Func is a callback as a Runner.
+type Func func()
+
+// Run calls f.
+func (f Func) Run() { f() }
 
 // Handle refers to one scheduled callback. The zero Handle is valid and
 // refers to nothing; all methods on it are no-ops. Handles stay safe after
@@ -48,7 +59,7 @@ func (h Handle) Cancel() {
 		return
 	}
 	h.e.cancelled = true
-	h.e.fn = nil // release references for the garbage collector
+	h.e.run = nil // release references for the garbage collector
 }
 
 // Cancelled reports whether this handle's event was cancelled before

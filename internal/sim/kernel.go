@@ -12,21 +12,31 @@ import (
 //
 // Event slots are recycled through a per-kernel free list, so the
 // schedule → fire cycle allocates nothing in steady state; see Handle for
-// how stale references to recycled slots stay safe.
+// how stale references to recycled slots stay safe. New slots are cut from
+// chunks that double from chunkFirst to chunkMax slots, so a fresh kernel
+// that comes to hold n events has made O(log n) allocations for them.
 type Kernel struct {
 	now  Time
 	heap eventHeap
 	seq  uint64
 	rng  *rand.Rand
 
-	// free is the event slot free list (LIFO for cache locality).
-	free []*Event
+	// free is the event slot free list (LIFO for cache locality). A slot
+	// never used yet is chunk[minted], the next of the current chunk.
+	free   []*Event
+	chunk  []Event
+	minted int
 
 	// processed counts events that have fired (excluding cancelled ones).
 	processed uint64
 	// limit aborts runaway simulations; 0 means no limit.
 	limit uint64
 }
+
+// chunkFirst and chunkMax bound the slots a kernel mints at once: a world
+// that holds a few dozen events mints a few dozen, and a busy one makes one
+// allocation per chunkMax.
+const chunkFirst, chunkMax = 16, 256
 
 // NewKernel returns a kernel whose random source is seeded with seed.
 // Two kernels created with the same seed and driven by the same code
@@ -72,7 +82,9 @@ func (k *Kernel) Processed() uint64 { return k.processed }
 // the limit. It exists to catch accidental event storms in tests.
 func (k *Kernel) SetEventLimit(n uint64) { k.limit = n }
 
-// alloc takes an event slot from the free list, or mints one.
+// alloc takes an event slot from the free list, or cuts a new one from the
+// current chunk, minting a chunk twice the last one's size when it is used
+// up.
 func (k *Kernel) alloc() *Event {
 	if n := len(k.free); n > 0 {
 		e := k.free[n-1]
@@ -80,7 +92,11 @@ func (k *Kernel) alloc() *Event {
 		k.free = k.free[:n-1]
 		return e
 	}
-	return &Event{}
+	if k.minted == len(k.chunk) {
+		k.chunk, k.minted = make([]Event, min(max(chunkFirst, 2*len(k.chunk)), chunkMax)), 0
+	}
+	k.minted++
+	return &k.chunk[k.minted-1]
 }
 
 // recycle retires a popped event's generation and returns its slot to the
@@ -88,7 +104,7 @@ func (k *Kernel) alloc() *Event {
 func (k *Kernel) recycle(e *Event, fired bool) {
 	e.doneGen, e.doneFired = e.gen, fired
 	e.gen++
-	e.fn = nil
+	e.run = nil
 	e.cancelled = false
 	k.free = append(k.free, e)
 }
@@ -98,13 +114,13 @@ func (k *Kernel) recycle(e *Event, fired bool) {
 // callbacks that schedule immediately reuse the hot slot.
 func (k *Kernel) fire(e *Event) {
 	k.now = e.at
-	fn := e.fn
+	r := e.run
 	k.recycle(e, true)
 	k.processed++
 	if k.limit != 0 && k.processed > k.limit {
 		panic(fmt.Sprintf("sim: event limit %d exceeded at t=%v", k.limit, k.now))
 	}
-	fn()
+	r.Run()
 }
 
 // Schedule runs fn after virtual duration d (from now). A negative or zero
@@ -123,11 +139,20 @@ func (k *Kernel) ScheduleAt(t Time, fn func()) Handle {
 	if fn == nil {
 		panic("sim: ScheduleAt called with nil callback")
 	}
+	return k.scheduleAt(t, Func(fn))
+}
+
+// ScheduleRun runs r after virtual duration d, as Schedule runs a func().
+func (k *Kernel) ScheduleRun(d time.Duration, r Runner) Handle {
+	return k.scheduleAt(k.now.Add(max(d, 0)), r)
+}
+
+func (k *Kernel) scheduleAt(t Time, r Runner) Handle {
 	if t < k.now {
 		t = k.now
 	}
 	e := k.alloc()
-	e.at, e.seq, e.fn = t, k.seq, fn
+	e.at, e.seq, e.run = t, k.seq, r
 	k.seq++
 	k.heap.Push(e)
 	return Handle{e: e, gen: e.gen, at: t}

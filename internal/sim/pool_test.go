@@ -1,6 +1,9 @@
 package sim
 
 import (
+	"math/bits"
+	"runtime"
+	"slices"
 	"testing"
 	"time"
 )
@@ -109,5 +112,44 @@ func TestScheduleSteadyStateAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state Schedule+Step allocates %.1f objects per run, want 0", allocs)
+	}
+}
+
+// mallocs returns how many heap objects f allocates.
+func mallocs(f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
+// TestFreshKernelMintsSlotsInChunks: a fresh kernel that comes to hold
+// 1,000 pending events allocates about ⌈log₂ 1,000⌉ times, not once an
+// event: its slot chunks double from chunkFirst to chunkMax (seven chunks)
+// and the heap's backing array doubles too, so both together stay within
+// 2⌈log₂ n⌉. Every event then fires, in order.
+func TestFreshKernelMintsSlotsInChunks(t *testing.T) {
+	const n = 1000
+	k := NewKernel(1)
+	var order []int
+	fns := make([]func(), n)
+	for i := range fns {
+		fns[i] = func() { order = append(order, i) }
+	}
+	got := mallocs(func() {
+		for i, fn := range fns {
+			k.Schedule(time.Duration(i), fn)
+		}
+	})
+	t.Logf("%d pending events: %d allocations", n, got)
+	if bound := 2 * bits.Len(n); got > uint64(bound) {
+		t.Fatalf("%d pending events cost %d allocations, want at most %d", n, got, bound)
+	}
+	order = make([]int, 0, n)
+	k.RunFor(time.Second)
+	if len(order) != n || !slices.IsSorted(order) {
+		t.Fatalf("%d of %d events fired, sorted %v", len(order), n, slices.IsSorted(order))
 	}
 }

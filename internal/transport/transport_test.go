@@ -57,17 +57,20 @@ func agreement(dets []*core.Detector, skip map[int]bool) (node.ID, bool) {
 }
 
 // expectSteadySender polls 300ms windows until one passes in which only
-// leader sent while every detector output leader throughout — the
-// steady-state communication-efficiency property. A window counts only if
-// its sole sender is leader, every detector outputs leader at its end, and
-// no detector changed leader during it: a window in which Ω moved shows a
-// sole sender that leads for an instant, not the steady state. Polling
-// (rather than one fixed settle-then-measure window) keeps the check
-// robust on a loaded machine, where a late heartbeat can trigger a stray
-// accusation well after initial agreement. It is called once dets agree
-// on leader, and when no window passes it names that premise: the leader
-// each detector outputs, and the leader changes each made since the call.
-func expectSteadySender(t *testing.T, clock *station, stats *metrics.MessageStats, dets []*core.Detector, leader int) {
+// the leader sent while every detector output it throughout — the
+// steady-state communication-efficiency property. The leader is the one
+// every detector agrees on when the window opens: which process Ω settles
+// on is not the property, and on a loaded machine a late heartbeat can
+// have a follower accuse the first leader for good well after initial
+// agreement. A window counts only if all detectors agreed when it opened,
+// its sole sender is that leader, every detector outputs that leader at its
+// end, and no detector changed leader during it: a window in which Ω moved
+// shows a sole sender that leads for an instant, not the steady state.
+// Polling (rather than one fixed settle-then-measure window) keeps the
+// check robust where agreement comes late. When no window passes it names
+// the premise: the leader each detector outputs, and the leader changes
+// each made since the call.
+func expectSteadySender(t *testing.T, clock *station, stats *metrics.MessageStats, dets []*core.Detector) {
 	t.Helper()
 	changes := func() []int {
 		counts := make([]int, len(dets))
@@ -78,9 +81,9 @@ func expectSteadySender(t *testing.T, clock *station, stats *metrics.MessageStat
 	}
 	// steady reports whether every detector outputs leader and has made
 	// no change since it had made before[i].
-	steady := func(before []int) bool {
+	steady := func(leader node.ID, before []int) bool {
 		for i, d := range dets {
-			if h := d.History(); h.Current() != node.ID(leader) || h.NumChanges() != before[i] {
+			if h := d.History(); h.Current() != leader || h.NumChanges() != before[i] {
 				return false
 			}
 		}
@@ -90,10 +93,11 @@ func expectSteadySender(t *testing.T, clock *station, stats *metrics.MessageStat
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		before := changes()
+		leader, ok := agreement(dets, nil)
 		mark := clock.Now()
 		time.Sleep(300 * time.Millisecond)
 		senders := stats.SendersSince(mark)
-		if len(senders) == 1 && senders[0] == leader && steady(before) {
+		if ok && len(senders) == 1 && senders[0] == int(leader) && steady(leader, before) {
 			return
 		}
 		if time.Now().After(deadline) {
