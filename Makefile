@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test loc tables-diff mutants bench-check bench-smoke bench-pairs heap-top sim-gate test-race fuzz-smoke soak recovery-soak telemetry-smoke trace-smoke bench bench-micro tables
+.PHONY: all build vet test loc tables-diff mutants bench-check bench-smoke bench-pairs heap-top cpu-roles sim-gate test-race fuzz-smoke soak recovery-soak telemetry-smoke trace-smoke bench bench-micro tables
 
 all: vet test
 
@@ -37,14 +37,15 @@ loc:
 tables-diff:
 	bash scripts/tables-diff.sh
 
-# The mutation check of rsm and the safety checker: ten edits — five that
-# each break linearizable reads, two that break the leader's fan-out, one
-# that makes an abdication forget how far each process has applied, one
-# that has a replica serve nothing it has applied from its Recorder and
-# one that has CheckSafety ignore a per-command disagreement — applied one
-# at a time to a temporary copy of the package each edits, whose tests
+# The mutation check of rsm and the safety checker: eleven edits — five
+# that each break linearizable reads, two that break the leader's fan-out,
+# one that makes an abdication forget how far each process has applied,
+# one that has a replica serve nothing it has applied from its Recorder,
+# one that has a promise leave out a decided slot above the decided prefix
+# and one that has CheckSafety ignore a per-command disagreement — applied
+# one at a time to a temporary copy of the package each edits, whose tests
 # must fail on every one. It fails when a mutant survives or its edit no
-# longer applies (scripts/mutants.sh). About 100 s; CI's build-test job
+# longer applies (scripts/mutants.sh). About 110 s; CI's build-test job
 # runs it.
 mutants:
 	bash scripts/mutants.sh
@@ -79,14 +80,26 @@ bench-pairs:
 # copy of bench/ that writes an inuse_space heap profile there, then
 # go tool pprof -top of it (scripts/heap-top.sh). DESIGN.md §17's table is
 # read from it. SAMPLE=alloc_objects lists instead who allocated how many
-# objects up to the first rss_mb sample, at MemProfileRate 64: the owners
-# of allocs_per_op, which is how the simulator's per-record pools (kernel
-# events, fabric deliveries, slab boxes) were found to be worth minting in
-# chunks. Manual: CI does not run it.
+# objects inside the first measured window, every allocation counted
+# (MemProfileRate 1): the owners of allocs_per_op, which is how the
+# simulator's per-record pools were found to be worth minting in chunks and
+# rsm's READ-REPLY tails worth cutting from an arena. Manual: CI does not
+# run it.
 SEED ?= 1
 SAMPLE ?= inuse_space
 heap-top:
 	bash scripts/heap-top.sh $(W) $(SEED) $(SAMPLE)
+
+# Where a live workload's CPU goes, by goroutine role (make cpu-roles
+# W=tcp_write [SEED=1]): a ten-second run of a temporary copy of bench/
+# with a CPU profile over its first measured window, the generator
+# labelled client and the transport's goroutines labelled where tcp.go
+# starts them (station, sender, reader, accept); it prints CPU µs per
+# operation per role, plus an unlabelled row (GC, scheduler, netpoll,
+# timers), rows summing to the profile's total (scripts/cpu-roles.sh).
+# Manual: CI does not run it.
+cpu-roles:
+	bash scripts/cpu-roles.sh $(W) $(SEED)
 
 # The regression gate a noisy host cannot defeat: sim_steady and
 # sim_failover at seeds 1..SEEDS (default 1; CI passes 5) on the parent
@@ -201,30 +214,26 @@ bench:
 
 # Just the per-message-path micro-benchmarks: observer sink recording and
 # wire encode/decode, the simulator's per-message turn (WorldMessagePath: a
-# send from outside any turn, then its delivery as a turn of one — 0
-# allocs/op at 100x), its send path (FabricSendSteadyState: a
-# send counted, its delay drawn, its delivery scheduled and fired), then
-# the per-command bookkeeping of the consensus
+# send from outside any turn, then its delivery as a turn of one), its send
+# path (FabricSendSteadyState: a send counted, its delay drawn, its delivery
+# scheduled and fired), then the per-command bookkeeping of the consensus
 # engine (decision recording at a follower and, RecordInstanceInOrder, at
 # the leader that proposed, a pump that cannot propose, applying a
 # 16-command batch) and BenchmarkFollowerCommit, a follower's whole share
 # of an instance (ACCEPT of a 16-command envelope, then the commit index:
 # vote, decide from the vote, apply), and Phase2Round, one instance of
 # three replicas on hand-driven envs (ACCEPT broadcast, two ACCEPTEDs, the
-# commit index). The SinkRecordSend, FabricSendSteadyState and Wire*Encode
-# benches (0 B/op too for the first two), the four
-# bookkeeping benches, FollowerCommit and Phase2Round must stay at 0
-# allocs/op: the phase-2 messages are cut from slabs, a chunk per 64, and
-# the value the leader proposes from its arena. Then the turn: StationTurn is
-# one steady-state turn of a leader's node loop (ten requests and a vote
-# in, one ACCEPT broadcast out; ns and allocs per ten commands), WALTurn
-# sixteen votes flushed once against sixteen flushed one by one,
-# WALOpen what a replica's store adds to its boot (Open and Close of a WAL in
-# a directory Open creates, per fsync policy; no policy syncs there),
-# SubmitWithBacklog a follower's Submit behind forty outstanding commands
-# (0 allocs/op: the REQ it forwards is cut from a slab too), and
-# LeaseReadTurn a turn of sixteen reads at a lease-holding leader (1 alloc
-# per turn, the one reply's tail; its box is from a slab — not 16).
+# commit index). The phase-2 messages are cut from slabs, a chunk per 64,
+# and the value the leader proposes from its arena. Then the turn:
+# StationTurn is one steady-state turn of a leader's node loop (ten
+# requests and a vote in, one ACCEPT broadcast out; ns and allocs per ten
+# commands), WALTurn sixteen votes flushed once against sixteen flushed one
+# by one, WALOpen what a replica's store adds to its boot (Open and Close of
+# a WAL in a directory Open creates, per fsync policy; no policy syncs
+# there), SubmitWithBacklog a follower's Submit behind forty outstanding
+# commands (the REQ it forwards is cut from a slab too), and LeaseReadTurn
+# a turn of sixteen reads at a lease-holding leader (the one reply's box is
+# cut from a slab, its packed tail from the read path's arena).
 # NewKernel is what seeding a world's random source costs: sim.NewRand
 # should take at most a third of math/rand's own rand.NewSource's time,
 # with the same two allocations, and Reset reseeds with none. WorldBoot is
@@ -234,17 +243,28 @@ bench:
 # second, p0 crashed halfway — with allocs/cmd, every allocation from boot
 # to the last apply per command.
 # In internal/wire, Envelope* encodes and decodes a heartbeat envelope
-# and a vector heartbeat through the shared path (0 allocs/op both ways),
-# and ConnDecode is what a socket's read loop pays to decode a frame of the
-# per-operation path — a 64-byte REQ, a 700-byte ACCEPT, an ACCEPTED, a READ,
-# a READR alone and one answering 21 reads — through its own decoder (0
-# allocs/op each: every box is cut from a slab, every string from an arena)
-# and through the shared path (2, 2, 1, 1, 1 and 2).
+# and a vector heartbeat through the shared path (2 allocs/op to decode the
+# vector, none for the rest), and ConnDecode is what a socket's read loop
+# pays to decode a frame of the per-operation path — a 64-byte REQ, a
+# 700-byte ACCEPT, an ACCEPTED, a READ, a READR alone and one answering 21
+# reads — through its own decoder (every box is cut from a slab, every
+# string from an arena) and through the shared path (2, 2, 1, 1, 1 and 2).
 # Last, TCPSendBatched is the link sender's throughput: heartbeats injected
 # on one loopback TCP link ahead of its sender, which coalesces what is
-# queued into one vectored write (msgs/sec, and 0 allocs/op on injection),
-# and NewTCPCluster what a three-process TCP cluster of idle automatons
-# costs to build, Start and Stop (≈8 KB/op: no link reserves its bound).
+# queued into one vectored write (msgs/sec), and NewTCPCluster what a
+# three-process TCP cluster of idle automatons costs to build, Start and
+# Stop (≈8 KB/op: no link reserves its bound).
+#
+# The gate (scripts/bench-micro.sh): these must report 0 allocs/op at the
+# run's BENCHTIME, and the target fails when one reports more or does not
+# run — SinkRecordSend, Wire*Encode, WorldMessagePath,
+# FabricSendSteadyState (0 B/op too for the first and the last of these),
+# EnvelopeVarint both ways and EnvelopeVarintVector/encode, ConnDecode
+# through the connection's decoder, the four bookkeeping benches,
+# FollowerCommit, Phase2Round, SubmitWithBacklog, LeaseReadTurn,
+# StationTurn and NewKernel/Reset. TCPSendBatched is left off: it reads 2
+# allocs/op at 100x and 0 at 10,000x — what it allocates is per run, not
+# per injection, and b.N amortises it.
 # BENCHTIME is go test's -benchtime; CI passes 100x, which runs each
 # benchmark a hundred times — go test compiles them but never runs one, so
 # a benchmark that panics would otherwise pass. At 1x a benchmark that
@@ -253,13 +273,7 @@ bench:
 # 100x each of them prints its 0 allocs/op.
 BENCHTIME ?= 1s
 bench-micro:
-	$(GO) test -run '^$$' -bench 'SinkRecordSend|Wire|WorldMessagePath' -benchmem -benchtime $(BENCHTIME) .
-	$(GO) test -run '^$$' -bench 'FabricSendSteadyState' -benchmem -benchtime $(BENCHTIME) ./internal/network
-	$(GO) test -run '^$$' -bench 'Envelope|ConnDecode' -benchmem -benchtime $(BENCHTIME) ./internal/wire
-	$(GO) test -run '^$$' -bench 'RecorderRecord|RecordInstanceInOrder|BatcherPumpFull|ApplyBatch16|FollowerCommit|Phase2Round|SubmitWithBacklog|LeaseReadTurn' -benchmem -benchtime $(BENCHTIME) ./internal/consensus ./internal/consensus/rsm
-	$(GO) test -run '^$$' -bench 'StationTurn|WALTurn|WALOpen' -benchmem -benchtime $(BENCHTIME) ./internal/transport ./internal/durable
-	$(GO) test -run '^$$' -bench 'NewKernel|WorldBoot|WorldFailover' -benchmem -benchtime $(BENCHTIME) ./internal/sim ./internal/consensus/rsm
-	$(GO) test -run '^$$' -bench 'TCPSendBatched|NewTCPCluster' -benchmem -benchtime $(BENCHTIME) ./internal/transport
+	GO=$(GO) BENCHTIME=$(BENCHTIME) bash scripts/bench-micro.sh
 
 # End-to-end tracing smoke (DESIGN.md §8): a traced chaossoak leader-crash
 # run over TCP, then traceview over its flight-recorder dumps.

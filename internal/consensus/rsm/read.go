@@ -65,6 +65,7 @@ type readState struct {
 	round   uint64        // the grant the read round in flight awaits, 0 when none
 	roundAt sim.Time      // when that grant was issued
 	packed  []byte        // answerReads' scratch: the reply being packed
+	tails   node.Arena    // what answerReads cuts the packed tails from: not the batcher's, whose values the log keeps
 	onReply func(ReadReplyMsg)
 }
 
@@ -201,9 +202,8 @@ func (r *Node) answerReads(reqs []waitingRead, local bool) (reads uint64) {
 			}
 			prev = q.Seq
 		}
-		r.reads.packed = packed
-		if !first {
-			reply.More = string(packed)
+		if r.reads.packed = packed; !first {
+			reply.More = r.reads.tails.Copy(packed)
 			r.env.Send(origin, r.replies.New(reply))
 		}
 	}

@@ -205,10 +205,19 @@ func TestSubmitOutsideATurnActsAtOnce(t *testing.T) {
 // commands applied; its outbox is empty.
 func leaseLeader(t testing.TB, k int) (*Node, *fakeEnv) {
 	t.Helper()
-	r, env := prepareLeaderCfg(t, nil, Config{Lease: 300 * time.Millisecond})
+	return leaseLeaderOf(t, 3, k)
+}
+
+// leaseLeaderOf is leaseLeader for a leader p0 of n, whose lease and
+// commands a quorum's worth of followers, p1 upwards, acked.
+func leaseLeaderOf(t testing.TB, n, k int) (*Node, *fakeEnv) {
+	t.Helper()
+	r, env := prepareLeaderOf(t, n, Config{Lease: 300 * time.Millisecond})
 	for i := 0; i < max(k, 1); i++ {
 		r.Submit(consensus.Value(fmt.Sprint("w", i)))
-		r.Deliver(1, &AcceptedMsg{B: r.prop.ballot, Inst: i, LeaseSeq: 1})
+		for p := 1; p < consensus.Majority(n); p++ {
+			r.Deliver(node.ID(p), &AcceptedMsg{B: r.prop.ballot, Inst: i, LeaseSeq: 1})
+		}
 	}
 	if !r.holdsLease(env.now) || r.app.count != max(k, 1) {
 		t.Fatalf("setup: lease held %v, applied %d", r.holdsLease(env.now), r.app.count)
@@ -438,18 +447,44 @@ func TestReadFromItsOwnReplyHook(t *testing.T) {
 	}
 }
 
-// TestLeaseReadTurnAllocatesPerReplyNotPerRead: sixteen reads of one
-// origin cost what their one reply costs — its tail; its box is cut from a
-// slab.
+// TestLeaseReadTurnAllocatesPerReplyNotPerRead: a turn of lease reads
+// allocates nothing — each reply's box is cut from a slab and its packed
+// tail from the read path's arena — whether sixteen reads share one reply
+// or three origins each get a reply with a tail.
 func TestLeaseReadTurnAllocatesPerReplyNotPerRead(t *testing.T) {
-	r, env := leaseLeader(t, 1)
-	env.mute = true
-	reqs := readRequests(1, 1000, 16)
-	if got := testing.AllocsPerRun(200, func() { turn(r, 1, reqs...) }); got > 1 {
-		t.Fatalf("a turn of 16 lease reads allocates %.0f objects, want at most 1", got)
-	}
-	if r.LocalReads() < 16*200 {
-		t.Fatalf("only %d reads served", r.LocalReads())
+	for _, c := range []struct {
+		name    string
+		n       int
+		origins []node.ID
+	}{
+		{"one origin", 3, []node.ID{1}},
+		{"three origins", 5, []node.ID{1, 2, 3}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			r, env := leaseLeaderOf(t, c.n, 1)
+			var reqs []node.Message
+			for _, o := range c.origins {
+				reqs = append(reqs, readRequests(o, 1000*uint64(o), 16/len(c.origins))...)
+			}
+			turn(r, 1, reqs...)
+			replies := repliesOf(env.drain())
+			if len(replies) != len(c.origins) {
+				t.Fatalf("replies went to %d origins, want %d", len(replies), len(c.origins))
+			}
+			for _, o := range c.origins {
+				if rs := replies[o]; len(rs) != 1 || rs[0].More == "" {
+					t.Fatalf("origin %d was answered %+v, want one reply with a packed tail", o, rs)
+				}
+			}
+			env.mute = true
+			before := r.LocalReads()
+			if got := testing.AllocsPerRun(200, func() { turn(r, 1, reqs...) }); got != 0 {
+				t.Fatalf("a turn of %d lease reads allocates %.1f objects, want 0", len(reqs), got)
+			}
+			if got := r.LocalReads() - before; got < uint64(len(reqs)*200) {
+				t.Fatalf("only %d reads served", got)
+			}
+		})
 	}
 }
 

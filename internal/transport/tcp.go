@@ -2,12 +2,14 @@ package transport
 
 import (
 	"bufio"
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"log"
 	"net"
+	"runtime/pprof"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -232,24 +234,24 @@ func (c *TCPCluster) Start() {
 	c.started = true
 	c.wg.Add(len(c.stations))
 	for i := range c.stations {
-		go c.acceptLoop(i)
+		goRole("accept", func() { c.acceptLoop(i) })
 	}
 	for _, s := range c.senders {
 		if s == nil {
 			continue
 		}
 		c.wg.Add(1)
-		go func(s *link.Sender) {
+		goRole("sender", func() {
 			defer c.wg.Done()
 			s.Run()
-		}(s)
+		})
 	}
 	for _, s := range c.stations {
 		s.Boot()
 	}
 	c.wg.Add(len(c.stations))
 	for _, s := range c.stations {
-		go s.run(&c.wg)
+		goRole("station", func() { s.run(&c.wg) })
 	}
 	if c.cfg.Fault != nil {
 		c.armSchedule(c.cfg.Fault.Schedule())
@@ -320,8 +322,18 @@ func (c *TCPCluster) acceptLoop(i int) {
 		c.mu.Unlock()
 		c.conns.Add(1)
 		c.wg.Add(1)
-		go c.readLoop(i, conn)
+		goRole("reader", func() { c.readLoop(i, conn) })
 	}
+}
+
+// goRole runs f on a goroutine of its own whose CPU profile samples carry
+// the label role=role (runtime/pprof), set once when it starts: a station's
+// node loop, a link's sender, a connection's reader or a listener's accept
+// loop. A goroutine such a goroutine starts inherits the label; the
+// collector, the scheduler and time.AfterFunc's callbacks carry none
+// (scripts/cpu-roles.sh reads the labels).
+func goRole(role string, f func()) {
+	go pprof.Do(context.Background(), pprof.Labels("role", role), func(context.Context) { f() })
 }
 
 // readLoop is the receive half of a turn (DESIGN.md "Turns"): one read

@@ -540,7 +540,8 @@ func TestTCPWildInstanceIsDropped(t *testing.T) {
 // ten client requests and the vote that completes the previous instance,
 // then the end of the turn — one pump, one ACCEPT broadcast carrying the
 // commit index, one release. ns/op and allocs/op are per turn of ten
-// commands.
+// commands. The requests and the vote are boxed once, outside the timed
+// loop, as a socket's decoder cuts them from its slabs.
 func BenchmarkStationTurn(b *testing.B) {
 	const burst = 10
 	leader := rsm.New(consensus.StaticLeader(0), rsm.Config{BatchMax: 16, Window: 8})
@@ -559,11 +560,13 @@ func BenchmarkStationTurn(b *testing.B) {
 	for i := range reqs {
 		reqs[i] = &rsm.RequestMsg{V: consensus.Value(fmt.Sprintf("command-%02d-with-a-64-byte-payload-like-the-benchmark-sends....", i))}
 	}
+	vote := &rsm.AcceptedMsg{B: ballot} // one box, refilled: the leader copies what it is delivered
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if i > 0 {
-			s.dispatch(event{from: 1, msg: &rsm.AcceptedMsg{B: ballot, Inst: i - 1}})
+			vote.Inst = i - 1
+			s.dispatch(event{from: 1, msg: vote})
 		}
 		for _, m := range reqs {
 			s.dispatch(event{from: 2, msg: m})

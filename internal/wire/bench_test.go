@@ -10,9 +10,10 @@ import (
 
 // benchEnvelope measures the full envelope path: encode
 // (MarshalEnvelopeAppend into a reused buffer) and decode
-// (UnmarshalEnvelope with the pooled decoder). Both halves must stay at
-// 0 allocs/op — the live receive loops run them per message — and the
-// wire-B/msg metric reports the frame's size.
+// (UnmarshalEnvelope with the pooled decoder). Both halves of a heartbeat
+// and a vector's encode stay at 0 allocs/op — make bench-micro fails
+// otherwise; a vector's decode reads 2 — and the wire-B/msg metric reports
+// the frame's size.
 func benchEnvelope(b *testing.B, msg node.Message) {
 	c := NewCodec()
 	frame, err := c.MarshalEnvelope(1, msg)

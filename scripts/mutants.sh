@@ -3,9 +3,10 @@
 # internal/consensus/rsm, that breaks linearizable reads (read.go,
 # lease.go), the leader's fan-out to its followers (pipeline.go: reach),
 # what the leader keeps of them across an abdication (lease.go:
-# abdicateLeader) or the catch-up it serves from its Recorder (log.go:
-# decision), or, to internal/consensus, the safety checker's agreement
-# per command slot (consensus.go: CheckSafety).
+# abdicateLeader), the catch-up it serves from its Recorder (log.go:
+# decision) or what a promise reports of a decided slot above the decided
+# prefix (proposer.go: promiseEntries), or, to internal/consensus, the
+# safety checker's agreement per command slot (consensus.go: CheckSafety).
 # The script copies the package of the file a mutant edits to a temporary
 # directory, applies the mutant there, runs that package's tests against
 # the copy (go test -overlay puts the copied files in place of the
@@ -72,6 +73,11 @@ mutants=(
 	internal/consensus/rsm/log.go
 	'return r.rec.Value(inst)'
 	'return consensus.NoValue, false'
+
+	"a promise that leaves out a decided slot above the prefix"
+	internal/consensus/rsm/proposer.go
+	'if s := r.log.at(inst); s.b != consensus.NoBallot {'
+	'if s := r.log.at(inst); s.b != consensus.NoBallot && !s.decided() {'
 
 	"CheckSafety ignores a per-command disagreement"
 	internal/consensus/consensus.go
