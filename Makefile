@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test loc tables-diff mutants bench-check bench-smoke bench-pairs heap-top cpu-roles sim-gate test-race fuzz-smoke soak recovery-soak telemetry-smoke trace-smoke bench bench-micro tables
+.PHONY: all build vet test loc tables-diff flake-count mutants bench-check bench-smoke bench-pairs heap-top cpu-roles sim-gate test-race fuzz-smoke soak recovery-soak telemetry-smoke trace-smoke bench bench-micro tables
 
 all: vet test
 
@@ -30,23 +30,24 @@ test: bench-check
 loc:
 	bash scripts/loc.sh
 
-# Every experiment table (benchtables -md) on the parent, chosen as for
+# Every experiment table (benchtables) on the parent, chosen as for
 # bench-pairs (make tables-diff BASE=HEAD~1, or PARENT=<dir>), and on this
 # checkout: prints diff -u and fails on any difference. A refactor lands
 # with an empty diff; a behaviour change names the rows it moves.
 tables-diff:
 	bash scripts/tables-diff.sh
 
-# The mutation check of rsm and the safety checker: eleven edits — five
+# The mutation check of rsm and the safety checker: twelve edits — five
 # that each break linearizable reads, two that break the leader's fan-out,
 # one that makes an abdication forget how far each process has applied,
 # one that has a replica serve nothing it has applied from its Recorder,
-# one that has a promise leave out a decided slot above the decided prefix
-# and one that has CheckSafety ignore a per-command disagreement — applied
-# one at a time to a temporary copy of the package each edits, whose tests
-# must fail on every one. It fails when a mutant survives or its edit no
-# longer applies (scripts/mutants.sh). About 110 s; CI's build-test job
-# runs it.
+# one that has a promise leave out a decided slot above the decided prefix,
+# one that has a follower hold a REQ from itself like a peer's instead of
+# submitting it, and one that has CheckSafety ignore a per-command
+# disagreement — applied one at a time to a temporary copy of the package
+# each edits, whose tests must fail on every one. It fails when a mutant
+# survives or its edit no longer applies (scripts/mutants.sh). About 120 s;
+# CI's build-test job runs it.
 mutants:
 	bash scripts/mutants.sh
 
@@ -274,6 +275,16 @@ bench:
 BENCHTIME ?= 1s
 bench-micro:
 	GO=$(GO) BENCHTIME=$(BENCHTIME) bash scripts/bench-micro.sh
+
+# How often a test fails run alone (make flake-count RUN=<regex> N=20
+# [PKG=./internal/transport]; N defaults to 10, as for bench-pairs): the
+# package's test binary built once and run N times, one process each,
+# with a line a run (the first _test.go: line of each failure) and the
+# steal ticks the host gained over the batch (scripts/flake-count.sh).
+# It reports and never fails; CI does not run it.
+PKG ?= ./internal/transport
+flake-count:
+	bash scripts/flake-count.sh '$(RUN)' $(N) $(PKG)
 
 # End-to-end tracing smoke (DESIGN.md §8): a traced chaossoak leader-crash
 # run over TCP, then traceview over its flight-recorder dumps.

@@ -1,6 +1,6 @@
 // Command benchtables regenerates every experiment table and figure
-// (E1–E14) of the reproduction. The output is the source of the numbers
-// recorded in EXPERIMENTS.md.
+// (E1–E14) of the reproduction as markdown sections: the output is the
+// source of the numbers recorded in EXPERIMENTS.md, in its format.
 //
 // Usage:
 //
@@ -34,16 +34,12 @@ func run() error {
 	quick := flag.Bool("quick", false, "run scaled-down sweeps")
 	only := flag.String("only", "", "run a single experiment by id (e.g. E3)")
 	seeds := flag.Int("seeds", 0, "seeds per cell (default 5, quick 2)")
-	md := flag.Bool("md", false, "emit markdown sections (the EXPERIMENTS.md format)")
 	jobs := flag.Int("j", 0, "sweep workers (0 = one per core, 1 = sequential)")
 	flag.Parse()
 
 	opts := experiments.Opts{Quick: *quick, Seeds: *seeds, Workers: *jobs}
 	if *only != "" {
 		return experiments.RunOne(os.Stdout, *only, opts)
-	}
-	if *md {
-		return experiments.RunAllMarkdown(os.Stdout, opts)
 	}
 	return experiments.RunAll(os.Stdout, opts)
 }

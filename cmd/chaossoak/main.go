@@ -473,27 +473,18 @@ func caughtUp(rec *consensus.Recorder, w *durable.WAL, bar int) bool {
 	return ok
 }
 
-// pump keeps injecting client requests at the current leader until each
-// replica in correct has recorded target commands (a restarted replica
-// counts from its restart).
+// pump has a client of the first process in correct submit, once, what
+// the replicas in correct lack of target commands, and waits until each has
+// recorded target (a restarted replica counts from its restart).
 func (s *soak) pump(correct []int, prefix string, target int) error {
-	skip := skipAllBut(len(s.dets), correct)
-	sent := 0
+	at, need := node.ID(correct[0]), 0
+	for _, p := range correct {
+		need = max(need, target-s.logs[p].Recorder().Count())
+	}
+	for i := 0; i < need; i++ {
+		s.c.Inject(at, at, rsm.RequestMsg{V: consensus.Value(fmt.Sprintf("%s-%d", prefix, i))})
+	}
 	return s.waitFor(func() bool {
-		if l := s.leader(skip); outside(l, skip) {
-			from := node.ID(correct[0])
-			if from == l {
-				from = node.ID(correct[1])
-			}
-			req := node.Message(rsm.RequestMsg{V: consensus.Value(fmt.Sprintf("%s-%d", prefix, sent))})
-			// Client-side trace ingress: a sampled request carries its
-			// context from the injection hop onward.
-			if ctx := s.tset.Tracer(int(from)).StartTrace(s.tset.Stamp(), "request"); ctx.Valid() {
-				req = tracing.Wrap{Ctx: ctx, Inner: req}
-			}
-			s.c.Inject(from, l, req)
-			sent++
-		}
 		for _, p := range correct {
 			if s.logs[p].Recorder().Count() < target {
 				return false
@@ -616,16 +607,12 @@ func (s *soak) runRecovery() error {
 	}
 	s.recovered = victim
 
-	// Kill the leader mid-batch: a burst of requests is still in flight
-	// when it dies, so its WAL tail holds accepts that may never have
-	// reached a quorum — recovery must carry them without inventing
-	// decisions.
-	from := node.ID(all[0])
-	if from == victim {
-		from = node.ID(all[1])
-	}
+	// Kill the leader mid-batch: a burst of its clients' requests is still
+	// being proposed when it dies, so its WAL tail holds accepts that may
+	// never have reached a quorum — recovery must carry them without
+	// inventing decisions.
 	for i := 0; i < s.commands; i++ {
-		s.c.Inject(from, victim, rsm.RequestMsg{V: consensus.Value(fmt.Sprintf("burst-%d", i))})
+		s.c.Inject(victim, victim, rsm.RequestMsg{V: consensus.Value(fmt.Sprintf("burst-%d", i))})
 	}
 	survivors, err := s.kill(victim, fmt.Sprintf("killed leader p%v mid-batch", victim))
 	if err != nil {

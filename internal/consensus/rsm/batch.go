@@ -293,8 +293,13 @@ func (r *Node) admit(v consensus.Value) bool {
 	return ok
 }
 
-// onRequest queues a REQ's value as one command, whatever its bytes.
+// onRequest queues a REQ's value as one command, whatever its bytes. A REQ
+// from this replica itself is a client's command entering here: a Submit.
 func (r *Node) onRequest(from node.ID, m RequestMsg) {
+	if from == r.me {
+		r.Submit(m.V)
+		return
+	}
 	if !r.admit(m.V) {
 		return
 	}
@@ -308,9 +313,8 @@ func (r *Node) onRequest(from node.ID, m RequestMsg) {
 	r.enqueue(m.V, r.env.Now(), r.curCtx, from)
 }
 
-// enqueue puts a request's command on the pending queue. A traced request
-// (wrapped by the client or a forwarding replica) hands it its context; the
-// sampling decision stays with the trace originator.
+// enqueue puts a request's command on the pending queue, with the context
+// its forwarder traced it with (the ingress made the sampling decision).
 func (r *Node) enqueue(v consensus.Value, at sim.Time, tctx tracing.Context, from node.ID) {
 	r.bat.add(v, at, tctx, from)
 	r.pumpDue = true
@@ -334,9 +338,9 @@ type heldReq struct {
 // another: a forwarder's view moves a fraction of a link delay before the
 // successor's own, and a request dropped in that window costs its sender
 // a retryTimeout. It waits for the edge that names this replica (adoptHeld)
-// or for retryTimeout (expireHeld), when the sender's re-forward takes over,
-// and is never forwarded onward: two replicas naming each other would
-// bounce it at link speed while they disagree.
+// or for retryTimeout (expireHeld), when the sender, which holds what it
+// forwards, re-forwards it; it is never forwarded onward: two replicas
+// naming each other would bounce it at link speed while they disagree.
 func (r *Node) hold(h heldReq) {
 	if len(r.held) < maxHeld {
 		h.at = r.env.Now()

@@ -495,3 +495,41 @@ func TestMutualNominationDoesNotBounce(t *testing.T) {
 		t.Fatal("a command held for a leadership that never came was queued or proposed")
 	}
 }
+
+// TestSelfAddressedRequestIsASubmit: a REQ that follower p2 is handed from
+// itself — how a live client enters a command (transport.TCPCluster.Inject)
+// — is a Submit there. p2 keeps the command, and forwards it again to the
+// successor of a leader that died with the first forward in flight, so
+// every survivor applies it. Held like a peer's REQ, it would wait at p2 for
+// an Omega edge naming p2, and expire.
+func TestSelfAddressedRequestIsASubmit(t *testing.T) {
+	w, err := node.NewWorld(node.WorldConfig{N: 3, Seed: 1, DefaultLink: network.Timely(ms)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var nodes []*Node
+	for i := 0; i < 3; i++ {
+		det := core.New(core.WithEta(10*ms), core.WithRebuff())
+		nodes = append(nodes, New(det, Config{DriveInterval: 5 * ms}))
+		w.SetAutomaton(node.ID(i), node.Compose(det, nodes[i]))
+	}
+	w.Start()
+	const cmd = consensus.Value("entered at p2")
+	w.Kernel.ScheduleAt(sim.At(500*ms), func() {
+		if !nodes[0].IsLeader() {
+			t.Fatal("p0 does not lead at 500 ms")
+		}
+		p := w.Env(2).(*node.Proc) // a turn of p2's, by hand
+		p.Receive(2, &RequestMsg{V: cmd})
+		p.EndTurn()
+		w.Crash(0)
+	})
+	w.RunFor(2 * time.Second)
+	for _, id := range w.Correct() {
+		applied := false
+		nodes[id].Recorder().Each(func(d consensus.Decision) { applied = applied || d.Value == cmd })
+		if !applied {
+			t.Errorf("p%d never applied the command p2 was handed from itself", id)
+		}
+	}
+}

@@ -23,9 +23,9 @@ const (
 	KindReadReply  = "RSM-READR"    // read answers
 )
 
-// RequestMsg forwards a client command to the leader, boxed from a node.Slab.
-// A client outside the cluster may send it plain; the wire decodes a box,
-// and a replica handles only the box.
+// RequestMsg forwards a client command to the leader, boxed from a node.Slab
+// (a replica handles only the box). One delivered from the receiver itself
+// is a client's Submit.
 type RequestMsg struct{ V consensus.Value }
 
 // PrepareMsg opens a stable ballot covering all instances.
@@ -136,7 +136,7 @@ type LeaseAckMsg struct {
 // [Seq, Seq+Count) against the log (see read.go). Origin is the process
 // the reply goes to; followers forward requests to the believed leader
 // with Origin preserved, so one client hop reaches the serving replica. It
-// is boxed and injected as a REQ is.
+// is boxed as a REQ is.
 type ReadReqMsg struct {
 	Seq    uint64
 	Count  uint32

@@ -81,13 +81,9 @@ type waitingRead struct {
 // The reply arrives through the OnReadReply hook — locally, at the end of
 // the turn, when this replica is the lease-holding leader, otherwise
 // after a forward to the believed leader. Unknown leader or lost messages
-// mean no reply: clients retry with the same sequence numbers.
-//
-// Like Submit, Deliver, and Tick, Read mutates node state and must run
-// on the node's event loop: call it from a hook or while the simulator
-// world is paused. On live transports, client goroutines must not call
-// it directly — inject a ReadReqMsg through the transport instead, as
-// the repository benchmark does (bench/live.go).
+// mean no reply: clients retry with the same sequence numbers. Like
+// Submit, Read runs on the node's event loop; a READ delivered from this
+// replica itself is the same call.
 func (r *Node) Read(seq uint64, count int) {
 	r.onReadReq(r.me, ReadReqMsg{Seq: seq, Count: uint32(max(count, 1)), Origin: r.me})
 	r.settle()

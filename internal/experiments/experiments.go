@@ -11,9 +11,6 @@
 package experiments
 
 import (
-	"fmt"
-	"strings"
-	"text/tabwriter"
 	"time"
 
 	"repro/internal/scenario"
@@ -82,34 +79,13 @@ func build(cfg scenario.Config) *scenario.System {
 	return s
 }
 
-// Table is a rendered experiment result.
+// Table is an experiment result (Markdown renders it).
 type Table struct {
 	ID      string
 	Title   string
 	Note    string
 	Columns []string
 	Rows    [][]string
-}
-
-// Render formats the table for terminals and EXPERIMENTS.md.
-func (t Table) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s — %s\n", t.ID, t.Title)
-	if t.Note != "" {
-		fmt.Fprintf(&b, "  %s\n", t.Note)
-	}
-	w := tabwriter.NewWriter(&b, 2, 0, 2, ' ', 0)
-	fmt.Fprintln(w, "  "+strings.Join(t.Columns, "\t"))
-	underline := make([]string, len(t.Columns))
-	for i, c := range t.Columns {
-		underline[i] = strings.Repeat("-", len(c))
-	}
-	fmt.Fprintln(w, "  "+strings.Join(underline, "\t"))
-	for _, row := range t.Rows {
-		fmt.Fprintln(w, "  "+strings.Join(row, "\t"))
-	}
-	_ = w.Flush()
-	return b.String()
 }
 
 // Series is a figure: one or more named curves over a shared x axis.
@@ -122,46 +98,6 @@ type Series struct {
 	Names  []string
 	X      []float64
 	Y      [][]float64 // indexed [name][x]
-}
-
-// Render formats the series as a column table plus an ASCII sketch of each
-// curve (log-ish bar per point), which is enough to see the shapes the
-// paper predicts.
-func (s Series) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s — %s\n", s.ID, s.Title)
-	if s.Note != "" {
-		fmt.Fprintf(&b, "  %s\n", s.Note)
-	}
-	w := tabwriter.NewWriter(&b, 2, 0, 2, ' ', 0)
-	header := append([]string{s.XLabel}, s.Names...)
-	fmt.Fprintln(w, "  "+strings.Join(header, "\t"))
-	for i, x := range s.X {
-		row := []string{fmt.Sprintf("%g", x)}
-		for _, curve := range s.Y {
-			row = append(row, fmt.Sprintf("%.1f", curve[i]))
-		}
-		fmt.Fprintln(w, "  "+strings.Join(row, "\t"))
-	}
-	_ = w.Flush()
-	// Sketch: scale each curve to its own max.
-	for ci, name := range s.Names {
-		max := 0.0
-		for _, v := range s.Y[ci] {
-			if v > max {
-				max = v
-			}
-		}
-		if max == 0 {
-			max = 1
-		}
-		fmt.Fprintf(&b, "  %s: ", name)
-		for _, v := range s.Y[ci] {
-			b.WriteByte(" .:-=+*#%@"[int(v/max*9+0.5)])
-		}
-		fmt.Fprintf(&b, "  (max %.1f %s)\n", max, s.YLabel)
-	}
-	return b.String()
 }
 
 // etaT converts a count of η periods into a sim.Time instant.

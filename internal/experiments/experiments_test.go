@@ -51,8 +51,8 @@ func TestE2SeriesDecays(t *testing.T) {
 	if coreTail*5 > allTail {
 		t.Fatalf("core tail %v not ≪ alltoall tail %v", coreTail, allTail)
 	}
-	if out := s.Render(); !strings.Contains(out, "E2") {
-		t.Fatal("render missing id")
+	if out := s.Markdown(); !strings.Contains(out, "## E2") {
+		t.Fatal("markdown missing id")
 	}
 }
 
@@ -139,16 +139,13 @@ func TestE9AblationsBreakTheRightThing(t *testing.T) {
 
 func TestTableAndSeriesRender(t *testing.T) {
 	tab := Table{ID: "X", Title: "t", Note: "n", Columns: []string{"a", "b"}, Rows: [][]string{{"1", "2"}}}
-	out := tab.Render()
-	for _, want := range []string{"X", "t", "n", "a", "b", "1", "2"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("render %q missing %q", out, want)
-		}
+	if out, want := tab.Markdown(), "## X — t\n\nn\n\n| a | b |\n| --- | --- |\n| 1 | 2 |\n"; out != want {
+		t.Fatalf("table renders %q, want %q", out, want)
 	}
 	s := Series{ID: "Y", Title: "curve", XLabel: "x", YLabel: "y",
 		Names: []string{"c"}, X: []float64{0, 1}, Y: [][]float64{{1, 2}}}
-	if out := s.Render(); !strings.Contains(out, "curve") {
-		t.Fatalf("series render: %q", out)
+	if out, want := s.Markdown(), "## Y — curve\n\n| x | c |\n| --- | --- |\n| 0 | 1.0 |\n| 1 | 2.0 |\n"; out != want {
+		t.Fatalf("series renders %q, want %q", out, want)
 	}
 }
 
@@ -161,8 +158,8 @@ func TestSuiteAndRunOne(t *testing.T) {
 	if err := RunOne(&b, "E5", quick); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(b.String(), "E5") {
-		t.Fatal("RunOne output missing E5")
+	if !strings.HasPrefix(b.String(), "## E5 — ") {
+		t.Fatalf("RunOne output is not E5's markdown section: %.40q", b.String())
 	}
 	if err := RunOne(&b, "E99", quick); err == nil {
 		t.Fatal("unknown experiment accepted")

@@ -58,13 +58,3 @@ func writeMarkdownRow(b *strings.Builder, cells []string) {
 	}
 	b.WriteString("\n")
 }
-
-// Markdowner is implemented by both Table and Series.
-type Markdowner interface {
-	Markdown() string
-}
-
-var (
-	_ Markdowner = Table{}
-	_ Markdowner = Series{}
-)

@@ -39,7 +39,7 @@ func TestRunAllMarkdownQuick(t *testing.T) {
 		t.Skip("runs the whole quick suite")
 	}
 	var b strings.Builder
-	if err := RunAllMarkdown(&b, Opts{Quick: true, Seeds: 1}); err != nil {
+	if err := RunAll(&b, Opts{Quick: true, Seeds: 1}); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()

@@ -18,13 +18,13 @@ func TestRunAllMarkdownWorkerDeterminism(t *testing.T) {
 
 	var seq bytes.Buffer
 	o.Workers = 1
-	if err := RunAllMarkdown(&seq, o); err != nil {
+	if err := RunAll(&seq, o); err != nil {
 		t.Fatalf("sequential run: %v", err)
 	}
 
 	var par bytes.Buffer
 	o.Workers = 4
-	if err := RunAllMarkdown(&par, o); err != nil {
+	if err := RunAll(&par, o); err != nil {
 		t.Fatalf("parallel run: %v", err)
 	}
 

@@ -19,7 +19,9 @@ import (
 // pingMsg returns a small registered wire message for hand-driven sends.
 func pingMsg() node.Message { return core.LeaderMsg{Epoch: 1} }
 
-// bigMsg returns a frame-filling registered message of roughly size bytes.
+// bigMsg returns a frame-filling registered message of roughly size bytes:
+// a REQ that no replica sent, forged for link tests between automatons
+// that run no protocol.
 func bigMsg(size int) node.Message {
 	return rsm.RequestMsg{V: consensus.Value(strings.Repeat("x", size))}
 }
@@ -169,10 +171,34 @@ func TestTCPInjectedDropsAreAccounted(t *testing.T) {
 	}
 }
 
+// TestSelfInjectIsNoMessage: Inject(0, 0, m), a client entering m at p0,
+// hands p0 the box the wire would decode though every link is down, and no
+// message is counted as sent or dropped. After Stop it is dropped unseen.
+func TestSelfInjectIsNoMessage(t *testing.T) {
+	rec := &turnLog{}
+	inj := mustInjector(t, 2, 1, faultline.Plan{Default: network.Down()})
+	c, err := NewTCPCluster(Config{N: 2, Seed: 1, Quiet: true, Fault: inj}, []node.Automaton{rec, idleAutomaton{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Start()
+	c.Inject(0, 0, rsm.RequestMsg{V: "cmd"})
+	waitFor(t, 5*time.Second, func() bool { _, msgs := rec.snapshot(); return len(msgs) == 1 }, "the command at p0")
+	c.Stop()
+	c.Inject(0, 0, rsm.RequestMsg{V: "after Stop"})
+	if _, msgs := rec.snapshot(); !reflect.DeepEqual(msgs, []node.Message{&rsm.RequestMsg{V: "cmd"}}) {
+		t.Fatalf("p0 was handed %#v, want the one command, boxed", msgs)
+	}
+	if st := c.Stats(); st.TotalSent() != 0 || st.Dropped() != 0 {
+		t.Fatalf("%d sent and %d dropped: a client's command counted as a message", st.TotalSent(), st.Dropped())
+	}
+}
+
 // TestOversizedMessageIsADrop: a message the codec will not frame — a REQ
 // whose value alone is over wire.MaxFrame — is lost on its link like any
 // other, one counted drop, and the message sent behind it on the same link
-// arrives over the same connection. TCP used to cut the connection, with
+// arrives over the same connection. Both REQs are forged traffic between
+// automatons that run no protocol. TCP used to cut the connection, with
 // whatever was batched behind it, and count nothing.
 func TestOversizedMessageIsADrop(t *testing.T) {
 	rec := &turnLog{}
@@ -203,9 +229,9 @@ func TestOversizedMessageIsADrop(t *testing.T) {
 	}
 }
 
-// TestLargeCommandsDoNotWedgeTheLog: sixteen 100 KB commands reach the
-// leader in one burst, each a frame well under wire.MaxFrame, and together
-// more than one. A batch closes at rsm.MaxValue bytes, so every ACCEPT is a
+// TestLargeCommandsDoNotWedgeTheLog: sixteen 100 KB commands enter at p1
+// in one burst, each a frame well under wire.MaxFrame, and together more
+// than one. A batch closes at rsm.MaxValue bytes, so every ACCEPT is a
 // frame the codec takes, the burst takes two instances, and the command
 // sent after it applies everywhere.
 func TestLargeCommandsDoNotWedgeTheLog(t *testing.T) {
@@ -237,20 +263,13 @@ func TestLargeCommandsDoNotWedgeTheLog(t *testing.T) {
 			return true
 		}
 	}
-	var leader node.ID
-	waitFor(t, 10*time.Second, func() bool {
-		l, ok := agreement(dets, nil)
-		if ok {
-			leader = l
-			c.Inject((l+1)%n, l, rsm.RequestMsg{V: "boot"})
-		}
-		return ok && everywhere("boot")()
-	}, "a leader with a command applied")
+	c.Inject(1, 1, rsm.RequestMsg{V: "boot"})
+	waitFor(t, 10*time.Second, everywhere("boot"), "a leader with a command applied")
 	big := strings.Repeat("b", 100<<10)
 	for i := 0; i < 16; i++ {
-		c.Inject((leader+1)%n, leader, rsm.RequestMsg{V: consensus.Value(string(rune('a'+i)) + big)})
+		c.Inject(1, 1, rsm.RequestMsg{V: consensus.Value(string(rune('a'+i)) + big)})
 	}
-	c.Inject((leader+1)%n, leader, rsm.RequestMsg{V: "after"})
+	c.Inject(1, 1, rsm.RequestMsg{V: "after"})
 	waitFor(t, 5*time.Second, everywhere("after"), "the command sent behind sixteen 100 KB commands")
 }
 

@@ -67,12 +67,13 @@ func TestTCPLeaseCrashSafety(t *testing.T) {
 		return true
 	}, "leader 0 stabilization")
 
-	// Writes through the lease-holding leader; grants ride the accepts.
-	// Deciding 5 instances also proves leader 0's ballot is prepared.
+	// Writes through the lease-holding leader, from a client of p1; grants
+	// ride the accepts. Deciding 5 instances also proves leader 0's ballot
+	// is prepared.
+	for i := 0; i < 5; i++ {
+		c.Inject(1, 1, rsm.RequestMsg{V: consensus.Value(fmt.Sprintf("pre-iso-%d", i))})
+	}
 	waitFor(t, 10*time.Second, func() bool {
-		for i := 0; i < 5; i++ {
-			c.Inject(1, 0, rsm.RequestMsg{V: consensus.Value(fmt.Sprintf("pre-iso-%d", i))})
-		}
 		for _, l := range logs {
 			if l.Recorder().Count() < 5 {
 				return false
@@ -88,8 +89,8 @@ func TestTCPLeaseCrashSafety(t *testing.T) {
 
 	// The survivors must elect a successor, wait out the lease, prepare,
 	// and decide a fresh write. The probe value is distinguishable from
-	// every pre-isolation command and is only ever injected toward the
-	// successor, so seeing it decided proves a post-isolation leader
+	// every pre-isolation command and enters at p1, on the survivors' side
+	// of the cut, so seeing it decided proves a post-isolation leader
 	// completed phase 1 and phase 2 — in-flight decides from the old
 	// leader cannot fake it.
 	decided := func(l *rsm.Node) bool {
@@ -100,16 +101,8 @@ func TestTCPLeaseCrashSafety(t *testing.T) {
 		}
 		return false
 	}
+	c.Inject(1, 1, rsm.RequestMsg{V: consensus.Value("post-iso")})
 	waitFor(t, 20*time.Second, func() bool {
-		l := dets[1].History().Current()
-		if l == node.None || l == 0 {
-			return false
-		}
-		from := node.ID(1)
-		if l == 1 {
-			from = 2
-		}
-		c.Inject(from, l, rsm.RequestMsg{V: consensus.Value("post-iso")})
 		return decided(logs[1]) && decided(logs[2])
 	}, "successor decides a write after isolation")
 
@@ -125,7 +118,7 @@ func TestTCPLeaseCrashSafety(t *testing.T) {
 	// and no round of grants is confirmed without a quorum.
 	armed.Store(true)
 	for i := 0; i < 30; i++ {
-		c.stations[0].mbox.Push(event{from: 0, msg: &rsm.ReadReqMsg{Seq: uint64(1000 + i), Count: 1, Origin: 0}})
+		c.Inject(0, 0, rsm.ReadReqMsg{Seq: uint64(1000 + i), Count: 1, Origin: 0})
 		time.Sleep(10 * time.Millisecond)
 	}
 	if got := staleLocal.Load(); got != 0 {
@@ -160,14 +153,12 @@ func leaseTCP(t *testing.T, onApply func(), onReply func(rsm.ReadReplyMsg)) *TCP
 	}
 	c.Start()
 	t.Cleanup(c.Stop)
+	c.Inject(1, 1, rsm.RequestMsg{V: "boot"})
 	waitFor(t, 10*time.Second, func() bool {
 		for _, d := range dets {
 			if d.History().Current() != 0 {
 				return false
 			}
-		}
-		if applied.Load() == 0 {
-			c.Inject(1, 0, rsm.RequestMsg{V: "boot"})
 		}
 		return applied.Load() > 0 && logs[0].LeaseHeld()
 	}, "leader 0 with a lease and a write applied at the ingress")
@@ -185,9 +176,11 @@ func TestTCPReadReqWithForeignOriginIsDropped(t *testing.T) {
 			answered.Add(1)
 		}
 	})
+	// Forged traffic: a READ on the p1→p0 link that no replica sent.
 	c.Inject(1, 0, rsm.ReadReqMsg{Seq: 1, Count: 1, Origin: 7})
 	waitFor(t, 10*time.Second, func() bool {
-		c.Inject(1, 0, rsm.ReadReqMsg{Seq: 2, Count: 1, Origin: 1})
+		// A read is not retried by its ingress: the client asks again.
+		c.Inject(1, 1, rsm.ReadReqMsg{Seq: 2, Count: 1, Origin: 1})
 		return answered.Load() > 0
 	}, "a read after the hostile one")
 }
@@ -230,7 +223,7 @@ func TestTCPSharedRepliesNeverGoBack(t *testing.T) {
 			case <-stop:
 				return
 			case <-time.After(200 * time.Microsecond):
-				c.Inject(1, 0, rsm.RequestMsg{V: consensus.Value(fmt.Sprint("w", i))})
+				c.Inject(1, 1, rsm.RequestMsg{V: consensus.Value(fmt.Sprint("w", i))})
 			}
 		}
 	}()
@@ -244,7 +237,7 @@ func TestTCPSharedRepliesNeverGoBack(t *testing.T) {
 				left[who].Store(burst)
 				for seq := first; seq < first+burst; seq++ {
 					need[seq].Store(acked.Load())
-					c.Inject(1, 0, rsm.ReadReqMsg{Seq: uint64(seq), Count: 1, Origin: 1})
+					c.Inject(1, 1, rsm.ReadReqMsg{Seq: uint64(seq), Count: 1, Origin: 1})
 				}
 				select {
 				case <-done[who]:

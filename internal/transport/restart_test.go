@@ -159,7 +159,7 @@ func TestRestartedReplicaRejoinsAndCatchesUp(t *testing.T) {
 		dead = int(l)
 		return ok
 	}, "initial agreement")
-	pumpCommands(t, c, dets, logs, []int{0, 1, 2}, "pre", 3, bound)
+	pumpCommands(t, c, logs, []int{0, 1, 2}, "pre", 3, bound)
 
 	// kill -9 the leader; the survivors re-elect and keep deciding the
 	// entries the dead replica will have to recover later.
@@ -169,7 +169,7 @@ func TestRestartedReplicaRejoinsAndCatchesUp(t *testing.T) {
 		l, ok := agreement(dets, map[int]bool{dead: true})
 		return ok && int(l) != dead
 	}, "re-election after leader crash")
-	pumpCommands(t, c, dets, logs, survivors, "mid", 6, bound)
+	pumpCommands(t, c, logs, survivors, "mid", 6, bound)
 
 	// Restart it from its WAL directory: a fresh automaton over a fresh
 	// durable.Open of the same state the dead incarnation persisted.
@@ -188,7 +188,7 @@ func TestRestartedReplicaRejoinsAndCatchesUp(t *testing.T) {
 	waitFor(t, bound, func() bool { return logs[dead].Recorder().Count() >= 6 }, "restarted replica catch-up")
 
 	// And it participates in new consensus rounds like any correct node.
-	pumpCommands(t, c, dets, logs, []int{0, 1, 2}, "post", 8, bound)
+	pumpCommands(t, c, logs, []int{0, 1, 2}, "post", 8, bound)
 
 	recs := make([]*consensus.Recorder, n)
 	for i, l := range logs {

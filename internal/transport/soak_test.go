@@ -2,6 +2,7 @@ package transport
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -30,22 +31,19 @@ func soakReplicas(n int) ([]node.Automaton, []*core.Detector, []*rsm.Node) {
 	return autos, dets, logs
 }
 
-// pumpCommands keeps injecting client requests at the current leader until
-// every correct replica's decision log reaches target instances.
-func pumpCommands(t *testing.T, c *TCPCluster, dets []*core.Detector, logs []*rsm.Node, correct []int, prefix string, target int, bound time.Duration) {
+// pumpCommands has a client of the first correct replica submit, once,
+// what the correct replicas lack of target commands, and waits until each
+// has decided that many.
+func pumpCommands(t *testing.T, c *TCPCluster, logs []*rsm.Node, correct []int, prefix string, target int, bound time.Duration) {
 	t.Helper()
-	i := 0
+	at, need := node.ID(correct[0]), 0
+	for _, p := range correct {
+		need = max(need, target-logs[p].Recorder().Count())
+	}
+	for i := 0; i < need; i++ {
+		c.Inject(at, at, rsm.RequestMsg{V: consensus.Value(fmt.Sprintf("%s-%d", prefix, i))})
+	}
 	waitFor(t, bound, func() bool {
-		if l, ok := agreement(dets, skipAllBut(len(dets), correct)); ok {
-			// Forward from a correct non-leader, like a real client
-			// re-sending through any reachable replica.
-			from := node.ID(correct[0])
-			if from == l {
-				from = node.ID(correct[1])
-			}
-			c.Inject(from, l, rsm.RequestMsg{V: consensus.Value(fmt.Sprintf("%s-%d", prefix, i))})
-			i++
-		}
 		for _, p := range correct {
 			if logs[p].Recorder().Count() < target {
 				return false
@@ -66,6 +64,71 @@ func skipAllBut(n int, keep []int) map[int]bool {
 		skip[p] = false
 	}
 	return skip
+}
+
+// TestTCPClientCommandsSurviveALeaderCrash: clients of the two followers
+// of three enter distinct commands, each at its own replica
+// (Inject(i, i, …)), and the leader is crashed mid-stream. A follower keeps
+// what entered at it and forwards it again to the successor, so every
+// command is applied at both survivors; at least once, so a duplicate
+// counts once.
+func TestTCPClientCommandsSurviveALeaderCrash(t *testing.T) {
+	const n, perClient = 3, 200
+	autos, dets, logs := soakReplicas(n)
+	c, err := NewTCPCluster(Config{N: n, Seed: 21, Quiet: true}, autos)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Start()
+	defer c.Stop()
+	var leader node.ID
+	waitFor(t, 10*time.Second, func() bool {
+		l, ok := agreement(dets, nil)
+		leader = l
+		return ok
+	}, "initial agreement")
+	var followers []node.ID
+	var clients sync.WaitGroup
+	for f := node.ID(0); f < n; f++ {
+		if f == leader {
+			continue
+		}
+		followers = append(followers, f)
+		clients.Add(1)
+		go func() {
+			defer clients.Done()
+			for i := 0; i < perClient; i++ {
+				c.Inject(f, f, rsm.RequestMsg{V: consensus.Value(fmt.Sprintf("p%d-%d", f, i))})
+				time.Sleep(500 * time.Microsecond)
+			}
+		}()
+	}
+	time.Sleep(50 * time.Millisecond)
+	c.Crash(leader)
+	clients.Wait()
+	// missing lists the commands survivor p has not applied.
+	missing := func(p node.ID) []string {
+		applied := map[consensus.Value]bool{}
+		logs[p].Recorder().Each(func(d consensus.Decision) { applied[d.Value] = true })
+		var lost []string
+		for _, f := range followers {
+			for i := 0; i < perClient; i++ {
+				if v := fmt.Sprintf("p%d-%d", f, i); !applied[consensus.Value(v)] {
+					lost = append(lost, v)
+				}
+			}
+		}
+		return lost
+	}
+	deadline := time.Now().Add(20 * time.Second)
+	for _, p := range followers {
+		for lost := missing(p); len(lost) > 0; lost = missing(p) {
+			if time.Now().After(deadline) {
+				t.Fatalf("p%d never applied %d of the %d commands (p%d crashed): %.5q", p, len(lost), 2*perClient, leader, lost)
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+	}
 }
 
 // TestChaosSoakTCP drives a live TCP cluster through the scripted fault
@@ -101,7 +164,7 @@ func TestChaosSoakTCP(t *testing.T) {
 		dead = l
 		return ok
 	}, "initial agreement")
-	pumpCommands(t, c, dets, logs, []int{0, 1, 2, 3, 4}, "pre", commands, bound)
+	pumpCommands(t, c, logs, []int{0, 1, 2, 3, 4}, "pre", commands, bound)
 
 	// Phase 1: crash the leader; the survivors must re-elect.
 	c.Crash(dead)
@@ -128,7 +191,7 @@ func TestChaosSoakTCP(t *testing.T) {
 		l, ok := agreement(dets, skipAllBut(n, majority))
 		return ok && l != dead && l != cut
 	}, "majority agreement during partition")
-	pumpCommands(t, c, dets, logs, majority, "cut", commands+1, bound)
+	pumpCommands(t, c, logs, majority, "cut", commands+1, bound)
 
 	// Phase 3: heal. Every correct process must converge on one leader.
 	inj.Heal()
@@ -139,7 +202,7 @@ func TestChaosSoakTCP(t *testing.T) {
 	}, "convergence after heal")
 
 	// Phase 4: consensus keeps making progress with the whole quorum.
-	pumpCommands(t, c, dets, logs, correct, "post", commands+2, bound)
+	pumpCommands(t, c, logs, correct, "post", commands+2, bound)
 
 	// Safety holds across everyone — crashed and once-partitioned
 	// replicas included: no instance ever decided two values.

@@ -446,11 +446,25 @@ func (f *frames) next(wait bool) ([]byte, error) {
 }
 
 // Inject hands m to the cluster's send path as if process from had sent
-// it to process to, over the from→to link's sender — the entry point for
-// external clients (tests, the chaossoak runner). Safe to call from any
-// goroutine.
+// it to process to, over the from→to link's sender. Inject(i, i, m) is how
+// a client enters a REQ or a READ at process i: no message, so nothing
+// observes, counts or faults it; m round-trips the codec, for the box the
+// wire would give, into i's mailbox as a delivery from i — dropped after
+// Stop and while i is down. Safe to call from any goroutine.
 func (c *TCPCluster) Inject(from, to nodepkg.ID, m nodepkg.Message) {
-	(*tcpHost)(c).Transmit(from, to, m)
+	if from != to {
+		(*tcpHost)(c).Transmit(from, to, m)
+		return
+	}
+	b, err := codec.Marshal(m)
+	if err == nil {
+		m, err = codec.Unmarshal(b)
+	}
+	if err != nil {
+		unframable(m, err)
+		return
+	}
+	c.stations[to].mbox.Push(event{from: from, msg: m})
 }
 
 // Stop closes all sockets and waits for every goroutine.

@@ -327,11 +327,9 @@ func TestTCPCrashedFollowerCostsAProbe(t *testing.T) {
 	}
 	c.Start()
 	defer c.Stop()
+	c.Inject(1, 1, rsm.RequestMsg{V: "boot"}) // a client of p1, as below
 	booted := func() bool {
 		l, ok := agreement(dets, nil)
-		if ok && l == 0 && applied.Load() == 0 {
-			c.Inject(1, 0, rsm.RequestMsg{V: "boot"})
-		}
 		return ok && l == 0 && applied.Load() > 0
 	}
 	for deadline := time.Now().Add(10 * time.Second); !booted(); time.Sleep(time.Millisecond) {
@@ -357,7 +355,7 @@ func TestTCPCrashedFollowerCostsAProbe(t *testing.T) {
 			case <-stop:
 				return
 			case <-tick.C:
-				c.Inject(1, 0, rsm.RequestMsg{V: consensus.Value(fmt.Sprintf("w%d", i))})
+				c.Inject(1, 1, rsm.RequestMsg{V: consensus.Value(fmt.Sprintf("w%d", i))})
 			}
 		}
 	}()

@@ -153,14 +153,12 @@ func TestMemClusterReplicatedLog(t *testing.T) {
 		l := dets[0].History().Current()
 		return l == 0 && dets[1].History().Current() == 0 && dets[2].History().Current() == 0
 	}, "leader stabilization")
-	// Submit is not goroutine-safe, so push commands through the
-	// leader's Deliver path with request messages. A request that
-	// arrives before the leader's ballot is prepared is dropped (real
-	// clients re-forward), so keep sending until the log grows.
+	// A client of p1: each command is a Submit there, which p1 forwards
+	// to the leader until it sees it applied. Sent once.
+	for i := 0; i < 5; i++ {
+		c.Inject(1, 1, rsm.RequestMsg{V: consensus.Value(fmt.Sprintf("cmd%d", i))})
+	}
 	waitFor(t, 10*time.Second, func() bool {
-		for i := 0; i < 5; i++ {
-			c.Inject(1, 0, rsm.RequestMsg{V: consensus.Value(fmt.Sprintf("cmd%d", i))})
-		}
 		for _, l := range logs {
 			if l.Recorder().Count() < 5 {
 				return false

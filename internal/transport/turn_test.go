@@ -339,7 +339,8 @@ func TestOneWriteIsOneTurn(t *testing.T) {
 }
 
 // TestFrameLargerThanReadBuffer: a frame the read buffer cannot hold takes
-// the copying path and comes out whole, in order with its neighbours.
+// the copying path and comes out whole, in order with its neighbours. The
+// big frame is a forged REQ between automatons that run no protocol.
 func TestFrameLargerThanReadBuffer(t *testing.T) {
 	rec := &turnLog{}
 	c, err := NewTCPCluster(Config{N: 2, Seed: 42, Quiet: true}, []node.Automaton{&turnLog{}, rec})
@@ -385,10 +386,10 @@ func (a *acceptedTap) Deliver(from node.ID, m node.Message) {
 // writes, and every vote the leader ever heard from it must be in what
 // its WAL directory recovers — the ACCEPTED left only after the turn's
 // flush. Then it is restarted from that directory and the drill repeats.
-// The client writes to whichever replica the detectors agree leads, and the
-// tap that hears the victim's votes sits at every replica: an early false
-// suspicion may move Omega off p0. Between p0 and p1 replies take 3 ms, so
-// the leader of the two names the victim to reply for the pair (rsm's
+// The clients write through p0 and p1 by turns, and the tap that hears the
+// victim's votes sits at every replica: an early false suspicion may move
+// Omega off p0. Between p0 and p1 replies take 3 ms, so the leader of the
+// two names the victim to reply for the pair (rsm's
 // pipeline.named): it hears every vote the victim casts, not one a
 // retryTimeout. The victim is killed only while it does not lead.
 func TestSentVoteIsRecovered(t *testing.T) {
@@ -422,14 +423,10 @@ func TestSentVoteIsRecovered(t *testing.T) {
 	}
 	c.Start()
 	defer c.Stop()
-	// leader is the replica the detectors last agreed leads, never the
-	// victim; agreed waits for such an agreement and notes it.
-	var leader atomic.Int32
+	// agreed reports whether the detectors agree on a leader other than the
+	// victim.
 	agreed := func() bool {
 		l, ok := agreement(dets, nil)
-		if ok && l != victim {
-			leader.Store(int32(l))
-		}
 		return ok && l != victim
 	}
 	waitFor(t, 20*time.Second, agreed, "initial agreement on a leader other than the victim")
@@ -437,7 +434,7 @@ func TestSentVoteIsRecovered(t *testing.T) {
 	stop := make(chan struct{})
 	var clients sync.WaitGroup
 	clients.Add(1)
-	go func() { // a client at the replica that is neither leader nor victim
+	go func() { // clients of p0 and p1, by turns: never the victim
 		defer clients.Done()
 		for i := 0; ; i++ {
 			select {
@@ -445,9 +442,9 @@ func TestSentVoteIsRecovered(t *testing.T) {
 				return
 			default:
 			}
-			l := node.ID(leader.Load())
+			at := node.ID(i % 2)
 			for k := 0; k < 5; k++ {
-				c.Inject(3-victim-l, l, rsm.RequestMsg{V: consensus.Value(fmt.Sprint("cmd-", i, "-", k))})
+				c.Inject(at, at, rsm.RequestMsg{V: consensus.Value(fmt.Sprint("cmd-", i, "-", k))})
 			}
 			time.Sleep(300 * time.Microsecond)
 		}
@@ -458,7 +455,7 @@ func TestSentVoteIsRecovered(t *testing.T) {
 	for round := 0; round < 4; round++ {
 		heard := func() int { tap.mu.Lock(); defer tap.mu.Unlock(); return len(tap.seen) }
 		before := heard()
-		waitFor(t, 20*time.Second, func() bool { agreed(); return heard() >= before+50 }, "votes from the victim")
+		waitFor(t, 20*time.Second, func() bool { return heard() >= before+50 }, "votes from the victim")
 		waitFor(t, 20*time.Second, agreed, "a leader other than the victim")
 		time.Sleep(time.Duration(round) * 137 * time.Microsecond) // land the kill at different points of a turn
 		c.Crash(victim)
@@ -514,8 +511,8 @@ func TestTCPWildInstanceIsDropped(t *testing.T) {
 	write := func(v consensus.Value) {
 		t.Helper()
 		want := logs[1].Recorder().Count() + 1
+		c.Inject(2, 2, rsm.RequestMsg{V: v})
 		waitFor(t, 10*time.Second, func() bool {
-			c.Inject(2, 0, rsm.RequestMsg{V: v})
 			return logs[1].Recorder().Count() >= want
 		}, fmt.Sprintf("%q applied at the follower", v))
 	}
@@ -527,6 +524,7 @@ func TestTCPWildInstanceIsDropped(t *testing.T) {
 		b = tap.seen[0]
 		return b != consensus.NoBallot
 	}, "the follower's first vote at the leader")
+	// Forged traffic: p0 never sent these.
 	c.Inject(0, 1, &rsm.AcceptMsg{B: b, Inst: wild, V: "far"})
 	c.Inject(0, 1, &rsm.DecideMsg{Inst: wild, V: "far"})
 	write("after")

@@ -67,9 +67,8 @@ func reg[M node.Message](c *Codec, code byte, enc func(*Encoder, M), dec func(*D
 }
 
 // regBoxed registers a kind that a replica sends boxed, *M, and that a
-// client outside the cluster may inject as a plain M (the benchmark and
-// chaossoak build REQ and READ values): both forms encode alike, and a frame
-// always decodes into a box (slot).
+// client builds as a plain M (a REQ or a READ it enters at a replica):
+// both forms encode alike, and a frame always decodes into a box (slot).
 func regBoxed[M node.Message, P interface {
 	*M
 	node.Message

@@ -5,8 +5,9 @@
 # what the leader keeps of them across an abdication (lease.go:
 # abdicateLeader), the catch-up it serves from its Recorder (log.go:
 # decision) or what a promise reports of a decided slot above the decided
-# prefix (proposer.go: promiseEntries), or, to internal/consensus, the
-# safety checker's agreement per command slot (consensus.go: CheckSafety).
+# prefix (proposer.go: promiseEntries), or how a client's command enters a
+# follower (batch.go: onRequest), or, to internal/consensus, the safety
+# checker's agreement per command slot (consensus.go: CheckSafety).
 # The script copies the package of the file a mutant edits to a temporary
 # directory, applies the mutant there, runs that package's tests against
 # the copy (go test -overlay puts the copied files in place of the
@@ -78,6 +79,13 @@ mutants=(
 	internal/consensus/rsm/proposer.go
 	'if s := r.log.at(inst); s.b != consensus.NoBallot {'
 	'if s := r.log.at(inst); s.b != consensus.NoBallot && !s.decided() {'
+
+	"a self-addressed REQ held like a peer's"
+	internal/consensus/rsm/batch.go
+	'if from == r.me {
+		r.Submit(m.V)'
+	'if false {
+		r.Submit(m.V)'
 
 	"CheckSafety ignores a per-command disagreement"
 	internal/consensus/consensus.go
