@@ -286,17 +286,21 @@ PKG ?= ./internal/transport
 flake-count:
 	bash scripts/flake-count.sh '$(RUN)' $(N) $(PKG)
 
-# End-to-end tracing smoke (DESIGN.md §8): a traced chaossoak leader-crash
-# run over TCP, then traceview over its flight-recorder dumps.
-# -require-request gates on at least one complete
+# End-to-end tracing smoke (DESIGN.md §8), one leg per runtime, each read
+# back by traceview on the same path: a traced chaossoak leader-crash run
+# over TCP, then a simulated omegasim run whose leader p0 crashes at
+# 300 ms. -require-request gates on at least one complete
 # request→queue→quorum→apply chain; -require-election gates on a captured
 # leader election.
 trace-smoke:
 	$(GO) build -o /tmp/chaossoak-trace ./cmd/chaossoak
+	$(GO) build -o /tmp/omegasim-trace ./cmd/omegasim
 	$(GO) build -o /tmp/traceview-smoke ./cmd/traceview
 	rm -rf /tmp/trace-smoke && mkdir -p /tmp/trace-smoke
 	/tmp/chaossoak-trace -plan crash -trace-dir /tmp/trace-smoke/soak
 	/tmp/traceview-smoke -require-request -require-election -chrome /tmp/trace-smoke/soak.chrome.json /tmp/trace-smoke/soak
+	/tmp/omegasim-trace -crash 0@300ms -trace-dir /tmp/trace-smoke/sim
+	/tmp/traceview-smoke -require-election /tmp/trace-smoke/sim
 
 # Regenerate EXPERIMENTS.md-style tables at full size.
 tables:

@@ -173,12 +173,12 @@ func run(args []string) (err error) {
 		return err
 	}
 	s.c = c
-	// Anchor trace timestamps to the cluster clock's zero (set at
-	// construction just above) so span offsets and telemetry wall times
-	// merge on the same axis.
-	s.tset.SetWallStart(time.Now())
-	tail.SetWallStart(time.Now())
-	tel.AttachStats(c.Stats())
+	// One clock for the run: the trace sets are anchored at the cluster
+	// clock's zero, so spans, marks, WAL stamps and gauges all read it.
+	zero := time.Now().Add(-time.Duration(c.Now()))
+	s.tset.SetWallStart(zero)
+	tail.SetWallStart(zero)
+	tel.AttachStats(c.Stats(), c.Now)
 	for i := range s.logs {
 		s.attach(node.ID(i))
 	}

@@ -90,10 +90,7 @@ func run(args []string) error {
 	var sys *scenario.System
 	var tel *telemetry.Collector
 	if *metrics != "" {
-		// The collector reads the simulator's virtual clock; after the
-		// run it freezes at the horizon, so scraped gauges describe the
-		// run's final instant.
-		tel = telemetry.New(*n, telemetry.WithClock(func() sim.Time { return sys.World.Kernel.Now() }))
+		tel = telemetry.New(*n)
 	}
 	var tset *tracing.Set
 	if *traceDir != "" {
@@ -111,7 +108,10 @@ func run(args []string) error {
 		return err
 	}
 	if tel != nil {
-		tel.AttachStats(sys.World.Stats)
+		// The collector reads the simulator's virtual clock; after the
+		// run it freezes at the horizon, so scraped gauges describe the
+		// run's final instant.
+		tel.AttachStats(sys.World.Stats, sys.World.Kernel.Now)
 	}
 	for i, om := range sys.Omegas {
 		telemetry.Attach(cfg.Observer, tel, telemetry.Process{ID: node.ID(i), History: om.History()})

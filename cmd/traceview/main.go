@@ -1,14 +1,15 @@
-// Command traceview merges flight-recorder dumps (written by chaossoak or
-// omegasim under -trace-dir) into one causally ordered
+// Command traceview merges the flight-recorder dumps of one run (written
+// by chaossoak or omegasim under -trace-dir) into one causally ordered
 // timeline: request latency percentiles with a per-stage breakdown
 // (queue / quorum / wire / apply), the reconstructed leader-election
 // downtime intervals, the slowest request's span tree, and optionally
-// the whole merge as Chrome trace_event JSON.
+// the whole merge as Chrome trace_event JSON. Dumps of two runs are
+// refused.
 //
 // Usage examples:
 //
 //	traceview /tmp/dumps                       # summary + slowest request
-//	traceview -top 3 runA/ runB/               # merge two runs
+//	traceview -top 3 /tmp/dumps                # the three slowest requests
 //	traceview -chrome out.json /tmp/dumps      # open in chrome://tracing
 //	traceview -require-request -require-election /tmp/dumps   # CI gate
 package main

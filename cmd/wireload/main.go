@@ -93,7 +93,7 @@ func run(args []string, out *os.File) error {
 	if err != nil {
 		return err
 	}
-	tel.AttachStats(c.Stats())
+	tel.AttachStats(c.Stats(), c.Now)
 	if *metricsAddr != "" {
 		srv, err := telemetry.Serve(*metricsAddr, tel)
 		if err != nil {

@@ -33,8 +33,6 @@ func (AliveMsg) KindID() obs.Kind { return kindAliveID }
 
 const timerHeartbeat = "alltoall/hb"
 
-func monitorKey(q node.ID) string { return fmt.Sprintf("alltoall/mon/%d", q) }
-
 // Config parameterizes the detector. Zero values select defaults.
 type Config struct {
 	// Eta is the heartbeat period (default 10ms). The initial suspicion
@@ -58,6 +56,7 @@ type Detector struct {
 
 	suspected []bool
 	timeout   []time.Duration
+	monKey    []string // monKey[q] names q's monitor timer, built at Start
 	leader    node.ID
 }
 
@@ -85,10 +84,12 @@ func (d *Detector) Start(env node.Env) {
 	d.n = env.N()
 	d.suspected = make([]bool, d.n)
 	d.timeout = make([]time.Duration, d.n)
+	d.monKey = make([]string, d.n)
 	for q := 0; q < d.n; q++ {
 		d.timeout[q] = 3 * d.cfg.Eta
+		d.monKey[q] = fmt.Sprintf("alltoall/mon/%d", q)
 		if node.ID(q) != d.me {
-			env.SetTimer(monitorKey(node.ID(q)), d.timeout[q])
+			env.SetTimer(d.monKey[q], d.timeout[q])
 		}
 	}
 	d.elect()
@@ -107,7 +108,7 @@ func (d *Detector) Deliver(from node.ID, m node.Message) {
 		d.suspected[from] = false
 		d.timeout[from] += d.cfg.Eta
 	}
-	d.env.SetTimer(monitorKey(from), d.timeout[from])
+	d.env.SetTimer(d.monKey[from], d.timeout[from])
 	d.elect()
 }
 
@@ -118,12 +119,13 @@ func (d *Detector) Tick(key string) {
 		d.env.Broadcast(AliveMsg{})
 		return
 	}
-	var q int
-	if _, err := fmt.Sscanf(key, "alltoall/mon/%d", &q); err != nil {
-		return
+	for q, k := range d.monKey {
+		if k == key {
+			d.suspected[q] = true
+			d.elect()
+			return
+		}
 	}
-	d.suspected[q] = true
-	d.elect()
 }
 
 // elect sets the leader to the smallest unsuspected id (the local process

@@ -156,3 +156,42 @@ func TestConfigDefaults(t *testing.T) {
 		t.Fatalf("defaults = %+v", d.cfg)
 	}
 }
+
+// nopEnv is a hand-driven node.Env that does nothing but remember the
+// last timer armed, so a test can count what the detector itself
+// allocates.
+type nopEnv struct {
+	n     int
+	armed string
+}
+
+func (e *nopEnv) ID() node.ID                          { return 0 }
+func (e *nopEnv) N() int                               { return e.n }
+func (e *nopEnv) Now() sim.Time                        { return 0 }
+func (e *nopEnv) Send(node.ID, node.Message)           {}
+func (e *nopEnv) Broadcast(node.Message)               {}
+func (e *nopEnv) SetTimer(key string, _ time.Duration) { e.armed = key }
+func (e *nopEnv) StopTimer(string)                     {}
+func (e *nopEnv) Logf(string, ...any)                  {}
+
+// TestMonitorPathAllocatesNothing: an ALIVE re-arms its sender's monitor
+// and an expiry suspects the process it names, with the keys built once
+// at Start — neither allocates when the leader stays put.
+func TestMonitorPathAllocatesNothing(t *testing.T) {
+	env := &nopEnv{n: 5}
+	d := New(Config{Eta: eta})
+	d.Start(env)
+	var alive node.Message = AliveMsg{}
+	if a := testing.AllocsPerRun(100, func() { d.Deliver(3, alive) }); a != 0 {
+		t.Errorf("ALIVE delivery: %v allocs, want 0", a)
+	}
+	if env.armed != "alltoall/mon/3" {
+		t.Fatalf("delivery from p3 armed %q", env.armed)
+	}
+	if a := testing.AllocsPerRun(100, func() { d.Tick("alltoall/mon/4") }); a != 0 {
+		t.Errorf("monitor expiry: %v allocs, want 0", a)
+	}
+	if !d.Suspected(4) || d.Suspected(3) || d.Leader() != 0 {
+		t.Fatalf("after p4's expiry: suspected p4 %v, p3 %v, leader p%d", d.Suspected(4), d.Suspected(3), d.Leader())
+	}
+}

@@ -49,8 +49,6 @@ func NewAliveMsg(counters []uint64) AliveMsg {
 
 const timerHeartbeat = "source/hb"
 
-func monitorKey(q node.ID) string { return fmt.Sprintf("source/mon/%d", q) }
-
 // Config parameterizes the detector. Zero values select defaults.
 type Config struct {
 	// Eta is the heartbeat period (default 10ms). The initial suspicion
@@ -74,6 +72,7 @@ type Detector struct {
 
 	counter []uint64
 	timeout []time.Duration
+	monKey  []string // monKey[q] names q's monitor timer, built at Start
 	leader  node.ID
 }
 
@@ -101,10 +100,12 @@ func (d *Detector) Start(env node.Env) {
 	d.n = env.N()
 	d.counter = make([]uint64, d.n)
 	d.timeout = make([]time.Duration, d.n)
+	d.monKey = make([]string, d.n)
 	for q := 0; q < d.n; q++ {
 		d.timeout[q] = 3 * d.cfg.Eta
+		d.monKey[q] = fmt.Sprintf("source/mon/%d", q)
 		if node.ID(q) != d.me {
-			env.SetTimer(monitorKey(node.ID(q)), d.timeout[q])
+			env.SetTimer(d.monKey[q], d.timeout[q])
 		}
 	}
 	d.elect()
@@ -123,7 +124,7 @@ func (d *Detector) Deliver(from node.ID, m node.Message) {
 			d.counter[q] = c
 		}
 	}
-	d.env.SetTimer(monitorKey(from), d.timeout[from])
+	d.env.SetTimer(d.monKey[from], d.timeout[from])
 	d.elect()
 }
 
@@ -134,16 +135,18 @@ func (d *Detector) Tick(key string) {
 		d.env.Broadcast(NewAliveMsg(d.counter))
 		return
 	}
-	var q int
-	if _, err := fmt.Sscanf(key, "source/mon/%d", &q); err != nil {
-		return
+	for q, k := range d.monKey {
+		if k == key {
+			d.counter[q]++
+			d.timeout[q] += d.cfg.Eta
+			// Keep monitoring: with fair-lossy links the next heartbeat
+			// may be lost too, and an unmonitored process's counter
+			// would freeze.
+			d.env.SetTimer(k, d.timeout[q])
+			d.elect()
+			return
+		}
 	}
-	d.counter[q]++
-	d.timeout[q] += d.cfg.Eta
-	// Keep monitoring: with fair-lossy links the next heartbeat may be
-	// lost too, and an unmonitored process's counter would freeze.
-	d.env.SetTimer(monitorKey(node.ID(q)), d.timeout[q])
-	d.elect()
 }
 
 // elect recomputes argmin (counter, id).

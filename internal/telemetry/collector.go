@@ -5,6 +5,9 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/core"
+	"repro/internal/detector/alltoall"
+	"repro/internal/detector/source"
 	"repro/internal/metrics"
 	"repro/internal/node"
 	"repro/internal/obs"
@@ -83,8 +86,8 @@ type Collector struct {
 	obs.Nop // sends, drops, bytes, contexts: message counting lives in metrics.MessageStats
 
 	n     int
-	clock func() sim.Time
 	stats *metrics.MessageStats
+	clock func() sim.Time // the runtime's, attached with stats
 
 	// hbKind marks the message kinds treated as heartbeats for
 	// inter-arrival tracking; lastHB holds the previous delivery time per
@@ -108,21 +111,10 @@ type Collector struct {
 	decides       atomic.Uint64
 }
 
-// Option customizes a Collector.
-type Option func(*Collector)
-
-// WithClock sets the collector's notion of "now", which must be on the
-// same clock as the timestamps reported through the sink. The default
-// is wall time since New, matching the live transports' cluster clock; a
-// simulator world passes its kernel clock.
-func WithClock(fn func() sim.Time) Option {
-	return func(c *Collector) { c.clock = fn }
-}
-
 // New returns a collector for an n-process system. Deliveries of the
-// repository's heartbeat kinds — LEADER (core), ALIVE (alltoall), ALIVE-V
-// (source) — feed the inter-arrival histogram.
-func New(n int, opts ...Option) *Collector {
+// repository's heartbeat kinds — core's, alltoall's and source's — feed
+// the inter-arrival histogram.
+func New(n int) *Collector {
 	c := &Collector{
 		n:      n,
 		lastHB: make([]atomic.Int64, n*n),
@@ -136,23 +128,22 @@ func New(n int, opts ...Option) *Collector {
 	}
 	c.stableLeader.Store(-1)
 	c.lastElection.Store(-1)
-	for _, name := range []string{"LEADER", "ALIVE", "ALIVE-V"} {
+	for _, name := range []string{core.KindLeader, alltoall.KindAlive, source.KindAlive} {
 		c.hbKind[obs.Intern(name)] = true
-	}
-	start := time.Now()
-	c.clock = func() sim.Time { return sim.Time(time.Since(start).Nanoseconds()) }
-	for _, opt := range opts {
-		opt(c)
 	}
 	return c
 }
 
-// AttachStats attaches the cluster's message accounting, which the cluster
-// the collector observes creates; the quiescence gauges (active links,
-// non-leader sends) are derived from it at read time and read zero
-// without it. Call during setup, before Serve and before the cluster
-// starts.
-func (c *Collector) AttachStats(s *metrics.MessageStats) { c.stats = s }
+// AttachStats attaches the runtime's message accounting and its clock —
+// the one the timestamps reported through the sink are on: a simulated
+// world's kernel clock, a TCP cluster's Now. The quiescence gauges
+// (active links, non-leader sends) are derived from stats at read time
+// and the time since the last election from now; without them the
+// gauges read zero and TimeSinceLastElection (0, false). Call during
+// setup, before Serve and before the runtime starts.
+func (c *Collector) AttachStats(stats *metrics.MessageStats, now func() sim.Time) {
+	c.stats, c.clock = stats, now
+}
 
 // Probe registers one process's read-path probe. Call during setup,
 // before Serve.
@@ -235,10 +226,11 @@ func (c *Collector) LeaderChanges() uint64 { return c.leaderChanges.Load() }
 func (c *Collector) Decides() uint64 { return c.decides.Load() }
 
 // TimeSinceLastElection returns how long the current agreement has held,
-// or (0, false) if no cluster-wide agreement has formed yet.
+// or (0, false) if no cluster-wide agreement has formed yet or no clock
+// is attached.
 func (c *Collector) TimeSinceLastElection() (time.Duration, bool) {
 	at := c.lastElection.Load()
-	if at < 0 {
+	if at < 0 || c.clock == nil {
 		return 0, false
 	}
 	if _, ok := c.Leader(); !ok {

@@ -41,7 +41,8 @@ func decided(c *Collector, proc int, elapsed time.Duration) {
 // and a rejoin.
 func TestElectionEventsBecomeGauges(t *testing.T) {
 	clk := &fakeClock{}
-	c := New(3, WithClock(clk.now))
+	c := New(3)
+	c.AttachStats(metrics.NewMessageStats(3), clk.now)
 
 	if _, ok := c.Leader(); ok {
 		t.Fatal("leader agreed before any reports")
@@ -148,8 +149,8 @@ func TestHeartbeatJitter(t *testing.T) {
 func TestQuiescenceGauges(t *testing.T) {
 	clk := &fakeClock{}
 	stats := metrics.NewMessageStats(3)
-	c := New(3, WithClock(clk.now))
-	c.AttachStats(stats)
+	c := New(3)
+	c.AttachStats(stats, clk.now)
 
 	leaderKind := obs.Intern("LEADER")
 	accuse := obs.Intern("ACCUSE")
@@ -196,8 +197,13 @@ func TestQuiescenceGauges(t *testing.T) {
 
 func TestCollectorWithoutStats(t *testing.T) {
 	c := New(2)
+	leaderChange(c, sim.At(time.Millisecond), 0, 0)
+	leaderChange(c, sim.At(time.Millisecond), 1, 0)
 	if c.ActiveLinks() != 0 || c.NonLeaderSends() != 0 {
 		t.Fatal("gauges without stats should read zero")
+	}
+	if since, ok := c.TimeSinceLastElection(); ok || since != 0 {
+		t.Fatalf("TimeSinceLastElection without a clock = %v/%v, want 0/false", since, ok)
 	}
 }
 
@@ -243,11 +249,11 @@ func TestDecidedPerCommandLatency(t *testing.T) {
 func TestCollectorRaceStress(t *testing.T) {
 	const n = 4
 	stats := metrics.NewMessageStats(n)
+	const iters = 3000
 	c := New(n)
-	c.AttachStats(stats)
+	c.AttachStats(stats, func() sim.Time { return sim.At(iters * time.Microsecond) })
 	hb := obs.Intern("LEADER")
 
-	const iters = 3000
 	var wg sync.WaitGroup
 	worker := func(fn func(i int)) {
 		wg.Add(1)

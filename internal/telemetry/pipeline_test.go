@@ -52,8 +52,7 @@ func (l *eventLog) story() []obs.What {
 // crash itself, so a collector that is merely the run's observer sees
 // the dead leader leave and the survivors agree again.
 func TestSimCrashReachesCollector(t *testing.T) {
-	var sys *scenario.System
-	tel := telemetry.New(5, telemetry.WithClock(func() sim.Time { return sys.World.Kernel.Now() }))
+	tel := telemetry.New(5)
 	sys, err := scenario.Build(scenario.Config{
 		N: 5, Seed: 1, Observer: tel,
 		Schedule: faultline.Schedule{{At: 300 * time.Millisecond, Op: faultline.OpCrash, From: 0}},
@@ -61,7 +60,7 @@ func TestSimCrashReachesCollector(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tel.AttachStats(sys.World.Stats)
+	tel.AttachStats(sys.World.Stats, sys.World.Kernel.Now)
 	for i, om := range sys.Omegas {
 		telemetry.Attach(tel, tel, telemetry.Process{ID: node.ID(i), History: om.History()})
 	}

@@ -24,8 +24,8 @@ func TestPrometheusExpositionGolden(t *testing.T) {
 	ms := func(d int) sim.Time { return sim.Time(d) * sim.Time(time.Millisecond) }
 
 	st := metrics.NewMessageStats(2)
-	c := New(2, WithClock(func() sim.Time { return ms(2000) }))
-	c.AttachStats(st)
+	c := New(2)
+	c.AttachStats(st, func() sim.Time { return ms(2000) })
 
 	// Both processes converge on leader 1 at 200ms: one election, two
 	// per-process transitions, 200ms of initial-election downtime.

@@ -39,7 +39,7 @@ func TestQuiescenceEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tel.AttachStats(c.Stats())
+	tel.AttachStats(c.Stats(), c.Now)
 	for i, d := range dets {
 		telemetry.Attach(tel, tel, telemetry.Process{ID: node.ID(i), History: d.History()})
 	}
@@ -122,7 +122,7 @@ func TestQuiescenceLiveTCPMetricsEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tel.AttachStats(c.Stats())
+	tel.AttachStats(c.Stats(), c.Now)
 	for i, d := range dets {
 		telemetry.Attach(tel, tel, telemetry.Process{ID: node.ID(i), History: d.History()})
 	}
@@ -190,5 +190,42 @@ func TestQuiescenceLiveTCPMetricsEndpoint(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("/healthz on a stabilized cluster: status %d", resp.StatusCode)
+	}
+}
+
+// TestStableForReadsTheClusterClock: the collector reads the clock of the
+// runtime it is attached to, the one its events are stamped on, so a
+// collector built half a second before its cluster does not count the
+// set-up into how long the first agreement has held.
+func TestStableForReadsTheClusterClock(t *testing.T) {
+	const n = 3
+	tel := telemetry.New(n)
+	time.Sleep(500 * time.Millisecond)
+	dets := make([]*core.Detector, n)
+	autos := make([]node.Automaton, n)
+	for i := range autos {
+		dets[i] = core.New(core.WithEta(4*time.Millisecond), core.WithBaseTimeout(100*time.Millisecond))
+		autos[i] = dets[i]
+	}
+	c, err := transport.NewTCPCluster(transport.Config{N: n, Seed: 3, Quiet: true, Observer: tel}, autos)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tel.AttachStats(c.Stats(), c.Now)
+	for i, d := range dets {
+		telemetry.Attach(tel, tel, telemetry.Process{ID: node.ID(i), History: d.History()})
+	}
+	c.Start()
+	defer c.Stop()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		if _, ok := tel.Leader(); ok {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("no agreement within 10s")
+		}
+	}
+	if since, ok := tel.TimeSinceLastElection(); !ok || since >= 250*time.Millisecond {
+		t.Fatalf("TimeSinceLastElection = %v/%v right after agreement formed, want under 250ms", since, ok)
 	}
 }

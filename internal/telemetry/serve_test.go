@@ -30,8 +30,8 @@ func get(t *testing.T, url string) (int, string) {
 func TestServeEndpoints(t *testing.T) {
 	clk := &fakeClock{}
 	stats := metrics.NewMessageStats(3)
-	c := New(3, WithClock(clk.now))
-	c.AttachStats(stats)
+	c := New(3)
+	c.AttachStats(stats, clk.now)
 
 	srv, err := Serve("127.0.0.1:0", c)
 	if err != nil {

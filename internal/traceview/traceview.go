@@ -1,21 +1,17 @@
-// Package traceview turns flight-recorder dumps (internal/tracing) from
-// one or many processes into a single causally ordered timeline. It is
-// the analysis half of the tracing layer: cmd/traceview is a thin CLI
-// over this package.
+// Package traceview turns the flight-recorder dumps (internal/tracing)
+// of one run into a single causally ordered timeline. It is the analysis
+// half of the tracing layer: cmd/traceview is a thin CLI over this
+// package.
 //
-// The pipeline is Load → (skew-correct) → BuildTraces / Requests /
-// Elections:
+// The pipeline is Load → BuildTraces / Requests / Elections:
 //
-//   - Load reads every dump, re-anchors each on its wall_start so dumps
-//     from separate OS processes merge on absolute time, and dedupes
-//     spans (ids embed the recording process, so a span evicted from one
-//     dump survives via an earlier one).
-//   - Skew correction uses the happens-before edges the dumps carry:
-//     a wire "send" span on the sender and the receiver-side span it
-//     caused share a parent, and the receive cannot precede the send.
-//     Per-process offsets are relaxed until every such edge is causally
-//     ordered; dumps from a single tracing.Set share one clock and get
-//     zero offsets.
+//   - Load reads every dump of one tracing.Set and dedupes spans (ids
+//     embed the recording process, so a span evicted from one dump
+//     survives via an earlier one). Every process of a run reads one
+//     clock — a simulated world's kernel, or the live cluster's clock,
+//     read at the sender before a frame is queued — so no receive can
+//     precede its send and the spans need no correction. Dumps of two
+//     runs carry different wall anchors, and Load refuses them.
 //   - Requests reconstructs request→queue→quorum→send/accept→apply
 //     chains and their per-stage latency breakdown; Elections replays
 //     leader-change/down/up marks through obs.Agreement, the election
@@ -40,19 +36,18 @@ import (
 )
 
 // Merged is the deduped union of every loaded dump. All span times are
-// nanoseconds since Base (the earliest wall anchor seen), after skew
-// correction.
+// nanoseconds since Base, the run's wall anchor.
 type Merged struct {
 	Base    time.Time
 	Procs   int
 	Spans   []tracing.SpanJSON
 	Dropped map[int]uint64 // per proc: spans evicted before any dump caught them
 	Files   []string
-	Offsets []int64 // per-proc skew correction applied, ns
 }
 
 // Load reads flight-recorder dumps from the given paths — directories
-// are scanned for trace-*.json — and merges them.
+// are scanned for trace-*.json — and merges them. The dumps must be of
+// one run: Load refuses dumps whose wall anchors differ.
 func Load(paths ...string) (*Merged, error) {
 	var files []string
 	for _, p := range paths {
@@ -78,13 +73,13 @@ func Load(paths ...string) (*Merged, error) {
 		return nil, fmt.Errorf("traceview: no dump files given")
 	}
 
-	type stamped struct {
-		dump tracing.Dump
-		wall time.Time
-	}
-	dumps := make([]stamped, 0, len(files))
-	base := time.Time{}
-	for _, f := range files {
+	m := &Merged{Dropped: make(map[int]uint64), Files: files}
+	// Dedupe on span id (ids embed the recording process, so they are
+	// unique across the whole set). A closed record wins over an open
+	// snapshot of the same span; among open snapshots the later dump —
+	// more events — wins.
+	best := make(map[uint64]tracing.SpanJSON)
+	for i, f := range files {
 		data, err := os.ReadFile(f)
 		if err != nil {
 			return nil, fmt.Errorf("traceview: %w", err)
@@ -97,21 +92,13 @@ func Load(paths ...string) (*Merged, error) {
 		if err != nil {
 			return nil, fmt.Errorf("traceview: %s: wall_start %q: %w", f, d.WallStart, err)
 		}
-		if base.IsZero() || wall.Before(base) {
-			base = wall
+		if i == 0 {
+			m.Base = wall
+		} else if !wall.Equal(m.Base) {
+			return nil, fmt.Errorf("traceview: %s: wall_start %s is not %s's %s: dumps of two runs do not merge",
+				f, d.WallStart, files[0], m.Base.Format(time.RFC3339Nano))
 		}
-		dumps = append(dumps, stamped{d, wall})
-	}
-
-	m := &Merged{Base: base, Dropped: make(map[int]uint64), Files: files}
-	// Dedupe on span id (ids embed the recording process, so they are
-	// unique across the whole set). A closed record wins over an open
-	// snapshot of the same span; among open snapshots the later dump —
-	// more events — wins.
-	best := make(map[uint64]tracing.SpanJSON)
-	for _, st := range dumps {
-		shift := st.wall.Sub(base).Nanoseconds()
-		for _, pd := range st.dump.Procs {
+		for _, pd := range d.Procs {
 			if pd.Proc+1 > m.Procs {
 				m.Procs = pd.Proc + 1
 			}
@@ -119,11 +106,6 @@ func Load(paths ...string) (*Merged, error) {
 				m.Dropped[pd.Proc] = pd.Dropped
 			}
 			for _, sp := range pd.Spans {
-				sp.StartNS += shift
-				sp.EndNS += shift
-				for i := range sp.Events {
-					sp.Events[i].TNS += shift
-				}
 				cur, seen := best[sp.ID]
 				switch {
 				case !seen:
@@ -140,7 +122,6 @@ func Load(paths ...string) (*Merged, error) {
 	for _, sp := range best {
 		m.Spans = append(m.Spans, sp)
 	}
-	m.correctSkew()
 	sort.Slice(m.Spans, func(i, j int) bool {
 		a, b := m.Spans[i], m.Spans[j]
 		if a.StartNS != b.StartNS {
@@ -149,93 +130,6 @@ func Load(paths ...string) (*Merged, error) {
 		return a.ID < b.ID
 	})
 	return m, nil
-}
-
-// correctSkew derives per-process clock offsets from send/receive
-// happens-before edges and applies them. A "send" span (on the sender,
-// zero-length, Peer = receiver) and the receiver-side span it caused
-// share a Parent; the receive must not precede the send. Offsets are
-// relaxed to the smallest values satisfying every edge, then normalized
-// so the minimum is zero. Dumps from one tracing.Set share a clock and
-// come out with all-zero offsets.
-func (m *Merged) correctSkew() {
-	m.Offsets = make([]int64, m.Procs)
-	if m.Procs < 2 {
-		return
-	}
-	byID := make(map[uint64]*tracing.SpanJSON, len(m.Spans))
-	for i := range m.Spans {
-		byID[m.Spans[i].ID] = &m.Spans[i]
-	}
-	type edge struct {
-		from, to int
-		lag      int64 // t_send - t_recv; recv'+off[to] >= send+off[from]
-	}
-	var edges []edge
-	// Group receiver-side spans by parent, then match each send span to
-	// the earliest span its peer recorded under the same parent.
-	recv := make(map[uint64]map[int]int64) // parent -> proc -> earliest start
-	for i := range m.Spans {
-		sp := &m.Spans[i]
-		if sp.Parent == 0 || sp.Name == "send" {
-			continue
-		}
-		par, ok := byID[sp.Parent]
-		if !ok || par.Proc == sp.Proc {
-			continue
-		}
-		noteEarliest(recv, sp)
-	}
-	for i := range m.Spans {
-		sp := &m.Spans[i]
-		if sp.Name != "send" || sp.Peer < 0 || sp.Peer >= m.Procs {
-			continue
-		}
-		if t, ok := recv[sp.Parent][sp.Peer]; ok {
-			edges = append(edges, edge{from: sp.Proc, to: sp.Peer, lag: sp.StartNS - t})
-		}
-	}
-	if len(edges) == 0 {
-		return
-	}
-	// Bellman-Ford-style relaxation; procs is small, edges modest.
-	for iter := 0; iter < m.Procs+1; iter++ {
-		changed := false
-		for _, e := range edges {
-			if need := m.Offsets[e.from] + e.lag; need > m.Offsets[e.to] {
-				m.Offsets[e.to] = need
-				changed = true
-			}
-		}
-		if !changed {
-			break
-		}
-	}
-	min := m.Offsets[0]
-	for _, o := range m.Offsets {
-		if o < min {
-			min = o
-		}
-	}
-	any := false
-	for i := range m.Offsets {
-		m.Offsets[i] -= min
-		if m.Offsets[i] != 0 {
-			any = true
-		}
-	}
-	if !any {
-		return
-	}
-	for i := range m.Spans {
-		sp := &m.Spans[i]
-		off := m.Offsets[sp.Proc]
-		sp.StartNS += off
-		sp.EndNS += off
-		for j := range sp.Events {
-			sp.Events[j].TNS += off
-		}
-	}
 }
 
 // noteEarliest keeps, per parent span and process, the start of the
@@ -493,15 +387,6 @@ func WriteSummary(w io.Writer, m *Merged, traces []Trace, reqs []Request, el Ele
 	}
 	if dropped > 0 {
 		fmt.Fprintf(w, " (%d spans evicted before capture)", dropped)
-	}
-	maxOff := int64(0)
-	for _, o := range m.Offsets {
-		if o > maxOff {
-			maxOff = o
-		}
-	}
-	if maxOff > 0 {
-		fmt.Fprintf(w, " skew<=%v", time.Duration(maxOff))
 	}
 	fmt.Fprintln(w)
 

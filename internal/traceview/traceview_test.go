@@ -2,9 +2,11 @@ package traceview
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -92,36 +94,29 @@ func TestIncompleteRequestFlagged(t *testing.T) {
 	}
 }
 
-func TestSkewCorrectionOrdersSendBeforeReceive(t *testing.T) {
-	// Two dumps, same wall anchor, but the receiver's clock runs 500ns
-	// behind: its accept lands "before" the leader's send. The parent
-	// quorum span lives on proc 0; the accept on proc 1 must be shifted
-	// forward until the edge is causal.
+// TestLoadRefusesDumpsOfTwoRuns: two sets anchored a second apart are two
+// runs on two clocks; their spans share no axis, and Load says so rather
+// than lay one over the other.
+func TestLoadRefusesDumpsOfTwoRuns(t *testing.T) {
 	dir := t.TempDir()
-	wall := time.Unix(0, 0).UTC().Format(time.RFC3339Nano)
-	write := func(name, body string) {
-		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
+	anchor := time.Date(2026, 8, 5, 12, 0, 0, 0, time.UTC)
+	for i, at := range []time.Time{anchor, anchor.Add(time.Second)} {
+		s := tracing.New(tracing.Config{Procs: 3, Dir: dir})
+		s.SetWallStart(at)
+		recordRequest(s, 1000)
+		path, err := s.Final()
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Both sets number their first dump 001: keep the first aside.
+		if err := os.Rename(path, filepath.Join(dir, fmt.Sprintf("trace-run%d.json", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	write("trace-001-final.json", `{"reason":"final","wall_start":"`+wall+`","at_ns":0,"proc":-1,"procs":[
-	 {"proc":0,"dropped":0,"spans":[
-	   {"trace":10,"id":10,"name":"request","proc":0,"peer":-1,"start_ns":100,"end_ns":100},
-	   {"trace":10,"id":11,"parent":10,"name":"quorum","proc":0,"peer":-1,"start_ns":200,"end_ns":900},
-	   {"trace":10,"id":12,"parent":11,"name":"send","proc":0,"peer":1,"start_ns":300,"end_ns":300,"note":"ACCEPT"}]},
-	 {"proc":1,"dropped":0,"spans":[
-	   {"trace":10,"id":281474976710657,"parent":11,"name":"accept","proc":1,"peer":0,"start_ns":-200,"end_ns":-200}]}]}`)
-	m, err := Load(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Offsets[1] != 500 {
-		t.Fatalf("offsets = %v, want p1 shifted +500", m.Offsets)
-	}
-	for _, sp := range m.Spans {
-		if sp.Name == "accept" && sp.StartNS != 300 {
-			t.Fatalf("accept at %d, want clamped to send time 300", sp.StartNS)
-		}
+	if m, err := Load(dir); err == nil {
+		t.Fatalf("Load merged two runs' dumps into %d spans", len(m.Spans))
+	} else if !strings.Contains(err.Error(), "two runs") {
+		t.Fatalf("Load: %v, want a refusal naming two runs", err)
 	}
 }
 

@@ -93,10 +93,11 @@ func (s *Set) Tracer(proc int) *Tracer {
 }
 
 // SetWallStart re-anchors span times to an absolute wall instant: a span
-// at T happened at start.Add(T). Live clusters pass their start time so
-// dumps from separate runs (or separate OS processes) merge on real
-// timestamps; simulator harnesses leave the New anchor, where virtual
-// time zero maps to the moment the set was built.
+// at T happened at start.Add(T). A live harness passes the wall instant
+// of its cluster clock's zero, so spans line up with outside logs;
+// simulator harnesses leave the New anchor, where virtual time zero maps
+// to the moment the set was built. The anchor names the run: traceview
+// merges only dumps that share it.
 func (s *Set) SetWallStart(start time.Time) {
 	if s != nil {
 		s.wallStart.Store(&start)
@@ -219,8 +220,8 @@ func (s *Set) WriteJSON(w io.Writer) error {
 }
 
 // Dump is the on-disk flight-recorder document: one snapshot of every
-// process's span history, wall-anchored so separate dumps (and separate
-// runs' telemetry) merge on absolute time.
+// process's span history. Every dump of one set carries the set's wall
+// anchor, and its times are on the one clock of that run.
 type Dump struct {
 	Reason    string     `json:"reason"`
 	WallStart string     `json:"wall_start"` // RFC3339Nano anchor for all *_ns offsets

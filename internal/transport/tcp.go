@@ -172,7 +172,7 @@ func NewTCPCluster(cfg Config, automatons []nodepkg.Automaton) (*TCPCluster, err
 				Pool:         encBufs,
 				Stop:         c.stopCh,
 				OnDrop: func(f link.Frame) {
-					c.sink.OnDrop(c.now(), from, to, f.Kind)
+					c.sink.OnDrop(c.Now(), from, to, f.Kind)
 				},
 				OnFlush: onFlush,
 			})
@@ -361,7 +361,7 @@ func (c *TCPCluster) readLoop(i int, conn net.Conn) {
 		// batch is empty here: the loop never blocks in a read while it
 		// holds decoded, undelivered messages.
 		frame, err := in.next(true)
-		now := c.now()
+		now := c.Now()
 		for err == nil && frame != nil {
 			env, derr := dec.UnmarshalEnvelope(frame)
 			if derr != nil || env.From < 0 || int(env.From) >= c.cfg.N {
@@ -495,14 +495,15 @@ func (c *TCPCluster) Stop() {
 	}
 }
 
-// now is the cluster's clock: wall-clock time since it was built.
-func (c *TCPCluster) now() sim.Time { return sim.Time(time.Since(c.start).Nanoseconds()) }
+// Now is the cluster's clock, wall-clock time since it was built: every
+// process reads it, and Transmit stamps each message with it.
+func (c *TCPCluster) Now() sim.Time { return sim.Time(time.Since(c.start).Nanoseconds()) }
 
 // tcpHost is the cluster as its processes' node.Host: it hands frames to
 // the per-link senders, and logs unless the cluster is quiet.
 type tcpHost TCPCluster
 
-func (h *tcpHost) Now() sim.Time                  { return (*TCPCluster)(h).now() }
+func (h *tcpHost) Now() sim.Time                  { return (*TCPCluster)(h).Now() }
 func (h *tcpHost) Logs() bool                     { return !h.cfg.Quiet }
 func (h *tcpHost) Log(id nodepkg.ID, text string) { log.Printf("p%d: %s", id, text) }
 
@@ -512,7 +513,7 @@ func (h *tcpHost) Log(id nodepkg.ID, text string) { log.Printf("p%d: %s", id, te
 func (h *tcpHost) Transmit(from, to nodepkg.ID, msg nodepkg.Message) {
 	c := (*TCPCluster)(h)
 	k := msg.KindID()
-	now := c.now()
+	now := c.Now()
 	c.sink.OnSend(now, int(from), int(to), k)
 	if tm, ok := msg.(nodepkg.Traced); ok {
 		if trace, span := tm.TraceContext(); trace != 0 {
