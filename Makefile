@@ -121,8 +121,7 @@ sim-gate:
 
 # Race-check everything. Real concurrency lives in the live transport,
 # the fault injector, the sharded observer sink and telemetry collector
-# it records into, the parallel sweep pool, and the wireload harness —
-# but the purely sequential packages are cheap under -race, so run the
+# it records into, and the parallel sweep pool — but the purely sequential packages are cheap under -race, so run the
 # whole module rather than maintain a list. -short trims the chaos
 # soaks' wall-clock GST.
 test-race:
@@ -188,21 +187,28 @@ recovery-soak:
 	$(GO) run ./cmd/chaossoak -plan recovery -n 3 -fsync always -lease 300ms
 	$(GO) run -race ./cmd/chaossoak -plan recovery -n 3
 
-# Boot wireload with the telemetry endpoint, scrape /healthz and /metrics
-# mid-run with curl, and let the run finish. /healthz reads 503 here by
-# design: wireload's stations run no detector, so no leader agreement ever
-# forms — the scrape proves the endpoint, not the election. The omegasim
-# line proves the election: a simulated leader crash reaches the collector
-# through the world's own obs.Down, so the finished run's /healthz must
-# answer 200 with the survivors' leader (curl -f fails on the 503 it
-# answered before the runtimes reported crashes themselves).
+# A live election reaching the collector, then a simulated one. The live
+# leg runs chaossoak's crash plan over TCP with the telemetry endpoint,
+# scrapes /metrics mid-run with curl, and, after the run, reads the file
+# -metrics-out wrote (what /metrics answers at the end): it must count at
+# least two elections — the boot election and the one after the leader's
+# crash — and an agreed leader. -eta 1s stretches the run to about three
+# seconds; at the default 5 ms it is over in tens of milliseconds, before
+# any scrape lands. The omegasim line: a simulated leader crash reaches the
+# collector through the world's own obs.Down, so the finished run's
+# /healthz must answer 200 with the survivors' leader (curl -f fails on
+# the 503 it answered before the runtimes reported crashes themselves).
 telemetry-smoke:
-	$(GO) build -o /tmp/wireload-smoke ./cmd/wireload
-	/tmp/wireload-smoke -dur 4s -metrics-addr 127.0.0.1:9109 & \
-	pid=$$!; sleep 2; \
-	curl -sS http://127.0.0.1:9109/healthz; \
-	curl -fsS http://127.0.0.1:9109/metrics | grep -E 'omega_(sent_total|active_links|leader) ' ; \
-	wait $$pid
+	$(GO) build -o /tmp/chaossoak-smoke ./cmd/chaossoak
+	rm -f /tmp/telemetry-smoke/live.prom
+	/tmp/chaossoak-smoke -plan crash -n 3 -eta 1s -metrics-addr 127.0.0.1:9109 -metrics-out /tmp/telemetry-smoke/live.prom & \
+	pid=$$!; sleep 1; \
+	curl -fsS http://127.0.0.1:9109/metrics | grep -E 'omega_(sent_total|active_links|leader) '; rc=$$?; \
+	wait $$pid && exit $$rc
+	awk '$$1 == "omega_elections_total" { e = $$2 } $$1 == "omega_leader" { l = $$2; seen = 1 } \
+		END { if (e >= 2 && seen && l != -1) exit; \
+		print "telemetry-smoke: live.prom reads elections=" e " leader=" l ", want >= 2 and a leader"; exit 1 }' \
+		/tmp/telemetry-smoke/live.prom
 	$(GO) build -o /tmp/omegasim-smoke ./cmd/omegasim
 	/tmp/omegasim-smoke -crash 0@300ms -metrics-addr 127.0.0.1:9110 & \
 	pid=$$!; sleep 2; \

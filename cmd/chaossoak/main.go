@@ -25,6 +25,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -66,7 +67,7 @@ func run(args []string) (err error) {
 		commands     = fs.Int("commands", 5, "consensus instances to commit per traffic phase")
 		drop         = fs.Float64("drop", 0.4, "pre-GST drop probability for the chaos plan")
 		metricsAddr  = fs.String("metrics-addr", "", "serve /metrics, /healthz and pprof on this address (e.g. :8080)")
-		snapshotJSON = fs.String("snapshot-json", "", "write the final merged metrics+histogram snapshot to this path")
+		metricsOut   = fs.String("metrics-out", "", "at the end of the run, write what GET /metrics would answer to this file (parent directories are created)")
 		traceTail    = fs.Int("trace-tail", 0, "record message events in a bounded ring and print the last N at exit")
 		traceTailOut = fs.String("trace-tail-out", "", "with -trace-tail, also write the tail to this file (parent directories are created)")
 		traceDir     = fs.String("trace-dir", "", "record causal spans and write flight-recorder dumps (plus a final dump) into this directory; feed it to traceview")
@@ -183,11 +184,11 @@ func run(args []string) (err error) {
 		s.attach(node.ID(i))
 	}
 	if *metricsAddr != "" {
-		var opts []telemetry.ServeOption
+		var trace func(io.Writer) error
 		if s.tset != nil {
-			opts = append(opts, telemetry.WithTraceSource(s.tset.WriteJSON))
+			trace = s.tset.WriteJSON
 		}
-		srv, err := telemetry.Serve(*metricsAddr, tel, opts...)
+		srv, err := telemetry.Serve(*metricsAddr, tel, trace)
 		if err != nil {
 			return err
 		}
@@ -242,35 +243,22 @@ func run(args []string) (err error) {
 			return err
 		}
 		if *traceTailOut != "" {
-			if dir := filepath.Dir(*traceTailOut); dir != "." {
-				if err := os.MkdirAll(dir, 0o755); err != nil {
-					return fmt.Errorf("create -trace-tail-out directory %s: %w", dir, err)
-				}
-			}
-			f, err := os.Create(*traceTailOut)
-			if err != nil {
-				return fmt.Errorf("write -trace-tail-out %s: %w", *traceTailOut, err)
-			}
-			werr := tail.WriteText(f, *traceTail, true)
-			if cerr := f.Close(); werr == nil {
-				werr = cerr
-			}
-			if werr != nil {
-				return fmt.Errorf("write -trace-tail-out %s: %w", *traceTailOut, werr)
+			if err := writeOut("-trace-tail-out", *traceTailOut, func(w io.Writer) error {
+				return tail.WriteText(w, *traceTail, true)
+			}); err != nil {
+				return err
 			}
 			fmt.Printf("trace:     wrote %s\n", *traceTailOut)
 		}
 	}
-	if *snapshotJSON != "" {
-		if dir := filepath.Dir(*snapshotJSON); dir != "." {
-			if err := os.MkdirAll(dir, 0o755); err != nil {
-				return fmt.Errorf("create -snapshot-json directory %s: %w", dir, err)
-			}
+	if *metricsOut != "" {
+		if err := writeOut("-metrics-out", *metricsOut, func(w io.Writer) error {
+			tel.WritePrometheus(w)
+			return nil
+		}); err != nil {
+			return err
 		}
-		if err := tel.WriteJSON(*snapshotJSON); err != nil {
-			return fmt.Errorf("write -snapshot-json %s: %w", *snapshotJSON, err)
-		}
-		fmt.Printf("snapshot:  wrote %s\n", *snapshotJSON)
+		fmt.Printf("metrics:   wrote %s\n", *metricsOut)
 	}
 	if s.tset != nil {
 		path, err := s.tset.Final()
@@ -280,6 +268,26 @@ func run(args []string) (err error) {
 		fmt.Printf("tracing:   %d anomaly dumps; final dump %s\n", s.tset.Triggered(), path)
 	}
 	fmt.Println("verdict:   PASS — single leader converged, consensus safety holds")
+	return nil
+}
+
+// writeOut creates path's parent directory and writes path with write;
+// flag names the option that asked for it in an error.
+func writeOut(flag, path string, write func(io.Writer) error) error {
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		return fmt.Errorf("create %s directory: %w", flag, err)
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return fmt.Errorf("write %s: %w", flag, err)
+	}
+	err = write(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return fmt.Errorf("write %s %s: %w", flag, path, err)
+	}
 	return nil
 }
 

@@ -1,13 +1,43 @@
 package main
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/telemetry"
 )
 
+// TestRunCrashPlanMem also writes -metrics-out and reads it back: the file
+// is the collector's one export, so it must hold every histogram family an
+// exposition has, and the leader the survivors agreed on after the crash.
 func TestRunCrashPlanMem(t *testing.T) {
-	if err := run([]string{"-plan", "crash", "-n", "3", "-commands", "2", "-bound", "20s"}); err != nil {
+	out := filepath.Join(t.TempDir(), "metrics", "crash.prom")
+	if err := run([]string{"-plan", "crash", "-n", "3", "-commands", "2", "-bound", "20s", "-metrics-out", out}); err != nil {
 		t.Fatal(err)
+	}
+	data, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := string(data)
+	var empty strings.Builder
+	telemetry.New(3).WritePrometheus(&empty)
+	families := 0
+	for _, line := range strings.Split(empty.String(), "\n") {
+		if strings.HasPrefix(line, "# TYPE ") && strings.HasSuffix(line, " histogram") {
+			families++
+			if !strings.Contains(got, line+"\n") {
+				t.Errorf("-metrics-out lacks %q", line)
+			}
+		}
+	}
+	if families == 0 {
+		t.Fatal("an exposition lists no histogram family")
+	}
+	if strings.Contains(got, "\nomega_leader -1\n") || !strings.Contains(got, "\nomega_leader ") {
+		t.Errorf("-metrics-out has no agreed leader:\n%s", got)
 	}
 }
 

@@ -16,6 +16,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"slices"
@@ -161,11 +162,11 @@ func run(args []string) error {
 		fmt.Printf("tracing:  %d anomaly dumps; final dump %s\n", tset.Triggered(), path)
 	}
 	if tel != nil {
-		var srvOpts []telemetry.ServeOption
+		var trace func(io.Writer) error
 		if tset != nil {
-			srvOpts = append(srvOpts, telemetry.WithTraceSource(tset.WriteJSON))
+			trace = tset.WriteJSON
 		}
-		srv, err := telemetry.Serve(*metrics, tel, srvOpts...)
+		srv, err := telemetry.Serve(*metrics, tel, trace)
 		if err != nil {
 			return err
 		}

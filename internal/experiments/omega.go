@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/check"
 	"repro/internal/faultline"
 	"repro/internal/scenario"
-	"repro/internal/sim"
 )
 
 // omegaAlgos are the three Omega implementations every message-cost
@@ -172,7 +172,7 @@ func E3StabilizationVsGST(o Opts) Table {
 			Regime: scenario.RegimeAllET, Eta: Eta, GST: etaT(c.gst),
 		})
 		s.Run(time.Duration(c.gst)*Eta + 200*Eta)
-		at, ok := sysConvergence(s)
+		at, ok := check.ConvergenceTime(s.OmegaInput())
 		return run{at: float64(at) / float64(Eta.Nanoseconds()), ok: ok}
 	})
 	for ci, c := range cells {
@@ -193,14 +193,6 @@ func E3StabilizationVsGST(o Opts) Table {
 		})
 	}
 	return t
-}
-
-func sysConvergence(s *scenario.System) (sim.Time, bool) {
-	rep := s.OmegaReport()
-	if !rep.Holds {
-		return 0, false
-	}
-	return rep.StabilizedAt, true
 }
 
 // E4CrashRecovery regenerates Table 2: time to re-agree on a leader after
@@ -230,11 +222,12 @@ func E4CrashRecovery(o Opts) Table {
 			Schedule: faultline.Schedule{{At: crashAt.Duration(), Op: faultline.OpCrash, From: 0}},
 		})
 		s.Run(400 * Eta)
-		rep := s.OmegaReport()
-		if !rep.Holds || rep.Leader == 0 {
+		in := s.OmegaInput()
+		at, ok := check.ConvergenceTime(in)
+		if leader, _ := check.AgreementAt(in, at); !ok || leader == 0 {
 			return run{}
 		}
-		return run{lat: float64(rep.StabilizedAt-crashAt) / float64(time.Millisecond), ok: true}
+		return run{lat: float64(at-crashAt) / float64(time.Millisecond), ok: true}
 	})
 	for ci, c := range cells {
 		var lats []float64

@@ -2,7 +2,6 @@ package network
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/obs"
 	"repro/internal/sim"
@@ -242,16 +241,4 @@ func (f *Fabric) Send(from, to int, kind obs.Kind, payload any) {
 	d := f.newDelivery()
 	d.from, d.to, d.kind, d.payload = int32(from), int32(to), kind, payload
 	f.kernel.ScheduleRun(delay, d)
-}
-
-// MaxDelta returns the largest Delta across all timely or eventually-timely
-// links, useful for sizing experiment stabilization margins.
-func (f *Fabric) MaxDelta() time.Duration {
-	var max time.Duration
-	for _, p := range f.profiles {
-		if (p.Kind == LinkTimely || p.Kind == LinkEventuallyTimely) && p.Delta > max {
-			max = p.Delta
-		}
-	}
-	return max
 }

@@ -290,16 +290,6 @@ func TestNewFabricRejectsBadConfig(t *testing.T) {
 	}
 }
 
-func TestMaxDelta(t *testing.T) {
-	_, f, _, _ := newTestFabric(t, 3, Timely(5*ms), 0)
-	if err := f.SetProfile(0, 1, EventuallyTimely(20*ms, 100*ms, 0)); err != nil {
-		t.Fatal(err)
-	}
-	if got := f.MaxDelta(); got != 20*ms {
-		t.Fatalf("MaxDelta = %v, want 20ms", got)
-	}
-}
-
 func TestStatsRecorded(t *testing.T) {
 	k, f, _, stats := newTestFabric(t, 2, Timely(ms), 0)
 	f.Send(0, 1, kindPING, nil)

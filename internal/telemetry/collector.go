@@ -47,21 +47,20 @@ const (
 	count
 )
 
-// seriesTable is the one registration of each histogram: name keys it in
-// the -snapshot-json dump, prom is its /metrics family. WritePrometheus,
-// Dump and Hist all walk this table.
+// seriesTable is the one registration of each histogram: name is its
+// /metrics family. WritePrometheus walks this table.
 var seriesTable = [numSeries]struct {
-	name, prom string
-	unit       unit
+	name string
+	unit unit
 }{
-	ElectionDowntime:      {"election_downtime", "omega_election_downtime_seconds", seconds},
-	DecisionLatency:       {"decision_latency", "omega_decision_latency_seconds", seconds},
-	HeartbeatInterarrival: {"heartbeat_interarrival", "omega_heartbeat_interarrival_seconds", seconds},
-	FlushFrames:           {"flush_frames", "link_flush_frames", count},
-	FlushBytes:            {"flush_bytes", "link_flush_bytes", count},
-	WALFsync:              {"wal_fsync", "wal_fsync_seconds", seconds},
-	WALAppendBytes:        {"wal_append_bytes", "wal_append_bytes", count},
-	WALRecovery:           {"wal_recovery", "wal_recovery_seconds", seconds},
+	ElectionDowntime:      {"omega_election_downtime_seconds", seconds},
+	DecisionLatency:       {"omega_decision_latency_seconds", seconds},
+	HeartbeatInterarrival: {"omega_heartbeat_interarrival_seconds", seconds},
+	FlushFrames:           {"link_flush_frames", count},
+	FlushBytes:            {"link_flush_bytes", count},
+	WALFsync:              {"wal_fsync_seconds", seconds},
+	WALAppendBytes:        {"wal_append_bytes", count},
+	WALRecovery:           {"wal_recovery_seconds", seconds},
 }
 
 // LeaseProbe reports one process's read-path state: whether it currently

@@ -286,7 +286,6 @@ func TestCollectorRaceStress(t *testing.T) {
 		}
 		c.WritePrometheus(io.Discard)
 		_ = c.Health()
-		_ = c.Dump()
 		_, _ = c.Leader()
 		_ = c.ActiveLinks()
 		_ = c.NonLeaderSends("ACCUSE")

@@ -74,18 +74,3 @@ func TestPrometheusExportsLeaseAndFlush(t *testing.T) {
 		}
 	}
 }
-
-func TestDumpIncludesLeaseAndFlush(t *testing.T) {
-	c := New(2)
-	c.Probe(func() (bool, uint64, uint64) { return true, 9, 2 })
-	FlushHook(c)(0, 1, 16, 2048)
-	d := c.Dump()
-	if d.LeaseHolders != 1 || d.LocalReads != 9 || d.FallbackReads != 2 {
-		t.Fatalf("dump lease fields = %d/%d/%d, want 1/9/2",
-			d.LeaseHolders, d.LocalReads, d.FallbackReads)
-	}
-	h, ok := d.Histograms["flush_frames"]
-	if !ok || h.Count != 1 || h.SumNS != 16 {
-		t.Fatalf("dump flush_frames = %+v ok=%v, want count 1 sum 16", h, ok)
-	}
-}

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"fmt"
 	"io"
+	"slices"
 )
 
 // promHist writes one histogram series (cumulative le buckets, sum, count)
@@ -36,7 +37,8 @@ func promHist(w io.Writer, name string, u unit, s HistSnapshot) {
 // WritePrometheus writes the collector's full state in Prometheus text
 // exposition format: message counters (from the attached MessageStats),
 // the quiescence and election gauges, the read-path probes and every row
-// of the series table.
+// of the series table. Kinds are listed by name, not in the first-send
+// order MessageStats keeps, so two runs' expositions diff line by line.
 func (c *Collector) WritePrometheus(w io.Writer) {
 	counter := func(name, help string, v uint64) {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
@@ -51,7 +53,9 @@ func (c *Collector) WritePrometheus(w io.Writer) {
 		counter("omega_dropped_total", "Messages lost in transit.", st.Dropped())
 		counter("omega_wire_bytes_total", "Encoded bytes handed to the links.", st.WireBytes())
 		fmt.Fprintf(w, "# HELP omega_sent_kind_total Messages sent per kind.\n# TYPE omega_sent_kind_total counter\n")
-		for _, kind := range st.Kinds() {
+		kinds := st.Kinds()
+		slices.Sort(kinds)
+		for _, kind := range kinds {
 			fmt.Fprintf(w, "omega_sent_kind_total{kind=%q} %d\n", kind, st.KindCount(kind))
 		}
 		fmt.Fprintf(w, "# HELP omega_sent_by_total Messages sent per process.\n# TYPE omega_sent_by_total counter\n")
@@ -101,7 +105,7 @@ func (c *Collector) WritePrometheus(w io.Writer) {
 		"Reads confirmed by a round of grants that a majority acked.", fallback)
 
 	for s, row := range seriesTable {
-		fmt.Fprintf(w, "# TYPE %s histogram\n", row.prom)
-		promHist(w, row.prom, row.unit, c.Hist(Series(s)))
+		fmt.Fprintf(w, "# TYPE %s histogram\n", row.name)
+		promHist(w, row.name, row.unit, c.Hist(Series(s)))
 	}
 }

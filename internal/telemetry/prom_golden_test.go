@@ -109,8 +109,8 @@ omega_dropped_total 1
 omega_wire_bytes_total 128
 # HELP omega_sent_kind_total Messages sent per kind.
 # TYPE omega_sent_kind_total counter
-omega_sent_kind_total{kind="LEADER"} 2
 omega_sent_kind_total{kind="ACCEPT"} 1
+omega_sent_kind_total{kind="LEADER"} 2
 # HELP omega_sent_by_total Messages sent per process.
 # TYPE omega_sent_by_total counter
 omega_sent_by_total{process="0"} 2

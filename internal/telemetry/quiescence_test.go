@@ -129,7 +129,7 @@ func TestQuiescenceLiveTCPMetricsEndpoint(t *testing.T) {
 	c.Start()
 	defer c.Stop()
 
-	srv, err := telemetry.Serve("127.0.0.1:0", tel)
+	srv, err := telemetry.Serve("127.0.0.1:0", tel, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -60,45 +60,28 @@ type Server struct {
 	srv *http.Server
 }
 
-// ServeOption customizes the endpoint Serve builds.
-type ServeOption func(*serveOptions)
-
-type serveOptions struct {
-	traceSource func(io.Writer) error
-}
-
-// WithTraceSource adds a /trace route that streams a live span-dump
-// snapshot (the tracing flight recorder's WriteJSON) on every GET. A nil
-// source leaves the route unregistered.
-func WithTraceSource(fn func(io.Writer) error) ServeOption {
-	return func(o *serveOptions) { o.traceSource = fn }
-}
-
 // Serve starts an HTTP endpoint on addr (e.g. ":8080" or "127.0.0.1:0")
 // exposing:
 //
 //	/metrics       Prometheus text exposition of the collector
 //	/healthz       JSON leader/epoch/quiescence summary (503 while no
 //	               cluster-wide leader agreement holds)
-//	/trace         JSON span-dump snapshot (with WithTraceSource)
+//	/trace         JSON span-dump snapshot, written by trace on every GET
+//	               (the flight recorder's WriteJSON); nil registers no route
 //	/debug/pprof/  the standard net/http/pprof surface
 //
 // The server runs until Close. Pass the returned Server's Addr to curl
 // when addr used port 0.
-func Serve(addr string, c *Collector, opts ...ServeOption) (*Server, error) {
-	var o serveOptions
-	for _, opt := range opts {
-		opt(&o)
-	}
+func Serve(addr string, c *Collector, trace func(io.Writer) error) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("telemetry: listen %s: %w", addr, err)
 	}
 	mux := http.NewServeMux()
-	if o.traceSource != nil {
+	if trace != nil {
 		mux.HandleFunc("/trace", func(w http.ResponseWriter, r *http.Request) {
 			w.Header().Set("Content-Type", "application/json")
-			if err := o.traceSource(w); err != nil {
+			if err := trace(w); err != nil {
 				http.Error(w, err.Error(), http.StatusInternalServerError)
 			}
 		})

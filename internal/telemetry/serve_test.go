@@ -33,7 +33,10 @@ func TestServeEndpoints(t *testing.T) {
 	c := New(3)
 	c.AttachStats(stats, clk.now)
 
-	srv, err := Serve("127.0.0.1:0", c)
+	srv, err := Serve("127.0.0.1:0", c, func(w io.Writer) error {
+		_, err := io.WriteString(w, "{}\n")
+		return err
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,6 +93,10 @@ func TestServeEndpoints(t *testing.T) {
 		}
 	}
 
+	if code, body = get(t, base+"/trace"); code != http.StatusOK || body != "{}\n" {
+		t.Fatalf("/trace: status %d body %q, want 200 and the trace source's {}", code, body)
+	}
+
 	// pprof is mounted.
 	code, body = get(t, base+"/debug/pprof/cmdline")
 	if code != http.StatusOK || len(body) == 0 {
@@ -97,8 +104,19 @@ func TestServeEndpoints(t *testing.T) {
 	}
 }
 
+func TestServeWithoutTraceHasNoTraceRoute(t *testing.T) {
+	srv, err := Serve("127.0.0.1:0", New(2), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	if code, _ := get(t, "http://"+srv.Addr()+"/trace"); code != http.StatusNotFound {
+		t.Fatalf("/trace with a nil source: status %d, want 404", code)
+	}
+}
+
 func TestServeBadAddr(t *testing.T) {
-	if _, err := Serve("256.256.256.256:99999", New(2)); err == nil {
+	if _, err := Serve("256.256.256.256:99999", New(2), nil); err == nil {
 		t.Fatal("Serve on a bogus address should fail")
 	}
 }
