@@ -145,17 +145,20 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzReadSpans -fuzztime=5s -fuzzminimizetime=1s ./internal/consensus/rsm
 	$(GO) test -run='^$$' -fuzz=FuzzSchedule -fuzztime=20s -fuzzminimizetime=1s ./internal/scenario
 
-# Full chaos soak under the race detector: live TCP clusters through
-# leader crash, asymmetric partition + heal, and pre-GST link chaos, with
-# consensus safety checked at the end (see DESIGN.md §10).
+# Every live soak under the race detector, each once: transport's
+# TestChaosSoakTCP (leader crash, minority cut, heal) and
+# TestChaosSoakPreGSTChaosHeals (pre-GST link chaos), then chaossoak's
+# kill -9 drill test, all with consensus safety checked at the end (see
+# DESIGN.md §10).
 #
 # With METRICS set (make soak METRICS=:8080) the soak instead runs as a
-# watchable live cluster: the full TCP fault plan with the telemetry
-# endpoint serving /metrics, /healthz and pprof on that address for the
-# duration of the run (see README "watching a live cluster").
+# watchable live cluster: the drill at n = 5 with η = 1 s (about ten
+# seconds) and the telemetry endpoint serving /metrics, /healthz and pprof
+# on that address for the duration of the run (see README "watching a
+# live cluster").
 ifdef METRICS
 soak:
-	$(GO) run ./cmd/chaossoak -plan full -metrics-addr $(METRICS)
+	$(GO) run ./cmd/chaossoak -eta 1s -metrics-addr $(METRICS)
 else
 soak:
 	$(GO) test -race -count=1 -run 'ChaosSoak' -v ./internal/transport/
@@ -173,35 +176,36 @@ endif
 # phase-1 quorum filling a decided slot, DESIGN.md §14) showed in one run
 # in a hundred — it stayed a flake for eleven PRs because CI looked once.
 # The last line runs the drill once more under the race detector, as a
-# command, not a test. TestRunRecoveryPlanMem runs five times over: their catch-up bar is taken from what the survivors
+# command, not a test. TestRunRecoveryPlanMem, the drill's test, runs
+# five times over: its catch-up bar is taken from what the survivors
 # decided after the kill, so a pass no longer depends on how far the
 # warm-up happened to overshoot, and a flake here is a bug. The -n 3 runs
 # are where a follower decides on its own vote (a quorum of two): the kill
 # meets that path with a WAL that syncs on every flush, without a lease and
 # with one, whose local reads wait for what was launched before them.
 recovery-soak:
-	$(GO) test -race -count=5 -run 'TestRunRecoveryPlan' -v ./cmd/chaossoak/
+	$(GO) test -race -count=5 -run 'TestRunRecoveryPlanMem' -v ./cmd/chaossoak/
 	$(GO) test -race -count=300 -run 'Restart' ./internal/transport/
-	$(GO) run ./cmd/chaossoak -plan recovery -n 5 -fsync always
-	$(GO) run ./cmd/chaossoak -plan recovery -n 3 -fsync always
-	$(GO) run ./cmd/chaossoak -plan recovery -n 3 -fsync always -lease 300ms
-	$(GO) run -race ./cmd/chaossoak -plan recovery -n 3
+	$(GO) run ./cmd/chaossoak -n 5 -fsync always
+	$(GO) run ./cmd/chaossoak -n 3 -fsync always
+	$(GO) run ./cmd/chaossoak -n 3 -fsync always -lease 300ms
+	$(GO) run -race ./cmd/chaossoak -n 3
 
 # A live election reaching the collector, then a simulated one. The live
-# leg runs chaossoak's crash plan over TCP with the telemetry endpoint,
+# leg runs chaossoak's kill -9 drill over TCP with the telemetry endpoint,
 # scrapes /metrics mid-run with curl, and, after the run, reads the file
 # -metrics-out wrote (what /metrics answers at the end): it must count at
-# least two elections — the boot election and the one after the leader's
-# crash — and an agreed leader. -eta 1s stretches the run to about three
-# seconds; at the default 5 ms it is over in tens of milliseconds, before
-# any scrape lands. The omegasim line: a simulated leader crash reaches the
+# least two elections — the boot election and one after a leader's kill —
+# and an agreed leader. -eta 200ms stretches the run to about two seconds;
+# at the default 5 ms it is over in tens of milliseconds, before any
+# scrape lands. The omegasim line: a simulated leader crash reaches the
 # collector through the world's own obs.Down, so the finished run's
 # /healthz must answer 200 with the survivors' leader (curl -f fails on
 # the 503 it answered before the runtimes reported crashes themselves).
 telemetry-smoke:
 	$(GO) build -o /tmp/chaossoak-smoke ./cmd/chaossoak
 	rm -f /tmp/telemetry-smoke/live.prom
-	/tmp/chaossoak-smoke -plan crash -n 3 -eta 1s -metrics-addr 127.0.0.1:9109 -metrics-out /tmp/telemetry-smoke/live.prom & \
+	/tmp/chaossoak-smoke -n 3 -eta 200ms -metrics-addr 127.0.0.1:9109 -metrics-out /tmp/telemetry-smoke/live.prom & \
 	pid=$$!; sleep 1; \
 	curl -fsS http://127.0.0.1:9109/metrics | grep -E 'omega_(sent_total|active_links|leader) '; rc=$$?; \
 	wait $$pid && exit $$rc
@@ -293,7 +297,7 @@ flake-count:
 	bash scripts/flake-count.sh '$(RUN)' $(N) $(PKG)
 
 # End-to-end tracing smoke (DESIGN.md §8), one leg per runtime, each read
-# back by traceview on the same path: a traced chaossoak leader-crash run
+# back by traceview on the same path: a traced chaossoak kill -9 drill
 # over TCP, then a simulated omegasim run whose leader p0 crashes at
 # 300 ms. -require-request gates on at least one complete
 # request→queue→quorum→apply chain; -require-election gates on a captured
@@ -303,7 +307,7 @@ trace-smoke:
 	$(GO) build -o /tmp/omegasim-trace ./cmd/omegasim
 	$(GO) build -o /tmp/traceview-smoke ./cmd/traceview
 	rm -rf /tmp/trace-smoke && mkdir -p /tmp/trace-smoke
-	/tmp/chaossoak-trace -plan crash -trace-dir /tmp/trace-smoke/soak
+	/tmp/chaossoak-trace -n 3 -trace-dir /tmp/trace-smoke/soak
 	/tmp/traceview-smoke -require-request -require-election -chrome /tmp/trace-smoke/soak.chrome.json /tmp/trace-smoke/soak
 	/tmp/omegasim-trace -crash 0@300ms -trace-dir /tmp/trace-smoke/sim
 	/tmp/traceview-smoke -require-election /tmp/trace-smoke/sim

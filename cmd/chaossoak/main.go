@@ -1,25 +1,24 @@
-// Command chaossoak runs a live cluster — real TCP sockets on loopback —
-// under a scripted fault plan: seeded per-link chaos, scheduled leader
-// crashes, runtime partitions and heals. It drives replicated-state-machine
-// traffic through the surviving majority and verifies, at the end, that
-// leader election converged and that no consensus instance ever decided
-// two values.
+// Command chaossoak is the kill -9 drill on a live cluster — real TCP
+// sockets on loopback. Every replica journals its consensus state through
+// internal/durable. The drill commits a batch, kills the leader mid batch,
+// lets the survivors keep deciding, and rebuilds the dead process from its
+// WAL directory in place (TCPCluster.Restart: the process keeps its
+// sockets). It must rejoin, catch up on what it missed, and regain
+// proposer eligibility: the next leader is killed and the rest must
+// decide again. At the end the run checks that no consensus instance
+// decided two values, then re-reads the WAL directories offline and
+// cross-checks the applied sequences they rebuild (replay equivalence).
+// Process i journals to walroot/p<i>.
 //
 // Usage examples:
 //
-//	chaossoak -plan full -n 5 -seed 42
-//	chaossoak -plan crash -n 3
-//	chaossoak -plan chaos -gst 2s -bound 30s
-//	chaossoak -plan recovery -n 3 -fsync group
+//	chaossoak -n 3
+//	chaossoak -n 5 -fsync always -lease 300ms
+//	chaossoak -n 3 -eta 200ms -metrics-addr :8080
 //
-// The recovery plan is the kill -9 drill: every replica journals its
-// consensus state through internal/durable, the leader is killed mid
-// batch, the survivors keep deciding, and the dead process is rebuilt
-// from its WAL directory in place (TCPCluster.Restart: the process keeps
-// its sockets). It must rejoin, catch up on what it missed, and regain
-// proposer eligibility — then the run re-reads the WAL directories
-// offline and cross-checks them against the in-memory decision logs
-// (replay equivalence). Process i journals to walroot/p<i>.
+// Link faults live in internal/transport's soak tests on the same
+// sockets: TestChaosSoakTCP (leader crash, minority cut, heal) and
+// TestChaosSoakPreGSTChaosHeals (pre-GST loss and delay).
 package main
 
 import (
@@ -37,12 +36,8 @@ import (
 	"repro/internal/consensus/rsm"
 	"repro/internal/core"
 	"repro/internal/durable"
-	"repro/internal/faultline"
-	"repro/internal/network"
 	"repro/internal/node"
 	"repro/internal/obs"
-	"repro/internal/scenario"
-	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/tracing"
 	"repro/internal/transport"
@@ -55,93 +50,55 @@ func main() {
 	}
 }
 
+// snapshotEvery is how many applied commands a replica checkpoints its WAL
+// after.
+const snapshotEvery = 8
+
 func run(args []string) (err error) {
 	fs := flag.NewFlagSet("chaossoak", flag.ContinueOnError)
 	var (
-		n            = fs.Int("n", 5, "number of processes (full/partition plans need n >= 5 for quorum math)")
-		seed         = fs.Int64("seed", 42, "fault-injection seed (same seed + plan = same drop/delay decisions)")
+		n            = fs.Int("n", 5, "number of processes (at least 3: each kill must leave a quorum)")
 		eta          = fs.Duration("eta", 5*time.Millisecond, "heartbeat period η")
-		planName     = fs.String("plan", "full", "fault plan: crash, partition, chaos, full, recovery")
-		gst          = fs.Duration("gst", 1500*time.Millisecond, "global stabilization time for the chaos plan")
 		bound        = fs.Duration("bound", 30*time.Second, "per-phase convergence bound")
 		commands     = fs.Int("commands", 5, "consensus instances to commit per traffic phase")
-		drop         = fs.Float64("drop", 0.4, "pre-GST drop probability for the chaos plan")
 		metricsAddr  = fs.String("metrics-addr", "", "serve /metrics, /healthz and pprof on this address (e.g. :8080)")
 		metricsOut   = fs.String("metrics-out", "", "at the end of the run, write what GET /metrics would answer to this file (parent directories are created)")
 		traceTail    = fs.Int("trace-tail", 0, "record message events in a bounded ring and print the last N at exit")
 		traceTailOut = fs.String("trace-tail-out", "", "with -trace-tail, also write the tail to this file (parent directories are created)")
 		traceDir     = fs.String("trace-dir", "", "record causal spans and write flight-recorder dumps (plus a final dump) into this directory; feed it to traceview")
-		traceSample  = fs.Int("trace-sample", 1, "with -trace-dir, sample one in this many client requests")
-		lease        = fs.Duration("lease", 0, "leader read lease; 0 disables (leases trade failover latency for local reads, so chaos plans default off)")
-		fsyncName    = fs.String("fsync", "group", "WAL fsync policy for the recovery plan: always, group, off")
-		walDir       = fs.String("wal-dir", "", "WAL root for the recovery plan (default: a fresh temp dir, removed on success)")
-		snapEvery    = fs.Int("snapshot-every", 8, "checkpoint the WAL every this many applied commands in the recovery plan")
+		lease        = fs.Duration("lease", 0, "leader read lease; 0 disables (a lease trades failover latency for local reads)")
+		fsyncName    = fs.String("fsync", "group", "WAL fsync policy: always, group, off")
+		walDir       = fs.String("wal-dir", "", "WAL root (default: a fresh temp dir, removed on success)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *n < 3 {
+		return fmt.Errorf("the drill needs n >= 3, got %d", *n)
+	}
 
-	s := &soak{eta: *eta, bound: *bound, commands: *commands, lease: *lease}
-	var plan faultline.Plan // the crash, partition and full plans fault by hand
-	switch *planName {
-	case "recovery":
-		if *n < 3 {
-			return fmt.Errorf("plan recovery needs n >= 3, got %d", *n)
-		}
-		switch *fsyncName {
-		case "always":
-			s.sync = durable.SyncAlways
-		case "group":
-			s.sync = durable.SyncGroup
-		case "off":
-			s.sync = durable.SyncOff
-		default:
-			return fmt.Errorf("unknown fsync policy %q (want always, group, off)", *fsyncName)
-		}
-		s.walRoot = *walDir
-		if s.walRoot == "" {
-			dir, err := os.MkdirTemp("", "chaossoak-wal-")
-			if err != nil {
-				return err
-			}
-			s.walRoot = dir
-			defer func() {
-				if err == nil {
-					os.RemoveAll(dir)
-				}
-			}()
-		}
-		s.snapEvery = *snapEvery
-	case "crash", "partition", "full":
-		if *n < 3 {
-			return fmt.Errorf("plan %s needs n >= 3, got %d", *planName, *n)
-		}
-		if (*planName == "partition" || *planName == "full") && *n < 5 {
-			return fmt.Errorf("plan %s needs n >= 5 (crash + minority cut must leave a quorum), got %d", *planName, *n)
-		}
-	case "chaos":
-		// Pre-GST chaos via the scenario bridge: the simulator's all-et
-		// regime, replayed on live sockets. The simulated regime is
-		// lossless (wild delays only), so layer pre-GST loss on top — the
-		// combination the soak tests exercise.
-		plan, err = scenario.LiveFaultPlan(scenario.Config{
-			N:      *n,
-			Regime: scenario.RegimeAllET,
-			Delta:  2 * time.Millisecond,
-			Eta:    *eta,
-			GST:    sim.At(*gst),
-		})
+	s := &soak{eta: *eta, bound: *bound, commands: *commands, lease: *lease, walRoot: *walDir}
+	switch *fsyncName {
+	case "always":
+		s.sync = durable.SyncAlways
+	case "group":
+		s.sync = durable.SyncGroup
+	case "off":
+		s.sync = durable.SyncOff
+	default:
+		return fmt.Errorf("unknown fsync policy %q (want always, group, off)", *fsyncName)
+	}
+	if s.walRoot == "" {
+		dir, err := os.MkdirTemp("", "chaossoak-wal-")
 		if err != nil {
 			return err
 		}
-		if *drop > 0 {
-			plan.Default = network.EventuallyTimely(2*time.Millisecond, 30*time.Millisecond, *drop)
-		}
-	default:
-		return fmt.Errorf("unknown plan %q (want crash, partition, chaos, full, recovery)", *planName)
-	}
-	if s.inj, err = faultline.New(*n, *seed, plan); err != nil {
-		return err
+		s.walRoot = dir
+		defer func() {
+			if err == nil {
+				os.RemoveAll(dir)
+			}
+		}()
 	}
 
 	// The observer: the collector, the flight recorder and the event-log
@@ -153,7 +110,7 @@ func run(args []string) (err error) {
 		// The flight recorder: spans from every layer land in per-process
 		// rings; anomalies (leader changes, crashes, fallback reads, slow
 		// fsyncs, drops) snapshot them into trace-*.json dumps.
-		s.tset = tracing.New(tracing.Config{Procs: *n, Dir: *traceDir, SampleEvery: *traceSample})
+		s.tset = tracing.New(tracing.Config{Procs: *n, Dir: *traceDir})
 	}
 	var tail *tracing.Set
 	if *traceTail > 0 {
@@ -165,7 +122,7 @@ func run(args []string) (err error) {
 		return err
 	}
 	cfg := transport.Config{
-		N: *n, Seed: *seed, Quiet: true, Fault: s.inj,
+		N: *n, Quiet: true,
 		WriteTimeout: 200 * time.Millisecond, Observer: s.observer,
 		OnFlush: telemetry.FlushHook(s.observer),
 	}
@@ -198,32 +155,18 @@ func run(args []string) (err error) {
 	c.Start()
 	defer c.Stop()
 
-	fmt.Printf("chaossoak: plan=%s n=%d seed=%d eta=%v\n", *planName, *n, *seed, *eta)
-	switch *planName {
-	case "crash":
-		err = s.runCrash()
-	case "partition":
-		err = s.runPartition(false)
-	case "chaos":
-		err = s.runChaos(*gst)
-	case "full":
-		err = s.runPartition(true)
-	case "recovery":
-		err = s.runRecovery()
-	}
-	if err != nil {
+	fmt.Printf("chaossoak: n=%d eta=%v fsync=%s\n", *n, *eta, *fsyncName)
+	if err := s.drill(); err != nil {
 		return err
 	}
 	if err := s.checkSafety(); err != nil {
 		return err
 	}
-	if *planName == "recovery" {
-		// Quiesce before re-reading the WAL directories offline: an open
-		// on a live, appending log would race the node loops.
-		c.Stop()
-		if err := s.checkReplayEquivalence(); err != nil {
-			return err
-		}
+	// Quiesce before re-reading the WAL directories offline: an open on a
+	// live, appending log would race the node loops.
+	c.Stop()
+	if err := s.checkReplayEquivalence(); err != nil {
+		return err
 	}
 	st := c.Stats()
 	fmt.Printf("traffic:   sent=%d delivered=%d dropped=%d\n", st.TotalSent(), st.Delivered(), st.Dropped())
@@ -291,26 +234,22 @@ func writeOut(flag, path string, write func(io.Writer) error) error {
 	return nil
 }
 
-// soak holds the replicas and fault handles for one run, each indexed by
+// soak holds the replicas and their logs for one run, each indexed by
 // process.
 type soak struct {
-	eta      time.Duration
-	bound    time.Duration
-	lease    time.Duration
-	commands int
-	inj      *faultline.Injector
-	c        *transport.TCPCluster
-	tel      *telemetry.Collector
-	tset     *tracing.Set // nil without -trace-dir; every method no-ops then
-	observer obs.Sink     // what the cluster reports into: tel, tset, the -trace-tail ring
-	dets     []*core.Detector
-	logs     []*rsm.Node
-	stores   []*durable.WAL // nil entries outside the recovery plan
-
-	// Durability wiring, recovery plan only.
+	eta       time.Duration
+	bound     time.Duration
+	lease     time.Duration
+	commands  int
+	c         *transport.TCPCluster
+	tel       *telemetry.Collector
+	tset      *tracing.Set // nil without -trace-dir; every method no-ops then
+	observer  obs.Sink     // what the cluster reports into: tel, tset, the -trace-tail ring
+	dets      []*core.Detector
+	logs      []*rsm.Node
+	stores    []*durable.WAL
 	walRoot   string
 	sync      durable.SyncPolicy
-	snapEvery int
 	recovered node.ID // the process killed and rebuilt from disk
 }
 
@@ -332,9 +271,9 @@ func (s *soak) walOptions(i int) durable.Options {
 }
 
 // buildReplicas builds one process per id, each a rebuff-hardened
-// detector plus a replicated log. Rebuff matters here: chaos plans lose
-// accusations, and the base algorithm (built for reliable links) can
-// deadlock after a heal with every process electing itself.
+// detector plus a replicated log. Rebuff matters here: a process rebuilt
+// after a kill boots with no accusation counts, and a stale self-leader is
+// what a rebuff corrects.
 func (s *soak) buildReplicas(n int) ([]node.Automaton, error) {
 	autos := make([]node.Automaton, n)
 	s.dets, s.logs, s.stores = make([]*core.Detector, n), make([]*rsm.Node, n), make([]*durable.WAL, n)
@@ -347,25 +286,22 @@ func (s *soak) buildReplicas(n int) ([]node.Automaton, error) {
 	return autos, nil
 }
 
-// buildReplica composes process i, journaling through its WAL directory
-// when the recovery plan is active. It is also the rebuild path: reopening
-// the same directory recovers everything the previous incarnation
-// persisted.
+// buildReplica composes process i, journaling through its WAL directory.
+// It is also the rebuild path: reopening the same directory recovers
+// everything the previous incarnation persisted.
 func (s *soak) buildReplica(i int) (node.Automaton, error) {
 	cfg := rsm.Config{DriveInterval: 2 * s.eta, Lease: s.lease, Tracer: s.tset.Tracer(i)}
 	// The "application" here is the applied command sequence itself:
 	// snapshots absorb it, restarts restore it, and the offline
 	// replay-equivalence check re-derives it from the WAL alone.
 	al := &appliedLog{}
-	if s.walRoot != "" {
-		w, err := durable.Open(s.walPath(node.ID(i)), s.walOptions(i))
-		if err != nil {
-			return nil, err
-		}
-		s.stores[i] = w
-		cfg.Store, cfg.SnapshotEvery = w, s.snapEvery
-		cfg.SnapshotState, cfg.RestoreState = al.snapshot, al.restore
+	w, err := durable.Open(s.walPath(node.ID(i)), s.walOptions(i))
+	if err != nil {
+		return nil, err
 	}
+	s.stores[i] = w
+	cfg.Store, cfg.SnapshotEvery = w, snapshotEvery
+	cfg.SnapshotState, cfg.RestoreState = al.snapshot, al.restore
 	s.dets[i] = core.New(core.WithEta(s.eta), core.WithRebuff())
 	s.logs[i] = rsm.New(s.dets[i], cfg)
 	s.logs[i].OnApply(func(inst, cmd int, v consensus.Value) { al.cmds = append(al.cmds, string(v)) })
@@ -442,7 +378,7 @@ func (s *soak) kill(id node.ID, what string) ([]int, error) {
 	s.c.Crash(id)
 	fmt.Printf("fault:     %s\n", what)
 	_, err := s.settled(map[int]bool{int(id): true}, fmt.Sprintf("re-election without p%v", id))
-	return slices.DeleteFunc(ints(0, len(s.dets)), func(p int) bool { return p == int(id) }), err
+	return slices.DeleteFunc(ints(len(s.dets)), func(p int) bool { return p == int(id) }), err
 }
 
 // waitFor polls cond until it holds or the phase bound expires.
@@ -502,111 +438,26 @@ func (s *soak) pump(correct []int, prefix string, target int) error {
 	}, prefix+" consensus progress")
 }
 
-func skipAllBut(n int, keep []int) map[int]bool {
-	skip := make(map[int]bool, n)
-	for i := 0; i < n; i++ {
-		skip[i] = true
-	}
-	for _, p := range keep {
-		skip[p] = false
-	}
-	return skip
-}
-
-func ints(lo, hi int) []int {
-	out := make([]int, 0, hi-lo)
-	for i := lo; i < hi; i++ {
-		out = append(out, i)
+// ints is 0, 1, …, n-1.
+func ints(n int) []int {
+	out := make([]int, n)
+	for i := range out {
+		out[i] = i
 	}
 	return out
 }
 
-// warmUp waits for a first agreement and commits a first batch on every
-// process.
-func (s *soak) warmUp() error {
+// drill is the kill -9 drill: commit a batch, kill the leader with a
+// burst of requests in flight, let the survivors advance, rebuild the dead
+// process from its WAL, and require it to rejoin, catch up on the outage,
+// and win back proposer eligibility before the final safety and replay
+// checks.
+func (s *soak) drill() error {
+	all := ints(len(s.dets))
 	if _, err := s.settled(nil, "initial agreement"); err != nil {
 		return err
 	}
-	return s.pump(ints(0, len(s.dets)), "pre", s.commands)
-}
-
-// runCrash commits a batch, crashes the leader, and requires re-election
-// plus renewed consensus progress among the survivors.
-func (s *soak) runCrash() error {
-	if err := s.warmUp(); err != nil {
-		return err
-	}
-	leader, err := s.settled(nil, "settled leader to crash")
-	if err != nil {
-		return err
-	}
-	survivors, err := s.kill(leader, fmt.Sprintf("crashed leader p%v", leader))
-	if err != nil {
-		return err
-	}
-	return s.pump(survivors, "post", 2*s.commands)
-}
-
-// runPartition runs the full acceptance script: optional leader crash,
-// then a minority cut, majority progress, heal, and convergence.
-func (s *soak) runPartition(crashFirst bool) error {
-	n := len(s.dets)
-	if err := s.warmUp(); err != nil {
-		return err
-	}
-	skip := map[int]bool{}
-	correct := ints(0, n)
-	if crashFirst {
-		skip[0] = true
-		var err error
-		if correct, err = s.kill(0, "crashed p0"); err != nil {
-			return err
-		}
-	}
-	// Cut the highest id away from the rest; the majority side keeps a
-	// quorum and must keep deciding.
-	minority := node.ID(n - 1)
-	majority := correct[:len(correct)-1]
-	s.inj.Cut([]node.ID{minority}, idsOf(majority))
-	fmt.Printf("fault:     cut p%v from %v\n", minority, majority)
-	if _, err := s.settled(skipAllBut(n, majority), "majority agreement during partition"); err != nil {
-		return err
-	}
-	if err := s.pump(majority, "cut", s.commands+1); err != nil {
-		return err
-	}
-	s.inj.Heal()
-	fmt.Println("fault:     healed all partitions")
-	if _, err := s.settled(skip, "convergence after heal"); err != nil {
-		return err
-	}
-	return s.pump(correct, "post", s.commands+2)
-}
-
-// runChaos rides out pre-GST link chaos and requires stabilization — a
-// single common leader — once the wall-clock GST has passed.
-func (s *soak) runChaos(gst time.Duration) error {
-	start := time.Now()
-	time.Sleep(gst / 2)
-	if s.c.Stats().Dropped() == 0 {
-		return fmt.Errorf("pre-GST chaos injected no drops")
-	}
-	fmt.Printf("fault:     pre-GST chaos dropped %d messages\n", s.c.Stats().Dropped())
-	time.Sleep(time.Until(start.Add(gst)))
-	if _, err := s.settled(nil, "post-GST stabilization"); err != nil {
-		return err
-	}
-	return s.pump(ints(0, len(s.dets)), "post-gst", s.commands)
-}
-
-// runRecovery is the kill -9 drill: commit a batch, kill the leader with
-// a burst of requests in flight, let the survivors advance, rebuild the
-// dead process from its WAL, and require it to rejoin, catch up on the
-// outage, and win back proposer eligibility before the final safety and
-// replay checks.
-func (s *soak) runRecovery() error {
-	all := ints(0, len(s.dets))
-	if err := s.warmUp(); err != nil {
+	if err := s.pump(all, "pre", s.commands); err != nil {
 		return err
 	}
 	victim, err := s.settled(nil, "settled leader to kill")
@@ -754,7 +605,7 @@ func (s *soak) checkReplayEquivalence() error {
 }
 
 // checkSafety verifies that no consensus instance decided two values
-// anywhere — crashed and once-partitioned replicas included.
+// anywhere — the killed and restarted replicas included.
 func (s *soak) checkSafety() error {
 	recs := make([]*consensus.Recorder, len(s.logs))
 	for i, l := range s.logs {
@@ -764,12 +615,4 @@ func (s *soak) checkSafety() error {
 		return fmt.Errorf("consensus disagreement: %v", rep.Violations)
 	}
 	return nil
-}
-
-func idsOf(ps []int) []node.ID {
-	out := make([]node.ID, len(ps))
-	for i, p := range ps {
-		out[i] = node.ID(p)
-	}
-	return out
 }

@@ -9,12 +9,19 @@ import (
 	"repro/internal/telemetry"
 )
 
-// TestRunCrashPlanMem also writes -metrics-out and reads it back: the file
-// is the collector's one export, so it must hold every histogram family an
-// exposition has, and the leader the survivors agreed on after the crash.
-func TestRunCrashPlanMem(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "metrics", "crash.prom")
-	if err := run([]string{"-plan", "crash", "-n", "3", "-commands", "2", "-bound", "20s", "-metrics-out", out}); err != nil {
+// TestRunRecoveryPlanMem is the CI recovery soak over TCP: kill -9 the
+// leader mid-batch, restart it in place from its WAL directory, and
+// require rejoin, catch-up, renewed proposer eligibility, and replay
+// equivalence. It stays enabled under -short so the -race CI job always
+// runs it. The same run writes -metrics-out, read back here: the file is
+// the collector's one export, so it must hold every histogram family an
+// exposition has, and the leader the processes agreed on at the end.
+func TestRunRecoveryPlanMem(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "metrics", "drill.prom")
+	if err := run([]string{
+		"-n", "3", "-commands", "2", "-bound", "30s", "-fsync", "group",
+		"-wal-dir", t.TempDir(), "-metrics-out", out,
+	}); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(out)
@@ -41,58 +48,18 @@ func TestRunCrashPlanMem(t *testing.T) {
 	}
 }
 
-func TestRunFullPlanMem(t *testing.T) {
-	if err := run([]string{"-plan", "full", "-n", "5", "-commands", "2", "-bound", "20s"}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestRunRecoveryPlanMem is the CI recovery soak over TCP: kill -9 the
-// leader mid-batch, restart it in place from its WAL directory, and
-// require rejoin, catch-up, renewed proposer eligibility, and replay
-// equivalence. It stays enabled under -short so the -race CI job always
-// runs it.
-func TestRunRecoveryPlanMem(t *testing.T) {
-	if err := run([]string{
-		"-plan", "recovery", "-n", "3",
-		"-commands", "2", "-bound", "30s", "-fsync", "group",
-		"-wal-dir", t.TempDir(),
-	}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRunChaosPlanMem(t *testing.T) {
-	if testing.Short() {
-		t.Skip("chaos plan waits out a wall-clock GST")
-	}
-	if err := run([]string{"-plan", "chaos", "-n", "3", "-gst", "400ms", "-commands", "2", "-bound", "20s"}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestRunRejectsBadFlags(t *testing.T) {
-	cases := map[string][]string{
-		"unknown plan":      {"-plan", "mayhem"},
-		"partition needs 5": {"-plan", "partition", "-n", "3"},
-		"crash needs 3":     {"-plan", "crash", "-n", "2"},
-		"no -groups flag":   {"-plan", "recovery", "-n", "3", "-groups", "2"},
+	cases := map[string]struct {
+		args []string
+		want string
+	}{
+		"no -plan flag":   {[]string{"-plan", "crash"}, "flag provided but not defined: -plan"},
+		"drill needs 3":   {[]string{"-n", "2"}, "needs n >= 3"},
+		"no -groups flag": {[]string{"-n", "3", "-groups", "2"}, "flag provided but not defined: -groups"},
 	}
-	for name, args := range cases {
-		err := run(args)
-		if err == nil {
-			t.Fatalf("%s: accepted %v", name, args)
-		}
-		if strings.Contains(err.Error(), "timed out") {
-			t.Fatalf("%s: ran instead of rejecting: %v", name, err)
-		}
-		if name != "unknown plan" {
-			continue
-		}
-		for _, plan := range []string{"crash", "partition", "chaos", "full", "recovery"} {
-			if !strings.Contains(err.Error(), plan) {
-				t.Errorf("%s: %q does not name the %s plan", name, err, plan)
-			}
+	for name, tc := range cases {
+		if err := run(tc.args); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: run(%v) = %v, want an error containing %q", name, tc.args, err, tc.want)
 		}
 	}
 }

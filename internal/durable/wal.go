@@ -249,9 +249,6 @@ func (w *WAL) createSegment() error {
 // State returns the state recovered by Open, nil for a fresh directory.
 func (w *WAL) State() *State { return w.st }
 
-// Dir returns the WAL's directory.
-func (w *WAL) Dir() string { return w.dir }
-
 func (w *WAL) Promise(b uint64) { w.append(record{typ: recPromise, b: b}) }
 func (w *WAL) Ballot(b uint64)  { w.append(record{typ: recBallot, b: b}) }
 func (w *WAL) Accept(inst, b uint64, v string) {

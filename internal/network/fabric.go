@@ -112,15 +112,9 @@ func NewFabric(k *sim.Kernel, n int, def Profile, sink obs.Sink) (*Fabric, error
 	return f, nil
 }
 
-// N returns the number of processes.
-func (f *Fabric) N() int { return f.n }
-
 // SetDeliver installs the delivery callback. It must be set before the
 // first Send.
 func (f *Fabric) SetDeliver(fn DeliverFunc) { f.deliver = fn }
-
-// GST returns the fabric's global stabilization time.
-func (f *Fabric) GST() sim.Time { return f.gst }
 
 // SetGST sets the instant after which eventually-timely links are timely.
 func (f *Fabric) SetGST(t sim.Time) { f.gst = t }

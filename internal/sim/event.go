@@ -38,15 +38,11 @@ func (f Func) Run() { f() }
 type Handle struct {
 	e   *Event
 	gen uint64
-	at  Time
 }
 
 // live reports whether the handle's generation is still current, i.e. the
 // event is queued (possibly cancelled but not yet collected).
 func (h Handle) live() bool { return h.e != nil && h.e.gen == h.gen }
-
-// At returns the virtual instant the event is (or was) scheduled for.
-func (h Handle) At() Time { return h.at }
 
 // Pending reports whether the event is still queued and will fire.
 func (h Handle) Pending() bool { return h.live() && !h.e.cancelled }
@@ -123,14 +119,6 @@ func (h *eventHeap) Pop() *Event {
 		h.down(0)
 	}
 	return top
-}
-
-// Peek returns the earliest event without removing it, or nil if empty.
-func (h *eventHeap) Peek() *Event {
-	if len(h.items) == 0 {
-		return nil
-	}
-	return h.items[0]
 }
 
 func (h *eventHeap) up(i int) {

@@ -71,10 +71,6 @@ func (k *Kernel) Now() Time { return k.now }
 // models must draw randomness only from here to preserve reproducibility.
 func (k *Kernel) Rand() *rand.Rand { return k.rng }
 
-// Pending returns the number of events currently queued (including
-// cancelled events that have not been collected yet).
-func (k *Kernel) Pending() int { return k.heap.Len() }
-
 // Processed returns the number of events that have fired so far.
 func (k *Kernel) Processed() uint64 { return k.processed }
 
@@ -155,7 +151,7 @@ func (k *Kernel) scheduleAt(t Time, r Runner) Handle {
 	e.at, e.seq, e.run = t, k.seq, r
 	k.seq++
 	k.heap.Push(e)
-	return Handle{e: e, gen: e.gen, at: t}
+	return Handle{e: e, gen: e.gen}
 }
 
 // Step fires the next event, advancing the clock to its instant. It returns

@@ -12,6 +12,8 @@ import (
 	"repro/internal/faultline"
 	"repro/internal/network"
 	"repro/internal/node"
+	"repro/internal/scenario"
+	"repro/internal/sim"
 )
 
 // soakReplicas builds n composed detector+replicated-log automatons.
@@ -205,43 +207,50 @@ func TestChaosSoakTCP(t *testing.T) {
 	pumpCommands(t, c, logs, correct, "post", commands+2, bound)
 
 	// Safety holds across everyone — crashed and once-partitioned
-	// replicas included: no instance ever decided two values.
-	recs := make([]*consensus.Recorder, n)
+	// replicas included.
+	requireSafety(t, logs, newLeader)
+}
+
+// requireSafety fails t if any instance decided two values anywhere in
+// logs; leader is the final leader, for the message.
+func requireSafety(t *testing.T, logs []*rsm.Node, leader node.ID) {
+	t.Helper()
+	recs := make([]*consensus.Recorder, len(logs))
 	for i, l := range logs {
 		recs[i] = l.Recorder()
 	}
-	rep := consensus.CheckSafety(consensus.SafetyInput{Recorders: recs})
-	if !rep.Agreement {
-		t.Fatalf("consensus disagreement after chaos (final leader %v): %v", newLeader, rep.Violations)
+	if rep := consensus.CheckSafety(consensus.SafetyInput{Recorders: recs}); !rep.Agreement {
+		t.Fatalf("consensus disagreement after chaos (final leader %v): %v", leader, rep.Violations)
 	}
 }
 
-// TestChaosSoakPreGSTChaosHeals runs a live TCP cluster on
-// eventually-timely links: before the wall-clock GST every link drops and
-// delays wildly; from GST on the links are timely and the detectors must
-// stabilize — the paper's GST model, on real sockets.
+// TestChaosSoakPreGSTChaosHeals runs a live TCP cluster of replicated
+// logs on eventually-timely links: before the wall-clock GST every link
+// drops and delays wildly; from GST on the links are timely, the detectors
+// must stabilize and every replica must decide again — the paper's GST
+// model, on real sockets — and nothing decided in the chaos may disagree.
 func TestChaosSoakPreGSTChaosHeals(t *testing.T) {
 	const n = 3
-	gst := 1500 * time.Millisecond
+	gst, commands := 1500*time.Millisecond, 5
 	if testing.Short() {
-		gst = 400 * time.Millisecond
+		gst, commands = 400*time.Millisecond, 2
 	}
-	inj, err := faultline.New(n, 7, faultline.Plan{
-		Default: network.EventuallyTimely(2*time.Millisecond, 30*time.Millisecond, 0.4),
-		GST:     gst,
+	// The simulator's all-et regime, replayed on live sockets. The
+	// simulated regime is lossless (wild delays only), so pre-GST loss is
+	// layered on top.
+	plan, err := scenario.LiveFaultPlan(scenario.Config{
+		N: n, Regime: scenario.RegimeAllET,
+		Delta: 2 * time.Millisecond, Eta: 5 * time.Millisecond, GST: sim.At(gst),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Rebuff detectors: pre-GST loss desynchronizes accusation counters,
-	// and the base algorithm (built for reliable links) can then deadlock
-	// with every process electing itself — see soakReplicas.
-	autos := make([]node.Automaton, n)
-	dets := make([]*core.Detector, n)
-	for i := 0; i < n; i++ {
-		dets[i] = core.New(core.WithEta(5*time.Millisecond), core.WithRebuff())
-		autos[i] = dets[i]
+	plan.Default = network.EventuallyTimely(2*time.Millisecond, 30*time.Millisecond, 0.4)
+	inj, err := faultline.New(n, 7, plan)
+	if err != nil {
+		t.Fatal(err)
 	}
+	autos, dets, logs := soakReplicas(n)
 	c, err := NewTCPCluster(Config{N: n, Seed: 7, Quiet: true, Fault: inj}, autos)
 	if err != nil {
 		t.Fatal(err)
@@ -253,8 +262,12 @@ func TestChaosSoakPreGSTChaosHeals(t *testing.T) {
 	if c.Stats().Dropped() == 0 {
 		t.Fatal("pre-GST chaos injected no drops")
 	}
+	var leader node.ID
 	waitFor(t, 20*time.Second, func() bool {
-		_, ok := agreement(dets, nil)
+		l, ok := agreement(dets, nil)
+		leader = l
 		return ok && time.Since(c.start) > gst
 	}, "post-GST stabilization")
+	pumpCommands(t, c, logs, []int{0, 1, 2}, "post-gst", commands, 20*time.Second)
+	requireSafety(t, logs, leader)
 }
